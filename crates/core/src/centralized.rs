@@ -332,11 +332,8 @@ impl SpatialProvider for CentralizedProvider {
         // Send only the cues the server's advertisement accepts — for a
         // centralized outdoor map that is GNSS and nothing else (paper §2:
         // coverage stops at the door). No accepted cues, no wire call.
-        let techs = self
-            .session
-            .hello(self.server.endpoint())
-            .map(|h| h.localization_techs)
-            .unwrap_or_default();
+        let hello = self.session.hello(self.server.endpoint()).ok();
+        let techs = hello.as_deref().map_or(&[][..], |h| &h.localization_techs);
         let cues: Vec<LocationCue> = query
             .cues
             .into_iter()

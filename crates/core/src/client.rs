@@ -276,7 +276,7 @@ impl OpenFlameClient {
     }
 
     /// Capability handshake with a server (session-cached).
-    pub fn hello(&self, to: EndpointId) -> Result<HelloInfo, ClientError> {
+    pub fn hello(&self, to: EndpointId) -> Result<Arc<HelloInfo>, ClientError> {
         self.session.hello(to)
     }
 
@@ -301,14 +301,14 @@ impl OpenFlameClient {
             .plan_query_at(None, location, None)?
             .targets
             .into_iter()
-            .map(|t| t.server)
+            .map(|t| Arc::unwrap_or_clone(t.server))
             .collect())
     }
 
     /// The fleet-aware discovery view for a location, shard-stably
     /// cached in the session (per query cell). Returns the cache key
     /// cell alongside the view so failover can invalidate it.
-    fn discover_view_at(&self, location: LatLng) -> Result<(u64, DiscoveryView), ClientError> {
+    fn discover_view_at(&self, location: LatLng) -> Result<(u64, Arc<DiscoveryView>), ClientError> {
         let cell = CellId::from_latlng(location, QUERY_LEVEL)
             .map_err(|e| ClientError::Protocol(format!("bad location: {e}")))?;
         if let Some(view) = self
@@ -317,9 +317,10 @@ impl OpenFlameClient {
         {
             return Ok((cell.raw(), view));
         }
-        let view = self
-            .discovery
-            .discover_view(location, self.expand_neighbors)?;
+        let view = Arc::new(
+            self.discovery
+                .discover_view(location, self.expand_neighbors)?,
+        );
         self.session
             .store_discovery(cell.raw(), self.expand_neighbors, view.clone());
         Ok((cell.raw(), view))
@@ -340,7 +341,7 @@ impl OpenFlameClient {
         let (cell_raw, view) = self.discover_view_at(location)?;
         Ok(self
             .planner
-            .plan(&self.session, &self.fleet, cell_raw, view, kind, footprint))
+            .plan(&self.session, &self.fleet, cell_raw, &view, kind, footprint))
     }
 
     /// The planner's scatter plan for a `kind` query at `location`
@@ -373,7 +374,7 @@ impl OpenFlameClient {
             .plan_query_at(None, location, Some((location, radius_m)))?
             .targets
             .into_iter()
-            .map(|t| t.server)
+            .map(|t| Arc::unwrap_or_clone(t.server))
             .collect())
     }
 
@@ -773,7 +774,7 @@ impl OpenFlameClient {
         // candidate plan prunes sources that provably cannot route
         // (an advertised node count of zero).
         let candidate_plan = self.plan_query_at(Some(QueryKind::Route), from, None)?;
-        let candidates: Vec<DiscoveredServer> = candidate_plan
+        let candidates: Vec<Arc<DiscoveredServer>> = candidate_plan
             .targets
             .into_iter()
             .map(|t| t.server)
@@ -925,7 +926,7 @@ impl OpenFlameClient {
         Ok(self
             .localize_impl(coarse, cues, false)?
             .into_iter()
-            .map(|(server, estimate)| (server.server_id, estimate))
+            .map(|(server, estimate)| (server.server_id.clone(), estimate))
             .collect())
     }
 
@@ -939,7 +940,7 @@ impl OpenFlameClient {
         coarse: LatLng,
         cues: &[LocationCue],
         prefetch_hellos: bool,
-    ) -> Result<Vec<(DiscoveredServer, WireEstimate)>, ClientError> {
+    ) -> Result<Vec<(Arc<DiscoveredServer>, WireEstimate)>, ClientError> {
         // Planner-built scatter: the coarse fix bounds where the
         // client can stand, so shards outside the localize footprint
         // are skipped, and sources whose summaries prove no
@@ -972,7 +973,7 @@ impl OpenFlameClient {
             let matching = cues_for(server);
             (!matching.is_empty()).then(|| vec![Request::Localize { cues: matching }])
         });
-        let mut out: Vec<(DiscoveredServer, WireEstimate)> = Vec::new();
+        let mut out: Vec<(Arc<DiscoveredServer>, WireEstimate)> = Vec::new();
         let mut answered = 0usize;
         let mut failures: Vec<(usize, ClientError)> = Vec::new();
         let mut fleet_failed = false;
@@ -1158,7 +1159,7 @@ impl SpatialProvider for OpenFlameClient {
                     .and_then(|h| h.anchor)
                     .map(|anchor| LocalFrame::new(anchor).from_local(estimate.pos));
                 ProviderEstimate {
-                    server_id: server.server_id,
+                    server_id: server.server_id.clone(),
                     estimate,
                     geo,
                 }

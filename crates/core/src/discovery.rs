@@ -36,7 +36,7 @@ impl DiscoveredServer {
     pub fn accepts_cue(&self, technology: &str) -> bool {
         self.services
             .iter()
-            .any(|s| s == &format!("localize:{technology}"))
+            .any(|s| s.strip_prefix("localize:") == Some(technology))
     }
 }
 
@@ -104,7 +104,10 @@ impl DiscoveryClient {
     ) -> Result<Vec<DiscoveredServer>, ClientError> {
         Ok(self
             .discover_view_at_level(location, level, expand_neighbors)?
-            .servers)
+            .servers
+            .into_iter()
+            .map(Arc::unwrap_or_clone)
+            .collect())
     }
 
     /// Fleet-aware discovery: resolves both `MAPSRV` (plain servers)
@@ -192,11 +195,11 @@ impl DiscoveryClient {
                 server_id,
                 services,
             } if view.servers.iter().all(|s| s.server_id != server_id) => {
-                view.servers.push(DiscoveredServer {
+                view.servers.push(Arc::new(DiscoveredServer {
                     server_id,
                     endpoint: EndpointId(endpoint),
                     services,
-                });
+                }));
             }
             RecordData::FleetSrv {
                 group_id,
@@ -208,23 +211,27 @@ impl DiscoveryClient {
                 }
                 let shards = shards
                     .into_iter()
-                    .map(|shard| FleetShardView {
-                        extents: shard
-                            .extents
-                            .iter()
-                            .filter_map(|&raw| CellId::from_raw(raw).ok())
-                            .collect(),
-                        replicas: shard
-                            .replicas
-                            .into_iter()
-                            .map(|r| DiscoveredServer {
-                                server_id: r.server_id,
-                                endpoint: EndpointId(r.endpoint),
-                                // Replicas inherit the group's service
-                                // advertisement.
-                                services: services.clone(),
-                            })
-                            .collect(),
+                    .map(|shard| {
+                        Arc::new(FleetShardView {
+                            extents: shard
+                                .extents
+                                .iter()
+                                .filter_map(|&raw| CellId::from_raw(raw).ok())
+                                .collect(),
+                            replicas: shard
+                                .replicas
+                                .into_iter()
+                                .map(|r| {
+                                    Arc::new(DiscoveredServer {
+                                        server_id: r.server_id,
+                                        endpoint: EndpointId(r.endpoint),
+                                        // Replicas inherit the group's
+                                        // service advertisement.
+                                        services: services.clone(),
+                                    })
+                                })
+                                .collect(),
+                        })
                     })
                     .collect();
                 view.fleets.push(FleetView {

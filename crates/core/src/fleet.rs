@@ -37,6 +37,7 @@ use openflame_geo::LatLng;
 use openflame_netsim::{EndpointId, Transport};
 use openflame_worldgen::World;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How long a replica that failed at the wire stays off the candidate
 /// list before the selector will consider it again (transport clock).
@@ -54,7 +55,8 @@ pub struct FleetShardView {
     /// Fine cells whose content this shard owns.
     pub extents: Vec<CellId>,
     /// Replicas serving this shard (each carries the group's services).
-    pub replicas: Vec<DiscoveredServer>,
+    /// Shared: a scatter plan clones the `Arc`, not the record.
+    pub replicas: Vec<Arc<DiscoveredServer>>,
 }
 
 impl FleetShardView {
@@ -75,8 +77,9 @@ pub struct FleetView {
     pub group_id: String,
     /// Advertised services, shared by every replica of the group.
     pub services: Vec<String>,
-    /// The shard map, in advertisement order.
-    pub shards: Vec<FleetShardView>,
+    /// The shard map, in advertisement order. Shared: a planned fleet
+    /// branch keeps its shard (for failover) by cloning the `Arc`.
+    pub shards: Vec<Arc<FleetShardView>>,
 }
 
 /// Everything one discovery round learned about a location: plain
@@ -87,7 +90,7 @@ pub struct FleetView {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DiscoveryView {
     /// Plain (non-fleet) servers, e.g. the outdoor world-map provider.
-    pub servers: Vec<DiscoveredServer>,
+    pub servers: Vec<Arc<DiscoveredServer>>,
     /// Fleet groups advertising at this location.
     pub fleets: Vec<FleetView>,
 }
@@ -96,7 +99,7 @@ impl DiscoveryView {
     /// A view holding only plain servers (the pre-fleet shape).
     pub fn from_servers(servers: Vec<DiscoveredServer>) -> Self {
         Self {
-            servers,
+            servers: servers.into_iter().map(Arc::new).collect(),
             fleets: Vec::new(),
         }
     }
@@ -178,8 +181,8 @@ impl FleetSelector {
         &self,
         transport: &dyn Transport,
         shard: &'a FleetShardView,
-    ) -> Option<&'a DiscoveredServer> {
-        let alive: Vec<&DiscoveredServer> = shard
+    ) -> Option<&'a Arc<DiscoveredServer>> {
+        let alive: Vec<&Arc<DiscoveredServer>> = shard
             .replicas
             .iter()
             .filter(|r| !self.is_dead(transport, r.endpoint))
@@ -223,7 +226,7 @@ impl FleetSelector {
         transport: &dyn Transport,
         shard: &'a FleetShardView,
         tried: &[EndpointId],
-    ) -> Option<&'a DiscoveredServer> {
+    ) -> Option<&'a Arc<DiscoveredServer>> {
         shard
             .replicas
             .iter()
@@ -346,7 +349,7 @@ mod tests {
     fn shard(ids: &[u64]) -> FleetShardView {
         FleetShardView {
             extents: Vec::new(),
-            replicas: ids.iter().map(|&i| server(i)).collect(),
+            replicas: ids.iter().map(|&i| Arc::new(server(i))).collect(),
         }
     }
 

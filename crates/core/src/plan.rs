@@ -57,6 +57,7 @@ use openflame_cells::{CellId, Region};
 use openflame_geo::LatLng;
 use openflame_mapserver::protocol::{CoverageExtent, HelloInfo, Request, Response};
 use openflame_netsim::EndpointId;
+use std::sync::Arc;
 
 /// The service kind a query plan targets, mapped to the wire-level
 /// kind vocabulary of the coverage summary (spec §13.1).
@@ -122,8 +123,9 @@ pub struct PrunedSource {
 /// invalidate on failover.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetBranch {
-    /// The shard this branch consults.
-    pub shard: FleetShardView,
+    /// The shard this branch consults, shared with the discovery view
+    /// it was planned from.
+    pub shard: Arc<FleetShardView>,
     /// The session discovery-cache cell to invalidate on failover.
     pub cell_raw: u64,
 }
@@ -133,8 +135,9 @@ pub struct FleetBranch {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedTarget {
     /// The server to consult (updated to the answering replica on
-    /// failover, keeping provenance honest).
-    pub server: DiscoveredServer,
+    /// failover, keeping provenance honest), shared with the discovery
+    /// view it was planned from.
+    pub server: Arc<DiscoveredServer>,
     /// Fleet failover context, `None` for plain servers.
     pub fleet: Option<FleetBranch>,
     /// The server's consecutive-empty streak for the plan's kind — a
@@ -224,82 +227,68 @@ impl QueryPlanner {
         session: &Session,
         fleet: &FleetSelector,
         cell_raw: u64,
-        view: DiscoveryView,
+        view: &DiscoveryView,
         kind: Option<QueryKind>,
         footprint: Option<(LatLng, f64)>,
     ) -> ScatterPlan {
-        let transport = session.transport().clone();
+        let transport = session.transport().as_ref();
         let mut plan = ScatterPlan {
             kind,
             targets: Vec::new(),
             pruned: Vec::new(),
         };
-        for server in view.servers {
+        for server in &view.servers {
+            self.admit(session, &mut plan, server, None, footprint);
+        }
+        for shard in view.fleets.iter().flat_map(|f| &f.shards) {
+            if shard.replicas.is_empty() {
+                continue;
+            }
+            if let Some((center, radius_m)) = footprint {
+                if !shard.intersects(center, radius_m) {
+                    continue;
+                }
+            }
+            // Every replica dead-listed: consult the first anyway —
+            // the dead-list is a hint, and the wire (not the cache)
+            // should decide whether the shard is truly down.
+            let server = fleet.choose(transport, shard).unwrap_or(&shard.replicas[0]);
             self.admit(
                 session,
                 &mut plan,
-                PlannedTarget {
-                    server,
-                    fleet: None,
-                    empty_streak: 0,
-                },
+                server,
+                Some((shard, cell_raw)),
                 footprint,
             );
-        }
-        for fleet_view in view.fleets {
-            for shard in fleet_view.shards {
-                if shard.replicas.is_empty() {
-                    continue;
-                }
-                if let Some((center, radius_m)) = footprint {
-                    if !shard.intersects(center, radius_m) {
-                        continue;
-                    }
-                }
-                // Every replica dead-listed: consult the first anyway —
-                // the dead-list is a hint, and the wire (not the cache)
-                // should decide whether the shard is truly down.
-                let server = fleet
-                    .choose(transport.as_ref(), &shard)
-                    .unwrap_or(&shard.replicas[0])
-                    .clone();
-                self.admit(
-                    session,
-                    &mut plan,
-                    PlannedTarget {
-                        server,
-                        fleet: Some(FleetBranch { shard, cell_raw }),
-                        empty_streak: 0,
-                    },
-                    footprint,
-                );
-            }
         }
         plan
     }
 
-    /// Admits one candidate into the plan, or prunes it on proof.
+    /// Admits one candidate into the plan, or prunes it on proof. Only
+    /// an admitted candidate is cloned out of the view, and that clone
+    /// is a refcount bump.
     fn admit(
         &self,
         session: &Session,
         plan: &mut ScatterPlan,
-        mut target: PlannedTarget,
+        server: &Arc<DiscoveredServer>,
+        fleet: Option<(&Arc<FleetShardView>, u64)>,
         footprint: Option<(LatLng, f64)>,
     ) {
-        let state = session.cached_coverage(target.server.endpoint);
+        let state = session.cached_coverage(server.endpoint);
         if self.enabled {
-            if let (Some(kind), Some(state)) = (plan.kind, state.as_ref()) {
+            if let (Some(kind), Some(state)) = (plan.kind, state.as_deref()) {
                 if let Some(reason) = prune_reason(state, kind, footprint) {
                     plan.pruned.push(PrunedSource {
-                        server_id: target.server.server_id.clone(),
-                        endpoint: target.server.endpoint,
+                        server_id: server.server_id.clone(),
+                        endpoint: server.endpoint,
                         reason,
                     });
                     return;
                 }
             }
         }
-        target.empty_streak = match (plan.kind, state) {
+        let empty_streak = match (plan.kind, state) {
             (Some(kind), Some(state)) => state
                 .empty_streaks
                 .get(kind.wire_kind())
@@ -307,7 +296,14 @@ impl QueryPlanner {
                 .unwrap_or(0),
             _ => 0,
         };
-        plan.targets.push(target);
+        plan.targets.push(PlannedTarget {
+            server: server.clone(),
+            fleet: fleet.map(|(shard, cell_raw)| FleetBranch {
+                shard: shard.clone(),
+                cell_raw,
+            }),
+            empty_streak,
+        });
     }
 }
 
@@ -390,7 +386,8 @@ impl<'a> PlanExecutor<'a> {
     }
 
     /// Executes the plan. `request_for` builds each target's batch
-    /// from the server and its cached advertisement; returning `None`
+    /// from the server and a borrow of its cached advertisement (the
+    /// executor holds the shared `Arc` for the call); returning `None`
     /// drops the target from the plan without any wire traffic (e.g.
     /// a localize target accepting none of the offered cues). The
     /// returned outcomes align positionally with `plan.targets`, which
@@ -411,7 +408,7 @@ impl<'a> PlanExecutor<'a> {
         &self,
         plan: &mut ScatterPlan,
         discipline: HelloDiscipline,
-        request_for: impl Fn(&DiscoveredServer, Option<HelloInfo>) -> Option<Vec<Request>>,
+        request_for: impl Fn(&DiscoveredServer, Option<&HelloInfo>) -> Option<Vec<Request>>,
     ) -> Vec<Result<Vec<Response>, ClientError>> {
         // Skip decisions come first, from the pre-round cache state:
         // a target whose builder declines is dropped before any
@@ -420,19 +417,16 @@ impl<'a> PlanExecutor<'a> {
         let mut kept: Vec<PlannedTarget> = Vec::new();
         let mut first_requests: Vec<Option<Vec<Request>>> = Vec::new();
         for target in plan.targets.drain(..) {
-            let endpoint = target.server.endpoint;
-            let warm = self.session.has_hello(endpoint);
-            if discipline == HelloDiscipline::TwoPhase && !warm {
+            // One probe: a fresh advertisement counts as a hit, a
+            // missing one counts nothing here (misses are counted when
+            // the handshake is submitted).
+            let hello = self.session.cached_hello(target.server.endpoint);
+            if discipline == HelloDiscipline::TwoPhase && hello.is_none() {
                 kept.push(target);
                 first_requests.push(None);
                 continue;
             }
-            let hello = if warm {
-                self.session.cached_hello(endpoint)
-            } else {
-                None
-            };
-            if let Some(requests) = request_for(&target.server, hello) {
+            if let Some(requests) = request_for(&target.server, hello.as_deref()) {
                 kept.push(target);
                 first_requests.push(Some(requests));
             }
@@ -451,11 +445,9 @@ impl<'a> PlanExecutor<'a> {
         let slots: Vec<Slot> = plan
             .targets
             .iter()
-            .zip(&first_requests)
+            .zip(first_requests)
             .map(|(target, requests)| match requests {
-                Some(requests) => {
-                    Slot::Warm(round.submit(target.server.endpoint, requests.clone()))
-                }
+                Some(requests) => Slot::Warm(round.submit(target.server.endpoint, requests)),
                 None => {
                     self.session.note_hello_misses(1);
                     Slot::Cold(round.submit(target.server.endpoint, vec![Request::Hello]))
@@ -490,7 +482,7 @@ impl<'a> PlanExecutor<'a> {
                 Slot::Warm(i) => Slot::Warm(i),
                 Slot::Cold(_) => {
                     let hello = self.session.cached_hello(target.server.endpoint);
-                    let requests = request_for(&target.server, hello)
+                    let requests = request_for(&target.server, hello.as_deref())
                         .expect("TwoPhase builders must produce a request after the handshake");
                     Slot::Cold(follow.submit(target.server.endpoint, requests))
                 }
@@ -535,7 +527,7 @@ impl<'a> PlanExecutor<'a> {
         &self,
         plan: &mut ScatterPlan,
         gathered: &mut [Result<Vec<Response>, ClientError>],
-        request_for: &impl Fn(&DiscoveredServer, Option<HelloInfo>) -> Option<Vec<Request>>,
+        request_for: &impl Fn(&DiscoveredServer, Option<&HelloInfo>) -> Option<Vec<Request>>,
     ) {
         let transport = self.session.transport().clone();
         let mut tried: Vec<Vec<EndpointId>> = plan
@@ -545,7 +537,7 @@ impl<'a> PlanExecutor<'a> {
             .collect();
         loop {
             let mut retry = self.session.scatter();
-            let mut retrying: Vec<(usize, DiscoveredServer)> = Vec::new();
+            let mut retrying: Vec<(usize, Arc<DiscoveredServer>)> = Vec::new();
             for (idx, outcome) in gathered.iter().enumerate() {
                 if outcome.is_ok() {
                     continue;
@@ -568,9 +560,8 @@ impl<'a> PlanExecutor<'a> {
                     continue;
                 };
                 let sibling = sibling.clone();
-                let Some(requests) =
-                    request_for(&sibling, self.session.cached_hello(sibling.endpoint))
-                else {
+                let hello = self.session.cached_hello(sibling.endpoint);
+                let Some(requests) = request_for(&sibling, hello.as_deref()) else {
                     continue;
                 };
                 retry.submit(sibling.endpoint, requests);

@@ -30,7 +30,11 @@
 //!   [`BUSY_RETRY_BUDGET`] re-submissions have all been shed does the
 //!   call surface [`ClientError::Overloaded`].
 //!
-//! Both caches are **bounded** ([`DEFAULT_CACHE_CAP`], adjustable via
+//! All three caches are one generic TTL cache holding `Arc`s: an
+//! advertisement, coverage state or discovery view is copied once when
+//! it is learned and shared by reference with every reader after that
+//! (planner, executor, providers), so a warm call deep-copies none of
+//! it. They are **bounded** ([`DEFAULT_CACHE_CAP`], adjustable via
 //! [`Session::set_cache_cap`]): a long-lived session touring many
 //! cells does not grow memory forever. Inserts past the cap evict
 //! expired entries first, then the live entries closest to expiry;
@@ -149,47 +153,99 @@ pub struct SessionStats {
     pub busy_retries: u64,
 }
 
-struct Cached<T> {
-    value: T,
+/// A TTL- and capacity-bounded cache: the one store behind the hello,
+/// coverage and discovery caches. Values are handed out by reference
+/// (callers keep `Arc`s in it, so a lookup is a refcount bump), entries
+/// past their expiry are dropped by the probe that finds them, and an
+/// insert over the capacity evicts expired entries first, then the live
+/// entries closest to expiry.
+struct TtlCache<K, V> {
+    entries: HashMap<K, TtlEntry<V>>,
+    /// Insertion counter: the deterministic tie-break when many
+    /// entries share an expiry instant, as a whole discovery round's
+    /// hellos do on the simulated clock. Eviction must not depend on
+    /// `HashMap`'s per-process random iteration order — seeded runs
+    /// replay identically.
+    next_seq: u64,
+    /// Entries removed to hold the capacity bound (expired entries
+    /// purged while evicting included).
+    evictions: u64,
+}
+
+struct TtlEntry<V> {
+    value: V,
     expires_us: u64,
-    /// Insertion sequence (session-wide counter): the deterministic
-    /// tie-break when many entries share an expiry instant, as a whole
-    /// discovery round's hellos do on the simulated clock. Eviction
-    /// must not depend on `HashMap`'s per-process random iteration
-    /// order — seeded runs replay identically.
     seq: u64,
 }
 
-/// Holds `map` within `cap` entries after an insert. Expired entries
-/// are purged first (they are dead weight whoever probes them next);
-/// if the map is still over, the live entries closest to expiry — the
-/// oldest knowledge, insertion order breaking ties deterministically —
-/// are evicted. Returns how many entries were removed.
-fn evict_to_cap<K: Eq + std::hash::Hash + Clone, V>(
-    map: &mut HashMap<K, Cached<V>>,
-    cap: usize,
-    now_us: u64,
-) -> u64 {
-    if map.len() <= cap {
-        return 0;
-    }
-    let before = map.len();
-    map.retain(|_, cached| cached.expires_us > now_us);
-    let mut removed = (before - map.len()) as u64;
-    while map.len() > cap {
-        let victim = map
-            .iter()
-            .min_by_key(|(_, cached)| (cached.expires_us, cached.seq))
-            .map(|(key, _)| key.clone());
-        match victim {
-            Some(key) => {
-                map.remove(&key);
-                removed += 1;
-            }
-            None => break,
+impl<K: Eq + std::hash::Hash + Clone, V> TtlCache<K, V> {
+    fn new() -> Self {
+        Self {
+            entries: HashMap::new(),
+            next_seq: 0,
+            evictions: 0,
         }
     }
-    removed
+
+    /// The fresh value under `key`. An expired entry is removed, not
+    /// returned: staleness and absence look identical to callers.
+    fn get(&mut self, key: &K, now_us: u64) -> Option<&mut V> {
+        if self.entries.get(key)?.expires_us <= now_us {
+            self.entries.remove(key);
+            return None;
+        }
+        self.entries.get_mut(key).map(|entry| &mut entry.value)
+    }
+
+    /// Inserts (or replaces) `key`, expiring `ttl_us` from now, then
+    /// holds the cache within `cap` entries: expired entries are purged
+    /// first (they are dead weight whoever probes them next); if the
+    /// cache is still over, the live entries closest to expiry — the
+    /// oldest knowledge, insertion order breaking ties — are evicted.
+    fn insert(&mut self, key: K, value: V, now_us: u64, ttl_us: u64, cap: usize) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.entries.insert(
+            key,
+            TtlEntry {
+                value,
+                expires_us: now_us.saturating_add(ttl_us),
+                seq,
+            },
+        );
+        if self.entries.len() <= cap {
+            return;
+        }
+        let before = self.entries.len();
+        self.entries.retain(|_, entry| entry.expires_us > now_us);
+        while self.entries.len() > cap {
+            let victim = self
+                .entries
+                .iter()
+                .min_by_key(|(_, entry)| (entry.expires_us, entry.seq))
+                .map(|(key, _)| key.clone())
+                .expect("a cache over its capacity is not empty");
+            self.entries.remove(&victim);
+        }
+        self.evictions += (before - self.entries.len()) as u64;
+    }
+
+    fn remove(&mut self, key: &K) {
+        self.entries.remove(key);
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// Live (unexpired) entries. Expired entries awaiting lazy removal
+    /// are dead weight, not cached knowledge, and are not counted.
+    fn live_len(&self, now_us: u64) -> u64 {
+        self.entries
+            .values()
+            .filter(|entry| entry.expires_us > now_us)
+            .count() as u64
+    }
 }
 
 /// One envelope's decoded fate: answered (well or badly), or shed under
@@ -206,7 +262,6 @@ enum BatchReply {
 
 /// Discovery cache key: (query cell raw id, expand-neighbors flag).
 type DiscoveryKey = (u64, bool);
-type DiscoveryCache = HashMap<DiscoveryKey, Cached<DiscoveryView>>;
 
 /// Client-side coverage knowledge about one server: the summary it
 /// advertised in its `Hello` (if it speaks the coverage format), plus
@@ -234,12 +289,9 @@ pub struct Session {
     principal: OrderedMutex<Principal>,
     ttl_us: AtomicU64,
     cache_cap: AtomicUsize,
-    /// Monotonic insertion counter shared by both caches (the eviction
-    /// tie-break in [`evict_to_cap`]).
-    cache_seq: AtomicU64,
-    hellos: OrderedMutex<HashMap<EndpointId, Cached<HelloInfo>>>,
-    coverage: OrderedMutex<HashMap<EndpointId, Cached<CoverageState>>>,
-    discoveries: OrderedMutex<DiscoveryCache>,
+    hellos: OrderedMutex<TtlCache<EndpointId, Arc<HelloInfo>>>,
+    coverage: OrderedMutex<TtlCache<EndpointId, Arc<CoverageState>>>,
+    discoveries: OrderedMutex<TtlCache<DiscoveryKey, Arc<DiscoveryView>>>,
     stats: OrderedMutex<SessionStats>,
 }
 
@@ -252,10 +304,9 @@ impl Session {
             principal: OrderedMutex::new(ranks::SESSION_PRINCIPAL, principal),
             ttl_us: AtomicU64::new(DEFAULT_TTL_US),
             cache_cap: AtomicUsize::new(DEFAULT_CACHE_CAP),
-            cache_seq: AtomicU64::new(0),
-            hellos: OrderedMutex::new(ranks::SESSION_HELLOS, HashMap::new()),
-            coverage: OrderedMutex::new(ranks::SESSION_COVERAGE, HashMap::new()),
-            discoveries: OrderedMutex::new(ranks::SESSION_DISCOVERIES, HashMap::new()),
+            hellos: OrderedMutex::new(ranks::SESSION_HELLOS, TtlCache::new()),
+            coverage: OrderedMutex::new(ranks::SESSION_COVERAGE, TtlCache::new()),
+            discoveries: OrderedMutex::new(ranks::SESSION_DISCOVERIES, TtlCache::new()),
             stats: OrderedMutex::new(ranks::SESSION_STATS, SessionStats::default()),
         }
     }
@@ -314,24 +365,20 @@ impl Session {
     pub fn stats(&self) -> SessionStats {
         let mut stats = self.stats.lock().clone();
         let now = self.transport.now_us();
-        stats.hello_cache_len = self
-            .hellos
-            .lock()
-            .values()
-            .filter(|cached| cached.expires_us > now)
-            .count() as u64;
-        stats.discovery_cache_len = self
-            .discoveries
-            .lock()
-            .values()
-            .filter(|cached| cached.expires_us > now)
-            .count() as u64;
-        stats.coverage_cache_len = self
-            .coverage
-            .lock()
-            .values()
-            .filter(|cached| cached.expires_us > now)
-            .count() as u64;
+        // (live entries, evictions) of one cache, under its own lock.
+        fn census<K: Eq + std::hash::Hash + Clone, V>(
+            cache: &OrderedMutex<TtlCache<K, V>>,
+            now_us: u64,
+        ) -> (u64, u64) {
+            let cache = cache.lock();
+            (cache.live_len(now_us), cache.evictions)
+        }
+        let (hello_len, hello_evictions) = census(&self.hellos, now);
+        let (discovery_len, discovery_evictions) = census(&self.discoveries, now);
+        (stats.coverage_cache_len, stats.coverage_evictions) = census(&self.coverage, now);
+        stats.hello_cache_len = hello_len;
+        stats.discovery_cache_len = discovery_len;
+        stats.cache_evictions = hello_evictions + discovery_evictions;
         stats
     }
 
@@ -539,7 +586,8 @@ impl Session {
     // ----------------------------------------------------------------
 
     /// Opportunistically caches any `Hello` answers riding in a batch,
-    /// seeding the coverage cache from the advertised summary.
+    /// seeding the coverage cache from the advertised summary. This is
+    /// where an advertisement is copied; every later reader shares it.
     fn absorb_hellos(&self, from: EndpointId, responses: &[Response]) {
         for response in responses {
             if let Response::Hello(info) = response {
@@ -551,43 +599,24 @@ impl Session {
 
     /// Inserts a capability advertisement into the cache, evicting
     /// (expired-first) if the insert pushed it over the capacity bound.
-    pub fn store_hello(&self, from: EndpointId, info: HelloInfo) {
+    pub fn store_hello(&self, from: EndpointId, info: impl Into<Arc<HelloInfo>>) {
         let now = self.transport.now_us();
-        let evicted = {
-            let mut hellos = self.hellos.lock();
-            hellos.insert(
-                from,
-                Cached {
-                    value: info,
-                    expires_us: now.saturating_add(self.ttl_us()),
-                    seq: self.cache_seq.fetch_add(1, Ordering::Relaxed),
-                },
-            );
-            evict_to_cap(&mut hellos, self.cache_cap(), now)
-        };
-        if evicted > 0 {
-            self.stats.lock().cache_evictions += evicted;
-        }
+        self.hellos
+            .lock()
+            .insert(from, info.into(), now, self.ttl_us(), self.cache_cap());
     }
 
     /// Cache probe without touching the hit counters (internal
     /// bookkeeping, e.g. [`Session::ensure_hellos`] filtering, must not
     /// inflate the hit rate).
-    fn peek_hello(&self, server: EndpointId) -> Option<HelloInfo> {
+    fn peek_hello(&self, server: EndpointId) -> Option<Arc<HelloInfo>> {
         let now = self.transport.now_us();
-        let mut hellos = self.hellos.lock();
-        match hellos.get(&server) {
-            Some(cached) if cached.expires_us > now => Some(cached.value.clone()),
-            Some(_) => {
-                hellos.remove(&server);
-                None
-            }
-            None => None,
-        }
+        self.hellos.lock().get(&server, now).cloned()
     }
 
-    /// The cached advertisement for `server`, if fresh.
-    pub fn cached_hello(&self, server: EndpointId) -> Option<HelloInfo> {
+    /// The cached advertisement for `server`, if fresh — shared, not
+    /// copied: every caller holds the same allocation.
+    pub fn cached_hello(&self, server: EndpointId) -> Option<Arc<HelloInfo>> {
         let info = self.peek_hello(server);
         if info.is_some() {
             self.stats.lock().hello_hits += 1;
@@ -596,14 +625,14 @@ impl Session {
     }
 
     /// The advertisement for `server`, from cache or the wire.
-    pub fn hello(&self, server: EndpointId) -> Result<HelloInfo, ClientError> {
+    pub fn hello(&self, server: EndpointId) -> Result<Arc<HelloInfo>, ClientError> {
         if let Some(info) = self.cached_hello(server) {
             return Ok(info);
         }
         self.stats.lock().hello_misses += 1;
         let responses = self.batch(server, vec![Request::Hello])?;
         match responses.into_iter().next() {
-            Some(Response::Hello(info)) => Ok(info),
+            Some(Response::Hello(info)) => Ok(Arc::new(info)),
             Some(Response::Error { code, message }) => Err(ClientError::Server {
                 server_id: String::new(),
                 code,
@@ -662,44 +691,25 @@ impl Session {
     /// a summary, so the cached one is dropped).
     pub fn store_coverage(&self, from: EndpointId, summary: Option<CoverageSummary>) {
         let now = self.transport.now_us();
-        let evicted = {
-            let mut coverage = self.coverage.lock();
-            let streaks = coverage
-                .get(&from)
-                .map(|cached| cached.value.empty_streaks.clone())
-                .unwrap_or_default();
-            coverage.insert(
-                from,
-                Cached {
-                    value: CoverageState {
-                        summary,
-                        empty_streaks: streaks,
-                    },
-                    expires_us: now.saturating_add(self.ttl_us()),
-                    seq: self.cache_seq.fetch_add(1, Ordering::Relaxed),
-                },
-            );
-            evict_to_cap(&mut coverage, self.cache_cap(), now)
+        let mut coverage = self.coverage.lock();
+        let empty_streaks = coverage
+            .get(&from, now)
+            .map(|state| state.empty_streaks.clone())
+            .unwrap_or_default();
+        let state = CoverageState {
+            summary,
+            empty_streaks,
         };
-        if evicted > 0 {
-            self.stats.lock().coverage_evictions += evicted;
-        }
+        coverage.insert(from, Arc::new(state), now, self.ttl_us(), self.cache_cap());
     }
 
-    /// The fresh coverage state for `server`, if any. Expired state is
-    /// dropped, not returned: a planner MUST NOT prune on a stale
-    /// summary (spec §13.3), so staleness and absence look identical.
-    pub fn cached_coverage(&self, server: EndpointId) -> Option<CoverageState> {
+    /// The fresh coverage state for `server`, if any — shared, not
+    /// copied. Expired state is dropped, not returned: a planner MUST
+    /// NOT prune on a stale summary (spec §13.3), so staleness and
+    /// absence look identical.
+    pub fn cached_coverage(&self, server: EndpointId) -> Option<Arc<CoverageState>> {
         let now = self.transport.now_us();
-        let mut coverage = self.coverage.lock();
-        match coverage.get(&server) {
-            Some(cached) if cached.expires_us > now => Some(cached.value.clone()),
-            Some(_) => {
-                coverage.remove(&server);
-                None
-            }
-            None => None,
-        }
+        self.coverage.lock().get(&server, now).cloned()
     }
 
     /// Refines the coverage state from an observed answer: an empty
@@ -710,37 +720,32 @@ impl Session {
     /// the advertisement, not a re-advertisement.
     pub fn note_answer(&self, server: EndpointId, kind: &str, empty: bool) {
         let now = self.transport.now_us();
-        let evicted = {
-            let mut coverage = self.coverage.lock();
-            match coverage.get_mut(&server) {
-                Some(cached) if cached.expires_us > now => {
-                    let streak = cached
-                        .value
-                        .empty_streaks
-                        .entry(kind.to_string())
-                        .or_insert(0);
-                    *streak = if empty { streak.saturating_add(1) } else { 0 };
-                    0
-                }
-                _ => {
-                    let mut state = CoverageState::default();
-                    state
-                        .empty_streaks
-                        .insert(kind.to_string(), u32::from(empty));
-                    coverage.insert(
-                        server,
-                        Cached {
-                            value: state,
-                            expires_us: now.saturating_add(self.ttl_us()),
-                            seq: self.cache_seq.fetch_add(1, Ordering::Relaxed),
-                        },
-                    );
-                    evict_to_cap(&mut coverage, self.cache_cap(), now)
+        let mut coverage = self.coverage.lock();
+        match coverage.get(&server, now) {
+            Some(state) => {
+                // In place unless a planner still holds the old state,
+                // which then keeps the snapshot it planned on.
+                let streaks = &mut Arc::make_mut(state).empty_streaks;
+                match streaks.get_mut(kind) {
+                    Some(streak) => *streak = if empty { streak.saturating_add(1) } else { 0 },
+                    None => {
+                        streaks.insert(kind.to_string(), u32::from(empty));
+                    }
                 }
             }
-        };
-        if evicted > 0 {
-            self.stats.lock().coverage_evictions += evicted;
+            None => {
+                let mut state = CoverageState::default();
+                state
+                    .empty_streaks
+                    .insert(kind.to_string(), u32::from(empty));
+                coverage.insert(
+                    server,
+                    Arc::new(state),
+                    now,
+                    self.ttl_us(),
+                    self.cache_cap(),
+                );
+            }
         }
     }
 
@@ -748,23 +753,22 @@ impl Session {
     // Discovery cache.
     // ----------------------------------------------------------------
 
-    /// The cached discovery result for a query cell, if fresh. The
-    /// view carries plain servers *and* fleet groups; caching the whole
-    /// view keeps routing **shard-stable** — repeated requests against
-    /// the same cell see the same shard map, so replica choice and the
-    /// hello cache stay warm.
-    pub fn cached_discovery(&self, cell_raw: u64, expand_neighbors: bool) -> Option<DiscoveryView> {
+    /// The cached discovery result for a query cell, if fresh — shared,
+    /// not copied. The view carries plain servers *and* fleet groups;
+    /// caching the whole view keeps routing **shard-stable** — repeated
+    /// requests against the same cell see the same shard map, so
+    /// replica choice and the hello cache stay warm.
+    pub fn cached_discovery(
+        &self,
+        cell_raw: u64,
+        expand_neighbors: bool,
+    ) -> Option<Arc<DiscoveryView>> {
         let now = self.transport.now_us();
-        let mut discoveries = self.discoveries.lock();
-        let cached = match discoveries.get(&(cell_raw, expand_neighbors)) {
-            Some(cached) if cached.expires_us > now => Some(cached.value.clone()),
-            Some(_) => {
-                discoveries.remove(&(cell_raw, expand_neighbors));
-                None
-            }
-            None => None,
-        };
-        drop(discoveries);
+        let cached = self
+            .discoveries
+            .lock()
+            .get(&(cell_raw, expand_neighbors), now)
+            .cloned();
         let mut stats = self.stats.lock();
         if cached.is_some() {
             stats.discovery_hits += 1;
@@ -779,23 +783,20 @@ impl Session {
     /// Caches a discovery result for a query cell, evicting
     /// (expired-first) if the insert pushed the cache over the
     /// capacity bound.
-    pub fn store_discovery(&self, cell_raw: u64, expand_neighbors: bool, view: DiscoveryView) {
+    pub fn store_discovery(
+        &self,
+        cell_raw: u64,
+        expand_neighbors: bool,
+        view: impl Into<Arc<DiscoveryView>>,
+    ) {
         let now = self.transport.now_us();
-        let evicted = {
-            let mut discoveries = self.discoveries.lock();
-            discoveries.insert(
-                (cell_raw, expand_neighbors),
-                Cached {
-                    value: view,
-                    expires_us: now.saturating_add(self.ttl_us()),
-                    seq: self.cache_seq.fetch_add(1, Ordering::Relaxed),
-                },
-            );
-            evict_to_cap(&mut discoveries, self.cache_cap(), now)
-        };
-        if evicted > 0 {
-            self.stats.lock().cache_evictions += evicted;
-        }
+        self.discoveries.lock().insert(
+            (cell_raw, expand_neighbors),
+            view.into(),
+            now,
+            self.ttl_us(),
+            self.cache_cap(),
+        );
     }
 
     /// Drops the cached discovery result for one query cell (both the
@@ -1168,6 +1169,38 @@ mod tests {
         let state = session.cached_coverage(server).unwrap();
         assert_eq!(state.summary, Some(stub_coverage(3)));
         assert_eq!(state.empty_streaks.get("geocode"), Some(&1));
+    }
+
+    #[test]
+    fn cached_state_is_handed_out_by_reference() {
+        let transport = SimTransport::shared(&SimNet::new(1));
+        let endpoint = transport.register("client", None);
+        let session = Session::new(transport, endpoint, Principal::anonymous());
+        let server = EndpointId(40);
+        session.store_hello(server, stub_hello(40));
+        session.store_coverage(server, Some(stub_coverage(4)));
+        session.store_discovery(7, true, DiscoveryView::default());
+        // Two readers of one cached fact hold the same allocation.
+        assert!(Arc::ptr_eq(
+            &session.cached_hello(server).unwrap(),
+            &session.cached_hello(server).unwrap()
+        ));
+        assert!(Arc::ptr_eq(
+            &session.cached_coverage(server).unwrap(),
+            &session.cached_coverage(server).unwrap()
+        ));
+        assert!(Arc::ptr_eq(
+            &session.cached_discovery(7, true).unwrap(),
+            &session.cached_discovery(7, true).unwrap()
+        ));
+        // A refinement landing while a reader holds the state leaves
+        // that reader's snapshot alone and shows in the next lookup.
+        let held = session.cached_coverage(server).unwrap();
+        session.note_answer(server, "search", true);
+        assert_eq!(held.empty_streaks.get("search"), None);
+        let next = session.cached_coverage(server).unwrap();
+        assert_eq!(next.empty_streaks.get("search"), Some(&1));
+        assert_eq!(next.summary, Some(stub_coverage(4)));
     }
 
     #[test]

@@ -116,7 +116,43 @@ impl StatCounters {
     }
 }
 
-/// Engines rebuilt whenever the map changes.
+/// What a spawn fixes for the server's life: the configuration half of
+/// `(server configuration, map version)`, the pair every [`Engines`]
+/// build — and with it the advertisement — is a function of.
+struct Setup {
+    id: String,
+    tags: TagRegistry,
+    beacons: Vec<openflame_localize::Beacon>,
+    portals: Vec<(NodeId, LatLng)>,
+    build_ch: bool,
+    /// The committed extent (spec §13.1): the registration cap and its
+    /// cell covering, computed once at spawn.
+    extent: Option<CoverageExtent>,
+}
+
+/// The extent advertised for a registration cap (spec §13.1). The
+/// extent MUST bound every answerable element — it is the same cap the
+/// server registers in DNS, which deployments derive from the venue's
+/// ground-truth zone, so the commitment holds by construction.
+fn registration_extent(center: LatLng, radius_m: f64) -> Option<CoverageExtent> {
+    (radius_m > 0.0).then(|| {
+        let cells = RegionCoverer::new(4, crate::naming::QUERY_LEVEL, 16)
+            .covering(&Region::Cap { center, radius_m })
+            .into_iter()
+            .map(|c| c.raw())
+            .collect();
+        CoverageExtent {
+            cells,
+            center,
+            radius_m,
+        }
+    })
+}
+
+/// Engines rebuilt whenever the map changes, together with the
+/// advertisement describing exactly this map version: both are replaced
+/// in one `engines` write-lock section, so a `Hello` never pairs old
+/// counts with new content (spec §13.1).
 struct Engines {
     map: MapDocument,
     geocoder: Geocoder,
@@ -125,32 +161,82 @@ struct Engines {
     ch: Option<ContractionHierarchy>,
     radio: Option<RadioMap>,
     renderer: Option<TileRenderer>,
+    hello: Arc<HelloInfo>,
 }
 
 impl Engines {
-    fn build(map: MapDocument, beacons: &[openflame_localize::Beacon], build_ch: bool) -> Self {
+    fn build(map: MapDocument, setup: &Setup) -> Self {
         let geocoder = Geocoder::build(&map);
         let search = SearchIndex::build(&map);
         let graph = RoadGraph::from_map(&map, Profile::Walking);
-        let ch = if build_ch && graph.node_count() > 0 {
+        let ch = if setup.build_ch && graph.node_count() > 0 {
             Some(ContractionHierarchy::build(&graph))
         } else {
             None
         };
-        let radio = if beacons.is_empty() {
+        let radio = if setup.beacons.is_empty() {
             None
         } else {
             let (min, max) = map
                 .local_bounds()
                 .unwrap_or((Point2::ZERO, Point2::new(1.0, 1.0)));
             Some(RadioMap::survey(
-                beacons.to_vec(),
+                setup.beacons.clone(),
                 min - Point2::new(2.0, 2.0),
                 max + Point2::new(2.0, 2.0),
                 2.0,
             ))
         };
         let renderer = TileRenderer::new(&map);
+
+        // The advertisement of this map version (paper §5.2: technology
+        // advertisement drives which cues clients send), built here once
+        // instead of per `Hello` (spec §13.1).
+        let anchored = renderer.is_some();
+        let mut techs = Vec::new();
+        if !setup.tags.is_empty() {
+            techs.push("tag".to_string());
+        }
+        if radio.is_some() {
+            techs.push("beacon".to_string());
+        }
+        if anchored {
+            techs.push("gnss".to_string());
+        }
+        let mut services: Vec<String> = ["geocode", "rgeocode", "search", "route", "localize"]
+            .map(String::from)
+            .into();
+        if anchored {
+            services.push("tiles".to_string());
+        }
+        let anchor = match map.georef() {
+            openflame_mapdata::GeoReference::Anchored { origin } => Some(origin),
+            openflame_mapdata::GeoReference::Unaligned { .. } => None,
+        };
+        // Per-kind document counts from the engines just built.
+        let rgeocode = if anchored { geocoder.len() as u64 } else { 0 };
+        let kinds = vec![
+            ("search".to_string(), search.len() as u64),
+            ("geocode".to_string(), geocoder.len() as u64),
+            ("rgeocode".to_string(), rgeocode),
+            ("route".to_string(), graph.node_count() as u64),
+            ("localize".to_string(), techs.len() as u64),
+            ("tiles".to_string(), u64::from(anchored)),
+        ];
+        let hello = Arc::new(HelloInfo {
+            server_id: setup.id.clone(),
+            map_name: map.meta().name.clone(),
+            services,
+            localization_techs: techs,
+            anchored,
+            anchor,
+            portals: setup.portals.iter().map(|(n, hint)| (n.0, *hint)).collect(),
+            version: map.meta().version,
+            coverage: Some(CoverageSummary {
+                kinds,
+                extent: setup.extent.clone(),
+            }),
+        });
         Self {
             map,
             geocoder,
@@ -159,22 +245,19 @@ impl Engines {
             ch,
             radio,
             renderer,
+            hello,
         }
     }
 }
 
 /// A federated map server bound to a network endpoint.
 pub struct MapServer {
-    id: String,
+    setup: Setup,
     endpoint: EndpointId,
     engines: OrderedRwLock<Engines>,
-    tags: TagRegistry,
-    beacons: Vec<openflame_localize::Beacon>,
     policy: AccessPolicy,
-    portals: Vec<(NodeId, LatLng)>,
     location_hint: LatLng,
     radius_m: f64,
-    build_ch: bool,
     stats: StatCounters,
 }
 
@@ -190,18 +273,22 @@ impl MapServer {
     pub fn spawn_on(transport: &Arc<dyn Transport>, config: MapServerConfig) -> Arc<Self> {
         let endpoint =
             transport.register(&format!("mapsrv:{}", config.id), Some(config.location_hint));
-        let engines = Engines::build(config.map, &config.beacons, config.build_ch);
-        let server = Arc::new(Self {
+        let setup = Setup {
             id: config.id,
-            endpoint,
-            engines: OrderedRwLock::new(ranks::MAPSERVER_ENGINES, engines),
             tags: config.tags,
             beacons: config.beacons,
-            policy: config.policy,
             portals: config.portals,
+            build_ch: config.build_ch,
+            extent: registration_extent(config.location_hint, config.radius_m),
+        };
+        let engines = Engines::build(config.map, &setup);
+        let server = Arc::new(Self {
+            setup,
+            endpoint,
+            engines: OrderedRwLock::new(ranks::MAPSERVER_ENGINES, engines),
+            policy: config.policy,
             location_hint: config.location_hint,
             radius_m: config.radius_m,
-            build_ch: config.build_ch,
             stats: StatCounters::default(),
         });
         transport.set_service(endpoint, server.wire_service());
@@ -258,7 +345,10 @@ impl MapServer {
     /// deployments built entirely on TCP simply use
     /// [`MapServer::spawn_on`].
     pub fn serve_tcp(self: &Arc<Self>, tcp: &TcpTransport) -> EndpointId {
-        let endpoint = tcp.register(&format!("mapsrv:{}", self.id), Some(self.location_hint));
+        let endpoint = tcp.register(
+            &format!("mapsrv:{}", self.setup.id),
+            Some(self.location_hint),
+        );
         tcp.set_service(endpoint, self.wire_service());
         tcp.set_overload_policy(endpoint, Some(Self::default_overload_policy()));
         endpoint
@@ -271,7 +361,10 @@ impl MapServer {
     /// simply use [`MapServer::spawn_on`] with a
     /// `BackendKind::QuicLite` transport.
     pub fn serve_udp(self: &Arc<Self>, quic: &QuicLiteTransport) -> EndpointId {
-        let endpoint = quic.register(&format!("mapsrv:{}", self.id), Some(self.location_hint));
+        let endpoint = quic.register(
+            &format!("mapsrv:{}", self.setup.id),
+            Some(self.location_hint),
+        );
         quic.set_service(endpoint, self.wire_service());
         quic.set_overload_policy(endpoint, Some(Self::default_overload_policy()));
         endpoint
@@ -279,7 +372,7 @@ impl MapServer {
 
     /// The server's stable identifier.
     pub fn id(&self) -> &str {
-        &self.id
+        &self.setup.id
     }
 
     /// The server's network endpoint.
@@ -315,93 +408,11 @@ impl MapServer {
         }
     }
 
-    /// Capability advertisement (paper §5.2: technology advertisement drives
-    /// which cues clients send).
-    pub fn hello(&self) -> HelloInfo {
-        let engines = self.engines.read();
-        let mut techs = Vec::new();
-        if !self.tags.is_empty() {
-            techs.push("tag".to_string());
-        }
-        if engines.radio.is_some() {
-            techs.push("beacon".to_string());
-        }
-        let anchored = engines.renderer.is_some();
-        if anchored {
-            techs.push("gnss".to_string());
-        }
-        let mut services = vec![
-            "geocode".to_string(),
-            "rgeocode".to_string(),
-            "search".to_string(),
-            "route".to_string(),
-        ];
-        services.push("localize".to_string());
-        if anchored {
-            services.push("tiles".to_string());
-        }
-        let anchor = match engines.map.georef() {
-            openflame_mapdata::GeoReference::Anchored { origin } => Some(origin),
-            openflame_mapdata::GeoReference::Unaligned { .. } => None,
-        };
-        let coverage = Some(self.coverage_summary(&engines, &techs, anchored));
-        HelloInfo {
-            server_id: self.id.clone(),
-            map_name: engines.map.meta().name.clone(),
-            services,
-            localization_techs: techs,
-            anchored,
-            anchor,
-            portals: self.portals.iter().map(|(n, hint)| (n.0, *hint)).collect(),
-            version: engines.map.meta().version,
-            coverage,
-        }
-    }
-
-    /// The coverage summary advertised in [`MapServer::hello`] (spec
-    /// §13): per-kind document counts from the live engines, and the
-    /// registration cap as the committed extent. The extent MUST bound
-    /// every answerable element — here it is the same cap the server
-    /// registers in DNS, which deployments derive from the venue's
-    /// ground-truth zone, so the commitment holds by construction.
-    fn coverage_summary(
-        &self,
-        engines: &Engines,
-        techs: &[String],
-        anchored: bool,
-    ) -> CoverageSummary {
-        let kinds = vec![
-            ("search".to_string(), engines.search.len() as u64),
-            ("geocode".to_string(), engines.geocoder.len() as u64),
-            (
-                "rgeocode".to_string(),
-                if anchored {
-                    engines.geocoder.len() as u64
-                } else {
-                    0
-                },
-            ),
-            ("route".to_string(), engines.graph.node_count() as u64),
-            ("localize".to_string(), techs.len() as u64),
-            ("tiles".to_string(), u64::from(anchored)),
-        ];
-        let extent = (self.radius_m > 0.0).then(|| {
-            let region = Region::Cap {
-                center: self.location_hint,
-                radius_m: self.radius_m,
-            };
-            let cells = RegionCoverer::new(4, crate::naming::QUERY_LEVEL, 16)
-                .covering(&region)
-                .into_iter()
-                .map(|c| c.raw())
-                .collect();
-            CoverageExtent {
-                cells,
-                center: self.location_hint,
-                radius_m: self.radius_m,
-            }
-        });
-        CoverageSummary { kinds, extent }
+    /// Capability advertisement of the current map version (paper §5.2,
+    /// spec §13.1). Built once per version, when the engines are; this
+    /// is a refcount bump under the engines read lock.
+    pub fn hello(&self) -> Arc<HelloInfo> {
+        self.engines.read().hello.clone()
     }
 
     /// Forward geocode (ACL-checked).
@@ -535,7 +546,7 @@ impl MapServer {
         for cue in cues {
             match cue {
                 LocationCue::FiducialTag { .. } => {
-                    if let Some(e) = self.tags.localize(cue) {
+                    if let Some(e) = self.setup.tags.localize(cue) {
                         estimates.push(e);
                     }
                 }
@@ -584,7 +595,7 @@ impl MapServer {
             .apply(&mut map)
             .map_err(|e| ServerError::Failed(format!("patch: {e}")))?;
         let version = map.meta().version;
-        *engines = Engines::build(map, &self.beacons, self.build_ch);
+        *engines = Engines::build(map, &self.setup);
         self.stats.patches.fetch_add(1, Ordering::Relaxed);
         Ok(version)
     }
@@ -631,7 +642,7 @@ impl MapServer {
                     return into_error(e);
                 }
                 self.count(ServiceKind::Info);
-                Response::Hello(self.hello())
+                Response::Hello(HelloInfo::clone(&self.hello()))
             }
             Request::Geocode { query, k } => match self.geocode(principal, &query, k as usize) {
                 Ok(hits) => Response::Geocode { hits },
@@ -1174,6 +1185,161 @@ mod tests {
             .unwrap();
         assert_eq!(results.len(), 1);
         assert_eq!(server.stats().patches, 1);
+    }
+
+    /// A venue-like server with structure but nothing searchable: two
+    /// untagged nodes joined by a corridor.
+    fn bare_config(id: &str, map: Option<MapDocument>) -> MapServerConfig {
+        let map = map.unwrap_or_else(|| {
+            let mut map = MapDocument::new(
+                "Bare Hall",
+                "tester",
+                openflame_mapdata::GeoReference::Unaligned { hint: None },
+            );
+            let a = map.add_node(Point2::new(0.0, 0.0), Tags::new());
+            let b = map.add_node(Point2::new(10.0, 0.0), Tags::new());
+            map.add_way(vec![a, b], Tags::new().with("highway", "corridor"))
+                .unwrap();
+            map
+        });
+        MapServerConfig {
+            id: id.into(),
+            map,
+            beacons: vec![],
+            tags: TagRegistry::new(),
+            policy: AccessPolicy::open(),
+            portals: vec![(NodeId(1), LatLng::new(40.44, -79.94).unwrap())],
+            location_hint: LatLng::new(40.44, -79.94).unwrap(),
+            radius_m: 80.0,
+            build_ch: false,
+        }
+    }
+
+    /// A patch on `base_version` adding one searchable node.
+    fn product_patch(base_version: u64, node: u64) -> MapPatch {
+        let mut patch = MapPatch::new(base_version);
+        patch.upsert_nodes.push(openflame_mapdata::Node::new(
+            NodeId(node),
+            Point2::new(3.0, 1.0),
+            Tags::new()
+                .with("product", format!("item{node}"))
+                .with("name", format!("Item {node}")),
+        ));
+        patch
+    }
+
+    fn search_count(hello: &HelloInfo) -> u64 {
+        hello
+            .coverage
+            .as_ref()
+            .and_then(|c| c.kind_count("search"))
+            .expect("servers advertise a search count")
+    }
+
+    #[test]
+    fn patch_republishes_the_advertisement_with_the_content() {
+        let net = SimNet::new(1);
+        let server = MapServer::spawn(&net, bare_config("bare", None));
+        let before = server.hello();
+        assert_eq!(search_count(&before), 0, "nothing searchable yet");
+        let extent = |hello: &HelloInfo| hello.coverage.as_ref().unwrap().extent.clone();
+        assert!(
+            extent(&before).is_some(),
+            "a positive radius commits an extent"
+        );
+
+        let version = server
+            .apply_patch(
+                &Principal::anonymous(),
+                &product_patch(before.version, 700_000),
+            )
+            .unwrap();
+        let after = server.hello();
+        assert_eq!(after.version, version, "hello reports the patched version");
+        assert_eq!(version, before.version + 1);
+        assert_eq!(
+            search_count(&after),
+            1,
+            "the first searchable element is advertised as soon as it is served"
+        );
+        // The extent depends on the registration cap only: a patch must
+        // hand on the spawn-time covering untouched.
+        assert_eq!(extent(&after), extent(&before));
+
+        // The advertisement is a function of (configuration, map
+        // version): a server spawned on the patched map says the same.
+        let patched = server.with_map(Clone::clone);
+        let fresh = MapServer::spawn(&SimNet::new(2), bare_config("bare", Some(patched)));
+        assert_eq!(*after, *fresh.hello());
+    }
+
+    #[test]
+    fn concurrent_hellos_over_tcp_never_mix_two_map_versions() {
+        use std::sync::atomic::AtomicBool;
+        const PATCHES: u64 = 40;
+        const READERS: usize = 2;
+
+        let tcp: Arc<dyn Transport> = Arc::new(TcpTransport::new(7));
+        let server = MapServer::spawn_on(&tcp, bare_config("racing", None));
+        let base = server.hello();
+        let call = |from: EndpointId, request: Request| -> Response {
+            let env = Envelope {
+                principal: Principal::anonymous(),
+                request,
+            };
+            let transfer = tcp
+                .call(from, server.endpoint(), to_bytes(&env).to_vec())
+                .unwrap();
+            from_bytes(&transfer.payload).unwrap()
+        };
+        // Every patch adds exactly one searchable node, so the only
+        // (version, search count) pairs any map version ever had are
+        // (base + n, n).
+        let check = |hello: &HelloInfo| {
+            assert_eq!(
+                search_count(hello),
+                hello.version - base.version,
+                "hello paired version {} with another version's counts",
+                hello.version
+            );
+        };
+        let start = std::sync::Barrier::new(READERS + 1);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for _ in 0..READERS {
+                scope.spawn(|| {
+                    let reader = tcp.register("reader", None);
+                    start.wait();
+                    loop {
+                        // Sampled before the call: the last hello of a
+                        // reader is issued after the last patch landed.
+                        let last = done.load(Ordering::SeqCst);
+                        let Response::Hello(hello) = call(reader, Request::Hello) else {
+                            panic!("expected a hello");
+                        };
+                        check(&hello);
+                        if last {
+                            assert_eq!(hello.version, base.version + PATCHES);
+                            break;
+                        }
+                    }
+                });
+            }
+            let writer = tcp.register("writer", None);
+            start.wait();
+            let mut version = base.version;
+            for n in 0..PATCHES {
+                let patch = product_patch(version, 800_000 + n);
+                let Response::PatchApplied { version: applied } =
+                    call(writer, Request::ApplyPatch { patch })
+                else {
+                    panic!("patch {n} refused");
+                };
+                version = applied;
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        check(&server.hello());
     }
 
     #[test]

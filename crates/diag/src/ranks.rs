@@ -9,20 +9,22 @@
 //!   state. Application code calls *into* the transports (and, on the
 //!   sim backend, server handlers run inline on the caller's thread),
 //!   so everything here must rank below every transport lock.
-//! - **100–199 — SimNet and the TCP backend.** Within TCP, the order
-//!   mirrors the call chains that really nest: `endpoints` is held
+//! - **100–299 — netsim: the simulator, the socket core and its two
+//!   bindings.** The socket core's locks (`netsim.net.*`) are shared by
+//!   the TCP and QuicLite bindings, so their ranks bracket both
+//!   bindings' own: the core's outer locks (`dispatch_pool`,
+//!   `endpoints`) sit below every per-connection lock, its leaf locks
+//!   (`rng`, `stats`, `dispatch_queue`, `demux`, `completion`) above
+//!   them all. The chains that really nest — TCP: `endpoints` is held
 //!   while consulting a connection's demux (`obtain_conn`), a
-//!   connection's `out` queue is held while marking frames sent in the
-//!   demux (`pump_client_write`), and a demux's `pending` map may be
-//!   held while filling a completion cell.
-//! - **200–299 — the QuicLite backend.** `client` is the outermost
-//!   lock: `obtain_conn` holds it across conn-id routing, the resume
-//!   cache, the wire's conn registry, the unacked buffer, transmit
-//!   (rng/stats) and the RTO generation — so all of those rank above
-//!   it.
-//! - **300+ — the shared dispatch gauge.** Admission-control state is
-//!   consulted from both backends, sometimes while an `endpoints`
-//!   table is held, never the other way around.
+//!   connection's `out` queue while marking frames sent in the demux
+//!   (`pump_client_write`). QuicLite: `client` is its outermost lock —
+//!   `obtain_conn` holds it across conn-id routing, the resume cache,
+//!   the wire's conn registry, the unacked buffer, transmit
+//!   (`rng`/`stats`) and the RTO generation.
+//! - **300+ — the dispatch gauge.** Admission-control state is
+//!   consulted from the socket core's serve path, sometimes while the
+//!   `endpoints` table is held, never the other way around.
 //!
 //! The prose version of this table (with the invariants each ordering
 //! protects) lives in `docs/wire-protocol.md` Appendix A. Keep the two
@@ -65,22 +67,37 @@ pub const MAPSERVER_ENGINES: Rank = Rank::new(60, "mapserver.engines");
 pub const TILE_CACHE: Rank = Rank::new(70, "tiles.render_cache");
 
 // ----------------------------------------------------------------
-// SimNet + TCP backend band (100–199).
+// Netsim band (100–299): simulator, socket core, TCP and QuicLite
+// bindings.
 // ----------------------------------------------------------------
 
 /// The simulated network's single state lock (never held across a
 /// handler invocation).
 pub const SIM_NET: Rank = Rank::new(100, "netsim.sim.state");
+
+// The socket core (shared by both bindings).
+
+/// Socket-core dispatch-pool slot.
+pub const NET_DISPATCH_POOL: Rank = Rank::new(112, "netsim.net.dispatch_pool");
+/// Socket-core endpoint book (TCP holds it while consulting a conn's
+/// demux).
+pub const NET_ENDPOINTS: Rank = Rank::new(130, "netsim.net.endpoints");
+/// Socket-core failure-injection rng (QuicLite rolls it per datagram,
+/// under its client lock).
+pub const NET_RNG: Rank = Rank::new(240, "netsim.net.rng");
+/// Socket-core global wire statistics.
+pub const NET_STATS: Rank = Rank::new(242, "netsim.net.stats");
+/// The dispatch-pool job queue (held only across `recv`).
+pub const NET_DISPATCH_QUEUE: Rank = Rank::new(252, "netsim.net.dispatch_queue");
+/// A connection's correlation demux.
+pub const NET_DEMUX: Rank = Rank::new(254, "netsim.net.demux");
+/// A call's completion cell (leaf; paired with its condvar).
+pub const NET_COMPLETION: Rank = Rank::new(260, "netsim.net.completion");
+
+// The TCP binding.
+
 /// TCP reactor pool slot.
 pub const TCP_REACTORS: Rank = Rank::new(110, "netsim.tcp.reactors");
-/// TCP dispatch-pool slot.
-pub const TCP_DISPATCH_POOL: Rank = Rank::new(112, "netsim.tcp.dispatch_pool");
-/// TCP failure-injection rng.
-pub const TCP_RNG: Rank = Rank::new(120, "netsim.tcp.rng");
-/// TCP global wire statistics.
-pub const TCP_STATS: Rank = Rank::new(122, "netsim.tcp.stats");
-/// TCP endpoint table (held while consulting a conn's demux).
-pub const TCP_ENDPOINTS: Rank = Rank::new(130, "netsim.tcp.endpoints");
 /// A TCP client connection's outgoing frame queue (held while marking
 /// frames sent in the demux).
 pub const TCP_CONN_OUT: Rank = Rank::new(140, "netsim.tcp.conn_out");
@@ -88,26 +105,13 @@ pub const TCP_CONN_OUT: Rank = Rank::new(140, "netsim.tcp.conn_out");
 pub const TCP_REACTOR_CMDS: Rank = Rank::new(144, "netsim.tcp.reactor_cmds");
 /// A served TCP connection's finished-reply queue.
 pub const TCP_SERVE_DONE: Rank = Rank::new(146, "netsim.tcp.serve_done");
-/// The TCP dispatch-pool job queue (held only across `recv`).
-pub const TCP_DISPATCH_QUEUE: Rank = Rank::new(148, "netsim.tcp.dispatch_queue");
-/// A TCP connection's correlation demux (may be held while filling a
-/// completion cell).
-pub const TCP_DEMUX: Rank = Rank::new(150, "netsim.tcp.demux");
-/// A TCP call's completion cell (leaf; paired with its condvar).
-pub const TCP_COMPLETION: Rank = Rank::new(160, "netsim.tcp.completion");
 
-// ----------------------------------------------------------------
-// QuicLite backend band (200–299).
-// ----------------------------------------------------------------
+// The QuicLite binding.
 
 /// The QuicLite client side (outermost: held across conn setup).
 pub const QUIC_CLIENT: Rank = Rank::new(200, "netsim.quic.client");
-/// QuicLite endpoint table.
-pub const QUIC_ENDPOINTS: Rank = Rank::new(205, "netsim.quic.endpoints");
 /// QuicLite shared serve-poller slot.
 pub const QUIC_SERVE_POOL: Rank = Rank::new(207, "netsim.quic.serve_pool");
-/// QuicLite dispatch-pool slot.
-pub const QUIC_DISPATCH_POOL: Rank = Rank::new(208, "netsim.quic.dispatch_pool");
 /// Conn-id → connection routing map.
 pub const QUIC_BY_CONN_ID: Rank = Rank::new(210, "netsim.quic.by_conn_id");
 /// 0-RTT resumption ticket cache.
@@ -122,24 +126,13 @@ pub const QUIC_PEER: Rank = Rank::new(222, "netsim.quic.conn_peer");
 pub const QUIC_RECV: Rank = Rank::new(224, "netsim.quic.conn_recv");
 /// A connection's unacked (retransmission) buffer.
 pub const QUIC_UNACKED: Rank = Rank::new(230, "netsim.quic.conn_unacked");
-/// QuicLite loss-injection rng.
-pub const QUIC_RNG: Rank = Rank::new(240, "netsim.quic.rng");
-/// QuicLite global wire statistics.
-pub const QUIC_STATS: Rank = Rank::new(242, "netsim.quic.stats");
 /// RTO timer generation (paired with the RTO condvar).
 pub const QUIC_RTO_GEN: Rank = Rank::new(244, "netsim.quic.rto_gen");
 /// The shared serve poller's command inbox.
 pub const QUIC_SERVE_CMDS: Rank = Rank::new(250, "netsim.quic.serve_cmds");
-/// The QuicLite dispatch-pool job queue (held only across `recv`).
-pub const QUIC_DISPATCH_QUEUE: Rank = Rank::new(252, "netsim.quic.dispatch_queue");
-/// A connection's correlation demux (held while filling a completion
-/// cell).
-pub const QUIC_DEMUX: Rank = Rank::new(254, "netsim.quic.demux");
-/// A QuicLite call's completion cell (leaf; paired with its condvar).
-pub const QUIC_COMPLETION: Rank = Rank::new(260, "netsim.quic.completion");
 
 // ----------------------------------------------------------------
-// Shared admission-control band (300+).
+// Admission-control band (300+).
 // ----------------------------------------------------------------
 
 /// Dispatch gauge overload policy slot (set while an endpoint table is

@@ -25,17 +25,14 @@ use openflame_geo::{LatLng, Point2};
 use openflame_geocode::{reverse_geocode, Geocoder};
 use openflame_localize::{Estimate, LocationCue, RadioMap, TagRegistry};
 use openflame_mapdata::{MapDocument, MapPatch, NodeId};
-use openflame_netsim::{
-    EndpointId, OverloadPolicy, QuicLiteTransport, SimNet, SimTransport, TcpTransport, Transport,
-    WireService,
-};
+use openflame_netsim::{EndpointId, OverloadPolicy, SimNet, SimTransport, Transport, WireService};
 use openflame_routing::dijkstra::dijkstra_many;
 use openflame_routing::{bidirectional, ContractionHierarchy, Profile, RoadGraph};
 use openflame_search::SearchIndex;
 use openflame_tiles::{Tile, TileCoord, TileRenderer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default admission-queue depth installed on every wire endpoint: deep
 /// enough that a healthy server never sheds, shallow enough that a
@@ -253,7 +250,8 @@ impl Engines {
 /// A federated map server bound to a network endpoint.
 pub struct MapServer {
     setup: Setup,
-    endpoint: EndpointId,
+    /// The endpoint [`MapServer::spawn_on`] bound (set once, there).
+    endpoint: OnceLock<EndpointId>,
     engines: OrderedRwLock<Engines>,
     policy: AccessPolicy,
     location_hint: LatLng,
@@ -271,8 +269,6 @@ impl MapServer {
     /// Spawns the server onto any transport backend: the simulator or a
     /// real-socket transport — the server code cannot tell which.
     pub fn spawn_on(transport: &Arc<dyn Transport>, config: MapServerConfig) -> Arc<Self> {
-        let endpoint =
-            transport.register(&format!("mapsrv:{}", config.id), Some(config.location_hint));
         let setup = Setup {
             id: config.id,
             tags: config.tags,
@@ -284,15 +280,18 @@ impl MapServer {
         let engines = Engines::build(config.map, &setup);
         let server = Arc::new(Self {
             setup,
-            endpoint,
+            endpoint: OnceLock::new(),
             engines: OrderedRwLock::new(ranks::MAPSERVER_ENGINES, engines),
             policy: config.policy,
             location_hint: config.location_hint,
             radius_m: config.radius_m,
             stats: StatCounters::default(),
         });
-        transport.set_service(endpoint, server.wire_service());
-        transport.set_overload_policy(endpoint, Some(Self::default_overload_policy()));
+        let endpoint = server.serve_on(transport.as_ref());
+        server
+            .endpoint
+            .set(endpoint)
+            .expect("a fresh server has no endpoint yet");
         server
     }
 
@@ -315,8 +314,8 @@ impl MapServer {
     }
 
     /// [`MapServer::overload_policy`] at the default depth and retry
-    /// hint — what [`MapServer::spawn_on`], [`MapServer::serve_tcp`]
-    /// and [`MapServer::serve_udp`] install.
+    /// hint — what [`MapServer::serve_on`] (and so
+    /// [`MapServer::spawn_on`]) installs.
     pub fn default_overload_policy() -> OverloadPolicy {
         Self::overload_policy(DEFAULT_MAX_DISPATCH_DEPTH, DEFAULT_RETRY_AFTER_US)
     }
@@ -338,35 +337,20 @@ impl MapServer {
         })
     }
 
-    /// Binds this server's dispatch loop on an *additional* TCP
-    /// listener (threaded accept loop on loopback) and returns the new
-    /// endpoint in `tcp`'s address space. Useful for hybrid setups
-    /// where a simulator-spawned server must also answer real sockets;
-    /// deployments built entirely on TCP simply use
-    /// [`MapServer::spawn_on`].
-    pub fn serve_tcp(self: &Arc<Self>, tcp: &TcpTransport) -> EndpointId {
-        let endpoint = tcp.register(
+    /// Binds this server's dispatch loop on a new endpoint of
+    /// `transport` — any backend — with the default admission policy,
+    /// and returns that endpoint (in `transport`'s address space).
+    /// [`MapServer::spawn_on`] binds the server's own endpoint this
+    /// way; calling it again serves the same engines on an *additional*
+    /// transport, for hybrid setups where a simulator-spawned server
+    /// must also answer real sockets.
+    pub fn serve_on(self: &Arc<Self>, transport: &dyn Transport) -> EndpointId {
+        let endpoint = transport.register(
             &format!("mapsrv:{}", self.setup.id),
             Some(self.location_hint),
         );
-        tcp.set_service(endpoint, self.wire_service());
-        tcp.set_overload_policy(endpoint, Some(Self::default_overload_policy()));
-        endpoint
-    }
-
-    /// Binds this server's dispatch loop on an *additional* QuicLite
-    /// (reliable-datagram UDP) listener and returns the new endpoint in
-    /// `quic`'s address space — the datagram analogue of
-    /// [`MapServer::serve_tcp`]. Deployments built entirely on QuicLite
-    /// simply use [`MapServer::spawn_on`] with a
-    /// `BackendKind::QuicLite` transport.
-    pub fn serve_udp(self: &Arc<Self>, quic: &QuicLiteTransport) -> EndpointId {
-        let endpoint = quic.register(
-            &format!("mapsrv:{}", self.setup.id),
-            Some(self.location_hint),
-        );
-        quic.set_service(endpoint, self.wire_service());
-        quic.set_overload_policy(endpoint, Some(Self::default_overload_policy()));
+        transport.set_service(endpoint, self.wire_service());
+        transport.set_overload_policy(endpoint, Some(Self::default_overload_policy()));
         endpoint
     }
 
@@ -377,7 +361,7 @@ impl MapServer {
 
     /// The server's network endpoint.
     pub fn endpoint(&self) -> EndpointId {
-        self.endpoint
+        *self.endpoint.get().expect("spawn_on binds the endpoint")
     }
 
     /// Coarse registration location.
@@ -725,6 +709,7 @@ mod tests {
     use super::*;
     use crate::acl::Rule;
     use openflame_mapdata::Tags;
+    use openflame_netsim::{QuicLiteTransport, TcpTransport};
     use openflame_worldgen::{World, WorldConfig};
 
     fn venue_server(net: &SimNet) -> (Arc<MapServer>, World) {
@@ -965,7 +950,7 @@ mod tests {
         let (server, world) = venue_server(&net);
         // The same server, bound on an additional real-TCP listener.
         let tcp = TcpTransport::new(5);
-        let tcp_endpoint = server.serve_tcp(&tcp);
+        let tcp_endpoint = server.serve_on(&tcp);
         let client = tcp.register("tcp-client", None);
         let product = &world.products[1];
         let env = Envelope {
@@ -1004,7 +989,7 @@ mod tests {
         // listener: the whole dispatch stack (batching, ACLs, engines)
         // must be reachable over UDP packets exactly as over streams.
         let quic = QuicLiteTransport::new(5);
-        let quic_endpoint = server.serve_udp(&quic);
+        let quic_endpoint = server.serve_on(&quic);
         let client = quic.register("quic-client", None);
         let product = &world.products[1];
         let env = Envelope {
@@ -1042,7 +1027,7 @@ mod tests {
         let net = SimNet::new(1);
         let (server, world) = venue_server(&net);
         let tcp = TcpTransport::new(5);
-        let tcp_endpoint = server.serve_tcp(&tcp);
+        let tcp_endpoint = server.serve_on(&tcp);
         let addr = tcp.listen_addr(tcp_endpoint).expect("served endpoint");
         // Speak the v2 frame protocol directly: two requests pipelined
         // on one connection before reading anything back; each response
@@ -1088,7 +1073,7 @@ mod tests {
         let net = SimNet::new(1);
         let (server, world) = venue_server(&net);
         let tcp = TcpTransport::new(5);
-        let tcp_endpoint = server.serve_tcp(&tcp);
+        let tcp_endpoint = server.serve_on(&tcp);
         let addr = tcp.listen_addr(tcp_endpoint).expect("served endpoint");
         let mut stream = TcpStream::connect(addr).unwrap();
         // Slow request first: a batch of route-matrix items over every
@@ -1413,7 +1398,7 @@ mod tests {
         let net = SimNet::new(1);
         let (server, world) = venue_server(&net);
         let tcp = TcpTransport::new(5);
-        let tcp_endpoint = server.serve_tcp(&tcp);
+        let tcp_endpoint = server.serve_on(&tcp);
         // Tighten the default policy so a small flood saturates it.
         tcp.set_overload_policy(tcp_endpoint, Some(MapServer::overload_policy(1, 777)));
         let client = tcp.register("flood", None);

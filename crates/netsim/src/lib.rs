@@ -19,7 +19,26 @@
 //! Handlers may issue nested calls (e.g. a recursive DNS resolver
 //! contacting authoritative servers), which accumulate clock time
 //! exactly like sequential network round trips.
+//!
+//! Beside the simulator sit two real-socket backends behind the same
+//! [`Transport`] trait, and they are one implementation, not two. The
+//! socket `core` module owns everything that defines a socket call —
+//! correlation-id completion and demux, the endpoint book, clock /
+//! timeout / drop roll / counters, frame-level charging, the dispatch
+//! pool with its admit-or-shed step, and the only `impl Transport` for
+//! socket backends. A *binding* ([`tcp`], [`udp`]) owns only how framed
+//! bytes move: binding a served endpoint, putting an encoded frame on
+//! the wire, deciding what a failed or timed-out call means on that
+//! medium, cutting connections on `set_down`, and teardown — streams
+//! under a reactor pool in one, reliable datagrams with resumption and
+//! RTO in the other. The simulator is deliberately *not* a binding: a
+//! simulated call executes eagerly on the caller's thread and rewinds
+//! the shared clock, and traffic is charged per hop as it happens —
+//! there is no completion to wait for, no worker to dispatch on and no
+//! frame to charge at claim time, so it shares no logic with a socket
+//! call and stays its own [`Transport`] impl ([`SimTransport`]).
 
+pub(crate) mod core;
 pub(crate) mod reactor;
 pub mod stats;
 pub mod tcp;

@@ -1,10 +1,12 @@
-//! Real-socket transport: multiplexed, pipelined envelopes over
-//! loopback TCP, driven by a shared reactor pool.
+//! The stream binding: multiplexed, pipelined envelopes over loopback
+//! TCP, driven by a shared reactor pool.
 //!
-//! [`TcpTransport`] implements [`Transport`] over `std::net`, proving
-//! the whole federated stack — DNS discovery, batched sessions, map
-//! servers — runs end to end over actual sockets, not just the
-//! simulator:
+//! [`TcpTransport`] is the socket core (`crate::core`) bound to
+//! `std::net` streams, proving the whole federated stack — DNS
+//! discovery, batched sessions, map servers — runs end to end over
+//! actual sockets, not just the simulator. What a call *is*
+//! (correlation, completion, charging, admission, dispatch) lives in
+//! the core; this module owns only what is stream-specific:
 //!
 //! - **Shared reactors**: all socket I/O — client and served sides
 //!   both — runs on a small fixed pool of event-loop threads (default
@@ -21,94 +23,70 @@
 //!   stress test pins this down at 128 servers × 8 sessions.
 //! - **Served endpoints** bind a `127.0.0.1:0` listener registered
 //!   with a reactor; accepted connections are spread across the pool.
-//!   Decoded requests go to a transport-wide dispatch pool of
-//!   [`DISPATCH_POOL`] workers which invoke the bound [`WireService`]
-//!   concurrently; completed responses return to the connection's
-//!   reactor, which emits frames in **completion order** with the
-//!   request's correlation id echoed — a slow request head-of-line
-//!   blocks only its own completion, never the pipelined requests
-//!   behind it. Each connection holds at most [`SERVE_PIPELINE`]
-//!   decoded requests in dispatch; past that the reactor drops the
-//!   connection's read interest (readiness-deregistration
-//!   backpressure) until responses drain — bounded buffering without
-//!   a blocked reader thread.
-//! - **Admission control**: a served endpoint with an
-//!   [`OverloadPolicy`] installed counts requests queued-or-executing
-//!   in dispatch across all its connections and answers excess
-//!   arrivals with the policy's busy payload instead of dispatching
-//!   them — bounded by `max_depth` endpoint-wide and by
-//!   [`OverloadPolicy::principal_cap`] per principal, so one hot
-//!   principal is shed first and cannot starve the endpoint. Shed
-//!   replies bypass the dispatch pool entirely; the shed request is
-//!   never executed, which is what makes client retries safe.
+//!   Decoded requests go through the core's admit-or-shed step to the
+//!   transport-wide dispatch pool of [`DISPATCH_POOL`] workers;
+//!   completed responses return to the connection's reactor, which
+//!   emits frames in **completion order** with the request's
+//!   correlation id echoed — a slow request head-of-line blocks only
+//!   its own completion, never the pipelined requests behind it. Each
+//!   connection holds at most [`SERVE_PIPELINE`] decoded requests in
+//!   dispatch; past that the reactor drops the connection's read
+//!   interest (readiness-deregistration backpressure) until responses
+//!   drain — bounded buffering without a blocked reader thread. Shed
+//!   replies ([`crate::OverloadPolicy`]) take the same response queue.
 //! - **Multiplexed connections**: one pooled connection carries many
 //!   in-flight requests at once; out-of-order completion is matched
 //!   by correlation id. A scatter over 64 servers reuses the same 64
 //!   warm connections round after round on the same handful of
 //!   reactor threads.
-//! - **Submit/completion**: [`Transport::submit`] encodes the frame,
-//!   appends it to the connection's write queue, wakes the owning
-//!   reactor and returns a [`CallHandle`] immediately — it never
-//!   blocks on a dial (connects are non-blocking too; N cold dials to
-//!   N servers proceed concurrently). Waiting on the handle parks on
-//!   a completion cell the reactor fills. Bounded fan-out falls out
-//!   of the pool: at most [`POOL_CAP`] connections per destination,
-//!   each pipelining up to [`PIPELINE_DEPTH`] requests before another
-//!   connection is dialed; beyond that, requests queue on the
-//!   least-loaded connection.
-//! - **Failure injection** mirrors the simulator: a down endpoint
+//! - **Submit** appends the encoded frame to the connection's write
+//!   queue, wakes the owning reactor and returns immediately — it
+//!   never blocks on a dial (connects are non-blocking too; N cold
+//!   dials to N servers proceed concurrently). Bounded fan-out falls
+//!   out of the pool: at most [`POOL_CAP`] connections per
+//!   destination, each pipelining up to [`PIPELINE_DEPTH`] requests
+//!   before another connection is dialed; beyond that, requests queue
+//!   on the least-loaded connection.
+//! - **Failure semantics** mirror the simulator: a down endpoint
 //!   fails with [`NetError::EndpointDown`] and its server side cuts
-//!   the connection instead of answering; message drops surface as
-//!   [`NetError::Timeout`].
+//!   the connection instead of answering; message drops are injected
+//!   per call, before the socket, and surface as
+//!   [`NetError::Timeout`] having charged nothing. A call that went
+//!   out alone on a pooled connection which then proved stale is
+//!   re-sent exactly once on a fresh dial (both transmissions charge);
+//!   timeouts are never retried.
 //!
 //! Clocks are wall-clock microseconds since transport creation, so the
-//! TTL caches built on [`Transport::now_us`] age in real time. Traffic
-//! counters are charged on the waiting side when a completion is
-//! claimed and include the frame header; raw sockets poking a listener
-//! from outside this transport are served but not counted. A call
-//! whose request frame was **written** charges its request bytes even
-//! when the call then fails or times out — the bytes were really spent
-//! on the wire, and per-endpoint counters must not under-report
-//! traffic under failure injection (the single stale-connection retry
-//! charges both transmissions). Calls that never reach a socket
-//! (drop-injected, endpoint down, queued behind a dead dial) charge
-//! nothing; the simulator charges per hop — so cross-backend stats
-//! parity (identical message counts for identical workloads) holds for
-//! failure-free runs, and under injected loss the counters reflect
-//! each backend's own semantics.
-//!
-//! A response whose correlation id matches no in-flight request (for
-//! example, one that arrives after its waiter timed out) is discarded
-//! and counted in [`TcpTransport::orphan_responses`]; it never
-//! completes a different call. Worker threads are detached but bounded
-//! and observable via [`TcpTransport::worker_threads`]: the reactor
-//! pool plus the dispatch pool, nothing per connection, endpoint or
-//! call. Dropping the last transport handle wakes every reactor; each
-//! exits, closing its listeners (releasing their ports) and
-//! connections and dropping its service handles, which unwinds the
-//! dispatch pool. This backend is built for tests, benches and
-//! single-process demos, not as a hardened production server.
+//! TTL caches built on [`Transport::now_us`] age in real time. Raw
+//! sockets poking a listener from outside this transport are served
+//! but not counted. Worker threads are detached but bounded and
+//! observable via [`TcpTransport::worker_threads`]: the reactor pool
+//! plus the dispatch pool, nothing per connection, endpoint or call.
+//! Dropping the last transport handle wakes every reactor; each exits,
+//! closing its listeners (releasing their ports) and connections and
+//! dropping its service handles, which unwinds the dispatch pool. This
+//! backend is built for tests, benches and single-process demos, not
+//! as a hardened production server.
 
-use crate::reactor::{connect_nonblocking, poll_fds, PollFd, Waker, POLLIN, POLLOUT};
-use crate::stats::{EndpointLatency, EndpointStats, NetStats};
-use crate::transport::{
-    CallHandle, DispatchGauge, OverloadPolicy, PendingCall, Transfer, Transport, WireService,
+use crate::core::{
+    encode_frame, Binding, Core, Demux, Inbox, Outgoing, ReplySink, Sent, Served, Shared,
+    SocketPending,
 };
+use crate::reactor::{connect_nonblocking, poll_fds, PollFd, POLLIN, POLLOUT};
+use crate::transport::{PendingCall, Transfer, Transport};
 use crate::{EndpointId, NetError, ThreadGuard};
-use openflame_codec::framing::{write_frame, FrameDecoder, FRAME_HEADER_LEN};
-use openflame_diag::{ranks, OrderedCondvar, OrderedMutex};
-use openflame_geo::LatLng;
+use openflame_codec::framing::FrameDecoder;
+use openflame_diag::{ranks, OrderedMutex};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use rand::SeedableRng;
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Pipelined connections kept per destination endpoint.
 pub const POOL_CAP: usize = 4;
@@ -145,168 +123,6 @@ fn default_reactor_count() -> usize {
 }
 
 // ---------------------------------------------------------------------
-// Completion plumbing.
-// ---------------------------------------------------------------------
-
-/// A completed call's payload-or-error, plus the context the retry
-/// policy needs.
-struct CellDone {
-    result: io::Result<Vec<u8>>,
-    /// Whether this request was the only one in flight on its
-    /// connection when the outcome landed. A connection-death failure
-    /// is only retried when true: with siblings pipelined behind it,
-    /// the server may have processed any of them before the cut, and
-    /// re-sending would duplicate non-idempotent work.
-    sole_in_flight: bool,
-}
-
-/// One in-flight request's completion slot, filled exactly once by a
-/// reactor (or by the timeout path abandoning it).
-///
-/// Uses the crate-wide ranked wrappers (`openflame-diag`): the cell is
-/// the innermost lock a reactor touches while routing a response.
-struct CompletionCell {
-    state: OrderedMutex<Option<CellDone>>,
-    cond: OrderedCondvar,
-    /// Set by the reactor the moment it starts putting the request
-    /// frame on the socket. Failed calls whose frame was written still
-    /// charge their request bytes — the bytes were really spent on the
-    /// wire (see [`TcpTransport::charge_tx`]).
-    sent: AtomicBool,
-}
-
-impl CompletionCell {
-    fn new() -> Self {
-        Self {
-            state: OrderedMutex::new(ranks::TCP_COMPLETION, None),
-            cond: OrderedCondvar::new(),
-            sent: AtomicBool::new(false),
-        }
-    }
-
-    fn was_sent(&self) -> bool {
-        self.sent.load(Ordering::SeqCst)
-    }
-
-    fn fill(&self, result: io::Result<Vec<u8>>, sole_in_flight: bool) {
-        let mut state = self.state.lock();
-        if state.is_none() {
-            *state = Some(CellDone {
-                result,
-                sole_in_flight,
-            });
-            self.cond.notify_all();
-        }
-    }
-
-    /// Blocks until filled or `deadline`; `None` means the deadline
-    /// passed first.
-    fn wait_until(&self, deadline: Instant) -> Option<CellDone> {
-        let mut state = self.state.lock();
-        loop {
-            if state.is_some() {
-                return state.take();
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (next, _) = self.cond.wait_timeout(state, deadline - now);
-            state = next;
-        }
-    }
-}
-
-/// A connection's demultiplexer: correlation id → completion cell.
-/// Shared between the submitting side and the connection's reactor.
-struct Demux {
-    pending: OrderedMutex<HashMap<u64, Arc<CompletionCell>>>,
-    /// Responses successfully delivered on this connection, ever. The
-    /// retry policy compares snapshots of this: a delivery after a
-    /// request was submitted proves the server was alive and
-    /// processing past that point, so a subsequent connection death no
-    /// longer proves the request untouched.
-    delivered: AtomicU64,
-    /// Transport-wide count of discarded responses (unknown or
-    /// already-completed correlation ids).
-    orphans: Arc<AtomicU64>,
-}
-
-impl Demux {
-    fn new(orphans: Arc<AtomicU64>) -> Self {
-        Self {
-            pending: OrderedMutex::new(ranks::TCP_DEMUX, HashMap::new()),
-            delivered: AtomicU64::new(0),
-            orphans,
-        }
-    }
-
-    fn delivered(&self) -> u64 {
-        self.delivered.load(Ordering::SeqCst)
-    }
-
-    fn register(&self, corr: u64) -> Arc<CompletionCell> {
-        let cell = Arc::new(CompletionCell::new());
-        self.pending.lock().insert(corr, cell.clone());
-        cell
-    }
-
-    /// Routes a response to its waiter. A correlation id that matches
-    /// no in-flight request — never issued, already completed
-    /// (duplicate), or abandoned by a timed-out waiter — is discarded
-    /// and counted, never delivered to a different call.
-    fn complete(&self, corr: u64, result: io::Result<Vec<u8>>) {
-        let (cell, sole) = {
-            let mut pending = self.pending.lock();
-            let cell = pending.remove(&corr);
-            (cell, pending.is_empty())
-        };
-        match cell {
-            Some(cell) => {
-                if result.is_ok() {
-                    self.delivered.fetch_add(1, Ordering::SeqCst);
-                }
-                cell.fill(result, sole);
-            }
-            None => {
-                self.orphans.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Fails every in-flight request (the connection died). Each cell
-    /// learns whether it was alone in flight — the retry policy's
-    /// safety condition.
-    fn fail_all(&self, kind: io::ErrorKind, msg: &str) {
-        let cells: Vec<_> = self.pending.lock().drain().map(|(_, cell)| cell).collect();
-        let sole = cells.len() == 1;
-        for cell in cells {
-            cell.fill(Err(io::Error::new(kind, msg.to_string())), sole);
-        }
-    }
-
-    /// Marks a request's frame as on its way onto the socket (the
-    /// reactor calls this immediately before the first write), so
-    /// failure paths know whether the request bytes were spent.
-    fn mark_sent(&self, corr: u64) {
-        if let Some(cell) = self.pending.lock().get(&corr) {
-            cell.sent.store(true, Ordering::SeqCst);
-        }
-    }
-
-    /// Abandons a request (timed-out waiter, racing submitter); a late
-    /// response becomes an orphan. Returns whether the slot was still
-    /// pending.
-    fn forget(&self, corr: u64) -> bool {
-        self.pending.lock().remove(&corr).is_some()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.pending.lock().len()
-    }
-}
-
-// ---------------------------------------------------------------------
 // Client connections.
 // ---------------------------------------------------------------------
 
@@ -329,13 +145,13 @@ struct OutQueue {
 /// One pooled, pipelined client connection. The socket itself lives in
 /// the owning reactor's slab; submitters only touch the write queue
 /// and the demux.
-struct ClientConn {
+pub(crate) struct ClientConn {
     addr: SocketAddr,
     demux: Arc<Demux>,
     /// Set when the connection dies or goes stale; broken connections
     /// are pruned from the pool on the next checkout and closed by
     /// their reactor once drained.
-    broken: Arc<AtomicBool>,
+    broken: AtomicBool,
     /// Set by `set_down`: the reactor cuts the connection immediately,
     /// failing whatever is in flight (a crashed server does not drain
     /// gracefully).
@@ -346,14 +162,15 @@ struct ClientConn {
 }
 
 impl ClientConn {
-    /// Queues a frame for the reactor; `Err` when the connection is
-    /// already closed (so the caller can re-route without re-sending
-    /// anything — the frame never touched the socket).
-    fn enqueue(&self, frame: OutFrame) -> Result<(), ()> {
+    /// Queues a frame for the reactor; hands the frame back when the
+    /// connection is already closed (so the caller can re-route
+    /// without re-sending anything — the frame never touched the
+    /// socket).
+    fn enqueue(&self, frame: OutFrame) -> Result<(), OutFrame> {
         {
             let mut out = self.out.lock();
             if out.closed {
-                return Err(());
+                return Err(frame);
             }
             out.frames.push_back(frame);
         }
@@ -366,54 +183,12 @@ impl ClientConn {
 // Reactor pool.
 // ---------------------------------------------------------------------
 
-/// Registration commands handed to a reactor from other threads.
-enum Cmd {
-    /// Adopt a freshly dialed client connection (socket may still be
-    /// mid-handshake).
-    Client {
-        conn: Arc<ClientConn>,
-        stream: TcpStream,
-    },
-    /// Adopt a served endpoint's listener.
-    Listener {
-        listener: TcpListener,
-        me: u64,
-        down: Arc<AtomicBool>,
-        service: Arc<dyn WireService>,
-        dispatch: mpsc::Sender<ServeJob>,
-        gauge: Arc<DispatchGauge>,
-        shed: Arc<AtomicU64>,
-    },
-    /// Adopt an accepted server-side connection.
-    Served {
-        stream: TcpStream,
-        me: u64,
-        down: Arc<AtomicBool>,
-        service: Arc<dyn WireService>,
-        dispatch: mpsc::Sender<ServeJob>,
-        shared: Arc<SrvShared>,
-        gauge: Arc<DispatchGauge>,
-        shed: Arc<AtomicU64>,
-    },
-}
+type TcpServed = Arc<Served<Arc<SrvShared>>>;
 
-/// The cross-thread face of one reactor: a command queue plus the
-/// waker that pops its `poll`.
-struct ReactorShared {
-    cmds: OrderedMutex<Vec<Cmd>>,
-    waker: Waker,
-}
-
-impl ReactorShared {
-    fn push(&self, cmd: Cmd) {
-        self.cmds.lock().push(cmd);
-        self.waker.wake();
-    }
-
-    fn take_cmds(&self) -> Vec<Cmd> {
-        std::mem::take(&mut *self.cmds.lock())
-    }
-}
+/// One reactor's inbox: other threads hand it a freshly dialed client
+/// connection, a served endpoint's listener or an accepted server-side
+/// connection.
+type ReactorShared = Inbox<Entry>;
 
 struct ReactorPool {
     handles: Vec<Arc<ReactorShared>>,
@@ -435,66 +210,15 @@ impl ReactorPool {
 }
 
 // ---------------------------------------------------------------------
-// Transport state.
+// The transport handle and its binding.
 // ---------------------------------------------------------------------
 
-struct Endpoint {
-    name: String,
-    /// Listener address once the endpoint serves; `None` for clients.
-    addr: Option<SocketAddr>,
-    /// Shared with the endpoint's server-side connections: when set,
-    /// they cut instead of answering.
-    down: Arc<AtomicBool>,
-    stats: EndpointStats,
-    latency: EndpointLatency,
-    /// Pooled pipelined connections *to* this endpoint.
-    conns: Vec<Arc<ClientConn>>,
-    /// Admission book for the endpoint's serve path (policy, live
-    /// dispatch depth, per-principal split); shared with every served
-    /// connection and with the dispatch workers.
-    gauge: Arc<DispatchGauge>,
-}
-
-struct Inner {
-    epoch: Instant,
-    next_id: AtomicU64,
-    next_corr: AtomicU64,
-    timeout_us: AtomicU64,
-    /// Drop probability as IEEE-754 bits (atomics hold no f64).
-    drop_bits: AtomicU64,
-    rng: OrderedMutex<StdRng>,
-    stats: OrderedMutex<NetStats>,
-    endpoints: OrderedMutex<HashMap<EndpointId, Endpoint>>,
+/// The handle-owned stream state: the reactor pool.
+pub(crate) struct TcpState {
     /// Configured reactor pool size (threads spawn lazily on first
     /// dial or `set_service`).
     reactor_count: usize,
     reactors: OrderedMutex<Option<Arc<ReactorPool>>>,
-    /// Master sender of the transport-wide dispatch pool.
-    dispatch: OrderedMutex<Option<mpsc::Sender<ServeJob>>>,
-    /// Live worker threads: reactors plus dispatch workers.
-    threads: Arc<AtomicUsize>,
-    /// Responses discarded because no in-flight request matched.
-    orphans: Arc<AtomicU64>,
-    /// Requests shed by admission control, transport-wide.
-    shed: Arc<AtomicU64>,
-    /// Set when the last transport handle drops; reactors exit on
-    /// their next wakeup, releasing listeners, sockets and services.
-    shutdown: Arc<AtomicBool>,
-}
-
-impl Drop for Inner {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake every reactor so it observes the flag now: each exits,
-        // dropping its listeners (releasing their ports), its
-        // connections and its service/dispatch handles — which in turn
-        // unwinds the dispatch pool once our master sender below goes
-        // too. No connect-storm, no per-endpoint walk: teardown cost
-        // is O(reactors) regardless of how many endpoints served.
-        if let Some(pool) = self.reactors.get_mut().take() {
-            pool.wake_all();
-        }
-    }
 }
 
 /// [`Transport`] over real loopback TCP sockets (see module docs).
@@ -503,7 +227,7 @@ impl Drop for Inner {
 /// `Arc<dyn Transport>` via [`TcpTransport::shared`].
 #[derive(Clone)]
 pub struct TcpTransport {
-    inner: Arc<Inner>,
+    inner: Arc<Core<TcpTransport>>,
 }
 
 impl TcpTransport {
@@ -517,24 +241,12 @@ impl TcpTransport {
     /// Creates a transport with an explicit reactor-pool size
     /// (clamped to `1..=MAX_REACTORS`).
     pub fn with_reactors(seed: u64, reactors: usize) -> Self {
+        let state = TcpState {
+            reactor_count: reactors.clamp(1, MAX_REACTORS),
+            reactors: OrderedMutex::new(ranks::TCP_REACTORS, None),
+        };
         Self {
-            inner: Arc::new(Inner {
-                epoch: Instant::now(),
-                next_id: AtomicU64::new(1),
-                next_corr: AtomicU64::new(1),
-                timeout_us: AtomicU64::new(2_000_000),
-                drop_bits: AtomicU64::new(0f64.to_bits()),
-                rng: OrderedMutex::new(ranks::TCP_RNG, StdRng::seed_from_u64(seed)),
-                stats: OrderedMutex::new(ranks::TCP_STATS, NetStats::default()),
-                endpoints: OrderedMutex::new(ranks::TCP_ENDPOINTS, HashMap::new()),
-                reactor_count: reactors.clamp(1, MAX_REACTORS),
-                reactors: OrderedMutex::new(ranks::TCP_REACTORS, None),
-                dispatch: OrderedMutex::new(ranks::TCP_DISPATCH_POOL, None),
-                threads: Arc::new(AtomicUsize::new(0)),
-                orphans: Arc::new(AtomicU64::new(0)),
-                shed: Arc::new(AtomicU64::new(0)),
-                shutdown: Arc::new(AtomicBool::new(false)),
-            }),
+            inner: Core::new(Shared::new(StdRng::seed_from_u64(seed)), state),
         }
     }
 
@@ -545,7 +257,7 @@ impl TcpTransport {
 
     /// The socket address an endpoint listens on, if it serves.
     pub fn listen_addr(&self, id: EndpointId) -> Option<SocketAddr> {
-        self.inner.endpoints.lock().get(&id).and_then(|e| e.addr)
+        self.inner.listen_addr(id)
     }
 
     /// Live worker threads: the reactor pool plus the shared dispatch
@@ -554,18 +266,18 @@ impl TcpTransport {
     /// width or call volume; the pipelining stress test pins this
     /// down.
     pub fn worker_threads(&self) -> usize {
-        self.inner.threads.load(Ordering::SeqCst)
+        Transport::worker_threads(self)
     }
 
     /// Configured reactor-pool size (the event-loop thread budget).
     pub fn reactor_threads(&self) -> usize {
-        self.inner.reactor_count
+        self.inner.state.reactor_count
     }
 
     /// Responses discarded because their correlation id matched no
     /// in-flight request (late responses after a timeout, duplicates).
     pub fn orphan_responses(&self) -> u64 {
-        self.inner.orphans.load(Ordering::Relaxed)
+        self.inner.shared.orphans.load(Ordering::Relaxed)
     }
 
     /// Pooled connections currently held toward `to` (test hook).
@@ -578,38 +290,31 @@ impl TcpTransport {
             .map(|e| e.conns.len())
             .unwrap_or(0)
     }
+}
 
-    fn timeout(&self) -> Duration {
-        Duration::from_micros(self.inner.timeout_us.load(Ordering::Relaxed).max(1_000))
-    }
-
+impl Core<TcpTransport> {
     /// The lazily spawned reactor pool.
     fn reactor_pool(&self) -> Arc<ReactorPool> {
-        let mut slot = self.inner.reactors.lock();
+        let mut slot = self.state.reactors.lock();
         if let Some(pool) = slot.as_ref() {
             return pool.clone();
         }
-        let handles: Vec<Arc<ReactorShared>> = (0..self.inner.reactor_count)
-            .map(|_| {
-                Arc::new(ReactorShared {
-                    cmds: OrderedMutex::new(ranks::TCP_REACTOR_CMDS, Vec::new()),
-                    waker: Waker::new().expect("create reactor waker"),
-                })
-            })
+        let handles = (0..self.state.reactor_count)
+            .map(|_| Inbox::new(ranks::TCP_REACTOR_CMDS))
             .collect();
         let pool = Arc::new(ReactorPool {
             handles,
             next: AtomicUsize::new(0),
         });
-        for idx in 0..self.inner.reactor_count {
-            let guard = ThreadGuard::enter(&self.inner.threads);
+        for idx in 0..self.state.reactor_count {
+            let guard = ThreadGuard::enter(&self.shared.threads);
             let pool = pool.clone();
-            let shutdown = self.inner.shutdown.clone();
+            let shared = self.shared.clone();
             thread::Builder::new()
                 .name(format!("ofl-tcp-reactor-{idx}"))
                 .spawn(move || {
                     let _guard = guard;
-                    run_reactor(idx, pool, shutdown);
+                    run_reactor(idx, pool, shared);
                 })
                 .expect("spawn reactor");
         }
@@ -617,22 +322,11 @@ impl TcpTransport {
         pool
     }
 
-    /// The lazily spawned transport-wide dispatch pool's job sender.
-    fn dispatch_sender(&self) -> mpsc::Sender<ServeJob> {
-        let mut slot = self.inner.dispatch.lock();
-        if let Some(tx) = slot.as_ref() {
-            return tx.clone();
-        }
-        let tx = spawn_dispatch_pool(&self.inner.threads);
-        *slot = Some(tx.clone());
-        tx
-    }
-
     /// Wakes every reactor (no-op before the pool exists) so state
     /// changes made outside the event loop — timeout pruning,
     /// `set_down` kills — are noticed now, not at the next I/O event.
     fn wake_reactors(&self) {
-        if let Some(pool) = self.inner.reactors.lock().as_ref() {
+        if let Some(pool) = self.state.reactors.lock().as_ref() {
             pool.wake_all();
         }
     }
@@ -644,12 +338,11 @@ impl TcpTransport {
     /// concurrently. A failed handshake fails every queued and
     /// subsequently raced-in request through the demux.
     fn dial(&self, addr: SocketAddr) -> Arc<ClientConn> {
-        let pool = self.reactor_pool();
-        let target = pool.pick();
+        let target = self.reactor_pool().pick();
         let conn = Arc::new(ClientConn {
             addr,
-            demux: Arc::new(Demux::new(self.inner.orphans.clone())),
-            broken: Arc::new(AtomicBool::new(false)),
+            demux: Arc::new(Demux::new(self.shared.orphans.clone())),
+            broken: AtomicBool::new(false),
             kill: AtomicBool::new(false),
             out: OrderedMutex::new(ranks::TCP_CONN_OUT, OutQueue::default()),
             reactor: target.clone(),
@@ -657,14 +350,17 @@ impl TcpTransport {
         match connect_nonblocking(&addr) {
             Ok(stream) => {
                 let _ = stream.set_nodelay(true);
-                target.push(Cmd::Client {
+                target.push(Entry::Client(ClientEntry {
                     conn: conn.clone(),
                     stream,
-                });
+                    connecting: true,
+                    decoder: FrameDecoder::new(),
+                    dead: false,
+                }));
             }
             Err(e) => {
                 // Synchronous dial failure (fd exhaustion, bad addr):
-                // the connection is born dead; submit's closed-queue
+                // the connection is born dead; send's closed-queue
                 // check routes around it.
                 conn.broken.store(true, Ordering::SeqCst);
                 conn.out.lock().closed = true;
@@ -685,7 +381,7 @@ impl TcpTransport {
         force_fresh: bool,
     ) -> (Arc<ClientConn>, bool) {
         if !force_fresh {
-            let mut endpoints = self.inner.endpoints.lock();
+            let mut endpoints = self.endpoints.lock();
             if let Some(ep) = endpoints.get_mut(&to) {
                 ep.conns.retain(|c| !c.broken.load(Ordering::SeqCst));
                 if let Some(best) = ep.conns.iter().min_by_key(|c| c.demux.in_flight()).cloned() {
@@ -696,7 +392,7 @@ impl TcpTransport {
             }
         }
         let conn = self.dial(addr);
-        let mut endpoints = self.inner.endpoints.lock();
+        let mut endpoints = self.endpoints.lock();
         if let Some(ep) = endpoints.get_mut(&to) {
             // Make room before the cap check: broken connections must
             // not squat pool slots and force fresh dials unpooled.
@@ -707,408 +403,167 @@ impl TcpTransport {
         }
         (conn, false)
     }
-
-    fn submit_inner(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        payload: Vec<u8>,
-        force_fresh: bool,
-    ) -> Result<TcpPending, NetError> {
-        let (addr, down) = {
-            let endpoints = self.inner.endpoints.lock();
-            let ep = endpoints.get(&to).ok_or(NetError::NoSuchEndpoint(to))?;
-            (ep.addr, ep.down.clone())
-        };
-        let addr = addr.ok_or(NetError::NoSuchEndpoint(to))?;
-        if down.load(Ordering::Relaxed) {
-            return Err(NetError::EndpointDown(to));
-        }
-        if !force_fresh {
-            let drop_p = f64::from_bits(self.inner.drop_bits.load(Ordering::Relaxed));
-            if drop_p > 0.0 && self.inner.rng.lock().gen_bool(drop_p) {
-                self.inner.stats.lock().drops += 1;
-                return Err(NetError::Timeout);
-            }
-        }
-        let (conn, reused) = self.obtain_conn(to, addr, force_fresh);
-        let corr = self.inner.next_corr.fetch_add(1, Ordering::Relaxed);
-        // Encode up front (the reactor writes raw buffers); the
-        // payload stays owned here for the retry paths.
-        let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        write_frame(&mut buf, from.0, corr, &payload)
-            .map_err(|e| NetError::Connection(format!("encode frame: {e}")))?;
-        let cell = conn.demux.register(corr);
-        let delivered_at_submit = conn.demux.delivered();
-        let bytes_sent = payload.len() as u64;
-        if conn.enqueue(OutFrame { corr, buf, off: 0 }).is_err() {
-            // Connection already closed: prune and, once, try a fresh
-            // dial. The frame never left this process, so re-routing
-            // it cannot duplicate work.
-            conn.broken.store(true, Ordering::SeqCst);
-            conn.demux.forget(corr);
-            if !force_fresh {
-                return self.submit_inner(from, to, payload, true);
-            }
-            return Err(NetError::Connection("connection closed before send".into()));
-        }
-        if conn.broken.load(Ordering::SeqCst) && conn.demux.forget(corr) {
-            // The connection died while we were enqueueing and its
-            // failure sweep may have run before our registration —
-            // nobody would ever fill this cell, stalling the waiter to
-            // its deadline. Re-route on a fresh dial when this was a
-            // pooled reuse; otherwise fail fast.
-            if !force_fresh && reused {
-                return self.submit_inner(from, to, payload, true);
-            }
-            return Err(NetError::Connection("connection died during submit".into()));
-        }
-        let retry_payload = (reused && !force_fresh).then_some(payload);
-        Ok(TcpPending {
-            transport: self.clone(),
-            from,
-            to,
-            payload: retry_payload,
-            bytes_sent,
-            corr,
-            cell,
-            demux: conn.demux.clone(),
-            conn_broken: conn.broken.clone(),
-            delivered_at_submit,
-            down,
-            t0: Instant::now(),
-            _conn: conn,
-        })
-    }
-
-    /// Charges one request/response exchange to the global and both
-    /// per-endpoint counters (frame headers included: these are the
-    /// bytes actually on the wire).
-    fn charge(&self, from: EndpointId, to: EndpointId, payload_out: u64, payload_in: u64) {
-        let sent = payload_out + FRAME_HEADER_LEN as u64;
-        let received = payload_in + FRAME_HEADER_LEN as u64;
-        {
-            let mut stats = self.inner.stats.lock();
-            stats.messages += 2;
-            stats.bytes += sent + received;
-        }
-        let mut endpoints = self.inner.endpoints.lock();
-        if let Some(ep) = endpoints.get_mut(&from) {
-            ep.stats.tx_msgs += 1;
-            ep.stats.tx_bytes += sent;
-            ep.stats.rx_msgs += 1;
-            ep.stats.rx_bytes += received;
-        }
-        if let Some(ep) = endpoints.get_mut(&to) {
-            ep.stats.rx_msgs += 1;
-            ep.stats.rx_bytes += sent;
-            ep.stats.tx_msgs += 1;
-            ep.stats.tx_bytes += received;
-        }
-    }
-
-    /// Charges a request whose frame was written but whose call failed
-    /// (timeout, connection death after the write): the request bytes
-    /// were really spent on the wire, so per-endpoint counters must not
-    /// under-report traffic under failure injection. The missing
-    /// response charges nothing.
-    fn charge_tx(&self, from: EndpointId, to: EndpointId, payload_out: u64) {
-        let sent = payload_out + FRAME_HEADER_LEN as u64;
-        {
-            let mut stats = self.inner.stats.lock();
-            stats.messages += 1;
-            stats.bytes += sent;
-        }
-        let mut endpoints = self.inner.endpoints.lock();
-        if let Some(ep) = endpoints.get_mut(&from) {
-            ep.stats.tx_msgs += 1;
-            ep.stats.tx_bytes += sent;
-        }
-        if let Some(ep) = endpoints.get_mut(&to) {
-            ep.stats.rx_msgs += 1;
-            ep.stats.rx_bytes += sent;
-        }
-    }
-
-    /// Folds one completed-call latency sample into `to`'s summary.
-    fn note_latency(&self, to: EndpointId, sample_us: u64) {
-        let mut endpoints = self.inner.endpoints.lock();
-        if let Some(ep) = endpoints.get_mut(&to) {
-            ep.latency.observe(sample_us);
-        }
-    }
-
-    fn classify(&self, e: io::Error, to: EndpointId, down: &AtomicBool) -> NetError {
-        if down.load(Ordering::Relaxed) {
-            // The server cut the connection because it is down: to the
-            // caller that is a dead endpoint, same as on the simulator.
-            return NetError::EndpointDown(to);
-        }
-        match e.kind() {
-            io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => NetError::Timeout,
-            _ => NetError::Connection(e.to_string()),
-        }
-    }
 }
 
-/// One in-flight TCP call: the frame is queued (or written); the
-/// reactor fills `cell` when the correlated response lands.
-struct TcpPending {
-    transport: TcpTransport,
-    from: EndpointId,
-    to: EndpointId,
-    /// Retry copy, kept only for calls that went out on a pre-existing
-    /// pooled connection (the only ones eligible for the single
-    /// stale-connection retry).
-    payload: Option<Vec<u8>>,
-    /// Request payload length.
-    bytes_sent: u64,
-    corr: u64,
-    cell: Arc<CompletionCell>,
-    demux: Arc<Demux>,
-    /// The carrying connection's broken flag: set on deadline expiry so
-    /// a stalled connection is pruned instead of re-pooled.
-    conn_broken: Arc<AtomicBool>,
+/// What one TCP call in flight keeps beyond the core's cell.
+pub(crate) struct TcpFlight {
+    /// The carrying connection. Keeps its demux and queue alive while
+    /// the call is in flight: a fresh dial that lost the pool-slot race
+    /// must not lose its response mid-air.
+    conn: Arc<ClientConn>,
     /// The connection's delivered-response count at submit time; any
     /// delivery after it vetoes the stale-retry (server provably alive
     /// past this request's submission).
     delivered_at_submit: u64,
-    down: Arc<AtomicBool>,
-    t0: Instant,
-    /// Keeps the connection's demux and queue alive while the call is
-    /// in flight: a fresh dial that lost the pool-slot race must not
-    /// lose its response mid-air.
-    _conn: Arc<ClientConn>,
+    /// Retry copy, kept only for calls that went out on a pre-existing
+    /// pooled connection (the only ones eligible for the single
+    /// stale-connection retry).
+    retry_payload: Option<Vec<u8>>,
 }
 
-impl PendingCall for TcpPending {
-    fn wait(mut self: Box<Self>) -> Result<Transfer, NetError> {
-        let deadline = self.t0 + self.transport.timeout();
-        match self.cell.wait_until(deadline) {
-            Some(CellDone {
-                result: Ok(response),
-                ..
-            }) => {
-                self.transport
-                    .charge(self.from, self.to, self.bytes_sent, response.len() as u64);
-                let latency_us = self.t0.elapsed().as_micros() as u64;
-                self.transport.note_latency(self.to, latency_us);
-                Ok(Transfer {
-                    latency_us,
-                    bytes_sent: self.bytes_sent + FRAME_HEADER_LEN as u64,
-                    bytes_received: response.len() as u64 + FRAME_HEADER_LEN as u64,
-                    payload: response,
-                })
-            }
-            Some(CellDone {
-                result: Err(e),
-                sole_in_flight,
-            }) => {
-                // A written request costs wire whether or not the call
-                // completes; the retry path charges the failed attempt
-                // before re-sending, so both transmissions account.
-                if self.cell.was_sent() {
-                    self.transport
-                        .charge_tx(self.from, self.to, self.bytes_sent);
-                }
-                let retriable = sole_in_flight
-                    && is_stale_connection(&e)
-                    // No response landed on this connection since the
-                    // submit: nothing proves the server ever got past
-                    // this request, so re-sending cannot duplicate
-                    // observed work. A delivery in between vetoes it.
-                    && self.demux.delivered() == self.delivered_at_submit;
-                if retriable {
-                    if let Some(payload) = self.payload.take() {
-                        // The pooled connection went stale (server
-                        // restarted or cut us off) with this request
-                        // alone in flight — it cannot have been
-                        // processed; retry exactly once on a fresh
-                        // dial. With siblings pipelined on the same
-                        // connection the server may have processed any
-                        // of them, so those failures are surfaced, not
-                        // retried. Timeouts are NEVER retried — the
-                        // server may still be executing the request,
-                        // and re-sending would duplicate non-idempotent
-                        // work (patches).
-                        let retried = self
-                            .transport
-                            .submit_inner(self.from, self.to, payload, true)?;
-                        return Box::new(retried).wait();
-                    }
-                }
-                Err(self.transport.classify(e, self.to, &self.down))
-            }
-            None => {
-                // Abandon the slot: a late response is discarded as an
-                // orphan rather than delivered to a future call. The
-                // connection swallowed a request past its deadline, so
-                // stop pooling it — the next submit dials fresh instead
-                // of feeding a stalled server's tar pit (in-flight
-                // siblings keep their cells; only checkout is barred,
-                // and the reactor closes the socket once they drain).
-                self.demux.forget(self.corr);
-                self.conn_broken.store(true, Ordering::SeqCst);
-                self.transport.wake_reactors();
-                if self.cell.was_sent() {
-                    self.transport
-                        .charge_tx(self.from, self.to, self.bytes_sent);
-                }
-                Err(NetError::Timeout)
-            }
-        }
-    }
-}
+impl Binding for TcpTransport {
+    const KIND: &'static str = "tcp";
+    const DISPATCH_WORKERS: usize = DISPATCH_POOL;
+    const DISPATCH_THREAD: &'static str = "ofl-tcp-disp";
+    type State = TcpState;
+    type Conns = Vec<Arc<ClientConn>>;
+    type Flight = TcpFlight;
+    type Sink = Arc<SrvShared>;
 
-impl Transport for TcpTransport {
-    fn kind(&self) -> &'static str {
-        "tcp"
+    fn core(&self) -> &Arc<Core<Self>> {
+        &self.inner
     }
 
-    fn register(&self, name: &str, location: Option<LatLng>) -> EndpointId {
-        let _ = location; // wall-clock transport: no distance model
-        let id = EndpointId(self.inner.next_id.fetch_add(1, Ordering::Relaxed));
-        self.inner.endpoints.lock().insert(
-            id,
-            Endpoint {
-                name: name.to_string(),
-                addr: None,
-                down: Arc::new(AtomicBool::new(false)),
-                stats: EndpointStats::default(),
-                latency: EndpointLatency::default(),
-                conns: Vec::new(),
-                gauge: Arc::new(DispatchGauge::new()),
-            },
-        );
-        id
-    }
-
-    fn set_service(&self, id: EndpointId, service: Arc<dyn WireService>) {
+    fn serve(core: &Core<Self>, served: Served<Self::Sink>) -> SocketAddr {
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind loopback listener");
         listener
             .set_nonblocking(true)
             .expect("non-blocking listener");
         let addr = listener.local_addr().expect("listener has an address");
-        let (down, gauge) = {
-            let mut endpoints = self.inner.endpoints.lock();
-            let ep = endpoints
-                .get_mut(&id)
-                .expect("set_service on an unregistered endpoint");
-            ep.addr = Some(addr);
-            (ep.down.clone(), ep.gauge.clone())
-        };
-        let dispatch = self.dispatch_sender();
-        let pool = self.reactor_pool();
-        pool.pick().push(Cmd::Listener {
-            listener,
-            me: id.0,
-            down,
-            service,
-            dispatch,
-            gauge,
-            shed: self.inner.shed.clone(),
-        });
+        let pool = core.reactor_pool();
+        pool.pick()
+            .push(Entry::Listener(listener, Arc::new(served)));
+        addr
     }
 
-    fn submit(&self, from: EndpointId, to: EndpointId, payload: Vec<u8>) -> CallHandle {
-        match self.submit_inner(from, to, payload, false) {
-            Ok(pending) => CallHandle::new(Box::new(pending)),
-            Err(e) => CallHandle::ready(Err(e)),
+    fn send(core: &Arc<Core<Self>>, out: Outgoing) -> Result<Sent<Self>, NetError> {
+        if !out.retry && core.shared.roll_drop() {
+            return Err(NetError::Timeout);
+        }
+        let (corr, mut buf, mut fresh) = (out.corr, out.frame, out.retry);
+        loop {
+            let (conn, reused) = core.obtain_conn(out.to, out.addr, fresh);
+            let cell = conn.demux.register(corr);
+            let delivered_at_submit = conn.demux.delivered();
+            if let Err(unsent) = conn.enqueue(OutFrame { corr, buf, off: 0 }) {
+                // Connection already closed: prune and, once, try a
+                // fresh dial. The frame never left this process, so
+                // re-routing it cannot duplicate work.
+                conn.broken.store(true, Ordering::SeqCst);
+                conn.demux.forget(corr);
+                if fresh {
+                    return Err(NetError::Connection("connection closed before send".into()));
+                }
+                (buf, fresh) = (unsent.buf, true);
+                continue;
+            }
+            if conn.broken.load(Ordering::SeqCst) && conn.demux.forget(corr) {
+                // The connection died while we were enqueueing and its
+                // failure sweep may have run before our registration —
+                // nobody would ever fill this cell, stalling the waiter
+                // to its deadline. Re-route on a fresh dial when this
+                // was a pooled reuse; otherwise fail fast.
+                if fresh || !reused {
+                    return Err(NetError::Connection("connection died during submit".into()));
+                }
+                (buf, fresh) = (encode_frame(out.from, corr, &out.payload)?, true);
+                continue;
+            }
+            return Ok(Sent {
+                cell,
+                demux: conn.demux.clone(),
+                flight: TcpFlight {
+                    conn,
+                    delivered_at_submit,
+                    retry_payload: (reused && !fresh).then_some(out.payload),
+                },
+            });
         }
     }
 
-    fn now_us(&self) -> u64 {
-        self.inner.epoch.elapsed().as_micros() as u64
-    }
-
-    fn advance_us(&self, _dt_us: u64) {
-        // Wall-clock transport: think time passes by itself.
-    }
-
-    fn stats(&self) -> NetStats {
-        self.inner.stats.lock().clone()
-    }
-
-    fn endpoint_stats(&self, id: EndpointId) -> Option<EndpointStats> {
-        self.inner
-            .endpoints
-            .lock()
-            .get(&id)
-            .map(|e| e.stats.clone())
-    }
-
-    fn endpoint_latency(&self, id: EndpointId) -> Option<EndpointLatency> {
-        self.inner.endpoints.lock().get(&id).map(|e| e.latency)
-    }
-
-    fn reset_stats(&self) {
-        *self.inner.stats.lock() = NetStats::default();
-        self.inner.shed.store(0, Ordering::SeqCst);
-        for ep in self.inner.endpoints.lock().values_mut() {
-            ep.stats = EndpointStats::default();
-            ep.latency = EndpointLatency::default();
-            ep.gauge.reset_high_water();
+    fn failed(
+        call: SocketPending<Self>,
+        failure: Option<(io::Error, bool)>,
+    ) -> Result<Transfer, NetError> {
+        let flight = call.sent.flight;
+        // A written request costs wire whether or not the call
+        // completes; the retry path charges the failed attempt before
+        // re-sending, so both transmissions account.
+        if call.sent.cell.was_sent() {
+            call.core.charge_tx(call.from, call.to, call.bytes_sent);
         }
-    }
-
-    fn endpoint_name(&self, id: EndpointId) -> Option<String> {
-        self.inner.endpoints.lock().get(&id).map(|e| e.name.clone())
-    }
-
-    fn set_down(&self, id: EndpointId, down: bool) {
-        let conns = {
-            let mut endpoints = self.inner.endpoints.lock();
-            let Some(ep) = endpoints.get_mut(&id) else {
-                return;
-            };
-            ep.down.store(down, Ordering::Relaxed);
-            // Drop pooled connections either way: a revived server gets
-            // fresh connections instead of sockets the server side
-            // already abandoned.
-            std::mem::take(&mut ep.conns)
+        let Some((e, sole_in_flight)) = failure else {
+            // The connection swallowed a request past its deadline, so
+            // stop pooling it — the next submit dials fresh instead of
+            // feeding a stalled server's tar pit (in-flight siblings
+            // keep their cells; only checkout is barred, and the
+            // reactor closes the socket once they drain).
+            flight.conn.broken.store(true, Ordering::SeqCst);
+            call.core.wake_reactors();
+            return Err(NetError::Timeout);
         };
-        // Cut them now: in-flight requests fail like they would on a
-        // crashed process, instead of riding a socket whose server
-        // will never answer again.
+        let retriable = sole_in_flight
+            && is_stale_connection(&e)
+            // No response landed on this connection since the submit:
+            // nothing proves the server ever got past this request, so
+            // re-sending cannot duplicate observed work. A delivery in
+            // between vetoes it.
+            && flight.conn.demux.delivered() == flight.delivered_at_submit;
+        if let (true, Some(payload)) = (retriable, flight.retry_payload) {
+            // The pooled connection went stale (server restarted or
+            // cut us off) with this request alone in flight — it
+            // cannot have been processed; retry exactly once on a
+            // fresh dial. With siblings pipelined on the same
+            // connection the server may have processed any of them, so
+            // those failures are surfaced, not retried. Timeouts are
+            // NEVER retried — the server may still be executing the
+            // request, and re-sending would duplicate non-idempotent
+            // work (patches).
+            let retried = call.core.launch(call.from, call.to, payload, true)?;
+            return Box::new(retried).wait();
+        }
+        if call.down.load(Ordering::Relaxed) {
+            // The server cut the connection because it is down: to the
+            // caller that is a dead endpoint, same as on the simulator.
+            return Err(NetError::EndpointDown(call.to));
+        }
+        Err(match e.kind() {
+            io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => NetError::Timeout,
+            _ => NetError::Connection(e.to_string()),
+        })
+    }
+
+    fn cut(core: &Core<Self>, _id: EndpointId, conns: Self::Conns) {
+        // Cut the pooled connections now: in-flight requests fail like
+        // they would on a crashed process, instead of riding a socket
+        // whose server will never answer again.
         for conn in &conns {
             conn.kill.store(true, Ordering::SeqCst);
             conn.broken.store(true, Ordering::SeqCst);
         }
-        drop(conns);
-        self.wake_reactors();
+        core.wake_reactors();
     }
 
-    fn set_drop_probability(&self, p: f64) {
-        self.inner
-            .drop_bits
-            .store(p.clamp(0.0, 1.0).to_bits(), Ordering::Relaxed);
-    }
-
-    fn set_timeout_us(&self, timeout_us: u64) {
-        self.inner.timeout_us.store(timeout_us, Ordering::Relaxed);
-    }
-
-    fn worker_threads(&self) -> usize {
-        TcpTransport::worker_threads(self)
-    }
-
-    fn set_overload_policy(&self, id: EndpointId, policy: Option<OverloadPolicy>) {
-        if let Some(ep) = self.inner.endpoints.lock().get(&id) {
-            ep.gauge.set_policy(policy);
+    fn teardown(state: &mut TcpState) {
+        // Wake every reactor so it observes the shutdown flag now: each
+        // exits, dropping its listeners (releasing their ports), its
+        // connections and its service/dispatch handles — which in turn
+        // unwinds the dispatch pool once the core's master sender goes
+        // too. No connect-storm, no per-endpoint walk: teardown cost
+        // is O(reactors) regardless of how many endpoints served.
+        if let Some(pool) = state.reactors.get_mut().take() {
+            pool.wake_all();
         }
-    }
-
-    fn dispatch_depth(&self, id: EndpointId) -> usize {
-        self.inner
-            .endpoints
-            .lock()
-            .get(&id)
-            .map(|e| e.gauge.high_water())
-            .unwrap_or(0)
-    }
-
-    fn shed_requests(&self) -> u64 {
-        self.inner.shed.load(Ordering::SeqCst)
     }
 }
 
@@ -1126,24 +581,8 @@ fn is_stale_connection(e: &io::Error) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Server-side concurrent dispatch.
+// Served connections: completion-order write queue.
 // ---------------------------------------------------------------------
-
-/// One decoded request frame on its way to a dispatch worker.
-struct ServeJob {
-    from: u64,
-    corr: u64,
-    payload: Vec<u8>,
-    service: Arc<dyn WireService>,
-    shared: Arc<SrvShared>,
-    /// The endpoint's admission book and this request's principal key
-    /// (present when an overload policy classified it). The worker
-    /// releases the slot right after execution — on every path,
-    /// including service panics and dead connections — so shed +
-    /// disconnect can never leak slots and wedge the endpoint.
-    gauge: Arc<DispatchGauge>,
-    admit_key: Option<u64>,
-}
 
 /// One computed response on its way back to its connection's reactor.
 /// `response` is `None` when the service panicked on this request —
@@ -1157,7 +596,7 @@ struct SrvDone {
 /// The dispatch-facing half of one server connection: workers push
 /// completion-order results here and wake the owning reactor, which
 /// writes them out in that order.
-struct SrvShared {
+pub(crate) struct SrvShared {
     done: OrderedMutex<VecDeque<SrvDone>>,
     /// Set when the connection is torn down: late results are dropped
     /// instead of queued for a writer that no longer exists.
@@ -1165,55 +604,13 @@ struct SrvShared {
     reactor: Arc<ReactorShared>,
 }
 
-/// Spawns the transport-wide dispatch pool: [`DISPATCH_POOL`] workers
-/// pull decoded frames from every served connection of every endpoint
-/// and invoke the owning service concurrently (its `Send + Sync`
-/// contract makes that legal; see [`WireService`]). Jobs carry their
-/// service handle, so idle workers pin no service alive; the pool
-/// unwinds once the transport's master sender and every reactor-held
-/// clone are gone.
-fn spawn_dispatch_pool(threads: &Arc<AtomicUsize>) -> mpsc::Sender<ServeJob> {
-    let (job_tx, job_rx) = mpsc::channel::<ServeJob>();
-    let job_rx = Arc::new(OrderedMutex::new(ranks::TCP_DISPATCH_QUEUE, job_rx));
-    for worker in 0..DISPATCH_POOL {
-        let guard = ThreadGuard::enter(threads);
-        let job_rx = job_rx.clone();
-        thread::Builder::new()
-            .name(format!("ofl-tcp-disp-{worker}"))
-            .spawn(move || {
-                let _guard = guard;
-                loop {
-                    // Hold the shared receiver only for the blocking
-                    // recv: job *pickup* is serialized, execution is
-                    // not.
-                    let job = {
-                        let rx = job_rx.lock();
-                        rx.recv()
-                    };
-                    let Ok(job) = job else { break };
-                    // Contain panics: a panicking service must cost its
-                    // connection, never a shared dispatch worker.
-                    let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        job.service.handle(EndpointId(job.from), &job.payload)
-                    }))
-                    .ok();
-                    // Release the admission slot before anything can
-                    // skip the result (dead connection, panic): the
-                    // endpoint-wide depth must drain even when the
-                    // requester is gone.
-                    job.gauge.release(job.admit_key);
-                    if !job.shared.dead.load(Ordering::SeqCst) {
-                        job.shared.done.lock().push_back(SrvDone {
-                            corr: job.corr,
-                            response,
-                        });
-                        job.shared.reactor.waker.wake();
-                    }
-                }
-            })
-            .expect("spawn dispatch worker");
+impl ReplySink for Arc<SrvShared> {
+    fn reply(self, corr: u64, response: Option<Vec<u8>>) {
+        if !self.dead.load(Ordering::SeqCst) {
+            self.done.lock().push_back(SrvDone { corr, response });
+            self.reactor.waker.wake();
+        }
     }
-    job_tx
 }
 
 // ---------------------------------------------------------------------
@@ -1224,22 +621,11 @@ fn spawn_dispatch_pool(threads: &Arc<AtomicUsize>) -> mpsc::Sender<ServeJob> {
 struct ClientEntry {
     conn: Arc<ClientConn>,
     stream: TcpStream,
-    /// Still mid-handshake: watch for writability, then check
-    /// `SO_ERROR` before first use.
+    /// Still mid-handshake (every connection is adopted that way):
+    /// watch for writability, then check `SO_ERROR` before first use.
     connecting: bool,
     decoder: FrameDecoder,
     dead: bool,
-}
-
-/// A served endpoint's listener as its reactor sees it.
-struct ListenerEntry {
-    listener: TcpListener,
-    me: u64,
-    down: Arc<AtomicBool>,
-    service: Arc<dyn WireService>,
-    dispatch: mpsc::Sender<ServeJob>,
-    gauge: Arc<DispatchGauge>,
-    shed: Arc<AtomicU64>,
 }
 
 /// A response frame part-way through its write.
@@ -1251,13 +637,8 @@ struct WriteBuf {
 /// A server-side connection as its reactor sees it.
 struct ServedEntry {
     stream: TcpStream,
-    me: u64,
-    down: Arc<AtomicBool>,
-    service: Arc<dyn WireService>,
-    dispatch: mpsc::Sender<ServeJob>,
+    served: TcpServed,
     shared: Arc<SrvShared>,
-    gauge: Arc<DispatchGauge>,
-    shed: Arc<AtomicU64>,
     decoder: FrameDecoder,
     /// Requests dispatched but not yet fully answered on the wire —
     /// the [`SERVE_PIPELINE`] gate's counter.
@@ -1272,7 +653,8 @@ struct ServedEntry {
 
 enum Entry {
     Client(ClientEntry),
-    Listener(ListenerEntry),
+    /// A served endpoint's listener.
+    Listener(TcpListener, TcpServed),
     Served(ServedEntry),
 }
 
@@ -1281,72 +663,21 @@ enum Entry {
 /// for every socket in its slab. Exits when the transport shuts down,
 /// dropping the slab (which closes every fd and releases every
 /// service/dispatch handle it held).
-fn run_reactor(idx: usize, pool: Arc<ReactorPool>, shutdown: Arc<AtomicBool>) {
+fn run_reactor(idx: usize, pool: Arc<ReactorPool>, transport: Arc<Shared>) {
     let shared = pool.handles[idx].clone();
     let mut entries: Vec<Entry> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut owners: Vec<usize> = Vec::new();
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if transport.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        for cmd in shared.take_cmds() {
-            entries.push(match cmd {
-                Cmd::Client { conn, stream } => Entry::Client(ClientEntry {
-                    conn,
-                    stream,
-                    connecting: true,
-                    decoder: FrameDecoder::new(),
-                    dead: false,
-                }),
-                Cmd::Listener {
-                    listener,
-                    me,
-                    down,
-                    service,
-                    dispatch,
-                    gauge,
-                    shed,
-                } => Entry::Listener(ListenerEntry {
-                    listener,
-                    me,
-                    down,
-                    service,
-                    dispatch,
-                    gauge,
-                    shed,
-                }),
-                Cmd::Served {
-                    stream,
-                    me,
-                    down,
-                    service,
-                    dispatch,
-                    shared,
-                    gauge,
-                    shed,
-                } => Entry::Served(ServedEntry {
-                    stream,
-                    me,
-                    down,
-                    service,
-                    dispatch,
-                    shared,
-                    gauge,
-                    shed,
-                    decoder: FrameDecoder::new(),
-                    in_dispatch: 0,
-                    cur: None,
-                    read_open: true,
-                    dead: false,
-                }),
-            });
-        }
+        shared.adopt_into(&mut entries);
         // Retire sweep: externally killed connections, broken ones
         // that drained, gracefully finished server connections, and
         // everything that died during the last event round.
         entries.retain_mut(|entry| match entry {
-            Entry::Listener(_) => true,
+            Entry::Listener(..) => true,
             Entry::Client(c) => {
                 if !c.dead && c.conn.kill.load(Ordering::SeqCst) {
                     client_death(c, io::ErrorKind::UnexpectedEof, "connection force-closed");
@@ -1422,7 +753,7 @@ fn run_reactor(idx: usize, pool: Arc<ReactorPool>, shutdown: Arc<AtomicBool>) {
             }
             match &mut entries[owners[k]] {
                 Entry::Client(c) => handle_client(c, ready),
-                Entry::Listener(l) => handle_listener(l, &pool),
+                Entry::Listener(listener, served) => handle_listener(listener, served, &pool),
                 Entry::Served(s) => handle_served(s, ready),
             }
         }
@@ -1434,7 +765,7 @@ fn run_reactor(idx: usize, pool: Arc<ReactorPool>, shutdown: Arc<AtomicBool>) {
 /// connection — nothing to wait for until the waker fires).
 fn interest(entry: &Entry) -> Option<PollFd> {
     match entry {
-        Entry::Listener(l) => Some(PollFd::new(l.listener.as_raw_fd(), POLLIN)),
+        Entry::Listener(listener, _) => Some(PollFd::new(listener.as_raw_fd(), POLLIN)),
         Entry::Client(c) => {
             if c.dead {
                 return None;
@@ -1519,6 +850,22 @@ fn handle_client(c: &mut ClientEntry, ready: PollFd) {
     }
 }
 
+/// Writes as much of `buf[*off..]` as the socket takes now. `Ok(true)`
+/// means the buffer is fully written, `Ok(false)` that the socket
+/// would block.
+fn write_some(mut stream: &TcpStream, buf: &[u8], off: &mut usize) -> io::Result<bool> {
+    while *off < buf.len() {
+        match stream.write(&buf[*off..]) {
+            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "wrote zero bytes")),
+            Ok(n) => *off += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(true)
+}
+
 /// Drains the connection's write queue into the socket until it would
 /// block or empties.
 fn pump_client_write(c: &mut ClientEntry) -> io::Result<()> {
@@ -1530,18 +877,10 @@ fn pump_client_write(c: &mut ClientEntry) -> io::Result<()> {
             // request bytes count as wire traffic.
             c.conn.demux.mark_sent(frame.corr);
         }
-        match (&c.stream).write(&frame.buf[frame.off..]) {
-            Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "wrote zero bytes")),
-            Ok(n) => {
-                frame.off += n;
-                if frame.off == frame.buf.len() {
-                    out.frames.pop_front();
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+        if !write_some(&c.stream, &frame.buf, &mut frame.off)? {
+            break;
         }
+        out.frames.pop_front();
     }
     Ok(())
 }
@@ -1578,9 +917,9 @@ fn pump_client_read(c: &mut ClientEntry) -> Result<(), (io::ErrorKind, String)> 
 }
 
 /// Accepts every pending connection, spreading them across the pool.
-fn handle_listener(l: &mut ListenerEntry, pool: &Arc<ReactorPool>) {
+fn handle_listener(listener: &TcpListener, served: &TcpServed, pool: &Arc<ReactorPool>) {
     loop {
-        match l.listener.accept() {
+        match listener.accept() {
             Ok((stream, _peer)) => {
                 let _ = stream.set_nodelay(true);
                 if stream.set_nonblocking(true).is_err() {
@@ -1592,16 +931,16 @@ fn handle_listener(l: &mut ListenerEntry, pool: &Arc<ReactorPool>) {
                     dead: AtomicBool::new(false),
                     reactor: target.clone(),
                 });
-                target.push(Cmd::Served {
+                target.push(Entry::Served(ServedEntry {
                     stream,
-                    me: l.me,
-                    down: l.down.clone(),
-                    service: l.service.clone(),
-                    dispatch: l.dispatch.clone(),
+                    served: served.clone(),
                     shared,
-                    gauge: l.gauge.clone(),
-                    shed: l.shed.clone(),
-                });
+                    decoder: FrameDecoder::new(),
+                    in_dispatch: 0,
+                    cur: None,
+                    read_open: true,
+                    dead: false,
+                }));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -1667,42 +1006,17 @@ fn pump_served_decode(s: &mut ServedEntry) -> Result<(), ()> {
     while s.in_dispatch < SERVE_PIPELINE {
         match s.decoder.next_frame() {
             Ok(Some(frame)) => {
-                if s.down.load(Ordering::Relaxed) {
+                if s.served.down.load(Ordering::Relaxed) {
                     // A dead server stops mid-conversation; the caller
                     // sees the connection die, exactly like a crashed
                     // process.
                     return Err(());
                 }
-                let admit_key = match s.gauge.admit(&frame.payload) {
-                    Ok(key) => key,
-                    Err(busy) => {
-                        // Shed: answer with the policy's busy payload
-                        // straight through the response queue — the
-                        // dispatch pool never sees the request, the
-                        // reader is never stalled, and the reply
-                        // drains like any other completion (its write
-                        // releases the in_dispatch slot it takes
-                        // here).
-                        s.shed.fetch_add(1, Ordering::Relaxed);
-                        s.shared.done.lock().push_back(SrvDone {
-                            corr: frame.correlation,
-                            response: Some(busy),
-                        });
-                        s.in_dispatch += 1;
-                        continue;
-                    }
-                };
-                let job = ServeJob {
-                    from: frame.sender,
-                    corr: frame.correlation,
-                    payload: frame.payload,
-                    service: s.service.clone(),
-                    shared: s.shared.clone(),
-                    gauge: s.gauge.clone(),
-                    admit_key,
-                };
-                if s.dispatch.send(job).is_err() {
-                    // Pool gone: the transport is unwinding.
+                // Dispatched or shed, the request holds a gate slot
+                // until its reply is written: a shed reply drains
+                // through the response queue like any other
+                // completion, so the reader is never stalled.
+                if !s.served.admit(frame, s.shared.clone()) {
                     return Err(());
                 }
                 s.in_dispatch += 1;
@@ -1728,10 +1042,8 @@ fn pump_served_write(s: &mut ServedEntry) -> Result<(), ()> {
                     corr,
                     response: Some(response),
                 }) => {
-                    let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + response.len());
-                    if write_frame(&mut buf, s.me, corr, &response).is_err() {
-                        return Err(());
-                    }
+                    let buf =
+                        encode_frame(EndpointId(s.served.me), corr, &response).map_err(|_| ())?;
                     s.cur = Some(WriteBuf { buf, off: 0 });
                 }
                 // Service panicked on this request: cut the connection
@@ -1740,33 +1052,23 @@ fn pump_served_write(s: &mut ServedEntry) -> Result<(), ()> {
                 None => return Ok(()),
             }
         }
-        let finished = {
-            let cur = s.cur.as_mut().expect("current write buffer");
-            match (&s.stream).write(&cur.buf[cur.off..]) {
-                Ok(0) => return Err(()),
-                Ok(n) => {
-                    cur.off += n;
-                    cur.off == cur.buf.len()
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => false,
-                Err(_) => return Err(()),
-            }
-        };
-        if finished {
-            s.cur = None;
-            // Frame delivered: release the gate slot it held since
-            // dispatch.
-            s.in_dispatch -= 1;
+        let cur = s.cur.as_mut().expect("current write buffer");
+        if !write_some(&s.stream, &cur.buf, &mut cur.off).map_err(|_| ())? {
+            return Ok(());
         }
+        // Frame delivered: release the gate slot it held since
+        // dispatch.
+        s.cur = None;
+        s.in_dispatch -= 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{CompletionSet, Transport};
-    use openflame_codec::framing::read_frame;
+    use crate::transport::{CompletionSet, OverloadPolicy, Transport};
+    use openflame_codec::framing::{read_frame, write_frame, FRAME_HEADER_LEN};
+    use std::time::Instant;
 
     fn echo_transport() -> (TcpTransport, EndpointId, EndpointId) {
         let transport = TcpTransport::new(7);
@@ -2008,25 +1310,6 @@ mod tests {
             .collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn demux_discards_unknown_and_duplicate_correlations() {
-        let orphans = Arc::new(AtomicU64::new(0));
-        let demux = Demux::new(orphans.clone());
-        let cell = demux.register(1);
-        // Unknown correlation id: discarded, counted, no delivery.
-        demux.complete(99, Ok(vec![9]));
-        assert_eq!(orphans.load(Ordering::Relaxed), 1);
-        // First completion delivers...
-        demux.complete(1, Ok(vec![1]));
-        let done = cell.wait_until(Instant::now()).unwrap();
-        assert_eq!(done.result.unwrap(), vec![1]);
-        assert!(done.sole_in_flight, "it was alone in the demux");
-        // ...a duplicate for the same id is an orphan, not a overwrite.
-        demux.complete(1, Ok(vec![2]));
-        assert_eq!(orphans.load(Ordering::Relaxed), 2);
-        assert_eq!(demux.in_flight(), 0);
     }
 
     #[test]

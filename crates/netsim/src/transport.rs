@@ -170,8 +170,8 @@ impl std::fmt::Debug for OverloadPolicy {
 /// One served endpoint's admission book, shared between the serve path
 /// (admit/shed decisions), the dispatch workers (release on
 /// completion) and the [`Transport`] observability surface
-/// (`dispatch_depth`). Used by both real-socket backends; the
-/// simulator dispatches inline and has none.
+/// (`dispatch_depth`). Kept by the socket core for both real-socket
+/// bindings; the simulator dispatches inline and has none.
 ///
 /// `depth` counts requests admitted to dispatch and not yet executed;
 /// `by_principal` splits that count by the policy's `classify` key so
@@ -566,11 +566,6 @@ impl SimTransport {
     /// Wraps a simulator handle as a shared `Arc<dyn Transport>`.
     pub fn shared(net: &SimNet) -> Arc<dyn Transport> {
         Arc::new(Self::new(net.clone()))
-    }
-
-    /// The underlying simulator.
-    pub fn net(&self) -> &SimNet {
-        &self.net
     }
 }
 

@@ -1,13 +1,16 @@
-//! QuicLite: a QUIC-inspired reliable-datagram transport over UDP.
+//! QuicLite: the datagram binding — QUIC-inspired reliable datagrams
+//! over UDP.
 //!
-//! [`QuicLiteTransport`] is the third [`Transport`] backend, built for
-//! the federation's traffic shape: reconnect-heavy, wide fan-out
-//! scatter-gather to many independently-operated servers, where TCP's
-//! per-connection handshake and head-of-line stream semantics hurt. It
-//! speaks framed envelopes ([`openflame_codec::framing`] v2, the same
-//! frames TCP streams) as payloads of small datagrams
-//! ([`openflame_codec::packet`]) over `std::net::UdpSocket`, with the
-//! load-bearing QUIC ideas re-created in miniature:
+//! [`QuicLiteTransport`] is the socket core (`crate::core`) bound to
+//! `std::net::UdpSocket`, built for the federation's traffic shape:
+//! reconnect-heavy, wide fan-out scatter-gather to many
+//! independently-operated servers, where TCP's per-connection handshake
+//! and head-of-line stream semantics hurt. It speaks framed envelopes
+//! ([`openflame_codec::framing`] v2, the same frames TCP streams) as
+//! payloads of small datagrams ([`openflame_codec::packet`]). What a
+//! call *is* (correlation, completion, charging, admission, dispatch)
+//! lives in the core; this module owns only what is datagram-specific,
+//! the load-bearing QUIC ideas re-created in miniature:
 //!
 //! - **Connection ids with 0-RTT resumption**: a cold connect costs one
 //!   `Init`/`InitAck` handshake round before data flows; the conn id it
@@ -20,25 +23,28 @@
 //! - **Packet numbers + ack-elicited retransmission**: every `Data`
 //!   packet is numbered and acknowledged; a background RTO timer thread
 //!   retransmits unacknowledged packets, so injected datagram loss
-//!   ([`Transport::set_drop_probability`]) below the call timeout is
-//!   *recovered*, not surfaced as failure — the call succeeds and the
-//!   [`QuicLiteTransport::retransmits`] counter tells the story.
-//!   Retransmissions reuse their packet number; receivers deduplicate
-//!   with a seen-set, so a retransmitted request is never executed
-//!   twice.
+//!   ([`Transport::set_drop_probability`], rolled per datagram) below
+//!   the call timeout is *recovered*, not surfaced as failure — the
+//!   call succeeds and the [`QuicLiteTransport::retransmits`] counter
+//!   tells the story. Retransmissions reuse their packet number;
+//!   receivers deduplicate with a seen-set, so a retransmitted request
+//!   is never executed twice.
 //! - **Fragmentation**: frames over the datagram MTU are split across
 //!   consecutive packet numbers and reassembled on the far side, so
 //!   batched envelopes of any size ride the same path.
-//! - **Correlation-id demux**: one client socket multiplexes unbounded
-//!   in-flight calls across every destination; responses complete out
-//!   of order and are matched by the frame correlation id, exactly as
-//!   on TCP. Each served endpoint binds one UDP socket; all serve
-//!   sockets are multiplexed by a single poll-based poller thread,
-//!   which dispatches decoded frames through a bounded transport-wide
-//!   worker pool ([`SERVE_POOL`]); responses are sent the moment they
-//!   complete — with datagrams there is no stream to keep ordered, so
+//! - **One socket per side**: one client socket multiplexes unbounded
+//!   in-flight calls across every destination. Each served endpoint
+//!   binds one UDP socket; all serve sockets are multiplexed by a
+//!   single poll-based poller thread, which hands reassembled frames to
+//!   the core's admit-or-shed step and its transport-wide worker pool
+//!   ([`SERVE_POOL`]); responses are sent the moment they complete —
+//!   with datagrams there is no stream to keep ordered, so
 //!   completion-order responses are free (the "per-stream trivia" the
 //!   roadmap predicted).
+//! - **Failure semantics**: there is no connection to cut, so a down
+//!   endpoint drops requests silently and a panicking service answers
+//!   with silence — the caller meets its deadline
+//!   ([`NetError::EndpointDown`] / [`NetError::Timeout`]).
 //!
 //! **No TLS — deliberate non-goal.** This is an offline vendor tree
 //! with no crypto dependency; QuicLite carries the *transport* ideas of
@@ -58,32 +64,30 @@
 //! wakeups — whenever nothing is unacknowledged. All workers exit
 //! within a poll tick of the last transport handle dropping.
 //!
-//! Accounting mirrors TCP at the frame level: each completed exchange
-//! charges 2 messages and `payload + FRAME_HEADER_LEN` bytes per
-//! direction on the claiming side, so cross-backend message parity
-//! holds for failure-free runs; a failed call whose request frame was
-//! put on the wire still charges its request bytes (the request really
-//! did cost wire). Packet-level truth — handshakes, acks,
-//! retransmissions, per-packet headers — lives in the separate
-//! [`QuicStats`] counters, because charging it to [`NetStats`] would
-//! break the parity the federation's invariants rest on.
+//! Frame-level accounting is the core's, so cross-backend message
+//! parity holds for failure-free runs. Packet-level truth —
+//! handshakes, acks, retransmissions, per-packet headers — lives in the
+//! separate [`QuicStats`] counters, because charging it to
+//! [`crate::NetStats`] would break the parity the federation's
+//! invariants rest on.
 
-use crate::reactor::{poll_fds, PollFd, Waker, POLLIN};
-use crate::stats::{EndpointLatency, EndpointStats, NetStats};
-use crate::transport::{
-    CallHandle, DispatchGauge, OverloadPolicy, PendingCall, Transfer, Transport, WireService,
+use crate::core::{
+    encode_frame, Binding, Core, Demux, Inbox, Outgoing, ReplySink, Sent, Served, Shared,
+    SocketPending,
 };
+use crate::reactor::{poll_fds, PollFd, POLLIN};
+use crate::transport::{Transfer, Transport};
 use crate::{EndpointId, NetError, ThreadGuard};
-use openflame_codec::framing::{read_frame, write_frame, FRAME_HEADER_LEN};
+use openflame_codec::framing::read_frame;
 use openflame_codec::packet::{decode_packet, encode_packet, Packet, PacketType, PAYLOAD_MTU};
 use openflame_diag::{ranks, OrderedCondvar, OrderedMutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::io;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -116,8 +120,8 @@ fn rto(timeout_us: u64) -> Duration {
     Duration::from_micros((timeout_us / 8).clamp(5_000, 50_000))
 }
 
-/// Packet-level counters, separate from the frame-level [`NetStats`]
-/// (see module docs on accounting).
+/// Packet-level counters, separate from the frame-level
+/// [`crate::NetStats`] (see module docs on accounting).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QuicStats {
     /// Datagrams put on the wire (handshakes, data, acks;
@@ -127,94 +131,6 @@ pub struct QuicStats {
     pub packets_received: u64,
     /// Data/handshake packets re-sent by the RTO timer.
     pub retransmits: u64,
-}
-
-// ---------------------------------------------------------------------
-// Completion plumbing.
-// ---------------------------------------------------------------------
-
-/// One in-flight request's completion slot, filled exactly once by the
-/// client receiver thread when the correlated response frame
-/// reassembles.
-struct CompletionCell {
-    state: OrderedMutex<Option<Vec<u8>>>,
-    cond: OrderedCondvar,
-}
-
-impl CompletionCell {
-    fn new() -> Self {
-        Self {
-            state: OrderedMutex::new(ranks::QUIC_COMPLETION, None),
-            cond: OrderedCondvar::new(),
-        }
-    }
-
-    fn fill(&self, payload: Vec<u8>) {
-        let mut state = self.state.lock();
-        if state.is_none() {
-            *state = Some(payload);
-            self.cond.notify_all();
-        }
-    }
-
-    /// Blocks until filled or `deadline`; `None` means the deadline
-    /// passed first.
-    fn wait_until(&self, deadline: Instant) -> Option<Vec<u8>> {
-        let mut state = self.state.lock();
-        loop {
-            if state.is_some() {
-                return state.take();
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (next, _) = self.cond.wait_timeout(state, deadline - now);
-            state = next;
-        }
-    }
-}
-
-/// Correlation id → completion cell for one connection. Unlike TCP's
-/// demux there is no failure sweep: datagram loss is repaired by
-/// retransmission below the caller's deadline, and anything past the
-/// deadline is simply abandoned by the waiter.
-struct Demux {
-    pending: OrderedMutex<HashMap<u64, Arc<CompletionCell>>>,
-    orphans: Arc<AtomicU64>,
-}
-
-impl Demux {
-    fn new(orphans: Arc<AtomicU64>) -> Self {
-        Self {
-            pending: OrderedMutex::new(ranks::QUIC_DEMUX, HashMap::new()),
-            orphans,
-        }
-    }
-
-    fn register(&self, corr: u64) -> Arc<CompletionCell> {
-        let cell = Arc::new(CompletionCell::new());
-        self.pending.lock().insert(corr, cell.clone());
-        cell
-    }
-
-    /// Routes a response to its waiter; unknown or already-answered
-    /// correlation ids (late responses after a timeout, duplicates that
-    /// slipped past packet dedup) are discarded and counted.
-    fn complete(&self, corr: u64, payload: Vec<u8>) {
-        match self.pending.lock().remove(&corr) {
-            Some(cell) => cell.fill(payload),
-            None => {
-                self.orphans.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Abandons a request (timed-out waiter); a late response becomes
-    /// an orphan.
-    fn forget(&self, corr: u64) {
-        self.pending.lock().remove(&corr);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -251,7 +167,7 @@ struct RecvState {
 /// receives. The client and the server each hold their own `ConnState`
 /// for a conn id; the id (and the peer address) is what ties them
 /// together.
-struct ConnState {
+pub(crate) struct ConnState {
     conn_id: u64,
     /// The socket this side sends from (client socket or the served
     /// endpoint's socket).
@@ -285,6 +201,9 @@ struct ConnState {
     recv: OrderedMutex<RecvState>,
     /// Client-side conns route reassembled responses here; server-side
     /// conns route requests to the endpoint's dispatch pool instead.
+    /// There is no failure sweep: datagram loss is repaired by
+    /// retransmission below the caller's deadline, and anything past
+    /// the deadline is simply abandoned by the waiter.
     demux: Option<Arc<Demux>>,
 }
 
@@ -318,6 +237,22 @@ impl ConnState {
             ),
             demux,
         })
+    }
+
+    /// Buffers one numbered datagram for retransmission until its ack
+    /// arrives.
+    fn hold_unacked(&self, packet_no: u64, datagram: &[u8], peer: SocketAddr) {
+        let now = Instant::now();
+        let datagram = datagram.to_vec();
+        self.unacked.lock().insert(
+            packet_no,
+            Unacked {
+                datagram,
+                peer,
+                first_sent: now,
+                last_sent: now,
+            },
+        );
     }
 
     /// Whether the conn id may be re-cached for a later 0-RTT
@@ -383,27 +318,18 @@ impl ConnState {
 }
 
 // ---------------------------------------------------------------------
-// Shared wire state (outlives the transport handle in worker threads).
+// Packet-level wire state (outlives the transport handle in workers).
 // ---------------------------------------------------------------------
 
-/// Everything the detached worker threads need, deliberately separate
-/// from [`Inner`] so the threads never keep the transport itself (and
-/// the services it owns) alive.
+/// The reliability layer's state. Worker threads hold this (and
+/// through it the core's [`Shared`] counters), never the [`Core`]
+/// itself, so they keep neither the transport nor the services it owns
+/// alive.
 struct Wire {
-    timeout_us: AtomicU64,
-    /// Drop probability as IEEE-754 bits (atomics hold no f64).
-    drop_bits: AtomicU64,
-    rng: OrderedMutex<StdRng>,
-    stats: OrderedMutex<NetStats>,
+    shared: Arc<Shared>,
     packets_sent: AtomicU64,
     packets_received: AtomicU64,
     retransmits: AtomicU64,
-    orphans: Arc<AtomicU64>,
-    /// Requests shed by admission control, transport-wide.
-    shed: AtomicU64,
-    /// Live worker threads: the serve poller + dispatch workers, the
-    /// client receiver, the RTO timer.
-    threads: Arc<AtomicUsize>,
     /// Every live connection end, for the RTO timer's retransmit scan.
     conns: OrderedMutex<Vec<Weak<ConnState>>>,
     /// Whether the lazy RTO timer thread has been spawned (it first
@@ -415,9 +341,6 @@ struct Wire {
     /// so an idle transport burns no RTO wakeups at all.
     rto_gen: OrderedMutex<u64>,
     rto_cv: OrderedCondvar,
-    /// Set when the last transport handle drops; every worker exits
-    /// within one [`RECV_POLL`] / poll tick.
-    shutdown: AtomicBool,
 }
 
 impl Wire {
@@ -426,9 +349,7 @@ impl Wire {
     /// unacked buffer, so the RTO timer recovers it (the whole point of
     /// this backend's loss story).
     fn transmit(&self, socket: &UdpSocket, peer: SocketAddr, datagram: &[u8]) {
-        let p = f64::from_bits(self.drop_bits.load(Ordering::Relaxed));
-        if p > 0.0 && self.rng.lock().gen_bool(p) {
-            self.stats.lock().drops += 1;
+        if self.shared.roll_drop() {
             return;
         }
         // Count before the send: once the datagram is on the loopback
@@ -460,16 +381,7 @@ impl Wire {
                 count as u16,
                 chunk,
             );
-            let now = Instant::now();
-            conn.unacked.lock().insert(
-                base + i as u64,
-                Unacked {
-                    datagram: datagram.clone(),
-                    peer,
-                    first_sent: now,
-                    last_sent: now,
-                },
-            );
+            conn.hold_unacked(base + i as u64, &datagram, peer);
             self.transmit(&conn.socket, peer, &datagram);
         }
         self.note_unacked();
@@ -521,7 +433,7 @@ impl Wire {
     /// deadline. Doubles as the dedup-retention horizon on the receive
     /// side: a packet past this age can never legitimately reappear.
     fn give_up_horizon(&self) -> Duration {
-        let timeout_us = self.timeout_us.load(Ordering::Relaxed);
+        let timeout_us = self.shared.timeout_us.load(Ordering::Relaxed);
         rto(timeout_us) * 2 + Duration::from_micros(2 * timeout_us)
     }
 
@@ -531,7 +443,7 @@ impl Wire {
     /// peer was unreachable for the whole horizon — so the next
     /// checkout replaces it instead of queueing into the void.
     fn retransmit_due(&self) {
-        let rto = rto(self.timeout_us.load(Ordering::Relaxed));
+        let rto = rto(self.shared.timeout_us.load(Ordering::Relaxed));
         let give_up = self.give_up_horizon();
         let conns: Vec<Arc<ConnState>> = {
             let mut registry = self.conns.lock();
@@ -583,13 +495,13 @@ impl Wire {
     fn note_unacked(self: &Arc<Self>) {
         if !self.rto_started.swap(true, Ordering::SeqCst) {
             let wire = self.clone();
-            let guard = ThreadGuard::enter(&self.threads);
+            let guard = ThreadGuard::enter(&self.shared.threads);
             thread::Builder::new()
                 .name("ofl-quic-rto".into())
                 .spawn(move || {
                     let _guard = guard;
                     loop {
-                        if wire.shutdown.load(Ordering::SeqCst) {
+                        if wire.shared.shutdown.load(Ordering::SeqCst) {
                             return;
                         }
                         let gen_before = *wire.rto_gen.lock();
@@ -604,7 +516,7 @@ impl Wire {
                         // shutdown latency — an idle transport takes a
                         // few waits per second, not a busy RTO loop.
                         let mut gen = wire.rto_gen.lock();
-                        while *gen == gen_before && !wire.shutdown.load(Ordering::SeqCst) {
+                        while *gen == gen_before && !wire.shared.shutdown.load(Ordering::SeqCst) {
                             let (next, _) =
                                 wire.rto_cv.wait_timeout(gen, Duration::from_millis(250));
                             gen = next;
@@ -613,6 +525,11 @@ impl Wire {
                 })
                 .expect("spawn RTO timer");
         }
+        self.bump_rto_gen();
+    }
+
+    /// Moves the RTO generation, unparking the timer if it is idle.
+    fn bump_rto_gen(&self) {
         let mut gen = self.rto_gen.lock();
         *gen = gen.wrapping_add(1);
         self.rto_cv.notify_all();
@@ -620,23 +537,8 @@ impl Wire {
 }
 
 // ---------------------------------------------------------------------
-// Transport state.
+// The transport handle and its binding.
 // ---------------------------------------------------------------------
-
-struct Endpoint {
-    name: String,
-    /// UDP socket address once the endpoint serves; `None` for clients.
-    addr: Option<SocketAddr>,
-    /// Shared with the endpoint's receiver thread: when set, requests
-    /// are silently dropped instead of dispatched (a crashed process).
-    down: Arc<AtomicBool>,
-    stats: EndpointStats,
-    latency: EndpointLatency,
-    /// Admission book for the endpoint's serve path (policy, live
-    /// dispatch depth, per-principal split); shared with the serve
-    /// poller and the dispatch workers.
-    gauge: Arc<DispatchGauge>,
-}
 
 /// What a closed connection leaves behind for 0-RTT resumption: the
 /// conn id the server already knows, and where its packet numbering
@@ -656,43 +558,20 @@ struct ClientSide {
     by_conn_id: Arc<OrderedMutex<HashMap<u64, Arc<ConnState>>>>,
 }
 
-struct Inner {
-    epoch: Instant,
-    next_id: AtomicU64,
-    next_corr: AtomicU64,
+/// The handle-owned datagram state.
+pub(crate) struct QuicState {
     /// High bits of every conn id this transport mints, so two
     /// transports (differently seeded) talking to one server do not
     /// collide.
     conn_nonce: u64,
     next_conn: AtomicU64,
-    endpoints: OrderedMutex<HashMap<EndpointId, Endpoint>>,
     /// 0-RTT resumption cache: destination endpoint → ticket.
     resume: OrderedMutex<HashMap<EndpointId, ResumeTicket>>,
     client: OrderedMutex<Option<ClientSide>>,
     /// The shared serve poller's registration queue + waker (spawned
     /// lazily with the first served endpoint).
-    serve: OrderedMutex<Option<Arc<ServeShared>>>,
-    /// Master sender of the transport-wide dispatch pool.
-    dispatch: OrderedMutex<Option<mpsc::Sender<ServeJob>>>,
+    serve: OrderedMutex<Option<Arc<Inbox<ServeSock>>>>,
     wire: Arc<Wire>,
-}
-
-impl Drop for Inner {
-    fn drop(&mut self) {
-        // The flag alone tears the whole backend down within ~one poll
-        // interval; the explicit wakes below just make it prompt. No
-        // per-endpoint blocking work regardless of fleet size.
-        self.wire.shutdown.store(true, Ordering::SeqCst);
-        if let Some(serve) = self.serve.get_mut().take() {
-            serve.waker.wake();
-        }
-        // Unpark the RTO timer if it is idle so it observes the flag.
-        {
-            let mut gen = self.wire.rto_gen.lock();
-            *gen = gen.wrapping_add(1);
-            self.wire.rto_cv.notify_all();
-        }
-    }
 }
 
 /// [`Transport`] over QUIC-inspired reliable datagrams (see module
@@ -702,7 +581,7 @@ impl Drop for Inner {
 /// `Arc<dyn Transport>` via [`QuicLiteTransport::shared`].
 #[derive(Clone)]
 pub struct QuicLiteTransport {
-    inner: Arc<Inner>,
+    inner: Arc<Core<QuicLiteTransport>>,
 }
 
 impl QuicLiteTransport {
@@ -711,36 +590,26 @@ impl QuicLiteTransport {
     pub fn new(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let conn_nonce = (rng.gen::<u32>() as u64) << 32;
-        Self {
-            inner: Arc::new(Inner {
-                epoch: Instant::now(),
-                next_id: AtomicU64::new(1),
-                next_corr: AtomicU64::new(1),
-                conn_nonce,
-                next_conn: AtomicU64::new(1),
-                endpoints: OrderedMutex::new(ranks::QUIC_ENDPOINTS, HashMap::new()),
-                resume: OrderedMutex::new(ranks::QUIC_RESUME, HashMap::new()),
-                client: OrderedMutex::new(ranks::QUIC_CLIENT, None),
-                serve: OrderedMutex::new(ranks::QUIC_SERVE_POOL, None),
-                dispatch: OrderedMutex::new(ranks::QUIC_DISPATCH_POOL, None),
-                wire: Arc::new(Wire {
-                    timeout_us: AtomicU64::new(2_000_000),
-                    drop_bits: AtomicU64::new(0f64.to_bits()),
-                    rng: OrderedMutex::new(ranks::QUIC_RNG, rng),
-                    stats: OrderedMutex::new(ranks::QUIC_STATS, NetStats::default()),
-                    packets_sent: AtomicU64::new(0),
-                    packets_received: AtomicU64::new(0),
-                    retransmits: AtomicU64::new(0),
-                    orphans: Arc::new(AtomicU64::new(0)),
-                    shed: AtomicU64::new(0),
-                    threads: Arc::new(AtomicUsize::new(0)),
-                    conns: OrderedMutex::new(ranks::QUIC_CONN_REGISTRY, Vec::new()),
-                    rto_started: AtomicBool::new(false),
-                    rto_gen: OrderedMutex::new(ranks::QUIC_RTO_GEN, 0),
-                    rto_cv: OrderedCondvar::new(),
-                    shutdown: AtomicBool::new(false),
-                }),
+        let shared = Shared::new(rng);
+        let state = QuicState {
+            conn_nonce,
+            next_conn: AtomicU64::new(1),
+            resume: OrderedMutex::new(ranks::QUIC_RESUME, HashMap::new()),
+            client: OrderedMutex::new(ranks::QUIC_CLIENT, None),
+            serve: OrderedMutex::new(ranks::QUIC_SERVE_POOL, None),
+            wire: Arc::new(Wire {
+                shared: shared.clone(),
+                packets_sent: AtomicU64::new(0),
+                packets_received: AtomicU64::new(0),
+                retransmits: AtomicU64::new(0),
+                conns: OrderedMutex::new(ranks::QUIC_CONN_REGISTRY, Vec::new()),
+                rto_started: AtomicBool::new(false),
+                rto_gen: OrderedMutex::new(ranks::QUIC_RTO_GEN, 0),
+                rto_cv: OrderedCondvar::new(),
             }),
+        };
+        Self {
+            inner: Core::new(shared, state),
         }
     }
 
@@ -751,7 +620,7 @@ impl QuicLiteTransport {
 
     /// The socket address an endpoint listens on, if it serves.
     pub fn listen_addr(&self, id: EndpointId) -> Option<SocketAddr> {
-        self.inner.endpoints.lock().get(&id).and_then(|e| e.addr)
+        self.inner.listen_addr(id)
     }
 
     /// Live worker threads: one shared serve poller + the
@@ -761,27 +630,28 @@ impl QuicLiteTransport {
     /// endpoints, fan-out width, destination count and call volume;
     /// the pipelining stress test pins the ceiling.
     pub fn worker_threads(&self) -> usize {
-        self.inner.wire.threads.load(Ordering::SeqCst)
+        Transport::worker_threads(self)
     }
 
     /// Responses discarded because their correlation id matched no
     /// in-flight request (late responses after a timeout).
     pub fn orphan_responses(&self) -> u64 {
-        self.inner.wire.orphans.load(Ordering::Relaxed)
+        self.inner.shared.orphans.load(Ordering::Relaxed)
     }
 
     /// Packet-level counters (see module docs on accounting).
     pub fn quic_stats(&self) -> QuicStats {
+        let wire = &self.inner.state.wire;
         QuicStats {
-            packets_sent: self.inner.wire.packets_sent.load(Ordering::Relaxed),
-            packets_received: self.inner.wire.packets_received.load(Ordering::Relaxed),
-            retransmits: self.inner.wire.retransmits.load(Ordering::Relaxed),
+            packets_sent: wire.packets_sent.load(Ordering::Relaxed),
+            packets_received: wire.packets_received.load(Ordering::Relaxed),
+            retransmits: wire.retransmits.load(Ordering::Relaxed),
         }
     }
 
     /// Data/handshake packets re-sent by the RTO timer so far.
     pub fn retransmits(&self) -> u64 {
-        self.inner.wire.retransmits.load(Ordering::Relaxed)
+        self.inner.state.wire.retransmits.load(Ordering::Relaxed)
     }
 
     /// Tears down the live connection toward `to` (modelling an idle
@@ -790,58 +660,55 @@ impl QuicLiteTransport {
     /// reconnects without a handshake round. In-flight calls on the old
     /// connection are abandoned to their deadlines.
     pub fn close_connections(&self, to: EndpointId) {
-        let mut client = self.inner.client.lock();
-        let Some(client) = client.as_mut() else {
-            return;
-        };
-        if let Some(conn) = client.conns.remove(&to) {
-            client.by_conn_id.lock().remove(&conn.conn_id);
-            // Only a conn id the server demonstrably knows is cached;
-            // an unestablished handshake or a resumption the server
-            // never answered would poison every future reconnect.
-            if conn.resumable() {
-                self.inner.resume.lock().insert(
-                    to,
-                    ResumeTicket {
-                        conn_id: conn.conn_id,
-                        next_packet_no: conn.next_packet_no.load(Ordering::SeqCst),
-                    },
-                );
-            }
-        }
+        self.inner.state.close_connections(to);
     }
 
     /// Test hook: the worker-thread gauge, observable after the
     /// transport itself has been dropped.
     #[cfg(test)]
-    fn thread_gauge(&self) -> Arc<AtomicUsize> {
-        self.inner.wire.threads.clone()
+    fn thread_gauge(&self) -> Arc<std::sync::atomic::AtomicUsize> {
+        self.inner.shared.threads.clone()
+    }
+}
+
+impl QuicState {
+    fn close_connections(&self, to: EndpointId) {
+        if let Some(client) = self.client.lock().as_mut() {
+            self.retire_conn(client, to);
+        }
     }
 
-    fn timeout(&self) -> Duration {
-        Duration::from_micros(
-            self.inner
-                .wire
-                .timeout_us
-                .load(Ordering::Relaxed)
-                .max(1_000),
-        )
+    /// Removes the live connection toward `to`, caching its conn id
+    /// for 0-RTT resumption. Only a conn id the server demonstrably
+    /// knows is cached; an unestablished handshake or a resumption the
+    /// server never answered would poison every future reconnect.
+    fn retire_conn(&self, client: &mut ClientSide, to: EndpointId) {
+        let Some(conn) = client.conns.remove(&to) else {
+            return;
+        };
+        client.by_conn_id.lock().remove(&conn.conn_id);
+        if conn.resumable() {
+            self.resume.lock().insert(
+                to,
+                ResumeTicket {
+                    conn_id: conn.conn_id,
+                    next_packet_no: conn.next_packet_no.load(Ordering::SeqCst),
+                },
+            );
+        }
     }
 
     /// The shared serve poller's registration handle, spawning the
     /// poller thread on first use (the first served endpoint).
-    fn serve_shared(&self) -> Arc<ServeShared> {
-        let mut slot = self.inner.serve.lock();
+    fn serve_shared(&self) -> Arc<Inbox<ServeSock>> {
+        let mut slot = self.serve.lock();
         if let Some(shared) = slot.as_ref() {
             return shared.clone();
         }
-        let shared = Arc::new(ServeShared {
-            cmds: OrderedMutex::new(ranks::QUIC_SERVE_CMDS, Vec::new()),
-            waker: Waker::new().expect("create serve poller waker"),
-        });
-        let wire = self.inner.wire.clone();
+        let shared = Inbox::new(ranks::QUIC_SERVE_CMDS);
+        let wire = self.wire.clone();
         let poller = shared.clone();
-        let guard = ThreadGuard::enter(&wire.threads);
+        let guard = ThreadGuard::enter(&wire.shared.threads);
         thread::Builder::new()
             .name("ofl-quic-serve".into())
             .spawn(move || {
@@ -853,26 +720,11 @@ impl QuicLiteTransport {
         shared
     }
 
-    /// The lazily spawned transport-wide dispatch pool's job sender.
-    fn dispatch_sender(&self) -> mpsc::Sender<ServeJob> {
-        let mut slot = self.inner.dispatch.lock();
-        if let Some(tx) = slot.as_ref() {
-            return tx.clone();
-        }
-        let tx = spawn_dispatch_pool(&self.inner.wire);
-        *slot = Some(tx.clone());
-        tx
-    }
-
-    /// Binds the shared client socket and spawns its receiver on first
-    /// use. (The RTO timer is spawned even more lazily — by
+    /// Binds the shared client socket and spawns its receiver. (The
+    /// RTO timer is spawned even more lazily — by
     /// [`Wire::note_unacked`], when the first packet actually awaits
     /// an ack.)
-    fn ensure_client(&self) {
-        let mut client = self.inner.client.lock();
-        if client.is_some() {
-            return;
-        }
+    fn open_client(&self) -> ClientSide {
         let socket =
             Arc::new(UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind client UDP socket"));
         socket
@@ -880,16 +732,16 @@ impl QuicLiteTransport {
             .expect("set client read timeout");
         let by_conn_id: Arc<OrderedMutex<HashMap<u64, Arc<ConnState>>>> =
             Arc::new(OrderedMutex::new(ranks::QUIC_BY_CONN_ID, HashMap::new()));
-        let wire = self.inner.wire.clone();
+        let wire = self.wire.clone();
         let recv_socket = socket.clone();
         let routes = by_conn_id.clone();
-        let guard = ThreadGuard::enter(&wire.threads);
+        let guard = ThreadGuard::enter(&wire.shared.threads);
         thread::Builder::new()
             .name("ofl-quic-client-rx".into())
             .spawn(move || {
                 let _guard = guard;
                 let mut buf = [0u8; 2048];
-                while !wire.shutdown.load(Ordering::SeqCst) {
+                while !wire.shared.shutdown.load(Ordering::SeqCst) {
                     let (n, src) = match recv_socket.recv_from(&mut buf) {
                         Ok(got) => got,
                         Err(_) => continue, // poll timeout or transient
@@ -917,7 +769,7 @@ impl QuicLiteTransport {
                             {
                                 if let Ok(frame) = read_frame(&mut &frame_bytes[..]) {
                                     if let Some(demux) = &conn.demux {
-                                        demux.complete(frame.correlation, frame.payload);
+                                        demux.complete(frame.correlation, Ok(frame.payload));
                                     }
                                 }
                             }
@@ -927,44 +779,34 @@ impl QuicLiteTransport {
                 }
             })
             .expect("spawn client receiver");
-        *client = Some(ClientSide {
+        ClientSide {
             socket,
             conns: HashMap::new(),
             by_conn_id,
-        });
+        }
     }
 
     /// Checks out (or creates) the connection toward `to`. A fresh
     /// connection resumes from the 0-RTT cache when the server already
     /// knows a conn id for us; otherwise it pays the `Init` handshake
     /// round.
-    fn obtain_conn(&self, to: EndpointId, addr: SocketAddr) -> Arc<ConnState> {
-        self.ensure_client();
-        let mut guard = self.inner.client.lock();
-        let client = guard.as_mut().expect("client side initialized");
+    fn obtain_conn(&self, to: EndpointId, addr: SocketAddr) -> (Arc<ConnState>, Arc<Demux>) {
+        let mut guard = self.client.lock();
+        let client = guard.get_or_insert_with(|| self.open_client());
         if let Some(conn) = client.conns.get(&to) {
             if !conn.broken.load(Ordering::SeqCst) {
-                return conn.clone();
+                let demux = conn.demux.clone().expect("client conns have a demux");
+                return (conn.clone(), demux);
             }
             // The RTO timer gave up on this connection (peer
             // unreachable for the whole horizon): replace it instead of
             // queueing more frames into the void — the datagram
             // analogue of the TCP pool pruning stalled connections.
-            let dead = client.conns.remove(&to).expect("checked above");
-            client.by_conn_id.lock().remove(&dead.conn_id);
-            if dead.resumable() {
-                self.inner.resume.lock().insert(
-                    to,
-                    ResumeTicket {
-                        conn_id: dead.conn_id,
-                        next_packet_no: dead.next_packet_no.load(Ordering::SeqCst),
-                    },
-                );
-            }
+            self.retire_conn(client, to);
         }
-        let wire = &self.inner.wire;
-        let demux = Arc::new(Demux::new(wire.orphans.clone()));
-        let resumed = self.inner.resume.lock().remove(&to);
+        let wire = &self.wire;
+        let demux = Arc::new(Demux::new(wire.shared.orphans.clone()));
+        let resumed = self.resume.lock().remove(&to);
         let (conn, init) = match resumed {
             // 0-RTT: the server knows this conn id; skip the handshake
             // and continue the packet numbering where it left off (the
@@ -977,13 +819,12 @@ impl QuicLiteTransport {
                     true,
                     true,
                     ticket.next_packet_no,
-                    Some(demux),
+                    Some(demux.clone()),
                 ),
                 None,
             ),
             None => {
-                let conn_id =
-                    self.inner.conn_nonce | self.inner.next_conn.fetch_add(1, Ordering::Relaxed);
+                let conn_id = self.conn_nonce | self.next_conn.fetch_add(1, Ordering::Relaxed);
                 let conn = ConnState::new(
                     conn_id,
                     client.socket.clone(),
@@ -991,7 +832,7 @@ impl QuicLiteTransport {
                     false,
                     false,
                     0,
-                    Some(demux),
+                    Some(demux.clone()),
                 );
                 // The Init packet rides the reliability machinery like
                 // any other: numbered, buffered, RTO-retransmitted. Its
@@ -1002,16 +843,7 @@ impl QuicLiteTransport {
                 // RTO to recover.
                 let no = conn.next_packet_no.fetch_add(1, Ordering::SeqCst);
                 let datagram = encode_packet(PacketType::Init, conn_id, no, 0, 1, &[]);
-                let now = Instant::now();
-                conn.unacked.lock().insert(
-                    no,
-                    Unacked {
-                        datagram: datagram.clone(),
-                        peer: addr,
-                        first_sent: now,
-                        last_sent: now,
-                    },
-                );
+                conn.hold_unacked(no, &datagram, addr);
                 (conn, Some(datagram))
             }
         };
@@ -1024,407 +856,120 @@ impl QuicLiteTransport {
             // parked) RTO timer must know to watch it.
             wire.note_unacked();
         }
-        conn
-    }
-
-    fn submit_inner(
-        &self,
-        from: EndpointId,
-        to: EndpointId,
-        payload: Vec<u8>,
-    ) -> Result<QuicPending, NetError> {
-        let (addr, down) = {
-            let endpoints = self.inner.endpoints.lock();
-            let ep = endpoints.get(&to).ok_or(NetError::NoSuchEndpoint(to))?;
-            (ep.addr, ep.down.clone())
-        };
-        let addr = addr.ok_or(NetError::NoSuchEndpoint(to))?;
-        if down.load(Ordering::Relaxed) {
-            return Err(NetError::EndpointDown(to));
-        }
-        let conn = self.obtain_conn(to, addr);
-        let corr = self.inner.next_corr.fetch_add(1, Ordering::Relaxed);
-        let demux = conn.demux.clone().expect("client conns have a demux");
-        let cell = demux.register(corr);
-        let bytes_sent = payload.len() as u64;
-        let mut frame = Vec::with_capacity(payload.len() + FRAME_HEADER_LEN);
-        write_frame(&mut frame, from.0, corr, &payload).map_err(|e| {
-            demux.forget(corr);
-            NetError::Connection(format!("encode frame: {e}"))
-        })?;
-        let sent_now = self.inner.wire.send_or_queue(&conn, frame);
-        Ok(QuicPending {
-            transport: self.clone(),
-            from,
-            to,
-            bytes_sent,
-            corr,
-            cell,
-            demux,
-            conn,
-            sent_now,
-            down,
-            t0: Instant::now(),
-        })
-    }
-
-    /// Charges one completed request/response exchange to the global
-    /// and both per-endpoint counters (frame headers included; packet
-    /// headers, acks and retransmissions are counted separately in
-    /// [`QuicStats`] — see module docs).
-    fn charge(&self, from: EndpointId, to: EndpointId, payload_out: u64, payload_in: u64) {
-        let sent = payload_out + FRAME_HEADER_LEN as u64;
-        let received = payload_in + FRAME_HEADER_LEN as u64;
-        {
-            let mut stats = self.inner.wire.stats.lock();
-            stats.messages += 2;
-            stats.bytes += sent + received;
-        }
-        let mut endpoints = self.inner.endpoints.lock();
-        if let Some(ep) = endpoints.get_mut(&from) {
-            ep.stats.tx_msgs += 1;
-            ep.stats.tx_bytes += sent;
-            ep.stats.rx_msgs += 1;
-            ep.stats.rx_bytes += received;
-        }
-        if let Some(ep) = endpoints.get_mut(&to) {
-            ep.stats.rx_msgs += 1;
-            ep.stats.rx_bytes += sent;
-            ep.stats.tx_msgs += 1;
-            ep.stats.tx_bytes += received;
-        }
-    }
-
-    /// Charges a request whose frame went on the wire but whose call
-    /// failed: the request bytes were really spent (same rule as the
-    /// TCP backend since the wire-accounting fix).
-    fn charge_tx(&self, from: EndpointId, to: EndpointId, payload_out: u64) {
-        let sent = payload_out + FRAME_HEADER_LEN as u64;
-        {
-            let mut stats = self.inner.wire.stats.lock();
-            stats.messages += 1;
-            stats.bytes += sent;
-        }
-        let mut endpoints = self.inner.endpoints.lock();
-        if let Some(ep) = endpoints.get_mut(&from) {
-            ep.stats.tx_msgs += 1;
-            ep.stats.tx_bytes += sent;
-        }
-        if let Some(ep) = endpoints.get_mut(&to) {
-            ep.stats.rx_msgs += 1;
-            ep.stats.rx_bytes += sent;
-        }
-    }
-
-    /// Folds one completed-call latency sample into `to`'s summary.
-    fn note_latency(&self, to: EndpointId, sample_us: u64) {
-        let mut endpoints = self.inner.endpoints.lock();
-        if let Some(ep) = endpoints.get_mut(&to) {
-            ep.latency.observe(sample_us);
-        }
+        (conn, demux)
     }
 }
 
-/// One in-flight QuicLite call: the frame is on the wire (or queued
-/// behind a handshake); the client receiver fills `cell` when the
-/// correlated response frame reassembles.
-struct QuicPending {
-    transport: QuicLiteTransport,
-    from: EndpointId,
-    to: EndpointId,
-    /// Request payload length (the frame adds `FRAME_HEADER_LEN`).
-    bytes_sent: u64,
-    corr: u64,
-    cell: Arc<CompletionCell>,
-    demux: Arc<Demux>,
+/// What one QuicLite call in flight keeps beyond the core's cell.
+pub(crate) struct QuicFlight {
     conn: Arc<ConnState>,
     /// Whether the frame was transmitted at submit time (false while
     /// the handshake was still pending — it may have been flushed
     /// since; the conn's established flag is the tiebreaker at claim
     /// time).
     sent_now: bool,
-    down: Arc<AtomicBool>,
-    t0: Instant,
 }
 
-impl PendingCall for QuicPending {
-    fn wait(self: Box<Self>) -> Result<Transfer, NetError> {
-        let deadline = self.t0 + self.transport.timeout();
-        match self.cell.wait_until(deadline) {
-            Some(response) => {
-                self.transport
-                    .charge(self.from, self.to, self.bytes_sent, response.len() as u64);
-                let latency_us = self.t0.elapsed().as_micros() as u64;
-                self.transport.note_latency(self.to, latency_us);
-                Ok(Transfer {
-                    latency_us,
-                    bytes_sent: self.bytes_sent + FRAME_HEADER_LEN as u64,
-                    bytes_received: response.len() as u64 + FRAME_HEADER_LEN as u64,
-                    payload: response,
-                })
-            }
-            None => {
-                // Abandon the correlation slot: a response past the
-                // deadline is discarded as an orphan, never delivered
-                // to a future call.
-                self.demux.forget(self.corr);
-                // The request frame hit the wire iff the handshake
-                // completed (queued frames flush exactly at
-                // establishment); if it did, its bytes were spent and
-                // are charged even though the call failed.
-                if self.sent_now || self.conn.established.load(Ordering::SeqCst) {
-                    self.transport
-                        .charge_tx(self.from, self.to, self.bytes_sent);
-                }
-                if self.down.load(Ordering::Relaxed) {
-                    Err(NetError::EndpointDown(self.to))
-                } else {
-                    Err(NetError::Timeout)
-                }
-            }
-        }
-    }
-}
+impl Binding for QuicLiteTransport {
+    const KIND: &'static str = "quiclite";
+    const DISPATCH_WORKERS: usize = SERVE_POOL;
+    const DISPATCH_THREAD: &'static str = "ofl-quic-disp";
+    type State = QuicState;
+    type Conns = ();
+    type Flight = QuicFlight;
+    type Sink = Reply;
 
-impl Transport for QuicLiteTransport {
-    fn kind(&self) -> &'static str {
-        "quiclite"
+    fn core(&self) -> &Arc<Core<Self>> {
+        &self.inner
     }
 
-    fn register(&self, name: &str, location: Option<openflame_geo::LatLng>) -> EndpointId {
-        let _ = location; // wall-clock transport: no distance model
-        let id = EndpointId(self.inner.next_id.fetch_add(1, Ordering::Relaxed));
-        self.inner.endpoints.lock().insert(
-            id,
-            Endpoint {
-                name: name.to_string(),
-                addr: None,
-                down: Arc::new(AtomicBool::new(false)),
-                stats: EndpointStats::default(),
-                latency: EndpointLatency::default(),
-                gauge: Arc::new(DispatchGauge::new()),
-            },
-        );
-        id
-    }
-
-    fn set_service(&self, id: EndpointId, service: Arc<dyn WireService>) {
+    fn serve(core: &Core<Self>, served: Served<Reply>) -> SocketAddr {
         let socket =
             Arc::new(UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind serve UDP socket"));
         socket
             .set_nonblocking(true)
             .expect("non-blocking serve socket");
         let addr = socket.local_addr().expect("socket has an address");
-        let (down, gauge) = {
-            let mut endpoints = self.inner.endpoints.lock();
-            let ep = endpoints
-                .get_mut(&id)
-                .expect("set_service on an unregistered endpoint");
-            ep.addr = Some(addr);
-            (ep.down.clone(), ep.gauge.clone())
-        };
-        let dispatch = self.dispatch_sender();
-        let serve = self.serve_shared();
-        serve.push(ServeSock {
+        core.state.serve_shared().push(ServeSock {
             socket,
-            me: id.0,
-            down,
-            service,
-            dispatch,
-            gauge,
+            served,
             conns: HashMap::new(),
             last_seen: HashMap::new(),
         });
+        addr
     }
 
-    fn submit(&self, from: EndpointId, to: EndpointId, payload: Vec<u8>) -> CallHandle {
-        match self.submit_inner(from, to, payload) {
-            Ok(pending) => CallHandle::new(Box::new(pending)),
-            Err(e) => CallHandle::ready(Err(e)),
+    fn send(core: &Arc<Core<Self>>, out: Outgoing) -> Result<Sent<Self>, NetError> {
+        let (conn, demux) = core.state.obtain_conn(out.to, out.addr);
+        let cell = demux.register(out.corr);
+        let sent_now = core.state.wire.send_or_queue(&conn, out.frame);
+        Ok(Sent {
+            cell,
+            demux,
+            flight: QuicFlight { conn, sent_now },
+        })
+    }
+
+    fn failed(
+        call: SocketPending<Self>,
+        failure: Option<(io::Error, bool)>,
+    ) -> Result<Transfer, NetError> {
+        // The request frame hit the wire iff the handshake completed
+        // (queued frames flush exactly at establishment); if it did,
+        // its bytes were spent and are charged even though the call
+        // failed.
+        let flight = &call.sent.flight;
+        if flight.sent_now || flight.conn.established.load(Ordering::SeqCst) {
+            call.core.charge_tx(call.from, call.to, call.bytes_sent);
+        }
+        if let Some((e, _)) = failure {
+            return Err(NetError::Connection(e.to_string()));
+        }
+        if call.down.load(Ordering::Relaxed) {
+            Err(NetError::EndpointDown(call.to))
+        } else {
+            Err(NetError::Timeout)
         }
     }
 
-    fn now_us(&self) -> u64 {
-        self.inner.epoch.elapsed().as_micros() as u64
+    fn cut(core: &Core<Self>, id: EndpointId, (): ()) {
+        // Drop the live connection toward it (a revived server is
+        // re-approached over a resumed connection); in-flight calls
+        // are abandoned to their deadlines, as with a crashed process.
+        core.state.close_connections(id);
     }
 
-    fn advance_us(&self, _dt_us: u64) {
-        // Wall-clock transport: think time passes by itself.
-    }
-
-    fn stats(&self) -> NetStats {
-        self.inner.wire.stats.lock().clone()
-    }
-
-    fn endpoint_stats(&self, id: EndpointId) -> Option<EndpointStats> {
-        self.inner
-            .endpoints
-            .lock()
-            .get(&id)
-            .map(|e| e.stats.clone())
-    }
-
-    fn endpoint_latency(&self, id: EndpointId) -> Option<EndpointLatency> {
-        self.inner.endpoints.lock().get(&id).map(|e| e.latency)
-    }
-
-    fn reset_stats(&self) {
-        *self.inner.wire.stats.lock() = NetStats::default();
-        self.inner.wire.shed.store(0, Ordering::SeqCst);
-        for ep in self.inner.endpoints.lock().values_mut() {
-            ep.stats = EndpointStats::default();
-            ep.latency = EndpointLatency::default();
-            ep.gauge.reset_high_water();
+    fn teardown(state: &mut QuicState) {
+        // The shutdown flag alone tears the whole backend down within
+        // ~one poll interval; the wakes just make it prompt: pop the
+        // serve poller's `poll` and unpark the RTO timer if it is idle.
+        if let Some(serve) = state.serve.get_mut().take() {
+            serve.waker.wake();
         }
-    }
-
-    fn endpoint_name(&self, id: EndpointId) -> Option<String> {
-        self.inner.endpoints.lock().get(&id).map(|e| e.name.clone())
-    }
-
-    fn set_down(&self, id: EndpointId, down: bool) {
-        {
-            let mut endpoints = self.inner.endpoints.lock();
-            let Some(ep) = endpoints.get_mut(&id) else {
-                return;
-            };
-            ep.down.store(down, Ordering::Relaxed);
-        }
-        // Drop the live connection toward it either way (a revived
-        // server is re-approached over a resumed connection); in-flight
-        // calls are abandoned to their deadlines, as with a crashed
-        // process.
-        self.close_connections(id);
-    }
-
-    fn set_drop_probability(&self, p: f64) {
-        self.inner
-            .wire
-            .drop_bits
-            .store(p.clamp(0.0, 1.0).to_bits(), Ordering::Relaxed);
-    }
-
-    fn set_timeout_us(&self, timeout_us: u64) {
-        self.inner
-            .wire
-            .timeout_us
-            .store(timeout_us, Ordering::Relaxed);
-    }
-
-    fn worker_threads(&self) -> usize {
-        QuicLiteTransport::worker_threads(self)
-    }
-
-    fn set_overload_policy(&self, id: EndpointId, policy: Option<OverloadPolicy>) {
-        if let Some(ep) = self.inner.endpoints.lock().get(&id) {
-            ep.gauge.set_policy(policy);
-        }
-    }
-
-    fn dispatch_depth(&self, id: EndpointId) -> usize {
-        self.inner
-            .endpoints
-            .lock()
-            .get(&id)
-            .map(|e| e.gauge.high_water())
-            .unwrap_or(0)
-    }
-
-    fn shed_requests(&self) -> u64 {
-        self.inner.wire.shed.load(Ordering::SeqCst)
+        state.wire.bump_rto_gen();
     }
 }
 
 // ---------------------------------------------------------------------
-// Server-side dispatch.
+// Server side: one poller for every served socket.
 // ---------------------------------------------------------------------
 
-/// One reassembled request frame on its way to a dispatch worker.
-struct ServeJob {
-    from: u64,
-    corr: u64,
-    payload: Vec<u8>,
-    /// The served endpoint id: the response frame's sender.
-    me: u64,
-    /// The service bound to that endpoint. Carried per job (not per
-    /// worker) because the pool is transport-wide: idle workers pin no
-    /// service alive.
-    service: Arc<dyn WireService>,
-    /// The connection to answer on (reliable, fragmented).
+/// The way back to a requester: the connection to answer on (reliable,
+/// fragmented) and the served endpoint id the response frame carries.
+pub(crate) struct Reply {
+    wire: Arc<Wire>,
     conn: Arc<ConnState>,
-    /// The endpoint's admission book and this request's principal key
-    /// (present when an overload policy classified it). The worker
-    /// releases the slot right after execution — on every path,
-    /// including service panics — so a vanished requester can never
-    /// leak slots and wedge the endpoint.
-    gauge: Arc<DispatchGauge>,
-    admit_key: Option<u64>,
+    me: u64,
 }
 
-/// Spawns the transport-wide dispatch pool: [`SERVE_POOL`] workers
-/// execute reassembled frames from every served endpoint concurrently
-/// (the [`WireService`] `Send + Sync` contract makes that legal) and
-/// send each response the moment it completes — with no stream to keep
-/// ordered, completion-order responses need no writer machinery at
-/// all. Workers exit when the transport's master sender and the serve
-/// poller's clone are gone.
-fn spawn_dispatch_pool(wire: &Arc<Wire>) -> mpsc::Sender<ServeJob> {
-    let (job_tx, job_rx) = mpsc::channel::<ServeJob>();
-    let job_rx = Arc::new(OrderedMutex::new(ranks::QUIC_DISPATCH_QUEUE, job_rx));
-    for worker in 0..SERVE_POOL {
-        let guard = ThreadGuard::enter(&wire.threads);
-        let job_rx = job_rx.clone();
-        let wire = wire.clone();
-        thread::Builder::new()
-            .name(format!("ofl-quic-disp-{worker}"))
-            .spawn(move || {
-                let _guard = guard;
-                loop {
-                    // Hold the shared receiver only for the blocking
-                    // recv: pickup is serialized, execution is not.
-                    let job = {
-                        let rx = job_rx.lock();
-                        rx.recv()
-                    };
-                    let Ok(job) = job else { break };
-                    // Contain panics: a panicking request is answered
-                    // with silence (the caller times out) — a datagram
-                    // transport has no connection to cut — and must
-                    // never kill a shared worker.
-                    let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        job.service.handle(EndpointId(job.from), &job.payload)
-                    }));
-                    // Release the admission slot before the panic
-                    // check: the endpoint-wide depth must drain on
-                    // every execution path.
-                    job.gauge.release(job.admit_key);
-                    let Ok(response) = response else { continue };
-                    let mut frame = Vec::with_capacity(response.len() + FRAME_HEADER_LEN);
-                    if write_frame(&mut frame, job.me, job.corr, &response).is_ok() {
-                        wire.send_frame(&job.conn, frame);
-                    }
-                }
-            })
-            .expect("spawn dispatch worker");
-    }
-    job_tx
-}
-
-/// The cross-thread face of the serve poller: newly served endpoints
-/// queue their socket state here and pop the poller's `poll`.
-struct ServeShared {
-    cmds: OrderedMutex<Vec<ServeSock>>,
-    waker: Waker,
-}
-
-impl ServeShared {
-    fn push(&self, sock: ServeSock) {
-        self.cmds.lock().push(sock);
-        self.waker.wake();
-    }
-
-    fn take(&self) -> Vec<ServeSock> {
-        std::mem::take(&mut *self.cmds.lock())
+impl ReplySink for Reply {
+    fn reply(self, corr: u64, response: Option<Vec<u8>>) {
+        // A panicking request is answered with silence (the caller
+        // times out): a datagram transport has no connection to cut.
+        let Some(response) = response else { return };
+        if let Ok(frame) = encode_frame(EndpointId(self.me), corr, &response) {
+            self.wire.send_frame(&self.conn, frame);
+        }
     }
 }
 
@@ -1437,11 +982,7 @@ impl ServeShared {
 /// handshake).
 struct ServeSock {
     socket: Arc<UdpSocket>,
-    me: u64,
-    down: Arc<AtomicBool>,
-    service: Arc<dyn WireService>,
-    dispatch: mpsc::Sender<ServeJob>,
-    gauge: Arc<DispatchGauge>,
+    served: Served<Reply>,
     conns: HashMap<u64, Arc<ConnState>>,
     last_seen: HashMap<u64, Instant>,
 }
@@ -1472,15 +1013,15 @@ impl ServeSock {
 /// the receiver-thread-per-endpoint design — a 128-server fleet costs
 /// one poller, not 128 parked receivers. Exits on shutdown, dropping
 /// every socket, conn table and service handle it owns.
-fn run_serve_poller(wire: Arc<Wire>, shared: Arc<ServeShared>) {
+fn run_serve_poller(wire: Arc<Wire>, shared: Arc<Inbox<ServeSock>>) {
     let mut socks: Vec<ServeSock> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut buf = [0u8; 2048];
     loop {
-        if wire.shutdown.load(Ordering::SeqCst) {
+        if wire.shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        socks.extend(shared.take());
+        shared.adopt_into(&mut socks);
         fds.clear();
         fds.push(PollFd::new(shared.waker.rx_fd(), POLLIN));
         for s in &socks {
@@ -1519,8 +1060,8 @@ fn pump_serve_socket(wire: &Arc<Wire>, s: &mut ServeSock, buf: &mut [u8]) {
     loop {
         let (n, src) = match s.socket.recv_from(buf) {
             Ok(got) => got,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return, // transient; the sender retransmits
         };
         let Ok(pkt) = decode_packet(&buf[..n]) else {
@@ -1554,39 +1095,19 @@ fn pump_serve_socket(wire: &Arc<Wire>, s: &mut ServeSock, buf: &mut [u8]) {
                 *conn.peer.lock() = src;
                 wire.send_ack(&s.socket, src, pkt.conn_id, pkt.packet_no);
                 if let Some(frame_bytes) = conn.accept_data(pkt, wire.give_up_horizon()) {
-                    if s.down.load(Ordering::Relaxed) {
+                    if s.served.down.load(Ordering::Relaxed) {
                         continue; // a crashed process answers nothing
                     }
                     if let Ok(frame) = read_frame(&mut &frame_bytes[..]) {
-                        let admit_key = match s.gauge.admit(&frame.payload) {
-                            Ok(key) => key,
-                            Err(busy) => {
-                                // Shed: the poller answers with the
-                                // policy's busy payload directly — the
-                                // dispatch pool never sees the request
-                                // and the reply rides the ordinary
-                                // reliable-send path.
-                                wire.shed.fetch_add(1, Ordering::Relaxed);
-                                let mut reply = Vec::with_capacity(busy.len() + FRAME_HEADER_LEN);
-                                if write_frame(&mut reply, s.me, frame.correlation, &busy).is_ok() {
-                                    wire.send_frame(conn, reply);
-                                }
-                                continue;
-                            }
-                        };
-                        let job = ServeJob {
-                            from: frame.sender,
-                            corr: frame.correlation,
-                            payload: frame.payload,
-                            me: s.me,
-                            service: s.service.clone(),
+                        let reply = Reply {
+                            wire: wire.clone(),
                             conn: conn.clone(),
-                            gauge: s.gauge.clone(),
-                            admit_key,
+                            me: s.served.me,
                         };
-                        // Send failure means the transport is
-                        // unwinding; nothing left to answer.
-                        let _ = s.dispatch.send(job);
+                        // A shed reply rides the ordinary reliable-send
+                        // path; `false` means the transport is
+                        // unwinding and nothing is left to answer.
+                        let _ = s.served.admit(frame, reply);
                     }
                 }
             }
@@ -1603,7 +1124,8 @@ fn pump_serve_socket(wire: &Arc<Wire>, s: &mut ServeSock, buf: &mut [u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::CompletionSet;
+    use crate::transport::{CompletionSet, OverloadPolicy};
+    use openflame_codec::framing::FRAME_HEADER_LEN;
 
     fn echo_transport() -> (QuicLiteTransport, EndpointId, EndpointId) {
         let transport = QuicLiteTransport::new(7);

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full federated stack from world
 //! generation through DNS discovery to stitched services.
 
+use openflame_codec::to_bytes;
 use openflame_core::{Deployment, DeploymentConfig, ProviderKind};
 use openflame_dns::ResolverConfig;
 use openflame_geo::LatLng;
@@ -381,6 +382,35 @@ fn deterministic_end_to_end() {
         )
     };
     assert_eq!(run(), run(), "identical seeds must give identical runs");
+}
+
+#[test]
+fn same_seed_deployments_return_byte_identical_routes() {
+    // Two deployments of one seed must agree on every route down to
+    // the node sequence, not just its cost: each cross-venue call
+    // starts at another venue's door, so the outdoor leg is long and
+    // rich in equal-cost alternatives, and the servers answer from
+    // contraction hierarchies built independently per deployment.
+    let routes = || {
+        let config = DeploymentConfig {
+            build_ch: true,
+            ..DeploymentConfig::default()
+        };
+        let dep = Deployment::build(small_world(), config);
+        let venues = dep.world.venues.len();
+        let mut encoded: Vec<Vec<u8>> = Vec::new();
+        for i in 0..20 {
+            let product = dep.world.products[(i * 7) % dep.world.products.len()].clone();
+            let start = dep.world.venues[(product.venue + 1 + i % (venues - 1)) % venues].hint;
+            let near = dep.world.venues[product.venue].hint;
+            let hit = dep.client.federated_search(&product.name, near, 3).unwrap()[0].clone();
+            let route = dep.client.federated_route(start, &hit).unwrap();
+            assert!(route.legs.len() >= 2, "call {i} must cross servers");
+            encoded.extend(route.legs.iter().map(|leg| to_bytes(&leg.route).to_vec()));
+        }
+        encoded
+    };
+    assert_eq!(routes(), routes());
 }
 
 #[test]

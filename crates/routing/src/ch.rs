@@ -122,16 +122,22 @@ impl ContractionHierarchy {
             contracted[v] = true;
             rank[v] = next_rank;
             next_rank += 1;
-            let preds: Vec<(usize, f64)> = inn[v]
+            let mut preds: Vec<(usize, f64)> = inn[v]
                 .iter()
                 .filter(|(u, _)| !contracted[**u])
                 .map(|(u, w)| (*u, *w))
                 .collect();
-            let succs: Vec<(usize, f64)> = out[v]
+            let mut succs: Vec<(usize, f64)> = out[v]
                 .iter()
                 .filter(|(w, _)| !contracted[**w])
                 .map(|(w, wt)| (*w, *wt))
                 .collect();
+            // The adjacency maps iterate in `RandomState` order, and
+            // the pair order decides which shortcuts earlier pairs leave
+            // for later witness searches and which of two equal-cost
+            // shortcuts wins: fix it, or two builds of one graph differ.
+            preds.sort_unstable_by_key(|&(u, _)| u);
+            succs.sort_unstable_by_key(|&(w, _)| w);
             for &(u, w_uv) in &preds {
                 deleted_neighbors[u] += 1;
                 for &(w, w_vw) in &succs {
@@ -405,6 +411,14 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn grid_graph(n: usize) -> (RoadGraph, Vec<NodeId>) {
+        grid_graph_with_express(n, 1)
+    }
+
+    /// An `n x n` grid of footways; `express > 1` adds, along every row
+    /// and column, a second way stopping only at every `express`-th
+    /// node — exactly as long as the local hops it skips, so the graph
+    /// is dense with equal-cost alternatives.
+    fn grid_graph_with_express(n: usize, express: usize) -> (RoadGraph, Vec<NodeId>) {
         let mut map = MapDocument::new("grid", "t", GeoReference::Unaligned { hint: None });
         let mut ids = Vec::new();
         for r in 0..n {
@@ -412,13 +426,14 @@ mod tests {
                 ids.push(map.add_node(Point2::new(c as f64 * 10.0, r as f64 * 10.0), Tags::new()));
             }
         }
+        let footway = || Tags::new().with("highway", "footway");
         for r in 0..n {
-            let row: Vec<NodeId> = (0..n).map(|c| ids[r * n + c]).collect();
-            map.add_way(row, Tags::new().with("highway", "footway"))
-                .unwrap();
-            let col: Vec<NodeId> = (0..n).map(|c| ids[c * n + r]).collect();
-            map.add_way(col, Tags::new().with("highway", "footway"))
-                .unwrap();
+            for step in [1, express] {
+                let row: Vec<NodeId> = (0..n).step_by(step).map(|c| ids[r * n + c]).collect();
+                map.add_way(row, footway()).unwrap();
+                let col: Vec<NodeId> = (0..n).step_by(step).map(|c| ids[c * n + r]).collect();
+                map.add_way(col, footway()).unwrap();
+            }
         }
         (RoadGraph::from_map(&map, Profile::Walking), ids)
     }
@@ -439,6 +454,31 @@ mod tests {
                 d.cost,
                 c.cost
             );
+        }
+    }
+
+    #[test]
+    fn two_builds_of_one_graph_are_identical() {
+        // Each build's adjacency maps hash under their own
+        // `RandomState`, so any iteration order leaking into the
+        // hierarchy shows up as two builds disagreeing. It only can
+        // where equal-cost alternatives exist: an edge beside an
+        // equally long two-hop path makes witness searches tie.
+        let (g, ids) = grid_graph_with_express(8, 2);
+        let a = ContractionHierarchy::build(&g);
+        for _ in 0..3 {
+            let b = ContractionHierarchy::build(&g);
+            assert_eq!(a.rank, b.rank);
+            assert_eq!(a.shortcut_count(), b.shortcut_count());
+            for (i, &s) in ids.iter().enumerate() {
+                for &t in ids.iter().skip(i % 3).step_by(3) {
+                    assert_eq!(
+                        a.query(s, t).unwrap().nodes,
+                        b.query(s, t).unwrap().nodes,
+                        "{s:?}->{t:?}: equal-cost alternatives resolved differently"
+                    );
+                }
+            }
         }
     }
 

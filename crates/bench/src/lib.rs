@@ -1,8 +1,9 @@
 //! Shared helpers for the OpenFLAME experiment harness binaries.
 //!
-//! Each `src/bin/e*.rs` binary regenerates one experiment from
-//! EXPERIMENTS.md and prints its table(s). The helpers here keep the
-//! output format consistent so EXPERIMENTS.md can quote it directly.
+//! Each `src/bin/e*.rs` binary regenerates one paper-claim experiment
+//! and prints its table(s) plus the shape the numbers must have. The
+//! helpers here keep the output format consistent. Performance is not
+//! measured here: that is `benchmark/` (see `BENCHMARK.json`).
 
 /// Prints an experiment header.
 pub fn header(id: &str, claim: &str) {
@@ -15,14 +16,6 @@ pub fn header(id: &str, claim: &str) {
 pub fn row(cols: &[String]) {
     let line: Vec<String> = cols.iter().map(|c| format!("{c:>14}")).collect();
     println!("{}", line.join(" "));
-}
-
-/// Convenience for building a row from display values.
-#[macro_export]
-macro_rules! trow {
-    ($($v:expr),* $(,)?) => {
-        $crate::row(&[$(format!("{}", $v)),*])
-    };
 }
 
 /// Percentile of a sorted-or-unsorted sample (p in [0, 100]).

@@ -112,7 +112,6 @@ pub struct FederatedRoute {
 pub struct OpenFlameClientBuilder {
     principal: Principal,
     expand_neighbors: bool,
-    session_ttl_us: Option<u64>,
     world_provider: Option<EndpointId>,
     coverage_planner: bool,
 }
@@ -122,7 +121,6 @@ impl Default for OpenFlameClientBuilder {
         Self {
             principal: Principal::anonymous(),
             expand_neighbors: true,
-            session_ttl_us: None,
             world_provider: None,
             coverage_planner: true,
         }
@@ -131,7 +129,7 @@ impl Default for OpenFlameClientBuilder {
 
 impl OpenFlameClientBuilder {
     /// Starts from defaults: anonymous principal, neighbor expansion
-    /// on, default session TTL, no world provider.
+    /// on, no world provider.
     pub fn new() -> Self {
         Self::default()
     }
@@ -146,13 +144,6 @@ impl OpenFlameClientBuilder {
     /// (ablation E12).
     pub fn expand_neighbors(mut self, expand: bool) -> Self {
         self.expand_neighbors = expand;
-        self
-    }
-
-    /// Session cache TTL in simulated microseconds (capability and
-    /// discovery caches).
-    pub fn session_ttl_us(mut self, ttl_us: u64) -> Self {
-        self.session_ttl_us = Some(ttl_us);
         self
     }
 
@@ -191,9 +182,6 @@ impl OpenFlameClientBuilder {
     ) -> OpenFlameClient {
         let endpoint = transport.register("openflame-client", None);
         let session = Session::new(transport.clone(), endpoint, self.principal);
-        if let Some(ttl) = self.session_ttl_us {
-            session.set_ttl_us(ttl);
-        }
         OpenFlameClient {
             endpoint,
             discovery: DiscoveryClient::new(resolver),
@@ -223,13 +211,6 @@ pub struct OpenFlameClient {
 const LOCALIZE_FOOTPRINT_M: f64 = 150.0;
 
 impl OpenFlameClient {
-    /// Creates a client on the network using `resolver` for discovery.
-    ///
-    /// Shorthand for [`OpenFlameClient::builder`] with a principal.
-    pub fn new(net: &SimNet, resolver: Arc<Resolver>, principal: Principal) -> Self {
-        Self::builder().principal(principal).build(net, resolver)
-    }
-
     /// A builder for configured clients.
     pub fn builder() -> OpenFlameClientBuilder {
         OpenFlameClientBuilder::new()

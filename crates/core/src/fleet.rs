@@ -96,14 +96,6 @@ pub struct DiscoveryView {
 }
 
 impl DiscoveryView {
-    /// A view holding only plain servers (the pre-fleet shape).
-    pub fn from_servers(servers: Vec<DiscoveredServer>) -> Self {
-        Self {
-            servers: servers.into_iter().map(Arc::new).collect(),
-            fleets: Vec::new(),
-        }
-    }
-
     /// Whether the round discovered nothing at all.
     pub fn is_empty(&self) -> bool {
         self.servers.is_empty() && self.fleets.iter().all(|f| f.shards.is_empty())

@@ -165,13 +165,12 @@
 //! [`ClientError::Overloaded`] — which scatter-gather folds into
 //! [`ClientError::PartialFailure`] like any other per-server failure.
 //!
-//! The `loadgen` crate is the city-scale proof: an open-loop harness
-//! driving a thousand-plus concurrent sessions (Poisson arrivals,
-//! Zipf-skewed venue locality from `openflame_worldgen::workload`,
-//! mixed search/route/localize/tile traffic) against real TCP and
-//! QuicLite deployments, recording per-op-class latency quantiles
-//! (p50/p99/p999), throughput, thread census and shed/retry counts —
-//! the numbers CI publishes as `BENCH_load.json`.
+//! The repo benchmark's `open_tcp` workload (`benchmark/src/open.rs`)
+//! is the city-scale proof: a thousand principals offered open-loop
+//! (Poisson arrivals, Zipf-skewed venue locality from
+//! `openflame_worldgen::workload`) against a real TCP deployment,
+//! latency taken from the scheduled send time and every shed op
+//! accounted for.
 //!
 //! [`Deployment`] stands up a complete world — DNS hierarchy, resolver,
 //! outdoor provider, one map server per venue — in one call on either

@@ -36,8 +36,6 @@ use crate::Rank;
 // Application band (0–99).
 // ----------------------------------------------------------------
 
-/// Load-harness collector queue (held only across `recv`).
-pub const LOADGEN_COLLECTOR_QUEUE: Rank = Rank::new(10, "loadgen.collector_queue");
 /// Session principal (identity swap).
 pub const SESSION_PRINCIPAL: Rank = Rank::new(20, "core.session.principal");
 /// Session discovery cache.

@@ -181,15 +181,6 @@ impl Resolver {
         Self::with_config_on(SimTransport::shared(net), name, root_hints, config)
     }
 
-    /// Creates a resolver on any transport backend.
-    pub fn on_transport(
-        transport: Arc<dyn Transport>,
-        name: impl Into<String>,
-        root_hints: Vec<EndpointId>,
-    ) -> Self {
-        Self::with_config_on(transport, name, root_hints, ResolverConfig::default())
-    }
-
     /// Creates a resolver on any transport backend with custom
     /// configuration.
     pub fn with_config_on(

@@ -432,20 +432,6 @@ impl SimNet {
         from: EndpointId,
         requests: Vec<(EndpointId, Vec<u8>)>,
     ) -> Vec<Result<Vec<u8>, NetError>> {
-        self.call_parallel_traced(from, requests)
-            .into_iter()
-            .map(|(r, _)| r)
-            .collect()
-    }
-
-    /// [`SimNet::call_parallel`] plus the per-branch latency in
-    /// microseconds (each branch is timed from the shared start
-    /// instant, as the transport layer's per-call stats require).
-    pub fn call_parallel_traced(
-        &self,
-        from: EndpointId,
-        requests: Vec<(EndpointId, Vec<u8>)>,
-    ) -> Vec<(Result<Vec<u8>, NetError>, u64)> {
         let t0 = self.now_us();
         let mut t_end = t0;
         let mut results = Vec::with_capacity(requests.len());
@@ -453,10 +439,8 @@ impl SimNet {
             {
                 self.inner.lock().clock_us = t0;
             }
-            let r = self.call(from, to, payload);
-            let t = self.now_us();
-            t_end = t_end.max(t);
-            results.push((r, t - t0));
+            results.push(self.call(from, to, payload));
+            t_end = t_end.max(self.now_us());
         }
         self.inner.lock().clock_us = t_end;
         results

@@ -391,26 +391,56 @@ fn same_seed_deployments_return_byte_identical_routes() {
     // starts at another venue's door, so the outdoor leg is long and
     // rich in equal-cost alternatives, and the servers answer from
     // contraction hierarchies built independently per deployment.
-    let routes = || {
+    // They must also agree on the search hit each route leads to: this
+    // world stocks some product names on two shelves of one venue,
+    // whose search ties on score and label.
+    let world = || {
+        World::generate(WorldConfig {
+            stores: 4,
+            products_per_store: 40,
+            ..WorldConfig::default()
+        })
+    };
+    let products = world().products;
+    let twins: Vec<usize> = (0..products.len())
+        .filter(|&a| {
+            (0..products.len()).any(|b| {
+                a != b
+                    && products[a].venue == products[b].venue
+                    && products[a].name == products[b].name
+            })
+        })
+        .collect();
+    assert!(
+        !twins.is_empty(),
+        "the world must stock one name twice inside one venue"
+    );
+    let picks: Vec<usize> = twins
+        .into_iter()
+        .chain((0..20).map(|i| (i * 7) % products.len()))
+        .collect();
+    let run = || {
         let config = DeploymentConfig {
             build_ch: true,
             ..DeploymentConfig::default()
         };
-        let dep = Deployment::build(small_world(), config);
+        let dep = Deployment::build(world(), config);
         let venues = dep.world.venues.len();
+        let mut hits = Vec::new();
         let mut encoded: Vec<Vec<u8>> = Vec::new();
-        for i in 0..20 {
-            let product = dep.world.products[(i * 7) % dep.world.products.len()].clone();
+        for (i, &pick) in picks.iter().enumerate() {
+            let product = dep.world.products[pick].clone();
             let start = dep.world.venues[(product.venue + 1 + i % (venues - 1)) % venues].hint;
             let near = dep.world.venues[product.venue].hint;
             let hit = dep.client.federated_search(&product.name, near, 3).unwrap()[0].clone();
             let route = dep.client.federated_route(start, &hit).unwrap();
             assert!(route.legs.len() >= 2, "call {i} must cross servers");
             encoded.extend(route.legs.iter().map(|leg| to_bytes(&leg.route).to_vec()));
+            hits.push((hit.server_id, hit.result.element));
         }
-        encoded
+        (hits, encoded)
     };
-    assert_eq!(routes(), routes());
+    assert_eq!(run(), run());
 }
 
 #[test]

@@ -10,8 +10,8 @@
 //! 2. **Wire-discipline parity** — an identical warm-search workload
 //!    costs exactly one batched envelope per discovered server (two
 //!    messages: request + response) on EVERY backend, with identical
-//!    message counts. This is `batch_bench`'s warm-search invariant,
-//!    enforced across transports.
+//!    message counts. This is the warm-search invariant, enforced
+//!    across transports.
 //! 3. **Failure parity** — endpoint-down and dropped-message injection
 //!    surface as `ClientError::PartialFailure` with per-branch source
 //!    errors preserved on every backend: never a panic, never a silent
@@ -161,7 +161,7 @@ fn warm_search_cost(backend: BackendKind) -> (u64, u64, usize) {
 #[test]
 fn identical_warm_search_costs_identical_messages_on_every_backend() {
     let (sim_msgs, sim_batches, sim_servers) = warm_search_cost(BackendKind::Sim);
-    // batch_bench's warm-search invariant, on each backend: exactly one
+    // The warm-search invariant, on each backend: exactly one
     // batched envelope per discovered server, two messages each, and
     // nothing else (no DNS, no hello traffic). Pipelining must reorder
     // waiting, never traffic.

@@ -180,7 +180,7 @@ impl SearchIndex {
                 }
             }
         }
-        let mut out: Vec<SearchResult> = scores
+        let mut out: Vec<(u32, SearchResult)> = scores
             .into_iter()
             .filter_map(|(doc_id, text_score)| {
                 let doc = &self.docs[doc_id as usize];
@@ -189,23 +189,27 @@ impl SearchIndex {
                     return None;
                 }
                 let decay = 0.5f64.powf(distance_m / DISTANCE_HALF_LIFE_M);
-                Some(SearchResult {
+                let result = SearchResult {
                     element: doc.element,
                     pos: doc.pos,
                     text_score,
                     distance_m,
                     score: text_score * decay,
                     label: doc.label.clone(),
-                })
+                };
+                Some((doc_id, result))
             })
             .collect();
-        out.sort_by(|a, b| {
+        // `scores` iterates in `RandomState` order, so the ordering must
+        // be total: equal score and label fall back to insertion order.
+        out.sort_by(|(a_doc, a), (b_doc, b)| {
             b.score
                 .total_cmp(&a.score)
                 .then_with(|| a.label.cmp(&b.label))
+                .then_with(|| a_doc.cmp(b_doc))
         });
         out.truncate(k);
-        out
+        out.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -312,6 +316,30 @@ mod tests {
     fn k_truncates() {
         let idx = SearchIndex::build(&store_map());
         assert_eq!(idx.query("seaweed", None, f64::INFINITY, 2).len(), 2);
+    }
+
+    #[test]
+    fn equal_score_and_label_fall_back_to_insertion_order() {
+        let mut map = MapDocument::new("s", "t", GeoReference::Unaligned { hint: None });
+        let tags = || Tags::new().with("name", "Oat Milk").with("product", "milk");
+        let first = map.add_node(Point2::new(1.0, 0.0), tags());
+        let second = map.add_node(Point2::new(0.0, 1.0), tags());
+        let idx = SearchIndex::build(&map);
+        let elements = |k| -> Vec<ElementId> {
+            idx.query("oat milk", Some(Point2::ZERO), f64::INFINITY, k)
+                .into_iter()
+                .map(|hit| hit.element)
+                .collect()
+        };
+        // Every call builds a freshly keyed `HashMap`; 64 of them must
+        // still agree on the one element `k = 1` keeps.
+        for _ in 0..64 {
+            assert_eq!(elements(1), vec![ElementId::Node(first)]);
+        }
+        assert_eq!(
+            elements(10),
+            vec![ElementId::Node(first), ElementId::Node(second)]
+        );
     }
 
     #[test]

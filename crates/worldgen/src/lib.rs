@@ -1,9 +1,10 @@
 //! Deterministic synthetic world generation.
 //!
-//! Every experiment in EXPERIMENTS.md needs ground truth — true
-//! positions, true inventories, true frame alignments — which real map
-//! extracts cannot provide. This crate generates cities with the exact
-//! structure the paper's example application needs (paper §2):
+//! Every experiment (`openflame-bench`'s `e1`–`e12`) needs ground
+//! truth — true positions, true inventories, true frame alignments —
+//! which real map extracts cannot provide. This crate generates cities
+//! with the exact structure the paper's example application needs
+//! (paper §2):
 //!
 //! - an **outdoor map**: a street grid with named roads, addressed
 //!   buildings and POIs, precisely geo-anchored (the "Google Maps"
@@ -29,9 +30,7 @@ pub mod workload;
 
 pub use city::build_outdoor;
 pub use venue::{build_grocery, build_mall_unit, Venue, VenueKind};
-pub use workload::{
-    generate_trace, OpKind, OpMix, PoissonArrivals, TraceEvent, WalkSample, WalkTrace, ZipfSampler,
-};
+pub use workload::{PoissonArrivals, WalkSample, WalkTrace, ZipfSampler};
 
 use openflame_geo::{Affine2, LatLng, LocalFrame, Point2};
 use openflame_mapdata::{MapDocument, NodeId};

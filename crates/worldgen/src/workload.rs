@@ -1,10 +1,9 @@
 //! Experiment workloads: Zipf query locality, walk traces, and the
-//! open-loop load traces the `loadgen` harness replays.
+//! Poisson arrival process behind open-loop load.
 
 use crate::World;
 use openflame_geo::{LatLng, Point2};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// A Zipf-distributed sampler over `n` items with exponent `s`.
 ///
@@ -148,7 +147,7 @@ impl WalkTrace {
 }
 
 // --------------------------------------------------------------------
-// Open-loop load traces (the `loadgen` harness).
+// Open-loop arrivals.
 // --------------------------------------------------------------------
 
 /// A Poisson arrival process at a fixed aggregate rate: inter-arrival
@@ -187,159 +186,12 @@ impl PoissonArrivals {
     }
 }
 
-/// The operation classes a load-harness session issues, mirroring the
-/// provider API surface that matters at city scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpKind {
-    /// Product search scattered across discovered servers.
-    Search,
-    /// Entrance-to-shelf route inside one venue.
-    Route,
-    /// Cue-based localization.
-    Localize,
-    /// Map tile fetch.
-    Tile,
-}
-
-impl OpKind {
-    /// Every op class, in a stable order (histogram/report keys).
-    pub const ALL: [OpKind; 4] = [
-        OpKind::Search,
-        OpKind::Route,
-        OpKind::Localize,
-        OpKind::Tile,
-    ];
-
-    /// Stable lowercase name (JSON report keys).
-    pub fn name(self) -> &'static str {
-        match self {
-            OpKind::Search => "search",
-            OpKind::Route => "route",
-            OpKind::Localize => "localize",
-            OpKind::Tile => "tile",
-        }
-    }
-}
-
-/// Relative weights of the op classes in a generated trace.
-#[derive(Debug, Clone)]
-pub struct OpMix {
-    /// Weight of [`OpKind::Search`].
-    pub search: f64,
-    /// Weight of [`OpKind::Route`].
-    pub route: f64,
-    /// Weight of [`OpKind::Localize`].
-    pub localize: f64,
-    /// Weight of [`OpKind::Tile`].
-    pub tile: f64,
-}
-
-impl Default for OpMix {
-    /// A city-plausible mix: search-dominated, localization frequent
-    /// (paper §2: position fixes every few seconds), routing and tiles
-    /// occasional.
-    fn default() -> Self {
-        Self {
-            search: 0.4,
-            route: 0.2,
-            localize: 0.3,
-            tile: 0.1,
-        }
-    }
-}
-
-impl OpMix {
-    fn sample<R: Rng>(&self, rng: &mut R) -> OpKind {
-        let total = self.search + self.route + self.localize + self.tile;
-        assert!(total > 0.0, "op mix must have positive total weight");
-        let mut u: f64 = rng.gen::<f64>() * total;
-        for (kind, w) in [
-            (OpKind::Search, self.search),
-            (OpKind::Route, self.route),
-            (OpKind::Localize, self.localize),
-        ] {
-            if u < w {
-                return kind;
-            }
-            u -= w;
-        }
-        OpKind::Tile
-    }
-}
-
-/// One scheduled operation in an open-loop load trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Arrival offset from trace start, microseconds (strictly
-    /// increasing across the trace).
-    pub at_us: u64,
-    /// Logical session (client identity) issuing the op.
-    pub session: usize,
-    /// Target venue index into `world.venues` (Zipf-skewed: a few hot
-    /// venues attract most traffic).
-    pub venue: usize,
-    /// The op class.
-    pub op: OpKind,
-    /// Product index into `world.products` — the search target,
-    /// stocked in `venue` whenever the venue stocks anything.
-    pub product: usize,
-}
-
-/// Generates a deterministic open-loop trace over `world`: one Poisson
-/// process at `rate_per_sec` for `duration_us`, each arrival assigned a
-/// uniform session in `0..sessions`, a Zipf(1.0)-ranked venue, an op
-/// class drawn from `mix`, and a product stocked at that venue. Same
-/// inputs → byte-identical trace (the harness and its tests rely on
-/// it).
-///
-/// # Panics
-///
-/// Panics if `sessions == 0` or the world has no venues or products.
-pub fn generate_trace(
-    world: &World,
-    sessions: usize,
-    rate_per_sec: f64,
-    duration_us: u64,
-    mix: &OpMix,
-    seed: u64,
-) -> Vec<TraceEvent> {
-    assert!(sessions > 0, "a trace needs at least one session");
-    assert!(!world.venues.is_empty() && !world.products.is_empty());
-    // Products stocked per venue, so searches have a hit to find.
-    let mut stocked: Vec<Vec<usize>> = vec![Vec::new(); world.venues.len()];
-    for (idx, product) in world.products.iter().enumerate() {
-        stocked[product.venue].push(idx);
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let arrivals = PoissonArrivals::new(rate_per_sec);
-    let venues = ZipfSampler::new(world.venues.len(), 1.0);
-    let mut events = Vec::new();
-    let mut at_us = 0u64;
-    loop {
-        at_us += arrivals.next_gap_us(&mut rng);
-        if at_us >= duration_us {
-            return events;
-        }
-        let venue = venues.sample(&mut rng);
-        let product = if stocked[venue].is_empty() {
-            rng.gen_range(0..world.products.len())
-        } else {
-            stocked[venue][rng.gen_range(0..stocked[venue].len())]
-        };
-        events.push(TraceEvent {
-            at_us,
-            session: rng.gen_range(0..sessions),
-            venue,
-            op: mix.sample(&mut rng),
-            product,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::WorldConfig;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn zipf_prefers_low_ranks() {
@@ -404,54 +256,5 @@ mod tests {
         let total: u64 = (0..n).map(|_| arrivals.next_gap_us(&mut rng)).sum();
         let mean = total as f64 / n as f64;
         assert!((mean - 500.0).abs() < 15.0, "mean gap {mean}");
-    }
-
-    #[test]
-    fn load_trace_is_deterministic_per_seed() {
-        let world = World::generate(WorldConfig::default());
-        let mix = OpMix::default();
-        let a = generate_trace(&world, 100, 5_000.0, 500_000, &mix, 42);
-        let b = generate_trace(&world, 100, 5_000.0, 500_000, &mix, 42);
-        assert_eq!(a, b, "same seed must replay byte-identically");
-        let c = generate_trace(&world, 100, 5_000.0, 500_000, &mix, 43);
-        assert_ne!(a, c, "different seeds must diverge");
-    }
-
-    #[test]
-    fn load_trace_respects_rate_mix_and_bounds() {
-        let world = World::generate(WorldConfig::default());
-        let mix = OpMix::default();
-        let duration_us = 2_000_000;
-        let trace = generate_trace(&world, 64, 1_000.0, duration_us, &mix, 7);
-        // Open-loop rate: ~1000 ops/s over 2 s.
-        assert!(
-            (trace.len() as i64 - 2_000).abs() < 200,
-            "arrivals {} for offered 2000",
-            trace.len()
-        );
-        // Strictly ordered timestamps inside the window.
-        for pair in trace.windows(2) {
-            assert!(pair[0].at_us < pair[1].at_us);
-        }
-        assert!(trace.last().unwrap().at_us < duration_us);
-        // Mix proportions track the weights.
-        let searches = trace.iter().filter(|e| e.op == OpKind::Search).count();
-        let share = searches as f64 / trace.len() as f64;
-        assert!((share - 0.4).abs() < 0.05, "search share {share}");
-        // Every event targets a real session/venue, and the product is
-        // stocked at the venue whenever the venue stocks anything.
-        for event in &trace {
-            assert!(event.session < 64);
-            assert!(event.venue < world.venues.len());
-            let product = &world.products[event.product];
-            let venue_has_stock = world.products.iter().any(|p| p.venue == event.venue);
-            if venue_has_stock {
-                assert_eq!(product.venue, event.venue);
-            }
-        }
-        // Zipf locality: the hottest venue sees more than its uniform
-        // share.
-        let hot = trace.iter().filter(|e| e.venue == 0).count();
-        assert!(hot as f64 / trace.len() as f64 > 1.5 / world.venues.len() as f64);
     }
 }

@@ -724,85 +724,6 @@ pub fn forbidden_api_findings(file: &str, content: &str) -> Vec<Finding> {
 }
 
 // ----------------------------------------------------------------
-// Rule: bench-schema — BENCH_*.json producers keep their required keys.
-// ----------------------------------------------------------------
-
-/// Required key tokens per BENCH artifact producer, as they appear
-/// (escaped) inside the producer's format strings. Columns can grow;
-/// these can never disappear.
-pub const BENCH_REQUIRED: &[(&str, &[&str])] = &[
-    (
-        "crates/loadgen/src/harness.rs",
-        &[
-            "\\\"bench\\\":",
-            "\\\"backend\\\":",
-            "\\\"ops_submitted\\\":",
-            "\\\"ops_served\\\":",
-            "\\\"ops_shed\\\":",
-            "\\\"ops_errors\\\":",
-            "\\\"throughput_per_sec\\\":",
-            "\\\"max_dispatch_depth\\\":",
-            "\\\"p50_us\\\":",
-            "\\\"p99_us\\\":",
-            "\\\"p999_us\\\":",
-        ],
-    ),
-    (
-        "crates/bench/src/bin/transport_bench.rs",
-        &[
-            "\\\"bench\\\":\\\"fleet_sweep\\\"",
-            "\\\"bench\\\":\\\"fanout_sweep\\\"",
-            "\\\"bench\\\":\\\"slow_request\\\"",
-            "\\\"bench\\\":\\\"planner_sweep\\\"",
-            "\\\"backend\\\":",
-            "\\\"servers_consulted\\\":",
-            "\\\"servers_pruned\\\":",
-        ],
-    ),
-];
-
-/// Checks one producer source against its required key list.
-pub fn bench_schema_findings(file: &str, content: &str, required: &[&str]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for key in required {
-        if !content.contains(key) {
-            out.push(Finding {
-                file: file.to_string(),
-                line: 1,
-                rule: "bench-schema",
-                msg: format!(
-                    "BENCH artifact schema key {} missing from producer: columns may be \
-                     added but never removed or renamed",
-                    key.replace('\\', "")
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// Sanity-checks an emitted BENCH_*.json artifact (one JSON object per
-/// non-empty line, each carrying a `bench` discriminator).
-pub fn bench_artifact_findings(file: &str, content: &str) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (i, line) in content.lines().enumerate() {
-        let t = line.trim();
-        if t.is_empty() {
-            continue;
-        }
-        if !t.starts_with('{') || !t.ends_with('}') || !t.contains("\"bench\":") {
-            out.push(Finding {
-                file: file.to_string(),
-                line: i + 1,
-                rule: "bench-schema",
-                msg: "BENCH artifact line is not a JSON object with a \"bench\" key".to_string(),
-            });
-        }
-    }
-    out
-}
-
-// ----------------------------------------------------------------
 // Rule: rank-doc — every lock rank is documented in spec Appendix A.
 // ----------------------------------------------------------------
 
@@ -936,22 +857,6 @@ pub fn run_lint(root: &Path) -> (Vec<Finding>, usize) {
     }
     if let Ok(ranks_src) = fs::read_to_string(root.join("crates/diag/src/ranks.rs")) {
         findings.extend(rank_doc_findings(&ranks_src, &doc));
-    }
-    for (file, required) in BENCH_REQUIRED {
-        if let Ok(content) = fs::read_to_string(root.join(file)) {
-            findings.extend(bench_schema_findings(file, &content, required));
-        }
-    }
-    if let Ok(entries) = fs::read_dir(root) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy().to_string();
-            if name.starts_with("BENCH_") && name.ends_with(".json") {
-                if let Ok(content) = fs::read_to_string(entry.path()) {
-                    findings.extend(bench_artifact_findings(&name, &content));
-                }
-            }
-        }
     }
 
     (findings, scanned)

@@ -4,9 +4,8 @@
 use std::collections::BTreeSet;
 
 use xtask::{
-    bench_artifact_findings, bench_schema_findings, doc_headings, forbidden_api_findings,
-    mask_cfg_test_regions, rank_doc_findings, spec_ref_findings, strip_comments_and_strings,
-    wire_tag_findings,
+    doc_headings, forbidden_api_findings, mask_cfg_test_regions, rank_doc_findings,
+    spec_ref_findings, strip_comments_and_strings, wire_tag_findings,
 };
 
 fn headings() -> BTreeSet<String> {
@@ -245,33 +244,6 @@ fn forbidden_api_ignores_comments_and_strings() {
         forbidden_api_findings("crates/core/src/lib.rs", src),
         vec![]
     );
-}
-
-// ---------------------------------------------------------------- bench-schema
-
-#[test]
-fn bench_schema_known_good() {
-    let src = r#"format!("{{\"bench\":\"load\",\"p50_us\":{}}}", v)"#;
-    assert_eq!(
-        bench_schema_findings("f.rs", src, &["\\\"bench\\\":", "\\\"p50_us\\\":"]),
-        vec![]
-    );
-}
-
-#[test]
-fn bench_schema_flags_removed_key() {
-    let src = r#"format!("{{\"bench\":\"load\"}}")"#;
-    let f = bench_schema_findings("f.rs", src, &["\\\"bench\\\":", "\\\"p50_us\\\":"]);
-    assert_eq!(f.len(), 1);
-    assert!(f[0].msg.contains("p50_us"));
-}
-
-#[test]
-fn bench_artifact_lines_must_be_tagged_objects() {
-    let good = "{\"bench\":\"load\",\"ops\":{}}\n\n{\"bench\":\"fleet_sweep\"}\n";
-    assert_eq!(bench_artifact_findings("BENCH_load.json", good), vec![]);
-    let bad = "not json\n";
-    assert_eq!(bench_artifact_findings("BENCH_load.json", bad).len(), 1);
 }
 
 // ---------------------------------------------------------------- rank-doc

@@ -9,7 +9,7 @@ use openflame_core::{
     CentralizedProvider, Deployment, DeploymentConfig, RouteQuery, SpatialProvider,
 };
 use openflame_mapserver::Principal;
-use openflame_netsim::SimNet;
+use openflame_netsim::BackendKind;
 use openflame_routing::{astar, bidirectional, dijkstra, ContractionHierarchy, Profile, RoadGraph};
 use openflame_worldgen::{World, WorldConfig};
 use rand::rngs::StdRng;
@@ -101,8 +101,7 @@ fn stitching_quality() {
         ..WorldConfig::default()
     });
     let dep = Deployment::build(world.clone(), DeploymentConfig::default());
-    let omni_net = SimNet::new(1);
-    let omni = CentralizedProvider::omniscient(&omni_net, &world);
+    let omni = CentralizedProvider::omniscient_on(BackendKind::Sim.build(1), &world);
     let principal = Principal::anonymous();
     let frame = omni.frame(&world);
     let mut ratios = Vec::new();

@@ -8,7 +8,7 @@ use openflame_bench::{header, mean, row};
 use openflame_core::{
     CentralizedProvider, Deployment, DeploymentConfig, SearchQuery, SpatialProvider,
 };
-use openflame_netsim::SimNet;
+use openflame_netsim::BackendKind;
 use openflame_worldgen::{World, WorldConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,8 +35,7 @@ fn main() {
             ..WorldConfig::default()
         });
         let dep = Deployment::build(world.clone(), DeploymentConfig::default());
-        let omni_net = SimNet::new(2);
-        let omni = CentralizedProvider::omniscient(&omni_net, &world);
+        let omni = CentralizedProvider::omniscient_on(BackendKind::Sim.build(2), &world);
         // Both architectures behind the same trait — the comparison is
         // the point of the experiment.
         let federated: &dyn SpatialProvider = &dep.client;

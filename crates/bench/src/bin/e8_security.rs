@@ -6,7 +6,7 @@
 use openflame_bench::{header, row};
 use openflame_core::{CentralizedProvider, Deployment, DeploymentConfig};
 use openflame_mapserver::{AccessPolicy, Principal, Rule, ServiceKind};
-use openflame_netsim::SimNet;
+use openflame_netsim::BackendKind;
 use openflame_worldgen::{World, WorldConfig};
 use std::time::Instant;
 
@@ -97,8 +97,7 @@ fn main() {
     }
     // Centralized: all data in one index, no per-venue policies — once
     // the provider has the data, anonymous users can query it.
-    let net = SimNet::new(4);
-    let omni = CentralizedProvider::omniscient(&net, &world);
+    let omni = CentralizedProvider::omniscient_on(BackendKind::Sim.build(4), &world);
     let mut cen_exposed = 0usize;
     for product in &world.products {
         let hits = omni

@@ -9,7 +9,7 @@ use openflame_core::{CentralizedProvider, Deployment, DeploymentConfig};
 use openflame_geo::Point2;
 use openflame_mapdata::{MapPatch, Node, NodeId, Tags};
 use openflame_mapserver::Principal;
-use openflame_netsim::SimNet;
+use openflame_netsim::BackendKind;
 use openflame_worldgen::{World, WorldConfig};
 use std::time::Instant;
 
@@ -73,8 +73,7 @@ fn main() {
 
         // ---- Centralized: every edit lands in the one global map and
         // rebuilds the global indices.
-        let net = SimNet::new(9);
-        let omni = CentralizedProvider::omniscient(&net, &world);
+        let omni = CentralizedProvider::omniscient_on(BackendKind::Sim.build(9), &world);
         let mut cen_times = Vec::new();
         let mut cen_visible = 0usize;
         for vi in 0..stores {

@@ -5,11 +5,11 @@
 //! baseline serves the same client-facing services from a single
 //! monolithic map. Two flavors matter for the evaluation:
 //!
-//! - [`CentralizedProvider::public_only`] — outdoor public data only.
+//! - [`CentralizedProvider::public_only_on`] — outdoor public data only.
 //!   This is the *realistic* centralized provider: paper §2 argues exactly
 //!   that store inventory and indoor maps "would not be part of the map
 //!   database".
-//! - [`CentralizedProvider::omniscient`] — every venue merged into the
+//! - [`CentralizedProvider::omniscient_on`] — every venue merged into the
 //!   global frame using ground-truth alignments. Unrealizable in
 //!   practice (it presumes the cartography and data sharing the paper
 //!   says won't happen), but it provides the global optimum that
@@ -28,7 +28,7 @@ use openflame_localize::{LocationCue, TagRegistry};
 use openflame_mapdata::{ElementId, GeoReference, NodeId, Tags};
 use openflame_mapserver::protocol::{Request, Response};
 use openflame_mapserver::{AccessPolicy, MapServer, MapServerConfig, Principal};
-use openflame_netsim::{SimNet, SimTransport, Transport};
+use openflame_netsim::Transport;
 use openflame_tiles::Tile;
 use openflame_worldgen::World;
 use std::collections::HashMap;
@@ -67,13 +67,7 @@ impl CentralizedProvider {
         }
     }
 
-    /// The realistic centralized provider: public outdoor data only,
-    /// on the simulated network.
-    pub fn public_only(net: &SimNet, world: &World) -> Self {
-        Self::public_only_on(SimTransport::shared(net), world)
-    }
-
-    /// [`CentralizedProvider::public_only`] on any transport backend.
+    /// The realistic centralized provider: public outdoor data only.
     pub fn public_only_on(transport: Arc<dyn Transport>, world: &World) -> Self {
         let server = MapServer::spawn_on(
             &transport,
@@ -94,13 +88,7 @@ impl CentralizedProvider {
 
     /// The omniscient upper bound: every venue merged into the global
     /// frame via ground-truth transforms, entrances fused into portal
-    /// edges. Simulated network; see
-    /// [`CentralizedProvider::omniscient_on`] for other backends.
-    pub fn omniscient(net: &SimNet, world: &World) -> Self {
-        Self::omniscient_on(SimTransport::shared(net), world)
-    }
-
-    /// [`CentralizedProvider::omniscient`] on any transport backend.
+    /// edges.
     pub fn omniscient_on(transport: Arc<dyn Transport>, world: &World) -> Self {
         let mut map = world.outdoor.clone();
         let mut merged_nodes = HashMap::new();
@@ -404,13 +392,14 @@ pub fn city_radius(world: &World) -> f64 {
 mod tests {
     use super::*;
     use openflame_mapserver::Principal;
+    use openflame_netsim::BackendKind;
     use openflame_worldgen::WorldConfig;
 
     #[test]
     fn public_provider_lacks_indoor_data() {
-        let net = SimNet::new(3);
+        let net = BackendKind::Sim.build(3);
         let world = World::generate(WorldConfig::default());
-        let public = CentralizedProvider::public_only(&net, &world);
+        let public = CentralizedProvider::public_only_on(net.clone(), &world);
         let product = &world.products[0];
         let hits = public
             .server
@@ -442,9 +431,9 @@ mod tests {
 
     #[test]
     fn omniscient_provider_finds_products_and_routes_to_them() {
-        let net = SimNet::new(3);
+        let net = BackendKind::Sim.build(3);
         let world = World::generate(WorldConfig::default());
-        let omni = CentralizedProvider::omniscient(&net, &world);
+        let omni = CentralizedProvider::omniscient_on(net.clone(), &world);
         let product = &world.products[0];
         let hits = omni
             .server
@@ -472,9 +461,9 @@ mod tests {
 
     #[test]
     fn merged_positions_match_ground_truth() {
-        let net = SimNet::new(3);
+        let net = BackendKind::Sim.build(3);
         let world = World::generate(WorldConfig::default());
-        let omni = CentralizedProvider::omniscient(&net, &world);
+        let omni = CentralizedProvider::omniscient_on(net.clone(), &world);
         let product = &world.products[3];
         let merged = omni.merged_node(product.venue, product.shelf).unwrap();
         let merged_pos = omni.server.with_map(|m| m.node(merged).unwrap().pos);
@@ -486,12 +475,12 @@ mod tests {
 
     #[test]
     fn providers_are_anchored() {
-        let net = SimNet::new(3);
+        let net = BackendKind::Sim.build(3);
         let world = World::generate(WorldConfig::default());
-        assert!(CentralizedProvider::public_only(&net, &world)
+        assert!(CentralizedProvider::public_only_on(net.clone(), &world)
             .anchor()
             .is_some());
-        assert!(CentralizedProvider::omniscient(&net, &world)
+        assert!(CentralizedProvider::omniscient_on(net.clone(), &world)
             .anchor()
             .is_some());
     }

@@ -23,13 +23,16 @@
 //!
 //! The client is transport-agnostic: it holds an `Arc<dyn Transport>`
 //! and runs identically over the deterministic simulator
-//! ([`openflame_netsim::SimTransport`]) and real TCP sockets
-//! ([`openflame_netsim::TcpTransport`]) — pick the backend with
+//! ([`openflame_netsim::SimNet`]) and real sockets
+//! ([`openflame_netsim::TcpTransport`],
+//! [`openflame_netsim::QuicLiteTransport`]) — pick the backend with
 //! [`OpenFlameClientBuilder::build_on`].
 
 use crate::discovery::{DiscoveredServer, DiscoveryClient};
 use crate::fleet::{DiscoveryView, FleetSelector};
-use crate::plan::{HelloDiscipline, PlanExecutor, QueryKind, QueryPlanner, ScatterPlan};
+use crate::plan::{
+    HelloDiscipline, PlanExecutor, PlannedTarget, QueryKind, QueryPlanner, ScatterPlan,
+};
 use crate::provider::{
     GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome, LocalizeQuery, ProviderEstimate,
     ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome, RouteQuery, SearchOutcome,
@@ -49,7 +52,7 @@ use openflame_mapserver::protocol::{
     WireSearchResult,
 };
 use openflame_mapserver::Principal;
-use openflame_netsim::{EndpointId, SimNet, SimTransport, Transport};
+use openflame_netsim::{EndpointId, Transport};
 use openflame_routing::{stitch_legs, LegMatrix};
 use openflame_search::{fuse_ranked, SearchResult};
 use openflame_tiles::{stitch::compose, Tile, TileCoord};
@@ -94,18 +97,19 @@ pub struct FederatedRoute {
 ///
 /// ```
 /// use openflame_core::OpenFlameClient;
-/// use openflame_dns::Resolver;
+/// use openflame_dns::{Resolver, ResolverConfig};
 /// use openflame_mapserver::Principal;
-/// use openflame_netsim::SimNet;
+/// use openflame_netsim::BackendKind;
 /// use std::sync::Arc;
 ///
-/// let net = SimNet::new(1);
+/// let net = BackendKind::Sim.build(1);
 /// let dns = net.register("stub-dns", None);
-/// let resolver = Arc::new(Resolver::new(&net, "resolver", vec![dns]));
+/// let config = ResolverConfig::default();
+/// let resolver = Arc::new(Resolver::with_config_on(net.clone(), "resolver", vec![dns], config));
 /// let client = OpenFlameClient::builder()
 ///     .principal(Principal::user("alice@example.com"))
 ///     .expand_neighbors(false)
-///     .build(&net, resolver);
+///     .build_on(net, resolver);
 /// assert!(!client.expand_neighbors());
 /// ```
 #[derive(Debug, Clone)]
@@ -164,12 +168,6 @@ impl OpenFlameClientBuilder {
     pub fn coverage_planner(mut self, enabled: bool) -> Self {
         self.coverage_planner = enabled;
         self
-    }
-
-    /// Registers the client on the simulated network and builds it
-    /// ([`OpenFlameClientBuilder::build_on`] with a [`SimTransport`]).
-    pub fn build(self, net: &SimNet, resolver: Arc<Resolver>) -> OpenFlameClient {
-        self.build_on(SimTransport::shared(net), resolver)
     }
 
     /// Registers the client on any transport backend and builds it.
@@ -340,25 +338,6 @@ impl OpenFlameClient {
         self.plan_query_at(Some(kind), location, Some((location, radius_m)))
     }
 
-    /// The servers a spatial query at `location` with footprint radius
-    /// `radius_m` would consult before coverage pruning: every plain
-    /// provider plus the selected replica of each shard whose extent
-    /// intersects the footprint. Costs no wire traffic beyond (cached)
-    /// discovery. Kind-agnostic and therefore planner-agnostic — the
-    /// coverage-aware equivalent is [`OpenFlameClient::plan_query`].
-    pub fn plan_scatter(
-        &self,
-        location: LatLng,
-        radius_m: f64,
-    ) -> Result<Vec<DiscoveredServer>, ClientError> {
-        Ok(self
-            .plan_query_at(None, location, Some((location, radius_m)))?
-            .targets
-            .into_iter()
-            .map(|t| Arc::unwrap_or_clone(t.server))
-            .collect())
-    }
-
     // ----------------------------------------------------------------
     // Federated services (paper §5.2).
     // ----------------------------------------------------------------
@@ -373,20 +352,6 @@ impl OpenFlameClient {
         k: usize,
     ) -> Result<Vec<FederatedSearchHit>, ClientError> {
         self.search_impl(query, location, 2_000.0, k)
-    }
-
-    /// [`OpenFlameClient::federated_search`] with an explicit query
-    /// radius. A spatially narrow radius lets the fleet layer prune
-    /// shards whose extent cannot intersect the query, so wire cost
-    /// scales with shards consulted rather than fleet size.
-    pub fn federated_search_within(
-        &self,
-        query: &str,
-        location: LatLng,
-        radius_m: f64,
-        k: usize,
-    ) -> Result<Vec<FederatedSearchHit>, ClientError> {
-        self.search_impl(query, location, radius_m, k)
     }
 
     fn search_impl(
@@ -447,28 +412,16 @@ impl OpenFlameClient {
         let targets = &plan.targets;
         let mut lists: Vec<Vec<SearchResult>> = Vec::new();
         let mut provenance: Vec<Vec<FederatedSearchHit>> = Vec::new();
-        let mut answered = 0usize;
-        let mut failures: Vec<(usize, ClientError)> = Vec::new();
+        let mut tally = ScatterTally::default();
         for (idx, (target, outcome)) in targets.iter().zip(gathered).enumerate() {
             let server = &target.server;
-            let results = match outcome.map(|mut r| r.pop()) {
-                Ok(Some(Response::Search { results })) => {
-                    answered += 1;
-                    results
-                }
+            let results = match tally.record(idx, target, outcome) {
+                Some(Some(Response::Search { results })) => results,
                 // A paper §5.3 denial is an answer — skip it, the show goes
-                // on with the rest of the federation.
-                Ok(Some(Response::Error { .. })) => {
-                    answered += 1;
-                    continue;
-                }
-                // A dead or dropping server is not; the source error is
-                // kept for total-blackout detection.
-                Err(e) => {
-                    failures.push((idx, e));
-                    continue;
-                }
-                Ok(other) => return Err(unexpected_opt("Search", other)),
+                // on with the rest of the federation — and a dead or
+                // dropping server is already on the tally.
+                Some(Some(Response::Error { .. })) | None => continue,
+                Some(other) => return Err(unexpected_opt("Search", other)),
             };
             let mut list = Vec::with_capacity(results.len());
             let mut prov = Vec::with_capacity(results.len());
@@ -490,30 +443,11 @@ impl OpenFlameClient {
             lists.push(list);
             provenance.push(prov);
         }
-        // Every server was unreachable (denials count as answers):
-        // surface the sources instead of passing off a total outage as
-        // an empty result set.
-        if answered == 0 && !failures.is_empty() {
-            return Err(ClientError::PartialFailure {
-                succeeded: 0,
-                failures,
-            });
-        }
-        // A fleet branch still failing after failover means a whole
-        // shard is down: part of the advertised content is unreachable,
-        // which must not read as "no results there". Surface it with
-        // the per-replica sources preserved (a lone plain server
-        // failing while others answer stays absorbed, as before —
-        // plain servers advertise no content partition).
-        if failures
-            .iter()
-            .any(|(idx, _)| targets[*idx].fleet.is_some())
-        {
-            return Err(ClientError::PartialFailure {
-                succeeded: answered,
-                failures,
-            });
-        }
+        // A down shard means part of the advertised content is
+        // unreachable, which must not read as "no results there" (a
+        // lone plain server failing while others answer stays absorbed
+        // — plain servers advertise no content partition).
+        tally.verdict(true)?;
         // Client-side rank fusion (paper §5.2: "the client would then rank
         // results from multiple map servers"). RRF merges the
         // heterogeneous per-server rankings; a client-side relevance
@@ -609,6 +543,9 @@ impl OpenFlameClient {
                     k: k as u32,
                 }])
             });
+        // Refinement is lenient on purpose — no blackout tally: the
+        // world provider's coarse hit above is already an answer, so a
+        // refiner that is down only costs precision.
         for (target, outcome) in plan.targets.iter().zip(outcomes) {
             let server = &target.server;
             if let Ok(Some(Response::Geocode { hits })) = outcome.map(|mut r| r.pop()) {
@@ -663,42 +600,32 @@ impl OpenFlameClient {
                 }])
             });
         let mut best: Option<GeocodeHit> = None;
-        let mut answered = 0usize;
-        let mut failures: Vec<(usize, ClientError)> = Vec::new();
+        let mut tally = ScatterTally::default();
         for (idx, (target, outcome)) in plan.targets.iter().zip(outcomes).enumerate() {
             let server = &target.server;
-            let frame = self
-                .session
-                .cached_hello(server.endpoint)
-                .and_then(|h| h.anchor)
-                .map(LocalFrame::new);
-            match outcome.map(|mut r| r.pop()) {
-                Ok(Some(Response::ReverseGeocode { hit: Some(hit) })) => {
-                    answered += 1;
-                    let geo = frame.as_ref().map(|f| f.from_local(hit.pos));
-                    if best.as_ref().is_none_or(|b| hit.score > b.hit.score) {
-                        best = Some(GeocodeHit {
-                            server_id: server.server_id.clone(),
-                            geo,
-                            hit,
-                        });
-                    }
-                }
-                // A server answering "nothing nearby" or denying the
-                // service (paper §5.3) has spoken; only wire failures count
-                // toward total-blackout detection.
-                Ok(_) => answered += 1,
-                Err(e) => failures.push((idx, e)),
+            // A server answering "nothing nearby" or denying the service
+            // (paper §5.3) has spoken and contributes no candidate.
+            let Some(Some(Response::ReverseGeocode { hit: Some(hit) })) =
+                tally.record(idx, target, outcome)
+            else {
+                continue;
+            };
+            if best.as_ref().is_none_or(|b| hit.score > b.hit.score) {
+                let geo = self
+                    .session
+                    .cached_hello(server.endpoint)
+                    .and_then(|h| h.anchor)
+                    .map(|anchor| LocalFrame::new(anchor).from_local(hit.pos));
+                best = Some(GeocodeHit {
+                    server_id: server.server_id.clone(),
+                    geo,
+                    hit,
+                });
             }
         }
-        // Every consulted server was unreachable: that is an outage,
-        // not an honest "nothing here".
-        if answered == 0 && !failures.is_empty() {
-            return Err(ClientError::PartialFailure {
-                succeeded: 0,
-                failures,
-            });
-        }
+        // Best-of-those-answering is still an honest name for the
+        // position; only a total blackout is an error.
+        tally.verdict(false)?;
         Ok(best)
     }
 
@@ -955,35 +882,17 @@ impl OpenFlameClient {
             (!matching.is_empty()).then(|| vec![Request::Localize { cues: matching }])
         });
         let mut out: Vec<(Arc<DiscoveredServer>, WireEstimate)> = Vec::new();
-        let mut answered = 0usize;
-        let mut failures: Vec<(usize, ClientError)> = Vec::new();
-        let mut fleet_failed = false;
+        let mut tally = ScatterTally::default();
         for (idx, (target, outcome)) in plan.targets.iter().zip(results).enumerate() {
-            match outcome.map(|mut r| r.pop()) {
-                Ok(Some(Response::Localize { estimates })) => {
-                    answered += 1;
-                    for e in estimates {
-                        out.push((target.server.clone(), e));
-                    }
-                }
-                // No fix and paper §5.3 denials are answers; only wire
-                // failures count toward total-blackout detection.
-                Ok(_) => answered += 1,
-                Err(e) => {
-                    fleet_failed |= target.fleet.is_some();
-                    failures.push((idx, e));
-                }
+            // No fix and paper §5.3 denials are answers without estimates.
+            if let Some(Some(Response::Localize { estimates })) = tally.record(idx, target, outcome)
+            {
+                out.extend(estimates.into_iter().map(|e| (target.server.clone(), e)));
             }
         }
-        // Every consulted server was unreachable: an outage must not
-        // read as "no localization coverage here". A fleet shard still
-        // down after failover is likewise surfaced, sources preserved.
-        if (answered == 0 || fleet_failed) && !failures.is_empty() {
-            return Err(ClientError::PartialFailure {
-                succeeded: answered,
-                failures,
-            });
-        }
+        // An outage must not read as "no localization coverage here",
+        // and neither must a fleet shard still down after failover.
+        tally.verdict(true)?;
         out.sort_by(|a, b| a.1.error_m.total_cmp(&b.1.error_m));
         Ok(out)
     }
@@ -1011,15 +920,17 @@ impl OpenFlameClient {
                 Some(vec![Request::GetTile { z, x, y }])
             });
         let mut layers: Vec<Tile> = Vec::new();
-        for outcome in outcomes {
-            // Unaligned venues and denied servers simply don't
-            // contribute a layer.
-            if let Ok(Some(Response::Tile { rgb, .. })) = outcome.map(|mut r| r.pop()) {
-                if let Some(tile) = Tile::from_rgb(coord, &rgb) {
-                    layers.push(tile);
-                }
+        let mut tally = ScatterTally::default();
+        for (idx, (target, outcome)) in plan.targets.iter().zip(outcomes).enumerate() {
+            // Unaligned venues and denied servers answer, but simply
+            // don't contribute a layer.
+            if let Some(Some(Response::Tile { rgb, .. })) = tally.record(idx, target, outcome) {
+                layers.extend(Tile::from_rgb(coord, &rgb));
             }
         }
+        // The layers that did arrive still compose; an outage of every
+        // consulted server must not read as "no tile providers here".
+        tally.verdict(false)?;
         if layers.is_empty() {
             return Err(ClientError::NothingDiscovered(format!(
                 "no tile-serving providers near {center}"
@@ -1157,6 +1068,57 @@ impl SpatialProvider for OpenFlameClient {
         let (tile, layer_servers) = self.tile_impl(query.center, query.z)?;
         let stats = scope.finish(self.session.transport().as_ref(), layer_servers);
         Ok(TileOutcome { tile, stats })
+    }
+}
+
+/// Who spoke and who did not in one scatter round — the bookkeeping
+/// every federated gather shares. A server that answers at all (hits,
+/// "nothing here", a paper §5.3 denial) has *answered*; only wire
+/// failures are failures, kept with their plan index and source error.
+#[derive(Default)]
+struct ScatterTally {
+    answered: usize,
+    failures: Vec<(usize, ClientError)>,
+    shard_down: bool,
+}
+
+impl ScatterTally {
+    /// Books branch `idx` of the plan and hands back the (single)
+    /// response of a branch that answered; `None` for a wire failure.
+    fn record(
+        &mut self,
+        idx: usize,
+        target: &PlannedTarget,
+        outcome: Result<Vec<Response>, ClientError>,
+    ) -> Option<Option<Response>> {
+        match outcome {
+            Ok(mut responses) => {
+                self.answered += 1;
+                Some(responses.pop())
+            }
+            Err(e) => {
+                self.shard_down |= target.fleet.is_some();
+                self.failures.push((idx, e));
+                None
+            }
+        }
+    }
+
+    /// Surfaces an outage as [`ClientError::PartialFailure`], sources
+    /// preserved: always when every consulted server was unreachable
+    /// (a blackout must not pass for an honest empty answer), and —
+    /// with `shard_down_is_partial`, for services whose answer would
+    /// silently omit the shard's content — also when a fleet branch is
+    /// still failing after failover, i.e. a whole shard is down.
+    fn verdict(self, shard_down_is_partial: bool) -> Result<(), ClientError> {
+        let shard_down = shard_down_is_partial && self.shard_down;
+        if (self.answered == 0 || shard_down) && !self.failures.is_empty() {
+            return Err(ClientError::PartialFailure {
+                succeeded: self.answered,
+                failures: self.failures,
+            });
+        }
+        Ok(())
     }
 }
 

@@ -327,7 +327,7 @@ fn fine_level_for(radius_m: f64) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use openflame_netsim::{SimNet, SimTransport};
+    use openflame_netsim::BackendKind;
     use openflame_worldgen::WorldConfig;
 
     fn server(id: u64) -> DiscoveredServer {
@@ -347,8 +347,7 @@ mod tests {
 
     #[test]
     fn choose_is_deterministic_on_a_fresh_latency_book() {
-        let net = SimNet::new(1);
-        let transport = SimTransport::shared(&net);
+        let transport = BackendKind::Sim.build(1);
         let selector = FleetSelector::new();
         let s = shard(&[10, 11, 12]);
         let first = selector.choose(transport.as_ref(), &s).unwrap().endpoint;
@@ -363,8 +362,7 @@ mod tests {
 
     #[test]
     fn dead_list_excludes_and_expires() {
-        let net = SimNet::new(1);
-        let transport = SimTransport::shared(&net);
+        let transport = BackendKind::Sim.build(1);
         let selector = FleetSelector::new();
         let s = shard(&[20, 21]);
         let victim = selector.choose(transport.as_ref(), &s).unwrap().endpoint;
@@ -385,8 +383,7 @@ mod tests {
 
     #[test]
     fn sibling_skips_tried_and_dead() {
-        let net = SimNet::new(1);
-        let transport = SimTransport::shared(&net);
+        let transport = BackendKind::Sim.build(1);
         let selector = FleetSelector::new();
         let s = shard(&[30, 31, 32]);
         selector.mark_dead(transport.as_ref(), EndpointId(31));

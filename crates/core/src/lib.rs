@@ -19,10 +19,10 @@
 //!   localization, tile composition — paper §5.2).
 //! - **Figure 1 — centralized**: [`CentralizedProvider`] implements the
 //!   same trait from a single monolithic map, in two flavors:
-//!   `public_only` (outdoor data only — the realistic Google-Maps
+//!   `public_only_on` (outdoor data only — the realistic Google-Maps
 //!   baseline whose indoor blindness motivates the paper) and
-//!   `omniscient` (all data merged — the unrealizable upper bound used
-//!   to score federated route quality).
+//!   `omniscient_on` (all data merged — the unrealizable upper bound
+//!   used to score federated route quality).
 //!
 //! # Architecture: trait → planner → session → transport
 //!
@@ -65,13 +65,23 @@
 //! / `call_parallel` are default methods over submit+wait. The
 //! session, the DNS resolver and every server bind to
 //! `Arc<dyn Transport>` and cannot tell which backend carries their
-//! bytes. Three backends ship:
+//! bytes. That trait object is the **only** door onto a network: each
+//! component has exactly one network-binding constructor
+//! (`AuthServer::spawn_on`, `Resolver::with_config_on`,
+//! `MapServer::spawn_on`, `OpenFlameClientBuilder::build_on`,
+//! `CentralizedProvider::{public_only_on, omniscient_on}`), none of
+//! them names a concrete backend, and the conformance lint keeps the
+//! simulator's type out of every crate above `netsim`. Three backends
+//! ship, all built by value through
+//! [`BackendKind::build`](openflame_netsim::BackendKind::build):
 //!
 //! - [`BackendKind::Sim`](openflame_netsim::BackendKind) — the
-//!   deterministic discrete-event simulator (modelled latencies,
-//!   seeded jitter, failure injection); the default. Submitted calls
-//!   execute eagerly and share a start instant on the simulated
-//!   clock, modelling real concurrency deterministically.
+//!   deterministic discrete-event simulator
+//!   ([`SimNet`](openflame_netsim::SimNet), which implements
+//!   `Transport` itself: modelled latencies, seeded jitter, failure
+//!   injection); the default. Submitted calls execute eagerly and
+//!   share a start instant on the simulated clock, modelling real
+//!   concurrency deterministically.
 //! - [`BackendKind::Tcp`](openflame_netsim::BackendKind) — real
 //!   loopback TCP sockets. One pooled connection per server
 //!   multiplexes many in-flight requests (frames carry a version byte

@@ -173,7 +173,10 @@ impl ScatterPlan {
 
     /// Candidate sources the planner considered (after the fleet
     /// layer's own shard-footprint filtering, which predates the
-    /// planner and applies in both planner modes).
+    /// planner and applies in both planner modes). No production
+    /// caller: it is the planner-parity oracle — `planner_parity`
+    /// asserts the pruned and unpruned arms considered the same
+    /// sources, `plan_allocations` that its fixture covers every fleet.
     pub fn considered(&self) -> usize {
         self.targets.len() + self.pruned.len()
     }

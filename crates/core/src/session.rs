@@ -948,7 +948,7 @@ pub(crate) fn unexpected_opt(expected: &str, got: Option<Response>) -> ClientErr
 mod tests {
     use super::*;
     use openflame_mapserver::protocol::Response;
-    use openflame_netsim::{SimNet, SimTransport};
+    use openflame_netsim::BackendKind;
 
     #[test]
     fn expect_all_reports_partial_failure() {
@@ -1015,7 +1015,7 @@ mod tests {
 
     #[test]
     fn session_caches_stay_bounded_under_a_many_cell_tour() {
-        let transport = SimTransport::shared(&SimNet::new(1));
+        let transport = BackendKind::Sim.build(1);
         let endpoint = transport.register("client", None);
         let session = Session::new(transport.clone(), endpoint, Principal::anonymous());
         session.set_cache_cap(8);
@@ -1040,7 +1040,7 @@ mod tests {
 
     #[test]
     fn expired_entries_are_evicted_before_live_ones() {
-        let transport = SimTransport::shared(&SimNet::new(1));
+        let transport = BackendKind::Sim.build(1);
         let endpoint = transport.register("client", None);
         let session = Session::new(transport.clone(), endpoint, Principal::anonymous());
         session.set_cache_cap(4);
@@ -1068,7 +1068,7 @@ mod tests {
 
     #[test]
     fn cache_len_stats_count_live_entries_only() {
-        let transport = SimTransport::shared(&SimNet::new(1));
+        let transport = BackendKind::Sim.build(1);
         let endpoint = transport.register("client", None);
         let session = Session::new(transport.clone(), endpoint, Principal::anonymous());
         session.set_ttl_us(1_000);
@@ -1096,7 +1096,7 @@ mod tests {
 
     #[test]
     fn invalidate_cell_drops_both_expansion_variants() {
-        let transport = SimTransport::shared(&SimNet::new(1));
+        let transport = BackendKind::Sim.build(1);
         let endpoint = transport.register("client", None);
         let session = Session::new(transport, endpoint, Principal::anonymous());
         session.store_discovery(7, false, DiscoveryView::default());
@@ -1120,7 +1120,7 @@ mod tests {
 
     #[test]
     fn coverage_cache_is_bounded_live_counted_and_separately_metered() {
-        let transport = SimTransport::shared(&SimNet::new(1));
+        let transport = BackendKind::Sim.build(1);
         let endpoint = transport.register("client", None);
         let session = Session::new(transport.clone(), endpoint, Principal::anonymous());
         session.set_cache_cap(8);
@@ -1148,7 +1148,7 @@ mod tests {
 
     #[test]
     fn note_answer_tracks_consecutive_empty_streaks() {
-        let transport = SimTransport::shared(&SimNet::new(1));
+        let transport = BackendKind::Sim.build(1);
         let endpoint = transport.register("client", None);
         let session = Session::new(transport, endpoint, Principal::anonymous());
         let server = EndpointId(9);
@@ -1173,7 +1173,7 @@ mod tests {
 
     #[test]
     fn cached_state_is_handed_out_by_reference() {
-        let transport = SimTransport::shared(&SimNet::new(1));
+        let transport = BackendKind::Sim.build(1);
         let endpoint = transport.register("client", None);
         let session = Session::new(transport, endpoint, Principal::anonymous());
         let server = EndpointId(40);
@@ -1205,7 +1205,7 @@ mod tests {
 
     #[test]
     fn purge_endpoint_drops_hello_and_coverage_state() {
-        let transport = SimTransport::shared(&SimNet::new(1));
+        let transport = BackendKind::Sim.build(1);
         let endpoint = transport.register("client", None);
         let session = Session::new(transport, endpoint, Principal::anonymous());
         let dead = EndpointId(70);
@@ -1257,7 +1257,7 @@ mod tests {
 
     #[test]
     fn busy_sheds_are_retried_transparently() {
-        let transport = SimTransport::shared(&SimNet::new(1));
+        let transport = BackendKind::Sim.build(1);
         let client = transport.register("client", None);
         let server = flaky_busy_server(&transport, 2);
         let session = Session::new(transport, client, Principal::anonymous());
@@ -1274,7 +1274,7 @@ mod tests {
 
     #[test]
     fn busy_budget_exhaustion_surfaces_overloaded() {
-        let transport = SimTransport::shared(&SimNet::new(1));
+        let transport = BackendKind::Sim.build(1);
         let client = transport.register("client", None);
         let server = flaky_busy_server(&transport, u64::MAX);
         let session = Session::new(transport, client, Principal::anonymous());
@@ -1292,7 +1292,7 @@ mod tests {
 
     #[test]
     fn scatter_round_retries_busy_branches_and_folds_exhaustion() {
-        let transport = SimTransport::shared(&SimNet::new(1));
+        let transport = BackendKind::Sim.build(1);
         let client = transport.register("client", None);
         let healthy = flaky_busy_server(&transport, 0);
         let recovering = flaky_busy_server(&transport, 1);
@@ -1345,7 +1345,7 @@ mod tests {
 
     #[test]
     fn ttl_and_principal_adjust_through_shared_reference() {
-        let transport = SimTransport::shared(&SimNet::new(1));
+        let transport = BackendKind::Sim.build(1);
         let endpoint = transport.register("client", None);
         let session = Arc::new(Session::new(transport, endpoint, Principal::anonymous()));
         let shared = session.clone();

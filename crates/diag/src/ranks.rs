@@ -70,7 +70,7 @@ pub const TILE_CACHE: Rank = Rank::new(70, "tiles.render_cache");
 // ----------------------------------------------------------------
 
 /// The simulated network's single state lock (never held across a
-/// handler invocation).
+/// service invocation).
 pub const SIM_NET: Rank = Rank::new(100, "netsim.sim.state");
 
 // The socket core (shared by both bindings).

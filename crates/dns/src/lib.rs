@@ -1,5 +1,5 @@
 //! A DNS substrate: zones, authoritative servers and a caching
-//! iterative resolver over the simulated network.
+//! iterative resolver over any wire transport.
 //!
 //! The paper's key discovery insight (paper §5.1) is that the *already
 //! federated* DNS can serve as the spatial database: spatial cells become
@@ -14,7 +14,7 @@
 //! - [`Zone`] — record storage with DNS-style wildcard matching and
 //!   delegation cuts,
 //! - [`AuthServer`] — an authoritative server bound to a
-//!   [`SimNet`](openflame_netsim::SimNet) endpoint,
+//!   [`Transport`](openflame_netsim::Transport) endpoint,
 //! - [`Resolver`] — an iterative resolver with TTL + LRU caching and
 //!   negative caching, the component whose cache behaviour experiment E2
 //!   measures.

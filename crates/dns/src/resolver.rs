@@ -16,7 +16,7 @@ use crate::record::{QueryMsg, Rcode, Record, RecordType, ResponseMsg};
 use crate::DnsError;
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_diag::{ranks, OrderedMutex};
-use openflame_netsim::{EndpointId, SimNet, SimTransport, Transport};
+use openflame_netsim::{EndpointId, Transport};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -164,25 +164,8 @@ pub struct Resolver {
 }
 
 impl Resolver {
-    /// Creates a resolver on the simulated network using `root_hints`
+    /// Creates a resolver on any transport backend, using `root_hints`
     /// as the root server set.
-    pub fn new(net: &SimNet, name: impl Into<String>, root_hints: Vec<EndpointId>) -> Self {
-        Self::with_config(net, name, root_hints, ResolverConfig::default())
-    }
-
-    /// Creates a resolver on the simulated network with custom
-    /// configuration.
-    pub fn with_config(
-        net: &SimNet,
-        name: impl Into<String>,
-        root_hints: Vec<EndpointId>,
-        config: ResolverConfig,
-    ) -> Self {
-        Self::with_config_on(SimTransport::shared(net), name, root_hints, config)
-    }
-
-    /// Creates a resolver on any transport backend with custom
-    /// configuration.
     pub fn with_config_on(
         transport: Arc<dyn Transport>,
         name: impl Into<String>,
@@ -235,33 +218,26 @@ impl Resolver {
             .count()
     }
 
-    /// Resolves `name`/`rtype`, consulting the cache first and walking
-    /// referrals from the root hints otherwise.
-    pub fn resolve(&self, name: &DomainName, rtype: RecordType) -> Result<QueryOutcome, DnsError> {
-        self.resolve_many(&[(name.clone(), rtype)])
-            .pop()
-            .expect("one query in, one outcome out")
-    }
-
-    /// Resolves many queries with their referral walks **pipelined**:
+    /// Resolves many queries — each consulting the cache first and
+    /// walking referrals from the root hints otherwise — with their
+    /// referral walks **pipelined**:
     /// at every step, each unfinished walk's next upstream ask is
     /// submitted through the transport's non-blocking path before any
     /// answer is awaited, so N lookups cost the slowest walk rather
     /// than the sum of all walks. This is what keeps neighbor-cell
     /// discovery (five cells per query) at one walk's latency. Results
     /// are positional; caching, negative caching, candidate failover
-    /// and the referral-hop limit behave exactly as in
-    /// [`Resolver::resolve`].
+    /// and the referral-hop limit apply to every walk independently.
     ///
     /// Duplicate queries within one batch are **deduplicated**: every
     /// duplicate shares the first occurrence's single walk (and its
     /// one upstream-query count) and receives a clone of its outcome,
     /// so a batch of five identical lookups costs exactly one
     /// hierarchy walk — the same wire cost as sequential
-    /// [`Resolver::resolve`] calls hitting the freshly-stored cache
-    /// entry. Each duplicate still counts in
-    /// [`ResolverStats::queries`]; walk-level counters (upstream
-    /// queries, failures) are charged once.
+    /// single-query batches hitting the freshly-stored cache entry.
+    /// Each duplicate still counts in [`ResolverStats::queries`];
+    /// walk-level counters (upstream queries, failures) are charged
+    /// once.
     pub fn resolve_many(
         &self,
         queries: &[(DomainName, RecordType)],
@@ -572,13 +548,27 @@ mod tests {
     use crate::record::RecordData;
     use crate::server::AuthServer;
     use crate::zone::Zone;
+    use openflame_netsim::BackendKind;
+
+    impl Resolver {
+        fn on(net: &Arc<dyn Transport>, name: &str, root_hints: Vec<EndpointId>) -> Self {
+            Self::with_config_on(net.clone(), name, root_hints, ResolverConfig::default())
+        }
+
+        /// A one-query batch.
+        fn resolve(&self, name: &DomainName, rtype: RecordType) -> Result<QueryOutcome, DnsError> {
+            self.resolve_many(&[(name.clone(), rtype)])
+                .pop()
+                .expect("one query in, one outcome out")
+        }
+    }
 
     fn name(s: &str) -> DomainName {
         DomainName::parse(s).unwrap()
     }
 
     /// Builds a three-tier hierarchy: root → `flame.` → `cell.flame.`.
-    fn hierarchy(net: &SimNet) -> (Vec<EndpointId>, std::sync::Arc<AuthServer>) {
+    fn hierarchy(net: &Arc<dyn Transport>) -> (Vec<EndpointId>, std::sync::Arc<AuthServer>) {
         // Leaf zone with actual data.
         let mut cell_zone = Zone::new(name("cell.flame."));
         cell_zone.add(Record::new(
@@ -590,7 +580,7 @@ mod tests {
                 services: vec!["search".into()],
             },
         ));
-        let cell_server = AuthServer::spawn(net, "cell", vec![cell_zone]);
+        let cell_server = AuthServer::spawn_on(net, "cell", vec![cell_zone]);
         // TLD zone delegating to the cell server.
         let mut tld = Zone::new(name("flame."));
         tld.delegate(
@@ -598,19 +588,19 @@ mod tests {
             name("ns.cell.flame."),
             cell_server.endpoint().0,
         );
-        let tld_server = AuthServer::spawn(net, "tld", vec![tld]);
+        let tld_server = AuthServer::spawn_on(net, "tld", vec![tld]);
         // Root delegating to the TLD.
         let mut root = Zone::new(DomainName::root());
         root.delegate(name("flame."), name("ns.flame."), tld_server.endpoint().0);
-        let root_server = AuthServer::spawn(net, "root", vec![root]);
+        let root_server = AuthServer::spawn_on(net, "root", vec![root]);
         (vec![root_server.endpoint()], cell_server)
     }
 
     #[test]
     fn walks_referrals_to_answer() {
-        let net = SimNet::new(5);
+        let net = BackendKind::Sim.build(5);
         let (roots, _cell) = hierarchy(&net);
-        let resolver = Resolver::new(&net, "test", roots);
+        let resolver = Resolver::on(&net, "test", roots);
         let out = resolver
             .resolve(&name("1.2.f0.cell.flame."), RecordType::MapSrv)
             .unwrap();
@@ -623,9 +613,9 @@ mod tests {
 
     #[test]
     fn second_query_hits_cache_and_is_faster() {
-        let net = SimNet::new(5);
+        let net = BackendKind::Sim.build(5);
         let (roots, _cell) = hierarchy(&net);
-        let resolver = Resolver::new(&net, "test", roots);
+        let resolver = Resolver::on(&net, "test", roots);
         let n = name("1.2.f0.cell.flame.");
         let cold = resolver.resolve(&n, RecordType::MapSrv).unwrap();
         let warm = resolver.resolve(&n, RecordType::MapSrv).unwrap();
@@ -643,9 +633,9 @@ mod tests {
 
     #[test]
     fn cache_expires_after_ttl() {
-        let net = SimNet::new(5);
+        let net = BackendKind::Sim.build(5);
         let (roots, _cell) = hierarchy(&net);
-        let resolver = Resolver::new(&net, "test", roots);
+        let resolver = Resolver::on(&net, "test", roots);
         let n = name("1.2.f0.cell.flame.");
         resolver.resolve(&n, RecordType::MapSrv).unwrap();
         // Advance past the 300 s TTL.
@@ -656,9 +646,9 @@ mod tests {
 
     #[test]
     fn nxdomain_negatively_cached() {
-        let net = SimNet::new(5);
+        let net = BackendKind::Sim.build(5);
         let (roots, _cell) = hierarchy(&net);
-        let resolver = Resolver::new(&net, "test", roots);
+        let resolver = Resolver::on(&net, "test", roots);
         let n = name("9.9.f0.cell.flame.");
         let e1 = resolver.resolve(&n, RecordType::MapSrv).unwrap_err();
         assert!(matches!(e1, DnsError::NxDomain(_)));
@@ -675,9 +665,9 @@ mod tests {
 
     #[test]
     fn runtime_registration_visible_after_negative_ttl() {
-        let net = SimNet::new(5);
+        let net = BackendKind::Sim.build(5);
         let (roots, cell) = hierarchy(&net);
-        let resolver = Resolver::new(&net, "test", roots);
+        let resolver = Resolver::on(&net, "test", roots);
         let n = name("3.3.f0.cell.flame.");
         assert!(resolver.resolve(&n, RecordType::MapSrv).is_err());
         cell.with_zones_mut(|zones| {
@@ -700,13 +690,13 @@ mod tests {
 
     #[test]
     fn dead_root_fails_over_to_second_hint() {
-        let net = SimNet::new(5);
+        let net = BackendKind::Sim.build(5);
         let (mut roots, _cell) = hierarchy(&net);
         // Add a dead server as the first hint.
         let dead = net.register("dns:dead", None);
         net.set_down(dead, true);
         roots.insert(0, dead);
-        let resolver = Resolver::new(&net, "test", roots);
+        let resolver = Resolver::on(&net, "test", roots);
         let out = resolver
             .resolve(&name("1.2.f0.cell.flame."), RecordType::MapSrv)
             .unwrap();
@@ -717,10 +707,10 @@ mod tests {
 
     #[test]
     fn all_servers_dead_is_network_error() {
-        let net = SimNet::new(5);
+        let net = BackendKind::Sim.build(5);
         let dead = net.register("dns:dead", None);
         net.set_down(dead, true);
-        let resolver = Resolver::new(&net, "test", vec![dead]);
+        let resolver = Resolver::on(&net, "test", vec![dead]);
         let err = resolver.resolve(&name("x."), RecordType::A).unwrap_err();
         assert!(matches!(err, DnsError::Network(_)));
         assert_eq!(resolver.stats().failures, 1);
@@ -728,13 +718,13 @@ mod tests {
 
     #[test]
     fn cache_disabled_always_goes_upstream() {
-        let net = SimNet::new(5);
+        let net = BackendKind::Sim.build(5);
         let (roots, _cell) = hierarchy(&net);
         let config = ResolverConfig {
             cache_enabled: false,
             ..Default::default()
         };
-        let resolver = Resolver::with_config(&net, "cold", roots, config);
+        let resolver = Resolver::with_config_on(net.clone(), "cold", roots, config);
         let n = name("1.2.f0.cell.flame.");
         resolver.resolve(&n, RecordType::MapSrv).unwrap();
         let out2 = resolver.resolve(&n, RecordType::MapSrv).unwrap();
@@ -745,7 +735,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_bounds_cache() {
-        let net = SimNet::new(5);
+        let net = BackendKind::Sim.build(5);
         // Single flat zone with many names.
         let mut zone = Zone::new(DomainName::root());
         for i in 0..20 {
@@ -755,12 +745,13 @@ mod tests {
                 RecordData::A(i as u64),
             ));
         }
-        let server = AuthServer::spawn(&net, "root", vec![zone]);
+        let server = AuthServer::spawn_on(&net, "root", vec![zone]);
         let config = ResolverConfig {
             cache_capacity: 8,
             ..Default::default()
         };
-        let resolver = Resolver::with_config(&net, "small", vec![server.endpoint()], config);
+        let resolver =
+            Resolver::with_config_on(net.clone(), "small", vec![server.endpoint()], config);
         for i in 0..20 {
             resolver
                 .resolve(&name(&format!("n{i}.")), RecordType::A)
@@ -775,7 +766,7 @@ mod tests {
 
     #[test]
     fn expired_entries_do_not_displace_live_ones() {
-        let net = SimNet::new(5);
+        let net = BackendKind::Sim.build(5);
         // A flat zone: three short-TTL names and four long-TTL names.
         let mut zone = Zone::new(DomainName::root());
         for i in 0..3 {
@@ -792,12 +783,13 @@ mod tests {
                 RecordData::A(100 + i as u64),
             ));
         }
-        let server = AuthServer::spawn(&net, "root", vec![zone]);
+        let server = AuthServer::spawn_on(&net, "root", vec![zone]);
         let config = ResolverConfig {
             cache_capacity: 4,
             ..Default::default()
         };
-        let resolver = Resolver::with_config(&net, "small", vec![server.endpoint()], config);
+        let resolver =
+            Resolver::with_config_on(net.clone(), "small", vec![server.endpoint()], config);
         for i in 0..3 {
             resolver
                 .resolve(&name(&format!("short{i}.")), RecordType::A)
@@ -832,9 +824,9 @@ mod tests {
 
     #[test]
     fn resolve_many_dedupes_in_batch_duplicates() {
-        let net = SimNet::new(5);
+        let net = BackendKind::Sim.build(5);
         let (roots, _cell) = hierarchy(&net);
-        let resolver = Resolver::new(&net, "test", roots);
+        let resolver = Resolver::on(&net, "test", roots);
         let n = name("1.2.f0.cell.flame.");
         let batch = vec![
             (n.clone(), RecordType::MapSrv),
@@ -859,15 +851,15 @@ mod tests {
 
     #[test]
     fn servfail_walks_are_negatively_cached() {
-        let net = SimNet::new(5);
+        let net = BackendKind::Sim.build(5);
         // Root delegates `broken.` to a server that hosts no such zone:
         // every walk ends in an authoritative ServFail. Without
         // negative caching each repeat lookup re-walks the chain.
-        let lame = AuthServer::spawn(&net, "lame", vec![Zone::new(name("other."))]);
+        let lame = AuthServer::spawn_on(&net, "lame", vec![Zone::new(name("other."))]);
         let mut root = Zone::new(DomainName::root());
         root.delegate(name("broken."), name("ns.broken."), lame.endpoint().0);
-        let root_server = AuthServer::spawn(&net, "root", vec![root]);
-        let resolver = Resolver::new(&net, "t", vec![root_server.endpoint()]);
+        let root_server = AuthServer::spawn_on(&net, "root", vec![root]);
+        let resolver = Resolver::on(&net, "t", vec![root_server.endpoint()]);
         let n = name("x.broken.");
         let e1 = resolver.resolve(&n, RecordType::A).unwrap_err();
         assert!(matches!(e1, DnsError::ServFail(_)));
@@ -892,18 +884,19 @@ mod tests {
 
     #[test]
     fn negative_entries_share_the_bounded_cache() {
-        let net = SimNet::new(5);
+        let net = BackendKind::Sim.build(5);
         // A flat zone with NO matching names: every lookup is an
         // NXDOMAIN, so the negative entries alone must hit the
         // capacity bound and be evicted expired-first/LRU exactly like
         // positive ones.
         let zone = Zone::new(DomainName::root());
-        let server = AuthServer::spawn(&net, "root", vec![zone]);
+        let server = AuthServer::spawn_on(&net, "root", vec![zone]);
         let config = ResolverConfig {
             cache_capacity: 8,
             ..Default::default()
         };
-        let resolver = Resolver::with_config(&net, "small", vec![server.endpoint()], config);
+        let resolver =
+            Resolver::with_config_on(net.clone(), "small", vec![server.endpoint()], config);
         for i in 0..20 {
             let e = resolver
                 .resolve(&name(&format!("ghost{i}.")), RecordType::A)
@@ -933,9 +926,9 @@ mod tests {
 
     #[test]
     fn resolve_many_dedupes_nonexistent_names_onto_one_negative_walk() {
-        let net = SimNet::new(5);
+        let net = BackendKind::Sim.build(5);
         let (roots, _cell) = hierarchy(&net);
-        let resolver = Resolver::new(&net, "test", roots);
+        let resolver = Resolver::on(&net, "test", roots);
         let n = name("9.9.f0.cell.flame.");
         let batch = vec![
             (n.clone(), RecordType::MapSrv),
@@ -968,11 +961,11 @@ mod tests {
 
     #[test]
     fn nodata_is_cached_as_empty_success() {
-        let net = SimNet::new(5);
+        let net = BackendKind::Sim.build(5);
         let mut zone = Zone::new(DomainName::root());
         zone.add(Record::new(name("host."), 300, RecordData::A(1)));
-        let server = AuthServer::spawn(&net, "root", vec![zone]);
-        let resolver = Resolver::new(&net, "t", vec![server.endpoint()]);
+        let server = AuthServer::spawn_on(&net, "root", vec![zone]);
+        let resolver = Resolver::on(&net, "t", vec![server.endpoint()]);
         let out = resolver.resolve(&name("host."), RecordType::Txt).unwrap();
         assert!(out.records.is_empty());
         let out2 = resolver.resolve(&name("host."), RecordType::Txt).unwrap();

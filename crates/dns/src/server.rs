@@ -1,10 +1,10 @@
-//! Authoritative DNS servers bound to simulated network endpoints.
+//! Authoritative DNS servers bound to transport endpoints.
 
 use crate::record::{QueryMsg, Rcode, ResponseMsg};
 use crate::zone::Zone;
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_diag::{ranks, OrderedRwLock};
-use openflame_netsim::{EndpointId, SimNet, SimTransport, Transport, WireService};
+use openflame_netsim::{EndpointId, Transport, WireService};
 use std::sync::Arc;
 
 /// An authoritative server hosting one or more zones.
@@ -24,13 +24,6 @@ pub struct AuthServer {
 }
 
 impl AuthServer {
-    /// Creates a server hosting `zones` and registers it on the
-    /// simulated network ([`AuthServer::spawn_on`] with a
-    /// [`SimTransport`]).
-    pub fn spawn(net: &SimNet, name: impl Into<String>, zones: Vec<Zone>) -> Arc<Self> {
-        Self::spawn_on(&SimTransport::shared(net), name, zones)
-    }
-
     /// Creates a server hosting `zones` and binds it on any transport
     /// backend.
     pub fn spawn_on(
@@ -115,13 +108,14 @@ mod tests {
     use super::*;
     use crate::name::DomainName;
     use crate::record::{Record, RecordData, RecordType};
+    use openflame_netsim::BackendKind;
 
     fn name(s: &str) -> DomainName {
         DomainName::parse(s).unwrap()
     }
 
     fn ask(
-        net: &SimNet,
+        net: &Arc<dyn Transport>,
         client: EndpointId,
         server: EndpointId,
         n: &str,
@@ -131,16 +125,16 @@ mod tests {
             name: name(n),
             rtype,
         };
-        let bytes = net.call(client, server, to_bytes(&q).to_vec()).unwrap();
-        from_bytes(&bytes).unwrap()
+        let transfer = net.call(client, server, to_bytes(&q).to_vec()).unwrap();
+        from_bytes(&transfer.payload).unwrap()
     }
 
     #[test]
     fn serves_zone_over_network() {
-        let net = SimNet::new(3);
+        let net = BackendKind::Sim.build(3);
         let mut zone = Zone::new(name("flame."));
         zone.add(Record::new(name("api.flame."), 300, RecordData::A(42)));
-        let server = AuthServer::spawn(&net, "root", vec![zone]);
+        let server = AuthServer::spawn_on(&net, "root", vec![zone]);
         let client = net.register("client", None);
         let resp = ask(&net, client, server.endpoint(), "api.flame.", RecordType::A);
         assert_eq!(resp.rcode, Rcode::NoError);
@@ -150,7 +144,7 @@ mod tests {
 
     #[test]
     fn picks_most_specific_zone() {
-        let net = SimNet::new(3);
+        let net = BackendKind::Sim.build(3);
         let mut parent = Zone::new(name("flame."));
         parent.add(Record::new(
             name("x.cell.flame."),
@@ -163,7 +157,7 @@ mod tests {
             60,
             RecordData::Txt("child".into()),
         ));
-        let server = AuthServer::spawn(&net, "both", vec![parent, child]);
+        let server = AuthServer::spawn_on(&net, "both", vec![parent, child]);
         let client = net.register("client", None);
         let resp = ask(
             &net,
@@ -177,20 +171,20 @@ mod tests {
 
     #[test]
     fn malformed_query_servfails() {
-        let net = SimNet::new(3);
-        let server = AuthServer::spawn(&net, "root", vec![Zone::new(DomainName::root())]);
+        let net = BackendKind::Sim.build(3);
+        let server = AuthServer::spawn_on(&net, "root", vec![Zone::new(DomainName::root())]);
         let client = net.register("client", None);
-        let bytes = net
+        let transfer = net
             .call(client, server.endpoint(), vec![0xFF, 0x01, 0x02])
             .unwrap();
-        let resp: ResponseMsg = from_bytes(&bytes).unwrap();
+        let resp: ResponseMsg = from_bytes(&transfer.payload).unwrap();
         assert_eq!(resp.rcode, Rcode::ServFail);
     }
 
     #[test]
     fn runtime_zone_mutation_visible() {
-        let net = SimNet::new(3);
-        let server = AuthServer::spawn(&net, "root", vec![Zone::new(name("flame."))]);
+        let net = BackendKind::Sim.build(3);
+        let server = AuthServer::spawn_on(&net, "root", vec![Zone::new(name("flame."))]);
         let client = net.register("client", None);
         let miss = ask(&net, client, server.endpoint(), "new.flame.", RecordType::A);
         assert_eq!(miss.rcode, Rcode::NxDomain);

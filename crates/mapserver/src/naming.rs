@@ -8,7 +8,6 @@
 
 use openflame_cells::CellId;
 use openflame_dns::{DnsError, DomainName};
-use openflame_geo::LatLng;
 
 /// The root domain under which all spatial names live.
 pub const SPATIAL_ROOT: &str = "cell.flame.";
@@ -34,12 +33,6 @@ pub fn cell_to_wildcard(cell: CellId) -> DomainName {
     cell_to_name(cell).child("*").expect("'*' is a valid label")
 }
 
-/// The discovery query name for a coarse device location.
-pub fn query_name(location: LatLng) -> DomainName {
-    let cell = CellId::from_latlng(location, QUERY_LEVEL).expect("query level is valid");
-    cell_to_name(cell)
-}
-
 /// Parses a spatial name back into its cell.
 pub fn name_to_cell(name: &DomainName) -> Result<CellId, DnsError> {
     let root = DomainName::parse(SPATIAL_ROOT).expect("constant parses");
@@ -56,9 +49,16 @@ pub fn name_to_cell(name: &DomainName) -> Result<CellId, DnsError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openflame_geo::LatLng;
 
     fn pitt() -> LatLng {
         LatLng::new(40.4433, -79.9436).unwrap()
+    }
+
+    /// The discovery query name for a coarse device location, built
+    /// the way the client's discovery builds it.
+    fn query_name(location: LatLng) -> DomainName {
+        cell_to_name(CellId::from_latlng(location, QUERY_LEVEL).unwrap())
     }
 
     #[test]

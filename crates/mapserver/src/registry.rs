@@ -86,24 +86,25 @@ pub fn mapsrv_record_count(dns: &AuthServer) -> usize {
 mod tests {
     use super::*;
     use crate::acl::AccessPolicy;
-    use crate::naming::{query_name, SPATIAL_ROOT};
+    use crate::naming::{cell_to_name, QUERY_LEVEL, SPATIAL_ROOT};
     use crate::server::MapServerConfig;
+    use openflame_cells::CellId;
     use openflame_dns::{DomainName, Zone};
-    use openflame_netsim::SimNet;
+    use openflame_netsim::{BackendKind, Transport};
     use openflame_worldgen::{World, WorldConfig};
 
     fn setup() -> (
-        SimNet,
+        std::sync::Arc<dyn Transport>,
         std::sync::Arc<AuthServer>,
         std::sync::Arc<MapServer>,
         World,
     ) {
-        let net = SimNet::new(2);
+        let net = BackendKind::Sim.build(2);
         let zone = Zone::new(DomainName::parse(SPATIAL_ROOT).unwrap());
-        let dns = AuthServer::spawn(&net, "cells", vec![zone]);
+        let dns = AuthServer::spawn_on(&net, "cells", vec![zone]);
         let world = World::generate(WorldConfig::default());
         let venue = &world.venues[0];
-        let server = MapServer::spawn(
+        let server = MapServer::spawn_on(
             &net,
             MapServerConfig {
                 id: "store0".into(),
@@ -135,7 +136,7 @@ mod tests {
         register_server(&dns, &server, 13);
         // A discovery query at the canonical level for a point at the
         // venue must find the MAPSRV record (via exact or wildcard).
-        let name = query_name(world.venues[0].hint);
+        let name = cell_to_name(CellId::from_latlng(world.venues[0].hint, QUERY_LEVEL).unwrap());
         let resp = dns.with_zones(|zones| zones[0].query(&name, RecordType::MapSrv));
         assert!(
             !resp.answers.is_empty(),

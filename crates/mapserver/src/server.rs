@@ -25,7 +25,7 @@ use openflame_geo::{LatLng, Point2};
 use openflame_geocode::{reverse_geocode, Geocoder};
 use openflame_localize::{Estimate, LocationCue, RadioMap, TagRegistry};
 use openflame_mapdata::{MapDocument, MapPatch, NodeId};
-use openflame_netsim::{EndpointId, OverloadPolicy, SimNet, SimTransport, Transport, WireService};
+use openflame_netsim::{EndpointId, OverloadPolicy, Transport, WireService};
 use openflame_routing::dijkstra::dijkstra_many;
 use openflame_routing::{bidirectional, ContractionHierarchy, Profile, RoadGraph};
 use openflame_search::SearchIndex;
@@ -260,12 +260,6 @@ pub struct MapServer {
 }
 
 impl MapServer {
-    /// Spawns the server onto the simulated network
-    /// ([`MapServer::spawn_on`] with a [`SimTransport`]).
-    pub fn spawn(net: &SimNet, config: MapServerConfig) -> Arc<Self> {
-        Self::spawn_on(&SimTransport::shared(net), config)
-    }
-
     /// Spawns the server onto any transport backend: the simulator or a
     /// real-socket transport — the server code cannot tell which.
     pub fn spawn_on(transport: &Arc<dyn Transport>, config: MapServerConfig) -> Arc<Self> {
@@ -709,10 +703,10 @@ mod tests {
     use super::*;
     use crate::acl::Rule;
     use openflame_mapdata::Tags;
-    use openflame_netsim::{QuicLiteTransport, TcpTransport};
+    use openflame_netsim::{BackendKind, QuicLiteTransport, TcpTransport};
     use openflame_worldgen::{World, WorldConfig};
 
-    fn venue_server(net: &SimNet) -> (Arc<MapServer>, World) {
+    fn venue_server(net: &Arc<dyn Transport>) -> (Arc<MapServer>, World) {
         let world = World::generate(WorldConfig::default());
         let venue = &world.venues[0];
         let config = MapServerConfig {
@@ -726,12 +720,12 @@ mod tests {
             radius_m: venue.radius_m,
             build_ch: false,
         };
-        (MapServer::spawn(net, config), world)
+        (MapServer::spawn_on(net, config), world)
     }
 
     #[test]
     fn hello_advertises_capabilities() {
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let (server, _world) = venue_server(&net);
         let hello = server.hello();
         assert_eq!(hello.server_id, "venue0");
@@ -744,7 +738,7 @@ mod tests {
 
     #[test]
     fn search_finds_stocked_products() {
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let (server, world) = venue_server(&net);
         let product = &world.products[0];
         let results = server
@@ -762,7 +756,7 @@ mod tests {
 
     #[test]
     fn route_entrance_to_shelf() {
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let (server, world) = venue_server(&net);
         let venue = &world.venues[0];
         let shelf = venue.stocked[5].1;
@@ -778,7 +772,7 @@ mod tests {
 
     #[test]
     fn localize_from_beacon_cue() {
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let (server, world) = venue_server(&net);
         let venue = &world.venues[0];
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(9);
@@ -802,7 +796,7 @@ mod tests {
 
     #[test]
     fn localize_tag_beats_beacon() {
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let (server, world) = venue_server(&net);
         let venue = &world.venues[0];
         let tag_id = {
@@ -828,7 +822,7 @@ mod tests {
             radius_m: venue.radius_m,
             build_ch: false,
         };
-        let server2 = MapServer::spawn(&net, config);
+        let server2 = MapServer::spawn_on(&net, config);
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(10);
         let radio = RadioMap::survey(
             venue.beacons.clone(),
@@ -848,7 +842,7 @@ mod tests {
 
     #[test]
     fn acl_denies_and_counts() {
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let world = World::generate(WorldConfig::default());
         let venue = &world.venues[1];
         let policy = AccessPolicy::locked().with(
@@ -869,7 +863,7 @@ mod tests {
             radius_m: venue.radius_m,
             build_ch: false,
         };
-        let server = MapServer::spawn(&net, config);
+        let server = MapServer::spawn_on(&net, config);
         let anon = server.search(&Principal::anonymous(), "seaweed", None, 100.0, 5);
         assert!(matches!(anon, Err(ServerError::AccessDenied { .. })));
         let staff = server.search(
@@ -885,7 +879,7 @@ mod tests {
 
     #[test]
     fn rpc_round_trip_over_network() {
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let (server, world) = venue_server(&net);
         let client = net.register("client", None);
         let product = &world.products[2];
@@ -898,10 +892,10 @@ mod tests {
                 k: 3,
             },
         };
-        let bytes = net
+        let transfer = net
             .call(client, server.endpoint(), to_bytes(&env).to_vec())
             .unwrap();
-        let resp: Response = from_bytes(&bytes).unwrap();
+        let resp: Response = from_bytes(&transfer.payload).unwrap();
         let Response::Search { results } = resp else {
             panic!("unexpected response {resp:?}")
         };
@@ -912,7 +906,7 @@ mod tests {
 
     #[test]
     fn batch_dispatch_answers_positionally() {
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let (server, world) = venue_server(&net);
         let product = &world.products[0];
         let response = server.dispatch(
@@ -946,7 +940,7 @@ mod tests {
 
     #[test]
     fn serve_tcp_answers_real_socket_clients() {
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let (server, world) = venue_server(&net);
         // The same server, bound on an additional real-TCP listener.
         let tcp = TcpTransport::new(5);
@@ -983,7 +977,7 @@ mod tests {
 
     #[test]
     fn serve_udp_answers_quiclite_datagram_clients() {
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let (server, world) = venue_server(&net);
         // The same server, bound on an additional reliable-datagram
         // listener: the whole dispatch stack (batching, ACLs, engines)
@@ -1024,7 +1018,7 @@ mod tests {
         use openflame_codec::framing::{read_frame, write_frame};
         use std::net::TcpStream;
 
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let (server, world) = venue_server(&net);
         let tcp = TcpTransport::new(5);
         let tcp_endpoint = server.serve_on(&tcp);
@@ -1070,7 +1064,7 @@ mod tests {
         use openflame_codec::framing::{read_frame, write_frame};
         use std::net::TcpStream;
 
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let (server, world) = venue_server(&net);
         let tcp = TcpTransport::new(5);
         let tcp_endpoint = server.serve_on(&tcp);
@@ -1137,19 +1131,19 @@ mod tests {
 
     #[test]
     fn malformed_rpc_returns_error_response() {
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let (server, _world) = venue_server(&net);
         let client = net.register("client", None);
-        let bytes = net
+        let transfer = net
             .call(client, server.endpoint(), vec![0xFF, 0xFE])
             .unwrap();
-        let resp: Response = from_bytes(&bytes).unwrap();
+        let resp: Response = from_bytes(&transfer.payload).unwrap();
         assert!(matches!(resp, Response::Error { code: 3, .. }));
     }
 
     #[test]
     fn patch_updates_and_rebuilds_indices() {
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let (server, _world) = venue_server(&net);
         let admin = Principal::anonymous(); // open policy
                                             // Add a new product node via patch.
@@ -1223,8 +1217,8 @@ mod tests {
 
     #[test]
     fn patch_republishes_the_advertisement_with_the_content() {
-        let net = SimNet::new(1);
-        let server = MapServer::spawn(&net, bare_config("bare", None));
+        let net = BackendKind::Sim.build(1);
+        let server = MapServer::spawn_on(&net, bare_config("bare", None));
         let before = server.hello();
         assert_eq!(search_count(&before), 0, "nothing searchable yet");
         let extent = |hello: &HelloInfo| hello.coverage.as_ref().unwrap().extent.clone();
@@ -1254,7 +1248,10 @@ mod tests {
         // The advertisement is a function of (configuration, map
         // version): a server spawned on the patched map says the same.
         let patched = server.with_map(Clone::clone);
-        let fresh = MapServer::spawn(&SimNet::new(2), bare_config("bare", Some(patched)));
+        let fresh = MapServer::spawn_on(
+            &BackendKind::Sim.build(2),
+            bare_config("bare", Some(patched)),
+        );
         assert_eq!(*after, *fresh.hello());
     }
 
@@ -1329,7 +1326,7 @@ mod tests {
 
     #[test]
     fn stale_patch_rejected() {
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let (server, _world) = venue_server(&net);
         let patch = MapPatch::new(99);
         assert!(matches!(
@@ -1340,7 +1337,7 @@ mod tests {
 
     #[test]
     fn anchored_server_serves_tiles() {
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let world = World::generate(WorldConfig::default());
         let config = MapServerConfig {
             id: "outdoor".into(),
@@ -1353,7 +1350,7 @@ mod tests {
             radius_m: 2_000.0,
             build_ch: false,
         };
-        let server = MapServer::spawn(&net, config);
+        let server = MapServer::spawn_on(&net, config);
         assert!(server.hello().anchored);
         let (x, y) = openflame_geo::Mercator::tile_for(world.config.center, 15);
         let tile = server
@@ -1395,7 +1392,7 @@ mod tests {
 
     #[test]
     fn overloaded_tcp_endpoint_answers_wire_busy() {
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let (server, world) = venue_server(&net);
         let tcp = TcpTransport::new(5);
         let tcp_endpoint = server.serve_on(&tcp);
@@ -1440,7 +1437,7 @@ mod tests {
 
     #[test]
     fn route_matrix_shape_and_consistency() {
-        let net = SimNet::new(1);
+        let net = BackendKind::Sim.build(1);
         let (server, world) = venue_server(&net);
         let venue = &world.venues[0];
         let entrance = venue.entrance_local;

@@ -1,42 +1,46 @@
-//! Deterministic network simulation substrate.
+//! The wire under every client/server interaction: one [`Transport`]
+//! trait, a deterministic simulator and two real-socket backends.
 //!
 //! OpenFLAME's evaluation needs latencies, message counts and byte
 //! volumes for protocols running between clients, DNS servers and map
 //! servers. There is no async runtime in the approved dependency set —
-//! and determinism is worth more than concurrency here — so the network
-//! is a synchronous discrete-event simulation:
+//! and determinism is worth more than concurrency here — so the default
+//! backend, [`SimNet`], is a synchronous discrete-event simulation that
+//! implements [`Transport`] directly:
 //!
-//! - a single logical clock in microseconds ([`SimNet::now_us`]),
-//! - registered [`RpcHandler`] endpoints addressed by [`EndpointId`],
-//! - every [`SimNet::call`] advances the clock by a latency model
-//!   (processing + distance propagation + serialization + seeded jitter)
-//!   and charges bytes to both endpoints,
-//! - [`SimNet::call_parallel`] models concurrent fan-out: branches start
-//!   from the same instant and the clock ends at the slowest branch,
+//! - a single logical clock in microseconds ([`Transport::now_us`]),
+//! - registered [`WireService`] endpoints addressed by [`EndpointId`],
+//! - every call advances the clock by a latency model (processing +
+//!   distance propagation + serialization + seeded jitter) and charges
+//!   bytes to both endpoints,
+//! - calls submitted before any of them is claimed model concurrent
+//!   fan-out: branches start from the same instant and the clock ends
+//!   at the slowest branch,
 //! - failure injection: endpoints can be taken down and links can drop
 //!   messages with a configured probability.
 //!
-//! Handlers may issue nested calls (e.g. a recursive DNS resolver
-//! contacting authoritative servers), which accumulate clock time
-//! exactly like sequential network round trips.
+//! A service may issue nested calls through a handle it captured (e.g.
+//! a proxy contacting a backend), which accumulate clock time exactly
+//! like sequential network round trips.
 //!
 //! Beside the simulator sit two real-socket backends behind the same
-//! [`Transport`] trait, and they are one implementation, not two. The
-//! socket `core` module owns everything that defines a socket call —
-//! correlation-id completion and demux, the endpoint book, clock /
-//! timeout / drop roll / counters, frame-level charging, the dispatch
-//! pool with its admit-or-shed step, and the only `impl Transport` for
-//! socket backends. A *binding* ([`tcp`], [`udp`]) owns only how framed
-//! bytes move: binding a served endpoint, putting an encoded frame on
-//! the wire, deciding what a failed or timed-out call means on that
-//! medium, cutting connections on `set_down`, and teardown — streams
-//! under a reactor pool in one, reliable datagrams with resumption and
-//! RTO in the other. The simulator is deliberately *not* a binding: a
+//! trait, and they are one implementation, not two. The socket `core`
+//! module owns everything that defines a socket call — correlation-id
+//! completion and demux, the endpoint book, clock / timeout / drop roll
+//! / counters, frame-level charging, the dispatch pool with its
+//! admit-or-shed step, and the only `impl Transport` for socket
+//! backends. A *binding* ([`tcp`], [`udp`]) owns only how framed bytes
+//! move: binding a served endpoint, putting an encoded frame on the
+//! wire, deciding what a failed or timed-out call means on that medium,
+//! cutting connections on `set_down`, and teardown — streams under a
+//! reactor pool in one, reliable datagrams with resumption and RTO in
+//! the other. The simulator is deliberately *not* a binding: a
 //! simulated call executes eagerly on the caller's thread and rewinds
 //! the shared clock, and traffic is charged per hop as it happens —
 //! there is no completion to wait for, no worker to dispatch on and no
 //! frame to charge at claim time, so it shares no logic with a socket
-//! call and stays its own [`Transport`] impl ([`SimTransport`]).
+//! call and stays its own `impl Transport`, the only other one in the
+//! crate.
 
 pub(crate) mod core;
 pub(crate) mod reactor;
@@ -49,7 +53,7 @@ pub use stats::{EndpointLatency, EndpointStats, NetStats};
 pub use tcp::TcpTransport;
 pub use transport::{
     BackendKind, BusyReplyFn, CallHandle, ClassifyFn, CompletionSet, OverloadPolicy, PendingCall,
-    SimTransport, Transfer, Transport, WireService,
+    Transfer, Transport, WireService,
 };
 pub use udp::{QuicLiteTransport, QuicStats};
 
@@ -116,25 +120,6 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// A server-side message handler.
-///
-/// Handlers receive the raw request payload and may issue nested calls
-/// through the same [`SimNet`]. The returned bytes travel back to the
-/// caller with response latency applied.
-pub trait RpcHandler: Send + Sync {
-    /// Handles one request.
-    fn handle(&self, net: &SimNet, from: EndpointId, payload: &[u8]) -> Result<Vec<u8>, NetError>;
-}
-
-impl<F> RpcHandler for F
-where
-    F: Fn(&SimNet, EndpointId, &[u8]) -> Result<Vec<u8>, NetError> + Send + Sync,
-{
-    fn handle(&self, net: &SimNet, from: EndpointId, payload: &[u8]) -> Result<Vec<u8>, NetError> {
-        self(net, from, payload)
-    }
-}
-
 /// Latency model for one direction of one message.
 #[derive(Debug, Clone, Copy)]
 pub struct LatencyModel {
@@ -164,7 +149,7 @@ impl Default for LatencyModel {
 
 struct Endpoint {
     name: String,
-    handler: Option<Arc<dyn RpcHandler>>,
+    service: Option<Arc<dyn WireService>>,
     location: Option<LatLng>,
     down: bool,
     stats: EndpointStats,
@@ -182,26 +167,52 @@ struct NetInner {
     stats: NetStats,
 }
 
-/// The simulated network.
+/// The simulated network: the deterministic [`Transport`] backend.
 ///
-/// Cheap to clone (shared handle). All state sits behind one lock that is
-/// never held across handler invocations, so nested calls are safe.
+/// Cheap to clone (shared handle): every clone sees the same clock,
+/// counters and endpoints. All state sits behind one lock that is never
+/// held across service invocations, so nested calls are safe.
+///
+/// **Submit semantics**: a submitted call executes *eagerly* (the
+/// request really is "on the wire" the moment it is submitted, like on
+/// a socket backend) and the simulated clock is rewound to the submit
+/// instant, so every call submitted before the first wait starts from
+/// the same instant. Waiting advances the clock to the branch's end,
+/// never backwards — a round of submits followed by waits costs the
+/// slowest branch, and submit order fixes the RNG draw order,
+/// preserving determinism.
+///
+/// **Single driver**: the execute-then-rewind dance manipulates the
+/// one shared simulated clock, so submits from *concurrent OS threads*
+/// would interleave their rewinds and corrupt each other's timings.
+/// The simulator models concurrency *in* simulated time from *one*
+/// driving thread; workloads that need real OS-thread concurrency
+/// belong on [`TcpTransport`], as the pipelining stress test does.
+///
+/// **Per-server service concurrency**: because each submitted branch
+/// executes eagerly and the clock is rewound to the submit instant, a
+/// service that consumes service time (advancing the clock through a
+/// handle it captured) delays only its own branch — concurrently
+/// submitted calls to the *same* server still start from the shared
+/// instant and cost max-of-branches. That is exactly the serve-side
+/// model the TCP backend implements with its bounded dispatch pool (a
+/// slow request never head-of-line blocks pipelined siblings), so the
+/// cross-backend message/latency parity invariants hold under mixed
+/// slow/fast workloads too.
 ///
 /// # Examples
 ///
 /// ```
-/// use openflame_netsim::{NetError, SimNet};
+/// use openflame_netsim::{EndpointId, SimNet, Transport};
+/// use std::sync::Arc;
 ///
-/// let net = SimNet::new(42);
+/// let net = SimNet::shared(42);
 /// let server = net.register("echo", None);
-/// net.set_handler(
-///     server,
-///     |_net: &openflame_netsim::SimNet, _from, payload: &[u8]| Ok(payload.to_vec()),
-/// );
+/// net.set_service(server, Arc::new(|_from: EndpointId, payload: &[u8]| payload.to_vec()));
 /// let client = net.register("client", None);
 /// let reply = net.call(client, server, b"hello".to_vec()).unwrap();
-/// assert_eq!(reply, b"hello");
-/// assert!(net.now_us() > 0);
+/// assert_eq!(reply.payload, b"hello");
+/// assert_eq!(reply.latency_us, net.now_us());
 /// ```
 #[derive(Clone)]
 pub struct SimNet {
@@ -234,121 +245,9 @@ impl SimNet {
         }
     }
 
-    /// Registers an endpoint (initially with no handler — a pure client).
-    pub fn register(&self, name: impl Into<String>, location: Option<LatLng>) -> EndpointId {
-        let mut inner = self.inner.lock();
-        let id = EndpointId(inner.next_id);
-        inner.next_id += 1;
-        inner.endpoints.insert(
-            id,
-            Endpoint {
-                name: name.into(),
-                handler: None,
-                location,
-                down: false,
-                stats: EndpointStats::default(),
-                latency: EndpointLatency::default(),
-            },
-        );
-        id
-    }
-
-    /// Installs the request handler for an endpoint.
-    pub fn set_handler<H: RpcHandler + 'static>(&self, id: EndpointId, handler: H) {
-        let mut inner = self.inner.lock();
-        if let Some(ep) = inner.endpoints.get_mut(&id) {
-            ep.handler = Some(Arc::new(handler));
-        }
-    }
-
-    /// Marks an endpoint up or down (failure injection).
-    pub fn set_down(&self, id: EndpointId, down: bool) {
-        let mut inner = self.inner.lock();
-        if let Some(ep) = inner.endpoints.get_mut(&id) {
-            ep.down = down;
-        }
-    }
-
-    /// Sets the probability in `[0, 1]` that any message is dropped.
-    pub fn set_drop_probability(&self, p: f64) {
-        self.inner.lock().drop_probability = p.clamp(0.0, 1.0);
-    }
-
-    /// Sets the timeout charged to dropped messages.
-    pub fn set_timeout_us(&self, timeout_us: u64) {
-        self.inner.lock().timeout_us = timeout_us;
-    }
-
-    /// Current simulated time in microseconds.
-    pub fn now_us(&self) -> u64 {
-        self.inner.lock().clock_us
-    }
-
-    /// Advances the clock (e.g. a client thinking or a sensor sampling).
-    pub fn advance_us(&self, dt: u64) {
-        self.inner.lock().clock_us += dt;
-    }
-
-    /// Rewinds the clock to `t_us`. Used by the submit/completion wire
-    /// layer: a submitted call executes eagerly from the submit instant
-    /// and the clock is restored, so concurrent branches all start
-    /// together; claiming the completion advances to the branch's end.
-    pub(crate) fn set_clock_us(&self, t_us: u64) {
-        self.inner.lock().clock_us = t_us;
-    }
-
-    /// Advances the clock to at least `t_us` (no-op if already past).
-    pub(crate) fn advance_to_us(&self, t_us: u64) {
-        let mut inner = self.inner.lock();
-        if inner.clock_us < t_us {
-            inner.clock_us = t_us;
-        }
-    }
-
-    /// The registered name of an endpoint.
-    pub fn endpoint_name(&self, id: EndpointId) -> Option<String> {
-        self.inner.lock().endpoints.get(&id).map(|e| e.name.clone())
-    }
-
-    /// Global traffic statistics snapshot.
-    pub fn stats(&self) -> NetStats {
-        self.inner.lock().stats.clone()
-    }
-
-    /// Per-endpoint statistics snapshot.
-    pub fn endpoint_stats(&self, id: EndpointId) -> Option<EndpointStats> {
-        self.inner
-            .lock()
-            .endpoints
-            .get(&id)
-            .map(|e| e.stats.clone())
-    }
-
-    /// Latency summary of completed calls *to* `id` (see
-    /// [`EndpointLatency`]): samples are recorded when a call's
-    /// completion is claimed, and [`SimNet::reset_stats`] clears them.
-    pub fn endpoint_latency(&self, id: EndpointId) -> Option<EndpointLatency> {
-        self.inner.lock().endpoints.get(&id).map(|e| e.latency)
-    }
-
-    /// Folds one completed-call latency sample into `to`'s summary.
-    pub(crate) fn note_latency(&self, to: EndpointId, sample_us: u64) {
-        let mut inner = self.inner.lock();
-        if let Some(ep) = inner.endpoints.get_mut(&to) {
-            ep.latency.observe(sample_us);
-        }
-    }
-
-    /// Resets global and per-endpoint statistics (not the clock).
-    /// Latency summaries reset too, so replica selection after a reset
-    /// starts from the same blank book on every backend.
-    pub fn reset_stats(&self) {
-        let mut inner = self.inner.lock();
-        inner.stats = NetStats::default();
-        for ep in inner.endpoints.values_mut() {
-            ep.stats = EndpointStats::default();
-            ep.latency = EndpointLatency::default();
-        }
+    /// A default-latency network as a shared `Arc<dyn Transport>`.
+    pub fn shared(seed: u64) -> Arc<dyn Transport> {
+        Arc::new(Self::new(seed))
     }
 
     /// One latency sample for a message of `bytes` between two endpoints,
@@ -395,55 +294,155 @@ impl SimNet {
         Ok(())
     }
 
-    /// Sends `payload` from `from` to `to` and returns the handler's
+    /// Sends `payload` from `from` to `to` and returns the service's
     /// response, advancing the simulated clock for both directions.
-    pub fn call(
+    fn exchange(
         &self,
         from: EndpointId,
         to: EndpointId,
-        payload: Vec<u8>,
+        payload: &[u8],
     ) -> Result<Vec<u8>, NetError> {
-        let handler = {
-            let inner = self.inner.lock();
+        let service = {
+            let mut inner = self.inner.lock();
             let ep = inner
                 .endpoints
                 .get(&to)
                 .ok_or(NetError::NoSuchEndpoint(to))?;
             if ep.down {
                 // A dead server looks like a timeout to the caller.
-                drop(inner);
-                let timeout = self.inner.lock().timeout_us;
-                self.inner.lock().clock_us += timeout;
+                let timeout = inner.timeout_us;
+                inner.clock_us += timeout;
                 return Err(NetError::EndpointDown(to));
             }
-            ep.handler.clone().ok_or(NetError::NoSuchEndpoint(to))?
+            ep.service.clone().ok_or(NetError::NoSuchEndpoint(to))?
         };
         self.message_hop(from, to, payload.len())?;
-        let response = handler.handle(self, from, &payload)?;
+        let response = service.handle(from, payload);
         self.message_hop(to, from, response.len())?;
         Ok(response)
     }
+}
 
-    /// Issues several calls concurrently: every branch starts at the
-    /// current instant and the clock afterwards reflects the *slowest*
-    /// branch, as a real fan-out would.
-    pub fn call_parallel(
-        &self,
-        from: EndpointId,
-        requests: Vec<(EndpointId, Vec<u8>)>,
-    ) -> Vec<Result<Vec<u8>, NetError>> {
-        let t0 = self.now_us();
-        let mut t_end = t0;
-        let mut results = Vec::with_capacity(requests.len());
-        for (to, payload) in requests {
-            {
-                self.inner.lock().clock_us = t0;
-            }
-            results.push(self.call(from, to, payload));
-            t_end = t_end.max(self.now_us());
+/// A simulator call that already executed; waiting advances the clock
+/// to its completion instant.
+struct SimPending {
+    net: SimNet,
+    to: EndpointId,
+    result: Result<Transfer, NetError>,
+    end_us: u64,
+}
+
+impl PendingCall for SimPending {
+    fn wait(self: Box<Self>) -> Result<Transfer, NetError> {
+        let mut inner = self.net.inner.lock();
+        inner.clock_us = inner.clock_us.max(self.end_us);
+        if let (Ok(transfer), Some(ep)) = (&self.result, inner.endpoints.get_mut(&self.to)) {
+            ep.latency.observe(transfer.latency_us);
         }
-        self.inner.lock().clock_us = t_end;
-        results
+        drop(inner);
+        self.result
+    }
+}
+
+impl Transport for SimNet {
+    fn kind(&self) -> &'static str {
+        "simnet"
+    }
+
+    fn register(&self, name: &str, location: Option<LatLng>) -> EndpointId {
+        let mut inner = self.inner.lock();
+        let id = EndpointId(inner.next_id);
+        inner.next_id += 1;
+        inner.endpoints.insert(
+            id,
+            Endpoint {
+                name: name.to_string(),
+                service: None,
+                location,
+                down: false,
+                stats: EndpointStats::default(),
+                latency: EndpointLatency::default(),
+            },
+        );
+        id
+    }
+
+    fn set_service(&self, id: EndpointId, service: Arc<dyn WireService>) {
+        if let Some(ep) = self.inner.lock().endpoints.get_mut(&id) {
+            ep.service = Some(service);
+        }
+    }
+
+    fn submit(&self, from: EndpointId, to: EndpointId, payload: Vec<u8>) -> CallHandle {
+        let t0 = self.now_us();
+        let result = self.exchange(from, to, &payload);
+        // Restore the clock: the branch ran eagerly, but simulated time
+        // only moves for the caller when the completion is claimed, so
+        // calls submitted after this one start from the same instant.
+        let end_us = std::mem::replace(&mut self.inner.lock().clock_us, t0);
+        let result = result.map(|response| Transfer {
+            latency_us: end_us - t0,
+            bytes_sent: payload.len() as u64,
+            bytes_received: response.len() as u64,
+            payload: response,
+        });
+        CallHandle::new(Box::new(SimPending {
+            net: self.clone(),
+            to,
+            result,
+            end_us,
+        }))
+    }
+
+    fn now_us(&self) -> u64 {
+        self.inner.lock().clock_us
+    }
+
+    fn advance_us(&self, dt_us: u64) {
+        self.inner.lock().clock_us += dt_us;
+    }
+
+    fn stats(&self) -> NetStats {
+        self.inner.lock().stats.clone()
+    }
+
+    fn endpoint_stats(&self, id: EndpointId) -> Option<EndpointStats> {
+        self.inner
+            .lock()
+            .endpoints
+            .get(&id)
+            .map(|e| e.stats.clone())
+    }
+
+    fn endpoint_latency(&self, id: EndpointId) -> Option<EndpointLatency> {
+        self.inner.lock().endpoints.get(&id).map(|e| e.latency)
+    }
+
+    fn reset_stats(&self) {
+        let mut inner = self.inner.lock();
+        inner.stats = NetStats::default();
+        for ep in inner.endpoints.values_mut() {
+            ep.stats = EndpointStats::default();
+            ep.latency = EndpointLatency::default();
+        }
+    }
+
+    fn endpoint_name(&self, id: EndpointId) -> Option<String> {
+        self.inner.lock().endpoints.get(&id).map(|e| e.name.clone())
+    }
+
+    fn set_down(&self, id: EndpointId, down: bool) {
+        if let Some(ep) = self.inner.lock().endpoints.get_mut(&id) {
+            ep.down = down;
+        }
+    }
+
+    fn set_drop_probability(&self, p: f64) {
+        self.inner.lock().drop_probability = p.clamp(0.0, 1.0);
+    }
+
+    fn set_timeout_us(&self, timeout_us: u64) {
+        self.inner.lock().timeout_us = timeout_us;
     }
 }
 
@@ -451,14 +450,42 @@ impl SimNet {
 mod tests {
     use super::*;
 
-    fn echo_net() -> (SimNet, EndpointId, EndpointId) {
-        let net = SimNet::new(7);
-        let server = net.register("echo", None);
-        net.set_handler(server, |_: &SimNet, _from, payload: &[u8]| {
-            Ok(payload.to_vec())
-        });
-        let client = net.register("client", None);
-        (net, client, server)
+    fn echo() -> Arc<dyn WireService> {
+        Arc::new(|_from: EndpointId, payload: &[u8]| payload.to_vec())
+    }
+
+    /// A network with one echo server per entry of `servers`, then one
+    /// client.
+    fn echo_servers(
+        net: SimNet,
+        servers: &[Option<LatLng>],
+        client: Option<LatLng>,
+    ) -> (Arc<dyn Transport>, EndpointId, Vec<EndpointId>) {
+        let net: Arc<dyn Transport> = Arc::new(net);
+        let ids = servers
+            .iter()
+            .map(|&location| {
+                let id = net.register("echo", location);
+                net.set_service(id, echo());
+                id
+            })
+            .collect();
+        let client = net.register("client", client);
+        (net, client, ids)
+    }
+
+    fn echo_net() -> (Arc<dyn Transport>, EndpointId, EndpointId) {
+        let (net, client, servers) = echo_servers(SimNet::new(7), &[None], None);
+        (net, client, servers[0])
+    }
+
+    fn fixed_latency(base_us: u64) -> LatencyModel {
+        LatencyModel {
+            base_us,
+            per_km_us: 0.0,
+            per_kib_us: 0,
+            jitter_us: 0,
+        }
     }
 
     #[test]
@@ -466,7 +493,7 @@ mod tests {
         let (net, client, server) = echo_net();
         let t0 = net.now_us();
         let reply = net.call(client, server, vec![1, 2, 3]).unwrap();
-        assert_eq!(reply, vec![1, 2, 3]);
+        assert_eq!(reply.payload, vec![1, 2, 3]);
         // Two hops, each at least base latency.
         assert!(net.now_us() >= t0 + 2 * 200);
     }
@@ -482,7 +509,7 @@ mod tests {
 
     #[test]
     fn handlerless_endpoint_errors() {
-        let net = SimNet::new(1);
+        let net = SimNet::shared(1);
         let a = net.register("a", None);
         let b = net.register("b", None);
         assert!(matches!(
@@ -510,28 +537,17 @@ mod tests {
 
     #[test]
     fn larger_payloads_cost_more() {
-        let (net, client, server) = echo_net();
-        // Compare two identical nets with different payloads to avoid
-        // jitter coupling: use zero-jitter model instead.
+        // Two identical zero-jitter nets, so only the payload differs.
         let lm = LatencyModel {
             jitter_us: 0,
             ..LatencyModel::default()
         };
-        let net_small = SimNet::with_latency(1, lm);
-        let s1 = net_small.register("s", None);
-        net_small.set_handler(s1, |_: &SimNet, _f, p: &[u8]| Ok(p.to_vec()));
-        let c1 = net_small.register("c", None);
-        net_small.call(c1, s1, vec![0u8; 10]).unwrap();
-        let small_t = net_small.now_us();
-
-        let net_big = SimNet::with_latency(1, lm);
-        let s2 = net_big.register("s", None);
-        net_big.set_handler(s2, |_: &SimNet, _f, p: &[u8]| Ok(p.to_vec()));
-        let c2 = net_big.register("c", None);
-        net_big.call(c2, s2, vec![0u8; 100 * 1024]).unwrap();
-        assert!(net_big.now_us() > small_t);
-        // Keep the first net alive for lint purposes.
-        let _ = (net, client, server);
+        let cost = |bytes: usize| {
+            let (net, client, servers) = echo_servers(SimNet::with_latency(1, lm), &[None], None);
+            net.call(client, servers[0], vec![0u8; bytes]).unwrap();
+            net.now_us()
+        };
+        assert!(cost(100 * 1024) > cost(10));
     }
 
     #[test]
@@ -540,22 +556,16 @@ mod tests {
             jitter_us: 0,
             ..LatencyModel::default()
         };
-        let near = SimNet::with_latency(1, lm);
-        let a = near.register("a", Some(LatLng::new(40.0, -80.0).unwrap()));
-        near.set_handler(a, |_: &SimNet, _f, p: &[u8]| Ok(p.to_vec()));
-        let b = near.register("b", Some(LatLng::new(40.001, -80.0).unwrap()));
-        near.call(b, a, vec![1]).unwrap();
-        let near_t = near.now_us();
-
-        let far = SimNet::with_latency(1, lm);
-        let a2 = far.register("a", Some(LatLng::new(40.0, -80.0).unwrap()));
-        far.set_handler(a2, |_: &SimNet, _f, p: &[u8]| Ok(p.to_vec()));
-        let b2 = far.register("b", Some(LatLng::new(48.0, 2.0).unwrap()));
-        far.call(b2, a2, vec![1]).unwrap();
-        assert!(
-            far.now_us() > near_t + 1000,
-            "transatlantic link must cost more"
-        );
+        let cost = |client: LatLng| {
+            let server = Some(LatLng::new(40.0, -80.0).unwrap());
+            let (net, client, servers) =
+                echo_servers(SimNet::with_latency(1, lm), &[server], Some(client));
+            net.call(client, servers[0], vec![1]).unwrap();
+            net.now_us()
+        };
+        let near = cost(LatLng::new(40.001, -80.0).unwrap());
+        let far = cost(LatLng::new(48.0, 2.0).unwrap());
+        assert!(far > near + 1000, "transatlantic link must cost more");
     }
 
     #[test]
@@ -597,20 +607,11 @@ mod tests {
 
     #[test]
     fn parallel_fanout_costs_max_not_sum() {
-        let lm = LatencyModel {
-            base_us: 1_000,
-            per_km_us: 0.0,
-            per_kib_us: 0,
-            jitter_us: 0,
-        };
-        let net = SimNet::with_latency(1, lm);
-        let mut servers = Vec::new();
-        for i in 0..8 {
-            let s = net.register(format!("s{i}"), None);
-            net.set_handler(s, |_: &SimNet, _f, p: &[u8]| Ok(p.to_vec()));
-            servers.push(s);
-        }
-        let client = net.register("c", None);
+        let (net, client, servers) = echo_servers(
+            SimNet::with_latency(1, fixed_latency(1_000)),
+            &[None; 8],
+            None,
+        );
         let t0 = net.now_us();
         let results = net.call_parallel(client, servers.iter().map(|s| (*s, vec![1u8])).collect());
         assert_eq!(results.len(), 8);
@@ -623,42 +624,36 @@ mod tests {
 
     #[test]
     fn nested_calls_accumulate_latency() {
-        let lm = LatencyModel {
-            base_us: 500,
-            per_km_us: 0.0,
-            per_kib_us: 0,
-            jitter_us: 0,
-        };
-        let net = SimNet::new(1);
-        {
-            let mut inner = net.inner.lock();
-            inner.latency = lm;
-        }
+        let net: Arc<dyn Transport> = Arc::new(SimNet::with_latency(1, fixed_latency(500)));
         let backend = net.register("backend", None);
-        net.set_handler(backend, |_: &SimNet, _f, _p: &[u8]| Ok(vec![9]));
+        net.set_service(backend, Arc::new(|_from: EndpointId, _p: &[u8]| vec![9]));
         let frontend = net.register("frontend", None);
         let frontend_client = net.register("internal-client", None);
-        net.set_handler(frontend, move |n: &SimNet, _f, _p: &[u8]| {
-            // Proxy through to the backend.
-            n.call(frontend_client, backend, vec![1])
-        });
+        let wire = net.clone();
+        net.set_service(
+            frontend,
+            Arc::new(move |_from: EndpointId, _p: &[u8]| {
+                // Proxy through to the backend.
+                wire.call(frontend_client, backend, vec![1])
+                    .unwrap()
+                    .payload
+            }),
+        );
         let client = net.register("client", None);
         let t0 = net.now_us();
         let r = net.call(client, frontend, vec![1]).unwrap();
-        assert_eq!(r, vec![9]);
+        assert_eq!(r.payload, vec![9]);
         // Four hops of 500 µs.
+        assert_eq!(r.latency_us, 2_000);
         assert_eq!(net.now_us() - t0, 2_000);
     }
 
     #[test]
     fn determinism_same_seed_same_clock() {
         let run = |seed| {
-            let net = SimNet::new(seed);
-            let s = net.register("s", None);
-            net.set_handler(s, |_: &SimNet, _f, p: &[u8]| Ok(p.to_vec()));
-            let c = net.register("c", None);
+            let (net, c, servers) = echo_servers(SimNet::new(seed), &[None], None);
             for i in 0..50 {
-                let _ = net.call(c, s, vec![i as u8; (i * 13) % 200]);
+                let _ = net.call(c, servers[0], vec![i as u8; (i * 13) % 200]);
             }
             net.now_us()
         };

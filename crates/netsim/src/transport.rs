@@ -20,13 +20,12 @@
 //!
 //! Three backends ship today:
 //!
-//! - [`SimTransport`] wraps the discrete-event [`SimNet`]: simulated
-//!   clock, modelled latencies, deterministic jitter and failure
-//!   injection. A submitted call executes eagerly on the simulated
-//!   clock and the clock is rewound to the submit instant, so every
-//!   call submitted before a wait starts from the same instant — the
-//!   deterministic analogue of real concurrency. The default for tests
-//!   and benches.
+//! - [`SimNet`] is the discrete-event simulator: simulated clock,
+//!   modelled latencies, deterministic jitter and failure injection. A
+//!   submitted call executes eagerly on the simulated clock and the
+//!   clock is rewound to the submit instant, so every call submitted
+//!   before a wait starts from the same instant — the deterministic
+//!   analogue of real concurrency. The default for tests and benches.
 //! - [`crate::tcp::TcpTransport`] speaks real TCP over `std::net` with
 //!   multiplexed, pipelined connections driven by a shared pool of
 //!   event-loop reactor threads: non-blocking sockets multiplexed on
@@ -47,7 +46,7 @@
 //!   tree.
 //!
 //! Servers bind by registering a [`WireService`]; transports own the
-//! listener mechanics (a handler closure on the simulator, a
+//! listener mechanics (a service slot on the simulator, a
 //! reactor-registered non-blocking listener on TCP).
 
 use crate::stats::{EndpointLatency, EndpointStats, NetStats};
@@ -63,7 +62,7 @@ use std::sync::Arc;
 pub struct Transfer {
     /// The response bytes.
     pub payload: Vec<u8>,
-    /// How long the call took: simulated time on [`SimTransport`],
+    /// How long the call took: simulated time on [`SimNet`],
     /// wall-clock time on real-socket backends (microseconds).
     pub latency_us: u64,
     /// Request bytes put on the wire.
@@ -378,7 +377,7 @@ pub trait Transport: Send + Sync {
     fn register(&self, name: &str, location: Option<LatLng>) -> EndpointId;
 
     /// Installs `service` as the handler for `id`, binding whatever
-    /// listener the backend needs (a handler slot on the simulator, a
+    /// listener the backend needs (a service slot on the simulator, a
     /// reactor-driven accept loop on sockets).
     fn set_service(&self, id: EndpointId, service: Arc<dyn WireService>);
 
@@ -494,7 +493,7 @@ pub trait Transport: Send + Sync {
 /// Which wire backend a deployment runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Deterministic discrete-event simulation ([`SimTransport`]).
+    /// Deterministic discrete-event simulation ([`SimNet`]).
     Sim,
     /// Real loopback TCP sockets ([`crate::tcp::TcpTransport`]).
     Tcp,
@@ -511,160 +510,10 @@ impl BackendKind {
     /// RNG.
     pub fn build(self, seed: u64) -> Arc<dyn Transport> {
         match self {
-            BackendKind::Sim => SimTransport::shared(&SimNet::new(seed)),
+            BackendKind::Sim => SimNet::shared(seed),
             BackendKind::Tcp => crate::tcp::TcpTransport::shared(seed),
             BackendKind::QuicLite => crate::udp::QuicLiteTransport::shared(seed),
         }
-    }
-}
-
-/// [`Transport`] over the deterministic [`SimNet`] simulator.
-///
-/// A thin stateless wrapper: any number of `SimTransport`s over clones
-/// of the same `SimNet` handle see the same clock, counters and
-/// endpoints.
-///
-/// **Submit semantics**: a submitted call executes *eagerly* (the
-/// request really is "on the wire" the moment it is submitted, like on
-/// a socket backend) and the simulated clock is rewound to the submit
-/// instant, so every call submitted before the first wait starts from
-/// the same instant. Waiting advances the clock to the branch's end,
-/// never backwards — a round of submits followed by waits costs the
-/// slowest branch, exactly as [`SimNet::call_parallel`] always modelled
-/// it, and submit order fixes the RNG draw order, preserving
-/// determinism.
-///
-/// **Single driver**: the execute-then-rewind dance manipulates the
-/// one shared simulated clock, so submits from *concurrent OS threads*
-/// would interleave their rewinds and corrupt each other's timings
-/// (true of [`SimNet::call_parallel`] since its inception). The
-/// simulator models concurrency *in* simulated time from *one* driving
-/// thread; workloads that need real OS-thread concurrency belong on
-/// [`crate::tcp::TcpTransport`], as the pipelining stress test does.
-///
-/// **Per-server service concurrency**: because each submitted branch
-/// executes eagerly and the clock is rewound to the submit instant, a
-/// handler that consumes service time (advancing the clock) delays
-/// only its own branch — concurrently submitted calls to the *same*
-/// server still start from the shared instant and cost
-/// max-of-branches. That is exactly the serve-side model the TCP
-/// backend implements with its bounded dispatch pool (a slow request
-/// never head-of-line blocks pipelined siblings), so the
-/// cross-backend message/latency parity invariants hold under mixed
-/// slow/fast workloads too.
-#[derive(Clone)]
-pub struct SimTransport {
-    net: SimNet,
-}
-
-impl SimTransport {
-    /// Wraps a simulator handle.
-    pub fn new(net: SimNet) -> Self {
-        Self { net }
-    }
-
-    /// Wraps a simulator handle as a shared `Arc<dyn Transport>`.
-    pub fn shared(net: &SimNet) -> Arc<dyn Transport> {
-        Arc::new(Self::new(net.clone()))
-    }
-}
-
-/// A simulator call that already executed; waiting advances the clock
-/// to its completion instant.
-struct SimPending {
-    net: SimNet,
-    to: EndpointId,
-    result: Result<Transfer, NetError>,
-    end_us: u64,
-}
-
-impl PendingCall for SimPending {
-    fn wait(self: Box<Self>) -> Result<Transfer, NetError> {
-        self.net.advance_to_us(self.end_us);
-        if let Ok(transfer) = &self.result {
-            self.net.note_latency(self.to, transfer.latency_us);
-        }
-        self.result
-    }
-}
-
-impl Transport for SimTransport {
-    fn kind(&self) -> &'static str {
-        "simnet"
-    }
-
-    fn register(&self, name: &str, location: Option<LatLng>) -> EndpointId {
-        self.net.register(name, location)
-    }
-
-    fn set_service(&self, id: EndpointId, service: Arc<dyn WireService>) {
-        self.net
-            .set_handler(id, move |_net: &SimNet, from: EndpointId, payload: &[u8]| {
-                Ok(service.handle(from, payload))
-            });
-    }
-
-    fn submit(&self, from: EndpointId, to: EndpointId, payload: Vec<u8>) -> CallHandle {
-        let bytes_sent = payload.len() as u64;
-        let t0 = self.net.now_us();
-        let result = self.net.call(from, to, payload);
-        let end_us = self.net.now_us();
-        // Restore the clock: the branch ran eagerly, but simulated time
-        // only moves for the caller when the completion is claimed, so
-        // calls submitted after this one start from the same instant.
-        self.net.set_clock_us(t0);
-        let result = result.map(|response| Transfer {
-            latency_us: end_us - t0,
-            bytes_sent,
-            bytes_received: response.len() as u64,
-            payload: response,
-        });
-        CallHandle::new(Box::new(SimPending {
-            net: self.net.clone(),
-            to,
-            result,
-            end_us,
-        }))
-    }
-
-    fn now_us(&self) -> u64 {
-        self.net.now_us()
-    }
-
-    fn advance_us(&self, dt_us: u64) {
-        self.net.advance_us(dt_us);
-    }
-
-    fn stats(&self) -> NetStats {
-        self.net.stats()
-    }
-
-    fn endpoint_stats(&self, id: EndpointId) -> Option<EndpointStats> {
-        self.net.endpoint_stats(id)
-    }
-
-    fn endpoint_latency(&self, id: EndpointId) -> Option<EndpointLatency> {
-        self.net.endpoint_latency(id)
-    }
-
-    fn reset_stats(&self) {
-        self.net.reset_stats();
-    }
-
-    fn endpoint_name(&self, id: EndpointId) -> Option<String> {
-        self.net.endpoint_name(id)
-    }
-
-    fn set_down(&self, id: EndpointId, down: bool) {
-        self.net.set_down(id, down);
-    }
-
-    fn set_drop_probability(&self, p: f64) {
-        self.net.set_drop_probability(p);
-    }
-
-    fn set_timeout_us(&self, timeout_us: u64) {
-        self.net.set_timeout_us(timeout_us);
     }
 }
 
@@ -673,7 +522,7 @@ mod tests {
     use super::*;
 
     fn echo_transport() -> (Arc<dyn Transport>, EndpointId, EndpointId) {
-        let transport = SimTransport::shared(&SimNet::new(3));
+        let transport = SimNet::shared(3);
         let server = transport.register("echo", None);
         transport.set_service(
             server,
@@ -740,17 +589,21 @@ mod tests {
         // the submit/rewind model a slow service delays only its own
         // branch — the simulator's analogue of the TCP backend's
         // concurrent serve-side dispatch.
-        let net = SimNet::new(3);
-        let slow = net.register("slow", None);
-        net.set_handler(slow, |net: &SimNet, _from, payload: &[u8]| {
-            net.advance_us(500_000);
-            Ok(payload.to_vec())
-        });
-        let fast = net.register("fast", None);
-        net.set_handler(fast, |_: &SimNet, _from, payload: &[u8]| {
-            Ok(payload.to_vec())
-        });
-        let transport = SimTransport::new(net);
+        let transport = SimNet::shared(3);
+        let slow = transport.register("slow", None);
+        let clock = transport.clone();
+        transport.set_service(
+            slow,
+            Arc::new(move |_from: EndpointId, payload: &[u8]| {
+                clock.advance_us(500_000);
+                payload.to_vec()
+            }),
+        );
+        let fast = transport.register("fast", None);
+        transport.set_service(
+            fast,
+            Arc::new(|_from: EndpointId, payload: &[u8]| payload.to_vec()),
+        );
         let client = transport.register("c", None);
         let t0 = transport.now_us();
         let a = transport.submit(client, slow, vec![1]);
@@ -826,6 +679,72 @@ mod tests {
             Some(EndpointLatency::default())
         );
         assert_eq!(transport.endpoint_latency(EndpointId(999)), None);
+    }
+
+    /// Pins RNG draw order, the latency model and the down/drop clock
+    /// charges: the values were captured at the last commit that still
+    /// had a wrapper type between `Transport` and the simulator.
+    #[test]
+    fn golden_sim_clock_script_on_seed_42() {
+        let transport = SimNet::shared(42);
+        let net: &dyn Transport = transport.as_ref();
+        let echo: Arc<dyn WireService> = Arc::new(|_from: EndpointId, p: &[u8]| p.to_vec());
+        let at = |lat, lng| Some(LatLng::new(lat, lng).unwrap());
+        let pittsburgh = net.register("pittsburgh", at(40.4406, -79.9959));
+        let paris = net.register("paris", at(48.8566, 2.3522));
+        let tokyo = net.register("tokyo", at(35.6762, 139.6503));
+        net.set_service(paris, echo.clone());
+        net.set_service(tokyo, echo);
+
+        let one = net.call(pittsburgh, paris, vec![7u8; 300]).unwrap();
+        assert_eq!(one.latency_us, 63_108);
+        let fanout = net.call_parallel(
+            pittsburgh,
+            vec![
+                (paris, vec![1u8; 10]),
+                (tokyo, vec![2u8; 5000]),
+                (paris, vec![3u8; 2048]),
+            ],
+        );
+        let latencies: Vec<u64> = fanout.into_iter().map(|r| r.unwrap().latency_us).collect();
+        assert_eq!(latencies, [63_100, 106_858, 63_154]);
+        net.set_timeout_us(5_000);
+        net.set_drop_probability(1.0);
+        assert_eq!(
+            net.call(pittsburgh, tokyo, vec![9u8; 64]),
+            Err(NetError::Timeout)
+        );
+        net.set_drop_probability(0.0);
+        net.set_down(tokyo, true);
+        assert_eq!(
+            net.call(pittsburgh, tokyo, vec![9u8; 64]),
+            Err(NetError::EndpointDown(tokyo))
+        );
+
+        assert_eq!(net.now_us(), 179_966);
+        assert_eq!(
+            net.stats(),
+            NetStats {
+                messages: 8,
+                bytes: 14_716,
+                drops: 1
+            }
+        );
+        let traffic = |msgs, bytes| EndpointStats {
+            rx_msgs: msgs,
+            rx_bytes: bytes,
+            tx_msgs: msgs,
+            tx_bytes: bytes,
+        };
+        let latency = |count, ewma_us| EndpointLatency { count, ewma_us };
+        for (id, stats, summary) in [
+            (pittsburgh, traffic(4, 7_358), latency(0, 0)),
+            (paris, traffic(3, 2_358), latency(3, 63_112)),
+            (tokyo, traffic(1, 5_000), latency(1, 106_858)),
+        ] {
+            assert_eq!(net.endpoint_stats(id), Some(stats));
+            assert_eq!(net.endpoint_latency(id), Some(summary));
+        }
     }
 
     #[test]

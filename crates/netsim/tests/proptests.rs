@@ -1,6 +1,26 @@
 //! Property-based tests for the network simulation.
 
-use openflame_netsim::{LatencyModel, NetError, SimNet};
+use openflame_netsim::{EndpointId, LatencyModel, NetError, SimNet, Transport};
+use std::sync::Arc;
+
+/// A simulator with one server answering `reply(request)` and one client.
+fn served(
+    net: SimNet,
+    reply: fn(&[u8]) -> Vec<u8>,
+) -> (Arc<dyn Transport>, EndpointId, EndpointId) {
+    let net: Arc<dyn Transport> = Arc::new(net);
+    let server = net.register("s", None);
+    net.set_service(
+        server,
+        Arc::new(move |_from: EndpointId, p: &[u8]| reply(p)),
+    );
+    let client = net.register("c", None);
+    (net, client, server)
+}
+
+fn echo(seed: u64) -> (Arc<dyn Transport>, EndpointId, EndpointId) {
+    served(SimNet::new(seed), <[u8]>::to_vec)
+}
 use proptest::prelude::*;
 
 proptest! {
@@ -9,10 +29,7 @@ proptest! {
         seed in any::<u64>(),
         ops in proptest::collection::vec((0u8..3, 0usize..512), 1..40),
     ) {
-        let net = SimNet::new(seed);
-        let server = net.register("s", None);
-        net.set_handler(server, |_: &SimNet, _f, p: &[u8]| Ok(p.to_vec()));
-        let client = net.register("c", None);
+        let (net, client, server) = echo(seed);
         let mut last = net.now_us();
         for (op, size) in ops {
             match op {
@@ -36,10 +53,7 @@ proptest! {
     #[test]
     fn same_seed_same_trace(seed in any::<u64>(), sizes in proptest::collection::vec(0usize..256, 1..20)) {
         let run = |sizes: &[usize]| {
-            let net = SimNet::new(seed);
-            let server = net.register("s", None);
-            net.set_handler(server, |_: &SimNet, _f, p: &[u8]| Ok(p.to_vec()));
-            let client = net.register("c", None);
+            let (net, client, server) = echo(seed);
             for &s in sizes {
                 let _ = net.call(client, server, vec![7u8; s]);
             }
@@ -53,10 +67,7 @@ proptest! {
         sizes in proptest::collection::vec(0usize..1024, 1..20),
     ) {
         let lm = LatencyModel { jitter_us: 0, ..LatencyModel::default() };
-        let net = SimNet::with_latency(3, lm);
-        let server = net.register("s", None);
-        net.set_handler(server, |_: &SimNet, _f, _p: &[u8]| Ok(vec![9u8; 10]));
-        let client = net.register("c", None);
+        let (net, client, server) = served(SimNet::with_latency(3, lm), |_| vec![9u8; 10]);
         for &s in &sizes {
             net.call(client, server, vec![0u8; s]).unwrap();
         }
@@ -67,10 +78,7 @@ proptest! {
 
     #[test]
     fn down_endpoints_always_error_never_panic(seed in any::<u64>()) {
-        let net = SimNet::new(seed);
-        let server = net.register("s", None);
-        net.set_handler(server, |_: &SimNet, _f, p: &[u8]| Ok(p.to_vec()));
-        let client = net.register("c", None);
+        let (net, client, server) = echo(seed);
         net.set_down(server, true);
         for _ in 0..5 {
             let r = net.call(client, server, vec![1]);

@@ -24,7 +24,9 @@
 //!    branch's source error preserved: a down shard must never read as
 //!    "no results here".
 
-use openflame_core::{ClientError, Deployment, DeploymentConfig};
+use openflame_core::{
+    ClientError, Deployment, DeploymentConfig, QueryKind, SearchQuery, SpatialProvider,
+};
 use openflame_netsim::BackendKind;
 use openflame_worldgen::{World, WorldConfig};
 use std::error::Error;
@@ -74,16 +76,26 @@ fn fleet_search_cost(backend: BackendKind, replicas: usize) -> (u64, u64, u64, u
 
     // Narrow warm search: only shards whose extent intersects the tiny
     // cap around the shelf are consulted.
-    let plan = dep.client.plan_scatter(shelf_geo, 5.0).unwrap();
+    let plan = dep
+        .client
+        .plan_query(QueryKind::Search, shelf_geo, 5.0)
+        .unwrap();
     let fleet_targets = plan
+        .targets
         .iter()
-        .filter(|s| s.server_id.starts_with("venue-"))
+        .filter(|t| t.server.server_id.starts_with("venue-"))
         .count();
     dep.transport.reset_stats();
     let hits = dep
         .client
-        .federated_search_within(&product.name, shelf_geo, 5.0, 3)
-        .unwrap();
+        .search(SearchQuery {
+            query: product.name.clone(),
+            location: shelf_geo,
+            radius_m: 5.0,
+            k: 3,
+        })
+        .unwrap()
+        .hits;
     let narrow = dep.transport.stats().messages;
     assert!(
         hits.iter().any(|h| h.result.label == product.name),
@@ -91,7 +103,7 @@ fn fleet_search_cost(backend: BackendKind, replicas: usize) -> (u64, u64, u64, u
     );
     assert_eq!(
         narrow,
-        2 * plan.len() as u64,
+        2 * plan.consulted() as u64,
         "{backend:?}: warm wire cost is one envelope (two messages) per planned target"
     );
     (cold, warm, narrow, fleet_targets)

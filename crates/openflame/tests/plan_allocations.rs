@@ -19,7 +19,7 @@
 //! differences between toolchains, not a return of the deep copies
 //! (one copied view alone is > 1000 allocations).
 
-use openflame_core::{Deployment, DeploymentConfig, QueryKind};
+use openflame_core::{Deployment, DeploymentConfig, QueryKind, SearchQuery, SpatialProvider};
 use openflame_netsim::BackendKind;
 use openflame_worldgen::{World, WorldConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -90,7 +90,12 @@ fn warm_plan_query_shares_cached_state_instead_of_copying_it() {
     let product = dep.world.products[0].name.clone();
     for _ in 0..2 {
         dep.client
-            .federated_search_within(&product, centre, radius_m, 3)
+            .search(SearchQuery {
+                query: product.clone(),
+                location: centre,
+                radius_m,
+                k: 3,
+            })
             .unwrap();
     }
     let plan = dep

@@ -9,7 +9,7 @@ use openflame_core::{
     SearchQuery, SpatialProvider, TileQuery,
 };
 use openflame_localize::LocationCue;
-use openflame_netsim::SimNet;
+use openflame_netsim::BackendKind;
 use openflame_worldgen::{World, WorldConfig};
 
 fn one_venue_world() -> World {
@@ -38,8 +38,7 @@ fn federated_and_omniscient_geocode_agree_on_one_venue_world() {
     let world = one_venue_world();
     let address = some_address(&world);
     let dep = Deployment::build(world.clone(), DeploymentConfig::default());
-    let omni_net = SimNet::new(9);
-    let omni = CentralizedProvider::omniscient(&omni_net, &world);
+    let omni = CentralizedProvider::omniscient_on(BackendKind::Sim.build(9), &world);
 
     let federated: &dyn SpatialProvider = &dep.client;
     let centralized: &dyn SpatialProvider = &omni;
@@ -70,8 +69,7 @@ fn federated_and_omniscient_geocode_agree_on_one_venue_world() {
 fn every_service_runs_under_both_architectures() {
     let world = one_venue_world();
     let dep = Deployment::build(world.clone(), DeploymentConfig::default());
-    let omni_net = SimNet::new(5);
-    let omni = CentralizedProvider::omniscient(&omni_net, &world);
+    let omni = CentralizedProvider::omniscient_on(BackendKind::Sim.build(5), &world);
     let product = world.products[0].clone();
     let near = world.venues[product.venue].hint;
 

@@ -17,12 +17,14 @@
 //!    errors preserved on every backend: never a panic, never a silent
 //!    empty result. (On QuicLite, drop injection below the timeout is
 //!    *recovered* by retransmission; only total loss fails — the
-//!    dedicated recovery test pins that.)
+//!    dedicated recovery test pins that.) The tile path obeys the same
+//!    blackout rule as search, reverse geocode and localize.
 
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_core::{
     run_grocery_scenario_on, CentralizedProvider, ClientError, Deployment, DeploymentConfig,
-    LocalizeQuery, ProviderKind, RouteQuery, SearchQuery, Session, SpatialProvider, TileQuery,
+    LocalizeQuery, OpenFlameClient, ProviderKind, RouteQuery, SearchQuery, Session,
+    SpatialProvider, TileQuery,
 };
 use openflame_localize::LocationCue;
 use openflame_mapserver::protocol::{Envelope, Request, Response};
@@ -456,5 +458,63 @@ fn dropped_messages_surface_as_partial_failure_not_silent_empty() {
         // Recovery: lifting the injection restores service.
         dep.transport.set_drop_probability(0.0);
         assert!(dep.client.federated_search(&product.name, near, 3).is_ok());
+    }
+}
+
+/// A tile outage on one backend: the number of failed branches the
+/// blackout reported.
+fn tile_blackout_failures(backend: BackendKind) -> usize {
+    let dep = deployment_on(backend, small_world());
+    let query = TileQuery {
+        center: dep.world.venues[0].hint,
+        z: 16,
+    };
+    dep.client.tile(query).unwrap();
+    // The only tile-serving server dies. A client that consults the
+    // unaligned venues regardless (planner off) still hears from them
+    // — a refusal is an answer — so this is "no tile providers here",
+    // not an outage.
+    let unpruned = OpenFlameClient::builder()
+        .coverage_planner(false)
+        .build_on(dep.transport.clone(), dep.resolver.clone());
+    dep.transport.set_down(dep.outdoor_server.endpoint(), true);
+    let err = unpruned.tile(query).expect_err("no layer arrived");
+    assert!(
+        matches!(err, ClientError::NothingDiscovered(_)),
+        "{backend:?}: a refusing venue has answered, got {err}"
+    );
+    // Every server the plan could consult is down: a blackout, with
+    // one source error per consulted branch.
+    for venue in &dep.venue_servers {
+        dep.transport.set_down(venue.endpoint(), true);
+    }
+    let err = dep
+        .client
+        .tile(query)
+        .expect_err("a total outage cannot look like an unmapped area");
+    let ClientError::PartialFailure {
+        succeeded: 0,
+        ref failures,
+    } = err
+    else {
+        panic!("{backend:?}: expected a blackout PartialFailure, got {err}");
+    };
+    assert!(
+        err.source().is_some(),
+        "{backend:?}: source chain preserved"
+    );
+    assert!(
+        failures.iter().all(|(_, e)| e.to_string().contains("down")),
+        "{backend:?}: every branch names its dead endpoint"
+    );
+    failures.len()
+}
+
+#[test]
+fn tile_blackout_surfaces_as_partial_failure_on_every_backend() {
+    let sim = tile_blackout_failures(BackendKind::Sim);
+    assert!(sim > 0);
+    for backend in [BackendKind::Tcp, BackendKind::QuicLite] {
+        assert_eq!(sim, tile_blackout_failures(backend), "{backend:?}");
     }
 }

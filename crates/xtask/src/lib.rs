@@ -638,7 +638,7 @@ pub fn wire_tag_findings(protocol_src: &str, doc: &str) -> Vec<Finding> {
 
 // ----------------------------------------------------------------
 // Rule: forbidden-api — raw sync primitives, reactor blocking, netsim
-// unwrap.
+// unwrap, the concrete simulator type above netsim.
 // ----------------------------------------------------------------
 
 /// Flags forbidden constructs in one Rust source file (non-test code
@@ -646,13 +646,15 @@ pub fn wire_tag_findings(protocol_src: &str, doc: &str) -> Vec<Finding> {
 pub fn forbidden_api_findings(file: &str, content: &str) -> Vec<Finding> {
     let mut out = Vec::new();
     let masked = mask_cfg_test_regions(&strip_comments_and_strings(content));
-    let flag = |out: &mut Vec<Finding>, idx: usize, msg: String| {
-        out.push(Finding {
-            file: file.to_string(),
-            line: line_of(&masked, idx),
-            rule: "forbidden-api",
-            msg,
-        });
+    let mut flag_each = |needle: &str, msg: &str| {
+        for (idx, _) in masked.match_indices(needle) {
+            out.push(Finding {
+                file: file.to_string(),
+                line: line_of(&masked, idx),
+                rule: "forbidden-api",
+                msg: msg.to_string(),
+            });
+        }
     };
     // Raw std/parking_lot sync primitives anywhere outside the diag
     // wrapper crate (which is exempted by the caller).
@@ -661,64 +663,45 @@ pub fn forbidden_api_findings(file: &str, content: &str) -> Vec<Finding> {
         "std::sync::RwLock",
         "std::sync::Condvar",
     ] {
-        let mut from = 0;
-        while let Some(rel) = masked[from..].find(needle) {
-            let idx = from + rel;
-            flag(
-                &mut out,
-                idx,
-                format!(
-                    "raw `{needle}` outside the diag wrapper: use \
-                     `openflame_diag::Ordered{}` with a rank from the global table",
-                    &needle["std::sync::".len()..]
-                ),
-            );
-            from = idx + needle.len();
-        }
-    }
-    let mut from = 0;
-    while let Some(rel) = masked[from..].find("parking_lot") {
-        let idx = from + rel;
-        flag(
-            &mut out,
-            idx,
-            "`parking_lot` primitives are retired: use the ranked wrappers in openflame-diag"
-                .to_string(),
+        flag_each(
+            needle,
+            &format!(
+                "raw `{needle}` outside the diag wrapper: use \
+                 `openflame_diag::Ordered{}` with a rank from the global table",
+                &needle["std::sync::".len()..]
+            ),
         );
-        from = idx + "parking_lot".len();
     }
+    flag_each(
+        "parking_lot",
+        "`parking_lot` primitives are retired: use the ranked wrappers in openflame-diag",
+    );
     // Reactor threads must never block: no sleeps, no mutexes at all.
     if file.ends_with("netsim/src/reactor.rs") {
         for needle in ["thread::sleep", "Mutex"] {
-            let mut from = 0;
-            while let Some(rel) = masked[from..].find(needle) {
-                let idx = from + rel;
-                flag(
-                    &mut out,
-                    idx,
-                    format!(
-                        "`{needle}` on a reactor code path: reactor threads are poll-driven \
-                         and must never block (spec Appendix A)"
-                    ),
-                );
-                from = idx + needle.len();
-            }
+            flag_each(
+                needle,
+                &format!(
+                    "`{needle}` on a reactor code path: reactor threads are poll-driven \
+                     and must never block (spec Appendix A)"
+                ),
+            );
         }
     }
-    // Transport internals surface errors, they don't assert on them.
     if file.contains("netsim/src/") {
-        let mut from = 0;
-        while let Some(rel) = masked[from..].find(".unwrap()") {
-            let idx = from + rel;
-            flag(
-                &mut out,
-                idx,
-                "`unwrap()` in non-test netsim code: propagate the error or use \
-                 `expect(\"why this cannot fail\")`"
-                    .to_string(),
-            );
-            from = idx + ".unwrap()".len();
-        }
+        // Transport internals surface errors, they don't assert on them.
+        flag_each(
+            ".unwrap()",
+            "`unwrap()` in non-test netsim code: propagate the error or use \
+             `expect(\"why this cannot fail\")`",
+        );
+    } else {
+        // One door onto the wire: above netsim, code binds to the trait.
+        flag_each(
+            "SimNet",
+            "the concrete simulator type outside netsim: bind to `dyn Transport` and \
+             obtain a simulator with `BackendKind::Sim.build(seed)`",
+        );
     }
     out
 }

@@ -238,6 +238,27 @@ fn forbidden_api_flags_netsim_unwrap() {
 }
 
 #[test]
+fn forbidden_api_flags_simulator_type_above_netsim() {
+    let src = "\
+use openflame_netsim::SimNet;
+/// Docs may still link [`SimNet`].
+pub fn spawn(net: &SimNet) {}
+#[cfg(test)]
+mod tests {
+    fn t() { let _ = openflame_netsim::SimNet::shared(1); }
+}
+";
+    let f = forbidden_api_findings("crates/dns/src/server.rs", src);
+    assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [1, 3]);
+    assert!(f[0].msg.contains("BackendKind::Sim.build(seed)"));
+    // The simulator's own crate is where the type lives.
+    assert_eq!(
+        forbidden_api_findings("crates/netsim/src/transport.rs", src),
+        vec![]
+    );
+}
+
+#[test]
 fn forbidden_api_ignores_comments_and_strings() {
     let src = "// std::sync::Mutex::new is banned\nconst M: &str = \"parking_lot\";\n";
     assert_eq!(

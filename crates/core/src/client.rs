@@ -108,14 +108,12 @@ pub struct FederatedRoute {
 /// let resolver = Arc::new(Resolver::with_config_on(net.clone(), "resolver", vec![dns], config));
 /// let client = OpenFlameClient::builder()
 ///     .principal(Principal::user("alice@example.com"))
-///     .expand_neighbors(false)
 ///     .build_on(net, resolver);
-/// assert!(!client.expand_neighbors());
+/// assert_eq!(client.session().principal(), &Principal::user("alice@example.com"));
 /// ```
 #[derive(Debug, Clone)]
 pub struct OpenFlameClientBuilder {
     principal: Principal,
-    expand_neighbors: bool,
     world_provider: Option<EndpointId>,
     coverage_planner: bool,
 }
@@ -124,7 +122,6 @@ impl Default for OpenFlameClientBuilder {
     fn default() -> Self {
         Self {
             principal: Principal::anonymous(),
-            expand_neighbors: true,
             world_provider: None,
             coverage_planner: true,
         }
@@ -132,8 +129,7 @@ impl Default for OpenFlameClientBuilder {
 }
 
 impl OpenFlameClientBuilder {
-    /// Starts from defaults: anonymous principal, neighbor expansion
-    /// on, no world provider.
+    /// Starts from defaults: anonymous principal, no world provider.
     pub fn new() -> Self {
         Self::default()
     }
@@ -141,13 +137,6 @@ impl OpenFlameClientBuilder {
     /// The identity attached to requests (paper §5.3 ACLs).
     pub fn principal(mut self, principal: Principal) -> Self {
         self.principal = principal;
-        self
-    }
-
-    /// Whether discovery also resolves the query cell's edge neighbors
-    /// (ablation E12).
-    pub fn expand_neighbors(mut self, expand: bool) -> Self {
-        self.expand_neighbors = expand;
         self
     }
 
@@ -186,7 +175,6 @@ impl OpenFlameClientBuilder {
             session,
             fleet: FleetSelector::new(),
             planner: QueryPlanner::new(self.coverage_planner),
-            expand_neighbors: self.expand_neighbors,
             world_provider: self.world_provider,
         }
     }
@@ -199,7 +187,6 @@ pub struct OpenFlameClient {
     session: Session,
     fleet: FleetSelector,
     planner: QueryPlanner,
-    expand_neighbors: bool,
     world_provider: Option<EndpointId>,
 }
 
@@ -234,16 +221,11 @@ impl OpenFlameClient {
         self.session.transport()
     }
 
-    /// Whether discovery expands to neighbor cells.
-    pub fn expand_neighbors(&self) -> bool {
-        self.expand_neighbors
-    }
-
     /// Issues one raw (unbatched) request to one server. Low-level
     /// escape hatch; service methods go through the batched session.
     pub fn call(&self, to: EndpointId, request: Request) -> Result<Response, ClientError> {
         let env = Envelope {
-            principal: self.session.principal(),
+            principal: self.session.principal().clone(),
             request,
         };
         let transfer = self
@@ -290,18 +272,13 @@ impl OpenFlameClient {
     fn discover_view_at(&self, location: LatLng) -> Result<(u64, Arc<DiscoveryView>), ClientError> {
         let cell = CellId::from_latlng(location, QUERY_LEVEL)
             .map_err(|e| ClientError::Protocol(format!("bad location: {e}")))?;
-        if let Some(view) = self
-            .session
-            .cached_discovery(cell.raw(), self.expand_neighbors)
-        {
+        if let Some(view) = self.session.cached_discovery(cell.raw()) {
             return Ok((cell.raw(), view));
         }
-        let view = Arc::new(
-            self.discovery
-                .discover_view(location, self.expand_neighbors)?,
-        );
-        self.session
-            .store_discovery(cell.raw(), self.expand_neighbors, view.clone());
+        // Always with the query cell's edge neighbors (ablation E12
+        // sweeps the flag on the discovery layer itself).
+        let view = Arc::new(self.discovery.discover_view(location, true)?);
+        self.session.store_discovery(cell.raw(), view.clone());
         Ok((cell.raw(), view))
     }
 

@@ -34,9 +34,8 @@
 //! advertisement, coverage state or discovery view is copied once when
 //! it is learned and shared by reference with every reader after that
 //! (planner, executor, providers), so a warm call deep-copies none of
-//! it. They are **bounded** ([`DEFAULT_CACHE_CAP`], adjustable via
-//! [`Session::set_cache_cap`]): a long-lived session touring many
-//! cells does not grow memory forever. Inserts past the cap evict
+//! it. They are **bounded** ([`DEFAULT_CACHE_CAP`]): a long-lived
+//! session touring many cells does not grow memory forever. Inserts past the cap evict
 //! expired entries first, then the live entries closest to expiry;
 //! evictions and current cache sizes are reported in
 //! [`SessionStats`].
@@ -44,15 +43,11 @@
 //! The session speaks only through the [`Transport`] trait — the
 //! deterministic simulator and real TCP sockets run the exact same
 //! code, and the one-envelope-per-server wire discipline holds on
-//! both (the backend-parity integration test enforces it). TTLs
-//! default to the DNS record TTL the deployment uses (300 s), measured
-//! on the transport clock (simulated time or wall-clock time), so
-//! cached knowledge ages out on the same schedule as the naming layer
-//! that produced it.
-//!
-//! TTL and principal are adjustable through `&self` (providers hand
-//! out shared sessions), which is why they sit behind interior
-//! mutability.
+//! both (the backend-parity integration test enforces it). TTLs are
+//! the DNS record TTL the deployment uses ([`DEFAULT_TTL_US`], 300 s),
+//! measured on the transport clock (simulated time or wall-clock
+//! time), so cached knowledge ages out on the same schedule as the
+//! naming layer that produced it.
 
 use crate::fleet::DiscoveryView;
 use crate::ClientError;
@@ -65,7 +60,6 @@ use openflame_mapserver::protocol::{
 use openflame_mapserver::Principal;
 use openflame_netsim::{CallHandle, EndpointId, Transport};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Default cache TTL: matches the 300 s DNS record TTL used by
@@ -197,6 +191,12 @@ impl<K: Eq + std::hash::Hash + Clone, V> TtlCache<K, V> {
         self.entries.get_mut(key).map(|entry| &mut entry.value)
     }
 
+    /// [`TtlCache::insert`] under the session's one policy:
+    /// [`DEFAULT_TTL_US`] and [`DEFAULT_CACHE_CAP`].
+    fn store(&mut self, key: K, value: V, now_us: u64) {
+        self.insert(key, value, now_us, DEFAULT_TTL_US, DEFAULT_CACHE_CAP);
+    }
+
     /// Inserts (or replaces) `key`, expiring `ttl_us` from now, then
     /// holds the cache within `cap` entries: expired entries are purged
     /// first (they are dead weight whoever probes them next); if the
@@ -260,8 +260,8 @@ enum BatchReply {
     Done(Result<Vec<Response>, ClientError>),
 }
 
-/// Discovery cache key: (query cell raw id, expand-neighbors flag).
-type DiscoveryKey = (u64, bool);
+/// Discovery cache key: the query cell's raw id.
+type DiscoveryKey = u64;
 
 /// Client-side coverage knowledge about one server: the summary it
 /// advertised in its `Hello` (if it speaks the coverage format), plus
@@ -286,9 +286,7 @@ pub struct CoverageState {
 pub struct Session {
     transport: Arc<dyn Transport>,
     endpoint: EndpointId,
-    principal: OrderedMutex<Principal>,
-    ttl_us: AtomicU64,
-    cache_cap: AtomicUsize,
+    principal: Principal,
     hellos: OrderedMutex<TtlCache<EndpointId, Arc<HelloInfo>>>,
     coverage: OrderedMutex<TtlCache<EndpointId, Arc<CoverageState>>>,
     discoveries: OrderedMutex<TtlCache<DiscoveryKey, Arc<DiscoveryView>>>,
@@ -301,9 +299,7 @@ impl Session {
         Self {
             transport,
             endpoint,
-            principal: OrderedMutex::new(ranks::SESSION_PRINCIPAL, principal),
-            ttl_us: AtomicU64::new(DEFAULT_TTL_US),
-            cache_cap: AtomicUsize::new(DEFAULT_CACHE_CAP),
+            principal,
             hellos: OrderedMutex::new(ranks::SESSION_HELLOS, TtlCache::new()),
             coverage: OrderedMutex::new(ranks::SESSION_COVERAGE, TtlCache::new()),
             discoveries: OrderedMutex::new(ranks::SESSION_DISCOVERIES, TtlCache::new()),
@@ -311,41 +307,9 @@ impl Session {
         }
     }
 
-    /// Overrides the cache TTL (microseconds of transport time).
-    /// Adjustable on a shared session: entries already cached keep
-    /// their old expiry, new entries use the new TTL.
-    pub fn set_ttl_us(&self, ttl_us: u64) {
-        self.ttl_us.store(ttl_us, Ordering::Relaxed);
-    }
-
-    /// The current cache TTL in microseconds.
-    pub fn ttl_us(&self) -> u64 {
-        self.ttl_us.load(Ordering::Relaxed)
-    }
-
-    /// Overrides the per-cache capacity bound (hello entries and
-    /// discovery cells each). Adjustable on a shared session; the new
-    /// bound applies from the next insert.
-    pub fn set_cache_cap(&self, cap: usize) {
-        self.cache_cap.store(cap.max(1), Ordering::Relaxed);
-    }
-
-    /// The per-cache capacity bound.
-    pub fn cache_cap(&self) -> usize {
-        self.cache_cap.load(Ordering::Relaxed)
-    }
-
     /// The identity attached to outgoing envelopes.
-    pub fn principal(&self) -> Principal {
-        self.principal.lock().clone()
-    }
-
-    /// Changes the identity for subsequent envelopes (works on a shared
-    /// session). Caches are dropped: what a server advertises or a cell
-    /// resolves to may be identity-dependent.
-    pub fn set_principal(&self, principal: Principal) {
-        *self.principal.lock() = principal;
-        self.invalidate();
+    pub fn principal(&self) -> &Principal {
+        &self.principal
     }
 
     /// The session's network endpoint.
@@ -406,7 +370,7 @@ impl Session {
 
     fn encode(&self, request: Request) -> Vec<u8> {
         let env = Envelope {
-            principal: self.principal(),
+            principal: self.principal.clone(),
             request,
         };
         to_bytes(&env).to_vec()
@@ -601,9 +565,7 @@ impl Session {
     /// (expired-first) if the insert pushed it over the capacity bound.
     pub fn store_hello(&self, from: EndpointId, info: impl Into<Arc<HelloInfo>>) {
         let now = self.transport.now_us();
-        self.hellos
-            .lock()
-            .insert(from, info.into(), now, self.ttl_us(), self.cache_cap());
+        self.hellos.lock().store(from, info.into(), now);
     }
 
     /// Cache probe without touching the hit counters (internal
@@ -700,7 +662,7 @@ impl Session {
             summary,
             empty_streaks,
         };
-        coverage.insert(from, Arc::new(state), now, self.ttl_us(), self.cache_cap());
+        coverage.store(from, Arc::new(state), now);
     }
 
     /// The fresh coverage state for `server`, if any — shared, not
@@ -738,13 +700,7 @@ impl Session {
                 state
                     .empty_streaks
                     .insert(kind.to_string(), u32::from(empty));
-                coverage.insert(
-                    server,
-                    Arc::new(state),
-                    now,
-                    self.ttl_us(),
-                    self.cache_cap(),
-                );
+                coverage.store(server, Arc::new(state), now);
             }
         }
     }
@@ -758,17 +714,9 @@ impl Session {
     /// caching the whole view keeps routing **shard-stable** — repeated
     /// requests against the same cell see the same shard map, so
     /// replica choice and the hello cache stay warm.
-    pub fn cached_discovery(
-        &self,
-        cell_raw: u64,
-        expand_neighbors: bool,
-    ) -> Option<Arc<DiscoveryView>> {
+    pub fn cached_discovery(&self, cell_raw: u64) -> Option<Arc<DiscoveryView>> {
         let now = self.transport.now_us();
-        let cached = self
-            .discoveries
-            .lock()
-            .get(&(cell_raw, expand_neighbors), now)
-            .cloned();
+        let cached = self.discoveries.lock().get(&cell_raw, now).cloned();
         let mut stats = self.stats.lock();
         if cached.is_some() {
             stats.discovery_hits += 1;
@@ -783,33 +731,20 @@ impl Session {
     /// Caches a discovery result for a query cell, evicting
     /// (expired-first) if the insert pushed the cache over the
     /// capacity bound.
-    pub fn store_discovery(
-        &self,
-        cell_raw: u64,
-        expand_neighbors: bool,
-        view: impl Into<Arc<DiscoveryView>>,
-    ) {
+    pub fn store_discovery(&self, cell_raw: u64, view: impl Into<Arc<DiscoveryView>>) {
         let now = self.transport.now_us();
-        self.discoveries.lock().insert(
-            (cell_raw, expand_neighbors),
-            view.into(),
-            now,
-            self.ttl_us(),
-            self.cache_cap(),
-        );
+        self.discoveries.lock().store(cell_raw, view.into(), now);
     }
 
-    /// Drops the cached discovery result for one query cell (both the
-    /// expanded and unexpanded variants). Called on replica failover:
+    /// Drops the cached discovery result for one query cell. Called on
+    /// replica failover:
     /// without an explicit invalidation path a dead replica would keep
     /// being re-consulted from this cache until its 300 s TTL expired —
     /// the next discovery re-resolves (usually from the resolver's own
     /// cache, so the cost is local) and re-selects against the current
     /// dead-list.
     pub fn invalidate_cell(&self, cell_raw: u64) {
-        let mut discoveries = self.discoveries.lock();
-        discoveries.remove(&(cell_raw, false));
-        discoveries.remove(&(cell_raw, true));
+        self.discoveries.lock().remove(&cell_raw);
     }
 }
 
@@ -949,6 +884,7 @@ mod tests {
     use super::*;
     use openflame_mapserver::protocol::Response;
     use openflame_netsim::BackendKind;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn expect_all_reports_partial_failure() {
@@ -1018,49 +954,42 @@ mod tests {
         let transport = BackendKind::Sim.build(1);
         let endpoint = transport.register("client", None);
         let session = Session::new(transport.clone(), endpoint, Principal::anonymous());
-        session.set_cache_cap(8);
-        // Tour 100 cells (each with its own nearby server): without a
-        // bound both caches would hold all 100 entries forever.
-        for cell in 0..100u64 {
+        // Tour 92 cells more than the bound (each with its own nearby
+        // server): without it both caches would hold them all forever.
+        let cap = DEFAULT_CACHE_CAP as u64;
+        for cell in 0..cap + 92 {
             transport.advance_us(1_000);
-            session.store_discovery(cell, true, DiscoveryView::default());
+            session.store_discovery(cell, DiscoveryView::default());
             session.store_hello(EndpointId(1_000 + cell), stub_hello(cell));
         }
         let stats = session.stats();
-        assert_eq!(stats.discovery_cache_len, 8);
-        assert_eq!(stats.hello_cache_len, 8);
-        assert_eq!(stats.cache_evictions, 2 * (100 - 8));
+        assert_eq!(stats.discovery_cache_len, cap);
+        assert_eq!(stats.hello_cache_len, cap);
+        assert_eq!(stats.cache_evictions, 2 * 92);
         // The freshest knowledge survived; the start of the tour aged
         // out.
-        assert!(session.cached_discovery(99, true).is_some());
-        assert!(session.cached_discovery(0, true).is_none());
-        assert!(session.cached_hello(EndpointId(1_099)).is_some());
+        assert!(session.cached_discovery(cap + 91).is_some());
+        assert!(session.cached_discovery(0).is_none());
+        assert!(session.cached_hello(EndpointId(1_000 + cap + 91)).is_some());
         assert!(session.cached_hello(EndpointId(1_000)).is_none());
     }
 
     #[test]
     fn expired_entries_are_evicted_before_live_ones() {
-        let transport = BackendKind::Sim.build(1);
-        let endpoint = transport.register("client", None);
-        let session = Session::new(transport.clone(), endpoint, Principal::anonymous());
-        session.set_cache_cap(4);
+        let mut cache: TtlCache<u64, ()> = TtlCache::new();
         // Two entries that will be long dead...
-        session.set_ttl_us(1_000);
-        session.store_discovery(1, false, DiscoveryView::default());
-        session.store_discovery(2, false, DiscoveryView::default());
-        transport.advance_us(10_000);
+        cache.insert(1, (), 0, 1_000, 4);
+        cache.insert(2, (), 0, 1_000, 4);
         // ...then four live ones, overflowing the cap of 4.
-        session.set_ttl_us(DEFAULT_TTL_US);
         for cell in 10..14u64 {
-            session.store_discovery(cell, false, DiscoveryView::default());
+            cache.insert(cell, (), 10_000, DEFAULT_TTL_US, 4);
         }
         // The expired pair was purged; every live entry kept its slot.
-        let stats = session.stats();
-        assert_eq!(stats.discovery_cache_len, 4);
-        assert_eq!(stats.cache_evictions, 2);
+        assert_eq!(cache.live_len(10_000), 4);
+        assert_eq!(cache.evictions, 2);
         for cell in 10..14u64 {
             assert!(
-                session.cached_discovery(cell, false).is_some(),
+                cache.get(&cell, 10_000).is_some(),
                 "live cell {cell} must not be displaced by expired entries"
             );
         }
@@ -1071,9 +1000,8 @@ mod tests {
         let transport = BackendKind::Sim.build(1);
         let endpoint = transport.register("client", None);
         let session = Session::new(transport.clone(), endpoint, Principal::anonymous());
-        session.set_ttl_us(1_000);
         for cell in 0..3u64 {
-            session.store_discovery(cell, false, DiscoveryView::default());
+            session.store_discovery(cell, DiscoveryView::default());
             session.store_hello(EndpointId(100 + cell), stub_hello(cell));
         }
         let stats = session.stats();
@@ -1083,30 +1011,27 @@ mod tests {
         // runs on insert-over-cap), but the snapshot must report cached
         // *knowledge*, not dead weight — mirroring the resolver's
         // live-only `cache_len`.
-        transport.advance_us(2_000);
+        transport.advance_us(DEFAULT_TTL_US + 1);
         let stats = session.stats();
         assert_eq!(stats.hello_cache_len, 0);
         assert_eq!(stats.discovery_cache_len, 0);
         assert_eq!(stats.cache_evictions, 0, "nothing was evicted, only aged");
         // A fresh insert is counted again.
-        session.set_ttl_us(DEFAULT_TTL_US);
         session.store_hello(EndpointId(7), stub_hello(7));
         assert_eq!(session.stats().hello_cache_len, 1);
     }
 
     #[test]
-    fn invalidate_cell_drops_both_expansion_variants() {
+    fn invalidate_cell_leaves_other_cells_untouched() {
         let transport = BackendKind::Sim.build(1);
         let endpoint = transport.register("client", None);
         let session = Session::new(transport, endpoint, Principal::anonymous());
-        session.store_discovery(7, false, DiscoveryView::default());
-        session.store_discovery(7, true, DiscoveryView::default());
-        session.store_discovery(8, true, DiscoveryView::default());
+        session.store_discovery(7, DiscoveryView::default());
+        session.store_discovery(8, DiscoveryView::default());
         session.invalidate_cell(7);
-        assert!(session.cached_discovery(7, false).is_none());
-        assert!(session.cached_discovery(7, true).is_none());
+        assert!(session.cached_discovery(7).is_none());
         assert!(
-            session.cached_discovery(8, true).is_some(),
+            session.cached_discovery(8).is_some(),
             "other cells must be untouched"
         );
     }
@@ -1123,27 +1048,29 @@ mod tests {
         let transport = BackendKind::Sim.build(1);
         let endpoint = transport.register("client", None);
         let session = Session::new(transport.clone(), endpoint, Principal::anonymous());
-        session.set_cache_cap(8);
-        for n in 0..100u64 {
+        let cap = DEFAULT_CACHE_CAP as u64;
+        for n in 0..cap + 92 {
             transport.advance_us(1_000);
             session.store_coverage(EndpointId(1_000 + n), Some(stub_coverage(n)));
         }
         let stats = session.stats();
-        assert_eq!(stats.coverage_cache_len, 8);
-        assert_eq!(stats.coverage_evictions, 100 - 8);
+        assert_eq!(stats.coverage_cache_len, cap);
+        assert_eq!(stats.coverage_evictions, 92);
         assert_eq!(
             stats.cache_evictions, 0,
             "coverage pressure must not leak into the hello/discovery counter"
         );
-        assert!(session.cached_coverage(EndpointId(1_099)).is_some());
+        assert!(session
+            .cached_coverage(EndpointId(1_000 + cap + 91))
+            .is_some());
         assert!(session.cached_coverage(EndpointId(1_000)).is_none());
         // Live-only lens: aged-out entries are dead weight, not
         // knowledge.
-        session.set_ttl_us(1_000);
-        session.store_coverage(EndpointId(5), Some(stub_coverage(5)));
-        transport.advance_us(2_000);
-        assert!(session.cached_coverage(EndpointId(5)).is_none());
-        assert!(session.stats().coverage_cache_len < 9);
+        transport.advance_us(DEFAULT_TTL_US + 1);
+        assert!(session
+            .cached_coverage(EndpointId(1_000 + cap + 91))
+            .is_none());
+        assert_eq!(session.stats().coverage_cache_len, 0);
     }
 
     #[test]
@@ -1179,7 +1106,7 @@ mod tests {
         let server = EndpointId(40);
         session.store_hello(server, stub_hello(40));
         session.store_coverage(server, Some(stub_coverage(4)));
-        session.store_discovery(7, true, DiscoveryView::default());
+        session.store_discovery(7, DiscoveryView::default());
         // Two readers of one cached fact hold the same allocation.
         assert!(Arc::ptr_eq(
             &session.cached_hello(server).unwrap(),
@@ -1190,8 +1117,8 @@ mod tests {
             &session.cached_coverage(server).unwrap()
         ));
         assert!(Arc::ptr_eq(
-            &session.cached_discovery(7, true).unwrap(),
-            &session.cached_discovery(7, true).unwrap()
+            &session.cached_discovery(7).unwrap(),
+            &session.cached_discovery(7).unwrap()
         ));
         // A refinement landing while a reader holds the state leaves
         // that reader's snapshot alone and shows in the next lookup.
@@ -1341,17 +1268,5 @@ mod tests {
         }
         // Distinct clients hammering one server desynchronize.
         assert_ne!(a, busy_backoff_us(2_000, 0, EndpointId(9), EndpointId(2)));
-    }
-
-    #[test]
-    fn ttl_and_principal_adjust_through_shared_reference() {
-        let transport = BackendKind::Sim.build(1);
-        let endpoint = transport.register("client", None);
-        let session = Arc::new(Session::new(transport, endpoint, Principal::anonymous()));
-        let shared = session.clone();
-        shared.set_ttl_us(42);
-        assert_eq!(session.ttl_us(), 42);
-        shared.set_principal(Principal::user("a@b.c"));
-        assert_eq!(session.principal(), Principal::user("a@b.c"));
     }
 }

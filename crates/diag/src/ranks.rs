@@ -14,14 +14,14 @@
 //!   the TCP and QuicLite bindings, so their ranks bracket both
 //!   bindings' own: the core's outer locks (`dispatch_pool`,
 //!   `endpoints`) sit below every per-connection lock, its leaf locks
-//!   (`rng`, `stats`, `dispatch_queue`, `demux`, `completion`) above
-//!   them all. The chains that really nest — TCP: `endpoints` is held
+//!   (`rng`, `stats`, `reactors`, `reactor_cmds`, `dispatch_queue`,
+//!   `demux`, `completion`) above them all. The chains that really nest — TCP: `endpoints` is held
 //!   while consulting a connection's demux (`obtain_conn`), a
 //!   connection's `out` queue while marking frames sent in the demux
 //!   (`pump_client_write`). QuicLite: `client` is its outermost lock —
 //!   `obtain_conn` holds it across conn-id routing, the resume cache,
-//!   the wire's conn registry, the unacked buffer, transmit
-//!   (`rng`/`stats`) and the RTO generation.
+//!   the unacked buffer, transmit (`rng`/`stats`) and placing the
+//!   client socket on the event loop (`reactors`, `reactor_cmds`).
 //! - **300+ — the dispatch gauge.** Admission-control state is
 //!   consulted from the socket core's serve path, sometimes while the
 //!   `endpoints` table is held, never the other way around.
@@ -36,8 +36,6 @@ use crate::Rank;
 // Application band (0–99).
 // ----------------------------------------------------------------
 
-/// Session principal (identity swap).
-pub const SESSION_PRINCIPAL: Rank = Rank::new(20, "core.session.principal");
 /// Session discovery cache.
 pub const SESSION_DISCOVERIES: Rank = Rank::new(22, "core.session.discoveries");
 /// Session hello (capability) cache.
@@ -85,6 +83,11 @@ pub const NET_ENDPOINTS: Rank = Rank::new(130, "netsim.net.endpoints");
 pub const NET_RNG: Rank = Rank::new(240, "netsim.net.rng");
 /// Socket-core global wire statistics.
 pub const NET_STATS: Rank = Rank::new(242, "netsim.net.stats");
+/// Socket-core event-loop spawn slot (QuicLite places its client socket
+/// under its client lock).
+pub const NET_REACTORS: Rank = Rank::new(246, "netsim.net.reactors");
+/// An event-loop thread's inbox of newly placed sources.
+pub const NET_REACTOR_CMDS: Rank = Rank::new(250, "netsim.net.reactor_cmds");
 /// The dispatch-pool job queue (held only across `recv`).
 pub const NET_DISPATCH_QUEUE: Rank = Rank::new(252, "netsim.net.dispatch_queue");
 /// A connection's correlation demux.
@@ -94,13 +97,9 @@ pub const NET_COMPLETION: Rank = Rank::new(260, "netsim.net.completion");
 
 // The TCP binding.
 
-/// TCP reactor pool slot.
-pub const TCP_REACTORS: Rank = Rank::new(110, "netsim.tcp.reactors");
 /// A TCP client connection's outgoing frame queue (held while marking
 /// frames sent in the demux).
 pub const TCP_CONN_OUT: Rank = Rank::new(140, "netsim.tcp.conn_out");
-/// A TCP reactor's command inbox.
-pub const TCP_REACTOR_CMDS: Rank = Rank::new(144, "netsim.tcp.reactor_cmds");
 /// A served TCP connection's finished-reply queue.
 pub const TCP_SERVE_DONE: Rank = Rank::new(146, "netsim.tcp.serve_done");
 
@@ -108,14 +107,10 @@ pub const TCP_SERVE_DONE: Rank = Rank::new(146, "netsim.tcp.serve_done");
 
 /// The QuicLite client side (outermost: held across conn setup).
 pub const QUIC_CLIENT: Rank = Rank::new(200, "netsim.quic.client");
-/// QuicLite shared serve-poller slot.
-pub const QUIC_SERVE_POOL: Rank = Rank::new(207, "netsim.quic.serve_pool");
 /// Conn-id → connection routing map.
 pub const QUIC_BY_CONN_ID: Rank = Rank::new(210, "netsim.quic.by_conn_id");
 /// 0-RTT resumption ticket cache.
 pub const QUIC_RESUME: Rank = Rank::new(212, "netsim.quic.resume");
-/// The wire's registry of live connections (RTO sweep source).
-pub const QUIC_CONN_REGISTRY: Rank = Rank::new(214, "netsim.quic.conn_registry");
 /// A connection's pre-establishment queue.
 pub const QUIC_QUEUED: Rank = Rank::new(220, "netsim.quic.conn_queued");
 /// A connection's peer address slot.
@@ -124,10 +119,6 @@ pub const QUIC_PEER: Rank = Rank::new(222, "netsim.quic.conn_peer");
 pub const QUIC_RECV: Rank = Rank::new(224, "netsim.quic.conn_recv");
 /// A connection's unacked (retransmission) buffer.
 pub const QUIC_UNACKED: Rank = Rank::new(230, "netsim.quic.conn_unacked");
-/// RTO timer generation (paired with the RTO condvar).
-pub const QUIC_RTO_GEN: Rank = Rank::new(244, "netsim.quic.rto_gen");
-/// The shared serve poller's command inbox.
-pub const QUIC_SERVE_CMDS: Rank = Rank::new(250, "netsim.quic.serve_cmds");
 
 // ----------------------------------------------------------------
 // Admission-control band (300+).

@@ -17,15 +17,21 @@
 //!   handle tears the whole backend down;
 //! - **frame-level charging** and the pending-call success path
 //!   ([`SocketPending`]);
+//! - **the event loop** ([`EventLoop`]): the one `poll(2)` loop every
+//!   socket of either binding lives on, as a [`Source`] — lazy
+//!   spawning, round-robin placement, inbox adoption, the waker, the
+//!   shutdown check and the poll deadline, written once
+//!   (`crate::reactor` stays the lock-free syscall wrapper under it);
 //! - **serve-side dispatch**: [`ServeJob`], the one
 //!   [`spawn_dispatch_pool`], and the admit-or-shed step
 //!   ([`Served::admit`]) every decode path runs;
 //! - **the only [`Transport`] impl for socket backends**, generic over
 //!   a small [`Binding`]: how to bind a served endpoint, put an encoded
-//!   frame on the wire, decide what a failed call means, cut on
-//!   `set_down`, and tear down. `tcp` supplies streams under a reactor
-//!   pool, `udp` reliable datagrams; neither can restate the semantics
-//!   above, so the two cannot drift.
+//!   frame on the wire, decide what a failed call means, and cut on
+//!   `set_down`. `tcp` supplies streams, `udp` reliable datagrams —
+//!   each as sources on the loop; neither can restate the semantics
+//!   above, so the two cannot drift. The loop and the dispatch pool are
+//!   the only threads a socket transport has.
 //!
 //! Traffic counters are charged on the waiting side when a completion
 //! is claimed and include the frame header. A call whose request frame
@@ -33,14 +39,14 @@
 //! then fails — the bytes were really spent — while calls that never
 //! reach a socket charge nothing.
 
-use crate::reactor::Waker;
+use crate::reactor::{poll_fds, PollFd, Waker, POLLIN};
 use crate::stats::{EndpointLatency, EndpointStats, NetStats};
 use crate::transport::{
     CallHandle, DispatchGauge, OverloadPolicy, PendingCall, Transfer, Transport, WireService,
 };
 use crate::{EndpointId, NetError, ThreadGuard};
 use openflame_codec::framing::{write_frame, Frame, FRAME_HEADER_LEN};
-use openflame_diag::{ranks, OrderedCondvar, OrderedMutex, Rank};
+use openflame_diag::{ranks, OrderedCondvar, OrderedMutex};
 use openflame_geo::LatLng;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -303,28 +309,34 @@ pub(crate) struct Core<B: Binding> {
     /// Master sender of the transport-wide dispatch pool (spawned
     /// lazily with the first served endpoint).
     dispatch: OrderedMutex<Option<mpsc::Sender<ServeJob<B::Sink>>>>,
+    /// The event-loop threads every socket of this transport lives on.
+    pub(crate) event_loop: Arc<EventLoop<B::Source>>,
     pub(crate) shared: Arc<Shared>,
     pub(crate) state: B::State,
 }
 
 impl<B: Binding> Drop for Core<B> {
     fn drop(&mut self) {
-        // The flag alone unwinds every worker at its next wakeup; the
-        // binding's teardown only makes that prompt. No per-endpoint
-        // work regardless of how many endpoints served.
+        // Each loop thread exits on this wake, dropping its listeners
+        // (releasing their ports), connections and service/dispatch
+        // handles — which unwinds the dispatch pool once the master
+        // sender goes too. O(loop threads) however many endpoints
+        // served.
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        B::teardown(&mut self.state);
+        self.event_loop.wake_all();
     }
 }
 
 impl<B: Binding> Core<B> {
-    pub(crate) fn new(shared: Arc<Shared>, state: B::State) -> Arc<Self> {
+    /// `loop_threads` is the event-loop thread budget.
+    pub(crate) fn new(shared: Arc<Shared>, state: B::State, loop_threads: usize) -> Arc<Self> {
         Arc::new(Self {
             epoch: Instant::now(),
             next_id: AtomicU64::new(1),
             next_corr: AtomicU64::new(1),
             endpoints: OrderedMutex::new(ranks::NET_ENDPOINTS, HashMap::new()),
             dispatch: OrderedMutex::new(ranks::NET_DISPATCH_POOL, None),
+            event_loop: EventLoop::new(shared.clone(), loop_threads, B::KIND),
             shared,
             state,
         })
@@ -339,11 +351,7 @@ impl<B: Binding> Core<B> {
         self.dispatch
             .lock()
             .get_or_insert_with(|| {
-                spawn_dispatch_pool(
-                    B::DISPATCH_WORKERS,
-                    B::DISPATCH_THREAD,
-                    &self.shared.threads,
-                )
+                spawn_dispatch_pool(B::DISPATCH_WORKERS, B::KIND, &self.shared.threads)
             })
             .clone()
     }
@@ -490,10 +498,10 @@ pub(crate) trait Binding: Send + Sync + Sized + 'static {
     const KIND: &'static str;
     /// Size of the transport-wide dispatch pool.
     const DISPATCH_WORKERS: usize;
-    /// Thread-name prefix of the dispatch workers.
-    const DISPATCH_THREAD: &'static str;
-    /// Handle-owned binding state (reactor pool, client socket, ...).
+    /// Handle-owned binding state (client socket, resumption cache, ...).
     type State: Send + Sync;
+    /// What the binding places on the event loop.
+    type Source: Source;
     /// Client-side state kept per destination in the endpoint book.
     type Conns: Default + Send;
     /// What one call in flight keeps beyond the core's cell.
@@ -503,9 +511,9 @@ pub(crate) trait Binding: Send + Sync + Sized + 'static {
 
     fn core(&self) -> &Arc<Core<Self>>;
 
-    /// Binds a listener for a served endpoint and starts feeding its
-    /// decoded request frames to [`Served::admit`]; returns the address
-    /// callers dial.
+    /// Binds a listener for a served endpoint and places it on the
+    /// event loop, feeding its decoded request frames to
+    /// [`Served::admit`]; returns the address callers dial.
     fn serve(core: &Core<Self>, served: Served<Self::Sink>) -> SocketAddr;
 
     /// Registers `out.corr` with the carrying connection's demux and
@@ -525,10 +533,6 @@ pub(crate) trait Binding: Send + Sync + Sized + 'static {
     /// `set_down` flipped `id`'s flag either way: drop the client-side
     /// state toward it (`conns` was taken from the endpoint book).
     fn cut(core: &Core<Self>, id: EndpointId, conns: Self::Conns);
-
-    /// The last handle dropped and the shutdown flag is set: wake
-    /// whatever sleeps so it observes the flag now.
-    fn teardown(state: &mut Self::State);
 }
 
 /// One in-flight socket call: the frame is queued or written; the
@@ -720,35 +724,186 @@ impl<B: Binding> Transport for B {
 }
 
 // ---------------------------------------------------------------------
-// Server-side dispatch.
+// The event loop.
 // ---------------------------------------------------------------------
 
-/// The cross-thread face of a binding's event-loop thread: the queue
-/// other threads hand it new sockets through, plus the waker that pops
-/// its `poll`.
-pub(crate) struct Inbox<T> {
-    adopt: OrderedMutex<Vec<T>>,
+/// What a [`Source`]'s per-turn sweep tells the loop.
+pub(crate) enum Sweep {
+    /// Drop the source (closing whatever it owns).
+    Retire,
+    /// Keep it; it needs nothing but readiness.
+    Idle,
+    /// Keep it, and turn the loop again no later than this instant.
+    Due(Instant),
+}
+
+/// One thing an event-loop thread owns outright: a socket (or
+/// listener) and the state behind it. Only the owning thread touches a
+/// source once adopted, so sources need no locks of their own.
+pub(crate) trait Source: Send + Sized + 'static {
+    /// The poll interest for this turn; `None` keeps the fd out of the
+    /// set entirely (nothing to wait for until the waker fires).
+    fn interest(&self) -> Option<PollFd>;
+
+    /// The fd registered by [`Source::interest`] reported `ready`.
+    /// `el` places sockets this event creates (accepted connections).
+    fn ready(&mut self, ready: PollFd, el: &Arc<EventLoop<Self>>);
+
+    /// Runs once per loop turn, before the poll set is built: retire
+    /// what finished or was killed from outside the loop, do whatever
+    /// work is due at `now`, and name the next instant work falls due.
+    fn sweep(&mut self, now: Instant) -> Sweep;
+}
+
+/// The cross-thread face of one event-loop thread: the queue other
+/// threads hand it new sources through, plus the waker that pops its
+/// `poll`.
+pub(crate) struct Inbox<S> {
+    adopt: OrderedMutex<Vec<S>>,
     pub(crate) waker: Waker,
 }
 
-impl<T> Inbox<T> {
-    pub(crate) fn new(rank: Rank) -> Arc<Self> {
+impl<S> Inbox<S> {
+    pub(crate) fn push(&self, source: S) {
+        self.adopt.lock().push(source);
+        self.waker.wake();
+    }
+}
+
+/// The event loop, written once for both bindings: a fixed pool of
+/// threads, each multiplexing the sources placed on it with `poll(2)`.
+/// One turn is *shutdown check → adopt the inbox → sweep → poll →
+/// drain the waker → dispatch what is ready*; the poll timeout is the
+/// earliest [`Sweep::Due`] and infinite without one, so a loop with
+/// nothing due does not tick. Threads spawn lazily with the first
+/// placed source and exit on the first wakeup after
+/// [`Shared::shutdown`] is set, dropping every source they own.
+pub(crate) struct EventLoop<S: Source> {
+    inboxes: Vec<Arc<Inbox<S>>>,
+    next: AtomicUsize,
+    spawned: OrderedMutex<bool>,
+    kind: &'static str,
+    shared: Arc<Shared>,
+    /// Loop turns taken so far, all threads together.
+    #[cfg(test)]
+    turns: AtomicU64,
+}
+
+impl<S: Source> EventLoop<S> {
+    pub(crate) fn new(shared: Arc<Shared>, threads: usize, kind: &'static str) -> Arc<Self> {
+        let inbox = |_| {
+            Arc::new(Inbox {
+                adopt: OrderedMutex::new(ranks::NET_REACTOR_CMDS, Vec::new()),
+                waker: Waker::new().expect("create event-loop waker"),
+            })
+        };
         Arc::new(Self {
-            adopt: OrderedMutex::new(rank, Vec::new()),
-            waker: Waker::new().expect("create event-loop waker"),
+            inboxes: (0..threads).map(inbox).collect(),
+            next: AtomicUsize::new(0),
+            spawned: OrderedMutex::new(ranks::NET_REACTORS, false),
+            kind,
+            shared,
+            #[cfg(test)]
+            turns: AtomicU64::new(0),
         })
     }
 
-    pub(crate) fn push(&self, item: T) {
-        self.adopt.lock().push(item);
-        self.waker.wake();
+    /// The event-loop thread budget.
+    pub(crate) fn threads(&self) -> usize {
+        self.inboxes.len()
     }
 
-    /// Moves everything queued so far into the loop's own table.
-    pub(crate) fn adopt_into(&self, table: &mut Vec<T>) {
-        table.append(&mut self.adopt.lock());
+    #[cfg(test)]
+    pub(crate) fn turns(&self) -> u64 {
+        self.turns.load(Ordering::SeqCst)
+    }
+
+    /// Round-robin placement: the inbox of the thread that will own the
+    /// next source (sources never migrate). Spawns the pool on first
+    /// use.
+    pub(crate) fn pick(self: &Arc<Self>) -> &Arc<Inbox<S>> {
+        let mut spawned = self.spawned.lock();
+        if !*spawned {
+            *spawned = true;
+            for idx in 0..self.inboxes.len() {
+                let guard = ThreadGuard::enter(&self.shared.threads);
+                let el = self.clone();
+                thread::Builder::new()
+                    .name(format!("ofl-{}-loop-{idx}", self.kind))
+                    .spawn(move || {
+                        let _guard = guard;
+                        el.run(idx);
+                    })
+                    .expect("spawn event loop");
+            }
+        }
+        drop(spawned);
+        &self.inboxes[self.next.fetch_add(1, Ordering::Relaxed) % self.inboxes.len()]
+    }
+
+    /// Wakes every thread so each observes the shutdown flag now.
+    fn wake_all(&self) {
+        for inbox in &self.inboxes {
+            inbox.waker.wake();
+        }
+    }
+
+    fn run(self: Arc<Self>, idx: usize) {
+        let inbox = &self.inboxes[idx];
+        let mut sources: Vec<S> = Vec::new();
+        let mut fds: Vec<PollFd> = Vec::new();
+        loop {
+            if self.shared.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            sources.append(&mut inbox.adopt.lock());
+            let now = Instant::now();
+            let mut due: Option<Instant> = None;
+            sources.retain_mut(|source| match source.sweep(now) {
+                Sweep::Retire => false,
+                Sweep::Idle => true,
+                Sweep::Due(at) => {
+                    due = Some(due.map_or(at, |d| d.min(at)));
+                    true
+                }
+            });
+            // Slot 0 is the waker, slot i + 1 source i; `poll` skips
+            // the negative fd of a source with no interest.
+            fds.clear();
+            fds.push(PollFd::new(inbox.waker.rx_fd(), POLLIN));
+            fds.extend(sources.iter().map(|source| {
+                let idle = PollFd::new(-1, 0);
+                source.interest().unwrap_or(idle)
+            }));
+            // `poll` counts whole milliseconds: round a deadline up so
+            // the turn it buys finds its work due.
+            let timeout_ms = due.map_or(-1, |at| {
+                let wait = at.saturating_duration_since(Instant::now());
+                wait.as_micros().div_ceil(1_000).min(i32::MAX as u128) as i32
+            });
+            if poll_fds(&mut fds, timeout_ms).is_err() {
+                // EBADF/ENOMEM-class failure: back off instead of
+                // spinning.
+                thread::sleep(Duration::from_millis(1));
+                continue;
+            }
+            #[cfg(test)]
+            self.turns.fetch_add(1, Ordering::SeqCst);
+            if fds[0].readable() {
+                inbox.waker.drain();
+            }
+            for (source, fd) in sources.iter_mut().zip(&fds[1..]) {
+                if fd.revents != 0 {
+                    source.ready(*fd, &self);
+                }
+            }
+        }
     }
 }
+
+// ---------------------------------------------------------------------
+// Server-side dispatch.
+// ---------------------------------------------------------------------
 
 /// Where a served request's answer goes: the binding's way back to the
 /// requester.
@@ -787,7 +942,7 @@ pub(crate) struct ServeJob<S> {
 /// serve-path clone are gone.
 fn spawn_dispatch_pool<S: ReplySink>(
     workers: usize,
-    name: &str,
+    kind: &str,
     threads: &Arc<AtomicUsize>,
 ) -> mpsc::Sender<ServeJob<S>> {
     let (job_tx, job_rx) = mpsc::channel::<ServeJob<S>>();
@@ -796,7 +951,7 @@ fn spawn_dispatch_pool<S: ReplySink>(
         let guard = ThreadGuard::enter(threads);
         let job_rx = job_rx.clone();
         thread::Builder::new()
-            .name(format!("{name}-{worker}"))
+            .name(format!("ofl-{kind}-disp-{worker}"))
             .spawn(move || {
                 let _guard = guard;
                 loop {
@@ -896,6 +1051,223 @@ mod tests {
         demux.complete(1, Ok(vec![2]));
         assert_eq!(orphans.load(Ordering::Relaxed), 2);
         assert_eq!(demux.in_flight(), 0);
+    }
+
+    // The event loop, driven directly with a fake source.
+
+    enum Ev {
+        Ready,
+        Fired,
+        Dropped,
+    }
+
+    /// Reports what the loop does to it. `sock`, when present, is its
+    /// poll interest (drained on readiness); `due` is a deadline its
+    /// sweep names until it fires.
+    struct Fake {
+        sock: Option<std::net::UdpSocket>,
+        due: Option<Instant>,
+        retire_on_ready: bool,
+        retire: bool,
+        tx: mpsc::Sender<Ev>,
+    }
+
+    impl Fake {
+        /// A fake with a readable-on-demand socket; returns where to
+        /// send to make it ready.
+        fn with_socket(tx: &mpsc::Sender<Ev>) -> (Self, SocketAddr) {
+            let sock = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+            sock.set_nonblocking(true).unwrap();
+            let addr = sock.local_addr().unwrap();
+            let fake = Fake {
+                sock: Some(sock),
+                due: None,
+                retire_on_ready: false,
+                retire: false,
+                tx: tx.clone(),
+            };
+            (fake, addr)
+        }
+    }
+
+    impl Source for Fake {
+        fn interest(&self) -> Option<PollFd> {
+            use std::os::fd::AsRawFd;
+            let sock = self.sock.as_ref()?;
+            Some(PollFd::new(sock.as_raw_fd(), POLLIN))
+        }
+
+        fn ready(&mut self, _ready: PollFd, _el: &Arc<EventLoop<Self>>) {
+            let sock = self.sock.as_ref().unwrap();
+            while sock.recv(&mut [0u8; 8]).is_ok() {}
+            self.retire = self.retire_on_ready;
+            let _ = self.tx.send(Ev::Ready);
+        }
+
+        fn sweep(&mut self, now: Instant) -> Sweep {
+            if self.retire {
+                return Sweep::Retire;
+            }
+            match self.due {
+                Some(at) if now < at => Sweep::Due(at),
+                Some(_) => {
+                    self.due = None;
+                    let _ = self.tx.send(Ev::Fired);
+                    Sweep::Idle
+                }
+                None => Sweep::Idle,
+            }
+        }
+    }
+
+    impl Drop for Fake {
+        fn drop(&mut self) {
+            let _ = self.tx.send(Ev::Dropped);
+        }
+    }
+
+    fn fake_loop() -> Arc<EventLoop<Fake>> {
+        use rand::SeedableRng;
+        EventLoop::new(Shared::new(StdRng::seed_from_u64(1)), 1, "test")
+    }
+
+    /// What `Core::drop` does, then waits for the loop thread to go.
+    fn stop(el: &EventLoop<Fake>) {
+        el.shared.shutdown.store(true, Ordering::SeqCst);
+        el.wake_all();
+        let t0 = Instant::now();
+        while el.shared.threads.load(Ordering::SeqCst) > 0 {
+            assert!(t0.elapsed() < Duration::from_secs(2), "loop did not exit");
+            thread::yield_now();
+        }
+    }
+
+    const PATIENCE: Duration = Duration::from_secs(2);
+
+    #[test]
+    fn event_loop_deadline_fires_with_no_fd_ready() {
+        let el = fake_loop();
+        let (tx, rx) = mpsc::channel();
+        let t0 = Instant::now();
+        el.pick().push(Fake {
+            sock: None,
+            due: Some(t0 + Duration::from_millis(40)),
+            retire_on_ready: false,
+            retire: false,
+            tx,
+        });
+        assert!(matches!(rx.recv_timeout(PATIENCE), Ok(Ev::Fired)));
+        assert!(t0.elapsed() >= Duration::from_millis(40), "fired early");
+        // It slept to the deadline instead of spinning toward it: the
+        // adoption wake, the timed-out poll, nothing else.
+        assert!(el.turns() <= 3, "{} turns to one deadline", el.turns());
+        stop(&el);
+    }
+
+    #[test]
+    fn event_loop_retired_source_leaves_the_poll_set() {
+        let el = fake_loop();
+        let (tx, rx) = mpsc::channel();
+        let (mut fake, addr) = Fake::with_socket(&tx);
+        fake.retire_on_ready = true;
+        el.pick().push(fake);
+        let poke = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        poke.send_to(&[1], addr).unwrap();
+        assert!(matches!(rx.recv_timeout(PATIENCE), Ok(Ev::Ready)));
+        assert!(matches!(rx.recv_timeout(PATIENCE), Ok(Ev::Dropped)));
+        // Retired means gone: with its fd out of the set (and closed)
+        // the loop has nothing to wake for, whatever arrives there.
+        let turns = el.turns();
+        let _ = poke.send_to(&[1], addr);
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+        assert_eq!(el.turns(), turns);
+        stop(&el);
+    }
+
+    #[test]
+    fn event_loop_adopts_sources_pushed_from_another_thread() {
+        let el = fake_loop();
+        let (tx, rx) = mpsc::channel();
+        let (fake, addr) = Fake::with_socket(&tx);
+        let remote = el.clone();
+        thread::spawn(move || remote.pick().push(fake))
+            .join()
+            .unwrap();
+        std::net::UdpSocket::bind("127.0.0.1:0")
+            .unwrap()
+            .send_to(&[1], addr)
+            .unwrap();
+        assert!(matches!(rx.recv_timeout(PATIENCE), Ok(Ev::Ready)));
+        stop(&el);
+        // The exiting loop dropped what it had adopted.
+        assert!(matches!(rx.recv_timeout(PATIENCE), Ok(Ev::Dropped)));
+    }
+
+    fn echo_pair<T: Transport>(transport: &T) -> (EndpointId, EndpointId) {
+        let server = transport.register("echo", None);
+        transport.set_service(
+            server,
+            Arc::new(|_from: EndpointId, payload: &[u8]| payload.to_vec()),
+        );
+        (transport.register("client", None), server)
+    }
+
+    /// `Core::drop` is one wake per loop thread, and that wake unwinds
+    /// everything: the loops are parked in a `poll` with no timeout, so
+    /// nothing else could.
+    fn dropping_the_last_handle_unwinds_every_worker<T: Transport + Binding>(transport: T) {
+        let kind = transport.kind();
+        let (client, server) = echo_pair(&transport);
+        transport.call(client, server, vec![1]).unwrap();
+        let threads = transport.core().shared.threads.clone();
+        assert!(threads.load(Ordering::SeqCst) > 0);
+        drop(transport);
+        let t0 = Instant::now();
+        while threads.load(Ordering::SeqCst) > 0 {
+            assert!(
+                t0.elapsed() < PATIENCE,
+                "{kind}: {} workers outlived the last handle",
+                threads.load(Ordering::SeqCst)
+            );
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn dropping_the_last_handle_unwinds_every_worker_on_every_binding() {
+        dropping_the_last_handle_unwinds_every_worker(TcpTransport::new(7));
+        dropping_the_last_handle_unwinds_every_worker(QuicLiteTransport::new(7));
+    }
+
+    /// Once traffic has quiesced — every response claimed, every packet
+    /// acked, the last RTO deadline past — nothing is due, so the loop
+    /// sits in `poll` with no timeout: zero turns.
+    fn idle_transport_makes_no_loop_turns<T: Transport + Binding>(transport: T) {
+        let kind = transport.kind();
+        let (client, server) = echo_pair(&transport);
+        let calls = (0..8u8).map(|i| (server, vec![i])).collect();
+        for result in transport.call_parallel(client, calls) {
+            result.unwrap();
+        }
+        let el = &transport.core().event_loop;
+        let t0 = Instant::now();
+        let mut turns = el.turns();
+        loop {
+            thread::sleep(Duration::from_millis(100));
+            if el.turns() == turns {
+                break;
+            }
+            turns = el.turns();
+            assert!(t0.elapsed() < PATIENCE, "{kind}: never quiesced");
+        }
+        thread::sleep(Duration::from_millis(300));
+        assert_eq!(el.turns(), turns, "{kind}: an idle transport ticked");
+    }
+
+    #[test]
+    fn idle_transport_makes_no_loop_turns_on_every_binding() {
+        idle_transport_makes_no_loop_turns(TcpTransport::new(7));
+        idle_transport_makes_no_loop_turns(QuicLiteTransport::new(7));
     }
 
     // The cases below were pinned on tcp only while each backend had

@@ -1,5 +1,5 @@
 //! The stream binding: multiplexed, pipelined envelopes over loopback
-//! TCP, driven by a shared reactor pool.
+//! TCP, every socket a source on the core's event loop.
 //!
 //! [`TcpTransport`] is the socket core (`crate::core`) bound to
 //! `std::net` streams, proving the whole federated stack — DNS
@@ -9,18 +9,15 @@
 //! the core; this module owns only what is stream-specific:
 //!
 //! - **Shared reactors**: all socket I/O — client and served sides
-//!   both — runs on a small fixed pool of event-loop threads (default
-//!   `min(cores, 8)`, overridable via [`TcpTransport::with_reactors`])
-//!   multiplexing non-blocking sockets with `poll(2)` readiness. Each
-//!   reactor owns a slab of connections: it drains bounded
-//!   per-connection write buffers on writability, runs non-blocking
-//!   reads through the incremental framing-v2 decoder
+//!   both — runs on the core's event loop (`crate::core::EventLoop`:
+//!   threads, placement, wake-ups and teardown are documented there),
+//!   here `min(cores, 8)` *reactor* threads. This module supplies what
+//!   a reactor does per socket (`Entry`'s `Source` impl): it drains
+//!   bounded per-connection write buffers on writability, runs
+//!   non-blocking reads through the incremental framing-v2 decoder
 //!   ([`openflame_codec::framing::FrameDecoder`] — partial frames
 //!   across arbitrary split boundaries are the normal case), and
-//!   demultiplexes responses by correlation id. Thread count is
-//!   O(reactor pool + dispatch pool) — **independent of servers,
-//!   connections, fan-out width and call volume**; the pipelining
-//!   stress test pins this down at 128 servers × 8 sessions.
+//!   demultiplexes responses by correlation id.
 //! - **Served endpoints** bind a `127.0.0.1:0` listener registered
 //!   with a reactor; accepted connections are spread across the pool.
 //!   Decoded requests go through the core's admit-or-shed step to the
@@ -59,22 +56,19 @@
 //! Clocks are wall-clock microseconds since transport creation, so the
 //! TTL caches built on [`Transport::now_us`] age in real time. Raw
 //! sockets poking a listener from outside this transport are served
-//! but not counted. Worker threads are detached but bounded and
-//! observable via [`TcpTransport::worker_threads`]: the reactor pool
-//! plus the dispatch pool, nothing per connection, endpoint or call.
-//! Dropping the last transport handle wakes every reactor; each exits,
-//! closing its listeners (releasing their ports) and connections and
-//! dropping its service handles, which unwinds the dispatch pool. This
+//! but not counted. [`Transport::worker_threads`] is the reactor pool
+//! plus the dispatch pool, nothing per connection, endpoint or call —
+//! the pipelining stress test pins it at 128 servers × 8 sessions. This
 //! backend is built for tests, benches and single-process demos, not
 //! as a hardened production server.
 
 use crate::core::{
-    encode_frame, Binding, Core, Demux, Inbox, Outgoing, ReplySink, Sent, Served, Shared,
-    SocketPending,
+    encode_frame, Binding, Core, Demux, EventLoop, Inbox, Outgoing, ReplySink, Sent, Served,
+    Shared, SocketPending, Source, Sweep,
 };
-use crate::reactor::{connect_nonblocking, poll_fds, PollFd, POLLIN, POLLOUT};
+use crate::reactor::{connect_nonblocking, PollFd, POLLIN, POLLOUT};
 use crate::transport::{PendingCall, Transfer, Transport};
-use crate::{EndpointId, NetError, ThreadGuard};
+use crate::{EndpointId, NetError};
 use openflame_codec::framing::FrameDecoder;
 use openflame_diag::{ranks, OrderedMutex};
 use rand::rngs::StdRng;
@@ -83,10 +77,10 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::Instant;
 
 /// Pipelined connections kept per destination endpoint.
 pub const POOL_CAP: usize = 4;
@@ -114,13 +108,6 @@ pub const SERVE_PIPELINE: usize = PIPELINE_DEPTH;
 /// Hard cap on the reactor pool (the default is
 /// `min(available cores, MAX_REACTORS)`).
 pub const MAX_REACTORS: usize = 8;
-
-fn default_reactor_count() -> usize {
-    thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(MAX_REACTORS)
-}
 
 // ---------------------------------------------------------------------
 // Client connections.
@@ -158,7 +145,7 @@ pub(crate) struct ClientConn {
     kill: AtomicBool,
     out: OrderedMutex<OutQueue>,
     /// The reactor that owns the socket — woken on every enqueue.
-    reactor: Arc<ReactorShared>,
+    reactor: Arc<Inbox<Entry>>,
 }
 
 impl ClientConn {
@@ -180,46 +167,10 @@ impl ClientConn {
 }
 
 // ---------------------------------------------------------------------
-// Reactor pool.
-// ---------------------------------------------------------------------
-
-type TcpServed = Arc<Served<Arc<SrvShared>>>;
-
-/// One reactor's inbox: other threads hand it a freshly dialed client
-/// connection, a served endpoint's listener or an accepted server-side
-/// connection.
-type ReactorShared = Inbox<Entry>;
-
-struct ReactorPool {
-    handles: Vec<Arc<ReactorShared>>,
-    next: AtomicUsize,
-}
-
-impl ReactorPool {
-    /// Round-robin assignment of new sockets across the pool.
-    fn pick(&self) -> Arc<ReactorShared> {
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.handles.len();
-        self.handles[i].clone()
-    }
-
-    fn wake_all(&self) {
-        for handle in &self.handles {
-            handle.waker.wake();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // The transport handle and its binding.
 // ---------------------------------------------------------------------
 
-/// The handle-owned stream state: the reactor pool.
-pub(crate) struct TcpState {
-    /// Configured reactor pool size (threads spawn lazily on first
-    /// dial or `set_service`).
-    reactor_count: usize,
-    reactors: OrderedMutex<Option<Arc<ReactorPool>>>,
-}
+type TcpServed = Arc<Served<Arc<SrvShared>>>;
 
 /// [`Transport`] over real loopback TCP sockets (see module docs).
 ///
@@ -235,18 +186,15 @@ impl TcpTransport {
     /// (`min(cores, MAX_REACTORS)`). `seed` drives the drop-injection
     /// RNG.
     pub fn new(seed: u64) -> Self {
-        Self::with_reactors(seed, default_reactor_count())
+        Self::with_reactors(seed, thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// Creates a transport with an explicit reactor-pool size
     /// (clamped to `1..=MAX_REACTORS`).
-    pub fn with_reactors(seed: u64, reactors: usize) -> Self {
-        let state = TcpState {
-            reactor_count: reactors.clamp(1, MAX_REACTORS),
-            reactors: OrderedMutex::new(ranks::TCP_REACTORS, None),
-        };
+    pub(crate) fn with_reactors(seed: u64, reactors: usize) -> Self {
+        let shared = Shared::new(StdRng::seed_from_u64(seed));
         Self {
-            inner: Core::new(Shared::new(StdRng::seed_from_u64(seed)), state),
+            inner: Core::new(shared, (), reactors.clamp(1, MAX_REACTORS)),
         }
     }
 
@@ -260,18 +208,12 @@ impl TcpTransport {
         self.inner.listen_addr(id)
     }
 
-    /// Live worker threads: the reactor pool plus the shared dispatch
-    /// pool. Bounded by [`TcpTransport::reactor_threads`] `+`
-    /// [`DISPATCH_POOL`] — **not** by endpoints, connections, fan-out
-    /// width or call volume; the pipelining stress test pins this
-    /// down.
-    pub fn worker_threads(&self) -> usize {
-        Transport::worker_threads(self)
-    }
-
     /// Configured reactor-pool size (the event-loop thread budget).
+    /// [`Transport::worker_threads`] is this plus [`DISPATCH_POOL`] —
+    /// **not** a function of endpoints, connections, fan-out width or
+    /// call volume; the pipelining stress test pins this down.
     pub fn reactor_threads(&self) -> usize {
-        self.inner.state.reactor_count
+        self.inner.event_loop.threads()
     }
 
     /// Responses discarded because their correlation id matched no
@@ -293,44 +235,6 @@ impl TcpTransport {
 }
 
 impl Core<TcpTransport> {
-    /// The lazily spawned reactor pool.
-    fn reactor_pool(&self) -> Arc<ReactorPool> {
-        let mut slot = self.state.reactors.lock();
-        if let Some(pool) = slot.as_ref() {
-            return pool.clone();
-        }
-        let handles = (0..self.state.reactor_count)
-            .map(|_| Inbox::new(ranks::TCP_REACTOR_CMDS))
-            .collect();
-        let pool = Arc::new(ReactorPool {
-            handles,
-            next: AtomicUsize::new(0),
-        });
-        for idx in 0..self.state.reactor_count {
-            let guard = ThreadGuard::enter(&self.shared.threads);
-            let pool = pool.clone();
-            let shared = self.shared.clone();
-            thread::Builder::new()
-                .name(format!("ofl-tcp-reactor-{idx}"))
-                .spawn(move || {
-                    let _guard = guard;
-                    run_reactor(idx, pool, shared);
-                })
-                .expect("spawn reactor");
-        }
-        *slot = Some(pool.clone());
-        pool
-    }
-
-    /// Wakes every reactor (no-op before the pool exists) so state
-    /// changes made outside the event loop — timeout pruning,
-    /// `set_down` kills — are noticed now, not at the next I/O event.
-    fn wake_reactors(&self) {
-        if let Some(pool) = self.state.reactors.lock().as_ref() {
-            pool.wake_all();
-        }
-    }
-
     /// Creates a connection toward `addr`: the socket starts a
     /// non-blocking connect and is handed to a reactor mid-handshake —
     /// `submit` never blocks on a dial, frames queue behind the
@@ -338,7 +242,7 @@ impl Core<TcpTransport> {
     /// concurrently. A failed handshake fails every queued and
     /// subsequently raced-in request through the demux.
     fn dial(&self, addr: SocketAddr) -> Arc<ClientConn> {
-        let target = self.reactor_pool().pick();
+        let target = self.event_loop.pick();
         let conn = Arc::new(ClientConn {
             addr,
             demux: Arc::new(Demux::new(self.shared.orphans.clone())),
@@ -424,8 +328,8 @@ pub(crate) struct TcpFlight {
 impl Binding for TcpTransport {
     const KIND: &'static str = "tcp";
     const DISPATCH_WORKERS: usize = DISPATCH_POOL;
-    const DISPATCH_THREAD: &'static str = "ofl-tcp-disp";
-    type State = TcpState;
+    type State = ();
+    type Source = Entry;
     type Conns = Vec<Arc<ClientConn>>;
     type Flight = TcpFlight;
     type Sink = Arc<SrvShared>;
@@ -440,8 +344,8 @@ impl Binding for TcpTransport {
             .set_nonblocking(true)
             .expect("non-blocking listener");
         let addr = listener.local_addr().expect("listener has an address");
-        let pool = core.reactor_pool();
-        pool.pick()
+        core.event_loop
+            .pick()
             .push(Entry::Listener(listener, Arc::new(served)));
         addr
     }
@@ -509,7 +413,7 @@ impl Binding for TcpTransport {
             // keep their cells; only checkout is barred, and the
             // reactor closes the socket once they drain).
             flight.conn.broken.store(true, Ordering::SeqCst);
-            call.core.wake_reactors();
+            flight.conn.reactor.waker.wake();
             return Err(NetError::Timeout);
         };
         let retriable = sole_in_flight
@@ -543,26 +447,14 @@ impl Binding for TcpTransport {
         })
     }
 
-    fn cut(core: &Core<Self>, _id: EndpointId, conns: Self::Conns) {
+    fn cut(_core: &Core<Self>, _id: EndpointId, conns: Self::Conns) {
         // Cut the pooled connections now: in-flight requests fail like
         // they would on a crashed process, instead of riding a socket
         // whose server will never answer again.
         for conn in &conns {
             conn.kill.store(true, Ordering::SeqCst);
             conn.broken.store(true, Ordering::SeqCst);
-        }
-        core.wake_reactors();
-    }
-
-    fn teardown(state: &mut TcpState) {
-        // Wake every reactor so it observes the shutdown flag now: each
-        // exits, dropping its listeners (releasing their ports), its
-        // connections and its service/dispatch handles — which in turn
-        // unwinds the dispatch pool once the core's master sender goes
-        // too. No connect-storm, no per-endpoint walk: teardown cost
-        // is O(reactors) regardless of how many endpoints served.
-        if let Some(pool) = state.reactors.get_mut().take() {
-            pool.wake_all();
+            conn.reactor.waker.wake();
         }
     }
 }
@@ -601,7 +493,7 @@ pub(crate) struct SrvShared {
     /// Set when the connection is torn down: late results are dropped
     /// instead of queued for a writer that no longer exists.
     dead: AtomicBool,
-    reactor: Arc<ReactorShared>,
+    reactor: Arc<Inbox<Entry>>,
 }
 
 impl ReplySink for Arc<SrvShared> {
@@ -618,7 +510,7 @@ impl ReplySink for Arc<SrvShared> {
 // ---------------------------------------------------------------------
 
 /// A client connection as its reactor sees it.
-struct ClientEntry {
+pub(crate) struct ClientEntry {
     conn: Arc<ClientConn>,
     stream: TcpStream,
     /// Still mid-handshake (every connection is adopted that way):
@@ -635,7 +527,7 @@ struct WriteBuf {
 }
 
 /// A server-side connection as its reactor sees it.
-struct ServedEntry {
+pub(crate) struct ServedEntry {
     stream: TcpStream,
     served: TcpServed,
     shared: Arc<SrvShared>,
@@ -651,33 +543,77 @@ struct ServedEntry {
     dead: bool,
 }
 
-enum Entry {
+pub(crate) enum Entry {
     Client(ClientEntry),
     /// A served endpoint's listener.
     Listener(TcpListener, TcpServed),
     Served(ServedEntry),
 }
 
-/// One reactor thread: poll readiness, pump non-blocking reads through
-/// the incremental decoder, drain write queues, accept connections —
-/// for every socket in its slab. Exits when the transport shuts down,
-/// dropping the slab (which closes every fd and releases every
-/// service/dispatch handle it held).
-fn run_reactor(idx: usize, pool: Arc<ReactorPool>, transport: Arc<Shared>) {
-    let shared = pool.handles[idx].clone();
-    let mut entries: Vec<Entry> = Vec::new();
-    let mut fds: Vec<PollFd> = Vec::new();
-    let mut owners: Vec<usize> = Vec::new();
-    loop {
-        if transport.shutdown.load(Ordering::SeqCst) {
-            return;
+/// What a reactor does for each socket in its slab: pump non-blocking
+/// reads through the incremental decoder, drain write queues, accept
+/// connections. The loop itself — and the slab, whose drop on shutdown
+/// closes every fd and releases every service/dispatch handle — is
+/// the core's [`EventLoop`].
+impl Source for Entry {
+    /// `None` keeps the fd out of this round entirely (dead, or — for
+    /// a fully gated server connection — nothing to wait for until the
+    /// waker fires).
+    fn interest(&self) -> Option<PollFd> {
+        match self {
+            Entry::Listener(listener, _) => Some(PollFd::new(listener.as_raw_fd(), POLLIN)),
+            Entry::Client(c) => {
+                if c.dead {
+                    return None;
+                }
+                let mut events = 0i16;
+                if c.connecting {
+                    events |= POLLOUT;
+                } else {
+                    events |= POLLIN;
+                    if !c.conn.out.lock().frames.is_empty() {
+                        events |= POLLOUT;
+                    }
+                }
+                Some(PollFd::new(c.stream.as_raw_fd(), events))
+            }
+            Entry::Served(s) => {
+                if s.dead {
+                    return None;
+                }
+                let mut events = 0i16;
+                if s.read_open && s.in_dispatch < SERVE_PIPELINE {
+                    // The readiness-deregistration backpressure gate: a
+                    // saturated connection simply stops watching for
+                    // readability.
+                    events |= POLLIN;
+                }
+                if s.cur.is_some() || !s.shared.done.lock().is_empty() {
+                    events |= POLLOUT;
+                }
+                if events == 0 {
+                    return None;
+                }
+                Some(PollFd::new(s.stream.as_raw_fd(), events))
+            }
         }
-        shared.adopt_into(&mut entries);
-        // Retire sweep: externally killed connections, broken ones
-        // that drained, gracefully finished server connections, and
-        // everything that died during the last event round.
-        entries.retain_mut(|entry| match entry {
-            Entry::Listener(..) => true,
+    }
+
+    fn ready(&mut self, ready: PollFd, el: &Arc<EventLoop<Self>>) {
+        match self {
+            Entry::Client(c) => handle_client(c, ready),
+            Entry::Listener(listener, served) => handle_listener(listener, served, el),
+            Entry::Served(s) => handle_served(s, ready),
+        }
+    }
+
+    /// Retire sweep: externally killed connections, broken ones that
+    /// drained, gracefully finished server connections, and everything
+    /// that died during the last event round. Streams have no
+    /// deadlines, so a reactor's poll never times out.
+    fn sweep(&mut self, _now: Instant) -> Sweep {
+        let dead = match self {
+            Entry::Listener(..) => false,
             Entry::Client(c) => {
                 if !c.dead && c.conn.kill.load(Ordering::SeqCst) {
                     client_death(c, io::ErrorKind::UnexpectedEof, "connection force-closed");
@@ -708,7 +644,7 @@ fn run_reactor(idx: usize, pool: Arc<ReactorPool>, transport: Arc<Shared>) {
                         }
                     }
                 }
-                !c.dead
+                c.dead
             }
             Entry::Served(s) => {
                 if !s.dead
@@ -725,80 +661,13 @@ fn run_reactor(idx: usize, pool: Arc<ReactorPool>, transport: Arc<Shared>) {
                     s.shared.dead.store(true, Ordering::SeqCst);
                     let _ = s.stream.shutdown(Shutdown::Both);
                 }
-                !s.dead
+                s.dead
             }
-        });
-        fds.clear();
-        owners.clear();
-        fds.push(PollFd::new(shared.waker.rx_fd(), POLLIN));
-        owners.push(usize::MAX);
-        for (i, entry) in entries.iter().enumerate() {
-            if let Some(fd) = interest(entry) {
-                fds.push(fd);
-                owners.push(i);
-            }
-        }
-        if poll_fds(&mut fds, -1).is_err() {
-            // EBADF/ENOMEM-class failure: back off instead of spinning.
-            thread::sleep(Duration::from_millis(1));
-            continue;
-        }
-        if fds[0].readable() {
-            shared.waker.drain();
-        }
-        for k in 1..fds.len() {
-            let ready = fds[k];
-            if ready.revents == 0 {
-                continue;
-            }
-            match &mut entries[owners[k]] {
-                Entry::Client(c) => handle_client(c, ready),
-                Entry::Listener(listener, served) => handle_listener(listener, served, &pool),
-                Entry::Served(s) => handle_served(s, ready),
-            }
-        }
-    }
-}
-
-/// The poll interest of one slab entry; `None` keeps the fd out of
-/// this round entirely (dead, or — for a fully gated server
-/// connection — nothing to wait for until the waker fires).
-fn interest(entry: &Entry) -> Option<PollFd> {
-    match entry {
-        Entry::Listener(listener, _) => Some(PollFd::new(listener.as_raw_fd(), POLLIN)),
-        Entry::Client(c) => {
-            if c.dead {
-                return None;
-            }
-            let mut events = 0i16;
-            if c.connecting {
-                events |= POLLOUT;
-            } else {
-                events |= POLLIN;
-                if !c.conn.out.lock().frames.is_empty() {
-                    events |= POLLOUT;
-                }
-            }
-            Some(PollFd::new(c.stream.as_raw_fd(), events))
-        }
-        Entry::Served(s) => {
-            if s.dead {
-                return None;
-            }
-            let mut events = 0i16;
-            if s.read_open && s.in_dispatch < SERVE_PIPELINE {
-                // The readiness-deregistration backpressure gate: a
-                // saturated connection simply stops watching for
-                // readability.
-                events |= POLLIN;
-            }
-            if s.cur.is_some() || !s.shared.done.lock().is_empty() {
-                events |= POLLOUT;
-            }
-            if events == 0 {
-                return None;
-            }
-            Some(PollFd::new(s.stream.as_raw_fd(), events))
+        };
+        if dead {
+            Sweep::Retire
+        } else {
+            Sweep::Idle
         }
     }
 }
@@ -917,7 +786,7 @@ fn pump_client_read(c: &mut ClientEntry) -> Result<(), (io::ErrorKind, String)> 
 }
 
 /// Accepts every pending connection, spreading them across the pool.
-fn handle_listener(listener: &TcpListener, served: &TcpServed, pool: &Arc<ReactorPool>) {
+fn handle_listener(listener: &TcpListener, served: &TcpServed, el: &Arc<EventLoop<Entry>>) {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -925,7 +794,7 @@ fn handle_listener(listener: &TcpListener, served: &TcpServed, pool: &Arc<Reacto
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
-                let target = pool.pick();
+                let target = el.pick();
                 let shared = Arc::new(SrvShared {
                     done: OrderedMutex::new(ranks::TCP_SERVE_DONE, VecDeque::new()),
                     dead: AtomicBool::new(false),
@@ -1068,7 +937,7 @@ mod tests {
     use super::*;
     use crate::transport::{CompletionSet, OverloadPolicy, Transport};
     use openflame_codec::framing::{read_frame, write_frame, FRAME_HEADER_LEN};
-    use std::time::Instant;
+    use std::time::Duration;
 
     fn echo_transport() -> (TcpTransport, EndpointId, EndpointId) {
         let transport = TcpTransport::new(7);

@@ -21,8 +21,9 @@
 //!   counters make the saving observable
 //!   ([`QuicLiteTransport::quic_stats`]).
 //! - **Packet numbers + ack-elicited retransmission**: every `Data`
-//!   packet is numbered and acknowledged; a background RTO timer thread
-//!   retransmits unacknowledged packets, so injected datagram loss
+//!   packet is numbered and acknowledged; the event loop retransmits
+//!   unacknowledged packets when their RTO deadline falls due (spec
+//!   §6.2), so injected datagram loss
 //!   ([`Transport::set_drop_probability`], rolled per datagram) below
 //!   the call timeout is *recovered*, not surfaced as failure — the
 //!   call succeeds and the [`QuicLiteTransport::retransmits`] counter
@@ -34,9 +35,9 @@
 //!   batched envelopes of any size ride the same path.
 //! - **One socket per side**: one client socket multiplexes unbounded
 //!   in-flight calls across every destination. Each served endpoint
-//!   binds one UDP socket; all serve sockets are multiplexed by a
-//!   single poll-based poller thread, which hands reassembled frames to
-//!   the core's admit-or-shed step and its transport-wide worker pool
+//!   binds one UDP socket; the core's event loop multiplexes all of
+//!   them with the client socket, handing reassembled frames to the
+//!   core's admit-or-shed step and its transport-wide worker pool
 //!   ([`SERVE_POOL`]); responses are sent the moment they complete —
 //!   with datagrams there is no stream to keep ordered, so
 //!   completion-order responses are free (the "per-stream trivia" the
@@ -53,16 +54,15 @@
 //! the backend is for tests, benches and single-process demos, like the
 //! TCP backend beside it.
 //!
-//! Threads are few and fixed: one poller multiplexing every served
-//! endpoint's socket, a transport-wide pool of [`SERVE_POOL`] dispatch
-//! workers, one shared client receiver, and one RTO timer — a small
-//! constant, independent of served endpoints, fan-out width, call
-//! volume and destination count (the pipelining stress test pins the
-//! ceiling, which sits below even TCP's shared-reactor budget). The
-//! RTO timer is lazy and parked: it does not exist until the first
-//! packet awaits an ack, and it sleeps on a condvar — burning no
-//! wakeups — whenever nothing is unacknowledged. All workers exit
-//! within a poll tick of the last transport handle dropping.
+//! Threads are few and fixed: the core's event loop (one thread) owns
+//! every socket — the client socket and each served endpoint's are
+//! sources on it — and [`SERVE_POOL`] workers dispatch; sends happen
+//! inline on whichever thread submits or answers. That census is
+//! independent of served endpoints, fan-out width, call volume and
+//! destination count (the pipelining stress test pins it, below even
+//! TCP's shared-reactor budget). Retransmission is a deadline on the
+//! loop, not a thread: a socket whose connections have nothing
+//! unacknowledged names none, so an idle transport does not tick.
 //!
 //! Frame-level accounting is the core's, so cross-backend message
 //! parity holds for failure-free runs. Packet-level truth —
@@ -72,15 +72,15 @@
 //! invariants rest on.
 
 use crate::core::{
-    encode_frame, Binding, Core, Demux, Inbox, Outgoing, ReplySink, Sent, Served, Shared,
-    SocketPending,
+    encode_frame, Binding, Core, Demux, EventLoop, Inbox, Outgoing, ReplySink, Sent, Served,
+    Shared, SocketPending, Source, Sweep,
 };
-use crate::reactor::{poll_fds, PollFd, POLLIN};
+use crate::reactor::{PollFd, POLLIN};
 use crate::transport::{Transfer, Transport};
-use crate::{EndpointId, NetError, ThreadGuard};
+use crate::{EndpointId, NetError};
 use openflame_codec::framing::read_frame;
 use openflame_codec::packet::{decode_packet, encode_packet, Packet, PacketType, PAYLOAD_MTU};
-use openflame_diag::{ranks, OrderedCondvar, OrderedMutex};
+use openflame_diag::{ranks, OrderedMutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -88,8 +88,7 @@ use std::io;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-use std::thread;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Concurrent dispatch workers for the whole transport: reassembled
@@ -100,18 +99,23 @@ use std::time::{Duration, Instant};
 /// constant no matter how many endpoints serve.
 pub const SERVE_POOL: usize = 4;
 
-/// How often the RTO timer thread scans for unacknowledged packets.
-const RTO_TICK: Duration = Duration::from_millis(3);
+/// Event-loop threads: the client socket and every served socket share
+/// one.
+const LOOP_THREADS: usize = 1;
 
-/// How long receiver threads block in `recv_from` before re-checking
-/// the shutdown flag — the teardown latency bound.
-const RECV_POLL: Duration = Duration::from_millis(50);
+/// The least time between two retransmission scans of one socket's
+/// connections — the granularity of the RTO deadline.
+const RTO_TICK: Duration = Duration::from_millis(3);
 
 /// How long a served endpoint keeps state for a silent connection
 /// before evicting it. Generous, so live clients' 0-RTT tickets stay
 /// valid across realistic idle gaps; an evicted client's resumption
 /// attempt breaks and falls back to a cold handshake.
 const SERVER_CONN_IDLE: Duration = Duration::from_secs(600);
+
+/// How often a served socket that is seeing traffic sweeps its
+/// connection table for idle entries.
+const EVICT_EVERY: Duration = Duration::from_secs(60);
 
 /// Retransmission timeout for one unacknowledged packet, derived from
 /// the configured call timeout so several retransmission rounds always
@@ -129,7 +133,7 @@ pub struct QuicStats {
     pub packets_sent: u64,
     /// Datagrams received and decoded.
     pub packets_received: u64,
-    /// Data/handshake packets re-sent by the RTO timer.
+    /// Data/handshake packets re-sent on an RTO deadline.
     pub retransmits: u64,
 }
 
@@ -137,7 +141,7 @@ pub struct QuicStats {
 // Connection state (shared by both directions).
 // ---------------------------------------------------------------------
 
-/// One unacknowledged packet awaiting its ack (or the RTO timer).
+/// One unacknowledged packet awaiting its ack (or its RTO deadline).
 struct Unacked {
     datagram: Vec<u8>,
     peer: SocketAddr,
@@ -170,8 +174,8 @@ struct RecvState {
 pub(crate) struct ConnState {
     conn_id: u64,
     /// The socket this side sends from (client socket or the served
-    /// endpoint's socket).
-    socket: Arc<UdpSocket>,
+    /// endpoint's socket), whose source retransmits for it.
+    sock: Arc<Sock>,
     /// Where to send: the server address (client side) or the last
     /// address the client was seen at (server side; updated per packet,
     /// a miniature of QUIC's connection migration).
@@ -180,7 +184,7 @@ pub(crate) struct ConnState {
     /// conns). Guarded by `queued`'s lock on the establishing path so
     /// no frame is stranded between the check and the flush.
     established: AtomicBool,
-    /// Set by the RTO timer when this end gave up on an unacknowledged
+    /// Set by the RTO sweep when this end gave up on an unacknowledged
     /// packet: the peer has been unreachable for the whole give-up
     /// horizon, so the connection is replaced at the next checkout
     /// instead of wedging its endpoint forever (the datagram analogue
@@ -210,7 +214,7 @@ pub(crate) struct ConnState {
 impl ConnState {
     fn new(
         conn_id: u64,
-        socket: Arc<UdpSocket>,
+        sock: Arc<Sock>,
         peer: SocketAddr,
         established: bool,
         resumed: bool,
@@ -219,7 +223,7 @@ impl ConnState {
     ) -> Arc<Self> {
         Arc::new(Self {
             conn_id,
-            socket,
+            sock,
             peer: OrderedMutex::new(ranks::QUIC_PEER, peer),
             established: AtomicBool::new(established),
             broken: AtomicBool::new(false),
@@ -321,6 +325,29 @@ impl ConnState {
 // Packet-level wire state (outlives the transport handle in workers).
 // ---------------------------------------------------------------------
 
+/// The half of a socket's [`QuicSource`] that its senders share: the
+/// socket itself, and the signal that one of its connections now has a
+/// packet awaiting an ack.
+struct Sock {
+    udp: UdpSocket,
+    /// Set while the source owes its connections a retransmission scan
+    /// (see [`QuicSource::sweep`] for the disarm protocol).
+    armed: AtomicBool,
+    inbox: Arc<Inbox<QuicSource>>,
+}
+
+impl Sock {
+    /// Signals that a packet just entered an unacked buffer. Callers
+    /// invoke this AFTER the insert, so the sweep's
+    /// disarm-then-scan can never miss it. Only the packet that finds
+    /// the source disarmed costs a wake.
+    fn arm(&self) {
+        if !self.armed.swap(true, Ordering::SeqCst) {
+            self.inbox.waker.wake();
+        }
+    }
+}
+
 /// The reliability layer's state. Worker threads hold this (and
 /// through it the core's [`Shared`] counters), never the [`Core`]
 /// itself, so they keep neither the transport nor the services it owns
@@ -330,23 +357,16 @@ struct Wire {
     packets_sent: AtomicU64,
     packets_received: AtomicU64,
     retransmits: AtomicU64,
-    /// Every live connection end, for the RTO timer's retransmit scan.
-    conns: OrderedMutex<Vec<Weak<ConnState>>>,
-    /// Whether the lazy RTO timer thread has been spawned (it first
-    /// exists when the first packet awaits an ack).
-    rto_started: AtomicBool,
-    /// Bumped (under the lock, with a notify) whenever a packet enters
-    /// an unacked buffer: the parked RTO timer's wake signal. The
-    /// timer parks on the condvar whenever nothing is unacknowledged,
-    /// so an idle transport burns no RTO wakeups at all.
-    rto_gen: OrderedMutex<u64>,
-    rto_cv: OrderedCondvar,
+    /// Size of the served socket's connection table after its latest
+    /// drain.
+    #[cfg(test)]
+    serve_table: std::sync::atomic::AtomicUsize,
 }
 
 impl Wire {
     /// Sends one datagram, applying drop injection. A dropped datagram
     /// is modelled as lost *in flight* — it stays in its sender's
-    /// unacked buffer, so the RTO timer recovers it (the whole point of
+    /// unacked buffer, so the RTO sweep recovers it (the whole point of
     /// this backend's loss story).
     fn transmit(&self, socket: &UdpSocket, peer: SocketAddr, datagram: &[u8]) {
         if self.shared.roll_drop() {
@@ -365,7 +385,7 @@ impl Wire {
 
     /// Fragments one frame into numbered `Data` packets, records them
     /// for retransmission, and transmits each once.
-    fn send_frame(self: &Arc<Self>, conn: &ConnState, frame: Vec<u8>) {
+    fn send_frame(&self, conn: &ConnState, frame: Vec<u8>) {
         let chunks: Vec<&[u8]> = frame.chunks(PAYLOAD_MTU).collect();
         let count = chunks.len();
         let base = conn
@@ -382,14 +402,14 @@ impl Wire {
                 chunk,
             );
             conn.hold_unacked(base + i as u64, &datagram, peer);
-            self.transmit(&conn.socket, peer, &datagram);
+            self.transmit(&conn.sock.udp, peer, &datagram);
         }
-        self.note_unacked();
+        conn.sock.arm();
     }
 
     /// Queues the frame if the connection is still handshaking, sends
     /// it otherwise. Returns whether the frame went on the wire now.
-    fn send_or_queue(self: &Arc<Self>, conn: &ConnState, frame: Vec<u8>) -> bool {
+    fn send_or_queue(&self, conn: &ConnState, frame: Vec<u8>) -> bool {
         if conn.established.load(Ordering::SeqCst) {
             self.send_frame(conn, frame);
             return true;
@@ -411,7 +431,7 @@ impl Wire {
     /// Completes a handshake: flips the established flag and flushes
     /// every queued frame (see [`Wire::send_or_queue`] for the lock
     /// discipline).
-    fn establish(self: &Arc<Self>, conn: &ConnState) {
+    fn establish(&self, conn: &ConnState) {
         let frames: Vec<Vec<u8>> = {
             let mut queued = conn.queued.lock();
             conn.established.store(true, Ordering::SeqCst);
@@ -437,19 +457,20 @@ impl Wire {
         rto(timeout_us) * 2 + Duration::from_micros(2 * timeout_us)
     }
 
-    /// One RTO scan: retransmits every packet unacknowledged past the
-    /// RTO, and gives up on packets whose caller must long since have
-    /// abandoned them. Giving up marks the connection broken — the
-    /// peer was unreachable for the whole horizon — so the next
-    /// checkout replaces it instead of queueing into the void.
-    fn retransmit_due(&self) {
+    /// One RTO scan over a socket's connections: retransmits every
+    /// packet unacknowledged past the RTO, and gives up on packets
+    /// whose caller must long since have abandoned them. Giving up
+    /// marks the connection broken — the peer was unreachable for the
+    /// whole horizon — so the next checkout replaces it instead of
+    /// queueing into the void. Returns when the earliest packet still
+    /// unacknowledged next falls due.
+    fn retransmit_due<'a>(
+        &self,
+        conns: impl Iterator<Item = &'a Arc<ConnState>>,
+    ) -> Option<Instant> {
         let rto = rto(self.shared.timeout_us.load(Ordering::Relaxed));
         let give_up = self.give_up_horizon();
-        let conns: Vec<Arc<ConnState>> = {
-            let mut registry = self.conns.lock();
-            registry.retain(|w| w.strong_count() > 0);
-            registry.iter().filter_map(Weak::upgrade).collect()
-        };
+        let mut next_due: Option<Instant> = None;
         for conn in conns {
             let mut due: Vec<(SocketAddr, Vec<u8>)> = Vec::new();
             {
@@ -465,74 +486,16 @@ impl Wire {
                         u.last_sent = now;
                         due.push((u.peer, u.datagram.clone()));
                     }
+                    let at = u.last_sent + rto;
+                    next_due = Some(next_due.map_or(at, |d| d.min(at)));
                 }
             }
             for (peer, datagram) in due {
                 self.retransmits.fetch_add(1, Ordering::Relaxed);
-                self.transmit(&conn.socket, peer, &datagram);
+                self.transmit(&conn.sock.udp, peer, &datagram);
             }
         }
-    }
-
-    fn register_conn(&self, conn: &Arc<ConnState>) {
-        self.conns.lock().push(Arc::downgrade(conn));
-    }
-
-    /// Whether any live connection end currently has a packet awaiting
-    /// its ack — the RTO timer's keep-running condition.
-    fn any_unacked(&self) -> bool {
-        let conns: Vec<Arc<ConnState>> = {
-            let registry = self.conns.lock();
-            registry.iter().filter_map(Weak::upgrade).collect()
-        };
-        conns.iter().any(|c| !c.unacked.lock().is_empty())
-    }
-
-    /// Signals that a packet just entered an unacked buffer: spawns the
-    /// RTO timer on first use and unparks it if it was idle. Callers
-    /// invoke this AFTER the insert, so the timer's
-    /// snapshot-generation-then-scan park protocol can never miss it.
-    fn note_unacked(self: &Arc<Self>) {
-        if !self.rto_started.swap(true, Ordering::SeqCst) {
-            let wire = self.clone();
-            let guard = ThreadGuard::enter(&self.shared.threads);
-            thread::Builder::new()
-                .name("ofl-quic-rto".into())
-                .spawn(move || {
-                    let _guard = guard;
-                    loop {
-                        if wire.shared.shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let gen_before = *wire.rto_gen.lock();
-                        if wire.any_unacked() {
-                            thread::sleep(RTO_TICK);
-                            wire.retransmit_due();
-                            continue;
-                        }
-                        // Nothing awaits an ack: park until the
-                        // generation moves (a new unacked packet) or
-                        // shutdown. The timed wait only bounds the
-                        // shutdown latency — an idle transport takes a
-                        // few waits per second, not a busy RTO loop.
-                        let mut gen = wire.rto_gen.lock();
-                        while *gen == gen_before && !wire.shared.shutdown.load(Ordering::SeqCst) {
-                            let (next, _) =
-                                wire.rto_cv.wait_timeout(gen, Duration::from_millis(250));
-                            gen = next;
-                        }
-                    }
-                })
-                .expect("spawn RTO timer");
-        }
-        self.bump_rto_gen();
-    }
-
-    /// Moves the RTO generation, unparking the timer if it is idle.
-    fn bump_rto_gen(&self) {
-        let mut gen = self.rto_gen.lock();
-        *gen = gen.wrapping_add(1);
-        self.rto_cv.notify_all();
+        next_due
     }
 }
 
@@ -548,14 +511,16 @@ struct ResumeTicket {
     next_packet_no: u64,
 }
 
-/// The client side: one socket (plus its receiver thread) multiplexing
-/// every outgoing connection.
+/// Conn id → connection: how the client socket's source routes what it
+/// receives.
+type Routes = Arc<OrderedMutex<HashMap<u64, Arc<ConnState>>>>;
+
+/// The client side: one socket multiplexing every outgoing connection.
 struct ClientSide {
-    socket: Arc<UdpSocket>,
+    sock: Arc<Sock>,
     /// Destination endpoint → live connection.
     conns: HashMap<EndpointId, Arc<ConnState>>,
-    /// Conn id → connection, the receiver thread's routing table.
-    by_conn_id: Arc<OrderedMutex<HashMap<u64, Arc<ConnState>>>>,
+    by_conn_id: Routes,
 }
 
 /// The handle-owned datagram state.
@@ -568,9 +533,6 @@ pub(crate) struct QuicState {
     /// 0-RTT resumption cache: destination endpoint → ticket.
     resume: OrderedMutex<HashMap<EndpointId, ResumeTicket>>,
     client: OrderedMutex<Option<ClientSide>>,
-    /// The shared serve poller's registration queue + waker (spawned
-    /// lazily with the first served endpoint).
-    serve: OrderedMutex<Option<Arc<Inbox<ServeSock>>>>,
     wire: Arc<Wire>,
 }
 
@@ -596,20 +558,17 @@ impl QuicLiteTransport {
             next_conn: AtomicU64::new(1),
             resume: OrderedMutex::new(ranks::QUIC_RESUME, HashMap::new()),
             client: OrderedMutex::new(ranks::QUIC_CLIENT, None),
-            serve: OrderedMutex::new(ranks::QUIC_SERVE_POOL, None),
             wire: Arc::new(Wire {
                 shared: shared.clone(),
                 packets_sent: AtomicU64::new(0),
                 packets_received: AtomicU64::new(0),
                 retransmits: AtomicU64::new(0),
-                conns: OrderedMutex::new(ranks::QUIC_CONN_REGISTRY, Vec::new()),
-                rto_started: AtomicBool::new(false),
-                rto_gen: OrderedMutex::new(ranks::QUIC_RTO_GEN, 0),
-                rto_cv: OrderedCondvar::new(),
+                #[cfg(test)]
+                serve_table: Default::default(),
             }),
         };
         Self {
-            inner: Core::new(shared, state),
+            inner: Core::new(shared, state, LOOP_THREADS),
         }
     }
 
@@ -621,16 +580,6 @@ impl QuicLiteTransport {
     /// The socket address an endpoint listens on, if it serves.
     pub fn listen_addr(&self, id: EndpointId) -> Option<SocketAddr> {
         self.inner.listen_addr(id)
-    }
-
-    /// Live worker threads: one shared serve poller + the
-    /// [`SERVE_POOL`] dispatch workers (however many endpoints serve),
-    /// one shared client receiver, and — once any packet has awaited
-    /// an ack — one RTO timer. A small constant, independent of served
-    /// endpoints, fan-out width, destination count and call volume;
-    /// the pipelining stress test pins the ceiling.
-    pub fn worker_threads(&self) -> usize {
-        Transport::worker_threads(self)
     }
 
     /// Responses discarded because their correlation id matched no
@@ -649,7 +598,7 @@ impl QuicLiteTransport {
         }
     }
 
-    /// Data/handshake packets re-sent by the RTO timer so far.
+    /// Data/handshake packets re-sent on an RTO deadline so far.
     pub fn retransmits(&self) -> u64 {
         self.inner.state.wire.retransmits.load(Ordering::Relaxed)
     }
@@ -661,13 +610,6 @@ impl QuicLiteTransport {
     /// connection are abandoned to their deadlines.
     pub fn close_connections(&self, to: EndpointId) {
         self.inner.state.close_connections(to);
-    }
-
-    /// Test hook: the worker-thread gauge, observable after the
-    /// transport itself has been dropped.
-    #[cfg(test)]
-    fn thread_gauge(&self) -> Arc<std::sync::atomic::AtomicUsize> {
-        self.inner.shared.threads.clone()
     }
 }
 
@@ -697,93 +639,27 @@ impl QuicState {
             );
         }
     }
+}
 
-    /// The shared serve poller's registration handle, spawning the
-    /// poller thread on first use (the first served endpoint).
-    fn serve_shared(&self) -> Arc<Inbox<ServeSock>> {
-        let mut slot = self.serve.lock();
-        if let Some(shared) = slot.as_ref() {
-            return shared.clone();
-        }
-        let shared = Inbox::new(ranks::QUIC_SERVE_CMDS);
-        let wire = self.wire.clone();
-        let poller = shared.clone();
-        let guard = ThreadGuard::enter(&wire.shared.threads);
-        thread::Builder::new()
-            .name("ofl-quic-serve".into())
-            .spawn(move || {
-                let _guard = guard;
-                run_serve_poller(wire, poller);
-            })
-            .expect("spawn serve poller");
-        *slot = Some(shared.clone());
-        shared
-    }
-
-    /// Binds the shared client socket and spawns its receiver. (The
-    /// RTO timer is spawned even more lazily — by
-    /// [`Wire::note_unacked`], when the first packet actually awaits
-    /// an ack.)
-    fn open_client(&self) -> ClientSide {
-        let socket =
-            Arc::new(UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind client UDP socket"));
-        socket
-            .set_read_timeout(Some(RECV_POLL))
-            .expect("set client read timeout");
-        let by_conn_id: Arc<OrderedMutex<HashMap<u64, Arc<ConnState>>>> =
-            Arc::new(OrderedMutex::new(ranks::QUIC_BY_CONN_ID, HashMap::new()));
-        let wire = self.wire.clone();
-        let recv_socket = socket.clone();
-        let routes = by_conn_id.clone();
-        let guard = ThreadGuard::enter(&wire.shared.threads);
-        thread::Builder::new()
-            .name("ofl-quic-client-rx".into())
-            .spawn(move || {
-                let _guard = guard;
-                let mut buf = [0u8; 2048];
-                while !wire.shared.shutdown.load(Ordering::SeqCst) {
-                    let (n, src) = match recv_socket.recv_from(&mut buf) {
-                        Ok(got) => got,
-                        Err(_) => continue, // poll timeout or transient
-                    };
-                    let Ok(pkt) = decode_packet(&buf[..n]) else {
-                        continue; // corrupt datagram: sender retransmits
-                    };
-                    wire.packets_received.fetch_add(1, Ordering::Relaxed);
-                    let conn = routes.lock().get(&pkt.conn_id).cloned();
-                    let Some(conn) = conn else { continue };
-                    // Any traffic at all proves the server speaks this
-                    // conn id — the evidence the resumption cache needs.
-                    conn.got_traffic.store(true, Ordering::SeqCst);
-                    match pkt.ptype {
-                        PacketType::InitAck => {
-                            conn.unacked.lock().remove(&pkt.packet_no);
-                            wire.establish(&conn);
-                        }
-                        PacketType::Ack => {
-                            conn.unacked.lock().remove(&pkt.packet_no);
-                        }
-                        PacketType::Data => {
-                            wire.send_ack(&recv_socket, src, pkt.conn_id, pkt.packet_no);
-                            if let Some(frame_bytes) = conn.accept_data(pkt, wire.give_up_horizon())
-                            {
-                                if let Ok(frame) = read_frame(&mut &frame_bytes[..]) {
-                                    if let Some(demux) = &conn.demux {
-                                        demux.complete(frame.correlation, Ok(frame.payload));
-                                    }
-                                }
-                            }
-                        }
-                        PacketType::Init => {} // client side never serves
-                    }
-                }
-            })
-            .expect("spawn client receiver");
-        ClientSide {
-            socket,
-            conns: HashMap::new(),
-            by_conn_id,
-        }
+impl Core<QuicLiteTransport> {
+    /// Binds a loopback socket and places it on the event loop as
+    /// `side`'s source.
+    fn open(&self, side: Side) -> Arc<Sock> {
+        let udp = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind loopback UDP socket");
+        udp.set_nonblocking(true).expect("non-blocking UDP socket");
+        let inbox = self.event_loop.pick().clone();
+        let sock = Arc::new(Sock {
+            udp,
+            armed: AtomicBool::new(false),
+            inbox: inbox.clone(),
+        });
+        inbox.push(QuicSource {
+            sock: sock.clone(),
+            wire: self.state.wire.clone(),
+            next_scan: None,
+            side,
+        });
+        sock
     }
 
     /// Checks out (or creates) the connection toward `to`. A fresh
@@ -791,22 +667,31 @@ impl QuicState {
     /// knows a conn id for us; otherwise it pays the `Init` handshake
     /// round.
     fn obtain_conn(&self, to: EndpointId, addr: SocketAddr) -> (Arc<ConnState>, Arc<Demux>) {
-        let mut guard = self.client.lock();
-        let client = guard.get_or_insert_with(|| self.open_client());
+        let state = &self.state;
+        let mut guard = state.client.lock();
+        let client = guard.get_or_insert_with(|| {
+            let by_conn_id: Routes =
+                Arc::new(OrderedMutex::new(ranks::QUIC_BY_CONN_ID, HashMap::new()));
+            ClientSide {
+                sock: self.open(Side::Client(by_conn_id.clone())),
+                conns: HashMap::new(),
+                by_conn_id,
+            }
+        });
         if let Some(conn) = client.conns.get(&to) {
             if !conn.broken.load(Ordering::SeqCst) {
                 let demux = conn.demux.clone().expect("client conns have a demux");
                 return (conn.clone(), demux);
             }
-            // The RTO timer gave up on this connection (peer
+            // The RTO sweep gave up on this connection (peer
             // unreachable for the whole horizon): replace it instead of
             // queueing more frames into the void — the datagram
             // analogue of the TCP pool pruning stalled connections.
-            self.retire_conn(client, to);
+            state.retire_conn(client, to);
         }
-        let wire = &self.wire;
+        let wire = &state.wire;
         let demux = Arc::new(Demux::new(wire.shared.orphans.clone()));
-        let resumed = self.resume.lock().remove(&to);
+        let resumed = state.resume.lock().remove(&to);
         let (conn, init) = match resumed {
             // 0-RTT: the server knows this conn id; skip the handshake
             // and continue the packet numbering where it left off (the
@@ -814,7 +699,7 @@ impl QuicState {
             Some(ticket) => (
                 ConnState::new(
                     ticket.conn_id,
-                    client.socket.clone(),
+                    client.sock.clone(),
                     addr,
                     true,
                     true,
@@ -824,10 +709,10 @@ impl QuicState {
                 None,
             ),
             None => {
-                let conn_id = self.conn_nonce | self.next_conn.fetch_add(1, Ordering::Relaxed);
+                let conn_id = state.conn_nonce | state.next_conn.fetch_add(1, Ordering::Relaxed);
                 let conn = ConnState::new(
                     conn_id,
-                    client.socket.clone(),
+                    client.sock.clone(),
                     addr,
                     false,
                     false,
@@ -847,14 +732,13 @@ impl QuicState {
                 (conn, Some(datagram))
             }
         };
-        wire.register_conn(&conn);
         client.by_conn_id.lock().insert(conn.conn_id, conn.clone());
         client.conns.insert(to, conn.clone());
         if let Some(datagram) = init {
-            wire.transmit(&conn.socket, addr, &datagram);
-            // The Init sits unacked until its InitAck: the (possibly
-            // parked) RTO timer must know to watch it.
-            wire.note_unacked();
+            wire.transmit(&conn.sock.udp, addr, &datagram);
+            // The Init sits unacked until its InitAck: its source must
+            // know to watch it.
+            conn.sock.arm();
         }
         (conn, demux)
     }
@@ -873,8 +757,8 @@ pub(crate) struct QuicFlight {
 impl Binding for QuicLiteTransport {
     const KIND: &'static str = "quiclite";
     const DISPATCH_WORKERS: usize = SERVE_POOL;
-    const DISPATCH_THREAD: &'static str = "ofl-quic-disp";
     type State = QuicState;
+    type Source = QuicSource;
     type Conns = ();
     type Flight = QuicFlight;
     type Sink = Reply;
@@ -884,23 +768,16 @@ impl Binding for QuicLiteTransport {
     }
 
     fn serve(core: &Core<Self>, served: Served<Reply>) -> SocketAddr {
-        let socket =
-            Arc::new(UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind serve UDP socket"));
-        socket
-            .set_nonblocking(true)
-            .expect("non-blocking serve socket");
-        let addr = socket.local_addr().expect("socket has an address");
-        core.state.serve_shared().push(ServeSock {
-            socket,
+        let sock = core.open(Side::Serve(ServeSock {
             served,
             conns: HashMap::new(),
-            last_seen: HashMap::new(),
-        });
-        addr
+            next_evict: Instant::now() + EVICT_EVERY,
+        }));
+        sock.udp.local_addr().expect("socket has an address")
     }
 
     fn send(core: &Arc<Core<Self>>, out: Outgoing) -> Result<Sent<Self>, NetError> {
-        let (conn, demux) = core.state.obtain_conn(out.to, out.addr);
+        let (conn, demux) = core.obtain_conn(out.to, out.addr);
         let cell = demux.register(out.corr);
         let sent_now = core.state.wire.send_or_queue(&conn, out.frame);
         Ok(Sent {
@@ -938,20 +815,10 @@ impl Binding for QuicLiteTransport {
         // are abandoned to their deadlines, as with a crashed process.
         core.state.close_connections(id);
     }
-
-    fn teardown(state: &mut QuicState) {
-        // The shutdown flag alone tears the whole backend down within
-        // ~one poll interval; the wakes just make it prompt: pop the
-        // serve poller's `poll` and unpark the RTO timer if it is idle.
-        if let Some(serve) = state.serve.get_mut().take() {
-            serve.waker.wake();
-        }
-        state.wire.bump_rto_gen();
-    }
 }
 
 // ---------------------------------------------------------------------
-// Server side: one poller for every served socket.
+// The sockets on the event loop.
 // ---------------------------------------------------------------------
 
 /// The way back to a requester: the connection to answer on (reliable,
@@ -973,148 +840,193 @@ impl ReplySink for Reply {
     }
 }
 
-/// One served endpoint's socket and per-connection state, owned by the
-/// poller thread (single-threaded access: no locks). The conn table is
-/// bounded by IDLE eviction: conns silent past the generous idle
-/// horizon are dropped during quiet poll ticks, so a long-lived server
-/// with client churn holds state for recent clients only (an evicted
-/// client's next resumption misses, breaks, and falls back to a cold
-/// handshake).
+/// One served endpoint's per-connection state, owned by the loop
+/// thread (single-threaded access: no locks). The table maps a conn id
+/// to the server's end of it and when the client was last heard from,
+/// and is bounded by idle eviction: conns silent past the generous
+/// idle horizon are dropped every [`EVICT_EVERY`] of a socket seeing
+/// traffic, so a long-lived server with client churn holds state for
+/// recent clients only (an evicted client's next resumption misses,
+/// breaks, and falls back to a cold handshake). Only a handshake adds
+/// an entry; datagrams under unregistered conn ids leave no trace.
 struct ServeSock {
-    socket: Arc<UdpSocket>,
     served: Served<Reply>,
-    conns: HashMap<u64, Arc<ConnState>>,
-    last_seen: HashMap<u64, Instant>,
+    conns: HashMap<u64, (Arc<ConnState>, Instant)>,
+    next_evict: Instant,
+}
+
+/// Which end of the transport a socket is.
+enum Side {
+    /// The shared client socket, routing by conn id.
+    Client(Routes),
+    /// A served endpoint's socket.
+    Serve(ServeSock),
+}
+
+/// One UDP socket on the event loop: it drains the socket on
+/// readiness — handling handshakes and acks inline, completing
+/// responses by correlation id (client side) or handing reassembled
+/// request frames to the dispatch pool (serve side) — and, from the
+/// sweep, retransmits for the connections that send through it.
+pub(crate) struct QuicSource {
+    sock: Arc<Sock>,
+    wire: Arc<Wire>,
+    /// When the armed source next scans its connections' unacked
+    /// buffers.
+    next_scan: Option<Instant>,
+    side: Side,
+}
+
+impl Source for QuicSource {
+    fn interest(&self) -> Option<PollFd> {
+        Some(PollFd::new(self.sock.udp.as_raw_fd(), POLLIN))
+    }
+
+    /// Decodes datagrams until the socket would block.
+    fn ready(&mut self, _ready: PollFd, _el: &Arc<EventLoop<Self>>) {
+        let mut buf = [0u8; 2048];
+        loop {
+            let (n, src) = match self.sock.udp.recv_from(&mut buf) {
+                Ok(got) => got,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break, // drained, or transient: the sender retransmits
+            };
+            let Ok(pkt) = decode_packet(&buf[..n]) else {
+                continue; // corrupt datagram: dropped, sender retransmits
+            };
+            self.wire.packets_received.fetch_add(1, Ordering::Relaxed);
+            match &mut self.side {
+                Side::Client(routes) => {
+                    let conn = routes.lock().get(&pkt.conn_id).cloned();
+                    if let Some(conn) = conn {
+                        client_packet(&self.wire, &conn, src, pkt);
+                    }
+                }
+                Side::Serve(s) => s.packet(&self.wire, &self.sock, src, pkt),
+            }
+        }
+        #[cfg(test)]
+        if let Side::Serve(s) = &self.side {
+            self.wire.serve_table.store(s.conns.len(), Ordering::SeqCst);
+        }
+    }
+
+    /// Evicts idle served conns on a time basis, then runs the RTO:
+    /// while armed, scan every connection sending through this socket
+    /// when the earliest unacknowledged packet falls due (no sooner
+    /// than [`RTO_TICK`] after the last scan), and name that instant
+    /// as the loop's deadline.
+    fn sweep(&mut self, now: Instant) -> Sweep {
+        if let Side::Serve(s) = &mut self.side {
+            if now >= s.next_evict {
+                s.conns
+                    .retain(|_, (_, seen)| now.duration_since(*seen) < SERVER_CONN_IDLE);
+                s.next_evict = now + EVICT_EVERY;
+            }
+        }
+        if !self.sock.armed.load(Ordering::SeqCst) {
+            return Sweep::Idle;
+        }
+        if let Some(at) = self.next_scan.filter(|at| now < *at) {
+            return Sweep::Due(at);
+        }
+        // Disarm BEFORE scanning: a sender whose packet the scan missed
+        // finds the flag clear, sets it and wakes the loop.
+        self.sock.armed.store(false, Ordering::SeqCst);
+        let next_due = match &self.side {
+            Side::Client(routes) => {
+                let conns: Vec<Arc<ConnState>> = routes.lock().values().cloned().collect();
+                self.wire.retransmit_due(conns.iter())
+            }
+            Side::Serve(s) => self.wire.retransmit_due(s.conns.values().map(|(c, _)| c)),
+        };
+        self.next_scan = next_due.map(|at| at.max(now + RTO_TICK));
+        match self.next_scan {
+            Some(at) => {
+                self.sock.armed.store(true, Ordering::SeqCst);
+                Sweep::Due(at)
+            }
+            None => Sweep::Idle,
+        }
+    }
+}
+
+/// One datagram for a client connection.
+fn client_packet(wire: &Wire, conn: &ConnState, src: SocketAddr, pkt: Packet) {
+    // Any traffic at all proves the server speaks this conn id — the
+    // evidence the resumption cache needs.
+    conn.got_traffic.store(true, Ordering::SeqCst);
+    match pkt.ptype {
+        PacketType::InitAck => {
+            conn.unacked.lock().remove(&pkt.packet_no);
+            wire.establish(conn);
+        }
+        PacketType::Ack => {
+            conn.unacked.lock().remove(&pkt.packet_no);
+        }
+        PacketType::Data => {
+            wire.send_ack(&conn.sock.udp, src, pkt.conn_id, pkt.packet_no);
+            if let Some(frame_bytes) = conn.accept_data(pkt, wire.give_up_horizon()) {
+                if let Ok(frame) = read_frame(&mut &frame_bytes[..]) {
+                    if let Some(demux) = &conn.demux {
+                        demux.complete(frame.correlation, Ok(frame.payload));
+                    }
+                }
+            }
+        }
+        PacketType::Init => {} // client side never serves
+    }
 }
 
 impl ServeSock {
-    /// Drops connection state for clients silent past the idle horizon
-    /// (run on quiet poll ticks).
-    fn evict_idle(&mut self) {
-        if self.conns.len() <= 1 {
-            return;
-        }
+    /// One datagram for a served endpoint: answer handshakes and acks
+    /// inline, dispatch complete request frames.
+    fn packet(&mut self, wire: &Arc<Wire>, sock: &Arc<Sock>, src: SocketAddr, pkt: Packet) {
         let now = Instant::now();
-        let last_seen = &self.last_seen;
-        self.conns.retain(|conn_id, _| {
-            last_seen
-                .get(conn_id)
-                .is_some_and(|seen| now.duration_since(*seen) < SERVER_CONN_IDLE)
-        });
-        let conns = &self.conns;
-        self.last_seen
-            .retain(|conn_id, _| conns.contains_key(conn_id));
-    }
-}
-
-/// The one serve-side event loop: multiplexes every served endpoint's
-/// UDP socket with `poll(2)`, handling handshakes and acks inline and
-/// handing reassembled request frames to the dispatch pool. Replaces
-/// the receiver-thread-per-endpoint design — a 128-server fleet costs
-/// one poller, not 128 parked receivers. Exits on shutdown, dropping
-/// every socket, conn table and service handle it owns.
-fn run_serve_poller(wire: Arc<Wire>, shared: Arc<Inbox<ServeSock>>) {
-    let mut socks: Vec<ServeSock> = Vec::new();
-    let mut fds: Vec<PollFd> = Vec::new();
-    let mut buf = [0u8; 2048];
-    loop {
-        if wire.shared.shutdown.load(Ordering::SeqCst) {
+        if pkt.ptype == PacketType::Init {
+            // Register the connection if it is new; a duplicate Init
+            // (a lost InitAck) is answered idempotently below.
+            self.conns.entry(pkt.conn_id).or_insert_with(|| {
+                let conn = ConnState::new(pkt.conn_id, sock.clone(), src, true, false, 0, None);
+                (conn, now)
+            });
+        }
+        // Anything under an unregistered conn id is dropped, unstamped:
+        // without the handshake (or a resumption ticket minted by one)
+        // the server does not speak to you. The client's RTO keeps
+        // retrying until its deadline.
+        let Some((conn, seen)) = self.conns.get_mut(&pkt.conn_id) else {
             return;
-        }
-        shared.adopt_into(&mut socks);
-        fds.clear();
-        fds.push(PollFd::new(shared.waker.rx_fd(), POLLIN));
-        for s in &socks {
-            fds.push(PollFd::new(s.socket.as_raw_fd(), POLLIN));
-        }
-        // The 1 s timeout bounds shutdown latency and provides the
-        // idle ticks conn eviction runs on.
-        let ready = match poll_fds(&mut fds, 1_000) {
-            Ok(n) => n,
-            Err(_) => {
-                thread::sleep(Duration::from_millis(1));
-                continue;
-            }
         };
-        if fds[0].readable() {
-            shared.waker.drain();
-        }
-        if ready == 0 {
-            for s in &mut socks {
-                s.evict_idle();
-            }
-            continue;
-        }
-        for (i, s) in socks.iter_mut().enumerate() {
-            if fds[i + 1].readable() {
-                pump_serve_socket(&wire, s, &mut buf);
-            }
-        }
-    }
-}
-
-/// Drains one served socket: decode datagrams until the socket would
-/// block, answering handshakes/acks inline and dispatching complete
-/// request frames.
-fn pump_serve_socket(wire: &Arc<Wire>, s: &mut ServeSock, buf: &mut [u8]) {
-    loop {
-        let (n, src) = match s.socket.recv_from(buf) {
-            Ok(got) => got,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return, // transient; the sender retransmits
-        };
-        let Ok(pkt) = decode_packet(&buf[..n]) else {
-            continue; // corrupt datagram: dropped, sender retransmits
-        };
-        wire.packets_received.fetch_add(1, Ordering::Relaxed);
-        s.last_seen.insert(pkt.conn_id, Instant::now());
+        *seen = now;
         match pkt.ptype {
             PacketType::Init => {
-                // Register (or refresh) the connection and answer.
-                // Duplicate Inits (a lost InitAck) are answered
-                // idempotently.
-                let socket = s.socket.clone();
-                let conn = s.conns.entry(pkt.conn_id).or_insert_with(|| {
-                    let conn = ConnState::new(pkt.conn_id, socket, src, true, false, 0, None);
-                    wire.register_conn(&conn);
-                    conn
-                });
                 *conn.peer.lock() = src;
                 let ack = encode_packet(PacketType::InitAck, pkt.conn_id, pkt.packet_no, 0, 1, &[]);
-                wire.transmit(&s.socket, src, &ack);
+                wire.transmit(&sock.udp, src, &ack);
             }
             PacketType::Data => {
-                // Data under an unregistered conn id is dropped:
-                // without the handshake (or a resumption ticket minted
-                // by one) the server does not speak to you. The
-                // client's RTO keeps retrying until its deadline.
-                let Some(conn) = s.conns.get(&pkt.conn_id) else {
-                    continue;
-                };
                 *conn.peer.lock() = src;
-                wire.send_ack(&s.socket, src, pkt.conn_id, pkt.packet_no);
+                wire.send_ack(&sock.udp, src, pkt.conn_id, pkt.packet_no);
                 if let Some(frame_bytes) = conn.accept_data(pkt, wire.give_up_horizon()) {
-                    if s.served.down.load(Ordering::Relaxed) {
-                        continue; // a crashed process answers nothing
+                    if self.served.down.load(Ordering::Relaxed) {
+                        return; // a crashed process answers nothing
                     }
                     if let Ok(frame) = read_frame(&mut &frame_bytes[..]) {
                         let reply = Reply {
                             wire: wire.clone(),
                             conn: conn.clone(),
-                            me: s.served.me,
+                            me: self.served.me,
                         };
                         // A shed reply rides the ordinary reliable-send
                         // path; `false` means the transport is
                         // unwinding and nothing is left to answer.
-                        let _ = s.served.admit(frame, reply);
+                        let _ = self.served.admit(frame, reply);
                     }
                 }
             }
             PacketType::Ack => {
-                if let Some(conn) = s.conns.get(&pkt.conn_id) {
-                    conn.unacked.lock().remove(&pkt.packet_no);
-                }
+                conn.unacked.lock().remove(&pkt.packet_no);
             }
             PacketType::InitAck => {} // server side never dials
         }
@@ -1126,6 +1038,7 @@ mod tests {
     use super::*;
     use crate::transport::{CompletionSet, OverloadPolicy};
     use openflame_codec::framing::FRAME_HEADER_LEN;
+    use std::thread;
 
     fn echo_transport() -> (QuicLiteTransport, EndpointId, EndpointId) {
         let transport = QuicLiteTransport::new(7);
@@ -1184,9 +1097,8 @@ mod tests {
             after_first,
             "datagram calls must not spawn per-call threads"
         );
-        // 1 shared serve poller + SERVE_POOL workers + client receiver
-        // + RTO timer.
-        assert_eq!(after_first, 1 + SERVE_POOL + 2);
+        // The event loop + SERVE_POOL workers.
+        assert_eq!(after_first, LOOP_THREADS + SERVE_POOL);
     }
 
     #[test]
@@ -1202,20 +1114,15 @@ mod tests {
             );
             servers.push(id);
         }
-        // Serving any number of endpoints costs the one shared poller
-        // plus the dispatch pool — and no RTO timer until a client
-        // actually has unacked packets in flight.
-        assert_eq!(
-            transport.worker_threads(),
-            1 + SERVE_POOL,
-            "serve-only transport must not start the client rx or RTO threads"
-        );
+        // Serving any number of endpoints costs the event loop plus
+        // the dispatch pool.
+        assert_eq!(transport.worker_threads(), LOOP_THREADS + SERVE_POOL);
         for &server in &servers {
             transport.call(client, server, vec![9]).unwrap();
         }
-        // First dial added the shared client receiver and woke the
-        // (lazy) RTO timer; nothing scales with endpoint count.
-        assert_eq!(transport.worker_threads(), 1 + SERVE_POOL + 2);
+        // The client socket and the RTO deadlines its packets armed
+        // live on the same loop; nothing scales with endpoint count.
+        assert_eq!(transport.worker_threads(), LOOP_THREADS + SERVE_POOL);
     }
 
     #[test]
@@ -1404,15 +1311,44 @@ mod tests {
     }
 
     #[test]
+    fn unregistered_conn_ids_leave_no_trace_on_a_served_socket() {
+        let (transport, client, server) = echo_transport();
+        let addr = transport.listen_addr(server).unwrap();
+        let stranger = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        // 10 000 datagrams under conn ids no handshake ever registered,
+        // interleaved with a live client: each call queues behind its
+        // round's strays on the served socket, so by the time it
+        // returns they have been through the decode path.
+        for round in 0..100u64 {
+            for i in 0..100 {
+                let conn_id = 0xDEAD_0000_0000 + round * 100 + i;
+                let stray = encode_packet(PacketType::Data, conn_id, 0, 0, 1, &[1]);
+                stranger.send_to(&stray, addr).unwrap();
+            }
+            let echoed = transport.call(client, server, vec![round as u8]).unwrap();
+            assert_eq!(echoed.payload, [round as u8]);
+        }
+        assert_eq!(
+            transport
+                .inner
+                .state
+                .wire
+                .serve_table
+                .load(Ordering::SeqCst),
+            1,
+            "only the handshaken client may hold serve-side state"
+        );
+    }
+
+    #[test]
     fn dropping_the_transport_unwinds_every_worker() {
         let (transport, client, server) = echo_transport();
         transport.call(client, server, vec![1]).unwrap();
-        let gauge = transport.thread_gauge();
+        let gauge = transport.inner.shared.threads.clone();
         assert!(gauge.load(Ordering::SeqCst) > 0);
         drop(transport);
-        // Receivers poll with a short socket timeout and the RTO timer
-        // ticks every few ms: the whole backend must unwind promptly,
-        // releasing sockets and the service.
+        // The drop wakes the event loop, whose exit releases the
+        // sockets and the service and with them the dispatch pool.
         let t0 = Instant::now();
         while gauge.load(Ordering::SeqCst) > 0 {
             assert!(

@@ -638,7 +638,7 @@ pub fn wire_tag_findings(protocol_src: &str, doc: &str) -> Vec<Finding> {
 
 // ----------------------------------------------------------------
 // Rule: forbidden-api — raw sync primitives, reactor blocking, netsim
-// unwrap, the concrete simulator type above netsim.
+// unwrap and thread spawns, the concrete simulator type above netsim.
 // ----------------------------------------------------------------
 
 /// Flags forbidden constructs in one Rust source file (non-test code
@@ -689,6 +689,18 @@ pub fn forbidden_api_findings(file: &str, content: &str) -> Vec<Finding> {
         }
     }
     if file.contains("netsim/src/") {
+        if !file.ends_with("netsim/src/core.rs") {
+            // One event loop: sockets become sources on it, not threads.
+            for needle in ["thread::Builder", "thread::spawn"] {
+                flag_each(
+                    needle,
+                    &format!(
+                        "`{needle}` in a netsim binding: worker threads are the event loop \
+                         and the dispatch pool (core.rs); register a source instead"
+                    ),
+                );
+            }
+        }
         // Transport internals surface errors, they don't assert on them.
         flag_each(
             ".unwrap()",

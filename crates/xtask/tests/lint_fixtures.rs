@@ -227,6 +227,28 @@ fn forbidden_api_flags_reactor_blocking() {
 }
 
 #[test]
+fn forbidden_api_flags_thread_spawn_in_a_netsim_binding() {
+    let src = "\
+fn open_client() { std::thread::Builder::new().name(n).spawn(rx_loop); }
+fn tick() { thread::spawn(rto_loop); }
+#[cfg(test)]
+mod tests { fn t() { std::thread::spawn(|| ()); } }
+";
+    let f = forbidden_api_findings("crates/netsim/src/udp.rs", src);
+    assert_eq!(f.len(), 2);
+    assert!(f[0].msg.contains("register a source instead"));
+    // The loop and the dispatch pool themselves live in the core.
+    assert_eq!(
+        forbidden_api_findings("crates/netsim/src/core.rs", src),
+        vec![]
+    );
+    assert_eq!(
+        forbidden_api_findings("crates/dns/src/server.rs", src),
+        vec![]
+    );
+}
+
+#[test]
 fn forbidden_api_flags_netsim_unwrap() {
     let src = "fn f() { x.lock().unwrap(); }\n";
     let f = forbidden_api_findings("crates/netsim/src/udp.rs", src);

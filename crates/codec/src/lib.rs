@@ -113,11 +113,6 @@ pub fn from_bytes<T: Wire>(buf: &[u8]) -> Result<T, CodecError> {
     Ok(v)
 }
 
-/// The encoded size of a value in bytes.
-pub fn encoded_len<T: Wire>(value: &T) -> usize {
-    to_bytes(value).len()
-}
-
 // ------------------------------------------------------------------
 // Wire implementations for primitives and standard containers.
 // ------------------------------------------------------------------

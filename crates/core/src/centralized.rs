@@ -21,7 +21,7 @@ use crate::provider::{
     ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome, RouteQuery, SearchOutcome,
     SearchQuery, SpatialProvider, StatScope, TileOutcome, TileQuery,
 };
-use crate::session::{expect_nearest, unexpected, Session};
+use crate::session::{expect_nearest, unexpected, unexpected_opt, Session};
 use crate::ClientError;
 use openflame_geo::{LatLng, LocalFrame};
 use openflame_localize::{LocationCue, TagRegistry};
@@ -159,12 +159,17 @@ impl CentralizedProvider {
 
     /// One batched envelope to the central server, all items required.
     fn batch_all(&self, requests: Vec<Request>) -> Result<Vec<Response>, ClientError> {
-        Session::expect_all(self.session.batch(self.server.endpoint(), requests)?)
+        Session::expect_all(
+            self.server.id(),
+            self.session.batch(self.server.endpoint(), requests)?,
+        )
     }
 
     /// A single-request envelope whose one response is required.
     fn call_one(&self, request: Request, expected: &'static str) -> Result<Response, ClientError> {
-        crate::session::take_one(self.batch_all(vec![request])?, expected)
+        self.batch_all(vec![request])?
+            .pop()
+            .ok_or_else(|| unexpected_opt(self.server.id(), expected, None))
     }
 
     /// The merged node id for a venue-frame node, if this provider has
@@ -197,7 +202,7 @@ impl SpatialProvider for CentralizedProvider {
             "Geocode",
         )? {
             Response::Geocode { hits } => hits,
-            other => return Err(unexpected("Geocode", &other)),
+            other => return Err(unexpected(self.server.id(), "Geocode", &other)),
         };
         let frame = self.local_frame();
         let hits = hits
@@ -226,7 +231,7 @@ impl SpatialProvider for CentralizedProvider {
             "ReverseGeocode",
         )? {
             Response::ReverseGeocode { hit } => hit,
-            other => return Err(unexpected("ReverseGeocode", &other)),
+            other => return Err(unexpected(self.server.id(), "ReverseGeocode", &other)),
         };
         let hit = hit.map(|hit| GeocodeHit {
             server_id: self.server.id().to_string(),
@@ -250,7 +255,7 @@ impl SpatialProvider for CentralizedProvider {
             "Search",
         )? {
             Response::Search { results } => results,
-            other => return Err(unexpected("Search", &other)),
+            other => return Err(unexpected(self.server.id(), "Search", &other)),
         };
         let hits = results
             .into_iter()
@@ -271,12 +276,15 @@ impl SpatialProvider for CentralizedProvider {
         };
         let scope = StatScope::begin(self.session.transport().as_ref());
         let frame = self.local_frame();
-        let start = expect_nearest(&self.call_one(
-            Request::NearestNode {
-                pos: frame.to_local(query.from),
-            },
-            "NearestNode",
-        )?)?
+        let start = expect_nearest(
+            self.server.id(),
+            &self.call_one(
+                Request::NearestNode {
+                    pos: frame.to_local(query.from),
+                },
+                "NearestNode",
+            )?,
+        )?
         .0;
         // Try the target node directly; non-node targets and POIs that
         // are not on the road graph get snapped to their nearest
@@ -286,12 +294,15 @@ impl SpatialProvider for CentralizedProvider {
             None => None,
         };
         if route.is_none() {
-            if let Ok(snapped) = expect_nearest(&self.call_one(
-                Request::NearestNode {
-                    pos: query.target.result.pos,
-                },
-                "NearestNode",
-            )?) {
+            if let Ok(snapped) = expect_nearest(
+                self.server.id(),
+                &self.call_one(
+                    Request::NearestNode {
+                        pos: query.target.result.pos,
+                    },
+                    "NearestNode",
+                )?,
+            ) {
                 route = self.try_route(start, snapped.0)?;
             }
         }
@@ -332,7 +343,7 @@ impl SpatialProvider for CentralizedProvider {
         } else {
             match self.call_one(Request::Localize { cues }, "Localize")? {
                 Response::Localize { estimates } => estimates,
-                other => return Err(unexpected("Localize", &other)),
+                other => return Err(unexpected(self.server.id(), "Localize", &other)),
             }
         };
         let frame = self.local_frame();
@@ -360,7 +371,7 @@ impl SpatialProvider for CentralizedProvider {
                 Tile::from_rgb(openflame_tiles::TileCoord { z, x, y }, &rgb)
                     .ok_or_else(|| ClientError::Protocol("malformed tile payload".into()))?
             }
-            other => return Err(unexpected("Tile", &other)),
+            other => return Err(unexpected(self.server.id(), "Tile", &other)),
         };
         let stats = scope.finish(self.session.transport().as_ref(), 1);
         Ok(TileOutcome { tile, stats })
@@ -376,7 +387,7 @@ impl CentralizedProvider {
     ) -> Result<Option<openflame_mapserver::protocol::WireRoute>, ClientError> {
         match self.call_one(Request::Route { from, to }, "Route")? {
             Response::Route { route } => Ok(route),
-            other => Err(unexpected("Route", &other)),
+            other => Err(unexpected(self.server.id(), "Route", &other)),
         }
     }
 }

@@ -5,21 +5,23 @@
 //! stitching the results if required."
 //!
 //! Wire discipline: every scatter round sends **one batched envelope
-//! per server** through the [`Session`] layer, which also caches
-//! capability handshakes and discovery results, so steady-state
-//! operation pays one round trip per server per logical operation and
-//! re-resolves nothing it already knows.
+//! per server** through the [`Session`] layer, which also owns the
+//! capability handshake — a server it has no fresh advertisement for is
+//! asked on the first envelope that goes to it, whatever that envelope
+//! carries (wire-protocol spec §8) — and caches advertisements and
+//! discovery results, so a logical operation pays one round trip per
+//! server, cold or warm. Nothing in this file sends a handshake; it
+//! reads the session's cache.
 //!
 //! Multi-round operations are **pipelined** through the session's
 //! [`crate::session::ScatterRound`]: envelopes whose inputs are already
 //! known go on the wire immediately instead of barriering behind an
-//! earlier round — cold searches overlap the capability handshake with
-//! warm servers' search envelopes, stitched routing sends the venue's
-//! portal cost matrix alongside the outdoor nearest-node probes, and
-//! localization prefetches the anchoring handshakes inside the localize
-//! scatter itself. Pipelining reorders *waiting*, never traffic: the
-//! one-envelope-per-server discipline and all message counts are
-//! unchanged on the warm path.
+//! earlier round — the two query classes whose request is spelled in
+//! the server's frame (search, reverse geocode) handshake cold servers
+//! first *while* warm servers' envelopes are already in flight, and
+//! stitched routing sends the venue's portal cost matrix alongside the
+//! outdoor nearest-node probes. Pipelining reorders *waiting*, never
+//! traffic.
 //!
 //! The client is transport-agnostic: it holds an `Arc<dyn Transport>`
 //! and runs identically over the deterministic simulator
@@ -30,9 +32,7 @@
 
 use crate::discovery::{DiscoveredServer, DiscoveryClient};
 use crate::fleet::{DiscoveryView, FleetSelector};
-use crate::plan::{
-    HelloDiscipline, PlanExecutor, PlannedTarget, QueryKind, QueryPlanner, ScatterPlan,
-};
+use crate::plan::{PlanExecutor, PlannedTarget, QueryKind, QueryPlanner, ScatterPlan};
 use crate::provider::{
     GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome, LocalizeQuery, ProviderEstimate,
     ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome, RouteQuery, SearchOutcome,
@@ -41,15 +41,13 @@ use crate::provider::{
 use crate::session::{expect_matrix, expect_nearest, expect_route, unexpected_opt, Session};
 use crate::ClientError;
 use openflame_cells::CellId;
-use openflame_codec::{from_bytes, to_bytes};
 use openflame_dns::Resolver;
 use openflame_geo::{LatLng, LocalFrame, Point2};
 use openflame_localize::LocationCue;
 use openflame_mapdata::{ElementId, NodeId};
 use openflame_mapserver::naming::QUERY_LEVEL;
 use openflame_mapserver::protocol::{
-    Envelope, HelloInfo, Request, Response, WireEstimate, WireGeocodeHit, WireRoute,
-    WireSearchResult,
+    Request, Response, WireEstimate, WireGeocodeHit, WireRoute, WireSearchResult,
 };
 use openflame_mapserver::Principal;
 use openflame_netsim::{EndpointId, Transport};
@@ -170,7 +168,6 @@ impl OpenFlameClientBuilder {
         let endpoint = transport.register("openflame-client", None);
         let session = Session::new(transport.clone(), endpoint, self.principal);
         OpenFlameClient {
-            endpoint,
             discovery: DiscoveryClient::new(resolver),
             session,
             fleet: FleetSelector::new(),
@@ -182,7 +179,6 @@ impl OpenFlameClientBuilder {
 
 /// The OpenFLAME client device.
 pub struct OpenFlameClient {
-    endpoint: EndpointId,
     discovery: DiscoveryClient,
     session: Session,
     fleet: FleetSelector,
@@ -208,7 +204,7 @@ impl OpenFlameClient {
 
     /// The client's network endpoint.
     pub fn endpoint(&self) -> EndpointId {
-        self.endpoint
+        self.session.endpoint()
     }
 
     /// The session layer (batched wire calls + caches).
@@ -219,26 +215,6 @@ impl OpenFlameClient {
     /// The wire transport the client speaks.
     pub fn transport(&self) -> &Arc<dyn Transport> {
         self.session.transport()
-    }
-
-    /// Issues one raw (unbatched) request to one server. Low-level
-    /// escape hatch; service methods go through the batched session.
-    pub fn call(&self, to: EndpointId, request: Request) -> Result<Response, ClientError> {
-        let env = Envelope {
-            principal: self.session.principal().clone(),
-            request,
-        };
-        let transfer = self
-            .session
-            .transport()
-            .call(self.endpoint, to, to_bytes(&env).to_vec())
-            .map_err(|e| ClientError::Network(e.to_string()))?;
-        from_bytes::<Response>(&transfer.payload).map_err(|e| ClientError::Protocol(e.to_string()))
-    }
-
-    /// Capability handshake with a server (session-cached).
-    pub fn hello(&self, to: EndpointId) -> Result<Arc<HelloInfo>, ClientError> {
-        self.session.hello(to)
     }
 
     /// The cost-based query planner (wire-protocol spec §13).
@@ -359,33 +335,27 @@ impl OpenFlameClient {
             // all would have returned.
             return Ok(Vec::new());
         }
-        // One batched envelope per server, pipelined with the
-        // capability handshake (TwoPhase discipline): servers whose
-        // Hello is cached get their search envelope immediately
-        // (anchored servers get a frame-local center so they can
-        // distance-rank; unaligned venue maps are small, so their
-        // whole extent is relevant — center unknown in their frame).
-        // Unknown servers get a Hello envelope in the *same* round,
-        // and their search follows once the anchor is known — so a few
-        // cold servers no longer stall the whole warm federation
-        // behind a handshake barrier. Steady state is one round of
-        // exactly one envelope per server, as ever. Search is
-        // idempotent (wire-protocol spec §7), so failed fleet branches
-        // fail over to sibling replicas inside the executor.
+        // One batched envelope per server. `center` is spelled in the
+        // server's frame, so the executor handshakes cold servers first
+        // (spec §8): an anchored server gets a frame-local center so it
+        // can distance-rank; an unaligned venue map is small, so its
+        // whole extent is relevant — center unknown in its frame, as it
+        // is for a server whose handshake failed (which is queried all
+        // the same). Search is idempotent (wire-protocol spec §7), so
+        // failed fleet branches fail over to sibling replicas inside
+        // the executor.
         let search_request = |center| Request::Search {
             query: query.to_string(),
             center,
             radius_m,
             k: k as u32,
         };
-        let gathered = self
-            .executor()
-            .run(&mut plan, HelloDiscipline::TwoPhase, |_, hello| {
-                let center = hello
-                    .and_then(|h| h.anchor)
-                    .map(|anchor| LocalFrame::new(anchor).to_local(location));
-                Some(vec![search_request(center)])
-            });
+        let gathered = self.executor().run(&mut plan, |_, hello| {
+            let center = hello
+                .and_then(|h| h.anchor)
+                .map(|anchor| LocalFrame::new(anchor).to_local(location));
+            Some(vec![search_request(center)])
+        });
         let targets = &plan.targets;
         let mut lists: Vec<Vec<SearchResult>> = Vec::new();
         let mut provenance: Vec<Vec<FederatedSearchHit>> = Vec::new();
@@ -398,7 +368,7 @@ impl OpenFlameClient {
                 // on with the rest of the federation — and a dead or
                 // dropping server is already on the tally.
                 Some(Some(Response::Error { .. })) | None => continue,
-                Some(other) => return Err(unexpected_opt("Search", other)),
+                Some(other) => return Err(unexpected_opt(&server.server_id, "Search", other)),
             };
             let mut list = Vec::with_capacity(results.len());
             let mut prov = Vec::with_capacity(results.len());
@@ -474,7 +444,9 @@ impl OpenFlameClient {
         world_provider: EndpointId,
         k: usize,
     ) -> Result<Vec<GeocodeHit>, ClientError> {
-        // Step 1: coarse position from the world-map provider.
+        // Step 1: coarse position from the world-map provider. On first
+        // contact its advertisement (the frame, below) rides this same
+        // envelope.
         let responses = self.session.batch(
             world_provider,
             vec![Request::Geocode {
@@ -484,7 +456,7 @@ impl OpenFlameClient {
         )?;
         let coarse = match responses.into_iter().next() {
             Some(Response::Geocode { hits }) => hits.into_iter().next(),
-            other => return Err(unexpected_opt("Geocode", other)),
+            other => return Err(unexpected_opt("world", "Geocode", other)),
         };
         let Some(coarse_hit) = coarse else {
             return Err(ClientError::NotFound(format!(
@@ -504,22 +476,20 @@ impl OpenFlameClient {
             hit: coarse_hit,
         }];
         // Step 2: fine geocode on the servers discovered there — one
-        // batched envelope each, in one concurrent round, with the
-        // handshakes for uncached refiners riding in the same round
-        // (the frames are needed right below to geo-anchor the hits).
+        // batched envelope each, in one concurrent round (first
+        // contact teaches the frames needed right below to geo-anchor
+        // the hits).
         // The planner prunes refiners whose summaries advertise an
         // empty geocoder; an address is not a spatial footprint, so no
         // extent pruning applies.
         let mut plan = self.plan_query_at(Some(QueryKind::Geocode), coarse_geo, None)?;
         plan.targets.retain(|t| t.server.endpoint != world_provider);
-        let outcomes = self
-            .executor()
-            .run(&mut plan, HelloDiscipline::Prefetch, |_, _| {
-                Some(vec![Request::Geocode {
-                    query: address.to_string(),
-                    k: k as u32,
-                }])
-            });
+        let outcomes = self.executor().run(&mut plan, |_, _| {
+            Some(vec![Request::Geocode {
+                query: address.to_string(),
+                k: k as u32,
+            }])
+        });
         // Refinement is lenient on purpose — no blackout tally: the
         // world provider's coarse hit above is already an answer, so a
         // refiner that is down only costs precision.
@@ -559,23 +529,22 @@ impl OpenFlameClient {
         // extent provably disjoint from the query cap; the anchored
         // filter below then drops whatever unanchored sources remain
         // unproven — they cannot interpret a geographic position
-        // (paper §3) and are skipped without a wire call.
+        // (paper §3) and get no service envelope. `pos` is spelled in
+        // the server's frame, so the executor handshakes cold servers
+        // first (spec §8) and the builder declines once it sees one is
+        // unanchored (or unreachable).
         let mut plan = self.plan_query_at(
             Some(QueryKind::ReverseGeocode),
             location,
             Some((location, radius_m)),
         )?;
-        let endpoints: Vec<EndpointId> = plan.targets.iter().map(|t| t.server.endpoint).collect();
-        self.session.ensure_hellos(&endpoints);
-        let outcomes = self
-            .executor()
-            .run(&mut plan, HelloDiscipline::Direct, |_, hello| {
-                let anchor = hello.and_then(|h| h.anchor)?;
-                Some(vec![Request::ReverseGeocode {
-                    pos: LocalFrame::new(anchor).to_local(location),
-                    radius_m,
-                }])
-            });
+        let outcomes = self.executor().run(&mut plan, |_, hello| {
+            let anchor = hello.and_then(|h| h.anchor)?;
+            Some(vec![Request::ReverseGeocode {
+                pos: LocalFrame::new(anchor).to_local(location),
+                radius_m,
+            }])
+        });
         let mut best: Option<GeocodeHit> = None;
         let mut tally = ScatterTally::default();
         for (idx, (target, outcome)) in plan.targets.iter().zip(outcomes).enumerate() {
@@ -629,13 +598,7 @@ impl OpenFlameClient {
         if let Some(anchor) = target_hello.anchor {
             // Single anchored map covers both endpoints.
             let frame = LocalFrame::new(anchor);
-            let responses = Session::expect_all(self.session.batch(
-                target.endpoint,
-                vec![Request::NearestNode {
-                    pos: frame.to_local(from),
-                }],
-            )?)?;
-            let from_node = expect_nearest(&responses[0])?;
+            let from_node = self.nearest_node(target.endpoint, frame.to_local(from))?;
             let route = self.route_on(target.endpoint, from_node, target_node)?;
             return Ok(FederatedRoute {
                 total_cost: route.cost,
@@ -714,18 +677,25 @@ impl OpenFlameClient {
             .into_iter()
             .map(Some)
             .collect();
-        let responses =
-            Session::expect_all(gathered[probe_idx].take().expect("probe branch present"))?;
-        let from_node = expect_nearest(&responses[0])?;
+        let (outdoor_id, venue_id) = (&outdoor_server.server_id, &target.server_id);
+        let responses = Session::expect_all(
+            outdoor_id,
+            gathered[probe_idx].take().expect("probe branch present"),
+        )?;
+        let from_node = expect_nearest(outdoor_id, &responses[0])?;
         let outdoor_portals: Vec<NodeId> = responses[1..]
             .iter()
-            .map(expect_nearest)
+            .map(|response| expect_nearest(outdoor_id, response))
             .collect::<Result<_, _>>()?;
         let venue_matrix = expect_matrix(
-            Session::expect_all(gathered[venue_idx].take().expect("venue branch present"))?
-                .into_iter()
-                .next()
-                .expect("one item sent"),
+            venue_id,
+            Session::expect_all(
+                venue_id,
+                gathered[venue_idx].take().expect("venue branch present"),
+            )?
+            .into_iter()
+            .next()
+            .expect("one item sent"),
         )?;
         // Round 2 — the outdoor cost matrix (it needs round 1's snapped
         // nodes). Same failure discipline as the scatter rounds.
@@ -738,7 +708,9 @@ impl OpenFlameClient {
             }],
         );
         let outdoor_matrix = expect_matrix(
+            outdoor_id,
             Session::expect_all(
+                outdoor_id,
                 Session::gather_all(round2.collect())?
                     .pop()
                     .expect("one branch sent"),
@@ -772,9 +744,11 @@ impl OpenFlameClient {
             ),
         ];
         let mut legs = Vec::with_capacity(2);
-        for responses in Session::gather_all(self.session.batch_parallel(leg_calls))? {
-            let responses = Session::expect_all(responses)?;
+        let answers = Session::gather_all(self.session.batch_parallel(leg_calls))?;
+        for (server, responses) in [outdoor_id, venue_id].into_iter().zip(answers) {
+            let responses = Session::expect_all(server, responses)?;
             legs.push(expect_route(
+                server,
                 responses.into_iter().next().expect("one item sent"),
             )?);
         }
@@ -809,22 +783,18 @@ impl OpenFlameClient {
         cues: &[LocationCue],
     ) -> Result<Vec<(String, WireEstimate)>, ClientError> {
         Ok(self
-            .localize_impl(coarse, cues, false)?
+            .localize_impl(coarse, cues)?
             .into_iter()
             .map(|(server, estimate)| (server.server_id.clone(), estimate))
             .collect())
     }
 
-    /// The localize scatter. With `prefetch_hellos`, capability
-    /// handshakes for consulted servers that lack a cached Hello ride
-    /// in the *same* pipelined round as the localize envelopes — the
-    /// provider path needs them immediately afterwards to geo-anchor
-    /// the estimates, and overlapping them costs no extra round trip.
+    /// The localize scatter, estimates paired with the server that
+    /// produced them.
     fn localize_impl(
         &self,
         coarse: LatLng,
         cues: &[LocationCue],
-        prefetch_hellos: bool,
     ) -> Result<Vec<(Arc<DiscoveredServer>, WireEstimate)>, ClientError> {
         // Planner-built scatter: the coarse fix bounds where the
         // client can stand, so shards outside the localize footprint
@@ -844,17 +814,11 @@ impl OpenFlameClient {
         };
         // One batched envelope per server accepting any of the offered
         // cues (the builder drops the rest from the plan without wire
-        // traffic); with `prefetch_hellos` the handshakes for uncached
-        // servers ride in the same round. Localization is idempotent
-        // (wire-protocol spec §7) — a failed fleet branch retries on a
-        // sibling replica inside the executor, which accepts the same
-        // cues (services are advertised group-wide).
-        let discipline = if prefetch_hellos {
-            HelloDiscipline::Prefetch
-        } else {
-            HelloDiscipline::Direct
-        };
-        let results = self.executor().run(&mut plan, discipline, |server, _| {
+        // traffic). Localization is idempotent (wire-protocol spec §7)
+        // — a failed fleet branch retries on a sibling replica inside
+        // the executor, which accepts the same cues (services are
+        // advertised group-wide).
+        let results = self.executor().run(&mut plan, |server, _| {
             let matching = cues_for(server);
             (!matching.is_empty()).then(|| vec![Request::Localize { cues: matching }])
         });
@@ -893,9 +857,7 @@ impl OpenFlameClient {
         let mut plan = self.plan_query_at(Some(QueryKind::Tile), center, None)?;
         let outcomes = self
             .executor()
-            .run(&mut plan, HelloDiscipline::Direct, |_, _| {
-                Some(vec![Request::GetTile { z, x, y }])
-            });
+            .run(&mut plan, |_, _| Some(vec![Request::GetTile { z, x, y }]));
         let mut layers: Vec<Tile> = Vec::new();
         let mut tally = ScatterTally::default();
         for (idx, (target, outcome)) in plan.targets.iter().zip(outcomes).enumerate() {
@@ -923,9 +885,12 @@ impl OpenFlameClient {
 
     /// Nearest routable node on a server.
     pub fn nearest_node(&self, to: EndpointId, pos: Point2) -> Result<NodeId, ClientError> {
-        let responses =
-            Session::expect_all(self.session.batch(to, vec![Request::NearestNode { pos }])?)?;
-        expect_nearest(&responses[0])
+        let server = self.session.server_name(to);
+        let responses = Session::expect_all(
+            &server,
+            self.session.batch(to, vec![Request::NearestNode { pos }])?,
+        )?;
+        expect_nearest(&server, &responses[0])
     }
 
     /// Point-to-point route on one server.
@@ -935,29 +900,16 @@ impl OpenFlameClient {
         from: NodeId,
         dest: NodeId,
     ) -> Result<WireRoute, ClientError> {
-        let responses = Session::expect_all(self.session.batch(
-            to,
-            vec![Request::Route {
-                from: from.0,
-                to: dest.0,
-            }],
-        )?)?;
-        expect_route(responses.into_iter().next().expect("one item sent"))
-    }
-
-    /// Portal cost matrix from one server.
-    pub fn route_matrix(
-        &self,
-        to: EndpointId,
-        entries: &[NodeId],
-        exits: &[NodeId],
-    ) -> Result<Vec<Vec<f64>>, ClientError> {
-        let request = Request::RouteMatrix {
-            entries: entries.iter().map(|n| n.0).collect(),
-            exits: exits.iter().map(|n| n.0).collect(),
+        let server = self.session.server_name(to);
+        let request = Request::Route {
+            from: from.0,
+            to: dest.0,
         };
-        let responses = Session::expect_all(self.session.batch(to, vec![request])?)?;
-        expect_matrix(responses.into_iter().next().expect("one item sent"))
+        let responses = Session::expect_all(&server, self.session.batch(to, vec![request])?)?;
+        expect_route(
+            &server,
+            responses.into_iter().next().expect("one item sent"),
+        )
     }
 }
 
@@ -1010,15 +962,10 @@ impl SpatialProvider for OpenFlameClient {
 
     fn localize(&self, query: LocalizeQuery) -> Result<LocalizeOutcome, ClientError> {
         let scope = StatScope::begin(self.session.transport().as_ref());
-        // Hellos for anchoring are prefetched inside the localize
-        // scatter itself (one pipelined round, no handshake barrier).
-        let raw = self.localize_impl(query.coarse, &query.cues, true)?;
-        // Geo-anchor the estimates whose producing server is anchored.
-        // Steady state and prefetched-cold are pure cache reads here;
-        // ensure_hellos only fires for servers whose prefetched
-        // handshake failed in-round.
-        let endpoints: Vec<EndpointId> = raw.iter().map(|(s, _)| s.endpoint).collect();
-        self.session.ensure_hellos(&endpoints);
+        let raw = self.localize_impl(query.coarse, &query.cues)?;
+        // Geo-anchor the estimates whose producing server is anchored —
+        // pure cache reads: the envelope that brought an estimate also
+        // brought its server's advertisement on first contact.
         let estimates: Vec<ProviderEstimate> = raw
             .into_iter()
             .map(|(server, estimate)| {

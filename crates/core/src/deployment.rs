@@ -19,12 +19,12 @@ use crate::fleet::{plan_venue_shards, ShardPlan};
 use crate::ClientError;
 use openflame_cells::{CellId, Region, RegionCoverer};
 use openflame_dns::{
-    AuthServer, DomainName, FleetReplica, FleetShard, Record, RecordData, Resolver, ResolverConfig,
-    Zone,
+    AuthServer, DomainName, FleetReplica, FleetShard, RecordData, Resolver, ResolverConfig, Zone,
 };
 use openflame_localize::TagRegistry;
 use openflame_mapdata::{MapDocument, NodeId, Tags};
-use openflame_mapserver::naming::{cell_to_name, cell_to_wildcard, SPATIAL_ROOT};
+use openflame_mapserver::naming::{cell_to_name, SPATIAL_ROOT};
+use openflame_mapserver::registry::{advertised_services, cell_records, mapsrv_record};
 use openflame_mapserver::{AccessPolicy, MapServer, MapServerConfig, Principal};
 use openflame_netsim::{BackendKind, Transport};
 use openflame_search::SEARCHABLE_VALUE_KEYS;
@@ -300,12 +300,7 @@ impl Deployment {
             radius_m: server.radius_m(),
         };
         let cells = RegionCoverer::default().covering_at_level(&region, self.config.covering_level);
-        let data = RecordData::MapSrv {
-            endpoint: server.endpoint().0,
-            server_id: server.id().to_string(),
-            services: advertised_services(server),
-        };
-        self.install_records(&cells, &data);
+        self.install_records(&cells, &mapsrv_record(server));
     }
 
     /// Registers a venue fleet: one `FLEETSRV` record per covering
@@ -361,13 +356,10 @@ impl Deployment {
     fn install_records(&mut self, cells: &[CellId], data: &RecordData) {
         let total_shards = self.config.dns_shards.max(1);
         for &cell in cells {
-            let exact = cell_to_name(cell);
-            let wildcard = cell_to_wildcard(cell);
+            let records = cell_records(cell, data);
             if total_shards == 1 {
-                self.cell_dns.with_zones_mut(|zones| {
-                    zones[0].add(Record::new(exact.clone(), 300, data.clone()));
-                    zones[0].add(Record::new(wildcard.clone(), 300, data.clone()));
-                });
+                self.cell_dns
+                    .with_zones_mut(|zones| records.into_iter().for_each(|r| zones[0].add(r)));
                 continue;
             }
             // Sharded: the record lives in the zone of the cell's
@@ -404,8 +396,7 @@ impl Deployment {
                     .iter_mut()
                     .find(|z| z.origin() == &zone_origin)
                     .expect("zone created above");
-                zone.add(Record::new(exact.clone(), 300, data.clone()));
-                zone.add(Record::new(wildcard.clone(), 300, data.clone()));
+                records.into_iter().for_each(|r| zone.add(r));
             });
         }
     }
@@ -422,23 +413,6 @@ impl Deployment {
             .next()
             .ok_or_else(|| ClientError::NotFound(format!("product {product_name:?}")))
     }
-}
-
-/// The DNS-advertised service list for a server: its wire services
-/// plus one `localize:<tech>` entry per localization technique.
-fn advertised_services(server: &MapServer) -> Vec<String> {
-    let hello = server.hello();
-    hello
-        .services
-        .iter()
-        .cloned()
-        .chain(
-            hello
-                .localization_techs
-                .iter()
-                .map(|t| format!("localize:{t}")),
-        )
-        .collect()
 }
 
 /// Whether a node carries searchable content — the unit the fleet's

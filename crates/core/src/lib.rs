@@ -42,18 +42,25 @@
 //!
 //! Underneath the planner sits the [`Session`] wire layer: every
 //! provider's traffic goes out as batched envelopes
-//! (`Request::Batch`), one per server per scatter round, and the
-//! session caches `Hello` capability advertisements per server,
-//! coverage summaries per server and discovery results per cell, so
-//! repeated scatter-gather rounds skip the handshakes they have
-//! already done. All three caches are bounded (expired-first eviction
-//! past a capacity cap), so a long-lived session touring many cells
-//! holds steady-state memory. Scatter rounds are built on the
-//! session's pipelined
-//! [`session::ScatterRound`]: envelopes are *submitted* as soon as
-//! their inputs are known and *collected* when the caller needs the
-//! answers, so multi-round operations (cold search handshakes, route
-//! leg matrices, localization anchoring) overlap their rounds instead
+//! (`Request::Batch`), one per server per scatter round, cold or warm.
+//! The session owns the capability handshake as **one rule**
+//! (wire-protocol spec §8): an envelope to an endpoint it holds no
+//! fresh advertisement for carries `Hello` as its last item, and the
+//! session strips that item's answer before returning — so no query
+//! path sends, counts or positions a handshake, first contact costs no
+//! envelope of its own, and a client that only ever fetches tiles
+//! still learns the coverage summaries the planner prunes with. The
+//! executor's one handshake decision is *handshake-first* for the two
+//! kinds whose request is spelled in the server's frame (search,
+//! reverse geocode). The session caches advertisements and coverage
+//! summaries per server and discovery results per cell; all three
+//! caches are bounded (expired-first eviction past a capacity cap), so
+//! a long-lived session touring many cells holds steady-state memory.
+//! Scatter rounds are built on the session's pipelined
+//! [`session::ScatterRound`] — its one submit path: envelopes are
+//! *submitted* as soon as their inputs are known and *collected* when
+//! the caller needs the answers, so multi-round operations (cold
+//! search handshakes, route leg matrices) overlap their rounds instead
 //! of barriering between them.
 //!
 //! Underneath the session sits the pluggable
@@ -120,7 +127,7 @@
 //! (`DeploymentConfig { backend: BackendKind::Tcp, .. }`), or hand any
 //! transport to `Deployment::build_on` /
 //! `OpenFlameClient::builder().build_on(..)`. The wire discipline —
-//! exactly one batched envelope per discovered server per warm scatter
+//! exactly one batched envelope per discovered server per scatter
 //! round — holds on every backend and is enforced by the
 //! backend-parity integration test; pipelining reorders waiting, never
 //! traffic.
@@ -227,8 +234,8 @@ pub use deployment::{Deployment, DeploymentConfig, FleetMember};
 pub use discovery::{DiscoveredServer, DiscoveryClient, DiscoveryStats};
 pub use fleet::{DiscoveryView, FleetSelector, FleetShardView, FleetView};
 pub use plan::{
-    FleetBranch, HelloDiscipline, PlanExecutor, PlannedTarget, PruneReason, PrunedSource,
-    QueryKind, QueryPlanner, ScatterPlan,
+    FleetBranch, PlanExecutor, PlannedTarget, PruneReason, PrunedSource, QueryKind, QueryPlanner,
+    ScatterPlan,
 };
 pub use provider::{
     CallStats, GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome, LocalizeQuery,
@@ -253,7 +260,8 @@ pub enum ClientError {
     Network(String),
     /// A server returned an error response.
     Server {
-        /// Server id, if known.
+        /// The answering server: its id where the caller planned it by
+        /// id, else the transport's name for its endpoint.
         server_id: String,
         /// Error code from the response.
         code: u8,

@@ -42,12 +42,15 @@
 //!
 //! [`PlanExecutor`] runs a plan through [`Session::scatter`] with the
 //! fleet machinery the ad hoc paths used to duplicate: one batched
-//! envelope per planned server, a selectable handshake discipline
-//! ([`HelloDiscipline`]), replica failover with dead-listing for fleet
-//! branches (idempotent requests only, spec §7 — the dead replica's
-//! discovery cell is invalidated *and* its per-endpoint cached state
-//! purged, so a dead endpoint is never re-served from cache), and
-//! empty-answer refinement of the coverage cache on the way out.
+//! envelope per planned server — the session's handshake rule (spec §8)
+//! teaches a cold server's advertisement on that same envelope, so the
+//! executor's only handshake decision is *handshake-first* for the two
+//! kinds whose request is spelled in the server's frame — replica
+//! failover with dead-listing for fleet branches (idempotent requests
+//! only, spec §7 — the dead replica's discovery cell is invalidated
+//! *and* its per-endpoint cached state purged, so a dead endpoint is
+//! never re-served from cache), and empty-answer refinement of the
+//! coverage cache on the way out.
 
 use crate::discovery::DiscoveredServer;
 use crate::fleet::{DiscoveryView, FleetSelector, FleetShardView};
@@ -179,12 +182,6 @@ impl ScatterPlan {
     /// sources, `plan_allocations` that its fixture covers every fleet.
     pub fn considered(&self) -> usize {
         self.targets.len() + self.pruned.len()
-    }
-
-    /// Consulted sources carrying a non-zero empty-answer streak (the
-    /// demotion cost signal — consulted anyway, spec §13.3).
-    pub fn demoted(&self) -> usize {
-        self.targets.iter().filter(|t| t.empty_streak > 0).count()
     }
 }
 
@@ -353,30 +350,9 @@ fn footprint_disjoint(extent: &CoverageExtent, center: LatLng, radius_m: f64) ->
     center.haversine_distance(extent.center) > radius_m + extent.radius_m
 }
 
-/// How the executor handles capability handshakes for servers without
-/// a cached `Hello`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HelloDiscipline {
-    /// Submit service envelopes directly; callers that need anchors
-    /// have already ensured the handshakes.
-    Direct,
-    /// Uncached servers get a `Hello` envelope riding in the *same*
-    /// scatter round as their service envelope (the localize
-    /// discipline — the caller needs the anchors right afterwards and
-    /// overlapping costs no extra round trip).
-    Prefetch,
-    /// Uncached servers handshake first and their service envelope
-    /// follows in a second pipelined round (the search discipline —
-    /// the request itself depends on the anchor). The request builder
-    /// is consulted again once the handshake lands and must produce a
-    /// request then: a failed or denying `Hello` does not exempt a
-    /// server from being queried.
-    TwoPhase,
-}
-
 /// Runs [`ScatterPlan`]s through the session: one batched envelope per
-/// planned server, pipelined handshakes, fleet failover, and coverage
-/// refinement. The single executor behind every federated query path.
+/// planned server, fleet failover, and coverage refinement. The single
+/// executor behind every federated query path.
 pub struct PlanExecutor<'a> {
     session: &'a Session,
     fleet: &'a FleetSelector,
@@ -391,11 +367,20 @@ impl<'a> PlanExecutor<'a> {
     /// Executes the plan. `request_for` builds each target's batch
     /// from the server and a borrow of its cached advertisement (the
     /// executor holds the shared `Arc` for the call); returning `None`
-    /// drops the target from the plan without any wire traffic (e.g.
-    /// a localize target accepting none of the offered cues). The
-    /// returned outcomes align positionally with `plan.targets`, which
-    /// is updated in place (skips removed, failover provenance
-    /// rewritten to the answering replica).
+    /// drops the target from the plan (e.g. a localize target accepting
+    /// none of the offered cues). The returned outcomes align
+    /// positionally with `plan.targets`, which is updated in place
+    /// (skips removed, failover provenance rewritten to the answering
+    /// replica).
+    ///
+    /// **Handshake-first** (spec §8): a `Search` carries `center` and a
+    /// `ReverseGeocode` carries `pos` in the *server's* frame, so for
+    /// those two kinds a target with no cached advertisement gets the
+    /// bare handshake in the first round — alongside the warm targets'
+    /// service envelopes, never ahead of them — and its builder runs in
+    /// a follow-up round, seeing the advertisement, or `None` if the
+    /// handshake failed. Every other kind's envelope simply goes out
+    /// and the session's rule teaches the advertisement on it.
     ///
     /// **Idempotent requests only** (spec §7, spec §9): failed fleet
     /// branches retry on sibling replicas. Each failed endpoint is
@@ -410,99 +395,58 @@ impl<'a> PlanExecutor<'a> {
     pub fn run(
         &self,
         plan: &mut ScatterPlan,
-        discipline: HelloDiscipline,
         request_for: impl Fn(&DiscoveredServer, Option<&HelloInfo>) -> Option<Vec<Request>>,
     ) -> Vec<Result<Vec<Response>, ClientError>> {
-        // Skip decisions come first, from the pre-round cache state:
-        // a target whose builder declines is dropped before any
-        // traffic. Cold targets under TwoPhase are always kept — their
-        // builder runs after the handshake.
-        let mut kept: Vec<PlannedTarget> = Vec::new();
-        let mut first_requests: Vec<Option<Vec<Request>>> = Vec::new();
-        for target in plan.targets.drain(..) {
-            // One probe: a fresh advertisement counts as a hit, a
-            // missing one counts nothing here (misses are counted when
-            // the handshake is submitted).
-            let hello = self.session.cached_hello(target.server.endpoint);
-            if discipline == HelloDiscipline::TwoPhase && hello.is_none() {
-                kept.push(target);
-                first_requests.push(None);
-                continue;
-            }
-            if let Some(requests) = request_for(&target.server, hello.as_deref()) {
-                kept.push(target);
-                first_requests.push(Some(requests));
-            }
-        }
-        plan.targets = kept;
-
-        /// Where a target's service response lives.
-        enum Slot {
-            /// Submitted in the first round, at this index.
-            Warm(usize),
-            /// Handshake first; the service envelope rides the
-            /// follow-up round, at this index.
-            Cold(usize),
-        }
+        let handshake_first = matches!(
+            plan.kind,
+            Some(QueryKind::Search | QueryKind::ReverseGeocode)
+        );
+        // Round one, one envelope per kept target in plan order: its
+        // service envelope, or — `cold` — the bare handshake.
         let mut round = self.session.scatter();
-        let slots: Vec<Slot> = plan
-            .targets
-            .iter()
-            .zip(first_requests)
-            .map(|(target, requests)| match requests {
-                Some(requests) => Slot::Warm(round.submit(target.server.endpoint, requests)),
-                None => {
-                    self.session.note_hello_misses(1);
-                    Slot::Cold(round.submit(target.server.endpoint, vec![Request::Hello]))
-                }
-            })
-            .collect();
-        if discipline == HelloDiscipline::Prefetch {
-            // Handshakes for uncached servers ride after the service
-            // envelopes, in the same round; their answers are absorbed
-            // into the hello/coverage caches on collect and their
-            // branch results are simply not claimed by any slot.
-            for target in &plan.targets {
-                if !self.session.has_hello(target.server.endpoint) {
-                    self.session.note_hello_misses(1);
-                    round.submit(target.server.endpoint, vec![Request::Hello]);
-                }
+        let mut kept: Vec<(PlannedTarget, bool)> = Vec::new();
+        for target in plan.targets.drain(..) {
+            let endpoint = target.server.endpoint;
+            // One probe: a fresh advertisement counts as a hit, a
+            // missing one is counted by the session when the envelope
+            // that asks goes out.
+            let hello = self.session.cached_hello(endpoint);
+            let cold = handshake_first && hello.is_none();
+            let requests = if cold {
+                Some(Vec::new())
+            } else {
+                request_for(&target.server, hello.as_deref())
+            };
+            if let Some(requests) = requests {
+                round.submit(endpoint, requests);
+                kept.push((target, cold));
             }
         }
-        let first = round.collect();
-
-        // Follow-up round for the cold targets (TwoPhase only): their
-        // hellos were absorbed on collect, so the builder now sees the
-        // advertisement — or `None` if the handshake failed, in which
-        // case the request still goes out, exactly as the pre-planner
-        // two-round flow behaved.
+        // Round two for the cold targets: their hellos were absorbed
+        // on collect, so the builder now sees the advertisement — or
+        // `None` if the handshake failed, and a builder that cannot do
+        // without it declines here.
         let mut follow = self.session.scatter();
-        let slots: Vec<Slot> = plan
-            .targets
-            .iter()
-            .zip(slots)
-            .map(|(target, slot)| match slot {
-                Slot::Warm(i) => Slot::Warm(i),
-                Slot::Cold(_) => {
-                    let hello = self.session.cached_hello(target.server.endpoint);
-                    let requests = request_for(&target.server, hello.as_deref())
-                        .expect("TwoPhase builders must produce a request after the handshake");
-                    Slot::Cold(follow.submit(target.server.endpoint, requests))
-                }
-            })
-            .collect();
-        let second = follow.collect();
-        let mut first: Vec<Option<Result<Vec<Response>, ClientError>>> =
-            first.into_iter().map(Some).collect();
-        let mut second: Vec<Option<Result<Vec<Response>, ClientError>>> =
-            second.into_iter().map(Some).collect();
-        let mut gathered: Vec<Result<Vec<Response>, ClientError>> = slots
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Warm(i) => first[i].take().expect("claimed once"),
-                Slot::Cold(i) => second[i].take().expect("claimed once"),
-            })
-            .collect();
+        let mut gathered = Vec::with_capacity(kept.len());
+        let mut deferred: Vec<usize> = Vec::new();
+        for ((target, cold), outcome) in kept.into_iter().zip(round.collect()) {
+            if cold {
+                let endpoint = target.server.endpoint;
+                let hello = self.session.cached_hello(endpoint);
+                let Some(requests) = request_for(&target.server, hello.as_deref()) else {
+                    continue;
+                };
+                follow.submit(endpoint, requests);
+                deferred.push(gathered.len());
+            }
+            // (A cold target's slot holds its handshake's outcome until
+            // the follow-up round overwrites it below.)
+            gathered.push(outcome);
+            plan.targets.push(target);
+        }
+        for (idx, outcome) in deferred.into_iter().zip(follow.collect()) {
+            gathered[idx] = outcome;
+        }
 
         self.failover(plan, &mut gathered, &request_for);
 

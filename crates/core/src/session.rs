@@ -1,9 +1,9 @@
-//! The per-server session layer: batched envelopes + capability and
-//! discovery caching, over any wire transport.
+//! The per-server session layer: batched envelopes, the first-contact
+//! handshake, and capability and discovery caching, over any wire
+//! transport.
 //!
 //! Every wire interaction of both provider architectures goes through a
-//! [`Session`]. It does three things the naive per-request path did
-//! not:
+//! [`Session`]. It does four things the naive per-request path did not:
 //!
 //! - **Batching**: callers hand it a `Vec<Request>` per server and it
 //!   ships one [`Request::Batch`] envelope, so a scatter round costs
@@ -11,12 +11,18 @@
 //!   round needs (OpenFLAME's per-server amortization; cf. federated
 //!   SPARQL source selection, which likewise routes one logical query
 //!   per backend).
-//! - **Hello caching**: `Hello` capability advertisements are cached
-//!   per endpoint with a TTL on the transport clock, so repeated
-//!   scatter-gather rounds stop re-asking servers who they are.
-//!   Coverage summaries riding in hellos (spec §13) are absorbed into
-//!   a sibling per-endpoint cache consulted by the query planner, with
-//!   the same TTL/capacity/invalidation discipline.
+//! - **The handshake** (wire protocol spec §8) — one rule, spelled here
+//!   and nowhere else: *an envelope to an endpoint the session holds no
+//!   fresh advertisement for carries `Request::Hello` as its last item*
+//!   (unless the batch already asks). [`ScatterRound::submit`] appends
+//!   the item and counts the miss; the claim side strips that item's
+//!   answer — whatever came back, caching it only if it is a
+//!   `Response::Hello` — so callers get exactly their own responses and
+//!   first contact costs no envelope of its own, whatever the query
+//!   class. Advertisements are cached per endpoint with a TTL on the
+//!   transport clock (an expired one is re-learned the same way);
+//!   coverage summaries riding in them (spec §13) go to a sibling cache
+//!   the query planner consults, under the same discipline.
 //! - **Discovery caching**: discovery results are cached per query
 //!   cell, so a client localizing every few seconds does not re-resolve
 //!   the same cell through DNS each time.
@@ -43,11 +49,11 @@
 //! The session speaks only through the [`Transport`] trait — the
 //! deterministic simulator and real TCP sockets run the exact same
 //! code, and the one-envelope-per-server wire discipline holds on
-//! both (the backend-parity integration test enforces it). TTLs are
-//! the DNS record TTL the deployment uses ([`DEFAULT_TTL_US`], 300 s),
-//! measured on the transport clock (simulated time or wall-clock
-//! time), so cached knowledge ages out on the same schedule as the
-//! naming layer that produced it.
+//! both, cold or warm (the backend-parity integration test enforces
+//! it). TTLs are the DNS record TTL the deployment uses
+//! ([`DEFAULT_TTL_US`], 300 s), measured on the transport clock
+//! (simulated time or wall-clock time), so cached knowledge ages out on
+//! the same schedule as the naming layer that produced it.
 
 use crate::fleet::DiscoveryView;
 use crate::ClientError;
@@ -57,14 +63,15 @@ use openflame_mapdata::NodeId;
 use openflame_mapserver::protocol::{
     CoverageSummary, Envelope, HelloInfo, Request, Response, WireRoute,
 };
+use openflame_mapserver::registry::MAPSRV_TTL_S;
 use openflame_mapserver::Principal;
 use openflame_netsim::{CallHandle, EndpointId, Transport};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Default cache TTL: matches the 300 s DNS record TTL used by
-/// deployment registrations.
-pub const DEFAULT_TTL_US: u64 = 300 * 1_000_000;
+/// Default cache TTL: the DNS record TTL deployment registrations use
+/// ([`MAPSRV_TTL_S`], 300 s).
+pub const DEFAULT_TTL_US: u64 = MAPSRV_TTL_S as u64 * 1_000_000;
 
 /// Default capacity bound for each session cache (hello entries,
 /// discovery cells). A long-lived session touring many cells stays
@@ -110,14 +117,17 @@ pub(crate) fn busy_backoff_us(hint_us: u64, attempt: u32, from: EndpointId, to: 
 pub struct SessionStats {
     /// Batch envelopes sent.
     pub batches: u64,
-    /// Individual requests carried inside those envelopes.
+    /// Individual requests carried inside those envelopes, the
+    /// session's own handshake items included.
     pub batched_requests: u64,
     /// Cumulative wire latency of those envelopes, microseconds
     /// (simulated or wall-clock, per the transport).
     pub wire_us: u64,
     /// Hello lookups answered from the cache.
     pub hello_hits: u64,
-    /// Hello lookups that went to the wire.
+    /// Envelopes sent to an endpoint with no fresh advertisement cached
+    /// — each carries the handshake (spec §8), so each is a lookup that
+    /// went to the wire.
     pub hello_misses: u64,
     /// Discovery lookups answered from the cache.
     pub discovery_hits: u64,
@@ -248,18 +258,6 @@ impl<K: Eq + std::hash::Hash + Clone, V> TtlCache<K, V> {
     }
 }
 
-/// One envelope's decoded fate: answered (well or badly), or shed under
-/// load and worth re-submitting.
-enum BatchReply {
-    /// The server shed the envelope; retry after the hinted wait.
-    Busy {
-        /// Microseconds the server suggested waiting.
-        retry_after_us: u64,
-    },
-    /// The envelope was answered (or failed unrecoverably).
-    Done(Result<Vec<Response>, ClientError>),
-}
-
 /// Discovery cache key: the query cell's raw id.
 type DiscoveryKey = u64;
 
@@ -376,32 +374,13 @@ impl Session {
         to_bytes(&env).to_vec()
     }
 
-    fn decode_reply(bytes: &[u8], expected: usize) -> BatchReply {
-        let response = match from_bytes::<Response>(bytes) {
-            Ok(response) => response,
-            Err(e) => return BatchReply::Done(Err(ClientError::Protocol(e.to_string()))),
-        };
-        BatchReply::Done(match response {
-            // The envelope was shed under load: retryable, handled by
-            // the caller's backoff loop, never surfaced as a decode
-            // error.
-            Response::Busy { retry_after_us } => return BatchReply::Busy { retry_after_us },
-            Response::Batch(responses) if responses.len() == expected => Ok(responses),
-            Response::Batch(responses) => Err(ClientError::Protocol(format!(
-                "batch answered {} of {expected} items",
-                responses.len()
-            ))),
-            // A whole-envelope failure (e.g. the envelope itself was
-            // rejected) surfaces as a top-level error.
-            Response::Error { code, message } => Err(ClientError::Server {
-                server_id: String::new(),
-                code,
-                message,
-            }),
-            other => Err(ClientError::Protocol(format!(
-                "expected Batch, got {other:?}"
-            ))),
-        })
+    /// What a [`ClientError::Server`] calls `to` when the caller holds
+    /// only the endpoint: the transport's name for it (a map server
+    /// registers as `mapsrv:<server id>`).
+    pub(crate) fn server_name(&self, to: EndpointId) -> String {
+        self.transport
+            .endpoint_name(to)
+            .unwrap_or_else(|| format!("{to:?}"))
     }
 
     /// Claims one in-flight envelope, transparently re-submitting it
@@ -410,62 +389,81 @@ impl Session {
     /// the call surfaces [`ClientError::Overloaded`]. The backoff both
     /// advances the transport clock (simulated time) and sleeps the
     /// thread (wall-clock backends); each attempt's wire latency is
-    /// charged to the session.
-    fn finish_call(
-        &self,
-        to: EndpointId,
-        payload: Vec<u8>,
-        expected: usize,
-        mut handle: CallHandle,
-    ) -> Result<Vec<Response>, ClientError> {
+    /// charged to the session. `Hello` answers are absorbed into the
+    /// caches, and the answer to the handshake item the session
+    /// appended is stripped, whatever it is.
+    fn finish_call(&self, call: InFlight) -> Result<Vec<Response>, ClientError> {
+        let InFlight {
+            to,
+            expected,
+            handshake,
+            payload,
+            mut handle,
+        } = call;
+        let on_wire = expected + usize::from(handshake);
         let mut attempt = 0u32;
         loop {
             let transfer = handle
                 .wait()
                 .map_err(|e| ClientError::Network(e.to_string()))?;
             self.stats.lock().wire_us += transfer.latency_us;
-            match Self::decode_reply(&transfer.payload, expected) {
-                BatchReply::Done(result) => {
-                    let responses = result?;
+            let reply = from_bytes::<Response>(&transfer.payload)
+                .map_err(|e| ClientError::Protocol(e.to_string()))?;
+            let retry_after_us = match reply {
+                // Shed under load: retryable, never a decode error.
+                Response::Busy { retry_after_us } => retry_after_us,
+                Response::Batch(mut responses) if responses.len() == on_wire => {
                     self.absorb_hellos(to, &responses);
+                    responses.truncate(expected);
                     return Ok(responses);
                 }
-                BatchReply::Busy { retry_after_us } => {
-                    self.stats.lock().busy_rejections += 1;
-                    if attempt >= BUSY_RETRY_BUDGET {
-                        return Err(ClientError::Overloaded { retry_after_us });
-                    }
-                    let wait = busy_backoff_us(retry_after_us, attempt, self.endpoint, to);
-                    self.transport.advance_us(wait);
-                    std::thread::sleep(std::time::Duration::from_micros(wait));
-                    self.stats.lock().busy_retries += 1;
-                    attempt += 1;
-                    handle = self.transport.submit(self.endpoint, to, payload.clone());
+                Response::Batch(responses) => {
+                    return Err(ClientError::Protocol(format!(
+                        "batch answered {} of {on_wire} items",
+                        responses.len()
+                    )))
                 }
+                // The envelope itself was rejected.
+                Response::Error { code, message } => {
+                    return Err(ClientError::Server {
+                        server_id: self.server_name(to),
+                        code,
+                        message,
+                    })
+                }
+                other => {
+                    return Err(ClientError::Protocol(format!(
+                        "expected Batch, got {other:?}"
+                    )))
+                }
+            };
+            self.stats.lock().busy_rejections += 1;
+            if attempt >= BUSY_RETRY_BUDGET {
+                return Err(ClientError::Overloaded { retry_after_us });
             }
+            let wait = busy_backoff_us(retry_after_us, attempt, self.endpoint, to);
+            self.transport.advance_us(wait);
+            std::thread::sleep(std::time::Duration::from_micros(wait));
+            self.stats.lock().busy_retries += 1;
+            attempt += 1;
+            handle = self.transport.submit(self.endpoint, to, payload.clone());
         }
     }
 
     /// Sends one batched envelope to one server and returns the
-    /// positional responses. Per-item failures come back as
-    /// `Response::Error` items; the call errs only when the envelope
-    /// itself fails. `Busy` sheds are absorbed by the session's retry
-    /// loop (module docs) — they surface only as
+    /// positional responses — a one-envelope [`ScatterRound`]. Per-item
+    /// failures come back as `Response::Error` items; the call errs only
+    /// when the envelope itself fails. `Busy` sheds are absorbed by the
+    /// session's retry loop (module docs) — they surface only as
     /// [`ClientError::Overloaded`] after the budget runs out.
     pub fn batch(
         &self,
         to: EndpointId,
         requests: Vec<Request>,
     ) -> Result<Vec<Response>, ClientError> {
-        let expected = requests.len();
-        {
-            let mut stats = self.stats.lock();
-            stats.batches += 1;
-            stats.batched_requests += expected as u64;
-        }
-        let payload = self.encode(Request::Batch(requests));
-        let handle = self.transport.submit(self.endpoint, to, payload.clone());
-        self.finish_call(to, payload, expected, handle)
+        let mut round = self.scatter();
+        round.submit(to, requests);
+        round.collect().pop().expect("one envelope submitted")
     }
 
     /// Sends one batched envelope to each server *concurrently* (the
@@ -493,16 +491,19 @@ impl Session {
     }
 
     /// Turns per-item `Response::Error` entries into a
-    /// [`ClientError::PartialFailure`], for callers that need every
-    /// item of a batch.
-    pub fn expect_all(responses: Vec<Response>) -> Result<Vec<Response>, ClientError> {
+    /// [`ClientError::PartialFailure`] naming `server`, for callers that
+    /// need every item of a batch.
+    pub fn expect_all(
+        server: &str,
+        responses: Vec<Response>,
+    ) -> Result<Vec<Response>, ClientError> {
         let mut failures = Vec::new();
         for (idx, response) in responses.iter().enumerate() {
             if let Response::Error { code, message } = response {
                 failures.push((
                     idx,
                     ClientError::Server {
-                        server_id: String::new(),
+                        server_id: server.to_string(),
                         code: *code,
                         message: message.clone(),
                     },
@@ -569,7 +570,7 @@ impl Session {
     }
 
     /// Cache probe without touching the hit counters (internal
-    /// bookkeeping, e.g. [`Session::ensure_hellos`] filtering, must not
+    /// bookkeeping, e.g. the handshake rule's own check, must not
     /// inflate the hit rate).
     fn peek_hello(&self, server: EndpointId) -> Option<Arc<HelloInfo>> {
         let now = self.transport.now_us();
@@ -586,60 +587,40 @@ impl Session {
         info
     }
 
-    /// The advertisement for `server`, from cache or the wire.
+    /// The advertisement for `server`, from cache or the wire. Unlike
+    /// the handshake riding an envelope, a refusal here is the caller's
+    /// answer and surfaces as [`ClientError::Server`].
     pub fn hello(&self, server: EndpointId) -> Result<Arc<HelloInfo>, ClientError> {
         if let Some(info) = self.cached_hello(server) {
             return Ok(info);
         }
-        self.stats.lock().hello_misses += 1;
-        let responses = self.batch(server, vec![Request::Hello])?;
-        match responses.into_iter().next() {
+        match self.batch(server, vec![Request::Hello])?.pop() {
             Some(Response::Hello(info)) => Ok(Arc::new(info)),
-            Some(Response::Error { code, message }) => Err(ClientError::Server {
-                server_id: String::new(),
-                code,
-                message,
-            }),
-            other => Err(ClientError::Protocol(format!(
-                "expected Hello, got {other:?}"
-            ))),
+            other => Err(unexpected_opt(&self.server_name(server), "Hello", other)),
         }
     }
 
-    /// Whether a fresh advertisement is cached for `server`, without
-    /// touching the hit/miss counters (pipelined callers probe before
-    /// deciding what to submit, then count the lookups they actually
-    /// perform through [`Session::cached_hello`] and the miss
-    /// counter).
+    /// Whether a fresh advertisement is cached for `server` — the
+    /// handshake rule's test (and the tests' oracle for what first
+    /// contact taught); touches no hit/miss counter.
     pub fn has_hello(&self, server: EndpointId) -> bool {
         self.peek_hello(server).is_some()
     }
 
-    /// Counts hello lookups that are about to go to the wire (the
-    /// pipelined paths submit `Request::Hello` envelopes directly
-    /// instead of going through [`Session::hello`]).
-    pub(crate) fn note_hello_misses(&self, n: u64) {
-        self.stats.lock().hello_misses += n;
-    }
-
     /// Fills the hello cache for every listed server in **one**
-    /// concurrent round of single-item batches, skipping servers whose
+    /// concurrent round of bare handshakes, skipping servers whose
     /// advertisement is already fresh. Unreachable or denying servers
     /// are silently left uncached — the caller's next move decides how
     /// to treat them.
     pub fn ensure_hellos(&self, servers: &[EndpointId]) {
-        let missing: Vec<EndpointId> = servers
-            .iter()
-            .copied()
-            .filter(|s| self.peek_hello(*s).is_none())
-            .collect();
-        if missing.is_empty() {
-            return;
+        let mut round = self.scatter();
+        for &server in servers {
+            if !self.has_hello(server) {
+                round.submit(server, Vec::new());
+            }
         }
-        self.stats.lock().hello_misses += missing.len() as u64;
-        let calls = missing.iter().map(|s| (*s, vec![Request::Hello])).collect();
-        // Results are absorbed into the cache by batch_parallel.
-        let _ = self.batch_parallel(calls);
+        // Results are absorbed into the cache on collect.
+        let _ = round.collect();
     }
 
     // ----------------------------------------------------------------
@@ -748,6 +729,20 @@ impl Session {
     }
 }
 
+/// One envelope in flight.
+struct InFlight {
+    to: EndpointId,
+    /// The caller's item count.
+    expected: usize,
+    /// Whether the session appended the handshake item (spec §8): the
+    /// last of the `expected + 1` answers is then the session's.
+    handshake: bool,
+    /// The encoded envelope, kept so a `Busy` shed can re-submit the
+    /// identical bytes without re-encoding.
+    payload: Vec<u8>,
+    handle: CallHandle,
+}
+
 /// A pipelined scatter round over one [`Session`].
 ///
 /// Each [`ScatterRound::submit`] encodes one batched envelope and puts
@@ -756,49 +751,51 @@ impl Session {
 /// round* (and, on socket backends, while earlier rounds are still
 /// draining). [`ScatterRound::collect`] then claims every completion;
 /// its wall-clock cost is the slowest branch. Results are positional in
-/// submit order, and any `Hello` answers riding in the responses are
-/// absorbed into the session's capability cache, exactly as with
-/// [`Session::batch_parallel`] (which is now a submit-everything,
-/// collect-once round of this API).
+/// submit order. This is the session's one submit path
+/// ([`Session::batch`] and [`Session::batch_parallel`] are rounds of
+/// it), so the handshake rule (module docs) lives here.
 ///
 /// The one-batched-envelope-per-server wire discipline is unchanged:
 /// pipelining reorders *waiting*, not traffic.
 pub struct ScatterRound<'a> {
     session: &'a Session,
-    /// `(server, expected item count, encoded envelope, in-flight
-    /// handle)` — the encoded bytes are kept so a `Busy` shed can
-    /// re-submit the identical envelope without re-encoding.
-    pending: Vec<(EndpointId, usize, Vec<u8>, CallHandle)>,
+    pending: Vec<InFlight>,
 }
 
 impl ScatterRound<'_> {
     /// Encodes `requests` as one batched envelope to `to` and submits
     /// it, returning the submission's index in the
     /// [`ScatterRound::collect`] result.
-    pub fn submit(&mut self, to: EndpointId, requests: Vec<Request>) -> usize {
+    ///
+    /// The handshake rule applies: to a cold `to`, `Hello` rides as the
+    /// last item and its answer is stripped on collect — so an empty
+    /// `requests` is the bare handshake.
+    pub fn submit(&mut self, to: EndpointId, mut requests: Vec<Request>) -> usize {
+        let session = self.session;
         let expected = requests.len();
-        {
-            let mut stats = self.session.stats.lock();
-            stats.batches += 1;
-            stats.batched_requests += expected as u64;
+        let cold = !session.has_hello(to);
+        let handshake = cold && !requests.contains(&Request::Hello);
+        if handshake {
+            requests.push(Request::Hello);
         }
-        let payload = self.session.encode(Request::Batch(requests));
-        let handle = self
-            .session
+        {
+            let mut stats = session.stats.lock();
+            stats.batches += 1;
+            stats.batched_requests += requests.len() as u64;
+            stats.hello_misses += u64::from(cold);
+        }
+        let payload = session.encode(Request::Batch(requests));
+        let handle = session
             .transport
-            .submit(self.session.endpoint, to, payload.clone());
-        self.pending.push((to, expected, payload, handle));
+            .submit(session.endpoint, to, payload.clone());
+        self.pending.push(InFlight {
+            to,
+            expected,
+            handshake,
+            payload,
+            handle,
+        });
         self.pending.len() - 1
-    }
-
-    /// Number of envelopes submitted so far.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether nothing has been submitted.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
     }
 
     /// Claims every submitted envelope's responses, positionally. Per-
@@ -811,9 +808,7 @@ impl ScatterRound<'_> {
     pub fn collect(self) -> Vec<Result<Vec<Response>, ClientError>> {
         self.pending
             .into_iter()
-            .map(|(to, expected, payload, handle)| {
-                self.session.finish_call(to, payload, expected, handle)
-            })
+            .map(|call| self.session.finish_call(call))
             .collect()
     }
 }
@@ -822,18 +817,7 @@ impl ScatterRound<'_> {
 // Response-unwrap helpers shared by every provider implementation.
 // --------------------------------------------------------------------
 
-/// The single response of a one-item batch.
-pub(crate) fn take_one(
-    responses: Vec<Response>,
-    expected: &'static str,
-) -> Result<Response, ClientError> {
-    responses
-        .into_iter()
-        .next()
-        .ok_or_else(|| ClientError::Protocol(format!("expected {expected}, got empty batch")))
-}
-
-pub(crate) fn expect_nearest(response: &Response) -> Result<NodeId, ClientError> {
+pub(crate) fn expect_nearest(server: &str, response: &Response) -> Result<NodeId, ClientError> {
     match response {
         Response::NearestNode {
             node: Some((id, _)),
@@ -841,30 +825,34 @@ pub(crate) fn expect_nearest(response: &Response) -> Result<NodeId, ClientError>
         Response::NearestNode { node: None } => {
             Err(ClientError::NotFound("server has no routable nodes".into()))
         }
-        other => Err(unexpected("NearestNode", other)),
+        other => Err(unexpected(server, "NearestNode", other)),
     }
 }
 
-pub(crate) fn expect_route(response: Response) -> Result<WireRoute, ClientError> {
+pub(crate) fn expect_route(server: &str, response: Response) -> Result<WireRoute, ClientError> {
     match response {
         Response::Route { route: Some(route) } => Ok(route),
         Response::Route { route: None } => Err(ClientError::NotFound("no path on server".into())),
-        other => Err(unexpected("Route", &other)),
+        other => Err(unexpected(server, "Route", &other)),
     }
 }
 
-pub(crate) fn expect_matrix(response: Response) -> Result<Vec<Vec<f64>>, ClientError> {
+pub(crate) fn expect_matrix(
+    server: &str,
+    response: Response,
+) -> Result<Vec<Vec<f64>>, ClientError> {
     match response {
         Response::RouteMatrix { costs } => Ok(costs),
-        other => Err(unexpected("RouteMatrix", &other)),
+        other => Err(unexpected(server, "RouteMatrix", &other)),
     }
 }
 
-/// Maps a response of the wrong kind to the matching [`ClientError`].
-pub(crate) fn unexpected(expected: &str, got: &Response) -> ClientError {
+/// Maps a response of the wrong kind from `server` to the matching
+/// [`ClientError`].
+pub(crate) fn unexpected(server: &str, expected: &str, got: &Response) -> ClientError {
     match got {
         Response::Error { code, message } => ClientError::Server {
-            server_id: String::new(),
+            server_id: server.to_string(),
             code: *code,
             message: message.clone(),
         },
@@ -872,9 +860,9 @@ pub(crate) fn unexpected(expected: &str, got: &Response) -> ClientError {
     }
 }
 
-pub(crate) fn unexpected_opt(expected: &str, got: Option<Response>) -> ClientError {
+pub(crate) fn unexpected_opt(server: &str, expected: &str, got: Option<Response>) -> ClientError {
     match got {
-        Some(response) => unexpected(expected, &response),
+        Some(response) => unexpected(server, expected, &response),
         None => ClientError::Protocol(format!("expected {expected}, got empty batch")),
     }
 }
@@ -884,7 +872,6 @@ mod tests {
     use super::*;
     use openflame_mapserver::protocol::Response;
     use openflame_netsim::BackendKind;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn expect_all_reports_partial_failure() {
@@ -893,7 +880,7 @@ mod tests {
             code: 1,
             message: "denied".into(),
         };
-        let result = Session::expect_all(vec![ok.clone(), err, ok]);
+        let result = Session::expect_all("venue-3", vec![ok.clone(), err, ok]);
         let Err(ClientError::PartialFailure {
             succeeded,
             failures,
@@ -904,12 +891,16 @@ mod tests {
         assert_eq!(succeeded, 2);
         assert_eq!(failures.len(), 1);
         assert_eq!(failures[0].0, 1);
+        assert!(failures[0].1.to_string().contains("server venue-3 error 1"));
     }
 
     #[test]
     fn expect_all_passes_clean_batches() {
         let ok = Response::PatchApplied { version: 1 };
-        assert_eq!(Session::expect_all(vec![ok.clone()]).unwrap(), vec![ok]);
+        assert_eq!(
+            Session::expect_all("venue-3", vec![ok.clone()]).unwrap(),
+            vec![ok]
+        );
     }
 
     #[test]
@@ -1150,36 +1141,223 @@ mod tests {
         );
     }
 
-    /// A sim service that sheds the first `busy_first` envelopes with
-    /// `Busy { retry_after_us: 500 }`, then answers each batch
-    /// positionally.
-    fn flaky_busy_server(
+    /// What a [`stub_server`] answers a `Hello` item with.
+    #[derive(Clone, Copy)]
+    enum HelloAnswer {
+        /// `Response::Hello` — an advertisement.
+        Advertise,
+        /// `Response::Error` — a paper §5.3 denial of the info service.
+        Refuse,
+        /// An answer of some other kind.
+        Unrelated,
+        /// No answer at all: the batch comes back one item short.
+        Omit,
+    }
+
+    /// Every envelope a [`stub_server`] received, as the raw bytes.
+    type EnvelopeLog = Arc<std::sync::Mutex<Vec<Vec<u8>>>>;
+
+    /// A sim service that logs every envelope, sheds the first
+    /// `busy_first` with `Busy { retry_after_us: 500 }`, then answers
+    /// item `i` of each batch with `PatchApplied { version: i }` —
+    /// except `Hello` items, answered per `hello`.
+    fn stub_server(
         transport: &Arc<dyn openflame_netsim::Transport>,
         busy_first: u64,
-    ) -> EndpointId {
-        let server = transport.register("busy-server", None);
-        let calls = Arc::new(AtomicU64::new(0));
+        hello: HelloAnswer,
+    ) -> (EndpointId, EnvelopeLog) {
+        let server = transport.register("stub-server", None);
+        let log = EnvelopeLog::default();
+        let seen = log.clone();
         transport.set_service(
             server,
             Arc::new(move |_from: EndpointId, payload: &[u8]| {
-                if calls.fetch_add(1, Ordering::SeqCst) < busy_first {
+                let mut seen = seen.lock().unwrap();
+                seen.push(payload.to_vec());
+                if (seen.len() as u64) <= busy_first {
                     return to_bytes(&Response::Busy {
                         retry_after_us: 500,
                     })
                     .to_vec();
                 }
-                let env: Envelope = from_bytes(payload).unwrap();
-                let Request::Batch(items) = env.request else {
-                    panic!("session always sends batches");
-                };
-                let answers: Vec<Response> = items
+                let answers: Vec<Response> = sent_items(payload)
                     .iter()
-                    .map(|_| Response::PatchApplied { version: 1 })
+                    .enumerate()
+                    .filter_map(|(i, item)| match (item, hello) {
+                        (Request::Hello, HelloAnswer::Advertise) => {
+                            Some(Response::Hello(stub_hello(7)))
+                        }
+                        (Request::Hello, HelloAnswer::Refuse) => Some(Response::Error {
+                            code: 1,
+                            message: "info denied".into(),
+                        }),
+                        (Request::Hello, HelloAnswer::Omit) => None,
+                        _ => Some(Response::PatchApplied { version: i as u64 }),
+                    })
                     .collect();
                 to_bytes(&Response::Batch(answers)).to_vec()
             }),
         );
-        server
+        (server, log)
+    }
+
+    /// The items of one logged envelope.
+    fn sent_items(payload: &[u8]) -> Vec<Request> {
+        let env: Envelope = from_bytes(payload).unwrap();
+        let Request::Batch(items) = env.request else {
+            panic!("session always sends batches");
+        };
+        items
+    }
+
+    fn flaky_busy_server(
+        transport: &Arc<dyn openflame_netsim::Transport>,
+        busy_first: u64,
+    ) -> EndpointId {
+        stub_server(transport, busy_first, HelloAnswer::Unrelated).0
+    }
+
+    /// A request the stub answers with `PatchApplied`.
+    fn probe() -> Request {
+        Request::NearestNode {
+            pos: openflame_geo::Point2::new(0.0, 0.0),
+        }
+    }
+
+    fn versions(responses: &[Response]) -> Vec<u64> {
+        responses
+            .iter()
+            .map(|r| match r {
+                Response::PatchApplied { version } => *version,
+                other => panic!("the stub answers PatchApplied, got {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_handshake_rides_the_first_envelope_only() {
+        let transport = BackendKind::Sim.build(1);
+        let client = transport.register("client", None);
+        let (server, log) = stub_server(&transport, 0, HelloAnswer::Advertise);
+        let session = Session::new(transport, client, Principal::anonymous());
+        assert!(!session.has_hello(server));
+        // First contact: the caller's three items come back in order,
+        // and nothing else — the server saw a fourth, last.
+        let responses = session
+            .batch(server, vec![probe(), probe(), probe()])
+            .unwrap();
+        assert_eq!(versions(&responses), [0, 1, 2]);
+        assert!(session.has_hello(server), "first contact taught it");
+        assert_eq!(session.cached_hello(server).unwrap().server_id, "stub-7");
+        // Warm: the envelope is the caller's items and nothing else.
+        let responses = session.batch(server, vec![probe()]).unwrap();
+        assert_eq!(versions(&responses), [0]);
+        let log = log.lock().unwrap();
+        assert_eq!(log.len(), 2);
+        assert_eq!(
+            sent_items(&log[0]),
+            [probe(), probe(), probe(), Request::Hello]
+        );
+        assert_eq!(sent_items(&log[1]), [probe()]);
+        let stats = session.stats();
+        assert_eq!((stats.batches, stats.batched_requests), (2, 5));
+        assert_eq!((stats.hello_misses, stats.hello_hits), (1, 1));
+    }
+
+    #[test]
+    fn a_batch_that_already_asks_gets_no_second_hello() {
+        let transport = BackendKind::Sim.build(1);
+        let client = transport.register("client", None);
+        let (server, log) = stub_server(&transport, 0, HelloAnswer::Advertise);
+        let session = Session::new(transport, client, Principal::anonymous());
+        let responses = session
+            .batch(server, vec![Request::Hello, probe()])
+            .unwrap();
+        // The caller asked, so the caller sees the answer, in place.
+        assert!(matches!(responses[0], Response::Hello(_)));
+        assert_eq!(versions(&responses[1..]), [1]);
+        assert_eq!(
+            sent_items(&log.lock().unwrap()[0]),
+            [Request::Hello, probe()]
+        );
+        assert!(
+            session.has_hello(server),
+            "an asked-for hello is cached too"
+        );
+        // The bare handshake is the empty batch.
+        let (other, log) = stub_server(&session.transport, 0, HelloAnswer::Advertise);
+        assert_eq!(session.batch(other, Vec::new()).unwrap(), []);
+        assert_eq!(sent_items(&log.lock().unwrap()[0]), [Request::Hello]);
+        assert!(session.has_hello(other));
+    }
+
+    #[test]
+    fn a_refused_or_unrelated_handshake_answer_is_stripped_and_not_cached() {
+        for answer in [HelloAnswer::Refuse, HelloAnswer::Unrelated] {
+            let transport = BackendKind::Sim.build(1);
+            let client = transport.register("client", None);
+            let (server, log) = stub_server(&transport, 0, answer);
+            let session = Session::new(transport, client, Principal::anonymous());
+            // The refusal is per-item and the session's own: the batch
+            // succeeds with exactly the caller's answers.
+            let responses = session.batch(server, vec![probe(), probe()]).unwrap();
+            assert_eq!(versions(&responses), [0, 1]);
+            assert!(!session.has_hello(server));
+            // Nothing was learned, so the next envelope asks again.
+            session.batch(server, vec![probe()]).unwrap();
+            assert_eq!(
+                sent_items(&log.lock().unwrap()[1]),
+                [probe(), Request::Hello]
+            );
+            assert_eq!(session.stats().hello_misses, 2);
+        }
+    }
+
+    #[test]
+    fn a_busy_shed_resubmits_the_identical_envelope() {
+        let transport = BackendKind::Sim.build(1);
+        let client = transport.register("client", None);
+        let (server, log) = stub_server(&transport, 1, HelloAnswer::Advertise);
+        let session = Session::new(transport, client, Principal::anonymous());
+        let responses = session.batch(server, vec![probe()]).unwrap();
+        assert_eq!(versions(&responses), [0]);
+        let log = log.lock().unwrap();
+        assert_eq!(log.len(), 2, "one shed, one served");
+        assert_eq!(log[0], log[1], "the retry is the same bytes");
+        assert_eq!(sent_items(&log[1]), [probe(), Request::Hello]);
+        let stats = session.stats();
+        assert_eq!((stats.batches, stats.hello_misses), (1, 1));
+    }
+
+    #[test]
+    fn a_short_answer_is_still_a_protocol_error() {
+        let transport = BackendKind::Sim.build(1);
+        let client = transport.register("client", None);
+        let (server, _log) = stub_server(&transport, 0, HelloAnswer::Omit);
+        let session = Session::new(transport, client, Principal::anonymous());
+        let err = session.batch(server, vec![probe()]).unwrap_err();
+        assert_eq!(
+            err,
+            ClientError::Protocol("batch answered 1 of 2 items".into())
+        );
+    }
+
+    #[test]
+    fn an_expired_advertisement_is_relearned_on_the_next_envelope() {
+        let transport = BackendKind::Sim.build(1);
+        let client = transport.register("client", None);
+        let (server, log) = stub_server(&transport, 0, HelloAnswer::Advertise);
+        let session = Session::new(transport.clone(), client, Principal::anonymous());
+        session.batch(server, vec![probe()]).unwrap();
+        transport.advance_us(DEFAULT_TTL_US + 1);
+        assert!(!session.has_hello(server), "aged out");
+        let responses = session.batch(server, vec![probe()]).unwrap();
+        assert_eq!(versions(&responses), [0]);
+        assert!(session.has_hello(server), "re-learned");
+        let log = log.lock().unwrap();
+        assert_eq!(log.len(), 2, "no envelope of its own");
+        assert_eq!(sent_items(&log[1]), [probe(), Request::Hello]);
+        assert_eq!(session.stats().batches, 2);
     }
 
     #[test]

@@ -159,12 +159,6 @@ impl AccessPolicy {
         self
     }
 
-    /// Sets the default chain used by services without specific rules.
-    pub fn set_default(&mut self, rules: Vec<Rule>) -> &mut Self {
-        self.default_rules = rules;
-        self
-    }
-
     /// Whether `principal` may use `service`. Rules are evaluated in
     /// order; an unmatched chain denies (default-deny).
     pub fn allows(&self, principal: &Principal, service: ServiceKind) -> bool {

@@ -18,7 +18,8 @@
 //! Requests arrive over the simulated network as wire-encoded
 //! [`Envelope`]s; every request passes the paper §5.3 [`AccessPolicy`] before
 //! dispatch. [`naming`] defines the cell→domain-name scheme and
-//! [`registry`] registers the server's zone covering in the DNS.
+//! [`registry`] spells the DNS records a server publishes for its zone
+//! covering.
 
 pub mod acl;
 pub mod naming;

@@ -120,9 +120,8 @@ fn warm_planner_consults_strictly_fewer_sources() {
     let off = planner_off_client(&dep);
     let center = dep.world.config.center;
 
-    // Warm both arms with a search: its two-phase discipline
-    // handshakes every discovered server, seeding the coverage cache
-    // (tiles go out `Direct` and never handshake on their own).
+    // Warm both arms with a search: it contacts every discovered
+    // server, and first contact seeds the coverage cache.
     let product = dep.world.products[0].clone();
     dep.client
         .federated_search(&product.name, center, 3)
@@ -169,6 +168,54 @@ fn warm_planner_consults_strictly_fewer_sources() {
     assert!(
         on_msgs < off_msgs,
         "planner savings must show on the wire: {on_msgs} vs {off_msgs} messages"
+    );
+}
+
+#[test]
+fn first_contact_teaches_coverage_to_a_tile_only_client() {
+    // A client that only ever fetches tiles still learns each server's
+    // coverage summary — it rides the first tile envelope (spec §8) —
+    // so its second call already prunes the venues that refuse tiles.
+    let world = fanout_world();
+    let mut costs = Vec::new();
+    for backend in BACKENDS {
+        let dep = Deployment::build(
+            world.clone(),
+            DeploymentConfig {
+                backend,
+                ..DeploymentConfig::default()
+            },
+        );
+        let off = planner_off_client(&dep);
+        let center = dep.world.config.center;
+        let tile_cost = |client: &OpenFlameClient| {
+            dep.transport.reset_stats();
+            let tile = client.federated_tile(center, 16).unwrap();
+            (tile, dep.transport.stats().messages)
+        };
+        let (on_first, on_first_msgs) = tile_cost(&dep.client);
+        let (on_second, on_second_msgs) = tile_cost(&dep.client);
+        let (off_first, _) = tile_cost(&off);
+        let (off_second, off_second_msgs) = tile_cost(&off);
+        assert!(
+            on_second_msgs < on_first_msgs,
+            "{backend:?}: {on_second_msgs} vs {on_first_msgs} messages"
+        );
+        // Discovery is cached for both arms by now, so the difference
+        // is the refusing venues the planner-on client stopped asking.
+        assert!(
+            on_second_msgs < off_second_msgs,
+            "{backend:?}: a tile-only client must prune by its second call: \
+             {on_second_msgs} vs {off_second_msgs} messages"
+        );
+        for tile in [&on_second, &off_first, &off_second] {
+            assert_eq!(tile, &on_first, "{backend:?}: same tile, byte for byte");
+        }
+        costs.push((on_first_msgs, on_second_msgs));
+    }
+    assert!(
+        costs.iter().all(|cost| *cost == costs[0]),
+        "identical message counts on every backend: {costs:?}"
     );
 }
 

@@ -23,12 +23,13 @@
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_core::{
     run_grocery_scenario_on, CentralizedProvider, ClientError, Deployment, DeploymentConfig,
-    LocalizeQuery, OpenFlameClient, ProviderKind, RouteQuery, SearchQuery, Session,
-    SpatialProvider, TileQuery,
+    FederatedSearchHit, GeocodeQuery, LocalizeQuery, OpenFlameClient, ProviderKind, RouteQuery,
+    SearchQuery, Session, SpatialProvider, TileQuery,
 };
 use openflame_localize::LocationCue;
-use openflame_mapserver::protocol::{Envelope, Request, Response};
-use openflame_mapserver::Principal;
+use openflame_mapdata::ElementId;
+use openflame_mapserver::protocol::{Envelope, Request, Response, WireSearchResult};
+use openflame_mapserver::{AccessPolicy, Principal};
 use openflame_netsim::{BackendKind, EndpointId, WireService};
 use openflame_worldgen::{World, WorldConfig};
 use std::error::Error;
@@ -206,6 +207,99 @@ fn identical_cold_search_costs_identical_messages_on_every_backend() {
             cold_cost(backend),
             "{backend:?}: cold search (DNS walks + hello round + search round) \
              must cost identical messages"
+        );
+    }
+}
+
+#[test]
+fn cold_geocode_sends_one_envelope_per_server_on_every_backend() {
+    // First contact costs no envelope of its own (spec §8): a fresh
+    // client's first geocode — world provider, then every refiner it
+    // has never spoken to — puts exactly one envelope to each server on
+    // the wire, the advertisement riding it.
+    let cold_geocode = |backend: BackendKind| {
+        let dep = deployment_on(backend, small_world());
+        let address = dep
+            .world
+            .outdoor
+            .nodes()
+            .find_map(|n| {
+                n.tags
+                    .has("addr:housenumber")
+                    .then(|| n.tags.get("name").unwrap().to_string())
+            })
+            .expect("world has addresses");
+        let outcome = dep
+            .client
+            .geocode(GeocodeQuery {
+                query: address,
+                k: 3,
+            })
+            .unwrap();
+        assert!(!outcome.hits.is_empty(), "{backend:?}");
+        let contacted = std::iter::once(&dep.outdoor_server)
+            .chain(&dep.venue_servers)
+            .filter(|server| {
+                let stats = dep.transport.endpoint_stats(server.endpoint()).unwrap();
+                stats.rx_msgs > 0
+            })
+            .count() as u64;
+        (dep.client.session().stats().batches, contacted)
+    };
+    let (sim_batches, sim_contacted) = cold_geocode(BackendKind::Sim);
+    assert!(sim_contacted >= 2, "need refiners to make the point");
+    assert_eq!(sim_batches, sim_contacted, "one envelope per server");
+    for backend in [BackendKind::Tcp, BackendKind::QuicLite] {
+        assert_eq!(
+            cold_geocode(backend),
+            (sim_batches, sim_contacted),
+            "{backend:?}"
+        );
+    }
+}
+
+#[test]
+fn a_denial_names_the_denying_server_on_every_backend() {
+    // "Why was this query partial": a venue whose policy denies
+    // routing must be named by the error it causes.
+    for backend in BACKENDS {
+        let dep = Deployment::build(
+            small_world(),
+            DeploymentConfig {
+                backend,
+                venue_policy: AccessPolicy::locked(),
+                ..DeploymentConfig::default()
+            },
+        );
+        let product = dep.world.products[0].clone();
+        let venue = &dep.venue_servers[product.venue];
+        // A locked venue denies search too, so the hit is hand-made.
+        let hit = FederatedSearchHit {
+            server_id: venue.id().to_string(),
+            endpoint: venue.endpoint(),
+            result: WireSearchResult {
+                element: ElementId::Node(product.shelf),
+                pos: product.shelf_pos,
+                score: 1.0,
+                distance_m: 0.0,
+                label: product.name.clone(),
+            },
+        };
+        let user = dep.world.venues[product.venue]
+            .hint
+            .destination(225.0, 80.0);
+        let err = dep
+            .client
+            .federated_route(user, &hit)
+            .expect_err("a locked venue denies Route");
+        assert!(
+            matches!(err, ClientError::PartialFailure { .. }),
+            "{backend:?}: {err}"
+        );
+        let shown = err.to_string();
+        assert!(
+            shown.contains(&format!("server {} error 1", venue.id())),
+            "{backend:?}: the denial must name the venue, got {shown}"
         );
     }
 }

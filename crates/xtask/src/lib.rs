@@ -638,7 +638,8 @@ pub fn wire_tag_findings(protocol_src: &str, doc: &str) -> Vec<Finding> {
 
 // ----------------------------------------------------------------
 // Rule: forbidden-api — raw sync primitives, reactor blocking, netsim
-// unwrap and thread spawns, the concrete simulator type above netsim.
+// unwrap and thread spawns, the concrete simulator type above netsim,
+// a hand-rolled handshake in core outside the session.
 // ----------------------------------------------------------------
 
 /// Flags forbidden constructs in one Rust source file (non-test code
@@ -687,6 +688,14 @@ pub fn forbidden_api_findings(file: &str, content: &str) -> Vec<Finding> {
                 ),
             );
         }
+    }
+    // One handshake rule: the session appends it (spec §8).
+    if file.contains("core/src/") && !file.ends_with("core/src/session.rs") {
+        flag_each(
+            "Request::Hello",
+            "`Request::Hello` in core outside session.rs: the session appends the handshake; \
+             do not hand-roll one (send the envelope, read `Session::cached_hello`)",
+        );
     }
     if file.contains("netsim/src/") {
         if !file.ends_with("netsim/src/core.rs") {

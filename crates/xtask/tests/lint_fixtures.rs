@@ -281,6 +281,28 @@ mod tests {
 }
 
 #[test]
+fn forbidden_api_flags_a_hand_rolled_handshake_in_core() {
+    let src = "\
+fn prefetch(round: &mut ScatterRound<'_>, to: EndpointId) {
+    // The session appends Request::Hello itself.
+    round.submit(to, vec![Request::Hello]);
+}
+#[cfg(test)]
+mod tests { fn t() { let _ = vec![Request::Hello]; } }
+";
+    let f = forbidden_api_findings("crates/core/src/plan.rs", src);
+    assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [3]);
+    assert!(f[0].msg.contains("the session appends the handshake"));
+    // The rule is spelled in the session, and servers answer it.
+    for home in [
+        "crates/core/src/session.rs",
+        "crates/mapserver/src/server.rs",
+    ] {
+        assert_eq!(forbidden_api_findings(home, src), vec![]);
+    }
+}
+
+#[test]
 fn forbidden_api_ignores_comments_and_strings() {
     let src = "// std::sync::Mutex::new is banned\nconst M: &str = \"parking_lot\";\n";
     assert_eq!(

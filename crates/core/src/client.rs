@@ -10,8 +10,11 @@
 //! asked on the first envelope that goes to it, whatever that envelope
 //! carries (wire-protocol spec §8) — and caches advertisements and
 //! discovery results, so a logical operation pays one round trip per
-//! server, cold or warm. Nothing in this file sends a handshake; it
-//! reads the session's cache.
+//! server, cold or warm. Nothing in this file sends a handshake or
+//! remembers anything about a server: what a server advertised, and
+//! whether it recently failed, is the session's one entry per endpoint,
+//! which the planner ([`crate::plan`]) and replica selection
+//! ([`crate::fleet`]) read.
 //!
 //! Multi-round operations are **pipelined** through the session's
 //! [`crate::session::ScatterRound`]: envelopes whose inputs are already
@@ -31,8 +34,8 @@
 //! [`OpenFlameClientBuilder::build_on`].
 
 use crate::discovery::{DiscoveredServer, DiscoveryClient};
-use crate::fleet::{DiscoveryView, FleetSelector};
-use crate::plan::{PlanExecutor, PlannedTarget, QueryKind, QueryPlanner, ScatterPlan};
+use crate::fleet::DiscoveryView;
+use crate::plan::{self, PlannedTarget, QueryKind, ScatterPlan};
 use crate::provider::{
     GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome, LocalizeQuery, ProviderEstimate,
     ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome, RouteQuery, SearchOutcome,
@@ -170,8 +173,7 @@ impl OpenFlameClientBuilder {
         OpenFlameClient {
             discovery: DiscoveryClient::new(resolver),
             session,
-            fleet: FleetSelector::new(),
-            planner: QueryPlanner::new(self.coverage_planner),
+            coverage_planner: self.coverage_planner,
             world_provider: self.world_provider,
         }
     }
@@ -181,8 +183,7 @@ impl OpenFlameClientBuilder {
 pub struct OpenFlameClient {
     discovery: DiscoveryClient,
     session: Session,
-    fleet: FleetSelector,
-    planner: QueryPlanner,
+    coverage_planner: bool,
     world_provider: Option<EndpointId>,
 }
 
@@ -217,22 +218,12 @@ impl OpenFlameClient {
         self.session.transport()
     }
 
-    /// The cost-based query planner (wire-protocol spec §13).
-    pub fn planner(&self) -> &QueryPlanner {
-        &self.planner
-    }
-
-    /// The plan executor over this client's session and fleet state.
-    fn executor(&self) -> PlanExecutor<'_> {
-        PlanExecutor::new(&self.session, &self.fleet)
-    }
-
     /// Discovers map servers around a coarse location, consulting the
     /// session's per-cell cache before the DNS. Fleets are flattened:
-    /// each shard contributes the replica the selector picks, so
-    /// callers without a spatial footprint still consult every shard
-    /// exactly once. Footprint-aware paths use the shard-pruning plan
-    /// instead.
+    /// each shard contributes the replica [`crate::fleet::choose`]
+    /// picks, so callers without a spatial footprint still consult
+    /// every shard exactly once. Footprint-aware paths use the
+    /// shard-pruning plan instead.
     pub fn discover(&self, location: LatLng) -> Result<Vec<DiscoveredServer>, ClientError> {
         Ok(self
             .plan_query_at(None, location, None)?
@@ -259,10 +250,10 @@ impl OpenFlameClient {
     }
 
     /// Builds the scatter plan for one query: discovery (session-cached
-    /// per cell) feeds the [`QueryPlanner`], which keeps every plain
-    /// server plus one selected replica per fleet shard intersecting
-    /// the footprint, minus the sources whose cached coverage
-    /// summaries prove they cannot contribute to `kind`
+    /// per cell) feeds the planner ([`plan::plan`]), which keeps every
+    /// plain server plus one selected replica per fleet shard
+    /// intersecting the footprint, minus the sources whose cached
+    /// advertisements prove they cannot contribute to `kind`
     /// (wire-protocol spec §13).
     fn plan_query_at(
         &self,
@@ -271,17 +262,22 @@ impl OpenFlameClient {
         footprint: Option<(LatLng, f64)>,
     ) -> Result<ScatterPlan, ClientError> {
         let (cell_raw, view) = self.discover_view_at(location)?;
-        Ok(self
-            .planner
-            .plan(&self.session, &self.fleet, cell_raw, &view, kind, footprint))
+        Ok(plan::plan(
+            &self.session,
+            self.coverage_planner,
+            cell_raw,
+            &view,
+            kind,
+            footprint,
+        ))
     }
 
     /// The planner's scatter plan for a `kind` query at `location`
-    /// with footprint radius `radius_m`: consulted targets, pruned
-    /// sources with their proofs, and the demotion cost signal. Costs
-    /// no wire traffic beyond (cached) discovery — coverage is read
-    /// from the session cache only, so benches and tests use it to
-    /// account for planner wire savings.
+    /// with footprint radius `radius_m`: consulted targets and pruned
+    /// sources with their proofs. Costs no wire traffic beyond (cached)
+    /// discovery — coverage is read from the session's cached
+    /// advertisements only, so benches and tests use it to account for
+    /// planner wire savings.
     pub fn plan_query(
         &self,
         kind: QueryKind,
@@ -350,7 +346,7 @@ impl OpenFlameClient {
             radius_m,
             k: k as u32,
         };
-        let gathered = self.executor().run(&mut plan, |_, hello| {
+        let gathered = plan::execute(&self.session, &mut plan, |_, hello| {
             let center = hello
                 .and_then(|h| h.anchor)
                 .map(|anchor| LocalFrame::new(anchor).to_local(location));
@@ -484,7 +480,7 @@ impl OpenFlameClient {
         // extent pruning applies.
         let mut plan = self.plan_query_at(Some(QueryKind::Geocode), coarse_geo, None)?;
         plan.targets.retain(|t| t.server.endpoint != world_provider);
-        let outcomes = self.executor().run(&mut plan, |_, _| {
+        let outcomes = plan::execute(&self.session, &mut plan, |_, _| {
             Some(vec![Request::Geocode {
                 query: address.to_string(),
                 k: k as u32,
@@ -538,7 +534,7 @@ impl OpenFlameClient {
             location,
             Some((location, radius_m)),
         )?;
-        let outcomes = self.executor().run(&mut plan, |_, hello| {
+        let outcomes = plan::execute(&self.session, &mut plan, |_, hello| {
             let anchor = hello.and_then(|h| h.anchor)?;
             Some(vec![Request::ReverseGeocode {
                 pos: LocalFrame::new(anchor).to_local(location),
@@ -818,7 +814,7 @@ impl OpenFlameClient {
         // — a failed fleet branch retries on a sibling replica inside
         // the executor, which accepts the same cues (services are
         // advertised group-wide).
-        let results = self.executor().run(&mut plan, |server, _| {
+        let results = plan::execute(&self.session, &mut plan, |server, _| {
             let matching = cues_for(server);
             (!matching.is_empty()).then(|| vec![Request::Localize { cues: matching }])
         });
@@ -855,9 +851,9 @@ impl OpenFlameClient {
         // `GetTile` outright, so skipping them saves a whole wire call
         // per venue per tile without changing the composition.
         let mut plan = self.plan_query_at(Some(QueryKind::Tile), center, None)?;
-        let outcomes = self
-            .executor()
-            .run(&mut plan, |_, _| Some(vec![Request::GetTile { z, x, y }]));
+        let outcomes = plan::execute(&self.session, &mut plan, |_, _| {
+            Some(vec![Request::GetTile { z, x, y }])
+        });
         let mut layers: Vec<Tile> = Vec::new();
         let mut tally = ScatterTally::default();
         for (idx, (target, outcome)) in plan.targets.iter().zip(outcomes).enumerate() {

@@ -13,38 +13,33 @@
 //! - **Replica selection**: within a shard, the client picks one
 //!   replica by power-of-two-choices over the per-endpoint latency
 //!   summaries the transport already collects
-//!   ([`Transport::endpoint_latency`]).
+//!   ([`Transport::endpoint_latency`](openflame_netsim::Transport::endpoint_latency)).
 //! - **Failover**: when a consulted replica fails at the wire, the
 //!   client retries the branch on a sibling replica — for *idempotent*
-//!   requests only (`docs/wire-protocol.md` spec §7) — and marks the dead
-//!   endpoint so it is not re-consulted until its dead-list entry ages
-//!   out. Only a fully-down shard surfaces
+//!   requests only (`docs/wire-protocol.md` spec §7) — and marks the
+//!   endpoint dead in the session ([`Session::mark_dead`]) so it is not
+//!   re-consulted until the mark ages out or the endpoint answers a
+//!   handshake. Only a fully-down shard surfaces
 //!   [`ClientError::PartialFailure`](crate::ClientError::PartialFailure),
 //!   with the per-replica source errors preserved.
 //!
 //! The types here are the *client-side view* of an advertisement
-//! ([`DiscoveryView`], [`FleetView`], [`FleetShardView`]) plus the
-//! selector ([`FleetSelector`]) and the deployment-side shard planner
-//! ([`plan_venue_shards`]). Everything is backend-agnostic: selection
-//! is deterministic given identical latency books, so the fleet wire
-//! discipline holds identically on the simulator, TCP and QuicLite
-//! (the fleet parity test pins this).
+//! ([`DiscoveryView`], [`FleetView`], [`FleetShardView`]) plus replica
+//! selection ([`choose`], [`sibling`]) and the deployment-side shard
+//! planner ([`plan_venue_shards`]). Selection keeps no state of its
+//! own: latency knowledge lives in the transport, who recently failed
+//! in the session's per-endpoint entry. Everything is
+//! backend-agnostic: selection is deterministic given identical
+//! latency books, so the fleet wire discipline holds identically on
+//! the simulator, TCP and QuicLite (the fleet parity test pins this).
 
 use crate::discovery::DiscoveredServer;
+use crate::session::Session;
 use openflame_cells::{CellId, Region};
-use openflame_diag::{ranks, OrderedMutex};
 use openflame_geo::LatLng;
-use openflame_netsim::{EndpointId, Transport};
+use openflame_netsim::EndpointId;
 use openflame_worldgen::World;
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// How long a replica that failed at the wire stays off the candidate
-/// list before the selector will consider it again (transport clock).
-/// Deliberately much shorter than the 300 s discovery TTL: a crashed
-/// replica that restarts should resume taking traffic without waiting
-/// for the naming layer to age out.
-pub const DEAD_TTL_US: u64 = 30 * 1_000_000;
 
 /// One content shard of a fleet, as the client sees it: the sub-cell
 /// extent it owns and the replicas serving it (advertisement order is
@@ -102,128 +97,72 @@ impl DiscoveryView {
     }
 }
 
-/// Client-side replica selection state: a dead-list of endpoints that
-/// failed at the wire, consulted by the power-of-two-choices pick.
-/// Latency knowledge itself lives in the transport
-/// ([`Transport::endpoint_latency`]); this struct only remembers who
-/// recently failed.
-pub struct FleetSelector {
-    /// endpoint → transport-clock instant at which it may be retried.
-    dead: OrderedMutex<HashMap<EndpointId, u64>>,
-}
-
-impl Default for FleetSelector {
-    fn default() -> Self {
-        Self {
-            dead: OrderedMutex::new(ranks::FLEET_DEAD, HashMap::new()),
-        }
-    }
-}
-
-impl FleetSelector {
-    /// A selector with an empty dead-list.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a wire failure: `endpoint` is skipped by selection until
-    /// [`DEAD_TTL_US`] of transport time passes.
-    pub fn mark_dead(&self, transport: &dyn Transport, endpoint: EndpointId) {
-        self.dead
-            .lock()
-            .insert(endpoint, transport.now_us().saturating_add(DEAD_TTL_US));
-    }
-
-    /// Whether `endpoint` is currently on the dead-list (expired
-    /// entries are pruned on probe).
-    pub fn is_dead(&self, transport: &dyn Transport, endpoint: EndpointId) -> bool {
-        let now = transport.now_us();
-        let mut dead = self.dead.lock();
-        match dead.get(&endpoint) {
-            Some(&until) if until > now => true,
-            Some(_) => {
-                dead.remove(&endpoint);
-                false
+/// Picks the replica to consult for `shard`: power-of-two-choices
+/// over the transport's per-endpoint latency EWMA
+/// ([`Transport::endpoint_latency`](openflame_netsim::Transport::endpoint_latency)).
+///
+/// Two candidate indices are derived from a deterministic hash of
+/// the replica set, then the one with the lower latency score wins;
+/// a replica with no samples scores worst (so an incumbent with
+/// measured latency is sticky — keeping its hello cache warm — and
+/// a fresh book falls back to the lower candidate index, making the
+/// pick identical across backends and runs). Replicas the session has
+/// marked dead are excluded. Returns `None` only when every replica is
+/// marked — callers typically fall back to `replicas[0]` then,
+/// letting the wire surface the truth.
+pub fn choose<'a>(
+    session: &Session,
+    shard: &'a FleetShardView,
+) -> Option<&'a Arc<DiscoveredServer>> {
+    let alive: Vec<&Arc<DiscoveredServer>> = shard
+        .replicas
+        .iter()
+        .filter(|r| !session.is_dead(r.endpoint))
+        .collect();
+    match alive.len() {
+        0 => None,
+        1 => Some(alive[0]),
+        n => {
+            let h = fingerprint(shard);
+            let c1 = (h % n as u64) as usize;
+            // Second candidate from the high bits, shifted past the
+            // first so the two are always distinct.
+            let mut c2 = ((h >> 32) % (n as u64 - 1)) as usize;
+            if c2 >= c1 {
+                c2 += 1;
             }
-            None => false,
-        }
-    }
-
-    /// Number of endpoints currently dead-listed.
-    pub fn dead_len(&self, transport: &dyn Transport) -> usize {
-        let now = transport.now_us();
-        let mut dead = self.dead.lock();
-        dead.retain(|_, &mut until| until > now);
-        dead.len()
-    }
-
-    /// Picks the replica to consult for `shard`: power-of-two-choices
-    /// over the transport's per-endpoint latency EWMA.
-    ///
-    /// Two candidate indices are derived from a deterministic hash of
-    /// the replica set, then the one with the lower latency score wins;
-    /// a replica with no samples scores worst (so an incumbent with
-    /// measured latency is sticky — keeping its hello cache warm — and
-    /// a fresh book falls back to the lower candidate index, making the
-    /// pick identical across backends and runs). Dead-listed replicas
-    /// are excluded. Returns `None` only when every replica is
-    /// dead-listed — callers typically fall back to `replicas[0]` then,
-    /// letting the wire surface the truth.
-    pub fn choose<'a>(
-        &self,
-        transport: &dyn Transport,
-        shard: &'a FleetShardView,
-    ) -> Option<&'a Arc<DiscoveredServer>> {
-        let alive: Vec<&Arc<DiscoveredServer>> = shard
-            .replicas
-            .iter()
-            .filter(|r| !self.is_dead(transport, r.endpoint))
-            .collect();
-        match alive.len() {
-            0 => None,
-            1 => Some(alive[0]),
-            n => {
-                let h = fingerprint(shard);
-                let c1 = (h % n as u64) as usize;
-                // Second candidate from the high bits, shifted past the
-                // first so the two are always distinct.
-                let mut c2 = ((h >> 32) % (n as u64 - 1)) as usize;
-                if c2 >= c1 {
-                    c2 += 1;
-                }
-                let score = |r: &DiscoveredServer| {
-                    transport
-                        .endpoint_latency(r.endpoint)
-                        .filter(|l| l.count > 0)
-                        .map(|l| l.ewma_us)
-                        .unwrap_or(u64::MAX)
-                };
-                // Strict `<` on the swapped compare: ties (both
-                // unsampled) go to the lower index, deterministically.
-                let (lo, hi) = if c1 < c2 { (c1, c2) } else { (c2, c1) };
-                if score(alive[hi]) < score(alive[lo]) {
-                    Some(alive[hi])
-                } else {
-                    Some(alive[lo])
-                }
+            let score = |r: &DiscoveredServer| {
+                session
+                    .transport()
+                    .endpoint_latency(r.endpoint)
+                    .filter(|l| l.count > 0)
+                    .map(|l| l.ewma_us)
+                    .unwrap_or(u64::MAX)
+            };
+            // Strict `<` on the swapped compare: ties (both
+            // unsampled) go to the lower index, deterministically.
+            let (lo, hi) = if c1 < c2 { (c1, c2) } else { (c2, c1) };
+            if score(alive[hi]) < score(alive[lo]) {
+                Some(alive[hi])
+            } else {
+                Some(alive[lo])
             }
         }
     }
+}
 
-    /// The failover sibling: the first replica (advertisement order)
-    /// that is neither dead-listed nor in `tried`. Advertisement order
-    /// keeps the retry deterministic across backends.
-    pub fn sibling<'a>(
-        &self,
-        transport: &dyn Transport,
-        shard: &'a FleetShardView,
-        tried: &[EndpointId],
-    ) -> Option<&'a Arc<DiscoveredServer>> {
-        shard
-            .replicas
-            .iter()
-            .find(|r| !tried.contains(&r.endpoint) && !self.is_dead(transport, r.endpoint))
-    }
+/// The failover sibling: the first replica (advertisement order)
+/// that is neither marked dead nor in `tried`. Advertisement order
+/// keeps the retry deterministic across backends.
+pub fn sibling<'a>(
+    session: &Session,
+    shard: &'a FleetShardView,
+    tried: &[EndpointId],
+) -> Option<&'a Arc<DiscoveredServer>> {
+    shard
+        .replicas
+        .iter()
+        .find(|r| !tried.contains(&r.endpoint) && !session.is_dead(r.endpoint))
 }
 
 /// FNV-1a over the shard's replica endpoints: a stable fingerprint that
@@ -327,6 +266,8 @@ fn fine_level_for(radius_m: f64) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::DEAD_TTL_US;
+    use openflame_mapserver::Principal;
     use openflame_netsim::BackendKind;
     use openflame_worldgen::WorldConfig;
 
@@ -345,15 +286,20 @@ mod tests {
         }
     }
 
+    fn session() -> Session {
+        let transport = BackendKind::Sim.build(1);
+        let endpoint = transport.register("client", None);
+        Session::new(transport, endpoint, Principal::anonymous())
+    }
+
     #[test]
     fn choose_is_deterministic_on_a_fresh_latency_book() {
-        let transport = BackendKind::Sim.build(1);
-        let selector = FleetSelector::new();
+        let session = session();
         let s = shard(&[10, 11, 12]);
-        let first = selector.choose(transport.as_ref(), &s).unwrap().endpoint;
+        let first = choose(&session, &s).unwrap().endpoint;
         for _ in 0..5 {
             assert_eq!(
-                selector.choose(transport.as_ref(), &s).unwrap().endpoint,
+                choose(&session, &s).unwrap().endpoint,
                 first,
                 "fresh-book pick must be stable"
             );
@@ -362,38 +308,29 @@ mod tests {
 
     #[test]
     fn dead_list_excludes_and_expires() {
-        let transport = BackendKind::Sim.build(1);
-        let selector = FleetSelector::new();
+        let session = session();
         let s = shard(&[20, 21]);
-        let victim = selector.choose(transport.as_ref(), &s).unwrap().endpoint;
-        selector.mark_dead(transport.as_ref(), victim);
-        let other = selector.choose(transport.as_ref(), &s).unwrap().endpoint;
+        let victim = choose(&session, &s).unwrap().endpoint;
+        session.mark_dead(victim, 0);
+        let other = choose(&session, &s).unwrap().endpoint;
         assert_ne!(other, victim, "dead replica must not be chosen");
-        assert_eq!(selector.dead_len(transport.as_ref()), 1);
-        selector.mark_dead(transport.as_ref(), other);
-        assert!(
-            selector.choose(transport.as_ref(), &s).is_none(),
-            "all dead → no candidate"
-        );
-        // The dead-list ages out on the transport clock.
-        transport.advance_us(DEAD_TTL_US + 1);
-        assert!(!selector.is_dead(transport.as_ref(), victim));
-        assert!(selector.choose(transport.as_ref(), &s).is_some());
+        assert!(session.is_dead(victim) && !session.is_dead(other));
+        session.mark_dead(other, 0);
+        assert!(choose(&session, &s).is_none(), "all dead → no candidate");
+        // The dead marks age out on the transport clock.
+        session.transport().advance_us(DEAD_TTL_US + 1);
+        assert!(!session.is_dead(victim));
+        assert!(choose(&session, &s).is_some());
     }
 
     #[test]
     fn sibling_skips_tried_and_dead() {
-        let transport = BackendKind::Sim.build(1);
-        let selector = FleetSelector::new();
+        let session = session();
         let s = shard(&[30, 31, 32]);
-        selector.mark_dead(transport.as_ref(), EndpointId(31));
-        let sib = selector
-            .sibling(transport.as_ref(), &s, &[EndpointId(30)])
-            .unwrap();
+        session.mark_dead(EndpointId(31), 0);
+        let sib = sibling(&session, &s, &[EndpointId(30)]).unwrap();
         assert_eq!(sib.endpoint, EndpointId(32));
-        assert!(selector
-            .sibling(transport.as_ref(), &s, &[EndpointId(30), EndpointId(32)])
-            .is_none());
+        assert!(sibling(&session, &s, &[EndpointId(30), EndpointId(32)]).is_none());
     }
 
     #[test]

@@ -28,11 +28,12 @@
 //!
 //! Underneath the provider trait sits the cost-based query planner
 //! ([`plan`] module, wire-protocol spec §13): every federated query
-//! path builds a [`ScatterPlan`] from the discovery view plus cached
-//! per-server [`CoverageSummary`](openflame_mapserver::CoverageSummary)
-//! advertisements (seeded from the extended `Hello` exchange, refined
-//! by empty-answer demotion), and one [`plan::PlanExecutor`] runs the
-//! plan through the session with the fleet failover machinery. Pruning
+//! path builds a [`ScatterPlan`] ([`plan::plan`]) from the discovery
+//! view plus the
+//! [`CoverageSummary`](openflame_mapserver::CoverageSummary) riding in
+//! each server's cached advertisement (the extended `Hello` exchange),
+//! and one executor ([`plan::execute`]) runs the plan through the
+//! session with the fleet failover machinery. Pruning
 //! is **sound**: a source is skipped only when its summary *proves* it
 //! cannot contribute — absent or stale summaries always consult
 //! (spec §13.3) — so planner-on and planner-off runs return identical
@@ -52,10 +53,12 @@
 //! still learns the coverage summaries the planner prunes with. The
 //! executor's one handshake decision is *handshake-first* for the two
 //! kinds whose request is spelled in the server's frame (search,
-//! reverse geocode). The session caches advertisements and coverage
-//! summaries per server and discovery results per cell; all three
-//! caches are bounded (expired-first eviction past a capacity cap), so
-//! a long-lived session touring many cells holds steady-state memory.
+//! reverse geocode). The session keeps **one entry per endpoint** —
+//! its advertisement, coverage summary included, or the dead mark a
+//! failed fleet branch left, each replacing the other — and discovery
+//! results per cell; both caches are bounded (expired-first eviction
+//! past a capacity cap), so a long-lived session touring many cells
+//! holds steady-state memory.
 //! Scatter rounds are built on the session's pipelined
 //! [`session::ScatterRound`] — its one submit path: envelopes are
 //! *submitted* as soon as their inputs are known and *collected* when
@@ -156,8 +159,10 @@
 //!   deterministic on a fresh book so every backend picks alike. A
 //!   replica that fails at the wire is retried on a sibling — for
 //!   idempotent requests only (`docs/wire-protocol.md` spec §7) — and
-//!   dead-listed; the session's per-cell discovery cache is invalidated
-//!   so the dead replica is not re-consulted from cache. Only a fully
+//!   marked dead in the session ([`Session::mark_dead`]): the mark
+//!   replaces the replica's cached advertisement and the per-cell
+//!   discovery cache is invalidated, so the dead replica is neither
+//!   re-consulted nor served from cache. Only a fully
 //!   down **shard** surfaces [`ClientError::PartialFailure`], sources
 //!   preserved.
 //!
@@ -232,11 +237,8 @@ pub use client::{
 };
 pub use deployment::{Deployment, DeploymentConfig, FleetMember};
 pub use discovery::{DiscoveredServer, DiscoveryClient, DiscoveryStats};
-pub use fleet::{DiscoveryView, FleetSelector, FleetShardView, FleetView};
-pub use plan::{
-    FleetBranch, PlanExecutor, PlannedTarget, PruneReason, PrunedSource, QueryKind, QueryPlanner,
-    ScatterPlan,
-};
+pub use fleet::{DiscoveryView, FleetShardView, FleetView};
+pub use plan::{FleetBranch, PlannedTarget, PruneReason, PrunedSource, QueryKind, ScatterPlan};
 pub use provider::{
     CallStats, GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome, LocalizeQuery,
     ProviderEstimate, ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome, RouteQuery,

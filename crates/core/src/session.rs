@@ -20,9 +20,16 @@
 //!   `Response::Hello` — so callers get exactly their own responses and
 //!   first contact costs no envelope of its own, whatever the query
 //!   class. Advertisements are cached per endpoint with a TTL on the
-//!   transport clock (an expired one is re-learned the same way);
-//!   coverage summaries riding in them (spec §13) go to a sibling cache
-//!   the query planner consults, under the same discipline.
+//!   transport clock (an expired one is re-learned the same way); the
+//!   coverage summary the query planner prunes from (spec §13) is the
+//!   one riding in the cached advertisement — there is no second copy.
+//! - **One entry per endpoint**: what the client remembers about an
+//!   endpoint is a single cache entry, either its advertisement
+//!   ([`DEFAULT_TTL_US`]) or a *dead* mark left by a failed fleet
+//!   branch ([`DEAD_TTL_US`]). [`Session::mark_dead`] overwrites the
+//!   advertisement, so a dead replica is never served (or pruned) from
+//!   what it once advertised; an answered handshake overwrites the
+//!   mark, so the wire — not the cache — decides who is alive.
 //! - **Discovery caching**: discovery results are cached per query
 //!   cell, so a client localizing every few seconds does not re-resolve
 //!   the same cell through DNS each time.
@@ -36,15 +43,15 @@
 //!   [`BUSY_RETRY_BUDGET`] re-submissions have all been shed does the
 //!   call surface [`ClientError::Overloaded`].
 //!
-//! All three caches are one generic TTL cache holding `Arc`s: an
-//! advertisement, coverage state or discovery view is copied once when
-//! it is learned and shared by reference with every reader after that
-//! (planner, executor, providers), so a warm call deep-copies none of
-//! it. They are **bounded** ([`DEFAULT_CACHE_CAP`]): a long-lived
-//! session touring many cells does not grow memory forever. Inserts past the cap evict
-//! expired entries first, then the live entries closest to expiry;
-//! evictions and current cache sizes are reported in
-//! [`SessionStats`].
+//! Both caches (endpoints, discovery cells) are one generic TTL cache
+//! holding `Arc`s: an advertisement is *moved* out of the answer that
+//! brought it, a discovery view is built once, and every reader after
+//! that (planner, executor, providers) shares it by reference, so a
+//! warm call deep-copies none of it. They are **bounded**
+//! ([`DEFAULT_CACHE_CAP`]): a long-lived session touring many cells
+//! does not grow memory forever. Inserts past the cap evict expired
+//! entries first, then the live entries closest to expiry; evictions
+//! and current cache sizes are reported in [`SessionStats`].
 //!
 //! The session speaks only through the [`Transport`] trait — the
 //! deterministic simulator and real TCP sockets run the exact same
@@ -60,9 +67,7 @@ use crate::ClientError;
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_diag::{ranks, OrderedMutex};
 use openflame_mapdata::NodeId;
-use openflame_mapserver::protocol::{
-    CoverageSummary, Envelope, HelloInfo, Request, Response, WireRoute,
-};
+use openflame_mapserver::protocol::{Envelope, HelloInfo, Request, Response, WireRoute};
 use openflame_mapserver::registry::MAPSRV_TTL_S;
 use openflame_mapserver::Principal;
 use openflame_netsim::{CallHandle, EndpointId, Transport};
@@ -73,7 +78,14 @@ use std::sync::Arc;
 /// ([`MAPSRV_TTL_S`], 300 s).
 pub const DEFAULT_TTL_US: u64 = MAPSRV_TTL_S as u64 * 1_000_000;
 
-/// Default capacity bound for each session cache (hello entries,
+/// How long a replica that failed at the wire stays marked dead — off
+/// the fleet layer's candidate list — before it is considered again
+/// (transport clock). Deliberately much shorter than the 300 s
+/// discovery TTL: a crashed replica that restarts should resume taking
+/// traffic without waiting for the naming layer to age out.
+pub const DEAD_TTL_US: u64 = 30 * 1_000_000;
+
+/// Default capacity bound for each session cache (endpoint entries,
 /// discovery cells). A long-lived session touring many cells stays
 /// bounded: inserts over the cap evict expired entries first, then the
 /// live entries closest to expiry.
@@ -136,17 +148,17 @@ pub struct SessionStats {
     /// Entries removed from either cache to hold the capacity bound
     /// (expired entries purged while evicting included).
     pub cache_evictions: u64,
-    /// Live (unexpired) hello-cache entries at snapshot time. Expired
-    /// entries awaiting lazy removal are not counted.
+    /// Live (unexpired) advertisements cached at snapshot time. Dead
+    /// marks share the per-endpoint cache but are not advertisements,
+    /// and expired entries awaiting lazy removal are not counted.
     pub hello_cache_len: u64,
     /// Live (unexpired) discovery-cache entries at snapshot time.
     pub discovery_cache_len: u64,
-    /// Live (unexpired) coverage-summary entries at snapshot time
-    /// (same live-only convention as the other cache lenses).
-    pub coverage_cache_len: u64,
-    /// Entries removed from the coverage cache to hold the capacity
-    /// bound (counted separately from `cache_evictions` so planner
-    /// cache pressure is observable on its own).
+    /// Always 0: coverage summaries live inside the cached
+    /// advertisements, so evicting one is counted in `cache_evictions`.
+    /// The field stays because `benchmark/` reports
+    /// `cache_evictions + coverage_evictions`, a sum that keeps its
+    /// meaning this way.
     pub coverage_evictions: u64,
     /// `Busy` sheds received from servers (wire protocol spec §10), counting
     /// every attempt — a call shed 3 times then served adds 3.
@@ -157,8 +169,8 @@ pub struct SessionStats {
     pub busy_retries: u64,
 }
 
-/// A TTL- and capacity-bounded cache: the one store behind the hello,
-/// coverage and discovery caches. Values are handed out by reference
+/// A TTL- and capacity-bounded cache: the one store behind the endpoint
+/// and discovery caches. Values are handed out by reference
 /// (callers keep `Arc`s in it, so a lookup is a refcount bump), entries
 /// past their expiry are dropped by the probe that finds them, and an
 /// insert over the capacity evicts expired entries first, then the live
@@ -248,35 +260,30 @@ impl<K: Eq + std::hash::Hash + Clone, V> TtlCache<K, V> {
         self.entries.clear();
     }
 
-    /// Live (unexpired) entries. Expired entries awaiting lazy removal
-    /// are dead weight, not cached knowledge, and are not counted.
-    fn live_len(&self, now_us: u64) -> u64 {
+    /// Live (unexpired) values. Expired entries awaiting lazy removal
+    /// are dead weight, not cached knowledge, and are not yielded.
+    fn live(&self, now_us: u64) -> impl Iterator<Item = &V> {
         self.entries
             .values()
-            .filter(|entry| entry.expires_us > now_us)
-            .count() as u64
+            .filter(move |entry| entry.expires_us > now_us)
+            .map(|entry| &entry.value)
     }
 }
 
 /// Discovery cache key: the query cell's raw id.
 type DiscoveryKey = u64;
 
-/// Client-side coverage knowledge about one server: the summary it
-/// advertised in its `Hello` (if it speaks the coverage format), plus
-/// the session's own refinement from past answers.
-///
-/// The refinement is a per-kind *consecutive empty answer* streak. It
-/// is a heuristic cost signal — planners use it to order servers, and
-/// it MUST NOT prune by itself (spec §13.3): an empty answer to one
-/// query proves nothing about the next one.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CoverageState {
-    /// The server's advertised summary; `None` for pre-coverage peers
-    /// ("unknown coverage, never prune").
-    pub summary: Option<CoverageSummary>,
-    /// Consecutive empty answers per content kind, reset by any
-    /// non-empty answer of that kind.
-    pub empty_streaks: HashMap<String, u32>,
+/// Everything the session remembers about one endpoint. The two
+/// states replace each other, so a dead endpoint has no advertisement
+/// to be served (or pruned) from, and an endpoint that answers a
+/// handshake is no longer dead.
+enum EndpointEntry {
+    /// The endpoint's advertisement, coverage summary included, kept
+    /// for [`DEFAULT_TTL_US`].
+    Advertised(Arc<HelloInfo>),
+    /// The endpoint failed at the wire as a fleet replica; kept for
+    /// [`DEAD_TTL_US`].
+    Dead,
 }
 
 /// A client-side wire session: batched calls with capability and
@@ -285,8 +292,7 @@ pub struct Session {
     transport: Arc<dyn Transport>,
     endpoint: EndpointId,
     principal: Principal,
-    hellos: OrderedMutex<TtlCache<EndpointId, Arc<HelloInfo>>>,
-    coverage: OrderedMutex<TtlCache<EndpointId, Arc<CoverageState>>>,
+    endpoints: OrderedMutex<TtlCache<EndpointId, EndpointEntry>>,
     discoveries: OrderedMutex<TtlCache<DiscoveryKey, Arc<DiscoveryView>>>,
     stats: OrderedMutex<SessionStats>,
 }
@@ -298,8 +304,7 @@ impl Session {
             transport,
             endpoint,
             principal,
-            hellos: OrderedMutex::new(ranks::SESSION_HELLOS, TtlCache::new()),
-            coverage: OrderedMutex::new(ranks::SESSION_COVERAGE, TtlCache::new()),
+            endpoints: OrderedMutex::new(ranks::SESSION_HELLOS, TtlCache::new()),
             discoveries: OrderedMutex::new(ranks::SESSION_DISCOVERIES, TtlCache::new()),
             stats: OrderedMutex::new(ranks::SESSION_STATS, SessionStats::default()),
         }
@@ -327,39 +332,28 @@ impl Session {
     pub fn stats(&self) -> SessionStats {
         let mut stats = self.stats.lock().clone();
         let now = self.transport.now_us();
-        // (live entries, evictions) of one cache, under its own lock.
-        fn census<K: Eq + std::hash::Hash + Clone, V>(
-            cache: &OrderedMutex<TtlCache<K, V>>,
-            now_us: u64,
-        ) -> (u64, u64) {
-            let cache = cache.lock();
-            (cache.live_len(now_us), cache.evictions)
-        }
-        let (hello_len, hello_evictions) = census(&self.hellos, now);
-        let (discovery_len, discovery_evictions) = census(&self.discoveries, now);
-        (stats.coverage_cache_len, stats.coverage_evictions) = census(&self.coverage, now);
+        // Each cache is read under its own lock, one at a time.
+        let (hello_len, endpoint_evictions) = {
+            let endpoints = self.endpoints.lock();
+            let advertised = endpoints
+                .live(now)
+                .filter(|entry| matches!(entry, EndpointEntry::Advertised(_)));
+            (advertised.count() as u64, endpoints.evictions)
+        };
+        let (discovery_len, discovery_evictions) = {
+            let discoveries = self.discoveries.lock();
+            (discoveries.live(now).count() as u64, discoveries.evictions)
+        };
         stats.hello_cache_len = hello_len;
         stats.discovery_cache_len = discovery_len;
-        stats.cache_evictions = hello_evictions + discovery_evictions;
+        stats.cache_evictions = endpoint_evictions + discovery_evictions;
         stats
     }
 
-    /// Drops all cached state.
+    /// Drops all cached state, dead marks included.
     pub fn invalidate(&self) {
-        self.hellos.lock().clear();
-        self.coverage.lock().clear();
+        self.endpoints.lock().clear();
         self.discoveries.lock().clear();
-    }
-
-    /// Drops every cached fact about one endpoint: its capability
-    /// advertisement and its coverage state. Called when a replica is
-    /// dead-listed on failover — [`Session::invalidate_cell`] alone
-    /// drops the discovery entry, but the dead endpoint's hello (and
-    /// coverage summary) would otherwise survive in their own caches
-    /// and be re-served for up to a TTL after the replica died.
-    pub fn purge_endpoint(&self, endpoint: EndpointId) {
-        self.hellos.lock().remove(&endpoint);
-        self.coverage.lock().remove(&endpoint);
     }
 
     // ----------------------------------------------------------------
@@ -389,9 +383,10 @@ impl Session {
     /// the call surfaces [`ClientError::Overloaded`]. The backoff both
     /// advances the transport clock (simulated time) and sleeps the
     /// thread (wall-clock backends); each attempt's wire latency is
-    /// charged to the session. `Hello` answers are absorbed into the
-    /// caches, and the answer to the handshake item the session
-    /// appended is stripped, whatever it is.
+    /// charged to the session. The answer to the handshake item the
+    /// session appended is stripped, whatever it is — an advertisement
+    /// *moves* into the cache, uncopied; one the caller asked for
+    /// itself is cached too, copied, since the caller keeps its answer.
     fn finish_call(&self, call: InFlight) -> Result<Vec<Response>, ClientError> {
         let InFlight {
             to,
@@ -413,8 +408,16 @@ impl Session {
                 // Shed under load: retryable, never a decode error.
                 Response::Busy { retry_after_us } => retry_after_us,
                 Response::Batch(mut responses) if responses.len() == on_wire => {
-                    self.absorb_hellos(to, &responses);
-                    responses.truncate(expected);
+                    if handshake {
+                        if let Some(Response::Hello(info)) = responses.pop() {
+                            self.store_hello(to, info);
+                        }
+                    }
+                    for response in &responses {
+                        if let Response::Hello(info) = response {
+                            self.store_hello(to, info.clone());
+                        }
+                    }
                     return Ok(responses);
                 }
                 Response::Batch(responses) => {
@@ -547,40 +550,39 @@ impl Session {
     }
 
     // ----------------------------------------------------------------
-    // Hello cache.
+    // The per-endpoint cache: an advertisement or a dead mark.
     // ----------------------------------------------------------------
 
-    /// Opportunistically caches any `Hello` answers riding in a batch,
-    /// seeding the coverage cache from the advertised summary. This is
-    /// where an advertisement is copied; every later reader shares it.
-    fn absorb_hellos(&self, from: EndpointId, responses: &[Response]) {
-        for response in responses {
-            if let Response::Hello(info) = response {
-                self.store_coverage(from, info.coverage.clone());
-                self.store_hello(from, info.clone());
-            }
+    /// Caches `from`'s capability advertisement (evicting, expired
+    /// first, past the capacity bound), replacing whatever the session
+    /// held about the endpoint: an older advertisement — one without a
+    /// coverage summary drops the summary it once committed to — or a
+    /// dead mark, since an endpoint that answers is alive.
+    pub fn store_hello(&self, from: EndpointId, info: impl Into<Arc<HelloInfo>>) {
+        let now = self.transport.now_us();
+        let entry = EndpointEntry::Advertised(info.into());
+        self.endpoints.lock().store(from, entry, now);
+    }
+
+    /// The fresh advertisement cached for `server` — shared, not
+    /// copied — without touching the hit counters: the probe behind the
+    /// handshake rule's own check and the query planner, which prunes
+    /// from the [`HelloInfo::coverage`] of exactly this entry. An
+    /// expired entry and a dead mark read as absence, so a planner
+    /// never prunes on a stale summary (spec §13.3) or a dead
+    /// endpoint's.
+    pub fn advertised(&self, server: EndpointId) -> Option<Arc<HelloInfo>> {
+        let now = self.transport.now_us();
+        match self.endpoints.lock().get(&server, now)? {
+            EndpointEntry::Advertised(info) => Some(info.clone()),
+            EndpointEntry::Dead => None,
         }
     }
 
-    /// Inserts a capability advertisement into the cache, evicting
-    /// (expired-first) if the insert pushed it over the capacity bound.
-    pub fn store_hello(&self, from: EndpointId, info: impl Into<Arc<HelloInfo>>) {
-        let now = self.transport.now_us();
-        self.hellos.lock().store(from, info.into(), now);
-    }
-
-    /// Cache probe without touching the hit counters (internal
-    /// bookkeeping, e.g. the handshake rule's own check, must not
-    /// inflate the hit rate).
-    fn peek_hello(&self, server: EndpointId) -> Option<Arc<HelloInfo>> {
-        let now = self.transport.now_us();
-        self.hellos.lock().get(&server, now).cloned()
-    }
-
     /// The cached advertisement for `server`, if fresh — shared, not
-    /// copied: every caller holds the same allocation.
+    /// copied: every caller holds the same allocation. Counts a hit.
     pub fn cached_hello(&self, server: EndpointId) -> Option<Arc<HelloInfo>> {
-        let info = self.peek_hello(server);
+        let info = self.advertised(server);
         if info.is_some() {
             self.stats.lock().hello_hits += 1;
         }
@@ -595,7 +597,10 @@ impl Session {
             return Ok(info);
         }
         match self.batch(server, vec![Request::Hello])?.pop() {
-            Some(Response::Hello(info)) => Ok(Arc::new(info)),
+            // The claim side cached the answer; hand out that entry.
+            Some(Response::Hello(info)) => {
+                Ok(self.advertised(server).unwrap_or_else(|| Arc::new(info)))
+            }
             other => Err(unexpected_opt(&self.server_name(server), "Hello", other)),
         }
     }
@@ -604,7 +609,7 @@ impl Session {
     /// handshake rule's test (and the tests' oracle for what first
     /// contact taught); touches no hit/miss counter.
     pub fn has_hello(&self, server: EndpointId) -> bool {
-        self.peek_hello(server).is_some()
+        self.advertised(server).is_some()
     }
 
     /// Fills the hello cache for every listed server in **one**
@@ -623,67 +628,34 @@ impl Session {
         let _ = round.collect();
     }
 
-    // ----------------------------------------------------------------
-    // Coverage cache (query-planner pruning state).
-    // ----------------------------------------------------------------
-
-    /// Stores a server's advertised coverage summary, preserving the
-    /// session's own empty-answer refinement across re-advertisements.
-    /// A fresh hello *without* coverage still refreshes the entry (the
-    /// advertisement is authoritative: the server no longer commits to
-    /// a summary, so the cached one is dropped).
-    pub fn store_coverage(&self, from: EndpointId, summary: Option<CoverageSummary>) {
+    /// Records that fleet replica `endpoint`, discovered under query
+    /// cell `cell_raw`, failed at the wire — the one call failover
+    /// makes. The dead mark *replaces* the endpoint's advertisement
+    /// for [`DEAD_TTL_US`], so replica selection skips it and nothing
+    /// it once advertised is served or pruned from; the cell's cached
+    /// discovery is dropped with it ([`Session::invalidate_cell`]).
+    pub fn mark_dead(&self, endpoint: EndpointId, cell_raw: u64) {
         let now = self.transport.now_us();
-        let mut coverage = self.coverage.lock();
-        let empty_streaks = coverage
-            .get(&from, now)
-            .map(|state| state.empty_streaks.clone())
-            .unwrap_or_default();
-        let state = CoverageState {
-            summary,
-            empty_streaks,
-        };
-        coverage.store(from, Arc::new(state), now);
+        self.endpoints.lock().insert(
+            endpoint,
+            EndpointEntry::Dead,
+            now,
+            DEAD_TTL_US,
+            DEFAULT_CACHE_CAP,
+        );
+        self.invalidate_cell(cell_raw);
     }
 
-    /// The fresh coverage state for `server`, if any — shared, not
-    /// copied. Expired state is dropped, not returned: a planner MUST
-    /// NOT prune on a stale summary (spec §13.3), so staleness and
-    /// absence look identical.
-    pub fn cached_coverage(&self, server: EndpointId) -> Option<Arc<CoverageState>> {
+    /// Whether `endpoint` carries an unexpired dead mark. The mark is
+    /// a hint for replica selection, never a refusal to send: an
+    /// envelope to a marked endpoint still goes out, handshake riding,
+    /// and its answer revives it.
+    pub fn is_dead(&self, endpoint: EndpointId) -> bool {
         let now = self.transport.now_us();
-        self.coverage.lock().get(&server, now).cloned()
-    }
-
-    /// Refines the coverage state from an observed answer: an empty
-    /// answer for `kind` extends the server's consecutive-empty streak,
-    /// a non-empty one resets it. Creates the entry when missing, so
-    /// pre-coverage servers accumulate the cost signal too. The entry's
-    /// expiry is untouched on update — refinement is knowledge *about*
-    /// the advertisement, not a re-advertisement.
-    pub fn note_answer(&self, server: EndpointId, kind: &str, empty: bool) {
-        let now = self.transport.now_us();
-        let mut coverage = self.coverage.lock();
-        match coverage.get(&server, now) {
-            Some(state) => {
-                // In place unless a planner still holds the old state,
-                // which then keeps the snapshot it planned on.
-                let streaks = &mut Arc::make_mut(state).empty_streaks;
-                match streaks.get_mut(kind) {
-                    Some(streak) => *streak = if empty { streak.saturating_add(1) } else { 0 },
-                    None => {
-                        streaks.insert(kind.to_string(), u32::from(empty));
-                    }
-                }
-            }
-            None => {
-                let mut state = CoverageState::default();
-                state
-                    .empty_streaks
-                    .insert(kind.to_string(), u32::from(empty));
-                coverage.store(server, Arc::new(state), now);
-            }
-        }
+        matches!(
+            self.endpoints.lock().get(&endpoint, now),
+            Some(EndpointEntry::Dead)
+        )
     }
 
     // ----------------------------------------------------------------
@@ -717,13 +689,13 @@ impl Session {
         self.discoveries.lock().store(cell_raw, view.into(), now);
     }
 
-    /// Drops the cached discovery result for one query cell. Called on
-    /// replica failover:
-    /// without an explicit invalidation path a dead replica would keep
-    /// being re-consulted from this cache until its 300 s TTL expired —
-    /// the next discovery re-resolves (usually from the resolver's own
+    /// Drops the cached discovery result for one query cell. Part of
+    /// marking a replica dead ([`Session::mark_dead`]): without an
+    /// explicit invalidation path a dead replica would keep being
+    /// re-consulted from this cache until its 300 s TTL expired — the
+    /// next discovery re-resolves (usually from the resolver's own
     /// cache, so the cost is local) and re-selects against the current
-    /// dead-list.
+    /// dead marks.
     pub fn invalidate_cell(&self, cell_raw: u64) {
         self.discoveries.lock().remove(&cell_raw);
     }
@@ -868,7 +840,7 @@ pub(crate) fn unexpected_opt(server: &str, expected: &str, got: Option<Response>
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use openflame_mapserver::protocol::Response;
     use openflame_netsim::BackendKind;
@@ -926,7 +898,8 @@ mod tests {
         assert_eq!(Session::gather_all(vec![Ok(ok.clone())]).unwrap(), vec![ok]);
     }
 
-    fn stub_hello(id: u64) -> HelloInfo {
+    /// A minimal advertisement (no anchor, no coverage summary).
+    pub(crate) fn stub_hello(id: u64) -> HelloInfo {
         HelloInfo {
             server_id: format!("stub-{id}"),
             map_name: "cache-test".into(),
@@ -976,7 +949,7 @@ mod tests {
             cache.insert(cell, (), 10_000, DEFAULT_TTL_US, 4);
         }
         // The expired pair was purged; every live entry kept its slot.
-        assert_eq!(cache.live_len(10_000), 4);
+        assert_eq!(cache.live(10_000).count(), 4);
         assert_eq!(cache.evictions, 2);
         for cell in 10..14u64 {
             assert!(
@@ -1007,8 +980,10 @@ mod tests {
         assert_eq!(stats.hello_cache_len, 0);
         assert_eq!(stats.discovery_cache_len, 0);
         assert_eq!(stats.cache_evictions, 0, "nothing was evicted, only aged");
-        // A fresh insert is counted again.
+        // A fresh insert is counted again; a dead mark shares the cache
+        // but is not an advertisement.
         session.store_hello(EndpointId(7), stub_hello(7));
+        session.mark_dead(EndpointId(8), 0);
         assert_eq!(session.stats().hello_cache_len, 1);
     }
 
@@ -1027,68 +1002,6 @@ mod tests {
         );
     }
 
-    fn stub_coverage(n: u64) -> CoverageSummary {
-        CoverageSummary {
-            kinds: vec![("search".into(), n)],
-            extent: None,
-        }
-    }
-
-    #[test]
-    fn coverage_cache_is_bounded_live_counted_and_separately_metered() {
-        let transport = BackendKind::Sim.build(1);
-        let endpoint = transport.register("client", None);
-        let session = Session::new(transport.clone(), endpoint, Principal::anonymous());
-        let cap = DEFAULT_CACHE_CAP as u64;
-        for n in 0..cap + 92 {
-            transport.advance_us(1_000);
-            session.store_coverage(EndpointId(1_000 + n), Some(stub_coverage(n)));
-        }
-        let stats = session.stats();
-        assert_eq!(stats.coverage_cache_len, cap);
-        assert_eq!(stats.coverage_evictions, 92);
-        assert_eq!(
-            stats.cache_evictions, 0,
-            "coverage pressure must not leak into the hello/discovery counter"
-        );
-        assert!(session
-            .cached_coverage(EndpointId(1_000 + cap + 91))
-            .is_some());
-        assert!(session.cached_coverage(EndpointId(1_000)).is_none());
-        // Live-only lens: aged-out entries are dead weight, not
-        // knowledge.
-        transport.advance_us(DEFAULT_TTL_US + 1);
-        assert!(session
-            .cached_coverage(EndpointId(1_000 + cap + 91))
-            .is_none());
-        assert_eq!(session.stats().coverage_cache_len, 0);
-    }
-
-    #[test]
-    fn note_answer_tracks_consecutive_empty_streaks() {
-        let transport = BackendKind::Sim.build(1);
-        let endpoint = transport.register("client", None);
-        let session = Session::new(transport, endpoint, Principal::anonymous());
-        let server = EndpointId(9);
-        // Works even for servers that never advertised coverage.
-        session.note_answer(server, "search", true);
-        session.note_answer(server, "search", true);
-        let state = session.cached_coverage(server).unwrap();
-        assert_eq!(state.summary, None);
-        assert_eq!(state.empty_streaks.get("search"), Some(&2));
-        // A non-empty answer resets the streak; other kinds untouched.
-        session.note_answer(server, "geocode", true);
-        session.note_answer(server, "search", false);
-        let state = session.cached_coverage(server).unwrap();
-        assert_eq!(state.empty_streaks.get("search"), Some(&0));
-        assert_eq!(state.empty_streaks.get("geocode"), Some(&1));
-        // A fresh advertisement keeps the refinement.
-        session.store_coverage(server, Some(stub_coverage(3)));
-        let state = session.cached_coverage(server).unwrap();
-        assert_eq!(state.summary, Some(stub_coverage(3)));
-        assert_eq!(state.empty_streaks.get("geocode"), Some(&1));
-    }
-
     #[test]
     fn cached_state_is_handed_out_by_reference() {
         let transport = BackendKind::Sim.build(1);
@@ -1096,33 +1009,20 @@ mod tests {
         let session = Session::new(transport, endpoint, Principal::anonymous());
         let server = EndpointId(40);
         session.store_hello(server, stub_hello(40));
-        session.store_coverage(server, Some(stub_coverage(4)));
         session.store_discovery(7, DiscoveryView::default());
         // Two readers of one cached fact hold the same allocation.
         assert!(Arc::ptr_eq(
             &session.cached_hello(server).unwrap(),
-            &session.cached_hello(server).unwrap()
-        ));
-        assert!(Arc::ptr_eq(
-            &session.cached_coverage(server).unwrap(),
-            &session.cached_coverage(server).unwrap()
+            &session.advertised(server).unwrap()
         ));
         assert!(Arc::ptr_eq(
             &session.cached_discovery(7).unwrap(),
             &session.cached_discovery(7).unwrap()
         ));
-        // A refinement landing while a reader holds the state leaves
-        // that reader's snapshot alone and shows in the next lookup.
-        let held = session.cached_coverage(server).unwrap();
-        session.note_answer(server, "search", true);
-        assert_eq!(held.empty_streaks.get("search"), None);
-        let next = session.cached_coverage(server).unwrap();
-        assert_eq!(next.empty_streaks.get("search"), Some(&1));
-        assert_eq!(next.summary, Some(stub_coverage(4)));
     }
 
     #[test]
-    fn purge_endpoint_drops_hello_and_coverage_state() {
+    fn marking_dead_replaces_the_advertisement() {
         let transport = BackendKind::Sim.build(1);
         let endpoint = transport.register("client", None);
         let session = Session::new(transport, endpoint, Principal::anonymous());
@@ -1130,15 +1030,63 @@ mod tests {
         let alive = EndpointId(71);
         session.store_hello(dead, stub_hello(70));
         session.store_hello(alive, stub_hello(71));
-        session.store_coverage(dead, Some(stub_coverage(1)));
-        session.store_coverage(alive, Some(stub_coverage(2)));
-        session.purge_endpoint(dead);
+        session.store_discovery(7, DiscoveryView::default());
+        session.store_discovery(8, DiscoveryView::default());
+        session.mark_dead(dead, 7);
+        assert!(session.is_dead(dead));
+        assert!(!session.has_hello(dead));
         assert!(session.cached_hello(dead).is_none());
-        assert!(session.cached_coverage(dead).is_none());
         assert!(
-            session.cached_hello(alive).is_some() && session.cached_coverage(alive).is_some(),
-            "other endpoints must be untouched"
+            session.cached_discovery(7).is_none(),
+            "the cell the dead replica was discovered under re-resolves"
         );
+        assert!(
+            !session.is_dead(alive)
+                && session.cached_hello(alive).is_some()
+                && session.cached_discovery(8).is_some(),
+            "other endpoints and cells must be untouched"
+        );
+    }
+
+    #[test]
+    fn a_dead_mark_expires_after_dead_ttl_and_an_answer_revives_it_sooner() {
+        let transport = BackendKind::Sim.build(1);
+        let client = transport.register("client", None);
+        let (server, log) = stub_server(&transport, 0, HelloAnswer::Advertise);
+        let session = Session::new(transport.clone(), client, Principal::anonymous());
+        session.mark_dead(server, 0);
+        transport.advance_us(DEAD_TTL_US - 1);
+        assert!(session.is_dead(server));
+        transport.advance_us(2);
+        assert!(!session.is_dead(server), "aged out");
+        // Sooner than that, the wire decides: the mark is a hint, so an
+        // envelope still goes out — handshake riding, the endpoint being
+        // unadvertised — and the answer overwrites the mark.
+        session.mark_dead(server, 0);
+        let responses = session.batch(server, vec![probe()]).unwrap();
+        assert_eq!(versions(&responses), [0]);
+        assert_eq!(
+            sent_items(&log.lock().unwrap()[0]),
+            [probe(), Request::Hello]
+        );
+        assert!(!session.is_dead(server));
+        assert!(session.has_hello(server));
+    }
+
+    #[test]
+    fn hello_hands_out_the_cached_entry() {
+        let transport = BackendKind::Sim.build(1);
+        let client = transport.register("client", None);
+        let (server, _log) = stub_server(&transport, 0, HelloAnswer::Advertise);
+        let session = Session::new(transport, client, Principal::anonymous());
+        // Cold: `hello` goes to the wire and hands out the cache's own
+        // entry, not a second allocation of the same bytes.
+        let learned = session.hello(server).unwrap();
+        assert!(Arc::ptr_eq(
+            &learned,
+            &session.cached_hello(server).unwrap()
+        ));
+        assert!(Arc::ptr_eq(&learned, &session.hello(server).unwrap()));
     }
 
     /// What a [`stub_server`] answers a `Hello` item with.

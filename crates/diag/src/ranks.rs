@@ -38,19 +38,13 @@ use crate::Rank;
 
 /// Session discovery cache.
 pub const SESSION_DISCOVERIES: Rank = Rank::new(22, "core.session.discoveries");
-/// Session hello (capability) cache.
+/// Session per-endpoint cache: each endpoint's advertisement (coverage
+/// summary included) or dead mark.
 pub const SESSION_HELLOS: Rank = Rank::new(24, "core.session.hellos");
-/// Session coverage-summary cache (query-planner pruning state; may be
-/// refreshed while absorbing hellos, so it ranks inside the hello
-/// cache).
-pub const SESSION_COVERAGE: Rank = Rank::new(25, "core.session.coverage");
 /// Session statistics.
 pub const SESSION_STATS: Rank = Rank::new(26, "core.session.stats");
 /// Discovery statistics.
 pub const DISCOVERY_STATS: Rank = Rank::new(30, "core.discovery.stats");
-/// Fleet-selector replica dead-list (held across `Transport::now_us`,
-/// which takes the sim-net state lock).
-pub const FLEET_DEAD: Rank = Rank::new(34, "core.fleet.dead");
 /// DNS resolver referral/record cache.
 pub const RESOLVER_CACHE: Rank = Rank::new(40, "dns.resolver.cache");
 /// DNS resolver statistics.

@@ -20,13 +20,14 @@ use openflame_netsim::{EndpointId, Transport};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Maximum referral hops per query.
+const MAX_REFERRALS: usize = 16;
+
 /// Resolver tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ResolverConfig {
     /// Maximum cached (name, type) entries before LRU eviction.
     pub cache_capacity: usize,
-    /// Maximum referral hops per query.
-    pub max_referrals: usize,
     /// TTL applied to negative cache entries (NXDOMAIN, authoritative
     /// ServFail, lame delegations), seconds. Without it, every repeat
     /// lookup of a nonexistent or broken name re-walks the full
@@ -41,7 +42,6 @@ impl Default for ResolverConfig {
     fn default() -> Self {
         Self {
             cache_capacity: 4096,
-            max_referrals: 16,
             negative_ttl_s: 60,
             cache_enabled: true,
         }
@@ -314,7 +314,7 @@ impl Resolver {
                                 match self.interpret(&queries[i].0, queries[i].1, resp, walk) {
                                     WalkStep::Done(outcome) => Some(outcome),
                                     WalkStep::Referral(next) => {
-                                        if walk.responses_seen >= self.config.max_referrals {
+                                        if walk.responses_seen >= MAX_REFERRALS {
                                             Some(Err(DnsError::TooManyReferrals))
                                         } else {
                                             walk.candidates = next;

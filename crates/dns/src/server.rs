@@ -63,11 +63,6 @@ impl AuthServer {
         f(&mut self.zones.write())
     }
 
-    /// Runs `f` with shared access to the hosted zones.
-    pub fn with_zones<R>(&self, f: impl FnOnce(&[Zone]) -> R) -> R {
-        f(&self.zones.read())
-    }
-
     /// Total records across hosted zones.
     pub fn record_count(&self) -> usize {
         self.zones.read().iter().map(Zone::record_count).sum()

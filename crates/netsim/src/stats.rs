@@ -24,18 +24,6 @@ pub struct EndpointStats {
     pub tx_bytes: u64,
 }
 
-impl EndpointStats {
-    /// Total messages in either direction.
-    pub fn total_msgs(&self) -> u64 {
-        self.rx_msgs + self.tx_msgs
-    }
-
-    /// Total bytes in either direction.
-    pub fn total_bytes(&self) -> u64 {
-        self.rx_bytes + self.tx_bytes
-    }
-}
-
 /// Latency summary of completed calls *to* one endpoint, as observed by
 /// the callers on this transport handle.
 ///
@@ -68,18 +56,6 @@ impl EndpointLatency {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn totals_sum_directions() {
-        let s = EndpointStats {
-            rx_msgs: 2,
-            rx_bytes: 10,
-            tx_msgs: 3,
-            tx_bytes: 20,
-        };
-        assert_eq!(s.total_msgs(), 5);
-        assert_eq!(s.total_bytes(), 30);
-    }
 
     #[test]
     fn latency_ewma_first_sample_initializes() {

@@ -11,7 +11,7 @@
 //! Measured allocations per warm `plan_query` (median of 50 calls):
 //!
 //! - parent commit (deep-cloned `DiscoveryView`, one `HelloInfo` and one
-//!   `CoverageState` clone per considered source): **1531**
+//!   coverage-summary clone per considered source): **1531**
 //! - this commit (borrowed view, `Arc` targets): **102**
 //!
 //! The bound below is half the parent's count, as the issue asks; the
@@ -85,8 +85,8 @@ fn warm_plan_query_shares_cached_state_instead_of_copying_it() {
     );
     let centre = dep.world.config.center;
     let radius_m = 5_000.0;
-    // Warm up: discovery, every consulted replica's hello and coverage
-    // summary, and an answer streak per source.
+    // Warm up: discovery and every consulted replica's advertisement
+    // (coverage summary included).
     let product = dep.world.products[0].name.clone();
     for _ in 0..2 {
         dep.client

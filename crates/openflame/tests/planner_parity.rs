@@ -244,7 +244,7 @@ fn dead_replica_cached_state_is_purged_on_failover() {
                 && dep
                     .client
                     .session()
-                    .cached_coverage(m.server.endpoint())
+                    .advertised(m.server.endpoint())
                     .is_some()
         })
         .expect("the consulted replica cached its coverage")
@@ -270,10 +270,7 @@ fn dead_replica_cached_state_is_purged_on_failover() {
         "dead replica's capability cache entry must be purged"
     );
     assert!(
-        dep.client
-            .session()
-            .cached_coverage(victim.endpoint())
-            .is_none(),
+        dep.client.session().advertised(victim.endpoint()).is_none(),
         "dead replica's coverage cache entry must be purged"
     );
 

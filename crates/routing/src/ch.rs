@@ -57,6 +57,10 @@ struct ChEdge {
 /// ```
 pub struct ContractionHierarchy {
     graph: RoadGraph,
+    /// Contraction order (higher = more important). Queries need only
+    /// the upward graphs built from it; the determinism test compares
+    /// it across builds.
+    #[cfg_attr(not(test), allow(dead_code))]
     rank: Vec<usize>,
     up_out: Vec<Vec<ChEdge>>,
     up_in: Vec<Vec<ChEdge>>,
@@ -192,11 +196,6 @@ impl ContractionHierarchy {
     /// Number of shortcut edges added during preprocessing.
     pub fn shortcut_count(&self) -> usize {
         self.shortcut_count
-    }
-
-    /// The contraction rank of a graph index (higher = more important).
-    pub fn rank_of(&self, idx: usize) -> usize {
-        self.rank[idx]
     }
 
     fn priority(

@@ -71,11 +71,6 @@ impl Tile {
         out
     }
 
-    /// Approximate byte size on the wire (uncompressed pixels).
-    pub fn byte_size(&self) -> usize {
-        self.pixels.len() * 3
-    }
-
     /// Rebuilds a tile from raw RGB bytes (the wire form used by
     /// `GetTile` responses). Returns `None` on size mismatch.
     pub fn from_rgb(coord: TileCoord, rgb: &[u8]) -> Option<Self> {

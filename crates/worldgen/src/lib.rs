@@ -151,15 +151,6 @@ impl World {
             .apply(enu)
     }
 
-    /// A uniformly random geographic point within the city extent.
-    pub fn random_city_point<R: Rng>(&self, rng: &mut R) -> LatLng {
-        let w = self.config.blocks_x as f64 * self.config.block_m;
-        let h = self.config.blocks_y as f64 * self.config.block_m;
-        let p = Point2::new(rng.gen_range(0.0..w), rng.gen_range(0.0..h));
-        self.city_frame()
-            .from_local(p - Point2::new(w / 2.0, h / 2.0))
-    }
-
     /// Produces the misalignment transform for a venue: a similarity
     /// with random rotation, slight scale error, positioned at
     /// `enu_anchor`.

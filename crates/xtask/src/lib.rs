@@ -637,9 +637,10 @@ pub fn wire_tag_findings(protocol_src: &str, doc: &str) -> Vec<Finding> {
 }
 
 // ----------------------------------------------------------------
-// Rule: forbidden-api — raw sync primitives, reactor blocking, netsim
-// unwrap and thread spawns, the concrete simulator type above netsim,
-// a hand-rolled handshake in core outside the session.
+// Rule: forbidden-api — raw sync primitives, reactor blocking, unwrap
+// in the wire-facing crates, netsim thread spawns, the concrete
+// simulator type above netsim, a hand-rolled handshake or a
+// per-endpoint map in core outside the session.
 // ----------------------------------------------------------------
 
 /// Flags forbidden constructs in one Rust source file (non-test code
@@ -696,6 +697,29 @@ pub fn forbidden_api_findings(file: &str, content: &str) -> Vec<Finding> {
             "`Request::Hello` in core outside session.rs: the session appends the handshake; \
              do not hand-roll one (send the envelope, read `Session::cached_hello`)",
         );
+        // One entry per endpoint: a second map is a second thing to
+        // forget when the endpoint dies or re-advertises.
+        for needle in ["HashMap<EndpointId", "TtlCache<EndpointId"] {
+            flag_each(
+                needle,
+                &format!(
+                    "`{needle}, _>` in core outside session.rs: per-endpoint client state \
+                     lives in the session's one entry"
+                ),
+            );
+        }
+    }
+    // Code that parses or serves what arrives off the wire surfaces
+    // errors, it doesn't assert on them.
+    if ["netsim", "codec", "dns", "mapdata", "mapserver"]
+        .iter()
+        .any(|krate| file.starts_with(&format!("crates/{krate}/src/")))
+    {
+        flag_each(
+            ".unwrap()",
+            "`unwrap()` in non-test code of a wire-facing crate: propagate the error or \
+             use `expect(\"why this cannot fail\")`",
+        );
     }
     if file.contains("netsim/src/") {
         if !file.ends_with("netsim/src/core.rs") {
@@ -710,12 +734,6 @@ pub fn forbidden_api_findings(file: &str, content: &str) -> Vec<Finding> {
                 );
             }
         }
-        // Transport internals surface errors, they don't assert on them.
-        flag_each(
-            ".unwrap()",
-            "`unwrap()` in non-test netsim code: propagate the error or use \
-             `expect(\"why this cannot fail\")`",
-        );
     } else {
         // One door onto the wire: above netsim, code binds to the trait.
         flag_each(

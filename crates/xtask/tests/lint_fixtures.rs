@@ -251,11 +251,20 @@ mod tests { fn t() { std::thread::spawn(|| ()); } }
 #[test]
 fn forbidden_api_flags_netsim_unwrap() {
     let src = "fn f() { x.lock().unwrap(); }\n";
-    let f = forbidden_api_findings("crates/netsim/src/udp.rs", src);
-    assert_eq!(f.len(), 1);
-    assert!(f[0].msg.contains("unwrap"));
-    // The same code outside netsim is fine (expect-style discipline is
-    // netsim-only).
+    // Every crate that parses or serves what arrives off the wire.
+    for wire_facing in [
+        "crates/netsim/src/udp.rs",
+        "crates/codec/src/reader.rs",
+        "crates/dns/src/resolver.rs",
+        "crates/mapdata/src/patch.rs",
+        "crates/mapserver/src/server.rs",
+    ] {
+        let f = forbidden_api_findings(wire_facing, src);
+        assert_eq!(f.len(), 1, "{wire_facing}");
+        assert!(f[0].msg.contains("unwrap"));
+    }
+    // The same code elsewhere is fine (expect-style discipline is for
+    // the wire-facing crates).
     assert_eq!(forbidden_api_findings("crates/geo/src/lib.rs", src), vec![]);
 }
 
@@ -298,6 +307,25 @@ mod tests { fn t() { let _ = vec![Request::Hello]; } }
         "crates/core/src/session.rs",
         "crates/mapserver/src/server.rs",
     ] {
+        assert_eq!(forbidden_api_findings(home, src), vec![]);
+    }
+}
+
+#[test]
+fn forbidden_api_flags_a_per_endpoint_map_in_core_outside_the_session() {
+    let src = "\
+/// Not a `HashMap<EndpointId, u64>` any more.
+struct Selector { dead: OrderedMutex<HashMap<EndpointId, u64>> }
+struct Planner { coverage: TtlCache<EndpointId, Arc<Summary>>, cells: HashMap<u64, View> }
+#[cfg(test)]
+mod tests { fn t() { let _: HashMap<EndpointId, u8> = HashMap::new(); } }
+";
+    let f = forbidden_api_findings("crates/core/src/fleet.rs", src);
+    assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [2, 3]);
+    assert!(f[0].msg.contains("the session's one entry"));
+    // The one entry lives in the session; other crates key by endpoint
+    // freely (the transports' endpoint books do).
+    for home in ["crates/core/src/session.rs", "crates/netsim/src/core.rs"] {
         assert_eq!(forbidden_api_findings(home, src), vec![]);
     }
 }

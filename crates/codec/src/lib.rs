@@ -17,10 +17,21 @@
 //!
 //! Types opt in by implementing [`Wire`]; [`to_bytes`] / [`from_bytes`]
 //! are the entry points, and `from_bytes` rejects trailing garbage.
+//!
+//! A message type does not write that impl by hand: it is declared
+//! once, as a row of fields in a [`table`] ([`wire_struct!`] /
+//! [`wire_enum!`]), which generates both directions, the unknown-tag
+//! error and the tag list. A [`FieldCodec`] is how a table field
+//! crosses the wire when its type's own `Wire` impl is not the answer:
+//! the type's crate cannot implement `Wire`, or the field wants another
+//! encoding ([`Blob`] for bulk bytes). Hand-written `impl Wire` is for
+//! the primitives below and for the irregular messages each protocol
+//! module lists as its exceptions.
 
 pub mod framing;
 pub mod packet;
 pub mod reader;
+pub mod table;
 pub mod writer;
 
 pub use framing::{read_frame, write_frame, Frame, FRAME_HEADER_LEN, FRAME_VERSION};
@@ -29,6 +40,7 @@ pub use packet::{
     PACKET_VERSION, PAYLOAD_MTU,
 };
 pub use reader::Reader;
+pub use table::{Blob, FieldCodec, Opt, Own, Seq};
 pub use writer::Writer;
 
 use bytes::Bytes;
@@ -238,42 +250,19 @@ impl Wire for String {
 
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.len() as u64);
-        for item in self {
-            item.encode(w);
-        }
+        Seq::<Own>::put(w, self);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let n = r.read_length()?;
-        // Guard against a corrupt count causing a huge reservation: cap
-        // the initial reservation by what could plausibly remain.
-        let mut v = Vec::with_capacity(n.min(r.remaining().max(1)));
-        for _ in 0..n {
-            v.push(T::decode(r)?);
-        }
-        Ok(v)
+        Seq::<Own>::get(r)
     }
 }
 
 impl<T: Wire> Wire for Option<T> {
     fn encode(&self, w: &mut Writer) {
-        match self {
-            None => w.put_u8(0),
-            Some(v) => {
-                w.put_u8(1);
-                v.encode(w);
-            }
-        }
+        Opt::<Own>::put(w, self);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.read_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(r)?)),
-            tag => Err(CodecError::InvalidTag {
-                context: "Option",
-                tag: tag as u64,
-            }),
-        }
+        Opt::<Own>::get(r)
     }
 }
 

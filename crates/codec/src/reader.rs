@@ -42,6 +42,11 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// The next byte, left unconsumed: lets a decoder refuse a tag unentered.
+    pub fn peek_u8(&self) -> Result<u8, CodecError> {
+        Reader { ..*self }.read_u8()
+    }
+
     /// Reads an LEB128 varint.
     pub fn read_varint(&mut self) -> Result<u64, CodecError> {
         let mut result: u64 = 0;

@@ -1,8 +1,19 @@
 //! Resource records and the on-wire DNS message format.
+//!
+//! The wire form of every type here is declared once, in the message
+//! table below the type definitions (`openflame_codec::table`): fields
+//! in wire order, and for an enum each variant's tag. A [`RecordData`] payload is tagged with its
+//! [`RecordType`], so the two tables carry the same five rows; the
+//! conformance lint holds both to the one record-type table of
+//! `docs/wire-protocol.md` spec §2.1.
+//!
+//! Hand-written, because a table row cannot say it — the exception:
+//!
+//! - [`DomainName`]: decodes through the validating `from_labels`.
 
 use crate::name::DomainName;
 use crate::DnsError;
-use openflame_codec::{CodecError, Reader, Wire, Writer};
+use openflame_codec::{wire_enum, wire_struct, CodecError, Reader, Wire, Writer};
 
 /// Record types supported by the substrate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -21,32 +32,6 @@ pub enum RecordType {
     /// `MapSrv` record names one server, a `FleetSrv` record names the
     /// whole replicated + sharded fleet serving the same content.
     FleetSrv,
-}
-
-impl RecordType {
-    fn tag(&self) -> u8 {
-        match self {
-            RecordType::A => 0,
-            RecordType::Ns => 1,
-            RecordType::Txt => 2,
-            RecordType::MapSrv => 3,
-            RecordType::FleetSrv => 4,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self, CodecError> {
-        match tag {
-            0 => Ok(RecordType::A),
-            1 => Ok(RecordType::Ns),
-            2 => Ok(RecordType::Txt),
-            3 => Ok(RecordType::MapSrv),
-            4 => Ok(RecordType::FleetSrv),
-            t => Err(CodecError::InvalidTag {
-                context: "RecordType",
-                tag: t as u64,
-            }),
-        }
-    }
 }
 
 /// One replica server inside a fleet shard: interchangeable with its
@@ -146,28 +131,6 @@ pub enum Rcode {
     ServFail,
 }
 
-impl Rcode {
-    fn tag(&self) -> u8 {
-        match self {
-            Rcode::NoError => 0,
-            Rcode::NxDomain => 1,
-            Rcode::ServFail => 2,
-        }
-    }
-
-    fn from_tag(tag: u8) -> Result<Self, CodecError> {
-        match tag {
-            0 => Ok(Rcode::NoError),
-            1 => Ok(Rcode::NxDomain),
-            2 => Ok(Rcode::ServFail),
-            t => Err(CodecError::InvalidTag {
-                context: "Rcode",
-                tag: t as u64,
-            }),
-        }
-    }
-}
-
 /// A DNS query message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryMsg {
@@ -211,142 +174,37 @@ impl Wire for DomainName {
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let n = r.read_length()?;
-        let mut labels = Vec::with_capacity(n.min(16));
-        for _ in 0..n {
-            labels.push(r.read_string()?);
-        }
-        DomainName::from_labels(labels).map_err(|_| CodecError::InvalidTag {
+        DomainName::from_labels(Vec::<String>::decode(r)?).map_err(|_| CodecError::InvalidTag {
             context: "DomainName",
             tag: 0,
         })
     }
 }
 
-impl Wire for RecordData {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(self.rtype().tag());
-        match self {
-            RecordData::A(ep) => w.put_varint(*ep),
-            RecordData::Ns(host) => host.encode(w),
-            RecordData::Txt(s) => w.put_str(s),
-            RecordData::MapSrv {
-                endpoint,
-                server_id,
-                services,
-            } => {
-                w.put_varint(*endpoint);
-                w.put_str(server_id);
-                services.encode(w);
-            }
-            RecordData::FleetSrv {
-                group_id,
-                services,
-                shards,
-            } => {
-                w.put_str(group_id);
-                services.encode(w);
-                shards.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match RecordType::from_tag(r.read_u8()?)? {
-            RecordType::A => Ok(RecordData::A(r.read_varint()?)),
-            RecordType::Ns => Ok(RecordData::Ns(DomainName::decode(r)?)),
-            RecordType::Txt => Ok(RecordData::Txt(r.read_string()?)),
-            RecordType::MapSrv => Ok(RecordData::MapSrv {
-                endpoint: r.read_varint()?,
-                server_id: r.read_string()?,
-                services: Vec::decode(r)?,
-            }),
-            RecordType::FleetSrv => Ok(RecordData::FleetSrv {
-                group_id: r.read_string()?,
-                services: Vec::decode(r)?,
-                shards: Vec::decode(r)?,
-            }),
-        }
-    }
-}
-
-impl Wire for FleetReplica {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.endpoint);
-        w.put_str(&self.server_id);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(FleetReplica {
-            endpoint: r.read_varint()?,
-            server_id: r.read_string()?,
-        })
-    }
-}
-
-impl Wire for FleetShard {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.extents.len() as u64);
-        for e in &self.extents {
-            w.put_varint(*e);
-        }
-        self.replicas.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let n = r.read_length()?;
-        let mut extents = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            extents.push(r.read_varint()?);
-        }
-        Ok(FleetShard {
-            extents,
-            replicas: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Wire for Record {
-    fn encode(&self, w: &mut Writer) {
-        self.name.encode(w);
-        w.put_varint(self.ttl_s as u64);
-        self.data.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Record {
-            name: DomainName::decode(r)?,
-            ttl_s: r.read_varint()? as u32,
-            data: RecordData::decode(r)?,
-        })
-    }
-}
-
-impl Wire for QueryMsg {
-    fn encode(&self, w: &mut Writer) {
-        self.name.encode(w);
-        w.put_u8(self.rtype.tag());
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(QueryMsg {
-            name: DomainName::decode(r)?,
-            rtype: RecordType::from_tag(r.read_u8()?)?,
-        })
-    }
-}
-
-impl Wire for ResponseMsg {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(self.rcode.tag());
-        self.answers.encode(w);
-        self.authority.encode(w);
-        self.additional.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ResponseMsg {
-            rcode: Rcode::from_tag(r.read_u8()?)?,
-            answers: Vec::decode(r)?,
-            authority: Vec::decode(r)?,
-            additional: Vec::decode(r)?,
-        })
-    }
-}
+wire_enum! { RecordType, "RecordType" {
+    0 => A,
+    1 => Ns,
+    2 => Txt,
+    3 => MapSrv,
+    4 => FleetSrv,
+} }
+wire_enum! { RecordData, "RecordType" {
+    0 => A(endpoint),
+    1 => Ns(host),
+    2 => Txt(text),
+    3 => MapSrv { endpoint, server_id, services },
+    4 => FleetSrv { group_id, services, shards },
+} }
+wire_enum! { Rcode, "Rcode" {
+    0 => NoError,
+    1 => NxDomain,
+    2 => ServFail,
+} }
+wire_struct! { FleetReplica { endpoint, server_id } }
+wire_struct! { FleetShard { extents, replicas } }
+wire_struct! { Record { name, ttl_s, data } }
+wire_struct! { QueryMsg { name, rtype } }
+wire_struct! { ResponseMsg { rcode, answers, authority, additional } }
 
 /// Converts an rcode into a resolver-level error for a queried name.
 pub fn rcode_to_error(rcode: Rcode, name: &DomainName) -> Option<DnsError> {
@@ -428,6 +286,25 @@ mod tests {
             )],
         };
         assert_eq!(from_bytes::<ResponseMsg>(&to_bytes(&resp)).unwrap(), resp);
+    }
+
+    /// A TTL varint wider than `u32` is malformed (spec §2.1), not a
+    /// TTL of its low 32 bits.
+    #[test]
+    fn ttl_rejects_a_varint_wider_than_u32() {
+        let encode = |ttl: u64| {
+            let mut w = Writer::new();
+            name("a.flame.").encode(&mut w);
+            w.put_varint(ttl);
+            RecordData::A(9).encode(&mut w);
+            w.finish()
+        };
+        let ok = from_bytes::<Record>(&encode(u32::MAX as u64)).unwrap();
+        assert_eq!(ok.ttl_s, u32::MAX);
+        assert!(matches!(
+            from_bytes::<Record>(&encode(u32::MAX as u64 + 301)),
+            Err(CodecError::InvalidTag { context: "u32", .. })
+        ));
     }
 
     #[test]

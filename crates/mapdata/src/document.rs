@@ -131,6 +131,11 @@ impl MapDocument {
         self.meta.version += 1;
     }
 
+    /// Restores a version carried by an encoded document.
+    pub(crate) fn set_version(&mut self, version: u64) {
+        self.meta.version = version;
+    }
+
     /// The document's geo-reference.
     pub fn georef(&self) -> GeoReference {
         self.georef
@@ -158,7 +163,7 @@ impl MapDocument {
         if self.nodes.contains_key(&node.id) {
             return Err(MapError::DuplicateId(ElementId::Node(node.id)));
         }
-        self.next_id = self.next_id.max(node.id.0 + 1);
+        self.next_id = self.next_id.max(node.id.0.saturating_add(1));
         self.grid.insert(node.id, node.pos);
         self.nodes.insert(node.id, node);
         Ok(())
@@ -241,7 +246,7 @@ impl MapDocument {
                 });
             }
         }
-        self.next_id = self.next_id.max(way.id.0 + 1);
+        self.next_id = self.next_id.max(way.id.0.saturating_add(1));
         self.ways.insert(way.id, way);
         Ok(())
     }
@@ -313,7 +318,7 @@ impl MapDocument {
                 });
             }
         }
-        self.next_id = self.next_id.max(rel.id.0 + 1);
+        self.next_id = self.next_id.max(rel.id.0.saturating_add(1));
         self.relations.insert(rel.id, rel);
         Ok(())
     }

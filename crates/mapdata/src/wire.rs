@@ -1,94 +1,71 @@
 //! Wire-format encodings for map data, so documents and patches can
 //! cross the simulated network with honest byte accounting.
+//!
+//! Every type below is declared once, in the message table
+//! (`openflame_codec::table`): its fields in wire order, and for an
+//! enum each variant's tag. `Point2` and `LatLng` live in
+//! `openflame-geo`, which does not depend on the codec, so they cross
+//! the wire through the field codecs [`PointCodec`] and
+//! [`LatLngCodec`] instead of an `impl Wire`.
+//!
+//! Hand-written, because a table row cannot say it — the exceptions:
+//!
+//! - [`LatLngCodec`]: validates the coordinate range on decode.
+//! - [`Tags`]: a map, rebuilt through `insert`.
+//! - [`MapDocument`]: rebuilt through the validating `insert_*` calls,
+//!   so a decoded document upholds the document invariants.
 
 use crate::element::{ElementId, Member, Node, NodeId, Relation, RelationId, Way, WayId};
 use crate::{GeoReference, MapDocument, MapMeta, MapPatch, Tags};
-use openflame_codec::{CodecError, Reader, Wire, Writer};
+use openflame_codec::{wire_enum, wire_struct, CodecError, FieldCodec, Opt, Reader, Wire, Writer};
 use openflame_geo::{LatLng, Point2};
 
-/// Encodes a planar point (two f64s).
-pub fn put_point(w: &mut Writer, p: Point2) {
-    w.put_f64(p.x);
-    w.put_f64(p.y);
-}
+wire_struct! { Point2 as PointCodec { x, y } }
 
-/// Decodes a planar point.
-pub fn read_point(r: &mut Reader<'_>) -> Result<Point2, CodecError> {
-    Ok(Point2::new(r.read_f64()?, r.read_f64()?))
-}
+/// Field codec of [`LatLng`]: two f64s, range-checked on decode.
+pub struct LatLngCodec;
 
-/// Encodes a geodetic coordinate (two f64s).
-pub fn put_latlng(w: &mut Writer, p: LatLng) {
-    w.put_f64(p.lat());
-    w.put_f64(p.lng());
-}
-
-/// Decodes a geodetic coordinate, validating range.
-pub fn read_latlng(r: &mut Reader<'_>) -> Result<LatLng, CodecError> {
-    let lat = r.read_f64()?;
-    let lng = r.read_f64()?;
-    LatLng::new(lat, lng).map_err(|_| CodecError::InvalidTag {
-        context: "LatLng",
-        tag: 0,
-    })
-}
-
-impl Wire for NodeId {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.0);
+impl FieldCodec<LatLng> for LatLngCodec {
+    fn put(w: &mut Writer, p: &LatLng) {
+        w.put_f64(p.lat());
+        w.put_f64(p.lng());
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(NodeId(r.read_varint()?))
+    fn get(r: &mut Reader<'_>) -> Result<LatLng, CodecError> {
+        let lat = r.read_f64()?;
+        let lng = r.read_f64()?;
+        LatLng::new(lat, lng).map_err(|_| CodecError::InvalidTag {
+            context: "LatLng",
+            tag: 0,
+        })
     }
 }
 
-impl Wire for WayId {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.0);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(WayId(r.read_varint()?))
-    }
-}
-
-impl Wire for RelationId {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.0);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(RelationId(r.read_varint()?))
-    }
-}
-
-impl Wire for ElementId {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            ElementId::Node(id) => {
-                w.put_u8(0);
-                id.encode(w);
-            }
-            ElementId::Way(id) => {
-                w.put_u8(1);
-                id.encode(w);
-            }
-            ElementId::Relation(id) => {
-                w.put_u8(2);
-                id.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.read_u8()? {
-            0 => Ok(ElementId::Node(NodeId::decode(r)?)),
-            1 => Ok(ElementId::Way(WayId::decode(r)?)),
-            2 => Ok(ElementId::Relation(RelationId::decode(r)?)),
-            tag => Err(CodecError::InvalidTag {
-                context: "ElementId",
-                tag: tag as u64,
-            }),
-        }
-    }
-}
+wire_struct! { NodeId { 0 } }
+wire_struct! { WayId { 0 } }
+wire_struct! { RelationId { 0 } }
+wire_enum! { ElementId, "ElementId" {
+    0 => Node(id),
+    1 => Way(id),
+    2 => Relation(id),
+} }
+wire_struct! { Node { id, pos: PointCodec, tags } }
+wire_struct! { Way { id, nodes, tags } }
+wire_struct! { Member { element, role } }
+wire_struct! { Relation { id, members, tags } }
+wire_enum! { GeoReference, "GeoReference" {
+    0 => Anchored { origin: LatLngCodec },
+    1 => Unaligned { hint: Opt<LatLngCodec> },
+} }
+wire_struct! { MapMeta { name, provider, version } }
+wire_struct! { MapPatch {
+    base_version,
+    upsert_nodes,
+    upsert_ways,
+    upsert_relations,
+    remove_nodes,
+    remove_ways,
+    remove_relations,
+} }
 
 impl Wire for Tags {
     fn encode(&self, w: &mut Writer) {
@@ -107,124 +84,6 @@ impl Wire for Tags {
             tags.insert(k, v);
         }
         Ok(tags)
-    }
-}
-
-impl Wire for Node {
-    fn encode(&self, w: &mut Writer) {
-        self.id.encode(w);
-        put_point(w, self.pos);
-        self.tags.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Node {
-            id: NodeId::decode(r)?,
-            pos: read_point(r)?,
-            tags: Tags::decode(r)?,
-        })
-    }
-}
-
-impl Wire for Way {
-    fn encode(&self, w: &mut Writer) {
-        self.id.encode(w);
-        self.nodes.encode(w);
-        self.tags.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Way {
-            id: WayId::decode(r)?,
-            nodes: Vec::decode(r)?,
-            tags: Tags::decode(r)?,
-        })
-    }
-}
-
-impl Wire for Member {
-    fn encode(&self, w: &mut Writer) {
-        self.element.encode(w);
-        w.put_str(&self.role);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Member {
-            element: ElementId::decode(r)?,
-            role: r.read_string()?,
-        })
-    }
-}
-
-impl Wire for Relation {
-    fn encode(&self, w: &mut Writer) {
-        self.id.encode(w);
-        self.members.encode(w);
-        self.tags.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Relation {
-            id: RelationId::decode(r)?,
-            members: Vec::decode(r)?,
-            tags: Tags::decode(r)?,
-        })
-    }
-}
-
-impl Wire for GeoReference {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            GeoReference::Anchored { origin } => {
-                w.put_u8(0);
-                put_latlng(w, *origin);
-            }
-            GeoReference::Unaligned { hint } => {
-                w.put_u8(1);
-                match hint {
-                    Some(h) => {
-                        w.put_u8(1);
-                        put_latlng(w, *h);
-                    }
-                    None => w.put_u8(0),
-                }
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.read_u8()? {
-            0 => Ok(GeoReference::Anchored {
-                origin: read_latlng(r)?,
-            }),
-            1 => {
-                let hint = match r.read_u8()? {
-                    0 => None,
-                    1 => Some(read_latlng(r)?),
-                    tag => {
-                        return Err(CodecError::InvalidTag {
-                            context: "GeoReference hint",
-                            tag: tag as u64,
-                        })
-                    }
-                };
-                Ok(GeoReference::Unaligned { hint })
-            }
-            tag => Err(CodecError::InvalidTag {
-                context: "GeoReference",
-                tag: tag as u64,
-            }),
-        }
-    }
-}
-
-impl Wire for MapMeta {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.name);
-        w.put_str(&self.provider);
-        w.put_varint(self.version);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(MapMeta {
-            name: r.read_string()?,
-            provider: r.read_string()?,
-            version: r.read_varint()?,
-        })
     }
 }
 
@@ -248,7 +107,7 @@ impl Wire for MapDocument {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let meta = MapMeta::decode(r)?;
         let georef = GeoReference::decode(r)?;
-        let mut doc = MapDocument::new(meta.name.clone(), meta.provider.clone(), georef);
+        let mut doc = MapDocument::new(meta.name, meta.provider, georef);
         let invalid = |_| CodecError::InvalidTag {
             context: "MapDocument element",
             tag: 0,
@@ -265,33 +124,8 @@ impl Wire for MapDocument {
         for _ in 0..n_rels {
             doc.insert_relation(Relation::decode(r)?).map_err(invalid)?;
         }
-        for _ in 0..meta.version {
-            doc.bump_version();
-        }
+        doc.set_version(meta.version);
         Ok(doc)
-    }
-}
-
-impl Wire for MapPatch {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.base_version);
-        self.upsert_nodes.encode(w);
-        self.upsert_ways.encode(w);
-        self.upsert_relations.encode(w);
-        self.remove_nodes.encode(w);
-        self.remove_ways.encode(w);
-        self.remove_relations.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(MapPatch {
-            base_version: r.read_varint()?,
-            upsert_nodes: Vec::decode(r)?,
-            upsert_ways: Vec::decode(r)?,
-            upsert_relations: Vec::decode(r)?,
-            remove_nodes: Vec::decode(r)?,
-            remove_ways: Vec::decode(r)?,
-            remove_relations: Vec::decode(r)?,
-        })
     }
 }
 
@@ -369,7 +203,7 @@ mod tests {
         w.put_f64(0.0);
         let buf = w.finish();
         let mut r = Reader::new(&buf);
-        assert!(read_latlng(&mut r).is_err());
+        assert!(LatLngCodec::get(&mut r).is_err());
     }
 
     #[test]
@@ -386,6 +220,40 @@ mod tests {
         // Spot-check an element survived with tags.
         let grocery = decoded.nodes().find(|n| n.tags.is("shop", "grocery"));
         assert!(grocery.is_some());
+    }
+
+    /// The version is restored in O(1): a hostile `u64::MAX` neither
+    /// spins 2⁶⁴ bumps nor overflows one.
+    #[test]
+    fn document_with_the_largest_version_decodes_promptly_and_round_trips() {
+        let mut doc = sample_doc();
+        doc.set_version(u64::MAX);
+        let encoded = to_bytes(&doc);
+        let decoded = from_bytes::<MapDocument>(&encoded).unwrap();
+        assert_eq!(decoded.meta().version, u64::MAX);
+        assert_eq!(to_bytes(&decoded), encoded);
+    }
+
+    /// Element ids come off the wire: the largest one must not
+    /// overflow the document's next-id bookkeeping.
+    #[test]
+    fn document_with_the_largest_element_ids_decodes() {
+        let mut doc = MapDocument::new("m", "p", GeoReference::Unaligned { hint: None });
+        let id = NodeId(u64::MAX);
+        doc.insert_node(Node::new(id, Point2::ZERO, Tags::new()))
+            .unwrap();
+        doc.insert_way(Way::new(WayId(u64::MAX), vec![id, id], Tags::new()))
+            .unwrap();
+        let member = Member::new(ElementId::Node(id), "x");
+        doc.insert_relation(Relation::new(
+            RelationId(u64::MAX),
+            vec![member],
+            Tags::new(),
+        ))
+        .unwrap();
+        let encoded = to_bytes(&doc);
+        let decoded = from_bytes::<MapDocument>(&encoded).unwrap();
+        assert_eq!(to_bytes(&decoded), encoded);
     }
 
     #[test]

@@ -5,12 +5,22 @@
 //! localization technologies and portal nodes, which the paper calls
 //! out explicitly ("the location cue sent to the map server depends on
 //! the localization technology advertised by the server").
+//!
+//! The wire form of every message is declared once, in the message
+//! table at the bottom of this module (`openflame_codec::table`): each
+//! variant's tag and its fields in wire order. The table is the single
+//! in-code statement of the tags of `docs/wire-protocol.md` spec §2.1;
+//! the conformance lint compares its rows to the spec's, and
+//! `Request::TAGS` / `Response::TAGS` are what the Appendix B vectors
+//! are checked for completeness against.
 
 use crate::acl::Principal;
-use openflame_codec::{CodecError, Reader, Wire, Writer};
+use openflame_codec::{
+    wire_enum, wire_struct, Blob, CodecError, FieldCodec, Opt, Reader, Seq, Wire, Writer,
+};
 use openflame_geo::Point2;
 use openflame_localize::{Estimate, LocationCue};
-use openflame_mapdata::wire::{put_latlng, put_point, read_latlng, read_point};
+use openflame_mapdata::wire::{LatLngCodec, PointCodec};
 use openflame_mapdata::{ElementId, MapPatch};
 
 /// A request wrapped with the caller's identity.
@@ -349,241 +359,103 @@ pub fn principal_key(payload: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------
-// Wire implementations.
+// The message table.
+//
+// Hand-written, because a table row cannot say it — the exceptions:
+//
+// - `HelloInfo`: its anchor-presence byte doubles as the spec §13.2
+//   format tag, and the coverage summary rides as a self-delimiting
+//   blob whose trailing bytes are ignored.
+// - `BatchItem`, the codec of a batch's items: refuses a nested batch
+//   by peeking the tag *before* recursing, so a hostile payload
+//   cannot recurse the decoder.
 // ---------------------------------------------------------------
 
-impl Wire for Principal {
-    fn encode(&self, w: &mut Writer) {
-        self.user.encode(w);
-        self.app.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Principal {
-            user: Option::decode(r)?,
-            app: Option::decode(r)?,
-        })
-    }
-}
+wire_struct! { Principal { user, app } }
+wire_struct! { Envelope { principal, request } }
 
-/// Encodes a location cue (free function: `LocationCue` lives in
-/// `openflame-localize`, which does not depend on the codec).
-pub fn put_cue(w: &mut Writer, cue: &LocationCue) {
-    match cue {
-        LocationCue::Gnss { fix, accuracy_m } => {
-            w.put_u8(0);
-            put_latlng(w, *fix);
-            w.put_f64(*accuracy_m);
-        }
-        LocationCue::BeaconRssi { readings } => {
-            w.put_u8(1);
-            w.put_varint(readings.len() as u64);
-            for (id, rssi) in readings {
-                w.put_varint(*id);
-                w.put_f64(*rssi);
-            }
-        }
-        LocationCue::FiducialTag { tag_id } => {
-            w.put_u8(2);
-            w.put_varint(*tag_id);
-        }
-    }
-}
+wire_enum! { LocationCue as CueCodec, "LocationCue" {
+    0 => Gnss { fix: LatLngCodec, accuracy_m },
+    1 => BeaconRssi { readings },
+    2 => FiducialTag { tag_id },
+} }
 
-/// Decodes a location cue.
-pub fn read_cue(r: &mut Reader<'_>) -> Result<LocationCue, CodecError> {
-    match r.read_u8()? {
-        0 => Ok(LocationCue::Gnss {
-            fix: read_latlng(r)?,
-            accuracy_m: r.read_f64()?,
-        }),
-        1 => {
-            let n = r.read_length()?;
-            let mut readings = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                readings.push((r.read_varint()?, r.read_f64()?));
-            }
-            Ok(LocationCue::BeaconRssi { readings })
-        }
-        2 => Ok(LocationCue::FiducialTag {
-            tag_id: r.read_varint()?,
-        }),
-        tag => Err(CodecError::InvalidTag {
-            context: "LocationCue",
+wire_enum! { Request, "Request" {
+    0 => Hello,
+    1 => Geocode { query, k },
+    2 => ReverseGeocode { pos: PointCodec, radius_m },
+    3 => Search { query, center: Opt<PointCodec>, radius_m, k },
+    4 => Route { from, to },
+    5 => RouteMatrix { entries, exits },
+    6 => Localize { cues: Seq<CueCodec> },
+    7 => GetTile { z, x, y },
+    8 => ApplyPatch { patch },
+    9 => NearestNode { pos: PointCodec },
+    10 => Batch(requests: Seq<BatchItem>),
+} }
+
+wire_enum! { Response, "Response" {
+    0 => Hello(info),
+    1 => Geocode { hits },
+    2 => ReverseGeocode { hit },
+    3 => Search { results },
+    4 => Route { route },
+    5 => RouteMatrix { costs },
+    6 => Localize { estimates },
+    7 => Tile { z, x, y, rgb: Blob },
+    8 => PatchApplied { version },
+    9 => Error { code, message },
+    10 => NearestNode { node },
+    11 => Batch(responses: Seq<BatchItem>),
+    12 => Busy { retry_after_us },
+} }
+
+wire_struct! { CoverageExtent { cells, center: LatLngCodec, radius_m } }
+wire_struct! { CoverageSummary { kinds, extent } }
+wire_struct! { WireGeocodeHit { element, pos: PointCodec, score, label } }
+wire_struct! { WireSearchResult { element, pos: PointCodec, score, distance_m, label } }
+wire_struct! { WireRoute { nodes, cost, length_m, geometry: Seq<PointCodec> } }
+wire_struct! { WireEstimate { pos: PointCodec, error_m, technology } }
+
+/// Codec of one item of a `Batch`: any message but another batch.
+/// Batches are flat (spec §2.1), and the refusal happens on the peeked
+/// tag, before the decoder descends.
+pub struct BatchItem;
+
+/// Refuses the message `r` stands at if the table of its direction
+/// calls its tag `Batch` — looked up in the rows, not restated here.
+fn refuse_batch(
+    r: &Reader<'_>,
+    tags: &[(u8, &str)],
+    context: &'static str,
+) -> Result<(), CodecError> {
+    let tag = r.peek_u8()?;
+    if tags.contains(&(tag, "Batch")) {
+        return Err(CodecError::InvalidTag {
+            context,
             tag: tag as u64,
-        }),
+        });
+    }
+    Ok(())
+}
+
+impl FieldCodec<Request> for BatchItem {
+    fn put(w: &mut Writer, v: &Request) {
+        v.encode(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Request, CodecError> {
+        refuse_batch(r, Request::TAGS, "nested Request::Batch")?;
+        Request::decode(r)
     }
 }
 
-impl Wire for Request {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Request::Hello => w.put_u8(0),
-            Request::Geocode { query, k } => {
-                w.put_u8(1);
-                w.put_str(query);
-                w.put_varint(*k as u64);
-            }
-            Request::ReverseGeocode { pos, radius_m } => {
-                w.put_u8(2);
-                put_point(w, *pos);
-                w.put_f64(*radius_m);
-            }
-            Request::Search {
-                query,
-                center,
-                radius_m,
-                k,
-            } => {
-                w.put_u8(3);
-                w.put_str(query);
-                match center {
-                    Some(c) => {
-                        w.put_u8(1);
-                        put_point(w, *c);
-                    }
-                    None => w.put_u8(0),
-                }
-                w.put_f64(*radius_m);
-                w.put_varint(*k as u64);
-            }
-            Request::Route { from, to } => {
-                w.put_u8(4);
-                w.put_varint(*from);
-                w.put_varint(*to);
-            }
-            Request::RouteMatrix { entries, exits } => {
-                w.put_u8(5);
-                entries.encode(w);
-                exits.encode(w);
-            }
-            Request::Localize { cues } => {
-                w.put_u8(6);
-                w.put_varint(cues.len() as u64);
-                for c in cues {
-                    put_cue(w, c);
-                }
-            }
-            Request::GetTile { z, x, y } => {
-                w.put_u8(7);
-                w.put_u8(*z);
-                w.put_varint(*x as u64);
-                w.put_varint(*y as u64);
-            }
-            Request::ApplyPatch { patch } => {
-                w.put_u8(8);
-                patch.encode(w);
-            }
-            Request::NearestNode { pos } => {
-                w.put_u8(9);
-                put_point(w, *pos);
-            }
-            Request::Batch(requests) => {
-                w.put_u8(10);
-                w.put_varint(requests.len() as u64);
-                for req in requests {
-                    req.encode(w);
-                }
-            }
-        }
+impl FieldCodec<Response> for BatchItem {
+    fn put(w: &mut Writer, v: &Response) {
+        v.encode(w);
     }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        decode_request(r, false)
-    }
-}
-
-/// Decodes one request; `inside_batch` rejects nested batches so a
-/// corrupt or hostile payload cannot recurse the decoder arbitrarily.
-fn decode_request(r: &mut Reader<'_>, inside_batch: bool) -> Result<Request, CodecError> {
-    {
-        match r.read_u8()? {
-            0 => Ok(Request::Hello),
-            1 => Ok(Request::Geocode {
-                query: r.read_string()?,
-                k: r.read_varint()? as u32,
-            }),
-            2 => Ok(Request::ReverseGeocode {
-                pos: read_point(r)?,
-                radius_m: r.read_f64()?,
-            }),
-            3 => {
-                let query = r.read_string()?;
-                let center = match r.read_u8()? {
-                    0 => None,
-                    1 => Some(read_point(r)?),
-                    tag => {
-                        return Err(CodecError::InvalidTag {
-                            context: "Search center",
-                            tag: tag as u64,
-                        })
-                    }
-                };
-                Ok(Request::Search {
-                    query,
-                    center,
-                    radius_m: r.read_f64()?,
-                    k: r.read_varint()? as u32,
-                })
-            }
-            4 => Ok(Request::Route {
-                from: r.read_varint()?,
-                to: r.read_varint()?,
-            }),
-            5 => Ok(Request::RouteMatrix {
-                entries: Vec::decode(r)?,
-                exits: Vec::decode(r)?,
-            }),
-            6 => {
-                let n = r.read_length()?;
-                let mut cues = Vec::with_capacity(n.min(32));
-                for _ in 0..n {
-                    cues.push(read_cue(r)?);
-                }
-                Ok(Request::Localize { cues })
-            }
-            7 => Ok(Request::GetTile {
-                z: r.read_u8()?,
-                x: r.read_varint()? as u32,
-                y: r.read_varint()? as u32,
-            }),
-            8 => Ok(Request::ApplyPatch {
-                patch: MapPatch::decode(r)?,
-            }),
-            9 => Ok(Request::NearestNode {
-                pos: read_point(r)?,
-            }),
-            10 => {
-                if inside_batch {
-                    return Err(CodecError::InvalidTag {
-                        context: "nested Request::Batch",
-                        tag: 10,
-                    });
-                }
-                let n = r.read_length()?;
-                let mut requests = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    requests.push(decode_request(r, true)?);
-                }
-                Ok(Request::Batch(requests))
-            }
-            tag => Err(CodecError::InvalidTag {
-                context: "Request",
-                tag: tag as u64,
-            }),
-        }
-    }
-}
-
-impl Wire for Envelope {
-    fn encode(&self, w: &mut Writer) {
-        self.principal.encode(w);
-        self.request.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Envelope {
-            principal: Principal::decode(r)?,
-            request: Request::decode(r)?,
-        })
+    fn get(r: &mut Reader<'_>) -> Result<Response, CodecError> {
+        refuse_batch(r, Response::TAGS, "nested Response::Batch")?;
+        Response::decode(r)
     }
 }
 
@@ -606,13 +478,13 @@ impl Wire for HelloInfo {
             (true, true) => 3,
         };
         w.put_u8(fmt);
-        if let Some(a) = self.anchor {
-            put_latlng(w, a);
+        if let Some(a) = &self.anchor {
+            LatLngCodec::put(w, a);
         }
         w.put_varint(self.portals.len() as u64);
         for (node, hint) in &self.portals {
             w.put_varint(*node);
-            put_latlng(w, *hint);
+            LatLngCodec::put(w, hint);
         }
         w.put_varint(self.version);
         if let Some(cov) = &self.coverage {
@@ -643,14 +515,14 @@ impl Wire for HelloInfo {
             }
         };
         let anchor = if has_anchor {
-            Some(read_latlng(r)?)
+            Some(LatLngCodec::get(r)?)
         } else {
             None
         };
         let n = r.read_length()?;
         let mut portals = Vec::with_capacity(n.min(32));
         for _ in 0..n {
-            portals.push((r.read_varint()?, read_latlng(r)?));
+            portals.push((r.read_varint()?, LatLngCodec::get(r)?));
         }
         let version = r.read_varint()?;
         let coverage = if has_coverage {
@@ -673,310 +545,6 @@ impl Wire for HelloInfo {
             version,
             coverage,
         })
-    }
-}
-
-impl Wire for CoverageSummary {
-    fn encode(&self, w: &mut Writer) {
-        w.put_varint(self.kinds.len() as u64);
-        for (kind, count) in &self.kinds {
-            w.put_str(kind);
-            w.put_varint(*count);
-        }
-        match &self.extent {
-            None => w.put_u8(0),
-            Some(e) => {
-                w.put_u8(1);
-                self.encode_extent(w, e);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let n = r.read_length()?;
-        let mut kinds = Vec::with_capacity(n.min(16));
-        for _ in 0..n {
-            kinds.push((r.read_string()?, r.read_varint()?));
-        }
-        let extent = match r.read_u8()? {
-            0 => None,
-            1 => {
-                let m = r.read_length()?;
-                let mut cells = Vec::with_capacity(m.min(64));
-                for _ in 0..m {
-                    cells.push(r.read_varint()?);
-                }
-                Some(CoverageExtent {
-                    cells,
-                    center: read_latlng(r)?,
-                    radius_m: r.read_f64()?,
-                })
-            }
-            tag => {
-                return Err(CodecError::InvalidTag {
-                    context: "CoverageSummary extent",
-                    tag: tag as u64,
-                })
-            }
-        };
-        Ok(CoverageSummary { kinds, extent })
-    }
-}
-
-impl CoverageSummary {
-    fn encode_extent(&self, w: &mut Writer, e: &CoverageExtent) {
-        w.put_varint(e.cells.len() as u64);
-        for c in &e.cells {
-            w.put_varint(*c);
-        }
-        put_latlng(w, e.center);
-        w.put_f64(e.radius_m);
-    }
-}
-
-impl Wire for WireGeocodeHit {
-    fn encode(&self, w: &mut Writer) {
-        self.element.encode(w);
-        put_point(w, self.pos);
-        w.put_f64(self.score);
-        w.put_str(&self.label);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(WireGeocodeHit {
-            element: ElementId::decode(r)?,
-            pos: read_point(r)?,
-            score: r.read_f64()?,
-            label: r.read_string()?,
-        })
-    }
-}
-
-impl Wire for WireSearchResult {
-    fn encode(&self, w: &mut Writer) {
-        self.element.encode(w);
-        put_point(w, self.pos);
-        w.put_f64(self.score);
-        w.put_f64(self.distance_m);
-        w.put_str(&self.label);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(WireSearchResult {
-            element: ElementId::decode(r)?,
-            pos: read_point(r)?,
-            score: r.read_f64()?,
-            distance_m: r.read_f64()?,
-            label: r.read_string()?,
-        })
-    }
-}
-
-impl Wire for WireRoute {
-    fn encode(&self, w: &mut Writer) {
-        self.nodes.encode(w);
-        w.put_f64(self.cost);
-        w.put_f64(self.length_m);
-        w.put_varint(self.geometry.len() as u64);
-        for p in &self.geometry {
-            put_point(w, *p);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let nodes = Vec::decode(r)?;
-        let cost = r.read_f64()?;
-        let length_m = r.read_f64()?;
-        let n = r.read_length()?;
-        let mut geometry = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            geometry.push(read_point(r)?);
-        }
-        Ok(WireRoute {
-            nodes,
-            cost,
-            length_m,
-            geometry,
-        })
-    }
-}
-
-impl Wire for WireEstimate {
-    fn encode(&self, w: &mut Writer) {
-        put_point(w, self.pos);
-        w.put_f64(self.error_m);
-        w.put_str(&self.technology);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(WireEstimate {
-            pos: read_point(r)?,
-            error_m: r.read_f64()?,
-            technology: r.read_string()?,
-        })
-    }
-}
-
-impl Wire for Response {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Response::Hello(info) => {
-                w.put_u8(0);
-                info.encode(w);
-            }
-            Response::Geocode { hits } => {
-                w.put_u8(1);
-                hits.encode(w);
-            }
-            Response::ReverseGeocode { hit } => {
-                w.put_u8(2);
-                hit.encode(w);
-            }
-            Response::Search { results } => {
-                w.put_u8(3);
-                results.encode(w);
-            }
-            Response::Route { route } => {
-                w.put_u8(4);
-                route.encode(w);
-            }
-            Response::RouteMatrix { costs } => {
-                w.put_u8(5);
-                w.put_varint(costs.len() as u64);
-                for row in costs {
-                    w.put_varint(row.len() as u64);
-                    for c in row {
-                        w.put_f64(*c);
-                    }
-                }
-            }
-            Response::Localize { estimates } => {
-                w.put_u8(6);
-                estimates.encode(w);
-            }
-            Response::Tile { z, x, y, rgb } => {
-                w.put_u8(7);
-                w.put_u8(*z);
-                w.put_varint(*x as u64);
-                w.put_varint(*y as u64);
-                w.put_bytes(rgb);
-            }
-            Response::PatchApplied { version } => {
-                w.put_u8(8);
-                w.put_varint(*version);
-            }
-            Response::NearestNode { node } => {
-                w.put_u8(10);
-                match node {
-                    Some((id, d)) => {
-                        w.put_u8(1);
-                        w.put_varint(*id);
-                        w.put_f64(*d);
-                    }
-                    None => w.put_u8(0),
-                }
-            }
-            Response::Error { code, message } => {
-                w.put_u8(9);
-                w.put_u8(*code);
-                w.put_str(message);
-            }
-            Response::Batch(responses) => {
-                w.put_u8(11);
-                w.put_varint(responses.len() as u64);
-                for resp in responses {
-                    resp.encode(w);
-                }
-            }
-            Response::Busy { retry_after_us } => {
-                w.put_u8(12);
-                w.put_varint(*retry_after_us);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        decode_response(r, false)
-    }
-}
-
-/// Decodes one response; `inside_batch` mirrors [`decode_request`]'s
-/// nested-batch rejection.
-fn decode_response(r: &mut Reader<'_>, inside_batch: bool) -> Result<Response, CodecError> {
-    {
-        match r.read_u8()? {
-            0 => Ok(Response::Hello(HelloInfo::decode(r)?)),
-            1 => Ok(Response::Geocode {
-                hits: Vec::decode(r)?,
-            }),
-            2 => Ok(Response::ReverseGeocode {
-                hit: Option::decode(r)?,
-            }),
-            3 => Ok(Response::Search {
-                results: Vec::decode(r)?,
-            }),
-            4 => Ok(Response::Route {
-                route: Option::decode(r)?,
-            }),
-            5 => {
-                let rows = r.read_length()?;
-                let mut costs = Vec::with_capacity(rows.min(128));
-                for _ in 0..rows {
-                    let cols = r.read_length()?;
-                    let mut row = Vec::with_capacity(cols.min(128));
-                    for _ in 0..cols {
-                        row.push(r.read_f64()?);
-                    }
-                    costs.push(row);
-                }
-                Ok(Response::RouteMatrix { costs })
-            }
-            6 => Ok(Response::Localize {
-                estimates: Vec::decode(r)?,
-            }),
-            7 => Ok(Response::Tile {
-                z: r.read_u8()?,
-                x: r.read_varint()? as u32,
-                y: r.read_varint()? as u32,
-                rgb: r.read_bytes()?,
-            }),
-            8 => Ok(Response::PatchApplied {
-                version: r.read_varint()?,
-            }),
-            9 => Ok(Response::Error {
-                code: r.read_u8()?,
-                message: r.read_string()?,
-            }),
-            10 => {
-                let node = match r.read_u8()? {
-                    0 => None,
-                    1 => Some((r.read_varint()?, r.read_f64()?)),
-                    tag => {
-                        return Err(CodecError::InvalidTag {
-                            context: "NearestNode",
-                            tag: tag as u64,
-                        })
-                    }
-                };
-                Ok(Response::NearestNode { node })
-            }
-            11 => {
-                if inside_batch {
-                    return Err(CodecError::InvalidTag {
-                        context: "nested Response::Batch",
-                        tag: 11,
-                    });
-                }
-                let n = r.read_length()?;
-                let mut responses = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    responses.push(decode_response(r, true)?);
-                }
-                Ok(Response::Batch(responses))
-            }
-            12 => Ok(Response::Busy {
-                retry_after_us: r.read_varint()?,
-            }),
-            tag => Err(CodecError::InvalidTag {
-                context: "Response",
-                tag: tag as u64,
-            }),
-        }
     }
 }
 
@@ -1199,13 +767,13 @@ mod tests {
             match anchor {
                 Some(a) => {
                     w.put_u8(1);
-                    openflame_mapdata::wire::put_latlng(&mut w, a);
+                    LatLngCodec::put(&mut w, &a);
                 }
                 None => w.put_u8(0),
             }
             w.put_varint(1); // portals
             w.put_varint(42);
-            openflame_mapdata::wire::put_latlng(&mut w, LatLng::new(40.0, -80.0).unwrap());
+            LatLngCodec::put(&mut w, &LatLng::new(40.0, -80.0).unwrap());
             w.put_varint(9); // version
             let bytes = w.finish();
             let back = from_bytes::<HelloInfo>(&bytes).unwrap();
@@ -1297,6 +865,54 @@ mod tests {
         // Garbage degrades to the anonymous bucket, never panics.
         assert_eq!(principal_key(&[0xFF, 0xFE, 0x07]), 0);
         assert_eq!(principal_key(&[]), 0);
+    }
+
+    /// A peer's varint wider than the `u32` it lands in is malformed
+    /// (spec §2.1) — not tile 5 for a column of 2³² + 5.
+    #[test]
+    fn u32_fields_reject_wider_varints() {
+        use openflame_codec::Writer;
+        let wide = u32::MAX as u64 + 6;
+        let msg = |tag: u8, lead: &[u8], varints: &[u64], tail: &[u8]| {
+            let mut w = Writer::new();
+            w.put_u8(tag);
+            w.put_raw(lead);
+            varints.iter().for_each(|v| w.put_varint(*v));
+            w.put_raw(tail);
+            w.finish()
+        };
+        let is_refused = |r: Result<(), CodecError>| matches!(r, Err(CodecError::InvalidTag { context: "u32", tag }) if tag == wide);
+        // query "x", no center, radius 100.0 — then k.
+        let search = [&[1u8, b'x', 0][..], &100f64.to_le_bytes()].concat();
+        for (what, bytes) in [
+            ("Geocode.k", msg(1, &[1, b'x'], &[wide], &[])),
+            ("Search.k", msg(3, &search, &[wide], &[])),
+            ("GetTile.x", msg(7, &[16], &[wide, 2], &[])),
+            ("GetTile.y", msg(7, &[16], &[1, wide], &[])),
+        ] {
+            assert!(
+                is_refused(from_bytes::<Request>(&bytes).map(drop)),
+                "{what}"
+            );
+        }
+        for (what, bytes) in [
+            ("Tile.x", msg(7, &[3], &[wide, 2], &[0])),
+            ("Tile.y", msg(7, &[3], &[1, wide], &[0])),
+        ] {
+            assert!(
+                is_refused(from_bytes::<Response>(&bytes).map(drop)),
+                "{what}"
+            );
+        }
+        // In range, the same shape decodes.
+        assert_eq!(
+            from_bytes::<Request>(&msg(7, &[16], &[u32::MAX as u64, 0], &[])).unwrap(),
+            Request::GetTile {
+                z: 16,
+                x: u32::MAX,
+                y: 0
+            }
+        );
     }
 
     #[test]

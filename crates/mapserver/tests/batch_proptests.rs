@@ -1,84 +1,56 @@
 //! Property-based round-trip coverage for the batched wire protocol:
 //! arbitrary flat batches of requests and responses must survive
-//! encode → decode bit-exactly inside an [`Envelope`].
+//! encode → decode bit-exactly inside an [`Envelope`]. Items are drawn
+//! from the spec's Appendix B vectors, so every variant of both
+//! directions rides in a batch.
 
-use openflame_codec::{from_bytes, to_bytes};
-use openflame_geo::Point2;
-use openflame_mapdata::{ElementId, NodeId};
-use openflame_mapserver::protocol::{
-    Envelope, Request, Response, WireGeocodeHit, WireSearchResult,
-};
+mod vectors;
+
+use openflame_codec::{from_bytes, to_bytes, Wire};
+use openflame_mapserver::protocol::{Envelope, Request, Response};
 use openflame_mapserver::Principal;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
-fn arb_point() -> impl Strategy<Value = Point2> {
-    (-10_000.0f64..10_000.0, -10_000.0f64..10_000.0).prop_map(|(x, y)| Point2::new(x, y))
+/// Every non-batch message of a direction the appendix has a vector for.
+fn request_pool() -> Vec<Request> {
+    let mut pool = vectors::decoded::<Request>("Request");
+    pool.retain(|r| !matches!(r, Request::Batch(_)));
+    pool
 }
 
-/// One non-batch request, arbitrary enough to cover every field shape
-/// that appears inside batches on the real fan-out paths.
+fn response_pool() -> Vec<Response> {
+    let mut pool = vectors::decoded::<Response>("Response");
+    pool.retain(|r| !matches!(r, Response::Batch(_)));
+    pool
+}
+
+fn drawn_from<T: Clone>(pool: Vec<T>) -> impl Strategy<Value = T> {
+    (0..pool.len()).prop_map(move |i| pool[i].clone())
+}
+
 fn arb_inner_request() -> impl Strategy<Value = Request> {
-    (
-        0u8..5,
-        "[a-z0-9 ]{0,12}",
-        arb_point(),
-        0.0f64..5_000.0,
-        proptest::collection::vec(any::<u64>(), 0..6),
-        1u32..20,
-    )
-        .prop_map(|(kind, text, pos, radius, nodes, k)| match kind {
-            0 => Request::Hello,
-            1 => Request::Geocode { query: text, k },
-            2 => Request::Search {
-                query: text,
-                center: Some(pos),
-                radius_m: radius,
-                k,
-            },
-            3 => Request::RouteMatrix {
-                entries: nodes.clone(),
-                exits: nodes,
-            },
-            _ => Request::NearestNode { pos },
-        })
+    drawn_from(request_pool())
 }
 
 fn arb_inner_response() -> impl Strategy<Value = Response> {
-    (
-        0u8..5,
-        "[a-z0-9 ]{0,12}",
-        arb_point(),
-        any::<f64>().prop_filter("finite", |f| f.is_finite()),
-        proptest::collection::vec(any::<u64>(), 0..6),
-        any::<u64>(),
-    )
-        .prop_map(|(kind, text, pos, score, nodes, version)| match kind {
-            0 => Response::Geocode {
-                hits: vec![WireGeocodeHit {
-                    element: ElementId::Node(NodeId(version)),
-                    pos,
-                    score,
-                    label: text,
-                }],
-            },
-            1 => Response::Search {
-                results: vec![WireSearchResult {
-                    element: ElementId::Node(NodeId(version)),
-                    pos,
-                    score,
-                    distance_m: score.abs(),
-                    label: text,
-                }],
-            },
-            2 => Response::RouteMatrix {
-                costs: vec![nodes.iter().map(|n| *n as f64).collect()],
-            },
-            3 => Response::Error {
-                code: (version % 250) as u8,
-                message: text,
-            },
-            _ => Response::PatchApplied { version },
-        })
+    drawn_from(response_pool())
+}
+
+/// The draw pool is every variant but `Batch` — by the table's own
+/// list, so a new message rides in these batches the day it gets its
+/// vector.
+#[test]
+fn every_variant_but_batch_is_in_the_draw_pool() {
+    fn tags<T: Wire>(pool: &[T]) -> BTreeSet<u8> {
+        pool.iter().map(|item| to_bytes(item)[0]).collect()
+    }
+    let but_batch = |rows: &[(u8, &str)]| -> BTreeSet<u8> {
+        let rows = rows.iter().filter(|row| row.1 != "Batch");
+        rows.map(|row| row.0).collect()
+    };
+    assert_eq!(tags(&request_pool()), but_batch(Request::TAGS));
+    assert_eq!(tags(&response_pool()), but_batch(Response::TAGS));
 }
 
 proptest! {

@@ -5,9 +5,9 @@
 //! never prune", and summary blobs must tolerate trailing bytes from
 //! future versions.
 
-use openflame_codec::{from_bytes, to_bytes, Wire, Writer};
+use openflame_codec::{from_bytes, to_bytes, FieldCodec, Wire, Writer};
 use openflame_geo::LatLng;
-use openflame_mapdata::wire::put_latlng;
+use openflame_mapdata::wire::LatLngCodec;
 use openflame_mapserver::protocol::{HelloInfo, Response};
 use openflame_mapserver::{CoverageExtent, CoverageSummary};
 use proptest::prelude::*;
@@ -86,14 +86,14 @@ fn legacy_bytes(hello: &HelloInfo) -> Vec<u8> {
     match hello.anchor {
         Some(a) => {
             w.put_u8(1);
-            put_latlng(&mut w, a);
+            LatLngCodec::put(&mut w, &a);
         }
         None => w.put_u8(0),
     }
     w.put_varint(hello.portals.len() as u64);
     for (node, hint) in &hello.portals {
         w.put_varint(*node);
-        put_latlng(&mut w, *hint);
+        LatLngCodec::put(&mut w, hint);
     }
     w.put_varint(hello.version);
     w.finish().to_vec()
@@ -152,14 +152,14 @@ proptest! {
         match hello.anchor {
             Some(a) => {
                 w.put_u8(3);
-                put_latlng(&mut w, a);
+                LatLngCodec::put(&mut w, &a);
             }
             None => w.put_u8(2),
         }
         w.put_varint(hello.portals.len() as u64);
         for (node, hint) in &hello.portals {
             w.put_varint(*node);
-            put_latlng(&mut w, *hint);
+            LatLngCodec::put(&mut w, hint);
         }
         w.put_varint(hello.version);
         let mut cw = Writer::new();

@@ -7,12 +7,12 @@
 #![allow(dead_code)]
 
 use openflame_codec::{
-    decode_packet, encode_packet, from_bytes, read_frame, to_bytes, write_frame, Reader, Wire,
-    Writer,
+    decode_packet, encode_packet, from_bytes, read_frame, to_bytes, write_frame, FieldCodec,
+    Reader, Wire, Writer,
 };
 use openflame_dns::record::{QueryMsg, ResponseMsg};
 use openflame_mapdata::{MapDocument, MapPatch};
-use openflame_mapserver::protocol::{put_cue, read_cue};
+use openflame_mapserver::protocol::{CueCodec, HelloInfo};
 use openflame_mapserver::{Envelope, Request, Response};
 
 /// The spec, as committed.
@@ -84,15 +84,16 @@ pub fn recode(label: &str, bytes: &[u8]) -> Option<Vec<u8>> {
         "Request" => via::<Request>(bytes),
         "Response" => via::<Response>(bytes),
         "Envelope" => via::<Envelope>(bytes),
+        "HelloInfo" => via::<HelloInfo>(bytes),
         "QueryMsg" => via::<QueryMsg>(bytes),
         "ResponseMsg" => via::<ResponseMsg>(bytes),
         "MapPatch" => via::<MapPatch>(bytes),
         "MapDocument" => via::<MapDocument>(bytes),
         "LocationCue" => {
             let mut r = Reader::new(bytes);
-            let cue = read_cue(&mut r).ok().filter(|_| r.remaining() == 0)?;
+            let cue = CueCodec::get(&mut r).ok().filter(|_| r.remaining() == 0)?;
             let mut w = Writer::new();
-            put_cue(&mut w, &cue);
+            CueCodec::put(&mut w, &cue);
             Some(w.finish().to_vec())
         }
         "Frame" => {

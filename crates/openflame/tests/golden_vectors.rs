@@ -6,6 +6,10 @@
 #[path = "../../mapserver/tests/vectors/mod.rs"]
 mod vectors;
 
+use openflame_codec::to_bytes;
+use openflame_dns::record::ResponseMsg;
+use openflame_dns::{RecordData, RecordType};
+use openflame_mapserver::{Request, Response};
 use std::collections::BTreeSet;
 
 #[test]
@@ -26,19 +30,36 @@ fn labels_are_unique() {
     assert_eq!(labels.len(), all.len());
 }
 
-/// The first payload byte of a `Request` / `Response` is its tag.
-fn tags_with_a_vector(type_name: &str) -> BTreeSet<u8> {
-    vectors::all()
-        .iter()
-        .filter(|(label, _)| vectors::type_of(label) == type_name)
-        .map(|(_, bytes)| bytes[0])
-        .collect()
-}
-
+/// Completeness comes from the message table: a variant added to
+/// `Request`, `Response` or `RecordType` fails here until the appendix
+/// carries a vector for it.
 #[test]
-fn every_message_tag_has_a_vector() {
-    assert_eq!(tags_with_a_vector("Request"), (0..=10).collect());
-    assert_eq!(tags_with_a_vector("Response"), (0..=12).collect());
+fn every_tag_of_the_message_tables_has_a_vector() {
+    let all = vectors::all();
+    let has_vector = |type_name: &str, (tag, variant): &(u8, &str)| {
+        all.iter().any(|(label, bytes)| {
+            vectors::type_of(label) == type_name
+                && vectors::variant_of(label) == Some(variant)
+                && bytes[0] == *tag
+        })
+    };
+    for row in Request::TAGS {
+        assert!(has_vector("Request", row), "Request {row:?}");
+    }
+    for row in Response::TAGS {
+        assert!(has_vector("Response", row), "Response {row:?}");
+    }
+    // Records ride inside the DNS response vectors; a record's first
+    // byte is its type's tag.
+    let carried: BTreeSet<u8> = vectors::decoded::<ResponseMsg>("ResponseMsg")
+        .iter()
+        .flat_map(|m| m.answers.iter().chain(&m.authority).chain(&m.additional))
+        .map(|record| to_bytes(&record.data)[0])
+        .collect();
+    for (tag, variant) in RecordType::TAGS {
+        assert!(carried.contains(tag), "RecordType tag {tag} {variant}");
+    }
+    assert_eq!(RecordType::TAGS, RecordData::TAGS);
 }
 
 #[test]

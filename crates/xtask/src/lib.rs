@@ -339,52 +339,46 @@ pub fn spec_ref_findings(file: &str, content: &str, headings: &BTreeSet<String>)
 }
 
 // ----------------------------------------------------------------
-// Rule: wire-tags — protocol.rs encode/decode arms and the spec's tag
-// table agree.
+// Rule: wire-tags — the message table's rows and the spec's tag tables
+// agree.
 // ----------------------------------------------------------------
 
-/// tag → variant name, for one direction of one source of truth.
+/// tag → variant name, for one table of one source of truth.
 pub type TagMap = BTreeMap<u8, String>;
 
-/// Extracts `| N | Name |` rows from the spec's §2 message-tag tables.
-/// Rows belong to the Request or Response table according to the most
-/// recent header row mentioning `Request` / `Response`.
-pub fn tags_from_doc(doc: &str) -> (TagMap, TagMap) {
-    let sec2 = section_region(doc, "## 2.");
-    let mut req = TagMap::new();
-    let mut resp = TagMap::new();
-    let mut current: Option<bool> = None; // true = request table
-    for line in sec2.lines() {
+/// Each checked `wire_enum!` table and the spec §2.1 table that states
+/// its tags (a `RecordData` payload is tagged with its `RecordType`).
+const TAG_TABLES: [(&str, &str); 4] = [
+    ("Request", "Request"),
+    ("Response", "Response"),
+    ("RecordType", "RecordType"),
+    ("RecordData", "RecordType"),
+];
+
+/// Extracts `| N | Name |` rows from the spec's §2 message-tag tables,
+/// keyed by the type the table's header row names in backticks
+/// (`` | tag | `Request` variant | ``).
+pub fn tags_from_doc(doc: &str) -> BTreeMap<String, TagMap> {
+    let mut out = BTreeMap::new();
+    let mut current: Option<String> = None;
+    for line in section_region(doc, "## 2.").lines() {
         let t = line.trim();
         if !t.starts_with('|') {
-            continue;
-        }
-        if t.contains("Request") {
-            current = Some(true);
-            continue;
-        }
-        if t.contains("Response") {
-            current = Some(false);
             continue;
         }
         let cells: Vec<&str> = t.trim_matches('|').split('|').collect();
         if cells.len() < 2 {
             continue;
         }
-        let tag: Result<u8, _> = cells[0].trim().parse();
-        let name = cells[1].trim().trim_matches('`').to_string();
-        if let (Ok(tag), Some(is_req)) = (tag, current) {
-            if name.is_empty() {
-                continue;
-            }
-            if is_req {
-                req.insert(tag, name);
-            } else {
-                resp.insert(tag, name);
-            }
+        if cells[0].trim() == "tag" {
+            current = cells[1].split('`').nth(1).map(str::to_string);
+        } else if let (Ok(tag), Some(table)) = (cells[0].trim().parse::<u8>(), &current) {
+            let name = cells[1].trim().trim_matches('`').to_string();
+            let rows: &mut TagMap = out.entry(table.clone()).or_default();
+            rows.insert(tag, name);
         }
     }
-    (req, resp)
+    out
 }
 
 /// The slice of `doc` from the heading starting with `prefix` to the
@@ -410,112 +404,39 @@ fn section_region<'a>(doc: &'a str, prefix: &str) -> &'a str {
     &body[..end]
 }
 
-/// Extracts tag → variant pairs from an `encode` body: each
-/// `{enum_name}::Variant` match arm paired with the first subsequent
-/// `put_u8(N)`.
-pub fn tags_from_encode(stripped_region: &str, enum_name: &str) -> TagMap {
-    let mut out = TagMap::new();
-    let needle = format!("{enum_name}::");
-    let mut from = 0;
-    while let Some(rel) = stripped_region[from..].find(&needle) {
-        let at = from + rel + needle.len();
-        let variant: String = stripped_region[at..]
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        if let Some(put) = stripped_region[at..].find("put_u8(") {
-            let nstart = at + put + "put_u8(".len();
-            let digits: String = stripped_region[nstart..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect();
-            if let Ok(tag) = digits.parse::<u8>() {
-                out.entry(tag).or_insert(variant);
-            }
-        }
-        from = at;
-    }
-    out
+/// The identifier `s` starts with (empty if it starts with none).
+fn leading_ident(s: &str) -> &str {
+    let end = s.find(|c: char| !c.is_ascii_alphanumeric() && c != '_');
+    &s[..end.unwrap_or(s.len())]
 }
 
-/// Extracts tag → variant pairs from a `decode` body: numeric arms of
-/// the **outermost** `match r.read_u8()?`, each paired with the first
-/// `{enum_name}::Variant` in its arm. Inner tag matches (optional
-/// fields, nested enums) sit at deeper brace depth and are skipped.
-pub fn tags_from_decode(stripped_region: &str, enum_name: &str) -> TagMap {
-    let mut out = TagMap::new();
-    let Some(m) = stripped_region.find("match r.read_u8()?") else {
-        return out;
-    };
-    let Some(open_rel) = stripped_region[m..].find('{') else {
-        return out;
-    };
-    let body_start = m + open_rel + 1;
-    let b = stripped_region.as_bytes();
+/// The `tag => Variant` rows of the `wire_enum! { enum_name, … }` table
+/// in stripped source, or `None` if no such table is declared there. A
+/// row is the only place a table writes `=>`, so field lists need no
+/// parsing.
+pub fn table_rows(stripped: &str, enum_name: &str) -> Option<TagMap> {
+    let body = stripped.split("wire_enum!").skip(1).find_map(|after| {
+        let body = after.trim_start().strip_prefix('{')?;
+        (leading_ident(body.trim_start()) == enum_name).then_some(body)
+    })?;
     let mut depth = 1usize;
-    let mut i = body_start;
-    let needle = format!("{enum_name}::");
-    while i < b.len() && depth > 0 {
-        match b[i] {
-            b'{' => depth += 1,
-            b'}' => depth -= 1,
-            b'0'..=b'9' if depth == 1 => {
-                let nstart = i;
-                while i < b.len() && b[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let digits = &stripped_region[nstart..i];
-                let rest = stripped_region[i..].trim_start();
-                if rest.starts_with("=>") {
-                    if let Ok(tag) = digits.parse::<u8>() {
-                        if let Some(v) = stripped_region[i..].find(&needle) {
-                            let vat = i + v + needle.len();
-                            let variant: String = stripped_region[vat..]
-                                .chars()
-                                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                                .collect();
-                            out.entry(tag).or_insert(variant);
-                        }
-                    }
-                }
-                continue;
-            }
-            _ => {}
+    let end = body.find(|c| {
+        depth = match c {
+            '{' => depth + 1,
+            '}' => depth - 1,
+            _ => depth,
+        };
+        depth == 0
+    })?;
+    let mut rows = TagMap::new();
+    let pieces: Vec<&str> = body[..end].split("=>").collect();
+    for pair in pieces.windows(2) {
+        let tag = pair[0].trim_end().rsplit(|c: char| !c.is_ascii_digit());
+        if let Some(Ok(tag)) = tag.map(str::parse::<u8>).next() {
+            rows.insert(tag, leading_ident(pair[1].trim_start()).to_string());
         }
-        i += 1;
     }
-    out
-}
-
-/// The stripped slice of protocol source holding one direction's
-/// `encode` body: from `impl Wire for {enum_name}` to the next
-/// `fn decode`.
-pub fn encode_region<'a>(stripped: &'a str, enum_name: &str) -> &'a str {
-    let needle = format!("impl Wire for {enum_name}");
-    let Some(start) = stripped.find(&needle) else {
-        return "";
-    };
-    let body = &stripped[start..];
-    let end = body.find("fn decode").unwrap_or(body.len());
-    &body[..end]
-}
-
-/// The stripped slice holding one direction's decode fn: from
-/// `fn {fn_name}` to the next top-of-line `fn ` or `impl `.
-pub fn decode_region<'a>(stripped: &'a str, fn_name: &str) -> &'a str {
-    let needle = format!("fn {fn_name}");
-    let Some(start) = stripped.find(&needle) else {
-        return "";
-    };
-    let body = &stripped[start..];
-    let end = body[needle.len()..]
-        .find("\nfn ")
-        .into_iter()
-        .chain(body[needle.len()..].find("\nimpl "))
-        .min()
-        .map(|p| p + needle.len())
-        .unwrap_or(body.len());
-    &body[..end]
+    Some(rows)
 }
 
 fn diff_tag_maps(
@@ -555,59 +476,47 @@ fn diff_tag_maps(
     }
 }
 
-/// Cross-checks the paper §2 tag tables against protocol.rs encode and decode
-/// arms (both directions), and the spec §10 Busy-tag prose against the
-/// table.
-pub fn wire_tag_findings(protocol_src: &str, doc: &str) -> Vec<Finding> {
+/// Cross-checks the spec §2.1 tag tables against the rows of the
+/// message tables declared in `sources` (`(file, content)` pairs), and
+/// the spec §10 Busy-tag prose against the spec's own table.
+pub fn wire_tag_findings(sources: &[(&str, &str)], doc: &str) -> Vec<Finding> {
     let mut out = Vec::new();
-    let stripped = strip_comments_and_strings(protocol_src);
-    let (doc_req, doc_resp) = tags_from_doc(doc);
-    let file = "crates/mapserver/src/protocol.rs";
-    if doc_req.is_empty() || doc_resp.is_empty() {
-        out.push(Finding {
-            file: "docs/wire-protocol.md".to_string(),
-            line: 1,
-            rule: "wire-tags",
-            msg: "could not find the Request/Response tag tables in spec §2".to_string(),
-        });
-        return out;
+    let doc_tables = tags_from_doc(doc);
+    let doc_finding = |msg: String| Finding {
+        file: "docs/wire-protocol.md".to_string(),
+        line: 1,
+        rule: "wire-tags",
+        msg,
+    };
+    let stripped: Vec<(&str, String)> = sources
+        .iter()
+        .map(|(file, src)| (*file, strip_comments_and_strings(src)))
+        .collect();
+    for (table, doc_name) in TAG_TABLES {
+        let Some(doc_rows) = doc_tables.get(doc_name) else {
+            out.push(doc_finding(format!(
+                "could not find the `{doc_name}` tag table in spec §2.1"
+            )));
+            continue;
+        };
+        let Some((file, rows)) = stripped
+            .iter()
+            .find_map(|(file, src)| Some((*file, table_rows(src, table)?)))
+        else {
+            out.push(doc_finding(format!(
+                "spec §2.1 states the `{doc_name}` tags but no `wire_enum!` table declares `{table}`"
+            )));
+            continue;
+        };
+        diff_tag_maps(
+            &mut out,
+            file,
+            &format!("the `{table}` message table"),
+            &rows,
+            &format!("the spec §2.1 `{doc_name}` table"),
+            doc_rows,
+        );
     }
-    let enc_req = tags_from_encode(encode_region(&stripped, "Request"), "Request");
-    let dec_req = tags_from_decode(decode_region(&stripped, "decode_request"), "Request");
-    let enc_resp = tags_from_encode(encode_region(&stripped, "Response"), "Response");
-    let dec_resp = tags_from_decode(decode_region(&stripped, "decode_response"), "Response");
-    diff_tag_maps(
-        &mut out,
-        file,
-        "Request encode",
-        &enc_req,
-        "Request decode",
-        &dec_req,
-    );
-    diff_tag_maps(
-        &mut out,
-        file,
-        "Request encode",
-        &enc_req,
-        "the spec §2 Request table",
-        &doc_req,
-    );
-    diff_tag_maps(
-        &mut out,
-        file,
-        "Response encode",
-        &enc_resp,
-        "Response decode",
-        &dec_resp,
-    );
-    diff_tag_maps(
-        &mut out,
-        file,
-        "Response encode",
-        &enc_resp,
-        "the spec §2 Response table",
-        &doc_resp,
-    );
     // spec §10 prose states the Busy envelope tag; keep it honest too.
     let sec10 = section_region(doc, "## 10.");
     if let Some(p) = sec10.find("response tag ") {
@@ -615,21 +524,16 @@ pub fn wire_tag_findings(protocol_src: &str, doc: &str) -> Vec<Finding> {
             .chars()
             .take_while(|c| c.is_ascii_digit())
             .collect();
-        let busy_tag = doc_resp
-            .iter()
-            .find(|(_, v)| v.as_str() == "Busy")
+        let busy_tag = doc_tables
+            .get("Response")
+            .and_then(|rows| rows.iter().find(|(_, v)| v.as_str() == "Busy"))
             .map(|(k, _)| *k);
         if let (Ok(stated), Some(actual)) = (digits.parse::<u8>(), busy_tag) {
             if stated != actual {
-                out.push(Finding {
-                    file: "docs/wire-protocol.md".to_string(),
-                    line: 1,
-                    rule: "wire-tags",
-                    msg: format!(
-                        "spec §10 says the Busy envelope uses response tag {stated}, but the \
-                         paper §2 table assigns Busy tag {actual}"
-                    ),
-                });
+                out.push(doc_finding(format!(
+                    "spec §10 says the Busy envelope uses response tag {stated}, but the \
+                     spec §2.1 table assigns Busy tag {actual}"
+                )));
             }
         }
     }
@@ -640,8 +544,19 @@ pub fn wire_tag_findings(protocol_src: &str, doc: &str) -> Vec<Finding> {
 // Rule: forbidden-api — raw sync primitives, reactor blocking, unwrap
 // in the wire-facing crates, netsim thread spawns, the concrete
 // simulator type above netsim, a hand-rolled handshake or a
-// per-endpoint map in core outside the session.
+// per-endpoint map in core outside the session, a hand-written codec
+// beside the message table.
 // ----------------------------------------------------------------
+
+/// The files whose messages live in the message table, and the types
+/// there too irregular for a table row (each file's module docs say
+/// why).
+const TABLE_FILES: [&str; 3] = [
+    "mapserver/src/protocol.rs",
+    "dns/src/record.rs",
+    "mapdata/src/wire.rs",
+];
+const TABLE_EXCEPTIONS: [&str; 4] = ["HelloInfo", "DomainName", "Tags", "MapDocument"];
 
 /// Flags forbidden constructs in one Rust source file (non-test code
 /// only — `#[cfg(test)]` regions are masked out first).
@@ -741,6 +656,24 @@ pub fn forbidden_api_findings(file: &str, content: &str) -> Vec<Finding> {
             "the concrete simulator type outside netsim: bind to `dyn Transport` and \
              obtain a simulator with `BackendKind::Sim.build(seed)`",
         );
+    }
+    // One message table: a wire message is declared, not hand-coded.
+    if TABLE_FILES.iter().any(|f| file.ends_with(f)) {
+        for (idx, _) in masked.match_indices("impl Wire for ") {
+            let ty = leading_ident(&masked[idx + "impl Wire for ".len()..]);
+            if !TABLE_EXCEPTIONS.contains(&ty) {
+                out.push(Finding {
+                    file: file.to_string(),
+                    line: line_of(&masked, idx),
+                    rule: "forbidden-api",
+                    msg: format!(
+                        "hand-written `impl Wire for {ty}`: messages are declared in the \
+                         table (`wire_struct!` / `wire_enum!`); the listed exceptions are \
+                         {TABLE_EXCEPTIONS:?}"
+                    ),
+                });
+            }
+        }
     }
     out
 }
@@ -874,9 +807,16 @@ pub fn run_lint(root: &Path) -> (Vec<Finding>, usize) {
         findings.extend(spec_ref_findings(&file, &content, &headings));
     }
 
-    if let Ok(protocol) = fs::read_to_string(root.join("crates/mapserver/src/protocol.rs")) {
-        findings.extend(wire_tag_findings(&protocol, &doc));
-    }
+    let tables: Vec<(String, String)> = TABLE_FILES
+        .iter()
+        .filter_map(|f| {
+            let file = format!("crates/{f}");
+            let src = fs::read_to_string(root.join(&file)).ok()?;
+            Some((file, src))
+        })
+        .collect();
+    let tables: Vec<(&str, &str)> = tables.iter().map(|(f, s)| (&**f, &**s)).collect();
+    findings.extend(wire_tag_findings(&tables, &doc));
     if let Ok(ranks_src) = fs::read_to_string(root.join("crates/diag/src/ranks.rs")) {
         findings.extend(rank_doc_findings(&ranks_src, &doc));
     }

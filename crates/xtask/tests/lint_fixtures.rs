@@ -80,105 +80,110 @@ const GOOD_DOC: &str = "\
 | 1 | `Pong` |
 | 2 | `Busy` |
 
+| tag | `RecordType` variant | record |
+|----:|----------------------|--------|
+| 0 | `A` | `A` |
+| 1 | `Txt` | `TXT` |
+
 ## 10. Overload
 
 The Busy envelope uses response tag 2.
 ";
 
 const GOOD_PROTOCOL: &str = r#"
-impl Wire for Request {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Request::Hello => w.put_u8(0),
-            Request::Ping { payload } => {
-                w.put_u8(1);
-                w.put_u32(*payload);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        decode_request(r)
-    }
-}
-
-fn decode_request(r: &mut Reader<'_>) -> Result<Request, CodecError> {
-    match r.read_u8()? {
-        0 => Ok(Request::Hello),
-        1 => {
-            // Inner option tag: must not be mistaken for a wire tag.
-            let有 = match r.read_u8()? {
-                0 => None,
-                1 => Some(r.read_u32()?),
-                tag => return Err(CodecError::InvalidTag { got: tag }),
-            };
-            Ok(Request::Ping { payload:有.unwrap_or(7) })
-        }
-        tag => Err(CodecError::InvalidTag { got: tag }),
-    }
-}
-
-impl Wire for Response {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Response::Hello => w.put_u8(0),
-            Response::Pong => w.put_u8(1),
-            Response::Busy { retry } => {
-                w.put_u8(2);
-                w.put_u64(*retry);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        decode_response(r)
-    }
-}
-
-fn decode_response(r: &mut Reader<'_>) -> Result<Response, CodecError> {
-    match r.read_u8()? {
-        0 => Ok(Response::Hello),
-        1 => Ok(Response::Pong),
-        2 => Ok(Response::Busy { retry: r.read_u64()? }),
-        tag => Err(CodecError::InvalidTag { got: tag }),
-    }
-}
+wire_struct! { Envelope { principal, request } }
+wire_enum! { Request, "Request" {
+    0 => Hello,
+    // Field lists carry codecs, never tags: `2 => Nope` is a comment.
+    1 => Ping { payload, route: Opt<PointCodec> },
+} }
+wire_enum! { Response, "Response" {
+    0 => Hello(info),
+    1 => Pong,
+    2 => Busy { retry_after_us },
+} }
+wire_enum! { Cue as CueCodec, "Cue" { 7 => Gnss { fix: LatLngCodec } } }
 "#;
+
+const GOOD_RECORDS: &str = r#"
+wire_enum! { RecordType, "RecordType" { 0 => A, 1 => Txt } }
+wire_enum! { RecordData, "RecordType" {
+    0 => A(endpoint),
+    1 => Txt(text),
+} }
+"#;
+
+fn wire_tags(protocol: &str, doc: &str) -> Vec<xtask::Finding> {
+    wire_tag_findings(
+        &[("protocol.rs", protocol), ("record.rs", GOOD_RECORDS)],
+        doc,
+    )
+}
 
 #[test]
 fn wire_tags_known_good() {
-    assert_eq!(wire_tag_findings(GOOD_PROTOCOL, GOOD_DOC), vec![]);
+    assert_eq!(wire_tags(GOOD_PROTOCOL, GOOD_DOC), vec![]);
 }
 
 #[test]
 fn wire_tags_flags_mismatched_tag_value() {
-    // Code renumbers Busy to 3; the doc table still says 2.
-    let drifted = GOOD_PROTOCOL.replace("w.put_u8(2);", "w.put_u8(3);");
-    let f = wire_tag_findings(&drifted, GOOD_DOC);
-    assert!(!f.is_empty());
-    assert!(f.iter().any(|f| f.msg.contains("Busy")), "findings: {f:?}");
+    // The table renumbers Busy to 3; the doc table still says 2.
+    let drifted = GOOD_PROTOCOL.replace("2 => Busy", "3 => Busy");
+    let f = wire_tags(&drifted, GOOD_DOC);
+    assert_eq!(f.len(), 2, "findings: {f:?}");
+    assert!(f
+        .iter()
+        .all(|f| f.msg.contains("Busy") && f.file == "protocol.rs"));
 }
 
 #[test]
 fn wire_tags_flags_variant_missing_from_doc() {
     let doc = GOOD_DOC.replace("| 2 | `Busy` |\n", "");
-    let f = wire_tag_findings(GOOD_PROTOCOL, doc.as_str());
+    let f = wire_tags(GOOD_PROTOCOL, doc.as_str());
     assert!(f.iter().any(|f| f
         .msg
-        .contains("missing from the spec \u{a7}2 Response table")));
+        .contains("missing from the spec \u{a7}2.1 `Response` table")));
 }
 
 #[test]
-fn wire_tags_flags_encode_decode_disagreement() {
-    let skewed = GOOD_PROTOCOL.replace("1 => Ok(Response::Pong),", "3 => Ok(Response::Pong),");
-    let f = wire_tag_findings(&skewed, GOOD_DOC);
-    assert!(f
-        .iter()
-        .any(|f| f.msg.contains("encode") && f.msg.contains("decode")));
+fn wire_tags_flags_doc_row_missing_from_table() {
+    // The doc keeps a row whose variant left the table — in either of
+    // the two tables the one record-type doc table governs.
+    let f = wire_tags(&GOOD_PROTOCOL.replace("    1 => Pong,\n", ""), GOOD_DOC);
+    assert_eq!(f.len(), 1, "findings: {f:?}");
+    assert!(f[0]
+        .msg
+        .contains("missing from the `Response` message table"));
+    let f = wire_tag_findings(
+        &[
+            ("protocol.rs", GOOD_PROTOCOL),
+            (
+                "record.rs",
+                &GOOD_RECORDS.replace("    1 => Txt(text),\n", ""),
+            ),
+        ],
+        GOOD_DOC,
+    );
+    assert_eq!(f.len(), 1, "findings: {f:?}");
+    assert!(f[0].msg.contains("`RecordData` message table"));
+}
+
+#[test]
+fn wire_tags_flags_a_table_or_doc_table_that_went_missing() {
+    let f = wire_tag_findings(&[("protocol.rs", GOOD_PROTOCOL)], GOOD_DOC);
+    assert_eq!(f.len(), 2, "findings: {f:?}");
+    assert!(f[0]
+        .msg
+        .contains("no `wire_enum!` table declares `RecordType`"));
+    let doc = GOOD_DOC.replace("`Request` variant", "request");
+    let f = wire_tags(GOOD_PROTOCOL, &doc);
+    assert!(f[0].msg.contains("could not find the `Request` tag table"));
 }
 
 #[test]
 fn wire_tags_flags_stale_busy_prose() {
     let doc = GOOD_DOC.replace("response tag 2", "response tag 12");
-    let f = wire_tag_findings(GOOD_PROTOCOL, doc.as_str());
+    let f = wire_tags(GOOD_PROTOCOL, doc.as_str());
     assert!(f.iter().any(|f| f.msg.contains("\u{a7}10")));
 }
 
@@ -328,6 +333,32 @@ mod tests { fn t() { let _: HashMap<EndpointId, u8> = HashMap::new(); } }
     for home in ["crates/core/src/session.rs", "crates/netsim/src/core.rs"] {
         assert_eq!(forbidden_api_findings(home, src), vec![]);
     }
+}
+
+#[test]
+fn forbidden_api_flags_a_hand_written_codec_beside_the_message_table() {
+    let src = "\
+wire_struct! { Envelope { principal, request } }
+impl Wire for HelloInfo { fn encode(&self, w: &mut Writer) {} }
+impl Wire for Envelope { fn encode(&self, w: &mut Writer) {} }
+impl FieldCodec<Request> for BatchItem {}
+#[cfg(test)]
+mod tests { impl Wire for Probe {} }
+";
+    for table_file in [
+        "crates/mapserver/src/protocol.rs",
+        "crates/dns/src/record.rs",
+        "crates/mapdata/src/wire.rs",
+    ] {
+        let f = forbidden_api_findings(table_file, src);
+        assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [3]);
+        assert!(f[0].msg.contains("messages are declared in the table"));
+    }
+    // Primitives and containers are hand-written, in the codec.
+    assert_eq!(
+        forbidden_api_findings("crates/codec/src/lib.rs", src),
+        vec![]
+    );
 }
 
 #[test]

@@ -17,11 +17,11 @@
 
 use crate::client::{FederatedRoute, FederatedSearchHit, RouteLeg};
 use crate::provider::{
-    GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome, LocalizeQuery, ProviderEstimate,
-    ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome, RouteQuery, SearchOutcome,
-    SearchQuery, SpatialProvider, StatScope, TileOutcome, TileQuery,
+    measured, GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome, LocalizeQuery,
+    ProviderEstimate, ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome, RouteQuery,
+    SearchOutcome, SearchQuery, SpatialProvider, TileOutcome, TileQuery,
 };
-use crate::session::{expect_nearest, unexpected, unexpected_opt, Session};
+use crate::session::{expect_nearest, unexpected, unexpected_opt, wire_k, Session};
 use crate::ClientError;
 use openflame_geo::{LatLng, LocalFrame};
 use openflame_localize::{LocationCue, TagRegistry};
@@ -29,7 +29,7 @@ use openflame_mapdata::{ElementId, GeoReference, NodeId, Tags};
 use openflame_mapserver::protocol::{Request, Response};
 use openflame_mapserver::{AccessPolicy, MapServer, MapServerConfig, Principal};
 use openflame_netsim::Transport;
-use openflame_tiles::Tile;
+use openflame_tiles::{Tile, TileCoord};
 use openflame_worldgen::World;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -193,188 +193,166 @@ impl SpatialProvider for CentralizedProvider {
     }
 
     fn geocode(&self, query: GeocodeQuery) -> Result<GeocodeOutcome, ClientError> {
-        let scope = StatScope::begin(self.session.transport().as_ref());
-        let hits = match self.call_one(
-            Request::Geocode {
+        measured(self.transport().as_ref(), || {
+            let request = Request::Geocode {
                 query: query.query,
-                k: query.k as u32,
-            },
-            "Geocode",
-        )? {
-            Response::Geocode { hits } => hits,
-            other => return Err(unexpected(self.server.id(), "Geocode", &other)),
-        };
-        let frame = self.local_frame();
-        let hits = hits
-            .into_iter()
-            .map(|hit| GeocodeHit {
+                k: wire_k(query.k),
+            };
+            let hits = match self.call_one(request, "Geocode")? {
+                Response::Geocode { hits } => hits,
+                other => return Err(unexpected(self.server.id(), "Geocode", &other)),
+            };
+            let frame = self.local_frame();
+            let hits = hits.into_iter().map(|hit| GeocodeHit {
                 server_id: self.server.id().to_string(),
                 geo: Some(frame.from_local(hit.pos)),
                 hit,
-            })
-            .collect();
-        let stats = scope.finish(self.session.transport().as_ref(), 1);
-        Ok(GeocodeOutcome { hits, stats })
+            });
+            Ok((hits.collect(), 1))
+        })
+        .map(|(hits, stats)| GeocodeOutcome { hits, stats })
     }
 
     fn reverse_geocode(
         &self,
         query: ReverseGeocodeQuery,
     ) -> Result<ReverseGeocodeOutcome, ClientError> {
-        let scope = StatScope::begin(self.session.transport().as_ref());
-        let frame = self.local_frame();
-        let hit = match self.call_one(
-            Request::ReverseGeocode {
+        measured(self.transport().as_ref(), || {
+            let frame = self.local_frame();
+            let request = Request::ReverseGeocode {
                 pos: frame.to_local(query.location),
                 radius_m: query.radius_m,
-            },
-            "ReverseGeocode",
-        )? {
-            Response::ReverseGeocode { hit } => hit,
-            other => return Err(unexpected(self.server.id(), "ReverseGeocode", &other)),
-        };
-        let hit = hit.map(|hit| GeocodeHit {
-            server_id: self.server.id().to_string(),
-            geo: Some(frame.from_local(hit.pos)),
-            hit,
-        });
-        let stats = scope.finish(self.session.transport().as_ref(), 1);
-        Ok(ReverseGeocodeOutcome { hit, stats })
+            };
+            let hit = match self.call_one(request, "ReverseGeocode")? {
+                Response::ReverseGeocode { hit } => hit,
+                other => return Err(unexpected(self.server.id(), "ReverseGeocode", &other)),
+            };
+            let hit = hit.map(|hit| GeocodeHit {
+                server_id: self.server.id().to_string(),
+                geo: Some(frame.from_local(hit.pos)),
+                hit,
+            });
+            Ok((hit, 1))
+        })
+        .map(|(hit, stats)| ReverseGeocodeOutcome { hit, stats })
     }
 
     fn search(&self, query: SearchQuery) -> Result<SearchOutcome, ClientError> {
-        let scope = StatScope::begin(self.session.transport().as_ref());
-        let frame = self.local_frame();
-        let results = match self.call_one(
-            Request::Search {
+        measured(self.transport().as_ref(), || {
+            let request = Request::Search {
                 query: query.query,
-                center: Some(frame.to_local(query.location)),
+                center: Some(self.local_frame().to_local(query.location)),
                 radius_m: query.radius_m,
-                k: query.k as u32,
-            },
-            "Search",
-        )? {
-            Response::Search { results } => results,
-            other => return Err(unexpected(self.server.id(), "Search", &other)),
-        };
-        let hits = results
-            .into_iter()
-            .map(|result| FederatedSearchHit {
+                k: wire_k(query.k),
+            };
+            let results = match self.call_one(request, "Search")? {
+                Response::Search { results } => results,
+                other => return Err(unexpected(self.server.id(), "Search", &other)),
+            };
+            let hits = results.into_iter().map(|result| FederatedSearchHit {
                 server_id: self.server.id().to_string(),
                 endpoint: self.server.endpoint(),
                 result,
-            })
-            .collect();
-        let stats = scope.finish(self.session.transport().as_ref(), 1);
-        Ok(SearchOutcome { hits, stats })
+            });
+            Ok((hits.collect(), 1))
+        })
+        .map(|(hits, stats)| SearchOutcome { hits, stats })
     }
 
     fn route(&self, query: RouteQuery) -> Result<RouteOutcome, ClientError> {
-        let target_node = match query.target.result.element {
-            ElementId::Node(n) => Some(n),
-            _ => None,
-        };
-        let scope = StatScope::begin(self.session.transport().as_ref());
-        let frame = self.local_frame();
-        let start = expect_nearest(
-            self.server.id(),
-            &self.call_one(
-                Request::NearestNode {
-                    pos: frame.to_local(query.from),
-                },
-                "NearestNode",
-            )?,
-        )?
-        .0;
-        // Try the target node directly; non-node targets and POIs that
-        // are not on the road graph get snapped to their nearest
-        // routable node.
-        let mut route = match target_node {
-            Some(node) => self.try_route(start, node.0)?,
-            None => None,
-        };
-        if route.is_none() {
-            if let Ok(snapped) = expect_nearest(
-                self.server.id(),
-                &self.call_one(
-                    Request::NearestNode {
-                        pos: query.target.result.pos,
-                    },
-                    "NearestNode",
-                )?,
-            ) {
-                route = self.try_route(start, snapped.0)?;
+        measured(self.transport().as_ref(), || {
+            let id = self.server.id();
+            let nearest = |pos| self.call_one(Request::NearestNode { pos }, "NearestNode");
+            let start = self.local_frame().to_local(query.from);
+            let start = expect_nearest(id, &nearest(start)?)?.0;
+            // Try the target node directly; non-node targets and POIs
+            // that are not on the road graph get snapped to their
+            // nearest routable node.
+            let mut route = match query.target.result.element {
+                ElementId::Node(node) => self.try_route(start, node.0)?,
+                _ => None,
+            };
+            if route.is_none() {
+                if let Ok(snapped) = expect_nearest(id, &nearest(query.target.result.pos)?) {
+                    route = self.try_route(start, snapped.0)?;
+                }
             }
-        }
-        let Some(route) = route else {
-            return Err(ClientError::NotFound("no path in central map".into()));
-        };
-        let outcome = FederatedRoute {
-            total_cost: route.cost,
-            total_length_m: route.length_m,
-            legs: vec![RouteLeg {
-                server_id: self.server.id().to_string(),
-                route,
-                anchored: true,
-            }],
-            servers_consulted: 1,
-        };
-        let stats = scope.finish(self.session.transport().as_ref(), 1);
-        Ok(RouteOutcome {
-            route: outcome,
-            stats,
+            let Some(route) = route else {
+                return Err(ClientError::NotFound("no path in central map".into()));
+            };
+            let route = FederatedRoute {
+                total_cost: route.cost,
+                total_length_m: route.length_m,
+                legs: vec![RouteLeg {
+                    server_id: id.to_string(),
+                    route,
+                    anchored: true,
+                }],
+                servers_consulted: 1,
+            };
+            Ok((route, 1))
         })
+        .map(|(route, stats)| RouteOutcome { route, stats })
     }
 
     fn localize(&self, query: LocalizeQuery) -> Result<LocalizeOutcome, ClientError> {
-        let scope = StatScope::begin(self.session.transport().as_ref());
-        // Send only the cues the server's advertisement accepts — for a
-        // centralized outdoor map that is GNSS and nothing else (paper §2:
-        // coverage stops at the door). No accepted cues, no wire call.
-        let hello = self.session.hello(self.server.endpoint()).ok();
-        let techs = hello.as_deref().map_or(&[][..], |h| &h.localization_techs);
-        let cues: Vec<LocationCue> = query
-            .cues
-            .into_iter()
-            .filter(|c| techs.iter().any(|t| t == c.technology()))
-            .collect();
-        let estimates = if cues.is_empty() {
-            Vec::new()
-        } else {
-            match self.call_one(Request::Localize { cues }, "Localize")? {
-                Response::Localize { estimates } => estimates,
-                other => return Err(unexpected(self.server.id(), "Localize", &other)),
-            }
-        };
-        let frame = self.local_frame();
-        let estimates: Vec<ProviderEstimate> = estimates
-            .into_iter()
-            .map(|estimate| ProviderEstimate {
-                server_id: self.server.id().to_string(),
-                geo: Some(frame.from_local(estimate.pos)),
-                estimate,
-            })
-            .collect();
-        // When every cue was filtered out, no server contributed.
-        let stats = scope.finish(
-            self.session.transport().as_ref(),
-            usize::from(!estimates.is_empty()),
-        );
-        Ok(LocalizeOutcome { estimates, stats })
+        measured(self.transport().as_ref(), || {
+            // Send only the cues the server's advertisement accepts — for a
+            // centralized outdoor map that is GNSS and nothing else (paper §2:
+            // coverage stops at the door). No accepted cues, no wire call.
+            let hello = self.session.hello(self.server.endpoint()).ok();
+            let techs = hello.as_deref().map_or(&[][..], |h| &h.localization_techs);
+            let cues: Vec<LocationCue> = query
+                .cues
+                .into_iter()
+                .filter(|c| techs.iter().any(|t| t == c.technology()))
+                .collect();
+            let estimates = if cues.is_empty() {
+                Vec::new()
+            } else {
+                match self.call_one(Request::Localize { cues }, "Localize")? {
+                    Response::Localize { estimates } => estimates,
+                    other => return Err(unexpected(self.server.id(), "Localize", &other)),
+                }
+            };
+            let frame = self.local_frame();
+            let estimates: Vec<ProviderEstimate> = estimates
+                .into_iter()
+                .map(|estimate| ProviderEstimate {
+                    server_id: self.server.id().to_string(),
+                    geo: Some(frame.from_local(estimate.pos)),
+                    estimate,
+                })
+                .collect();
+            // When every cue was filtered out, no server contributed.
+            let servers = usize::from(!estimates.is_empty());
+            Ok((estimates, servers))
+        })
+        .map(|(estimates, stats)| LocalizeOutcome { estimates, stats })
     }
 
     fn tile(&self, query: TileQuery) -> Result<TileOutcome, ClientError> {
-        let scope = StatScope::begin(self.session.transport().as_ref());
-        let (x, y) = openflame_geo::Mercator::tile_for(query.center, query.z);
-        let tile = match self.call_one(Request::GetTile { z: query.z, x, y }, "Tile")? {
-            Response::Tile { z, x, y, rgb } => {
-                Tile::from_rgb(openflame_tiles::TileCoord { z, x, y }, &rgb)
-                    .ok_or_else(|| ClientError::Protocol("malformed tile payload".into()))?
-            }
-            other => return Err(unexpected(self.server.id(), "Tile", &other)),
-        };
-        let stats = scope.finish(self.session.transport().as_ref(), 1);
-        Ok(TileOutcome { tile, stats })
+        measured(self.transport().as_ref(), || {
+            let (x, y) = openflame_geo::Mercator::tile_for(query.center, query.z);
+            let coord = TileCoord { z: query.z, x, y };
+            let request = Request::GetTile { z: query.z, x, y };
+            // The echoed coordinate must be the one asked for: another
+            // tile of the right size is not an answer.
+            let tile = match self.call_one(request, "Tile")? {
+                Response::Tile { z, x, y, rgb } if (TileCoord { z, x, y }) == coord => {
+                    Tile::from_rgb(coord, &rgb)
+                        .ok_or_else(|| ClientError::Protocol("malformed tile payload".into()))?
+                }
+                Response::Tile { z, x, y, .. } => {
+                    return Err(ClientError::Protocol(format!(
+                        "asked for tile {coord:?}, got {z}/{x}/{y}"
+                    )))
+                }
+                other => return Err(unexpected(self.server.id(), "Tile", &other)),
+            };
+            Ok((tile, 1))
+        })
+        .map(|(tile, stats)| TileOutcome { tile, stats })
     }
 }
 

@@ -33,8 +33,13 @@
 //! [`CoverageSummary`](openflame_mapserver::CoverageSummary) riding in
 //! each server's cached advertisement (the extended `Hello` exchange),
 //! and one executor ([`plan::execute`]) runs the plan through the
-//! session with the fleet failover machinery. Pruning
-//! is **sound**: a source is skipped only when its summary *proves* it
+//! session with the fleet failover machinery. The executor has one
+//! caller, the client's scatter loop ([`client`] module docs): a query
+//! class is a request builder and an absorber on it, and what else
+//! differs per class — *handshake-first* for the two kinds whose
+//! request is spelled in the server's frame, the outage verdict — is
+//! a table on [`QueryKind`]. Only stitched routing, whose rounds feed
+//! each other, runs its own. Pruning is **sound**: a source is skipped only when its summary *proves* it
 //! cannot contribute — absent or stale summaries always consult
 //! (spec §13.3) — so planner-on and planner-off runs return identical
 //! results while warm wide-fan-out queries consult strictly fewer
@@ -51,9 +56,7 @@
 //! path sends, counts or positions a handshake, first contact costs no
 //! envelope of its own, and a client that only ever fetches tiles
 //! still learns the coverage summaries the planner prunes with. The
-//! executor's one handshake decision is *handshake-first* for the two
-//! kinds whose request is spelled in the server's frame (search,
-//! reverse geocode). The session keeps **one entry per endpoint** —
+//! session keeps **one entry per endpoint** —
 //! its advertisement, coverage summary included, or the dead mark a
 //! failed fleet branch left, each replacing the other — and discovery
 //! results per cell; both caches are bounded (expired-first eviction

@@ -37,12 +37,13 @@
 //!
 //! # Execution
 //!
-//! [`execute`] runs a plan through [`Session::scatter`] with the
-//! fleet machinery the ad hoc paths used to duplicate: one batched
-//! envelope per planned server — the session's handshake rule (spec §8)
-//! teaches a cold server's advertisement on that same envelope, so the
-//! executor's only handshake decision is *handshake-first* for the two
-//! kinds whose request is spelled in the server's frame — and replica
+//! [`execute`] — whose one caller is the client's scatter loop — runs
+//! a plan through [`Session::scatter`] with the fleet machinery: one
+//! batched envelope per planned server — the session's handshake rule
+//! (spec §8) teaches a cold server's advertisement on that same
+//! envelope, so the executor's only handshake decision is
+//! *handshake-first* ([`QueryKind`]'s table says for which kinds, and
+//! when failed servers make a round an outage) — and replica
 //! failover for fleet branches (idempotent requests only, spec §7):
 //! each failed replica is marked dead in the session, which replaces
 //! its advertisement and drops its discovery cell in the same call, so
@@ -93,6 +94,48 @@ impl QueryKind {
             QueryKind::Tile => "tiles",
         }
     }
+
+    /// Whether the request is spelled in the *server's* frame
+    /// (`Search::center`, `ReverseGeocode::pos`), so [`execute`] needs a
+    /// cold target's advertisement before it can build it (spec §8).
+    pub(crate) fn handshake_first(self) -> bool {
+        matches!(self, QueryKind::Search | QueryKind::ReverseGeocode)
+    }
+
+    /// When servers that failed at the wire make a scatter round of
+    /// this class an outage instead of an answer.
+    pub(crate) fn outage(self) -> Outage {
+        match self {
+            // The answer would silently omit a down shard's content.
+            // (Route is never scattered: `federated_route` needs every
+            // branch of every round and enforces that itself.)
+            QueryKind::Search | QueryKind::Localize | QueryKind::Route => {
+                Outage::BlackoutOrShardDown
+            }
+            // Best-of-those-answering still names the position; the
+            // layers that did arrive still compose.
+            QueryKind::ReverseGeocode | QueryKind::Tile => Outage::Blackout,
+            // The world provider's coarse hit is already an answer: a
+            // refiner that is down only costs precision.
+            QueryKind::Geocode => Outage::Absorbed,
+        }
+    }
+}
+
+/// A class's rule for surfacing [`ClientError::PartialFailure`]
+/// (sources preserved) although some servers may have answered. A
+/// server that answers at all — hits, "nothing here", a paper §5.3
+/// denial — has answered; only wire failures count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Outage {
+    /// Never.
+    Absorbed,
+    /// When every consulted server failed: a blackout must not pass
+    /// for an honest empty answer.
+    Blackout,
+    /// On a blackout, and when a fleet branch still fails after
+    /// failover: a whole shard of advertised content is down.
+    BlackoutOrShardDown,
 }
 
 /// Why the planner skipped a source (spec §13.3 — all three are
@@ -301,14 +344,14 @@ fn footprint_disjoint(extent: &CoverageExtent, center: LatLng, radius_m: f64) ->
 /// with `plan.targets`, which is updated in place (skips removed,
 /// failover provenance rewritten to the answering replica).
 ///
-/// **Handshake-first** (spec §8): a `Search` carries `center` and a
-/// `ReverseGeocode` carries `pos` in the *server's* frame, so for
-/// those two kinds a target with no cached advertisement gets the
-/// bare handshake in the first round — alongside the warm targets'
-/// service envelopes, never ahead of them — and its builder runs in
-/// a follow-up round, seeing the advertisement, or `None` if the
-/// handshake failed. Every other kind's envelope simply goes out
-/// and the session's rule teaches the advertisement on it.
+/// **Handshake-first** (spec §8, `QueryKind::handshake_first`): for
+/// the kinds whose request is spelled in the *server's* frame a target
+/// with no cached advertisement gets the bare handshake in the first
+/// round — alongside the warm targets' service envelopes, never ahead
+/// of them — and its builder runs in a follow-up round, seeing the
+/// advertisement, or `None` if the handshake failed. Every other
+/// kind's envelope simply goes out and the session's rule teaches the
+/// advertisement on it.
 ///
 /// **Idempotent requests only** (spec §7, spec §9): failed fleet
 /// branches retry on sibling replicas, each failed endpoint marked
@@ -318,10 +361,7 @@ pub fn execute(
     plan: &mut ScatterPlan,
     request_for: impl Fn(&DiscoveredServer, Option<&HelloInfo>) -> Option<Vec<Request>>,
 ) -> Vec<Result<Vec<Response>, ClientError>> {
-    let handshake_first = matches!(
-        plan.kind,
-        Some(QueryKind::Search | QueryKind::ReverseGeocode)
-    );
+    let handshake_first = plan.kind.is_some_and(QueryKind::handshake_first);
     // Round one, one envelope per kept target in plan order: its
     // service envelope, or — `cold` — the bare handshake.
     let mut round = session.scatter();

@@ -44,36 +44,25 @@ pub struct CallStats {
     pub servers_consulted: usize,
 }
 
-/// Measures the wire cost of one provider call by snapshotting the
-/// transport counters around it.
-pub(crate) struct StatScope {
-    messages: u64,
-    bytes: u64,
-    start_us: u64,
-}
-
-impl StatScope {
-    pub(crate) fn begin(transport: &dyn Transport) -> Self {
-        let stats = transport.stats();
-        Self {
-            messages: stats.messages,
-            bytes: stats.bytes,
-            start_us: transport.now_us(),
-        }
-    }
-
-    pub(crate) fn finish(self, transport: &dyn Transport, servers_consulted: usize) -> CallStats {
-        let stats = transport.stats();
-        CallStats {
-            messages: stats.messages.saturating_sub(self.messages),
-            bytes: stats.bytes.saturating_sub(self.bytes),
-            // Saturate like the counters above: a non-monotonic wall
-            // clock (or counters reset mid-call) must yield a zero
-            // reading, not a panic.
-            elapsed_us: transport.now_us().saturating_sub(self.start_us),
-            servers_consulted,
-        }
-    }
+/// Runs one provider call and measures its wire cost by snapshotting
+/// the transport counters around it — the one place a [`CallStats`] is
+/// built. `call` yields the answer and how many servers contributed.
+pub(crate) fn measured<T>(
+    transport: &dyn Transport,
+    call: impl FnOnce() -> Result<(T, usize), ClientError>,
+) -> Result<(T, CallStats), ClientError> {
+    let (before, start_us) = (transport.stats(), transport.now_us());
+    let (answer, servers_consulted) = call()?;
+    let after = transport.stats();
+    // Saturating: a non-monotonic wall clock (or counters reset
+    // mid-call) must yield a zero reading, not a panic.
+    let stats = CallStats {
+        messages: after.messages.saturating_sub(before.messages),
+        bytes: after.bytes.saturating_sub(before.bytes),
+        elapsed_us: transport.now_us().saturating_sub(start_us),
+        servers_consulted,
+    };
+    Ok((answer, stats))
 }
 
 /// Forward geocode: free-text address or name → positions.

@@ -612,22 +612,6 @@ impl Session {
         self.advertised(server).is_some()
     }
 
-    /// Fills the hello cache for every listed server in **one**
-    /// concurrent round of bare handshakes, skipping servers whose
-    /// advertisement is already fresh. Unreachable or denying servers
-    /// are silently left uncached — the caller's next move decides how
-    /// to treat them.
-    pub fn ensure_hellos(&self, servers: &[EndpointId]) {
-        let mut round = self.scatter();
-        for &server in servers {
-            if !self.has_hello(server) {
-                round.submit(server, Vec::new());
-            }
-        }
-        // Results are absorbed into the cache on collect.
-        let _ = round.collect();
-    }
-
     /// Records that fleet replica `endpoint`, discovered under query
     /// cell `cell_raw`, failed at the wire — the one call failover
     /// makes. The dead mark *replaces* the endpoint's advertisement
@@ -786,8 +770,15 @@ impl ScatterRound<'_> {
 }
 
 // --------------------------------------------------------------------
-// Response-unwrap helpers shared by every provider implementation.
+// Request and response-unwrap helpers shared by every provider
+// implementation.
 // --------------------------------------------------------------------
+
+/// A result-count limit as the wire's `u32`, saturating: a `k` past
+/// `u32::MAX` asks for everything, not for `k mod 2^32`.
+pub(crate) fn wire_k(k: usize) -> u32 {
+    u32::try_from(k).unwrap_or(u32::MAX)
+}
 
 pub(crate) fn expect_nearest(server: &str, response: &Response) -> Result<NodeId, ClientError> {
     match response {
@@ -801,21 +792,39 @@ pub(crate) fn expect_nearest(server: &str, response: &Response) -> Result<NodeId
     }
 }
 
-pub(crate) fn expect_route(server: &str, response: Response) -> Result<WireRoute, ClientError> {
-    match response {
-        Response::Route { route: Some(route) } => Ok(route),
-        Response::Route { route: None } => Err(ClientError::NotFound("no path on server".into())),
-        other => Err(unexpected(server, "Route", &other)),
+/// The route in a one-item batch answer.
+pub(crate) fn expect_route(
+    server: &str,
+    mut responses: Vec<Response>,
+) -> Result<WireRoute, ClientError> {
+    match responses.pop() {
+        Some(Response::Route { route: Some(route) }) => Ok(route),
+        Some(Response::Route { route: None }) => {
+            Err(ClientError::NotFound("no path on server".into()))
+        }
+        other => Err(unexpected_opt(server, "Route", other)),
     }
 }
 
+/// The cost matrix in a one-item batch answer, which must have the
+/// `rows` × `cols` shape the client asked for: the stitcher's portal
+/// choice indexes the client's own portal lists, so a peer-chosen shape
+/// is a malformed answer, not an index.
 pub(crate) fn expect_matrix(
     server: &str,
-    response: Response,
+    mut responses: Vec<Response>,
+    (rows, cols): (usize, usize),
 ) -> Result<Vec<Vec<f64>>, ClientError> {
-    match response {
-        Response::RouteMatrix { costs } => Ok(costs),
-        other => Err(unexpected(server, "RouteMatrix", &other)),
+    match responses.pop() {
+        Some(Response::RouteMatrix { costs })
+            if costs.len() == rows && costs.iter().all(|row| row.len() == cols) =>
+        {
+            Ok(costs)
+        }
+        Some(Response::RouteMatrix { .. }) => Err(ClientError::Protocol(format!(
+            "{server} answered a cost matrix that is not the {rows} x {cols} asked for"
+        ))),
+        other => Err(unexpected_opt(server, "RouteMatrix", other)),
     }
 }
 

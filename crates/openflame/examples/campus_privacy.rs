@@ -96,7 +96,7 @@ fn main() {
         };
         let localize_ok = client
             .federated_localize(venue.hint, std::slice::from_ref(&beacon_cue))
-            .map(|ests| ests.iter().any(|(sid, _)| sid.starts_with("venue-")))
+            .map(|ests| ests.iter().any(|e| e.server_id.starts_with("venue-")))
             .unwrap_or(false);
         println!("{label:<28} {search_ok:>8} {route_ok:>8} {localize_ok:>10}");
     }

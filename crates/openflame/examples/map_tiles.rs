@@ -22,7 +22,7 @@ fn main() {
 
     // 1. City tiles straight from the federation at three zooms.
     for z in [14u8, 15, 16] {
-        let tile = dep
+        let (tile, _layers) = dep
             .client
             .federated_tile(dep.world.config.center, z)
             .unwrap();
@@ -65,7 +65,7 @@ fn main() {
     let z = 18u8;
     let (x, y) = Mercator::tile_for(venue_geo, z);
     let coord = TileCoord { z, x, y };
-    let base = dep.client.federated_tile(venue_geo, z).unwrap();
+    let (base, _layers) = dep.client.federated_tile(venue_geo, z).unwrap();
     let overlay = render_unaligned_overlay(&venue.map, &fitted, anchor, coord);
     let stitched = compose(&[&base, &overlay]);
     let path = out_dir.join("venue_overlay_z18.ppm");

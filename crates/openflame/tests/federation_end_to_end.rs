@@ -199,7 +199,7 @@ fn federated_localization_switches_indoors() {
     let outdoor_est = dep.client.federated_localize(outdoor_geo, &[gnss]).unwrap();
     assert!(outdoor_est
         .iter()
-        .any(|(sid, e)| sid == "world-map" && e.technology == "gnss"));
+        .any(|e| e.server_id == "world-map" && e.estimate.technology == "gnss"));
     // Indoors: beacon cue answered by the venue server.
     let radio = RadioMap::survey(
         venue.beacons.clone(),
@@ -210,7 +210,7 @@ fn federated_localization_switches_indoors() {
     let truth = openflame_geo::Point2::new(12.0, 10.0);
     let cue = radio.observe(&mut rng, truth, 2.0);
     let indoor_est = dep.client.federated_localize(venue.hint, &[cue]).unwrap();
-    let (sid, est) = &indoor_est[0];
+    let (sid, est) = (&indoor_est[0].server_id, &indoor_est[0].estimate);
     assert_eq!(sid, "venue-1");
     assert_eq!(est.technology, "beacon");
     assert!(est.pos.distance(truth) < 8.0);
@@ -312,13 +312,13 @@ fn geocode_through_world_provider() {
         .federated_geocode(&address, dep.outdoor_server.endpoint(), 3)
         .unwrap();
     assert!(!hits.is_empty());
-    assert!(hits[0].1.score > 0.9, "address {address:?} hits {hits:?}");
+    assert!(hits[0].hit.score > 0.9, "address {address:?} hits {hits:?}");
 }
 
 #[test]
 fn tiles_compose_from_outdoor_provider() {
     let dep = Deployment::build(small_world(), DeploymentConfig::default());
-    let tile = dep
+    let (tile, _layers) = dep
         .client
         .federated_tile(dep.world.config.center, 16)
         .unwrap();
@@ -465,7 +465,7 @@ fn localization_denied_while_tiles_allowed() {
     let cue = radio.observe(&mut rng, openflame_geo::Point2::new(10.0, 10.0), 2.0);
     let estimates = dep.client.federated_localize(venue.hint, &[cue]).unwrap();
     assert!(
-        estimates.iter().all(|(sid, _)| !sid.starts_with("venue-")),
+        estimates.iter().all(|e| !e.server_id.starts_with("venue-")),
         "venue localization must be denied"
     );
     // Search on the same venue still works (service-level separation).

@@ -1,0 +1,494 @@
+//! The one scatter loop, pinned on a stub federation.
+//!
+//! Every server here is a closure on the deterministic simulator,
+//! injected into the client through `Session::store_discovery`, so each
+//! test decides exactly what a peer says. Two things are pinned:
+//!
+//! 1. **The per-class outage table** (`QueryKind::outage`): for each of
+//!    the five scattered classes × {every server answers, one plain
+//!    server down, one fleet shard down after failover, every consulted
+//!    server down, every server denies}, whether the call is an answer
+//!    or a `ClientError::PartialFailure` — and then with which
+//!    `succeeded` count and which plan indices, sources preserved.
+//! 2. **Peer bytes may make a query fail, never lie or panic**: a tile
+//!    echoing another coordinate, portal cost matrices of a shape that
+//!    was not asked for, and a result limit past `u32::MAX`.
+
+use openflame_cells::CellId;
+use openflame_codec::{from_bytes, to_bytes};
+use openflame_core::{
+    CentralizedProvider, ClientError, DiscoveredServer, DiscoveryView, FederatedSearchHit,
+    FleetShardView, FleetView, GeocodeQuery, OpenFlameClient, QueryKind, SearchQuery,
+    SpatialProvider, TileQuery,
+};
+use openflame_dns::{Resolver, ResolverConfig};
+use openflame_geo::{LatLng, Mercator, Point2};
+use openflame_localize::LocationCue;
+use openflame_mapdata::{ElementId, NodeId};
+use openflame_mapserver::naming::QUERY_LEVEL;
+use openflame_mapserver::protocol::{
+    Envelope, HelloInfo, Request, Response, WireEstimate, WireGeocodeHit, WireSearchResult,
+};
+use openflame_netsim::{BackendKind, EndpointId, Transport};
+use openflame_tiles::{TileCoord, TILE_SIZE};
+use openflame_worldgen::{World, WorldConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+
+type Net = Arc<dyn Transport>;
+
+/// Where every stub is anchored and every query is asked.
+fn here() -> LatLng {
+    LatLng::new(40.44, -79.94).unwrap()
+}
+
+fn advertisement(
+    server_id: &str,
+    anchor: Option<LatLng>,
+    portals: Vec<(u64, LatLng)>,
+) -> HelloInfo {
+    HelloInfo {
+        server_id: server_id.into(),
+        map_name: "stub".into(),
+        services: Vec::new(),
+        localization_techs: vec!["gnss".into()],
+        anchored: anchor.is_some(),
+        anchor,
+        portals,
+        version: 1,
+        coverage: None,
+    }
+}
+
+/// A service answering every batch item with `answer(item)`.
+fn service(
+    answer: impl Fn(&Request) -> Response + Send + Sync + 'static,
+) -> Arc<dyn openflame_netsim::WireService> {
+    Arc::new(move |_from: EndpointId, payload: &[u8]| {
+        let envelope: Envelope = from_bytes(payload).expect("the session sends envelopes");
+        let Request::Batch(items) = envelope.request else {
+            panic!("the session always sends batches");
+        };
+        to_bytes(&Response::Batch(items.iter().map(&answer).collect())).to_vec()
+    })
+}
+
+/// Registers a stub map server advertising `hello`; every item but
+/// `Hello` is answered by `answer`.
+fn stub(
+    net: &Net,
+    hello: HelloInfo,
+    answer: impl Fn(&Request) -> Response + Send + Sync + 'static,
+) -> Arc<DiscoveredServer> {
+    let server_id = hello.server_id.clone();
+    let endpoint = net.register(&format!("mapsrv:{server_id}"), None);
+    net.set_service(
+        endpoint,
+        service(move |item| match item {
+            Request::Hello => Response::Hello(hello.clone()),
+            item => answer(item),
+        }),
+    );
+    Arc::new(DiscoveredServer {
+        server_id,
+        endpoint,
+        services: vec!["localize:gnss".into()],
+    })
+}
+
+/// A stub anchored [`here`].
+fn anchored_stub(
+    net: &Net,
+    server_id: &str,
+    answer: impl Fn(&Request) -> Response + Send + Sync + 'static,
+) -> Arc<DiscoveredServer> {
+    stub(
+        net,
+        advertisement(server_id, Some(here()), Vec::new()),
+        answer,
+    )
+}
+
+/// A client on `net` whose discovery at [`here`] is `view` — no DNS is
+/// ever consulted.
+fn client_seeing(net: &Net, view: DiscoveryView) -> OpenFlameClient {
+    let dns = net.register("stub-dns", None);
+    let config = ResolverConfig::default();
+    let resolver = Arc::new(Resolver::with_config_on(
+        net.clone(),
+        "resolver",
+        vec![dns],
+        config,
+    ));
+    let client = OpenFlameClient::builder().build_on(net.clone(), resolver);
+    let cell = CellId::from_latlng(here(), QUERY_LEVEL).unwrap();
+    client.session().store_discovery(cell.raw(), view);
+    client
+}
+
+fn plain_view(servers: Vec<Arc<DiscoveredServer>>) -> DiscoveryView {
+    DiscoveryView {
+        servers,
+        fleets: Vec::new(),
+    }
+}
+
+fn blank_tile(z: u8, x: u32, y: u32) -> Response {
+    let rgb = vec![0x40; TILE_SIZE * TILE_SIZE * 3];
+    Response::Tile { z, x, y, rgb }
+}
+
+/// An honest, open server: one hit, one estimate, one layer.
+fn honest(item: &Request) -> Response {
+    let element = ElementId::Node(NodeId(1));
+    let pos = Point2::ZERO;
+    let hit = WireGeocodeHit {
+        element,
+        pos,
+        score: 1.0,
+        label: "1 Main St".into(),
+    };
+    match item {
+        Request::Search { .. } => Response::Search {
+            results: vec![WireSearchResult {
+                element,
+                pos,
+                score: 1.0,
+                distance_m: 0.0,
+                label: "kiosk".into(),
+            }],
+        },
+        Request::Geocode { .. } => Response::Geocode { hits: vec![hit] },
+        Request::ReverseGeocode { .. } => Response::ReverseGeocode { hit: Some(hit) },
+        Request::Localize { .. } => Response::Localize {
+            estimates: vec![WireEstimate {
+                pos,
+                error_m: 3.0,
+                technology: "gnss".into(),
+            }],
+        },
+        Request::GetTile { z, x, y } => blank_tile(*z, *x, *y),
+        other => panic!("no scattered class sends {other:?}"),
+    }
+}
+
+/// A paper §5.3 denial of every service but capability discovery.
+fn deny(_: &Request) -> Response {
+    Response::Error {
+        code: 1,
+        message: "access denied".into(),
+    }
+}
+
+/// The centralized provider over a one-store world, its server's
+/// service replaced by `answer` (the handshake is refused, which the
+/// session strips like any other answer to it).
+fn central_answering(
+    answer: impl Fn(&Request) -> Response + Send + Sync + 'static,
+) -> (CentralizedProvider, World) {
+    let net = BackendKind::Sim.build(1);
+    let world = World::generate(WorldConfig {
+        stores: 1,
+        ..WorldConfig::default()
+    });
+    let central = CentralizedProvider::public_only_on(net.clone(), &world);
+    net.set_service(
+        central.server.endpoint(),
+        service(move |item| match item {
+            Request::Hello => deny(item),
+            item => answer(item),
+        }),
+    );
+    (central, world)
+}
+
+// --------------------------------------------------------------------
+// The outage table.
+// --------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Situation {
+    AllAnswer,
+    PlainDown,
+    ShardDown,
+    AllDown,
+    AllDeny,
+}
+
+/// What a call came to: an answer (which may be "nothing here"), or an
+/// outage with its `succeeded` count and failed plan indices.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    Answer,
+    Outage(usize, Vec<usize>),
+}
+
+/// One cell of the table: a fresh federation of the world provider
+/// (plan index 0), a plain server (1) and a one-shard, two-replica
+/// fleet (2) is asked one `class` query while all is well — so the
+/// client is warm: a cold reverse geocode declines every server whose
+/// frame it could not learn, and consults no one in a blackout — then
+/// put into `situation` and asked again. Forward geocode's scatter is
+/// its refinement step: the world provider is declined there and
+/// stays up and open, since without the coarse hit there is nothing to
+/// refine.
+fn verdict(class: QueryKind, situation: Situation) -> Verdict {
+    let net = BackendKind::Sim.build(1);
+    let denying = Arc::new(AtomicBool::new(false));
+    let switchable = || {
+        let denying = denying.clone();
+        move |item: &Request| {
+            if denying.load(Ordering::SeqCst) {
+                deny(item)
+            } else {
+                honest(item)
+            }
+        }
+    };
+    let world = match class {
+        QueryKind::Geocode => anchored_stub(&net, "world-map", honest),
+        _ => anchored_stub(&net, "world-map", switchable()),
+    };
+    let plain = anchored_stub(&net, "plain", switchable());
+    let replicas = vec![
+        anchored_stub(&net, "shard-r0", switchable()),
+        anchored_stub(&net, "shard-r1", switchable()),
+    ];
+    let down: Vec<EndpointId> = match situation {
+        Situation::AllAnswer | Situation::AllDeny => Vec::new(),
+        Situation::PlainDown => vec![plain.endpoint],
+        Situation::ShardDown => replicas.iter().map(|r| r.endpoint).collect(),
+        Situation::AllDown => replicas
+            .iter()
+            .chain([&plain, &world])
+            .filter(|s| class != QueryKind::Geocode || s.endpoint != world.endpoint)
+            .map(|s| s.endpoint)
+            .collect(),
+    };
+    let shard = FleetShardView {
+        extents: vec![CellId::from_latlng(here(), 16).unwrap()],
+        replicas,
+    };
+    let view = DiscoveryView {
+        servers: vec![world.clone(), plain],
+        fleets: vec![FleetView {
+            group_id: "fleet".into(),
+            services: Vec::new(),
+            shards: vec![Arc::new(shard)],
+        }],
+    };
+    let client = client_seeing(&net, view);
+    let gnss = LocationCue::Gnss {
+        fix: here(),
+        accuracy_m: 4.0,
+    };
+    let ask = || match class {
+        QueryKind::Search => client.federated_search("kiosk", here(), 3).map(drop),
+        QueryKind::Geocode => client
+            .federated_geocode("1 Main St", world.endpoint, 3)
+            .map(drop),
+        QueryKind::ReverseGeocode => client.federated_reverse_geocode(here(), 50.0).map(drop),
+        QueryKind::Localize => client
+            .federated_localize(here(), std::slice::from_ref(&gnss))
+            .map(drop),
+        QueryKind::Tile => client.federated_tile(here(), 16).map(drop),
+        QueryKind::Route => unreachable!("routing runs its own rounds"),
+    };
+    ask().expect("a healthy federation answers");
+    denying.store(situation == Situation::AllDeny, Ordering::SeqCst);
+    for endpoint in down {
+        net.set_down(endpoint, true);
+    }
+    match ask() {
+        // Denied everywhere, a tile query has no layer to compose: the
+        // round answered, and the answer is "no tile providers here".
+        Ok(()) | Err(ClientError::NothingDiscovered(_)) => Verdict::Answer,
+        Err(ClientError::PartialFailure {
+            succeeded,
+            failures,
+        }) => {
+            for (_, source) in &failures {
+                assert!(
+                    source.to_string().contains("down"),
+                    "{class:?}/{situation:?}: the source error must survive, got {source}"
+                );
+            }
+            Verdict::Outage(
+                succeeded,
+                failures.into_iter().map(|(idx, _)| idx).collect(),
+            )
+        }
+        Err(other) => panic!("{class:?}/{situation:?}: unexpected error {other}"),
+    }
+}
+
+#[test]
+fn the_outage_table_holds_for_every_scattered_class() {
+    use Situation::*;
+    let situations = [AllAnswer, PlainDown, ShardDown, AllDown, AllDeny];
+    let answer = || Verdict::Answer;
+    let shard_down = || Verdict::Outage(2, vec![2]);
+    let blackout = || Verdict::Outage(0, vec![0, 1, 2]);
+    let table = [
+        // `Outage::BlackoutOrShardDown`: the answer would silently omit
+        // the down shard's content.
+        (
+            QueryKind::Search,
+            [answer(), answer(), shard_down(), blackout(), answer()],
+        ),
+        (
+            QueryKind::Localize,
+            [answer(), answer(), shard_down(), blackout(), answer()],
+        ),
+        // `Outage::Blackout`: a down shard is absorbed.
+        (
+            QueryKind::ReverseGeocode,
+            [answer(), answer(), answer(), blackout(), answer()],
+        ),
+        (
+            QueryKind::Tile,
+            [answer(), answer(), answer(), blackout(), answer()],
+        ),
+        // `Outage::Absorbed`: the coarse hit is already an answer.
+        (
+            QueryKind::Geocode,
+            [answer(), answer(), answer(), answer(), answer()],
+        ),
+    ];
+    for (class, row) in table {
+        for (situation, expected) in situations.into_iter().zip(row) {
+            assert_eq!(
+                verdict(class, situation),
+                expected,
+                "{class:?} with {situation:?}"
+            );
+        }
+    }
+}
+
+// --------------------------------------------------------------------
+// Peer bytes may make a query fail, never lie or panic.
+// --------------------------------------------------------------------
+
+#[test]
+fn a_tile_echoing_another_coordinate_is_not_the_tile_asked_for() {
+    let query = TileQuery {
+        center: here(),
+        z: 16,
+    };
+    let (x, y) = Mercator::tile_for(here(), 16);
+    let liar = |item: &Request| match item {
+        Request::GetTile { z, x, y } => blank_tile(*z, *x + 1, *y),
+        other => honest(other),
+    };
+
+    // Federated: the mismatched layer contributes nothing.
+    let net = BackendKind::Sim.build(1);
+    let view = plain_view(vec![
+        anchored_stub(&net, "honest", honest),
+        anchored_stub(&net, "liar", liar),
+    ]);
+    let outcome = client_seeing(&net, view).tile(query).unwrap();
+    assert_eq!(outcome.stats.servers_consulted, 1, "one layer composed");
+    assert_eq!(outcome.tile.coord, TileCoord { z: 16, x, y });
+    let net = BackendKind::Sim.build(1);
+    let view = plain_view(vec![anchored_stub(&net, "liar", liar)]);
+    let err = client_seeing(&net, view).tile(query).unwrap_err();
+    assert!(matches!(err, ClientError::NothingDiscovered(_)), "{err}");
+
+    // Centralized: there is no other layer, so it is a protocol error.
+    let (central, world) = central_answering(liar);
+    let err = central
+        .tile(TileQuery {
+            center: world.config.center,
+            z: 16,
+        })
+        .unwrap_err();
+    assert!(matches!(err, ClientError::Protocol(_)), "{err}");
+}
+
+#[test]
+fn portal_matrices_of_a_shape_not_asked_for_fail_the_route() {
+    let net = BackendKind::Sim.build(1);
+    // Two portals advertised, so the client asks for 1 × 2 and 2 × 1;
+    // both peers answer one portal wider, the extra one the cheapest —
+    // an index past the end of both of the client's portal lists.
+    let portals = vec![(1, here()), (2, here())];
+    let matrices = |costs: Vec<Vec<f64>>| {
+        move |item: &Request| match item {
+            Request::NearestNode { .. } => Response::NearestNode {
+                node: Some((7, 0.0)),
+            },
+            Request::RouteMatrix { .. } => Response::RouteMatrix {
+                costs: costs.clone(),
+            },
+            other => panic!("routing stops at the matrices, got {other:?}"),
+        }
+    };
+    let outdoor = anchored_stub(&net, "outdoor", matrices(vec![vec![9.0, 9.0, 1.0]]));
+    let venue = stub(
+        &net,
+        advertisement("venue", None, portals),
+        matrices(vec![vec![9.0], vec![9.0], vec![1.0]]),
+    );
+    let target = FederatedSearchHit {
+        server_id: venue.server_id.clone(),
+        endpoint: venue.endpoint,
+        result: WireSearchResult {
+            element: ElementId::Node(NodeId(5)),
+            pos: Point2::ZERO,
+            score: 1.0,
+            distance_m: 0.0,
+            label: "shelf".into(),
+        },
+    };
+    let client = client_seeing(&net, plain_view(vec![outdoor, venue]));
+    let err = client.federated_route(here(), &target).unwrap_err();
+    assert!(matches!(err, ClientError::Protocol(_)), "{err}");
+}
+
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn a_result_limit_past_u32_max_saturates_on_the_wire() {
+    let huge = 1usize << 32;
+    let asked: Arc<Mutex<Vec<u32>>> = Arc::default();
+    let recording = |asked: &Arc<Mutex<Vec<u32>>>| {
+        let asked = asked.clone();
+        move |item: &Request| {
+            if let Request::Search { k, .. } | Request::Geocode { k, .. } = item {
+                asked.lock().unwrap().push(*k);
+            }
+            honest(item)
+        }
+    };
+
+    // Federated search and geocode refinement (the coarse step asks the
+    // world provider for one hit).
+    let net = BackendKind::Sim.build(1);
+    let world = anchored_stub(&net, "world-map", honest);
+    let refiner = anchored_stub(&net, "refiner", recording(&asked));
+    let client = client_seeing(&net, plain_view(vec![world.clone(), refiner]));
+    client.federated_search("kiosk", here(), huge).unwrap();
+    client
+        .federated_geocode("1 Main St", world.endpoint, huge)
+        .unwrap();
+
+    // Centralized search and geocode.
+    let (central, world) = central_answering(recording(&asked));
+    central
+        .search(SearchQuery {
+            query: "kiosk".into(),
+            location: world.config.center,
+            radius_m: 100.0,
+            k: huge,
+        })
+        .unwrap();
+    central
+        .geocode(GeocodeQuery {
+            query: "1 Main St".into(),
+            k: huge,
+        })
+        .unwrap();
+
+    assert_eq!(*asked.lock().unwrap(), [u32::MAX; 4]);
+}

@@ -545,7 +545,7 @@ pub fn wire_tag_findings(sources: &[(&str, &str)], doc: &str) -> Vec<Finding> {
 // in the wire-facing crates, netsim thread spawns, the concrete
 // simulator type above netsim, a hand-rolled handshake or a
 // per-endpoint map in core outside the session, a hand-written codec
-// beside the message table.
+// beside the message table, a second scatter loop in core.
 // ----------------------------------------------------------------
 
 /// The files whose messages live in the message table, and the types
@@ -623,6 +623,30 @@ pub fn forbidden_api_findings(file: &str, content: &str) -> Vec<Finding> {
                 ),
             );
         }
+    }
+    // One scatter loop: the executor has one call site, call
+    // statistics one builder, and nothing barriers on handshakes.
+    if file.contains("core/src/") {
+        let calls = masked.matches("plan::execute(").count();
+        if calls > usize::from(file.ends_with("core/src/client.rs")) {
+            flag_each(
+                "plan::execute(",
+                "`plan::execute(` beyond its one call site in client.rs: a query class is a \
+                 request builder and an absorber on `OpenFlameClient::scatter`",
+            );
+        }
+        if !file.ends_with("core/src/provider.rs") {
+            flag_each(
+                "CallStats {",
+                "a `CallStats` literal outside provider.rs: provider methods measure through \
+                 `provider::measured`",
+            );
+        }
+        flag_each(
+            "ensure_hellos",
+            "`ensure_hellos` is retired: the handshake rides the first envelope, and a round \
+             of bare handshakes is a `Session::scatter` round of empty batches",
+        );
     }
     // Code that parses or serves what arrives off the wire surfaces
     // errors, it doesn't assert on them.

@@ -362,6 +362,58 @@ mod tests { impl Wire for Probe {} }
 }
 
 #[test]
+fn forbidden_api_flags_a_second_caller_of_the_plan_executor() {
+    let one = "\
+/// Runs [`plan::execute`] once.
+fn scatter() { let outcomes = plan::execute(&session, &mut plan, build); }
+#[cfg(test)]
+mod tests { fn t() { plan::execute(&session, &mut plan, build); } }
+";
+    assert_eq!(forbidden_api_findings("crates/core/src/client.rs", one), []);
+    // Anywhere else in core, one is one too many.
+    let f = forbidden_api_findings("crates/core/src/centralized.rs", one);
+    assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [2]);
+    assert!(f[0].msg.contains("beyond its one call site"));
+    // A per-service loop beside the scatter loop flags both.
+    let two = format!("{one}fn tile_impl() {{ plan::execute(&session, &mut plan, build); }}\n");
+    let f = forbidden_api_findings("crates/core/src/client.rs", &two);
+    assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [2, 5]);
+    // The executor's own crate boundary: other crates are not policed.
+    assert_eq!(forbidden_api_findings("crates/bench/src/lib.rs", &two), []);
+}
+
+#[test]
+fn forbidden_api_flags_call_stats_built_outside_provider_rs() {
+    let src = "\
+pub struct CallStats { pub messages: u64 }
+fn finish() -> CallStats { CallStats { messages: 0 } }
+fn read(stats: &CallStats) -> u64 { stats.messages }
+#[cfg(test)]
+mod tests { fn t() { let _ = CallStats { messages: 1 }; } }
+";
+    let f = forbidden_api_findings("crates/core/src/centralized.rs", src);
+    assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [1, 2, 2]);
+    assert!(f[0].msg.contains("provider::measured"));
+    for home in ["crates/core/src/provider.rs", "crates/bench/src/lib.rs"] {
+        assert_eq!(forbidden_api_findings(home, src), []);
+    }
+}
+
+#[test]
+fn forbidden_api_flags_a_handshake_barrier_in_core() {
+    let src = "\
+fn route(&self) { self.session.ensure_hellos(&candidates); }
+#[cfg(test)]
+mod tests { fn t() { session.ensure_hellos(&[]); } }
+";
+    for file in ["crates/core/src/client.rs", "crates/core/src/session.rs"] {
+        let f = forbidden_api_findings(file, src);
+        assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [1]);
+        assert!(f[0].msg.contains("rides the first envelope"));
+    }
+}
+
+#[test]
 fn forbidden_api_ignores_comments_and_strings() {
     let src = "// std::sync::Mutex::new is banned\nconst M: &str = \"parking_lot\";\n";
     assert_eq!(

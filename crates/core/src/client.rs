@@ -538,8 +538,9 @@ impl OpenFlameClient {
     ) -> Result<Option<GeocodeHit>, ClientError> {
         let mut best: Option<GeocodeHit> = None;
         // `pos` is spelled in the server's frame: the builder declines
-        // a server it sees is unanchored (or whose handshake failed) —
-        // whatever unanchored sources the planner could not prove out.
+        // a server it sees is unanchored — whatever unanchored sources
+        // the planner could not prove out — or whose handshake failed,
+        // which keeps its failure for the blackout rule.
         self.scatter(
             QueryKind::ReverseGeocode,
             location,

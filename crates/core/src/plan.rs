@@ -349,7 +349,9 @@ fn footprint_disjoint(extent: &CoverageExtent, center: LatLng, radius_m: f64) ->
 /// with no cached advertisement gets the bare handshake in the first
 /// round — alongside the warm targets' service envelopes, never ahead
 /// of them — and its builder runs in a follow-up round, seeing the
-/// advertisement, or `None` if the handshake failed. Every other
+/// advertisement, or `None` if the handshake failed (declining then
+/// leaves the target in the plan with the handshake's failure as its
+/// outcome). Every other
 /// kind's envelope simply goes out and the session's rule teaches the
 /// advertisement on it.
 ///
@@ -386,7 +388,9 @@ pub fn execute(
     // Round two for the cold targets: their hellos were absorbed
     // on collect, so the builder now sees the advertisement — or
     // `None` if the handshake failed, and a builder that cannot do
-    // without it declines here.
+    // without it declines here. A decline drops a server the client
+    // has seen; one whose handshake failed keeps its failure, so
+    // failover and the class's outage rule still see it.
     let mut follow = session.scatter();
     let mut gathered = Vec::with_capacity(kept.len());
     let mut deferred: Vec<usize> = Vec::new();
@@ -394,11 +398,14 @@ pub fn execute(
         if cold {
             let endpoint = target.server.endpoint;
             let hello = session.cached_hello(endpoint);
-            let Some(requests) = request_for(&target.server, hello.as_deref()) else {
-                continue;
-            };
-            follow.submit(endpoint, requests);
-            deferred.push(gathered.len());
+            match request_for(&target.server, hello.as_deref()) {
+                Some(requests) => {
+                    follow.submit(endpoint, requests);
+                    deferred.push(gathered.len());
+                }
+                None if outcome.is_ok() => continue,
+                None => {}
+            }
         }
         // (A cold target's slot holds its handshake's outcome until
         // the follow-up round overwrites it below.)

@@ -18,7 +18,9 @@
 //!   `demux`, `completion`) above them all. The chains that really nest — TCP: `endpoints` is held
 //!   while consulting a connection's demux (`obtain_conn`), a
 //!   connection's `out` queue while marking frames sent in the demux
-//!   (`pump_client_write`). QuicLite: `client` is its outermost lock —
+//!   (`flush`), its `rx` decoder while the reader completes
+//!   responses or kills the connection (`read_until`). QuicLite:
+//!   `client` is its outermost lock —
 //!   `obtain_conn` holds it across conn-id routing, the resume cache,
 //!   the unacked buffer, transmit (`rng`/`stats`) and placing the
 //!   client socket on the event loop (`reactors`, `reactor_cmds`).
@@ -82,7 +84,7 @@ pub const NET_STATS: Rank = Rank::new(242, "netsim.net.stats");
 pub const NET_REACTORS: Rank = Rank::new(246, "netsim.net.reactors");
 /// An event-loop thread's inbox of newly placed sources.
 pub const NET_REACTOR_CMDS: Rank = Rank::new(250, "netsim.net.reactor_cmds");
-/// The dispatch-pool job queue (held only across `recv`).
+/// The dispatch-pool job queue (paired with its condvar).
 pub const NET_DISPATCH_QUEUE: Rank = Rank::new(252, "netsim.net.dispatch_queue");
 /// A connection's correlation demux.
 pub const NET_DEMUX: Rank = Rank::new(254, "netsim.net.demux");
@@ -91,10 +93,14 @@ pub const NET_COMPLETION: Rank = Rank::new(260, "netsim.net.completion");
 
 // The TCP binding.
 
+/// A TCP client connection's response decoder (held by the reader-token
+/// holder, which kills the connection under it on a read error).
+pub const TCP_CONN_RX: Rank = Rank::new(136, "netsim.tcp.conn_rx");
 /// A TCP client connection's outgoing frame queue (held while marking
 /// frames sent in the demux).
 pub const TCP_CONN_OUT: Rank = Rank::new(140, "netsim.tcp.conn_out");
-/// A served TCP connection's finished-reply queue.
+/// A served TCP connection's write side (held across the reply write by
+/// the answering worker or the loop).
 pub const TCP_SERVE_DONE: Rank = Rank::new(146, "netsim.tcp.serve_done");
 
 // The QuicLite binding.

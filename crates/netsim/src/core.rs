@@ -23,15 +23,21 @@
 //!   shutdown check and the poll deadline, written once
 //!   (`crate::reactor` stays the lock-free syscall wrapper under it);
 //! - **serve-side dispatch**: [`ServeJob`], the one
-//!   [`spawn_dispatch_pool`], and the admit-or-shed step
-//!   ([`Served::admit`]) every decode path runs;
+//!   [`spawn_dispatch_pool`] and its [`JobQueue`] — one queue behind
+//!   one condvar, so a queued job wakes exactly one worker — and the
+//!   admit-or-shed step ([`Served::admit`]) every decode path runs;
 //! - **the only [`Transport`] impl for socket backends**, generic over
 //!   a small [`Binding`]: how to bind a served endpoint, put an encoded
 //!   frame on the wire, decide what a failed call means, and cut on
-//!   `set_down`. `tcp` supplies streams, `udp` reliable datagrams —
-//!   each as sources on the loop; neither can restate the semantics
-//!   above, so the two cannot drift. The loop and the dispatch pool are
-//!   the only threads a socket transport has.
+//!   `set_down` — plus one optional seam, [`Binding::drive`], through
+//!   which a blocking waiter reads its own answer before it parks
+//!   (tcp does; QuicLite leaves it to the loop). `tcp` supplies
+//!   streams, `udp` reliable datagrams — each as sources on the loop;
+//!   neither can restate the semantics above, so the two cannot drift.
+//!   The loop and the dispatch pool are the only threads a socket
+//!   transport has; callers and workers do socket I/O on their own
+//!   threads where a binding lets them, but no request ever executes
+//!   on a loop thread.
 //!
 //! Traffic counters are charged on the waiting side when a completion
 //! is claimed and include the frame header. A call whose request frame
@@ -50,11 +56,11 @@ use openflame_diag::{ranks, OrderedCondvar, OrderedMutex};
 use openflame_geo::LatLng;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -80,17 +86,25 @@ pub(crate) struct CellDone {
 /// The cell is the innermost lock any thread touches while routing a
 /// response.
 pub(crate) struct CompletionCell {
-    state: OrderedMutex<Option<CellDone>>,
+    state: OrderedMutex<CellState>,
     cond: OrderedCondvar,
     /// Set the moment the request frame starts onto a socket (see
     /// [`Demux::mark_sent`]).
     sent: AtomicBool,
 }
 
+#[derive(Default)]
+struct CellState {
+    done: Option<CellDone>,
+    /// Set (under the lock, so the parked waiter cannot miss it) when
+    /// the waiter may try [`Binding::drive`] again.
+    turn: bool,
+}
+
 impl CompletionCell {
     fn new() -> Self {
         Self {
-            state: OrderedMutex::new(ranks::NET_COMPLETION, None),
+            state: OrderedMutex::new(ranks::NET_COMPLETION, CellState::default()),
             cond: OrderedCondvar::new(),
             sent: AtomicBool::new(false),
         }
@@ -100,10 +114,14 @@ impl CompletionCell {
         self.sent.load(Ordering::SeqCst)
     }
 
+    pub(crate) fn is_done(&self) -> bool {
+        self.state.lock().done.is_some()
+    }
+
     fn fill(&self, result: io::Result<Vec<u8>>, sole_in_flight: bool) {
         let mut state = self.state.lock();
-        if state.is_none() {
-            *state = Some(CellDone {
+        if state.done.is_none() {
+            state.done = Some(CellDone {
                 result,
                 sole_in_flight,
             });
@@ -111,16 +129,24 @@ impl CompletionCell {
         }
     }
 
-    /// Blocks until filled or `deadline`; `None` means the deadline
-    /// passed first.
+    fn give_turn(&self) {
+        let mut state = self.state.lock();
+        if state.done.is_none() {
+            state.turn = true;
+            self.cond.notify_all();
+        }
+    }
+
+    /// Blocks until filled, handed the turn, or `deadline`; `None`
+    /// means one of the latter two came first.
     fn wait_until(&self, deadline: Instant) -> Option<CellDone> {
         let mut state = self.state.lock();
         loop {
-            if state.is_some() {
-                return state.take();
+            if state.done.is_some() {
+                return state.done.take();
             }
             let now = Instant::now();
-            if now >= deadline {
+            if std::mem::take(&mut state.turn) || now >= deadline {
                 return None;
             }
             let (next, _) = self.cond.wait_timeout(state, deadline - now);
@@ -207,6 +233,14 @@ impl Demux {
         }
     }
 
+    /// Hands the turn to every call still waiting here: the reader
+    /// driving this connection is done with it (see [`Binding::drive`]).
+    pub(crate) fn pass_turn(&self) {
+        for cell in self.pending.lock().values() {
+            cell.give_turn();
+        }
+    }
+
     /// Abandons a request (timed-out waiter, racing submitter); a late
     /// response becomes an orphan. Returns whether the slot was still
     /// pending.
@@ -226,8 +260,8 @@ impl Demux {
 /// The part of a transport its detached worker threads may hold:
 /// injection knobs, counters and the shutdown flag. Deliberately
 /// separate from [`Core`], so no worker ever keeps the handle-owned
-/// state (endpoint book, binding state, the dispatch pool's master
-/// sender) alive — dropping the last handle unwinds every thread.
+/// state (endpoint book, binding state) alive — dropping the last
+/// handle unwinds every thread.
 pub(crate) struct Shared {
     pub(crate) timeout_us: AtomicU64,
     /// Drop probability as IEEE-754 bits (atomics hold no f64).
@@ -306,9 +340,9 @@ pub(crate) struct Core<B: Binding> {
     next_id: AtomicU64,
     next_corr: AtomicU64,
     pub(crate) endpoints: OrderedMutex<HashMap<EndpointId, Endpoint<B::Conns>>>,
-    /// Master sender of the transport-wide dispatch pool (spawned
+    /// The transport-wide dispatch pool's job queue (the pool spawns
     /// lazily with the first served endpoint).
-    dispatch: OrderedMutex<Option<mpsc::Sender<ServeJob<B::Sink>>>>,
+    dispatch: OrderedMutex<Option<Arc<JobQueue<B::Sink>>>>,
     /// The event-loop threads every socket of this transport lives on.
     pub(crate) event_loop: Arc<EventLoop<B::Source>>,
     pub(crate) shared: Arc<Shared>,
@@ -318,12 +352,14 @@ pub(crate) struct Core<B: Binding> {
 impl<B: Binding> Drop for Core<B> {
     fn drop(&mut self) {
         // Each loop thread exits on this wake, dropping its listeners
-        // (releasing their ports), connections and service/dispatch
-        // handles — which unwinds the dispatch pool once the master
-        // sender goes too. O(loop threads) however many endpoints
-        // served.
+        // (releasing their ports), connections and service handles, and
+        // each dispatch worker on the same flag. O(threads) however many
+        // endpoints served.
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.event_loop.wake_all();
+        if let Some(queue) = self.dispatch.lock().as_ref() {
+            queue.unwind();
+        }
     }
 }
 
@@ -347,12 +383,10 @@ impl<B: Binding> Core<B> {
         self.endpoints.lock().get(&id).and_then(|e| e.addr)
     }
 
-    fn dispatch_sender(&self) -> mpsc::Sender<ServeJob<B::Sink>> {
+    fn dispatch_queue(&self) -> Arc<JobQueue<B::Sink>> {
         self.dispatch
             .lock()
-            .get_or_insert_with(|| {
-                spawn_dispatch_pool(B::DISPATCH_WORKERS, B::KIND, &self.shared.threads)
-            })
+            .get_or_insert_with(|| spawn_dispatch_pool(B::DISPATCH_WORKERS, B::KIND, &self.shared))
             .clone()
     }
 
@@ -380,7 +414,6 @@ impl<B: Binding> Core<B> {
         let bytes_sent = payload.len() as u64;
         let frame = encode_frame(from, corr, &payload)?;
         let out = Outgoing {
-            from,
             to,
             addr,
             corr,
@@ -468,7 +501,6 @@ pub(crate) fn encode_frame(
 
 /// One request on its way to the binding's wire.
 pub(crate) struct Outgoing {
-    pub(crate) from: EndpointId,
     pub(crate) to: EndpointId,
     pub(crate) addr: SocketAddr,
     pub(crate) corr: u64,
@@ -520,6 +552,13 @@ pub(crate) trait Binding: Send + Sync + Sized + 'static {
     /// puts the encoded frame on the wire toward `out.to`.
     fn send(core: &Arc<Core<Self>>, out: Outgoing) -> Result<Sent<Self>, NetError>;
 
+    /// Lets a blocking waiter read its own answer before it parks:
+    /// returns once `sent.cell` is filled, `deadline` passes, or the
+    /// waiter cannot read now — and then whoever can
+    /// ([`Demux::pass_turn`]) hands it the turn to try again. By default
+    /// a waiter never reads: the loop delivers every response.
+    fn drive(_sent: &Sent<Self>, _deadline: Instant) {}
+
     /// Decides what a call that did not complete means. `failure` is
     /// the connection-level error and whether the request was alone in
     /// flight, or `None` when the deadline passed (the core already
@@ -553,7 +592,14 @@ pub(crate) struct SocketPending<B: Binding> {
 impl<B: Binding> PendingCall for SocketPending<B> {
     fn wait(self: Box<Self>) -> Result<Transfer, NetError> {
         let deadline = self.t0 + self.core.shared.timeout();
-        match self.sent.cell.wait_until(deadline) {
+        let done = loop {
+            B::drive(&self.sent, deadline);
+            match self.sent.cell.wait_until(deadline) {
+                None if Instant::now() < deadline => continue, // handed the turn
+                done => break done,
+            }
+        };
+        match done {
             Some(CellDone {
                 result: Ok(response),
                 ..
@@ -625,7 +671,7 @@ impl<B: Binding> Transport for B {
                 down,
                 service,
                 gauge,
-                dispatch: core.dispatch_sender(),
+                dispatch: core.dispatch_queue(),
                 shared: core.shared.clone(),
             },
         );
@@ -737,9 +783,10 @@ pub(crate) enum Sweep {
     Due(Instant),
 }
 
-/// One thing an event-loop thread owns outright: a socket (or
-/// listener) and the state behind it. Only the owning thread touches a
-/// source once adopted, so sources need no locks of their own.
+/// One thing an event-loop thread polls: a socket (or listener) and the
+/// state behind it. Sources never migrate between loop threads; what a
+/// source shares with callers or workers (a binding's choice) sits
+/// behind that binding's own locks.
 pub(crate) trait Source: Send + Sized + 'static {
     /// The poll interest for this turn; `None` keeps the fd out of the
     /// set entirely (nothing to wait for until the waker fires).
@@ -932,37 +979,78 @@ pub(crate) struct ServeJob<S> {
     sink: S,
 }
 
+/// The dispatch pool's job queue: one queue behind one condvar, so a
+/// queued job wakes exactly one idle worker (a channel behind a mutex
+/// also wakes the next worker in line as the mutex passes on).
+struct JobQueue<S> {
+    jobs: OrderedMutex<VecDeque<ServeJob<S>>>,
+    ready: OrderedCondvar,
+    shared: Arc<Shared>,
+}
+
+impl<S> JobQueue<S> {
+    /// Queues a job for the next idle worker; `false` once the
+    /// transport is unwinding.
+    fn push(&self, job: ServeJob<S>) -> bool {
+        {
+            let mut jobs = self.jobs.lock();
+            if self.shared.shutdown.load(Ordering::SeqCst) {
+                return false;
+            }
+            jobs.push_back(job);
+        }
+        self.ready.notify_one();
+        true
+    }
+
+    /// Blocks for the next job; `None` once the transport unwinds.
+    fn pop(&self) -> Option<ServeJob<S>> {
+        let mut jobs = self.jobs.lock();
+        loop {
+            if self.shared.shutdown.load(Ordering::SeqCst) {
+                return None;
+            }
+            if let Some(job) = jobs.pop_front() {
+                return Some(job);
+            }
+            jobs = self.ready.wait(jobs);
+        }
+    }
+
+    /// Wakes every worker to observe [`Shared::shutdown`], already set:
+    /// taking the lock first means none is between its check and its
+    /// wait.
+    fn unwind(&self) {
+        drop(self.jobs.lock());
+        self.ready.notify_all();
+    }
+}
+
 /// Spawns the transport-wide dispatch pool: `workers` threads pull
 /// decoded frames from every served endpoint and invoke the owning
 /// service concurrently (its `Send + Sync` contract makes that legal;
 /// see [`WireService`]), answering through each job's sink in
 /// completion order. A fixed transport-wide pool — not per endpoint —
 /// keeps the thread ceiling constant however many endpoints serve. The
-/// pool unwinds once the transport's master sender and every
-/// serve-path clone are gone.
+/// pool unwinds on [`Shared::shutdown`], like the loops.
 fn spawn_dispatch_pool<S: ReplySink>(
     workers: usize,
     kind: &str,
-    threads: &Arc<AtomicUsize>,
-) -> mpsc::Sender<ServeJob<S>> {
-    let (job_tx, job_rx) = mpsc::channel::<ServeJob<S>>();
-    let job_rx = Arc::new(OrderedMutex::new(ranks::NET_DISPATCH_QUEUE, job_rx));
+    shared: &Arc<Shared>,
+) -> Arc<JobQueue<S>> {
+    let queue = Arc::new(JobQueue::<S> {
+        jobs: OrderedMutex::new(ranks::NET_DISPATCH_QUEUE, VecDeque::new()),
+        ready: OrderedCondvar::new(),
+        shared: shared.clone(),
+    });
     for worker in 0..workers {
-        let guard = ThreadGuard::enter(threads);
-        let job_rx = job_rx.clone();
+        let guard = ThreadGuard::enter(&shared.threads);
+        let queue = queue.clone();
         thread::Builder::new()
             .name(format!("ofl-{kind}-disp-{worker}"))
             .spawn(move || {
                 let _guard = guard;
-                loop {
-                    // Hold the shared receiver only for the blocking
-                    // recv: job *pickup* is serialized, execution is
-                    // not.
-                    let job = {
-                        let rx = job_rx.lock();
-                        rx.recv()
-                    };
-                    let Ok(job) = job else { break };
+                while let Some(job) = queue.pop() {
                     // Contain panics: a panicking service must never
                     // cost a shared dispatch worker.
                     let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -979,7 +1067,7 @@ fn spawn_dispatch_pool<S: ReplySink>(
             })
             .expect("spawn dispatch worker");
     }
-    job_tx
+    queue
 }
 
 /// Everything a binding's serve path needs to know about the endpoint
@@ -992,7 +1080,7 @@ pub(crate) struct Served<S> {
     pub(crate) down: Arc<AtomicBool>,
     service: Arc<dyn WireService>,
     gauge: Arc<DispatchGauge>,
-    dispatch: mpsc::Sender<ServeJob<S>>,
+    dispatch: Arc<JobQueue<S>>,
     shared: Arc<Shared>,
 }
 
@@ -1006,18 +1094,15 @@ impl<S: ReplySink> Served<S> {
     /// transport is unwinding).
     pub(crate) fn admit(&self, frame: Frame, sink: S) -> bool {
         match self.gauge.admit(&frame.payload) {
-            Ok(admit_key) => self
-                .dispatch
-                .send(ServeJob {
-                    from: frame.sender,
-                    corr: frame.correlation,
-                    payload: frame.payload,
-                    service: self.service.clone(),
-                    gauge: self.gauge.clone(),
-                    admit_key,
-                    sink,
-                })
-                .is_ok(),
+            Ok(admit_key) => self.dispatch.push(ServeJob {
+                from: frame.sender,
+                corr: frame.correlation,
+                payload: frame.payload,
+                service: self.service.clone(),
+                gauge: self.gauge.clone(),
+                admit_key,
+                sink,
+            }),
             Err(busy) => {
                 self.shared.shed.fetch_add(1, Ordering::Relaxed);
                 sink.reply(frame.correlation, Some(busy));
@@ -1033,6 +1118,7 @@ mod tests {
     use crate::tcp::TcpTransport;
     use crate::transport::CompletionSet;
     use crate::udp::QuicLiteTransport;
+    use std::sync::mpsc;
 
     #[test]
     fn demux_discards_unknown_and_duplicate_correlations() {
@@ -1262,6 +1348,35 @@ mod tests {
         }
         thread::sleep(Duration::from_millis(300));
         assert_eq!(el.turns(), turns, "{kind}: an idle transport ticked");
+    }
+
+    /// A warm tcp call costs the loop one turn — the served side's read:
+    /// the caller writes and reads its own socket, the answering worker
+    /// writes its reply, and nothing else passes through a loop.
+    #[test]
+    fn a_warm_tcp_call_is_one_loop_turn() {
+        let transport = TcpTransport::new(7);
+        let (client, server) = echo_pair(&transport);
+        transport.call(client, server, vec![0]).unwrap();
+        // Let the dial's and the accept's own turns pass.
+        thread::sleep(Duration::from_millis(50));
+        let el = &transport.core().event_loop;
+        let before = el.turns();
+        for i in 0..200u8 {
+            transport.call(client, server, vec![i]).unwrap();
+        }
+        let sequential = el.turns() - before;
+        assert!(
+            sequential <= 200,
+            "200 warm calls took {sequential} loop turns"
+        );
+        let before = el.turns();
+        let calls = (0..8u8).map(|i| (server, vec![i])).collect();
+        for result in transport.call_parallel(client, calls) {
+            result.unwrap();
+        }
+        let fanned = el.turns() - before;
+        assert!(fanned <= 8, "an 8-way fan-out took {fanned} loop turns");
     }
 
     #[test]

@@ -8,50 +8,63 @@
 //! (correlation, completion, charging, admission, dispatch) lives in
 //! the core; this module owns only what is stream-specific:
 //!
-//! - **Shared reactors**: all socket I/O — client and served sides
-//!   both — runs on the core's event loop (`crate::core::EventLoop`:
+//! - **Shared reactors**: every socket — client and served sides both —
+//!   is a source on the core's event loop (`crate::core::EventLoop`:
 //!   threads, placement, wake-ups and teardown are documented there),
 //!   here `min(cores, 8)` *reactor* threads. This module supplies what
-//!   a reactor does per socket (`Entry`'s `Source` impl): it drains
-//!   bounded per-connection write buffers on writability, runs
-//!   non-blocking reads through the incremental framing-v2 decoder
+//!   a reactor does per socket (`Entry`'s `Source` impl): it accepts,
+//!   finishes client dials, reads requests off served connections
+//!   through the incremental framing-v2 decoder
 //!   ([`openflame_codec::framing::FrameDecoder`] — partial frames
 //!   across arbitrary split boundaries are the normal case), and
-//!   demultiplexes responses by correlation id.
+//!   finishes writes the socket would not take at once. It never reads
+//!   a client connection, and on the warm path writes nothing: a call's
+//!   frames are written by the threads that own them (below), so a
+//!   warm call costs the served side's one read turn.
 //! - **Served endpoints** bind a `127.0.0.1:0` listener registered
 //!   with a reactor; accepted connections are spread across the pool.
 //!   Decoded requests go through the core's admit-or-shed step to the
-//!   transport-wide dispatch pool of [`DISPATCH_POOL`] workers;
-//!   completed responses return to the connection's reactor, which
-//!   emits frames in **completion order** with the request's
-//!   correlation id echoed — a slow request head-of-line blocks only
-//!   its own completion, never the pipelined requests behind it. Each
-//!   connection holds at most [`SERVE_PIPELINE`] decoded requests in
-//!   dispatch; past that the reactor drops the connection's read
-//!   interest (readiness-deregistration backpressure) until responses
-//!   drain — bounded buffering without a blocked reader thread. Shed
-//!   replies ([`crate::OverloadPolicy`]) take the same response queue.
+//!   transport-wide dispatch pool of [`DISPATCH_POOL`] workers. The
+//!   worker that answers a request writes its reply frame itself when
+//!   nothing is ahead of it on the connection, and otherwise queues it
+//!   for the reactor — frames leave in **completion order** with the
+//!   request's correlation id echoed, so a slow request head-of-line
+//!   blocks only its own completion, never the pipelined requests
+//!   behind it. Each connection holds at most [`SERVE_PIPELINE`]
+//!   decoded requests in dispatch; past that the reactor drops the
+//!   connection's read interest (readiness-deregistration
+//!   backpressure) until replies drain, and the reply that reopens the
+//!   gate wakes the reactor to dispatch what it had already buffered —
+//!   bounded buffering without a blocked reader thread. Shed replies
+//!   ([`crate::OverloadPolicy`]) take the same path.
 //! - **Multiplexed connections**: one pooled connection carries many
 //!   in-flight requests at once; out-of-order completion is matched
-//!   by correlation id. A scatter over 64 servers reuses the same 64
-//!   warm connections round after round on the same handful of
-//!   reactor threads.
-//! - **Submit** appends the encoded frame to the connection's write
-//!   queue, wakes the owning reactor and returns immediately — it
-//!   never blocks on a dial (connects are non-blocking too; N cold
-//!   dials to N servers proceed concurrently). Bounded fan-out falls
-//!   out of the pool: at most [`POOL_CAP`] connections per
-//!   destination, each pipelining up to [`PIPELINE_DEPTH`] requests
-//!   before another connection is dialed; beyond that, requests queue
-//!   on the least-loaded connection.
+//!   by correlation id. Its responses are read by whichever blocking
+//!   waiter holds the connection's *reader token*: that waiter polls
+//!   the one socket until its own answer lands, completes every other
+//!   caller's answer it reads on the way, then hands the turn to the
+//!   calls still waiting (`crate::core::Binding::drive`). A scatter
+//!   over 64 servers reuses the same 64 warm connections round after
+//!   round.
+//! - **Submit** writes the encoded frame to the socket itself when the
+//!   connection is established and nothing is queued ahead of it;
+//!   otherwise it queues the frame for the reactor — it never blocks
+//!   on a dial (connects are non-blocking too; N cold dials to N
+//!   servers proceed concurrently). Bounded fan-out falls out of the
+//!   pool: at most [`POOL_CAP`] connections per destination, each
+//!   pipelining up to [`PIPELINE_DEPTH`] requests before another
+//!   connection is dialed; beyond that, requests queue on the
+//!   least-loaded connection.
 //! - **Failure semantics** mirror the simulator: a down endpoint
 //!   fails with [`NetError::EndpointDown`] and its server side cuts
 //!   the connection instead of answering; message drops are injected
 //!   per call, before the socket, and surface as
 //!   [`NetError::Timeout`] having charged nothing. A call that went
-//!   out alone on a pooled connection which then proved stale is
-//!   re-sent exactly once on a fresh dial (both transmissions charge);
-//!   timeouts are never retried.
+//!   out alone on a pooled connection which then proved stale — the
+//!   next call is what discovers an idle connection's EOF — is re-sent
+//!   exactly once on a fresh dial (both transmissions charge);
+//!   timeouts are never retried, and a frame is re-routed before the
+//!   call returns only if none of it was written.
 //!
 //! Clocks are wall-clock microseconds since transport creation, so the
 //! TTL caches built on [`Transport::now_us`] age in real time. Raw
@@ -63,10 +76,10 @@
 //! as a hardened production server.
 
 use crate::core::{
-    encode_frame, Binding, Core, Demux, EventLoop, Inbox, Outgoing, ReplySink, Sent, Served,
-    Shared, SocketPending, Source, Sweep,
+    encode_frame, Binding, CompletionCell, Core, Demux, EventLoop, Inbox, Outgoing, ReplySink,
+    Sent, Served, Shared, SocketPending, Source, Sweep,
 };
-use crate::reactor::{connect_nonblocking, PollFd, POLLIN, POLLOUT};
+use crate::reactor::{connect_nonblocking, poll_fds, PollFd, POLLIN, POLLOUT};
 use crate::transport::{PendingCall, Transfer, Transport};
 use crate::{EndpointId, NetError};
 use openflame_codec::framing::FrameDecoder;
@@ -77,7 +90,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
@@ -123,17 +136,22 @@ struct OutFrame {
 
 #[derive(Default)]
 struct OutQueue {
-    /// Set by the reactor when the connection dies: enqueue attempts
-    /// fail fast instead of queueing frames nobody will ever write.
+    /// Set when the connection dies or closes: enqueue attempts fail
+    /// fast instead of queueing frames nobody will ever write, and the
+    /// reactor retires the connection.
     closed: bool,
+    /// Frames the socket has not taken yet, in submit order.
     frames: VecDeque<OutFrame>,
 }
 
-/// One pooled, pipelined client connection. The socket itself lives in
-/// the owning reactor's slab; submitters only touch the write queue
-/// and the demux.
+/// One pooled, pipelined client connection, shared by `Arc` between
+/// the reactor it sits on (which dials it and finishes writes the
+/// socket would not take), its submitters (which write their own
+/// frames when nothing is queued) and its waiters (whose reader-token
+/// holder reads every response).
 pub(crate) struct ClientConn {
     addr: SocketAddr,
+    stream: TcpStream,
     demux: Arc<Demux>,
     /// Set when the connection dies or goes stale; broken connections
     /// are pruned from the pool on the next checkout and closed by
@@ -143,27 +161,146 @@ pub(crate) struct ClientConn {
     /// failing whatever is in flight (a crashed server does not drain
     /// gracefully).
     kill: AtomicBool,
+    /// Set by the reactor, under `out`, once the dial succeeded.
+    established: AtomicBool,
     out: OrderedMutex<OutQueue>,
-    /// The reactor that owns the socket — woken on every enqueue.
+    /// The reader token: set while one waiter reads the socket.
+    reader: AtomicBool,
+    /// The response decoder, the reader-token holder's alone.
+    rx: OrderedMutex<FrameDecoder>,
+    /// The reactor the connection sits on.
     reactor: Arc<Inbox<Entry>>,
 }
 
 impl ClientConn {
-    /// Queues a frame for the reactor; hands the frame back when the
+    /// Puts a frame on the connection: written here and now when the
+    /// connection is established and nothing is queued ahead of it,
+    /// queued for the reactor otherwise. Hands the frame back when the
     /// connection is already closed (so the caller can re-route
     /// without re-sending anything — the frame never touched the
     /// socket).
     fn enqueue(&self, frame: OutFrame) -> Result<(), OutFrame> {
-        {
-            let mut out = self.out.lock();
-            if out.closed {
-                return Err(frame);
-            }
-            out.frames.push_back(frame);
+        let mut out = self.out.lock();
+        if out.closed {
+            return Err(frame);
         }
-        self.reactor.waker.wake();
+        out.frames.push_back(frame);
+        let written = if out.frames.len() == 1 && self.established.load(Ordering::SeqCst) {
+            self.flush(&mut out)
+        } else {
+            Ok(false)
+        };
+        drop(out);
+        match written {
+            Ok(true) => {}
+            Ok(false) => self.reactor.waker.wake(),
+            Err(e) => self.die_writing(&e),
+        }
         Ok(())
     }
+
+    /// Writes the queue into the socket until it empties (`Ok(true)`)
+    /// or the socket would block (`Ok(false)`).
+    fn flush(&self, out: &mut OutQueue) -> io::Result<bool> {
+        while let Some(frame) = out.frames.front_mut() {
+            if frame.off == 0 {
+                // The frame is going onto the socket now: even if the
+                // write (or the whole call) fails from here on, its
+                // request bytes count as wire traffic.
+                self.demux.mark_sent(frame.corr);
+            }
+            if !write_some(&self.stream, &frame.buf, &mut frame.off)? {
+                return Ok(false);
+            }
+            out.frames.pop_front();
+        }
+        Ok(true)
+    }
+
+    /// Takes a frame back off the connection if none of it was
+    /// written — the only frames a submitter may re-route: a written
+    /// one may already be executing, and a second copy could apply a
+    /// patch twice.
+    fn withdraw(&self, corr: u64) -> Option<Vec<u8>> {
+        let mut out = self.out.lock();
+        let at = out
+            .frames
+            .iter()
+            .position(|f| f.corr == corr && f.off == 0)?;
+        out.frames.remove(at).map(|f| f.buf)
+    }
+
+    /// The reader-token holder's loop: reads responses and completes
+    /// them by correlation id — other callers' as much as its own —
+    /// until `cell` is filled or `deadline` passes, polling this one
+    /// socket in between. A read error kills the connection, failing
+    /// every call on it.
+    fn read_until(&self, cell: &CompletionCell, deadline: Instant) {
+        let mut decoder = self.rx.lock();
+        let mut buf = [0u8; 16 * 1024];
+        while !cell.is_done() {
+            let failure = match (&self.stream).read(&mut buf) {
+                Ok(0) => io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed by peer"),
+                Ok(n) => {
+                    decoder.extend(&buf[..n]);
+                    match drain_responses(&mut decoder, &self.demux) {
+                        Ok(()) => continue,
+                        Err(e) => e,
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    // `poll` counts whole milliseconds: round up, so the
+                    // wait it buys reaches the deadline.
+                    let wait = deadline.saturating_duration_since(Instant::now());
+                    let ms = wait.as_micros().div_ceil(1_000).min(i32::MAX as u128) as i32;
+                    let mut fd = [PollFd::new(self.stream.as_raw_fd(), POLLIN)];
+                    if ms == 0 || poll_fds(&mut fd, ms).is_err() {
+                        return;
+                    }
+                    continue;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => e,
+            };
+            return self.die(failure.kind(), &failure.to_string());
+        }
+    }
+
+    /// Kills the connection: fail every in-flight request, refuse
+    /// further enqueues, and shut the socket (which also wakes a waiter
+    /// polling it); the reactor retires it on its next turn.
+    fn die(&self, kind: io::ErrorKind, msg: &str) {
+        self.broken.store(true, Ordering::SeqCst);
+        {
+            let mut out = self.out.lock();
+            out.closed = true;
+            out.frames.clear();
+        }
+        // Queued-but-unwritten frames were registered too: they fail
+        // alongside the written ones (their cells carry `sent ==
+        // false`, so they charge nothing).
+        self.demux.fail_all(kind, msg);
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.reactor.waker.wake();
+    }
+
+    /// A failed write kills the connection as `BrokenPipe`, whatever
+    /// the error was, so retry eligibility does not depend on which
+    /// thread wrote.
+    fn die_writing(&self, e: &io::Error) {
+        self.die(
+            io::ErrorKind::BrokenPipe,
+            &format!("connection writer failed: {e}"),
+        );
+    }
+}
+
+/// Completes every whole response frame the decoder holds.
+fn drain_responses(decoder: &mut FrameDecoder, demux: &Demux) -> io::Result<()> {
+    while let Some(frame) = decoder.next_frame()? {
+        demux.complete(frame.correlation, Ok(frame.payload));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -240,38 +377,27 @@ impl Core<TcpTransport> {
     /// `submit` never blocks on a dial, frames queue behind the
     /// in-progress handshake, and N cold dials to N servers proceed
     /// concurrently. A failed handshake fails every queued and
-    /// subsequently raced-in request through the demux.
-    fn dial(&self, addr: SocketAddr) -> Arc<ClientConn> {
+    /// subsequently raced-in request through the demux; a dial that
+    /// fails at once (fd exhaustion, bad address) fails the call.
+    fn dial(&self, addr: SocketAddr) -> Result<Arc<ClientConn>, NetError> {
+        let stream = connect_nonblocking(&addr)
+            .map_err(|e| NetError::Connection(format!("dial {addr}: {e}")))?;
+        let _ = stream.set_nodelay(true);
         let target = self.event_loop.pick();
         let conn = Arc::new(ClientConn {
             addr,
+            stream,
             demux: Arc::new(Demux::new(self.shared.orphans.clone())),
             broken: AtomicBool::new(false),
             kill: AtomicBool::new(false),
+            established: AtomicBool::new(false),
             out: OrderedMutex::new(ranks::TCP_CONN_OUT, OutQueue::default()),
+            reader: AtomicBool::new(false),
+            rx: OrderedMutex::new(ranks::TCP_CONN_RX, FrameDecoder::new()),
             reactor: target.clone(),
         });
-        match connect_nonblocking(&addr) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                target.push(Entry::Client(ClientEntry {
-                    conn: conn.clone(),
-                    stream,
-                    connecting: true,
-                    decoder: FrameDecoder::new(),
-                    dead: false,
-                }));
-            }
-            Err(e) => {
-                // Synchronous dial failure (fd exhaustion, bad addr):
-                // the connection is born dead; send's closed-queue
-                // check routes around it.
-                conn.broken.store(true, Ordering::SeqCst);
-                conn.out.lock().closed = true;
-                conn.demux.fail_all(e.kind(), &format!("dial {addr}: {e}"));
-            }
-        }
-        conn
+        target.push(Entry::Client(conn.clone()));
+        Ok(conn)
     }
 
     /// Checks out a connection toward `to`: the least-loaded pooled one
@@ -283,19 +409,19 @@ impl Core<TcpTransport> {
         to: EndpointId,
         addr: SocketAddr,
         force_fresh: bool,
-    ) -> (Arc<ClientConn>, bool) {
+    ) -> Result<(Arc<ClientConn>, bool), NetError> {
         if !force_fresh {
             let mut endpoints = self.endpoints.lock();
             if let Some(ep) = endpoints.get_mut(&to) {
                 ep.conns.retain(|c| !c.broken.load(Ordering::SeqCst));
                 if let Some(best) = ep.conns.iter().min_by_key(|c| c.demux.in_flight()).cloned() {
                     if best.demux.in_flight() < PIPELINE_DEPTH || ep.conns.len() >= POOL_CAP {
-                        return (best, true);
+                        return Ok((best, true));
                     }
                 }
             }
         }
-        let conn = self.dial(addr);
+        let conn = self.dial(addr)?;
         let mut endpoints = self.endpoints.lock();
         if let Some(ep) = endpoints.get_mut(&to) {
             // Make room before the cap check: broken connections must
@@ -305,7 +431,7 @@ impl Core<TcpTransport> {
                 ep.conns.push(conn.clone());
             }
         }
-        (conn, false)
+        Ok((conn, false))
     }
 }
 
@@ -356,31 +482,27 @@ impl Binding for TcpTransport {
         }
         let (corr, mut buf, mut fresh) = (out.corr, out.frame, out.retry);
         loop {
-            let (conn, reused) = core.obtain_conn(out.to, out.addr, fresh);
+            let (conn, reused) = core.obtain_conn(out.to, out.addr, fresh)?;
             let cell = conn.demux.register(corr);
             let delivered_at_submit = conn.demux.delivered();
-            if let Err(unsent) = conn.enqueue(OutFrame { corr, buf, off: 0 }) {
-                // Connection already closed: prune and, once, try a
-                // fresh dial. The frame never left this process, so
-                // re-routing it cannot duplicate work.
+            let unsent = match conn.enqueue(OutFrame { corr, buf, off: 0 }) {
+                // Already closed: the frame never left this process.
+                Err(unsent) => Some(unsent.buf),
+                // Marked stale meanwhile (a sibling's timeout, a cut):
+                // move off it — if none of the frame was written.
+                Ok(()) if conn.broken.load(Ordering::SeqCst) => conn.withdraw(corr),
+                Ok(()) => None,
+            };
+            if let Some(unsent) = unsent {
+                // Prune and, once, re-route a pooled reuse on a fresh
+                // dial; re-routing unwritten bytes cannot duplicate
+                // work.
                 conn.broken.store(true, Ordering::SeqCst);
                 conn.demux.forget(corr);
-                if fresh {
+                if fresh || !reused {
                     return Err(NetError::Connection("connection closed before send".into()));
                 }
-                (buf, fresh) = (unsent.buf, true);
-                continue;
-            }
-            if conn.broken.load(Ordering::SeqCst) && conn.demux.forget(corr) {
-                // The connection died while we were enqueueing and its
-                // failure sweep may have run before our registration —
-                // nobody would ever fill this cell, stalling the waiter
-                // to its deadline. Re-route on a fresh dial when this
-                // was a pooled reuse; otherwise fail fast.
-                if fresh || !reused {
-                    return Err(NetError::Connection("connection died during submit".into()));
-                }
-                (buf, fresh) = (encode_frame(out.from, corr, &out.payload)?, true);
+                (buf, fresh) = (unsent, true);
                 continue;
             }
             return Ok(Sent {
@@ -392,6 +514,24 @@ impl Binding for TcpTransport {
                     retry_payload: (reused && !fresh).then_some(out.payload),
                 },
             });
+        }
+    }
+
+    /// Reads the call's connection with its reader token, unless the
+    /// dial is still pending (the reactor hands out the turn when it
+    /// resolves) or another waiter holds the token (it hands out the
+    /// turn when it lets go).
+    fn drive(sent: &Sent<Self>, deadline: Instant) {
+        let conn = &sent.flight.conn;
+        if !conn.established.load(Ordering::SeqCst) || conn.reader.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        conn.read_until(&sent.cell, deadline);
+        conn.reader.store(false, Ordering::SeqCst);
+        conn.demux.pass_turn();
+        if conn.broken.load(Ordering::SeqCst) && conn.demux.in_flight() == 0 {
+            // Drained: the reactor may close it now.
+            conn.reactor.waker.wake();
         }
     }
 
@@ -473,51 +613,16 @@ fn is_stale_connection(e: &io::Error) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Served connections: completion-order write queue.
+// Served connections: completion-order replies.
 // ---------------------------------------------------------------------
 
-/// One computed response on its way back to its connection's reactor.
+/// One computed response waiting behind an unfinished write.
 /// `response` is `None` when the service panicked on this request —
-/// the reactor cuts the connection (crash semantics) instead of
-/// leaving the caller to its timeout.
+/// the connection is cut there (crash semantics) instead of leaving
+/// the caller to its timeout.
 struct SrvDone {
     corr: u64,
     response: Option<Vec<u8>>,
-}
-
-/// The dispatch-facing half of one server connection: workers push
-/// completion-order results here and wake the owning reactor, which
-/// writes them out in that order.
-pub(crate) struct SrvShared {
-    done: OrderedMutex<VecDeque<SrvDone>>,
-    /// Set when the connection is torn down: late results are dropped
-    /// instead of queued for a writer that no longer exists.
-    dead: AtomicBool,
-    reactor: Arc<Inbox<Entry>>,
-}
-
-impl ReplySink for Arc<SrvShared> {
-    fn reply(self, corr: u64, response: Option<Vec<u8>>) {
-        if !self.dead.load(Ordering::SeqCst) {
-            self.done.lock().push_back(SrvDone { corr, response });
-            self.reactor.waker.wake();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// The reactor event loop.
-// ---------------------------------------------------------------------
-
-/// A client connection as its reactor sees it.
-pub(crate) struct ClientEntry {
-    conn: Arc<ClientConn>,
-    stream: TcpStream,
-    /// Still mid-handshake (every connection is adopted that way):
-    /// watch for writability, then check `SO_ERROR` before first use.
-    connecting: bool,
-    decoder: FrameDecoder,
-    dead: bool,
 }
 
 /// A response frame part-way through its write.
@@ -526,75 +631,158 @@ struct WriteBuf {
     off: usize,
 }
 
-/// A server-side connection as its reactor sees it.
-pub(crate) struct ServedEntry {
+/// A served connection's write side, in completion order.
+#[derive(Default)]
+struct SrvOut {
+    /// The reply frame the socket has taken part of.
+    cur: Option<WriteBuf>,
+    /// Replies finished behind it.
+    done: VecDeque<SrvDone>,
+}
+
+/// The half of a served connection its reactor shares with the
+/// dispatch workers answering on it: the reactor reads the socket, and
+/// whoever holds `out` writes it — the answering worker when nothing is
+/// ahead of its reply, the reactor for what the socket would not take
+/// at once.
+pub(crate) struct SrvShared {
     stream: TcpStream,
-    served: TcpServed,
-    shared: Arc<SrvShared>,
-    decoder: FrameDecoder,
+    /// The served endpoint: the reply frames' sender.
+    me: EndpointId,
+    out: OrderedMutex<SrvOut>,
     /// Requests dispatched but not yet fully answered on the wire —
     /// the [`SERVE_PIPELINE`] gate's counter.
-    in_dispatch: usize,
-    cur: Option<WriteBuf>,
+    in_dispatch: AtomicUsize,
+    /// Set when the connection is torn down: late replies are dropped.
+    dead: AtomicBool,
+    reactor: Arc<Inbox<Entry>>,
+}
+
+impl SrvShared {
+    /// Writes queued replies in completion order until the queue
+    /// empties (`Ok(true)`) or the socket would block (`Ok(false)`),
+    /// freeing each written reply's gate slot. `Err` means cut the
+    /// connection (write failure, panicked service, oversized
+    /// response).
+    fn pump_write(&self, out: &mut SrvOut) -> Result<bool, ()> {
+        loop {
+            if out.cur.is_none() {
+                let buf = match out.done.pop_front() {
+                    Some(SrvDone {
+                        corr,
+                        response: Some(response),
+                    }) => encode_frame(self.me, corr, &response).map_err(drop)?,
+                    Some(SrvDone { response: None, .. }) => return Err(()),
+                    None => return Ok(true),
+                };
+                out.cur = Some(WriteBuf { buf, off: 0 });
+            }
+            let cur = out.cur.as_mut().expect("current write buffer");
+            if !write_some(&self.stream, &cur.buf, &mut cur.off).map_err(drop)? {
+                return Ok(false);
+            }
+            out.cur = None;
+            // Frame delivered: release the gate slot it held since
+            // dispatch. The reply that reopens a gated connection wakes
+            // its reactor, whose sweep dispatches what it had buffered.
+            if self.in_dispatch.fetch_sub(1, Ordering::SeqCst) == SERVE_PIPELINE {
+                self.reactor.waker.wake();
+            }
+        }
+    }
+
+    /// Tears the connection down at once (malformed frame, down
+    /// endpoint, service panic): no answer, no drain.
+    fn cut(&self) {
+        self.dead.store(true, Ordering::SeqCst);
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+impl ReplySink for Arc<SrvShared> {
+    /// Writes the reply from the answering thread when nothing is ahead
+    /// of it on the connection; otherwise queues it behind the
+    /// unfinished write, which the reactor is already watching.
+    fn reply(self, corr: u64, response: Option<Vec<u8>>) {
+        if self.dead.load(Ordering::SeqCst) {
+            return;
+        }
+        let mut out = self.out.lock();
+        let idle = out.cur.is_none() && out.done.is_empty();
+        out.done.push_back(SrvDone { corr, response });
+        if !idle {
+            return;
+        }
+        let written = self.pump_write(&mut out);
+        drop(out);
+        match written {
+            Ok(true) => return,
+            // The socket took part of it: the reactor writes the rest.
+            Ok(false) => {}
+            // The reactor retires the connection on its next turn.
+            Err(()) => self.cut(),
+        }
+        self.reactor.waker.wake();
+    }
+}
+
+// ---------------------------------------------------------------------
+// The reactor event loop.
+// ---------------------------------------------------------------------
+
+/// A server-side connection as its reactor sees it.
+pub(crate) struct ServedEntry {
+    shared: Arc<SrvShared>,
+    served: TcpServed,
+    decoder: FrameDecoder,
     /// False after EOF or a read error: stop reading, keep draining
     /// responses (a half-closed peer still receives every answer it
     /// pipelined).
     read_open: bool,
-    dead: bool,
 }
 
 pub(crate) enum Entry {
-    Client(ClientEntry),
+    Client(Arc<ClientConn>),
     /// A served endpoint's listener.
     Listener(TcpListener, TcpServed),
     Served(ServedEntry),
 }
 
-/// What a reactor does for each socket in its slab: pump non-blocking
-/// reads through the incremental decoder, drain write queues, accept
-/// connections. The loop itself — and the slab, whose drop on shutdown
-/// closes every fd and releases every service/dispatch handle — is
-/// the core's [`EventLoop`].
+/// What a reactor does for each socket in its slab: finish dials and
+/// the writes the socket would not take at once, read and dispatch
+/// requests, accept connections. The loop itself — and the slab, whose
+/// drop on shutdown closes every listener and releases every service
+/// handle — is the core's [`EventLoop`].
 impl Source for Entry {
-    /// `None` keeps the fd out of this round entirely (dead, or — for
-    /// a fully gated server connection — nothing to wait for until the
-    /// waker fires).
+    /// `None` keeps the fd out of this round entirely: dead, an
+    /// established client connection with nothing queued (its waiters
+    /// read it), or a gated server connection with nothing to write.
     fn interest(&self) -> Option<PollFd> {
         match self {
             Entry::Listener(listener, _) => Some(PollFd::new(listener.as_raw_fd(), POLLIN)),
             Entry::Client(c) => {
-                if c.dead {
-                    return None;
-                }
-                let mut events = 0i16;
-                if c.connecting {
-                    events |= POLLOUT;
-                } else {
-                    events |= POLLIN;
-                    if !c.conn.out.lock().frames.is_empty() {
-                        events |= POLLOUT;
-                    }
-                }
-                Some(PollFd::new(c.stream.as_raw_fd(), events))
+                let out = c.out.lock();
+                let dialing = !c.established.load(Ordering::SeqCst);
+                let watch = !out.closed && (dialing || !out.frames.is_empty());
+                watch.then(|| PollFd::new(c.stream.as_raw_fd(), POLLOUT))
             }
             Entry::Served(s) => {
-                if s.dead {
+                let shared = &s.shared;
+                if shared.dead.load(Ordering::SeqCst) {
                     return None;
                 }
                 let mut events = 0i16;
-                if s.read_open && s.in_dispatch < SERVE_PIPELINE {
+                if s.read_open && shared.in_dispatch.load(Ordering::SeqCst) < SERVE_PIPELINE {
                     // The readiness-deregistration backpressure gate: a
                     // saturated connection simply stops watching for
                     // readability.
                     events |= POLLIN;
                 }
-                if s.cur.is_some() || !s.shared.done.lock().is_empty() {
+                let out = shared.out.lock();
+                if out.cur.is_some() || !out.done.is_empty() {
                     events |= POLLOUT;
                 }
-                if events == 0 {
-                    return None;
-                }
-                Some(PollFd::new(s.stream.as_raw_fd(), events))
+                (events != 0).then(|| PollFd::new(shared.stream.as_raw_fd(), events))
             }
         }
     }
@@ -609,25 +797,25 @@ impl Source for Entry {
 
     /// Retire sweep: externally killed connections, broken ones that
     /// drained, gracefully finished server connections, and everything
-    /// that died during the last event round. Streams have no
-    /// deadlines, so a reactor's poll never times out.
+    /// that died since the last round. A served connection also
+    /// dispatches the frames it buffered while gated, in case a
+    /// worker's reply reopened the gate. Streams have no deadlines, so
+    /// a reactor's poll never times out.
     fn sweep(&mut self, _now: Instant) -> Sweep {
         let dead = match self {
             Entry::Listener(..) => false,
             Entry::Client(c) => {
-                if !c.dead && c.conn.kill.load(Ordering::SeqCst) {
-                    client_death(c, io::ErrorKind::UnexpectedEof, "connection force-closed");
-                }
-                if !c.dead && c.conn.broken.load(Ordering::SeqCst) {
-                    if c.connecting {
+                if c.kill.load(Ordering::SeqCst) {
+                    c.die(io::ErrorKind::UnexpectedEof, "connection force-closed");
+                } else if c.broken.load(Ordering::SeqCst) {
+                    if !c.established.load(Ordering::SeqCst) {
                         // Broken before the handshake resolved: writes
                         // are gated on a connect that may never finish,
                         // so waiting for the queue to drain would leak
                         // the entry (and its fd) forever. Nothing ever
                         // hit the wire, so failing the queued frames
                         // cannot orphan a response.
-                        client_death(
-                            c,
+                        c.die(
                             io::ErrorKind::ConnectionAborted,
                             "connection abandoned mid-handshake",
                         );
@@ -635,33 +823,25 @@ impl Source for Entry {
                         // Externally marked stale (timeout pruning):
                         // keep serving in-flight siblings, close once
                         // drained.
-                        let drained =
-                            c.conn.demux.in_flight() == 0 && c.conn.out.lock().frames.is_empty();
-                        if drained {
-                            c.conn.out.lock().closed = true;
+                        let mut out = c.out.lock();
+                        if out.frames.is_empty() && c.demux.in_flight() == 0 {
+                            out.closed = true;
                             let _ = c.stream.shutdown(Shutdown::Both);
-                            c.dead = true;
                         }
                     }
                 }
-                c.dead
+                c.out.lock().closed
             }
             Entry::Served(s) => {
-                if !s.dead
-                    && !s.read_open
-                    && s.in_dispatch == 0
-                    && s.cur.is_none()
-                    && s.shared.done.lock().is_empty()
+                // Cut on a bad buffered frame, and once the peer hung up
+                // with every pipelined response delivered.
+                if !s.shared.dead.load(Ordering::SeqCst)
+                    && (pump_served_decode(s).is_err()
+                        || (!s.read_open && s.shared.in_dispatch.load(Ordering::SeqCst) == 0))
                 {
-                    // Peer hung up and every pipelined response has
-                    // been delivered: done.
-                    s.dead = true;
+                    s.shared.cut();
                 }
-                if s.dead {
-                    s.shared.dead.store(true, Ordering::SeqCst);
-                    let _ = s.stream.shutdown(Shutdown::Both);
-                }
-                s.dead
+                s.shared.dead.load(Ordering::SeqCst)
             }
         };
         if dead {
@@ -672,50 +852,28 @@ impl Source for Entry {
     }
 }
 
-/// Kills a client connection: fail every in-flight request, refuse
-/// further enqueues, mark for removal from the slab.
-fn client_death(c: &mut ClientEntry, kind: io::ErrorKind, msg: &str) {
-    c.conn.broken.store(true, Ordering::SeqCst);
-    {
-        let mut out = c.conn.out.lock();
-        out.closed = true;
-        out.frames.clear();
+/// Finishes a dial, then writes what submitters queued while it was
+/// pending or the socket would not take.
+fn handle_client(c: &ClientConn, ready: PollFd) {
+    if !ready.writable() {
+        return;
     }
-    // Queued-but-unwritten frames were registered too: the sweep
-    // fails them alongside the written ones (their cells carry
-    // `sent == false`, so they charge nothing).
-    c.conn.demux.fail_all(kind, msg);
-    let _ = c.stream.shutdown(Shutdown::Both);
-    c.dead = true;
-}
-
-fn handle_client(c: &mut ClientEntry, ready: PollFd) {
-    if c.connecting && ready.writable() {
-        match c.stream.take_error() {
-            Ok(None) => c.connecting = false,
-            Ok(Some(e)) | Err(e) => {
-                let addr = c.conn.addr;
-                client_death(c, e.kind(), &format!("dial {addr}: {e}"));
-                return;
-            }
+    let dialed = !c.established.load(Ordering::SeqCst);
+    if dialed {
+        if let Ok(Some(e)) | Err(e) = c.stream.take_error() {
+            return c.die(e.kind(), &format!("dial {}: {e}", c.addr));
         }
     }
-    if !c.dead && !c.connecting && ready.writable() {
-        if let Err(e) = pump_client_write(c) {
-            // The old writer thread reported every write failure as
-            // BrokenPipe; keep that so retry eligibility is unchanged.
-            client_death(
-                c,
-                io::ErrorKind::BrokenPipe,
-                &format!("connection writer failed: {e}"),
-            );
-            return;
-        }
-    }
-    if !c.dead && !c.connecting && ready.readable() {
-        if let Err((kind, msg)) = pump_client_read(c) {
-            client_death(c, kind, &msg);
-        }
+    let written = {
+        let mut out = c.out.lock();
+        c.established.store(true, Ordering::SeqCst);
+        c.flush(&mut out)
+    };
+    match written {
+        Err(e) => c.die_writing(&e),
+        // Waiters parked through the dial may read now.
+        Ok(_) if dialed => c.demux.pass_turn(),
+        Ok(_) => {}
     }
 }
 
@@ -735,56 +893,6 @@ fn write_some(mut stream: &TcpStream, buf: &[u8], off: &mut usize) -> io::Result
     Ok(true)
 }
 
-/// Drains the connection's write queue into the socket until it would
-/// block or empties.
-fn pump_client_write(c: &mut ClientEntry) -> io::Result<()> {
-    let mut out = c.conn.out.lock();
-    while let Some(frame) = out.frames.front_mut() {
-        if frame.off == 0 {
-            // The frame is going onto the socket now: even if the
-            // write (or the whole call) fails from here on, its
-            // request bytes count as wire traffic.
-            c.conn.demux.mark_sent(frame.corr);
-        }
-        if !write_some(&c.stream, &frame.buf, &mut frame.off)? {
-            break;
-        }
-        out.frames.pop_front();
-    }
-    Ok(())
-}
-
-/// Reads whatever the socket has, feeding the incremental decoder and
-/// completing responses by correlation id.
-fn pump_client_read(c: &mut ClientEntry) -> Result<(), (io::ErrorKind, String)> {
-    let mut buf = [0u8; 16 * 1024];
-    loop {
-        match (&c.stream).read(&mut buf) {
-            Ok(0) => {
-                return Err((
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed by peer".into(),
-                ))
-            }
-            Ok(n) => {
-                c.decoder.extend(&buf[..n]);
-                loop {
-                    match c.decoder.next_frame() {
-                        Ok(Some(frame)) => {
-                            c.conn.demux.complete(frame.correlation, Ok(frame.payload))
-                        }
-                        Ok(None) => break,
-                        Err(e) => return Err((e.kind(), e.to_string())),
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err((e.kind(), e.to_string())),
-        }
-    }
-}
-
 /// Accepts every pending connection, spreading them across the pool.
 fn handle_listener(listener: &TcpListener, served: &TcpServed, el: &Arc<EventLoop<Entry>>) {
     loop {
@@ -796,19 +904,18 @@ fn handle_listener(listener: &TcpListener, served: &TcpServed, el: &Arc<EventLoo
                 }
                 let target = el.pick();
                 let shared = Arc::new(SrvShared {
-                    done: OrderedMutex::new(ranks::TCP_SERVE_DONE, VecDeque::new()),
+                    stream,
+                    me: EndpointId(served.me),
+                    out: OrderedMutex::new(ranks::TCP_SERVE_DONE, SrvOut::default()),
+                    in_dispatch: AtomicUsize::new(0),
                     dead: AtomicBool::new(false),
                     reactor: target.clone(),
                 });
                 target.push(Entry::Served(ServedEntry {
-                    stream,
-                    served: served.clone(),
                     shared,
+                    served: served.clone(),
                     decoder: FrameDecoder::new(),
-                    in_dispatch: 0,
-                    cur: None,
                     read_open: true,
-                    dead: false,
                 }));
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -820,28 +927,16 @@ fn handle_listener(listener: &TcpListener, served: &TcpServed, el: &Arc<EventLoo
     }
 }
 
-/// Tears a server connection down immediately (malformed frame, down
-/// endpoint, service panic): no answer, no drain.
-fn cut_served(s: &mut ServedEntry) {
-    s.dead = true;
-    s.shared.dead.store(true, Ordering::SeqCst);
-    let _ = s.stream.shutdown(Shutdown::Both);
-}
-
 fn handle_served(s: &mut ServedEntry, ready: PollFd) {
-    if !s.dead && s.read_open && ready.readable() && pump_served_read(s).is_err() {
-        cut_served(s);
-        return;
+    if s.read_open && ready.readable() && pump_served_read(s).is_err() {
+        return s.shared.cut();
     }
-    if !s.dead && ready.writable() {
-        if pump_served_write(s).is_err() {
-            cut_served(s);
-            return;
-        }
-        // Completed responses freed dispatch slots: frames already
-        // buffered while the connection was gated can dispatch now.
-        if pump_served_decode(s).is_err() {
-            cut_served(s);
+    if ready.writable() {
+        let written = s.shared.pump_write(&mut s.shared.out.lock());
+        // Written replies freed gate slots: frames buffered while the
+        // connection was gated can dispatch now.
+        if written.is_err() || pump_served_decode(s).is_err() {
+            s.shared.cut();
         }
     }
 }
@@ -850,8 +945,8 @@ fn handle_served(s: &mut ServedEntry, ready: PollFd) {
 /// [`SERVE_PIPELINE`] gate closes. `Err` means cut the connection.
 fn pump_served_read(s: &mut ServedEntry) -> Result<(), ()> {
     let mut buf = [0u8; 16 * 1024];
-    while s.read_open && s.in_dispatch < SERVE_PIPELINE {
-        match (&s.stream).read(&mut buf) {
+    while s.read_open && s.shared.in_dispatch.load(Ordering::SeqCst) < SERVE_PIPELINE {
+        match (&s.shared.stream).read(&mut buf) {
             Ok(0) => s.read_open = false,
             Ok(n) => {
                 s.decoder.extend(&buf[..n]);
@@ -872,7 +967,7 @@ fn pump_served_read(s: &mut ServedEntry) -> Result<(), ()> {
 /// the connection (corrupt stream, down endpoint, transport
 /// unwinding).
 fn pump_served_decode(s: &mut ServedEntry) -> Result<(), ()> {
-    while s.in_dispatch < SERVE_PIPELINE {
+    while s.shared.in_dispatch.load(Ordering::SeqCst) < SERVE_PIPELINE {
         match s.decoder.next_frame() {
             Ok(Some(frame)) => {
                 if s.served.down.load(Ordering::Relaxed) {
@@ -882,13 +977,12 @@ fn pump_served_decode(s: &mut ServedEntry) -> Result<(), ()> {
                     return Err(());
                 }
                 // Dispatched or shed, the request holds a gate slot
-                // until its reply is written: a shed reply drains
-                // through the response queue like any other
-                // completion, so the reader is never stalled.
+                // until its reply is written — taken before the hand-off,
+                // since the reply may be written before `admit` returns.
+                s.shared.in_dispatch.fetch_add(1, Ordering::SeqCst);
                 if !s.served.admit(frame, s.shared.clone()) {
                     return Err(());
                 }
-                s.in_dispatch += 1;
             }
             Ok(None) => break,
             // A corrupt stream (bad version, oversized length) MUST be
@@ -897,39 +991,6 @@ fn pump_served_decode(s: &mut ServedEntry) -> Result<(), ()> {
         }
     }
     Ok(())
-}
-
-/// Writes completed responses in completion order until the socket
-/// would block or the queue empties. `Err` means cut the connection
-/// (write failure, panicked service, oversized response).
-fn pump_served_write(s: &mut ServedEntry) -> Result<(), ()> {
-    loop {
-        if s.cur.is_none() {
-            let done = s.shared.done.lock().pop_front();
-            match done {
-                Some(SrvDone {
-                    corr,
-                    response: Some(response),
-                }) => {
-                    let buf =
-                        encode_frame(EndpointId(s.served.me), corr, &response).map_err(|_| ())?;
-                    s.cur = Some(WriteBuf { buf, off: 0 });
-                }
-                // Service panicked on this request: cut the connection
-                // instead of answering (crash semantics).
-                Some(SrvDone { response: None, .. }) => return Err(()),
-                None => return Ok(()),
-            }
-        }
-        let cur = s.cur.as_mut().expect("current write buffer");
-        if !write_some(&s.stream, &cur.buf, &mut cur.off).map_err(|_| ())? {
-            return Ok(());
-        }
-        // Frame delivered: release the gate slot it held since
-        // dispatch.
-        s.cur = None;
-        s.in_dispatch -= 1;
-    }
 }
 
 #[cfg(test)]
@@ -1590,6 +1651,176 @@ mod tests {
         assert!(
             transport.dispatch_depth(server) >= 1,
             "depth high-water is observed even without a policy"
+        );
+    }
+
+    // The paths a waiter that reads its own socket adds. Every bound is
+    // far below the 2 s call timeout, so a lost turn fails instead of
+    // passing slowly.
+
+    /// An echo service that sleeps `payload[0]` ms first.
+    fn sleepy_transport() -> (TcpTransport, EndpointId, EndpointId) {
+        let transport = TcpTransport::new(7);
+        let server = transport.register("sleepy", None);
+        transport.set_service(
+            server,
+            Arc::new(|_from: EndpointId, payload: &[u8]| {
+                thread::sleep(Duration::from_millis(u64::from(payload[0])));
+                payload.to_vec()
+            }),
+        );
+        let client = transport.register("client", None);
+        (transport, client, server)
+    }
+
+    #[test]
+    fn the_reader_completes_a_sibling_answer_that_lands_first() {
+        let (transport, client, server) = sleepy_transport();
+        transport.call(client, server, vec![0]).unwrap();
+        let slow = transport
+            .inner
+            .launch(client, server, vec![200], false)
+            .unwrap();
+        let fast = transport
+            .inner
+            .launch(client, server, vec![0], false)
+            .unwrap();
+        assert!(Arc::ptr_eq(&slow.sent.flight.conn, &fast.sent.flight.conn));
+        let fast_cell = fast.sent.cell.clone();
+        let t0 = Instant::now();
+        // The first waiter holds the reader token until its own answer
+        // lands, so only it can read the fast answer, which lands first.
+        let reader = thread::spawn(move || Box::new(slow).wait());
+        while !fast_cell.is_done() {
+            assert!(
+                t0.elapsed() < Duration::from_millis(150),
+                "sibling answer left unread"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            !reader.is_finished(),
+            "the reader still waits for its own answer"
+        );
+        assert_eq!(Box::new(fast).wait().unwrap().payload, [0]);
+        assert_eq!(reader.join().unwrap().unwrap().payload, [200]);
+        assert!(t0.elapsed() < Duration::from_millis(1_000));
+        assert_eq!(transport.orphan_responses(), 0);
+    }
+
+    #[test]
+    fn a_waiter_parked_through_the_dial_gets_the_turn_when_it_resolves() {
+        let (transport, client, server) = echo_transport();
+        let t0 = Instant::now();
+        assert_eq!(
+            transport.call(client, server, vec![1]).unwrap().payload,
+            [1]
+        );
+        assert!(
+            t0.elapsed() < Duration::from_millis(500),
+            "{:?}",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn set_down_fails_a_waiter_parked_in_poll_promptly() {
+        let (transport, client, server) = sleepy_transport();
+        transport.call(client, server, vec![0]).unwrap();
+        let conn = transport.inner.endpoints.lock()[&server].conns[0].clone();
+        let waiter = {
+            let transport = transport.clone();
+            thread::spawn(move || transport.call(client, server, vec![250]))
+        };
+        // Once it holds the reader token, the waiter is reading its
+        // connection — parked in `poll`, since the answer is 250 ms out.
+        let t0 = Instant::now();
+        while !conn.reader.load(Ordering::SeqCst) {
+            assert!(
+                t0.elapsed() < Duration::from_millis(200),
+                "the waiter never read"
+            );
+            thread::yield_now();
+        }
+        let t0 = Instant::now();
+        transport.set_down(server, true);
+        let err = waiter.join().unwrap().unwrap_err();
+        assert!(matches!(err, NetError::EndpointDown(_)), "{err:?}");
+        assert!(
+            t0.elapsed() < Duration::from_millis(150),
+            "{:?}",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn frames_buffered_behind_a_closed_gate_dispatch_as_replies_reopen_it() {
+        let (transport, _client, server) = echo_transport();
+        let mut raw = TcpStream::connect(transport.listen_addr(server).unwrap()).unwrap();
+        let n = 3 * SERVE_PIPELINE as u64;
+        let mut burst = Vec::new();
+        for corr in 0..n {
+            write_frame(&mut burst, 99, corr, &corr.to_le_bytes()).unwrap();
+        }
+        // One write: the reactor reads every frame before the gate
+        // closes, so the rest wait in its decoder, not in the socket.
+        raw.write_all(&burst).unwrap();
+        raw.set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        let mut seen: Vec<u64> = (0..n)
+            .map(|_| {
+                let frame = read_frame(&mut raw).expect("every buffered frame is answered");
+                assert_eq!(frame.payload, frame.correlation.to_le_bytes());
+                frame.correlation
+            })
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn only_an_unwritten_frame_is_rerouted() {
+        let executed = Arc::new(AtomicUsize::new(0));
+        let transport = TcpTransport::new(7);
+        let server = transport.register("counting", None);
+        let count = executed.clone();
+        transport.set_service(
+            server,
+            Arc::new(move |_from: EndpointId, payload: &[u8]| {
+                count.fetch_add(1, Ordering::SeqCst);
+                payload.to_vec()
+            }),
+        );
+        let client = transport.register("client", None);
+        transport.call(client, server, vec![0]).unwrap();
+        let pooled = || transport.inner.endpoints.lock()[&server].conns[0].clone();
+        // What `send` does on a warm connection: register, then enqueue,
+        // which writes the frame at once...
+        let conn = pooled();
+        let corr = u64::MAX;
+        let cell = conn.demux.register(corr);
+        let buf = encode_frame(client, corr, &[1]).unwrap();
+        assert!(conn.enqueue(OutFrame { corr, buf, off: 0 }).is_ok());
+        assert!(cell.was_sent());
+        // ...so when a sibling's timeout then marks the live connection
+        // stale, the frame stays where it went.
+        conn.broken.store(true, Ordering::SeqCst);
+        assert!(conn.withdraw(corr).is_none());
+        conn.read_until(&cell, Instant::now() + Duration::from_millis(500));
+        assert!(cell.is_done(), "answered on the connection it went out on");
+        // A frame handed back unwritten (closed under the pool's nose)
+        // is re-routed on a fresh dial.
+        transport.call(client, server, vec![2]).unwrap();
+        pooled().out.lock().closed = true;
+        assert_eq!(
+            transport.call(client, server, vec![3]).unwrap().payload,
+            [3]
+        );
+        thread::sleep(Duration::from_millis(50));
+        assert_eq!(
+            executed.load(Ordering::SeqCst),
+            4,
+            "every request executed once"
         );
     }
 

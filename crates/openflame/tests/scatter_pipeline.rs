@@ -9,7 +9,9 @@
 //!    server down, one fleet shard down after failover, every consulted
 //!    server down, every server denies}, whether the call is an answer
 //!    or a `ClientError::PartialFailure` — and then with which
-//!    `succeeded` count and which plan indices, sources preserved.
+//!    `succeeded` count and which plan indices, sources preserved; plus
+//!    a cold column for reverse geocode, whose request needs the frame
+//!    a failed handshake never delivers.
 //! 2. **Peer bytes may make a query fail, never lie or panic**: a tile
 //!    echoing another coordinate, portal cost matrices of a shape that
 //!    was not asked for, and a result limit past `u32::MAX`.
@@ -226,13 +228,18 @@ enum Verdict {
 /// One cell of the table: a fresh federation of the world provider
 /// (plan index 0), a plain server (1) and a one-shard, two-replica
 /// fleet (2) is asked one `class` query while all is well — so the
-/// client is warm: a cold reverse geocode declines every server whose
-/// frame it could not learn, and consults no one in a blackout — then
-/// put into `situation` and asked again. Forward geocode's scatter is
-/// its refinement step: the world provider is declined there and
-/// stays up and open, since without the coarse hit there is nothing to
-/// refine.
+/// client is warm — then put into `situation` and asked again. Forward
+/// geocode's scatter is its refinement step: the world provider is
+/// declined there and stays up and open, since without the coarse hit
+/// there is nothing to refine.
 fn verdict(class: QueryKind, situation: Situation) -> Verdict {
+    judge(class, situation, true)
+}
+
+/// [`verdict`], with or without the warm-up: a cold client learns each
+/// server's advertisement — a reverse geocode's frame included — from
+/// the round it asks in.
+fn judge(class: QueryKind, situation: Situation, warm: bool) -> Verdict {
     let net = BackendKind::Sim.build(1);
     let denying = Arc::new(AtomicBool::new(false));
     let switchable = || {
@@ -294,7 +301,9 @@ fn verdict(class: QueryKind, situation: Situation) -> Verdict {
         QueryKind::Tile => client.federated_tile(here(), 16).map(drop),
         QueryKind::Route => unreachable!("routing runs its own rounds"),
     };
-    ask().expect("a healthy federation answers");
+    if warm {
+        ask().expect("a healthy federation answers");
+    }
     denying.store(situation == Situation::AllDeny, Ordering::SeqCst);
     for endpoint in down {
         net.set_down(endpoint, true);
@@ -364,6 +373,21 @@ fn the_outage_table_holds_for_every_scattered_class() {
             );
         }
     }
+}
+
+#[test]
+fn a_cold_reverse_geocode_in_a_blackout_is_an_outage_not_nothing_here() {
+    // No server's frame is known, so the builder declines every one
+    // whose handshake failed; their failures must still count.
+    assert_eq!(
+        judge(QueryKind::ReverseGeocode, Situation::AllDown, false),
+        Verdict::Outage(0, vec![0, 1, 2])
+    );
+    // A down plain server is absorbed, cold as warm.
+    assert_eq!(
+        judge(QueryKind::ReverseGeocode, Situation::PlainDown, false),
+        Verdict::Answer
+    );
 }
 
 // --------------------------------------------------------------------

@@ -542,7 +542,7 @@ pub fn wire_tag_findings(sources: &[(&str, &str)], doc: &str) -> Vec<Finding> {
 
 // ----------------------------------------------------------------
 // Rule: forbidden-api — raw sync primitives, reactor blocking, unwrap
-// in the wire-facing crates, netsim thread spawns, the concrete
+// in the wire-facing crates, netsim thread spawns and channels, the concrete
 // simulator type above netsim, a hand-rolled handshake or a
 // per-endpoint map in core outside the session, a hand-written codec
 // beside the message table, a second scatter loop in core.
@@ -673,6 +673,13 @@ pub fn forbidden_api_findings(file: &str, content: &str) -> Vec<Finding> {
                 );
             }
         }
+        // One condvar queue: a channel behind a mutex wakes two threads
+        // per job.
+        flag_each(
+            "mpsc",
+            "`mpsc` in netsim: a channel behind a mutex wakes a second worker per job; the \
+             dispatch pool is one condvar queue (`JobQueue`, core.rs)",
+        );
     } else {
         // One door onto the wire: above netsim, code binds to the trait.
         flag_each(

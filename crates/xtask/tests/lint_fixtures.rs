@@ -254,6 +254,22 @@ mod tests { fn t() { std::thread::spawn(|| ()); } }
 }
 
 #[test]
+fn forbidden_api_flags_a_channel_in_netsim() {
+    let src = "\
+use std::sync::mpsc;
+fn spawn_pool() -> mpsc::Sender<Job> { todo!() }
+#[cfg(test)]
+mod tests { fn t() { let (tx, rx) = std::sync::mpsc::channel::<u8>(); } }
+";
+    for file in ["crates/netsim/src/core.rs", "crates/netsim/src/tcp.rs"] {
+        let f = forbidden_api_findings(file, src);
+        assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [1, 2]);
+        assert!(f[0].msg.contains("one condvar queue"));
+    }
+    assert_eq!(forbidden_api_findings("crates/dns/src/server.rs", src), []);
+}
+
+#[test]
 fn forbidden_api_flags_netsim_unwrap() {
     let src = "fn f() { x.lock().unwrap(); }\n";
     // Every crate that parses or serves what arrives off the wire.

@@ -438,10 +438,11 @@ impl OpenFlameClient {
         // Fuse without truncation: the final cut happens after the
         // relevance re-scoring, otherwise a large federation can crowd
         // the exact match out of the fused prefix.
+        let query_tokens = openflame_geocode::tokenize(query);
         let mut out: Vec<(f64, FederatedSearchHit)> = fuse_ranked(lists, usize::MAX)
             .into_iter()
             .map(|f| {
-                let relevance = label_relevance(query, &f.result.label);
+                let relevance = label_relevance(&query_tokens, &f.result.label);
                 let (server_id, endpoint) = sources[f.source].clone();
                 let result = WireSearchResult {
                     element: f.result.element,
@@ -916,11 +917,10 @@ impl SpatialProvider for OpenFlameClient {
     }
 }
 
-/// Harmonic token-coverage relevance of a result label for a query
-/// (same blend the geocoder uses): 1.0 for an exact token match, lower
-/// when either side has unmatched tokens.
-fn label_relevance(query: &str, label: &str) -> f64 {
-    let q = openflame_geocode::tokenize(query);
+/// Harmonic token-coverage relevance of a result label for a query's
+/// tokens `q` (same blend the geocoder uses): 1.0 for an exact token
+/// match, lower when either side has unmatched tokens.
+fn label_relevance(q: &[String], label: &str) -> f64 {
     let l = openflame_geocode::tokenize(label);
     if q.is_empty() || l.is_empty() {
         return 0.0;

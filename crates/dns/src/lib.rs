@@ -8,16 +8,19 @@
 //! ubiquitous caching. This crate provides the DNS itself:
 //!
 //! - [`DomainName`] — label sequences with parsing and subdomain math,
+//!   held as one shared buffer per name: a clone, a parent or a walk
+//!   over ancestors shares it and allocates nothing; building a new
+//!   name (parse, child, decode) fills one new buffer,
 //! - [`Record`] / [`RecordData`] — `A`-, `NS`-, `TXT`- and `MAPSRV`-type
 //!   records (the latter carries a map server's endpoint and service
 //!   advertisement),
 //! - [`Zone`] — record storage with DNS-style wildcard matching and
-//!   delegation cuts,
+//!   delegation cuts, looked up by borrowed ancestor of the queried name,
 //! - [`AuthServer`] — an authoritative server bound to a
 //!   [`Transport`](openflame_netsim::Transport) endpoint,
 //! - [`Resolver`] — an iterative resolver with TTL + LRU caching and
-//!   negative caching, the component whose cache behaviour experiment E2
-//!   measures.
+//!   negative caching, that follows referrals only down the tree; the
+//!   component whose cache behaviour experiment E2 measures.
 
 pub mod name;
 pub mod record;

@@ -1,13 +1,32 @@
-//! Domain names: ordered label sequences, root-last.
+//! Domain names: one shared buffer per name, walked by borrowed suffix.
+//!
+//! A name's canonical text — each label lower-cased and followed by a
+//! dot, most-specific first (`www.example.`; the root is empty) — is
+//! stored once, in an `Arc<str>`. A [`DomainName`] is that buffer plus
+//! the offset where the name starts, so every ancestor of a name is a
+//! later offset into the same text:
+//!
+//! - `clone`, [`DomainName::parent`] and [`DomainName::ancestors`] share
+//!   the buffer and allocate nothing;
+//! - [`DomainName::parse`], [`DomainName::from_labels`],
+//!   [`DomainName::child`] and wire decode write the new name's text in
+//!   one pass and copy it into one new shared buffer.
 
 use crate::DnsError;
+use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// A fully qualified domain name.
 ///
-/// Labels are stored most-specific first, so `www.example.` is
-/// `["www", "example"]`. The root is the empty label sequence. Labels
-/// are lower-cased on construction (DNS names are case-insensitive) and
+/// Labels are ordered most-specific first, so `www.example.` has the
+/// labels `www`, `example`. The root has no labels. Labels are
+/// lower-cased on construction (DNS names are case-insensitive) and
 /// must be 1–63 characters of `[a-z0-9_*-]`.
+///
+/// Equality and hashing are over the canonical labels; ordering is
+/// label by label, most-specific label first (a shorter label sorts
+/// before any label it is a prefix of, whatever byte follows it).
 ///
 /// # Examples
 ///
@@ -18,16 +37,23 @@ use crate::DnsError;
 /// assert_eq!(n.label_count(), 5);
 /// assert!(n.is_subdomain_of(&DomainName::parse("cell.flame.").unwrap()));
 /// assert_eq!(n.to_string(), "3.1.f4.cell.flame.");
+/// let suffixes: Vec<String> = n.ancestors().map(|a| a.to_string()).collect();
+/// assert_eq!(suffixes[3], "cell.flame.");
+/// assert_eq!(suffixes[5], ".");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone)]
 pub struct DomainName {
-    labels: Vec<String>,
+    /// Canonical text of the most specific name built on this buffer.
+    text: Arc<str>,
+    /// Byte offset of this name's first label in `text` (`text.len()`
+    /// for the root).
+    start: usize,
 }
 
 impl DomainName {
     /// The DNS root (empty name).
     pub fn root() -> Self {
-        Self { labels: Vec::new() }
+        Self::from_text(String::new())
     }
 
     /// Parses a dotted name; a trailing dot is optional (all names are
@@ -37,11 +63,13 @@ impl DomainName {
         if trimmed.is_empty() {
             return Ok(Self::root());
         }
-        let mut labels = Vec::new();
+        let mut text = String::with_capacity(trimmed.len() + 1);
         for raw in trimmed.split('.') {
-            labels.push(Self::validate_label(raw, s)?);
+            if !Self::push_label(&mut text, raw) {
+                return Err(DnsError::BadName(s.to_string()));
+            }
         }
-        Ok(Self { labels })
+        Ok(Self::from_text(text))
     }
 
     /// Builds a name from labels, most-specific first.
@@ -50,92 +78,139 @@ impl DomainName {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let mut labels = Vec::new();
+        let mut text = String::new();
         for l in iter {
-            labels.push(Self::validate_label(l.as_ref(), l.as_ref())?);
+            if !Self::push_label(&mut text, l.as_ref()) {
+                return Err(DnsError::BadName(l.as_ref().to_string()));
+            }
         }
-        Ok(Self { labels })
+        Ok(Self::from_text(text))
     }
 
-    fn validate_label(raw: &str, context: &str) -> Result<String, DnsError> {
-        if raw.is_empty() || raw.len() > 63 {
-            return Err(DnsError::BadName(context.to_string()));
+    /// Validates `raw` as a label and appends it to `text`, lower-cased
+    /// and dot-terminated; `false` (and `text` untouched) if invalid.
+    pub(crate) fn push_label(text: &mut String, raw: &str) -> bool {
+        let valid = !raw.is_empty()
+            && raw.len() <= 63
+            && raw
+                .bytes()
+                .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'*'));
+        if valid {
+            let from = text.len();
+            text.push_str(raw);
+            text[from..].make_ascii_lowercase();
+            text.push('.');
         }
-        let lower = raw.to_ascii_lowercase();
-        if !lower.bytes().all(|b| {
-            b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-' || b == b'_' || b == b'*'
-        }) {
-            return Err(DnsError::BadName(context.to_string()));
+        valid
+    }
+
+    /// The name whose canonical text (as built by `push_label`) is `text`.
+    pub(crate) fn from_text(text: String) -> Self {
+        Self {
+            text: Arc::from(text),
+            start: 0,
         }
-        Ok(lower)
+    }
+
+    fn as_str(&self) -> &str {
+        &self.text[self.start..]
     }
 
     /// The labels, most-specific first.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
+    pub fn labels(&self) -> impl Iterator<Item = &str> {
+        self.as_str().split_terminator('.')
     }
 
     /// Number of labels (0 for the root).
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.as_str().bytes().filter(|&b| b == b'.').count()
     }
 
     /// Whether this is the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.start == self.text.len()
     }
 
-    /// The name with the most-specific label removed; `None` at the root.
+    /// The name with the most-specific label removed; `None` at the
+    /// root. Shares this name's buffer.
     pub fn parent(&self) -> Option<DomainName> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(DomainName {
-                labels: self.labels[1..].to_vec(),
-            })
-        }
+        let dot = self.as_str().find('.')?;
+        Some(DomainName {
+            text: Arc::clone(&self.text),
+            start: self.start + dot + 1,
+        })
+    }
+
+    /// This name, then each ancestor up to and including the root, all
+    /// sharing this name's buffer.
+    pub fn ancestors(&self) -> impl Iterator<Item = DomainName> {
+        std::iter::successors(Some(self.clone()), DomainName::parent)
     }
 
     /// A child name with `label` prepended.
     pub fn child(&self, label: &str) -> Result<DomainName, DnsError> {
-        let l = Self::validate_label(label, label)?;
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(l);
-        labels.extend(self.labels.iter().cloned());
-        Ok(DomainName { labels })
-    }
-
-    /// Whether `self` equals `other` or lies beneath it.
-    pub fn is_subdomain_of(&self, other: &DomainName) -> bool {
-        if other.labels.len() > self.labels.len() {
-            return false;
+        let mut text = String::with_capacity(label.len() + 1 + self.as_str().len());
+        if !Self::push_label(&mut text, label) {
+            return Err(DnsError::BadName(label.to_string()));
         }
-        let offset = self.labels.len() - other.labels.len();
-        self.labels[offset..] == other.labels[..]
+        text.push_str(self.as_str());
+        Ok(Self::from_text(text))
     }
 
-    /// The wildcard name `*.<parent>` for this name's parent, used in
-    /// wildcard lookup.
-    pub fn to_wildcard_of_parent(&self) -> Option<DomainName> {
-        self.parent()
-            .map(|p| p.child("*").expect("'*' is a valid label"))
+    /// Whether `self` equals `other` or lies beneath it. The suffix must
+    /// start at a label boundary: `ab.c.` is not under `b.c.`.
+    pub fn is_subdomain_of(&self, other: &DomainName) -> bool {
+        let (me, suffix) = (self.as_str(), other.as_str());
+        me.ends_with(suffix)
+            && (me.len() == suffix.len() || me.as_bytes()[me.len() - suffix.len() - 1] == b'.')
     }
 
     /// Whether the most-specific label is `*`.
     pub fn is_wildcard(&self) -> bool {
-        self.labels.first().map(String::as_str) == Some("*")
+        self.as_str().starts_with("*.")
+    }
+}
+
+impl PartialEq for DomainName {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for DomainName {}
+
+impl Hash for DomainName {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl Ord for DomainName {
+    /// Label by label, not by raw text: `*` and `-` sort before `.` in
+    /// bytes, so the text alone would put `a-b.x.` before `a.x.`.
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.labels().cmp(other.labels())
+    }
+}
+
+impl PartialOrd for DomainName {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
 impl std::fmt::Display for DomainName {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return write!(f, ".");
         }
-        for l in &self.labels {
-            write!(f, "{l}.")?;
-        }
-        Ok(())
+        f.write_str(self.as_str())
+    }
+}
+
+impl std::fmt::Debug for DomainName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "DomainName({self})")
     }
 }
 
@@ -188,16 +263,19 @@ mod tests {
         assert!(!sub.is_subdomain_of(&other));
         // Everything is under the root.
         assert!(sub.is_subdomain_of(&DomainName::root()));
+        // A shared text suffix is not a shared label suffix.
+        let b = DomainName::parse("b.c.").unwrap();
+        assert!(!DomainName::parse("ab.c.").unwrap().is_subdomain_of(&b));
     }
 
     #[test]
     fn wildcard_helpers() {
         let n = DomainName::parse("3.f1.cell.flame.").unwrap();
-        let w = n.to_wildcard_of_parent().unwrap();
+        let w = n.parent().unwrap().child("*").unwrap();
         assert_eq!(w.to_string(), "*.f1.cell.flame.");
         assert!(w.is_wildcard());
         assert!(!n.is_wildcard());
-        assert!(DomainName::root().to_wildcard_of_parent().is_none());
+        assert!(!DomainName::root().is_wildcard());
     }
 
     #[test]
@@ -208,5 +286,16 @@ mod tests {
         ];
         names.sort();
         assert_eq!(names[0].to_string(), "a.example.");
+    }
+
+    #[test]
+    fn ordering_is_by_label_not_by_text() {
+        // In bytes `-` < `.`, so the raw text would order these the
+        // other way round.
+        let short = DomainName::parse("a.x.").unwrap();
+        let long = DomainName::parse("a-b.x.").unwrap();
+        assert!(short < long);
+        // A label sequence sorts before every sequence it prefixes.
+        assert!(DomainName::parse("a.").unwrap() < short);
     }
 }

@@ -9,7 +9,8 @@
 //!
 //! Hand-written, because a table row cannot say it — the exception:
 //!
-//! - [`DomainName`]: decodes through the validating `from_labels`.
+//! - [`DomainName`]: its labels decode through the same validation as
+//!   `from_labels`, straight into the name's one shared buffer.
 
 use crate::name::DomainName;
 use crate::DnsError;
@@ -174,10 +175,25 @@ impl Wire for DomainName {
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        DomainName::from_labels(Vec::<String>::decode(r)?).map_err(|_| CodecError::InvalidTag {
-            context: "DomainName",
-            tag: 0,
-        })
+        // The labels are read in place and written straight into the
+        // name's one buffer; each takes a length byte or more, so the
+        // text grows no faster than the input.
+        let count = r.read_length()?;
+        let mut text = String::new();
+        let mut valid = true;
+        for _ in 0..count {
+            let len = r.read_length()?;
+            let label =
+                std::str::from_utf8(r.read_raw(len)?).map_err(|_| CodecError::InvalidUtf8)?;
+            valid &= DomainName::push_label(&mut text, label);
+        }
+        if !valid {
+            return Err(CodecError::InvalidTag {
+                context: "DomainName",
+                tag: 0,
+            });
+        }
+        Ok(DomainName::from_text(text))
     }
 }
 

@@ -5,14 +5,26 @@
 //! deployments, and infrastructure" (paper §5.1). The resolver walks referrals
 //! from the root exactly like a real recursive resolver, and serves
 //! repeat queries from a TTL-respecting LRU cache with negative caching:
-//! NXDOMAIN, authoritative ServFail and lame-delegation outcomes are all
-//! replayed from a short-TTL negative entry (bounded by the same
-//! capacity, expired-first purge and LRU policy as positive entries), so
-//! a misbehaving client hammering a nonexistent or broken cell cannot
-//! amplify its queries into repeated full referral walks upstream.
+//! NXDOMAIN, authoritative ServFail, lame-delegation and too-many-referral
+//! outcomes are all replayed from a short-TTL negative entry (bounded by
+//! the same capacity, expired-first purge and LRU policy as positive
+//! entries), so a misbehaving client hammering a nonexistent or broken
+//! cell cannot amplify its queries into repeated full referral walks
+//! upstream.
+//!
+//! A walk only ever moves down the tree (RFC 1034, section 5.3.3). It
+//! tracks the zone it is asking, starting at the root, and follows a
+//! referral only when the cut it names (the NS owner) lies strictly below
+//! that zone and the queried name lies under the cut. Any other referral
+//! — a loop back up, or a sideways hop — is a lame delegation. So a
+//! broken delegation costs at most one upstream ask per zone on the way
+//! down (one per label of the name, plus the root) before its outcome is
+//! negatively cached, and a loop cannot run the walk into its hop limit.
+//!
+//! A walk encodes its query once and re-sends those bytes at every hop.
 
 use crate::name::DomainName;
-use crate::record::{QueryMsg, Rcode, Record, RecordType, ResponseMsg};
+use crate::record::{QueryMsg, Rcode, Record, RecordData, RecordType, ResponseMsg};
 use crate::DnsError;
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_diag::{ranks, OrderedMutex};
@@ -98,6 +110,8 @@ enum EntryKind {
     /// delegation; cached briefly (the negative TTL) so a broken name
     /// does not trigger a full referral re-walk per lookup.
     ServFail,
+    /// The walk ran out of referral hops; cached like `ServFail`.
+    TooManyReferrals,
 }
 
 #[derive(Debug, Clone)]
@@ -116,6 +130,10 @@ struct CacheState {
 /// In-progress state of one pipelined referral walk
 /// (see [`Resolver::resolve_many`]).
 struct Walk {
+    /// The encoded `QueryMsg`, sent unchanged to every server asked.
+    query: Vec<u8>,
+    /// The zone the candidates serve: the root, then each accepted cut.
+    zone: DomainName,
     /// Candidate servers for the current zone cut, tried in order.
     candidates: Vec<EndpointId>,
     /// Upstream asks issued so far (including failed candidates).
@@ -134,8 +152,8 @@ struct Walk {
 enum WalkStep {
     /// The walk terminated with this outcome.
     Done(Result<QueryOutcome, DnsError>),
-    /// Referral: continue at the child zone's servers.
-    Referral(Vec<EndpointId>),
+    /// Referral: continue at the child zone (the cut) and its servers.
+    Referral(DomainName, Vec<EndpointId>),
 }
 
 fn type_tag(rtype: RecordType) -> u8 {
@@ -266,6 +284,12 @@ impl Resolver {
                 continue;
             }
             walks[i] = Some(Walk {
+                query: to_bytes(&QueryMsg {
+                    name: name.clone(),
+                    rtype: *rtype,
+                })
+                .to_vec(),
+                zone: DomainName::root(),
                 candidates: self.root_hints.clone(),
                 upstream: 0,
                 responses_seen: 0,
@@ -283,11 +307,7 @@ impl Resolver {
                     Some(server) => {
                         walk.upstream += 1;
                         self.stats.lock().upstream_queries += 1;
-                        let query = to_bytes(&QueryMsg {
-                            name: queries[i].0.clone(),
-                            rtype: queries[i].1,
-                        })
-                        .to_vec();
+                        let query = walk.query.clone();
                         step.push((i, self.transport.submit(self.endpoint, server, query)));
                     }
                     None => {
@@ -311,15 +331,23 @@ impl Resolver {
                         let done = match from_bytes::<ResponseMsg>(&transfer.payload) {
                             Err(e) => Some(Err(DnsError::ServFail(format!("bad response: {e}")))),
                             Ok(resp) => {
-                                match self.interpret(&queries[i].0, queries[i].1, resp, walk) {
+                                let (name, rtype) = &queries[i];
+                                match self.interpret(name, *rtype, resp, walk) {
                                     WalkStep::Done(outcome) => Some(outcome),
-                                    WalkStep::Referral(next) => {
-                                        if walk.responses_seen >= MAX_REFERRALS {
-                                            Some(Err(DnsError::TooManyReferrals))
-                                        } else {
-                                            walk.candidates = next;
-                                            None
-                                        }
+                                    WalkStep::Referral(..)
+                                        if walk.responses_seen >= MAX_REFERRALS =>
+                                    {
+                                        self.cache_negative(
+                                            name,
+                                            *rtype,
+                                            EntryKind::TooManyReferrals,
+                                        );
+                                        Some(Err(DnsError::TooManyReferrals))
+                                    }
+                                    WalkStep::Referral(cut, next) => {
+                                        walk.zone = cut;
+                                        walk.candidates = next;
+                                        None
                                     }
                                 }
                             }
@@ -383,16 +411,15 @@ impl Resolver {
         drop(cache);
         // A local cache answer still costs a hair of CPU.
         self.transport.advance_us(10);
-        match kind {
-            EntryKind::NxDomain => {
-                self.stats.lock().negative_hits += 1;
-                return Some(Err(DnsError::NxDomain(name.to_string())));
-            }
-            EntryKind::ServFail => {
-                self.stats.lock().negative_hits += 1;
-                return Some(Err(DnsError::ServFail(name.to_string())));
-            }
-            EntryKind::Positive => {}
+        let negative = match kind {
+            EntryKind::Positive => None,
+            EntryKind::NxDomain => Some(DnsError::NxDomain(name.to_string())),
+            EntryKind::ServFail => Some(DnsError::ServFail(name.to_string())),
+            EntryKind::TooManyReferrals => Some(DnsError::TooManyReferrals),
+        };
+        if let Some(err) = negative {
+            self.stats.lock().negative_hits += 1;
+            return Some(Err(err));
         }
         self.stats.lock().cache_hits += 1;
         Some(Ok(QueryOutcome {
@@ -405,7 +432,7 @@ impl Resolver {
 
     /// Interprets one authoritative response for a walk: a terminal
     /// answer (cached), a negative answer (negatively cached), or a
-    /// referral with glue.
+    /// referral down the tree with glue.
     fn interpret(
         &self,
         name: &DomainName,
@@ -419,23 +446,11 @@ impl Resolver {
                 // authoritative server must not cost a full referral
                 // re-walk per repeat lookup. Transport-level failures
                 // (dead candidates) are NOT cached — those fail over.
-                self.cache_store(
-                    name,
-                    rtype,
-                    Vec::new(),
-                    self.config.negative_ttl_s,
-                    EntryKind::ServFail,
-                );
+                self.cache_negative(name, rtype, EntryKind::ServFail);
                 WalkStep::Done(Err(DnsError::ServFail(name.to_string())))
             }
             Rcode::NxDomain => {
-                self.cache_store(
-                    name,
-                    rtype,
-                    Vec::new(),
-                    self.config.negative_ttl_s,
-                    EntryKind::NxDomain,
-                );
+                self.cache_negative(name, rtype, EntryKind::NxDomain);
                 WalkStep::Done(Err(DnsError::NxDomain(name.to_string())))
             }
             Rcode::NoError => {
@@ -450,40 +465,49 @@ impl Resolver {
                         latency_us: self.transport.now_us().saturating_sub(walk.t0),
                     }))
                 } else {
-                    // Referral: gather glue endpoints for the child
-                    // zone.
+                    // Referral: follow it only down the tree. The cut
+                    // (the NS owner) must lie strictly below the zone
+                    // just asked, and the name under the cut; the glue
+                    // of that cut's servers is the next candidate set.
+                    let mut cut: Option<&DomainName> = None;
                     let mut next = Vec::new();
                     for auth in &resp.authority {
-                        if let crate::record::RecordData::Ns(ns_host) = &auth.data {
-                            for add in &resp.additional {
-                                if add.name == *ns_host {
-                                    if let crate::record::RecordData::A(ep) = add.data {
-                                        next.push(EndpointId(ep));
-                                    }
-                                }
-                            }
+                        let RecordData::Ns(ns_host) = &auth.data else {
+                            continue;
+                        };
+                        let downward = auth.name != walk.zone
+                            && auth.name.is_subdomain_of(&walk.zone)
+                            && name.is_subdomain_of(&auth.name);
+                        if !downward || cut.is_some_and(|c| *c != auth.name) {
+                            continue;
                         }
+                        cut = Some(&auth.name);
+                        next.extend(resp.additional.iter().filter_map(|add| match add.data {
+                            RecordData::A(ep) if add.name == *ns_host => Some(EndpointId(ep)),
+                            _ => None,
+                        }));
                     }
-                    if next.is_empty() {
-                        // A lame delegation is as re-walkable-forever
-                        // as an authoritative ServFail: negative-cache
-                        // it under the same short TTL.
-                        self.cache_store(
-                            name,
-                            rtype,
-                            Vec::new(),
-                            self.config.negative_ttl_s,
-                            EntryKind::ServFail,
-                        );
-                        WalkStep::Done(Err(DnsError::ServFail(format!(
-                            "lame delegation for {name}"
-                        ))))
-                    } else {
-                        WalkStep::Referral(next)
+                    match cut {
+                        Some(cut) if !next.is_empty() => WalkStep::Referral(cut.clone(), next),
+                        _ => {
+                            // A lame delegation (no usable cut or no
+                            // glue) is as re-walkable-forever as an
+                            // authoritative ServFail: negative-cache it
+                            // under the same short TTL.
+                            self.cache_negative(name, rtype, EntryKind::ServFail);
+                            WalkStep::Done(Err(DnsError::ServFail(format!(
+                                "lame delegation for {name}"
+                            ))))
+                        }
                     }
                 }
             }
         }
+    }
+
+    /// Caches a negative outcome for the negative TTL.
+    fn cache_negative(&self, name: &DomainName, rtype: RecordType, kind: EntryKind) {
+        self.cache_store(name, rtype, Vec::new(), self.config.negative_ttl_s, kind);
     }
 
     fn cache_store(
@@ -545,7 +569,6 @@ impl Resolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::RecordData;
     use crate::server::AuthServer;
     use crate::zone::Zone;
     use openflame_netsim::BackendKind;
@@ -880,6 +903,43 @@ mod tests {
         net.advance_us(61 * 1_000_000);
         let _ = resolver.resolve(&n, RecordType::A).unwrap_err();
         assert!(resolver.stats().upstream_queries > upstream);
+    }
+
+    #[test]
+    fn a_referral_loop_is_lame_and_negatively_cached() {
+        let net = BackendKind::Sim.build(5);
+        // Root refers `flame.` to the TLD, and the TLD refers
+        // `cell.flame.` back to the root server, which refers `flame.`
+        // again: a referral up the tree, which the walk must refuse
+        // instead of riding it until the hop limit.
+        let root_server = AuthServer::spawn_on(&net, "root", Vec::new());
+        let mut tld = Zone::new(name("flame."));
+        tld.delegate(
+            name("cell.flame."),
+            name("ns.cell.flame."),
+            root_server.endpoint().0,
+        );
+        let tld_server = AuthServer::spawn_on(&net, "tld", vec![tld]);
+        let mut root = Zone::new(DomainName::root());
+        root.delegate(name("flame."), name("ns.flame."), tld_server.endpoint().0);
+        root_server.with_zones_mut(|zones| zones.push(root));
+        let resolver = Resolver::on(&net, "t", vec![root_server.endpoint()]);
+        let n = name("1.2.f0.cell.flame.");
+        let err = resolver.resolve(&n, RecordType::MapSrv).unwrap_err();
+        let upstream = resolver.stats().upstream_queries;
+        assert!(
+            upstream <= 3,
+            "a referral loop cost {upstream} upstream queries"
+        );
+        assert!(matches!(err, DnsError::ServFail(_)), "{err:?}");
+        let again = resolver.resolve(&n, RecordType::MapSrv).unwrap_err();
+        assert!(matches!(again, DnsError::ServFail(_)), "{again:?}");
+        assert_eq!(
+            resolver.stats().upstream_queries,
+            upstream,
+            "the repeat is a negative hit, not another walk"
+        );
+        assert_eq!(resolver.stats().negative_hits, 1);
     }
 
     #[test]

@@ -1,4 +1,10 @@
 //! Zone storage: records, wildcard matching and delegation cuts.
+//!
+//! A query is answered by looking up the queried name's ancestors,
+//! borrowed from its one shared buffer ([`DomainName::ancestors`]): the
+//! delegation cut, the exact owner and the covering wildcard are each a
+//! map lookup of a suffix, and no lookup builds a name. That is why a
+//! wildcard `*.x` is keyed by `x`, the name it covers.
 
 use crate::name::DomainName;
 use crate::record::{Rcode, Record, RecordData, RecordType, ResponseMsg};
@@ -25,7 +31,8 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone)]
 pub struct Zone {
     origin: DomainName,
-    records: BTreeMap<DomainName, Vec<Record>>,
+    /// Records by owner, keyed as `owner_key` says.
+    records: BTreeMap<(DomainName, bool), Vec<Record>>,
     /// Child-zone delegations: cut point → (NS host name, glue endpoint).
     delegations: BTreeMap<DomainName, (DomainName, u64)>,
 }
@@ -45,6 +52,15 @@ impl Zone {
         &self.origin
     }
 
+    /// The key of `owner`'s records: `(x, false)` for a plain owner `x`,
+    /// and `(x, true)` for the wildcard `*.x`, which covers `x`.
+    fn owner_key(owner: &DomainName) -> (DomainName, bool) {
+        match owner.parent() {
+            Some(covered) if owner.is_wildcard() => (covered, true),
+            _ => (owner.clone(), false),
+        }
+    }
+
     /// Adds a record. The owner name must be within the zone.
     ///
     /// # Panics
@@ -59,7 +75,7 @@ impl Zone {
             self.origin
         );
         self.records
-            .entry(record.name.clone())
+            .entry(Self::owner_key(&record.name))
             .or_default()
             .push(record);
     }
@@ -67,14 +83,15 @@ impl Zone {
     /// Removes all records at `name` with the given type, returning how
     /// many were removed.
     pub fn remove(&mut self, name: &DomainName, rtype: RecordType) -> usize {
-        let Some(list) = self.records.get_mut(name) else {
+        let key = Self::owner_key(name);
+        let Some(list) = self.records.get_mut(&key) else {
             return 0;
         };
         let before = list.len();
         list.retain(|r| r.data.rtype() != rtype);
         let removed = before - list.len();
         if list.is_empty() {
-            self.records.remove(name);
+            self.records.remove(&key);
         }
         removed
     }
@@ -115,23 +132,6 @@ impl Zone {
         self.records.values().flatten()
     }
 
-    /// Finds the closest enclosing delegation cut for `name`, if any.
-    fn delegation_for(&self, name: &DomainName) -> Option<(&DomainName, &(DomainName, u64))> {
-        // Walk ancestors from most specific to least, stopping at the
-        // zone origin.
-        let mut cur = Some(name.clone());
-        while let Some(n) = cur {
-            if n == self.origin {
-                break;
-            }
-            if let Some(entry) = self.delegations.get_key_value(&n) {
-                return Some(entry);
-            }
-            cur = n.parent();
-        }
-        None
-    }
-
     /// Answers a query with standard DNS semantics.
     ///
     /// Precedence: delegation referral (if the name is under a cut),
@@ -140,8 +140,15 @@ impl Zone {
         if !name.is_subdomain_of(&self.origin) {
             return ResponseMsg::empty(Rcode::ServFail);
         }
+        // The name and its ancestors strictly below the origin, most
+        // specific first: where a cut can sit.
+        let below_origin = name.label_count() - self.origin.label_count();
         // Referral takes precedence for delegated names.
-        if let Some((cut, (ns_host, glue))) = self.delegation_for(name) {
+        let cut = name
+            .ancestors()
+            .take(below_origin)
+            .find_map(|a| self.delegations.get_key_value(&a));
+        if let Some((cut, (ns_host, glue))) = cut {
             let mut resp = ResponseMsg::empty(Rcode::NoError);
             resp.authority.push(Record::new(
                 cut.clone(),
@@ -152,46 +159,29 @@ impl Zone {
                 .push(Record::new(ns_host.clone(), 3600, RecordData::A(*glue)));
             return resp;
         }
-        // Exact match.
-        if let Some(list) = self.records.get(name) {
-            let answers: Vec<Record> = list
-                .iter()
-                .filter(|r| r.data.rtype() == rtype)
-                .cloned()
-                .collect();
-            // NODATA: the name exists but has no records of this type.
-            return ResponseMsg {
-                rcode: Rcode::NoError,
-                answers,
-                ..ResponseMsg::empty(Rcode::NoError)
-            };
-        }
-        // Wildcard: try `*.<ancestor>` from most to least specific,
-        // synthesizing the owner name as DNS does.
-        let mut ancestor = name.parent();
-        while let Some(a) = ancestor {
-            if !a.is_subdomain_of(&self.origin) {
-                break;
-            }
-            let wildcard = a.child("*").expect("'*' is a valid label");
-            if let Some(list) = self.records.get(&wildcard) {
-                let answers: Vec<Record> = list
+        // The exact owner (NODATA when it holds nothing of this type),
+        // else the wildcard covering the closest ancestor from the
+        // parent up to the origin. Either answers with the queried name
+        // as owner, as DNS synthesizes a wildcard answer.
+        let covering = name
+            .ancestors()
+            .skip(1)
+            .take(below_origin)
+            .map(|a| (a, true));
+        let owned = std::iter::once(Self::owner_key(name))
+            .chain(covering)
+            .find_map(|key| self.records.get(&key));
+        match owned {
+            Some(list) => ResponseMsg {
+                answers: list
                     .iter()
                     .filter(|r| r.data.rtype() == rtype)
                     .map(|r| Record::new(name.clone(), r.ttl_s, r.data.clone()))
-                    .collect();
-                return ResponseMsg {
-                    rcode: Rcode::NoError,
-                    answers,
-                    ..ResponseMsg::empty(Rcode::NoError)
-                };
-            }
-            if a == self.origin {
-                break;
-            }
-            ancestor = a.parent();
+                    .collect(),
+                ..ResponseMsg::empty(Rcode::NoError)
+            },
+            None => ResponseMsg::empty(Rcode::NxDomain),
         }
-        ResponseMsg::empty(Rcode::NxDomain)
     }
 }
 

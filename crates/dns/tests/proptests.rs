@@ -1,8 +1,12 @@
 //! Property-based tests for the DNS substrate.
 
 use openflame_codec::{from_bytes, to_bytes};
+use openflame_dns::record::{Rcode, ResponseMsg};
 use openflame_dns::{DomainName, FleetReplica, FleetShard, Record, RecordData, RecordType, Zone};
 use proptest::prelude::*;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 fn arb_label() -> impl Strategy<Value = String> {
     "[a-z0-9][a-z0-9-]{0,14}"
@@ -11,6 +15,302 @@ fn arb_label() -> impl Strategy<Value = String> {
 fn arb_name() -> impl Strategy<Value = DomainName> {
     proptest::collection::vec(arb_label(), 0..6)
         .prop_map(|labels| DomainName::from_labels(labels).unwrap())
+}
+
+/// A label of every legal byte class — upper case (which a name
+/// lower-cases), digits, `-`, `_` and `*` — over so few characters that
+/// labels repeat, prefix one another and share text suffixes.
+fn arb_model_label() -> impl Strategy<Value = String> {
+    "[abAB01_*-]{1,3}"
+}
+
+/// Two label lists, the second usually ending in a suffix of the first —
+/// and sometimes glued onto a longer label, so the two names share a
+/// text suffix that is not a label suffix (`xb.c.` against `b.c.`).
+fn arb_name_pair() -> impl Strategy<Value = (Vec<String>, Vec<String>)> {
+    (
+        proptest::collection::vec(arb_model_label(), 0..5),
+        proptest::collection::vec(arb_model_label(), 0..3),
+        0usize..6,
+        any::<bool>(),
+    )
+        .prop_map(|(a, mut b, from, glue)| {
+            let suffix = &a[from.min(a.len())..];
+            match (glue, b.pop(), suffix.split_first()) {
+                (true, Some(last), Some((first, rest))) => {
+                    b.push(format!("{last}{first}"));
+                    b.extend(rest.iter().cloned());
+                }
+                (_, last, _) => {
+                    b.extend(last);
+                    b.extend(suffix.iter().cloned());
+                }
+            }
+            (a, b)
+        })
+}
+
+/// The label-vector model of a name: its labels, lower-cased.
+fn model(labels: &[String]) -> Vec<String> {
+    labels.iter().map(|l| l.to_ascii_lowercase()).collect()
+}
+
+fn hash_of(name: &DomainName) -> u64 {
+    let mut h = DefaultHasher::new();
+    name.hash(&mut h);
+    h.finish()
+}
+
+fn labels_of(name: &DomainName) -> Vec<String> {
+    name.labels().map(str::to_string).collect()
+}
+
+/// The zone lookup names had when they were label vectors, kept as the
+/// oracle `Zone` must answer like: walk up from the name one parent at a
+/// time for a cut, try the exact owner, then build `*.<ancestor>` for
+/// every ancestor up to the origin.
+struct ReferenceZone {
+    origin: DomainName,
+    records: BTreeMap<DomainName, Vec<Record>>,
+    delegations: BTreeMap<DomainName, (DomainName, u64)>,
+}
+
+impl ReferenceZone {
+    fn new(origin: DomainName) -> Self {
+        Self {
+            origin,
+            records: BTreeMap::new(),
+            delegations: BTreeMap::new(),
+        }
+    }
+
+    fn add(&mut self, record: Record) {
+        self.records
+            .entry(record.name.clone())
+            .or_default()
+            .push(record);
+    }
+
+    fn remove(&mut self, name: &DomainName, rtype: RecordType) -> usize {
+        let Some(list) = self.records.get_mut(name) else {
+            return 0;
+        };
+        let before = list.len();
+        list.retain(|r| r.data.rtype() != rtype);
+        let removed = before - list.len();
+        if list.is_empty() {
+            self.records.remove(name);
+        }
+        removed
+    }
+
+    fn remove_mapsrv(&mut self, server_id: &str) -> usize {
+        let mut removed = 0;
+        self.records.retain(|_, list| {
+            let before = list.len();
+            list.retain(|r| {
+                !matches!(&r.data, RecordData::MapSrv { server_id: sid, .. } if sid == server_id)
+            });
+            removed += before - list.len();
+            !list.is_empty()
+        });
+        removed
+    }
+
+    fn delegation_for(&self, name: &DomainName) -> Option<(&DomainName, &(DomainName, u64))> {
+        let mut cur = Some(name.clone());
+        while let Some(n) = cur {
+            if n == self.origin {
+                break;
+            }
+            if let Some(entry) = self.delegations.get_key_value(&n) {
+                return Some(entry);
+            }
+            cur = n.parent();
+        }
+        None
+    }
+
+    fn query(&self, name: &DomainName, rtype: RecordType) -> ResponseMsg {
+        if !name.is_subdomain_of(&self.origin) {
+            return ResponseMsg::empty(Rcode::ServFail);
+        }
+        if let Some((cut, (ns_host, glue))) = self.delegation_for(name) {
+            let mut resp = ResponseMsg::empty(Rcode::NoError);
+            resp.authority.push(Record::new(
+                cut.clone(),
+                3600,
+                RecordData::Ns(ns_host.clone()),
+            ));
+            resp.additional
+                .push(Record::new(ns_host.clone(), 3600, RecordData::A(*glue)));
+            return resp;
+        }
+        if let Some(list) = self.records.get(name) {
+            let answers = list
+                .iter()
+                .filter(|r| r.data.rtype() == rtype)
+                .cloned()
+                .collect();
+            return ResponseMsg {
+                answers,
+                ..ResponseMsg::empty(Rcode::NoError)
+            };
+        }
+        let mut ancestor = name.parent();
+        while let Some(a) = ancestor {
+            if !a.is_subdomain_of(&self.origin) {
+                break;
+            }
+            let wildcard = a.child("*").unwrap();
+            if let Some(list) = self.records.get(&wildcard) {
+                let answers = list
+                    .iter()
+                    .filter(|r| r.data.rtype() == rtype)
+                    .map(|r| Record::new(name.clone(), r.ttl_s, r.data.clone()))
+                    .collect();
+                return ResponseMsg {
+                    answers,
+                    ..ResponseMsg::empty(Rcode::NoError)
+                };
+            }
+            if a == self.origin {
+                break;
+            }
+            ancestor = a.parent();
+        }
+        ResponseMsg::empty(Rcode::NxDomain)
+    }
+}
+
+const RTYPES: [RecordType; 5] = [
+    RecordType::A,
+    RecordType::Ns,
+    RecordType::Txt,
+    RecordType::MapSrv,
+    RecordType::FleetSrv,
+];
+
+/// `origin` with `rel` prepended, most-specific first.
+fn under(origin: &DomainName, rel: &[String]) -> DomainName {
+    DomainName::from_labels(rel.iter().map(String::as_str).chain(origin.labels())).unwrap()
+}
+
+/// A zone label: `*` (a wildcard when it comes first) and labels that
+/// only start with `*`, over two letters so owners collide.
+fn arb_zone_label() -> impl Strategy<Value = String> {
+    "[ab*]{1,2}"
+}
+
+proptest! {
+    // The two differential oracles are cheap; run them wide.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn name_agrees_with_its_label_vector_model((a, b) in arb_name_pair()) {
+        let (na, nb) = (
+            DomainName::from_labels(&a).unwrap(),
+            DomainName::from_labels(&b).unwrap(),
+        );
+        let (ma, mb) = (model(&a), model(&b));
+        prop_assert_eq!(na.cmp(&nb), ma.cmp(&mb), "{} vs {}", na, nb);
+        prop_assert_eq!(na == nb, ma == mb);
+        if na == nb {
+            prop_assert_eq!(hash_of(&na), hash_of(&nb));
+        }
+        prop_assert_eq!(na.is_subdomain_of(&nb), ma.ends_with(&mb), "{} under {}", na, nb);
+        prop_assert_eq!(nb.is_subdomain_of(&na), mb.ends_with(&ma), "{} under {}", nb, na);
+        for (name, m) in [(&na, &ma), (&nb, &mb)] {
+            prop_assert_eq!(name.label_count(), m.len());
+            prop_assert_eq!(&labels_of(name), m);
+            let display: String = if m.is_empty() {
+                ".".into()
+            } else {
+                m.iter().map(|l| format!("{l}.")).collect()
+            };
+            prop_assert_eq!(name.to_string(), display);
+            prop_assert_eq!(
+                name.parent().map(|p| labels_of(&p)),
+                m.split_first().map(|(_, rest)| rest.to_vec())
+            );
+            // Every ancestor is a suffix of the one buffer, and equals
+            // (and hashes like) the same name built fresh.
+            let ancestors: Vec<DomainName> = name.ancestors().collect();
+            prop_assert_eq!(ancestors.len(), m.len() + 1);
+            for (i, ancestor) in ancestors.iter().enumerate() {
+                let fresh = DomainName::from_labels(&m[i..]).unwrap();
+                prop_assert_eq!(ancestor, &fresh);
+                prop_assert_eq!(hash_of(ancestor), hash_of(&fresh));
+                prop_assert_eq!(ancestor.label_count(), m.len() - i);
+            }
+            // On the wire a name is its label list, byte for byte.
+            let bytes = to_bytes(name).to_vec();
+            prop_assert_eq!(&bytes, &to_bytes(m).to_vec());
+            prop_assert_eq!(&from_bytes::<DomainName>(&bytes).unwrap(), name);
+        }
+    }
+
+    #[test]
+    fn zone_query_agrees_with_the_ancestor_walk(
+        origin in proptest::collection::vec("[ab]{1}", 0..3),
+        ops in proptest::collection::vec(
+            (0u8..4, proptest::collection::vec(arb_zone_label(), 0..4), 0usize..5, 0u64..4),
+            0..24,
+        ),
+        asked in proptest::collection::vec(proptest::collection::vec(arb_zone_label(), 0..5), 0..12),
+        outside in proptest::collection::vec(arb_zone_label(), 0..4),
+    ) {
+        let origin = DomainName::from_labels(&origin).unwrap();
+        let mut zone = Zone::new(origin.clone());
+        let mut reference = ReferenceZone::new(origin.clone());
+        for (op, rel, rtype, v) in ops {
+            let owner = under(&origin, &rel);
+            match op {
+                0 => {
+                    let data = match RTYPES[rtype] {
+                        RecordType::A | RecordType::Ns => RecordData::A(v),
+                        RecordType::Txt => RecordData::Txt(format!("t{v}")),
+                        _ => RecordData::MapSrv {
+                            endpoint: v,
+                            server_id: format!("s{v}"),
+                            services: vec![],
+                        },
+                    };
+                    let record = Record::new(owner, 60, data);
+                    zone.add(record.clone());
+                    reference.add(record);
+                }
+                1 if !rel.is_empty() => {
+                    let ns_host = owner.child("ns").unwrap();
+                    zone.delegate(owner.clone(), ns_host.clone(), v);
+                    reference.delegations.insert(owner, (ns_host, v));
+                }
+                2 => prop_assert_eq!(
+                    zone.remove(&owner, RTYPES[rtype]),
+                    reference.remove(&owner, RTYPES[rtype])
+                ),
+                _ => {
+                    let id = format!("s{v}");
+                    prop_assert_eq!(zone.remove_mapsrv(&id), reference.remove_mapsrv(&id));
+                }
+            }
+        }
+        prop_assert_eq!(zone.record_count(), reference.records.values().map(Vec::len).sum::<usize>());
+        let names = asked
+            .iter()
+            .map(|rel| under(&origin, rel))
+            .chain([origin.clone(), DomainName::from_labels(&outside).unwrap()]);
+        for name in names {
+            for rtype in RTYPES {
+                prop_assert_eq!(
+                    zone.query(&name, rtype),
+                    reference.query(&name, rtype),
+                    "{} {:?} in zone {}", name, rtype, origin
+                );
+            }
+        }
+    }
+
 }
 
 proptest! {

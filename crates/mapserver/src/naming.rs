@@ -19,13 +19,13 @@ pub const QUERY_LEVEL: u8 = 14;
 
 /// The domain name of a cell: its label path under [`SPATIAL_ROOT`].
 pub fn cell_to_name(cell: CellId) -> DomainName {
-    let root = DomainName::parse(SPATIAL_ROOT).expect("constant parses");
-    let mut name = root;
-    // dns_labels is most-specific-first; build from the root down.
-    for label in cell.dns_labels().iter().rev() {
-        name = name.child(label).expect("cell labels are valid DNS labels");
-    }
-    name
+    // Both label lists are most-specific first: one pass, one name.
+    let cell_labels = cell.dns_labels();
+    let labels = cell_labels
+        .iter()
+        .map(String::as_str)
+        .chain(SPATIAL_ROOT.split_terminator('.'));
+    DomainName::from_labels(labels).expect("cell labels are valid DNS labels")
 }
 
 /// The wildcard name matching every descendant cell of `cell`.
@@ -39,9 +39,9 @@ pub fn name_to_cell(name: &DomainName) -> Result<CellId, DnsError> {
     if !name.is_subdomain_of(&root) || name == &root {
         return Err(DnsError::BadName(format!("{name} is not a spatial name")));
     }
-    let cell_labels: Vec<&str> = name.labels()[..name.label_count() - root.label_count()]
-        .iter()
-        .map(String::as_str)
+    let cell_labels: Vec<&str> = name
+        .labels()
+        .take(name.label_count() - root.label_count())
         .collect();
     CellId::from_dns_labels(&cell_labels).map_err(|e| DnsError::BadName(format!("{name}: {e}")))
 }

@@ -1,0 +1,123 @@
+//! Pins the allocation cost of a **cold** `discover_view`: with the
+//! resolver flushed, one discovery walks the DNS from the root for the
+//! query cell and its four edge neighbours (ten lookups, 30 upstream
+//! queries), and every hop handles 17-label names. A DNS name is one
+//! shared buffer, so cloning a name, taking its parent and walking its
+//! ancestors in a zone lookup allocate nothing.
+//!
+//! The fixture is `cold_sim`'s world on the simulator: 32 stores on a
+//! 12 × 12 block grid, 20 products each. Each venue's hint is
+//! discovered once, from a flushed resolver.
+//!
+//! Measured allocations per cold `discover_view` (median over the 32
+//! venues):
+//!
+//! - labels as a `Vec<String>` (every clone, parent and child copied
+//!   every label): **15 498**
+//! - one shared buffer per name: **≈ 2 900**
+//!
+//! The bound sits between the two with room for toolchain growth
+//! policy; a return of per-label copies lands far above it.
+
+use openflame_core::{Deployment, DeploymentConfig};
+use openflame_netsim::BackendKind;
+use openflame_worldgen::{World, WorldConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Counts allocations made by the current thread (the test harness and
+/// other tests allocate on their own threads).
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a plain thread-local
+// `Cell` with a const initialiser, so bumping it neither allocates nor
+// unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System.alloc` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr`/`layout` describe a live `System` block.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// A third of the label-vector count (15 498), well clear of the ≈ 2 900
+/// one shared buffer per name measures.
+const MAX_ALLOCATIONS_PER_COLD_DISCOVERY: u64 = 5_000;
+
+/// Root referral, TLD referral and answer, for each of the ten lookups
+/// (five cells × `MAPSRV` + `FLEETSRV`).
+const UPSTREAM_PER_COLD_DISCOVERY: u64 = 30;
+
+#[test]
+fn cold_discovery_shares_name_buffers_instead_of_copying_labels() {
+    let dep = Deployment::build(
+        World::generate(WorldConfig {
+            seed: 42,
+            stores: 32,
+            blocks_x: 12,
+            blocks_y: 12,
+            products_per_store: 20,
+            ..WorldConfig::default()
+        }),
+        DeploymentConfig {
+            backend: BackendKind::Sim,
+            ..DeploymentConfig::default()
+        },
+    );
+    let discovery = dep.client.discovery();
+    let mut counts: Vec<u64> = dep
+        .world
+        .venues
+        .iter()
+        .map(|venue| {
+            dep.resolver.flush_cache();
+            let upstream = dep.resolver.stats().upstream_queries;
+            let before = allocations();
+            let view = discovery.discover_view(venue.hint, true).unwrap();
+            let spent = allocations() - before;
+            std::hint::black_box(view);
+            assert_eq!(
+                dep.resolver.stats().upstream_queries - upstream,
+                UPSTREAM_PER_COLD_DISCOVERY,
+                "the count must measure one full cold walk per lookup"
+            );
+            spent
+        })
+        .collect();
+    counts.sort_unstable();
+    let median = counts[counts.len() / 2];
+    println!(
+        "cold discover_view allocations: median {median}, range {}-{} over {} venues",
+        counts[0],
+        counts[counts.len() - 1],
+        counts.len()
+    );
+    assert!(
+        median <= MAX_ALLOCATIONS_PER_COLD_DISCOVERY,
+        "a cold discover_view made {median} allocations (bound \
+         {MAX_ALLOCATIONS_PER_COLD_DISCOVERY}): DNS names are copying their labels again"
+    );
+}

@@ -7,6 +7,7 @@
 //! deduplication for areas covered by overlapping maps (paper §3).
 
 use crate::index::SearchResult;
+use std::collections::HashMap;
 
 /// RRF smoothing constant (the standard value from the literature).
 const RRF_K: f64 = 60.0;
@@ -59,40 +60,57 @@ pub fn fuse_ranked(lists: Vec<Vec<SearchResult>>, k: usize) -> Vec<FusedResult> 
         best_rank: usize,
         fused: f64,
     }
-    let mut by_key: Vec<(String, Acc)> = Vec::new();
+    /// One lower-cased label: the accumulator of its n-th occurrence
+    /// within a list is `accs[n]`, and `seen` counts its occurrences in
+    /// list `list` so far.
+    struct Label {
+        list: usize,
+        seen: usize,
+        accs: Vec<usize>,
+    }
+    // Accumulators in first-seen order, which is the tie order below.
+    let mut fused: Vec<Acc> = Vec::new();
+    let mut labels: HashMap<String, Label> = HashMap::new();
     for (list_idx, list) in lists.into_iter().enumerate() {
-        // Within one list, disambiguate equal labels by occurrence.
-        let mut seen_in_list: std::collections::HashMap<String, usize> =
-            std::collections::HashMap::new();
         for (rank, result) in list.into_iter().enumerate() {
-            let base = result.label.to_lowercase();
-            let occurrence = seen_in_list.entry(base.clone()).or_insert(0);
-            let key = format!("{base}#{occurrence}");
-            *occurrence += 1;
+            let label = labels.entry(result.label.to_lowercase()).or_insert(Label {
+                list: list_idx,
+                seen: 0,
+                accs: Vec::new(),
+            });
+            if label.list != list_idx {
+                label.list = list_idx;
+                label.seen = 0;
+            }
+            // Within one list, equal labels are distinct by occurrence.
+            let occurrence = label.seen;
+            label.seen += 1;
             let contribution = 1.0 / (RRF_K + rank as f64 + 1.0);
-            if let Some((_, acc)) = by_key.iter_mut().find(|(existing, _)| *existing == key) {
-                acc.fused += contribution;
-                if rank < acc.best_rank {
-                    acc.best = result;
-                    acc.best_rank = rank;
-                    acc.source = list_idx;
+            match label.accs.get(occurrence) {
+                Some(&idx) => {
+                    let acc = &mut fused[idx];
+                    acc.fused += contribution;
+                    if rank < acc.best_rank {
+                        acc.best = result;
+                        acc.best_rank = rank;
+                        acc.source = list_idx;
+                    }
                 }
-            } else {
-                by_key.push((
-                    key,
-                    Acc {
+                None => {
+                    label.accs.push(fused.len());
+                    fused.push(Acc {
                         best: result,
                         source: list_idx,
                         best_rank: rank,
                         fused: contribution,
-                    },
-                ));
+                    });
+                }
             }
         }
     }
-    let mut out: Vec<FusedResult> = by_key
+    let mut out: Vec<FusedResult> = fused
         .into_iter()
-        .map(|(_, acc)| FusedResult {
+        .map(|acc| FusedResult {
             result: acc.best,
             source: acc.source,
             fused_score: acc.fused,

@@ -2,8 +2,10 @@
 
 use openflame_geo::Point2;
 use openflame_mapdata::{ElementId, GeoReference, MapDocument, NodeId, Tags};
+use openflame_search::fusion::FusedResult;
 use openflame_search::{fuse_ranked, SearchIndex, SearchResult};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn result(label: &str, score: f64) -> SearchResult {
     SearchResult {
@@ -16,7 +18,82 @@ fn result(label: &str, score: f64) -> SearchResult {
     }
 }
 
+/// The reference fusion: a `format!`ted `label#occurrence` key per
+/// result, a linear scan over every fused key to find it, and a fresh
+/// occurrence map per list. Quadratic, and the oracle `fuse_ranked`
+/// must equal.
+fn fuse_ranked_reference(lists: Vec<Vec<SearchResult>>, k: usize) -> Vec<FusedResult> {
+    struct Acc {
+        best: SearchResult,
+        source: usize,
+        best_rank: usize,
+        fused: f64,
+    }
+    let mut by_key: Vec<(String, Acc)> = Vec::new();
+    for (list_idx, list) in lists.into_iter().enumerate() {
+        let mut seen_in_list: HashMap<String, usize> = HashMap::new();
+        for (rank, result) in list.into_iter().enumerate() {
+            let base = result.label.to_lowercase();
+            let occurrence = seen_in_list.entry(base.clone()).or_insert(0);
+            let key = format!("{base}#{occurrence}");
+            *occurrence += 1;
+            let contribution = 1.0 / (60.0 + rank as f64 + 1.0);
+            if let Some((_, acc)) = by_key.iter_mut().find(|(existing, _)| *existing == key) {
+                acc.fused += contribution;
+                if rank < acc.best_rank {
+                    acc.best = result;
+                    acc.best_rank = rank;
+                    acc.source = list_idx;
+                }
+            } else {
+                by_key.push((
+                    key,
+                    Acc {
+                        best: result,
+                        source: list_idx,
+                        best_rank: rank,
+                        fused: contribution,
+                    },
+                ));
+            }
+        }
+    }
+    let mut out: Vec<FusedResult> = by_key
+        .into_iter()
+        .map(|(_, acc)| FusedResult {
+            result: acc.best,
+            source: acc.source,
+            fused_score: acc.fused,
+        })
+        .collect();
+    out.sort_by(|a, b| {
+        b.fused_score
+            .total_cmp(&a.fused_score)
+            .then_with(|| b.result.score.total_cmp(&a.result.score))
+            .then_with(|| a.result.label.cmp(&b.result.label))
+    });
+    out.truncate(k);
+    out
+}
+
 proptest! {
+    #[test]
+    fn fusion_equals_the_reference(
+        // Few distinct letters in both cases, so labels repeat within a
+        // list, across lists, and in case variants.
+        lists in proptest::collection::vec(
+            proptest::collection::vec(("[aAbB#0]{1,3}", 0.0f64..2.0), 0..10),
+            0..6,
+        ),
+        k in 1usize..40,
+    ) {
+        let lists: Vec<Vec<SearchResult>> = lists
+            .into_iter()
+            .map(|l| l.into_iter().map(|(s, sc)| result(&s, sc)).collect())
+            .collect();
+        prop_assert_eq!(fuse_ranked(lists.clone(), k), fuse_ranked_reference(lists, k));
+    }
+
     #[test]
     fn fusion_output_bounded_and_sorted(
         lists in proptest::collection::vec(

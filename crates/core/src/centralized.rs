@@ -17,7 +17,7 @@
 
 use crate::client::{FederatedRoute, FederatedSearchHit, RouteLeg};
 use crate::provider::{
-    measured, GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome, LocalizeQuery,
+    measured, tile_coord, GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome, LocalizeQuery,
     ProviderEstimate, ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome, RouteQuery,
     SearchOutcome, SearchQuery, SpatialProvider, TileOutcome, TileQuery,
 };
@@ -333,9 +333,12 @@ impl SpatialProvider for CentralizedProvider {
 
     fn tile(&self, query: TileQuery) -> Result<TileOutcome, ClientError> {
         measured(self.transport().as_ref(), || {
-            let (x, y) = openflame_geo::Mercator::tile_for(query.center, query.z);
-            let coord = TileCoord { z: query.z, x, y };
-            let request = Request::GetTile { z: query.z, x, y };
+            let coord = tile_coord(query.center, query.z)?;
+            let request = Request::GetTile {
+                z: coord.z,
+                x: coord.x,
+                y: coord.y,
+            };
             // The echoed coordinate must be the one asked for: another
             // tile of the right size is not an answer.
             let tile = match self.call_one(request, "Tile")? {

@@ -45,7 +45,7 @@
 use crate::discovery::{DiscoveredServer, DiscoveryClient};
 use crate::plan::{self, Outage, QueryKind, ScatterPlan};
 use crate::provider::{
-    measured, GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome, LocalizeQuery,
+    measured, tile_coord, GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome, LocalizeQuery,
     ProviderEstimate, ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome, RouteQuery,
     SearchOutcome, SearchQuery, SpatialProvider, TileOutcome, TileQuery,
 };
@@ -786,9 +786,12 @@ impl OpenFlameClient {
     /// from every discovered server — one batched envelope each, in one
     /// concurrent round — and compose them (paper §5.2). Also yields
     /// the number of servers whose layers went into the composition.
+    /// Each layer is decoded in one pass, and a lone layer is returned
+    /// as it is (composing one layer yields that layer). A zoom deeper
+    /// than the pyramid is [`ClientError::InvalidQuery`], sent nowhere.
     pub fn federated_tile(&self, center: LatLng, z: u8) -> Result<(Tile, usize), ClientError> {
-        let (x, y) = openflame_geo::Mercator::tile_for(center, z);
-        let coord = TileCoord { z, x, y };
+        let coord = tile_coord(center, z)?;
+        let TileCoord { z, x, y } = coord;
         let mut layers: Vec<Tile> = Vec::new();
         // (The planner prunes unaligned venues, which advertise a zero
         // tile count and refuse `GetTile` outright.) A layer echoing
@@ -808,13 +811,13 @@ impl OpenFlameClient {
                 Ok(())
             },
         )?;
-        if layers.is_empty() {
-            return Err(ClientError::NothingDiscovered(format!(
+        match layers.len() {
+            0 => Err(ClientError::NothingDiscovered(format!(
                 "no tile-serving providers near {center}"
-            )));
+            ))),
+            1 => Ok((layers.swap_remove(0), 1)),
+            n => Ok((compose(&layers.iter().collect::<Vec<_>>()), n)),
         }
-        let refs: Vec<&Tile> = layers.iter().collect();
-        Ok((compose(&refs), layers.len()))
     }
 
     // ----------------------------------------------------------------

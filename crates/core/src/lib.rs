@@ -273,6 +273,8 @@ pub enum ClientError {
         /// Error message.
         message: String,
     },
+    /// The query cannot be asked: nothing was sent.
+    InvalidQuery(String),
     /// A response could not be decoded or had the wrong kind.
     Protocol(String),
     /// The requested object could not be found.
@@ -311,6 +313,7 @@ impl std::fmt::Display for ClientError {
             } => {
                 write!(f, "server {server_id} error {code}: {message}")
             }
+            ClientError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             ClientError::Protocol(msg) => write!(f, "protocol: {msg}"),
             ClientError::NotFound(msg) => write!(f, "not found: {msg}"),
             ClientError::Overloaded { retry_after_us } => {

@@ -27,7 +27,7 @@ use openflame_geo::LatLng;
 use openflame_localize::LocationCue;
 use openflame_mapserver::protocol::{WireEstimate, WireGeocodeHit};
 use openflame_netsim::Transport;
-use openflame_tiles::Tile;
+use openflame_tiles::{Tile, TileCoord, MAX_ZOOM};
 
 /// Per-call wire cost, measured at the transport layer (simulated or
 /// real, per the backend the provider runs on).
@@ -190,8 +190,16 @@ pub struct LocalizeOutcome {
 pub struct TileQuery {
     /// Geographic position the tile must cover.
     pub center: LatLng,
-    /// Zoom level.
+    /// Zoom level, at most [`MAX_ZOOM`].
     pub z: u8,
+}
+
+/// The tile covering `center` at zoom `z`. A zoom deeper than the
+/// pyramid (spec §8) is refused here, before anything is sent.
+pub(crate) fn tile_coord(center: LatLng, z: u8) -> Result<TileCoord, ClientError> {
+    TileCoord::covering(center, z).ok_or_else(|| {
+        ClientError::InvalidQuery(format!("tile zoom {z} is deeper than {MAX_ZOOM}"))
+    })
 }
 
 /// Outcome of [`SpatialProvider::tile`].

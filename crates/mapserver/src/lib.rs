@@ -41,6 +41,8 @@ pub enum ServerError {
     },
     /// The requested service is not offered by this server.
     NotOffered(ServiceKind),
+    /// The request is outside its well-formed range (spec §8).
+    Malformed(String),
     /// The request could not be satisfied.
     Failed(String),
 }
@@ -50,6 +52,7 @@ impl std::fmt::Display for ServerError {
         match self {
             ServerError::AccessDenied { service } => write!(f, "access denied to {service:?}"),
             ServerError::NotOffered(s) => write!(f, "service {s:?} not offered"),
+            ServerError::Malformed(msg) => write!(f, "malformed request: {msg}"),
             ServerError::Failed(msg) => write!(f, "request failed: {msg}"),
         }
     }

@@ -29,7 +29,7 @@ use openflame_netsim::{EndpointId, OverloadPolicy, Transport, WireService};
 use openflame_routing::dijkstra::dijkstra_many;
 use openflame_routing::{bidirectional, ContractionHierarchy, Profile, RoadGraph};
 use openflame_search::SearchIndex;
-use openflame_tiles::{Tile, TileCoord, TileRenderer};
+use openflame_tiles::{TileCoord, TileRenderer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -552,8 +552,21 @@ impl MapServer {
         Ok(estimates.into_iter().map(WireEstimate::from).collect())
     }
 
-    /// Rendered tile (ACL-checked; anchored maps only).
-    pub fn tile(&self, principal: &Principal, coord: TileCoord) -> Result<Arc<Tile>, ServerError> {
+    /// A rendered tile in its wire form, the RGB bytes a `GetTile`
+    /// answer carries (ACL-checked; anchored maps only); an in-process
+    /// caller that wants pixels decodes them with
+    /// [`Tile::from_rgb`](openflame_tiles::Tile::from_rgb). The bytes come
+    /// from the current map version's renderer cache (bounded, see
+    /// [`openflame_tiles::render`]), which a patch replaces with the
+    /// engines. A coordinate outside the pyramid (spec §8) is
+    /// [`ServerError::Malformed`]: nothing is counted, rendered or cached.
+    pub fn tile(&self, principal: &Principal, coord: TileCoord) -> Result<Arc<[u8]>, ServerError> {
+        if !coord.in_pyramid() {
+            return Err(ServerError::Malformed(format!(
+                "tile {}/{}/{} is outside the pyramid",
+                coord.z, coord.x, coord.y
+            )));
+        }
         self.check(principal, ServiceKind::Tiles)?;
         self.count(ServiceKind::Tiles);
         let engines = self.engines.read();
@@ -601,12 +614,16 @@ impl MapServer {
     /// Dispatches a decoded request (the RPC entry point; also usable
     /// in-process). Safe to call from many threads at once — the
     /// transport layer does exactly that for pipelined requests (see
-    /// the module-level concurrency notes).
+    /// the module-level concurrency notes). A failure becomes an `Error`
+    /// item with the spec §8 code of its [`ServerError`]. A `GetTile`
+    /// answer is a copy of the cached wire form ([`MapServer::tile`]);
+    /// no pixel is converted on a cache hit.
     pub fn dispatch(&self, principal: &Principal, request: Request) -> Response {
         let into_error = |e: ServerError| {
             let code = match &e {
                 ServerError::AccessDenied { .. } => 1,
                 ServerError::NotOffered(_) => 2,
+                ServerError::Malformed(_) => 3,
                 ServerError::Failed(_) => 4,
             };
             Response::Error {
@@ -658,15 +675,12 @@ impl MapServer {
                 Err(e) => into_error(e),
             },
             Request::GetTile { z, x, y } => match self.tile(principal, TileCoord { z, x, y }) {
-                Ok(tile) => {
-                    let mut rgb = Vec::with_capacity(tile.pixels().len() * 3);
-                    for &px in tile.pixels() {
-                        rgb.push((px >> 16) as u8);
-                        rgb.push((px >> 8) as u8);
-                        rgb.push(px as u8);
-                    }
-                    Response::Tile { z, x, y, rgb }
-                }
+                Ok(rgb) => Response::Tile {
+                    z,
+                    x,
+                    y,
+                    rgb: rgb.to_vec(),
+                },
                 Err(e) => into_error(e),
             },
             Request::ApplyPatch { patch } => match self.apply_patch(principal, &patch) {
@@ -1335,9 +1349,7 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn anchored_server_serves_tiles() {
-        let net = BackendKind::Sim.build(1);
+    fn outdoor_server(net: &Arc<dyn Transport>) -> (Arc<MapServer>, World) {
         let world = World::generate(WorldConfig::default());
         let config = MapServerConfig {
             id: "outdoor".into(),
@@ -1350,12 +1362,49 @@ mod tests {
             radius_m: 2_000.0,
             build_ch: false,
         };
-        let server = MapServer::spawn_on(&net, config);
+        (MapServer::spawn_on(net, config), world)
+    }
+
+    #[test]
+    fn get_tile_outside_the_pyramid_is_malformed_and_renders_nothing() {
+        let net = BackendKind::Sim.build(1);
+        let (server, _world) = outdoor_server(&net);
+        let renders = || {
+            let engines = server.engines.read();
+            engines.renderer.as_ref().map(|r| r.renders_performed())
+        };
+        for (z, x, y) in [(64, 0, 0), (30, 0, 0), (40, 1, 1), (16, u32::MAX, u32::MAX)] {
+            let response = server.dispatch(&Principal::anonymous(), Request::GetTile { z, x, y });
+            assert!(
+                matches!(response, Response::Error { code: 3, .. }),
+                "{z}/{x}/{y}: {response:?}"
+            );
+        }
+        assert_eq!(renders(), Some(0), "nothing rendered");
+        assert_eq!(server.stats().served.get(&ServiceKind::Tiles), None);
+        // The last tile of the deepest zoom is still a tile.
+        let last = (1 << openflame_tiles::MAX_ZOOM) - 1;
+        let response = server.dispatch(
+            &Principal::anonymous(),
+            Request::GetTile {
+                z: openflame_tiles::MAX_ZOOM,
+                x: last,
+                y: last,
+            },
+        );
+        assert!(matches!(response, Response::Tile { .. }));
+        assert_eq!(renders(), Some(1));
+    }
+
+    #[test]
+    fn anchored_server_serves_tiles() {
+        let net = BackendKind::Sim.build(1);
+        let (server, world) = outdoor_server(&net);
         assert!(server.hello().anchored);
         let (x, y) = openflame_geo::Mercator::tile_for(world.config.center, 15);
-        let tile = server
-            .tile(&Principal::anonymous(), TileCoord { z: 15, x, y })
-            .unwrap();
+        let coord = TileCoord { z: 15, x, y };
+        let rgb = server.tile(&Principal::anonymous(), coord).unwrap();
+        let tile = openflame_tiles::Tile::from_rgb(coord, &rgb).unwrap();
         assert!(tile.coverage() > 0.0);
         // Venue (unaligned) servers refuse tiles.
         let (venue_server, _) = venue_server(&net);

@@ -1,0 +1,145 @@
+//! Golden tiles: what `federated_tile` returns for a fixed world is
+//! pinned by content hash, identically on the simulator, TCP and
+//! QuicLite, and a map patch reaches the very next `GetTile`.
+//!
+//! The hashes were captured from the per-pixel encoder and compositor
+//! that preceded the cached wire form, so any change to how a tile is
+//! encoded, cached, decoded or composed that alters a single pixel
+//! fails here. The patch test pins cache coherence: a server's tile
+//! cache lives and dies with the engines of one map version, so after an
+//! `ApplyPatch` the server serves exactly the bytes a fresh server built
+//! from the patched map would.
+
+use openflame_core::{Deployment, DeploymentConfig};
+use openflame_geo::{LatLng, Mercator, Point2};
+use openflame_mapdata::{MapPatch, Node, NodeId, Tags};
+use openflame_mapserver::protocol::{Request, Response};
+use openflame_mapserver::{AccessPolicy, MapServer, MapServerConfig, Principal};
+use openflame_netsim::BackendKind;
+use openflame_worldgen::{World, WorldConfig};
+
+const BACKENDS: [BackendKind; 3] = [BackendKind::Sim, BackendKind::Tcp, BackendKind::QuicLite];
+
+/// `(place, zoom, FNV-1a of the composed pixels)`.
+const GOLDEN: [(&str, u8, u64); 4] = [
+    ("centre", 14, 0xc0bb_008b_d61a_ddc4),
+    ("centre", 15, 0xe14c_4616_a1e4_e2e3),
+    ("centre", 16, 0xfbe2_de05_2a74_d70e),
+    ("venue", 18, 0xcb93_ddb7_6543_26fe),
+];
+
+fn world() -> World {
+    World::generate(WorldConfig {
+        stores: 2,
+        products_per_store: 8,
+        ..WorldConfig::default()
+    })
+}
+
+fn deployment_on(backend: BackendKind) -> Deployment {
+    Deployment::build(
+        world(),
+        DeploymentConfig {
+            backend,
+            ..DeploymentConfig::default()
+        },
+    )
+}
+
+fn place(world: &World, name: &str) -> LatLng {
+    match name {
+        "centre" => world.config.center,
+        _ => world.venue_point_to_geo(0, Point2::new(20.0, 12.0)),
+    }
+}
+
+/// FNV-1a over the pixels' little-endian bytes.
+fn fnv1a(pixels: &[u32]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in pixels.iter().flat_map(|p| p.to_le_bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn federated_tiles_match_the_golden_hashes_on_every_backend() {
+    for backend in BACKENDS {
+        let dep = deployment_on(backend);
+        for (name, z, golden) in GOLDEN {
+            let (tile, _layers) = dep
+                .client
+                .federated_tile(place(&dep.world, name), z)
+                .unwrap();
+            assert_eq!(
+                fnv1a(tile.pixels()),
+                golden,
+                "{backend:?}: {name} tile at z{z} changed"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_patch_reaches_the_next_tile_on_every_backend() {
+    for backend in BACKENDS {
+        let dep = deployment_on(backend);
+        let outdoor = dep.outdoor_server.endpoint();
+        let (x, y) = Mercator::tile_for(dep.world.config.center, 16);
+        let get = Request::GetTile { z: 16, x, y };
+        let call = |request: Request| {
+            let mut responses = dep.client.session().batch(outdoor, vec![request]).unwrap();
+            responses.pop().expect("one response per item")
+        };
+        let fetch = || match call(get.clone()) {
+            Response::Tile { rgb, .. } => rgb,
+            other => panic!("{backend:?}: expected a tile, got {other:?}"),
+        };
+        let before = fetch();
+        assert!(before == fetch(), "{backend:?}: a cached tile is stable");
+
+        // A café a few metres from the centre, inside the centre tile.
+        let mut patch = MapPatch::new(dep.outdoor_server.hello().version);
+        patch.upsert_nodes.push(Node::new(
+            NodeId(9_000_001),
+            Point2::new(4.0, -3.0),
+            Tags::new().with("amenity", "cafe"),
+        ));
+        assert!(
+            matches!(
+                call(Request::ApplyPatch { patch }),
+                Response::PatchApplied { .. }
+            ),
+            "{backend:?}: patch refused"
+        );
+        let after = fetch();
+        assert!(
+            before != after,
+            "{backend:?}: the patch must reach the tile"
+        );
+
+        let fresh = MapServer::spawn_on(
+            &BackendKind::Sim.build(1),
+            MapServerConfig {
+                id: "fresh".into(),
+                map: dep.outdoor_server.with_map(|m| m.clone()),
+                beacons: Vec::new(),
+                tags: Default::default(),
+                policy: AccessPolicy::open(),
+                portals: Vec::new(),
+                location_hint: dep.world.config.center,
+                radius_m: 0.0,
+                build_ch: false,
+            },
+        );
+        let Response::Tile { rgb: expected, .. } = fresh.dispatch(&Principal::anonymous(), get)
+        else {
+            panic!("{backend:?}: the fresh server must render the tile");
+        };
+        assert!(
+            after == expected,
+            "{backend:?}: a patched server serves what a fresh server renders"
+        );
+    }
+}

@@ -14,7 +14,8 @@
 //!    a failed handshake never delivers.
 //! 2. **Peer bytes may make a query fail, never lie or panic**: a tile
 //!    echoing another coordinate, portal cost matrices of a shape that
-//!    was not asked for, and a result limit past `u32::MAX`.
+//!    was not asked for, and a result limit past `u32::MAX` — and a tile
+//!    zoom deeper than the pyramid is refused before any byte is sent.
 
 use openflame_cells::CellId;
 use openflame_codec::{from_bytes, to_bytes};
@@ -32,7 +33,7 @@ use openflame_mapserver::protocol::{
     Envelope, HelloInfo, Request, Response, WireEstimate, WireGeocodeHit, WireSearchResult,
 };
 use openflame_netsim::{BackendKind, EndpointId, Transport};
-use openflame_tiles::{TileCoord, TILE_SIZE};
+use openflame_tiles::{TileCoord, MAX_ZOOM, TILE_SIZE};
 use openflame_worldgen::{World, WorldConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -429,6 +430,32 @@ fn a_tile_echoing_another_coordinate_is_not_the_tile_asked_for() {
         })
         .unwrap_err();
     assert!(matches!(err, ClientError::Protocol(_)), "{err}");
+}
+
+#[test]
+fn a_tile_deeper_than_the_pyramid_is_refused_before_anything_is_sent() {
+    let net = BackendKind::Sim.build(1);
+    let federated = client_seeing(&net, plain_view(vec![anchored_stub(&net, "a", honest)]));
+    let (central, world) = central_answering(honest);
+    for z in [MAX_ZOOM + 1, 64, u8::MAX] {
+        net.reset_stats();
+        let err = federated.tile(TileQuery { center: here(), z }).unwrap_err();
+        assert!(matches!(err, ClientError::InvalidQuery(_)), "z {z}: {err}");
+        assert_eq!(net.stats().messages, 0, "z {z}: nothing was sent");
+        let sent = central.transport().stats().messages;
+        let query = TileQuery {
+            center: world.config.center,
+            z,
+        };
+        let err = central.tile(query).unwrap_err();
+        assert!(matches!(err, ClientError::InvalidQuery(_)), "z {z}: {err}");
+        assert_eq!(central.transport().stats().messages, sent, "z {z}");
+    }
+    let deepest = TileQuery {
+        center: here(),
+        z: MAX_ZOOM,
+    };
+    assert!(federated.tile(deepest).is_ok());
 }
 
 #[test]

@@ -9,14 +9,19 @@
 //!
 //! Everything is from scratch:
 //!
-//! - [`Tile`] — an RGBA pixel grid addressed by `(z, x, y)` slippy
-//!   coordinates, with PPM export,
+//! - [`Tile`] — an ARGB pixel grid addressed by `(z, x, y)` slippy
+//!   coordinates, with its RGB wire form and PPM export,
 //! - [`raster`] — Bresenham lines, scanline polygon fill, discs,
 //! - [`TileRenderer`] — style-mapped rendering of a map document into
-//!   tiles, with an on-demand cache and pre-rendering (paper §4.1),
+//!   tiles, with a bounded on-demand cache of their wire form and
+//!   pre-rendering (paper §4.1),
 //! - [`compose`](stitch::compose) / [`render_unaligned_overlay`](stitch::render_unaligned_overlay)
 //!   — client-side stitching of tiles from multiple servers, including
 //!   venues whose frames need a fitted affine transform.
+//!
+//! Each end converts a tile once: the server encodes it when it renders
+//! it and serves the cached bytes, the client decodes each layer in one
+//! pass and composes only when more than one layer arrived.
 
 pub mod raster;
 pub mod render;
@@ -26,4 +31,4 @@ pub mod tile;
 
 pub use render::TileRenderer;
 pub use style::{style_for, Style};
-pub use tile::{Tile, TileCoord, TILE_SIZE};
+pub use tile::{Tile, TileCoord, MAX_ZOOM, TILE_SIZE};

@@ -1,12 +1,24 @@
-//! Rendering map documents into tiles, with caching.
+//! Rendering map documents into tiles, with a bounded cache of their
+//! wire form.
+//!
+//! A tile is rendered once and encoded once ([`Tile::to_rgb`]), and the
+//! cache keeps those RGB bytes — the form a `GetTile` answer carries,
+//! 192 KB a tile — rather than the ARGB [`Tile`], so a hit is a refcount
+//! bump with no per-pixel pass. The cache holds at most
+//! [`TILE_CACHE_ENTRIES`] tiles: when it is full, caching a new tile
+//! evicts the one cached earliest (first in, first out). A renderer is
+//! built for one map version, so its cache never outlives that map.
 
 use crate::raster::{draw_disc, draw_line, fill_polygon};
 use crate::style::style_for;
 use crate::tile::{Tile, TileCoord, TILE_SIZE};
 use openflame_geo::{LatLng, Mercator, Point2};
 use openflame_mapdata::MapDocument;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+
+/// Most tiles one renderer keeps cached (≈ 48 MB of wire form).
+pub const TILE_CACHE_ENTRIES: usize = 256;
 
 /// Renders a geo-anchored map document into slippy tiles.
 ///
@@ -18,8 +30,33 @@ use std::sync::Arc;
 pub struct TileRenderer {
     /// Projected world coordinates (unit square) per node, plus tags.
     features: Vec<Feature>,
-    cache: openflame_diag::OrderedMutex<HashMap<TileCoord, Arc<Tile>>>,
+    cache: openflame_diag::OrderedMutex<TileCache>,
     render_count: std::sync::atomic::AtomicU64,
+}
+
+/// Cached wire forms, and the order they were cached in.
+#[derive(Default)]
+struct TileCache {
+    tiles: HashMap<TileCoord, Arc<[u8]>>,
+    order: VecDeque<TileCoord>,
+}
+
+impl TileCache {
+    /// Caches `rgb` for `coord` unless a concurrent render got there
+    /// first, and returns what is cached.
+    fn insert(&mut self, coord: TileCoord, rgb: Arc<[u8]>) -> Arc<[u8]> {
+        if let Some(hit) = self.tiles.get(&coord) {
+            return hit.clone();
+        }
+        if self.order.len() == TILE_CACHE_ENTRIES {
+            if let Some(oldest) = self.order.pop_front() {
+                self.tiles.remove(&oldest);
+            }
+        }
+        self.order.push_back(coord);
+        self.tiles.insert(coord, rgb.clone());
+        rgb
+    }
 }
 
 enum Feature {
@@ -73,7 +110,7 @@ impl TileRenderer {
             features,
             cache: openflame_diag::OrderedMutex::new(
                 openflame_diag::ranks::TILE_CACHE,
-                HashMap::new(),
+                TileCache::default(),
             ),
             render_count: std::sync::atomic::AtomicU64::new(0),
         })
@@ -89,20 +126,28 @@ impl TileRenderer {
         self.render_count.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Renders (or fetches from cache) one tile.
-    pub fn tile(&self, coord: TileCoord) -> Arc<Tile> {
-        if let Some(hit) = self.cache.lock().get(&coord) {
+    /// One tile's wire form ([`Tile::to_rgb`]): rendered and encoded on
+    /// a miss, shared from the cache on a hit. [`Tile::from_rgb`] turns
+    /// it back into pixels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coord` is outside the pyramid
+    /// ([`TileCoord::in_pyramid`]); a server checks before it asks.
+    pub fn tile(&self, coord: TileCoord) -> Arc<[u8]> {
+        if let Some(hit) = self.cache.lock().tiles.get(&coord) {
             return hit.clone();
         }
-        let tile = Arc::new(self.render(coord));
-        self.cache.lock().insert(coord, tile.clone());
-        tile
+        assert!(coord.in_pyramid(), "tile {coord:?} is outside the pyramid");
+        let rgb = self.render(coord).to_rgb();
+        self.cache.lock().insert(coord, rgb)
     }
 
     /// Pre-renders every tile covering `nw`–`se` for zooms
     /// `z_min..=z_max`, returning how many tiles were produced (paper §4.1:
     /// "the tile rendering service might pre-render tiles ... even
-    /// before they are requested").
+    /// before they are requested"). Only the last
+    /// [`TILE_CACHE_ENTRIES`] stay cached.
     pub fn prerender(&self, nw: LatLng, se: LatLng, z_min: u8, z_max: u8) -> usize {
         let mut count = 0;
         for z in z_min..=z_max {
@@ -221,7 +266,8 @@ mod tests {
         assert_eq!(r.feature_count(), 3);
         let origin = LatLng::new(40.4433, -79.9436).unwrap();
         let (x, y) = Mercator::tile_for(origin, 16);
-        let tile = r.tile(TileCoord { z: 16, x, y });
+        let coord = TileCoord { z: 16, x, y };
+        let tile = Tile::from_rgb(coord, &r.tile(coord)).unwrap();
         assert!(tile.coverage() > 0.001, "coverage {}", tile.coverage());
     }
 
@@ -231,7 +277,8 @@ mod tests {
         let r = TileRenderer::new(&map).unwrap();
         let far = LatLng::new(48.85, 2.35).unwrap();
         let (x, y) = Mercator::tile_for(far, 16);
-        let tile = r.tile(TileCoord { z: 16, x, y });
+        let coord = TileCoord { z: 16, x, y };
+        let tile = Tile::from_rgb(coord, &r.tile(coord)).unwrap();
         assert_eq!(tile.coverage(), 0.0);
     }
 
@@ -247,7 +294,42 @@ mod tests {
         let t1 = r.tile(coord);
         let t2 = r.tile(coord);
         assert!(Arc::ptr_eq(&t1, &t2));
+        assert_eq!(t1.len(), TILE_SIZE * TILE_SIZE * 3);
         assert_eq!(r.renders_performed(), 1);
+    }
+
+    #[test]
+    fn cache_is_bounded_first_in_first_out() {
+        let map = city_map();
+        let r = TileRenderer::new(&map).unwrap();
+        let coord = |i: usize| TileCoord {
+            z: 18,
+            x: 1_000 + i as u32,
+            y: 2_000,
+        };
+        let extra = 8;
+        for i in 0..TILE_CACHE_ENTRIES + extra {
+            r.tile(coord(i));
+        }
+        let renders = r.renders_performed();
+        assert_eq!(renders as usize, TILE_CACHE_ENTRIES + extra);
+        assert_eq!(r.cache.lock().tiles.len(), TILE_CACHE_ENTRIES);
+        // The newest tiles are still cached: served without a render.
+        for i in extra..TILE_CACHE_ENTRIES + extra {
+            r.tile(coord(i));
+        }
+        assert_eq!(r.renders_performed(), renders);
+        // The earliest were evicted, and come back by rendering again.
+        r.tile(coord(0));
+        assert_eq!(r.renders_performed(), renders + 1);
+        assert_eq!(r.cache.lock().tiles.len(), TILE_CACHE_ENTRIES);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the pyramid")]
+    fn a_tile_outside_the_pyramid_is_refused() {
+        let r = TileRenderer::new(&city_map()).unwrap();
+        r.tile(TileCoord { z: 64, x: 0, y: 0 });
     }
 
     #[test]
@@ -272,12 +354,13 @@ mod tests {
         let origin = LatLng::new(40.4433, -79.9436).unwrap();
         let (x14, y14) = Mercator::tile_for(origin, 14);
         let (x17, y17) = Mercator::tile_for(origin, 17);
-        let z14 = r.tile(TileCoord {
+        let rendered = |coord| Tile::from_rgb(coord, &r.tile(coord)).unwrap();
+        let z14 = rendered(TileCoord {
             z: 14,
             x: x14,
             y: y14,
         });
-        let z17 = r.tile(TileCoord {
+        let z17 = rendered(TileCoord {
             z: 17,
             x: x17,
             y: y17,

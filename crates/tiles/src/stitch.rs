@@ -1,8 +1,12 @@
 //! Client-side tile stitching across servers and coordinate frames.
+//!
+//! [`compose`] is one pass over each layer's pixel slice. A lone layer
+//! composes to itself (its background pixels stay background), so a
+//! client holding one layer can skip the call.
 
 use crate::raster::{draw_disc, draw_line};
 use crate::style::style_for;
-use crate::tile::{Tile, TileCoord, BACKGROUND, TILE_SIZE};
+use crate::tile::{Tile, TileCoord, TILE_SIZE};
 use openflame_geo::{Affine2, LocalFrame, Mercator, Point2};
 use openflame_mapdata::MapDocument;
 
@@ -16,24 +20,16 @@ use openflame_mapdata::MapDocument;
 ///
 /// Panics if the tiles do not share the same coordinate.
 pub fn compose(layers: &[&Tile]) -> Tile {
-    let coord = layers
-        .first()
-        .map(|t| t.coord)
-        .unwrap_or(TileCoord { z: 0, x: 0, y: 0 });
-    let mut out = Tile::blank(coord);
-    for layer in layers {
+    let Some((first, rest)) = layers.split_first() else {
+        return Tile::blank(TileCoord { z: 0, x: 0, y: 0 });
+    };
+    let mut out = (*first).clone();
+    for layer in rest {
         assert_eq!(
-            layer.coord, coord,
+            layer.coord, out.coord,
             "composing tiles from different coordinates"
         );
-        for y in 0..TILE_SIZE as i64 {
-            for x in 0..TILE_SIZE as i64 {
-                let px = layer.get(x, y);
-                if px != BACKGROUND {
-                    out.set(x, y, px);
-                }
-            }
-        }
+        out.overlay(layer);
     }
     out
 }
@@ -94,6 +90,7 @@ pub fn render_unaligned_overlay(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tile::BACKGROUND;
     use openflame_geo::LatLng;
     use openflame_mapdata::{GeoReference, Tags};
 

@@ -1,7 +1,21 @@
-//! The tile pixel grid.
+//! The tile pixel grid and its wire form.
+//!
+//! A [`Tile`] is ARGB pixels in memory. In a `GetTile` answer and in a
+//! server's tile cache it is [`TILE_SIZE`]² × 3 bytes of RGB, row-major.
+//! [`Tile::to_rgb`] is the one encoder and [`Tile::from_rgb`] the one
+//! decoder, each a single pass over a pre-sized buffer.
+//!
+//! A coordinate is in the pyramid when `z ≤` [`MAX_ZOOM`] and
+//! `x, y < 2^z` ([`TileCoord::in_pyramid`]); a server answers any other
+//! `GetTile` with a malformed-request error and renders nothing (spec §8).
+
+use openflame_geo::{LatLng, Mercator};
 
 /// Edge length of a tile in pixels.
 pub const TILE_SIZE: usize = 256;
+
+/// Deepest zoom level a tile may be asked for (spec §8).
+pub const MAX_ZOOM: u8 = 24;
 
 /// Background color (treated as transparent when composing).
 pub const BACKGROUND: u32 = 0xFFF2_EFE9;
@@ -15,6 +29,23 @@ pub struct TileCoord {
     pub x: u32,
     /// Row.
     pub y: u32,
+}
+
+impl TileCoord {
+    /// The tile covering `p` at zoom `z`, or `None` when `z` is above
+    /// [`MAX_ZOOM`].
+    pub fn covering(p: LatLng, z: u8) -> Option<Self> {
+        (z <= MAX_ZOOM).then(|| {
+            let (x, y) = Mercator::tile_for(p, z);
+            Self { z, x, y }
+        })
+    }
+
+    /// Whether this coordinate names a tile of the pyramid: `z ≤`
+    /// [`MAX_ZOOM`] and `x, y < 2^z`.
+    pub fn in_pyramid(&self) -> bool {
+        self.z <= MAX_ZOOM && self.x < 1 << self.z && self.y < 1 << self.z
+    }
 }
 
 /// A rendered square tile of ARGB pixels (0xAARRGGBB).
@@ -63,25 +94,45 @@ impl Tile {
     /// Serializes as a binary PPM (P6) image.
     pub fn to_ppm(&self) -> Vec<u8> {
         let mut out = format!("P6\n{TILE_SIZE} {TILE_SIZE}\n255\n").into_bytes();
-        for &px in &self.pixels {
-            out.push((px >> 16) as u8);
-            out.push((px >> 8) as u8);
-            out.push(px as u8);
-        }
+        out.extend(self.to_rgb::<Vec<u8>>());
         out
     }
 
-    /// Rebuilds a tile from raw RGB bytes (the wire form used by
-    /// `GetTile` responses). Returns `None` on size mismatch.
+    /// The wire form — three bytes (red, green, blue) per pixel,
+    /// row-major, alpha dropped — collected into any byte container: a
+    /// `Vec<u8>`, or the `Arc<[u8]>` a renderer caches. The bytes come
+    /// with their exact length, so either container allocates once and
+    /// is filled in one pass.
+    pub fn to_rgb<B: FromIterator<u8>>(&self) -> B {
+        self.pixels
+            .iter()
+            .flat_map(|px| {
+                let [_, r, g, b] = px.to_be_bytes();
+                [r, g, b]
+            })
+            .collect()
+    }
+
+    /// Rebuilds an opaque tile from its wire form ([`Tile::to_rgb`]) in
+    /// one pass. Returns `None` on size mismatch.
     pub fn from_rgb(coord: TileCoord, rgb: &[u8]) -> Option<Self> {
         if rgb.len() != TILE_SIZE * TILE_SIZE * 3 {
             return None;
         }
-        let mut pixels = Vec::with_capacity(TILE_SIZE * TILE_SIZE);
-        for px in rgb.chunks_exact(3) {
-            pixels.push(0xFF00_0000 | (px[0] as u32) << 16 | (px[1] as u32) << 8 | px[2] as u32);
-        }
+        let pixels = rgb
+            .chunks_exact(3)
+            .map(|c| u32::from_be_bytes([0xFF, c[0], c[1], c[2]]))
+            .collect();
         Some(Self { coord, pixels })
+    }
+
+    /// Paints `layer`'s non-background pixels over `self`.
+    pub(crate) fn overlay(&mut self, layer: &Tile) {
+        for (out, &px) in self.pixels.iter_mut().zip(&layer.pixels) {
+            if px != BACKGROUND {
+                *out = px;
+            }
+        }
     }
 }
 
@@ -113,6 +164,30 @@ mod tests {
         assert_eq!(t.get(-1, 0), BACKGROUND);
         assert_eq!(t.get(0, 99999), BACKGROUND);
         assert_eq!(t.coverage(), 0.0);
+    }
+
+    #[test]
+    fn pyramid_bounds() {
+        assert!(TileCoord { z: 0, x: 0, y: 0 }.in_pyramid());
+        assert!(!TileCoord { z: 0, x: 1, y: 0 }.in_pyramid());
+        assert!(TileCoord {
+            z: MAX_ZOOM,
+            x: (1 << MAX_ZOOM) - 1,
+            y: 0
+        }
+        .in_pyramid());
+        assert!(!TileCoord {
+            z: 16,
+            x: u32::MAX,
+            y: u32::MAX
+        }
+        .in_pyramid());
+        for z in [MAX_ZOOM + 1, 30, 40, 64, u8::MAX] {
+            assert!(!TileCoord { z, x: 0, y: 0 }.in_pyramid(), "z {z}");
+        }
+        let p = LatLng::new(40.4433, -79.9436).unwrap();
+        assert!(TileCoord::covering(p, MAX_ZOOM).is_some_and(|c| c.in_pyramid()));
+        assert_eq!(TileCoord::covering(p, 64), None);
     }
 
     #[test]

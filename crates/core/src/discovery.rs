@@ -8,7 +8,9 @@
 //! The client converts its coarse location to the canonical query cell,
 //! resolves that cell's `MAPSRV` records through a caching resolver, and
 //! — because map boundaries are fuzzy (paper §3) — optionally repeats the
-//! lookup for the cell's edge neighbors, deduplicating the result.
+//! lookup for the cell's edge neighbors, deduplicating the result. One
+//! question per cell is enough: the answer carries the cell's `FLEETSRV`
+//! records in its additional section (spec §9.1).
 
 use crate::fleet::{DiscoveryView, FleetShardView, FleetView};
 use crate::ClientError;
@@ -45,11 +47,12 @@ impl DiscoveredServer {
 pub struct DiscoveryStats {
     /// Discovery operations performed.
     pub discoveries: u64,
-    /// DNS lookups issued (primary + neighbor cells).
+    /// DNS lookups issued (primary + neighbor cells, one per cell).
     pub lookups: u64,
     /// Lookups answered from the resolver cache.
     pub cache_hits: u64,
-    /// Lookups that returned no servers.
+    /// Lookups that named no provider, neither in the answer nor in
+    /// the additional records.
     pub empty: u64,
 }
 
@@ -110,12 +113,12 @@ impl DiscoveryClient {
             .collect())
     }
 
-    /// Fleet-aware discovery: resolves both `MAPSRV` (plain servers)
-    /// and `FLEETSRV` (replica-set + shard-map advertisements) for the
-    /// query cells, in **one** pipelined resolver round — two record
-    /// types per cell cost one walk's latency, not two.
+    /// Fleet-aware discovery: asks one `MAPSRV` question per query
+    /// cell, in **one** pipelined resolver round. Each answer names the
+    /// cell's plain servers, and its additional section the cell's
+    /// `FLEETSRV` (replica-set + shard-map) advertisements (spec §9.1).
     ///
-    /// In deployments without fleets the `FLEETSRV` lookups come back
+    /// In deployments without fleets the additional sections come back
     /// empty and the view degenerates to the plain server list, so this
     /// is the single discovery path for every client.
     pub fn discover_view(
@@ -141,20 +144,15 @@ impl DiscoveryClient {
         if expand_neighbors {
             cells.extend(cell.edge_neighbors());
         }
-        // All lookups (primary + neighbors, both record types) walk the
-        // DNS in one pipelined round: ten queries cost one walk's
-        // latency, not ten. Results come back positionally, so dedup
-        // order — and therefore the discovered-server order every layer
-        // above relies on — is identical to the sequential walk's.
+        // All lookups (primary + neighbors) walk the DNS in one
+        // pipelined round: five queries cost one walk's latency, not
+        // five. Results come back positionally, and each folds its
+        // answer before its additional records, so dedup order — and
+        // therefore the discovered-server order every layer above
+        // relies on — is the sequential walk's.
         let queries: Vec<(DomainName, RecordType)> = cells
             .iter()
-            .flat_map(|c| {
-                let name = cell_to_name(*c);
-                [
-                    (name.clone(), RecordType::MapSrv),
-                    (name, RecordType::FleetSrv),
-                ]
-            })
+            .map(|c| (cell_to_name(*c), RecordType::MapSrv))
             .collect();
         self.stats.lock().lookups += queries.len() as u64;
         let outcomes = self.resolver.resolve_many(&queries);
@@ -165,11 +163,12 @@ impl DiscoveryClient {
                     if outcome.from_cache {
                         self.stats.lock().cache_hits += 1;
                     }
-                    if outcome.records.is_empty() {
-                        self.stats.lock().empty += 1;
+                    let mut named = false;
+                    for record in outcome.records.into_iter().chain(outcome.additional) {
+                        named |= Self::absorb_record(&mut view, record.data);
                     }
-                    for record in outcome.records {
-                        Self::absorb_record(&mut view, record.data);
+                    if !named {
+                        self.stats.lock().empty += 1;
                     }
                 }
                 Err(DnsError::NxDomain(_)) => {
@@ -187,19 +186,21 @@ impl DiscoveryClient {
 
     /// Folds one resource record into the view, deduplicating servers
     /// by id and fleets by group id (neighbor cells re-advertise the
-    /// same providers).
-    fn absorb_record(view: &mut DiscoveryView, data: RecordData) {
+    /// same providers). Returns whether the record names a provider.
+    fn absorb_record(view: &mut DiscoveryView, data: RecordData) -> bool {
         match data {
             RecordData::MapSrv {
                 endpoint,
                 server_id,
                 services,
-            } if view.servers.iter().all(|s| s.server_id != server_id) => {
-                view.servers.push(Arc::new(DiscoveredServer {
-                    server_id,
-                    endpoint: EndpointId(endpoint),
-                    services,
-                }));
+            } => {
+                if view.servers.iter().all(|s| s.server_id != server_id) {
+                    view.servers.push(Arc::new(DiscoveredServer {
+                        server_id,
+                        endpoint: EndpointId(endpoint),
+                        services,
+                    }));
+                }
             }
             RecordData::FleetSrv {
                 group_id,
@@ -207,7 +208,7 @@ impl DiscoveryClient {
                 shards,
             } => {
                 if view.fleets.iter().any(|f| f.group_id == group_id) {
-                    return;
+                    return true;
                 }
                 let shards = shards
                     .into_iter()
@@ -240,8 +241,9 @@ impl DiscoveryClient {
                     shards,
                 });
             }
-            _ => {}
+            _ => return false,
         }
+        true
     }
 }
 
@@ -313,6 +315,47 @@ mod tests {
             with > 1,
             "neighbor expansion should look up several cells, did {with}"
         );
+    }
+
+    #[test]
+    fn a_cell_named_only_by_its_additional_records_is_not_empty() {
+        let dep = Deployment::build(
+            World::generate(WorldConfig::default()),
+            DeploymentConfig {
+                replicas: 2,
+                content_shards: 2,
+                ..DeploymentConfig::default()
+            },
+        );
+        // Without the city-wide outdoor map, a venue's cell is served
+        // by its fleet alone: NODATA to `MAPSRV`, `FLEETSRV` in the
+        // additional section.
+        dep.cell_dns.with_zones_mut(|zones| {
+            zones[0].remove_mapsrv(dep.outdoor_server.id());
+        });
+        let discovery = dep.client.discovery();
+        let view = discovery
+            .discover_view(dep.world.venues[0].hint, false)
+            .unwrap();
+        assert!(view.servers.is_empty());
+        assert!(view.fleets.iter().any(|f| f.group_id == "venue-0"));
+        assert_eq!(
+            discovery.stats(),
+            DiscoveryStats {
+                discoveries: 1,
+                lookups: 1,
+                cache_hits: 0,
+                empty: 0,
+            }
+        );
+        // Far from every venue, nothing answers: an empty lookup.
+        let far = dep.world.config.center.destination(0.0, 4_000.0);
+        assert!(discovery
+            .discover_view(far, false)
+            .unwrap()
+            .fleets
+            .is_empty());
+        assert_eq!(discovery.stats().empty, 1);
     }
 
     #[test]

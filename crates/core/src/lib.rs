@@ -149,8 +149,10 @@
 //!   and a **shard map** — a skew-aware spatial split of the venue's
 //!   searchable content at a sub-cell level (equal-*count* cuts along
 //!   the cell space-filling curve, so hot sub-areas get their own
-//!   shard). Discovery resolves both record types in one pipelined
-//!   round and the session caches the whole view shard-stably.
+//!   shard). Discovery asks one `MAPSRV` question per cell, in one
+//!   pipelined round; the answer carries the cell's `FLEETSRV` records
+//!   in its additional section (spec §9.1), and the session caches the
+//!   whole view shard-stably.
 //! - **Shard-aware scatter**: search, routing candidates and
 //!   localization consult only the shards whose advertised extent
 //!   intersects the query footprint — wire cost scales with shards

@@ -151,7 +151,9 @@ pub struct ResponseMsg {
     /// Referral records (NS) when the server is not authoritative for
     /// the full name.
     pub authority: Vec<Record>,
-    /// Glue records resolving names mentioned in `authority`.
+    /// Glue records resolving names mentioned in `authority`; in an
+    /// answer to a `MAPSRV` question, the queried name's `FLEETSRV`
+    /// records (spec §9.1).
     pub additional: Vec<Record>,
 }
 

@@ -10,7 +10,10 @@
 //! the same capacity, expired-first purge and LRU policy as positive
 //! entries), so a misbehaving client hammering a nonexistent or broken
 //! cell cannot amplify its queries into repeated full referral walks
-//! upstream.
+//! upstream. A terminal answer's additional records owned by the
+//! queried name (a `MAPSRV` answer's `FLEETSRV` set, spec §9.1) live in
+//! the same entry as its answer, and an answer with no records at all
+//! (NODATA) lives for the negative TTL.
 //!
 //! A walk only ever moves down the tree (RFC 1034, section 5.3.3). It
 //! tracks the zone it is asking, starting at the root, and follows a
@@ -40,11 +43,11 @@ const MAX_REFERRALS: usize = 16;
 pub struct ResolverConfig {
     /// Maximum cached (name, type) entries before LRU eviction.
     pub cache_capacity: usize,
-    /// TTL applied to negative cache entries (NXDOMAIN, authoritative
-    /// ServFail, lame delegations), seconds. Without it, every repeat
-    /// lookup of a nonexistent or broken name re-walks the full
-    /// referral chain — trivial upstream-query amplification from one
-    /// misbehaving client.
+    /// TTL applied to negative cache entries (NXDOMAIN, NODATA with no
+    /// additional records, authoritative ServFail, lame delegations),
+    /// seconds. Without it, every repeat lookup of a nonexistent or
+    /// broken name re-walks the full referral chain — trivial
+    /// upstream-query amplification from one misbehaving client.
     pub negative_ttl_s: u32,
     /// Disable the cache entirely (for cold-path measurements).
     pub cache_enabled: bool,
@@ -87,6 +90,9 @@ pub struct ResolverStats {
 pub struct QueryOutcome {
     /// Matching records (may be empty for NODATA).
     pub records: Vec<Record>,
+    /// The answer's additional records owned by the queried name: for
+    /// a `MAPSRV` question, the name's `FLEETSRV` records (spec §9.1).
+    pub additional: Vec<Record>,
     /// Whether the answer came from cache.
     pub from_cache: bool,
     /// Authoritative round trips performed for this query.
@@ -102,7 +108,8 @@ pub struct QueryOutcome {
 /// lookups of broken names into upstream referral walks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EntryKind {
-    /// A positive answer (possibly NODATA: an empty record set).
+    /// A positive answer, with its additional records (possibly NODATA:
+    /// an empty record set, kept for the negative TTL).
     Positive,
     /// The name does not exist (RFC 2308 negative caching).
     NxDomain,
@@ -117,6 +124,7 @@ enum EntryKind {
 #[derive(Debug, Clone)]
 struct CacheEntry {
     records: Vec<Record>,
+    additional: Vec<Record>,
     expires_us: u64,
     kind: EntryKind,
     last_used: u64,
@@ -408,6 +416,7 @@ impl Resolver {
         entry.last_used = counter;
         let kind = entry.kind;
         let records = entry.records.clone();
+        let additional = entry.additional.clone();
         drop(cache);
         // A local cache answer still costs a hair of CPU.
         self.transport.advance_us(10);
@@ -424,6 +433,7 @@ impl Resolver {
         self.stats.lock().cache_hits += 1;
         Some(Ok(QueryOutcome {
             records,
+            additional,
             from_cache: true,
             upstream_queries: 0,
             latency_us: self.transport.now_us() - t0,
@@ -455,11 +465,36 @@ impl Resolver {
             }
             Rcode::NoError => {
                 if !resp.answers.is_empty() || resp.authority.is_empty() {
-                    // Terminal answer (possibly NODATA).
-                    let ttl = resp.answers.iter().map(|r| r.ttl_s).min().unwrap_or(30);
-                    self.cache_store(name, rtype, resp.answers.clone(), ttl, EntryKind::Positive);
+                    // Terminal answer (possibly NODATA). The additional
+                    // records owned by the queried name ride with it
+                    // (spec §9.1); referral glue is owned by name
+                    // servers, so it never matches.
+                    let additional: Vec<Record> = resp
+                        .additional
+                        .into_iter()
+                        .filter(|r| r.name == *name)
+                        .collect();
+                    // The entry lives as long as its shortest-lived
+                    // record; one with no records is a negative answer
+                    // (RFC 2308, section 2.2).
+                    let ttl = resp
+                        .answers
+                        .iter()
+                        .chain(&additional)
+                        .map(|r| r.ttl_s)
+                        .min()
+                        .unwrap_or(self.config.negative_ttl_s);
+                    self.cache_store(
+                        name,
+                        rtype,
+                        resp.answers.clone(),
+                        additional.clone(),
+                        ttl,
+                        EntryKind::Positive,
+                    );
                     WalkStep::Done(Ok(QueryOutcome {
                         records: resp.answers,
+                        additional,
                         from_cache: false,
                         upstream_queries: walk.upstream,
                         latency_us: self.transport.now_us().saturating_sub(walk.t0),
@@ -507,7 +542,8 @@ impl Resolver {
 
     /// Caches a negative outcome for the negative TTL.
     fn cache_negative(&self, name: &DomainName, rtype: RecordType, kind: EntryKind) {
-        self.cache_store(name, rtype, Vec::new(), self.config.negative_ttl_s, kind);
+        let ttl_s = self.config.negative_ttl_s;
+        self.cache_store(name, rtype, Vec::new(), Vec::new(), ttl_s, kind);
     }
 
     fn cache_store(
@@ -515,6 +551,7 @@ impl Resolver {
         name: &DomainName,
         rtype: RecordType,
         records: Vec<Record>,
+        additional: Vec<Record>,
         ttl_s: u32,
         kind: EntryKind,
     ) {
@@ -529,6 +566,7 @@ impl Resolver {
             (name.clone(), type_tag(rtype)),
             CacheEntry {
                 records,
+                additional,
                 expires_us: expires,
                 kind,
                 last_used: counter,
@@ -1031,5 +1069,104 @@ mod tests {
         let out2 = resolver.resolve(&name("host."), RecordType::Txt).unwrap();
         assert!(out2.from_cache);
         assert!(out2.records.is_empty());
+    }
+
+    #[test]
+    fn nodata_lives_for_the_negative_ttl() {
+        let net = BackendKind::Sim.build(5);
+        let mut zone = Zone::new(DomainName::root());
+        zone.add(Record::new(
+            name("note."),
+            300,
+            RecordData::Txt("hi".into()),
+        ));
+        let server = AuthServer::spawn_on(&net, "root", vec![zone]);
+        let config = ResolverConfig {
+            negative_ttl_s: 5,
+            ..Default::default()
+        };
+        let resolver = Resolver::with_config_on(net.clone(), "t", vec![server.endpoint()], config);
+        let n = name("note.");
+        assert!(resolver
+            .resolve(&n, RecordType::A)
+            .unwrap()
+            .records
+            .is_empty());
+        net.advance_us(4 * 1_000_000);
+        assert!(resolver.resolve(&n, RecordType::A).unwrap().from_cache);
+        net.advance_us(2 * 1_000_000);
+        let again = resolver.resolve(&n, RecordType::A).unwrap();
+        assert!(!again.from_cache, "NODATA outlived the negative TTL");
+        assert_eq!(resolver.stats().upstream_queries, 2);
+    }
+
+    /// A flat zone whose `cell.` holds a `MAPSRV` (300 s) and a
+    /// `FLEETSRV` (20 s) record.
+    fn fleet_zone(net: &Arc<dyn Transport>) -> Arc<AuthServer> {
+        let mut zone = Zone::new(DomainName::root());
+        zone.add(Record::new(
+            name("cell."),
+            300,
+            RecordData::MapSrv {
+                endpoint: 1,
+                server_id: "outdoor".into(),
+                services: vec![],
+            },
+        ));
+        zone.add(Record::new(
+            name("cell."),
+            20,
+            RecordData::FleetSrv {
+                group_id: "mall".into(),
+                services: vec![],
+                shards: vec![],
+            },
+        ));
+        AuthServer::spawn_on(net, "root", vec![zone])
+    }
+
+    #[test]
+    fn a_cache_hit_returns_the_additional_records_until_the_shortest_ttl() {
+        let net = BackendKind::Sim.build(5);
+        let server = fleet_zone(&net);
+        let resolver = Resolver::on(&net, "t", vec![server.endpoint()]);
+        let cell = name("cell.");
+        let cold = resolver.resolve(&cell, RecordType::MapSrv).unwrap();
+        assert_eq!(cold.records.len(), 1);
+        assert_eq!(cold.additional.len(), 1);
+        assert!(matches!(
+            cold.additional[0].data,
+            RecordData::FleetSrv { .. }
+        ));
+        let warm = resolver.resolve(&cell, RecordType::MapSrv).unwrap();
+        assert!(warm.from_cache);
+        assert_eq!(
+            (warm.records, warm.additional),
+            (cold.records, cold.additional)
+        );
+        // The entry lives for the FLEETSRV record's 20 s, not 300 s.
+        net.advance_us(21 * 1_000_000);
+        let expired = resolver.resolve(&cell, RecordType::MapSrv).unwrap();
+        assert!(!expired.from_cache);
+        assert_eq!(expired.additional.len(), 1);
+    }
+
+    #[test]
+    fn cache_disabled_still_returns_the_additional_records() {
+        let net = BackendKind::Sim.build(5);
+        let server = fleet_zone(&net);
+        let config = ResolverConfig {
+            cache_enabled: false,
+            ..Default::default()
+        };
+        let resolver = Resolver::with_config_on(net.clone(), "t", vec![server.endpoint()], config);
+        for _ in 0..2 {
+            let out = resolver
+                .resolve(&name("cell."), RecordType::MapSrv)
+                .unwrap();
+            assert!(!out.from_cache);
+            assert_eq!(out.additional.len(), 1);
+        }
+        assert_eq!(resolver.cache_len(), 0);
     }
 }

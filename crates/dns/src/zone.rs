@@ -135,7 +135,10 @@ impl Zone {
     /// Answers a query with standard DNS semantics.
     ///
     /// Precedence: delegation referral (if the name is under a cut),
-    /// exact match, wildcard match, then NXDOMAIN / NODATA.
+    /// exact match, wildcard match, then NXDOMAIN / NODATA. An answer to
+    /// a `MAPSRV` question carries the same owner's `FLEETSRV` records
+    /// in its additional section (spec §9.1), so one question discovers
+    /// a cell.
     pub fn query(&self, name: &DomainName, rtype: RecordType) -> ResponseMsg {
         if !name.is_subdomain_of(&self.origin) {
             return ResponseMsg::empty(Rcode::ServFail);
@@ -162,7 +165,9 @@ impl Zone {
         // The exact owner (NODATA when it holds nothing of this type),
         // else the wildcard covering the closest ancestor from the
         // parent up to the origin. Either answers with the queried name
-        // as owner, as DNS synthesizes a wildcard answer.
+        // as owner, as DNS synthesizes a wildcard answer. The owner list
+        // does not depend on the type asked, so the additional section
+        // comes from the same lookup.
         let covering = name
             .ancestors()
             .skip(1)
@@ -171,16 +176,22 @@ impl Zone {
         let owned = std::iter::once(Self::owner_key(name))
             .chain(covering)
             .find_map(|key| self.records.get(&key));
-        match owned {
-            Some(list) => ResponseMsg {
-                answers: list
-                    .iter()
-                    .filter(|r| r.data.rtype() == rtype)
-                    .map(|r| Record::new(name.clone(), r.ttl_s, r.data.clone()))
-                    .collect(),
-                ..ResponseMsg::empty(Rcode::NoError)
+        let Some(list) = owned else {
+            return ResponseMsg::empty(Rcode::NxDomain);
+        };
+        let of_type = |rtype: RecordType| -> Vec<Record> {
+            list.iter()
+                .filter(|r| r.data.rtype() == rtype)
+                .map(|r| Record::new(name.clone(), r.ttl_s, r.data.clone()))
+                .collect()
+        };
+        ResponseMsg {
+            answers: of_type(rtype),
+            additional: match rtype {
+                RecordType::MapSrv => of_type(RecordType::FleetSrv),
+                _ => Vec::new(),
             },
-            None => ResponseMsg::empty(Rcode::NxDomain),
+            ..ResponseMsg::empty(Rcode::NoError)
         }
     }
 }
@@ -262,6 +273,34 @@ mod tests {
         assert!(resp.answers.is_empty());
         let txt = z.query(&name("5.f1.cell.flame."), RecordType::Txt);
         assert_eq!(txt.answers.len(), 1);
+    }
+
+    #[test]
+    fn a_mapsrv_answer_carries_the_owners_fleetsrv_records() {
+        let mut z = test_zone();
+        let fleet = RecordData::FleetSrv {
+            group_id: "mall".into(),
+            services: vec!["search".into()],
+            shards: vec![],
+        };
+        z.add(Record::new(name("*.f1.cell.flame."), 90, fleet.clone()));
+        z.add(Record::new(name("*.f2.cell.flame."), 90, fleet.clone()));
+        let asked = name("3.2.f1.cell.flame.");
+        let resp = z.query(&asked, RecordType::MapSrv);
+        assert_eq!(resp.answers.len(), 1);
+        // Synthesized like the answer: the owner is the queried name.
+        assert_eq!(resp.additional, [Record::new(asked.clone(), 90, fleet)]);
+        assert_eq!(
+            resp.additional,
+            z.query(&asked, RecordType::FleetSrv).answers
+        );
+        // A fleet-only cell: NODATA, with the fleet in additional.
+        let fleet_only = z.query(&name("4.f2.cell.flame."), RecordType::MapSrv);
+        assert_eq!(fleet_only.rcode, Rcode::NoError);
+        assert!(fleet_only.answers.is_empty());
+        assert_eq!(fleet_only.additional.len(), 1);
+        // Only a MAPSRV question pulls FLEETSRV records along.
+        assert!(z.query(&asked, RecordType::FleetSrv).additional.is_empty());
     }
 
     #[test]

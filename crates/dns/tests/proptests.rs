@@ -131,7 +131,20 @@ impl ReferenceZone {
         None
     }
 
+    /// The answer with its additional section: a terminal `MAPSRV`
+    /// answer carries what a `FLEETSRV` question for the name gets.
     fn query(&self, name: &DomainName, rtype: RecordType) -> ResponseMsg {
+        let mut resp = self.answer(name, rtype);
+        if rtype == RecordType::MapSrv && resp.rcode == Rcode::NoError && resp.authority.is_empty()
+        {
+            resp.additional = self.answer(name, RecordType::FleetSrv).answers;
+        }
+        resp
+    }
+
+    /// The answer, authority and glue alone: the zone rule before
+    /// `MAPSRV` answers carried `FLEETSRV` records.
+    fn answer(&self, name: &DomainName, rtype: RecordType) -> ResponseMsg {
         if !name.is_subdomain_of(&self.origin) {
             return ResponseMsg::empty(Rcode::ServFail);
         }
@@ -202,6 +215,100 @@ fn arb_zone_label() -> impl Strategy<Value = String> {
     "[ab*]{1,2}"
 }
 
+/// One zone edit: `(op, owner relative to the origin, record type
+/// index, value)`. Op 0 adds a record, 1 delegates, 2 removes by type,
+/// anything else removes a `MAPSRV` registration by server id.
+type ZoneOp = (u8, Vec<String>, usize, u64);
+
+fn arb_zone_ops() -> impl Strategy<Value = Vec<ZoneOp>> {
+    proptest::collection::vec(
+        (
+            0u8..4,
+            proptest::collection::vec(arb_zone_label(), 0..4),
+            0usize..5,
+            0u64..4,
+        ),
+        0..24,
+    )
+}
+
+fn arb_asked() -> impl Strategy<Value = Vec<Vec<String>>> {
+    proptest::collection::vec(proptest::collection::vec(arb_zone_label(), 0..5), 0..12)
+}
+
+/// The record an add op stores: real data of the indexed type (a
+/// `FLEETSRV` names a replica `s{v}`, like a `MAPSRV` server id, which
+/// removing that `MAPSRV` registration must leave alone).
+fn record_data(rtype: RecordType, v: u64) -> RecordData {
+    match rtype {
+        RecordType::A | RecordType::Ns => RecordData::A(v),
+        RecordType::Txt => RecordData::Txt(format!("t{v}")),
+        RecordType::MapSrv => RecordData::MapSrv {
+            endpoint: v,
+            server_id: format!("s{v}"),
+            services: vec![],
+        },
+        RecordType::FleetSrv => RecordData::FleetSrv {
+            group_id: format!("g{v}"),
+            services: vec!["search".into()],
+            shards: vec![FleetShard {
+                extents: vec![v],
+                replicas: vec![FleetReplica {
+                    endpoint: v,
+                    server_id: format!("s{v}"),
+                }],
+            }],
+        },
+    }
+}
+
+/// Applies `ops` to a `Zone` and to the reference, checking that both
+/// agree on every removal count and on the record count.
+fn build_zones(origin: &DomainName, ops: Vec<ZoneOp>) -> (Zone, ReferenceZone) {
+    let mut zone = Zone::new(origin.clone());
+    let mut reference = ReferenceZone::new(origin.clone());
+    for (op, rel, rtype, v) in ops {
+        let owner = under(origin, &rel);
+        match op {
+            0 => {
+                // TTLs differ by value, so a TTL copied from the wrong
+                // record shows.
+                let record = Record::new(owner, 60 + v as u32, record_data(RTYPES[rtype], v));
+                zone.add(record.clone());
+                reference.add(record);
+            }
+            1 if !rel.is_empty() => {
+                let ns_host = owner.child("ns").unwrap();
+                zone.delegate(owner.clone(), ns_host.clone(), v);
+                reference.delegations.insert(owner, (ns_host, v));
+            }
+            2 => prop_assert_eq!(
+                zone.remove(&owner, RTYPES[rtype]),
+                reference.remove(&owner, RTYPES[rtype])
+            ),
+            _ => {
+                let id = format!("s{v}");
+                prop_assert_eq!(zone.remove_mapsrv(&id), reference.remove_mapsrv(&id));
+            }
+        }
+    }
+    prop_assert_eq!(
+        zone.record_count(),
+        reference.records.values().map(Vec::len).sum::<usize>()
+    );
+    (zone, reference)
+}
+
+/// The asked names under `origin`, the origin itself and one name that
+/// may lie outside it.
+fn asked_names(origin: &DomainName, asked: &[Vec<String>], outside: &[String]) -> Vec<DomainName> {
+    asked
+        .iter()
+        .map(|rel| under(origin, rel))
+        .chain([origin.clone(), DomainName::from_labels(outside).unwrap()])
+        .collect()
+}
+
 proptest! {
     // The two differential oracles are cheap; run them wide.
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -253,60 +360,47 @@ proptest! {
     #[test]
     fn zone_query_agrees_with_the_ancestor_walk(
         origin in proptest::collection::vec("[ab]{1}", 0..3),
-        ops in proptest::collection::vec(
-            (0u8..4, proptest::collection::vec(arb_zone_label(), 0..4), 0usize..5, 0u64..4),
-            0..24,
-        ),
-        asked in proptest::collection::vec(proptest::collection::vec(arb_zone_label(), 0..5), 0..12),
+        ops in arb_zone_ops(),
+        asked in arb_asked(),
         outside in proptest::collection::vec(arb_zone_label(), 0..4),
     ) {
         let origin = DomainName::from_labels(&origin).unwrap();
-        let mut zone = Zone::new(origin.clone());
-        let mut reference = ReferenceZone::new(origin.clone());
-        for (op, rel, rtype, v) in ops {
-            let owner = under(&origin, &rel);
-            match op {
-                0 => {
-                    let data = match RTYPES[rtype] {
-                        RecordType::A | RecordType::Ns => RecordData::A(v),
-                        RecordType::Txt => RecordData::Txt(format!("t{v}")),
-                        _ => RecordData::MapSrv {
-                            endpoint: v,
-                            server_id: format!("s{v}"),
-                            services: vec![],
-                        },
-                    };
-                    let record = Record::new(owner, 60, data);
-                    zone.add(record.clone());
-                    reference.add(record);
-                }
-                1 if !rel.is_empty() => {
-                    let ns_host = owner.child("ns").unwrap();
-                    zone.delegate(owner.clone(), ns_host.clone(), v);
-                    reference.delegations.insert(owner, (ns_host, v));
-                }
-                2 => prop_assert_eq!(
-                    zone.remove(&owner, RTYPES[rtype]),
-                    reference.remove(&owner, RTYPES[rtype])
-                ),
-                _ => {
-                    let id = format!("s{v}");
-                    prop_assert_eq!(zone.remove_mapsrv(&id), reference.remove_mapsrv(&id));
-                }
-            }
-        }
-        prop_assert_eq!(zone.record_count(), reference.records.values().map(Vec::len).sum::<usize>());
-        let names = asked
-            .iter()
-            .map(|rel| under(&origin, rel))
-            .chain([origin.clone(), DomainName::from_labels(&outside).unwrap()]);
-        for name in names {
+        let (zone, reference) = build_zones(&origin, ops);
+        for name in asked_names(&origin, &asked, &outside) {
             for rtype in RTYPES {
                 prop_assert_eq!(
                     zone.query(&name, rtype),
                     reference.query(&name, rtype),
                     "{} {:?} in zone {}", name, rtype, origin
                 );
+            }
+        }
+    }
+
+    // Spec §9.1: one `MAPSRV` question learns what a `FLEETSRV`
+    // question would, and its answer is otherwise what it was before
+    // the rule.
+    #[test]
+    fn a_mapsrv_answer_carries_what_fleetsrv_would_answer(
+        origin in proptest::collection::vec("[ab]{1}", 0..3),
+        ops in arb_zone_ops(),
+        asked in arb_asked(),
+        outside in proptest::collection::vec(arb_zone_label(), 0..4),
+    ) {
+        let origin = DomainName::from_labels(&origin).unwrap();
+        let (zone, reference) = build_zones(&origin, ops);
+        for name in asked_names(&origin, &asked, &outside) {
+            let mapsrv = zone.query(&name, RecordType::MapSrv);
+            let before = reference.answer(&name, RecordType::MapSrv);
+            prop_assert_eq!(mapsrv.rcode, before.rcode, "{}", name);
+            prop_assert_eq!(&mapsrv.answers, &before.answers, "{}", name);
+            prop_assert_eq!(&mapsrv.authority, &before.authority, "{}", name);
+            if mapsrv.authority.is_empty() {
+                let fleetsrv = zone.query(&name, RecordType::FleetSrv);
+                prop_assert_eq!(&mapsrv.additional, &fleetsrv.answers, "{}", name);
+            } else {
+                // A referral's additional section is its glue.
+                prop_assert_eq!(&mapsrv.additional, &before.additional, "{}", name);
             }
         }
     }

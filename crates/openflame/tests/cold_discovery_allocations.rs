@@ -1,9 +1,10 @@
 //! Pins the allocation cost of a **cold** `discover_view`: with the
 //! resolver flushed, one discovery walks the DNS from the root for the
-//! query cell and its four edge neighbours (ten lookups, 30 upstream
-//! queries), and every hop handles 17-label names. A DNS name is one
-//! shared buffer, so cloning a name, taking its parent and walking its
-//! ancestors in a zone lookup allocate nothing.
+//! query cell and its four edge neighbours (five lookups, one `MAPSRV`
+//! question per cell, 15 upstream queries), and every hop handles
+//! 17-label names. A DNS name is one shared buffer, so cloning a name,
+//! taking its parent and walking its ancestors in a zone lookup
+//! allocate nothing.
 //!
 //! The fixture is `cold_sim`'s world on the simulator: 32 stores on a
 //! 12 × 12 block grid, 20 products each. Each venue's hint is
@@ -13,11 +14,13 @@
 //! venues):
 //!
 //! - labels as a `Vec<String>` (every clone, parent and child copied
-//!   every label): **15 498**
-//! - one shared buffer per name: **≈ 2 900**
+//!   every label), two questions per cell: **15 498**
+//! - one shared buffer per name, two questions per cell: **2 713**
+//! - one shared buffer per name, one question per cell: **2 394**
 //!
-//! The bound sits between the two with room for toolchain growth
-//! policy; a return of per-label copies lands far above it.
+//! The bound sits between the first and the rest with room for
+//! toolchain growth policy; a return of per-label copies lands far
+//! above it. The upstream count pins one question per cell.
 
 use openflame_core::{Deployment, DeploymentConfig};
 use openflame_netsim::BackendKind;
@@ -63,13 +66,14 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// A third of the label-vector count (15 498), well clear of the ≈ 2 900
+/// A third of the label-vector count (15 498), well clear of the 2 394
 /// one shared buffer per name measures.
 const MAX_ALLOCATIONS_PER_COLD_DISCOVERY: u64 = 5_000;
 
-/// Root referral, TLD referral and answer, for each of the ten lookups
-/// (five cells × `MAPSRV` + `FLEETSRV`).
-const UPSTREAM_PER_COLD_DISCOVERY: u64 = 30;
+/// Root referral, TLD referral and answer, for each of the five lookups
+/// (one `MAPSRV` question per cell; its answer carries the cell's
+/// `FLEETSRV` records, spec §9.1).
+const UPSTREAM_PER_COLD_DISCOVERY: u64 = 15;
 
 #[test]
 fn cold_discovery_shares_name_buffers_instead_of_copying_labels() {

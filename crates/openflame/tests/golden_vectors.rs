@@ -8,7 +8,7 @@ mod vectors;
 
 use openflame_codec::to_bytes;
 use openflame_dns::record::ResponseMsg;
-use openflame_dns::{RecordData, RecordType};
+use openflame_dns::{DomainName, FleetReplica, FleetShard, Record, RecordData, RecordType, Zone};
 use openflame_mapserver::{Request, Response};
 use std::collections::BTreeSet;
 
@@ -60,6 +60,39 @@ fn every_tag_of_the_message_tables_has_a_vector() {
         assert!(carried.contains(tag), "RecordType tag {tag} {variant}");
     }
     assert_eq!(RecordType::TAGS, RecordData::TAGS);
+}
+
+/// Spec §9.1, Appendix B.5: a zone answers a `MAPSRV` question for a
+/// fleet-only cell with exactly the `ResponseMsg/fleet-only` vector.
+#[test]
+fn a_fleet_only_cell_answers_mapsrv_with_the_fleet_only_vector() {
+    let name = |s: &str| DomainName::parse(s).unwrap();
+    let fleet = RecordData::FleetSrv {
+        group_id: "grocer-1".into(),
+        services: vec!["search".into()],
+        shards: vec![FleetShard {
+            extents: vec![0x89c2_5a31, 5],
+            replicas: vec![
+                FleetReplica {
+                    endpoint: 11,
+                    server_id: "grocer-1/s0r0".into(),
+                },
+                FleetReplica {
+                    endpoint: 12,
+                    server_id: "grocer-1/s0r1".into(),
+                },
+            ],
+        }],
+    };
+    let mut zone = Zone::new(name("cell.flame."));
+    zone.add(Record::new(name("*.f1.cell.flame."), 300, fleet));
+    let answer = zone.query(&name("2.f1.cell.flame."), RecordType::MapSrv);
+    let vector = vectors::all()
+        .into_iter()
+        .find(|(label, _)| label == "ResponseMsg/fleet-only")
+        .expect("Appendix B.5 has the fleet-only vector")
+        .1;
+    assert_eq!(to_bytes(&answer).to_vec(), vector);
 }
 
 #[test]

@@ -19,15 +19,24 @@
 //!    *recovered* by retransmission; only total loss fails — the
 //!    dedicated recovery test pins that.) The tile path obeys the same
 //!    blackout rule as search, reverse geocode and localize.
+//! 4. **Discovery parity** — one `MAPSRV` question per cell discovers
+//!    exactly what a `MAPSRV` and a `FLEETSRV` question per cell did,
+//!    order included, at five lookups and 15 upstream queries per cold
+//!    discovery (spec §9.1).
 
+use openflame_cells::CellId;
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_core::{
     run_grocery_scenario_on, CentralizedProvider, ClientError, Deployment, DeploymentConfig,
-    FederatedSearchHit, GeocodeQuery, LocalizeQuery, OpenFlameClient, ProviderKind, RouteQuery,
-    SearchQuery, Session, SpatialProvider, TileQuery,
+    DiscoveredServer, DiscoveryView, FederatedSearchHit, FleetShardView, FleetView, GeocodeQuery,
+    LocalizeQuery, OpenFlameClient, ProviderKind, RouteQuery, SearchQuery, Session,
+    SpatialProvider, TileQuery,
 };
+use openflame_dns::{DnsError, DomainName, RecordData, RecordType};
+use openflame_geo::LatLng;
 use openflame_localize::LocationCue;
 use openflame_mapdata::ElementId;
+use openflame_mapserver::naming::{cell_to_name, QUERY_LEVEL};
 use openflame_mapserver::protocol::{Envelope, Request, Response, WireSearchResult};
 use openflame_mapserver::{AccessPolicy, Principal};
 use openflame_netsim::{BackendKind, EndpointId, WireService};
@@ -610,5 +619,160 @@ fn tile_blackout_surfaces_as_partial_failure_on_every_backend() {
     assert!(sim > 0);
     for backend in [BackendKind::Tcp, BackendKind::QuicLite] {
         assert_eq!(sim, tile_blackout_failures(backend), "{backend:?}");
+    }
+}
+
+/// The discovery rule before spec §9.1 let one question carry both
+/// record types, kept as the oracle: a `MAPSRV` and a `FLEETSRV`
+/// question per cell, each answer folded in that order, servers
+/// deduplicated by id and fleets by group id.
+fn two_question_view(dep: &Deployment, hint: LatLng) -> DiscoveryView {
+    let cell = CellId::from_latlng(hint, QUERY_LEVEL).unwrap();
+    let queries: Vec<(DomainName, RecordType)> = std::iter::once(cell)
+        .chain(cell.edge_neighbors())
+        .flat_map(|c| {
+            let name = cell_to_name(c);
+            [
+                (name.clone(), RecordType::MapSrv),
+                (name, RecordType::FleetSrv),
+            ]
+        })
+        .collect();
+    let mut view = DiscoveryView::default();
+    for outcome in dep.resolver.resolve_many(&queries) {
+        let records = match outcome {
+            Ok(outcome) => outcome.records,
+            Err(DnsError::NxDomain(_)) => continue,
+            Err(e) => panic!("oracle lookup failed: {e}"),
+        };
+        for record in records {
+            match record.data {
+                RecordData::MapSrv {
+                    endpoint,
+                    server_id,
+                    services,
+                } if view.servers.iter().all(|s| s.server_id != server_id) => {
+                    view.servers.push(Arc::new(DiscoveredServer {
+                        server_id,
+                        endpoint: EndpointId(endpoint),
+                        services,
+                    }));
+                }
+                RecordData::FleetSrv {
+                    group_id,
+                    services,
+                    shards,
+                } if view.fleets.iter().all(|f| f.group_id != group_id) => {
+                    let shards = shards
+                        .into_iter()
+                        .map(|shard| {
+                            Arc::new(FleetShardView {
+                                extents: shard
+                                    .extents
+                                    .iter()
+                                    .filter_map(|&raw| CellId::from_raw(raw).ok())
+                                    .collect(),
+                                replicas: shard
+                                    .replicas
+                                    .into_iter()
+                                    .map(|r| {
+                                        Arc::new(DiscoveredServer {
+                                            server_id: r.server_id,
+                                            endpoint: EndpointId(r.endpoint),
+                                            services: services.clone(),
+                                        })
+                                    })
+                                    .collect(),
+                            })
+                        })
+                        .collect();
+                    view.fleets.push(FleetView {
+                        group_id,
+                        services,
+                        shards,
+                    });
+                }
+                _ => {}
+            }
+        }
+    }
+    view
+}
+
+/// Cold discovery asks one question per cell (spec §9.1) and finds what
+/// two questions per cell found, order included, on every backend: in
+/// the `cold_sim` benchmark's city (plain servers) and in a fleet city
+/// (two replicas of two shards per venue, advertised only by
+/// `FLEETSRV`). A warm repeat is answered from the resolver cache, whose
+/// entries keep the additional records.
+#[test]
+fn one_question_per_cell_discovers_what_two_did_on_every_backend() {
+    let cities = [
+        (
+            WorldConfig {
+                seed: 42,
+                stores: 32,
+                blocks_x: 12,
+                blocks_y: 12,
+                products_per_store: 20,
+                ..WorldConfig::default()
+            },
+            (1, 1),
+        ),
+        (
+            WorldConfig {
+                seed: 42,
+                stores: 16,
+                blocks_x: 8,
+                blocks_y: 8,
+                products_per_store: 20,
+                ..WorldConfig::default()
+            },
+            (2, 2),
+        ),
+    ];
+    for (world, (replicas, content_shards)) in cities {
+        let world = World::generate(world);
+        for backend in BACKENDS {
+            let dep = Deployment::build(
+                world.clone(),
+                DeploymentConfig {
+                    backend,
+                    replicas,
+                    content_shards,
+                    ..DeploymentConfig::default()
+                },
+            );
+            let discovery = dep.client.discovery();
+            let mut fleets_seen = 0;
+            for venue in &dep.world.venues {
+                let at = format!("{backend:?}, {replicas}x{content_shards}, {:?}", venue.hint);
+                dep.resolver.flush_cache();
+                let (lookups, upstream) = (
+                    discovery.stats().lookups,
+                    dep.resolver.stats().upstream_queries,
+                );
+                let view = discovery.discover_view(venue.hint, true).unwrap();
+                assert_eq!(discovery.stats().lookups - lookups, 5, "{at}");
+                assert_eq!(
+                    dep.resolver.stats().upstream_queries - upstream,
+                    15,
+                    "{at}: root referral, TLD referral and answer for five cells"
+                );
+                let upstream = dep.resolver.stats().upstream_queries;
+                let warm = discovery.discover_view(venue.hint, true).unwrap();
+                assert_eq!(dep.resolver.stats().upstream_queries, upstream, "{at}");
+                assert_eq!(warm.fleets, view.fleets, "{at}: the cache kept them");
+                dep.resolver.flush_cache();
+                assert_eq!(view, two_question_view(&dep, venue.hint), "{at}");
+                assert!(!view.servers.is_empty(), "{at}: the outdoor map");
+                fleets_seen += view.fleets.len();
+            }
+            assert_eq!(
+                fleets_seen > 0,
+                replicas > 1,
+                "{backend:?}: fleets are discovered exactly in the fleet city"
+            );
+        }
     }
 }

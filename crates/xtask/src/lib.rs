@@ -545,7 +545,8 @@ pub fn wire_tag_findings(sources: &[(&str, &str)], doc: &str) -> Vec<Finding> {
 // in the wire-facing crates, netsim thread spawns and channels, the concrete
 // simulator type above netsim, a hand-rolled handshake or a
 // per-endpoint map in core outside the session, a hand-written codec
-// beside the message table, a second scatter loop in core.
+// beside the message table, a second scatter loop in core, a second
+// DNS question per cell.
 // ----------------------------------------------------------------
 
 /// The files whose messages live in the message table, and the types
@@ -646,6 +647,14 @@ pub fn forbidden_api_findings(file: &str, content: &str) -> Vec<Finding> {
             "ensure_hellos",
             "`ensure_hellos` is retired: the handshake rides the first envelope, and a round \
              of bare handshakes is a `Session::scatter` round of empty batches",
+        );
+        // One DNS question per cell: a `FLEETSRV` question beside the
+        // `MAPSRV` one doubles cold DNS traffic and learns nothing.
+        flag_each(
+            "RecordType::FleetSrv",
+            "a `FLEETSRV` question in core: a `MAPSRV` answer carries the cell's `FLEETSRV` \
+             records in its additional section (spec §9.1), so discovery asks one question \
+             per cell",
         );
     }
     // Code that parses or serves what arrives off the wire surfaces

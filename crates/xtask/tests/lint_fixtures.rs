@@ -430,6 +430,29 @@ mod tests { fn t() { session.ensure_hellos(&[]); } }
 }
 
 #[test]
+fn forbidden_api_flags_a_second_dns_question_per_cell_in_core() {
+    let src = "\
+/// Asks `RecordType::FleetSrv` nowhere: the answer carries it.
+fn queries(name: DomainName) -> [(DomainName, RecordType); 2] {
+    [(name.clone(), RecordType::MapSrv), (name, RecordType::FleetSrv)]
+}
+fn absorb(data: RecordData) { if let RecordData::FleetSrv { .. } = data {} }
+#[cfg(test)]
+mod tests { fn t() { let _ = RecordType::FleetSrv; } }
+";
+    for file in ["crates/core/src/discovery.rs", "crates/core/src/client.rs"] {
+        let f = forbidden_api_findings(file, src);
+        assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [3]);
+        assert!(f[0].msg.contains("one question per cell"));
+    }
+    // Outside core the type is asked for freely: zones answer it, the
+    // resolver caches it, and tests use it as an oracle.
+    for file in ["crates/dns/src/zone.rs", "crates/bench/src/lib.rs"] {
+        assert_eq!(forbidden_api_findings(file, src), []);
+    }
+}
+
+#[test]
 fn forbidden_api_ignores_comments_and_strings() {
     let src = "// std::sync::Mutex::new is banned\nconst M: &str = \"parking_lot\";\n";
     assert_eq!(

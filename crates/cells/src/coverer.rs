@@ -38,12 +38,20 @@ impl Region {
 
     /// Whether the region may intersect the cell (conservative: uses the
     /// cell's bounding box, so `true` can be spurious but `false` is
-    /// definite).
+    /// definite). Computing the box is most of the cost; a caller
+    /// testing the same cell repeatedly keeps [`CellId::bbox`] and asks
+    /// [`Region::may_intersect_bbox`] instead, with the same verdict.
     pub fn may_intersect_cell(&self, cell: CellId) -> bool {
-        let bb = cell.bbox();
+        self.may_intersect_bbox(&cell.bbox())
+    }
+
+    /// Whether the region may intersect the box (`false` is definite).
+    /// The one definition of the cell test above, for callers that
+    /// computed a cell's bounds once and test them many times.
+    pub fn may_intersect_bbox(&self, bb: &BBox) -> bool {
         match self {
-            Region::Cap { center, radius_m } => bbox_min_distance(&bb, *center) <= *radius_m,
-            Region::Rect(r) => r.intersects(&bb),
+            Region::Cap { center, radius_m } => bbox_min_distance(bb, *center) <= *radius_m,
+            Region::Rect(r) => r.intersects(bb),
         }
     }
 

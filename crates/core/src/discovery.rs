@@ -210,29 +210,25 @@ impl DiscoveryClient {
                 if view.fleets.iter().any(|f| f.group_id == group_id) {
                     return true;
                 }
+                // Each shard's extent bounds are computed here, once per
+                // discovery view, never per planned query.
                 let shards = shards
                     .into_iter()
                     .map(|shard| {
-                        Arc::new(FleetShardView {
-                            extents: shard
-                                .extents
-                                .iter()
-                                .filter_map(|&raw| CellId::from_raw(raw).ok())
-                                .collect(),
-                            replicas: shard
-                                .replicas
-                                .into_iter()
-                                .map(|r| {
-                                    Arc::new(DiscoveredServer {
-                                        server_id: r.server_id,
-                                        endpoint: EndpointId(r.endpoint),
-                                        // Replicas inherit the group's
-                                        // service advertisement.
-                                        services: services.clone(),
-                                    })
+                        let replicas = shard
+                            .replicas
+                            .into_iter()
+                            .map(|r| {
+                                Arc::new(DiscoveredServer {
+                                    server_id: r.server_id,
+                                    endpoint: EndpointId(r.endpoint),
+                                    // Replicas inherit the group's
+                                    // service advertisement.
+                                    services: services.clone(),
                                 })
-                                .collect(),
-                        })
+                            })
+                            .collect();
+                        Arc::new(FleetShardView::new(&shard.extents, replicas))
                     })
                     .collect();
                 view.fleets.push(FleetView {
@@ -356,6 +352,49 @@ mod tests {
             .fleets
             .is_empty());
         assert_eq!(discovery.stats().empty, 1);
+    }
+
+    #[test]
+    fn a_shard_whose_extent_proves_nothing_is_consulted() {
+        use crate::plan::{plan, QueryKind};
+        use crate::session::Session;
+        use openflame_dns::{FleetReplica, FleetShard};
+        use openflame_mapserver::Principal;
+        use openflame_netsim::BackendKind;
+
+        let transport = BackendKind::Sim.build(1);
+        let endpoint = transport.register("client", None);
+        let session = Session::new(transport, endpoint, Principal::anonymous());
+        let here = LatLng::new(37.0, -122.0).unwrap();
+        // Spec §9.2: an empty extent, or one holding an id that is not
+        // a valid cell, intersects every footprint.
+        for extents in [vec![], vec![0]] {
+            let mut view = DiscoveryView::default();
+            let record = RecordData::FleetSrv {
+                group_id: "venue-0".into(),
+                services: vec!["rgeocode".into()],
+                shards: vec![FleetShard {
+                    extents: extents.clone(),
+                    replicas: vec![FleetReplica {
+                        endpoint: 70,
+                        server_id: "venue-0/s0r0".into(),
+                    }],
+                }],
+            };
+            assert!(DiscoveryClient::absorb_record(&mut view, record));
+            for (kind, radius_m) in [
+                (QueryKind::Search, 100.0),
+                (QueryKind::ReverseGeocode, 100.0),
+                (QueryKind::Localize, 100.0),
+            ] {
+                let plan = plan(&session, true, 0, &view, Some(kind), Some((here, radius_m)));
+                assert_eq!(
+                    plan.consulted(),
+                    1,
+                    "{kind:?}: a shard advertising {extents:?} was skipped"
+                );
+            }
+        }
     }
 
     #[test]

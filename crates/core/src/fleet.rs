@@ -9,7 +9,9 @@
 //!
 //! - **Shard-aware scatter**: a spatial query consults only the shards
 //!   whose advertised extent intersects the query footprint — wire cost
-//!   scales with shards *consulted*, not fleet size.
+//!   scales with shards *consulted*, not fleet size. Extent bounds are
+//!   computed once, when discovery builds the view; a shard whose
+//!   extent proves nothing is consulted by every query (spec §9.2).
 //! - **Replica selection**: within a shard, the client picks one
 //!   replica by power-of-two-choices over the per-endpoint latency
 //!   summaries the transport already collects
@@ -36,7 +38,7 @@
 use crate::discovery::DiscoveredServer;
 use crate::session::Session;
 use openflame_cells::{CellId, Region};
-use openflame_geo::LatLng;
+use openflame_geo::{BBox, LatLng};
 use openflame_netsim::EndpointId;
 use openflame_worldgen::World;
 use std::sync::Arc;
@@ -45,22 +47,47 @@ use std::sync::Arc;
 /// extent it owns and the replicas serving it (advertisement order is
 /// stable — it is part of the DNS record — so every client derives the
 /// same candidate order).
+///
+/// Each extent cell's bounding box is computed once, by
+/// [`FleetShardView::new`], and lives as long as the discovery view
+/// that holds the shard: planning a query tests cached boxes and
+/// computes no cell geometry.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FleetShardView {
-    /// Fine cells whose content this shard owns.
-    pub extents: Vec<CellId>,
+    /// Fine cells whose content this shard owns, each beside its
+    /// bounding box; `None` when the advertised extent proves nothing
+    /// (spec §9.2), so the shard intersects every footprint.
+    extents: Option<Vec<(CellId, BBox)>>,
     /// Replicas serving this shard (each carries the group's services).
     /// Shared: a scatter plan clones the `Arc`, not the record.
     pub replicas: Vec<Arc<DiscoveredServer>>,
 }
 
 impl FleetShardView {
+    /// The client view of one advertised shard: its raw extent cell ids
+    /// (`FLEETSRV` order) and its replicas. An extent that is empty or
+    /// holds an id that is not a valid cell leaves the shard unbounded
+    /// (spec §9.2): a malformed advertisement can only cost a consult.
+    pub fn new(extent_ids: &[u64], replicas: Vec<Arc<DiscoveredServer>>) -> Self {
+        let extents = extent_ids
+            .iter()
+            .map(|&raw| CellId::from_raw(raw).ok().map(|cell| (cell, cell.bbox())))
+            .collect::<Option<Vec<_>>>()
+            .filter(|cells| !cells.is_empty());
+        Self { extents, replicas }
+    }
+
     /// Whether this shard's extent may intersect a query cap. The test
-    /// is conservative (cell-level `may_intersect`): a shard is never
-    /// wrongly skipped, it can only be consulted unnecessarily.
+    /// is conservative (`Region::may_intersect_bbox` over each cell's
+    /// cached box, the same verdict as `may_intersect_cell`): a shard
+    /// is never wrongly skipped, it can only be consulted
+    /// unnecessarily.
     pub fn intersects(&self, center: LatLng, radius_m: f64) -> bool {
+        let Some(extents) = &self.extents else {
+            return true;
+        };
         let cap = Region::Cap { center, radius_m };
-        self.extents.iter().any(|c| cap.may_intersect_cell(*c))
+        extents.iter().any(|(_, bb)| cap.may_intersect_bbox(bb))
     }
 }
 
@@ -280,10 +307,7 @@ mod tests {
     }
 
     fn shard(ids: &[u64]) -> FleetShardView {
-        FleetShardView {
-            extents: Vec::new(),
-            replicas: ids.iter().map(|&i| Arc::new(server(i))).collect(),
-        }
+        FleetShardView::new(&[], ids.iter().map(|&i| Arc::new(server(i))).collect())
     }
 
     fn session() -> Session {
@@ -373,14 +397,14 @@ mod tests {
         let plans = plan_venue_shards(&world, 0, 4, |_| true);
         let views: Vec<FleetShardView> = plans
             .iter()
-            .map(|p| FleetShardView {
-                extents: p.extents.clone(),
-                replicas: Vec::new(),
+            .map(|p| {
+                let ids: Vec<u64> = p.extents.iter().map(|c| c.raw()).collect();
+                FleetShardView::new(&ids, Vec::new())
             })
             .collect();
         // A cap tight around one shard's first cell must miss at least
         // one other shard — the consulted-shards < K invariant.
-        let center = views[0].extents[0].center();
+        let center = plans[0].extents[0].center();
         let consulted = views.iter().filter(|v| v.intersects(center, 3.0)).count();
         assert!(
             consulted < views.len(),
@@ -394,5 +418,82 @@ mod tests {
             .filter(|v| v.intersects(center, 10_000.0))
             .count();
         assert_eq!(wide, views.len());
+    }
+
+    #[test]
+    fn cached_bounds_decide_exactly_what_the_per_cell_test_did() {
+        use crate::deployment::{Deployment, DeploymentConfig};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // The warm-plan fixture: 16 venues, each a 2 × 2 fleet.
+        let dep = Deployment::build(
+            World::generate(WorldConfig {
+                stores: 16,
+                blocks_x: 8,
+                blocks_y: 8,
+                products_per_store: 20,
+                ..WorldConfig::default()
+            }),
+            DeploymentConfig {
+                backend: BackendKind::Sim,
+                replicas: 2,
+                content_shards: 2,
+                ..DeploymentConfig::default()
+            },
+        );
+        let centre = dep.world.config.center;
+        let view = dep.client.discovery().discover_view(centre, true).unwrap();
+        let shards: Vec<&FleetShardView> = view
+            .fleets
+            .iter()
+            .flat_map(|f| &f.shards)
+            .map(|s| &**s)
+            .collect();
+        assert_eq!(shards.len(), 32, "every fleet of the fixture is discovered");
+
+        let mut rng = StdRng::seed_from_u64(29);
+        let (mut hits, mut misses) = (0, 0);
+        for _ in 0..2_000 {
+            let center = centre.destination(rng.gen_range(0.0..360.0), rng.gen_range(0.0..3_000.0));
+            // Log-uniform from 1 m to 20 km, so narrow caps are drawn
+            // as often as wide ones.
+            let radius_m = 10f64.powf(rng.gen_range(0.0..20_000f64.log10()));
+            let cap = Region::Cap { center, radius_m };
+            for shard in &shards {
+                let cells = shard
+                    .extents
+                    .as_deref()
+                    .expect("deployed extents are well formed");
+                let oracle = cells.iter().any(|(c, _)| cap.may_intersect_cell(*c));
+                assert_eq!(
+                    shard.intersects(center, radius_m),
+                    oracle,
+                    "cap {center:?} r={radius_m}"
+                );
+                if oracle {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                }
+            }
+        }
+        assert!(
+            hits > 1_000 && misses > 1_000,
+            "both verdicts exercised: {hits}/{misses}"
+        );
+    }
+
+    #[test]
+    fn an_extent_that_proves_nothing_intersects_every_footprint() {
+        let cell = CellId::from_latlng(LatLng::new(37.0, -122.0).unwrap(), 18).unwrap();
+        let far = LatLng::new(37.45, -122.0).unwrap();
+        assert!(!FleetShardView::new(&[cell.raw()], Vec::new()).intersects(far, 100.0));
+        // Empty, an invalid id alone, and an invalid id beside a valid
+        // cell: spec §9.2 forbids skipping on any of them.
+        for ids in [vec![], vec![0], vec![cell.raw(), 0]] {
+            let shard = FleetShardView::new(&ids, Vec::new());
+            assert!(shard.intersects(far, 100.0), "extent {ids:?} was skipped");
+        }
     }
 }

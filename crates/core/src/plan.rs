@@ -22,11 +22,15 @@
 //! - [`PruneReason::EmptyKind`] — the kind is advertised with a
 //!   document count of zero;
 //! - [`PruneReason::DisjointExtent`] — the query footprint is provably
-//!   disjoint from the advertised extent (every extent cell fails the
-//!   conservative `may_intersect` test **and** the two caps are
-//!   further apart than the sum of their radii — both checks must
-//!   agree, so a malformed advertisement can only cost an unnecessary
-//!   consult, never a wrong skip).
+//!   disjoint from the advertised extent (the two caps are further
+//!   apart than the sum of their radii **and** every extent cell fails
+//!   the conservative `may_intersect` test — both checks must agree, so
+//!   a malformed advertisement can only cost an unnecessary consult,
+//!   never a wrong skip; the cheap cap test runs first).
+//!
+//! Fleet shards are filtered before any of this, against extent bounds
+//! the discovery view computed once ([`FleetShardView::intersects`]),
+//! so the shard test computes no cell geometry.
 //!
 //! A server with an **absent or stale** advertisement — or one that
 //! carries no summary, or one marked dead — has *unknown* coverage and
@@ -314,25 +318,26 @@ fn prune_reason(
 }
 
 /// Whether a query cap is *provably* disjoint from an advertised
-/// extent. Requires both the cell-covering test and the cap-distance
+/// extent. Requires both the cap-distance test and the cell-covering
 /// test to agree; any malformed or empty advertisement proves nothing.
+///
+/// The order of the two proofs is free (spec §13.3), so the cheap cap
+/// distance goes first: a source whose caps overlap the query is kept
+/// without decoding a cell, and the per-cell loop (one bounding box
+/// per cell) runs only for a source about to be pruned.
 fn footprint_disjoint(extent: &CoverageExtent, center: LatLng, radius_m: f64) -> bool {
-    if extent.cells.is_empty() {
+    // Written as "apart" rather than "not overlapping" so a NaN radius
+    // or centre proves nothing.
+    let caps_apart = center.haversine_distance(extent.center) > radius_m + extent.radius_m;
+    if !caps_apart || extent.cells.is_empty() {
         return false;
     }
     let cap = Region::Cap { center, radius_m };
-    for &raw in &extent.cells {
-        match CellId::from_raw(raw) {
-            Ok(cell) => {
-                if cap.may_intersect_cell(cell) {
-                    return false;
-                }
-            }
-            // A cell that does not decode proves nothing.
-            Err(_) => return false,
-        }
-    }
-    center.haversine_distance(extent.center) > radius_m + extent.radius_m
+    // A cell that does not decode proves nothing.
+    extent
+        .cells
+        .iter()
+        .all(|&raw| CellId::from_raw(raw).is_ok_and(|cell| !cap.may_intersect_cell(cell)))
 }
 
 /// Executes the plan through the session — the single executor behind
@@ -627,6 +632,70 @@ mod tests {
             radius_m: 80.0,
         };
         assert!(!footprint_disjoint(&malformed, far, 100.0));
+    }
+
+    /// The cells-first order `footprint_disjoint` used before it checked
+    /// the caps first: the oracle its verdicts must equal.
+    fn cells_first_disjoint(extent: &CoverageExtent, center: LatLng, radius_m: f64) -> bool {
+        if extent.cells.is_empty() {
+            return false;
+        }
+        let cap = Region::Cap { center, radius_m };
+        for &raw in &extent.cells {
+            match CellId::from_raw(raw) {
+                Ok(cell) if !cap.may_intersect_cell(cell) => {}
+                _ => return false,
+            }
+        }
+        center.haversine_distance(extent.center) > radius_m + extent.radius_m
+    }
+
+    #[test]
+    fn caps_first_decides_exactly_what_cells_first_did() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(29);
+        let near = |rng: &mut StdRng, spread_m: f64| {
+            anchor().destination(rng.gen_range(0.0..360.0), rng.gen_range(0.0..spread_m))
+        };
+        // Verdicts where both proofs held, and where only the caps did.
+        let (mut disjoint, mut kept_by_cells) = (0, 0);
+        for _ in 0..200 {
+            // A covering of one cap advertised beside a second one, so
+            // the two proofs disagree as often as a malformed
+            // advertisement could make them.
+            let covered = near(&mut rng, 5_000.0);
+            let mut extent = extent_around(covered, rng.gen_range(10.0..2_000.0));
+            if rng.gen_bool(0.5) {
+                extent.center = near(&mut rng, 5_000.0);
+                extent.radius_m = rng.gen_range(10.0..2_000.0);
+            }
+            match rng.gen_range(0..8) {
+                0 => extent.cells.clear(),
+                1 => extent.cells.push(0),
+                2 => extent.radius_m = f64::NAN,
+                _ => {}
+            }
+            for _ in 0..10 {
+                let center = near(&mut rng, 8_000.0);
+                let radius_m = 10f64.powf(rng.gen_range(0.0..4.0));
+                let verdict = footprint_disjoint(&extent, center, radius_m);
+                assert_eq!(
+                    verdict,
+                    cells_first_disjoint(&extent, center, radius_m),
+                    "extent {extent:?}, cap {center:?} r={radius_m}"
+                );
+                let caps_apart =
+                    center.haversine_distance(extent.center) > radius_m + extent.radius_m;
+                disjoint += usize::from(verdict);
+                kept_by_cells += usize::from(caps_apart && !verdict);
+            }
+        }
+        assert!(
+            disjoint > 100 && kept_by_cells > 100,
+            "both proofs decide some verdicts: {disjoint} disjoint, {kept_by_cells} kept by cells"
+        );
     }
 
     #[test]

@@ -1,29 +1,39 @@
-//! Pins the allocation cost of a **warm** `plan_query`: with discovery,
-//! hello and coverage state cached, planning a scatter reads shared
-//! (`Arc`) state and must not deep-copy the discovery view or the
-//! per-server advertisements.
+//! Pins the allocation cost of a **warm** `plan_query` for every
+//! footprint class: with discovery, hello and coverage state cached,
+//! planning a scatter reads shared (`Arc`) state — it must not
+//! deep-copy the discovery view or the per-server advertisements — and
+//! tests each fleet shard against extent bounds computed once, when the
+//! discovery view was built, so it computes no cell geometry.
 //!
 //! The fixture is `fanout_tcp`'s shape on the simulator: 16 venues,
 //! each a 2 × 2 fleet (content shards × replicas), queried at the city
-//! centre with a 5 km search radius, so every fleet of the view is
-//! considered (32 shards + the outdoor server = 33 sources).
+//! centre. A 5 km search considers every fleet of the view (32 shards +
+//! the outdoor server = 33 sources); a 100 m reverse geocode and a
+//! 150 m localize test all 32 shards and keep few.
 //!
 //! Measured allocations per warm `plan_query` (median of 50 calls):
 //!
-//! - parent commit (deep-cloned `DiscoveryView`, one `HelloInfo` and one
-//!   coverage-summary clone per considered source): **1531**
-//! - this commit (borrowed view, `Arc` targets): **102**
+//! | class, radius | deep-cloned view | per-call cell bounds | cached bounds |
+//! |---|---|---|---|
+//! | Search, 5 km | 1531 | 102 | 37 |
+//! | ReverseGeocode, 100 m | — | 281 | 6 |
+//! | Localize, 150 m | — | 267 | 5 |
 //!
-//! The bound below is half the parent's count, as the issue asks; the
-//! headroom over the measured 102 absorbs `HashMap`/`Vec` growth policy
-//! differences between toolchains, not a return of the deep copies
-//! (one copied view alone is > 1000 allocations).
+//! Each bound is half the per-call-bounds count. A cell bounding box
+//! costs one allocation, so a return of per-call geometry shows up as
+//! about one allocation per extent cell tested and fails every row; one
+//! copied view alone is > 1000 allocations.
 
-use openflame_core::{Deployment, DeploymentConfig, QueryKind, SearchQuery, SpatialProvider};
+use openflame_core::{
+    Deployment, DeploymentConfig, LocalizeQuery, QueryKind, ReverseGeocodeQuery, SearchQuery,
+    SpatialProvider,
+};
+use openflame_localize::LocationCue;
 use openflame_netsim::BackendKind;
 use openflame_worldgen::{World, WorldConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::time::Instant;
 
 /// Counts allocations made by the current thread (the test harness and
 /// other tests allocate on their own threads).
@@ -63,8 +73,13 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// Half of the parent commit's 1531 allocations per warm plan.
-const MAX_ALLOCATIONS_PER_WARM_PLAN: u64 = 765;
+/// `(class, footprint radius, bound)`: each bound is half the count
+/// measured with per-call cell bounds (102, 281, 267).
+const WARM_PLAN_BOUNDS: [(QueryKind, f64, u64); 3] = [
+    (QueryKind::Search, 5_000.0, 51),
+    (QueryKind::ReverseGeocode, 100.0, 140),
+    (QueryKind::Localize, 150.0, 133),
+];
 
 #[test]
 fn warm_plan_query_shares_cached_state_instead_of_copying_it() {
@@ -84,47 +99,74 @@ fn warm_plan_query_shares_cached_state_instead_of_copying_it() {
         },
     );
     let centre = dep.world.config.center;
-    let radius_m = 5_000.0;
     // Warm up: discovery and every consulted replica's advertisement
-    // (coverage summary included).
+    // (coverage summary included), by one real call of each class.
     let product = dep.world.products[0].name.clone();
     for _ in 0..2 {
         dep.client
             .search(SearchQuery {
                 query: product.clone(),
                 location: centre,
-                radius_m,
+                radius_m: 5_000.0,
                 k: 3,
             })
             .unwrap();
     }
-    let plan = dep
-        .client
-        .plan_query(QueryKind::Search, centre, radius_m)
-        .unwrap();
-    assert!(
-        plan.considered() >= 16 * 2,
-        "the fixture must consider every fleet's shards, considered {}",
-        plan.considered()
-    );
-
-    let mut counts: Vec<u64> = (0..50)
-        .map(|_| {
-            let before = allocations();
-            let plan = dep
-                .client
-                .plan_query(QueryKind::Search, centre, radius_m)
-                .unwrap();
-            let spent = allocations() - before;
-            std::hint::black_box(plan);
-            spent
+    dep.client
+        .reverse_geocode(ReverseGeocodeQuery {
+            location: centre,
+            radius_m: 100.0,
         })
-        .collect();
-    counts.sort_unstable();
-    let median = counts[counts.len() / 2];
+        .unwrap();
+    dep.client
+        .localize(LocalizeQuery {
+            coarse: centre,
+            cues: vec![LocationCue::Gnss {
+                fix: centre,
+                accuracy_m: 10.0,
+            }],
+        })
+        .unwrap();
+
+    let mut over = Vec::new();
+    for (kind, radius_m, bound) in WARM_PLAN_BOUNDS {
+        let plan = dep.client.plan_query(kind, centre, radius_m).unwrap();
+        if kind == QueryKind::Search {
+            assert!(
+                plan.considered() >= 16 * 2,
+                "the fixture must consider every fleet's shards, considered {}",
+                plan.considered()
+            );
+        }
+        let (mut counts, mut micros): (Vec<u64>, Vec<f64>) = (0..50)
+            .map(|_| {
+                let start = Instant::now();
+                let before = allocations();
+                let plan = dep.client.plan_query(kind, centre, radius_m).unwrap();
+                let spent = allocations() - before;
+                let elapsed = start.elapsed().as_secs_f64() * 1e6;
+                std::hint::black_box(plan);
+                (spent, elapsed)
+            })
+            .unzip();
+        counts.sort_unstable();
+        micros.sort_unstable_by(f64::total_cmp);
+        let median = counts[counts.len() / 2];
+        println!(
+            "warm plan_query {kind:?} at {radius_m} m: median {median} allocations \
+             (bound {bound}), {:.1} us; consulted {}, pruned {}",
+            micros[micros.len() / 2],
+            plan.consulted(),
+            plan.pruned_count()
+        );
+        if median > bound {
+            over.push(format!("{kind:?}: {median} > {bound}"));
+        }
+    }
     assert!(
-        median <= MAX_ALLOCATIONS_PER_WARM_PLAN,
-        "a warm plan_query made {median} allocations (bound {MAX_ALLOCATIONS_PER_WARM_PLAN}): \
-         cached discovery/hello/coverage state is being deep-copied again"
+        over.is_empty(),
+        "a warm plan_query over-allocated ({}): cached discovery/hello/coverage state is \
+         being deep-copied, or cell bounds are computed per call again",
+        over.join("; ")
     );
 }

@@ -273,10 +273,7 @@ fn judge(class: QueryKind, situation: Situation, warm: bool) -> Verdict {
             .map(|s| s.endpoint)
             .collect(),
     };
-    let shard = FleetShardView {
-        extents: vec![CellId::from_latlng(here(), 16).unwrap()],
-        replicas,
-    };
+    let shard = FleetShardView::new(&[CellId::from_latlng(here(), 16).unwrap().raw()], replicas);
     let view = DiscoveryView {
         servers: vec![world.clone(), plain],
         fleets: vec![FleetView {

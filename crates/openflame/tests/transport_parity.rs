@@ -666,24 +666,18 @@ fn two_question_view(dep: &Deployment, hint: LatLng) -> DiscoveryView {
                     let shards = shards
                         .into_iter()
                         .map(|shard| {
-                            Arc::new(FleetShardView {
-                                extents: shard
-                                    .extents
-                                    .iter()
-                                    .filter_map(|&raw| CellId::from_raw(raw).ok())
-                                    .collect(),
-                                replicas: shard
-                                    .replicas
-                                    .into_iter()
-                                    .map(|r| {
-                                        Arc::new(DiscoveredServer {
-                                            server_id: r.server_id,
-                                            endpoint: EndpointId(r.endpoint),
-                                            services: services.clone(),
-                                        })
+                            let replicas = shard
+                                .replicas
+                                .into_iter()
+                                .map(|r| {
+                                    Arc::new(DiscoveredServer {
+                                        server_id: r.server_id,
+                                        endpoint: EndpointId(r.endpoint),
+                                        services: services.clone(),
                                     })
-                                    .collect(),
-                            })
+                                })
+                                .collect();
+                            Arc::new(FleetShardView::new(&shard.extents, replicas))
                         })
                         .collect();
                     view.fleets.push(FleetView {

@@ -1,10 +1,9 @@
-//! Classic base-32 geohash, the comparison baseline for experiment E11.
+//! Classic base-32 geohash, a comparison baseline for the cell index.
 //!
 //! Geohash decomposes the lat/lng rectangle by alternating longitude and
 //! latitude bisection, five bits per character. Unlike the cube-face
 //! cells, geohash rectangles become elongated away from the equator and
-//! their area varies with latitude, which is exactly the deficiency the
-//! covering ablation quantifies.
+//! their area varies with latitude.
 
 use crate::CellError;
 use openflame_geo::{BBox, LatLng};
@@ -260,8 +259,8 @@ mod tests {
 
     #[test]
     fn aspect_ratio_distorts_at_high_latitude() {
-        // The flaw the ablation measures: near the poles geohash cells
-        // become extremely wide relative to their height (or vice versa).
+        // Near the poles geohash cells become extremely wide relative to
+        // their height (or vice versa).
         let (w_eq, h_eq) = cell_dimensions_m(6, 0.0);
         let (w_hi, _h_hi) = cell_dimensions_m(6, 75.0);
         let eq_ratio = w_eq / h_eq;

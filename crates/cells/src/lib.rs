@@ -14,8 +14,8 @@
 //! - [`CellId::dns_labels`] turns a cell into the DNS label path used by
 //!   the discovery layer.
 //!
-//! A classic base-32 [`geohash`] index is included as the comparison
-//! baseline for the covering-efficiency ablation (experiment E11).
+//! A classic base-32 [`geohash`] index is included for comparison; the
+//! discovery layer does not use it.
 //!
 //! Deviation from Google's S2, noted for honesty: the face projection
 //! uses the same cube layout and quadratic area-equalizing transform as

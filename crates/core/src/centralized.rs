@@ -13,7 +13,8 @@
 //!   global frame using ground-truth alignments. Unrealizable in
 //!   practice (it presumes the cartography and data sharing the paper
 //!   says won't happen), but it provides the global optimum that
-//!   experiment E4b scores stitched routes against.
+//!   stitched federated routes are scored against (the `paper_claims`
+//!   test `s5_2_stitched_routes_track_the_centralized_optimum`).
 
 use crate::client::{FederatedRoute, FederatedSearchHit, RouteLeg};
 use crate::provider::{
@@ -135,11 +136,6 @@ impl CentralizedProvider {
             },
         );
         Self::assemble(transport, server, merged_nodes, world.config.center)
-    }
-
-    /// The provider's frame (anchored at the city center).
-    pub fn frame(&self, world: &World) -> LocalFrame {
-        LocalFrame::new(world.config.center)
     }
 
     /// The provider's local frame.

@@ -261,8 +261,8 @@ impl OpenFlameClient {
         let view = match self.session.cached_discovery(cell) {
             Some(view) => view,
             None => {
-                // Always with the query cell's edge neighbors (ablation
-                // E12 sweeps the flag on the discovery layer itself).
+                // Always with the query cell's edge neighbors: boundaries
+                // are fuzzy (paper §3).
                 let view = Arc::new(self.discovery.discover_view(location, true)?);
                 self.session.store_discovery(cell, view.clone());
                 view

@@ -40,13 +40,12 @@ pub struct DeploymentConfig {
     pub net_seed: u64,
     /// Which wire backend carries the deployment's traffic.
     pub backend: BackendKind,
-    /// Cell level for zone coverings (E3 sweeps this).
+    /// Cell level for zone coverings. Discovery queries at
+    /// `QUERY_LEVEL`, so this must be that level or coarser.
     pub covering_level: u8,
-    /// Cell level at which the spatial zone is sharded across
-    /// authoritative servers (delegation cuts).
-    pub shard_level: u8,
-    /// Number of authoritative shard servers (1 = no sharding; E10
-    /// sweeps this).
+    /// Number of authoritative DNS servers the spatial zone is sharded
+    /// across (1 = no sharding). When sharded, every covering cell is
+    /// its own delegated zone.
     pub dns_shards: usize,
     /// Resolver configuration.
     pub resolver: ResolverConfig,
@@ -71,7 +70,6 @@ impl Default for DeploymentConfig {
             net_seed: 7,
             backend: BackendKind::Sim,
             covering_level: 13,
-            shard_level: 11,
             dns_shards: 1,
             resolver: ResolverConfig::default(),
             venue_policy: AccessPolicy::open(),
@@ -362,25 +360,20 @@ impl Deployment {
                     .with_zones_mut(|zones| records.into_iter().for_each(|r| zones[0].add(r)));
                 continue;
             }
-            // Sharded: the record lives in the zone of the cell's
-            // shard-level ancestor, delegated from the parent zone.
-            let shard_cell = cell
-                .parent_at(self.config.shard_level.min(cell.level()))
-                .expect("ancestor exists");
-            // Cell ids have long runs of zero low bits (the sentinel
-            // layout), so mix before reducing modulo the shard count.
-            let shard_idx = (shard_cell.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize
-                % total_shards;
-            let zone_origin = cell_to_name(shard_cell);
+            // Sharded: the record lives in the covering cell's own zone,
+            // delegated from the parent zone. Cell ids have long runs of
+            // zero low bits (the sentinel layout), so mix before reducing
+            // modulo the shard count.
+            let shard_idx =
+                (cell.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize % total_shards;
+            let zone_origin = cell_to_name(cell);
             // Shard 0 is the parent server itself.
             let host: &Arc<AuthServer> = if shard_idx == 0 {
                 &self.cell_dns
             } else {
                 &self.shard_dns[shard_idx - 1]
             };
-            if let std::collections::hash_map::Entry::Vacant(e) =
-                self.shard_of_cell.entry(shard_cell)
-            {
+            if let std::collections::hash_map::Entry::Vacant(e) = self.shard_of_cell.entry(cell) {
                 e.insert(shard_idx);
                 host.with_zones_mut(|zones| zones.push(Zone::new(zone_origin.clone())));
                 if shard_idx != 0 {

@@ -42,7 +42,7 @@ impl DiscoveredServer {
     }
 }
 
-/// Counters for discovery behaviour (experiment E2).
+/// Counters for discovery behaviour.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DiscoveryStats {
     /// Discovery operations performed.
@@ -85,28 +85,15 @@ impl DiscoveryClient {
     ///
     /// With `expand_neighbors`, the four edge-neighbor cells of the
     /// query cell are also resolved, absorbing boundary fuzziness at the
-    /// cost of extra lookups (ablation E12 measures this trade-off).
+    /// cost of extra lookups (asserted by the `paper_claims` test
+    /// `s3_neighbour_expansion_and_the_naming_contract`).
     pub fn discover(
         &self,
         location: LatLng,
         expand_neighbors: bool,
     ) -> Result<Vec<DiscoveredServer>, ClientError> {
-        self.discover_at_level(location, QUERY_LEVEL, expand_neighbors)
-    }
-
-    /// [`DiscoveryClient::discover`] with an explicit query cell level.
-    ///
-    /// The naming contract requires queries at or below (finer than) the
-    /// registration covering level — wildcards only match descendants —
-    /// which ablation E12 demonstrates by sweeping this parameter.
-    pub fn discover_at_level(
-        &self,
-        location: LatLng,
-        level: u8,
-        expand_neighbors: bool,
-    ) -> Result<Vec<DiscoveredServer>, ClientError> {
         Ok(self
-            .discover_view_at_level(location, level, expand_neighbors)?
+            .discover_view(location, expand_neighbors)?
             .servers
             .into_iter()
             .map(Arc::unwrap_or_clone)
@@ -121,24 +108,17 @@ impl DiscoveryClient {
     /// In deployments without fleets the additional sections come back
     /// empty and the view degenerates to the plain server list, so this
     /// is the single discovery path for every client.
+    ///
+    /// The query cell is always at [`QUERY_LEVEL`]: wildcards only match
+    /// descendants, so a deployment must register its coverings at or
+    /// above (coarser than) that level.
     pub fn discover_view(
         &self,
         location: LatLng,
         expand_neighbors: bool,
     ) -> Result<DiscoveryView, ClientError> {
-        self.discover_view_at_level(location, QUERY_LEVEL, expand_neighbors)
-    }
-
-    /// [`DiscoveryClient::discover_view`] with an explicit query cell
-    /// level.
-    pub fn discover_view_at_level(
-        &self,
-        location: LatLng,
-        level: u8,
-        expand_neighbors: bool,
-    ) -> Result<DiscoveryView, ClientError> {
         self.stats.lock().discoveries += 1;
-        let cell = CellId::from_latlng(location, level)
+        let cell = CellId::from_latlng(location, QUERY_LEVEL)
             .map_err(|e| ClientError::Protocol(format!("bad location: {e}")))?;
         let mut cells = vec![cell];
         if expand_neighbors {

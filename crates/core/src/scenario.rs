@@ -7,7 +7,8 @@
 //!
 //! [`run_grocery_scenario`] executes that flow under each provider
 //! architecture and reports what succeeded — the executable form of the
-//! paper's Figure 1 vs Figure 2 comparison (experiment E1).
+//! paper's Figure 1 vs Figure 2 comparison, asserted by
+//! `federation_end_to_end::scenario_comparison_federated_wins_indoors`.
 //!
 //! The flow itself is written once, against `&dyn SpatialProvider`:
 //! the *same* search → route → localize sequence runs under every

@@ -19,8 +19,10 @@
 //! - [`AuthServer`] — an authoritative server bound to a
 //!   [`Transport`](openflame_netsim::Transport) endpoint,
 //! - [`Resolver`] — an iterative resolver with TTL + LRU caching and
-//!   negative caching, that follows referrals only down the tree; the
-//!   component whose cache behaviour experiment E2 measures.
+//!   negative caching, that follows referrals only down the tree. Its
+//!   cache is what makes repeat discovery cheap (paper §5.1); the
+//!   `paper_claims` test `s5_1_dns_caching_makes_discovery_cheap`
+//!   asserts it.
 
 pub mod name;
 pub mod record;

@@ -49,8 +49,6 @@ pub struct ResolverConfig {
     /// broken name re-walks the full referral chain — trivial
     /// upstream-query amplification from one misbehaving client.
     pub negative_ttl_s: u32,
-    /// Disable the cache entirely (for cold-path measurements).
-    pub cache_enabled: bool,
 }
 
 impl Default for ResolverConfig {
@@ -58,7 +56,6 @@ impl Default for ResolverConfig {
         Self {
             cache_capacity: 4096,
             negative_ttl_s: 60,
-            cache_enabled: true,
         }
     }
 }
@@ -402,9 +399,6 @@ impl Resolver {
         rtype: RecordType,
         t0: u64,
     ) -> Option<Result<QueryOutcome, DnsError>> {
-        if !self.config.cache_enabled {
-            return None;
-        }
         let mut cache = self.cache.lock();
         cache.use_counter += 1;
         let counter = cache.use_counter;
@@ -555,7 +549,7 @@ impl Resolver {
         ttl_s: u32,
         kind: EntryKind,
     ) {
-        if !self.config.cache_enabled || ttl_s == 0 {
+        if ttl_s == 0 {
             return;
         }
         let mut cache = self.cache.lock();
@@ -778,20 +772,22 @@ mod tests {
     }
 
     #[test]
-    fn cache_disabled_always_goes_upstream() {
+    fn a_flushed_lookup_pays_the_full_walk() {
         let net = BackendKind::Sim.build(5);
         let (roots, _cell) = hierarchy(&net);
-        let config = ResolverConfig {
-            cache_enabled: false,
-            ..Default::default()
-        };
-        let resolver = Resolver::with_config_on(net.clone(), "cold", roots, config);
+        let resolver = Resolver::on(&net, "cold", roots);
         let n = name("1.2.f0.cell.flame.");
         resolver.resolve(&n, RecordType::MapSrv).unwrap();
-        let out2 = resolver.resolve(&n, RecordType::MapSrv).unwrap();
-        assert!(!out2.from_cache);
-        assert_eq!(resolver.stats().upstream_queries, 6);
+        resolver.flush_cache();
         assert_eq!(resolver.cache_len(), 0);
+        let out = resolver.resolve(&n, RecordType::MapSrv).unwrap();
+        assert!(!out.from_cache);
+        // Root referral + TLD referral + answer, as on the first walk.
+        assert_eq!(out.upstream_queries, 3);
+        let stats = resolver.stats();
+        assert_eq!((stats.upstream_queries, stats.cache_hits), (6, 0));
+        // The walk refilled the cache: the next lookup is a hit.
+        assert!(resolver.resolve(&n, RecordType::MapSrv).unwrap().from_cache);
     }
 
     #[test]
@@ -1152,21 +1148,25 @@ mod tests {
     }
 
     #[test]
-    fn cache_disabled_still_returns_the_additional_records() {
+    fn a_flushed_lookup_still_returns_the_additional_records() {
         let net = BackendKind::Sim.build(5);
         let server = fleet_zone(&net);
-        let config = ResolverConfig {
-            cache_enabled: false,
-            ..Default::default()
-        };
-        let resolver = Resolver::with_config_on(net.clone(), "t", vec![server.endpoint()], config);
+        let resolver = Resolver::on(&net, "t", vec![server.endpoint()]);
         for _ in 0..2 {
+            resolver.flush_cache();
             let out = resolver
                 .resolve(&name("cell."), RecordType::MapSrv)
                 .unwrap();
             assert!(!out.from_cache);
-            assert_eq!(out.additional.len(), 1);
+            assert_eq!(out.upstream_queries, 1);
+            assert!(matches!(
+                out.additional[..],
+                [Record {
+                    data: RecordData::FleetSrv { .. },
+                    ..
+                }]
+            ));
         }
-        assert_eq!(resolver.cache_len(), 0);
+        assert_eq!(resolver.stats().cache_hits, 0);
     }
 }

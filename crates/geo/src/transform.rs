@@ -322,8 +322,8 @@ mod tests {
 
     #[test]
     fn noisy_fit_reduces_error_with_more_points() {
-        // With symmetric noise, more correspondences give a better fit;
-        // this backs experiment E7.
+        // With symmetric noise, more correspondences give a better fit
+        // (paper §5.2's manual correspondences).
         let truth = Affine2::similarity(0.2, 1.0, Point2::new(3.0, 3.0));
         let noise = [0.5, -0.5, 0.3, -0.3, 0.2, -0.2, 0.1, -0.1];
         let mk_pairs = |n: usize| -> Vec<(Point2, Point2)> {

@@ -18,7 +18,7 @@
 //!
 //! - a [`SpatialGrid`] index for radius and rectangle queries,
 //! - wire encoding of whole documents and patches ([`wire`]),
-//! - [`MapPatch`] diffs for the federated update experiments (E9).
+//! - [`MapPatch`] diffs, each provider's unit of map update.
 
 pub mod document;
 pub mod element;

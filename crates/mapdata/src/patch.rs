@@ -3,9 +3,9 @@
 //! Federated map management (paper §1: "scalability of map management") means
 //! each provider edits its own map independently. A [`MapPatch`] is the
 //! unit of such an edit: a batch of element upserts and removals tagged
-//! with the version it produces. Experiment E9 measures update
-//! visibility latency and throughput by pushing patches through map
-//! servers, comparing against a centralized ingestion queue.
+//! with the version it produces. The `paper_claims` test
+//! `s1_venue_updates_stay_venue_sized` pushes patches through venue
+//! servers and a centralized one.
 
 use crate::element::{Node, NodeId, Relation, RelationId, Way, WayId};
 use crate::{MapDocument, MapError};

@@ -1172,7 +1172,7 @@ mod tests {
         ));
         let v = server.apply_patch(&admin, &patch).unwrap();
         assert_eq!(v, base_version + 1);
-        // The new product is searchable immediately (E9 visibility).
+        // The new product is searchable immediately.
         let results = server
             .search(&admin, "starfruit", None, f64::INFINITY, 5)
             .unwrap();

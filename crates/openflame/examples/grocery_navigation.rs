@@ -62,7 +62,7 @@ fn main() {
         route.total_length_m, route.total_cost
     );
 
-    // ---- The comparison table (Figure 1 vs Figure 2, E1).
+    // ---- The comparison table (Figure 1 vs Figure 2).
     println!("\n4. architecture comparison for this errand:");
     println!(
         "   {:<24} {:>7} {:>7} {:>10} {:>12} {:>10}",

@@ -108,22 +108,43 @@ fn partially_warm_search_pipelines_handshakes_without_extra_traffic() {
     assert_eq!(warm_batches, (warm + cold) as u64);
 }
 
+/// Paper §2, Figures 1 and 2: only the federation finishes the errand.
+/// The public map has no inventory; the omniscient map finds the shelf
+/// but cannot localize indoors; the federation does both.
 #[test]
 fn scenario_comparison_federated_wins_indoors() {
     let world = small_world();
-    let fed = openflame_core::run_grocery_scenario(&world, ProviderKind::Federated, 2, 5).unwrap();
-    let pub_ = openflame_core::run_grocery_scenario(&world, ProviderKind::CentralizedPublic, 2, 5)
-        .unwrap();
-    let omni =
-        openflame_core::run_grocery_scenario(&world, ProviderKind::CentralizedOmniscient, 2, 5)
-            .unwrap();
-    assert!(fed.found_product && fed.route_reaches_shelf);
-    assert!(!pub_.found_product);
-    assert!(omni.found_product && omni.route_reaches_shelf);
-    // Only the federation localizes indoors.
-    assert!(fed.indoor_median_err_m.is_some());
-    assert!(pub_.indoor_median_err_m.is_none());
-    assert!(omni.indoor_median_err_m.is_none());
+    let errands: Vec<usize> = (0..world.products.len()).step_by(11).take(5).collect();
+    for kind in [
+        ProviderKind::CentralizedPublic,
+        ProviderKind::CentralizedOmniscient,
+        ProviderKind::Federated,
+    ] {
+        let (mut found, mut shelf, mut indoor_estimates, mut full_indoor) = (0, 0, 0, 0);
+        for (i, &product) in errands.iter().enumerate() {
+            let r =
+                openflame_core::run_grocery_scenario(&world, kind, product, 5 + i as u64).unwrap();
+            found += usize::from(r.found_product);
+            shelf += usize::from(r.route_reaches_shelf);
+            indoor_estimates += usize::from(r.indoor_median_err_m.is_some());
+            full_indoor += usize::from(r.indoor_availability == 1.0);
+        }
+        let n = errands.len();
+        println!(
+            "{kind:?}: found {found}/{n}, to shelf {shelf}/{n}, \
+             localized indoors {indoor_estimates}/{n}, 100 % indoor availability {full_indoor}/{n}"
+        );
+        let expected = match kind {
+            ProviderKind::CentralizedPublic => (0, 0, 0, 0),
+            ProviderKind::CentralizedOmniscient => (n, n, 0, 0),
+            ProviderKind::Federated => (n, n, n, n),
+        };
+        assert_eq!(
+            (found, shelf, indoor_estimates, full_indoor),
+            expected,
+            "{kind:?}"
+        );
+    }
 }
 
 #[test]

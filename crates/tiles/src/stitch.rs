@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn fitted_transform_aligns_with_truth() {
-        // End-to-end E7 mechanics: fit a transform from correspondences
+        // End to end (paper §5.2): fit a transform from correspondences
         // and verify the overlay matches the truth-rendered overlay.
         let anchor = LatLng::new(40.4433, -79.9436).unwrap();
         let truth = Affine2::similarity(-0.3, 1.0, Point2::new(25.0, -12.0));

@@ -1,8 +1,8 @@
 //! Deterministic synthetic world generation.
 //!
-//! Every experiment (`openflame-bench`'s `e1`–`e12`) needs ground
-//! truth — true positions, true inventories, true frame alignments —
-//! which real map extracts cannot provide. This crate generates cities
+//! Every paper-claim test needs ground truth — true positions, true
+//! inventories, true frame alignments — which real map extracts cannot
+//! provide. This crate generates cities
 //! with the exact structure the paper's example application needs
 //! (paper §2):
 //!

@@ -1,5 +1,5 @@
-//! Experiment workloads: Zipf query locality, walk traces, and the
-//! Poisson arrival process behind open-loop load.
+//! Workloads: Zipf query locality, walk traces, and the Poisson
+//! arrival process behind open-loop load.
 
 use crate::World;
 use openflame_geo::{LatLng, Point2};
@@ -7,9 +7,7 @@ use rand::Rng;
 
 /// A Zipf-distributed sampler over `n` items with exponent `s`.
 ///
-/// Used to model query locality in the discovery experiments (E2): a
-/// few popular places attract most queries, which is what makes DNS
-/// caching effective.
+/// Models query locality: a few popular places attract most queries.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     cdf: Vec<f64>,
@@ -68,7 +66,7 @@ pub struct WalkSample {
     pub venue_local: Option<(usize, Point2)>,
 }
 
-/// A ground-truth walk trace for the localization experiments (E6).
+/// A ground-truth outdoor→indoor walk trace for scoring localization.
 #[derive(Debug, Clone)]
 pub struct WalkTrace {
     /// Samples at uniform 1 m spacing.

@@ -8,9 +8,10 @@
 //! geocode's refinement, reverse geocode, localize, tile — is a request
 //! builder, an absorber and a merge around the private
 //! `OpenFlameClient::scatter`, which owns what they share: the plan
-//! ([`plan::plan`]), its execution ([`plan::execute`], called from
-//! nowhere else), handing each answering server's one response to the
-//! absorber (a paper §5.3 denial is an answer with nothing to absorb),
+//! ([`plan::plan`]), its execution (`execute`, private to this module,
+//! so nothing else can call it), handing each answering server's one
+//! response to the absorber (a paper §5.3 denial is an answer with
+//! nothing to absorb),
 //! and the outage verdict. What else differs per class — whether cold
 //! servers are handshaken first, and when unreachable servers turn the
 //! call into a [`ClientError::PartialFailure`] — is read from the table
@@ -37,13 +38,14 @@
 //!
 //! The client is transport-agnostic: it holds an `Arc<dyn Transport>`
 //! and runs identically over the deterministic simulator
-//! ([`openflame_netsim::SimNet`]) and real sockets
+//! ([`openflame_netsim::BackendKind::Sim`]) and real sockets
 //! ([`openflame_netsim::TcpTransport`],
 //! [`openflame_netsim::QuicLiteTransport`]) — pick the backend with
 //! [`OpenFlameClientBuilder::build_on`].
 
 use crate::discovery::{DiscoveredServer, DiscoveryClient};
-use crate::plan::{self, Outage, QueryKind, ScatterPlan};
+use crate::fleet;
+use crate::plan::{self, Outage, PlannedTarget, QueryKind, ScatterPlan};
 use crate::provider::{
     measured, tile_coord, GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome, LocalizeQuery,
     ProviderEstimate, ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome, RouteQuery,
@@ -323,7 +325,7 @@ impl OpenFlameClient {
         mut absorb: impl FnMut(&DiscoveredServer, Response) -> Result<(), ClientError>,
     ) -> Result<ScatterPlan, ClientError> {
         let mut plan = self.plan_query_at(Some(kind), location, footprint)?;
-        let outcomes = plan::execute(&self.session, &mut plan, |server, hello| {
+        let outcomes = execute(&self.session, &mut plan, |server, hello| {
             request_for(server, hello).map(|request| vec![request])
         });
         // Only wire failures are failures, kept with their plan index
@@ -848,6 +850,146 @@ impl OpenFlameClient {
         };
         let responses = Session::expect_all(&server, self.session.batch(to, vec![request])?)?;
         expect_route(&server, responses)
+    }
+}
+
+/// Executes the plan through the session — the single executor behind
+/// every federated query path, called only by
+/// [`OpenFlameClient::scatter`]. `request_for` builds each target's
+/// batch from the server and a borrow of its cached advertisement (the
+/// executor holds the shared `Arc` for the call); returning `None`
+/// drops the target from the plan (e.g. a localize target accepting
+/// none of the offered cues). The returned outcomes align positionally
+/// with `plan.targets`, which is updated in place (skips removed,
+/// failover provenance rewritten to the answering replica).
+///
+/// **Handshake-first** (spec §8, `QueryKind::handshake_first`): for
+/// the kinds whose request is spelled in the *server's* frame a target
+/// with no cached advertisement gets the bare handshake in the first
+/// round — alongside the warm targets' service envelopes, never ahead
+/// of them — and its builder runs in a follow-up round, seeing the
+/// advertisement, or `None` if the handshake failed (declining then
+/// leaves the target in the plan with the handshake's failure as its
+/// outcome). Every other
+/// kind's envelope simply goes out and the session's rule teaches the
+/// advertisement on it.
+///
+/// **Idempotent requests only** (spec §7, spec §9): failed fleet
+/// branches retry on sibling replicas, each failed endpoint marked
+/// dead on the way ([`Session::mark_dead`]).
+fn execute(
+    session: &Session,
+    plan: &mut ScatterPlan,
+    request_for: impl Fn(&DiscoveredServer, Option<&HelloInfo>) -> Option<Vec<Request>>,
+) -> Vec<Result<Vec<Response>, ClientError>> {
+    let handshake_first = plan.kind.is_some_and(QueryKind::handshake_first);
+    // Round one, one envelope per kept target in plan order: its
+    // service envelope, or — `cold` — the bare handshake.
+    let mut round = session.scatter();
+    let mut kept: Vec<(PlannedTarget, bool)> = Vec::new();
+    for target in plan.targets.drain(..) {
+        let endpoint = target.server.endpoint;
+        // One probe: a fresh advertisement counts as a hit, a
+        // missing one is counted by the session when the envelope
+        // that asks goes out.
+        let hello = session.cached_hello(endpoint);
+        let cold = handshake_first && hello.is_none();
+        let requests = if cold {
+            Some(Vec::new())
+        } else {
+            request_for(&target.server, hello.as_deref())
+        };
+        if let Some(requests) = requests {
+            round.submit(endpoint, requests);
+            kept.push((target, cold));
+        }
+    }
+    // Round two for the cold targets: their hellos were absorbed
+    // on collect, so the builder now sees the advertisement — or
+    // `None` if the handshake failed, and a builder that cannot do
+    // without it declines here. A decline drops a server the client
+    // has seen; one whose handshake failed keeps its failure, so
+    // failover and the class's outage rule still see it.
+    let mut follow = session.scatter();
+    let mut gathered = Vec::with_capacity(kept.len());
+    let mut deferred: Vec<usize> = Vec::new();
+    for ((target, cold), outcome) in kept.into_iter().zip(round.collect()) {
+        if cold {
+            let endpoint = target.server.endpoint;
+            let hello = session.cached_hello(endpoint);
+            match request_for(&target.server, hello.as_deref()) {
+                Some(requests) => {
+                    follow.submit(endpoint, requests);
+                    deferred.push(gathered.len());
+                }
+                None if outcome.is_ok() => continue,
+                None => {}
+            }
+        }
+        // (A cold target's slot holds its handshake's outcome until
+        // the follow-up round overwrites it below.)
+        gathered.push(outcome);
+        plan.targets.push(target);
+    }
+    for (idx, outcome) in deferred.into_iter().zip(follow.collect()) {
+        gathered[idx] = outcome;
+    }
+
+    failover(session, plan, &mut gathered, &request_for);
+    gathered
+}
+
+/// Retries failed fleet branches on sibling replicas. Each failed
+/// branch's endpoint is marked dead — one session call, which replaces
+/// its advertisement and drops its discovery cell, so the dead replica
+/// is not re-served from cache; the branch then retries on the first
+/// untried live sibling, round after round, until it succeeds or its
+/// replicas are exhausted. Plain (non-fleet) branches are left
+/// untouched. On success the branch's plan entry is updated to the
+/// answering replica.
+fn failover(
+    session: &Session,
+    plan: &mut ScatterPlan,
+    gathered: &mut [Result<Vec<Response>, ClientError>],
+    request_for: &impl Fn(&DiscoveredServer, Option<&HelloInfo>) -> Option<Vec<Request>>,
+) {
+    let mut tried: Vec<Vec<EndpointId>> = plan
+        .targets
+        .iter()
+        .map(|t| vec![t.server.endpoint])
+        .collect();
+    loop {
+        let mut retry = session.scatter();
+        let mut retrying: Vec<(usize, Arc<DiscoveredServer>)> = Vec::new();
+        for (idx, outcome) in gathered.iter().enumerate() {
+            if outcome.is_ok() {
+                continue;
+            }
+            let Some(branch) = &plan.targets[idx].fleet else {
+                continue;
+            };
+            let failed = *tried[idx].last().expect("seeded with the first pick");
+            session.mark_dead(failed, branch.cell_raw);
+            let Some(sibling) = fleet::sibling(session, &branch.shard, &tried[idx]) else {
+                continue;
+            };
+            let sibling = sibling.clone();
+            let hello = session.cached_hello(sibling.endpoint);
+            let Some(requests) = request_for(&sibling, hello.as_deref()) else {
+                continue;
+            };
+            retry.submit(sibling.endpoint, requests);
+            retrying.push((idx, sibling));
+        }
+        if retrying.is_empty() {
+            return;
+        }
+        let results = retry.collect();
+        for ((idx, sibling), result) in retrying.into_iter().zip(results) {
+            tried[idx].push(sibling.endpoint);
+            plan.targets[idx].server = sibling;
+            gathered[idx] = result;
+        }
     }
 }
 

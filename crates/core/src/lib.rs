@@ -32,9 +32,9 @@
 //! view plus the
 //! [`CoverageSummary`](openflame_mapserver::CoverageSummary) riding in
 //! each server's cached advertisement (the extended `Hello` exchange),
-//! and one executor ([`plan::execute`]) runs the plan through the
-//! session with the fleet failover machinery. The executor has one
-//! caller, the client's scatter loop ([`client`] module docs): a query
+//! and one executor, private to the [`client`] module, runs the plan
+//! through the session with the fleet failover machinery. The executor
+//! has one caller, the client's scatter loop, beside it: a query
 //! class is a request builder and an absorber on it, and what else
 //! differs per class — *handshake-first* for the two kinds whose
 //! request is spelled in the server's frame, the outage verdict — is
@@ -83,14 +83,13 @@
 //! (`AuthServer::spawn_on`, `Resolver::with_config_on`,
 //! `MapServer::spawn_on`, `OpenFlameClientBuilder::build_on`,
 //! `CentralizedProvider::{public_only_on, omniscient_on}`), none of
-//! them names a concrete backend, and the conformance lint keeps the
-//! simulator's type out of every crate above `netsim`. Three backends
-//! ship, all built by value through
+//! them names a concrete backend, and the simulator's type is private
+//! to `netsim`. Three backends ship, all built by value through
 //! [`BackendKind::build`](openflame_netsim::BackendKind::build):
 //!
 //! - [`BackendKind::Sim`](openflame_netsim::BackendKind) — the
 //!   deterministic discrete-event simulator
-//!   ([`SimNet`](openflame_netsim::SimNet), which implements
+//!   (`netsim`'s private `SimNet`, which implements
 //!   `Transport` itself: modelled latencies, seeded jitter, failure
 //!   injection); the default. Submitted calls execute eagerly and
 //!   share a start instant on the simulated clock, modelling real

@@ -41,27 +41,25 @@
 //!
 //! # Execution
 //!
-//! [`execute`] — whose one caller is the client's scatter loop — runs
-//! a plan through [`Session::scatter`] with the fleet machinery: one
-//! batched envelope per planned server — the session's handshake rule
-//! (spec §8) teaches a cold server's advertisement on that same
-//! envelope, so the executor's only handshake decision is
+//! The executor that runs a plan is private to the [`crate::client`]
+//! module, beside its one caller, the client's scatter loop, so no
+//! other module can grow a second. It sends one batched envelope per
+//! planned server through [`Session::scatter`]: the session's
+//! handshake rule (spec §8) teaches a cold server's advertisement on
+//! that same envelope, so the executor's only handshake decision is
 //! *handshake-first* ([`QueryKind`]'s table says for which kinds, and
-//! when failed servers make a round an outage) — and replica
-//! failover for fleet branches (idempotent requests only, spec §7):
-//! each failed replica is marked dead in the session, which replaces
-//! its advertisement and drops its discovery cell in the same call, so
-//! a dead endpoint is never re-served from cache.
+//! when failed servers make a round an outage). It fails fleet
+//! branches over to sibling replicas (idempotent requests only, spec
+//! §7): each failed replica is marked dead in the session, which
+//! replaces its advertisement and drops its discovery cell in the same
+//! call, so a dead endpoint is never re-served from cache.
 
 use crate::discovery::DiscoveredServer;
 use crate::fleet::{self, DiscoveryView, FleetShardView};
 use crate::session::Session;
-use crate::ClientError;
 use openflame_cells::{CellId, Region};
 use openflame_geo::LatLng;
-use openflame_mapserver::protocol::{
-    CoverageExtent, CoverageSummary, HelloInfo, Request, Response,
-};
+use openflame_mapserver::protocol::{CoverageExtent, CoverageSummary};
 use openflame_netsim::EndpointId;
 use std::sync::Arc;
 
@@ -100,7 +98,7 @@ impl QueryKind {
     }
 
     /// Whether the request is spelled in the *server's* frame
-    /// (`Search::center`, `ReverseGeocode::pos`), so [`execute`] needs a
+    /// (`Search::center`, `ReverseGeocode::pos`), so the executor needs a
     /// cold target's advertisement before it can build it (spec §8).
     pub(crate) fn handshake_first(self) -> bool {
         matches!(self, QueryKind::Search | QueryKind::ReverseGeocode)
@@ -126,7 +124,7 @@ impl QueryKind {
     }
 }
 
-/// A class's rule for surfacing [`ClientError::PartialFailure`]
+/// A class's rule for surfacing [`crate::ClientError::PartialFailure`]
 /// (sources preserved) although some servers may have answered. A
 /// server that answers at all — hits, "nothing here", a paper §5.3
 /// denial — has answered; only wire failures count.
@@ -340,150 +338,12 @@ fn footprint_disjoint(extent: &CoverageExtent, center: LatLng, radius_m: f64) ->
         .all(|&raw| CellId::from_raw(raw).is_ok_and(|cell| !cap.may_intersect_cell(cell)))
 }
 
-/// Executes the plan through the session — the single executor behind
-/// every federated query path. `request_for` builds each target's
-/// batch from the server and a borrow of its cached advertisement (the
-/// executor holds the shared `Arc` for the call); returning `None`
-/// drops the target from the plan (e.g. a localize target accepting
-/// none of the offered cues). The returned outcomes align positionally
-/// with `plan.targets`, which is updated in place (skips removed,
-/// failover provenance rewritten to the answering replica).
-///
-/// **Handshake-first** (spec §8, `QueryKind::handshake_first`): for
-/// the kinds whose request is spelled in the *server's* frame a target
-/// with no cached advertisement gets the bare handshake in the first
-/// round — alongside the warm targets' service envelopes, never ahead
-/// of them — and its builder runs in a follow-up round, seeing the
-/// advertisement, or `None` if the handshake failed (declining then
-/// leaves the target in the plan with the handshake's failure as its
-/// outcome). Every other
-/// kind's envelope simply goes out and the session's rule teaches the
-/// advertisement on it.
-///
-/// **Idempotent requests only** (spec §7, spec §9): failed fleet
-/// branches retry on sibling replicas, each failed endpoint marked
-/// dead on the way ([`Session::mark_dead`]).
-pub fn execute(
-    session: &Session,
-    plan: &mut ScatterPlan,
-    request_for: impl Fn(&DiscoveredServer, Option<&HelloInfo>) -> Option<Vec<Request>>,
-) -> Vec<Result<Vec<Response>, ClientError>> {
-    let handshake_first = plan.kind.is_some_and(QueryKind::handshake_first);
-    // Round one, one envelope per kept target in plan order: its
-    // service envelope, or — `cold` — the bare handshake.
-    let mut round = session.scatter();
-    let mut kept: Vec<(PlannedTarget, bool)> = Vec::new();
-    for target in plan.targets.drain(..) {
-        let endpoint = target.server.endpoint;
-        // One probe: a fresh advertisement counts as a hit, a
-        // missing one is counted by the session when the envelope
-        // that asks goes out.
-        let hello = session.cached_hello(endpoint);
-        let cold = handshake_first && hello.is_none();
-        let requests = if cold {
-            Some(Vec::new())
-        } else {
-            request_for(&target.server, hello.as_deref())
-        };
-        if let Some(requests) = requests {
-            round.submit(endpoint, requests);
-            kept.push((target, cold));
-        }
-    }
-    // Round two for the cold targets: their hellos were absorbed
-    // on collect, so the builder now sees the advertisement — or
-    // `None` if the handshake failed, and a builder that cannot do
-    // without it declines here. A decline drops a server the client
-    // has seen; one whose handshake failed keeps its failure, so
-    // failover and the class's outage rule still see it.
-    let mut follow = session.scatter();
-    let mut gathered = Vec::with_capacity(kept.len());
-    let mut deferred: Vec<usize> = Vec::new();
-    for ((target, cold), outcome) in kept.into_iter().zip(round.collect()) {
-        if cold {
-            let endpoint = target.server.endpoint;
-            let hello = session.cached_hello(endpoint);
-            match request_for(&target.server, hello.as_deref()) {
-                Some(requests) => {
-                    follow.submit(endpoint, requests);
-                    deferred.push(gathered.len());
-                }
-                None if outcome.is_ok() => continue,
-                None => {}
-            }
-        }
-        // (A cold target's slot holds its handshake's outcome until
-        // the follow-up round overwrites it below.)
-        gathered.push(outcome);
-        plan.targets.push(target);
-    }
-    for (idx, outcome) in deferred.into_iter().zip(follow.collect()) {
-        gathered[idx] = outcome;
-    }
-
-    failover(session, plan, &mut gathered, &request_for);
-    gathered
-}
-
-/// Retries failed fleet branches on sibling replicas. Each failed
-/// branch's endpoint is marked dead — one session call, which replaces
-/// its advertisement and drops its discovery cell, so the dead replica
-/// is not re-served from cache; the branch then retries on the first
-/// untried live sibling, round after round, until it succeeds or its
-/// replicas are exhausted. Plain (non-fleet) branches are left
-/// untouched. On success the branch's plan entry is updated to the
-/// answering replica.
-fn failover(
-    session: &Session,
-    plan: &mut ScatterPlan,
-    gathered: &mut [Result<Vec<Response>, ClientError>],
-    request_for: &impl Fn(&DiscoveredServer, Option<&HelloInfo>) -> Option<Vec<Request>>,
-) {
-    let mut tried: Vec<Vec<EndpointId>> = plan
-        .targets
-        .iter()
-        .map(|t| vec![t.server.endpoint])
-        .collect();
-    loop {
-        let mut retry = session.scatter();
-        let mut retrying: Vec<(usize, Arc<DiscoveredServer>)> = Vec::new();
-        for (idx, outcome) in gathered.iter().enumerate() {
-            if outcome.is_ok() {
-                continue;
-            }
-            let Some(branch) = &plan.targets[idx].fleet else {
-                continue;
-            };
-            let failed = *tried[idx].last().expect("seeded with the first pick");
-            session.mark_dead(failed, branch.cell_raw);
-            let Some(sibling) = fleet::sibling(session, &branch.shard, &tried[idx]) else {
-                continue;
-            };
-            let sibling = sibling.clone();
-            let hello = session.cached_hello(sibling.endpoint);
-            let Some(requests) = request_for(&sibling, hello.as_deref()) else {
-                continue;
-            };
-            retry.submit(sibling.endpoint, requests);
-            retrying.push((idx, sibling));
-        }
-        if retrying.is_empty() {
-            return;
-        }
-        let results = retry.collect();
-        for ((idx, sibling), result) in retrying.into_iter().zip(results) {
-            tried[idx].push(sibling.endpoint);
-            plan.targets[idx].server = sibling;
-            gathered[idx] = result;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::tests::stub_hello;
     use crate::session::DEFAULT_TTL_US;
+    use openflame_mapserver::protocol::HelloInfo;
     use openflame_mapserver::Principal;
     use openflame_netsim::BackendKind;
 

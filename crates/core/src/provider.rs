@@ -31,6 +31,17 @@ use openflame_tiles::{Tile, TileCoord, MAX_ZOOM};
 
 /// Per-call wire cost, measured at the transport layer (simulated or
 /// real, per the backend the provider runs on).
+///
+/// The fields are read anywhere, but a private field keeps the literal
+/// in this module, so a provider method measures through
+/// `provider::measured`:
+///
+/// ```compile_fail
+/// use openflame_core::CallStats;
+/// let _ = CallStats { messages: 0, bytes: 0, elapsed_us: 0, servers_consulted: 0 };
+/// ```
+// Not `#[non_exhaustive]`: that would admit a literal anywhere in the crate.
+#[allow(clippy::manual_non_exhaustive)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CallStats {
     /// Messages exchanged (requests + responses, both directions).
@@ -42,6 +53,7 @@ pub struct CallStats {
     pub elapsed_us: u64,
     /// Distinct map servers that contributed to the outcome.
     pub servers_consulted: usize,
+    measured: (),
 }
 
 /// Runs one provider call and measures its wire cost by snapshotting
@@ -61,6 +73,7 @@ pub(crate) fn measured<T>(
         bytes: after.bytes.saturating_sub(before.bytes),
         elapsed_us: transport.now_us().saturating_sub(start_us),
         servers_consulted,
+        measured: (),
     };
     Ok((answer, stats))
 }

@@ -5,8 +5,8 @@
 //! volumes for protocols running between clients, DNS servers and map
 //! servers. There is no async runtime in the approved dependency set —
 //! and determinism is worth more than concurrency here — so the default
-//! backend, [`SimNet`], is a synchronous discrete-event simulation that
-//! implements [`Transport`] directly:
+//! backend, [`BackendKind::Sim`], is a synchronous discrete-event
+//! simulation that implements [`Transport`] directly:
 //!
 //! - a single logical clock in microseconds ([`Transport::now_us`]),
 //! - registered [`WireService`] endpoints addressed by [`EndpointId`],
@@ -122,7 +122,7 @@ impl std::error::Error for NetError {}
 
 /// Latency model for one direction of one message.
 #[derive(Debug, Clone, Copy)]
-pub struct LatencyModel {
+pub(crate) struct LatencyModel {
     /// Fixed per-message processing cost in microseconds.
     pub base_us: u64,
     /// Propagation cost per kilometer of great-circle distance between
@@ -202,11 +202,15 @@ struct NetInner {
 ///
 /// # Examples
 ///
+/// The type is private to this crate, so a server, resolver or client
+/// cannot know which network carries it; [`BackendKind::Sim`] builds
+/// one behind `dyn Transport`:
+///
 /// ```
-/// use openflame_netsim::{EndpointId, SimNet, Transport};
+/// use openflame_netsim::{BackendKind, EndpointId, Transport};
 /// use std::sync::Arc;
 ///
-/// let net = SimNet::shared(42);
+/// let net = BackendKind::Sim.build(42);
 /// let server = net.register("echo", None);
 /// net.set_service(server, Arc::new(|_from: EndpointId, payload: &[u8]| payload.to_vec()));
 /// let client = net.register("client", None);
@@ -214,8 +218,12 @@ struct NetInner {
 /// assert_eq!(reply.payload, b"hello");
 /// assert_eq!(reply.latency_us, net.now_us());
 /// ```
+///
+/// ```compile_fail
+/// use openflame_netsim::SimNet;
+/// ```
 #[derive(Clone)]
-pub struct SimNet {
+pub(crate) struct SimNet {
     inner: Arc<OrderedMutex<NetInner>>,
 }
 

@@ -20,8 +20,8 @@
 //!
 //! Three backends ship today:
 //!
-//! - [`SimNet`] is the discrete-event simulator: simulated clock,
-//!   modelled latencies, deterministic jitter and failure injection. A
+//! - [`BackendKind::Sim`] is the discrete-event simulator: simulated
+//!   clock, modelled latencies, deterministic jitter and failure injection. A
 //!   submitted call executes eagerly on the simulated clock and the
 //!   clock is rewound to the submit instant, so every call submitted
 //!   before a wait starts from the same instant — the deterministic
@@ -62,7 +62,7 @@ use std::sync::Arc;
 pub struct Transfer {
     /// The response bytes.
     pub payload: Vec<u8>,
-    /// How long the call took: simulated time on [`SimNet`],
+    /// How long the call took: simulated time on [`BackendKind::Sim`],
     /// wall-clock time on real-socket backends (microseconds).
     pub latency_us: u64,
     /// Request bytes put on the wire.
@@ -493,7 +493,8 @@ pub trait Transport: Send + Sync {
 /// Which wire backend a deployment runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Deterministic discrete-event simulation ([`SimNet`]).
+    /// Deterministic discrete-event simulation (`SimNet`, private to
+    /// this crate: this variant is the only way to build one).
     Sim,
     /// Real loopback TCP sockets ([`crate::tcp::TcpTransport`]).
     Tcp,

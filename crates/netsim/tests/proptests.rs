@@ -1,14 +1,11 @@
 //! Property-based tests for the network simulation.
 
-use openflame_netsim::{EndpointId, LatencyModel, NetError, SimNet, Transport};
+use openflame_netsim::{BackendKind, EndpointId, NetError, Transport};
 use std::sync::Arc;
 
 /// A simulator with one server answering `reply(request)` and one client.
-fn served(
-    net: SimNet,
-    reply: fn(&[u8]) -> Vec<u8>,
-) -> (Arc<dyn Transport>, EndpointId, EndpointId) {
-    let net: Arc<dyn Transport> = Arc::new(net);
+fn served(seed: u64, reply: fn(&[u8]) -> Vec<u8>) -> (Arc<dyn Transport>, EndpointId, EndpointId) {
+    let net = BackendKind::Sim.build(seed);
     let server = net.register("s", None);
     net.set_service(
         server,
@@ -19,7 +16,7 @@ fn served(
 }
 
 fn echo(seed: u64) -> (Arc<dyn Transport>, EndpointId, EndpointId) {
-    served(SimNet::new(seed), <[u8]>::to_vec)
+    served(seed, <[u8]>::to_vec)
 }
 use proptest::prelude::*;
 
@@ -66,8 +63,7 @@ proptest! {
     fn byte_accounting_is_exact(
         sizes in proptest::collection::vec(0usize..1024, 1..20),
     ) {
-        let lm = LatencyModel { jitter_us: 0, ..LatencyModel::default() };
-        let (net, client, server) = served(SimNet::with_latency(3, lm), |_| vec![9u8; 10]);
+        let (net, client, server) = served(3, |_| vec![9u8; 10]);
         for &s in &sizes {
             net.call(client, server, vec![0u8; s]).unwrap();
         }

@@ -164,39 +164,44 @@ fn raw_string_end(b: &[u8], i: usize) -> Option<usize> {
     Some(b.len())
 }
 
-/// Blanks out every item gated behind `#[cfg(test)]` (the attribute,
-/// through the matching close brace of the item it gates). Call on
-/// already-stripped source.
+/// Blanks out every item gated behind `#[cfg(test)]`, from the
+/// attribute to the end of the item it gates (`gated_item_end`).
+/// Call on already-stripped source.
 pub fn mask_cfg_test_regions(stripped: &str) -> String {
     let mut out = stripped.as_bytes().to_vec();
     let mut search_from = 0;
     while let Some(rel) = stripped[search_from..].find("#[cfg(test)]") {
-        let attr_start = search_from + rel;
-        let mut j = attr_start;
-        // Find the gated item's opening brace, then its close.
-        let open = match stripped[j..].find('{') {
-            Some(p) => j + p,
-            None => break,
-        };
-        j = open + 1;
-        let mut depth = 1;
-        let b = stripped.as_bytes();
-        while j < b.len() && depth > 0 {
-            match b[j] {
-                b'{' => depth += 1,
-                b'}' => depth -= 1,
-                _ => {}
-            }
-            j += 1;
-        }
-        for c in &mut out[attr_start..j] {
+        let start = search_from + rel;
+        let end = gated_item_end(stripped.as_bytes(), start + "#[cfg(test)]".len());
+        for c in &mut out[start..end] {
             if *c != b'\n' {
                 *c = b' ';
             }
         }
-        search_from = j;
+        search_from = end;
     }
     String::from_utf8(out).expect("masking is ascii-preserving")
+}
+
+/// One past the end of the item starting at `b[i]`: its first `;` or
+/// `,` at bracket depth 0 (a field, an arm, a statement), the match of
+/// its first `{` (a module, a function, a block), or the close of the
+/// list it ends without a comma. A generic `<…>` list is not a bracket
+/// here, so a gated generic item may end early, which only unmasks.
+fn gated_item_end(b: &[u8], mut i: usize) -> usize {
+    let mut depth = 0usize;
+    while i < b.len() {
+        match b[i] {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' if depth == 0 => return i,
+            b'}' if depth == 1 => return i + 1,
+            b')' | b']' | b'}' => depth -= 1,
+            b';' | b',' if depth == 0 => return i + 1,
+            _ => {}
+        }
+        i += 1;
+    }
+    b.len()
 }
 
 /// 1-based line number of byte offset `idx`.
@@ -541,13 +546,90 @@ pub fn wire_tag_findings(sources: &[(&str, &str)], doc: &str) -> Vec<Finding> {
 }
 
 // ----------------------------------------------------------------
-// Rule: forbidden-api — raw sync primitives, reactor blocking, unwrap
-// in the wire-facing crates, netsim thread spawns and channels, the concrete
-// simulator type above netsim, a hand-rolled handshake or a
-// per-endpoint map in core outside the session, a hand-written codec
-// beside the message table, a second scatter loop in core, a second
-// DNS question per cell.
+// Rule: forbidden-api — the invariants no type can hold: one row of
+// `RULES` each, plus a hand-written codec beside the message table.
+// What visibility can hold, it holds instead (the simulator type, the
+// plan executor, the `CallStats` literal; docs/conformance.md lists
+// each holder).
 // ----------------------------------------------------------------
+
+/// One substring rule.
+struct Rule {
+    /// Any of these in non-test code is a finding.
+    needles: &'static [&'static str],
+    /// The repo-relative path prefixes the rule covers.
+    scope: &'static [&'static str],
+    /// The one file the needles belong in, if any.
+    exempt: Option<&'static str>,
+    /// The invariant, what to write instead, and why no type holds it.
+    why: &'static str,
+}
+
+const RULES: [Rule; 7] = [
+    Rule {
+        needles: &[
+            "std::sync::Mutex",
+            "std::sync::RwLock",
+            "std::sync::Condvar",
+        ],
+        scope: &["crates/"],
+        exempt: None,
+        why: "outside the diag wrapper: every lock is an `openflame_diag::OrderedMutex`, \
+              `OrderedRwLock` or `OrderedCondvar` with a rank from the global table \
+              (std's types are public to every crate)",
+    },
+    Rule {
+        needles: &["Request::Hello"],
+        scope: &["crates/core/src/"],
+        exempt: Some("crates/core/src/session.rs"),
+        why: "in core outside session.rs: the session appends the handshake; send the \
+              envelope and read `Session::cached_hello` (servers answer the variant, so it \
+              cannot be private)",
+    },
+    Rule {
+        needles: &["HashMap<EndpointId"],
+        scope: &["crates/core/src/"],
+        exempt: Some("crates/core/src/session.rs"),
+        why: "in core outside session.rs: per-endpoint client state lives in the session's \
+              one entry (any module can declare a map)",
+    },
+    Rule {
+        needles: &["RecordType::FleetSrv"],
+        scope: &["crates/core/src/"],
+        exempt: None,
+        why: "in core: a `MAPSRV` answer carries the cell's `FLEETSRV` records in its \
+              additional section (spec §9.1), so discovery asks one question per cell \
+              (zones and the resolver answer the variant, so it cannot be private)",
+    },
+    Rule {
+        needles: &[".unwrap()"],
+        scope: &[
+            "crates/netsim/src/",
+            "crates/codec/src/",
+            "crates/dns/src/",
+            "crates/mapdata/src/",
+            "crates/mapserver/src/",
+        ],
+        exempt: None,
+        why: "in a crate that parses or serves what arrives off the wire: propagate the \
+              error or `expect(\"why this cannot fail\")` (std's `unwrap` is public)",
+    },
+    Rule {
+        needles: &["thread::Builder", "thread::spawn"],
+        scope: &["crates/netsim/src/"],
+        exempt: Some("crates/netsim/src/core.rs"),
+        why: "in a netsim binding: worker threads are the event loop and the dispatch pool \
+              (core.rs); register a source instead (`std::thread` is public)",
+    },
+    Rule {
+        needles: &["mpsc"],
+        scope: &["crates/netsim/src/"],
+        exempt: None,
+        why: "in netsim: the dispatch pool is one condvar queue (`JobQueue`, core.rs), and a \
+              channel behind a mutex wakes a second worker per job (`std::sync::mpsc` is \
+              public)",
+    },
+];
 
 /// The files whose messages live in the message table, and the types
 /// there too irregular for a table row (each file's module docs say
@@ -562,156 +644,42 @@ const TABLE_EXCEPTIONS: [&str; 4] = ["HelloInfo", "DomainName", "Tags", "MapDocu
 /// Flags forbidden constructs in one Rust source file (non-test code
 /// only — `#[cfg(test)]` regions are masked out first).
 pub fn forbidden_api_findings(file: &str, content: &str) -> Vec<Finding> {
-    let mut out = Vec::new();
     let masked = mask_cfg_test_regions(&strip_comments_and_strings(content));
-    let mut flag_each = |needle: &str, msg: &str| {
-        for (idx, _) in masked.match_indices(needle) {
-            out.push(Finding {
-                file: file.to_string(),
-                line: line_of(&masked, idx),
-                rule: "forbidden-api",
-                msg: msg.to_string(),
-            });
-        }
+    let finding = |idx: usize, msg: String| Finding {
+        file: file.to_string(),
+        line: line_of(&masked, idx),
+        rule: "forbidden-api",
+        msg,
     };
-    // Raw std/parking_lot sync primitives anywhere outside the diag
-    // wrapper crate (which is exempted by the caller).
-    for needle in [
-        "std::sync::Mutex",
-        "std::sync::RwLock",
-        "std::sync::Condvar",
-    ] {
-        flag_each(
-            needle,
-            &format!(
-                "raw `{needle}` outside the diag wrapper: use \
-                 `openflame_diag::Ordered{}` with a rank from the global table",
-                &needle["std::sync::".len()..]
-            ),
-        );
-    }
-    flag_each(
-        "parking_lot",
-        "`parking_lot` primitives are retired: use the ranked wrappers in openflame-diag",
-    );
-    // Reactor threads must never block: no sleeps, no mutexes at all.
-    if file.ends_with("netsim/src/reactor.rs") {
-        for needle in ["thread::sleep", "Mutex"] {
-            flag_each(
-                needle,
-                &format!(
-                    "`{needle}` on a reactor code path: reactor threads are poll-driven \
-                     and must never block (spec Appendix A)"
-                ),
+    let mut out = Vec::new();
+    for rule in &RULES {
+        if rule.exempt == Some(file) || !rule.scope.iter().any(|s| file.starts_with(s)) {
+            continue;
+        }
+        for needle in rule.needles {
+            let msg = || format!("`{needle}` {}", rule.why);
+            out.extend(
+                masked
+                    .match_indices(needle)
+                    .map(|(idx, _)| finding(idx, msg())),
             );
         }
-    }
-    // One handshake rule: the session appends it (spec §8).
-    if file.contains("core/src/") && !file.ends_with("core/src/session.rs") {
-        flag_each(
-            "Request::Hello",
-            "`Request::Hello` in core outside session.rs: the session appends the handshake; \
-             do not hand-roll one (send the envelope, read `Session::cached_hello`)",
-        );
-        // One entry per endpoint: a second map is a second thing to
-        // forget when the endpoint dies or re-advertises.
-        for needle in ["HashMap<EndpointId", "TtlCache<EndpointId"] {
-            flag_each(
-                needle,
-                &format!(
-                    "`{needle}, _>` in core outside session.rs: per-endpoint client state \
-                     lives in the session's one entry"
-                ),
-            );
-        }
-    }
-    // One scatter loop: the executor has one call site, call
-    // statistics one builder, and nothing barriers on handshakes.
-    if file.contains("core/src/") {
-        let calls = masked.matches("plan::execute(").count();
-        if calls > usize::from(file.ends_with("core/src/client.rs")) {
-            flag_each(
-                "plan::execute(",
-                "`plan::execute(` beyond its one call site in client.rs: a query class is a \
-                 request builder and an absorber on `OpenFlameClient::scatter`",
-            );
-        }
-        if !file.ends_with("core/src/provider.rs") {
-            flag_each(
-                "CallStats {",
-                "a `CallStats` literal outside provider.rs: provider methods measure through \
-                 `provider::measured`",
-            );
-        }
-        flag_each(
-            "ensure_hellos",
-            "`ensure_hellos` is retired: the handshake rides the first envelope, and a round \
-             of bare handshakes is a `Session::scatter` round of empty batches",
-        );
-        // One DNS question per cell: a `FLEETSRV` question beside the
-        // `MAPSRV` one doubles cold DNS traffic and learns nothing.
-        flag_each(
-            "RecordType::FleetSrv",
-            "a `FLEETSRV` question in core: a `MAPSRV` answer carries the cell's `FLEETSRV` \
-             records in its additional section (spec §9.1), so discovery asks one question \
-             per cell",
-        );
-    }
-    // Code that parses or serves what arrives off the wire surfaces
-    // errors, it doesn't assert on them.
-    if ["netsim", "codec", "dns", "mapdata", "mapserver"]
-        .iter()
-        .any(|krate| file.starts_with(&format!("crates/{krate}/src/")))
-    {
-        flag_each(
-            ".unwrap()",
-            "`unwrap()` in non-test code of a wire-facing crate: propagate the error or \
-             use `expect(\"why this cannot fail\")`",
-        );
-    }
-    if file.contains("netsim/src/") {
-        if !file.ends_with("netsim/src/core.rs") {
-            // One event loop: sockets become sources on it, not threads.
-            for needle in ["thread::Builder", "thread::spawn"] {
-                flag_each(
-                    needle,
-                    &format!(
-                        "`{needle}` in a netsim binding: worker threads are the event loop \
-                         and the dispatch pool (core.rs); register a source instead"
-                    ),
-                );
-            }
-        }
-        // One condvar queue: a channel behind a mutex wakes two threads
-        // per job.
-        flag_each(
-            "mpsc",
-            "`mpsc` in netsim: a channel behind a mutex wakes a second worker per job; the \
-             dispatch pool is one condvar queue (`JobQueue`, core.rs)",
-        );
-    } else {
-        // One door onto the wire: above netsim, code binds to the trait.
-        flag_each(
-            "SimNet",
-            "the concrete simulator type outside netsim: bind to `dyn Transport` and \
-             obtain a simulator with `BackendKind::Sim.build(seed)`",
-        );
     }
     // One message table: a wire message is declared, not hand-coded.
+    // Code, not a row: the type after the needle meets an exception
+    // list.
     if TABLE_FILES.iter().any(|f| file.ends_with(f)) {
         for (idx, _) in masked.match_indices("impl Wire for ") {
             let ty = leading_ident(&masked[idx + "impl Wire for ".len()..]);
             if !TABLE_EXCEPTIONS.contains(&ty) {
-                out.push(Finding {
-                    file: file.to_string(),
-                    line: line_of(&masked, idx),
-                    rule: "forbidden-api",
-                    msg: format!(
+                out.push(finding(
+                    idx,
+                    format!(
                         "hand-written `impl Wire for {ty}`: messages are declared in the \
                          table (`wire_struct!` / `wire_enum!`); the listed exceptions are \
                          {TABLE_EXCEPTIONS:?}"
                     ),
-                });
+                ));
             }
         }
     }

@@ -93,7 +93,6 @@ impl CentralizedProvider {
     pub fn omniscient_on(transport: Arc<dyn Transport>, world: &World) -> Self {
         let mut map = world.outdoor.clone();
         let mut merged_nodes = HashMap::new();
-        let city = world.city_frame();
         for (vi, venue) in world.venues.iter().enumerate() {
             // Copy nodes with positions mapped into the city ENU frame.
             for node in venue.map.nodes() {
@@ -120,7 +119,6 @@ impl CentralizedProvider {
             .expect("entrance nodes exist");
         }
         debug_assert!(map.validate().is_ok());
-        let _ = city;
         let server = MapServer::spawn_on(
             &transport,
             MapServerConfig {

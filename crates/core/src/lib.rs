@@ -59,9 +59,9 @@
 //! session keeps **one entry per endpoint** —
 //! its advertisement, coverage summary included, or the dead mark a
 //! failed fleet branch left, each replacing the other — and discovery
-//! results per cell; both caches are bounded (expired-first eviction
-//! past a capacity cap), so a long-lived session touring many cells
-//! holds steady-state memory.
+//! results per cell; both caches are bounded (past a capacity cap,
+//! expired first, then least recently used), so a long-lived session
+//! touring many cells holds steady-state memory.
 //! Scatter rounds are built on the session's pipelined
 //! [`session::ScatterRound`] — its one submit path: envelopes are
 //! *submitted* as soon as their inputs are known and *collected* when

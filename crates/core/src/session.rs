@@ -43,15 +43,17 @@
 //!   [`BUSY_RETRY_BUDGET`] re-submissions have all been shed does the
 //!   call surface [`ClientError::Overloaded`].
 //!
-//! Both caches (endpoints, discovery cells) are one generic TTL cache
-//! holding `Arc`s: an advertisement is *moved* out of the answer that
-//! brought it, a discovery view is built once, and every reader after
-//! that (planner, executor, providers) shares it by reference, so a
-//! warm call deep-copies none of it. They are **bounded**
-//! ([`DEFAULT_CACHE_CAP`]): a long-lived session touring many cells
-//! does not grow memory forever. Inserts past the cap evict expired
-//! entries first, then the live entries closest to expiry; evictions
-//! and current cache sizes are reported in [`SessionStats`].
+//! Both caches (endpoints, discovery cells) are a [`TtlCache`], the
+//! resolver's cache type, holding `Arc`s: an advertisement is *moved*
+//! out of the answer that brought it, a discovery view is built once,
+//! and every reader after that (planner, executor, providers) shares it
+//! by reference, so a warm call deep-copies none of it. They are
+//! **bounded** ([`DEFAULT_CACHE_CAP`]): a long-lived session touring
+//! many cells does not grow memory forever. Inserts past the cap evict
+//! expired entries first, then the least recently used — so a fresh
+//! dead mark, shorter-lived than the advertisements around it, is never
+//! the victim; evictions and current cache sizes are reported in
+//! [`SessionStats`].
 //!
 //! The session speaks only through the [`Transport`] trait — the
 //! deterministic simulator and real TCP sockets run the exact same
@@ -66,12 +68,12 @@ use crate::fleet::DiscoveryView;
 use crate::ClientError;
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_diag::{ranks, OrderedMutex};
+use openflame_dns::TtlCache;
 use openflame_mapdata::NodeId;
 use openflame_mapserver::protocol::{Envelope, HelloInfo, Request, Response, WireRoute};
 use openflame_mapserver::registry::MAPSRV_TTL_S;
 use openflame_mapserver::Principal;
 use openflame_netsim::{CallHandle, EndpointId, Transport};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Default cache TTL: the DNS record TTL deployment registrations use
@@ -88,7 +90,7 @@ pub const DEAD_TTL_US: u64 = 30 * 1_000_000;
 /// Default capacity bound for each session cache (endpoint entries,
 /// discovery cells). A long-lived session touring many cells stays
 /// bounded: inserts over the cap evict expired entries first, then the
-/// live entries closest to expiry.
+/// least recently used.
 pub const DEFAULT_CACHE_CAP: usize = 256;
 
 /// How many times one envelope is re-submitted after a `Busy` shed
@@ -169,107 +171,6 @@ pub struct SessionStats {
     pub busy_retries: u64,
 }
 
-/// A TTL- and capacity-bounded cache: the one store behind the endpoint
-/// and discovery caches. Values are handed out by reference
-/// (callers keep `Arc`s in it, so a lookup is a refcount bump), entries
-/// past their expiry are dropped by the probe that finds them, and an
-/// insert over the capacity evicts expired entries first, then the live
-/// entries closest to expiry.
-struct TtlCache<K, V> {
-    entries: HashMap<K, TtlEntry<V>>,
-    /// Insertion counter: the deterministic tie-break when many
-    /// entries share an expiry instant, as a whole discovery round's
-    /// hellos do on the simulated clock. Eviction must not depend on
-    /// `HashMap`'s per-process random iteration order — seeded runs
-    /// replay identically.
-    next_seq: u64,
-    /// Entries removed to hold the capacity bound (expired entries
-    /// purged while evicting included).
-    evictions: u64,
-}
-
-struct TtlEntry<V> {
-    value: V,
-    expires_us: u64,
-    seq: u64,
-}
-
-impl<K: Eq + std::hash::Hash + Clone, V> TtlCache<K, V> {
-    fn new() -> Self {
-        Self {
-            entries: HashMap::new(),
-            next_seq: 0,
-            evictions: 0,
-        }
-    }
-
-    /// The fresh value under `key`. An expired entry is removed, not
-    /// returned: staleness and absence look identical to callers.
-    fn get(&mut self, key: &K, now_us: u64) -> Option<&mut V> {
-        if self.entries.get(key)?.expires_us <= now_us {
-            self.entries.remove(key);
-            return None;
-        }
-        self.entries.get_mut(key).map(|entry| &mut entry.value)
-    }
-
-    /// [`TtlCache::insert`] under the session's one policy:
-    /// [`DEFAULT_TTL_US`] and [`DEFAULT_CACHE_CAP`].
-    fn store(&mut self, key: K, value: V, now_us: u64) {
-        self.insert(key, value, now_us, DEFAULT_TTL_US, DEFAULT_CACHE_CAP);
-    }
-
-    /// Inserts (or replaces) `key`, expiring `ttl_us` from now, then
-    /// holds the cache within `cap` entries: expired entries are purged
-    /// first (they are dead weight whoever probes them next); if the
-    /// cache is still over, the live entries closest to expiry — the
-    /// oldest knowledge, insertion order breaking ties — are evicted.
-    fn insert(&mut self, key: K, value: V, now_us: u64, ttl_us: u64, cap: usize) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.insert(
-            key,
-            TtlEntry {
-                value,
-                expires_us: now_us.saturating_add(ttl_us),
-                seq,
-            },
-        );
-        if self.entries.len() <= cap {
-            return;
-        }
-        let before = self.entries.len();
-        self.entries.retain(|_, entry| entry.expires_us > now_us);
-        while self.entries.len() > cap {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, entry)| (entry.expires_us, entry.seq))
-                .map(|(key, _)| key.clone())
-                .expect("a cache over its capacity is not empty");
-            self.entries.remove(&victim);
-        }
-        self.evictions += (before - self.entries.len()) as u64;
-    }
-
-    fn remove(&mut self, key: &K) {
-        self.entries.remove(key);
-    }
-
-    fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Live (unexpired) values. Expired entries awaiting lazy removal
-    /// are dead weight, not cached knowledge, and are not yielded.
-    fn live(&self, now_us: u64) -> impl Iterator<Item = &V> {
-        self.entries
-            .values()
-            .filter(move |entry| entry.expires_us > now_us)
-            .map(|entry| &entry.value)
-    }
-}
-
 /// Discovery cache key: the query cell's raw id.
 type DiscoveryKey = u64;
 
@@ -304,8 +205,11 @@ impl Session {
             transport,
             endpoint,
             principal,
-            endpoints: OrderedMutex::new(ranks::SESSION_HELLOS, TtlCache::new()),
-            discoveries: OrderedMutex::new(ranks::SESSION_DISCOVERIES, TtlCache::new()),
+            endpoints: OrderedMutex::new(ranks::SESSION_HELLOS, TtlCache::new(DEFAULT_CACHE_CAP)),
+            discoveries: OrderedMutex::new(
+                ranks::SESSION_DISCOVERIES,
+                TtlCache::new(DEFAULT_CACHE_CAP),
+            ),
             stats: OrderedMutex::new(ranks::SESSION_STATS, SessionStats::default()),
         }
     }
@@ -338,11 +242,13 @@ impl Session {
             let advertised = endpoints
                 .live(now)
                 .filter(|entry| matches!(entry, EndpointEntry::Advertised(_)));
-            (advertised.count() as u64, endpoints.evictions)
+            let evictions = endpoints.purged + endpoints.evicted;
+            (advertised.count() as u64, evictions)
         };
         let (discovery_len, discovery_evictions) = {
             let discoveries = self.discoveries.lock();
-            (discoveries.live(now).count() as u64, discoveries.evictions)
+            let evictions = discoveries.purged + discoveries.evicted;
+            (discoveries.live(now).count() as u64, evictions)
         };
         stats.hello_cache_len = hello_len;
         stats.discovery_cache_len = discovery_len;
@@ -554,14 +460,17 @@ impl Session {
     // ----------------------------------------------------------------
 
     /// Caches `from`'s capability advertisement (evicting, expired
-    /// first, past the capacity bound), replacing whatever the session
-    /// held about the endpoint: an older advertisement — one without a
-    /// coverage summary drops the summary it once committed to — or a
-    /// dead mark, since an endpoint that answers is alive.
+    /// first, then least recently used, past the capacity bound),
+    /// replacing whatever the session held about the endpoint: an older
+    /// advertisement — one without a coverage summary drops the summary
+    /// it once committed to — or a dead mark, since an endpoint that
+    /// answers is alive.
     pub fn store_hello(&self, from: EndpointId, info: impl Into<Arc<HelloInfo>>) {
         let now = self.transport.now_us();
         let entry = EndpointEntry::Advertised(info.into());
-        self.endpoints.lock().store(from, entry, now);
+        self.endpoints
+            .lock()
+            .insert(from, entry, now, DEFAULT_TTL_US);
     }
 
     /// The fresh advertisement cached for `server` — shared, not
@@ -620,13 +529,9 @@ impl Session {
     /// discovery is dropped with it ([`Session::invalidate_cell`]).
     pub fn mark_dead(&self, endpoint: EndpointId, cell_raw: u64) {
         let now = self.transport.now_us();
-        self.endpoints.lock().insert(
-            endpoint,
-            EndpointEntry::Dead,
-            now,
-            DEAD_TTL_US,
-            DEFAULT_CACHE_CAP,
-        );
+        self.endpoints
+            .lock()
+            .insert(endpoint, EndpointEntry::Dead, now, DEAD_TTL_US);
         self.invalidate_cell(cell_raw);
     }
 
@@ -665,12 +570,14 @@ impl Session {
         cached
     }
 
-    /// Caches a discovery result for a query cell, evicting
-    /// (expired-first) if the insert pushed the cache over the
-    /// capacity bound.
+    /// Caches a discovery result for a query cell, evicting (expired
+    /// first, then least recently used) if the insert pushed the cache
+    /// over the capacity bound.
     pub fn store_discovery(&self, cell_raw: u64, view: impl Into<Arc<DiscoveryView>>) {
         let now = self.transport.now_us();
-        self.discoveries.lock().store(cell_raw, view.into(), now);
+        self.discoveries
+            .lock()
+            .insert(cell_raw, view.into(), now, DEFAULT_TTL_US);
     }
 
     /// Drops the cached discovery result for one query cell. Part of
@@ -948,24 +855,18 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn expired_entries_are_evicted_before_live_ones() {
-        let mut cache: TtlCache<u64, ()> = TtlCache::new();
-        // Two entries that will be long dead...
-        cache.insert(1, (), 0, 1_000, 4);
-        cache.insert(2, (), 0, 1_000, 4);
-        // ...then four live ones, overflowing the cap of 4.
-        for cell in 10..14u64 {
-            cache.insert(cell, (), 10_000, DEFAULT_TTL_US, 4);
+    fn a_dead_mark_survives_a_full_endpoint_cache() {
+        let transport = BackendKind::Sim.build(1);
+        let endpoint = transport.register("client", None);
+        let session = Session::new(transport.clone(), endpoint, Principal::anonymous());
+        for i in 0..DEFAULT_CACHE_CAP as u64 {
+            session.store_hello(EndpointId(1_000 + i), stub_hello(i));
         }
-        // The expired pair was purged; every live entry kept its slot.
-        assert_eq!(cache.live(10_000).count(), 4);
-        assert_eq!(cache.evictions, 2);
-        for cell in 10..14u64 {
-            assert!(
-                cache.get(&cell, 10_000).is_some(),
-                "live cell {cell} must not be displaced by expired entries"
-            );
-        }
+        transport.advance_us(1_000);
+        // The mark expires long before the advertisements around it,
+        // yet it is the freshest entry: it must not evict itself.
+        session.mark_dead(EndpointId(7), 0);
+        assert!(session.is_dead(EndpointId(7)));
     }
 
     #[test]

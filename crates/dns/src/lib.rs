@@ -22,14 +22,19 @@
 //!   negative caching, that follows referrals only down the tree. Its
 //!   cache is what makes repeat discovery cheap (paper §5.1); the
 //!   `paper_claims` test `s5_1_dns_caching_makes_discovery_cheap`
-//!   asserts it.
+//!   asserts it,
+//! - [`TtlCache`] — the bounded TTL cache behind the resolver and a
+//!   client session's endpoint and discovery caches: expired entries
+//!   purged first, then the least recently used evicted.
 
+pub mod cache;
 pub mod name;
 pub mod record;
 pub mod resolver;
 pub mod server;
 pub mod zone;
 
+pub use cache::TtlCache;
 pub use name::DomainName;
 pub use record::{FleetReplica, FleetShard, Record, RecordData, RecordType};
 pub use resolver::{QueryOutcome, Resolver, ResolverConfig, ResolverStats};

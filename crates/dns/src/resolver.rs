@@ -4,16 +4,16 @@
 //! discovery inherits "ubiquitous caching mechanisms, large-scale
 //! deployments, and infrastructure" (paper §5.1). The resolver walks referrals
 //! from the root exactly like a real recursive resolver, and serves
-//! repeat queries from a TTL-respecting LRU cache with negative caching:
-//! NXDOMAIN, authoritative ServFail, lame-delegation and too-many-referral
-//! outcomes are all replayed from a short-TTL negative entry (bounded by
-//! the same capacity, expired-first purge and LRU policy as positive
-//! entries), so a misbehaving client hammering a nonexistent or broken
-//! cell cannot amplify its queries into repeated full referral walks
-//! upstream. A terminal answer's additional records owned by the
-//! queried name (a `MAPSRV` answer's `FLEETSRV` set, spec §9.1) live in
-//! the same entry as its answer, and an answer with no records at all
-//! (NODATA) lives for the negative TTL.
+//! repeat queries from a TTL-respecting LRU cache ([`TtlCache`]) with
+//! negative caching: NXDOMAIN, authoritative ServFail, lame-delegation
+//! and too-many-referral outcomes are all replayed from a short-TTL
+//! negative entry (bounded by the same capacity, expired-first purge and
+//! LRU policy as positive entries), so a misbehaving client hammering a
+//! nonexistent or broken cell cannot amplify its queries into repeated
+//! full referral walks upstream. A terminal answer's additional records
+//! owned by the queried name (a `MAPSRV` answer's `FLEETSRV` set, spec
+//! §9.1) live in the same entry as its answer, and an answer with no
+//! records at all (NODATA) lives for the negative TTL.
 //!
 //! A walk only ever moves down the tree (RFC 1034, section 5.3.3). It
 //! tracks the zone it is asking, starting at the root, and follows a
@@ -26,6 +26,7 @@
 //!
 //! A walk encodes its query once and re-sends those bytes at every hop.
 
+use crate::cache::TtlCache;
 use crate::name::DomainName;
 use crate::record::{QueryMsg, Rcode, Record, RecordData, RecordType, ResponseMsg};
 use crate::DnsError;
@@ -118,18 +119,11 @@ enum EntryKind {
     TooManyReferrals,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 struct CacheEntry {
     records: Vec<Record>,
     additional: Vec<Record>,
-    expires_us: u64,
     kind: EntryKind,
-    last_used: u64,
-}
-
-struct CacheState {
-    entries: HashMap<(DomainName, u8), CacheEntry>,
-    use_counter: u64,
 }
 
 /// In-progress state of one pipelined referral walk
@@ -161,16 +155,6 @@ enum WalkStep {
     Referral(DomainName, Vec<EndpointId>),
 }
 
-fn type_tag(rtype: RecordType) -> u8 {
-    match rtype {
-        RecordType::A => 0,
-        RecordType::Ns => 1,
-        RecordType::Txt => 2,
-        RecordType::MapSrv => 3,
-        RecordType::FleetSrv => 4,
-    }
-}
-
 /// An iterative caching resolver attached to a wire transport.
 ///
 /// A resolver owns its own network endpoint (it is a host, like a
@@ -182,7 +166,7 @@ pub struct Resolver {
     endpoint: EndpointId,
     root_hints: Vec<EndpointId>,
     config: ResolverConfig,
-    cache: OrderedMutex<CacheState>,
+    cache: OrderedMutex<TtlCache<(DomainName, RecordType), CacheEntry>>,
     stats: OrderedMutex<ResolverStats>,
 }
 
@@ -201,13 +185,7 @@ impl Resolver {
             endpoint,
             root_hints,
             config,
-            cache: OrderedMutex::new(
-                ranks::RESOLVER_CACHE,
-                CacheState {
-                    entries: HashMap::new(),
-                    use_counter: 0,
-                },
-            ),
+            cache: OrderedMutex::new(ranks::RESOLVER_CACHE, TtlCache::new(config.cache_capacity)),
             stats: OrderedMutex::new(ranks::RESOLVER_STATS, ResolverStats::default()),
         }
     }
@@ -219,13 +197,16 @@ impl Resolver {
 
     /// Statistics snapshot.
     pub fn stats(&self) -> ResolverStats {
-        self.stats.lock().clone()
+        let mut stats = self.stats.lock().clone();
+        let cache = self.cache.lock();
+        stats.evictions = cache.evicted;
+        stats.expired_purges = cache.purged;
+        stats
     }
 
     /// Clears the cache (stats are retained).
     pub fn flush_cache(&self) {
-        let mut cache = self.cache.lock();
-        cache.entries.clear();
+        self.cache.lock().clear();
     }
 
     /// Number of live (unexpired) cache entries. Expired entries still
@@ -233,12 +214,7 @@ impl Resolver {
     /// weight, not cached knowledge.
     pub fn cache_len(&self) -> usize {
         let now = self.transport.now_us();
-        self.cache
-            .lock()
-            .entries
-            .values()
-            .filter(|e| e.expires_us > now)
-            .count()
+        self.cache.lock().live(now).count()
     }
 
     /// Resolves many queries — each consulting the cache first and
@@ -271,11 +247,11 @@ impl Resolver {
         // In-batch dedupe: map every query to the index of its first
         // occurrence; only canonical indices walk or probe the cache.
         let canonical: Vec<usize> = {
-            let mut first: HashMap<(&DomainName, u8), usize> = HashMap::new();
+            let mut first: HashMap<(&DomainName, RecordType), usize> = HashMap::new();
             queries
                 .iter()
                 .enumerate()
-                .map(|(i, (name, rtype))| *first.entry((name, type_tag(*rtype))).or_insert(i))
+                .map(|(i, (name, rtype))| *first.entry((name, *rtype)).or_insert(i))
                 .collect()
         };
         for (i, (name, rtype)) in queries.iter().enumerate() {
@@ -399,19 +375,11 @@ impl Resolver {
         rtype: RecordType,
         t0: u64,
     ) -> Option<Result<QueryOutcome, DnsError>> {
-        let mut cache = self.cache.lock();
-        cache.use_counter += 1;
-        let counter = cache.use_counter;
-        let entry = cache.entries.get_mut(&(name.clone(), type_tag(rtype)))?;
-        if entry.expires_us <= t0 {
-            cache.entries.remove(&(name.clone(), type_tag(rtype)));
-            return None;
-        }
-        entry.last_used = counter;
-        let kind = entry.kind;
-        let records = entry.records.clone();
-        let additional = entry.additional.clone();
-        drop(cache);
+        let CacheEntry {
+            records,
+            additional,
+            kind,
+        } = self.cache.lock().get(&(name.clone(), rtype), t0)?.clone();
         // A local cache answer still costs a hair of CPU.
         self.transport.advance_us(10);
         let negative = match kind {
@@ -552,49 +520,16 @@ impl Resolver {
         if ttl_s == 0 {
             return;
         }
-        let mut cache = self.cache.lock();
-        cache.use_counter += 1;
-        let counter = cache.use_counter;
-        let expires = self.transport.now_us() + ttl_s as u64 * 1_000_000;
-        cache.entries.insert(
-            (name.clone(), type_tag(rtype)),
-            CacheEntry {
-                records,
-                additional,
-                expires_us: expires,
-                kind,
-                last_used: counter,
-            },
-        );
-        // Capacity enforcement. Expired entries are purged *before*
-        // LRU victim selection: a dead entry must neither occupy
-        // capacity nor — by having been touched recently while alive —
-        // shield itself while a fresh live entry gets evicted.
-        if cache.entries.len() > self.config.cache_capacity {
-            let now = self.transport.now_us();
-            let before = cache.entries.len();
-            cache.entries.retain(|_, e| e.expires_us > now);
-            let purged = (before - cache.entries.len()) as u64;
-            let mut evicted = 0u64;
-            while cache.entries.len() > self.config.cache_capacity {
-                let victim = cache
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone());
-                match victim {
-                    Some(k) => {
-                        cache.entries.remove(&k);
-                        evicted += 1;
-                    }
-                    None => break,
-                }
-            }
-            drop(cache);
-            let mut stats = self.stats.lock();
-            stats.evictions += evicted;
-            stats.expired_purges += purged;
-        }
+        let entry = CacheEntry {
+            records,
+            additional,
+            kind,
+        };
+        let ttl_us = u64::from(ttl_s) * 1_000_000;
+        let now = self.transport.now_us();
+        self.cache
+            .lock()
+            .insert((name.clone(), rtype), entry, now, ttl_us);
     }
 }
 
@@ -1016,6 +951,42 @@ mod tests {
             .resolve(&name("ghost0."), RecordType::A)
             .unwrap_err();
         assert!(resolver.stats().upstream_queries > upstream);
+    }
+
+    #[test]
+    fn a_negative_entry_survives_a_cache_full_of_longer_ttls() {
+        let net = BackendKind::Sim.build(5);
+        let mut zone = Zone::new(DomainName::root());
+        for i in 0..8 {
+            zone.add(Record::new(
+                name(&format!("n{i}.")),
+                300,
+                RecordData::A(i as u64),
+            ));
+        }
+        let server = AuthServer::spawn_on(&net, "root", vec![zone]);
+        let config = ResolverConfig {
+            cache_capacity: 8,
+            ..Default::default()
+        };
+        let resolver =
+            Resolver::with_config_on(net.clone(), "small", vec![server.endpoint()], config);
+        for i in 0..8 {
+            resolver
+                .resolve(&name(&format!("n{i}.")), RecordType::A)
+                .unwrap();
+        }
+        // The NXDOMAIN entry (60 s) is the freshest knowledge in a full
+        // cache of 300 s answers: evicting by nearness to expiry would
+        // drop it at once, and every repeat would re-walk the tree.
+        let ghost = name("ghost.");
+        let e = resolver.resolve(&ghost, RecordType::A).unwrap_err();
+        assert!(matches!(e, DnsError::NxDomain(_)));
+        let upstream = resolver.stats().upstream_queries;
+        let e = resolver.resolve(&ghost, RecordType::A).unwrap_err();
+        assert!(matches!(e, DnsError::NxDomain(_)));
+        assert_eq!(resolver.stats().upstream_queries, upstream);
+        assert_eq!(resolver.stats().negative_hits, 1);
     }
 
     #[test]

@@ -56,12 +56,6 @@ impl Mercator {
         let se = Self::unproject(Point2::new((x + 1) as f64 / n, (y + 1) as f64 / n));
         (nw, se)
     }
-
-    /// Meters per normalized-world unit at the given latitude (for
-    /// converting pixel budgets to ground resolution).
-    pub fn meters_per_world_unit(lat_deg: f64) -> f64 {
-        2.0 * std::f64::consts::PI * crate::EARTH_RADIUS_M * lat_deg.to_radians().cos()
-    }
 }
 
 #[cfg(test)]

@@ -587,11 +587,11 @@ const RULES: [Rule; 7] = [
               cannot be private)",
     },
     Rule {
-        needles: &["HashMap<EndpointId"],
+        needles: &["HashMap<EndpointId", "TtlCache<EndpointId"],
         scope: &["crates/core/src/"],
         exempt: Some("crates/core/src/session.rs"),
         why: "in core outside session.rs: per-endpoint client state lives in the session's \
-              one entry (any module can declare a map)",
+              one entry (any module can declare a map or an `openflame_dns::TtlCache`)",
     },
     Rule {
         needles: &["RecordType::FleetSrv"],

@@ -302,11 +302,12 @@ fn forbidden_api_flags_a_per_endpoint_map_in_core_outside_the_session() {
     let src = "\
 /// Not a `HashMap<EndpointId, u64>` any more.
 struct Selector { dead: OrderedMutex<HashMap<EndpointId, u64>> }
+struct Planner { seen: TtlCache<EndpointId, Coverage> }
 #[cfg(test)]
 mod tests { fn t() { let _: HashMap<EndpointId, u8> = HashMap::new(); } }
 ";
     let f = forbidden_api_findings("crates/core/src/fleet.rs", src);
-    assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [2]);
+    assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [2, 3]);
     assert!(f[0].msg.contains("the session's one entry"));
     // The one entry lives in the session; other crates key by endpoint
     // freely (the transports' endpoint books do).

@@ -144,8 +144,8 @@ impl DiscoveryClient {
                         self.stats.lock().cache_hits += 1;
                     }
                     let mut named = false;
-                    for record in outcome.records.into_iter().chain(outcome.additional) {
-                        named |= Self::absorb_record(&mut view, record.data);
+                    for record in outcome.records.iter().chain(outcome.additional.iter()) {
+                        named |= Self::absorb_record(&mut view, &record.data);
                     }
                     if !named {
                         self.stats.lock().empty += 1;
@@ -167,18 +167,21 @@ impl DiscoveryClient {
     /// Folds one resource record into the view, deduplicating servers
     /// by id and fleets by group id (neighbor cells re-advertise the
     /// same providers). Returns whether the record names a provider.
-    fn absorb_record(view: &mut DiscoveryView, data: RecordData) -> bool {
+    ///
+    /// The record stays in the resolver's shared answer; only what a
+    /// newly discovered server or fleet keeps is copied out of it.
+    fn absorb_record(view: &mut DiscoveryView, data: &RecordData) -> bool {
         match data {
             RecordData::MapSrv {
                 endpoint,
                 server_id,
                 services,
             } => {
-                if view.servers.iter().all(|s| s.server_id != server_id) {
+                if view.servers.iter().all(|s| s.server_id != *server_id) {
                     view.servers.push(Arc::new(DiscoveredServer {
-                        server_id,
-                        endpoint: EndpointId(endpoint),
-                        services,
+                        server_id: server_id.clone(),
+                        endpoint: EndpointId(*endpoint),
+                        services: services.clone(),
                     }));
                 }
             }
@@ -187,20 +190,20 @@ impl DiscoveryClient {
                 services,
                 shards,
             } => {
-                if view.fleets.iter().any(|f| f.group_id == group_id) {
+                if view.fleets.iter().any(|f| f.group_id == *group_id) {
                     return true;
                 }
                 // Each shard's extent bounds are computed here, once per
                 // discovery view, never per planned query.
                 let shards = shards
-                    .into_iter()
+                    .iter()
                     .map(|shard| {
                         let replicas = shard
                             .replicas
-                            .into_iter()
+                            .iter()
                             .map(|r| {
                                 Arc::new(DiscoveredServer {
-                                    server_id: r.server_id,
+                                    server_id: r.server_id.clone(),
                                     endpoint: EndpointId(r.endpoint),
                                     // Replicas inherit the group's
                                     // service advertisement.
@@ -212,8 +215,8 @@ impl DiscoveryClient {
                     })
                     .collect();
                 view.fleets.push(FleetView {
-                    group_id,
-                    services,
+                    group_id: group_id.clone(),
+                    services: services.clone(),
                     shards,
                 });
             }
@@ -361,7 +364,7 @@ mod tests {
                     }],
                 }],
             };
-            assert!(DiscoveryClient::absorb_record(&mut view, record));
+            assert!(DiscoveryClient::absorb_record(&mut view, &record));
             for (kind, radius_m) in [
                 (QueryKind::Search, 100.0),
                 (QueryKind::ReverseGeocode, 100.0),

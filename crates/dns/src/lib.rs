@@ -11,15 +11,18 @@
 //!   held as one shared buffer per name: a clone, a parent or a walk
 //!   over ancestors shares it and allocates nothing; building a new
 //!   name (parse, child, decode) fills one new buffer,
-//! - [`Record`] / [`RecordData`] — `A`-, `NS`-, `TXT`- and `MAPSRV`-type
-//!   records (the latter carries a map server's endpoint and service
-//!   advertisement),
+//! - [`Record`] / [`RecordData`] — `A`-, `NS`-, `TXT`-, `MAPSRV`- and
+//!   `FLEETSRV`-type records (the latter two carry a map server's or a
+//!   fleet's endpoints and service advertisement); on the wire, a
+//!   response's record sections name each owner once per run of its
+//!   records (spec §9.5),
 //! - [`Zone`] — record storage with DNS-style wildcard matching and
 //!   delegation cuts, looked up by borrowed ancestor of the queried name,
 //! - [`AuthServer`] — an authoritative server bound to a
 //!   [`Transport`](openflame_netsim::Transport) endpoint,
 //! - [`Resolver`] — an iterative resolver with TTL + LRU caching and
-//!   negative caching, that follows referrals only down the tree. Its
+//!   negative caching, that follows referrals only down the tree and
+//!   shares each decoded answer with its cache entry. Its
 //!   cache is what makes repeat discovery cheap (paper §5.1); the
 //!   `paper_claims` test `s5_1_dns_caching_makes_discovery_cheap`
 //!   asserts it,

@@ -7,14 +7,18 @@
 //! conformance lint holds both to the one record-type table of
 //! `docs/wire-protocol.md` spec §2.1.
 //!
-//! Hand-written, because a table row cannot say it — the exception:
+//! Hand-written, because a table row cannot say it — the exceptions:
 //!
 //! - [`DomainName`]: its labels decode through the same validation as
 //!   `from_labels`, straight into the name's one shared buffer.
+//! - [`OwnerRuns`], the codec of a response's record sections: it
+//!   writes each owner once per run of consecutive records (spec §9.5)
+//!   and refuses the encodings that would make a section ambiguous.
+//!   Nothing puts a bare [`Record`] on the wire.
 
 use crate::name::DomainName;
 use crate::DnsError;
-use openflame_codec::{wire_enum, wire_struct, CodecError, Reader, Wire, Writer};
+use openflame_codec::{wire_enum, wire_struct, CodecError, FieldCodec, Reader, Wire, Writer};
 
 /// Record types supported by the substrate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -220,9 +224,54 @@ wire_enum! { Rcode, "Rcode" {
 } }
 wire_struct! { FleetReplica { endpoint, server_id } }
 wire_struct! { FleetShard { extents, replicas } }
-wire_struct! { Record { name, ttl_s, data } }
 wire_struct! { QueryMsg { name, rtype } }
-wire_struct! { ResponseMsg { rcode, answers, authority, additional } }
+wire_struct! { ResponseMsg { rcode, answers: OwnerRuns, authority: OwnerRuns, additional: OwnerRuns } }
+
+/// Codec of one record section of a [`ResponseMsg`]: the records as
+/// owner runs (spec §9.5), each owner written once before the TTLs and
+/// payloads of its consecutive records. Record order is kept, so the
+/// runs are maximal but never merged across another owner; a decoded
+/// run's records share the owner's one buffer.
+pub struct OwnerRuns;
+
+impl FieldCodec<Vec<Record>> for OwnerRuns {
+    fn put(w: &mut Writer, v: &Vec<Record>) {
+        let runs = v.chunk_by(|a, b| a.name == b.name);
+        w.put_varint(runs.clone().count() as u64);
+        for run in runs {
+            run[0].name.encode(w);
+            w.put_varint(run.len() as u64);
+            for record in run {
+                record.ttl_s.encode(w);
+                record.data.encode(w);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Vec<Record>, CodecError> {
+        let runs = r.read_length()?;
+        let mut records: Vec<Record> = Vec::new();
+        for _ in 0..runs {
+            let owner = DomainName::decode(r)?;
+            let count = r.read_length()?;
+            // An empty run, or a run continuing its predecessor's owner,
+            // is a second spelling of a section.
+            if count == 0 || records.last().is_some_and(|last| last.name == owner) {
+                return Err(CodecError::InvalidTag {
+                    context: "owner run",
+                    tag: count as u64,
+                });
+            }
+            // A record takes a byte or more: a corrupt count reserves no more.
+            records.reserve(count.min(r.remaining()));
+            for _ in 0..count {
+                let ttl_s = u32::decode(r)?;
+                let data = RecordData::decode(r)?;
+                records.push(Record::new(owner.clone(), ttl_s, data));
+            }
+        }
+        Ok(records)
+    }
+}
 
 /// Converts an rcode into a resolver-level error for a queried name.
 pub fn rcode_to_error(rcode: Rcode, name: &DomainName) -> Option<DnsError> {
@@ -306,23 +355,162 @@ mod tests {
         assert_eq!(from_bytes::<ResponseMsg>(&to_bytes(&resp)).unwrap(), resp);
     }
 
+    /// One section holding one run: `owner`, then `records` as
+    /// `(ttl, data)` pairs, the TTL written as a raw varint.
+    fn one_run(owner: &str, records: &[(u64, RecordData)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_varint(1);
+        name(owner).encode(&mut w);
+        w.put_varint(records.len() as u64);
+        for (ttl, data) in records {
+            w.put_varint(*ttl);
+            data.encode(&mut w);
+        }
+        w.finish().to_vec()
+    }
+
+    fn section(bytes: &[u8]) -> Result<Vec<Record>, CodecError> {
+        let mut r = Reader::new(bytes);
+        let records = OwnerRuns::get(&mut r)?;
+        assert_eq!(r.remaining(), 0, "a section consumes exactly its bytes");
+        Ok(records)
+    }
+
+    fn encode_section(records: &Vec<Record>) -> Vec<u8> {
+        let mut w = Writer::new();
+        OwnerRuns::put(&mut w, records);
+        w.finish().to_vec()
+    }
+
     /// A TTL varint wider than `u32` is malformed (spec §2.1), not a
-    /// TTL of its low 32 bits.
+    /// TTL of its low 32 bits — here inside an owner run (spec §9.5).
     #[test]
     fn ttl_rejects_a_varint_wider_than_u32() {
-        let encode = |ttl: u64| {
-            let mut w = Writer::new();
-            name("a.flame.").encode(&mut w);
-            w.put_varint(ttl);
-            RecordData::A(9).encode(&mut w);
-            w.finish()
-        };
-        let ok = from_bytes::<Record>(&encode(u32::MAX as u64)).unwrap();
-        assert_eq!(ok.ttl_s, u32::MAX);
+        let ok = section(&one_run("a.flame.", &[(u32::MAX as u64, RecordData::A(9))])).unwrap();
+        assert_eq!(
+            ok,
+            [Record::new(name("a.flame."), u32::MAX, RecordData::A(9))]
+        );
+        let wide = [
+            (7, RecordData::A(8)),
+            (u32::MAX as u64 + 301, RecordData::A(9)),
+        ];
         assert!(matches!(
-            from_bytes::<Record>(&encode(u32::MAX as u64 + 301)),
+            section(&one_run("a.flame.", &wide)),
             Err(CodecError::InvalidTag { context: "u32", .. })
         ));
+    }
+
+    #[test]
+    fn an_empty_run_is_refused() {
+        assert_eq!(
+            section(&one_run("a.flame.", &[])),
+            Err(CodecError::InvalidTag {
+                context: "owner run",
+                tag: 0
+            })
+        );
+        // No runs at all is the one spelling of an empty section.
+        assert_eq!(section(&[0]), Ok(vec![]));
+    }
+
+    #[test]
+    fn two_adjacent_runs_with_one_owner_are_refused() {
+        let one = one_run("a.flame.", &[(60, RecordData::A(1))]);
+        let mut two = vec![2];
+        two.extend_from_slice(&one[1..]);
+        two.extend_from_slice(&one[1..]);
+        assert_eq!(
+            section(&two),
+            Err(CodecError::InvalidTag {
+                context: "owner run",
+                tag: 1
+            })
+        );
+        // The same two records as one run are the canonical spelling.
+        let joined = vec![Record::new(name("a.flame."), 60, RecordData::A(1)); 2];
+        let bytes = encode_section(&joined);
+        assert_eq!(bytes[0], 1, "one run");
+        assert_eq!(section(&bytes).unwrap(), joined);
+    }
+
+    #[test]
+    fn owners_a_b_a_are_three_runs_in_order() {
+        let (a, b) = (name("a.flame."), name("b.flame."));
+        let records = vec![
+            Record::new(a.clone(), 60, RecordData::A(1)),
+            Record::new(a.clone(), 61, RecordData::Txt("x".into())),
+            Record::new(b.clone(), 62, RecordData::A(2)),
+            Record::new(a.clone(), 63, RecordData::A(3)),
+        ];
+        let bytes = encode_section(&records);
+        assert_eq!(bytes[0], 3, "runs are never merged across an owner");
+        // Each owner's text is written once per run: a twice, b once.
+        let written = |owner: &DomainName| {
+            let text = to_bytes(owner);
+            bytes
+                .windows(text.len())
+                .filter(|w| *w == &text[..])
+                .count()
+        };
+        assert_eq!((written(&a), written(&b)), (2, 1));
+        let decoded = section(&bytes).unwrap();
+        assert_eq!(decoded, records);
+        assert_eq!(encode_section(&decoded), bytes);
+    }
+
+    /// Counts the bytes the current thread asks the allocator for.
+    struct MeteredAlloc;
+
+    thread_local! {
+        static REQUESTED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    // SAFETY: every call is forwarded unchanged to `System`; the meter
+    // is a const-initialised thread-local `Cell`, so bumping it neither
+    // allocates nor unwinds.
+    unsafe impl std::alloc::GlobalAlloc for MeteredAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = REQUESTED.try_with(|n| n.set(n.get() + layout.size()));
+            // SAFETY: `layout` is the caller's, passed through as is.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `ptr` was returned by `System.alloc` with `layout`.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: MeteredAlloc = MeteredAlloc;
+
+    /// A run count or a record count claiming far more than the input
+    /// holds fails at the end of the input, having reserved no more
+    /// records than the input has bytes.
+    #[test]
+    fn a_hostile_count_reserves_nothing_beyond_the_input() {
+        let claimed = (1u64 << 26) - 1; // within `MAX_LENGTH`
+        let run = one_run("a.flame.", &[(60, RecordData::A(1))]);
+        // The run count is the first byte, the record count the byte
+        // after the owner.
+        let count_at = 1 + to_bytes(&name("a.flame.")).len();
+        assert_eq!((run[0], run[count_at]), (1, 1));
+        for at in [0, count_at] {
+            let mut hostile = run.clone();
+            let mut w = Writer::new();
+            w.put_varint(claimed);
+            hostile.splice(at..=at, w.finish().iter().copied());
+            let before = REQUESTED.with(std::cell::Cell::get);
+            assert!(section(&hostile).is_err(), "count at byte {at}");
+            let requested = REQUESTED.with(std::cell::Cell::get) - before;
+            let bound = hostile.len() * std::mem::size_of::<Record>() + 1024;
+            assert!(
+                requested <= bound,
+                "count at byte {at}: {requested} bytes requested for {} bytes of input",
+                hostile.len()
+            );
+        }
     }
 
     #[test]

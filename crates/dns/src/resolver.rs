@@ -15,6 +15,11 @@
 //! §9.1) live in the same entry as its answer, and an answer with no
 //! records at all (NODATA) lives for the negative TTL.
 //!
+//! A terminal answer is decoded once: its records become one shared
+//! slice (`Arc<[Record]>`) that the cache entry and the caller's
+//! [`QueryOutcome`] both hold, so neither storing an answer nor a
+//! cache hit copies a record's strings.
+//!
 //! A walk only ever moves down the tree (RFC 1034, section 5.3.3). It
 //! tracks the zone it is asking, starting at the root, and follows a
 //! referral only when the cut it names (the NS owner) lies strictly below
@@ -84,13 +89,17 @@ pub struct ResolverStats {
 }
 
 /// The result of a successful resolution.
+///
+/// The records are the answer as decoded once, shared by `Arc` with the
+/// resolver's cache entry for the question: cloning an outcome, or
+/// answering from the cache, copies no record.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     /// Matching records (may be empty for NODATA).
-    pub records: Vec<Record>,
+    pub records: Arc<[Record]>,
     /// The answer's additional records owned by the queried name: for
     /// a `MAPSRV` question, the name's `FLEETSRV` records (spec §9.1).
-    pub additional: Vec<Record>,
+    pub additional: Arc<[Record]>,
     /// Whether the answer came from cache.
     pub from_cache: bool,
     /// Authoritative round trips performed for this query.
@@ -119,10 +128,12 @@ enum EntryKind {
     TooManyReferrals,
 }
 
+/// A cached outcome; its records are the ones its first
+/// [`QueryOutcome`] holds.
 #[derive(Clone)]
 struct CacheEntry {
-    records: Vec<Record>,
-    additional: Vec<Record>,
+    records: Arc<[Record]>,
+    additional: Arc<[Record]>,
     kind: EntryKind,
 }
 
@@ -431,31 +442,34 @@ impl Resolver {
                     // records owned by the queried name ride with it
                     // (spec §9.1); referral glue is owned by name
                     // servers, so it never matches.
-                    let additional: Vec<Record> = resp
+                    let answers: Arc<[Record]> = resp.answers.into();
+                    let additional: Arc<[Record]> = resp
                         .additional
                         .into_iter()
                         .filter(|r| r.name == *name)
-                        .collect();
+                        .collect::<Vec<_>>()
+                        .into();
                     // The entry lives as long as its shortest-lived
                     // record; one with no records is a negative answer
                     // (RFC 2308, section 2.2).
-                    let ttl = resp
-                        .answers
+                    let ttl = answers
                         .iter()
-                        .chain(&additional)
+                        .chain(additional.iter())
                         .map(|r| r.ttl_s)
                         .min()
                         .unwrap_or(self.config.negative_ttl_s);
                     self.cache_store(
                         name,
                         rtype,
-                        resp.answers.clone(),
-                        additional.clone(),
+                        CacheEntry {
+                            records: answers.clone(),
+                            additional: additional.clone(),
+                            kind: EntryKind::Positive,
+                        },
                         ttl,
-                        EntryKind::Positive,
                     );
                     WalkStep::Done(Ok(QueryOutcome {
-                        records: resp.answers,
+                        records: answers,
                         additional,
                         from_cache: false,
                         upstream_queries: walk.upstream,
@@ -504,27 +518,18 @@ impl Resolver {
 
     /// Caches a negative outcome for the negative TTL.
     fn cache_negative(&self, name: &DomainName, rtype: RecordType, kind: EntryKind) {
-        let ttl_s = self.config.negative_ttl_s;
-        self.cache_store(name, rtype, Vec::new(), Vec::new(), ttl_s, kind);
+        let entry = CacheEntry {
+            records: Arc::new([]),
+            additional: Arc::new([]),
+            kind,
+        };
+        self.cache_store(name, rtype, entry, self.config.negative_ttl_s);
     }
 
-    fn cache_store(
-        &self,
-        name: &DomainName,
-        rtype: RecordType,
-        records: Vec<Record>,
-        additional: Vec<Record>,
-        ttl_s: u32,
-        kind: EntryKind,
-    ) {
+    fn cache_store(&self, name: &DomainName, rtype: RecordType, entry: CacheEntry, ttl_s: u32) {
         if ttl_s == 0 {
             return;
         }
-        let entry = CacheEntry {
-            records,
-            additional,
-            kind,
-        };
         let ttl_us = u64::from(ttl_s) * 1_000_000;
         let now = self.transport.now_us();
         self.cache

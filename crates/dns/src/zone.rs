@@ -303,6 +303,32 @@ mod tests {
         assert!(z.query(&asked, RecordType::FleetSrv).additional.is_empty());
     }
 
+    /// Spec §9.5: an answer writes its owner once per run, so one more
+    /// `MAPSRV` record at a cell costs only its TTL and payload — not
+    /// the 17-label owner of a level-14 cell again.
+    #[test]
+    fn a_cell_answer_names_its_owner_once() {
+        use openflame_codec::to_bytes;
+        let mut z = Zone::new(name("cell.flame."));
+        let cell = name("3.1.0.2.3.3.1.0.2.1.0.0.3.2.f4.cell.flame.");
+        assert_eq!(cell.label_count(), 17);
+        let mapsrv = |i: u64| RecordData::MapSrv {
+            endpoint: 100 + i,
+            server_id: format!("store-{i}"),
+            services: vec!["search".into(), "routing".into()],
+        };
+        for i in 0..10 {
+            z.add(Record::new(cell.clone(), 300, mapsrv(i)));
+        }
+        let before = to_bytes(&z.query(&cell, RecordType::MapSrv)).len();
+        z.add(Record::new(cell.clone(), 300, mapsrv(10)));
+        let answer = z.query(&cell, RecordType::MapSrv);
+        assert_eq!(answer.answers.len(), 11);
+        let record_bytes = to_bytes(&300u32).len() + to_bytes(&mapsrv(10)).len();
+        assert_eq!(to_bytes(&answer).len() - before, record_bytes);
+        assert_eq!(to_bytes(&cell).len(), 43, "a level-14 cell owner");
+    }
+
     #[test]
     fn delegation_referral() {
         let mut z = Zone::new(name("flame."));

@@ -407,6 +407,27 @@ proptest! {
 
 }
 
+/// Owner `i` of a three-name pool.
+fn pick(pool: &(DomainName, DomainName, DomainName), i: usize) -> DomainName {
+    [&pool.0, &pool.1, &pool.2][i].clone()
+}
+
+/// `section` in all three sections of a response (the authority
+/// section reversed, so its runs differ) decodes to itself and
+/// re-encodes byte for byte: one encoding per section.
+fn section_round_trips(section: Vec<Record>) {
+    let msg = ResponseMsg {
+        rcode: Rcode::NoError,
+        answers: section.clone(),
+        authority: section.iter().rev().cloned().collect(),
+        additional: section,
+    };
+    let bytes = to_bytes(&msg);
+    let decoded = from_bytes::<ResponseMsg>(&bytes).unwrap();
+    assert_eq!(decoded, msg);
+    assert_eq!(to_bytes(&decoded), bytes);
+}
+
 proptest! {
     #[test]
     fn name_parse_display_round_trip(name in arb_name()) {
@@ -436,55 +457,76 @@ proptest! {
         prop_assert!(c.is_subdomain_of(&a));
     }
 
+    // Records travel only inside a section, as owner runs (spec §9.5):
+    // `MAPSRV` records whose owners are drawn from a three-name pool,
+    // so runs of one, runs of many and returning owners all occur.
     #[test]
     fn record_wire_round_trip(
-        name in arb_name(),
-        ttl in 0u32..100_000,
-        endpoint in any::<u64>(),
-        id in "[a-z0-9-]{1,16}",
-        services in proptest::collection::vec("[a-z:]{1,12}", 0..5),
-    ) {
-        let rec = Record::new(
-            name,
-            ttl,
-            RecordData::MapSrv { endpoint, server_id: id, services },
-        );
-        prop_assert_eq!(from_bytes::<Record>(&to_bytes(&rec)).unwrap(), rec);
-    }
-
-    #[test]
-    fn fleet_record_wire_round_trip(
-        name in arb_name(),
-        ttl in 0u32..100_000,
-        group in "[a-z0-9-]{1,16}",
-        services in proptest::collection::vec("[a-z:]{1,12}", 0..4),
-        shards in proptest::collection::vec(
+        pool in (arb_name(), arb_name(), arb_name()),
+        records in proptest::collection::vec(
             (
-                proptest::collection::vec(any::<u64>(), 0..6),
-                proptest::collection::vec(
-                    (any::<u64>(), "[a-z0-9/-]{1,20}"),
-                    0..4,
-                ),
+                0usize..3,
+                0u32..100_000,
+                any::<u64>(),
+                "[a-z0-9-]{1,16}",
+                proptest::collection::vec("[a-z:]{1,12}", 0..5),
             ),
-            0..5,
+            0..12,
         ),
     ) {
-        let shards: Vec<FleetShard> = shards
+        let section = records
             .into_iter()
-            .map(|(extents, replicas)| FleetShard {
-                extents,
-                replicas: replicas
-                    .into_iter()
-                    .map(|(endpoint, server_id)| FleetReplica { endpoint, server_id })
-                    .collect(),
+            .map(|(owner, ttl, endpoint, id, services)| {
+                let data = RecordData::MapSrv { endpoint, server_id: id, services };
+                Record::new(pick(&pool, owner), ttl, data)
             })
             .collect();
-        let rec = Record::new(
-            name,
-            ttl,
-            RecordData::FleetSrv { group_id: group, services, shards },
-        );
-        prop_assert_eq!(from_bytes::<Record>(&to_bytes(&rec)).unwrap(), rec);
+        section_round_trips(section);
+    }
+
+    // The same for `FLEETSRV` records, whose payload nests shards and
+    // replicas.
+    #[test]
+    fn fleet_record_wire_round_trip(
+        pool in (arb_name(), arb_name(), arb_name()),
+        records in proptest::collection::vec(
+            (
+                0usize..3,
+                0u32..100_000,
+                "[a-z0-9-]{1,16}",
+                proptest::collection::vec("[a-z:]{1,12}", 0..4),
+                proptest::collection::vec(
+                    (
+                        proptest::collection::vec(any::<u64>(), 0..6),
+                        proptest::collection::vec(
+                            (any::<u64>(), "[a-z0-9/-]{1,20}"),
+                            0..4,
+                        ),
+                    ),
+                    0..5,
+                ),
+            ),
+            0..6,
+        ),
+    ) {
+        let section = records
+            .into_iter()
+            .map(|(owner, ttl, group, services, shards)| {
+                let shards: Vec<FleetShard> = shards
+                    .into_iter()
+                    .map(|(extents, replicas)| FleetShard {
+                        extents,
+                        replicas: replicas
+                            .into_iter()
+                            .map(|(endpoint, server_id)| FleetReplica { endpoint, server_id })
+                            .collect(),
+                    })
+                    .collect();
+                let data = RecordData::FleetSrv { group_id: group, services, shards };
+                Record::new(pick(&pool, owner), ttl, data)
+            })
+            .collect();
+        section_round_trips(section);
     }
 
     #[test]

@@ -15,6 +15,8 @@
 
 mod vectors;
 
+use openflame_dns::record::{Rcode, ResponseMsg};
+use openflame_dns::{DomainName, Record, RecordData};
 use openflame_mapserver::{Request, Response};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -94,10 +96,42 @@ fn check(decoder: &str, input: &[u8]) {
     }
 }
 
+/// A DNS response whose sections hold several owner runs (spec §9.5):
+/// answers under two owners, then a referral's NS records and their
+/// glue, each section two runs.
+fn several_runs() -> Vec<u8> {
+    let name = |s: &str| DomainName::parse(s).expect("a valid name");
+    let (here, there) = (name("2.f1.cell.flame."), name("3.f1.cell.flame."));
+    let (ns1, ns2) = (name("ns1.f1.cell.flame."), name("ns2.f1.cell.flame."));
+    let mapsrv = |endpoint| RecordData::MapSrv {
+        endpoint,
+        server_id: format!("grocer-{endpoint}"),
+        services: vec!["search".into()],
+    };
+    let msg = ResponseMsg {
+        rcode: Rcode::NoError,
+        answers: vec![
+            Record::new(here.clone(), 300, mapsrv(1)),
+            Record::new(here, 300, mapsrv(2)),
+            Record::new(there, 120, mapsrv(3)),
+        ],
+        authority: vec![
+            Record::new(name("f1.cell.flame."), 600, RecordData::Ns(ns1.clone())),
+            Record::new(name("f2.cell.flame."), 600, RecordData::Ns(ns2.clone())),
+        ],
+        additional: vec![
+            Record::new(ns1, 600, RecordData::A(7)),
+            Record::new(ns2, 600, RecordData::A(8)),
+        ],
+    };
+    openflame_codec::to_bytes(&msg).to_vec()
+}
+
 /// The mutation corpus: every Appendix B vector of a decoder under
 /// test, plus the shapes the appendix has no single vector for — every
-/// message of a direction riding one flat batch, and a coverage-bearing
-/// `Hello` whose blob carries bytes a future version appended.
+/// message of a direction riding one flat batch, a coverage-bearing
+/// `Hello` whose blob carries bytes a future version appended, and a
+/// DNS response of several owner runs per section.
 fn corpus() -> Vec<(String, Vec<u8>)> {
     let all = vectors::all();
     let mut corpus: Vec<(String, Vec<u8>)> = all
@@ -130,6 +164,7 @@ fn corpus() -> Vec<(String, Vec<u8>)> {
     corpus.push(("Response.Hello/blob-with-trailing-bytes".into(), grown));
     // The same advertisement without its response tag.
     corpus.push(("HelloInfo/format-2".into(), hello[1..].to_vec()));
+    corpus.push(("ResponseMsg/several-runs".into(), several_runs()));
     corpus
 }
 

@@ -4,7 +4,10 @@
 //! question per cell, 15 upstream queries), and every hop handles
 //! 17-label names. A DNS name is one shared buffer, so cloning a name,
 //! taking its parent and walking its ancestors in a zone lookup
-//! allocate nothing.
+//! allocate nothing. An answer names its owner once per run of records
+//! (spec §9.5), so decoding it builds one name buffer per run, and the
+//! resolver keeps that one decoded copy, shared with the caller, in its
+//! cache entry.
 //!
 //! The fixture is `cold_sim`'s world on the simulator: 32 stores on a
 //! 12 × 12 block grid, 20 products each. Each venue's hint is
@@ -17,6 +20,9 @@
 //!   every label), two questions per cell: **15 498**
 //! - one shared buffer per name, two questions per cell: **2 713**
 //! - one shared buffer per name, one question per cell: **2 394**
+//! - owner runs, one name buffer per run: **2 124**
+//! - owner runs, and the answer shared by `Arc` with the resolver cache
+//!   instead of copied into it: **1 841**
 //!
 //! The bound sits between the first and the rest with room for
 //! toolchain growth policy; a return of per-label copies lands far
@@ -66,8 +72,8 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// A third of the label-vector count (15 498), well clear of the 2 394
-/// one shared buffer per name measures.
+/// A third of the label-vector count (15 498), well clear of the 1 841
+/// shared names, owner runs and shared answers measure.
 const MAX_ALLOCATIONS_PER_COLD_DISCOVERY: u64 = 5_000;
 
 /// Root referral, TLD referral and answer, for each of the five lookups

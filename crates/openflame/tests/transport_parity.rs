@@ -645,7 +645,7 @@ fn two_question_view(dep: &Deployment, hint: LatLng) -> DiscoveryView {
             Err(DnsError::NxDomain(_)) => continue,
             Err(e) => panic!("oracle lookup failed: {e}"),
         };
-        for record in records {
+        for record in records.iter().cloned() {
             match record.data {
                 RecordData::MapSrv {
                     endpoint,

@@ -40,7 +40,7 @@ pub use packet::{
     PACKET_VERSION, PAYLOAD_MTU,
 };
 pub use reader::Reader;
-pub use table::{Blob, FieldCodec, Opt, Own, Seq};
+pub use table::{Blob, FieldCodec, Opt, Own, Pair, Seq};
 pub use writer::Writer;
 
 use bytes::Bytes;
@@ -268,11 +268,10 @@ impl<T: Wire> Wire for Option<T> {
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
     fn encode(&self, w: &mut Writer) {
-        self.0.encode(w);
-        self.1.encode(w);
+        Pair::<Own, Own>::put(w, self);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok((A::decode(r)?, B::decode(r)?))
+        Pair::<Own, Own>::get(r)
     }
 }
 

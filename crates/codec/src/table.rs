@@ -85,6 +85,19 @@ impl<T, C: FieldCodec<T>> FieldCodec<Vec<T>> for Seq<C> {
     }
 }
 
+/// The first element through `A`, then the second through `B`.
+pub struct Pair<A, B>(PhantomData<(A, B)>);
+
+impl<T, U, A: FieldCodec<T>, B: FieldCodec<U>> FieldCodec<(T, U)> for Pair<A, B> {
+    fn put(w: &mut Writer, v: &(T, U)) {
+        A::put(w, &v.0);
+        B::put(w, &v.1);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<(T, U), CodecError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
 /// Varint length, then the bytes in one copy — a tile is 196 KB.
 pub struct Blob;
 
@@ -320,6 +333,26 @@ mod tests {
             from_bytes::<Hit>(&bytes),
             Err(CodecError::InvalidTag { context: "u32", .. })
         ));
+    }
+
+    #[test]
+    fn a_pair_is_its_two_fields_in_order_and_a_tuple_is_a_pair() {
+        let v = (300u64, Foreign { x: 1.0, y: -2.0 });
+        let mut w = Writer::new();
+        Pair::<Own, ForeignCodec>::put(&mut w, &v);
+        let bytes = w.finish();
+        let mut expected = Writer::new();
+        expected.put_varint(300);
+        expected.put_f64(1.0);
+        expected.put_f64(-2.0);
+        assert_eq!(bytes, expected.finish());
+        let mut r = Reader::new(&bytes);
+        assert_eq!(Pair::<Own, ForeignCodec>::get(&mut r).unwrap(), v);
+        assert_eq!(r.remaining(), 0);
+        let tuple = (7u64, "x".to_string());
+        let mut w = Writer::new();
+        Pair::<Own, Own>::put(&mut w, &tuple);
+        assert_eq!(to_bytes(&tuple), w.finish());
     }
 
     #[test]

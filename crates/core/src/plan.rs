@@ -454,6 +454,24 @@ mod tests {
         assert_eq!(prune_reason(&empty, QueryKind::Search, None), None);
     }
 
+    /// Spec §13.1: a kind listed twice counts as its largest count, so
+    /// a self-contradicting summary never proves a kind empty.
+    #[test]
+    fn a_kind_listed_twice_counts_its_largest_count() {
+        for (kinds, consulted) in [
+            (vec![("search", 0), ("search", 4)], 1),
+            (vec![("search", 0), ("search", 0)], 0),
+        ] {
+            let (session, view, hello) = one_source(Some(summary_with(kinds.clone(), None)));
+            session.store_hello(EndpointId(50), hello);
+            let plan = search_plan(&session, &view);
+            assert_eq!(plan.consulted(), consulted, "{kinds:?}");
+            if consulted == 0 {
+                assert_eq!(plan.pruned[0].reason, PruneReason::EmptyKind);
+            }
+        }
+    }
+
     #[test]
     fn disjoint_extent_prunes_overlapping_does_not() {
         let venue = anchor();

@@ -821,7 +821,6 @@ pub(crate) mod tests {
             map_name: "cache-test".into(),
             services: vec!["hello".into()],
             localization_techs: Vec::new(),
-            anchored: false,
             anchor: None,
             portals: Vec::new(),
             version: 1,

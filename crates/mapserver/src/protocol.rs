@@ -16,7 +16,7 @@
 
 use crate::acl::Principal;
 use openflame_codec::{
-    wire_enum, wire_struct, Blob, CodecError, FieldCodec, Opt, Reader, Seq, Wire, Writer,
+    wire_enum, wire_struct, Blob, CodecError, FieldCodec, Opt, Own, Pair, Reader, Seq, Wire, Writer,
 };
 use openflame_geo::Point2;
 use openflame_localize::{Estimate, LocationCue};
@@ -122,10 +122,9 @@ pub struct HelloInfo {
     /// Localization technologies accepted (`"beacon"`, `"tag"`,
     /// `"gnss"`).
     pub localization_techs: Vec<String>,
-    /// Whether the map frame is geo-anchored.
-    pub anchored: bool,
     /// For anchored maps, the geographic anchor of the local frame, so
-    /// clients can convert geographic positions into the server's frame.
+    /// clients can convert geographic positions into the server's frame;
+    /// `None` for an unaligned map.
     pub anchor: Option<openflame_geo::LatLng>,
     /// Portal (entrance) nodes usable for route stitching, with a
     /// coarse geographic hint of where each portal meets the street.
@@ -133,8 +132,8 @@ pub struct HelloInfo {
     /// Current map data version.
     pub version: u64,
     /// Optional coverage summary for client-side query planning
-    /// (spec §13). `None` for pre-coverage peers: clients MUST treat
-    /// absent coverage as "unknown — never prune".
+    /// (spec §13). `None` when the server commits to no summary:
+    /// clients MUST treat absent coverage as "unknown — never prune".
     pub coverage: Option<CoverageSummary>,
 }
 
@@ -171,9 +170,15 @@ pub struct CoverageSummary {
 
 impl CoverageSummary {
     /// The advertised document count for `kind`: `None` when the kind
-    /// is not advertised at all.
+    /// is not advertised at all, and the largest listed count when it is
+    /// listed more than once (spec §13.1), so a contradictory summary
+    /// can never prove a kind empty.
     pub fn kind_count(&self, kind: &str) -> Option<u64> {
-        self.kinds.iter().find(|(k, _)| k == kind).map(|(_, n)| *n)
+        self.kinds
+            .iter()
+            .filter(|(k, _)| k == kind)
+            .map(|(_, n)| *n)
+            .max()
     }
 }
 
@@ -361,14 +366,12 @@ pub fn principal_key(payload: &[u8]) -> u64 {
 // ---------------------------------------------------------------
 // The message table.
 //
-// Hand-written, because a table row cannot say it — the exceptions:
-//
-// - `HelloInfo`: its anchor-presence byte doubles as the spec §13.2
-//   format tag, and the coverage summary rides as a self-delimiting
-//   blob whose trailing bytes are ignored.
-// - `BatchItem`, the codec of a batch's items: refuses a nested batch
-//   by peeking the tag *before* recursing, so a hostile payload
-//   cannot recurse the decoder.
+// Hand-written, because a table row cannot say it — the one
+// exception here: `BatchItem`, the codec of a batch's items, refuses a
+// nested batch by peeking the tag *before* recursing, so a hostile
+// payload cannot recurse the decoder. A new field on a message that
+// already flows is no reason for a hand-written codec: it waits for
+// the one extension slot every message will share.
 // ---------------------------------------------------------------
 
 wire_struct! { Principal { user, app } }
@@ -410,6 +413,10 @@ wire_enum! { Response, "Response" {
     12 => Busy { retry_after_us },
 } }
 
+wire_struct! { HelloInfo {
+    server_id, map_name, services, localization_techs,
+    anchor: Opt<LatLngCodec>, portals: Seq<Pair<Own, LatLngCodec>>, version, coverage,
+} }
 wire_struct! { CoverageExtent { cells, center: LatLngCodec, radius_m } }
 wire_struct! { CoverageSummary { kinds, extent } }
 wire_struct! { WireGeocodeHit { element, pos: PointCodec, score, label } }
@@ -456,95 +463,6 @@ impl FieldCodec<Response> for BatchItem {
     fn get(r: &mut Reader<'_>) -> Result<Response, CodecError> {
         refuse_batch(r, Response::TAGS, "nested Response::Batch")?;
         Response::decode(r)
-    }
-}
-
-impl Wire for HelloInfo {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.server_id);
-        w.put_str(&self.map_name);
-        self.services.encode(w);
-        self.localization_techs.encode(w);
-        self.anchored.encode(w);
-        // The anchor presence byte doubles as the Hello format tag
-        // (spec §13.2): 0/1 are the original anchor-absent/present
-        // encodings, 2/3 their coverage-carrying twins. A Hello with
-        // no coverage encodes byte-identically to the original format,
-        // so pre-coverage peers interoperate in both directions.
-        let fmt = match (self.anchor.is_some(), self.coverage.is_some()) {
-            (false, false) => 0,
-            (true, false) => 1,
-            (false, true) => 2,
-            (true, true) => 3,
-        };
-        w.put_u8(fmt);
-        if let Some(a) = &self.anchor {
-            LatLngCodec::put(w, a);
-        }
-        w.put_varint(self.portals.len() as u64);
-        for (node, hint) in &self.portals {
-            w.put_varint(*node);
-            LatLngCodec::put(w, hint);
-        }
-        w.put_varint(self.version);
-        if let Some(cov) = &self.coverage {
-            // Length-prefixed so the summary stays self-delimiting
-            // inside pipelined batches, where responses are streamed
-            // back-to-back without per-item framing.
-            let mut cw = Writer::new();
-            cov.encode(&mut cw);
-            w.put_bytes(&cw.finish());
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let server_id = r.read_string()?;
-        let map_name = r.read_string()?;
-        let services = Vec::decode(r)?;
-        let localization_techs = Vec::decode(r)?;
-        let anchored = bool::decode(r)?;
-        let (has_anchor, has_coverage) = match r.read_u8()? {
-            0 => (false, false),
-            1 => (true, false),
-            2 => (false, true),
-            3 => (true, true),
-            tag => {
-                return Err(CodecError::InvalidTag {
-                    context: "Hello anchor",
-                    tag: tag as u64,
-                })
-            }
-        };
-        let anchor = if has_anchor {
-            Some(LatLngCodec::get(r)?)
-        } else {
-            None
-        };
-        let n = r.read_length()?;
-        let mut portals = Vec::with_capacity(n.min(32));
-        for _ in 0..n {
-            portals.push((r.read_varint()?, LatLngCodec::get(r)?));
-        }
-        let version = r.read_varint()?;
-        let coverage = if has_coverage {
-            let blob = r.read_bytes()?;
-            let mut cr = Reader::new(&blob);
-            // Trailing blob bytes are ignored: future versions may
-            // append summary fields without a new format tag.
-            Some(CoverageSummary::decode(&mut cr)?)
-        } else {
-            None
-        };
-        Ok(HelloInfo {
-            server_id,
-            map_name,
-            services,
-            localization_techs,
-            anchored,
-            anchor,
-            portals,
-            version,
-            coverage,
-        })
     }
 }
 
@@ -665,7 +583,6 @@ mod tests {
                 map_name: "FreshMart #1".into(),
                 services: vec!["search".into(), "route".into()],
                 localization_techs: vec!["beacon".into(), "tag".into()],
-                anchored: false,
                 anchor: None,
                 portals: vec![(17, openflame_geo::LatLng::new(40.0, -80.0).unwrap())],
                 version: 4,
@@ -676,7 +593,6 @@ mod tests {
                 map_name: "FreshMart #2".into(),
                 services: vec!["search".into()],
                 localization_techs: vec![],
-                anchored: true,
                 anchor: Some(openflame_geo::LatLng::new(40.4, -79.9).unwrap()),
                 portals: vec![],
                 version: 7,
@@ -751,46 +667,9 @@ mod tests {
         }
     }
 
-    /// Hand-rolls the pre-coverage Hello encoding (anchor byte 0/1, no
-    /// trailing blob) and checks the current decoder reads it as
-    /// `coverage: None` — the "unknown coverage, never prune" case.
-    #[test]
-    fn legacy_hello_decodes_with_unknown_coverage() {
-        use openflame_codec::Writer;
-        for anchor in [None, Some(LatLng::new(40.44, -79.95).unwrap())] {
-            let mut w = Writer::new();
-            w.put_str("legacy-1");
-            w.put_str("Old Mall");
-            vec!["search".to_string()].encode(&mut w);
-            vec!["tag".to_string()].encode(&mut w);
-            anchor.is_some().encode(&mut w);
-            match anchor {
-                Some(a) => {
-                    w.put_u8(1);
-                    LatLngCodec::put(&mut w, &a);
-                }
-                None => w.put_u8(0),
-            }
-            w.put_varint(1); // portals
-            w.put_varint(42);
-            LatLngCodec::put(&mut w, &LatLng::new(40.0, -80.0).unwrap());
-            w.put_varint(9); // version
-            let bytes = w.finish();
-            let back = from_bytes::<HelloInfo>(&bytes).unwrap();
-            assert_eq!(back.server_id, "legacy-1");
-            assert_eq!(back.anchor, anchor);
-            assert_eq!(back.version, 9);
-            assert_eq!(back.coverage, None);
-            // And the current encoder emits those exact bytes for a
-            // coverage-free Hello: old decoders keep working too.
-            let reencoded = to_bytes(&back);
-            assert_eq!(&reencoded[..], &bytes[..]);
-        }
-    }
-
     /// A coverage-carrying Hello survives a round trip even when it is
-    /// not the last response in a pipelined batch — the summary blob
-    /// must be self-delimiting.
+    /// not the last response in a pipelined batch — the summary must be
+    /// self-delimiting.
     #[test]
     fn coverage_hello_is_self_delimiting_inside_batches() {
         let hello = HelloInfo {
@@ -798,7 +677,6 @@ mod tests {
             map_name: "Covered".into(),
             services: vec!["search".into()],
             localization_techs: vec![],
-            anchored: false,
             anchor: None,
             portals: vec![],
             version: 3,

@@ -225,7 +225,6 @@ impl Engines {
             map_name: map.meta().name.clone(),
             services,
             localization_techs: techs,
-            anchored,
             anchor,
             portals: setup.portals.iter().map(|(n, hint)| (n.0, *hint)).collect(),
             version: map.meta().version,
@@ -743,11 +742,25 @@ mod tests {
         let (server, _world) = venue_server(&net);
         let hello = server.hello();
         assert_eq!(hello.server_id, "venue0");
-        assert!(!hello.anchored, "venue maps are unaligned");
+        assert_eq!(hello.anchor, None, "venue maps are unaligned");
         assert!(hello.localization_techs.contains(&"beacon".to_string()));
         assert!(hello.localization_techs.contains(&"tag".to_string()));
         assert!(!hello.localization_techs.contains(&"gnss".to_string()));
         assert_eq!(hello.portals.len(), 1);
+        // The advertisement agrees with itself (spec §13.1): an
+        // unaligned server answers no geographic query and renders no
+        // tile, and says so in its summary and its services alike.
+        let summary = hello
+            .coverage
+            .as_ref()
+            .expect("servers advertise a summary");
+        assert_eq!(summary.kind_count("rgeocode"), Some(0));
+        assert_eq!(summary.kind_count("tiles"), Some(0));
+        assert!(!hello.services.iter().any(|s| s == "tiles"));
+        assert_eq!(
+            summary.kind_count("localize"),
+            Some(hello.localization_techs.len() as u64)
+        );
     }
 
     #[test]
@@ -1400,7 +1413,19 @@ mod tests {
     fn anchored_server_serves_tiles() {
         let net = BackendKind::Sim.build(1);
         let (server, world) = outdoor_server(&net);
-        assert!(server.hello().anchored);
+        // The advertisement agrees with itself (spec §13.1).
+        let hello = server.hello();
+        assert!(hello.anchor.is_some());
+        let summary = hello
+            .coverage
+            .as_ref()
+            .expect("servers advertise a summary");
+        assert_eq!(summary.kind_count("tiles"), Some(1));
+        assert!(hello.services.iter().any(|s| s == "tiles"));
+        assert_eq!(
+            summary.kind_count("localize"),
+            Some(hello.localization_techs.len() as u64)
+        );
         let (x, y) = openflame_geo::Mercator::tile_for(world.config.center, 15);
         let coord = TileCoord { z: 15, x, y };
         let rgb = server.tile(&Principal::anonymous(), coord).unwrap();

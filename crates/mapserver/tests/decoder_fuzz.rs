@@ -129,9 +129,8 @@ fn several_runs() -> Vec<u8> {
 
 /// The mutation corpus: every Appendix B vector of a decoder under
 /// test, plus the shapes the appendix has no single vector for — every
-/// message of a direction riding one flat batch, a coverage-bearing
-/// `Hello` whose blob carries bytes a future version appended, and a
-/// DNS response of several owner runs per section.
+/// message of a direction riding one flat batch, a bare coverage-bearing
+/// `HelloInfo`, and a DNS response of several owner runs per section.
 fn corpus() -> Vec<(String, Vec<u8>)> {
     let all = vectors::all();
     let mut corpus: Vec<(String, Vec<u8>)> = all
@@ -151,19 +150,10 @@ fn corpus() -> Vec<(String, Vec<u8>)> {
     }
     let (_, hello) = all
         .iter()
-        .find(|(label, _)| label == "Response.Hello/format-2")
-        .expect("Appendix B pins format 2");
-    // The blob is the last field: its one-byte length sits that many
-    // bytes from the end.
-    let at = (0..hello.len())
-        .find(|&i| hello[i] as usize == hello.len() - i - 1 && i > 43)
-        .expect("the blob's length prefix");
-    let mut grown = hello.clone();
-    grown[at] += 3;
-    grown.extend_from_slice(&[0xAA, 0xBB, 0xCC]);
-    corpus.push(("Response.Hello/blob-with-trailing-bytes".into(), grown));
+        .find(|(label, _)| label == "Response.Hello/coverage")
+        .expect("Appendix B pins a coverage-bearing Hello");
     // The same advertisement without its response tag.
-    corpus.push(("HelloInfo/format-2".into(), hello[1..].to_vec()));
+    corpus.push(("HelloInfo/coverage".into(), hello[1..].to_vec()));
     corpus.push(("ResponseMsg/several-runs".into(), several_runs()));
     corpus
 }
@@ -240,13 +230,7 @@ fn the_corpus_itself_is_accepted_and_canonical() {
     for (label, bytes) in corpus() {
         let canonical = vectors::recode(vectors::type_of(&label), &bytes)
             .unwrap_or_else(|| panic!("{label} must decode"));
-        // Only the grown blob re-encodes shorter: its trailing bytes
-        // are read past, not kept (spec Section 13.2).
-        if label.ends_with("blob-with-trailing-bytes") {
-            assert_eq!(canonical.len(), bytes.len() - 3, "{label}");
-        } else {
-            assert_eq!(canonical, bytes, "{label}");
-        }
+        assert_eq!(canonical, bytes, "{label}");
         check(vectors::type_of(&label), &bytes);
     }
 }

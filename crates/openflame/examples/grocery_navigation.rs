@@ -90,5 +90,5 @@ fn main() {
     }
     println!("\nThe centralized public map cannot find the product; the omniscient");
     println!("variant finds and routes to it but still cannot localize indoors;");
-    println!("only the federation completes the errand (paper §2 of the paper).");
+    println!("only the federation completes the errand (paper §2).");
 }

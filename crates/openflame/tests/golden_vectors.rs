@@ -95,15 +95,17 @@ fn a_fleet_only_cell_answers_mapsrv_with_the_fleet_only_vector() {
     assert_eq!(to_bytes(&answer).to_vec(), vector);
 }
 
+/// Spec §13.2: the hello's two options are pinned absent together and
+/// present together, decoded, not by byte offset.
 #[test]
-fn hello_is_pinned_in_all_four_formats() {
-    // Spec Section 13.2: the byte after the `anchored` flag is the
-    // format tag. Same fixed prefix in all four vectors.
-    let formats: BTreeSet<u8> = vectors::all()
-        .iter()
-        .filter(|(label, _)| vectors::variant_of(label) == Some("Hello"))
-        .filter(|(label, _)| vectors::type_of(label) == "Response")
-        .map(|(_, bytes)| bytes[43])
+fn hello_is_pinned_with_neither_option_and_with_both() {
+    let shapes: BTreeSet<(bool, bool)> = vectors::decoded::<Response>("Response")
+        .into_iter()
+        .filter_map(|response| match response {
+            Response::Hello(info) => Some((info.anchor.is_some(), info.coverage.is_some())),
+            _ => None,
+        })
         .collect();
-    assert_eq!(formats, (0..=3).collect());
+    assert!(shapes.contains(&(false, false)), "{shapes:?}");
+    assert!(shapes.contains(&(true, true)), "{shapes:?}");
 }

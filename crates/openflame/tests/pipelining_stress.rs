@@ -43,7 +43,6 @@ fn stub_service(id: usize) -> Arc<dyn openflame_netsim::WireService> {
                     map_name: "stress".into(),
                     services: vec!["hello".into()],
                     localization_techs: Vec::new(),
-                    anchored: false,
                     anchor: None,
                     portals: Vec::new(),
                     version: 1,

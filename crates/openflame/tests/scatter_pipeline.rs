@@ -55,7 +55,6 @@ fn advertisement(
         map_name: "stub".into(),
         services: Vec::new(),
         localization_techs: vec!["gnss".into()],
-        anchored: anchor.is_some(),
         anchor,
         portals,
         version: 1,

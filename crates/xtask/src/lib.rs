@@ -639,7 +639,7 @@ const TABLE_FILES: [&str; 3] = [
     "dns/src/record.rs",
     "mapdata/src/wire.rs",
 ];
-const TABLE_EXCEPTIONS: [&str; 4] = ["HelloInfo", "DomainName", "Tags", "MapDocument"];
+const TABLE_EXCEPTIONS: [&str; 3] = ["DomainName", "Tags", "MapDocument"];
 
 /// Flags forbidden constructs in one Rust source file (non-test code
 /// only — `#[cfg(test)]` regions are masked out first).

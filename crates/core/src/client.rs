@@ -15,9 +15,10 @@
 //! and the outage verdict. What else differs per class — whether cold
 //! servers are handshaken first, and when unreachable servers turn the
 //! call into a [`ClientError::PartialFailure`] — is read from the table
-//! on [`QueryKind`], never passed in. Stitched routing alone runs its
-//! own rounds: they depend on each other's answers, and every branch
-//! and every item of every round must answer.
+//! on [`QueryKind`], never passed in. Stitched routing runs several
+//! rounds on the same executor, failover included: they depend on each
+//! other's answers, so instead of the outage verdict every branch and
+//! every item of every round must answer (`all_answered`).
 //!
 //! Wire discipline: every round sends **one batched envelope per
 //! server** through the [`Session`] layer, which owns the capability
@@ -57,9 +58,9 @@ use crate::session::{
 use crate::ClientError;
 use openflame_cells::CellId;
 use openflame_dns::Resolver;
-use openflame_geo::{LatLng, LocalFrame, Point2};
+use openflame_geo::{LatLng, LocalFrame};
 use openflame_localize::LocationCue;
-use openflame_mapdata::{ElementId, NodeId};
+use openflame_mapdata::ElementId;
 use openflame_mapserver::naming::QUERY_LEVEL;
 use openflame_mapserver::protocol::{HelloInfo, Request, Response, WireRoute, WireSearchResult};
 use openflame_mapserver::Principal;
@@ -67,6 +68,7 @@ use openflame_netsim::{EndpointId, Transport};
 use openflame_routing::{stitch_legs, LegMatrix};
 use openflame_search::{fuse_ranked, SearchResult};
 use openflame_tiles::{stitch::compose, Tile, TileCoord};
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -325,7 +327,7 @@ impl OpenFlameClient {
         mut absorb: impl FnMut(&DiscoveredServer, Response) -> Result<(), ClientError>,
     ) -> Result<ScatterPlan, ClientError> {
         let mut plan = self.plan_query_at(Some(kind), location, footprint)?;
-        let outcomes = execute(&self.session, &mut plan, |server, hello| {
+        let outcomes = execute(&self.session, &mut plan, |_, server, hello| {
             request_for(server, hello).map(|request| vec![request])
         });
         // Only wire failures are failures, kept with their plan index
@@ -333,7 +335,7 @@ impl OpenFlameClient {
         let mut answered = 0;
         let mut failures = Vec::new();
         let mut shard_down = false;
-        for (idx, (target, outcome)) in plan.targets.iter().zip(outcomes).enumerate() {
+        for (idx, (target, (_, outcome))) in plan.targets.iter().zip(outcomes).enumerate() {
             match outcome.map(|mut responses| responses.pop()) {
                 Ok(Some(Response::Error { .. }) | None) => answered += 1,
                 Ok(Some(response)) => {
@@ -579,11 +581,11 @@ impl OpenFlameClient {
     /// probes are coalesced into batched envelopes: one nearest-node
     /// batch, one concurrent matrix round, one concurrent leg round.
     ///
-    /// Routing does not run on the scatter loop (module docs): its
-    /// rounds depend on each other's answers — snapped nodes feed the
-    /// matrix, the stitched portal feeds the legs — and every branch
-    /// and every item of every round must answer (`round_all`); there
-    /// is no "rest of the federation" to go on with.
+    /// Every round runs on the executor, so a fleet-served target fails
+    /// over to a sibling replica (spec §9.4); its branch is found by the
+    /// hit's endpoint in the plan at the start. The rounds feed each
+    /// other — snapped nodes the matrix, the stitched portal the legs —
+    /// so every branch and every item must answer (`all_answered`).
     pub fn federated_route(
         &self,
         from: LatLng,
@@ -593,152 +595,165 @@ impl OpenFlameClient {
             let reason = "route targets must be node elements";
             return Err(ClientError::NotFound(reason.into()));
         };
-        let target_hello = self.session.hello(target.endpoint)?;
+        // The route plan at the start: the outdoor candidates (the
+        // planner prunes sources that provably cannot route) and, when a
+        // fleet serves the target's map, the target's branch.
+        let mut plan = self.plan_query_at(Some(QueryKind::Route), from, None)?;
+        let branch = (plan.targets.iter().filter_map(|t| t.fleet.as_ref())).find(|b| {
+            b.shard
+                .replicas
+                .iter()
+                .any(|r| r.endpoint == target.endpoint)
+        });
+        let mut dest = PlannedTarget {
+            server: Arc::new(DiscoveredServer {
+                server_id: target.server_id.clone(),
+                endpoint: target.endpoint,
+                services: Vec::new(),
+            }),
+            fleet: branch.cloned(),
+        };
+        // First contact: the target's frame and portals shape every later
+        // round, so a cold target is handshaken first, in a round asking
+        // for no service (no plan kind); one that will not advertise
+        // cannot be routed into.
+        let target_hello = match self.session.cached_hello(target.endpoint) {
+            Some(hello) => hello,
+            None => {
+                self.route_round(None, [&mut dest], [Vec::new()])?;
+                let advertised = self.session.advertised(dest.server.endpoint);
+                advertised.ok_or_else(|| {
+                    let id = &dest.server.server_id;
+                    ClientError::NotFound(format!("route target {id} advertises no map"))
+                })?
+            }
+        };
+        let kind = plan.kind;
         if let Some(anchor) = target_hello.anchor {
             // Single anchored map covers both endpoints.
-            let frame = LocalFrame::new(anchor);
-            let from_node = self.nearest_node(target.endpoint, frame.to_local(from))?;
-            let route = self.route_on(target.endpoint, from_node, target_node)?;
-            return Ok(FederatedRoute {
-                total_cost: route.cost,
-                total_length_m: route.length_m,
-                legs: vec![RouteLeg {
-                    server_id: target.server_id.clone(),
-                    route,
-                    anchored: true,
-                }],
-                servers_consulted: 1,
-            });
+            let pos = LocalFrame::new(anchor).to_local(from);
+            let probe = Request::NearestNode { pos };
+            let [snapped] = self.route_round(kind, [&mut dest], [vec![probe]])?;
+            let from_node = expect_nearest(&dest.server.server_id, &snapped[0])?;
+            let (from, to) = (from_node.0, target_node.0);
+            let [route] =
+                self.route_round(kind, [&mut dest], [vec![Request::Route { from, to }]])?;
+            return route_of([(&dest, route, true)]);
         }
         // Venue target: outdoor leg to a portal, indoor leg to the node.
-        if target_hello.portals.is_empty() {
-            return Err(ClientError::NotFound(format!(
-                "venue {} advertises no portals",
-                target.server_id
-            )));
-        }
-        // Find the outdoor provider covering the start. The planner's
-        // candidate plan prunes sources that provably cannot route
-        // (an advertised node count of zero); the candidates the
-        // session holds no fresh advertisement for are handshaken in
-        // one concurrent round of empty batches, and one that is
-        // unreachable or denies stays unknown and is passed over.
-        let candidates: Vec<Arc<DiscoveredServer>> = self
-            .plan_query_at(Some(QueryKind::Route), from, None)?
-            .targets
-            .into_iter()
-            .map(|t| t.server)
-            .filter(|s| s.endpoint != target.endpoint)
-            .collect();
-        let cold = candidates
-            .iter()
-            .filter(|s| !self.session.has_hello(s.endpoint));
-        self.session
-            .batch_parallel(cold.map(|s| (s.endpoint, Vec::new())).collect());
-        let (outdoor_server, outdoor_frame) = candidates
-            .into_iter()
-            .find_map(|s| self.frame_of(s.endpoint).map(|frame| (s, frame)))
-            .ok_or_else(|| ClientError::NothingDiscovered("no anchored outdoor provider".into()))?;
-        let (outdoor_id, outdoor_ep) = (outdoor_server.server_id.as_str(), outdoor_server.endpoint);
-        let (venue_id, venue_ep) = (target.server_id.as_str(), target.endpoint);
-        // Round 1 — pipelined: one batch to the outdoor server (nearest
-        // node to the start plus the outdoor side of every advertised
-        // portal) *and*, in the same scatter round, the venue-side cost
-        // matrix — its entries are the advertised portals and the
-        // target node, none of which depend on the outdoor probes, so
-        // it has no reason to wait behind them.
         let portals = &target_hello.portals;
-        let mut probes = vec![Request::NearestNode {
-            pos: outdoor_frame.to_local(from),
-        }];
-        probes.extend(portals.iter().map(|(_, hint)| Request::NearestNode {
-            pos: outdoor_frame.to_local(*hint),
-        }));
-        let venue_portals: Vec<u64> = portals.iter().map(|(node, _)| *node).collect();
-        let venue_costs = Request::RouteMatrix {
-            entries: venue_portals.clone(),
-            exits: vec![target_node.0],
+        if portals.is_empty() {
+            let reason = format!("venue {} advertises no portals", target.server_id);
+            return Err(ClientError::NotFound(reason));
+        }
+        // Round 1 — one handshake-first round (spec §8) for candidates
+        // and target: cold candidates are handshaken while warm envelopes
+        // fly. The first candidate seen to be anchored gets the nearest
+        // node to the start and the outdoor side of every portal, in its
+        // frame; the rest are declined without traffic, or passed over if
+        // unreachable. The venue's cost matrix (portals to target) needs
+        // none of that and goes out at once.
+        let probes = |frame: LocalFrame| {
+            let starts = std::iter::once(from).chain(portals.iter().map(|(_, hint)| *hint));
+            let starts = starts.map(|start| frame.to_local(start));
+            starts.map(|pos| Request::NearestNode { pos }).collect()
         };
-        let [probed, venue] = self.round_all([
-            (outdoor_id, outdoor_ep, probes),
-            (venue_id, venue_ep, vec![venue_costs]),
+        let venue_portals: Vec<u64> = portals.iter().map(|(node, _)| *node).collect();
+        let (entries, exits) = (venue_portals.clone(), vec![target_node.0]);
+        let venue_costs = Request::RouteMatrix { entries, exits };
+        plan.targets
+            .retain(|t| t.server.endpoint != target.endpoint);
+        let venue_slot = plan.targets.len();
+        plan.targets.push(dest);
+        // The outdoor pick's slot and frame: a failover sibling of the
+        // pick gets the same probes.
+        let pick = Cell::new(None);
+        let outcomes = execute(&self.session, &mut plan, |slot, _, hello| {
+            if slot == venue_slot {
+                return Some(vec![venue_costs.clone()]);
+            }
+            match pick.get() {
+                Some((picked, frame)) => (slot == picked).then(|| probes(frame)),
+                None => {
+                    let frame = LocalFrame::new(hello?.anchor?);
+                    pick.set(Some((slot, frame)));
+                    Some(probes(frame))
+                }
+            }
+        });
+        let (picked, _) = pick
+            .get()
+            .ok_or_else(|| ClientError::NothingDiscovered("no anchored outdoor provider".into()))?;
+        // Both were sent, so both are in the executed plan, in order.
+        let mut sent = (plan.targets.into_iter().zip(outcomes))
+            .filter(|(_, (slot, _))| [picked, venue_slot].contains(slot));
+        let (mut outdoor, (_, probed)) = sent.next().expect("the pick was sent");
+        let (mut dest, (_, venue)) = sent.next().expect("the target was sent");
+        let outdoor_id = outdoor.server.server_id.clone();
+        let [probed, venue] = all_answered([
+            (outdoor_id.as_str(), probed),
+            (dest.server.server_id.as_str(), venue),
         ])?;
-        let from_node = expect_nearest(outdoor_id, &probed[0])?;
+        let from_node = expect_nearest(&outdoor_id, &probed[0])?;
         let outdoor_portals: Vec<u64> = probed[1..]
             .iter()
-            .map(|response| expect_nearest(outdoor_id, response).map(|node| node.0))
+            .map(|response| expect_nearest(&outdoor_id, response).map(|node| node.0))
             .collect::<Result<_, _>>()?;
-        let venue_matrix = expect_matrix(venue_id, venue, (portals.len(), 1))?;
+        let venue_matrix = expect_matrix(&dest.server.server_id, venue, (portals.len(), 1))?;
         // Round 2 — the outdoor cost matrix (it needs round 1's snapped
         // nodes).
-        let outdoor_costs = Request::RouteMatrix {
-            entries: vec![from_node.0],
-            exits: outdoor_portals.clone(),
-        };
-        let [outdoor] = self.round_all([(outdoor_id, outdoor_ep, vec![outdoor_costs])])?;
-        let outdoor_matrix = expect_matrix(outdoor_id, outdoor, (1, portals.len()))?;
+        let (entries, exits) = (vec![from_node.0], outdoor_portals.clone());
+        let outdoor_costs = Request::RouteMatrix { entries, exits };
+        let [outdoor_matrix] = self.route_round(kind, [&mut outdoor], [vec![outdoor_costs]])?;
+        let outdoor_matrix = expect_matrix(&outdoor_id, outdoor_matrix, (1, portals.len()))?;
         // The paper §5.2 stitching DP selects the portal — an index
         // into both portal lists, because both matrices have exactly
         // the shape asked for (which is also all `LegMatrix::new`
         // would check).
         let legs = [outdoor_matrix, venue_matrix].map(|costs| LegMatrix { costs });
-        let plan = stitch_legs(&legs)
+        let stitched = stitch_legs(&legs)
             .map_err(|e| ClientError::NotFound(format!("no stitched path: {e}")))?;
-        let portal = plan.portal_choices[0];
+        let portal = stitched.portal_choices[0];
         // Round 3 — fetch both chosen legs, concurrently.
-        let outdoor_leg = Request::Route {
-            from: from_node.0,
-            to: outdoor_portals[portal],
-        };
-        let venue_leg = Request::Route {
-            from: venue_portals[portal],
-            to: target_node.0,
-        };
-        let [outdoor, venue] = self.round_all([
-            (outdoor_id, outdoor_ep, vec![outdoor_leg]),
-            (venue_id, venue_ep, vec![venue_leg]),
-        ])?;
-        let outdoor_route = expect_route(outdoor_id, outdoor)?;
-        let venue_route = expect_route(venue_id, venue)?;
-        Ok(FederatedRoute {
-            total_cost: outdoor_route.cost + venue_route.cost,
-            total_length_m: outdoor_route.length_m + venue_route.length_m,
-            legs: vec![
-                RouteLeg {
-                    server_id: outdoor_server.server_id.clone(),
-                    route: outdoor_route,
-                    anchored: true,
-                },
-                RouteLeg {
-                    server_id: target.server_id.clone(),
-                    route: venue_route,
-                    anchored: false,
-                },
-            ],
-            servers_consulted: 2,
-        })
+        let legs = [
+            (from_node.0, outdoor_portals[portal]),
+            (venue_portals[portal], target_node.0),
+        ];
+        let [outdoor_route, venue_route] = self.route_round(
+            kind,
+            [&mut outdoor, &mut dest],
+            legs.map(|(from, to)| vec![Request::Route { from, to }]),
+        )?;
+        route_of([(&outdoor, outdoor_route, true), (&dest, venue_route, false)])
     }
 
-    /// One concurrent round of batched envelopes, `(server id,
-    /// endpoint, requests)` each, in which every branch and every item
-    /// must answer: a dead or dropping server, or a refused item,
-    /// surfaces as a [`ClientError::PartialFailure`] carrying the source
-    /// error, never a panic. Answers are positional.
-    fn round_all<const N: usize>(
+    /// One route round, one batch per known target: `execute`, failover
+    /// included, then [`all_answered`]. Each target is rewritten to the
+    /// replica that answered.
+    fn route_round<const N: usize>(
         &self,
-        calls: [(&str, EndpointId, Vec<Request>); N],
+        kind: Option<QueryKind>,
+        mut targets: [&mut PlannedTarget; N],
+        batches: [Vec<Request>; N],
     ) -> Result<[Vec<Response>; N], ClientError> {
-        let mut round = self.session.scatter();
-        let servers = calls.map(|(server, endpoint, requests)| {
-            round.submit(endpoint, requests);
-            server
+        let mut plan = ScatterPlan {
+            kind,
+            targets: targets.iter().map(|t| PlannedTarget::clone(t)).collect(),
+            pruned: Vec::new(),
+        };
+        let outcomes = execute(&self.session, &mut plan, |slot, _, _| {
+            Some(batches[slot].clone())
         });
-        let branches = Session::gather_all(round.collect())?;
-        let mut answers = [(); N].map(|()| Vec::new());
-        for ((slot, server), responses) in answers.iter_mut().zip(servers).zip(branches) {
-            *slot = Session::expect_all(server, responses)?;
+        // Nothing is declined, so the executed plan is the round's
+        // targets in order.
+        for (target, answering) in targets.iter_mut().zip(plan.targets) {
+            **target = answering;
         }
-        Ok(answers)
+        let mut outcomes = outcomes.into_iter().map(|(_, outcome)| outcome);
+        all_answered(targets.each_ref().map(|t| {
+            let outcome = outcomes.next().expect("one outcome per target");
+            (t.server.server_id.as_str(), outcome)
+        }))
     }
 
     /// Federated localization: send each discovered server the cues its
@@ -821,47 +836,19 @@ impl OpenFlameClient {
             n => Ok((compose(&layers.iter().collect::<Vec<_>>()), n)),
         }
     }
-
-    // ----------------------------------------------------------------
-    // Single-server helpers.
-    // ----------------------------------------------------------------
-
-    /// Nearest routable node on a server.
-    pub fn nearest_node(&self, to: EndpointId, pos: Point2) -> Result<NodeId, ClientError> {
-        let server = self.session.server_name(to);
-        let responses = Session::expect_all(
-            &server,
-            self.session.batch(to, vec![Request::NearestNode { pos }])?,
-        )?;
-        expect_nearest(&server, &responses[0])
-    }
-
-    /// Point-to-point route on one server.
-    pub fn route_on(
-        &self,
-        to: EndpointId,
-        from: NodeId,
-        dest: NodeId,
-    ) -> Result<WireRoute, ClientError> {
-        let server = self.session.server_name(to);
-        let request = Request::Route {
-            from: from.0,
-            to: dest.0,
-        };
-        let responses = Session::expect_all(&server, self.session.batch(to, vec![request])?)?;
-        expect_route(&server, responses)
-    }
 }
 
 /// Executes the plan through the session — the single executor behind
 /// every federated query path, called only by
-/// [`OpenFlameClient::scatter`]. `request_for` builds each target's
-/// batch from the server and a borrow of its cached advertisement (the
-/// executor holds the shared `Arc` for the call); returning `None`
-/// drops the target from the plan (e.g. a localize target accepting
-/// none of the offered cues). The returned outcomes align positionally
-/// with `plan.targets`, which is updated in place (skips removed,
-/// failover provenance rewritten to the answering replica).
+/// [`OpenFlameClient::scatter`] and the route rounds. `request_for`
+/// builds each target's batch from its slot (its index in the plan as
+/// given, inherited by a failover sibling), the server and a borrow of
+/// its cached advertisement (the executor holds the shared `Arc` for
+/// the call); returning `None` drops the target from the plan (e.g. a
+/// localize target accepting none of the offered cues). The returned
+/// outcomes, each beside its slot, align positionally with
+/// `plan.targets`, which is updated in place (skips removed, failover
+/// provenance rewritten to the answering replica).
 ///
 /// **Handshake-first** (spec §8, `QueryKind::handshake_first`): for
 /// the kinds whose request is spelled in the *server's* frame a target
@@ -880,14 +867,14 @@ impl OpenFlameClient {
 fn execute(
     session: &Session,
     plan: &mut ScatterPlan,
-    request_for: impl Fn(&DiscoveredServer, Option<&HelloInfo>) -> Option<Vec<Request>>,
-) -> Vec<Result<Vec<Response>, ClientError>> {
+    request_for: impl Fn(usize, &DiscoveredServer, Option<&HelloInfo>) -> Option<Vec<Request>>,
+) -> Vec<(usize, Result<Vec<Response>, ClientError>)> {
     let handshake_first = plan.kind.is_some_and(QueryKind::handshake_first);
     // Round one, one envelope per kept target in plan order: its
     // service envelope, or — `cold` — the bare handshake.
     let mut round = session.scatter();
-    let mut kept: Vec<(PlannedTarget, bool)> = Vec::new();
-    for target in plan.targets.drain(..) {
+    let mut kept: Vec<(usize, PlannedTarget, bool)> = Vec::new();
+    for (slot, target) in plan.targets.drain(..).enumerate() {
         let endpoint = target.server.endpoint;
         // One probe: a fresh advertisement counts as a hit, a
         // missing one is counted by the session when the envelope
@@ -897,11 +884,11 @@ fn execute(
         let requests = if cold {
             Some(Vec::new())
         } else {
-            request_for(&target.server, hello.as_deref())
+            request_for(slot, &target.server, hello.as_deref())
         };
         if let Some(requests) = requests {
             round.submit(endpoint, requests);
-            kept.push((target, cold));
+            kept.push((slot, target, cold));
         }
     }
     // Round two for the cold targets: their hellos were absorbed
@@ -913,11 +900,11 @@ fn execute(
     let mut follow = session.scatter();
     let mut gathered = Vec::with_capacity(kept.len());
     let mut deferred: Vec<usize> = Vec::new();
-    for ((target, cold), outcome) in kept.into_iter().zip(round.collect()) {
+    for ((slot, target, cold), outcome) in kept.into_iter().zip(round.collect()) {
         if cold {
             let endpoint = target.server.endpoint;
             let hello = session.cached_hello(endpoint);
-            match request_for(&target.server, hello.as_deref()) {
+            match request_for(slot, &target.server, hello.as_deref()) {
                 Some(requests) => {
                     follow.submit(endpoint, requests);
                     deferred.push(gathered.len());
@@ -928,11 +915,11 @@ fn execute(
         }
         // (A cold target's slot holds its handshake's outcome until
         // the follow-up round overwrites it below.)
-        gathered.push(outcome);
+        gathered.push((slot, outcome));
         plan.targets.push(target);
     }
     for (idx, outcome) in deferred.into_iter().zip(follow.collect()) {
-        gathered[idx] = outcome;
+        gathered[idx].1 = outcome;
     }
 
     failover(session, plan, &mut gathered, &request_for);
@@ -950,8 +937,8 @@ fn execute(
 fn failover(
     session: &Session,
     plan: &mut ScatterPlan,
-    gathered: &mut [Result<Vec<Response>, ClientError>],
-    request_for: &impl Fn(&DiscoveredServer, Option<&HelloInfo>) -> Option<Vec<Request>>,
+    gathered: &mut [(usize, Result<Vec<Response>, ClientError>)],
+    request_for: &impl Fn(usize, &DiscoveredServer, Option<&HelloInfo>) -> Option<Vec<Request>>,
 ) {
     let mut tried: Vec<Vec<EndpointId>> = plan
         .targets
@@ -961,7 +948,7 @@ fn failover(
     loop {
         let mut retry = session.scatter();
         let mut retrying: Vec<(usize, Arc<DiscoveredServer>)> = Vec::new();
-        for (idx, outcome) in gathered.iter().enumerate() {
+        for (idx, (slot, outcome)) in gathered.iter().enumerate() {
             if outcome.is_ok() {
                 continue;
             }
@@ -975,7 +962,7 @@ fn failover(
             };
             let sibling = sibling.clone();
             let hello = session.cached_hello(sibling.endpoint);
-            let Some(requests) = request_for(&sibling, hello.as_deref()) else {
+            let Some(requests) = request_for(*slot, &sibling, hello.as_deref()) else {
                 continue;
             };
             retry.submit(sibling.endpoint, requests);
@@ -988,9 +975,58 @@ fn failover(
         for ((idx, sibling), result) in retrying.into_iter().zip(results) {
             tried[idx].push(sibling.endpoint);
             plan.targets[idx].server = sibling;
-            gathered[idx] = result;
+            gathered[idx].1 = result;
         }
     }
+}
+
+/// Route's rule for its rounds, in place of an outage verdict: every
+/// branch and every item must answer. A failed branch (after failover)
+/// or a refused item is a [`ClientError::PartialFailure`] carrying the
+/// source error, indexed by branch, or by item within its batch.
+fn all_answered<const N: usize>(
+    branches: [(&str, Result<Vec<Response>, ClientError>); N],
+) -> Result<[Vec<Response>; N], ClientError> {
+    let mut answered = Vec::with_capacity(N);
+    let mut failures = Vec::new();
+    for (idx, (server, outcome)) in branches.into_iter().enumerate() {
+        match outcome {
+            Ok(responses) => answered.push((server, responses)),
+            Err(e) => failures.push((idx, e)),
+        }
+    }
+    if !failures.is_empty() {
+        return Err(ClientError::PartialFailure {
+            succeeded: answered.len(),
+            failures,
+        });
+    }
+    let mut answers = [(); N].map(|()| Vec::new());
+    for (slot, (server, responses)) in answers.iter_mut().zip(answered) {
+        *slot = Session::expect_all(server, responses)?;
+    }
+    Ok(answers)
+}
+
+/// The route `legs` make, in travel order: each is its target, its
+/// one-item `Route` answer and whether its geometry is geo-anchored.
+fn route_of<const N: usize>(
+    legs: [(&PlannedTarget, Vec<Response>, bool); N],
+) -> Result<FederatedRoute, ClientError> {
+    let mut out = Vec::with_capacity(N);
+    for (target, answer, anchored) in legs {
+        out.push(RouteLeg {
+            route: expect_route(&target.server.server_id, answer)?,
+            server_id: target.server.server_id.clone(),
+            anchored,
+        });
+    }
+    Ok(FederatedRoute {
+        total_cost: out.iter().map(|leg| leg.route.cost).sum(),
+        total_length_m: out.iter().map(|leg| leg.route.length_m).sum(),
+        servers_consulted: N,
+        legs: out,
+    })
 }
 
 /// How many distinct servers a list of answers came from.

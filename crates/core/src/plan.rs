@@ -42,9 +42,10 @@
 //! # Execution
 //!
 //! The executor that runs a plan is private to the [`crate::client`]
-//! module, beside its one caller, the client's scatter loop, so no
-//! other module can grow a second. It sends one batched envelope per
-//! planned server through [`Session::scatter`]: the session's
+//! module, beside its two callers, the client's scatter loop and
+//! stitched routing's rounds, so no other module can grow a second. It
+//! sends one batched envelope per planned server through
+//! [`Session::scatter`]: the session's
 //! handshake rule (spec §8) teaches a cold server's advertisement on
 //! that same envelope, so the executor's only handshake decision is
 //! *handshake-first* ([`QueryKind`]'s table says for which kinds, and
@@ -98,10 +99,11 @@ impl QueryKind {
     }
 
     /// Whether the request is spelled in the *server's* frame
-    /// (`Search::center`, `ReverseGeocode::pos`), so the executor needs a
-    /// cold target's advertisement before it can build it (spec §8).
+    /// (`Search::center`, `ReverseGeocode::pos`, the `NearestNode`
+    /// probes of route's candidate round), so the executor needs a cold
+    /// target's advertisement before it can build it (spec §8).
     pub(crate) fn handshake_first(self) -> bool {
-        matches!(self, QueryKind::Search | QueryKind::ReverseGeocode)
+        matches!(self, Self::Search | Self::ReverseGeocode | Self::Route)
     }
 
     /// When servers that failed at the wire make a scatter round of
@@ -109,8 +111,8 @@ impl QueryKind {
     pub(crate) fn outage(self) -> Outage {
         match self {
             // The answer would silently omit a down shard's content.
-            // (Route is never scattered: `federated_route` needs every
-            // branch of every round and enforces that itself.)
+            // (Route is stricter still and judges its own rounds: every
+            // branch and every item must answer.)
             QueryKind::Search | QueryKind::Localize | QueryKind::Route => {
                 Outage::BlackoutOrShardDown
             }
@@ -193,7 +195,8 @@ pub struct PlannedTarget {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScatterPlan {
     /// The service kind planned for, `None` for kind-agnostic plans
-    /// (pure discovery listings — those never prune).
+    /// (pure discovery listings, which never prune, and route's
+    /// first-contact round, which asks for no service).
     pub kind: Option<QueryKind>,
     /// The sources to consult, in advertisement order.
     pub targets: Vec<PlannedTarget>,

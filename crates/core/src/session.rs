@@ -375,20 +375,6 @@ impl Session {
         round.collect().pop().expect("one envelope submitted")
     }
 
-    /// Sends one batched envelope to each server *concurrently* (the
-    /// round costs the slowest branch, as a real fan-out would). One
-    /// failed branch does not sink the others.
-    pub fn batch_parallel(
-        &self,
-        calls: Vec<(EndpointId, Vec<Request>)>,
-    ) -> Vec<Result<Vec<Response>, ClientError>> {
-        let mut round = self.scatter();
-        for (to, requests) in calls {
-            round.submit(to, requests);
-        }
-        round.collect()
-    }
-
     /// Starts a pipelined scatter round: envelopes submitted through
     /// [`ScatterRound::submit`] go on the wire immediately and their
     /// responses are claimed together by [`ScatterRound::collect`].
@@ -424,32 +410,6 @@ impl Session {
         } else {
             Err(ClientError::PartialFailure {
                 succeeded: responses.len() - failures.len(),
-                failures,
-            })
-        }
-    }
-
-    /// Turns failed *branches* of a parallel scatter round into a
-    /// [`ClientError::PartialFailure`], for callers that need every
-    /// server of the round. The per-branch source errors (endpoint
-    /// down, timeout, ...) ride inside the failure list, so nothing
-    /// degrades into a silent empty result.
-    pub fn gather_all(
-        results: Vec<Result<Vec<Response>, ClientError>>,
-    ) -> Result<Vec<Vec<Response>>, ClientError> {
-        let mut gathered = Vec::with_capacity(results.len());
-        let mut failures = Vec::new();
-        for (idx, result) in results.into_iter().enumerate() {
-            match result {
-                Ok(responses) => gathered.push(responses),
-                Err(e) => failures.push((idx, e)),
-            }
-        }
-        if failures.is_empty() {
-            Ok(gathered)
-        } else {
-            Err(ClientError::PartialFailure {
-                succeeded: gathered.len(),
                 failures,
             })
         }
@@ -615,8 +575,8 @@ struct InFlight {
 /// draining). [`ScatterRound::collect`] then claims every completion;
 /// its wall-clock cost is the slowest branch. Results are positional in
 /// submit order. This is the session's one submit path
-/// ([`Session::batch`] and [`Session::batch_parallel`] are rounds of
-/// it), so the handshake rule (module docs) lives here.
+/// ([`Session::batch`] is a round of it), so the handshake rule (module
+/// docs) lives here.
 ///
 /// The one-batched-envelope-per-server wire discipline is unchanged:
 /// pipelining reorders *waiting*, not traffic.
@@ -789,29 +749,6 @@ pub(crate) mod tests {
             Session::expect_all("venue-3", vec![ok.clone()]).unwrap(),
             vec![ok]
         );
-    }
-
-    #[test]
-    fn gather_all_preserves_branch_errors() {
-        let ok = vec![Response::PatchApplied { version: 1 }];
-        let results = vec![
-            Ok(ok.clone()),
-            Err(ClientError::Network(
-                "endpoint EndpointId(7) is down".into(),
-            )),
-        ];
-        let Err(ClientError::PartialFailure {
-            succeeded,
-            failures,
-        }) = Session::gather_all(results)
-        else {
-            panic!("expected partial failure");
-        };
-        assert_eq!(succeeded, 1);
-        assert_eq!(failures[0].0, 1);
-        assert!(failures[0].1.to_string().contains("down"));
-        // Clean rounds pass through.
-        assert_eq!(Session::gather_all(vec![Ok(ok.clone())]).unwrap(), vec![ok]);
     }
 
     /// A minimal advertisement (no anchor, no coverage summary).
@@ -1260,30 +1197,20 @@ pub(crate) mod tests {
         let recovering = flaky_busy_server(&transport, 1);
         let wedged = flaky_busy_server(&transport, u64::MAX);
         let session = Session::new(transport, client, Principal::anonymous());
-        let results = session.batch_parallel(vec![
-            (healthy, vec![Request::Hello]),
-            (recovering, vec![Request::Hello]),
-            (wedged, vec![Request::Hello]),
-        ]);
+        let mut round = session.scatter();
+        for server in [healthy, recovering, wedged] {
+            round.submit(server, vec![Request::Hello]);
+        }
+        let results = round.collect();
         assert!(results[0].is_ok());
         assert!(results[1].is_ok(), "one shed then served: absorbed");
+        // Exhaustion fails its own branch alone, like any branch failure.
         assert_eq!(
             results[2],
             Err(ClientError::Overloaded {
                 retry_after_us: 500
             })
         );
-        // Exhaustion folds into PartialFailure like any branch failure.
-        let Err(ClientError::PartialFailure {
-            succeeded,
-            failures,
-        }) = Session::gather_all(results)
-        else {
-            panic!("expected partial failure");
-        };
-        assert_eq!(succeeded, 2);
-        assert_eq!(failures.len(), 1);
-        assert!(matches!(failures[0].1, ClientError::Overloaded { .. }));
     }
 
     #[test]

@@ -15,14 +15,17 @@
 //!    wire cost scales with shards consulted, not fleet size, and is
 //!    independent of the replication factor.
 //! 3. **Transparent failover** — a downed replica is absorbed: the
-//!    scatter retries the branch on a sibling replica (search is
-//!    idempotent, `docs/wire-protocol.md` spec §7), the caller sees a clean
-//!    success, and provenance names the replica that actually
-//!    answered.
+//!    scatter retries the branch on a sibling replica (search and route
+//!    reads are idempotent, `docs/wire-protocol.md` spec §7), the caller
+//!    sees a clean success, and provenance names the replica that
+//!    actually answered. A route to a hit whose replica died is the
+//!    same route, its venue leg served by the sibling — with warm
+//!    caches, and cold, where the target's first-contact `Hello` fails
+//!    over too.
 //! 4. **Honest shard outage** — when *every* replica of a shard is
-//!    down, the search surfaces `ClientError::PartialFailure` with the
-//!    branch's source error preserved: a down shard must never read as
-//!    "no results here".
+//!    down, search and route surface `ClientError::PartialFailure` with
+//!    the branch's source error preserved: a down shard must never read
+//!    as "no results here".
 
 use openflame_core::{
     ClientError, Deployment, DeploymentConfig, QueryKind, SearchQuery, SpatialProvider,
@@ -242,5 +245,78 @@ fn fully_down_shard_surfaces_partial_failure_on_every_backend() {
             failures.iter().all(|(_, e)| e.to_string().contains("down")),
             "{backend:?}: branch errors must name the dead endpoint"
         );
+    }
+}
+
+#[test]
+fn a_route_fails_over_to_the_sibling_replica_on_every_backend() {
+    for backend in BACKENDS {
+        for cold in [false, true] {
+            let dep = fleet_deployment_on(backend, 2, small_world());
+            let product = dep.world.products[0].clone();
+            let near = dep.world.venues[product.venue].hint;
+            let user = near.destination(225.0, 80.0);
+            let hit = dep
+                .client
+                .federated_search(&product.name, near, 3)
+                .unwrap()
+                .into_iter()
+                .find(|h| h.result.label == product.name)
+                .expect("product is stocked");
+            let undisturbed = dep.client.federated_route(user, &hit).unwrap();
+            let member = |server_id: &str| {
+                let m = dep
+                    .fleet_servers
+                    .iter()
+                    .find(|m| m.server.id() == server_id);
+                m.expect("a fleet member").clone()
+            };
+            let serving = member(&hit.server_id);
+            // The replica that served the hit dies.
+            dep.transport.set_down(serving.server.endpoint(), true);
+            if cold {
+                dep.client.session().invalidate();
+            }
+            let route = dep
+                .client
+                .federated_route(user, &hit)
+                .unwrap_or_else(|e| panic!("{backend:?} cold={cold}: {e}"));
+            let venue_leg = route.legs.last().unwrap();
+            assert_ne!(
+                venue_leg.server_id, hit.server_id,
+                "{backend:?} cold={cold}"
+            );
+            let sibling = member(&venue_leg.server_id);
+            assert_eq!(
+                (sibling.venue, sibling.shard),
+                (serving.venue, serving.shard),
+                "{backend:?} cold={cold}: the venue leg comes from the same shard"
+            );
+            assert_eq!(route.total_length_m, undisturbed.total_length_m);
+            assert_eq!(route.total_cost, undisturbed.total_cost);
+            let nodes = |r: &openflame_core::FederatedRoute| {
+                r.legs
+                    .iter()
+                    .map(|l| l.route.nodes.clone())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                nodes(&route),
+                nodes(&undisturbed),
+                "{backend:?} cold={cold}"
+            );
+            // The whole shard dies: an outage, its source preserved.
+            dep.transport.set_down(sibling.server.endpoint(), true);
+            let err = dep
+                .client
+                .federated_route(user, &hit)
+                .expect_err("a fully-down shard cannot be routed into");
+            assert!(
+                matches!(err, ClientError::PartialFailure { .. }),
+                "{backend:?} cold={cold}: {err}"
+            );
+            let source = err.source().map(|e| e.to_string()).unwrap_or_default();
+            assert!(source.contains("down"), "{backend:?} cold={cold}: {source}");
+        }
     }
 }

@@ -78,12 +78,11 @@ fn build_fleet(shared: &Arc<dyn Transport>) -> (Vec<EndpointId>, Vec<Session>) {
 /// scattering two-request batches concurrently.
 fn run_stress(servers: &[EndpointId], sessions: &[Session]) {
     for session in sessions {
-        for result in session.batch_parallel(
-            servers
-                .iter()
-                .map(|s| (*s, vec![Request::Hello]))
-                .collect::<Vec<_>>(),
-        ) {
+        let mut warm_up = session.scatter();
+        for server in servers {
+            warm_up.submit(*server, vec![Request::Hello]);
+        }
+        for result in warm_up.collect() {
             result.expect("warm-up scatter succeeds");
         }
     }
@@ -91,11 +90,11 @@ fn run_stress(servers: &[EndpointId], sessions: &[Session]) {
         for session in sessions {
             scope.spawn(move || {
                 for round in 0..ROUNDS {
-                    let calls: Vec<(EndpointId, Vec<Request>)> = servers
-                        .iter()
-                        .map(|s| (*s, vec![Request::Hello, Request::Hello]))
-                        .collect();
-                    for (i, result) in session.batch_parallel(calls).into_iter().enumerate() {
+                    let mut scatter = session.scatter();
+                    for server in servers {
+                        scatter.submit(*server, vec![Request::Hello, Request::Hello]);
+                    }
+                    for (i, result) in scatter.collect().into_iter().enumerate() {
                         let responses: Result<Vec<Response>, ClientError> = result;
                         let responses = responses
                             .unwrap_or_else(|e| panic!("round {round} branch {i} failed: {e}"));

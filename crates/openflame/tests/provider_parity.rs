@@ -8,7 +8,10 @@ use openflame_core::{
     CentralizedProvider, Deployment, DeploymentConfig, GeocodeQuery, LocalizeQuery, RouteQuery,
     SearchQuery, SpatialProvider, TileQuery,
 };
+use openflame_geo::Point2;
 use openflame_localize::LocationCue;
+use openflame_mapdata::{ElementId, NodeId};
+use openflame_mapserver::protocol::WireSearchResult;
 use openflame_netsim::BackendKind;
 use openflame_worldgen::{World, WorldConfig};
 
@@ -194,25 +197,57 @@ fn session_discovery_cache_short_circuits_repeat_lookups() {
 
 #[test]
 fn partial_failure_carries_item_errors_and_successes() {
-    use openflame_core::ClientError;
+    use openflame_core::{ClientError, FederatedSearchHit};
+    use openflame_mapserver::{AccessPolicy, MapServer};
     use std::error::Error;
 
+    // A hand-made hit on a node no map holds.
+    let bogus_hit = |server: &MapServer| FederatedSearchHit {
+        server_id: server.id().to_string(),
+        endpoint: server.endpoint(),
+        result: WireSearchResult {
+            element: ElementId::Node(NodeId(u64::MAX)),
+            pos: Point2::ZERO,
+            score: 1.0,
+            distance_m: 0.0,
+            label: "bogus".into(),
+        },
+    };
     let world = one_venue_world();
-    let dep = Deployment::build(world, DeploymentConfig::default());
-    // NearestNode on a venue server with an out-of-graph id mixed with
-    // a valid request: the matrix helper demands all items, so the
-    // partial failure surfaces with the successes counted.
-    let venue = dep.venue_servers[0].endpoint();
-    let bogus = openflame_mapdata::NodeId(u64::MAX);
+    let start = world.venues[0].hint.destination(225.0, 80.0);
+    // On an anchored server every item answers — the start snaps, and
+    // the bogus leg is "no path": an answer, not a failure.
+    let dep = Deployment::build(world.clone(), DeploymentConfig::default());
     let err = dep
         .client
-        .route_on(venue, bogus, bogus)
+        .federated_route(start, &bogus_hit(&dep.outdoor_server))
         .expect_err("bogus nodes cannot route");
-    // Whatever the exact failure shape, it must be displayable and—
-    // when a batch is involved—preserve its source chain.
-    if let ClientError::PartialFailure { failures, .. } = &err {
-        assert!(!failures.is_empty());
-        assert!(err.source().is_some());
-    }
-    let _ = err.to_string();
+    assert!(matches!(err, ClientError::NotFound(_)), "{err}");
+    // A venue whose policy denies routing: the outdoor probes answer,
+    // the venue's one matrix item is refused, and the round surfaces a
+    // PartialFailure naming the venue, its source chain intact.
+    let locked = DeploymentConfig {
+        venue_policy: AccessPolicy::locked(),
+        ..DeploymentConfig::default()
+    };
+    let dep = Deployment::build(world, locked);
+    let venue = &dep.venue_servers[0];
+    let err = dep
+        .client
+        .federated_route(start, &bogus_hit(venue))
+        .expect_err("a locked venue denies Route");
+    let ClientError::PartialFailure {
+        succeeded,
+        ref failures,
+    } = err
+    else {
+        panic!("expected PartialFailure, got {err}");
+    };
+    assert_eq!((succeeded, failures.len()), (0, 1), "{err}");
+    let denial = failures[0].1.to_string();
+    assert!(
+        denial.contains(&format!("server {} error 1", venue.id())),
+        "the item error must name the venue, got {denial}"
+    );
+    assert_eq!(err.source().map(|e| e.to_string()), Some(denial));
 }

@@ -4,14 +4,15 @@
 //! injected into the client through `Session::store_discovery`, so each
 //! test decides exactly what a peer says. Two things are pinned:
 //!
-//! 1. **The per-class outage table** (`QueryKind::outage`): for each of
-//!    the five scattered classes × {every server answers, one plain
-//!    server down, one fleet shard down after failover, every consulted
-//!    server down, every server denies}, whether the call is an answer
-//!    or a `ClientError::PartialFailure` — and then with which
-//!    `succeeded` count and which plan indices, sources preserved; plus
-//!    a cold column for reverse geocode, whose request needs the frame
-//!    a failed handshake never delivers.
+//! 1. **The per-class outage table** (`QueryKind::outage`, and route's
+//!    own every-branch-every-item rule): for each of the six classes ×
+//!    {every server answers, one plain server down, one fleet shard
+//!    down after failover, every consulted server down, every server
+//!    denies}, whether the call is an answer or a
+//!    `ClientError::PartialFailure` — and then with which `succeeded`
+//!    count and which indices, sources preserved; plus a cold column
+//!    for reverse geocode, whose request needs the frame a failed
+//!    handshake never delivers.
 //! 2. **Peer bytes may make a query fail, never lie or panic**: a tile
 //!    echoing another coordinate, portal cost matrices of a shape that
 //!    was not asked for, and a result limit past `u32::MAX` — and a tile
@@ -30,7 +31,8 @@ use openflame_localize::LocationCue;
 use openflame_mapdata::{ElementId, NodeId};
 use openflame_mapserver::naming::QUERY_LEVEL;
 use openflame_mapserver::protocol::{
-    Envelope, HelloInfo, Request, Response, WireEstimate, WireGeocodeHit, WireSearchResult,
+    Envelope, HelloInfo, Request, Response, WireEstimate, WireGeocodeHit, WireRoute,
+    WireSearchResult,
 };
 use openflame_netsim::{BackendKind, EndpointId, Transport};
 use openflame_tiles::{TileCoord, MAX_ZOOM, TILE_SIZE};
@@ -170,7 +172,21 @@ fn honest(item: &Request) -> Response {
             }],
         },
         Request::GetTile { z, x, y } => blank_tile(*z, *x, *y),
-        other => panic!("no scattered class sends {other:?}"),
+        Request::NearestNode { .. } => Response::NearestNode {
+            node: Some((7, 0.0)),
+        },
+        Request::RouteMatrix { entries, exits } => Response::RouteMatrix {
+            costs: vec![vec![1.0; exits.len()]; entries.len()],
+        },
+        Request::Route { from, to } => Response::Route {
+            route: Some(WireRoute {
+                nodes: vec![*from, *to],
+                cost: 1.0,
+                length_m: 1.0,
+                geometry: Vec::new(),
+            }),
+        },
+        other => panic!("no class sends {other:?}"),
     }
 }
 
@@ -231,7 +247,8 @@ enum Verdict {
 /// client is warm — then put into `situation` and asked again. Forward
 /// geocode's scatter is its refinement step: the world provider is
 /// declined there and stays up and open, since without the coarse hit
-/// there is nothing to refine.
+/// there is nothing to refine. A route goes from [`here`] to a shelf
+/// in a venue the fleet serves (one portal), through the first replica.
 fn verdict(class: QueryKind, situation: Situation) -> Verdict {
     judge(class, situation, true)
 }
@@ -257,10 +274,26 @@ fn judge(class: QueryKind, situation: Situation, warm: bool) -> Verdict {
         _ => anchored_stub(&net, "world-map", switchable()),
     };
     let plain = anchored_stub(&net, "plain", switchable());
-    let replicas = vec![
-        anchored_stub(&net, "shard-r0", switchable()),
-        anchored_stub(&net, "shard-r1", switchable()),
-    ];
+    let replica = |server_id: &str| match class {
+        QueryKind::Route => stub(
+            &net,
+            advertisement(server_id, None, vec![(1, here())]),
+            switchable(),
+        ),
+        _ => anchored_stub(&net, server_id, switchable()),
+    };
+    let replicas = vec![replica("shard-r0"), replica("shard-r1")];
+    let shelf = FederatedSearchHit {
+        server_id: replicas[0].server_id.clone(),
+        endpoint: replicas[0].endpoint,
+        result: WireSearchResult {
+            element: ElementId::Node(NodeId(5)),
+            pos: Point2::ZERO,
+            score: 1.0,
+            distance_m: 0.0,
+            label: "shelf".into(),
+        },
+    };
     let down: Vec<EndpointId> = match situation {
         Situation::AllAnswer | Situation::AllDeny => Vec::new(),
         Situation::PlainDown => vec![plain.endpoint],
@@ -296,7 +329,7 @@ fn judge(class: QueryKind, situation: Situation, warm: bool) -> Verdict {
             .federated_localize(here(), std::slice::from_ref(&gnss))
             .map(drop),
         QueryKind::Tile => client.federated_tile(here(), 16).map(drop),
-        QueryKind::Route => unreachable!("routing runs its own rounds"),
+        QueryKind::Route => client.federated_route(here(), &shelf).map(drop),
     };
     if warm {
         ask().expect("a healthy federation answers");
@@ -313,9 +346,14 @@ fn judge(class: QueryKind, situation: Situation, warm: bool) -> Verdict {
             succeeded,
             failures,
         }) => {
+            // Only a route fails on a denial.
+            let cause = match situation {
+                Situation::AllDeny => "access denied",
+                _ => "down",
+            };
             for (_, source) in &failures {
                 assert!(
-                    source.to_string().contains("down"),
+                    source.to_string().contains(cause),
                     "{class:?}/{situation:?}: the source error must survive, got {source}"
                 );
             }
@@ -359,6 +397,27 @@ fn the_outage_table_holds_for_every_scattered_class() {
         (
             QueryKind::Geocode,
             [answer(), answer(), answer(), answer(), answer()],
+        ),
+        // Route's own rule: every branch and every item of a round must
+        // answer. Failures are indexed by round position (0 the outdoor
+        // world provider, 1 the venue) or, for refused items, by batch
+        // position.
+        (
+            QueryKind::Route,
+            [
+                // Both legs stitch at the one portal.
+                answer(),
+                // The plain server is a candidate the world provider,
+                // first in plan order, beats to the outdoor leg.
+                answer(),
+                // The venue matrix fails on both replicas; the outdoor
+                // probes answered.
+                Verdict::Outage(1, vec![1]),
+                // Both branches of the candidate round fail.
+                Verdict::Outage(0, vec![0, 1]),
+                // The outdoor server refuses both of its probe items.
+                Verdict::Outage(0, vec![0, 1]),
+            ],
         ),
     ];
     for (class, row) in table {

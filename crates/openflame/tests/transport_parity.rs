@@ -445,10 +445,10 @@ fn busy_sheds_behave_identically_on_every_backend() {
         // In a scatter round the exhausted branch fails alone: the
         // healthy sibling's result is delivered, the wedged branch
         // carries Overloaded.
-        let results = session.batch_parallel(vec![
-            (recovering, vec![Request::Hello]),
-            (wedged, vec![Request::Hello]),
-        ]);
+        let mut round = session.scatter();
+        round.submit(recovering, vec![Request::Hello]);
+        round.submit(wedged, vec![Request::Hello]);
+        let results = round.collect();
         assert!(results[0].is_ok(), "{backend:?}");
         assert_eq!(
             results[1],

@@ -5,10 +5,10 @@ use crate::CellError;
 use openflame_geo::{BBox, LatLng};
 
 /// Deepest quadtree level (leaf cells are ~1 cm across).
-pub const MAX_LEVEL: u8 = 30;
+pub(crate) const MAX_LEVEL: u8 = 30;
 
 /// Number of cube faces.
-pub const NUM_FACES: u8 = 6;
+pub(crate) const NUM_FACES: u8 = 6;
 
 /// A cell in the hierarchical decomposition of the sphere.
 ///
@@ -35,7 +35,7 @@ pub struct CellId(u64);
 
 impl CellId {
     /// The full face cell (level 0) for a cube face.
-    pub fn from_face(face: u8) -> Result<Self, CellError> {
+    pub(crate) fn from_face(face: u8) -> Result<Self, CellError> {
         if face >= NUM_FACES {
             return Err(CellError::InvalidFace(face));
         }
@@ -56,7 +56,7 @@ impl CellId {
     }
 
     /// Builds a cell from face, quadtree coordinates and level.
-    pub fn from_face_ij(face: u8, i: u32, j: u32, level: u8) -> Result<Self, CellError> {
+    pub(crate) fn from_face_ij(face: u8, i: u32, j: u32, level: u8) -> Result<Self, CellError> {
         if face >= NUM_FACES {
             return Err(CellError::InvalidFace(face));
         }
@@ -142,7 +142,7 @@ impl CellId {
     }
 
     /// This cell's position (0..4) among its parent's children.
-    pub fn child_position(&self) -> Option<u8> {
+    pub(crate) fn child_position(&self) -> Option<u8> {
         if self.level() == 0 {
             return None;
         }
@@ -164,17 +164,17 @@ impl CellId {
     }
 
     /// Smallest raw id of any descendant (inclusive).
-    pub fn range_min(&self) -> u64 {
+    pub(crate) fn range_min(&self) -> u64 {
         self.0 - self.lsb() + 1
     }
 
     /// Largest raw id of any descendant (inclusive).
-    pub fn range_max(&self) -> u64 {
+    pub(crate) fn range_max(&self) -> u64 {
         self.0 + self.lsb() - 1
     }
 
     /// Face-local quadtree coordinates `(i, j)` at this cell's level.
-    pub fn to_face_ij(&self) -> (u8, u32, u32) {
+    pub(crate) fn to_face_ij(self) -> (u8, u32, u32) {
         let level = self.level();
         let shift = 2 * (MAX_LEVEL - level) as u64 + 1;
         let d = (self.0 & ((1u64 << 61) - 1)) >> shift;
@@ -338,12 +338,6 @@ impl CellId {
         // A face spans a quarter of the circumference; each level halves.
         let quarter = std::f64::consts::PI * openflame_geo::EARTH_RADIUS_M / 2.0;
         quarter / (1u64 << level) as f64
-    }
-
-    /// Average cell area in square meters at `level`.
-    pub fn average_area_m2(level: u8) -> f64 {
-        let surface = 4.0 * std::f64::consts::PI * openflame_geo::EARTH_RADIUS_M.powi(2);
-        surface / (NUM_FACES as f64 * (1u64 << (2 * level as u64)) as f64)
     }
 }
 
@@ -756,15 +750,6 @@ mod tests {
         // Level 14 cells are a few hundred meters across.
         let s14 = CellId::approx_side_length_m(14);
         assert!(s14 > 300.0 && s14 < 1000.0, "s14 = {s14}");
-    }
-
-    #[test]
-    fn average_area_consistent_with_side() {
-        let side = CellId::approx_side_length_m(12);
-        let area = CellId::average_area_m2(12);
-        // Within a factor of ~2.5 of side² (cells are not exact squares
-        // and 6 faces don't perfectly tile 4πR²).
-        assert!(area > side * side * 0.4 && area < side * side * 2.5);
     }
 
     #[test]

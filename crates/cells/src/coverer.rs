@@ -56,7 +56,7 @@ impl Region {
     }
 
     /// Whether the region definitely contains the whole cell.
-    pub fn contains_cell(&self, cell: CellId) -> bool {
+    pub(crate) fn contains_cell(&self, cell: CellId) -> bool {
         let bb = cell.bbox();
         match self {
             Region::Cap { center, radius_m } => {

@@ -14,9 +14,6 @@
 //! - [`CellId::dns_labels`] turns a cell into the DNS label path used by
 //!   the discovery layer.
 //!
-//! A classic base-32 [`geohash`] index is included for comparison; the
-//! discovery layer does not use it.
-//!
 //! Deviation from Google's S2, noted for honesty: the face projection
 //! uses the same cube layout and quadratic area-equalizing transform as
 //! S2, and cell ids use the same trailing-sentinel bit layout; cross-face
@@ -27,10 +24,9 @@
 
 pub mod cellid;
 pub mod coverer;
-pub mod geohash;
-pub mod projection;
+mod projection;
 
-pub use cellid::{CellId, MAX_LEVEL, NUM_FACES};
+pub use cellid::CellId;
 pub use coverer::{Region, RegionCoverer};
 
 /// Errors produced by cell construction and parsing.

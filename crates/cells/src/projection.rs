@@ -10,7 +10,7 @@
 use openflame_geo::LatLng;
 
 /// Projects a unit vector to `(face, u, v)` with `u, v ∈ [-1, 1]`.
-pub fn xyz_to_face_uv(p: [f64; 3]) -> (u8, f64, f64) {
+pub(crate) fn xyz_to_face_uv(p: [f64; 3]) -> (u8, f64, f64) {
     let abs = [p[0].abs(), p[1].abs(), p[2].abs()];
     let axis = if abs[0] >= abs[1] && abs[0] >= abs[2] {
         0
@@ -38,7 +38,7 @@ pub fn xyz_to_face_uv(p: [f64; 3]) -> (u8, f64, f64) {
 /// Inverse of [`xyz_to_face_uv`]: returns an (unnormalized) direction
 /// vector for face coordinates; `u, v` may lie outside `[-1, 1]`, which
 /// is how the neighbor computation steps across face boundaries.
-pub fn face_uv_to_xyz(face: u8, u: f64, v: f64) -> [f64; 3] {
+pub(crate) fn face_uv_to_xyz(face: u8, u: f64, v: f64) -> [f64; 3] {
     match face {
         0 => [1.0, u, v],
         1 => [-u, 1.0, v],
@@ -51,7 +51,7 @@ pub fn face_uv_to_xyz(face: u8, u: f64, v: f64) -> [f64; 3] {
 
 /// Quadratic area-equalizing transform from `u ∈ [-1, 1]` to
 /// `s ∈ [0, 1]` (S2's `ST` coordinate).
-pub fn uv_to_st(u: f64) -> f64 {
+pub(crate) fn uv_to_st(u: f64) -> f64 {
     if u >= 0.0 {
         0.5 * (1.0 + 3.0 * u).sqrt()
     } else {
@@ -60,7 +60,7 @@ pub fn uv_to_st(u: f64) -> f64 {
 }
 
 /// Inverse of [`uv_to_st`].
-pub fn st_to_uv(s: f64) -> f64 {
+pub(crate) fn st_to_uv(s: f64) -> f64 {
     if s >= 0.5 {
         (1.0 / 3.0) * (4.0 * s * s - 1.0)
     } else {
@@ -69,13 +69,13 @@ pub fn st_to_uv(s: f64) -> f64 {
 }
 
 /// Projects a geodetic coordinate to `(face, s, t)` with `s, t ∈ [0, 1]`.
-pub fn latlng_to_face_st(p: LatLng) -> (u8, f64, f64) {
+pub(crate) fn latlng_to_face_st(p: LatLng) -> (u8, f64, f64) {
     let (face, u, v) = xyz_to_face_uv(p.to_unit_vector());
     (face, uv_to_st(u), uv_to_st(v))
 }
 
 /// Lifts `(face, s, t)` back to a geodetic coordinate.
-pub fn face_st_to_latlng(face: u8, s: f64, t: f64) -> LatLng {
+pub(crate) fn face_st_to_latlng(face: u8, s: f64, t: f64) -> LatLng {
     let xyz = face_uv_to_xyz(face, st_to_uv(s), st_to_uv(t));
     let norm = (xyz[0] * xyz[0] + xyz[1] * xyz[1] + xyz[2] * xyz[2]).sqrt();
     LatLng::from_unit_vector([xyz[0] / norm, xyz[1] / norm, xyz[2] / norm])

@@ -1,7 +1,7 @@
 //! Property-based tests for the cell index.
 
 use openflame_cells::cellid::{hilbert_d_to_xy, hilbert_xy_to_d, normalize_cells};
-use openflame_cells::{geohash, CellId, Region, RegionCoverer};
+use openflame_cells::{CellId, Region, RegionCoverer};
 use openflame_geo::LatLng;
 use proptest::prelude::*;
 
@@ -92,21 +92,5 @@ proptest! {
             cells.iter().any(|c| c.contains_point(p)),
             "point {} uncovered ({} cells)", p, cells.len()
         );
-    }
-
-    #[test]
-    fn geohash_round_trip(p in arb_latlng(), len in 1usize..=12) {
-        let h = geohash::encode(p, len).unwrap();
-        prop_assert_eq!(h.len(), len);
-        prop_assert!(geohash::decode_bbox(&h).unwrap().contains(p));
-    }
-
-    #[test]
-    fn geohash_prefix_nesting(p in arb_latlng(), len in 2usize..=12) {
-        let h = geohash::encode(p, len).unwrap();
-        let shorter: String = h.chars().take(len - 1).collect();
-        let outer = geohash::decode_bbox(&shorter).unwrap();
-        let inner = geohash::decode_bbox(&h).unwrap();
-        prop_assert!(outer.contains_bbox(&inner));
     }
 }

@@ -35,10 +35,7 @@ pub mod table;
 pub mod writer;
 
 pub use framing::{read_frame, write_frame, Frame, FRAME_HEADER_LEN, FRAME_VERSION};
-pub use packet::{
-    decode_packet, encode_packet, Packet, PacketType, DATAGRAM_MTU, PACKET_HEADER_LEN,
-    PACKET_VERSION, PAYLOAD_MTU,
-};
+pub use packet::{decode_packet, encode_packet, Packet, PacketType, PAYLOAD_MTU};
 pub use reader::Reader;
 pub use table::{Blob, FieldCodec, Opt, Own, Pair, Seq};
 pub use writer::Writer;

@@ -39,16 +39,16 @@
 use std::io;
 
 /// The packet format version this codec speaks.
-pub const PACKET_VERSION: u8 = 1;
+pub(crate) const PACKET_VERSION: u8 = 1;
 
 /// Bytes of packet-header overhead per datagram
 /// (`u8` version + `u8` type + `u64` conn id + `u64` packet number +
 /// `u16` fragment index + `u16` fragment count + `u16` length).
-pub const PACKET_HEADER_LEN: usize = 24;
+pub(crate) const PACKET_HEADER_LEN: usize = 24;
 
 /// Largest datagram QuicLite emits (a conservative, QUIC-flavored MTU
 /// that stays well under typical path MTUs).
-pub const DATAGRAM_MTU: usize = 1200;
+pub(crate) const DATAGRAM_MTU: usize = 1200;
 
 /// Largest frame fragment one packet carries.
 pub const PAYLOAD_MTU: usize = DATAGRAM_MTU - PACKET_HEADER_LEN;

@@ -48,7 +48,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads an LEB128 varint.
-    pub fn read_varint(&mut self) -> Result<u64, CodecError> {
+    pub(crate) fn read_varint(&mut self) -> Result<u64, CodecError> {
         let mut result: u64 = 0;
         let mut shift = 0u32;
         loop {
@@ -68,7 +68,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a zigzag-encoded signed varint.
-    pub fn read_zigzag(&mut self) -> Result<i64, CodecError> {
+    pub(crate) fn read_zigzag(&mut self) -> Result<i64, CodecError> {
         let v = self.read_varint()?;
         Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
     }
@@ -82,7 +82,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a 4-byte little-endian IEEE-754 float.
-    pub fn read_f32(&mut self) -> Result<f32, CodecError> {
+    pub(crate) fn read_f32(&mut self) -> Result<f32, CodecError> {
         let b = self.take(4)?;
         let mut arr = [0u8; 4];
         arr.copy_from_slice(b);
@@ -108,7 +108,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a length-prefixed byte blob.
-    pub fn read_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
+    pub(crate) fn read_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
         let n = self.read_length()?;
         Ok(self.take(n)?.to_vec())
     }

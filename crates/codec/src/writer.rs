@@ -69,7 +69,7 @@ impl Writer {
     }
 
     /// Appends a zigzag-encoded signed varint.
-    pub fn put_zigzag(&mut self, v: i64) {
+    pub(crate) fn put_zigzag(&mut self, v: i64) {
         self.put_varint(((v << 1) ^ (v >> 63)) as u64);
     }
 
@@ -79,7 +79,7 @@ impl Writer {
     }
 
     /// Appends a 4-byte little-endian IEEE-754 float.
-    pub fn put_f32(&mut self, v: f32) {
+    pub(crate) fn put_f32(&mut self, v: f32) {
         self.buf.put_u32_le(v.to_bits());
     }
 
@@ -93,7 +93,7 @@ impl Writer {
     /// sixteenth of headroom behind it: a buffer grown to fit it exactly
     /// would double on the next byte, so a short item after a 196 KB
     /// tile would cost a transient twice the envelope's size.
-    pub fn put_bytes(&mut self, b: &[u8]) {
+    pub(crate) fn put_bytes(&mut self, b: &[u8]) {
         self.put_varint(b.len() as u64);
         if b.len() >= 64 * 1024 {
             self.buf.reserve(b.len() + b.len() / 16);

@@ -368,7 +368,7 @@ impl CentralizedProvider {
 }
 
 /// Radius covering the whole generated city.
-pub fn city_radius(world: &World) -> f64 {
+pub(crate) fn city_radius(world: &World) -> f64 {
     let w = world.config.blocks_x as f64 * world.config.block_m;
     let h = world.config.blocks_y as f64 * world.config.block_m;
     (w.hypot(h) / 2.0) * 1.2

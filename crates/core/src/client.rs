@@ -233,7 +233,7 @@ impl OpenFlameClient {
 
     /// Discovers map servers around a coarse location, consulting the
     /// session's per-cell cache before the DNS. Fleets are flattened:
-    /// each shard contributes the replica [`crate::fleet::choose`]
+    /// each shard contributes the replica `fleet::choose`
     /// picks, so callers without a spatial footprint still consult
     /// every shard exactly once. Footprint-aware paths use the
     /// shard-pruning plan instead.

@@ -60,7 +60,7 @@ pub struct DeploymentConfig {
     pub replicas: usize,
     /// Spatial content shards per venue fleet (skew-aware split of the
     /// venue's searchable documents; see
-    /// [`crate::fleet::plan_venue_shards`]).
+    /// `fleet::plan_venue_shards`).
     pub content_shards: usize,
 }
 
@@ -82,7 +82,7 @@ impl Default for DeploymentConfig {
 
 impl DeploymentConfig {
     /// Whether venues deploy as replicated + sharded fleets.
-    pub fn fleet_mode(&self) -> bool {
+    pub(crate) fn fleet_mode(&self) -> bool {
         self.replicas.max(1) > 1 || self.content_shards.max(1) > 1
     }
 }
@@ -307,7 +307,7 @@ impl Deployment {
     /// per-replica `MAPSRV` records — the client's shard-aware scatter
     /// is the only path to them, which keeps wire cost a function of
     /// shards consulted rather than fleet size.
-    pub fn register_fleet(&mut self, venue_idx: usize, plans: &[ShardPlan]) {
+    pub(crate) fn register_fleet(&mut self, venue_idx: usize, plans: &[ShardPlan]) {
         let venue = &self.world.venues[venue_idx];
         let region = Region::Cap {
             center: venue.hint,

@@ -35,7 +35,7 @@ pub struct DiscoveredServer {
 
 impl DiscoveredServer {
     /// Whether the server advertises a localization technology.
-    pub fn accepts_cue(&self, technology: &str) -> bool {
+    pub(crate) fn accepts_cue(&self, technology: &str) -> bool {
         self.services
             .iter()
             .any(|s| s.strip_prefix("localize:") == Some(technology))

@@ -19,7 +19,7 @@
 //! - **Failover**: when a consulted replica fails at the wire, the
 //!   client retries the branch on a sibling replica — for *idempotent*
 //!   requests only (`docs/wire-protocol.md` spec §7) — and marks the
-//!   endpoint dead in the session ([`Session::mark_dead`]) so it is not
+//!   endpoint dead in the session (`Session::mark_dead`) so it is not
 //!   re-consulted until the mark ages out or the endpoint answers a
 //!   handshake. Only a fully-down shard surfaces
 //!   [`ClientError::PartialFailure`](crate::ClientError::PartialFailure),
@@ -27,8 +27,8 @@
 //!
 //! The types here are the *client-side view* of an advertisement
 //! ([`DiscoveryView`], [`FleetView`], [`FleetShardView`]) plus replica
-//! selection ([`choose`], [`sibling`]) and the deployment-side shard
-//! planner ([`plan_venue_shards`]). Selection keeps no state of its
+//! selection (`choose`, [`sibling`]) and the deployment-side shard
+//! planner (`plan_venue_shards`). Selection keeps no state of its
 //! own: latency knowledge lives in the transport, who recently failed
 //! in the session's per-endpoint entry. Everything is
 //! backend-agnostic: selection is deterministic given identical
@@ -137,7 +137,7 @@ impl DiscoveryView {
 /// marked dead are excluded. Returns `None` only when every replica is
 /// marked — callers typically fall back to `replicas[0]` then,
 /// letting the wire surface the truth.
-pub fn choose<'a>(
+pub(crate) fn choose<'a>(
     session: &Session,
     shard: &'a FleetShardView,
 ) -> Option<&'a Arc<DiscoveredServer>> {
@@ -213,7 +213,7 @@ fn fingerprint(shard: &FleetShardView) -> u64 {
 /// The spatial plan for one content shard of a venue: which fine cells
 /// it owns and which content nodes land in it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShardPlan {
+pub(crate) struct ShardPlan {
     /// Deduplicated fine cells owned by this shard (the advertised
     /// extent).
     pub extents: Vec<CellId>,
@@ -233,7 +233,7 @@ pub struct ShardPlan {
 /// `is_content` decides which nodes count as shardable content
 /// (typically: nodes carrying searchable tags); structural nodes,
 /// beacons and ways are replicated into every shard by the deployment.
-pub fn plan_venue_shards(
+pub(crate) fn plan_venue_shards(
     world: &World,
     venue_idx: usize,
     shards: usize,

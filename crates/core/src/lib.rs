@@ -163,7 +163,7 @@
 //!   deterministic on a fresh book so every backend picks alike. A
 //!   replica that fails at the wire is retried on a sibling — for
 //!   idempotent requests only (`docs/wire-protocol.md` spec §7) — and
-//!   marked dead in the session ([`Session::mark_dead`]): the mark
+//!   marked dead in the session (`Session::mark_dead`): the mark
 //!   replaces the replica's cached advertisement and the per-cell
 //!   discovery cache is invalidated, so the dead replica is neither
 //!   re-consulted nor served from cache. Only a fully
@@ -251,7 +251,7 @@ pub use provider::{
 pub use scenario::{
     run_grocery_scenario, run_grocery_scenario_on, GroceryScenarioReport, ProviderKind,
 };
-pub use session::{Session, SessionStats, BUSY_BACKOFF_CAP_US, BUSY_RETRY_BUDGET};
+pub use session::{Session, SessionStats, BUSY_RETRY_BUDGET};
 
 /// Errors surfaced by the OpenFLAME client.
 ///

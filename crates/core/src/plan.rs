@@ -87,7 +87,7 @@ impl QueryKind {
     /// (spec §13.1 vocabulary).
     ///
     /// [`CoverageSummary::kinds`]: openflame_mapserver::CoverageSummary
-    pub fn wire_kind(self) -> &'static str {
+    pub(crate) fn wire_kind(self) -> &'static str {
         match self {
             QueryKind::Search => "search",
             QueryKind::Geocode => "geocode",

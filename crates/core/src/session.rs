@@ -25,8 +25,8 @@
 //!   one riding in the cached advertisement — there is no second copy.
 //! - **One entry per endpoint**: what the client remembers about an
 //!   endpoint is a single cache entry, either its advertisement
-//!   ([`DEFAULT_TTL_US`]) or a *dead* mark left by a failed fleet
-//!   branch ([`DEAD_TTL_US`]). [`Session::mark_dead`] overwrites the
+//!   (`DEFAULT_TTL_US`) or a *dead* mark left by a failed fleet
+//!   branch (`DEAD_TTL_US`). `Session::mark_dead` overwrites the
 //!   advertisement, so a dead replica is never served (or pruned) from
 //!   what it once advertised; an answered handshake overwrites the
 //!   mark, so the wire — not the cache — decides who is alive.
@@ -48,7 +48,7 @@
 //! out of the answer that brought it, a discovery view is built once,
 //! and every reader after that (planner, executor, providers) shares it
 //! by reference, so a warm call deep-copies none of it. They are
-//! **bounded** ([`DEFAULT_CACHE_CAP`]): a long-lived session touring
+//! **bounded** (`DEFAULT_CACHE_CAP`): a long-lived session touring
 //! many cells does not grow memory forever. Inserts past the cap evict
 //! expired entries first, then the least recently used — so a fresh
 //! dead mark, shorter-lived than the advertisements around it, is never
@@ -60,7 +60,7 @@
 //! code, and the one-envelope-per-server wire discipline holds on
 //! both, cold or warm (the backend-parity integration test enforces
 //! it). TTLs are the DNS record TTL the deployment uses
-//! ([`DEFAULT_TTL_US`], 300 s), measured on the transport clock
+//! (`DEFAULT_TTL_US`, 300 s), measured on the transport clock
 //! (simulated time or wall-clock time), so cached knowledge ages out on
 //! the same schedule as the naming layer that produced it.
 
@@ -78,20 +78,20 @@ use std::sync::Arc;
 
 /// Default cache TTL: the DNS record TTL deployment registrations use
 /// ([`MAPSRV_TTL_S`], 300 s).
-pub const DEFAULT_TTL_US: u64 = MAPSRV_TTL_S as u64 * 1_000_000;
+pub(crate) const DEFAULT_TTL_US: u64 = MAPSRV_TTL_S as u64 * 1_000_000;
 
 /// How long a replica that failed at the wire stays marked dead — off
 /// the fleet layer's candidate list — before it is considered again
 /// (transport clock). Deliberately much shorter than the 300 s
 /// discovery TTL: a crashed replica that restarts should resume taking
 /// traffic without waiting for the naming layer to age out.
-pub const DEAD_TTL_US: u64 = 30 * 1_000_000;
+pub(crate) const DEAD_TTL_US: u64 = 30 * 1_000_000;
 
 /// Default capacity bound for each session cache (endpoint entries,
 /// discovery cells). A long-lived session touring many cells stays
 /// bounded: inserts over the cap evict expired entries first, then the
 /// least recently used.
-pub const DEFAULT_CACHE_CAP: usize = 256;
+pub(crate) const DEFAULT_CACHE_CAP: usize = 256;
 
 /// How many times one envelope is re-submitted after a `Busy` shed
 /// before the call surfaces [`ClientError::Overloaded`].
@@ -100,7 +100,7 @@ pub const BUSY_RETRY_BUDGET: u32 = 4;
 /// Upper bound on a single busy-backoff wait, microseconds: the
 /// exponential doubling stops here so a pathological server hint
 /// cannot park a client for seconds.
-pub const BUSY_BACKOFF_CAP_US: u64 = 50_000;
+pub(crate) const BUSY_BACKOFF_CAP_US: u64 = 50_000;
 
 /// The wait before busy re-submission `attempt` (0-based): the server's
 /// hint doubled per attempt, capped at [`BUSY_BACKOFF_CAP_US`], plus a
@@ -189,6 +189,26 @@ enum EndpointEntry {
 
 /// A client-side wire session: batched calls with capability and
 /// discovery caches (see module docs).
+///
+/// Marking an endpoint dead is the executor's failover step, not an
+/// API: `mark_dead` is crate-private, so no caller outside this crate
+/// can swap an advertisement for a dead mark.
+///
+/// ```compile_fail
+/// fn fail_over(s: &openflame_core::Session, id: openflame_netsim::EndpointId) {
+///     s.mark_dead(id, 0);
+/// }
+/// ```
+///
+/// A caller outside the crate can still read and drop what the session
+/// has learnt:
+///
+/// ```
+/// fn forget(s: &openflame_core::Session, id: openflame_netsim::EndpointId) {
+///     let _ = s.advertised(id);
+///     s.invalidate();
+/// }
+/// ```
 pub struct Session {
     transport: Arc<dyn Transport>,
     endpoint: EndpointId,
@@ -388,7 +408,7 @@ impl Session {
     /// Turns per-item `Response::Error` entries into a
     /// [`ClientError::PartialFailure`] naming `server`, for callers that
     /// need every item of a batch.
-    pub fn expect_all(
+    pub(crate) fn expect_all(
         server: &str,
         responses: Vec<Response>,
     ) -> Result<Vec<Response>, ClientError> {
@@ -425,7 +445,7 @@ impl Session {
     /// advertisement — one without a coverage summary drops the summary
     /// it once committed to — or a dead mark, since an endpoint that
     /// answers is alive.
-    pub fn store_hello(&self, from: EndpointId, info: impl Into<Arc<HelloInfo>>) {
+    pub(crate) fn store_hello(&self, from: EndpointId, info: impl Into<Arc<HelloInfo>>) {
         let now = self.transport.now_us();
         let entry = EndpointEntry::Advertised(info.into());
         self.endpoints
@@ -487,7 +507,7 @@ impl Session {
     /// for [`DEAD_TTL_US`], so replica selection skips it and nothing
     /// it once advertised is served or pruned from; the cell's cached
     /// discovery is dropped with it ([`Session::invalidate_cell`]).
-    pub fn mark_dead(&self, endpoint: EndpointId, cell_raw: u64) {
+    pub(crate) fn mark_dead(&self, endpoint: EndpointId, cell_raw: u64) {
         let now = self.transport.now_us();
         self.endpoints
             .lock()
@@ -499,7 +519,7 @@ impl Session {
     /// a hint for replica selection, never a refusal to send: an
     /// envelope to a marked endpoint still goes out, handshake riding,
     /// and its answer revives it.
-    pub fn is_dead(&self, endpoint: EndpointId) -> bool {
+    pub(crate) fn is_dead(&self, endpoint: EndpointId) -> bool {
         let now = self.transport.now_us();
         matches!(
             self.endpoints.lock().get(&endpoint, now),
@@ -516,7 +536,7 @@ impl Session {
     /// caching the whole view keeps routing **shard-stable** — repeated
     /// requests against the same cell see the same shard map, so
     /// replica choice and the hello cache stay warm.
-    pub fn cached_discovery(&self, cell_raw: u64) -> Option<Arc<DiscoveryView>> {
+    pub(crate) fn cached_discovery(&self, cell_raw: u64) -> Option<Arc<DiscoveryView>> {
         let now = self.transport.now_us();
         let cached = self.discoveries.lock().get(&cell_raw, now).cloned();
         let mut stats = self.stats.lock();
@@ -547,7 +567,7 @@ impl Session {
     /// next discovery re-resolves (usually from the resolver's own
     /// cache, so the cost is local) and re-selects against the current
     /// dead marks.
-    pub fn invalidate_cell(&self, cell_raw: u64) {
+    pub(crate) fn invalidate_cell(&self, cell_raw: u64) {
         self.discoveries.lock().remove(&cell_raw);
     }
 }

@@ -52,12 +52,6 @@ impl Rank {
     }
 }
 
-/// Whether rank checking is compiled in (true exactly in debug
-/// builds — release builds are passthrough).
-pub const fn rank_checking_enabled() -> bool {
-    cfg!(debug_assertions)
-}
-
 #[cfg(debug_assertions)]
 pub(crate) mod tracker {
     //! Per-thread held-lock bookkeeping (debug builds only).
@@ -78,7 +72,7 @@ pub(crate) mod tracker {
     }
 
     thread_local! {
-        static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
+        pub(crate) static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
     }
 
     /// Records an acquisition, panicking on rank inversion.
@@ -155,24 +149,5 @@ pub(crate) mod tracker {
     /// own re-acquisition).
     pub(crate) fn wait_end(entry: Held) {
         HELD.with(|held| held.borrow_mut().push(entry));
-    }
-
-    /// The ranks this thread currently holds, outermost first (test
-    /// hook).
-    pub fn held_ranks() -> Vec<(&'static str, u16)> {
-        HELD.with(|held| held.borrow().iter().map(|h| (h.name, h.rank)).collect())
-    }
-}
-
-/// The ranks the current thread holds, outermost first. Debug builds
-/// only; release builds always report an empty set.
-pub fn held_ranks() -> Vec<(&'static str, u16)> {
-    #[cfg(debug_assertions)]
-    {
-        tracker::held_ranks()
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        Vec::new()
     }
 }

@@ -32,13 +32,6 @@ impl<T> OrderedMutex<T> {
             inner: sync::Mutex::new(value),
         }
     }
-
-    /// Consumes the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> OrderedMutex<T> {
@@ -309,9 +302,29 @@ impl<T: ?Sized> Drop for OrderedRwLockWriteGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{held_ranks, rank_checking_enabled, Rank};
+    use crate::Rank;
     use std::sync::Arc;
     use std::thread;
+
+    /// Whether rank checking is compiled in (true exactly in debug
+    /// builds — release builds are passthrough).
+    const fn rank_checking_enabled() -> bool {
+        cfg!(debug_assertions)
+    }
+
+    /// The ranks the current thread holds, outermost first. Debug builds
+    /// only; release builds always report an empty set.
+    fn held_ranks() -> Vec<(&'static str, u16)> {
+        #[cfg(debug_assertions)]
+        {
+            crate::tracker::HELD
+                .with(|held| held.borrow().iter().map(|h| (h.name, h.rank)).collect())
+        }
+        #[cfg(not(debug_assertions))]
+        {
+            Vec::new()
+        }
+    }
 
     const LOW: Rank = Rank::new(1_000, "test.low");
     const MID: Rank = Rank::new(1_010, "test.mid");

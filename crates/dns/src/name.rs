@@ -127,7 +127,7 @@ impl DomainName {
     }
 
     /// Whether this is the root name.
-    pub fn is_root(&self) -> bool {
+    pub(crate) fn is_root(&self) -> bool {
         self.start == self.text.len()
     }
 

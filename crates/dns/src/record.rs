@@ -11,13 +11,12 @@
 //!
 //! - [`DomainName`]: its labels decode through the same validation as
 //!   `from_labels`, straight into the name's one shared buffer.
-//! - [`OwnerRuns`], the codec of a response's record sections: it
+//! - `OwnerRuns`, the codec of a response's record sections: it
 //!   writes each owner once per run of consecutive records (spec §9.5)
 //!   and refuses the encodings that would make a section ambiguous.
 //!   Nothing puts a bare [`Record`] on the wire.
 
 use crate::name::DomainName;
-use crate::DnsError;
 use openflame_codec::{wire_enum, wire_struct, CodecError, FieldCodec, Reader, Wire, Writer};
 
 /// Record types supported by the substrate.
@@ -232,7 +231,7 @@ wire_struct! { ResponseMsg { rcode, answers: OwnerRuns, authority: OwnerRuns, ad
 /// payloads of its consecutive records. Record order is kept, so the
 /// runs are maximal but never merged across another owner; a decoded
 /// run's records share the owner's one buffer.
-pub struct OwnerRuns;
+pub(crate) struct OwnerRuns;
 
 impl FieldCodec<Vec<Record>> for OwnerRuns {
     fn put(w: &mut Writer, v: &Vec<Record>) {
@@ -270,15 +269,6 @@ impl FieldCodec<Vec<Record>> for OwnerRuns {
             }
         }
         Ok(records)
-    }
-}
-
-/// Converts an rcode into a resolver-level error for a queried name.
-pub fn rcode_to_error(rcode: Rcode, name: &DomainName) -> Option<DnsError> {
-    match rcode {
-        Rcode::NoError => None,
-        Rcode::NxDomain => Some(DnsError::NxDomain(name.to_string())),
-        Rcode::ServFail => Some(DnsError::ServFail(name.to_string())),
     }
 }
 
@@ -517,20 +507,6 @@ mod tests {
     fn rtype_of_data() {
         assert_eq!(RecordData::A(1).rtype(), RecordType::A);
         assert_eq!(RecordData::Txt(String::new()).rtype(), RecordType::Txt);
-    }
-
-    #[test]
-    fn rcode_error_mapping() {
-        let n = name("x.flame.");
-        assert!(rcode_to_error(Rcode::NoError, &n).is_none());
-        assert!(matches!(
-            rcode_to_error(Rcode::NxDomain, &n),
-            Some(DnsError::NxDomain(_))
-        ));
-        assert!(matches!(
-            rcode_to_error(Rcode::ServFail, &n),
-            Some(DnsError::ServFail(_))
-        ));
     }
 
     #[test]

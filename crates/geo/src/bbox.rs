@@ -113,7 +113,7 @@ impl BBox {
     }
 
     /// Grows the box in place so it contains `p`.
-    pub fn expand_to(&mut self, p: LatLng) {
+    pub(crate) fn expand_to(&mut self, p: LatLng) {
         self.lat_lo = self.lat_lo.min(p.lat());
         self.lat_hi = self.lat_hi.max(p.lat());
         self.lng_lo = self.lng_lo.min(p.lng());
@@ -144,17 +144,6 @@ impl BBox {
             lng_lo: self.lng_lo.min(other.lng_lo),
             lng_hi: self.lng_hi.max(other.lng_hi),
         }
-    }
-
-    /// Approximate width (east-west extent at center latitude) in meters.
-    pub fn width_m(&self) -> f64 {
-        let cos_lat = self.center().lat_rad().cos();
-        (self.lng_hi - self.lng_lo) * 111_320.0 * cos_lat
-    }
-
-    /// Approximate height (north-south extent) in meters.
-    pub fn height_m(&self) -> f64 {
-        (self.lat_hi - self.lat_lo) * 111_320.0
     }
 
     /// The four corner points, counter-clockwise from the southwest.
@@ -237,14 +226,6 @@ mod tests {
         assert!((p.lat_lo() - (40.0 - 100.0 / 111_320.0)).abs() < 1e-9);
         // Longitude padding should be larger in degrees at 40°N.
         assert!((b.lng_lo() - p.lng_lo()) > 100.0 / 111_320.0);
-    }
-
-    #[test]
-    fn extent_meters_reasonable() {
-        // A 0.01° box at the equator is ~1.11 km on each side.
-        let b = BBox::new(0.0, 0.01, 0.0, 0.01).unwrap();
-        assert!((b.height_m() - 1113.2).abs() < 1.0);
-        assert!((b.width_m() - 1113.2).abs() < 1.0);
     }
 
     #[test]

@@ -76,12 +76,12 @@ impl LatLng {
     }
 
     /// Latitude in radians.
-    pub fn lat_rad(&self) -> f64 {
+    pub(crate) fn lat_rad(&self) -> f64 {
         self.lat_deg.to_radians()
     }
 
     /// Longitude in radians.
-    pub fn lng_rad(&self) -> f64 {
+    pub(crate) fn lng_rad(&self) -> f64 {
         self.lng_deg.to_radians()
     }
 
@@ -93,17 +93,6 @@ impl LatLng {
         let dlng = other.lng_rad() - self.lng_rad();
         let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlng / 2.0).sin().powi(2);
         2.0 * EARTH_RADIUS_M * a.sqrt().asin()
-    }
-
-    /// Initial bearing from `self` toward `other`, degrees clockwise from
-    /// north in `[0, 360)`.
-    pub fn initial_bearing(&self, other: LatLng) -> f64 {
-        let (lat1, lat2) = (self.lat_rad(), other.lat_rad());
-        let dlng = other.lng_rad() - self.lng_rad();
-        let y = dlng.sin() * lat2.cos();
-        let x = lat1.cos() * lat2.sin() - lat1.sin() * lat2.cos() * dlng.cos();
-        let deg = y.atan2(x).to_degrees();
-        (deg + 360.0) % 360.0
     }
 
     /// The point reached by traveling `distance_m` meters from `self` on
@@ -221,19 +210,6 @@ mod tests {
         let a = LatLng::new(40.44, -79.94).unwrap();
         let b = LatLng::new(40.45, -79.99).unwrap();
         assert!((a.haversine_distance(b) - b.haversine_distance(a)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bearing_cardinal_directions() {
-        let origin = LatLng::new(0.0, 0.0).unwrap();
-        let north = LatLng::new(1.0, 0.0).unwrap();
-        let east = LatLng::new(0.0, 1.0).unwrap();
-        let south = LatLng::new(-1.0, 0.0).unwrap();
-        let west = LatLng::new(0.0, -1.0).unwrap();
-        assert!((origin.initial_bearing(north) - 0.0).abs() < 1e-6);
-        assert!((origin.initial_bearing(east) - 90.0).abs() < 1e-6);
-        assert!((origin.initial_bearing(south) - 180.0).abs() < 1e-6);
-        assert!((origin.initial_bearing(west) - 270.0).abs() < 1e-6);
     }
 
     #[test]

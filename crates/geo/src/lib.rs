@@ -4,15 +4,15 @@
 //! This crate provides the foundation every other subsystem builds on:
 //!
 //! - [`LatLng`] geodetic coordinates with great-circle math (haversine
-//!   distance, bearings, destination points).
+//!   distance, destination points).
 //! - [`Point2`] planar points and vector operations.
 //! - [`LocalFrame`] east-north-up tangent planes that let indoor maps live
 //!   in metric local coordinates (paper §3 of the paper: indoor maps are rarely
 //!   aligned with the geographic frame).
 //! - [`Mercator`] Web-Mercator projection used by the tile pyramid.
 //! - [`Polyline`] and [`Polygon`] with the usual computational-geometry
-//!   toolkit (length, interpolation, closest point, point-in-polygon,
-//!   area, simplification).
+//!   toolkit (length, closest point, point-in-polygon, area,
+//!   simplification).
 //! - [`Affine2`] planar transforms plus least-squares fitting from point
 //!   correspondences, the MapCruncher-style mechanism the paper proposes
 //!   (paper §5.2) for stitching maps whose coordinate frames disagree.
@@ -23,7 +23,6 @@
 pub mod bbox;
 pub mod frame;
 pub mod latlng;
-pub mod linalg;
 pub mod mercator;
 pub mod point;
 pub mod polygon;

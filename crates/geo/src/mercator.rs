@@ -3,7 +3,7 @@
 use crate::{LatLng, Point2};
 
 /// Maximum latitude representable in Web Mercator (±85.05113°).
-pub const MAX_MERCATOR_LAT: f64 = 85.051_128_779_806_6;
+pub(crate) const MAX_MERCATOR_LAT: f64 = 85.051_128_779_806_6;
 
 /// The spherical Web-Mercator projection (EPSG:3857 normalized form).
 ///
@@ -17,8 +17,8 @@ pub struct Mercator;
 impl Mercator {
     /// Projects a coordinate to the normalized unit square.
     ///
-    /// Latitudes beyond [`MAX_MERCATOR_LAT`] are clamped, as every slippy
-    /// map implementation does.
+    /// Latitudes beyond `MAX_MERCATOR_LAT` (±85.05°) are clamped, as
+    /// every slippy map implementation does.
     pub fn project(p: LatLng) -> Point2 {
         let lat = p
             .lat()

@@ -72,11 +72,6 @@ impl Point2 {
         let (s, c) = angle_rad.sin_cos();
         Point2::new(self.x * c - self.y * s, self.x * s + self.y * c)
     }
-
-    /// Perpendicular vector (rotated 90° counter-clockwise).
-    pub fn perp(&self) -> Point2 {
-        Point2::new(-self.y, self.x)
-    }
 }
 
 impl Add for Point2 {
@@ -164,7 +159,6 @@ mod tests {
         let a = Point2::new(1.0, 0.0);
         let r = a.rotated(std::f64::consts::FRAC_PI_2);
         assert!((r.x - 0.0).abs() < 1e-12 && (r.y - 1.0).abs() < 1e-12);
-        assert_eq!(a.perp(), Point2::new(0.0, 1.0));
     }
 
     #[test]

@@ -16,7 +16,7 @@ impl Polygon {
     /// Creates a polygon from a ring of at least three vertices.
     ///
     /// A trailing vertex equal to the first is dropped. The ring is
-    /// reversed if it was clockwise, so [`Polygon::signed_area`] is always
+    /// reversed if it was clockwise, so its signed area is always
     /// non-negative for valid input.
     pub fn new(mut ring: Vec<Point2>) -> Result<Self, GeoError> {
         if ring.len() >= 2 && ring.first() == ring.last() {
@@ -35,18 +35,6 @@ impl Polygon {
             Ok(Self { ring: r })
         } else {
             Ok(poly)
-        }
-    }
-
-    /// An axis-aligned rectangle polygon.
-    pub fn rect(min: Point2, max: Point2) -> Polygon {
-        Polygon {
-            ring: vec![
-                Point2::new(min.x, min.y),
-                Point2::new(max.x, min.y),
-                Point2::new(max.x, max.y),
-                Point2::new(min.x, max.y),
-            ],
         }
     }
 
@@ -73,7 +61,7 @@ impl Polygon {
 
     /// Signed area via the shoelace formula (non-negative after
     /// normalization).
-    pub fn signed_area(&self) -> f64 {
+    pub(crate) fn signed_area(&self) -> f64 {
         self.raw_signed_area()
     }
 
@@ -151,7 +139,7 @@ impl Polygon {
     }
 
     /// Distance from `p` to the polygon boundary (zero if on it).
-    pub fn boundary_distance(&self, p: Point2) -> f64 {
+    pub(crate) fn boundary_distance(&self, p: Point2) -> f64 {
         let n = self.ring.len();
         let mut best = f64::INFINITY;
         for i in 0..n {
@@ -220,38 +208,18 @@ pub fn segment_distance(p: Point2, a: Point2, b: Point2) -> f64 {
     p.distance(a.lerp(b, t))
 }
 
-/// Whether segments `ab` and `cd` properly intersect or touch.
-pub fn segments_intersect(a: Point2, b: Point2, c: Point2, d: Point2) -> bool {
-    fn orient(a: Point2, b: Point2, c: Point2) -> f64 {
-        (b - a).cross(c - a)
-    }
-    let o1 = orient(a, b, c);
-    let o2 = orient(a, b, d);
-    let o3 = orient(c, d, a);
-    let o4 = orient(c, d, b);
-    if ((o1 > 0.0) != (o2 > 0.0) || o1 == 0.0 || o2 == 0.0)
-        && ((o3 > 0.0) != (o4 > 0.0) || o3 == 0.0 || o4 == 0.0)
-    {
-        // Handle collinear overlap by bounding-box checks.
-        if o1 == 0.0 && o2 == 0.0 && o3 == 0.0 && o4 == 0.0 {
-            let (minx, maxx) = (a.x.min(b.x), a.x.max(b.x));
-            let (miny, maxy) = (a.y.min(b.y), a.y.max(b.y));
-            return c.x.max(d.x) >= minx
-                && c.x.min(d.x) <= maxx
-                && c.y.max(d.y) >= miny
-                && c.y.min(d.y) <= maxy;
-        }
-        return true;
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn unit_square() -> Polygon {
-        Polygon::rect(Point2::new(0.0, 0.0), Point2::new(1.0, 1.0))
+        Polygon::new(vec![
+            Point2::new(0.0, 0.0),
+            Point2::new(1.0, 0.0),
+            Point2::new(1.0, 1.0),
+            Point2::new(0.0, 1.0),
+        ])
+        .unwrap()
     }
 
     #[test]
@@ -359,43 +327,5 @@ mod tests {
         assert!((segment_distance(Point2::new(13.0, 4.0), a, b) - 5.0).abs() < 1e-12);
         // Degenerate segment.
         assert!((segment_distance(Point2::new(3.0, 4.0), a, a) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn segments_intersect_cases() {
-        let o = Point2::new(0.0, 0.0);
-        assert!(segments_intersect(
-            o,
-            Point2::new(2.0, 2.0),
-            Point2::new(0.0, 2.0),
-            Point2::new(2.0, 0.0)
-        ));
-        assert!(!segments_intersect(
-            o,
-            Point2::new(1.0, 0.0),
-            Point2::new(0.0, 1.0),
-            Point2::new(1.0, 1.0)
-        ));
-        // Touching at an endpoint counts.
-        assert!(segments_intersect(
-            o,
-            Point2::new(1.0, 0.0),
-            Point2::new(1.0, 0.0),
-            Point2::new(2.0, 5.0)
-        ));
-        // Collinear overlapping.
-        assert!(segments_intersect(
-            o,
-            Point2::new(4.0, 0.0),
-            Point2::new(2.0, 0.0),
-            Point2::new(6.0, 0.0)
-        ));
-        // Collinear disjoint.
-        assert!(!segments_intersect(
-            o,
-            Point2::new(1.0, 0.0),
-            Point2::new(2.0, 0.0),
-            Point2::new(3.0, 0.0)
-        ));
     }
 }

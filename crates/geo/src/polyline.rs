@@ -1,4 +1,4 @@
-//! Planar polylines: length, interpolation, projection, simplification.
+//! Planar polylines: length, projection, simplification.
 
 use crate::{GeoError, Point2};
 
@@ -59,25 +59,6 @@ impl Polyline {
         self.points.windows(2).map(|w| w[0].distance(w[1])).sum()
     }
 
-    /// The point at arc-length `s` from the start, clamped to the ends.
-    pub fn point_at(&self, s: f64) -> Point2 {
-        if s <= 0.0 {
-            return self.points[0];
-        }
-        let mut remaining = s;
-        for w in self.points.windows(2) {
-            let seg = w[0].distance(w[1]);
-            if remaining <= seg {
-                if seg < 1e-12 {
-                    return w[0];
-                }
-                return w[0].lerp(w[1], remaining / seg);
-            }
-            remaining -= seg;
-        }
-        *self.points.last().expect("polyline has >= 2 points")
-    }
-
     /// Projects `p` onto the polyline, returning the closest point and
     /// where it lies.
     pub fn project(&self, p: Point2) -> Projection {
@@ -131,22 +112,6 @@ impl Polyline {
             .filter_map(|(p, &k)| if k { Some(*p) } else { None })
             .collect();
         Polyline { points }
-    }
-
-    /// Resamples the polyline at (approximately) uniform `step` spacing,
-    /// always keeping the first and last vertices.
-    pub fn resampled(&self, step: f64) -> Polyline {
-        assert!(step > 0.0, "resample step must be positive");
-        let total = self.length();
-        if total < 1e-12 {
-            return self.clone();
-        }
-        let n = (total / step).ceil().max(1.0) as usize;
-        let mut pts = Vec::with_capacity(n + 1);
-        for i in 0..=n {
-            pts.push(self.point_at(total * i as f64 / n as f64));
-        }
-        Polyline { points: pts }
     }
 }
 
@@ -203,18 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn point_at_walks_the_path() {
-        let l = l_shape();
-        assert_eq!(l.point_at(-5.0), Point2::new(0.0, 0.0));
-        assert_eq!(l.point_at(0.0), Point2::new(0.0, 0.0));
-        assert_eq!(l.point_at(5.0), Point2::new(5.0, 0.0));
-        assert_eq!(l.point_at(10.0), Point2::new(10.0, 0.0));
-        assert_eq!(l.point_at(15.0), Point2::new(10.0, 5.0));
-        assert_eq!(l.point_at(20.0), Point2::new(10.0, 10.0));
-        assert_eq!(l.point_at(99.0), Point2::new(10.0, 10.0));
-    }
-
-    #[test]
     fn project_onto_interior() {
         let l = l_shape();
         let pr = l.project(Point2::new(5.0, 3.0));
@@ -262,19 +215,5 @@ mod tests {
     fn simplify_keeps_corners() {
         let s = l_shape().simplified(0.5);
         assert_eq!(s.len(), 3, "the right-angle corner must survive");
-    }
-
-    #[test]
-    fn resample_uniform_spacing() {
-        let l = l_shape();
-        let r = l.resampled(2.0);
-        assert_eq!(r.points()[0], Point2::new(0.0, 0.0));
-        assert_eq!(*r.points().last().unwrap(), Point2::new(10.0, 10.0));
-        // Total length preserved within tolerance (corner cut slightly).
-        assert!((r.length() - 20.0).abs() < 1.0);
-        // Steps are close to the requested spacing.
-        for w in r.points().windows(2) {
-            assert!(w[0].distance(w[1]) <= 2.0 + 1e-9);
-        }
     }
 }

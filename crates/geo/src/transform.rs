@@ -6,7 +6,6 @@
 //! coordinate frames (paper §5.2): given a handful of manually matched points
 //! between two frames, fit the transform that best aligns them.
 
-use crate::linalg::least_squares;
 use crate::{GeoError, Point2};
 
 /// A 2-D affine transform `q = A·p + t` stored as
@@ -20,7 +19,7 @@ pub struct Affine2 {
 
 impl Affine2 {
     /// The identity transform.
-    pub const IDENTITY: Affine2 = Affine2 {
+    pub(crate) const IDENTITY: Affine2 = Affine2 {
         m: [1.0, 0.0, 0.0, 1.0, 0.0, 0.0],
     };
 
@@ -87,32 +86,6 @@ impl Affine2 {
         let (ia, ib, ic, id) = (d / det, -b / det, -c / det, a / det);
         Ok(Affine2 {
             m: [ia, ib, ic, id, -(ia * tx + ib * ty), -(ic * tx + id * ty)],
-        })
-    }
-
-    /// Determinant of the linear part (area scale factor).
-    pub fn det(&self) -> f64 {
-        self.m[0] * self.m[3] - self.m[1] * self.m[2]
-    }
-
-    /// Fits the full affine transform minimizing
-    /// `Σ |apply(src_i) - dst_i|²`. Needs at least three non-collinear
-    /// correspondences.
-    pub fn fit_affine(pairs: &[(Point2, Point2)]) -> Result<Affine2, GeoError> {
-        if pairs.len() < 3 {
-            return Err(GeoError::InsufficientPoints {
-                needed: 3,
-                got: pairs.len(),
-            });
-        }
-        // Two independent 3-unknown systems: one for x' and one for y'.
-        let rows: Vec<Vec<f64>> = pairs.iter().map(|(s, _)| vec![s.x, s.y, 1.0]).collect();
-        let xs: Vec<f64> = pairs.iter().map(|(_, d)| d.x).collect();
-        let ys: Vec<f64> = pairs.iter().map(|(_, d)| d.y).collect();
-        let px = least_squares(&rows, &xs, 3)?;
-        let py = least_squares(&rows, &ys, 3)?;
-        Ok(Affine2 {
-            m: [px[0], px[1], py[0], py[1], px[2], py[2]],
         })
     }
 
@@ -293,34 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn fit_affine_recovers_shear() {
-        // A non-similarity affine (shear) that only fit_affine can model.
-        let truth = Affine2 {
-            m: [1.0, 0.4, 0.0, 1.0, 5.0, -2.0],
-        };
-        let srcs = [
-            Point2::new(0.0, 0.0),
-            Point2::new(1.0, 0.0),
-            Point2::new(0.0, 1.0),
-            Point2::new(7.0, 3.0),
-        ];
-        let pairs: Vec<_> = srcs.iter().map(|&s| (s, truth.apply(s))).collect();
-        let fit = Affine2::fit_affine(&pairs).unwrap();
-        assert!(fit.rms_error(&pairs) < 1e-9);
-        for (f, t) in fit.m.iter().zip(truth.m.iter()) {
-            assert!((f - t).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn fit_affine_rejects_collinear() {
-        let pairs: Vec<_> = (0..5)
-            .map(|i| (Point2::new(i as f64, 0.0), Point2::new(i as f64, 1.0)))
-            .collect();
-        assert!(Affine2::fit_affine(&pairs).is_err());
-    }
-
-    #[test]
     fn noisy_fit_reduces_error_with_more_points() {
         // With symmetric noise, more correspondences give a better fit
         // (paper §5.2's manual correspondences).
@@ -344,11 +289,5 @@ mod tests {
         let fit4 = Affine2::fit_similarity(&mk_pairs(4)).unwrap();
         let fit24 = Affine2::fit_similarity(&mk_pairs(24)).unwrap();
         assert!(fit24.rms_error(&exact) <= fit4.rms_error(&exact) + 1e-9);
-    }
-
-    #[test]
-    fn det_matches_scale_squared() {
-        let m = Affine2::similarity(1.1, 3.0, Point2::ZERO);
-        assert!((m.det() - 9.0).abs() < 1e-9);
     }
 }

@@ -44,11 +44,6 @@ impl DeadReckoner {
         measured
     }
 
-    /// The integrated (drifting) position relative to the start.
-    pub fn integrated(&self) -> Point2 {
-        self.integrated
-    }
-
     /// Resets integration (e.g. after an absolute fix).
     pub fn reset(&mut self, to: Point2) {
         self.integrated = to;
@@ -78,7 +73,7 @@ mod tests {
             dr.observe(&mut rng, delta);
         }
         assert!(
-            dr.integrated().distance(truth) < 1.0,
+            dr.integrated.distance(truth) < 1.0,
             "10 m walk should drift < 1 m"
         );
     }
@@ -95,10 +90,10 @@ mod tests {
             truth = truth + delta;
             dr.observe(&mut rng, delta);
             if i == 99 {
-                err_at_100 = dr.integrated().distance(truth);
+                err_at_100 = dr.integrated.distance(truth);
             }
         }
-        err_at_1000 = err_at_1000.max(dr.integrated().distance(truth));
+        err_at_1000 = err_at_1000.max(dr.integrated.distance(truth));
         assert!(
             err_at_1000 > err_at_100,
             "drift must accumulate: {err_at_100} -> {err_at_1000}"
@@ -111,7 +106,7 @@ mod tests {
         let mut dr = DeadReckoner::new();
         dr.observe(&mut rng, Point2::new(5.0, 5.0));
         dr.reset(Point2::new(1.0, 1.0));
-        assert_eq!(dr.integrated(), Point2::new(1.0, 1.0));
+        assert_eq!(dr.integrated, Point2::new(1.0, 1.0));
     }
 
     #[test]
@@ -121,6 +116,6 @@ mod tests {
         for _ in 0..100 {
             dr.observe(&mut rng, Point2::ZERO);
         }
-        assert_eq!(dr.integrated(), Point2::ZERO);
+        assert_eq!(dr.integrated, Point2::ZERO);
     }
 }

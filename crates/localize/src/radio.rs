@@ -23,7 +23,7 @@ const PATH_LOSS_EXPONENT: f64 = 2.4;
 const SENSITIVITY_DBM: f64 = -95.0;
 
 /// Expected RSSI at `distance_m` from a beacon (no noise).
-pub fn expected_rssi(beacon: &Beacon, distance_m: f64) -> f64 {
+pub(crate) fn expected_rssi(beacon: &Beacon, distance_m: f64) -> f64 {
     let d = distance_m.max(0.5);
     beacon.tx_power_dbm - 10.0 * PATH_LOSS_EXPONENT * d.log10()
 }
@@ -79,11 +79,6 @@ impl RadioMap {
     /// The beacons in this radio map.
     pub fn beacons(&self) -> &[Beacon] {
         &self.beacons
-    }
-
-    /// Number of surveyed grid points.
-    pub fn grid_points(&self) -> usize {
-        self.fingerprints.len()
     }
 
     /// Simulates the signature a device at `pos` observes, with
@@ -179,16 +174,6 @@ impl RadioMap {
             technology: "beacon".into(),
         })
     }
-
-    /// Whether this radio map can hear any of the given beacon ids.
-    pub fn knows_any(&self, cue: &LocationCue) -> bool {
-        match cue {
-            LocationCue::BeaconRssi { readings } => readings
-                .iter()
-                .any(|(id, _)| self.beacons.iter().any(|b| b.id == *id)),
-            _ => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -283,11 +268,6 @@ mod tests {
             readings: vec![(999, -50.0)],
         };
         assert!(rm.localize(&cue, 4).is_none());
-        assert!(!rm.knows_any(&cue));
-        let known = LocationCue::BeaconRssi {
-            readings: vec![(1, -50.0)],
-        };
-        assert!(rm.knows_any(&known));
     }
 
     #[test]
@@ -325,7 +305,7 @@ mod tests {
     fn survey_dimensions() {
         let rm = store_radio_map();
         // 21 cols × 16 rows at 2 m over 40×30.
-        assert_eq!(rm.grid_points(), 21 * 16);
+        assert_eq!(rm.fingerprints.len(), 21 * 16);
         assert_eq!(rm.beacons().len(), 5);
     }
 }

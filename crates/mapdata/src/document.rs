@@ -1,6 +1,6 @@
 //! The map document: element storage, indices, and geo-referencing.
 
-use crate::element::{ElementId, Member, Node, NodeId, Relation, RelationId, Way, WayId};
+use crate::element::{ElementId, Node, NodeId, Relation, RelationId, Way, WayId};
 use crate::spatial::SpatialGrid;
 use crate::{MapError, Tags};
 use openflame_geo::{LatLng, LocalFrame, Point2};
@@ -46,15 +46,6 @@ impl GeoReference {
         match self {
             GeoReference::Anchored { origin } => Some(LocalFrame::new(*origin).to_local(p)),
             GeoReference::Unaligned { .. } => None,
-        }
-    }
-
-    /// A coarse geographic location for discovery purposes: the anchor
-    /// for anchored frames, the hint for unaligned ones.
-    pub fn coarse_location(&self) -> Option<LatLng> {
-        match self {
-            GeoReference::Anchored { origin } => Some(*origin),
-            GeoReference::Unaligned { hint } => *hint,
         }
     }
 }
@@ -159,7 +150,7 @@ impl MapDocument {
     }
 
     /// Inserts a node with a caller-chosen id.
-    pub fn insert_node(&mut self, node: Node) -> Result<(), MapError> {
+    pub(crate) fn insert_node(&mut self, node: Node) -> Result<(), MapError> {
         if self.nodes.contains_key(&node.id) {
             return Err(MapError::DuplicateId(ElementId::Node(node.id)));
         }
@@ -185,7 +176,7 @@ impl MapDocument {
     }
 
     /// Moves a node to a new position, keeping the index consistent.
-    pub fn move_node(&mut self, id: NodeId, pos: Point2) -> Result<(), MapError> {
+    pub(crate) fn move_node(&mut self, id: NodeId, pos: Point2) -> Result<(), MapError> {
         let node = self
             .nodes
             .get_mut(&id)
@@ -196,7 +187,7 @@ impl MapDocument {
     }
 
     /// Removes a node. Fails if any way still references it.
-    pub fn remove_node(&mut self, id: NodeId) -> Result<Node, MapError> {
+    pub(crate) fn remove_node(&mut self, id: NodeId) -> Result<Node, MapError> {
         if let Some(way) = self.ways.values().find(|w| w.nodes.contains(&id)) {
             return Err(MapError::MissingReference {
                 referrer: ElementId::Way(way.id),
@@ -231,7 +222,7 @@ impl MapDocument {
     }
 
     /// Inserts a way with a caller-chosen id, validating node references.
-    pub fn insert_way(&mut self, way: Way) -> Result<(), MapError> {
+    pub(crate) fn insert_way(&mut self, way: Way) -> Result<(), MapError> {
         if self.ways.contains_key(&way.id) {
             return Err(MapError::DuplicateId(ElementId::Way(way.id)));
         }
@@ -257,7 +248,7 @@ impl MapDocument {
     }
 
     /// Removes a way. Fails if a relation still references it.
-    pub fn remove_way(&mut self, id: WayId) -> Result<Way, MapError> {
+    pub(crate) fn remove_way(&mut self, id: WayId) -> Result<Way, MapError> {
         let referenced = self
             .relations
             .values()
@@ -294,19 +285,8 @@ impl MapDocument {
 
     // ---------------- relations ----------------
 
-    /// Adds a relation with a fresh id, validating member references.
-    pub fn add_relation(
-        &mut self,
-        members: Vec<Member>,
-        tags: Tags,
-    ) -> Result<RelationId, MapError> {
-        let id = RelationId(self.alloc_id());
-        self.insert_relation(Relation::new(id, members, tags))?;
-        Ok(id)
-    }
-
     /// Inserts a relation with a caller-chosen id.
-    pub fn insert_relation(&mut self, rel: Relation) -> Result<(), MapError> {
+    pub(crate) fn insert_relation(&mut self, rel: Relation) -> Result<(), MapError> {
         if self.relations.contains_key(&rel.id) {
             return Err(MapError::DuplicateId(ElementId::Relation(rel.id)));
         }
@@ -324,12 +304,12 @@ impl MapDocument {
     }
 
     /// Looks up a relation.
-    pub fn relation(&self, id: RelationId) -> Option<&Relation> {
+    pub(crate) fn relation(&self, id: RelationId) -> Option<&Relation> {
         self.relations.get(&id)
     }
 
     /// Removes a relation.
-    pub fn remove_relation(&mut self, id: RelationId) -> Result<Relation, MapError> {
+    pub(crate) fn remove_relation(&mut self, id: RelationId) -> Result<Relation, MapError> {
         self.relations
             .remove(&id)
             .ok_or(MapError::NotFound(ElementId::Relation(id)))
@@ -341,27 +321,18 @@ impl MapDocument {
     }
 
     /// Number of relations.
-    pub fn relation_count(&self) -> usize {
+    pub(crate) fn relation_count(&self) -> usize {
         self.relations.len()
     }
 
     // ---------------- queries ----------------
 
     /// Whether an element exists.
-    pub fn element_exists(&self, id: ElementId) -> bool {
+    pub(crate) fn element_exists(&self, id: ElementId) -> bool {
         match id {
             ElementId::Node(n) => self.nodes.contains_key(&n),
             ElementId::Way(w) => self.ways.contains_key(&w),
             ElementId::Relation(r) => self.relations.contains_key(&r),
-        }
-    }
-
-    /// The tags of any element.
-    pub fn element_tags(&self, id: ElementId) -> Option<&Tags> {
-        match id {
-            ElementId::Node(n) => self.nodes.get(&n).map(|e| &e.tags),
-            ElementId::Way(w) => self.ways.get(&w).map(|e| &e.tags),
-            ElementId::Relation(r) => self.relations.get(&r).map(|e| &e.tags),
         }
     }
 
@@ -428,6 +399,7 @@ impl MapDocument {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::Member;
 
     fn anchored() -> GeoReference {
         GeoReference::Anchored {
@@ -513,19 +485,20 @@ mod tests {
     fn relation_member_validation() {
         let mut m = sample_map();
         let way_id = m.ways().next().unwrap().id;
-        let rel = m
-            .add_relation(
-                vec![Member::new(ElementId::Way(way_id), "route")],
-                Tags::new().with("type", "route"),
-            )
-            .unwrap();
-        assert_eq!(m.relation(rel).unwrap().members.len(), 1);
+        m.insert_relation(Relation::new(
+            RelationId(500),
+            vec![Member::new(ElementId::Way(way_id), "route")],
+            Tags::new().with("type", "route"),
+        ))
+        .unwrap();
+        assert_eq!(m.relation(RelationId(500)).unwrap().members.len(), 1);
         // Missing member rejected.
         let err = m
-            .add_relation(
+            .insert_relation(Relation::new(
+                RelationId(501),
                 vec![Member::new(ElementId::Node(NodeId(12345)), "x")],
                 Tags::new(),
-            )
+            ))
             .unwrap_err();
         assert!(matches!(err, MapError::MissingReference { .. }));
     }
@@ -534,10 +507,11 @@ mod tests {
     fn cannot_remove_way_in_relation() {
         let mut m = sample_map();
         let way_id = m.ways().next().unwrap().id;
-        m.add_relation(
+        m.insert_relation(Relation::new(
+            RelationId(500),
             vec![Member::new(ElementId::Way(way_id), "route")],
             Tags::new(),
-        )
+        ))
         .unwrap();
         assert!(matches!(
             m.remove_way(way_id),
@@ -555,20 +529,6 @@ mod tests {
         let un = GeoReference::Unaligned { hint: None };
         assert!(un.to_geo(p).is_none());
         assert!(un.from_geo(geo).is_none());
-    }
-
-    #[test]
-    fn coarse_location_fallbacks() {
-        assert!(anchored().coarse_location().is_some());
-        let hint = LatLng::new(1.0, 2.0).unwrap();
-        assert_eq!(
-            GeoReference::Unaligned { hint: Some(hint) }.coarse_location(),
-            Some(hint)
-        );
-        assert_eq!(
-            GeoReference::Unaligned { hint: None }.coarse_location(),
-            None
-        );
     }
 
     #[test]
@@ -602,19 +562,6 @@ mod tests {
     #[test]
     fn validate_passes_on_consistent_map() {
         assert!(sample_map().validate().is_ok());
-    }
-
-    #[test]
-    fn element_tags_lookup() {
-        let m = sample_map();
-        let node_id = m.nodes().next().unwrap().id;
-        assert_eq!(
-            m.element_tags(ElementId::Node(node_id))
-                .unwrap()
-                .get("name"),
-            Some("A")
-        );
-        assert!(m.element_tags(ElementId::Node(NodeId(777))).is_none());
     }
 
     #[test]

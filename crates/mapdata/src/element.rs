@@ -110,11 +110,6 @@ impl Relation {
     pub fn new(id: RelationId, members: Vec<Member>, tags: Tags) -> Self {
         Self { id, members, tags }
     }
-
-    /// Members having the given role.
-    pub fn members_with_role<'a>(&'a self, role: &'a str) -> impl Iterator<Item = &'a Member> {
-        self.members.iter().filter(move |m| m.role == role)
-    }
 }
 
 #[cfg(test)]
@@ -146,22 +141,6 @@ mod tests {
         assert!(w.is_oneway());
         let w2 = Way::new(WayId(1), vec![NodeId(1), NodeId(2)], Tags::new());
         assert!(!w2.is_oneway());
-    }
-
-    #[test]
-    fn relation_role_filter() {
-        let r = Relation::new(
-            RelationId(9),
-            vec![
-                Member::new(ElementId::Node(NodeId(1)), "entrance"),
-                Member::new(ElementId::Node(NodeId(2)), "exit"),
-                Member::new(ElementId::Node(NodeId(3)), "entrance"),
-            ],
-            Tags::new(),
-        );
-        let entrances: Vec<_> = r.members_with_role("entrance").collect();
-        assert_eq!(entrances.len(), 2);
-        assert_eq!(r.members_with_role("nothing").count(), 0);
     }
 
     #[test]

@@ -49,16 +49,6 @@ impl MapPatch {
             && self.remove_relations.is_empty()
     }
 
-    /// Total number of edits in the patch.
-    pub fn edit_count(&self) -> usize {
-        self.upsert_nodes.len()
-            + self.upsert_ways.len()
-            + self.upsert_relations.len()
-            + self.remove_nodes.len()
-            + self.remove_ways.len()
-            + self.remove_relations.len()
-    }
-
     /// Applies the patch to `map`.
     ///
     /// The patch is rejected wholesale (map untouched) if the base
@@ -210,13 +200,12 @@ mod tests {
     }
 
     #[test]
-    fn edit_count_and_is_empty() {
+    fn is_empty_sees_every_edit_list() {
         let mut p = MapPatch::new(0);
         assert!(p.is_empty());
         p.remove_ways.push(WayId(1));
         p.upsert_nodes
             .push(Node::new(NodeId(1), Point2::ZERO, Tags::new()));
         assert!(!p.is_empty());
-        assert_eq!(p.edit_count(), 2);
     }
 }

@@ -101,25 +101,6 @@ impl SpatialGrid {
         out
     }
 
-    /// All nodes inside the axis-aligned rectangle `[min, max]`.
-    pub fn within_rect(&self, min: Point2, max: Point2) -> Vec<(NodeId, Point2)> {
-        let mut out = Vec::new();
-        let (kx0, ky0) = self.key(min);
-        let (kx1, ky1) = self.key(max);
-        for kx in kx0..=kx1 {
-            for ky in ky0..=ky1 {
-                if let Some(bucket) = self.buckets.get(&(kx, ky)) {
-                    for &(id, pos) in bucket {
-                        if pos.x >= min.x && pos.x <= max.x && pos.y >= min.y && pos.y <= max.y {
-                            out.push((id, pos));
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// The nearest node to `center`, searching outward ring by ring.
     pub fn nearest(&self, center: Point2) -> Option<(NodeId, Point2, f64)> {
         if self.len == 0 {
@@ -204,23 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn rect_query() {
-        let g = grid_with(&[
-            (1, 1.0, 1.0),
-            (2, 15.0, 15.0),
-            (3, -5.0, 2.0),
-            (4, 9.0, 11.0),
-        ]);
-        let mut hits: Vec<u64> = g
-            .within_rect(Point2::new(0.0, 0.0), Point2::new(10.0, 12.0))
-            .into_iter()
-            .map(|(id, _)| id.0)
-            .collect();
-        hits.sort();
-        assert_eq!(hits, vec![1, 4]);
-    }
-
-    #[test]
     fn remove_and_update() {
         let mut g = grid_with(&[(1, 0.0, 0.0), (2, 3.0, 3.0)]);
         assert_eq!(g.len(), 2);
@@ -259,10 +223,5 @@ mod tests {
     fn negative_coordinates_bucket_correctly() {
         let g = grid_with(&[(1, -0.5, -0.5)]);
         assert_eq!(g.within_radius(Point2::new(-1.0, -1.0), 2.0).len(), 1);
-        assert_eq!(
-            g.within_rect(Point2::new(-1.0, -1.0), Point2::new(0.0, 0.0))
-                .len(),
-            1
-        );
     }
 }

@@ -147,13 +147,14 @@ mod tests {
         let w = m
             .add_way(vec![a, b], Tags::new().with("highway", "service"))
             .unwrap();
-        m.add_relation(
+        m.insert_relation(Relation::new(
+            RelationId(100),
             vec![
                 Member::new(ElementId::Way(w), "perimeter"),
                 Member::new(ElementId::Node(a), "entrance"),
             ],
             Tags::new().with("type", "building"),
-        )
+        ))
         .unwrap();
         m.bump_version();
         m

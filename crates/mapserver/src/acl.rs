@@ -34,7 +34,7 @@ pub enum ServiceKind {
 }
 
 /// All service kinds, for iteration.
-pub const ALL_SERVICES: &[ServiceKind] = &[
+pub(crate) const ALL_SERVICES: &[ServiceKind] = &[
     ServiceKind::Info,
     ServiceKind::Geocode,
     ServiceKind::ReverseGeocode,

@@ -7,7 +7,7 @@
 //! to a domain name."
 
 use openflame_cells::CellId;
-use openflame_dns::{DnsError, DomainName};
+use openflame_dns::DomainName;
 
 /// The root domain under which all spatial names live.
 pub const SPATIAL_ROOT: &str = "cell.flame.";
@@ -29,21 +29,8 @@ pub fn cell_to_name(cell: CellId) -> DomainName {
 }
 
 /// The wildcard name matching every descendant cell of `cell`.
-pub fn cell_to_wildcard(cell: CellId) -> DomainName {
+pub(crate) fn cell_to_wildcard(cell: CellId) -> DomainName {
     cell_to_name(cell).child("*").expect("'*' is a valid label")
-}
-
-/// Parses a spatial name back into its cell.
-pub fn name_to_cell(name: &DomainName) -> Result<CellId, DnsError> {
-    let root = DomainName::parse(SPATIAL_ROOT).expect("constant parses");
-    if !name.is_subdomain_of(&root) || name == &root {
-        return Err(DnsError::BadName(format!("{name} is not a spatial name")));
-    }
-    let cell_labels: Vec<&str> = name
-        .labels()
-        .take(name.label_count() - root.label_count())
-        .collect();
-    CellId::from_dns_labels(&cell_labels).map_err(|e| DnsError::BadName(format!("{name}: {e}")))
 }
 
 #[cfg(test)]
@@ -53,6 +40,16 @@ mod tests {
 
     fn pitt() -> LatLng {
         LatLng::new(40.4433, -79.9436).unwrap()
+    }
+
+    /// The cell a spatial name names: the inverse of `cell_to_name`.
+    fn name_to_cell(name: &DomainName) -> CellId {
+        let root = DomainName::parse(SPATIAL_ROOT).unwrap();
+        let cell_labels: Vec<&str> = name
+            .labels()
+            .take(name.label_count() - root.label_count())
+            .collect();
+        CellId::from_dns_labels(&cell_labels).unwrap()
     }
 
     /// The discovery query name for a coarse device location, built
@@ -67,14 +64,14 @@ mod tests {
             let cell = CellId::from_latlng(pitt(), level).unwrap();
             let name = cell_to_name(cell);
             assert!(name.to_string().ends_with(SPATIAL_ROOT));
-            assert_eq!(name_to_cell(&name).unwrap(), cell, "level {level}");
+            assert_eq!(name_to_cell(&name), cell, "level {level}");
         }
     }
 
     #[test]
     fn query_name_is_at_query_level() {
         let name = query_name(pitt());
-        let cell = name_to_cell(&name).unwrap();
+        let cell = name_to_cell(&name);
         assert_eq!(cell.level(), QUERY_LEVEL);
         assert!(cell.contains_point(pitt()));
     }
@@ -94,13 +91,6 @@ mod tests {
         let w = cell_to_wildcard(cell);
         assert!(w.is_wildcard());
         assert!(w.to_string().starts_with("*."));
-    }
-
-    #[test]
-    fn non_spatial_names_rejected() {
-        assert!(name_to_cell(&DomainName::parse("www.example.").unwrap()).is_err());
-        assert!(name_to_cell(&DomainName::parse(SPATIAL_ROOT).unwrap()).is_err());
-        assert!(name_to_cell(&DomainName::parse("bogus.cell.flame.").unwrap()).is_err());
     }
 
     #[test]

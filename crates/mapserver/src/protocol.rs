@@ -336,7 +336,7 @@ pub enum Response {
 /// to `0`; identified principals hash user and app with FNV-1a. The
 /// per-principal fairness cap in the transports' overload policy keys
 /// shed decisions off this value.
-pub fn principal_key(payload: &[u8]) -> u64 {
+pub(crate) fn principal_key(payload: &[u8]) -> u64 {
     let mut r = Reader::new(payload);
     let Ok(principal) = Principal::decode(&mut r) else {
         return 0;

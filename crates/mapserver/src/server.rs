@@ -38,10 +38,10 @@ use std::sync::{Arc, OnceLock};
 /// enough that a healthy server never sheds, shallow enough that a
 /// saturated one answers [`Response::Busy`] in microseconds instead of
 /// queueing seconds of work (wire protocol spec §10).
-pub const DEFAULT_MAX_DISPATCH_DEPTH: usize = 256;
+pub(crate) const DEFAULT_MAX_DISPATCH_DEPTH: usize = 256;
 
 /// Default retry hint carried in shed [`Response::Busy`] replies.
-pub const DEFAULT_RETRY_AFTER_US: u64 = 2_000;
+pub(crate) const DEFAULT_RETRY_AFTER_US: u64 = 2_000;
 
 /// Configuration for spawning a map server.
 pub struct MapServerConfig {
@@ -295,7 +295,7 @@ impl MapServer {
     /// carrying `retry_after_us` (wire protocol spec §10). Pass a custom
     /// `max_depth` to tighten or loosen the queue bound; transports
     /// without admission support (the simulator) ignore the policy.
-    pub fn overload_policy(max_depth: usize, retry_after_us: u64) -> OverloadPolicy {
+    pub(crate) fn overload_policy(max_depth: usize, retry_after_us: u64) -> OverloadPolicy {
         OverloadPolicy {
             max_depth,
             retry_after_us,
@@ -309,14 +309,14 @@ impl MapServer {
     /// [`MapServer::overload_policy`] at the default depth and retry
     /// hint — what [`MapServer::serve_on`] (and so
     /// [`MapServer::spawn_on`]) installs.
-    pub fn default_overload_policy() -> OverloadPolicy {
+    pub(crate) fn default_overload_policy() -> OverloadPolicy {
         Self::overload_policy(DEFAULT_MAX_DISPATCH_DEPTH, DEFAULT_RETRY_AFTER_US)
     }
 
     /// The server's RPC dispatch loop as a transport-bindable service:
     /// decode envelope, dispatch under the envelope's principal, encode
     /// the response.
-    pub fn wire_service(self: &Arc<Self>) -> Arc<dyn WireService> {
+    pub(crate) fn wire_service(self: &Arc<Self>) -> Arc<dyn WireService> {
         let handler = self.clone();
         Arc::new(move |_from: EndpointId, payload: &[u8]| {
             let response = match from_bytes::<Envelope>(payload) {
@@ -337,7 +337,7 @@ impl MapServer {
     /// way; calling it again serves the same engines on an *additional*
     /// transport, for hybrid setups where a simulator-spawned server
     /// must also answer real sockets.
-    pub fn serve_on(self: &Arc<Self>, transport: &dyn Transport) -> EndpointId {
+    pub(crate) fn serve_on(self: &Arc<Self>, transport: &dyn Transport) -> EndpointId {
         let endpoint = transport.register(
             &format!("mapsrv:{}", self.setup.id),
             Some(self.location_hint),
@@ -494,7 +494,7 @@ impl MapServer {
     }
 
     /// Portal cost matrix for stitching (ACL-checked under `Route`).
-    pub fn route_matrix(
+    pub(crate) fn route_matrix(
         &self,
         principal: &Principal,
         entries: &[NodeId],

@@ -235,7 +235,7 @@ impl SimNet {
     }
 
     /// Creates a network with a custom latency model.
-    pub fn with_latency(seed: u64, latency: LatencyModel) -> Self {
+    pub(crate) fn with_latency(seed: u64, latency: LatencyModel) -> Self {
         Self {
             inner: Arc::new(OrderedMutex::new(
                 ranks::SIM_NET,

@@ -99,7 +99,7 @@ impl Waker {
         })
     }
 
-    pub fn rx_fd(&self) -> RawFd {
+    pub(crate) fn rx_fd(&self) -> RawFd {
         self.rx.as_raw_fd()
     }
 

@@ -30,7 +30,7 @@
 //!   for the reactor — frames leave in **completion order** with the
 //!   request's correlation id echoed, so a slow request head-of-line
 //!   blocks only its own completion, never the pipelined requests
-//!   behind it. Each connection holds at most [`SERVE_PIPELINE`]
+//!   behind it. Each connection holds at most `SERVE_PIPELINE`
 //!   decoded requests in dispatch; past that the reactor drops the
 //!   connection's read interest (readiness-deregistration
 //!   backpressure) until replies drain, and the reply that reopens the
@@ -51,8 +51,8 @@
 //!   otherwise it queues the frame for the reactor — it never blocks
 //!   on a dial (connects are non-blocking too; N cold dials to N
 //!   servers proceed concurrently). Bounded fan-out falls out of the
-//!   pool: at most [`POOL_CAP`] connections per destination, each
-//!   pipelining up to [`PIPELINE_DEPTH`] requests before another
+//!   pool: at most `POOL_CAP` (4) connections per destination, each
+//!   pipelining up to `PIPELINE_DEPTH` (32) requests before another
 //!   connection is dialed; beyond that, requests queue on the
 //!   least-loaded connection.
 //! - **Failure semantics** mirror the simulator: a down endpoint
@@ -96,12 +96,12 @@ use std::thread;
 use std::time::Instant;
 
 /// Pipelined connections kept per destination endpoint.
-pub const POOL_CAP: usize = 4;
+pub(crate) const POOL_CAP: usize = 4;
 
 /// In-flight requests a connection absorbs before the pool dials
 /// another one (further requests queue on the least-loaded connection
 /// — the bounded-fan-out knob).
-pub const PIPELINE_DEPTH: usize = 32;
+pub(crate) const PIPELINE_DEPTH: usize = 32;
 
 /// Concurrent dispatch workers for the whole transport: decoded
 /// frames from every served connection of every endpoint are executed
@@ -116,11 +116,11 @@ pub const DISPATCH_POOL: usize = 8;
 /// server-side bounded-queue mirror of the client's
 /// [`PIPELINE_DEPTH`], expressed as readiness-deregistration instead
 /// of a blocked reader thread.
-pub const SERVE_PIPELINE: usize = PIPELINE_DEPTH;
+pub(crate) const SERVE_PIPELINE: usize = PIPELINE_DEPTH;
 
 /// Hard cap on the reactor pool (the default is
 /// `min(available cores, MAX_REACTORS)`).
-pub const MAX_REACTORS: usize = 8;
+pub(crate) const MAX_REACTORS: usize = 8;
 
 // ---------------------------------------------------------------------
 // Client connections.

@@ -152,7 +152,7 @@ impl OverloadPolicy {
     /// The per-principal admission cap: half the endpoint's depth
     /// (at least 1), so one hot principal can occupy at most half the
     /// queue and a quiet principal always finds room.
-    pub fn principal_cap(&self) -> usize {
+    pub(crate) fn principal_cap(&self) -> usize {
         (self.max_depth / 2).max(1)
     }
 }

@@ -15,8 +15,8 @@
 //! - **Connection ids with 0-RTT resumption**: a cold connect costs one
 //!   `Init`/`InitAck` handshake round before data flows; the conn id it
 //!   registers is cached per destination endpoint, and a client that
-//!   reconnects to a known server ([`QuicLiteTransport::close_connections`]
-//!   models an idle teardown) skips the handshake entirely — `Data`
+//!   reconnects to a known server (after an idle teardown, or when a
+//!   downed server comes back) skips the handshake entirely — `Data`
 //!   packets go out immediately under the resumed conn id. Packet
 //!   counters make the saving observable
 //!   ([`QuicLiteTransport::quic_stats`]).
@@ -602,18 +602,14 @@ impl QuicLiteTransport {
     pub fn retransmits(&self) -> u64 {
         self.inner.state.wire.retransmits.load(Ordering::Relaxed)
     }
+}
 
+impl QuicState {
     /// Tears down the live connection toward `to` (modelling an idle
     /// timeout or an application-level reconnect) while keeping its
     /// conn id in the 0-RTT resumption cache: the next call to `to`
     /// reconnects without a handshake round. In-flight calls on the old
     /// connection are abandoned to their deadlines.
-    pub fn close_connections(&self, to: EndpointId) {
-        self.inner.state.close_connections(to);
-    }
-}
-
-impl QuicState {
     fn close_connections(&self, to: EndpointId) {
         if let Some(client) = self.client.lock().as_mut() {
             self.retire_conn(client, to);
@@ -1154,7 +1150,7 @@ mod tests {
         // minimum over a few reconnects: the 0-RTT saving must show.
         let mut best = u64::MAX;
         for i in 0..5u8 {
-            transport.close_connections(server);
+            transport.inner.state.close_connections(server);
             let before = transport.quic_stats().packets_sent;
             transport.call(client, server, vec![2, i]).unwrap();
             best = best.min(transport.quic_stats().packets_sent - before);

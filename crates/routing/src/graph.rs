@@ -18,7 +18,7 @@ pub enum Profile {
 impl Profile {
     /// Speed in m/s on `way`, or `None` if the way is unusable under
     /// this profile.
-    pub fn speed_on(&self, way: &Way) -> Option<f64> {
+    pub(crate) fn speed_on(&self, way: &Way) -> Option<f64> {
         let highway = way.tags.get("highway");
         let indoor = way.tags.get("indoor");
         match self {
@@ -53,7 +53,7 @@ impl Profile {
     }
 
     /// Whether one-way restrictions apply.
-    pub fn respects_oneway(&self) -> bool {
+    pub(crate) fn respects_oneway(&self) -> bool {
         matches!(self, Profile::Driving)
     }
 }
@@ -162,7 +162,14 @@ impl RoadGraph {
     }
 
     /// Adds a directed edge, keeping only the cheapest parallel edge.
-    pub fn add_edge(&mut self, from: usize, to: usize, weight: f64, dist_m: f64, way: WayId) {
+    pub(crate) fn add_edge(
+        &mut self,
+        from: usize,
+        to: usize,
+        weight: f64,
+        dist_m: f64,
+        way: WayId,
+    ) {
         if from == to {
             return;
         }
@@ -198,11 +205,6 @@ impl RoadGraph {
         self.node_ids.len()
     }
 
-    /// Number of directed edges.
-    pub fn edge_count(&self) -> usize {
-        self.out_edges.iter().map(Vec::len).sum()
-    }
-
     /// The graph index of a map node, if routable.
     pub fn index_of(&self, id: NodeId) -> Option<usize> {
         self.index_of.get(&id).copied()
@@ -224,13 +226,13 @@ impl RoadGraph {
     }
 
     /// Incoming edges of a node (each `Edge::to` is the *source*).
-    pub fn in_edges(&self, idx: usize) -> &[Edge] {
+    pub(crate) fn in_edges(&self, idx: usize) -> &[Edge] {
         &self.in_edges[idx]
     }
 
     /// The fastest speed on any edge (m/s), for admissible A*
     /// heuristics.
-    pub fn max_speed(&self) -> f64 {
+    pub(crate) fn max_speed(&self) -> f64 {
         self.max_speed
     }
 
@@ -263,6 +265,11 @@ mod tests {
     use super::*;
     use openflame_mapdata::{GeoReference, Tags};
 
+    /// Number of directed edges.
+    fn edge_count(g: &RoadGraph) -> usize {
+        (0..g.node_count()).map(|i| g.out_edges(i).len()).sum()
+    }
+
     /// One way spec: its node positions and its tags.
     type WaySpec<'a> = (&'a [(f64, f64)], &'a [(&'a str, &'a str)]);
 
@@ -293,7 +300,7 @@ mod tests {
         let g = RoadGraph::from_map(&map, Profile::Walking);
         assert_eq!(g.node_count(), 2);
         // Oneway ignored for pedestrians: both directions present.
-        assert_eq!(g.edge_count(), 2);
+        assert_eq!(edge_count(&g), 2);
         let ia = g.index_of(ids[0][0]).unwrap();
         assert_eq!(g.out_edges(ia).len(), 1);
         assert!((g.out_edges(ia)[0].weight - 50.0 / 1.4).abs() < 1e-9);
@@ -311,7 +318,7 @@ mod tests {
         let g = RoadGraph::from_map(&map, Profile::Driving);
         // Footway not drivable: only the residential segment, one way.
         assert_eq!(g.node_count(), 2);
-        assert_eq!(g.edge_count(), 1);
+        assert_eq!(edge_count(&g), 1);
         let ia = g.index_of(ids[0][0]).unwrap();
         let edge = g.out_edges(ia)[0];
         // 30 km/h default for residential.
@@ -332,8 +339,8 @@ mod tests {
     #[test]
     fn indoor_ways_walkable() {
         let (map, _) = map_with_ways(&[(&[(0.0, 0.0), (5.0, 0.0)], &[("indoor", "corridor")])]);
-        assert_eq!(RoadGraph::from_map(&map, Profile::Walking).edge_count(), 2);
-        assert_eq!(RoadGraph::from_map(&map, Profile::Driving).edge_count(), 0);
+        assert_eq!(edge_count(&RoadGraph::from_map(&map, Profile::Walking)), 2);
+        assert_eq!(edge_count(&RoadGraph::from_map(&map, Profile::Driving)), 0);
     }
 
     #[test]
@@ -382,6 +389,6 @@ mod tests {
         map.add_way(vec![a, b], Tags::new().with("highway", "footway"))
             .unwrap();
         let g = RoadGraph::from_map(&map, Profile::Walking);
-        assert_eq!(g.edge_count(), 0);
+        assert_eq!(edge_count(&g), 0);
     }
 }

@@ -11,10 +11,10 @@
 //!
 //! - [`Tile`] — an ARGB pixel grid addressed by `(z, x, y)` slippy
 //!   coordinates, with its RGB wire form and PPM export,
-//! - [`raster`] — Bresenham lines, scanline polygon fill, discs,
+//! - `raster` — Bresenham lines, scanline polygon fill, discs,
 //! - [`TileRenderer`] — style-mapped rendering of a map document into
-//!   tiles, with a bounded on-demand cache of their wire form and
-//!   pre-rendering (paper §4.1),
+//!   tiles, with a bounded on-demand cache of their wire form (paper
+//!   §4.1),
 //! - [`compose`](stitch::compose) / [`render_unaligned_overlay`](stitch::render_unaligned_overlay)
 //!   — client-side stitching of tiles from multiple servers, including
 //!   venues whose frames need a fitted affine transform.
@@ -23,12 +23,11 @@
 //! it and serves the cached bytes, the client decodes each layer in one
 //! pass and composes only when more than one layer arrived.
 
-pub mod raster;
+mod raster;
 pub mod render;
 pub mod stitch;
-pub mod style;
+mod style;
 pub mod tile;
 
 pub use render::TileRenderer;
-pub use style::{style_for, Style};
 pub use tile::{Tile, TileCoord, MAX_ZOOM, TILE_SIZE};

@@ -4,7 +4,15 @@ use crate::tile::Tile;
 
 /// Draws a line with the given `thickness` (pixels) using Bresenham's
 /// algorithm with a square brush.
-pub fn draw_line(tile: &mut Tile, x0: i64, y0: i64, x1: i64, y1: i64, color: u32, thickness: i64) {
+pub(crate) fn draw_line(
+    tile: &mut Tile,
+    x0: i64,
+    y0: i64,
+    x1: i64,
+    y1: i64,
+    color: u32,
+    thickness: i64,
+) {
     let dx = (x1 - x0).abs();
     let dy = -(y1 - y0).abs();
     let sx = if x0 < x1 { 1 } else { -1 };
@@ -34,7 +42,7 @@ pub fn draw_line(tile: &mut Tile, x0: i64, y0: i64, x1: i64, y1: i64, color: u32
 }
 
 /// Fills a simple polygon by scanline parity.
-pub fn fill_polygon(tile: &mut Tile, ring: &[(i64, i64)], color: u32) {
+pub(crate) fn fill_polygon(tile: &mut Tile, ring: &[(i64, i64)], color: u32) {
     if ring.len() < 3 {
         return;
     }
@@ -73,7 +81,7 @@ pub fn fill_polygon(tile: &mut Tile, ring: &[(i64, i64)], color: u32) {
 }
 
 /// Draws a filled disc.
-pub fn draw_disc(tile: &mut Tile, cx: i64, cy: i64, radius: i64, color: u32) {
+pub(crate) fn draw_disc(tile: &mut Tile, cx: i64, cy: i64, radius: i64, color: u32) {
     for dy in -radius..=radius {
         for dx in -radius..=radius {
             if dx * dx + dy * dy <= radius * radius {

@@ -5,28 +5,28 @@
 //! cache keeps those RGB bytes — the form a `GetTile` answer carries,
 //! 192 KB a tile — rather than the ARGB [`Tile`], so a hit is a refcount
 //! bump with no per-pixel pass. The cache holds at most
-//! [`TILE_CACHE_ENTRIES`] tiles: when it is full, caching a new tile
+//! `TILE_CACHE_ENTRIES` (256) tiles: when it is full, caching a new tile
 //! evicts the one cached earliest (first in, first out). A renderer is
 //! built for one map version, so its cache never outlives that map.
 
 use crate::raster::{draw_disc, draw_line, fill_polygon};
 use crate::style::style_for;
 use crate::tile::{Tile, TileCoord, TILE_SIZE};
-use openflame_geo::{LatLng, Mercator, Point2};
+use openflame_geo::{Mercator, Point2};
 use openflame_mapdata::MapDocument;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Most tiles one renderer keeps cached (≈ 48 MB of wire form).
-pub const TILE_CACHE_ENTRIES: usize = 256;
+pub(crate) const TILE_CACHE_ENTRIES: usize = 256;
 
 /// Renders a geo-anchored map document into slippy tiles.
 ///
-/// Rendering follows the centralized pipeline of paper §4.1 — tiles can be
-/// pre-rendered for a zoom range or rendered on demand into a cache —
-/// but each *federated* server only holds its own map, so its tiles are
-/// mostly background outside its region; the client composes tiles from
-/// many servers (see [`crate::stitch`]).
+/// Rendering follows the centralized pipeline of paper §4.1 — tiles are
+/// rendered on demand into a cache — but each *federated* server only
+/// holds its own map, so its tiles are mostly background outside its
+/// region; the client composes tiles from many servers (see
+/// [`crate::stitch`]).
 pub struct TileRenderer {
     /// Projected world coordinates (unit square) per node, plus tags.
     features: Vec<Feature>,
@@ -116,11 +116,6 @@ impl TileRenderer {
         })
     }
 
-    /// Number of drawable features.
-    pub fn feature_count(&self) -> usize {
-        self.features.len()
-    }
-
     /// Number of tiles rendered (not served from cache).
     pub fn renders_performed(&self) -> u64 {
         self.render_count.load(std::sync::atomic::Ordering::Relaxed)
@@ -141,26 +136,6 @@ impl TileRenderer {
         assert!(coord.in_pyramid(), "tile {coord:?} is outside the pyramid");
         let rgb = self.render(coord).to_rgb();
         self.cache.lock().insert(coord, rgb)
-    }
-
-    /// Pre-renders every tile covering `nw`–`se` for zooms
-    /// `z_min..=z_max`, returning how many tiles were produced (paper §4.1:
-    /// "the tile rendering service might pre-render tiles ... even
-    /// before they are requested"). Only the last
-    /// [`TILE_CACHE_ENTRIES`] stay cached.
-    pub fn prerender(&self, nw: LatLng, se: LatLng, z_min: u8, z_max: u8) -> usize {
-        let mut count = 0;
-        for z in z_min..=z_max {
-            let (x0, y0) = Mercator::tile_for(nw, z);
-            let (x1, y1) = Mercator::tile_for(se, z);
-            for x in x0.min(x1)..=x0.max(x1) {
-                for y in y0.min(y1)..=y0.max(y1) {
-                    self.tile(TileCoord { z, x, y });
-                    count += 1;
-                }
-            }
-        }
-        count
     }
 
     fn render(&self, coord: TileCoord) -> Tile {
@@ -227,6 +202,7 @@ impl TileRenderer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use openflame_geo::LatLng;
     use openflame_mapdata::{GeoReference, Tags};
 
     fn city_map() -> MapDocument {
@@ -263,7 +239,6 @@ mod tests {
     fn renders_features_on_covering_tile() {
         let map = city_map();
         let r = TileRenderer::new(&map).unwrap();
-        assert_eq!(r.feature_count(), 3);
         let origin = LatLng::new(40.4433, -79.9436).unwrap();
         let (x, y) = Mercator::tile_for(origin, 16);
         let coord = TileCoord { z: 16, x, y };
@@ -330,21 +305,6 @@ mod tests {
     fn a_tile_outside_the_pyramid_is_refused() {
         let r = TileRenderer::new(&city_map()).unwrap();
         r.tile(TileCoord { z: 64, x: 0, y: 0 });
-    }
-
-    #[test]
-    fn prerender_counts_pyramid() {
-        let map = city_map();
-        let r = TileRenderer::new(&map).unwrap();
-        let origin = LatLng::new(40.4433, -79.9436).unwrap();
-        let nw = origin.destination(315.0, 400.0);
-        let se = origin.destination(135.0, 400.0);
-        let n = r.prerender(nw, se, 14, 16);
-        assert!(n >= 3, "at least one tile per zoom, got {n}");
-        assert_eq!(r.renders_performed() as usize, n);
-        // Subsequent requests are all cache hits.
-        r.prerender(nw, se, 14, 16);
-        assert_eq!(r.renders_performed() as usize, n);
     }
 
     #[test]

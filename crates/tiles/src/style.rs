@@ -4,7 +4,7 @@ use openflame_mapdata::Tags;
 
 /// How a feature is drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Style {
+pub(crate) struct Style {
     /// ARGB color.
     pub color: u32,
     /// Stroke width in pixels (for ways) or radius (for nodes).
@@ -16,7 +16,7 @@ pub struct Style {
 }
 
 /// The style for an element's tag set, or `None` if it is not drawn.
-pub fn style_for(tags: &Tags) -> Option<Style> {
+pub(crate) fn style_for(tags: &Tags) -> Option<Style> {
     if let Some(highway) = tags.get("highway") {
         let (color, width) = match highway {
             "motorway" => (0xFFE8_9A3C, 5),

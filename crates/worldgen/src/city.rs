@@ -12,7 +12,7 @@ use rand::Rng;
 ///
 /// The map plays the "large world-map provider" role from paper §5.2 (the
 /// OpenStreetMap/Google of the simulation): public, outdoor, coarse.
-pub fn build_outdoor<R: Rng>(config: &WorldConfig, rng: &mut R) -> MapDocument {
+pub(crate) fn build_outdoor<R: Rng>(config: &WorldConfig, rng: &mut R) -> MapDocument {
     let mut map = MapDocument::new(
         "city-outdoor",
         "world-map-provider",

@@ -28,14 +28,15 @@ pub mod names;
 pub mod venue;
 pub mod workload;
 
-pub use city::build_outdoor;
-pub use venue::{build_grocery, build_mall_unit, Venue, VenueKind};
+pub use venue::Venue;
 pub use workload::{PoissonArrivals, WalkSample, WalkTrace, ZipfSampler};
 
+use city::build_outdoor;
 use openflame_geo::{Affine2, LatLng, LocalFrame, Point2};
 use openflame_mapdata::{MapDocument, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use venue::build_grocery;
 
 /// Configuration of a synthetic world.
 #[derive(Debug, Clone)]
@@ -141,16 +142,6 @@ impl World {
         self.city_frame().from_local(enu)
     }
 
-    /// Ground-truth venue-frame position of a geographic point.
-    pub fn geo_to_venue_point(&self, venue: usize, geo: LatLng) -> Point2 {
-        let enu = self.city_frame().to_local(geo);
-        self.venues[venue]
-            .true_transform
-            .inverse()
-            .expect("similarity transforms are invertible")
-            .apply(enu)
-    }
-
     /// Produces the misalignment transform for a venue: a similarity
     /// with random rotation, slight scale error, positioned at
     /// `enu_anchor`.
@@ -235,7 +226,11 @@ mod tests {
         let w = World::generate(WorldConfig::default());
         let p = Point2::new(12.0, 7.0);
         let geo = w.venue_point_to_geo(0, p);
-        let back = w.geo_to_venue_point(0, geo);
+        let back = w.venues[0]
+            .true_transform
+            .inverse()
+            .unwrap()
+            .apply(w.city_frame().to_local(geo));
         assert!(p.distance(back) < 0.01, "{p} vs {back}");
     }
 

@@ -3,7 +3,7 @@
 use rand::Rng;
 
 /// Street base names (east-west avenues).
-pub const AVENUE_NAMES: &[&str] = &[
+pub(crate) const AVENUE_NAMES: &[&str] = &[
     "Forbes",
     "Fifth",
     "Penn",
@@ -23,7 +23,7 @@ pub const AVENUE_NAMES: &[&str] = &[
 ];
 
 /// Street base names (north-south streets).
-pub const STREET_NAMES: &[&str] = &[
+pub(crate) const STREET_NAMES: &[&str] = &[
     "Craig",
     "Neville",
     "Morewood",
@@ -43,7 +43,7 @@ pub const STREET_NAMES: &[&str] = &[
 ];
 
 /// POI kinds with their OSM-style tag.
-pub const POI_KINDS: &[(&str, &str, &str)] = &[
+pub(crate) const POI_KINDS: &[(&str, &str, &str)] = &[
     ("amenity", "restaurant", "Restaurant"),
     ("amenity", "cafe", "Cafe"),
     ("amenity", "parking", "Parking"),
@@ -54,7 +54,7 @@ pub const POI_KINDS: &[(&str, &str, &str)] = &[
 ];
 
 /// POI proper-name fragments.
-pub const POI_NAMES: &[&str] = &[
+pub(crate) const POI_NAMES: &[&str] = &[
     "Golden",
     "Blue Door",
     "Corner",
@@ -72,7 +72,7 @@ pub const POI_NAMES: &[&str] = &[
 ];
 
 /// Grocery store brand names.
-pub const STORE_BRANDS: &[&str] = &[
+pub(crate) const STORE_BRANDS: &[&str] = &[
     "FreshMart",
     "GreenGrocer",
     "DailyBasket",
@@ -86,7 +86,7 @@ pub const STORE_BRANDS: &[&str] = &[
 ];
 
 /// Product brands.
-pub const PRODUCT_BRANDS: &[&str] = &[
+pub(crate) const PRODUCT_BRANDS: &[&str] = &[
     "Umami",
     "GoldenLeaf",
     "SnackJoy",
@@ -96,7 +96,7 @@ pub const PRODUCT_BRANDS: &[&str] = &[
 ];
 
 /// Product kinds.
-pub const PRODUCT_KINDS: &[&str] = &[
+pub(crate) const PRODUCT_KINDS: &[&str] = &[
     "seaweed",
     "ramen",
     "granola",
@@ -120,7 +120,7 @@ pub const PRODUCT_KINDS: &[&str] = &[
 ];
 
 /// Product flavors / variants.
-pub const PRODUCT_FLAVORS: &[&str] = &[
+pub(crate) const PRODUCT_FLAVORS: &[&str] = &[
     "wasabi",
     "teriyaki",
     "sea salt",

@@ -8,25 +8,12 @@ use openflame_localize::{Beacon, TagRegistry};
 use openflame_mapdata::{GeoReference, MapDocument, NodeId, Tags};
 use rand::Rng;
 
-/// The kind of a federated venue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VenueKind {
-    /// A grocery store with aisles and stocked shelves (paper §2).
-    Grocery,
-    /// A unit inside a mall.
-    MallUnit,
-    /// A university/campus building (used by the security experiments).
-    Campus,
-}
-
 /// A federated venue: a private indoor map plus everything its map
 /// server needs to offer services.
 #[derive(Debug, Clone)]
 pub struct Venue {
     /// Display name (e.g. `"FreshMart #3"`).
     pub name: String,
-    /// Venue kind.
-    pub kind: VenueKind,
     /// The indoor map, in the venue's own local frame
     /// ([`GeoReference::Unaligned`] — paper §3 heterogeneity).
     pub map: MapDocument,
@@ -53,7 +40,7 @@ pub struct Venue {
 
 /// Builds grocery store `store_idx`, wiring its entrance into the
 /// outdoor map, and returns the venue.
-pub fn build_grocery<R: Rng>(
+pub(crate) fn build_grocery<R: Rng>(
     config: &WorldConfig,
     store_idx: usize,
     outdoor: &mut MapDocument,
@@ -64,28 +51,6 @@ pub fn build_grocery<R: Rng>(
         STORE_BRANDS[store_idx % STORE_BRANDS.len()],
         store_idx / STORE_BRANDS.len() + 1
     );
-    build_venue(config, name, VenueKind::Grocery, outdoor, rng)
-}
-
-/// Builds a mall unit (same physical structure, different naming and
-/// kind).
-pub fn build_mall_unit<R: Rng>(
-    config: &WorldConfig,
-    unit_idx: usize,
-    outdoor: &mut MapDocument,
-    rng: &mut R,
-) -> Venue {
-    let name = format!("Mall Unit {}", unit_idx + 1);
-    build_venue(config, name, VenueKind::MallUnit, outdoor, rng)
-}
-
-fn build_venue<R: Rng>(
-    config: &WorldConfig,
-    name: String,
-    kind: VenueKind,
-    outdoor: &mut MapDocument,
-    rng: &mut R,
-) -> Venue {
     let city_frame = LocalFrame::new(config.center);
     let w_city = config.blocks_x as f64 * config.block_m;
     let h_city = config.blocks_y as f64 * config.block_m;
@@ -298,7 +263,6 @@ fn build_venue<R: Rng>(
     debug_assert!(map.validate().is_ok());
     Venue {
         name,
-        kind,
         map,
         true_transform,
         hint,
@@ -340,7 +304,6 @@ mod tests {
     fn grocery_has_expected_structure() {
         let (config, mut outdoor, mut rng) = setup();
         let v = build_grocery(&config, 0, &mut outdoor, &mut rng);
-        assert_eq!(v.kind, VenueKind::Grocery);
         assert!(v.map.validate().is_ok());
         assert!(outdoor.validate().is_ok());
         assert_eq!(v.stocked.len(), config.products_per_store);
@@ -425,14 +388,6 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), before, "beacon id collision");
-    }
-
-    #[test]
-    fn mall_unit_kind() {
-        let (config, mut outdoor, mut rng) = setup();
-        let v = build_mall_unit(&config, 0, &mut outdoor, &mut rng);
-        assert_eq!(v.kind, VenueKind::MallUnit);
-        assert!(v.name.contains("Mall Unit"));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! - **Figure 2 — federated**: [`OpenFlameClient`] implements the trait
 //!   by discovering map servers through DNS ([`DiscoveryClient`]),
 //!   scattering requests across them and stitching results on the
-//!   client (rank-fused search, portal-stitched routing, plausibility
-//!   localization, tile composition — paper §5.2).
+//!   client (rank-fused search, portal-stitched routing, localization
+//!   estimates ordered by reported error, tile composition — paper §5.2).
 //! - **Figure 1 — centralized**: [`CentralizedProvider`] implements the
 //!   same trait from a single monolithic map, in two flavors:
 //!   `public_only_on` (outdoor data only — the realistic Google-Maps
@@ -73,10 +73,10 @@
 //! [`Transport`](openflame_netsim::Transport) layer, whose core is
 //! **non-blocking**: `submit(from, to, payload)` returns a
 //! [`CallHandle`](openflame_netsim::CallHandle) immediately and
-//! completion is claimed via `wait()` or a
-//! [`CompletionSet`](openflame_netsim::CompletionSet); blocking `call`
-//! / `call_parallel` are default methods over submit+wait. The
-//! session, the DNS resolver and every server bind to
+//! completion is claimed via `wait()`; a fan-out such as
+//! [`ScatterRound`](session::ScatterRound) submits every branch before
+//! it waits on any, and blocking `call` is a default method over
+//! submit+wait. The session, the DNS resolver and every server bind to
 //! `Arc<dyn Transport>` and cannot tell which backend carries their
 //! bytes. That trait object is the **only** door onto a network: each
 //! component has exactly one network-binding constructor

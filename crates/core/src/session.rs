@@ -1233,6 +1233,64 @@ pub(crate) mod tests {
         );
     }
 
+    /// Every envelope of a round is on the wire before the first is
+    /// claimed, so `collect` answers in submit order and the round
+    /// costs its slowest branch, not the sum of them.
+    #[test]
+    fn a_scatter_round_answers_in_submit_order_and_costs_its_slowest_branch() {
+        let transport = BackendKind::Sim.build(1);
+        let client = transport.register("client", None);
+        // Each server spends its own service time, then answers every
+        // item with `PatchApplied { version: <that time in ms> }`.
+        let servers: Vec<EndpointId> = [30u64, 90, 10]
+            .into_iter()
+            .map(|service_ms| {
+                let server = transport.register("timed-server", None);
+                let clock = transport.clone();
+                transport.set_service(
+                    server,
+                    Arc::new(move |_from: EndpointId, payload: &[u8]| {
+                        clock.advance_us(service_ms * 1_000);
+                        let answers = sent_items(payload)
+                            .iter()
+                            .map(|_| Response::PatchApplied {
+                                version: service_ms,
+                            })
+                            .collect();
+                        to_bytes(&Response::Batch(answers)).to_vec()
+                    }),
+                );
+                server
+            })
+            .collect();
+        let session = Session::new(transport.clone(), client, Principal::anonymous());
+        let t0 = transport.now_us();
+        let mut round = session.scatter();
+        for &server in &servers {
+            round.submit(server, vec![probe()]);
+        }
+        let answers: Vec<Vec<u64>> = round
+            .collect()
+            .into_iter()
+            .map(|branch| versions(&branch.unwrap()))
+            .collect();
+        assert_eq!(answers, [[30], [90], [10]]);
+        let branch_us: Vec<u64> = servers
+            .iter()
+            .map(|&s| transport.endpoint_latency(s).unwrap().ewma_us)
+            .collect();
+        for (us, service_ms) in branch_us.iter().zip([30, 90, 10]) {
+            assert!(*us >= service_ms * 1_000, "{us} µs");
+        }
+        let sum: u64 = branch_us.iter().sum();
+        assert_eq!(session.stats().wire_us, sum);
+        assert_eq!(
+            transport.now_us() - t0,
+            branch_us[1],
+            "the slowest, not {sum}"
+        );
+    }
+
     #[test]
     fn busy_backoff_is_deterministic_capped_and_growing() {
         let a = busy_backoff_us(2_000, 0, EndpointId(1), EndpointId(2));

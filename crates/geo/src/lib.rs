@@ -10,9 +10,6 @@
 //!   in metric local coordinates (paper §3 of the paper: indoor maps are rarely
 //!   aligned with the geographic frame).
 //! - [`Mercator`] Web-Mercator projection used by the tile pyramid.
-//! - [`Polyline`] and [`Polygon`] with the usual computational-geometry
-//!   toolkit (length, closest point, point-in-polygon, area,
-//!   simplification).
 //! - [`Affine2`] planar transforms plus least-squares fitting from point
 //!   correspondences, the MapCruncher-style mechanism the paper proposes
 //!   (paper §5.2) for stitching maps whose coordinate frames disagree.
@@ -25,8 +22,6 @@ pub mod frame;
 pub mod latlng;
 pub mod mercator;
 pub mod point;
-pub mod polygon;
-pub mod polyline;
 pub mod transform;
 
 pub use bbox::BBox;
@@ -34,8 +29,6 @@ pub use frame::LocalFrame;
 pub use latlng::{LatLng, EARTH_RADIUS_M};
 pub use mercator::Mercator;
 pub use point::Point2;
-pub use polygon::Polygon;
-pub use polyline::Polyline;
 pub use transform::Affine2;
 
 /// Errors produced by geometric constructions in this crate.

@@ -1,8 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use openflame_geo::{
-    polygon, Affine2, BBox, LatLng, LocalFrame, Mercator, Point2, Polygon, Polyline,
-};
+use openflame_geo::{Affine2, BBox, LatLng, LocalFrame, Mercator, Point2};
 use proptest::prelude::*;
 
 fn arb_latlng() -> impl Strategy<Value = LatLng> {
@@ -96,72 +94,5 @@ proptest! {
         let m = Affine2::similarity(angle, scale, Point2::new(tx, ty));
         let inv = m.inverse().unwrap();
         prop_assert!(inv.apply(m.apply(p)).distance(p) < 1e-6);
-    }
-
-    #[test]
-    fn polygon_contains_agrees_with_signed_distance(
-        cx in -100.0f64..100.0,
-        cy in -100.0f64..100.0,
-        r in 5.0f64..50.0,
-        px in -200.0f64..200.0,
-        py in -200.0f64..200.0,
-    ) {
-        let poly = Polygon::regular(Point2::new(cx, cy), r, 16);
-        let p = Point2::new(px, py);
-        let sd = poly.signed_distance(p);
-        // Avoid the boundary where both answers are legitimately fuzzy.
-        prop_assume!(sd.abs() > 1e-6);
-        prop_assert_eq!(poly.contains(p), sd < 0.0);
-    }
-
-    #[test]
-    fn polygon_centroid_inside_convex(
-        cx in -100.0f64..100.0,
-        cy in -100.0f64..100.0,
-        r in 5.0f64..50.0,
-        n in 3usize..24,
-    ) {
-        let poly = Polygon::regular(Point2::new(cx, cy), r, n);
-        prop_assert!(poly.contains(poly.centroid()));
-    }
-
-    #[test]
-    fn polyline_projection_is_closest_vertex_bound(
-        pts in proptest::collection::vec(arb_point(), 2..12),
-        q in arb_point(),
-    ) {
-        let line = Polyline::new(pts.clone()).unwrap();
-        let proj = line.project(q);
-        // The projection can never be farther than the nearest vertex.
-        let nearest_vertex = pts.iter().map(|p| p.distance(q)).fold(f64::INFINITY, f64::min);
-        prop_assert!(proj.distance <= nearest_vertex + 1e-9);
-        prop_assert!(proj.along >= -1e-9 && proj.along <= line.length() + 1e-9);
-    }
-
-    #[test]
-    fn polyline_simplified_stays_close(
-        pts in proptest::collection::vec(arb_point(), 2..30),
-        eps in 0.1f64..20.0,
-    ) {
-        let line = Polyline::new(pts.clone()).unwrap();
-        let simp = line.simplified(eps);
-        // Every original vertex is within eps of the simplified line
-        // (the RDP guarantee).
-        for &p in line.points() {
-            prop_assert!(simp.project(p).distance <= eps + 1e-6);
-        }
-        // Endpoints preserved.
-        prop_assert_eq!(simp.points()[0], line.points()[0]);
-        prop_assert_eq!(*simp.points().last().unwrap(), *line.points().last().unwrap());
-    }
-
-    #[test]
-    fn segment_distance_zero_iff_on_segment(
-        a in arb_point(),
-        b in arb_point(),
-        t in 0.0f64..1.0,
-    ) {
-        let p = a.lerp(b, t);
-        prop_assert!(polygon::segment_distance(p, a, b) < 1e-9);
     }
 }

@@ -139,7 +139,10 @@ impl Geocoder {
 
     /// Ranked forward geocoding: the top `k` elements matching `query`.
     pub fn query(&self, query: &str, k: usize) -> Vec<GeocodeHit> {
-        let q_tokens = tokenize(query);
+        // A repeated query token counts once, as in `insert`.
+        let mut q_tokens = tokenize(query);
+        q_tokens.sort();
+        q_tokens.dedup();
         if q_tokens.is_empty() || k == 0 {
             return Vec::new();
         }
@@ -152,28 +155,32 @@ impl Geocoder {
                 }
             }
         }
-        let mut hits: Vec<GeocodeHit> = matches
+        let mut hits: Vec<(u32, GeocodeHit)> = matches
             .into_iter()
             .map(|(idx, matched)| {
                 let entry = &self.entries[idx as usize];
                 // Harmonic blend of query coverage and entry coverage.
                 let query_cov = matched as f64 / q_tokens.len() as f64;
                 let entry_cov = matched as f64 / entry.token_count as f64;
-                GeocodeHit {
+                let hit = GeocodeHit {
                     element: entry.element,
                     pos: entry.pos,
                     score: 2.0 * query_cov * entry_cov / (query_cov + entry_cov),
                     label: entry.label.clone(),
-                }
+                };
+                (idx, hit)
             })
             .collect();
-        hits.sort_by(|a, b| {
+        // `matches` iterates in `RandomState` order, so the ordering must
+        // be total: equal score and label fall back to insertion order.
+        hits.sort_by(|(a_idx, a), (b_idx, b)| {
             b.score
                 .total_cmp(&a.score)
                 .then_with(|| a.label.cmp(&b.label))
+                .then_with(|| a_idx.cmp(b_idx))
         });
         hits.truncate(k);
-        hits
+        hits.into_iter().map(|(_, hit)| hit).collect()
     }
 }
 
@@ -258,6 +265,33 @@ mod tests {
         let hits = g.query("murray ave", 1);
         assert_eq!(hits[0].pos, Point2::new(10.0, 10.0));
         assert!(matches!(hits[0].element, ElementId::Way(_)));
+    }
+
+    fn milk_map() -> (MapDocument, ElementId) {
+        let mut map = MapDocument::new("m", "t", GeoReference::Unaligned { hint: None });
+        let first = map.add_node(Point2::new(0.0, 0.0), Tags::new().with("name", "Oat Milk"));
+        map.add_node(Point2::new(5.0, 0.0), Tags::new().with("name", "Oat Milk"));
+        map.add_node(Point2::new(9.0, 0.0), Tags::new().with("name", "Milk"));
+        (map, ElementId::Node(first))
+    }
+
+    #[test]
+    fn equal_score_and_label_rank_in_insertion_order() {
+        let (map, first) = milk_map();
+        let g = Geocoder::build(&map);
+        for _ in 0..64 {
+            assert_eq!(g.query("oat milk", 1)[0].element, first);
+        }
+    }
+
+    #[test]
+    fn a_repeated_query_token_counts_once() {
+        let g = Geocoder::build(&milk_map().0);
+        for (repeated, once) in [("milk milk", "milk"), ("oat oat", "oat")] {
+            let hits = g.query(repeated, 5);
+            assert!(hits.iter().all(|h| h.score <= 1.0), "{repeated}: {hits:?}");
+            assert_eq!(hits, g.query(once, 5), "{repeated}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Reverse geocoding: location → map elements.
 
-use openflame_geo::{Point2, Polyline};
-use openflame_mapdata::{ElementId, MapDocument, WayId};
+use openflame_geo::Point2;
+use openflame_mapdata::{ElementId, MapDocument};
 
 /// A reverse-geocode result: the named element nearest a position.
 #[derive(Debug, Clone, PartialEq)]
@@ -12,21 +12,6 @@ pub struct ReverseHit {
     pub label: String,
     /// Distance from the query position, meters.
     pub distance_m: f64,
-}
-
-/// A way-snapping result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapHit {
-    /// The way snapped to.
-    pub way: WayId,
-    /// The way's name, if any.
-    pub label: Option<String>,
-    /// The snapped point on the way.
-    pub point: Point2,
-    /// Distance from the query position to the snapped point.
-    pub distance_m: f64,
-    /// Arc length from the way's start to the snapped point.
-    pub along_m: f64,
 }
 
 /// Finds the nearest *named* node within `radius_m` of `pos`.
@@ -45,61 +30,6 @@ pub fn reverse_geocode(map: &MapDocument, pos: Point2, radius_m: f64) -> Option<
         .min_by(|a, b| a.distance_m.total_cmp(&b.distance_m))
 }
 
-/// Snaps `pos` to the nearest way (of any tag set for which `usable`
-/// returns true) within `radius_m`.
-///
-/// This is the primitive behind "snapping raw GPS coordinates to roads
-/// on the map while navigating" (paper §4).
-pub fn snap_to_way(
-    map: &MapDocument,
-    pos: Point2,
-    radius_m: f64,
-    usable: impl Fn(&openflame_mapdata::Way) -> bool,
-) -> Option<SnapHit> {
-    let mut best: Option<SnapHit> = None;
-    for way in map.ways() {
-        if !usable(way) {
-            continue;
-        }
-        let Some(geometry) = map.way_geometry(way.id) else {
-            continue;
-        };
-        if geometry.len() < 2 {
-            continue;
-        }
-        // Cheap bbox rejection before the exact projection.
-        let (min_x, max_x) = geometry
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
-                (lo.min(p.x), hi.max(p.x))
-            });
-        let (min_y, max_y) = geometry
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), p| {
-                (lo.min(p.y), hi.max(p.y))
-            });
-        if pos.x < min_x - radius_m
-            || pos.x > max_x + radius_m
-            || pos.y < min_y - radius_m
-            || pos.y > max_y + radius_m
-        {
-            continue;
-        }
-        let line = Polyline::new(geometry).expect("length checked");
-        let proj = line.project(pos);
-        if proj.distance <= radius_m && best.as_ref().is_none_or(|b| proj.distance < b.distance_m) {
-            best = Some(SnapHit {
-                way: way.id,
-                label: way.tags.name().map(str::to_string),
-                point: proj.point,
-                distance_m: proj.distance,
-                along_m: proj.along,
-            });
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,19 +40,6 @@ mod tests {
         map.add_node(Point2::new(0.0, 0.0), Tags::new().with("name", "Fountain"));
         map.add_node(Point2::new(50.0, 0.0), Tags::new().with("name", "Kiosk"));
         map.add_node(Point2::new(10.0, 0.0), Tags::new()); // unnamed
-        let a = map.add_node(Point2::new(0.0, 20.0), Tags::new());
-        let b = map.add_node(Point2::new(100.0, 20.0), Tags::new());
-        map.add_way(
-            vec![a, b],
-            Tags::new()
-                .with("highway", "residential")
-                .with("name", "Fifth Ave"),
-        )
-        .unwrap();
-        let c = map.add_node(Point2::new(0.0, 40.0), Tags::new());
-        let d = map.add_node(Point2::new(100.0, 40.0), Tags::new());
-        map.add_way(vec![c, d], Tags::new().with("highway", "footway"))
-            .unwrap();
         map
     }
 
@@ -146,43 +63,5 @@ mod tests {
     fn radius_limits_results() {
         let map = sample_map();
         assert!(reverse_geocode(&map, Point2::new(500.0, 500.0), 10.0).is_none());
-    }
-
-    #[test]
-    fn snap_to_nearest_road() {
-        let map = sample_map();
-        // Between the two ways, slightly closer to Fifth Ave (y=20).
-        let hit = snap_to_way(&map, Point2::new(50.0, 27.0), 50.0, |_| true).unwrap();
-        assert_eq!(hit.label.as_deref(), Some("Fifth Ave"));
-        assert_eq!(hit.point, Point2::new(50.0, 20.0));
-        assert!((hit.distance_m - 7.0).abs() < 1e-9);
-        assert!((hit.along_m - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn snap_filter_respected() {
-        let map = sample_map();
-        // Only footways allowed: must snap to y=40 even though y=20 is
-        // closer.
-        let hit = snap_to_way(&map, Point2::new(50.0, 27.0), 50.0, |w| {
-            w.tags.is("highway", "footway")
-        })
-        .unwrap();
-        assert!((hit.point.y - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn snap_beyond_radius_is_none() {
-        let map = sample_map();
-        assert!(snap_to_way(&map, Point2::new(50.0, 300.0), 50.0, |_| true).is_none());
-    }
-
-    #[test]
-    fn snap_clamps_to_way_end() {
-        let map = sample_map();
-        let hit =
-            snap_to_way(&map, Point2::new(130.0, 22.0), 50.0, |w| w.tags.has("name")).unwrap();
-        assert_eq!(hit.point, Point2::new(100.0, 20.0));
-        assert!((hit.along_m - 100.0).abs() < 1e-9);
     }
 }

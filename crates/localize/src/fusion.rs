@@ -1,9 +1,5 @@
 //! Client-side fusion: a particle filter over odometry plus server
-//! estimates, and plausibility selection among candidate results.
-//!
-//! paper §5.2: "The client then selects the best one by comparing these
-//! results with its own IMU sensors or local SLAM algorithm. The most
-//! plausible result is returned to the application."
+//! estimates.
 
 use crate::cues::Estimate;
 use crate::gnss::normal_sample;
@@ -42,16 +38,6 @@ impl ParticleFilter {
             particles,
             weights: vec![1.0 / n as f64; n],
         }
-    }
-
-    /// Number of particles.
-    pub fn len(&self) -> usize {
-        self.particles.len()
-    }
-
-    /// Whether the filter has no particles (never true after `new`).
-    pub fn is_empty(&self) -> bool {
-        self.particles.is_empty()
     }
 
     /// Motion update: shift every particle by `delta` plus process
@@ -136,14 +122,6 @@ impl ParticleFilter {
     }
 }
 
-/// Plausibility of an estimate given the filter's current belief: the
-/// negative normalized squared distance, so higher is better. Used to
-/// pick among candidate results from overlapping servers.
-pub fn plausibility(filter: &ParticleFilter, estimate: &Estimate) -> f64 {
-    let sigma = (estimate.error_m + filter.spread()).max(0.5);
-    -filter.mean().distance_sq(estimate.pos) / (sigma * sigma)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,16 +202,6 @@ mod tests {
         // A measurement 1 km away zeroes all weights numerically.
         pf.update(&mut rng, &est(1000.0, 1000.0, 1.0));
         assert!(pf.mean().distance(Point2::new(1000.0, 1000.0)) < 5.0);
-    }
-
-    #[test]
-    fn plausibility_prefers_consistent_estimate() {
-        let mut rng = StdRng::seed_from_u64(24);
-        let mut pf = ParticleFilter::new(&mut rng, 300, Point2::new(5.0, 5.0), 1.0);
-        pf.update(&mut rng, &est(5.0, 5.0, 1.0));
-        let near = est(6.0, 5.0, 1.0);
-        let far = est(50.0, 50.0, 1.0);
-        assert!(plausibility(&pf, &near) > plausibility(&pf, &far));
     }
 
     #[test]

@@ -4,32 +4,28 @@
 //! and orientation with respect to a map" (paper §4). In the federated design
 //! (paper §5.2) the *client* collects location cues — GNSS fixes, beacon
 //! signal strengths, fiducial tag scans — and sends them to discovered
-//! map servers; each server localizes the device *within its own map*
-//! and the client selects the most plausible result by comparing
-//! against its inertial dead reckoning.
+//! map servers; each server localizes the device *within its own map*,
+//! and the client orders the estimates it gathers by their reported
+//! error, smallest first.
 //!
-//! This crate provides every piece of that pipeline:
+//! This crate provides the pieces of that pipeline:
 //!
 //! - [`LocationCue`] — the cue vocabulary exchanged with servers,
 //! - [`gnss`] — a noise-modelled outdoor-only GNSS fix source,
 //! - [`radio`] — log-distance path-loss beacon simulation plus
 //!   fingerprint-database (k-NN) indoor localization,
 //! - [`fiducial`] — exact tag-based localization,
-//! - [`deadreckon`] — IMU-style odometry with drift,
 //! - [`fusion`] — a particle filter fusing odometry with server
-//!   estimates, and the plausibility scoring used to pick among
-//!   candidate results from overlapping servers.
+//!   estimates.
 
 pub mod cues;
-pub mod deadreckon;
 pub mod fiducial;
 pub mod fusion;
 pub mod gnss;
 pub mod radio;
 
 pub use cues::{Estimate, LocationCue};
-pub use deadreckon::DeadReckoner;
 pub use fiducial::TagRegistry;
-pub use fusion::{plausibility, ParticleFilter};
+pub use fusion::ParticleFilter;
 pub use gnss::GnssModel;
 pub use radio::{Beacon, RadioMap};

@@ -716,7 +716,7 @@ mod tests {
     use super::*;
     use crate::acl::Rule;
     use openflame_mapdata::Tags;
-    use openflame_netsim::{BackendKind, QuicLiteTransport, TcpTransport};
+    use openflame_netsim::{BackendKind, CallHandle, QuicLiteTransport, TcpTransport};
     use openflame_worldgen::{World, WorldConfig};
 
     fn venue_server(net: &Arc<dyn Transport>) -> (Arc<MapServer>, World) {
@@ -1487,13 +1487,13 @@ mod tests {
             ),
         })
         .to_vec();
-        let mut set = openflame_netsim::CompletionSet::new();
+        let mut set = Vec::new();
         for _ in 0..16 {
             set.push(tcp.submit(client, tcp_endpoint, heavy.clone()));
         }
         let mut served = 0usize;
         let mut busy = 0usize;
-        for result in set.wait_all() {
+        for result in set.into_iter().map(CallHandle::wait) {
             let transfer = result.expect("overload answers, not errors");
             match from_bytes::<Response>(&transfer.payload).unwrap() {
                 Response::Busy { retry_after_us } => {

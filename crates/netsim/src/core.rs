@@ -1116,7 +1116,6 @@ impl<S: ReplySink> Served<S> {
 mod tests {
     use super::*;
     use crate::tcp::TcpTransport;
-    use crate::transport::CompletionSet;
     use crate::udp::QuicLiteTransport;
     use std::sync::mpsc;
 
@@ -1331,9 +1330,11 @@ mod tests {
     fn idle_transport_makes_no_loop_turns<T: Transport + Binding>(transport: T) {
         let kind = transport.kind();
         let (client, server) = echo_pair(&transport);
-        let calls = (0..8u8).map(|i| (server, vec![i])).collect();
-        for result in transport.call_parallel(client, calls) {
-            result.unwrap();
+        let handles: Vec<CallHandle> = (0..8u8)
+            .map(|i| transport.submit(client, server, vec![i]))
+            .collect();
+        for handle in handles {
+            handle.wait().unwrap();
         }
         let el = &transport.core().event_loop;
         let t0 = Instant::now();
@@ -1371,9 +1372,11 @@ mod tests {
             "200 warm calls took {sequential} loop turns"
         );
         let before = el.turns();
-        let calls = (0..8u8).map(|i| (server, vec![i])).collect();
-        for result in transport.call_parallel(client, calls) {
-            result.unwrap();
+        let handles: Vec<CallHandle> = (0..8u8)
+            .map(|i| transport.submit(client, server, vec![i]))
+            .collect();
+        for handle in handles {
+            handle.wait().unwrap();
         }
         let fanned = el.turns() - before;
         assert!(fanned <= 8, "an 8-way fan-out took {fanned} loop turns");
@@ -1491,12 +1494,11 @@ mod tests {
             Arc::new(|_from: EndpointId, payload: &[u8]| payload.to_vec()),
         );
         let client = transport.register("client", None);
-        let mut set = CompletionSet::new();
-        for i in 0..64u8 {
-            set.push(transport.submit(client, server, vec![i]));
-        }
-        for result in set.wait_all() {
-            result.unwrap();
+        let handles: Vec<CallHandle> = (0..64u8)
+            .map(|i| transport.submit(client, server, vec![i]))
+            .collect();
+        for handle in handles {
+            handle.wait().unwrap();
         }
         assert_eq!(transport.shed_requests(), 0);
         assert!(

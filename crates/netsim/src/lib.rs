@@ -52,8 +52,8 @@ pub mod udp;
 pub use stats::{EndpointLatency, EndpointStats, NetStats};
 pub use tcp::TcpTransport;
 pub use transport::{
-    BackendKind, BusyReplyFn, CallHandle, ClassifyFn, CompletionSet, OverloadPolicy, PendingCall,
-    Transfer, Transport, WireService,
+    BackendKind, BusyReplyFn, CallHandle, ClassifyFn, OverloadPolicy, PendingCall, Transfer,
+    Transport, WireService,
 };
 pub use udp::{QuicLiteTransport, QuicStats};
 
@@ -621,9 +621,11 @@ mod tests {
             None,
         );
         let t0 = net.now_us();
-        let results = net.call_parallel(client, servers.iter().map(|s| (*s, vec![1u8])).collect());
-        assert_eq!(results.len(), 8);
-        assert!(results.iter().all(|r| r.is_ok()));
+        let handles: Vec<CallHandle> = servers
+            .iter()
+            .map(|s| net.submit(client, *s, vec![1u8]))
+            .collect();
+        assert!(handles.into_iter().all(|h| h.wait().is_ok()));
         // Each call is exactly 2 ms; 8 sequential would be 16 ms.
         assert_eq!(net.now_us() - t0, 2_000);
         // Messages still counted individually.

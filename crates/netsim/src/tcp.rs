@@ -996,7 +996,7 @@ fn pump_served_decode(s: &mut ServedEntry) -> Result<(), ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{CompletionSet, OverloadPolicy, Transport};
+    use crate::transport::{CallHandle, OverloadPolicy, Transport};
     use openflame_codec::framing::{read_frame, write_frame, FRAME_HEADER_LEN};
     use std::time::Duration;
 
@@ -1040,10 +1040,10 @@ mod tests {
     #[test]
     fn parallel_fanout_answers_positionally() {
         let (transport, client, server) = echo_transport();
-        let results =
-            transport.call_parallel(client, (0..8u8).map(|i| (server, vec![i])).collect());
-        assert_eq!(results.len(), 8);
-        for (i, result) in results.into_iter().enumerate() {
+        let handles: Vec<CallHandle> = (0..8u8)
+            .map(|i| transport.submit(client, server, vec![i]))
+            .collect();
+        for (i, result) in handles.into_iter().map(CallHandle::wait).enumerate() {
             assert_eq!(result.unwrap().payload, vec![i as u8]);
         }
         assert_eq!(transport.stats().messages, 16);
@@ -1054,11 +1054,11 @@ mod tests {
         let (transport, client, server) = echo_transport();
         // Warm the pool so every pipelined submit reuses it.
         transport.call(client, server, vec![0]).unwrap();
-        let mut set = CompletionSet::new();
+        let mut set = Vec::new();
         for i in 0..16u8 {
             set.push(transport.submit(client, server, vec![i]));
         }
-        for (i, result) in set.wait_all().into_iter().enumerate() {
+        for (i, result) in set.into_iter().map(CallHandle::wait).enumerate() {
             assert_eq!(result.unwrap().payload, vec![i as u8]);
         }
         assert_eq!(
@@ -1080,11 +1080,11 @@ mod tests {
             "thread census is the reactor pool plus the dispatch pool"
         );
         for round in 0..10 {
-            let mut set = CompletionSet::new();
+            let mut set = Vec::new();
             for i in 0..8u8 {
                 set.push(transport.submit(client, server, vec![round, i]));
             }
-            for result in set.wait_all() {
+            for result in set.into_iter().map(CallHandle::wait) {
                 result.unwrap();
             }
         }
@@ -1114,11 +1114,11 @@ mod tests {
             })
             .collect();
         for round in 0..3u8 {
-            let mut set = CompletionSet::new();
+            let mut set = Vec::new();
             for id in &servers {
                 set.push(transport.submit(client, *id, vec![round]));
             }
-            for result in set.wait_all() {
+            for result in set.into_iter().map(CallHandle::wait) {
                 result.unwrap();
             }
         }
@@ -1149,11 +1149,11 @@ mod tests {
         assert_eq!(transport.pooled_conns(server), 1);
         let t0 = Instant::now();
         let slow = transport.submit(client, server, vec![1]);
-        let mut fast = CompletionSet::new();
+        let mut fast = Vec::new();
         for i in 0..8u8 {
             fast.push(transport.submit(client, server, vec![0, i]));
         }
-        for (i, result) in fast.wait_all().into_iter().enumerate() {
+        for (i, result) in fast.into_iter().map(CallHandle::wait).enumerate() {
             assert_eq!(result.unwrap().payload, vec![0, i as u8]);
         }
         let fast_elapsed = t0.elapsed();
@@ -1177,11 +1177,11 @@ mod tests {
         // the server-side gate must throttle the reader (backpressure),
         // not deadlock, drop, or reorder-by-correlation incorrectly.
         let (transport, client, server) = echo_transport();
-        let mut set = CompletionSet::new();
+        let mut set = Vec::new();
         for i in 0..200u32 {
             set.push(transport.submit(client, server, i.to_le_bytes().to_vec()));
         }
-        for (i, result) in set.wait_all().into_iter().enumerate() {
+        for (i, result) in set.into_iter().map(CallHandle::wait).enumerate() {
             assert_eq!(result.unwrap().payload, (i as u32).to_le_bytes().to_vec());
         }
         assert!(transport.pooled_conns(server) <= POOL_CAP);
@@ -1478,13 +1478,13 @@ mod tests {
         transport.set_overload_policy(server, Some(test_policy(4)));
         let client = transport.register("client", None);
         let t0 = Instant::now();
-        let mut set = CompletionSet::new();
+        let mut set = Vec::new();
         for i in 0..48u8 {
             // Spread principals so the per-principal cap is not what
             // triggers first; total depth is.
             set.push(transport.submit(client, server, vec![i, 1]));
         }
-        let results = set.wait_all();
+        let results: Vec<_> = set.into_iter().map(CallHandle::wait).collect();
         let elapsed = t0.elapsed();
         let mut served = 0usize;
         let mut shed = 0usize;
@@ -1529,7 +1529,7 @@ mod tests {
         let hot = transport.register("hot", None);
         let quiet = transport.register("quiet", None);
         // The hot principal floods well past its cap...
-        let mut hot_set = CompletionSet::new();
+        let mut hot_set = Vec::new();
         for i in 0..24u8 {
             hot_set.push(transport.submit(hot, server, vec![1, i]));
         }
@@ -1544,7 +1544,7 @@ mod tests {
             "quiet principal was shed while the hot one held the queue"
         );
         let mut hot_shed = 0usize;
-        for result in hot_set.wait_all() {
+        for result in hot_set.into_iter().map(CallHandle::wait) {
             if is_busy(&result.unwrap().payload) {
                 hot_shed += 1;
             }
@@ -1623,11 +1623,11 @@ mod tests {
         );
         transport.set_overload_policy(server, Some(test_policy(2)));
         let client = transport.register("client", None);
-        let mut set = CompletionSet::new();
+        let mut set = Vec::new();
         for i in 0..12u8 {
             set.push(transport.submit(client, server, vec![i, 0]));
         }
-        for result in set.wait_all() {
+        for result in set.into_iter().map(CallHandle::wait) {
             result.unwrap();
         }
         assert!(transport.dispatch_depth(server) >= 1);
@@ -1640,11 +1640,11 @@ mod tests {
     #[test]
     fn endpoint_without_policy_never_sheds() {
         let (transport, client, server) = echo_transport();
-        let mut set = CompletionSet::new();
+        let mut set = Vec::new();
         for i in 0..64u8 {
             set.push(transport.submit(client, server, vec![i]));
         }
-        for result in set.wait_all() {
+        for result in set.into_iter().map(CallHandle::wait) {
             result.unwrap();
         }
         assert_eq!(transport.shed_requests(), 0);

@@ -10,13 +10,14 @@
 //!
 //! The core of the trait is **non-blocking**: [`Transport::submit`]
 //! puts a request on the wire and returns a [`CallHandle`]
-//! immediately; the outcome is claimed later with [`CallHandle::wait`]
-//! or gathered across many handles with a [`CompletionSet`]. The
-//! blocking conveniences [`Transport::call`] and
-//! [`Transport::call_parallel`] are default methods over submit+wait,
-//! so backends implement only the non-blocking core and callers are
-//! free to overlap scatter rounds (submit round N+1 while round N is
-//! still in flight) instead of barriering between them.
+//! immediately; the outcome is claimed later with [`CallHandle::wait`].
+//! A fan-out submits every branch, then waits on each handle in turn:
+//! all branches are on the wire together, so the wait costs the
+//! slowest branch, not the sum. The blocking convenience
+//! [`Transport::call`] is a default method over submit+wait, so
+//! backends implement only the non-blocking core and callers are free
+//! to overlap scatter rounds (submit round N+1 while round N is still
+//! in flight) instead of barriering between them.
 //!
 //! Three backends ship today:
 //!
@@ -321,54 +322,13 @@ impl std::fmt::Debug for CallHandle {
     }
 }
 
-/// Waits on many [`CallHandle`]s at once.
-///
-/// All pushed calls progress concurrently (they were on the wire the
-/// moment they were submitted); [`CompletionSet::wait_all`] claims them
-/// positionally, so its wall-clock cost is the slowest branch, not the
-/// sum.
-#[derive(Debug, Default)]
-pub struct CompletionSet {
-    handles: Vec<CallHandle>,
-}
-
-impl CompletionSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a handle, returning its position in the
-    /// [`CompletionSet::wait_all`] result.
-    pub fn push(&mut self, handle: CallHandle) -> usize {
-        self.handles.push(handle);
-        self.handles.len() - 1
-    }
-
-    /// Number of handles in the set.
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
-    }
-
-    /// Claims every handle, in push order. One failed branch does not
-    /// sink the others.
-    pub fn wait_all(self) -> Vec<Result<Transfer, NetError>> {
-        self.handles.into_iter().map(CallHandle::wait).collect()
-    }
-}
-
 /// A wire backend: addressed request/response calls with stats and
 /// failure injection (see module docs).
 ///
 /// All methods take `&self`; implementations are internally shared and
 /// are passed around as `Arc<dyn Transport>`. Backends implement the
-/// non-blocking [`Transport::submit`]; the blocking conveniences are
-/// default methods over it.
+/// non-blocking [`Transport::submit`]; the blocking convenience
+/// [`Transport::call`] is a default method over it.
 pub trait Transport: Send + Sync {
     /// A short label for reports: `"simnet"`, `"tcp"`, ...
     fn kind(&self) -> &'static str;
@@ -396,21 +356,6 @@ pub trait Transport: Send + Sync {
         payload: Vec<u8>,
     ) -> Result<Transfer, NetError> {
         self.submit(from, to, payload).wait()
-    }
-
-    /// Concurrent fan-out: all branches start together, the call
-    /// returns when the slowest finishes, one failed branch does not
-    /// sink the others. Results are positional.
-    fn call_parallel(
-        &self,
-        from: EndpointId,
-        calls: Vec<(EndpointId, Vec<u8>)>,
-    ) -> Vec<Result<Transfer, NetError>> {
-        let mut set = CompletionSet::new();
-        for (to, payload) in calls {
-            set.push(self.submit(from, to, payload));
-        }
-        set.wait_all()
     }
 
     /// The transport clock in microseconds: simulated time on the
@@ -547,9 +492,8 @@ mod tests {
     #[test]
     fn sim_transport_parallel_latency_is_per_branch() {
         let (transport, client, server) = echo_transport();
-        let results =
-            transport.call_parallel(client, vec![(server, vec![1]), (server, vec![2, 3])]);
-        assert_eq!(results.len(), 2);
+        let handles = [vec![1], vec![2, 3]].map(|p| transport.submit(client, server, p));
+        let results = handles.map(CallHandle::wait);
         for r in &results {
             let t = r.as_ref().unwrap();
             assert!(t.latency_us > 0);
@@ -645,20 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn completion_set_is_positional() {
-        let (transport, client, server) = echo_transport();
-        let mut set = CompletionSet::new();
-        for i in 0..4u8 {
-            let idx = set.push(transport.submit(client, server, vec![i]));
-            assert_eq!(idx, i as usize);
-        }
-        assert_eq!(set.len(), 4);
-        for (i, result) in set.wait_all().into_iter().enumerate() {
-            assert_eq!(result.unwrap().payload, vec![i as u8]);
-        }
-    }
-
-    #[test]
     fn endpoint_latency_tracks_claimed_calls_and_resets() {
         let (transport, client, server) = echo_transport();
         assert_eq!(
@@ -699,15 +629,13 @@ mod tests {
 
         let one = net.call(pittsburgh, paris, vec![7u8; 300]).unwrap();
         assert_eq!(one.latency_us, 63_108);
-        let fanout = net.call_parallel(
-            pittsburgh,
-            vec![
-                (paris, vec![1u8; 10]),
-                (tokyo, vec![2u8; 5000]),
-                (paris, vec![3u8; 2048]),
-            ],
-        );
-        let latencies: Vec<u64> = fanout.into_iter().map(|r| r.unwrap().latency_us).collect();
+        let fanout = [
+            (paris, vec![1u8; 10]),
+            (tokyo, vec![2u8; 5000]),
+            (paris, vec![3u8; 2048]),
+        ]
+        .map(|(to, payload)| net.submit(pittsburgh, to, payload));
+        let latencies = fanout.map(|h| h.wait().unwrap().latency_us);
         assert_eq!(latencies, [63_100, 106_858, 63_154]);
         net.set_timeout_us(5_000);
         net.set_drop_probability(1.0);

@@ -1032,7 +1032,7 @@ impl ServeSock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{CompletionSet, OverloadPolicy};
+    use crate::transport::{CallHandle, OverloadPolicy};
     use openflame_codec::framing::FRAME_HEADER_LEN;
     use std::thread;
 
@@ -1063,11 +1063,11 @@ mod tests {
     #[test]
     fn pipelined_submits_multiplex_one_socket() {
         let (transport, client, server) = echo_transport();
-        let mut set = CompletionSet::new();
+        let mut set = Vec::new();
         for i in 0..32u8 {
             set.push(transport.submit(client, server, vec![i]));
         }
-        for (i, result) in set.wait_all().into_iter().enumerate() {
+        for (i, result) in set.into_iter().map(CallHandle::wait).enumerate() {
             assert_eq!(result.unwrap().payload, vec![i as u8]);
         }
         assert_eq!(transport.orphan_responses(), 0);
@@ -1080,11 +1080,11 @@ mod tests {
         transport.call(client, server, vec![0]).unwrap();
         let after_first = transport.worker_threads();
         for round in 0..10 {
-            let mut set = CompletionSet::new();
+            let mut set = Vec::new();
             for i in 0..8u8 {
                 set.push(transport.submit(client, server, vec![round, i]));
             }
-            for result in set.wait_all() {
+            for result in set.into_iter().map(CallHandle::wait) {
                 result.unwrap();
             }
         }
@@ -1275,11 +1275,11 @@ mod tests {
         transport.call(client, server, vec![0]).unwrap();
         let t0 = Instant::now();
         let slow = transport.submit(client, server, vec![1]);
-        let mut fast = CompletionSet::new();
+        let mut fast = Vec::new();
         for i in 0..8u8 {
             fast.push(transport.submit(client, server, vec![0, i]));
         }
-        for (i, result) in fast.wait_all().into_iter().enumerate() {
+        for (i, result) in fast.into_iter().map(CallHandle::wait).enumerate() {
             assert_eq!(result.unwrap().payload, vec![0, i as u8]);
         }
         assert!(
@@ -1385,11 +1385,11 @@ mod tests {
         transport.set_overload_policy(server, Some(test_policy(4)));
         let client = transport.register("client", None);
         let t0 = Instant::now();
-        let mut set = CompletionSet::new();
+        let mut set = Vec::new();
         for i in 0..48u8 {
             set.push(transport.submit(client, server, vec![i, 1]));
         }
-        let results = set.wait_all();
+        let results: Vec<_> = set.into_iter().map(CallHandle::wait).collect();
         let elapsed = t0.elapsed();
         let mut served = 0usize;
         let mut shed = 0usize;
@@ -1431,7 +1431,7 @@ mod tests {
         transport.set_overload_policy(server, Some(test_policy(8)));
         let hot = transport.register("hot", None);
         let quiet = transport.register("quiet", None);
-        let mut hot_set = CompletionSet::new();
+        let mut hot_set = Vec::new();
         for i in 0..24u8 {
             hot_set.push(transport.submit(hot, server, vec![1, i]));
         }
@@ -1444,7 +1444,7 @@ mod tests {
             "quiet principal was shed while the hot one held the queue"
         );
         let mut hot_shed = 0usize;
-        for result in hot_set.wait_all() {
+        for result in hot_set.into_iter().map(CallHandle::wait) {
             if is_busy(&result.unwrap().payload) {
                 hot_shed += 1;
             }
@@ -1475,14 +1475,16 @@ mod tests {
         transport.set_overload_policy(server, Some(test_policy(2)));
         let client = transport.register("client", None);
         transport.set_timeout_us(300_000);
-        let mut set = CompletionSet::new();
+        let mut set = Vec::new();
         for i in 0..16u8 {
             // Odd requests panic the service (answered with silence).
             set.push(transport.submit(client, server, vec![i, i % 2]));
         }
         // Some complete, some time out (panicked ones): either way the
         // workers must have released every admitted slot.
-        let _ = set.wait_all();
+        for handle in set {
+            let _ = handle.wait();
+        }
         thread::sleep(Duration::from_millis(200));
         let live_depth = transport
             .inner
@@ -1519,11 +1521,11 @@ mod tests {
         );
         transport.set_overload_policy(server, Some(test_policy(2)));
         let client = transport.register("client", None);
-        let mut set = CompletionSet::new();
+        let mut set = Vec::new();
         for i in 0..12u8 {
             set.push(transport.submit(client, server, vec![i, 0]));
         }
-        for result in set.wait_all() {
+        for result in set.into_iter().map(CallHandle::wait) {
             result.unwrap();
         }
         assert!(transport.dispatch_depth(server) >= 1);

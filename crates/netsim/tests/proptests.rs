@@ -35,10 +35,10 @@ proptest! {
                 }
                 1 => net.advance_us(size as u64),
                 _ => {
-                    let _ = net.call_parallel(
-                        client,
-                        vec![(server, vec![0u8; size]), (server, vec![1u8; size])],
-                    );
+                    let handles = [0u8, 1].map(|b| net.submit(client, server, vec![b; size]));
+                    for handle in handles {
+                        let _ = handle.wait();
+                    }
                 }
             }
             let now = net.now_us();

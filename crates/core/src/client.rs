@@ -32,10 +32,10 @@
 //! ([`crate::fleet`]) read. Rounds are **pipelined** through
 //! [`crate::session::ScatterRound`]: envelopes whose inputs are known
 //! go on the wire at once — the handshake-first classes handshake cold
-//! servers *while* warm servers' envelopes are already in flight, and
-//! stitched routing sends the venue's portal cost matrix alongside the
-//! outdoor nearest-node probes. Pipelining reorders *waiting*, never
-//! traffic.
+//! servers that may have a frame *while* the other envelopes are
+//! already in flight, and stitched routing sends the venue's portal
+//! cost matrix alongside the outdoor nearest-node probes. Pipelining
+//! reorders *waiting*, never traffic.
 //!
 //! The client is transport-agnostic: it holds an `Arc<dyn Transport>`
 //! and runs identically over the deterministic simulator
@@ -648,9 +648,10 @@ impl OpenFlameClient {
         }
         // Round 1 — one handshake-first round (spec §8) for candidates
         // and target: cold candidates are handshaken while warm envelopes
-        // fly. The first candidate seen to be anchored gets the nearest
-        // node to the start and the outdoor side of every portal, in its
-        // frame; the rest are declined without traffic, or passed over if
+        // fly, except those whose catalogue rules out a frame. The first
+        // candidate seen to be anchored gets the nearest node to the
+        // start and the outdoor side of every portal, in its frame; the
+        // rest are declined without traffic, or passed over if
         // unreachable. The venue's cost matrix (portals to target) needs
         // none of that and goes out at once.
         let probes = |frame: LocalFrame| {
@@ -810,8 +811,8 @@ impl OpenFlameClient {
         let coord = tile_coord(center, z)?;
         let TileCoord { z, x, y } = coord;
         let mut layers: Vec<Tile> = Vec::new();
-        // (The planner prunes unaligned venues, which advertise a zero
-        // tile count and refuse `GetTile` outright.) A layer echoing
+        // (The planner prunes unaligned venues, whose catalogues omit
+        // `tiles` and which refuse `GetTile` outright.) A layer echoing
         // another coordinate is another tile, whatever its size, and
         // contributes nothing.
         self.scatter(
@@ -857,9 +858,10 @@ impl OpenFlameClient {
 /// of them — and its builder runs in a follow-up round, seeing the
 /// advertisement, or `None` if the handshake failed (declining then
 /// leaves the target in the plan with the handshake's failure as its
-/// outcome). Every other
-/// kind's envelope simply goes out and the session's rule teaches the
-/// advertisement on it.
+/// outcome). A target whose catalogue omits `rgeocode` has no frame
+/// (spec §9.1), so its builder runs in the first round, seeing `None`.
+/// Every other kind's envelope simply goes out and the session's rule
+/// teaches the advertisement on it.
 ///
 /// **Idempotent requests only** (spec §7, spec §9): failed fleet
 /// branches retry on sibling replicas, each failed endpoint marked
@@ -880,7 +882,10 @@ fn execute(
         // missing one is counted by the session when the envelope
         // that asks goes out.
         let hello = session.cached_hello(endpoint);
-        let cold = handshake_first && hello.is_none();
+        // A catalogue that omits `rgeocode` rules out a frame (spec §9.1).
+        let cold = handshake_first
+            && hello.is_none()
+            && target.server.offers(QueryKind::ReverseGeocode) != Some(false);
         let requests = if cold {
             Some(Vec::new())
         } else {

@@ -525,6 +525,31 @@ mod tests {
         );
     }
 
+    /// Spec §9.1: a fleet whose replicas diverge in services is
+    /// malformed, so each `FLEETSRV` catalogue is every member's own.
+    #[test]
+    fn a_fleet_catalogue_is_every_members_catalogue() {
+        let dep = Deployment::build(
+            World::generate(WorldConfig::default()),
+            DeploymentConfig {
+                replicas: 2,
+                content_shards: 3,
+                ..DeploymentConfig::default()
+            },
+        );
+        for (idx, venue) in dep.world.venues.iter().enumerate() {
+            let discovery = dep.client.discovery();
+            let view = discovery.discover_view(venue.hint, false).unwrap();
+            let group_id = format!("venue-{idx}");
+            let fleet = (view.fleets.iter().find(|f| f.group_id == group_id))
+                .expect("every venue's fleet is advertised at its hint");
+            for member in dep.fleet_servers.iter().filter(|m| m.venue == idx) {
+                let id = member.server.id();
+                assert_eq!(fleet.services, advertised_services(&member.server), "{id}");
+            }
+        }
+    }
+
     #[test]
     fn fleet_deployment_search_finds_sharded_content() {
         let dep = Deployment::build(

@@ -13,6 +13,7 @@
 //! records in its additional section (spec §9.1).
 
 use crate::fleet::{DiscoveryView, FleetShardView, FleetView};
+use crate::plan::QueryKind;
 use crate::ClientError;
 use openflame_cells::CellId;
 use openflame_diag::{ranks, OrderedMutex};
@@ -29,11 +30,23 @@ pub struct DiscoveredServer {
     pub server_id: String,
     /// Network endpoint.
     pub endpoint: EndpointId,
-    /// Advertised service names (includes `localize:<tech>` entries).
+    /// The server's catalogue (spec §9.1): every service kind it
+    /// offers, plus one `localize:<tech>` entry per technology.
     pub services: Vec<String>,
 }
 
 impl DiscoveredServer {
+    /// Whether the server's catalogue offers `kind` (spec §9.1): `None`
+    /// when the catalogue names no kind of the spec §13.1 vocabulary,
+    /// which proves nothing.
+    pub(crate) fn offers(&self, kind: QueryKind) -> Option<bool> {
+        let listed = |kind: QueryKind| self.services.iter().any(|s| s == kind.wire_kind());
+        if listed(kind) {
+            return Some(true);
+        }
+        QueryKind::ALL.into_iter().any(listed).then_some(false)
+    }
+
     /// Whether the server advertises a localization technology.
     pub(crate) fn accepts_cue(&self, technology: &str) -> bool {
         self.services
@@ -350,12 +363,13 @@ mod tests {
         let session = Session::new(transport, endpoint, Principal::anonymous());
         let here = LatLng::new(37.0, -122.0).unwrap();
         // Spec §9.2: an empty extent, or one holding an id that is not
-        // a valid cell, intersects every footprint.
+        // a valid cell, intersects every footprint. The catalogue offers
+        // every kind queried, so only the extent is on trial.
         for extents in [vec![], vec![0]] {
             let mut view = DiscoveryView::default();
             let record = RecordData::FleetSrv {
                 group_id: "venue-0".into(),
-                services: vec!["rgeocode".into()],
+                services: ["search", "rgeocode", "localize"].map(String::from).into(),
                 shards: vec![FleetShard {
                     extents: extents.clone(),
                     replicas: vec![FleetReplica {

@@ -34,17 +34,19 @@
 //! each server's cached advertisement (the extended `Hello` exchange),
 //! and one executor, private to the [`client`] module, runs the plan
 //! through the session with the fleet failover machinery. The executor
-//! has one caller, the client's scatter loop, beside it: a query
-//! class is a request builder and an absorber on it, and what else
-//! differs per class — *handshake-first* for the two kinds whose
-//! request is spelled in the server's frame, the outage verdict — is
-//! a table on [`QueryKind`]. Only stitched routing, whose rounds feed
-//! each other, runs its own. Pruning is **sound**: a source is skipped only when its summary *proves* it
-//! cannot contribute — absent or stale summaries always consult
-//! (spec §13.3) — so planner-on and planner-off runs return identical
-//! results while warm wide-fan-out queries consult strictly fewer
-//! servers. The recall-parity integration test pins exactly that on
-//! all three backends.
+//! has two callers beside it, the client's scatter loop and stitched
+//! routing's rounds: a query class is a request builder and an
+//! absorber on the loop, and what else differs per class —
+//! *handshake-first* for the three kinds whose request is spelled in
+//! the server's frame (search, reverse geocode, route's candidate
+//! round), the outage verdict — is a table on [`QueryKind`]. Pruning
+//! is **sound**: a source is skipped only on proof (spec §13.3) — its
+//! discovery catalogue omits the kind (spec §9.1), which a cold plan
+//! already reads, or its cached summary proves it cannot contribute;
+//! unknown coverage always consults — so planner-on and planner-off
+//! runs return identical results while wide fan-outs consult strictly
+//! fewer servers. The recall-parity integration test pins exactly
+//! that on all three backends.
 //!
 //! Underneath the planner sits the [`Session`] wire layer: every
 //! provider's traffic goes out as batched envelopes

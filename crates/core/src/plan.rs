@@ -18,7 +18,9 @@
 //! A server may be skipped only on proof, never on heuristics:
 //!
 //! - [`PruneReason::MissingKind`] — the query's service kind is absent
-//!   from the advertised kind set (the set is exhaustive by spec);
+//!   from the server's discovery catalogue (its record's `services`,
+//!   spec §9.1), or from the advertised kind set (both are exhaustive
+//!   by spec);
 //! - [`PruneReason::EmptyKind`] — the kind is advertised with a
 //!   document count of zero;
 //! - [`PruneReason::DisjointExtent`] — the query footprint is provably
@@ -32,12 +34,15 @@
 //! the discovery view computed once ([`FleetShardView::intersects`]),
 //! so the shard test computes no cell geometry.
 //!
-//! A server with an **absent or stale** advertisement — or one that
-//! carries no summary, or one marked dead — has *unknown* coverage and
-//! MUST be consulted. Nothing else feeds the decision: past answers are
-//! not remembered, and the executor keeps advertisement order so
-//! planner-on and planner-off runs fuse byte-identically (the
-//! recall-parity pin).
+//! The catalogue rides every discovery record, so a kind proof holds
+//! before first contact: a cold plan already skips the servers that do
+//! not offer the kind. Beyond that, a server with an **absent or
+//! stale** advertisement — or one that carries no summary, or one
+//! marked dead — has *unknown* coverage and MUST be consulted, and so
+//! must a server whose catalogue names no kind of the vocabulary.
+//! Nothing else feeds the decision: past answers are not remembered,
+//! and the executor keeps advertisement order so planner-on and
+//! planner-off runs fuse byte-identically (the recall-parity pin).
 //!
 //! # Execution
 //!
@@ -49,7 +54,8 @@
 //! handshake rule (spec §8) teaches a cold server's advertisement on
 //! that same envelope, so the executor's only handshake decision is
 //! *handshake-first* ([`QueryKind`]'s table says for which kinds, and
-//! when failed servers make a round an outage). It fails fleet
+//! when failed servers make a round an outage; a server whose
+//! catalogue rules out a frame skips it). It fails fleet
 //! branches over to sibling replicas (idempotent requests only, spec
 //! §7): each failed replica is marked dead in the session, which
 //! replaces its advertisement and drops its discovery cell in the same
@@ -83,6 +89,16 @@ pub enum QueryKind {
 }
 
 impl QueryKind {
+    /// Every kind, one per word of the spec §13.1 vocabulary.
+    pub(crate) const ALL: [QueryKind; 6] = [
+        QueryKind::Search,
+        QueryKind::Geocode,
+        QueryKind::ReverseGeocode,
+        QueryKind::Route,
+        QueryKind::Localize,
+        QueryKind::Tile,
+    ];
+
     /// The wire-level kind string used in [`CoverageSummary::kinds`]
     /// (spec §13.1 vocabulary).
     ///
@@ -146,7 +162,8 @@ pub(crate) enum Outage {
 /// proofs, never heuristics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneReason {
-    /// The query kind is absent from the advertised kind set.
+    /// The query kind is absent from the server's catalogue or from
+    /// its advertised kind set.
     MissingKind,
     /// The kind is advertised with a document count of zero.
     EmptyKind,
@@ -236,10 +253,10 @@ impl ScatterPlan {
 /// non-contributing sources — the recall-parity tests pin that the
 /// results are identical either way.
 ///
-/// Costs no wire traffic: coverage is read from the session's cached
-/// advertisements only, so a cold federation (no summaries yet) is
-/// consulted in full — pruning is a warm-path optimization by
-/// construction.
+/// Costs no wire traffic: a server's catalogue is read from the
+/// discovery view, its coverage summary from the session's cached
+/// advertisement. A cold plan therefore prunes only what catalogues
+/// rule out, and a warm one also what summaries prove.
 pub fn plan(
     session: &Session,
     coverage_planner: bool,
@@ -260,6 +277,9 @@ pub fn plan(
     // is a refcount bump.
     let mut admit = |server: &Arc<DiscoveredServer>, shard: Option<&Arc<FleetShardView>>| {
         let proof = prune_for.and_then(|kind| {
+            if server.offers(kind) == Some(false) {
+                return Some(PruneReason::MissingKind);
+            }
             let hello = session.advertised(server.endpoint)?;
             prune_reason(hello.coverage.as_ref()?, kind, footprint)
         });
@@ -440,6 +460,45 @@ mod tests {
         assert_eq!(search_plan(&session, &view).consulted(), 0);
         session.mark_dead(EndpointId(50), 0);
         assert_eq!(search_plan(&session, &view).consulted(), 1);
+    }
+
+    /// Spec §9.1: the discovery catalogue is exhaustive over the kind
+    /// vocabulary, so it proves a kind missing before first contact —
+    /// unless it names no kind at all.
+    #[test]
+    fn the_catalogue_prunes_an_omitted_kind_before_first_contact() {
+        let (session, mut view, _) = one_source(None);
+        let tile_plan = |view: &DiscoveryView, coverage_planner| {
+            plan(
+                &session,
+                coverage_planner,
+                0,
+                view,
+                Some(QueryKind::Tile),
+                None,
+            )
+        };
+        // No advertisement stored: the catalogue `["search"]` alone is
+        // the proof.
+        assert!(session.advertised(EndpointId(50)).is_none());
+        let pruned = tile_plan(&view, true);
+        assert_eq!(pruned.consulted(), 0);
+        assert_eq!(pruned.pruned[0].reason, PruneReason::MissingKind);
+        // The planner-off arm prunes nothing.
+        assert_eq!(tile_plan(&view, false).consulted(), 1);
+        // A catalogue naming no kind of the vocabulary proves nothing.
+        for services in [vec![], vec!["localize:beacon".to_string()]] {
+            view.servers[0] = Arc::new(DiscoveredServer {
+                services: services.clone(),
+                ..DiscoveredServer::clone(&view.servers[0])
+            });
+            let plan = tile_plan(&view, true);
+            assert_eq!(
+                (plan.consulted(), plan.pruned_count()),
+                (1, 0),
+                "{services:?}"
+            );
+        }
     }
 
     #[test]

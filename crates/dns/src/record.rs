@@ -76,8 +76,8 @@ pub enum RecordData {
         endpoint: u64,
         /// Stable identifier of the map server (e.g. `"grocer-shadyside"`).
         server_id: String,
-        /// Advertised service names (e.g. `"search"`, `"routing"`,
-        /// `"localize:beacon"`).
+        /// The server's service catalogue (e.g. `"search"`, `"route"`,
+        /// `"localize:beacon"`; docs/wire-protocol.md spec §9.1).
         services: Vec<String>,
     },
     /// A fleet advertisement: one serving group's replica set and
@@ -85,7 +85,7 @@ pub enum RecordData {
     FleetSrv {
         /// Stable identifier of the serving group (e.g. `"grocer-1"`).
         group_id: String,
-        /// Advertised service names, shared by every replica.
+        /// The service catalogue, shared by every replica.
         services: Vec<String>,
         /// The content shards; shard order is part of the advertisement
         /// and stable across queries (shard-stable caching keys off it).

@@ -39,38 +39,12 @@ impl Point2 {
         self.x.hypot(self.y)
     }
 
-    /// Dot product.
-    pub fn dot(&self, other: Point2) -> f64 {
-        self.x * other.x + self.y * other.y
-    }
-
-    /// 2-D cross product (z component of the 3-D cross product).
-    pub fn cross(&self, other: Point2) -> f64 {
-        self.x * other.y - self.y * other.x
-    }
-
     /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
     pub fn lerp(&self, other: Point2, t: f64) -> Point2 {
         Point2::new(
             self.x + (other.x - self.x) * t,
             self.y + (other.y - self.y) * t,
         )
-    }
-
-    /// Unit vector in the same direction, or `None` for (near-)zero input.
-    pub fn normalized(&self) -> Option<Point2> {
-        let n = self.norm();
-        if n < 1e-12 {
-            None
-        } else {
-            Some(*self / n)
-        }
-    }
-
-    /// The vector rotated by `angle_rad` counter-clockwise.
-    pub fn rotated(&self, angle_rad: f64) -> Point2 {
-        let (s, c) = angle_rad.sin_cos();
-        Point2::new(self.x * c - self.y * s, self.x * s + self.y * c)
     }
 }
 
@@ -136,29 +110,6 @@ mod tests {
         assert!((a.norm() - 5.0).abs() < 1e-12);
         assert!((a.distance(Point2::ZERO) - 5.0).abs() < 1e-12);
         assert!((a.distance_sq(Point2::ZERO) - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dot_and_cross() {
-        let a = Point2::new(1.0, 0.0);
-        let b = Point2::new(0.0, 1.0);
-        assert_eq!(a.dot(b), 0.0);
-        assert_eq!(a.cross(b), 1.0);
-        assert_eq!(b.cross(a), -1.0);
-    }
-
-    #[test]
-    fn normalized_handles_zero() {
-        assert!(Point2::ZERO.normalized().is_none());
-        let n = Point2::new(10.0, 0.0).normalized().unwrap();
-        assert!((n.norm() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rotation_quarter_turn() {
-        let a = Point2::new(1.0, 0.0);
-        let r = a.rotated(std::f64::consts::FRAC_PI_2);
-        assert!((r.x - 0.0).abs() < 1e-12 && (r.y - 1.0).abs() < 1e-12);
     }
 
     #[test]

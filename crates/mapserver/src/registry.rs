@@ -131,11 +131,53 @@ mod tests {
 
     #[test]
     fn services_advertised_in_record() {
-        let (server, _zone, _cells, _world) = registered();
-        let RecordData::MapSrv { services, .. } = mapsrv_record(&server) else {
-            panic!("wrong record type");
+        let (server, _zone, _cells, world) = registered();
+        let catalogue = |server: &MapServer| {
+            let RecordData::MapSrv { services, .. } = mapsrv_record(server) else {
+                panic!("wrong record type");
+            };
+            services
         };
+        let services = catalogue(&server);
         assert!(services.contains(&"search".to_string()));
         assert!(services.contains(&"localize:beacon".to_string()));
+        // Spec §9.1: the catalogue lists `rgeocode` and `tiles` exactly
+        // when the map is geo-anchored — the unaligned venue lists
+        // neither, the anchored outdoor map both.
+        for kind in ["rgeocode", "tiles"] {
+            assert!(!services.iter().any(|s| s == kind), "{kind}");
+        }
+        let outdoor = MapServer::spawn_on(
+            &BackendKind::Sim.build(3),
+            MapServerConfig {
+                id: "outdoor".into(),
+                map: world.outdoor.clone(),
+                beacons: vec![],
+                tags: Default::default(),
+                policy: AccessPolicy::open(),
+                portals: vec![],
+                location_hint: world.config.center,
+                radius_m: 2_000.0,
+                build_ch: false,
+            },
+        );
+        for kind in ["rgeocode", "tiles"] {
+            assert!(catalogue(&outdoor).iter().any(|s| s == kind), "{kind}");
+        }
+        // Spec §13.1: the catalogue agrees with the advertisement — the
+        // summary counts every kind the catalogue lists.
+        for server in [&server, &outdoor] {
+            let hello = server.hello();
+            let summary = hello.coverage.as_ref().expect("a summary");
+            let catalogue = catalogue(server);
+            let kinds = catalogue.iter().filter(|s| !s.starts_with("localize:"));
+            for kind in kinds {
+                assert!(
+                    summary.kind_count(kind).is_some(),
+                    "{}: {kind}",
+                    server.id()
+                );
+            }
+        }
     }
 }

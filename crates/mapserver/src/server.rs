@@ -200,11 +200,14 @@ impl Engines {
         if anchored {
             techs.push("gnss".to_string());
         }
-        let mut services: Vec<String> = ["geocode", "rgeocode", "search", "route", "localize"]
+        // The catalogue (spec §9.1): an unaligned map cannot place a
+        // geographic position, so it offers neither of the kinds that
+        // need one.
+        let mut services: Vec<String> = ["geocode", "search", "route", "localize"]
             .map(String::from)
             .into();
         if anchored {
-            services.push("tiles".to_string());
+            services.extend(["rgeocode", "tiles"].map(String::from));
         }
         let anchor = match map.georef() {
             openflame_mapdata::GeoReference::Anchored { origin } => Some(origin),
@@ -749,7 +752,7 @@ mod tests {
         assert_eq!(hello.portals.len(), 1);
         // The advertisement agrees with itself (spec §13.1): an
         // unaligned server answers no geographic query and renders no
-        // tile, and says so in its summary and its services alike.
+        // tile, and says so in its summary and its catalogue alike.
         let summary = hello
             .coverage
             .as_ref()
@@ -757,10 +760,25 @@ mod tests {
         assert_eq!(summary.kind_count("rgeocode"), Some(0));
         assert_eq!(summary.kind_count("tiles"), Some(0));
         assert!(!hello.services.iter().any(|s| s == "tiles"));
+        assert!(!hello.services.iter().any(|s| s == "rgeocode"));
         assert_eq!(
             summary.kind_count("localize"),
             Some(hello.localization_techs.len() as u64)
         );
+        // The anchored outdoor server offers both, and every server
+        // counts each kind its catalogue lists.
+        let (outdoor, _world) = outdoor_server(&net);
+        let outdoor = outdoor.hello();
+        for kind in ["rgeocode", "tiles"] {
+            assert!(outdoor.services.iter().any(|s| s == kind), "{kind}");
+        }
+        for hello in [&hello, &outdoor] {
+            let summary = hello.coverage.as_ref().expect("a summary");
+            for kind in &hello.services {
+                let id = &hello.server_id;
+                assert!(summary.kind_count(kind).is_some(), "{id}: {kind}");
+            }
+        }
     }
 
     #[test]

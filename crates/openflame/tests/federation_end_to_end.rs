@@ -42,13 +42,15 @@ fn discovery_to_search_to_route_pipeline() {
 #[test]
 fn partially_warm_search_pipelines_handshakes_without_extra_traffic() {
     // The pipelined cold-search path splits a scatter round: servers
-    // with a cached Hello get their search envelope immediately,
-    // unknown servers get a Hello first and their search in a
-    // follow-up round. Warm a session in one part of the city, then
-    // search near a different venue so the round mixes warm servers
-    // (the city-wide world map) with cold ones (the new venue) — the
-    // wire cost must be exactly one envelope per warm server plus two
-    // per cold server, and the results must be correct.
+    // with a cached Hello get their search envelope immediately, and
+    // so do unknown servers whose catalogue rules out a frame (no
+    // `rgeocode`, spec §9.1), the Hello riding it; other unknown
+    // servers get a Hello first and their search in a follow-up round.
+    // Warm a session in one part of the city, then search near a
+    // different venue so the round mixes warm servers (the city-wide
+    // world map) with cold ones (the new venue) — the wire cost must be
+    // exactly one envelope per server plus one per cold anchored
+    // server, and the results must be correct.
     //
     // A city big enough that venues land in different query cells —
     // in the 720 m default world one neighbor-expanded discovery
@@ -69,22 +71,28 @@ fn partially_warm_search_pipelines_handshakes_without_extra_traffic() {
 
     // Find a product whose venue discovery includes at least one
     // server the session has not yet handshaken with.
-    let (product, near, warm, cold) = dep
+    let (product, near, warm, cold, cold_anchored) = dep
         .world
         .products
         .iter()
         .find_map(|p| {
             let near = dep.world.venues[p.venue].hint;
             let servers = dep.client.discover(near).ok()?;
-            let warm = servers
+            let (warm, cold): (Vec<_>, Vec<_>) = servers
                 .iter()
-                .filter(|s| dep.client.session().has_hello(s.endpoint))
+                .partition(|s| dep.client.session().has_hello(s.endpoint));
+            let cold_anchored = cold
+                .iter()
+                .filter(|s| s.services.iter().any(|kind| kind == "rgeocode"))
                 .count();
-            let cold = servers.len() - warm;
-            (cold > 0).then(|| (p.clone(), near, warm, cold))
+            (!cold.is_empty()).then(|| (p.clone(), near, warm.len(), cold.len(), cold_anchored))
         })
         .expect("some venue outside the first discovery footprint");
     assert!(warm > 0, "the city-wide world map is always warm");
+    assert!(
+        cold > cold_anchored,
+        "a cold unaligned venue joins the round"
+    );
 
     let batches_before = dep.client.session().stats().batches;
     dep.transport.reset_stats();
@@ -94,8 +102,8 @@ fn partially_warm_search_pipelines_handshakes_without_extra_traffic() {
     let batches = dep.client.session().stats().batches - batches_before;
     assert_eq!(
         batches,
-        (warm + 2 * cold) as u64,
-        "one envelope per warm server, hello + search per cold server"
+        (warm + cold + cold_anchored) as u64,
+        "one envelope per server, plus a hello first per cold anchored server"
     );
     // Discovery was cached by the probe above, so the whole search is
     // exactly those envelopes: two messages each, nothing else.

@@ -8,10 +8,11 @@
 //!    planner-off client produce byte-identical results for search,
 //!    geocode, reverse geocode, localize and tiles, cold and warm, on
 //!    the simulator, TCP, and QuicLite.
-//! 2. **The pruning is real** — on the warm path the planner consults
-//!    strictly fewer sources (unaligned venues advertise zero tiles
-//!    and zero reverse-geocode documents, spec §13.1) and the saving
-//!    shows up in transport message counts, not just plan accounting.
+//! 2. **The pruning is real** — the planner consults strictly fewer
+//!    sources, cold (unaligned venues' discovery catalogues omit
+//!    `tiles` and `rgeocode`, spec §9.1) and warm (their summaries
+//!    count zero of both, spec §13.1), and the saving shows up in
+//!    transport message counts, not just plan accounting.
 //! 3. **Dead replicas leave no cached state behind** — fleet failover
 //!    purges the dead endpoint's capability *and* coverage cache
 //!    entries, so a replaced replica is never re-served (or re-pruned)
@@ -75,8 +76,8 @@ fn planner_recall_parity_on_every_backend() {
         let world_ep = dep.outdoor_server.endpoint();
 
         // Two passes: the first compares the cold paths (no summaries
-        // cached yet — the planner must not even reorder), the second
-        // the warm paths, where pruning actually fires.
+        // cached yet — only the discovery catalogues prune, spec §9.1),
+        // the second the warm paths, where the summaries prune too.
         for pass in ["cold", "warm"] {
             for product in dep.world.products.iter().take(3) {
                 let near = dep.world.venues[product.venue].hint;
@@ -173,9 +174,10 @@ fn warm_planner_consults_strictly_fewer_sources() {
 
 #[test]
 fn first_contact_teaches_coverage_to_a_tile_only_client() {
-    // A client that only ever fetches tiles still learns each server's
-    // coverage summary — it rides the first tile envelope (spec §8) —
-    // so its second call already prunes the venues that refuse tiles.
+    // A client that only ever fetches tiles prunes the venues that
+    // refuse tiles from its first call on: their catalogues omit
+    // `tiles` (spec §9.1). It still learns the consulted server's
+    // coverage summary, which rides the first tile envelope (spec §8).
     let world = fanout_world();
     let mut costs = Vec::new();
     for backend in BACKENDS {
@@ -188,30 +190,39 @@ fn first_contact_teaches_coverage_to_a_tile_only_client() {
         );
         let off = planner_off_client(&dep);
         let center = dep.world.config.center;
+        // A call's tile, its messages, and the venues it reached.
         let tile_cost = |client: &OpenFlameClient| {
             dep.transport.reset_stats();
             let tile = client.federated_tile(center, 16).unwrap();
-            (tile, dep.transport.stats().messages)
+            let reached = (dep.venue_servers.iter())
+                .filter(|v| dep.transport.endpoint_stats(v.endpoint()).unwrap().rx_msgs > 0)
+                .count();
+            (tile, dep.transport.stats().messages, reached)
         };
-        let (on_first, on_first_msgs) = tile_cost(&dep.client);
-        let (on_second, on_second_msgs) = tile_cost(&dep.client);
-        let (off_first, _) = tile_cost(&off);
-        let (off_second, off_second_msgs) = tile_cost(&off);
+        let (on_first, on_first_msgs, on_first_venues) = tile_cost(&dep.client);
+        let (on_second, on_second_msgs, _) = tile_cost(&dep.client);
+        let (off_first, _, off_first_venues) = tile_cost(&off);
+        let (off_second, off_second_msgs, _) = tile_cost(&off);
+        assert_eq!(
+            on_first_venues, 0,
+            "{backend:?}: the first call already prunes the unaligned venues"
+        );
+        assert!(off_first_venues > 0, "{backend:?}: the off arm asks them");
         assert!(
             on_second_msgs < on_first_msgs,
             "{backend:?}: {on_second_msgs} vs {on_first_msgs} messages"
         );
         // Discovery is cached for both arms by now, so the difference
-        // is the refusing venues the planner-on client stopped asking.
+        // is the refusing venues the planner-on client never asked.
         assert!(
             on_second_msgs < off_second_msgs,
-            "{backend:?}: a tile-only client must prune by its second call: \
+            "{backend:?}: a tile-only client keeps pruning: \
              {on_second_msgs} vs {off_second_msgs} messages"
         );
         for tile in [&on_second, &off_first, &off_second] {
             assert_eq!(tile, &on_first, "{backend:?}: same tile, byte for byte");
         }
-        costs.push((on_first_msgs, on_second_msgs));
+        costs.push((on_first_msgs, on_second_msgs, off_first_venues));
     }
     assert!(
         costs.iter().all(|cost| *cost == costs[0]),

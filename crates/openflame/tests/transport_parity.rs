@@ -214,9 +214,83 @@ fn identical_cold_search_costs_identical_messages_on_every_backend() {
         assert_eq!(
             sim,
             cold_cost(backend),
-            "{backend:?}: cold search (DNS walks + hello round + search round) \
-             must cost identical messages"
+            "{backend:?}: cold search (DNS walks, then one round carrying \
+             the unaligned venues' searches and the anchored servers' hellos, \
+             then the anchored servers' searches) must cost identical messages"
         );
+    }
+}
+
+/// A fresh client's first tile, search and reverse geocode on one
+/// backend: each call's session envelopes and the map servers it
+/// reached, beside the envelopes and servers the catalogue rule
+/// predicts.
+fn first_call_footprints(backend: BackendKind) -> Vec<(u64, Vec<EndpointId>)> {
+    let dep = deployment_on(backend, small_world());
+    let center = dep.world.config.center;
+    let product = dep.world.products[0].clone();
+    let near = dep.world.venues[product.venue].hint;
+    let servers: Vec<_> = std::iter::once(&dep.outdoor_server)
+        .chain(&dep.venue_servers)
+        .collect();
+    let anchored = |endpoint: EndpointId| {
+        let server = servers.iter().find(|s| s.endpoint() == endpoint);
+        server.is_some_and(|s| s.hello().anchor.is_some())
+    };
+    let mut footprints = Vec::new();
+    for call in ["tile", "search", "rgeocode"] {
+        let client = OpenFlameClient::builder()
+            .principal(Principal::anonymous())
+            .world_provider(dep.outdoor_server.endpoint())
+            .build_on(dep.transport.clone(), dep.resolver.clone());
+        dep.transport.reset_stats();
+        let answered = match call {
+            "tile" => client.federated_tile(center, 16).is_ok(),
+            "search" => client.federated_search(&product.name, near, 3).is_ok(),
+            _ => client.federated_reverse_geocode(center, 150.0).is_ok(),
+        };
+        assert!(answered, "{backend:?}: {call}");
+        let batches = client.session().stats().batches;
+        let reached: Vec<EndpointId> = (servers.iter())
+            .map(|s| s.endpoint())
+            .filter(|&e| dep.transport.endpoint_stats(e).unwrap().rx_msgs > 0)
+            .collect();
+        match call {
+            "tile" => {
+                assert_eq!(batches, 1, "{backend:?}: one tile envelope");
+                assert_eq!(reached, [dep.outdoor_server.endpoint()], "{backend:?}");
+            }
+            "search" => {
+                let discovered = client.discover(near).unwrap();
+                let anchored = discovered.iter().filter(|s| anchored(s.endpoint));
+                let expected = discovered.len() + anchored.count();
+                assert!(discovered.len() > 2, "{backend:?}: a federation");
+                assert_eq!(batches, expected as u64, "{backend:?}: {call}");
+            }
+            _ => {
+                assert!(!reached.is_empty(), "{backend:?}: someone names the spot");
+                assert!(
+                    reached.iter().all(|&e| anchored(e)),
+                    "{backend:?}: only anchored servers are asked to place a position"
+                );
+            }
+        }
+        footprints.push((batches, reached));
+    }
+    footprints
+}
+
+#[test]
+fn a_cold_call_skips_what_the_catalogue_rules_out_on_every_backend() {
+    // Spec §9.1, spec §13.3 and spec §8: a fresh client reads each discovered
+    // server's catalogue before first contact. The catalogue lists
+    // `rgeocode` and `tiles` exactly when the map is geo-anchored, so a
+    // cold tile call never reaches an unaligned venue, a cold search
+    // handshakes first only the servers with a frame, and a cold
+    // reverse geocode reaches only anchored servers.
+    let sim = first_call_footprints(BackendKind::Sim);
+    for backend in [BackendKind::Tcp, BackendKind::QuicLite] {
+        assert_eq!(first_call_footprints(backend), sim, "{backend:?}");
     }
 }
 

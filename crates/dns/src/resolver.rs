@@ -30,6 +30,10 @@
 //! negatively cached, and a loop cannot run the walk into its hop limit.
 //!
 //! A walk encodes its query once and re-sends those bytes at every hop.
+//!
+//! The walks of one batch share the root's and the one-label zones'
+//! referrals (spec §9.1, [`Resolver::resolve_many`]): five cold cell
+//! lookups ask the root and `flame.` once each, not five times.
 
 use crate::cache::TtlCache;
 use crate::name::DomainName;
@@ -38,7 +42,7 @@ use crate::DnsError;
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_diag::{ranks, OrderedMutex};
 use openflame_netsim::{EndpointId, Transport};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Maximum referral hops per query.
@@ -102,7 +106,8 @@ pub struct QueryOutcome {
     pub additional: Arc<[Record]>,
     /// Whether the answer came from cache.
     pub from_cache: bool,
-    /// Authoritative round trips performed for this query.
+    /// Authoritative round trips performed for this query (a referral
+    /// taken from another walk of its batch costs none).
     pub upstream_queries: u32,
     /// Simulated latency of the resolution.
     pub latency_us: u64,
@@ -148,12 +153,9 @@ struct Walk {
     candidates: Vec<EndpointId>,
     /// Upstream asks issued so far (including failed candidates).
     upstream: u32,
-    /// Authoritative responses processed so far (the referral-hop
-    /// budget counts these, not failed candidates).
-    responses_seen: usize,
-    /// The most recent candidate failure, surfaced if the zone cut
-    /// runs out of servers.
-    last_err: DnsError,
+    /// Referrals followed so far, own or taken from a scout (the
+    /// referral-hop budget counts these, not failed candidates).
+    referrals: usize,
     /// Transport clock at query start (per-walk latency).
     t0: u64,
 }
@@ -239,6 +241,14 @@ impl Resolver {
     /// are positional; caching, negative caching, candidate failover
     /// and the referral-hop limit apply to every walk independently.
     ///
+    /// The walks **share referrals** (spec §9.1). At the root and at a
+    /// one-label zone, which only delegate in the discovery hierarchy,
+    /// the first walk to reach a server scouts: the others there wait,
+    /// and take its cut and glue (one hop of their budget) if their
+    /// name lies under it. Anything else the scout meets is its own,
+    /// and the others then ask for themselves. Deeper zones, the ones
+    /// that answer, are asked by every walk at once.
+    ///
     /// Duplicate queries within one batch are **deduplicated**: every
     /// duplicate shares the first occurrence's single walk (and its
     /// one upstream-query count) and receives a clone of its outcome,
@@ -284,79 +294,92 @@ impl Resolver {
                 zone: DomainName::root(),
                 candidates: self.root_hints.clone(),
                 upstream: 0,
-                responses_seen: 0,
-                last_err: DnsError::Network("no candidate servers".into()),
+                referrals: 0,
                 t0,
             });
         }
+        // The (zone, server) pairs at delegating zones whose scout has
+        // come back: a walk still at one asks for itself.
+        let mut scouted: HashSet<(DomainName, EndpointId)> = HashSet::new();
         loop {
             // Submit one step of every unfinished walk, then claim the
             // round together: overlapped referral walking.
-            let mut step: Vec<(usize, openflame_netsim::CallHandle)> = Vec::new();
+            let mut step: Vec<(usize, EndpointId, openflame_netsim::CallHandle)> = Vec::new();
+            let mut scouting: HashSet<(DomainName, EndpointId)> = HashSet::new();
             for (i, slot) in walks.iter_mut().enumerate() {
                 let Some(walk) = slot else { continue };
-                match walk.candidates.first().copied() {
-                    Some(server) => {
-                        walk.upstream += 1;
-                        self.stats.lock().upstream_queries += 1;
-                        let query = walk.query.clone();
-                        step.push((i, self.transport.submit(self.endpoint, server, query)));
-                    }
-                    None => {
-                        // Every candidate for this zone cut failed.
-                        let err =
-                            std::mem::replace(&mut walk.last_err, DnsError::Network(String::new()));
-                        self.stats.lock().failures += 1;
-                        results[i] = Some(Err(err));
-                        *slot = None;
+                let Some(server) = walk.candidates.first().copied() else {
+                    // Only a resolver with no root hints gets here.
+                    let err = DnsError::Network("no candidate servers".into());
+                    self.finish(&mut results[i], slot, Err(err));
+                    continue;
+                };
+                // At the root and a one-label zone, the first walk to
+                // ask a server scouts for the batch; the others wait.
+                if walk.zone.label_count() <= 1 {
+                    let key = (walk.zone.clone(), server);
+                    if !scouted.contains(&key) && !scouting.insert(key) {
+                        continue;
                     }
                 }
+                walk.upstream += 1;
+                self.stats.lock().upstream_queries += 1;
+                let handle = self
+                    .transport
+                    .submit(self.endpoint, server, walk.query.clone());
+                step.push((i, server, handle));
             }
             if step.is_empty() {
                 break;
             }
-            for (i, handle) in step {
+            scouted.extend(scouting);
+            let mut learnt = Vec::new();
+            for (i, server, handle) in step {
                 let walk = walks[i].as_mut().expect("walk active for pending ask");
-                match handle.wait() {
-                    Ok(transfer) => {
-                        walk.responses_seen += 1;
-                        let done = match from_bytes::<ResponseMsg>(&transfer.payload) {
-                            Err(e) => Some(Err(DnsError::ServFail(format!("bad response: {e}")))),
-                            Ok(resp) => {
-                                let (name, rtype) = &queries[i];
-                                match self.interpret(name, *rtype, resp, walk) {
-                                    WalkStep::Done(outcome) => Some(outcome),
-                                    WalkStep::Referral(..)
-                                        if walk.responses_seen >= MAX_REFERRALS =>
-                                    {
-                                        self.cache_negative(
-                                            name,
-                                            *rtype,
-                                            EntryKind::TooManyReferrals,
-                                        );
-                                        Some(Err(DnsError::TooManyReferrals))
-                                    }
-                                    WalkStep::Referral(cut, next) => {
-                                        walk.zone = cut;
-                                        walk.candidates = next;
-                                        None
-                                    }
-                                }
-                            }
-                        };
-                        if let Some(outcome) = done {
-                            if outcome.is_err() {
-                                self.stats.lock().failures += 1;
-                            }
-                            results[i] = Some(outcome);
-                            walks[i] = None;
-                        }
-                    }
+                let reply = handle
+                    .wait()
+                    .map_err(|e| DnsError::Network(e.to_string()))
+                    .and_then(|transfer| {
+                        from_bytes::<ResponseMsg>(&transfer.payload)
+                            .map_err(|e| DnsError::ServFail(format!("bad response: {e}")))
+                    });
+                let done = match reply {
                     Err(e) => {
-                        // Dead or flaky server: drop it and let the
-                        // next round try the following candidate.
+                        // A dead, flaky or garbled server: the next step
+                        // tries the zone cut's following candidate, if any.
                         walk.candidates.remove(0);
-                        walk.last_err = DnsError::Network(e.to_string());
+                        walk.candidates.is_empty().then_some(Err(e))
+                    }
+                    Ok(resp) => match self.interpret(&queries[i].0, queries[i].1, resp, walk) {
+                        WalkStep::Done(outcome) => Some(outcome),
+                        WalkStep::Referral(cut, next) => {
+                            if walk.zone.label_count() <= 1 {
+                                learnt.push((walk.zone.clone(), server, cut.clone(), next.clone()));
+                            }
+                            self.descend(&queries[i], walk, cut, next)
+                        }
+                    },
+                };
+                if let Some(outcome) = done {
+                    self.finish(&mut results[i], &mut walks[i], outcome);
+                }
+            }
+            // Every walk still at a delegating zone and server that gave
+            // a referral this step takes its cut if its name lies under
+            // it: the downward rule would have given it that referral.
+            for (zone, server, cut, next) in learnt {
+                for (j, slot) in walks.iter_mut().enumerate() {
+                    let Some(walk) = slot.as_mut().filter(|w| {
+                        w.zone == zone
+                            && w.candidates.first() == Some(&server)
+                            && queries[j].0.is_subdomain_of(&cut)
+                    }) else {
+                        continue;
+                    };
+                    if let Some(outcome) =
+                        self.descend(&queries[j], walk, cut.clone(), next.clone())
+                    {
+                        self.finish(&mut results[j], slot, outcome);
                     }
                 }
             }
@@ -375,6 +398,39 @@ impl Resolver {
             .into_iter()
             .map(|r| r.expect("every walk terminated"))
             .collect()
+    }
+
+    /// Takes a walk down to `cut` and its servers, unless the referral
+    /// exhausts the walk's hop budget.
+    fn descend(
+        &self,
+        (name, rtype): &(DomainName, RecordType),
+        walk: &mut Walk,
+        cut: DomainName,
+        next: Vec<EndpointId>,
+    ) -> Option<Result<QueryOutcome, DnsError>> {
+        walk.referrals += 1;
+        if walk.referrals >= MAX_REFERRALS {
+            self.cache_negative(name, *rtype, EntryKind::TooManyReferrals);
+            return Some(Err(DnsError::TooManyReferrals));
+        }
+        walk.zone = cut;
+        walk.candidates = next;
+        None
+    }
+
+    /// Ends a walk with its outcome, charging a failure to the stats.
+    fn finish(
+        &self,
+        result: &mut Option<Result<QueryOutcome, DnsError>>,
+        walk: &mut Option<Walk>,
+        outcome: Result<QueryOutcome, DnsError>,
+    ) {
+        if outcome.is_err() {
+            self.stats.lock().failures += 1;
+        }
+        *result = Some(outcome);
+        *walk = None;
     }
 
     /// Serves a query from the cache if a fresh entry exists,
@@ -1027,6 +1083,159 @@ mod tests {
             stats.negative_hits, 1,
             "one canonical probe hit, duplicates cloned it"
         );
+    }
+
+    /// Five cells in the `cell.flame.` zone of [`hierarchy`], as one
+    /// `MAPSRV` batch.
+    fn five_cells(cell: &AuthServer) -> Vec<(DomainName, RecordType)> {
+        let cells: Vec<DomainName> = (1..=5)
+            .map(|i| name(&format!("{i}.3.f0.cell.flame.")))
+            .collect();
+        cell.with_zones_mut(|zones| {
+            for (i, cell) in cells.iter().enumerate() {
+                zones[0].add(Record::new(
+                    cell.clone(),
+                    300,
+                    RecordData::MapSrv {
+                        endpoint: 2000 + i as u64,
+                        server_id: format!("venue-{i}"),
+                        services: vec![],
+                    },
+                ));
+            }
+        });
+        cells.into_iter().map(|n| (n, RecordType::MapSrv)).collect()
+    }
+
+    #[test]
+    fn five_names_under_one_tld_share_the_root_and_tld_referrals() {
+        let net = BackendKind::Sim.build(5);
+        let (roots, cell) = hierarchy(&net);
+        let batch = five_cells(&cell);
+        let lone_us: Vec<u64> = batch
+            .iter()
+            .map(|(n, rtype)| {
+                let lone = Resolver::on(&net, "lone", roots.clone());
+                lone.resolve(n, *rtype).unwrap().latency_us
+            })
+            .collect();
+        let resolver = Resolver::on(&net, "batch", roots);
+        let t0 = net.now_us();
+        let outcomes = resolver.resolve_many(&batch);
+        let batch_us = net.now_us() - t0;
+        for outcome in &outcomes {
+            assert_eq!(outcome.as_ref().unwrap().records.len(), 1);
+        }
+        // One root ask, one TLD ask, five answers.
+        assert_eq!(resolver.stats().upstream_queries, 7);
+        // The waits cost no round trip: the batch takes a lone walk's
+        // three, and its last waits on the slowest of five answers, each
+        // with up to 2 x 100 us of simulated jitter. A fourth round trip
+        // would cost at least 2 x 200 us more.
+        let slowest = *lone_us.iter().max().unwrap();
+        assert!(batch_us <= slowest + 200, "{batch_us} us vs {lone_us:?}");
+    }
+
+    #[test]
+    fn a_dead_first_root_hint_is_met_by_the_scout_and_every_walk_fails_over() {
+        let net = BackendKind::Sim.build(5);
+        let (mut roots, cell) = hierarchy(&net);
+        let dead = net.register("dns:dead", None);
+        net.set_down(dead, true);
+        roots.insert(0, dead);
+        let batch = five_cells(&cell);
+        let resolver = Resolver::on(&net, "test", roots);
+        for outcome in resolver.resolve_many(&batch) {
+            assert_eq!(outcome.unwrap().records.len(), 1);
+        }
+        // The scout's failure is its own, so every walk meets the dead
+        // hint itself; the second hint's referrals are then shared.
+        assert_eq!(resolver.stats().upstream_queries, 5 + 1 + 1 + 5);
+        assert_eq!(resolver.stats().failures, 0);
+    }
+
+    #[test]
+    fn a_one_label_zone_that_answers_lets_the_waiting_walks_ask_next() {
+        let net = BackendKind::Sim.build(5);
+        let mut tld = Zone::new(name("shop."));
+        for owner in ["a.shop.", "b.shop."] {
+            tld.add(Record::new(name(owner), 300, RecordData::A(7)));
+        }
+        let tld_server = AuthServer::spawn_on(&net, "shop", vec![tld]);
+        let mut root = Zone::new(DomainName::root());
+        root.delegate(name("shop."), name("ns.shop."), tld_server.endpoint().0);
+        let roots = vec![AuthServer::spawn_on(&net, "root", vec![root]).endpoint()];
+        let batch: Vec<(DomainName, RecordType)> = ["a.shop.", "b.shop.", "c.shop."]
+            .into_iter()
+            .map(|n| (name(n), RecordType::A))
+            .collect();
+        let resolver = Resolver::on(&net, "test", roots.clone());
+        let outcomes = resolver.resolve_many(&batch);
+        for ((n, rtype), outcome) in batch.iter().zip(&outcomes) {
+            let lone = Resolver::on(&net, "lone", roots.clone()).resolve(n, *rtype);
+            match (outcome, lone) {
+                (Ok(shared), Ok(lone)) => assert_eq!(shared.records, lone.records, "{n}"),
+                (Err(shared), Err(lone)) => assert_eq!(*shared, lone, "{n}"),
+                (shared, lone) => panic!("{n}: {shared:?} vs {lone:?}"),
+            }
+        }
+        // One root ask; the scout's answer at `shop.` is its own, so
+        // the two walks that waited there ask for themselves.
+        assert_eq!(resolver.stats().upstream_queries, 1 + 3);
+    }
+
+    #[test]
+    fn a_referral_taken_from_a_scout_counts_against_the_hop_limit() {
+        // A chain of `depth` single-label delegations below the root,
+        // each zone on its own server; the deepest zone answers. A lone
+        // walk follows `depth` referrals, so it is cut off at 16.
+        for depth in [MAX_REFERRALS - 1, MAX_REFERRALS] {
+            let net = BackendKind::Sim.build(5);
+            let origins: Vec<DomainName> = (0..=depth)
+                .map(|d| DomainName::from_labels(vec!["c"; d]).unwrap())
+                .collect();
+            let mut deepest = Zone::new(origins[depth].clone());
+            for label in ["x", "y"] {
+                deepest.add(Record::new(
+                    origins[depth].child(label).unwrap(),
+                    300,
+                    RecordData::A(1),
+                ));
+            }
+            let mut below = AuthServer::spawn_on(&net, "deepest", vec![deepest]).endpoint();
+            for origin in origins[..depth].iter().rev() {
+                let cut = origin.child("c").unwrap();
+                let mut zone = Zone::new(origin.clone());
+                zone.delegate(cut.clone(), cut.child("ns").unwrap(), below.0);
+                below = AuthServer::spawn_on(&net, "link", vec![zone]).endpoint();
+            }
+            let batch: Vec<(DomainName, RecordType)> = ["x", "y"]
+                .into_iter()
+                .map(|l| (origins[depth].child(l).unwrap(), RecordType::A))
+                .collect();
+            let lone = Resolver::on(&net, "lone", vec![below]).resolve(&batch[1].0, RecordType::A);
+            let resolver = Resolver::on(&net, "batch", vec![below]);
+            for outcome in resolver.resolve_many(&batch) {
+                assert_eq!(outcome.is_ok(), lone.is_ok(), "depth {depth}");
+                assert_eq!(outcome.is_ok(), depth < MAX_REFERRALS, "depth {depth}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_undecodable_reply_fails_over_to_the_next_candidate() {
+        let net = BackendKind::Sim.build(5);
+        let (mut roots, _cell) = hierarchy(&net);
+        let junk = net.register("dns:junk", None);
+        net.set_service(junk, Arc::new(|_: EndpointId, _: &[u8]| vec![0xff]));
+        roots.insert(0, junk);
+        let resolver = Resolver::on(&net, "test", roots);
+        let n = name("1.2.f0.cell.flame.");
+        let out = resolver.resolve(&n, RecordType::MapSrv).unwrap();
+        assert_eq!(out.records.len(), 1);
+        // The garbled reply cost one ask, like a dead candidate.
+        assert_eq!(out.upstream_queries, 4);
+        assert_eq!(resolver.stats().failures, 0);
     }
 
     #[test]

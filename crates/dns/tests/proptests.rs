@@ -2,11 +2,16 @@
 
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_dns::record::{Rcode, ResponseMsg};
-use openflame_dns::{DomainName, FleetReplica, FleetShard, Record, RecordData, RecordType, Zone};
+use openflame_dns::{
+    AuthServer, DomainName, FleetReplica, FleetShard, Record, RecordData, RecordType, Resolver,
+    ResolverConfig, Zone,
+};
+use openflame_netsim::{BackendKind, EndpointId, Transport};
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 fn arb_label() -> impl Strategy<Value = String> {
     "[a-z0-9][a-z0-9-]{0,14}"
@@ -572,5 +577,175 @@ proptest! {
             zone.remove_mapsrv(&format!("srv-{l}-{i}"));
         }
         prop_assert_eq!(zone.record_count(), 0);
+    }
+}
+
+/// Adds `MAPSRV` records at the zone's `x`, `y` and `z` children picked
+/// by the `leaves` bit mask, each with a `FLEETSRV` record beside it when
+/// `fleet` is set (the answer's additional section, spec §9.1).
+fn add_leaves(zone: &mut Zone, leaves: u8, fleet: bool) {
+    for (bit, label) in ["x", "y", "z"].into_iter().enumerate() {
+        if leaves & (1 << bit) == 0 {
+            continue;
+        }
+        let owner = zone.origin().child(label).unwrap();
+        zone.add(Record::new(
+            owner.clone(),
+            300,
+            record_data(RecordType::MapSrv, bit as u64),
+        ));
+        if fleet {
+            zone.add(Record::new(
+                owner,
+                60,
+                record_data(RecordType::FleetSrv, bit as u64),
+            ));
+        }
+    }
+}
+
+/// The server a referral's glue names, by kind: a lame server holding
+/// another zone (3), the referring server itself, a loop (4), a dead
+/// server (5), a server that answers junk bytes (6), or else the live
+/// server.
+fn glue_for(
+    net: &Arc<dyn Transport>,
+    kind: u8,
+    live: EndpointId,
+    parent: EndpointId,
+) -> EndpointId {
+    match kind {
+        3 => AuthServer::spawn_on(
+            net,
+            "lame",
+            vec![Zone::new(DomainName::parse("other.").unwrap())],
+        )
+        .endpoint(),
+        4 => parent,
+        5 => {
+            let dead = net.register("dns:dead", None);
+            net.set_down(dead, true);
+            dead
+        }
+        6 => {
+            let junk = net.register("dns:junk", None);
+            net.set_service(junk, Arc::new(|_: EndpointId, _: &[u8]| vec![0xff]));
+            junk
+        }
+        _ => live,
+    }
+}
+
+/// One one-label zone of the oracle's tree: `(glue kind, leaves, fleet,
+/// glue kind of each shard cut)`.
+type TldSpec = (u8, u8, bool, Vec<u8>);
+
+/// Spawns a discovery-like tree and returns its root hints. The root
+/// delegates the one-label zones `a.`, `b.` and `c.` (never `d.`), and
+/// holds `x.` and `y.` itself when `root_answers`. Each one-label zone
+/// answers for its own leaves and delegates the shard cuts `s0` and
+/// `s1` below it, each to a server holding `x` and `y`. `hint` puts a
+/// dead (1) or junk-answering (2) server before the root.
+fn spawn_tree(
+    net: &Arc<dyn Transport>,
+    hint: u8,
+    root_answers: bool,
+    tlds: Vec<TldSpec>,
+) -> Vec<EndpointId> {
+    let root = AuthServer::spawn_on(net, "root", Vec::new());
+    let mut root_zone = Zone::new(DomainName::root());
+    if root_answers {
+        add_leaves(&mut root_zone, 0b011, false);
+    }
+    for (label, (kind, leaves, fleet, shards)) in ["a", "b", "c"].into_iter().zip(tlds) {
+        let origin = DomainName::root().child(label).unwrap();
+        let tld = AuthServer::spawn_on(net, "tld", Vec::new());
+        let mut zone = Zone::new(origin.clone());
+        add_leaves(&mut zone, leaves, fleet);
+        for (k, shard_kind) in shards.into_iter().enumerate() {
+            let cut = origin.child(&format!("s{k}")).unwrap();
+            let mut shard = Zone::new(cut.clone());
+            add_leaves(&mut shard, 0b011, fleet);
+            let live = AuthServer::spawn_on(net, "shard", vec![shard]).endpoint();
+            let glue = glue_for(net, shard_kind, live, tld.endpoint());
+            zone.delegate(cut.clone(), cut.child("ns").unwrap(), glue.0);
+        }
+        tld.with_zones_mut(|zones| zones.push(zone));
+        let glue = glue_for(net, kind, tld.endpoint(), root.endpoint());
+        root_zone.delegate(origin.clone(), origin.child("ns").unwrap(), glue.0);
+    }
+    root.with_zones_mut(|zones| zones.push(root_zone));
+    let mut hints = vec![root.endpoint()];
+    if let 1 | 2 = hint {
+        hints.insert(0, glue_for(net, hint + 4, root.endpoint(), root.endpoint()));
+    }
+    hints
+}
+
+/// The leaf `x`, `y`, `z` or `w` of zone `a.`, `b.`, `c.` (each twice as
+/// likely), `d.` or the root (`zone` 7), directly or under its shard cut
+/// `s0` or `s1`.
+fn oracle_name(zone: usize, shard: usize, leaf: usize) -> DomainName {
+    let mut labels = vec![["x", "y", "z", "w"][leaf]];
+    if shard > 0 {
+        labels.push(["s0", "s1"][shard - 1]);
+    }
+    labels.extend(["a", "b", "c", "a", "b", "c", "d"].get(zone));
+    DomainName::from_labels(labels).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Spec §9.1: a batch whose walks share the delegating zones'
+    // referrals ends every lookup as its lone walk does, and never asks
+    // more than the lone walks together.
+    #[test]
+    fn a_batch_that_shares_referrals_answers_what_lone_walks_answer(
+        hint in 0u8..6,
+        root_answers in any::<bool>(),
+        tlds in proptest::collection::vec(
+            (0u8..12, 0u8..8, any::<bool>(), proptest::collection::vec(0u8..12, 0..3)),
+            2..4,
+        ),
+        asked in proptest::collection::vec((0usize..8, 0usize..3, 0usize..4, any::<bool>()), 1..10),
+    ) {
+        let net = BackendKind::Sim.build(7);
+        let hints = spawn_tree(&net, hint, root_answers, tlds);
+        let fresh = || {
+            Resolver::with_config_on(net.clone(), "oracle", hints.clone(), ResolverConfig::default())
+        };
+        let batch: Vec<(DomainName, RecordType)> = asked
+            .into_iter()
+            .map(|(zone, shard, leaf, txt)| {
+                let rtype = if txt { RecordType::Txt } else { RecordType::MapSrv };
+                (oracle_name(zone, shard, leaf), rtype)
+            })
+            .collect();
+        let shared = fresh();
+        let outcomes = shared.resolve_many(&batch);
+        let mut lone_upstream = 0;
+        let mut walked = HashSet::new();
+        for (query, outcome) in batch.iter().zip(outcomes) {
+            let lone = fresh();
+            let alone = lone.resolve_many(std::slice::from_ref(query)).pop().unwrap();
+            if walked.insert(query.clone()) {
+                lone_upstream += lone.stats().upstream_queries;
+            }
+            match (outcome, alone) {
+                (Ok(shared), Ok(alone)) => {
+                    prop_assert_eq!(&shared.records[..], &alone.records[..], "{:?}", query);
+                    prop_assert_eq!(&shared.additional[..], &alone.additional[..], "{:?}", query);
+                }
+                (Err(shared), Err(alone)) => prop_assert_eq!(shared, alone, "{:?}", query),
+                (shared, alone) => panic!("{query:?}: batch {shared:?}, lone {alone:?}"),
+            }
+        }
+        prop_assert!(
+            shared.stats().upstream_queries <= lone_upstream,
+            "batch asked {} upstream, lone walks {}",
+            shared.stats().upstream_queries,
+            lone_upstream
+        );
     }
 }

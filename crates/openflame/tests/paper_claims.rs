@@ -61,8 +61,9 @@ fn near_venue(world: &World, vi: usize, max_m: f64, rng: &mut StdRng) -> LatLng 
 }
 
 /// Paper §5.1: the DNS "gives us access to its ubiquitous caching
-/// mechanisms". A flushed discovery walks root → TLD → cell zone for
-/// each of its five cells; Zipf-local repeats are answered locally.
+/// mechanisms". A flushed discovery walks root → TLD → cell zone once,
+/// its five cells sharing the root and TLD referrals, and asks the cell
+/// zone for each cell; Zipf-local repeats are answered locally.
 #[test]
 fn s5_1_dns_caching_makes_discovery_cheap() {
     const QUERIES: usize = 200;
@@ -97,7 +98,11 @@ fn s5_1_dns_caching_makes_discovery_cheap() {
     };
     let (cold_upstream, cold_hits, cold_p50) = run(true);
     let (warm_upstream, _, warm_p50) = run(false);
-    assert_eq!(cold_upstream, 15 * QUERIES as u64, "5 cells x 3 hops each");
+    assert_eq!(
+        cold_upstream,
+        7 * QUERIES as u64,
+        "one root and one TLD ask, then 5 cell answers"
+    );
     assert_eq!(cold_hits, 0);
     assert!(
         warm_upstream < QUERIES as u64,

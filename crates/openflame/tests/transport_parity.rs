@@ -824,8 +824,8 @@ fn one_question_per_cell_discovers_what_two_did_on_every_backend() {
                 assert_eq!(discovery.stats().lookups - lookups, 5, "{at}");
                 assert_eq!(
                     dep.resolver.stats().upstream_queries - upstream,
-                    15,
-                    "{at}: root referral, TLD referral and answer for five cells"
+                    7,
+                    "{at}: one root referral and one TLD referral shared by five cells, then five answers"
                 );
                 let upstream = dep.resolver.stats().upstream_queries;
                 let warm = discovery.discover_view(venue.hint, true).unwrap();

@@ -11,7 +11,7 @@
 //! - unsigned integers as LEB128 varints,
 //! - signed integers zigzag-encoded then varint-packed,
 //! - floats as fixed 8-byte IEEE-754 little-endian bits,
-//! - strings and byte blobs as varint length + payload,
+//! - strings as varint length + payload,
 //! - sequences as varint count + elements,
 //! - options as a presence byte + payload.
 //!
@@ -24,7 +24,8 @@
 //! error and the tag list. A [`FieldCodec`] is how a table field
 //! crosses the wire when its type's own `Wire` impl is not the answer:
 //! the type's crate cannot implement `Wire`, or the field wants another
-//! encoding ([`Blob`] for bulk bytes). Hand-written `impl Wire` is for
+//! encoding (a tile's self-delimiting pixel runs, checked in place
+//! through [`Reader::rest`]). Hand-written `impl Wire` is for
 //! the primitives below and for the irregular messages each protocol
 //! module lists as its exceptions.
 
@@ -37,7 +38,7 @@ pub mod writer;
 pub use framing::{read_frame, write_frame, Frame, FRAME_HEADER_LEN, FRAME_VERSION};
 pub use packet::{decode_packet, encode_packet, Packet, PacketType, PAYLOAD_MTU};
 pub use reader::Reader;
-pub use table::{Blob, FieldCodec, Opt, Own, Pair, Seq};
+pub use table::{FieldCodec, Opt, Own, Pair, Seq};
 pub use writer::Writer;
 
 use bytes::Bytes;

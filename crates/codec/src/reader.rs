@@ -107,10 +107,11 @@ impl<'a> Reader<'a> {
             .map_err(|_| CodecError::InvalidUtf8)
     }
 
-    /// Reads a length-prefixed byte blob.
-    pub(crate) fn read_bytes(&mut self) -> Result<Vec<u8>, CodecError> {
-        let n = self.read_length()?;
-        Ok(self.take(n)?.to_vec())
+    /// The bytes not yet consumed, left unconsumed: lets a field codec
+    /// validate a self-delimiting value in place, then
+    /// [`read_raw`](Self::read_raw) past it.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
     }
 
     /// Reads `n` raw bytes with no length prefix.
@@ -205,19 +206,11 @@ mod tests {
     }
 
     #[test]
-    fn bytes_round_trip() {
-        let mut w = Writer::new();
-        w.put_bytes(&[9, 8, 7]);
-        let buf = w.finish();
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.read_bytes().unwrap(), vec![9, 8, 7]);
-    }
-
-    #[test]
     fn raw_reads_exact() {
         let mut r = Reader::new(&[1, 2, 3, 4]);
         assert_eq!(r.read_raw(2).unwrap(), &[1, 2]);
         assert_eq!(r.position(), 2);
+        assert_eq!(r.rest(), &[3, 4]);
         assert_eq!(r.read_raw(2).unwrap(), &[3, 4]);
         assert!(r.read_raw(1).is_err());
     }

@@ -13,8 +13,8 @@
 //! which exists for the two cases `Wire` cannot cover: a type from a
 //! crate that does not depend on this one (the orphan rule forbids
 //! `impl Wire` for it downstream — `Ty as Codec` generates the codec),
-//! and a field whose encoding differs from its type's default (a byte
-//! blob moved in one copy, a batch item that refuses nesting).
+//! and a field whose encoding differs from its type's default (a tile's
+//! pixel runs, a batch item that refuses nesting).
 
 use crate::{CodecError, Reader, Wire, Writer};
 use std::marker::PhantomData;
@@ -95,18 +95,6 @@ impl<T, U, A: FieldCodec<T>, B: FieldCodec<U>> FieldCodec<(T, U)> for Pair<A, B>
     }
     fn get(r: &mut Reader<'_>) -> Result<(T, U), CodecError> {
         Ok((A::get(r)?, B::get(r)?))
-    }
-}
-
-/// Varint length, then the bytes in one copy — a tile is 196 KB.
-pub struct Blob;
-
-impl FieldCodec<Vec<u8>> for Blob {
-    fn put(w: &mut Writer, v: &Vec<u8>) {
-        w.put_bytes(v);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Vec<u8>, CodecError> {
-        r.read_bytes()
     }
 }
 
@@ -250,7 +238,7 @@ mod tests {
     wire_struct! { Hit { id, at: ForeignCodec, via: Opt<ForeignCodec>, path: Seq<ForeignCodec>, k } }
     wire_enum! { Msg, "Msg" {
         0 => Ping,
-        1 => Hit { hit, raw: Blob },
+        1 => Hit { hit, raw },
         // Tags need not follow declaration order.
         7 => Pair(a, b),
         3 => Many(items),
@@ -299,12 +287,6 @@ mod tests {
             assert_eq!(bytes[0], tag);
             assert_eq!(from_bytes::<Msg>(&bytes).unwrap(), msg);
         }
-        // A blob is length + bytes, not a sequence of varints.
-        let raw = Msg::Hit {
-            hit: hit(),
-            raw: vec![200; 3],
-        };
-        assert!(to_bytes(&raw).ends_with(&[3, 200, 200, 200]));
     }
 
     #[test]

@@ -89,18 +89,6 @@ impl Writer {
         self.buf.put_slice(s.as_bytes());
     }
 
-    /// Appends a length-prefixed byte blob. A large blob gets a
-    /// sixteenth of headroom behind it: a buffer grown to fit it exactly
-    /// would double on the next byte, so a short item after a 196 KB
-    /// tile would cost a transient twice the envelope's size.
-    pub(crate) fn put_bytes(&mut self, b: &[u8]) {
-        self.put_varint(b.len() as u64);
-        if b.len() >= 64 * 1024 {
-            self.buf.reserve(b.len() + b.len() / 16);
-        }
-        self.buf.put_slice(b);
-    }
-
     /// Appends raw bytes with no length prefix (for framing layers that
     /// carry the length elsewhere).
     pub fn put_raw(&mut self, b: &[u8]) {
@@ -111,16 +99,6 @@ impl Writer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn a_short_item_after_a_large_blob_does_not_double_the_buffer() {
-        let mut w = Writer::new();
-        w.put_bytes(&vec![7u8; 196_608]);
-        let after_blob = w.buf.capacity();
-        assert!(after_blob < 196_608 * 5 / 4, "{after_blob}");
-        w.put_str("the next answer of the batch");
-        assert_eq!(w.buf.capacity(), after_blob);
-    }
 
     #[test]
     fn varint_boundary_lengths() {

@@ -334,11 +334,10 @@ impl SpatialProvider for CentralizedProvider {
                 y: coord.y,
             };
             // The echoed coordinate must be the one asked for: another
-            // tile of the right size is not an answer.
+            // tile is not an answer.
             let tile = match self.call_one(request, "Tile")? {
                 Response::Tile { z, x, y, rgb } if (TileCoord { z, x, y }) == coord => {
-                    Tile::from_rgb(coord, &rgb)
-                        .ok_or_else(|| ClientError::Protocol("malformed tile payload".into()))?
+                    Tile::from_runs(coord, &rgb)
                 }
                 Response::Tile { z, x, y, .. } => {
                     return Err(ClientError::Protocol(format!(

@@ -804,17 +804,17 @@ impl OpenFlameClient {
     /// from every discovered server — one batched envelope each, in one
     /// concurrent round — and compose them (paper §5.2). Also yields
     /// the number of servers whose layers went into the composition.
-    /// Each layer is decoded in one pass, and a lone layer is returned
-    /// as it is (composing one layer yields that layer). A zoom deeper
-    /// than the pyramid is [`ClientError::InvalidQuery`], sent nowhere.
+    /// Each layer's runs are painted straight into pixels, and a lone
+    /// layer is returned as it is (composing one layer yields that
+    /// layer). A zoom deeper than the pyramid is
+    /// [`ClientError::InvalidQuery`], sent nowhere.
     pub fn federated_tile(&self, center: LatLng, z: u8) -> Result<(Tile, usize), ClientError> {
         let coord = tile_coord(center, z)?;
         let TileCoord { z, x, y } = coord;
         let mut layers: Vec<Tile> = Vec::new();
         // (The planner prunes unaligned venues, whose catalogues omit
         // `tiles` and which refuse `GetTile` outright.) A layer echoing
-        // another coordinate is another tile, whatever its size, and
-        // contributes nothing.
+        // another coordinate is another tile and contributes nothing.
         self.scatter(
             QueryKind::Tile,
             center,
@@ -823,7 +823,7 @@ impl OpenFlameClient {
             |_, response| {
                 if let Response::Tile { z, x, y, rgb } = response {
                     if (TileCoord { z, x, y }) == coord {
-                        layers.extend(Tile::from_rgb(coord, &rgb));
+                        layers.push(Tile::from_runs(coord, &rgb));
                     }
                 }
                 Ok(())

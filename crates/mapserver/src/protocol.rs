@@ -16,12 +16,13 @@
 
 use crate::acl::Principal;
 use openflame_codec::{
-    wire_enum, wire_struct, Blob, CodecError, FieldCodec, Opt, Own, Pair, Reader, Seq, Wire, Writer,
+    wire_enum, wire_struct, CodecError, FieldCodec, Opt, Own, Pair, Reader, Seq, Wire, Writer,
 };
 use openflame_geo::Point2;
 use openflame_localize::{Estimate, LocationCue};
 use openflame_mapdata::wire::{LatLngCodec, PointCodec};
 use openflame_mapdata::{ElementId, MapPatch};
+use openflame_tiles::{PixelRuns, RunsError};
 
 /// A request wrapped with the caller's identity.
 #[derive(Debug, Clone, PartialEq)]
@@ -288,8 +289,9 @@ pub enum Response {
         x: u32,
         /// Row.
         y: u32,
-        /// Raw RGB bytes, row-major 256×256×3.
-        rgb: Vec<u8>,
+        /// The tile's canonical pixel runs (spec §8). Dereferences to
+        /// its row-major RGB bytes, 256×256×3, painted on first use.
+        rgb: PixelRuns,
     },
     /// Patch accepted.
     PatchApplied {
@@ -366,12 +368,13 @@ pub(crate) fn principal_key(payload: &[u8]) -> u64 {
 // ---------------------------------------------------------------
 // The message table.
 //
-// Hand-written, because a table row cannot say it — the one
-// exception here: `BatchItem`, the codec of a batch's items, refuses a
+// Hand-written, because a table row cannot say it — the two
+// exceptions here: `BatchItem`, the codec of a batch's items, refuses a
 // nested batch by peeking the tag *before* recursing, so a hostile
-// payload cannot recurse the decoder. A new field on a message that
-// already flows is no reason for a hand-written codec: it waits for
-// the one extension slot every message will share.
+// payload cannot recurse the decoder; `TileRuns` writes a tile's
+// pixel runs as they are and validates them in place. A new field on a
+// message that already flows is no reason for a hand-written codec: it
+// waits for the one extension slot every message will share.
 // ---------------------------------------------------------------
 
 wire_struct! { Principal { user, app } }
@@ -405,7 +408,7 @@ wire_enum! { Response, "Response" {
     4 => Route { route },
     5 => RouteMatrix { costs },
     6 => Localize { estimates },
-    7 => Tile { z, x, y, rgb: Blob },
+    7 => Tile { z, x, y, rgb: TileRuns },
     8 => PatchApplied { version },
     9 => Error { code, message },
     10 => NearestNode { node },
@@ -444,6 +447,37 @@ fn refuse_batch(
         });
     }
     Ok(())
+}
+
+/// Codec of a tile's pixels (spec §8): its canonical runs as they are,
+/// with no length prefix, as they end where they cover the tile. The
+/// decoder validates them in place and keeps only the run bytes; it
+/// never paints a pixel.
+struct TileRuns;
+
+impl FieldCodec<PixelRuns> for TileRuns {
+    fn put(w: &mut Writer, v: &PixelRuns) {
+        w.put_raw(v.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<PixelRuns, CodecError> {
+        let (runs, used) = PixelRuns::read(r.rest()).map_err(|e| {
+            let (context, tag) = match e {
+                RunsError::Short { .. } => {
+                    return CodecError::UnexpectedEof {
+                        needed: 1,
+                        remaining: 0,
+                    }
+                }
+                RunsError::EmptyRun => ("tile run length", 0),
+                RunsError::PastLastPixel { length } => ("tile run past the last pixel", length),
+                RunsError::OverlongLength { length } => ("tile run length in long form", length),
+                RunsError::RepeatedColour { rgb } => ("tile run repeating its colour", rgb.into()),
+            };
+            CodecError::InvalidTag { context, tag }
+        })?;
+        r.read_raw(used)?;
+        Ok(runs)
+    }
 }
 
 impl FieldCodec<Request> for BatchItem {
@@ -637,7 +671,8 @@ mod tests {
                 z: 3,
                 x: 1,
                 y: 2,
-                rgb: vec![0u8; 12],
+                rgb: openflame_tiles::Tile::blank(openflame_tiles::TileCoord { z: 3, x: 1, y: 2 })
+                    .to_runs(),
             },
             Response::PatchApplied { version: 9 },
             Response::NearestNode {
@@ -791,6 +826,28 @@ mod tests {
                 y: 0
             }
         );
+    }
+
+    /// A tile is its canonical runs (spec §8): a second spelling of a
+    /// tile, or runs that do not cover it, is refused inside a batch as
+    /// alone, and what follows the runs is the next item.
+    #[test]
+    fn tile_runs_are_refused_unless_canonical() {
+        let tile = |runs: &[u8]| [&[7u8, 3, 1, 2][..], runs].concat();
+        let blank = tile(&[0x80, 0x80, 0x04, 0xF2, 0xEF, 0xE9]);
+        let batch = |item: &[u8]| [&[11u8, 2][..], item, &[8, 9]].concat();
+        assert!(from_bytes::<Response>(&batch(&blank)).is_ok());
+        for bad in [
+            // Two runs of one colour.
+            tile(&[0x01, 0, 0, 0, 0xFF, 0xFF, 0x03, 0, 0, 0]),
+            // A run of length 0 first.
+            tile(&[0x00, 1, 1, 1, 0x80, 0x80, 0x04, 0xF2, 0xEF, 0xE9]),
+            // One pixel short, then the next item's bytes.
+            tile(&[0xFF, 0xFF, 0x03, 0xF2, 0xEF, 0xE9]),
+        ] {
+            assert!(from_bytes::<Response>(&bad).is_err(), "{bad:02x?}");
+            assert!(from_bytes::<Response>(&batch(&bad)).is_err(), "{bad:02x?}");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use openflame_netsim::{EndpointId, OverloadPolicy, Transport, WireService};
 use openflame_routing::dijkstra::dijkstra_many;
 use openflame_routing::{bidirectional, ContractionHierarchy, Profile, RoadGraph};
 use openflame_search::SearchIndex;
-use openflame_tiles::{TileCoord, TileRenderer};
+use openflame_tiles::{PixelRuns, TileCoord, TileRenderer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -554,15 +554,15 @@ impl MapServer {
         Ok(estimates.into_iter().map(WireEstimate::from).collect())
     }
 
-    /// A rendered tile in its wire form, the RGB bytes a `GetTile`
+    /// A rendered tile in its wire form, the pixel runs a `GetTile`
     /// answer carries (ACL-checked; anchored maps only); an in-process
-    /// caller that wants pixels decodes them with
-    /// [`Tile::from_rgb`](openflame_tiles::Tile::from_rgb). The bytes come
-    /// from the current map version's renderer cache (bounded, see
+    /// caller that wants pixels paints them with
+    /// [`Tile::from_runs`](openflame_tiles::Tile::from_runs). The runs are
+    /// shared with the current map version's renderer cache (bounded, see
     /// [`openflame_tiles::render`]), which a patch replaces with the
     /// engines. A coordinate outside the pyramid (spec §8) is
     /// [`ServerError::Malformed`]: nothing is counted, rendered or cached.
-    pub fn tile(&self, principal: &Principal, coord: TileCoord) -> Result<Arc<[u8]>, ServerError> {
+    pub fn tile(&self, principal: &Principal, coord: TileCoord) -> Result<PixelRuns, ServerError> {
         if !coord.in_pyramid() {
             return Err(ServerError::Malformed(format!(
                 "tile {}/{}/{} is outside the pyramid",
@@ -618,8 +618,8 @@ impl MapServer {
     /// transport layer does exactly that for pipelined requests (see
     /// the module-level concurrency notes). A failure becomes an `Error`
     /// item with the spec §8 code of its [`ServerError`]. A `GetTile`
-    /// answer is a copy of the cached wire form ([`MapServer::tile`]);
-    /// no pixel is converted on a cache hit.
+    /// answer shares the cached runs ([`MapServer::tile`]): on a cache
+    /// hit no pixel is converted and no tile byte is copied.
     pub fn dispatch(&self, principal: &Principal, request: Request) -> Response {
         let into_error = |e: ServerError| {
             let code = match &e {
@@ -677,12 +677,7 @@ impl MapServer {
                 Err(e) => into_error(e),
             },
             Request::GetTile { z, x, y } => match self.tile(principal, TileCoord { z, x, y }) {
-                Ok(rgb) => Response::Tile {
-                    z,
-                    x,
-                    y,
-                    rgb: rgb.to_vec(),
-                },
+                Ok(rgb) => Response::Tile { z, x, y, rgb },
                 Err(e) => into_error(e),
             },
             Request::ApplyPatch { patch } => match self.apply_patch(principal, &patch) {
@@ -1446,8 +1441,8 @@ mod tests {
         );
         let (x, y) = openflame_geo::Mercator::tile_for(world.config.center, 15);
         let coord = TileCoord { z: 15, x, y };
-        let rgb = server.tile(&Principal::anonymous(), coord).unwrap();
-        let tile = openflame_tiles::Tile::from_rgb(coord, &rgb).unwrap();
+        let runs = server.tile(&Principal::anonymous(), coord).unwrap();
+        let tile = openflame_tiles::Tile::from_runs(coord, &runs);
         assert!(tile.coverage() > 0.0);
         // Venue (unaligned) servers refuse tiles.
         let (venue_server, _) = venue_server(&net);
@@ -1455,6 +1450,22 @@ mod tests {
             venue_server.tile(&Principal::anonymous(), TileCoord { z: 15, x, y }),
             Err(ServerError::NotOffered(_))
         ));
+    }
+
+    #[test]
+    fn two_dispatches_of_one_tile_share_its_runs() {
+        let net = BackendKind::Sim.build(1);
+        let (server, world) = outdoor_server(&net);
+        let (x, y) = openflame_geo::Mercator::tile_for(world.config.center, 15);
+        let dispatched =
+            || match server.dispatch(&Principal::anonymous(), Request::GetTile { z: 15, x, y }) {
+                Response::Tile { rgb, .. } => rgb,
+                other => panic!("expected a tile, got {other:?}"),
+            };
+        let (first, second) = (dispatched(), dispatched());
+        assert!(PixelRuns::ptr_eq(&first, &second));
+        let cached = server.tile(&Principal::anonymous(), TileCoord { z: 15, x, y });
+        assert!(PixelRuns::ptr_eq(&first, &cached.unwrap()));
     }
 
     #[test]

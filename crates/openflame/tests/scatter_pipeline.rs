@@ -35,7 +35,7 @@ use openflame_mapserver::protocol::{
     WireSearchResult,
 };
 use openflame_netsim::{BackendKind, EndpointId, Transport};
-use openflame_tiles::{TileCoord, MAX_ZOOM, TILE_SIZE};
+use openflame_tiles::{Tile, TileCoord, MAX_ZOOM};
 use openflame_worldgen::{World, WorldConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -138,7 +138,7 @@ fn plain_view(servers: Vec<Arc<DiscoveredServer>>) -> DiscoveryView {
 }
 
 fn blank_tile(z: u8, x: u32, y: u32) -> Response {
-    let rgb = vec![0x40; TILE_SIZE * TILE_SIZE * 3];
+    let rgb = Tile::blank(TileCoord { z, x, y }).to_runs();
     Response::Tile { z, x, y, rgb }
 }
 

@@ -21,8 +21,9 @@
 //!    blackout rule as search, reverse geocode and localize.
 //! 4. **Discovery parity** — one `MAPSRV` question per cell discovers
 //!    exactly what a `MAPSRV` and a `FLEETSRV` question per cell did,
-//!    order included, at five lookups and 15 upstream queries per cold
-//!    discovery (spec §9.1).
+//!    order included, at five lookups and 7 upstream queries per cold
+//!    discovery: one root ask and one TLD ask shared by the five cells,
+//!    then five cell answers (spec §9.1).
 
 use openflame_cells::CellId;
 use openflame_codec::{from_bytes, to_bytes};

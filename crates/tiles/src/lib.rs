@@ -10,7 +10,9 @@
 //! Everything is from scratch:
 //!
 //! - [`Tile`] — an ARGB pixel grid addressed by `(z, x, y)` slippy
-//!   coordinates, with its RGB wire form and PPM export,
+//!   coordinates, with PPM export,
+//! - [`PixelRuns`] — a tile's wire form, its canonical pixel runs
+//!   (spec §8),
 //! - `raster` — Bresenham lines, scanline polygon fill, discs,
 //! - [`TileRenderer`] — style-mapped rendering of a map document into
 //!   tiles, with a bounded on-demand cache of their wire form (paper
@@ -19,15 +21,18 @@
 //!   — client-side stitching of tiles from multiple servers, including
 //!   venues whose frames need a fitted affine transform.
 //!
-//! Each end converts a tile once: the server encodes it when it renders
-//! it and serves the cached bytes, the client decodes each layer in one
-//! pass and composes only when more than one layer arrived.
+//! Each end converts a tile once: the server encodes its runs when it
+//! renders it and shares the cached runs with every answer, the client
+//! paints each layer's runs straight into pixels and composes only when
+//! more than one layer arrived.
 
 mod raster;
 pub mod render;
+pub mod runs;
 pub mod stitch;
 mod style;
 pub mod tile;
 
 pub use render::TileRenderer;
+pub use runs::{PixelRuns, RunsError};
 pub use tile::{Tile, TileCoord, MAX_ZOOM, TILE_SIZE};

@@ -1,23 +1,25 @@
 //! Rendering map documents into tiles, with a bounded cache of their
 //! wire form.
 //!
-//! A tile is rendered once and encoded once ([`Tile::to_rgb`]), and the
-//! cache keeps those RGB bytes — the form a `GetTile` answer carries,
-//! 192 KB a tile — rather than the ARGB [`Tile`], so a hit is a refcount
-//! bump with no per-pixel pass. The cache holds at most
+//! A tile is rendered once and encoded once ([`Tile::to_runs`]), and the
+//! cache keeps those [`PixelRuns`] — the form a `GetTile` answer carries,
+//! a few kilobytes for a layer of mostly background — rather than the
+//! 256 KB ARGB [`Tile`], so a hit shares the runs' buffer with no
+//! per-pixel pass and no copy. The cache holds at most
 //! `TILE_CACHE_ENTRIES` (256) tiles: when it is full, caching a new tile
 //! evicts the one cached earliest (first in, first out). A renderer is
 //! built for one map version, so its cache never outlives that map.
 
 use crate::raster::{draw_disc, draw_line, fill_polygon};
+use crate::runs::PixelRuns;
 use crate::style::style_for;
 use crate::tile::{Tile, TileCoord, TILE_SIZE};
 use openflame_geo::{Mercator, Point2};
 use openflame_mapdata::MapDocument;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
-/// Most tiles one renderer keeps cached (≈ 48 MB of wire form).
+/// Most tiles one renderer keeps cached (at most 64 MB of runs, the
+/// worst case of spec §8; a few MB for the renderer's flat fills).
 pub(crate) const TILE_CACHE_ENTRIES: usize = 256;
 
 /// Renders a geo-anchored map document into slippy tiles.
@@ -37,14 +39,14 @@ pub struct TileRenderer {
 /// Cached wire forms, and the order they were cached in.
 #[derive(Default)]
 struct TileCache {
-    tiles: HashMap<TileCoord, Arc<[u8]>>,
+    tiles: HashMap<TileCoord, PixelRuns>,
     order: VecDeque<TileCoord>,
 }
 
 impl TileCache {
-    /// Caches `rgb` for `coord` unless a concurrent render got there
+    /// Caches `runs` for `coord` unless a concurrent render got there
     /// first, and returns what is cached.
-    fn insert(&mut self, coord: TileCoord, rgb: Arc<[u8]>) -> Arc<[u8]> {
+    fn insert(&mut self, coord: TileCoord, runs: PixelRuns) -> PixelRuns {
         if let Some(hit) = self.tiles.get(&coord) {
             return hit.clone();
         }
@@ -54,8 +56,8 @@ impl TileCache {
             }
         }
         self.order.push_back(coord);
-        self.tiles.insert(coord, rgb.clone());
-        rgb
+        self.tiles.insert(coord, runs.clone());
+        runs
     }
 }
 
@@ -121,21 +123,21 @@ impl TileRenderer {
         self.render_count.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// One tile's wire form ([`Tile::to_rgb`]): rendered and encoded on
-    /// a miss, shared from the cache on a hit. [`Tile::from_rgb`] turns
+    /// One tile's wire form ([`Tile::to_runs`]): rendered and encoded on
+    /// a miss, shared from the cache on a hit. [`Tile::from_runs`] paints
     /// it back into pixels.
     ///
     /// # Panics
     ///
     /// Panics if `coord` is outside the pyramid
     /// ([`TileCoord::in_pyramid`]); a server checks before it asks.
-    pub fn tile(&self, coord: TileCoord) -> Arc<[u8]> {
+    pub fn tile(&self, coord: TileCoord) -> PixelRuns {
         if let Some(hit) = self.cache.lock().tiles.get(&coord) {
             return hit.clone();
         }
         assert!(coord.in_pyramid(), "tile {coord:?} is outside the pyramid");
-        let rgb = self.render(coord).to_rgb();
-        self.cache.lock().insert(coord, rgb)
+        let runs = self.render(coord).to_runs();
+        self.cache.lock().insert(coord, runs)
     }
 
     fn render(&self, coord: TileCoord) -> Tile {
@@ -242,7 +244,7 @@ mod tests {
         let origin = LatLng::new(40.4433, -79.9436).unwrap();
         let (x, y) = Mercator::tile_for(origin, 16);
         let coord = TileCoord { z: 16, x, y };
-        let tile = Tile::from_rgb(coord, &r.tile(coord)).unwrap();
+        let tile = Tile::from_runs(coord, &r.tile(coord));
         assert!(tile.coverage() > 0.001, "coverage {}", tile.coverage());
     }
 
@@ -253,7 +255,7 @@ mod tests {
         let far = LatLng::new(48.85, 2.35).unwrap();
         let (x, y) = Mercator::tile_for(far, 16);
         let coord = TileCoord { z: 16, x, y };
-        let tile = Tile::from_rgb(coord, &r.tile(coord)).unwrap();
+        let tile = Tile::from_runs(coord, &r.tile(coord));
         assert_eq!(tile.coverage(), 0.0);
     }
 
@@ -268,8 +270,7 @@ mod tests {
         };
         let t1 = r.tile(coord);
         let t2 = r.tile(coord);
-        assert!(Arc::ptr_eq(&t1, &t2));
-        assert_eq!(t1.len(), TILE_SIZE * TILE_SIZE * 3);
+        assert!(PixelRuns::ptr_eq(&t1, &t2));
         assert_eq!(r.renders_performed(), 1);
     }
 
@@ -314,7 +315,7 @@ mod tests {
         let origin = LatLng::new(40.4433, -79.9436).unwrap();
         let (x14, y14) = Mercator::tile_for(origin, 14);
         let (x17, y17) = Mercator::tile_for(origin, 17);
-        let rendered = |coord| Tile::from_rgb(coord, &r.tile(coord)).unwrap();
+        let rendered = |coord| Tile::from_runs(coord, &r.tile(coord));
         let z14 = rendered(TileCoord {
             z: 14,
             x: x14,

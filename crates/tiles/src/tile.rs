@@ -1,14 +1,15 @@
-//! The tile pixel grid and its wire form.
+//! The tile pixel grid.
 //!
 //! A [`Tile`] is ARGB pixels in memory. In a `GetTile` answer and in a
-//! server's tile cache it is [`TILE_SIZE`]² × 3 bytes of RGB, row-major.
-//! [`Tile::to_rgb`] is the one encoder and [`Tile::from_rgb`] the one
-//! decoder, each a single pass over a pre-sized buffer.
+//! server's tile cache it is its canonical pixel runs ([`PixelRuns`],
+//! spec §8): [`Tile::to_runs`] encodes them in one pass over the pixels,
+//! and [`Tile::from_runs`] paints them back, a run at a time.
 //!
 //! A coordinate is in the pyramid when `z ≤` [`MAX_ZOOM`] and
 //! `x, y < 2^z` ([`TileCoord::in_pyramid`]); a server answers any other
 //! `GetTile` with a malformed-request error and renders nothing (spec §8).
 
+use crate::runs::PixelRuns;
 use openflame_geo::{LatLng, Mercator};
 
 /// Edge length of a tile in pixels.
@@ -94,16 +95,13 @@ impl Tile {
     /// Serializes as a binary PPM (P6) image.
     pub fn to_ppm(&self) -> Vec<u8> {
         let mut out = format!("P6\n{TILE_SIZE} {TILE_SIZE}\n255\n").into_bytes();
-        out.extend(self.to_rgb::<Vec<u8>>());
+        out.extend(self.to_rgb());
         out
     }
 
-    /// The wire form — three bytes (red, green, blue) per pixel,
-    /// row-major, alpha dropped — collected into any byte container: a
-    /// `Vec<u8>`, or the `Arc<[u8]>` a renderer caches. The bytes come
-    /// with their exact length, so either container allocates once and
-    /// is filled in one pass.
-    pub fn to_rgb<B: FromIterator<u8>>(&self) -> B {
+    /// Three bytes (red, green, blue) per pixel, row-major, alpha
+    /// dropped: the body of a PPM image.
+    pub fn to_rgb(&self) -> Vec<u8> {
         self.pixels
             .iter()
             .flat_map(|px| {
@@ -113,17 +111,19 @@ impl Tile {
             .collect()
     }
 
-    /// Rebuilds an opaque tile from its wire form ([`Tile::to_rgb`]) in
-    /// one pass. Returns `None` on size mismatch.
-    pub fn from_rgb(coord: TileCoord, rgb: &[u8]) -> Option<Self> {
-        if rgb.len() != TILE_SIZE * TILE_SIZE * 3 {
-            return None;
+    /// The wire form: the canonical runs of the pixels' colours, alpha
+    /// dropped (spec §8).
+    pub fn to_runs(&self) -> PixelRuns {
+        PixelRuns::encode(&self.pixels)
+    }
+
+    /// Paints an opaque tile from its runs, a run at a time.
+    pub fn from_runs(coord: TileCoord, runs: &PixelRuns) -> Self {
+        let mut pixels = Vec::with_capacity(TILE_SIZE * TILE_SIZE);
+        for (length, rgb) in runs.iter() {
+            pixels.resize(pixels.len() + length, 0xFF00_0000 | rgb);
         }
-        let pixels = rgb
-            .chunks_exact(3)
-            .map(|c| u32::from_be_bytes([0xFF, c[0], c[1], c[2]]))
-            .collect();
-        Some(Self { coord, pixels })
+        Self { coord, pixels }
     }
 
     /// Paints `layer`'s non-background pixels over `self`.

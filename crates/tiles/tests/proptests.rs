@@ -1,12 +1,13 @@
-//! Pixel oracles: the one-pass tile codec and compositor against the
-//! per-pixel loops they replaced, kept here verbatim as the oracles.
+//! Pixel oracles: the one-pass RGB encoder and compositor against the
+//! per-pixel loops they replaced, kept here verbatim as the oracles;
+//! and the tile's wire form, its pixel runs, against the pixels.
 
 use openflame_tiles::stitch::compose;
 use openflame_tiles::tile::BACKGROUND;
-use openflame_tiles::{Tile, TileCoord, TILE_SIZE};
+use openflame_tiles::{PixelRuns, Tile, TileCoord, TILE_SIZE};
 use proptest::prelude::*;
 
-/// The server's old `GetTile` encoding loop.
+/// The server's first `GetTile` encoding loop.
 fn oracle_rgb(tile: &Tile) -> Vec<u8> {
     let mut rgb = Vec::with_capacity(tile.pixels().len() * 3);
     for &px in tile.pixels() {
@@ -73,15 +74,27 @@ proptest! {
 
     #[test]
     fn to_rgb_equals_the_per_pixel_encoder(tile in arb_tile(false)) {
-        prop_assert!(tile.to_rgb::<Vec<u8>>() == oracle_rgb(&tile));
+        prop_assert!(tile.to_rgb() == oracle_rgb(&tile));
         let ppm = tile.to_ppm();
         prop_assert!(ppm[ppm.len() - TILE_SIZE * TILE_SIZE * 3..] == oracle_rgb(&tile)[..]);
     }
 
     #[test]
     fn an_opaque_tile_survives_the_wire(tile in arb_tile(true)) {
-        let decoded = Tile::from_rgb(tile.coord, &tile.to_rgb::<Vec<u8>>());
-        prop_assert!(decoded.as_ref() == Some(&tile));
+        let runs = tile.to_runs();
+        prop_assert!(Tile::from_runs(tile.coord, &runs) == tile);
+        // The runs dereference to the tile's RGB bytes.
+        prop_assert!(runs[..] == oracle_rgb(&tile)[..]);
+    }
+
+    #[test]
+    fn decoded_runs_re_encode_to_their_own_bytes(tile in arb_tile(false)) {
+        let runs = tile.to_runs();
+        let (decoded, used) = PixelRuns::read(runs.as_bytes()).unwrap();
+        prop_assert_eq!(used, runs.as_bytes().len());
+        prop_assert!(decoded.as_bytes() == runs.as_bytes());
+        let repainted = Tile::from_runs(tile.coord, &decoded);
+        prop_assert!(repainted.to_runs().as_bytes() == runs.as_bytes());
     }
 
     #[test]
@@ -100,8 +113,20 @@ proptest! {
 
 #[test]
 fn a_wire_form_of_the_wrong_size_is_refused() {
-    let rgb = vec![0; TILE_SIZE * TILE_SIZE * 3];
-    assert!(Tile::from_rgb(COORD, &rgb).is_some());
-    assert!(Tile::from_rgb(COORD, &rgb[1..]).is_none());
-    assert!(Tile::from_rgb(COORD, &[rgb.as_slice(), &[0]].concat()).is_none());
+    let runs = |pixels: usize| {
+        let mut tile = Tile::blank(COORD);
+        tile.set(0, 0, 0xFF00_0000);
+        let mut bytes = tile.to_runs().as_bytes().to_vec();
+        // The second run, background to the last pixel: 65 535 pixels.
+        assert_eq!(bytes[4..], [0xFF, 0xFF, 0x03, 0xF2, 0xEF, 0xE9]);
+        let length = (pixels - 1) as u32;
+        let varint = [length | 0x80, length >> 7 | 0x80, length >> 14].map(|b| b as u8);
+        bytes.splice(4..7, varint);
+        bytes
+    };
+    let whole = runs(TILE_SIZE * TILE_SIZE);
+    assert!(PixelRuns::read(&whole).is_ok());
+    assert!(PixelRuns::read(&runs(TILE_SIZE * TILE_SIZE - 1)).is_err());
+    assert!(PixelRuns::read(&runs(TILE_SIZE * TILE_SIZE + 1)).is_err());
+    assert!(PixelRuns::read(&whole[..whole.len() - 1]).is_err());
 }

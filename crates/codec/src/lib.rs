@@ -29,12 +29,14 @@
 //! the primitives below and for the irregular messages each protocol
 //! module lists as its exceptions.
 
+mod fnv;
 pub mod framing;
 pub mod packet;
 pub mod reader;
 pub mod table;
 pub mod writer;
 
+pub use fnv::Fnv1a;
 pub use framing::{read_frame, write_frame, Frame, FRAME_HEADER_LEN, FRAME_VERSION};
 pub use packet::{decode_packet, encode_packet, Packet, PacketType, PAYLOAD_MTU};
 pub use reader::Reader;

@@ -67,7 +67,7 @@ use openflame_mapserver::Principal;
 use openflame_netsim::{EndpointId, Transport};
 use openflame_routing::{stitch_legs, LegMatrix};
 use openflame_search::{fuse_ranked, SearchResult};
-use openflame_tiles::{stitch::compose, Tile, TileCoord};
+use openflame_tiles::{stitch::compose, PixelRuns, Tile, TileCoord};
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -804,31 +804,63 @@ impl OpenFlameClient {
     /// from every discovered server — one batched envelope each, in one
     /// concurrent round — and compose them (paper §5.2). Also yields
     /// the number of servers whose layers went into the composition.
-    /// Each layer's runs are painted straight into pixels, and a lone
-    /// layer is returned as it is (composing one layer yields that
-    /// layer). A zoom deeper than the pyramid is
+    /// A server whose layer the session holds from the last tile call at
+    /// this coordinate is asked to revalidate it by its tag instead of
+    /// sending it again (spec §8, "Tile revalidation"): `TileUnchanged`
+    /// paints the held runs, a `Tile` replaces them, and any other answer
+    /// drops them. Each layer's runs are painted straight into pixels,
+    /// and a lone layer is returned as it is (composing one layer yields
+    /// that layer). A zoom deeper than the pyramid is
     /// [`ClientError::InvalidQuery`], sent nowhere.
     pub fn federated_tile(&self, center: LatLng, z: u8) -> Result<(Tile, usize), ClientError> {
         let coord = tile_coord(center, z)?;
         let TileCoord { z, x, y } = coord;
-        let mut layers: Vec<Tile> = Vec::new();
+        let held = self.session.tile_layers(coord);
+        let held_from = |endpoint: EndpointId| {
+            let mut layers = held.iter().flat_map(|layers| layers.iter());
+            layers
+                .find(|(from, _)| *from == endpoint)
+                .map(|(_, runs)| runs)
+        };
+        let mut composed: Vec<(EndpointId, PixelRuns)> = Vec::new();
         // (The planner prunes unaligned venues, whose catalogues omit
         // `tiles` and which refuse `GetTile` outright.) A layer echoing
-        // another coordinate is another tile and contributes nothing.
+        // another coordinate is another tile and contributes nothing, as
+        // does an `Unchanged` for a layer the session sent no tag for.
         self.scatter(
             QueryKind::Tile,
             center,
             None,
-            |_, _| Some(Request::GetTile { z, x, y }),
-            |_, response| {
-                if let Response::Tile { z, x, y, rgb } = response {
-                    if (TileCoord { z, x, y }) == coord {
-                        layers.push(Tile::from_runs(coord, &rgb));
+            |server, _| {
+                Some(match held_from(server.endpoint) {
+                    Some(runs) => Request::RevalidateTile {
+                        z,
+                        x,
+                        y,
+                        tag: runs.tag(),
+                    },
+                    None => Request::GetTile { z, x, y },
+                })
+            },
+            |server, response| {
+                let runs = match response {
+                    Response::Tile { z, x, y, rgb } if (TileCoord { z, x, y }) == coord => {
+                        Some(rgb)
                     }
-                }
+                    Response::TileUnchanged { z, x, y } if (TileCoord { z, x, y }) == coord => {
+                        held_from(server.endpoint).cloned()
+                    }
+                    _ => None,
+                };
+                composed.extend(runs.map(|runs| (server.endpoint, runs)));
                 Ok(())
             },
         )?;
+        let mut layers: Vec<Tile> = composed
+            .iter()
+            .map(|(_, runs)| Tile::from_runs(coord, runs))
+            .collect();
+        self.session.store_tile_layers(coord, composed.into());
         match layers.len() {
             0 => Err(ClientError::NothingDiscovered(format!(
                 "no tile-serving providers near {center}"

@@ -38,6 +38,7 @@
 use crate::discovery::DiscoveredServer;
 use crate::session::Session;
 use openflame_cells::{CellId, Region};
+use openflame_codec::Fnv1a;
 use openflame_geo::{BBox, LatLng};
 use openflame_netsim::EndpointId;
 use openflame_worldgen::World;
@@ -196,14 +197,11 @@ pub fn sibling<'a>(
 /// spreads different shards across different candidate pairs without
 /// any per-process randomness.
 fn fingerprint(shard: &FleetShardView) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for r in &shard.replicas {
-        for byte in r.endpoint.0.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    shard
+        .replicas
+        .iter()
+        .fold(Fnv1a::new(), |h, r| h.write(&r.endpoint.0.to_le_bytes()))
+        .finish()
 }
 
 // --------------------------------------------------------------------

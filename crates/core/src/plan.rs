@@ -84,7 +84,8 @@ pub enum QueryKind {
     Route,
     /// Localization (`Request::Localize`).
     Localize,
-    /// Tile rendering (`Request::GetTile`).
+    /// Tile rendering (`Request::GetTile`, or `Request::RevalidateTile`
+    /// for a layer the session holds).
     Tile,
 }
 

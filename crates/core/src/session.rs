@@ -3,7 +3,7 @@
 //! transport.
 //!
 //! Every wire interaction of both provider architectures goes through a
-//! [`Session`]. It does four things the naive per-request path did not:
+//! [`Session`]. It does five things the naive per-request path did not:
 //!
 //! - **Batching**: callers hand it a `Vec<Request>` per server and it
 //!   ships one [`Request::Batch`] envelope, so a scatter round costs
@@ -33,6 +33,14 @@
 //! - **Discovery caching**: discovery results are cached per query
 //!   cell, so a client localizing every few seconds does not re-resolve
 //!   the same cell through DNS each time.
+//! - **Tile layers**: per tile coordinate, the layers the client last
+//!   composed there — each answering server's endpoint and the pixel
+//!   runs it sent, runs only, never painted pixels. The next tile call
+//!   at that coordinate revalidates a held layer by its tag instead of
+//!   fetching it again (spec §8, "Tile revalidation"): an unchanged
+//!   layer costs a few bytes each way, and the tag is hashed the first
+//!   time a layer is revalidated, so a session that never revisits a
+//!   tile hashes nothing.
 //! - **Busy absorption**: a server that sheds the envelope under load
 //!   answers `Response::Busy { retry_after_us }` (wire protocol spec §10)
 //!   instead of an answer. The session re-submits the identical
@@ -43,16 +51,19 @@
 //!   [`BUSY_RETRY_BUDGET`] re-submissions have all been shed does the
 //!   call surface [`ClientError::Overloaded`].
 //!
-//! Both caches (endpoints, discovery cells) are a [`TtlCache`], the
-//! resolver's cache type, holding `Arc`s: an advertisement is *moved*
-//! out of the answer that brought it, a discovery view is built once,
-//! and every reader after that (planner, executor, providers) shares it
-//! by reference, so a warm call deep-copies none of it. They are
-//! **bounded** (`DEFAULT_CACHE_CAP`): a long-lived session touring
-//! many cells does not grow memory forever. Inserts past the cap evict
-//! expired entries first, then the least recently used — so a fresh
-//! dead mark, shorter-lived than the advertisements around it, is never
-//! the victim; evictions and current cache sizes are reported in
+//! The three caches (endpoints, discovery cells, tile layers) are each a
+//! [`TtlCache`], the resolver's cache type, holding `Arc`s: an
+//! advertisement is *moved* out of the answer that brought it, a
+//! discovery view is built once, a layer's runs are the buffer the
+//! answer decoded into, and every reader after that (planner, executor,
+//! providers) shares it by reference, so a warm call deep-copies none of
+//! it. [`Session::invalidate`] drops all three, so the call after it is
+//! cold: it discovers, handshakes and fetches every tile layer anew.
+//! They are **bounded** (`DEFAULT_CACHE_CAP`): a long-lived session
+//! touring many cells does not grow memory forever. Inserts past the cap
+//! evict expired entries first, then the least recently used — so a
+//! fresh dead mark, shorter-lived than the advertisements around it, is
+//! never the victim; evictions and current cache sizes are reported in
 //! [`SessionStats`].
 //!
 //! The session speaks only through the [`Transport`] trait — the
@@ -66,7 +77,7 @@
 
 use crate::fleet::DiscoveryView;
 use crate::ClientError;
-use openflame_codec::{from_bytes, to_bytes};
+use openflame_codec::{from_bytes, to_bytes, Fnv1a};
 use openflame_diag::{ranks, OrderedMutex};
 use openflame_dns::TtlCache;
 use openflame_mapdata::NodeId;
@@ -74,6 +85,7 @@ use openflame_mapserver::protocol::{Envelope, HelloInfo, Request, Response, Wire
 use openflame_mapserver::registry::MAPSRV_TTL_S;
 use openflame_mapserver::Principal;
 use openflame_netsim::{CallHandle, EndpointId, Transport};
+use openflame_tiles::{PixelRuns, TileCoord};
 use std::sync::Arc;
 
 /// Default cache TTL: the DNS record TTL deployment registrations use
@@ -88,9 +100,9 @@ pub(crate) const DEFAULT_TTL_US: u64 = MAPSRV_TTL_S as u64 * 1_000_000;
 pub(crate) const DEAD_TTL_US: u64 = 30 * 1_000_000;
 
 /// Default capacity bound for each session cache (endpoint entries,
-/// discovery cells). A long-lived session touring many cells stays
-/// bounded: inserts over the cap evict expired entries first, then the
-/// least recently used.
+/// discovery cells, tile coordinates). A long-lived session touring
+/// many cells stays bounded: inserts over the cap evict expired entries
+/// first, then the least recently used.
 pub(crate) const DEFAULT_CACHE_CAP: usize = 256;
 
 /// How many times one envelope is re-submitted after a `Busy` shed
@@ -112,17 +124,11 @@ pub(crate) fn busy_backoff_us(hint_us: u64, attempt: u32, from: EndpointId, to: 
         .max(100)
         .saturating_mul(1u64 << attempt.min(16))
         .min(BUSY_BACKOFF_CAP_US);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for byte in from
-        .0
-        .to_le_bytes()
-        .iter()
-        .chain(to.0.to_le_bytes().iter())
-        .chain(attempt.to_le_bytes().iter())
-    {
-        h ^= u64::from(*byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = Fnv1a::new()
+        .write(&from.0.to_le_bytes())
+        .write(&to.0.to_le_bytes())
+        .write(&attempt.to_le_bytes())
+        .finish();
     base + h % (base / 4 + 1)
 }
 
@@ -147,8 +153,8 @@ pub struct SessionStats {
     pub discovery_hits: u64,
     /// Discovery lookups that fell through to DNS.
     pub discovery_misses: u64,
-    /// Entries removed from either cache to hold the capacity bound
-    /// (expired entries purged while evicting included).
+    /// Entries removed from any of the session's caches to hold the
+    /// capacity bound (expired entries purged while evicting included).
     pub cache_evictions: u64,
     /// Live (unexpired) advertisements cached at snapshot time. Dead
     /// marks share the per-endpoint cache but are not advertisements,
@@ -173,6 +179,10 @@ pub struct SessionStats {
 
 /// Discovery cache key: the query cell's raw id.
 type DiscoveryKey = u64;
+
+/// The layers a tile call composed at one coordinate, in the order it
+/// composed them: each answering server's endpoint and its runs.
+type TileLayers = Arc<[(EndpointId, PixelRuns)]>;
 
 /// Everything the session remembers about one endpoint. The two
 /// states replace each other, so a dead endpoint has no advertisement
@@ -215,6 +225,7 @@ pub struct Session {
     principal: Principal,
     endpoints: OrderedMutex<TtlCache<EndpointId, EndpointEntry>>,
     discoveries: OrderedMutex<TtlCache<DiscoveryKey, Arc<DiscoveryView>>>,
+    tiles: OrderedMutex<TtlCache<TileCoord, TileLayers>>,
     stats: OrderedMutex<SessionStats>,
 }
 
@@ -230,6 +241,7 @@ impl Session {
                 ranks::SESSION_DISCOVERIES,
                 TtlCache::new(DEFAULT_CACHE_CAP),
             ),
+            tiles: OrderedMutex::new(ranks::SESSION_TILES, TtlCache::new(DEFAULT_CACHE_CAP)),
             stats: OrderedMutex::new(ranks::SESSION_STATS, SessionStats::default()),
         }
     }
@@ -270,16 +282,22 @@ impl Session {
             let evictions = discoveries.purged + discoveries.evicted;
             (discoveries.live(now).count() as u64, evictions)
         };
+        let tile_evictions = {
+            let tiles = self.tiles.lock();
+            tiles.purged + tiles.evicted
+        };
         stats.hello_cache_len = hello_len;
         stats.discovery_cache_len = discovery_len;
-        stats.cache_evictions = endpoint_evictions + discovery_evictions;
+        stats.cache_evictions = endpoint_evictions + discovery_evictions + tile_evictions;
         stats
     }
 
-    /// Drops all cached state, dead marks included.
+    /// Drops all cached state: dead marks, discoveries and tile layers
+    /// included.
     pub fn invalidate(&self) {
         self.endpoints.lock().clear();
         self.discoveries.lock().clear();
+        self.tiles.lock().clear();
     }
 
     // ----------------------------------------------------------------
@@ -569,6 +587,25 @@ impl Session {
     /// dead marks.
     pub(crate) fn invalidate_cell(&self, cell_raw: u64) {
         self.discoveries.lock().remove(&cell_raw);
+    }
+
+    // ----------------------------------------------------------------
+    // Tile layers.
+    // ----------------------------------------------------------------
+
+    /// The layers the last tile call at `coord` composed, if fresh —
+    /// shared, not copied.
+    pub(crate) fn tile_layers(&self, coord: TileCoord) -> Option<TileLayers> {
+        let now = self.transport.now_us();
+        self.tiles.lock().get(&coord, now).cloned()
+    }
+
+    /// Keeps the layers a tile call at `coord` composed, replacing what
+    /// the session held there: a layer that was not composed this time
+    /// is dropped.
+    pub(crate) fn store_tile_layers(&self, coord: TileCoord, layers: TileLayers) {
+        let now = self.transport.now_us();
+        self.tiles.lock().insert(coord, layers, now, DEFAULT_TTL_US);
     }
 }
 

@@ -43,6 +43,9 @@ pub const SESSION_DISCOVERIES: Rank = Rank::new(22, "core.session.discoveries");
 /// Session per-endpoint cache: each endpoint's advertisement (coverage
 /// summary included) or dead mark.
 pub const SESSION_HELLOS: Rank = Rank::new(24, "core.session.hellos");
+/// Session tile-layer cache: per tile coordinate, the runs each server
+/// last sent.
+pub const SESSION_TILES: Rank = Rank::new(25, "core.session.tiles");
 /// Session statistics.
 pub const SESSION_STATS: Rank = Rank::new(26, "core.session.stats");
 /// Discovery statistics.

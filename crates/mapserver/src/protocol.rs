@@ -16,7 +16,8 @@
 
 use crate::acl::Principal;
 use openflame_codec::{
-    wire_enum, wire_struct, CodecError, FieldCodec, Opt, Own, Pair, Reader, Seq, Wire, Writer,
+    wire_enum, wire_struct, CodecError, FieldCodec, Fnv1a, Opt, Own, Pair, Reader, Seq, Wire,
+    Writer,
 };
 use openflame_geo::Point2;
 use openflame_localize::{Estimate, LocationCue};
@@ -101,6 +102,20 @@ pub enum Request {
     NearestNode {
         /// Query position in the server's map frame.
         pos: Point2,
+    },
+    /// Fetch a rendered tile unless its runs still have `tag` (spec §8,
+    /// "Tile revalidation"): answered [`Response::TileUnchanged`] when
+    /// they do, and exactly as [`Request::GetTile`] otherwise.
+    RevalidateTile {
+        /// Zoom level.
+        z: u8,
+        /// Tile column.
+        x: u32,
+        /// Tile row.
+        y: u32,
+        /// The tag of the runs the client holds
+        /// ([`PixelRuns::tag`]).
+        tag: u64,
     },
     /// Several requests in one envelope, answered positionally by a
     /// [`Response::Batch`]. Scatter-gather clients coalesce their
@@ -293,6 +308,16 @@ pub enum Response {
         /// its row-major RGB bytes, 256×256×3, painted on first use.
         rgb: PixelRuns,
     },
+    /// The tile a [`Request::RevalidateTile`] asked about still has
+    /// the tag the client sent: paint the runs it holds.
+    TileUnchanged {
+        /// Zoom level.
+        z: u8,
+        /// Column.
+        x: u32,
+        /// Row.
+        y: u32,
+    },
     /// Patch accepted.
     PatchApplied {
         /// New map version.
@@ -346,23 +371,14 @@ pub(crate) fn principal_key(payload: &[u8]) -> u64 {
     if principal.user.is_none() && principal.app.is_none() {
         return 0;
     }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut absorb = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::new();
     for part in [&principal.user, &principal.app] {
-        match part {
-            Some(s) => absorb(s.as_bytes()),
-            None => absorb(&[0xFF]),
-        }
-        absorb(&[0x1F]);
+        let bytes = part.as_ref().map_or(&[0xFF][..], |s| s.as_bytes());
+        h = h.write(bytes).write(&[0x1F]);
     }
     // Reserve 0 for anonymous: a pathological hash collision must not
     // make an identified caller share the anonymous bucket.
-    h.max(1)
+    h.finish().max(1)
 }
 
 // ---------------------------------------------------------------
@@ -398,6 +414,7 @@ wire_enum! { Request, "Request" {
     8 => ApplyPatch { patch },
     9 => NearestNode { pos: PointCodec },
     10 => Batch(requests: Seq<BatchItem>),
+    11 => RevalidateTile { z, x, y, tag },
 } }
 
 wire_enum! { Response, "Response" {
@@ -414,6 +431,7 @@ wire_enum! { Response, "Response" {
     10 => NearestNode { node },
     11 => Batch(responses: Seq<BatchItem>),
     12 => Busy { retry_after_us },
+    13 => TileUnchanged { z, x, y },
 } }
 
 wire_struct! { HelloInfo {
@@ -562,6 +580,12 @@ mod tests {
             x: 18300,
             y: 24800,
         });
+        round_trip_request(Request::RevalidateTile {
+            z: 16,
+            x: 18300,
+            y: 24800,
+            tag: u64::MAX,
+        });
         round_trip_request(Request::ApplyPatch {
             patch: MapPatch::new(3),
         });
@@ -674,6 +698,7 @@ mod tests {
                 rgb: openflame_tiles::Tile::blank(openflame_tiles::TileCoord { z: 3, x: 1, y: 2 })
                     .to_runs(),
             },
+            Response::TileUnchanged { z: 3, x: 1, y: 2 },
             Response::PatchApplied { version: 9 },
             Response::NearestNode {
                 node: Some((7, 2.5)),

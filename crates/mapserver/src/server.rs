@@ -619,7 +619,10 @@ impl MapServer {
     /// the module-level concurrency notes). A failure becomes an `Error`
     /// item with the spec §8 code of its [`ServerError`]. A `GetTile`
     /// answer shares the cached runs ([`MapServer::tile`]): on a cache
-    /// hit no pixel is converted and no tile byte is copied.
+    /// hit no pixel is converted and no tile byte is copied. A
+    /// `RevalidateTile` is a `GetTile` whose answer is `TileUnchanged`
+    /// when the runs' tag ([`PixelRuns::tag`], kept with the cached runs)
+    /// is the one asked about.
     pub fn dispatch(&self, principal: &Principal, request: Request) -> Response {
         let into_error = |e: ServerError| {
             let code = match &e {
@@ -680,6 +683,13 @@ impl MapServer {
                 Ok(rgb) => Response::Tile { z, x, y, rgb },
                 Err(e) => into_error(e),
             },
+            Request::RevalidateTile { z, x, y, tag } => {
+                match self.tile(principal, TileCoord { z, x, y }) {
+                    Ok(rgb) if rgb.tag() == tag => Response::TileUnchanged { z, x, y },
+                    Ok(rgb) => Response::Tile { z, x, y, rgb },
+                    Err(e) => into_error(e),
+                }
+            }
             Request::ApplyPatch { patch } => match self.apply_patch(principal, &patch) {
                 Ok(version) => Response::PatchApplied { version },
                 Err(e) => into_error(e),
@@ -1376,13 +1386,20 @@ mod tests {
     }
 
     fn outdoor_server(net: &Arc<dyn Transport>) -> (Arc<MapServer>, World) {
+        outdoor_server_under(net, AccessPolicy::open())
+    }
+
+    fn outdoor_server_under(
+        net: &Arc<dyn Transport>,
+        policy: AccessPolicy,
+    ) -> (Arc<MapServer>, World) {
         let world = World::generate(WorldConfig::default());
         let config = MapServerConfig {
             id: "outdoor".into(),
             map: world.outdoor.clone(),
             beacons: vec![],
             tags: TagRegistry::new(),
-            policy: AccessPolicy::open(),
+            policy,
             portals: vec![],
             location_hint: world.config.center,
             radius_m: 2_000.0,
@@ -1466,6 +1483,93 @@ mod tests {
         assert!(PixelRuns::ptr_eq(&first, &second));
         let cached = server.tile(&Principal::anonymous(), TileCoord { z: 15, x, y });
         assert!(PixelRuns::ptr_eq(&first, &cached.unwrap()));
+    }
+
+    /// `RevalidateTile` (spec §8, "Tile revalidation"): one row per
+    /// rule — unchanged, stale, outside the pyramid, denied, not offered.
+    #[test]
+    fn revalidate_tile_answers_by_the_tag_and_follows_get_tiles_rules() {
+        let net = BackendKind::Sim.build(1);
+        let staff = Principal::user("a@staff.example");
+        let policy = AccessPolicy::open().with(
+            ServiceKind::Tiles,
+            vec![
+                Rule::AllowUserDomain("@staff.example".into()),
+                Rule::DenyAll,
+            ],
+        );
+        let (server, world) = outdoor_server_under(&net, policy);
+        let (venue, _) = venue_server(&net);
+        let renders = || {
+            let engines = server.engines.read();
+            engines.renderer.as_ref().map(|r| r.renders_performed())
+        };
+        let served = || server.stats().served.get(&ServiceKind::Tiles).copied();
+        let (x, y) = openflame_geo::Mercator::tile_for(world.config.center, 15);
+        let get = server.dispatch(&staff, Request::GetTile { z: 15, x, y });
+        let Response::Tile { rgb: runs, .. } = &get else {
+            panic!("expected a tile, got {get:?}")
+        };
+        let revalidate = |server: &MapServer, principal: &Principal, z, x, y, tag| {
+            server.dispatch(principal, Request::RevalidateTile { z, x, y, tag })
+        };
+        assert_eq!(renders(), Some(1));
+        let rows: [(&str, Response, Response); 5] = [
+            (
+                "matching tag",
+                revalidate(&server, &staff, 15, x, y, runs.tag()),
+                Response::TileUnchanged { z: 15, x, y },
+            ),
+            (
+                "stale tag",
+                revalidate(&server, &staff, 15, x, y, runs.tag() ^ 1),
+                get.clone(),
+            ),
+            (
+                "outside the pyramid",
+                revalidate(&server, &staff, 25, 0, 0, runs.tag()),
+                Response::Error {
+                    code: 3,
+                    message: String::new(),
+                },
+            ),
+            (
+                "principal denied",
+                revalidate(&server, &Principal::anonymous(), 15, x, y, runs.tag()),
+                Response::Error {
+                    code: 1,
+                    message: String::new(),
+                },
+            ),
+            (
+                "unanchored map",
+                revalidate(&venue, &staff, 15, x, y, runs.tag()),
+                Response::Error {
+                    code: 2,
+                    message: String::new(),
+                },
+            ),
+        ];
+        for (row, got, want) in rows {
+            match (&got, &want) {
+                (Response::Error { code, .. }, Response::Error { code: want, .. }) => {
+                    assert_eq!(code, want, "{row}: {got:?}")
+                }
+                _ => assert_eq!(got, want, "{row}"),
+            }
+        }
+        // Every answer came from the one cached render: a cache hit
+        // renders nothing, and the code-3 row counted nothing.
+        assert_eq!(renders(), Some(1));
+        assert_eq!(served(), Some(3), "the GetTile and two revalidations");
+        // The stale row shares the cached runs, and the tag is kept
+        // with them.
+        let Response::Tile { rgb: resent, .. } =
+            revalidate(&server, &staff, 15, x, y, runs.tag() ^ 1)
+        else {
+            panic!("expected a tile")
+        };
+        assert!(PixelRuns::ptr_eq(runs, &resent));
     }
 
     #[test]

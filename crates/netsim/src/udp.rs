@@ -28,8 +28,9 @@
 //!   the call timeout is *recovered*, not surfaced as failure — the
 //!   call succeeds and the [`QuicLiteTransport::retransmits`] counter
 //!   tells the story. Retransmissions reuse their packet number;
-//!   receivers deduplicate with a seen-set, so a retransmitted request
-//!   is never executed twice.
+//!   receivers deduplicate by number against a floor and the numbers
+//!   received past it, so a retransmitted request is never executed
+//!   twice and in-order traffic keeps no per-packet state.
 //! - **Fragmentation**: frames over the datagram MTU are split across
 //!   consecutive packet numbers and reassembled on the far side, so
 //!   batched envelopes of any size ride the same path.
@@ -83,7 +84,7 @@ use openflame_codec::packet::{decode_packet, encode_packet, Packet, PacketType, 
 use openflame_diag::{ranks, OrderedMutex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, UdpSocket};
 use std::os::fd::AsRawFd;
@@ -156,14 +157,81 @@ struct Reassembly {
     started: Instant,
 }
 
-/// Receive-side state: packet dedup and fragment reassembly. Dedup
-/// entries are timestamped so pruning can be *time*-based: an entry may
-/// only be forgotten once its sender has provably given up
-/// retransmitting it, or a retransmitted request could slip past dedup
-/// and execute twice.
+/// Receive-side state: packet dedup and fragment reassembly.
 struct RecvState {
-    seen: HashMap<u64, Instant>,
+    seen: Dedup,
     partial: HashMap<u64, Reassembly>,
+}
+
+/// The packet numbers one end of a connection has accepted (spec
+/// §6.2): every number below `floor`, and the numbers in `above`.
+/// In-order receipts advance the floor, so only what arrives past a gap
+/// is kept, with the time it arrived. A number once seen stays seen, so
+/// a retransmitted request never executes twice, whatever the traffic
+/// rate.
+///
+/// A gap is skipped — its numbers counted as seen, though they never
+/// arrived — only once its sender has given up retransmitting them.
+/// A sender numbers its packets as it sends them, so each number in a
+/// gap was first sent before any number received above it: once the
+/// earliest receipt in `above` is a give-up horizon old, so is every
+/// first send of the gap, and no packet a caller still waits for is
+/// refused.
+struct Dedup {
+    floor: u64,
+    above: BTreeMap<u64, Instant>,
+    /// The earliest receipt in `above`.
+    oldest: Option<Instant>,
+}
+
+impl Dedup {
+    /// Nothing seen from `floor` on.
+    fn new(floor: u64) -> Self {
+        Self {
+            floor,
+            above: BTreeMap::new(),
+            oldest: None,
+        }
+    }
+
+    /// Whether packet `n`, received at `now`, is new, recording it if
+    /// so. `horizon` is the sender's give-up horizon.
+    fn accept(&mut self, n: u64, now: Instant, horizon: Duration) -> bool {
+        if n < self.floor || self.above.contains_key(&n) {
+            return false;
+        }
+        if n == self.floor {
+            self.floor += 1;
+            self.settle();
+        } else {
+            self.above.insert(n, now);
+            self.oldest.get_or_insert(now);
+        }
+        while self
+            .oldest
+            .is_some_and(|at| now.duration_since(at) >= horizon)
+        {
+            self.floor = *self.above.keys().next().expect("a receipt is oldest");
+            self.settle();
+        }
+        true
+    }
+
+    /// Advances the floor over the receipts contiguous with it.
+    fn settle(&mut self) {
+        let mut drained = false;
+        while let Some(entry) = self.above.first_entry() {
+            if *entry.key() != self.floor {
+                break;
+            }
+            entry.remove();
+            self.floor += 1;
+            drained = true;
+        }
+        if drained {
+            self.oldest = self.above.values().min().copied();
+        }
+    }
 }
 
 /// One end of a QuicLite connection: reliability bookkeeping for the
@@ -235,7 +303,7 @@ impl ConnState {
             recv: OrderedMutex::new(
                 ranks::QUIC_RECV,
                 RecvState {
-                    seen: HashMap::new(),
+                    seen: Dedup::new(0),
                     partial: HashMap::new(),
                 },
             ),
@@ -270,21 +338,12 @@ impl ConnState {
 
     /// Deduplicates and reassembles one `Data` packet; returns the
     /// completed frame bytes when this packet was the last missing
-    /// fragment. `retention` is the sender's give-up horizon: a dedup
-    /// entry younger than it may still see a retransmission and MUST
-    /// be kept (wire-protocol spec §6.2), older ones are prunable.
+    /// fragment. `retention` is the sender's give-up horizon: a number
+    /// it may still retransmit MUST stay seen (wire-protocol spec §6.2).
     fn accept_data(&self, pkt: Packet, retention: Duration) -> Option<Vec<u8>> {
         let mut recv = self.recv.lock();
-        let now = Instant::now();
-        if recv.seen.insert(pkt.packet_no, now).is_some() {
+        if !recv.seen.accept(pkt.packet_no, Instant::now(), retention) {
             return None; // retransmitted duplicate
-        }
-        // Bound the dedup map by TIME, never by count: only entries the
-        // sender has provably stopped retransmitting are forgotten, so
-        // a non-idempotent request can never be executed twice no
-        // matter the traffic rate or fragment volume in between.
-        if recv.seen.len() > 65_536 {
-            recv.seen.retain(|_, seen_at| now - *seen_at < retention);
         }
         if pkt.frag_count == 1 {
             return Some(pkt.payload);
@@ -984,6 +1043,8 @@ impl ServeSock {
             // (a lost InitAck) is answered idempotently below.
             self.conns.entry(pkt.conn_id).or_insert_with(|| {
                 let conn = ConnState::new(pkt.conn_id, sock.clone(), src, true, false, 0, None);
+                // The client numbers its data on from its Init.
+                conn.recv.lock().seen = Dedup::new(pkt.packet_no + 1);
                 (conn, now)
             });
         }
@@ -1045,6 +1106,62 @@ mod tests {
         );
         let client = transport.register("client", None);
         (transport, client, server)
+    }
+
+    #[test]
+    fn dedup_keeps_a_floor_and_skips_only_gaps_past_the_horizon() {
+        let horizon = Duration::from_secs(4);
+        let t0 = Instant::now();
+        let mut seen = Dedup::new(0);
+        for n in 0..200_000 {
+            assert!(seen.accept(n, t0, horizon));
+        }
+        assert_eq!((seen.floor, seen.above.len()), (200_000, 0));
+        // Duplicates below the floor are refused.
+        assert!(!seen.accept(0, t0, horizon));
+        assert!(!seen.accept(199_999, t0 + 10 * horizon, horizon));
+        // 200 000 is lost; what follows waits above the floor.
+        for n in 200_001..200_101 {
+            assert!(seen.accept(n, t0, horizon));
+        }
+        assert!(!seen.accept(200_050, t0, horizon));
+        assert_eq!((seen.floor, seen.above.len()), (200_000, 100));
+        // A gap younger than the horizon is not skipped: its
+        // retransmission is new, once, and closes it.
+        let later = t0 + horizon / 2;
+        assert!(seen.accept(200_101, later, horizon));
+        assert_eq!(seen.floor, 200_000);
+        assert!(seen.accept(200_000, later, horizon));
+        assert!(!seen.accept(200_000, later, horizon));
+        assert_eq!((seen.floor, seen.above.len()), (200_102, 0));
+        // A gap whose first receipt above it is a horizon old is
+        // skipped, and its numbers count as seen.
+        assert!(seen.accept(200_104, later, horizon));
+        assert!(seen.accept(200_106, later + horizon / 2, horizon));
+        assert_eq!(seen.floor, 200_102);
+        assert!(seen.accept(200_107, later + horizon, horizon));
+        assert_eq!(seen.floor, 200_105, "only the gap below the oldest");
+        assert_eq!(seen.oldest, Some(later + horizon / 2));
+        assert!(!seen.accept(200_103, later + horizon, horizon));
+        assert!(seen.accept(200_105, later + horizon, horizon));
+        assert_eq!((seen.floor, seen.above.len()), (200_108, 0));
+    }
+
+    /// A resumed client connection starts its dedup at 0 while the
+    /// server numbers on from where the old connection left off: every
+    /// packet is new once, and the gap goes once it is a horizon old.
+    #[test]
+    fn dedup_of_a_resumed_connection_accepts_the_servers_numbering() {
+        let horizon = Duration::from_secs(4);
+        let t0 = Instant::now();
+        let mut seen = Dedup::new(0);
+        for n in 5_000..5_100 {
+            assert!(seen.accept(n, t0, horizon));
+            assert!(!seen.accept(n, t0, horizon));
+        }
+        assert!(seen.accept(5_100, t0 + horizon, horizon));
+        assert_eq!((seen.floor, seen.above.len()), (5_101, 0));
+        assert!(!seen.accept(5_000, t0 + horizon, horizon));
     }
 
     #[test]

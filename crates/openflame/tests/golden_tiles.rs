@@ -1,6 +1,7 @@
 //! Golden tiles: what `federated_tile` returns for a fixed world is
 //! pinned by content hash, identically on the simulator, TCP and
-//! QuicLite, and a map patch reaches the very next `GetTile`.
+//! QuicLite, a map patch reaches the very next `GetTile`, and a tile the
+//! client holds is revalidated rather than sent again.
 //!
 //! The hashes were captured from the per-pixel encoder and compositor
 //! that preceded the cached wire form, so any change to how a tile is
@@ -16,6 +17,7 @@ use openflame_mapdata::{MapPatch, Node, NodeId, Tags};
 use openflame_mapserver::protocol::{Request, Response};
 use openflame_mapserver::{AccessPolicy, MapServer, MapServerConfig, Principal};
 use openflame_netsim::BackendKind;
+use openflame_tiles::{Tile, TileCoord};
 use openflame_worldgen::{World, WorldConfig};
 
 const BACKENDS: [BackendKind; 3] = [BackendKind::Sim, BackendKind::Tcp, BackendKind::QuicLite];
@@ -141,5 +143,88 @@ fn a_patch_reaches_the_next_tile_on_every_backend() {
             after == expected,
             "{backend:?}: a patched server serves what a fresh server renders"
         );
+    }
+}
+
+/// Tile revalidation (spec §8), through `federated_tile`: a second fetch
+/// of a coordinate is answered `TileUnchanged`, with the same pixels for
+/// a few bytes; after an `ApplyPatch` the next fetch paints exactly what
+/// a fresh server built from the patched map renders; and after
+/// `Session::invalidate` the fetch is a plain `GetTile`, answered with
+/// the whole tile although nothing changed.
+#[test]
+fn a_held_layer_is_revalidated_not_resent_on_every_backend() {
+    for backend in BACKENDS {
+        let dep = deployment_on(backend);
+        let outdoor = dep.outdoor_server.endpoint();
+        let centre = dep.world.config.center;
+        let (x, y) = Mercator::tile_for(centre, 16);
+        // The tile, and the bytes the outdoor server sent for it.
+        let fetch = || {
+            let sent = || dep.transport.endpoint_stats(outdoor).unwrap().tx_bytes;
+            let before = sent();
+            let (tile, layers) = dep.client.federated_tile(centre, 16).unwrap();
+            assert_eq!(layers, 1, "{backend:?}: the outdoor map is the one layer");
+            (tile, sent() - before)
+        };
+        let (first, first_bytes) = fetch();
+        let (second, second_bytes) = fetch();
+        assert_eq!(
+            first, second,
+            "{backend:?}: an unchanged layer paints alike"
+        );
+        assert!(
+            second_bytes < 64,
+            "{backend:?}: unchanged is {second_bytes} B, the tile {first_bytes} B"
+        );
+
+        // A café a few metres from the centre, inside the centre tile.
+        let mut patch = MapPatch::new(dep.outdoor_server.hello().version);
+        patch.upsert_nodes.push(Node::new(
+            NodeId(9_000_001),
+            Point2::new(4.0, -3.0),
+            Tags::new().with("amenity", "cafe"),
+        ));
+        let applied = dep
+            .client
+            .session()
+            .batch(outdoor, vec![Request::ApplyPatch { patch }])
+            .unwrap();
+        assert!(
+            matches!(applied[..], [Response::PatchApplied { .. }]),
+            "{backend:?}: patch refused"
+        );
+        let (patched, patched_bytes) = fetch();
+        let fresh = MapServer::spawn_on(
+            &BackendKind::Sim.build(1),
+            MapServerConfig {
+                id: "fresh".into(),
+                map: dep.outdoor_server.with_map(|m| m.clone()),
+                beacons: Vec::new(),
+                tags: Default::default(),
+                policy: AccessPolicy::open(),
+                portals: Vec::new(),
+                location_hint: centre,
+                radius_m: 0.0,
+                build_ch: false,
+            },
+        );
+        let coord = TileCoord { z: 16, x, y };
+        let runs = fresh.tile(&Principal::anonymous(), coord).unwrap();
+        assert_eq!(
+            patched,
+            Tile::from_runs(coord, &runs),
+            "{backend:?}: a patched layer paints what a fresh server renders"
+        );
+        assert_ne!(patched, second, "{backend:?}: the patch reached the tile");
+        assert!(patched_bytes > runs.as_bytes().len() as u64, "{backend:?}");
+
+        // Nothing held: the whole tile comes back, though unchanged.
+        dep.client.session().invalidate();
+        let (cold, cold_bytes) = fetch();
+        assert_eq!(cold, patched, "{backend:?}");
+        assert!(cold_bytes > runs.as_bytes().len() as u64, "{backend:?}");
+        // And the layer is held again.
+        assert!(fetch().1 < 64, "{backend:?}");
     }
 }

@@ -172,6 +172,16 @@ fn honest(item: &Request) -> Response {
             }],
         },
         Request::GetTile { z, x, y } => blank_tile(*z, *x, *y),
+        // Every coordinate's layer is blank, so a blank tile's tag
+        // matches at every coordinate.
+        Request::RevalidateTile { z, x, y, tag } => match blank_tile(*z, *x, *y) {
+            Response::Tile { rgb, .. } if rgb.tag() == *tag => Response::TileUnchanged {
+                z: *z,
+                x: *x,
+                y: *y,
+            },
+            tile => tile,
+        },
         Request::NearestNode { .. } => Response::NearestNode {
             node: Some((7, 0.0)),
         },

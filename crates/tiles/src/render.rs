@@ -5,7 +5,10 @@
 //! cache keeps those [`PixelRuns`] — the form a `GetTile` answer carries,
 //! a few kilobytes for a layer of mostly background — rather than the
 //! 256 KB ARGB [`Tile`], so a hit shares the runs' buffer with no
-//! per-pixel pass and no copy. The cache holds at most
+//! per-pixel pass and no copy. The runs' tag ([`PixelRuns::tag`], what a
+//! `RevalidateTile` is answered by, spec §8) is hashed the first time a
+//! revalidation asks for it and kept with the cached runs, so a tile is
+//! hashed at most once per render. The cache holds at most
 //! `TILE_CACHE_ENTRIES` (256) tiles: when it is full, caching a new tile
 //! evicts the one cached earliest (first in, first out). A renderer is
 //! built for one map version, so its cache never outlives that map.

@@ -8,8 +8,13 @@
 //! has exactly one encoding. A federated layer is mostly background, so
 //! its runs are a few kilobytes where its RGB bytes are 192 KB; the worst
 //! case, a colour change at every pixel, is four bytes a pixel.
+//!
+//! Since a tile has one encoding, a hash of its runs names its pixels:
+//! [`PixelRuns::tag`], what a `RevalidateTile` asks about (spec §8). It
+//! is computed when first asked for and kept with the runs.
 
 use crate::tile::TILE_SIZE;
+use openflame_codec::Fnv1a;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
@@ -49,15 +54,23 @@ pub enum RunsError {
     },
 }
 
-/// A tile's canonical runs, validated, in one buffer that clones share.
+/// A tile's canonical runs, validated, in one buffer that clones share
+/// with the runs' tag.
 ///
 /// Dereferences to the tile's row-major RGB bytes (three a pixel, as a
 /// PPM body), painted on the first dereference of this value and kept
 /// with it; encoding, decoding, comparing and printing never paint.
 /// [`PixelRuns::as_bytes`] is the wire form.
 pub struct PixelRuns {
-    runs: Arc<[u8]>,
+    shared: Arc<Shared>,
     rgb: OnceLock<Box<[u8]>>,
+}
+
+/// What the clones of one [`PixelRuns`] share: the runs, and their tag
+/// once any clone has asked for it.
+struct Shared {
+    runs: Box<[u8]>,
+    tag: OnceLock<u64>,
 }
 
 impl PixelRuns {
@@ -91,9 +104,16 @@ impl PixelRuns {
         Self::new(out.into())
     }
 
-    fn new(runs: Arc<[u8]>) -> Self {
-        Self {
+    fn new(runs: Box<[u8]>) -> Self {
+        Self::sharing(Arc::new(Shared {
             runs,
+            tag: OnceLock::new(),
+        }))
+    }
+
+    fn sharing(shared: Arc<Shared>) -> Self {
+        Self {
+            shared,
             rgb: OnceLock::new(),
         }
     }
@@ -132,13 +152,22 @@ impl PixelRuns {
 
     /// The wire form: the runs' bytes.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.runs
+        &self.shared.runs
+    }
+
+    /// The tile's tag (spec §8): FNV-1a-64 over its runs. Hashed on the
+    /// first call on any clone, then kept with the runs for them all.
+    pub fn tag(&self) -> u64 {
+        *self
+            .shared
+            .tag
+            .get_or_init(|| Fnv1a::new().write(self.as_bytes()).finish())
     }
 
     /// Whether `a` and `b` share one buffer of runs, as
     /// [`Arc::ptr_eq`].
     pub fn ptr_eq(a: &Self, b: &Self) -> bool {
-        Arc::ptr_eq(&a.runs, &b.runs)
+        Arc::ptr_eq(&a.shared, &b.shared)
     }
 
     /// Each run's length and colour (`0xRRGGBB`), in order.
@@ -192,22 +221,23 @@ impl Deref for PixelRuns {
 }
 
 impl Clone for PixelRuns {
-    /// Shares the runs; the RGB bytes are painted again on demand.
+    /// Shares the runs and their tag; the RGB bytes are painted again on
+    /// demand.
     fn clone(&self) -> Self {
-        Self::new(self.runs.clone())
+        Self::sharing(self.shared.clone())
     }
 }
 
 impl PartialEq for PixelRuns {
     /// Equal runs are equal tiles: a tile has one encoding.
     fn eq(&self, other: &Self) -> bool {
-        self.runs == other.runs
+        self.as_bytes() == other.as_bytes()
     }
 }
 
 impl std::fmt::Debug for PixelRuns {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PixelRuns({} bytes)", self.runs.len())
+        write!(f, "PixelRuns({} bytes)", self.as_bytes().len())
     }
 }
 
@@ -355,5 +385,24 @@ mod tests {
         assert!(runs == clone);
         assert_eq!(format!("{clone:?}"), "PixelRuns(6 bytes)");
         assert!(clone.rgb.get().is_none());
+    }
+
+    #[test]
+    fn the_tag_is_hashed_once_on_demand_and_shared_by_clones() {
+        let blank = Tile::blank(COORD).to_runs();
+        let (read_back, _) = read(blank.as_bytes()).unwrap();
+        let clone = read_back.clone();
+        // Decoding and cloning hash nothing.
+        assert!(read_back.shared.tag.get().is_none());
+        let tag = clone.tag();
+        assert_eq!(tag, Fnv1a::new().write(blank.as_bytes()).finish());
+        assert_eq!(read_back.shared.tag.get(), Some(&tag));
+        // Equal pixels, equal tags (the spec's Appendix B vector);
+        // other pixels, another tag.
+        assert_eq!(blank.tag(), tag);
+        assert_eq!(tag, 0xdfec_248a_6b58_3e2f);
+        let mut dotted = Tile::blank(COORD);
+        dotted.set(0, 0, 0xFF00_0000);
+        assert_ne!(dotted.to_runs().tag(), tag);
     }
 }

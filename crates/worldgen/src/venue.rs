@@ -3,6 +3,7 @@
 
 use crate::names::{product_name, STORE_BRANDS};
 use crate::{World, WorldConfig};
+use openflame_codec::Fnv1a;
 use openflame_geo::{Affine2, LatLng, LocalFrame, Point2};
 use openflame_localize::{Beacon, TagRegistry};
 use openflame_mapdata::{GeoReference, MapDocument, NodeId, Tags};
@@ -278,12 +279,10 @@ pub(crate) fn build_grocery<R: Rng>(
 /// Deterministic unique ids for beacons/tags derived from the venue
 /// name (FNV-1a over name and index).
 fn beacon_id(name: &str, index: usize) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes().chain(index.to_le_bytes()) {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
+    Fnv1a::new()
+        .write(name.as_bytes())
+        .write(&index.to_le_bytes())
+        .finish()
 }
 
 #[cfg(test)]

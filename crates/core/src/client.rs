@@ -163,8 +163,9 @@ impl OpenFlameClientBuilder {
     }
 
     /// Whether the cost-based query planner prunes provably
-    /// non-contributing sources from scatter plans using cached
-    /// coverage summaries (wire-protocol spec §13). On by default;
+    /// non-contributing sources from scatter plans using discovery
+    /// catalogues (wire-protocol spec §9.1) and cached coverage extents
+    /// (spec §13). On by default;
     /// pruning is sound, so results are identical either way — the
     /// recall-parity tests pin exactly that. Off is for those tests,
     /// ablations and benches.

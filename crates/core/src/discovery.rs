@@ -37,7 +37,7 @@ pub struct DiscoveredServer {
 
 impl DiscoveredServer {
     /// Whether the server's catalogue offers `kind` (spec §9.1): `None`
-    /// when the catalogue names no kind of the spec §13.1 vocabulary,
+    /// when the catalogue names no kind of the spec §9.1 vocabulary,
     /// which proves nothing.
     pub(crate) fn offers(&self, kind: QueryKind) -> Option<bool> {
         let listed = |kind: QueryKind| self.services.iter().any(|s| s == kind.wire_kind());

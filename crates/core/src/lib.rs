@@ -29,8 +29,8 @@
 //! Underneath the provider trait sits the cost-based query planner
 //! ([`plan`] module, wire-protocol spec §13): every federated query
 //! path builds a [`ScatterPlan`] ([`plan::plan`]) from the discovery
-//! view plus the
-//! [`CoverageSummary`](openflame_mapserver::CoverageSummary) riding in
+//! view, whose records carry each server's service catalogue, plus the
+//! [`CoverageExtent`](openflame_mapserver::CoverageExtent) riding in
 //! each server's cached advertisement (the extended `Hello` exchange),
 //! and one executor, private to the [`client`] module, runs the plan
 //! through the session with the fleet failover machinery. The executor
@@ -42,10 +42,10 @@
 //! round), the outage verdict — is a table on [`QueryKind`]. Pruning
 //! is **sound**: a source is skipped only on proof (spec §13.3) — its
 //! discovery catalogue omits the kind (spec §9.1), which a cold plan
-//! already reads, or its cached summary proves it cannot contribute;
-//! unknown coverage always consults — so planner-on and planner-off
-//! runs return identical results while wide fan-outs consult strictly
-//! fewer servers. The recall-parity integration test pins exactly
+//! already reads, or its cached extent proves the query footprint lies
+//! elsewhere; unknown coverage always consults — so planner-on and
+//! planner-off runs return identical results while wide fan-outs
+//! consult strictly fewer servers. The recall-parity integration test pins exactly
 //! that on all three backends.
 //!
 //! Underneath the planner sits the [`Session`] wire layer: every
@@ -57,9 +57,9 @@
 //! session strips that item's answer before returning — so no query
 //! path sends, counts or positions a handshake, first contact costs no
 //! envelope of its own, and a client that only ever fetches tiles
-//! still learns the coverage summaries the planner prunes with. The
+//! still learns the coverage extents the planner prunes with. The
 //! session keeps **one entry per endpoint** —
-//! its advertisement, coverage summary included, or the dead mark a
+//! its advertisement, coverage extent included, or the dead mark a
 //! failed fleet branch left, each replacing the other — and discovery
 //! results per cell; both caches are bounded (past a capacity cap,
 //! expired first, then least recently used), so a long-lived session

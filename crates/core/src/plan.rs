@@ -5,13 +5,14 @@
 //! server covering the query cells; at city scale most of those
 //! servers cannot contribute anything, so wire cost grows with
 //! federation size rather than answer size. The planner bends that
-//! curve: [`plan`] consumes the fleet-aware [`DiscoveryView`] plus the
-//! [`CoverageSummary`] riding in each server's cached advertisement
-//! (the extended `Hello` exchange, spec §13.1 — read through
-//! [`Session::advertised`], there is no second copy of it) and builds
-//! a [`ScatterPlan`] — the servers to consult (one selected replica per
-//! intersecting fleet shard, exactly as the pre-planner paths chose)
-//! minus the sources whose summaries *prove* they cannot contribute.
+//! curve: [`plan`] consumes the fleet-aware [`DiscoveryView`], whose
+//! records carry each server's catalogue, plus the [`CoverageExtent`]
+//! riding in each server's cached advertisement (the extended `Hello`
+//! exchange, spec §13.1 — read through [`Session::advertised`], there
+//! is no second copy of it) and builds a [`ScatterPlan`] — the servers
+//! to consult (one selected replica per intersecting fleet shard,
+//! exactly as the pre-planner paths chose) minus the sources whose
+//! catalogue or extent *proves* they cannot contribute.
 //!
 //! # Pruning soundness (spec §13.3)
 //!
@@ -19,10 +20,7 @@
 //!
 //! - [`PruneReason::MissingKind`] — the query's service kind is absent
 //!   from the server's discovery catalogue (its record's `services`,
-//!   spec §9.1), or from the advertised kind set (both are exhaustive
-//!   by spec);
-//! - [`PruneReason::EmptyKind`] — the kind is advertised with a
-//!   document count of zero;
+//!   spec §9.1), the server's one kind list and exhaustive by spec;
 //! - [`PruneReason::DisjointExtent`] — the query footprint is provably
 //!   disjoint from the advertised extent (the two caps are further
 //!   apart than the sum of their radii **and** every extent cell fails
@@ -37,7 +35,7 @@
 //! The catalogue rides every discovery record, so a kind proof holds
 //! before first contact: a cold plan already skips the servers that do
 //! not offer the kind. Beyond that, a server with an **absent or
-//! stale** advertisement — or one that carries no summary, or one
+//! stale** advertisement — or one that carries no extent, or one
 //! marked dead — has *unknown* coverage and MUST be consulted, and so
 //! must a server whose catalogue names no kind of the vocabulary.
 //! Nothing else feeds the decision: past answers are not remembered,
@@ -66,12 +64,12 @@ use crate::fleet::{self, DiscoveryView, FleetShardView};
 use crate::session::Session;
 use openflame_cells::{CellId, Region};
 use openflame_geo::LatLng;
-use openflame_mapserver::protocol::{CoverageExtent, CoverageSummary};
+use openflame_mapserver::protocol::CoverageExtent;
 use openflame_netsim::EndpointId;
 use std::sync::Arc;
 
 /// The service kind a query plan targets, mapped to the wire-level
-/// kind vocabulary of the coverage summary (spec §13.1).
+/// kind vocabulary of the discovery catalogue (spec §9.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryKind {
     /// Location-based search (`Request::Search`).
@@ -90,7 +88,7 @@ pub enum QueryKind {
 }
 
 impl QueryKind {
-    /// Every kind, one per word of the spec §13.1 vocabulary.
+    /// Every kind, one per word of the spec §9.1 vocabulary.
     pub(crate) const ALL: [QueryKind; 6] = [
         QueryKind::Search,
         QueryKind::Geocode,
@@ -100,10 +98,8 @@ impl QueryKind {
         QueryKind::Tile,
     ];
 
-    /// The wire-level kind string used in [`CoverageSummary::kinds`]
-    /// (spec §13.1 vocabulary).
-    ///
-    /// [`CoverageSummary::kinds`]: openflame_mapserver::CoverageSummary
+    /// The wire-level kind string a discovery catalogue lists (spec
+    /// §9.1 vocabulary).
     pub(crate) fn wire_kind(self) -> &'static str {
         match self {
             QueryKind::Search => "search",
@@ -159,15 +155,12 @@ pub(crate) enum Outage {
     BlackoutOrShardDown,
 }
 
-/// Why the planner skipped a source (spec §13.3 — all three are
-/// proofs, never heuristics).
+/// Why the planner skipped a source (spec §13.3 — both are proofs,
+/// never heuristics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneReason {
-    /// The query kind is absent from the server's catalogue or from
-    /// its advertised kind set.
+    /// The query kind is absent from the server's discovery catalogue.
     MissingKind,
-    /// The kind is advertised with a document count of zero.
-    EmptyKind,
     /// The advertised extent is provably disjoint from the query
     /// footprint.
     DisjointExtent,
@@ -246,8 +239,8 @@ impl ScatterPlan {
 
 /// Builds the scatter plan for one query: every plain server plus
 /// one selected replica per fleet shard intersecting `footprint`,
-/// minus — with `coverage_planner` on — the sources whose advertised
-/// coverage summaries prove they cannot contribute to `kind`.
+/// minus — with `coverage_planner` on — the sources whose catalogue or
+/// advertised extent proves they cannot contribute to `kind`.
 ///
 /// With `coverage_planner` off the plan is exactly the pre-planner
 /// scatter set; turning it on only ever removes provably
@@ -255,9 +248,9 @@ impl ScatterPlan {
 /// results are identical either way.
 ///
 /// Costs no wire traffic: a server's catalogue is read from the
-/// discovery view, its coverage summary from the session's cached
-/// advertisement. A cold plan therefore prunes only what catalogues
-/// rule out, and a warm one also what summaries prove.
+/// discovery view, its extent from the session's cached advertisement.
+/// A cold plan therefore prunes only what catalogues rule out, and a
+/// warm one also what extents prove.
 pub fn plan(
     session: &Session,
     coverage_planner: bool,
@@ -282,7 +275,7 @@ pub fn plan(
                 return Some(PruneReason::MissingKind);
             }
             let hello = session.advertised(server.endpoint)?;
-            prune_reason(hello.coverage.as_ref()?, kind, footprint)
+            prune_reason(hello.coverage.as_ref()?, footprint)
         });
         match proof {
             Some(reason) => plan.pruned.push(PrunedSource {
@@ -320,22 +313,10 @@ pub fn plan(
     plan
 }
 
-/// The proof (if any) that a source advertising `summary` cannot
-/// contribute to a `kind` query over `footprint` (spec §13.3).
-fn prune_reason(
-    summary: &CoverageSummary,
-    kind: QueryKind,
-    footprint: Option<(LatLng, f64)>,
-) -> Option<PruneReason> {
-    match summary.kind_count(kind.wire_kind()) {
-        // The advertised kind set is exhaustive (spec §13.1): absence
-        // is a commitment that the kind cannot be answered.
-        None => return Some(PruneReason::MissingKind),
-        Some(0) => return Some(PruneReason::EmptyKind),
-        Some(_) => {}
-    }
+/// The proof (if any) that a source advertising `extent` cannot
+/// contribute to a query over `footprint` (spec §13.3).
+fn prune_reason(extent: &CoverageExtent, footprint: Option<(LatLng, f64)>) -> Option<PruneReason> {
     let (center, radius_m) = footprint?;
-    let extent = summary.extent.as_ref()?;
     footprint_disjoint(extent, center, radius_m).then_some(PruneReason::DisjointExtent)
 }
 
@@ -375,11 +356,9 @@ mod tests {
         LatLng::new(37.0, -122.0).unwrap()
     }
 
-    fn summary_with(kinds: Vec<(&str, u64)>, extent: Option<CoverageExtent>) -> CoverageSummary {
-        CoverageSummary {
-            kinds: kinds.into_iter().map(|(k, n)| (k.to_string(), n)).collect(),
-            extent,
-        }
+    /// A point 50 km north of [`anchor`].
+    fn far() -> LatLng {
+        LatLng::new(37.45, -122.0).unwrap()
     }
 
     fn extent_around(center: LatLng, radius_m: f64) -> CoverageExtent {
@@ -397,7 +376,7 @@ mod tests {
 
     /// A one-server discovery view, a session on the simulator, and
     /// that server's advertisement carrying `coverage`.
-    fn one_source(coverage: Option<CoverageSummary>) -> (Session, DiscoveryView, HelloInfo) {
+    fn one_source(coverage: Option<CoverageExtent>) -> (Session, DiscoveryView, HelloInfo) {
         let transport = BackendKind::Sim.build(1);
         let endpoint = transport.register("client", None);
         let session = Session::new(transport, endpoint, Principal::anonymous());
@@ -416,15 +395,18 @@ mod tests {
         (session, view, hello)
     }
 
+    /// A search plan over a footprint at [`far`], disjoint from every
+    /// extent these tests advertise.
     fn search_plan(session: &Session, view: &DiscoveryView) -> ScatterPlan {
-        plan(session, true, 0, view, Some(QueryKind::Search), None)
+        let footprint = Some((far(), 100.0));
+        plan(session, true, 0, view, Some(QueryKind::Search), footprint)
     }
 
     #[test]
     fn absent_summary_never_prunes() {
         // "Unknown coverage, never prune" (spec §13.3): a source with no
-        // cached advertisement, or one that carries no summary
-        // (pre-coverage peer), is consulted.
+        // cached advertisement, or one that carries no extent, is
+        // consulted.
         let (session, view, hello) = one_source(None);
         assert_eq!(search_plan(&session, &view).consulted(), 1);
         session.store_hello(EndpointId(50), hello);
@@ -434,18 +416,23 @@ mod tests {
 
     #[test]
     fn the_planner_prunes_from_the_cached_advertisement_alone() {
-        let empty = summary_with(vec![("search", 0)], None);
-        let (session, view, hello) = one_source(Some(empty));
+        let (session, view, hello) = one_source(Some(extent_around(anchor(), 80.0)));
         // One stored advertisement carrying the proof is enough.
         session.store_hello(EndpointId(50), hello.clone());
         let pruned = search_plan(&session, &view);
         assert_eq!(pruned.consulted(), 0);
-        assert_eq!(pruned.pruned[0].reason, PruneReason::EmptyKind);
+        assert_eq!(pruned.pruned[0].reason, PruneReason::DisjointExtent);
         // The recall oracle and kind-agnostic listings never prune.
-        let unpruned = plan(&session, false, 0, &view, Some(QueryKind::Search), None);
-        assert_eq!(unpruned.consulted(), 1);
-        assert_eq!(plan(&session, true, 0, &view, None, None).consulted(), 1);
-        // A re-advertisement without a summary withdraws the proof.
+        let (search, footprint) = (Some(QueryKind::Search), Some((far(), 100.0)));
+        assert_eq!(
+            plan(&session, false, 0, &view, search, footprint).consulted(),
+            1
+        );
+        assert_eq!(
+            plan(&session, true, 0, &view, None, footprint).consulted(),
+            1
+        );
+        // A re-advertisement without an extent withdraws the proof.
         let bare = HelloInfo {
             coverage: None,
             ..hello.clone()
@@ -461,6 +448,20 @@ mod tests {
         assert_eq!(search_plan(&session, &view).consulted(), 0);
         session.mark_dead(EndpointId(50), 0);
         assert_eq!(search_plan(&session, &view).consulted(), 1);
+    }
+
+    /// The advertisement proves no kind (spec §13.3): a server whose
+    /// catalogue lists the kind and whose cached extent overlaps the
+    /// footprint, or meets no footprint at all, is consulted.
+    #[test]
+    fn a_listed_kind_over_an_overlapping_extent_is_consulted() {
+        let (session, view, hello) = one_source(Some(extent_around(anchor(), 80.0)));
+        session.store_hello(EndpointId(50), hello);
+        for footprint in [None, Some((anchor(), 50.0))] {
+            let plan = plan(&session, true, 0, &view, Some(QueryKind::Search), footprint);
+            let kept = (plan.consulted(), plan.pruned_count());
+            assert_eq!(kept, (1, 0), "{footprint:?}");
+        }
     }
 
     /// Spec §9.1: the discovery catalogue is exhaustive over the kind
@@ -503,61 +504,24 @@ mod tests {
     }
 
     #[test]
-    fn kind_proofs_prune() {
-        let missing = summary_with(vec![("search", 3)], None);
-        assert_eq!(
-            prune_reason(&missing, QueryKind::Tile, None),
-            Some(PruneReason::MissingKind)
-        );
-        let empty = summary_with(vec![("tiles", 0), ("search", 3)], None);
-        assert_eq!(
-            prune_reason(&empty, QueryKind::Tile, None),
-            Some(PruneReason::EmptyKind)
-        );
-        assert_eq!(prune_reason(&empty, QueryKind::Search, None), None);
-    }
-
-    /// Spec §13.1: a kind listed twice counts as its largest count, so
-    /// a self-contradicting summary never proves a kind empty.
-    #[test]
-    fn a_kind_listed_twice_counts_its_largest_count() {
-        for (kinds, consulted) in [
-            (vec![("search", 0), ("search", 4)], 1),
-            (vec![("search", 0), ("search", 0)], 0),
-        ] {
-            let (session, view, hello) = one_source(Some(summary_with(kinds.clone(), None)));
-            session.store_hello(EndpointId(50), hello);
-            let plan = search_plan(&session, &view);
-            assert_eq!(plan.consulted(), consulted, "{kinds:?}");
-            if consulted == 0 {
-                assert_eq!(plan.pruned[0].reason, PruneReason::EmptyKind);
-            }
-        }
-    }
-
-    #[test]
     fn disjoint_extent_prunes_overlapping_does_not() {
         let venue = anchor();
-        let s = summary_with(vec![("search", 5)], Some(extent_around(venue, 80.0)));
+        let extent = extent_around(venue, 80.0);
         // A footprint at the venue intersects.
-        assert_eq!(
-            prune_reason(&s, QueryKind::Search, Some((venue, 50.0))),
-            None
-        );
+        assert_eq!(prune_reason(&extent, Some((venue, 50.0))), None);
         // A footprint 50 km away is provably disjoint.
-        let far = LatLng::new(37.45, -122.0).unwrap();
-        assert!(venue.haversine_distance(far) > 10_000.0);
+        assert!(venue.haversine_distance(far()) > 10_000.0);
         assert_eq!(
-            prune_reason(&s, QueryKind::Search, Some((far, 100.0))),
+            prune_reason(&extent, Some((far(), 100.0))),
             Some(PruneReason::DisjointExtent)
         );
         // No footprint: nothing to prove disjointness against.
-        assert_eq!(prune_reason(&s, QueryKind::Search, None), None);
+        assert_eq!(prune_reason(&extent, None), None);
     }
 
     #[test]
     fn malformed_or_empty_extent_proves_nothing() {
-        let far = LatLng::new(37.45, -122.0).unwrap();
+        let far = far();
         // No cells: the covering half of the proof cannot run.
         let empty = CoverageExtent {
             cells: vec![],

@@ -21,7 +21,7 @@
 //!   first contact costs no envelope of its own, whatever the query
 //!   class. Advertisements are cached per endpoint with a TTL on the
 //!   transport clock (an expired one is re-learned the same way); the
-//!   coverage summary the query planner prunes from (spec §13) is the
+//!   coverage extent the query planner prunes from (spec §13) is the
 //!   one riding in the cached advertisement — there is no second copy.
 //! - **One entry per endpoint**: what the client remembers about an
 //!   endpoint is a single cache entry, either its advertisement
@@ -162,7 +162,7 @@ pub struct SessionStats {
     pub hello_cache_len: u64,
     /// Live (unexpired) discovery-cache entries at snapshot time.
     pub discovery_cache_len: u64,
-    /// Always 0: coverage summaries live inside the cached
+    /// Always 0: coverage extents live inside the cached
     /// advertisements, so evicting one is counted in `cache_evictions`.
     /// The field stays because `benchmark/` reports
     /// `cache_evictions + coverage_evictions`, a sum that keeps its
@@ -189,7 +189,7 @@ type TileLayers = Arc<[(EndpointId, PixelRuns)]>;
 /// to be served (or pruned) from, and an endpoint that answers a
 /// handshake is no longer dead.
 enum EndpointEntry {
-    /// The endpoint's advertisement, coverage summary included, kept
+    /// The endpoint's advertisement, coverage extent included, kept
     /// for [`DEFAULT_TTL_US`].
     Advertised(Arc<HelloInfo>),
     /// The endpoint failed at the wire as a fleet replica; kept for
@@ -460,7 +460,7 @@ impl Session {
     /// Caches `from`'s capability advertisement (evicting, expired
     /// first, then least recently used, past the capacity bound),
     /// replacing whatever the session held about the endpoint: an older
-    /// advertisement — one without a coverage summary drops the summary
+    /// advertisement — one without a coverage extent drops the extent
     /// it once committed to — or a dead mark, since an endpoint that
     /// answers is alive.
     pub(crate) fn store_hello(&self, from: EndpointId, info: impl Into<Arc<HelloInfo>>) {
@@ -473,10 +473,11 @@ impl Session {
 
     /// The fresh advertisement cached for `server` — shared, not
     /// copied — without touching the hit counters: the probe behind the
-    /// handshake rule's own check and the query planner, which prunes
-    /// from the [`HelloInfo::coverage`] of exactly this entry. An
-    /// expired entry and a dead mark read as absence, so a planner
-    /// never prunes on a stale summary (spec §13.3) or a dead
+    /// handshake rule's own check and the query planner, which proves
+    /// footprints disjoint from the [`HelloInfo::coverage`] extent of
+    /// exactly this entry (kinds are the discovery catalogue's to
+    /// prove). An expired entry and a dead mark read as absence, so a
+    /// planner never prunes on a stale extent (spec §13.3) or a dead
     /// endpoint's.
     pub fn advertised(&self, server: EndpointId) -> Option<Arc<HelloInfo>> {
         let now = self.transport.now_us();
@@ -808,12 +809,11 @@ pub(crate) mod tests {
         );
     }
 
-    /// A minimal advertisement (no anchor, no coverage summary).
+    /// A minimal advertisement (no anchor, no coverage extent).
     pub(crate) fn stub_hello(id: u64) -> HelloInfo {
         HelloInfo {
             server_id: format!("stub-{id}"),
             map_name: "cache-test".into(),
-            services: vec!["hello".into()],
             localization_techs: Vec::new(),
             anchor: None,
             portals: Vec::new(),

@@ -41,7 +41,7 @@ use crate::Rank;
 /// Session discovery cache.
 pub const SESSION_DISCOVERIES: Rank = Rank::new(22, "core.session.discoveries");
 /// Session per-endpoint cache: each endpoint's advertisement (coverage
-/// summary included) or dead mark.
+/// extent included) or dead mark.
 pub const SESSION_HELLOS: Rank = Rank::new(24, "core.session.hellos");
 /// Session tile-layer cache: per tile coordinate, the runs each server
 /// last sent.

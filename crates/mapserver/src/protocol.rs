@@ -1,8 +1,8 @@
 //! The client ↔ map-server wire protocol.
 //!
 //! Every federated interaction in paper §5.2 maps to one request kind. The
-//! `Hello` exchange is how servers advertise their services,
-//! localization technologies and portal nodes, which the paper calls
+//! `Hello` exchange is how servers advertise their localization
+//! technologies, frame anchor and portal nodes, which the paper calls
 //! out explicitly ("the location cue sent to the map server depends on
 //! the localization technology advertised by the server").
 //!
@@ -132,9 +132,6 @@ pub struct HelloInfo {
     pub server_id: String,
     /// Human-readable map name.
     pub map_name: String,
-    /// Services this server offers (post-ACL visibility not applied;
-    /// callers may still be denied per identity).
-    pub services: Vec<String>,
     /// Localization technologies accepted (`"beacon"`, `"tag"`,
     /// `"gnss"`).
     pub localization_techs: Vec<String>,
@@ -147,10 +144,12 @@ pub struct HelloInfo {
     pub portals: Vec<(u64, openflame_geo::LatLng)>,
     /// Current map data version.
     pub version: u64,
-    /// Optional coverage summary for client-side query planning
-    /// (spec §13). `None` when the server commits to no summary:
-    /// clients MUST treat absent coverage as "unknown — never prune".
-    pub coverage: Option<CoverageSummary>,
+    /// The extent the server commits its content to, for client-side
+    /// query planning (spec §13). `None` when the server commits to no
+    /// extent: clients MUST treat absent coverage as "unknown — never
+    /// prune". Which kinds the server offers is its DNS catalogue's to
+    /// say (spec §9.1), not the advertisement's.
+    pub coverage: Option<CoverageExtent>,
 }
 
 /// The geographic extent a server commits its content to (spec §13.1):
@@ -166,36 +165,6 @@ pub struct CoverageExtent {
     pub center: openflame_geo::LatLng,
     /// Cap radius, meters.
     pub radius_m: f64,
-}
-
-/// Per-server coverage summary carried in [`HelloInfo`] (spec §13):
-/// which content kinds the server holds (with a coarse document-count
-/// sketch) and, optionally, the geographic extent its content is
-/// bounded by. Query planners prune a server only on what a summary
-/// *proves* — a kind it does not hold, a kind with zero documents, or
-/// a footprint disjoint from the advertised extent.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoverageSummary {
-    /// `(content kind, coarse document count)` pairs. Kind names are
-    /// the planner vocabulary: `"search"`, `"geocode"`, `"rgeocode"`,
-    /// `"route"`, `"localize"`, `"tiles"`.
-    pub kinds: Vec<(String, u64)>,
-    /// Advertised geographic extent, if the server commits to one.
-    pub extent: Option<CoverageExtent>,
-}
-
-impl CoverageSummary {
-    /// The advertised document count for `kind`: `None` when the kind
-    /// is not advertised at all, and the largest listed count when it is
-    /// listed more than once (spec §13.1), so a contradictory summary
-    /// can never prove a kind empty.
-    pub fn kind_count(&self, kind: &str) -> Option<u64> {
-        self.kinds
-            .iter()
-            .filter(|(k, _)| k == kind)
-            .map(|(_, n)| *n)
-            .max()
-    }
 }
 
 /// A geocode hit on the wire.
@@ -435,11 +404,10 @@ wire_enum! { Response, "Response" {
 } }
 
 wire_struct! { HelloInfo {
-    server_id, map_name, services, localization_techs,
+    server_id, map_name, localization_techs,
     anchor: Opt<LatLngCodec>, portals: Seq<Pair<Own, LatLngCodec>>, version, coverage,
 } }
 wire_struct! { CoverageExtent { cells, center: LatLngCodec, radius_m } }
-wire_struct! { CoverageSummary { kinds, extent } }
 wire_struct! { WireGeocodeHit { element, pos: PointCodec, score, label } }
 wire_struct! { WireSearchResult { element, pos: PointCodec, score, distance_m, label } }
 wire_struct! { WireRoute { nodes, cost, length_m, geometry: Seq<PointCodec> } }
@@ -639,7 +607,6 @@ mod tests {
             Response::Hello(HelloInfo {
                 server_id: "grocer-1".into(),
                 map_name: "FreshMart #1".into(),
-                services: vec!["search".into(), "route".into()],
                 localization_techs: vec!["beacon".into(), "tag".into()],
                 anchor: None,
                 portals: vec![(17, openflame_geo::LatLng::new(40.0, -80.0).unwrap())],
@@ -649,18 +616,14 @@ mod tests {
             Response::Hello(HelloInfo {
                 server_id: "grocer-2".into(),
                 map_name: "FreshMart #2".into(),
-                services: vec!["search".into()],
                 localization_techs: vec![],
                 anchor: Some(openflame_geo::LatLng::new(40.4, -79.9).unwrap()),
                 portals: vec![],
                 version: 7,
-                coverage: Some(CoverageSummary {
-                    kinds: vec![("search".into(), 120), ("route".into(), 0)],
-                    extent: Some(CoverageExtent {
-                        cells: vec![0x89c25a3000000000, 0x89c25a5000000000],
-                        center: openflame_geo::LatLng::new(40.4, -79.9).unwrap(),
-                        radius_m: 150.0,
-                    }),
+                coverage: Some(CoverageExtent {
+                    cells: vec![0x89c25a3000000000, 0x89c25a5000000000],
+                    center: openflame_geo::LatLng::new(40.4, -79.9).unwrap(),
+                    radius_m: 150.0,
                 }),
             }),
             Response::Geocode {
@@ -728,25 +691,21 @@ mod tests {
     }
 
     /// A coverage-carrying Hello survives a round trip even when it is
-    /// not the last response in a pipelined batch — the summary must be
+    /// not the last response in a pipelined batch — the extent must be
     /// self-delimiting.
     #[test]
     fn coverage_hello_is_self_delimiting_inside_batches() {
         let hello = HelloInfo {
             server_id: "cov-1".into(),
             map_name: "Covered".into(),
-            services: vec!["search".into()],
             localization_techs: vec![],
             anchor: None,
             portals: vec![],
             version: 3,
-            coverage: Some(CoverageSummary {
-                kinds: vec![("search".into(), 17)],
-                extent: Some(CoverageExtent {
-                    cells: vec![1, 2, 3],
-                    center: LatLng::new(40.44, -79.95).unwrap(),
-                    radius_m: 80.0,
-                }),
+            coverage: Some(CoverageExtent {
+                cells: vec![1, 2, 3],
+                center: LatLng::new(40.44, -79.95).unwrap(),
+                radius_m: 80.0,
             }),
         };
         let batch = Response::Batch(vec![

@@ -18,21 +18,11 @@ use openflame_dns::{Record, RecordData};
 /// caching mechanism").
 pub const MAPSRV_TTL_S: u32 = 300;
 
-/// The DNS-advertised service list for a server: its wire services
-/// plus one `localize:<tech>` entry per localization technique.
+/// The DNS-advertised service list for a server, its catalogue (spec
+/// §9.1): the kinds it offers plus one `localize:<tech>` entry per
+/// localization technique, fixed at spawn.
 pub fn advertised_services(server: &MapServer) -> Vec<String> {
-    let hello = server.hello();
-    hello
-        .services
-        .iter()
-        .cloned()
-        .chain(
-            hello
-                .localization_techs
-                .iter()
-                .map(|t| format!("localize:{t}")),
-        )
-        .collect()
+    server.catalogue().to_vec()
 }
 
 /// The `MAPSRV` record data `server` registers under.
@@ -55,11 +45,13 @@ pub fn cell_records(cell: CellId, data: &RecordData) -> [Record; 2] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::acl::AccessPolicy;
+    use crate::acl::{AccessPolicy, Principal};
     use crate::naming::{QUERY_LEVEL, SPATIAL_ROOT};
+    use crate::protocol::{Request, Response};
     use crate::server::MapServerConfig;
     use openflame_cells::{Region, RegionCoverer};
     use openflame_dns::{DomainName, RecordType, Zone};
+    use openflame_geo::Point2;
     use openflame_netsim::BackendKind;
     use openflame_worldgen::{World, WorldConfig};
 
@@ -164,19 +156,44 @@ mod tests {
         for kind in ["rgeocode", "tiles"] {
             assert!(catalogue(&outdoor).iter().any(|s| s == kind), "{kind}");
         }
-        // Spec §13.1: the catalogue agrees with the advertisement — the
-        // summary counts every kind the catalogue lists.
+        // Spec §9.1: the catalogue is the server's one kind list, and it
+        // is exhaustive — it lists a kind exactly when the server answers
+        // that kind with anything but "not offered" (code 2).
+        let probes = [
+            (
+                "search",
+                Request::Search {
+                    query: "x".into(),
+                    center: None,
+                    radius_m: f64::INFINITY,
+                    k: 1,
+                },
+            ),
+            (
+                "geocode",
+                Request::Geocode {
+                    query: "x".into(),
+                    k: 1,
+                },
+            ),
+            (
+                "rgeocode",
+                Request::ReverseGeocode {
+                    pos: Point2::ZERO,
+                    radius_m: 10.0,
+                },
+            ),
+            ("route", Request::NearestNode { pos: Point2::ZERO }),
+            ("localize", Request::Localize { cues: Vec::new() }),
+            ("tiles", Request::GetTile { z: 15, x: 0, y: 0 }),
+        ];
         for server in [&server, &outdoor] {
-            let hello = server.hello();
-            let summary = hello.coverage.as_ref().expect("a summary");
             let catalogue = catalogue(server);
-            let kinds = catalogue.iter().filter(|s| !s.starts_with("localize:"));
-            for kind in kinds {
-                assert!(
-                    summary.kind_count(kind).is_some(),
-                    "{}: {kind}",
-                    server.id()
-                );
+            for (kind, request) in &probes {
+                let answer = server.dispatch(&Principal::anonymous(), request.clone());
+                let offered = !matches!(answer, Response::Error { code: 2, .. });
+                let listed = catalogue.iter().any(|s| s == kind);
+                assert_eq!(listed, offered, "{}: {kind}", server.id());
             }
         }
     }

@@ -14,8 +14,8 @@
 
 use crate::acl::{AccessPolicy, Principal, ServiceKind, ALL_SERVICES};
 use crate::protocol::{
-    principal_key, CoverageExtent, CoverageSummary, Envelope, HelloInfo, Request, Response,
-    WireEstimate, WireGeocodeHit, WireRoute, WireSearchResult,
+    principal_key, CoverageExtent, Envelope, HelloInfo, Request, Response, WireEstimate,
+    WireGeocodeHit, WireRoute, WireSearchResult,
 };
 use crate::ServerError;
 use openflame_cells::{Region, RegionCoverer};
@@ -24,7 +24,7 @@ use openflame_diag::{ranks, OrderedRwLock};
 use openflame_geo::{LatLng, Point2};
 use openflame_geocode::{reverse_geocode, Geocoder};
 use openflame_localize::{Estimate, LocationCue, RadioMap, TagRegistry};
-use openflame_mapdata::{MapDocument, MapPatch, NodeId};
+use openflame_mapdata::{GeoReference, MapDocument, MapPatch, NodeId};
 use openflame_netsim::{EndpointId, OverloadPolicy, Transport, WireService};
 use openflame_routing::dijkstra::dijkstra_many;
 use openflame_routing::{bidirectional, ContractionHierarchy, Profile, RoadGraph};
@@ -125,6 +125,11 @@ struct Setup {
     /// The committed extent (spec §13.1): the registration cap and its
     /// cell covering, computed once at spawn.
     extent: Option<CoverageExtent>,
+    /// The localization technologies accepted (paper §5.2: technology
+    /// advertisement drives which cues clients send).
+    techs: Vec<String>,
+    /// The catalogue (spec §9.1), the server's one kind list.
+    catalogue: Vec<String>,
 }
 
 /// The extent advertised for a registration cap (spec §13.1). The
@@ -148,8 +153,8 @@ fn registration_extent(center: LatLng, radius_m: f64) -> Option<CoverageExtent> 
 
 /// Engines rebuilt whenever the map changes, together with the
 /// advertisement describing exactly this map version: both are replaced
-/// in one `engines` write-lock section, so a `Hello` never pairs old
-/// counts with new content (spec §13.1).
+/// in one `engines` write-lock section, so a `Hello` never pairs an old
+/// version with new content (spec §13.1).
 struct Engines {
     map: MapDocument,
     geocoder: Geocoder,
@@ -186,55 +191,20 @@ impl Engines {
         };
         let renderer = TileRenderer::new(&map);
 
-        // The advertisement of this map version (paper §5.2: technology
-        // advertisement drives which cues clients send), built here once
-        // instead of per `Hello` (spec §13.1).
-        let anchored = renderer.is_some();
-        let mut techs = Vec::new();
-        if !setup.tags.is_empty() {
-            techs.push("tag".to_string());
-        }
-        if radio.is_some() {
-            techs.push("beacon".to_string());
-        }
-        if anchored {
-            techs.push("gnss".to_string());
-        }
-        // The catalogue (spec §9.1): an unaligned map cannot place a
-        // geographic position, so it offers neither of the kinds that
-        // need one.
-        let mut services: Vec<String> = ["geocode", "search", "route", "localize"]
-            .map(String::from)
-            .into();
-        if anchored {
-            services.extend(["rgeocode", "tiles"].map(String::from));
-        }
+        // The advertisement of this map version, built here once instead
+        // of per `Hello` (spec §13.1).
         let anchor = match map.georef() {
-            openflame_mapdata::GeoReference::Anchored { origin } => Some(origin),
-            openflame_mapdata::GeoReference::Unaligned { .. } => None,
+            GeoReference::Anchored { origin } => Some(origin),
+            GeoReference::Unaligned { .. } => None,
         };
-        // Per-kind document counts from the engines just built.
-        let rgeocode = if anchored { geocoder.len() as u64 } else { 0 };
-        let kinds = vec![
-            ("search".to_string(), search.len() as u64),
-            ("geocode".to_string(), geocoder.len() as u64),
-            ("rgeocode".to_string(), rgeocode),
-            ("route".to_string(), graph.node_count() as u64),
-            ("localize".to_string(), techs.len() as u64),
-            ("tiles".to_string(), u64::from(anchored)),
-        ];
         let hello = Arc::new(HelloInfo {
             server_id: setup.id.clone(),
             map_name: map.meta().name.clone(),
-            services,
-            localization_techs: techs,
+            localization_techs: setup.techs.clone(),
             anchor,
             portals: setup.portals.iter().map(|(n, hint)| (n.0, *hint)).collect(),
             version: map.meta().version,
-            coverage: Some(CoverageSummary {
-                kinds,
-                extent: setup.extent.clone(),
-            }),
+            coverage: setup.extent.clone(),
         });
         Self {
             map,
@@ -265,6 +235,28 @@ impl MapServer {
     /// Spawns the server onto any transport backend: the simulator or a
     /// real-socket transport — the server code cannot tell which.
     pub fn spawn_on(transport: &Arc<dyn Transport>, config: MapServerConfig) -> Arc<Self> {
+        // A patch cannot change a map's georeference, so what follows
+        // from it is fixed at spawn too.
+        let anchored = matches!(config.map.georef(), GeoReference::Anchored { .. });
+        let mut techs = Vec::new();
+        if !config.tags.is_empty() {
+            techs.push("tag".to_string());
+        }
+        if !config.beacons.is_empty() {
+            techs.push("beacon".to_string());
+        }
+        if anchored {
+            techs.push("gnss".to_string());
+        }
+        // An unaligned map cannot place a geographic position, so it
+        // offers neither of the kinds that need one.
+        let mut catalogue: Vec<String> = ["geocode", "search", "route", "localize"]
+            .map(String::from)
+            .into();
+        if anchored {
+            catalogue.extend(["rgeocode", "tiles"].map(String::from));
+        }
+        catalogue.extend(techs.iter().map(|t| format!("localize:{t}")));
         let setup = Setup {
             id: config.id,
             tags: config.tags,
@@ -272,6 +264,8 @@ impl MapServer {
             portals: config.portals,
             build_ch: config.build_ch,
             extent: registration_extent(config.location_hint, config.radius_m),
+            techs,
+            catalogue,
         };
         let engines = Engines::build(config.map, &setup);
         let server = Arc::new(Self {
@@ -355,6 +349,13 @@ impl MapServer {
         &self.setup.id
     }
 
+    /// The catalogue the server publishes in DNS (spec §9.1): the
+    /// vocabulary kinds it offers, then one `localize:<tech>` entry per
+    /// localization technology it accepts.
+    pub(crate) fn catalogue(&self) -> &[String] {
+        &self.setup.catalogue
+    }
+
     /// The server's network endpoint.
     pub fn endpoint(&self) -> EndpointId {
         *self.endpoint.get().expect("spawn_on binds the endpoint")
@@ -428,6 +429,11 @@ impl MapServer {
         self.check(principal, ServiceKind::ReverseGeocode)?;
         self.count(ServiceKind::ReverseGeocode);
         let engines = self.engines.read();
+        // An unaligned frame's positions name no place a client can
+        // know, so its catalogue omits the kind (spec §9.1).
+        if let GeoReference::Unaligned { .. } = engines.map.georef() {
+            return Err(ServerError::NotOffered(ServiceKind::ReverseGeocode));
+        }
         Ok(
             reverse_geocode(&engines.map, pos, radius_m).map(|h| WireGeocodeHit {
                 element: h.element,
@@ -755,34 +761,26 @@ mod tests {
         assert!(hello.localization_techs.contains(&"tag".to_string()));
         assert!(!hello.localization_techs.contains(&"gnss".to_string()));
         assert_eq!(hello.portals.len(), 1);
-        // The advertisement agrees with itself (spec §13.1): an
-        // unaligned server answers no geographic query and renders no
-        // tile, and says so in its summary and its catalogue alike.
-        let summary = hello
-            .coverage
-            .as_ref()
-            .expect("servers advertise a summary");
-        assert_eq!(summary.kind_count("rgeocode"), Some(0));
-        assert_eq!(summary.kind_count("tiles"), Some(0));
-        assert!(!hello.services.iter().any(|s| s == "tiles"));
-        assert!(!hello.services.iter().any(|s| s == "rgeocode"));
-        assert_eq!(
-            summary.kind_count("localize"),
-            Some(hello.localization_techs.len() as u64)
-        );
-        // The anchored outdoor server offers both, and every server
-        // counts each kind its catalogue lists.
-        let (outdoor, _world) = outdoor_server(&net);
-        let outdoor = outdoor.hello();
+        // The catalogue agrees with the map (spec §9.1): an unaligned
+        // server answers no geographic query and renders no tile, and
+        // its catalogue says so.
+        let lists = |server: &MapServer, kind: &str| server.catalogue().iter().any(|s| s == kind);
         for kind in ["rgeocode", "tiles"] {
-            assert!(outdoor.services.iter().any(|s| s == kind), "{kind}");
+            assert!(!lists(&server, kind), "{kind}");
         }
-        for hello in [&hello, &outdoor] {
-            let summary = hello.coverage.as_ref().expect("a summary");
-            for kind in &hello.services {
-                let id = &hello.server_id;
-                assert!(summary.kind_count(kind).is_some(), "{id}: {kind}");
-            }
+        // The anchored outdoor server offers both, and every server
+        // lists one `localize:` entry per technology it advertises.
+        let (outdoor, _world) = outdoor_server(&net);
+        for kind in ["rgeocode", "tiles"] {
+            assert!(lists(&outdoor, kind), "{kind}");
+        }
+        for server in [&server, &outdoor] {
+            let listed: Vec<&str> = server
+                .catalogue()
+                .iter()
+                .filter_map(|s| s.strip_prefix("localize:"))
+                .collect();
+            assert_eq!(listed, server.hello().localization_techs, "{}", server.id());
         }
     }
 
@@ -1257,23 +1255,13 @@ mod tests {
         patch
     }
 
-    fn search_count(hello: &HelloInfo) -> u64 {
-        hello
-            .coverage
-            .as_ref()
-            .and_then(|c| c.kind_count("search"))
-            .expect("servers advertise a search count")
-    }
-
     #[test]
     fn patch_republishes_the_advertisement_with_the_content() {
         let net = BackendKind::Sim.build(1);
         let server = MapServer::spawn_on(&net, bare_config("bare", None));
         let before = server.hello();
-        assert_eq!(search_count(&before), 0, "nothing searchable yet");
-        let extent = |hello: &HelloInfo| hello.coverage.as_ref().unwrap().extent.clone();
         assert!(
-            extent(&before).is_some(),
+            before.coverage.is_some(),
             "a positive radius commits an extent"
         );
 
@@ -1286,14 +1274,9 @@ mod tests {
         let after = server.hello();
         assert_eq!(after.version, version, "hello reports the patched version");
         assert_eq!(version, before.version + 1);
-        assert_eq!(
-            search_count(&after),
-            1,
-            "the first searchable element is advertised as soon as it is served"
-        );
         // The extent depends on the registration cap only: a patch must
         // hand on the spawn-time covering untouched.
-        assert_eq!(extent(&after), extent(&before));
+        assert_eq!(after.coverage, before.coverage);
 
         // The advertisement is a function of (configuration, map
         // version): a server spawned on the patched map says the same.
@@ -1324,16 +1307,16 @@ mod tests {
                 .unwrap();
             from_bytes(&transfer.payload).unwrap()
         };
-        // Every patch adds exactly one searchable node, so the only
-        // (version, search count) pairs any map version ever had are
-        // (base + n, n).
+        // Only the version follows the content, so every hello is the
+        // spawn-time one with a version this run produced.
         let check = |hello: &HelloInfo| {
-            assert_eq!(
-                search_count(hello),
-                hello.version - base.version,
-                "hello paired version {} with another version's counts",
-                hello.version
-            );
+            let produced = base.version..=base.version + PATCHES;
+            assert!(produced.contains(&hello.version), "{}", hello.version);
+            let expected = HelloInfo {
+                version: hello.version,
+                ..HelloInfo::clone(&base)
+            };
+            assert_eq!(*hello, expected, "a hello changed more than its version");
         };
         let start = std::sync::Barrier::new(READERS + 1);
         let done = AtomicBool::new(false);
@@ -1341,6 +1324,7 @@ mod tests {
             for _ in 0..READERS {
                 scope.spawn(|| {
                     let reader = tcp.register("reader", None);
+                    let mut seen = base.version;
                     start.wait();
                     loop {
                         // Sampled before the call: the last hello of a
@@ -1350,6 +1334,8 @@ mod tests {
                             panic!("expected a hello");
                         };
                         check(&hello);
+                        assert!(hello.version >= seen, "a reader saw its version go back");
+                        seen = hello.version;
                         if last {
                             assert_eq!(hello.version, base.version + PATCHES);
                             break;
@@ -1443,19 +1429,11 @@ mod tests {
     fn anchored_server_serves_tiles() {
         let net = BackendKind::Sim.build(1);
         let (server, world) = outdoor_server(&net);
-        // The advertisement agrees with itself (spec §13.1).
+        // The catalogue agrees with the map (spec §9.1).
         let hello = server.hello();
         assert!(hello.anchor.is_some());
-        let summary = hello
-            .coverage
-            .as_ref()
-            .expect("servers advertise a summary");
-        assert_eq!(summary.kind_count("tiles"), Some(1));
-        assert!(hello.services.iter().any(|s| s == "tiles"));
-        assert_eq!(
-            summary.kind_count("localize"),
-            Some(hello.localization_techs.len() as u64)
-        );
+        assert!(server.catalogue().iter().any(|s| s == "tiles"));
+        assert!(server.catalogue().iter().any(|s| s == "localize:gnss"));
         let (x, y) = openflame_geo::Mercator::tile_for(world.config.center, 15);
         let coord = TileCoord { z: 15, x, y };
         let runs = server.tile(&Principal::anonymous(), coord).unwrap();

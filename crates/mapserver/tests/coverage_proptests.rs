@@ -1,12 +1,12 @@
 //! Property-based coverage for the `Hello` advertisement and its
-//! coverage summary on the wire (`docs/wire-protocol.md` spec §13.2):
+//! coverage extent on the wire (`docs/wire-protocol.md` spec §13.2):
 //! arbitrary advertisements must round-trip bit-exactly, standalone and
 //! inside pipelined batches.
 
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_geo::LatLng;
 use openflame_mapserver::protocol::{HelloInfo, Response};
-use openflame_mapserver::{CoverageExtent, CoverageSummary};
+use openflame_mapserver::CoverageExtent;
 use proptest::prelude::*;
 
 fn arb_latlng() -> impl Strategy<Value = LatLng> {
@@ -26,14 +26,6 @@ fn arb_extent() -> impl Strategy<Value = CoverageExtent> {
         })
 }
 
-fn arb_summary() -> impl Strategy<Value = CoverageSummary> {
-    (
-        proptest::collection::vec(("[a-z]{1,10}", any::<u64>()), 0..8),
-        proptest::option::of(arb_extent()),
-    )
-        .prop_map(|(kinds, extent)| CoverageSummary { kinds, extent })
-}
-
 /// Every field shape a Hello can carry on the wire, coverage
 /// included.
 fn arb_hello() -> impl Strategy<Value = HelloInfo> {
@@ -41,29 +33,26 @@ fn arb_hello() -> impl Strategy<Value = HelloInfo> {
         (
             "[a-z0-9-]{1,12}",
             "[a-zA-Z ]{0,16}",
-            proptest::collection::vec("[a-z]{1,8}", 0..5),
             proptest::collection::vec("[a-z]{1,6}", 0..3),
         ),
         (
             proptest::option::of(arb_latlng()),
             proptest::collection::vec((any::<u64>(), arb_latlng()), 0..4),
             any::<u64>(),
-            proptest::option::of(arb_summary()),
+            proptest::option::of(arb_extent()),
         ),
     )
         .prop_map(
-            |(
-                (server_id, map_name, services, localization_techs),
-                (anchor, portals, version, coverage),
-            )| HelloInfo {
-                server_id,
-                map_name,
-                services,
-                localization_techs,
-                anchor,
-                portals,
-                version,
-                coverage,
+            |((server_id, map_name, localization_techs), (anchor, portals, version, coverage))| {
+                HelloInfo {
+                    server_id,
+                    map_name,
+                    localization_techs,
+                    anchor,
+                    portals,
+                    version,
+                    coverage,
+                }
             },
         )
 }

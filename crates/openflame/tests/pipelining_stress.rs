@@ -41,7 +41,6 @@ fn stub_service(id: usize) -> Arc<dyn openflame_netsim::WireService> {
                 Response::Hello(HelloInfo {
                     server_id: format!("stub-{id}"),
                     map_name: "stress".into(),
-                    services: vec!["hello".into()],
                     localization_techs: Vec::new(),
                     anchor: None,
                     portals: Vec::new(),

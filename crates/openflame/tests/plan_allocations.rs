@@ -100,7 +100,7 @@ fn warm_plan_query_shares_cached_state_instead_of_copying_it() {
     );
     let centre = dep.world.config.center;
     // Warm up: discovery and every consulted replica's advertisement
-    // (coverage summary included), by one real call of each class.
+    // (coverage extent included), by one real call of each class.
     let product = dep.world.products[0].name.clone();
     for _ in 0..2 {
         dep.client

@@ -9,13 +9,14 @@
 //!    geocode, reverse geocode, localize and tiles, cold and warm, on
 //!    the simulator, TCP, and QuicLite.
 //! 2. **The pruning is real** — the planner consults strictly fewer
-//!    sources, cold (unaligned venues' discovery catalogues omit
-//!    `tiles` and `rgeocode`, spec §9.1) and warm (their summaries
-//!    count zero of both, spec §13.1), and the saving shows up in
-//!    transport message counts, not just plan accounting.
+//!    sources, cold and warm alike (unaligned venues' discovery
+//!    catalogues omit `tiles` and `rgeocode`, spec §9.1; when warm, a
+//!    cached extent also proves a footprint disjoint, spec §13.3), and
+//!    the saving shows up in transport message counts, not just plan
+//!    accounting.
 //! 3. **Dead replicas leave no cached state behind** — fleet failover
-//!    purges the dead endpoint's capability *and* coverage cache
-//!    entries, so a replaced replica is never re-served (or re-pruned)
+//!    purges the dead endpoint's advertisement, coverage extent
+//!    included, so a replaced replica is never re-served (or re-pruned)
 //!    from stale per-endpoint state.
 
 use openflame_core::{Deployment, DeploymentConfig, OpenFlameClient, QueryKind};
@@ -75,9 +76,9 @@ fn planner_recall_parity_on_every_backend() {
         let center = dep.world.config.center;
         let world_ep = dep.outdoor_server.endpoint();
 
-        // Two passes: the first compares the cold paths (no summaries
+        // Two passes: the first compares the cold paths (no extents
         // cached yet — only the discovery catalogues prune, spec §9.1),
-        // the second the warm paths, where the summaries prune too.
+        // the second the warm paths, where the extents prune too.
         for pass in ["cold", "warm"] {
             for product in dep.world.products.iter().take(3) {
                 let near = dep.world.venues[product.venue].hint;
@@ -133,7 +134,7 @@ fn warm_planner_consults_strictly_fewer_sources() {
     assert_eq!(on_tile, off_tile, "warm-up already agrees");
 
     // Plan accounting: the warm planner proves the unaligned venues
-    // out of the tile scatter (they advertise zero tiles, spec §13.1);
+    // out of the tile scatter (their catalogues omit tiles, spec §9.1);
     // the off arm considers the same candidates and prunes none.
     let on_plan = dep
         .client
@@ -177,7 +178,7 @@ fn first_contact_teaches_coverage_to_a_tile_only_client() {
     // A client that only ever fetches tiles prunes the venues that
     // refuse tiles from its first call on: their catalogues omit
     // `tiles` (spec §9.1). It still learns the consulted server's
-    // coverage summary, which rides the first tile envelope (spec §8).
+    // coverage extent, which rides the first tile envelope (spec §8).
     let world = fanout_world();
     let mut costs = Vec::new();
     for backend in BACKENDS {
@@ -244,7 +245,7 @@ fn dead_replica_cached_state_is_purged_on_failover() {
     let near = dep.world.venues[product.venue].hint;
 
     // Warm search: the chosen replica's Hello (and with it the
-    // coverage summary) is cached per endpoint.
+    // coverage extent) is cached per endpoint.
     let hits = dep.client.federated_search(&product.name, near, 3).unwrap();
     assert!(hits.iter().any(|h| h.result.label == product.name));
     let victim = dep

@@ -55,7 +55,6 @@ fn advertisement(
     HelloInfo {
         server_id: server_id.into(),
         map_name: "stub".into(),
-        services: Vec::new(),
         localization_techs: vec!["gnss".into()],
         anchor,
         portals,

@@ -57,7 +57,7 @@ use crate::session::{
 };
 use crate::ClientError;
 use openflame_cells::CellId;
-use openflame_dns::Resolver;
+use openflame_dns::{Catalogue, Resolver};
 use openflame_geo::{LatLng, LocalFrame};
 use openflame_localize::LocationCue;
 use openflame_mapdata::ElementId;
@@ -610,7 +610,7 @@ impl OpenFlameClient {
             server: Arc::new(DiscoveredServer {
                 server_id: target.server_id.clone(),
                 endpoint: target.endpoint,
-                services: Vec::new(),
+                catalogue: Catalogue::default(),
             }),
             fleet: branch.cloned(),
         };
@@ -772,7 +772,7 @@ impl OpenFlameClient {
         // The coarse fix bounds where the client can stand, so shards
         // outside the localize footprint are skipped; a server
         // accepting none of the offered cues is declined (a failover
-        // sibling accepts the same cues — services are group-wide).
+        // sibling accepts the same cues — a catalogue is group-wide).
         self.scatter(
             QueryKind::Localize,
             coarse,
@@ -780,7 +780,7 @@ impl OpenFlameClient {
             |server, _| {
                 let matching: Vec<LocationCue> = cues
                     .iter()
-                    .filter(|c| server.accepts_cue(c.technology()))
+                    .filter(|c| server.accepts_cue(c))
                     .cloned()
                     .collect();
                 (!matching.is_empty()).then_some(Request::Localize { cues: matching })

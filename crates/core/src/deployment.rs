@@ -24,7 +24,7 @@ use openflame_dns::{
 use openflame_localize::TagRegistry;
 use openflame_mapdata::{MapDocument, NodeId, Tags};
 use openflame_mapserver::naming::{cell_to_name, SPATIAL_ROOT};
-use openflame_mapserver::registry::{advertised_services, cell_records, mapsrv_record};
+use openflame_mapserver::registry::{cell_records, mapsrv_record};
 use openflame_mapserver::{AccessPolicy, MapServer, MapServerConfig, Principal};
 use openflame_netsim::{BackendKind, Transport};
 use openflame_search::SEARCHABLE_VALUE_KEYS;
@@ -319,12 +319,10 @@ impl Deployment {
             .iter()
             .filter(|m| m.venue == venue_idx)
             .collect();
-        let services = advertised_services(
-            &members
-                .first()
-                .expect("fleet mode spawned members for every venue")
-                .server,
-        );
+        let catalogue = (members.first())
+            .expect("fleet mode spawned members for every venue")
+            .server
+            .catalogue();
         let shards: Vec<FleetShard> = plans
             .iter()
             .enumerate()
@@ -342,7 +340,7 @@ impl Deployment {
             .collect();
         let data = RecordData::FleetSrv {
             group_id: format!("venue-{venue_idx}"),
-            services,
+            catalogue,
             shards,
         };
         self.install_records(&cells, &data);
@@ -525,7 +523,7 @@ mod tests {
         );
     }
 
-    /// Spec §9.1: a fleet whose replicas diverge in services is
+    /// Spec §9.1: a fleet whose replicas diverge in their catalogue is
     /// malformed, so each `FLEETSRV` catalogue is every member's own.
     #[test]
     fn a_fleet_catalogue_is_every_members_catalogue() {
@@ -545,7 +543,7 @@ mod tests {
                 .expect("every venue's fleet is advertised at its hint");
             for member in dep.fleet_servers.iter().filter(|m| m.venue == idx) {
                 let id = member.server.id();
-                assert_eq!(fleet.services, advertised_services(&member.server), "{id}");
+                assert_eq!(fleet.catalogue, member.server.catalogue(), "{id}");
             }
         }
     }

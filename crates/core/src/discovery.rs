@@ -17,8 +17,9 @@ use crate::plan::QueryKind;
 use crate::ClientError;
 use openflame_cells::CellId;
 use openflame_diag::{ranks, OrderedMutex};
-use openflame_dns::{DnsError, DomainName, RecordData, RecordType, Resolver};
+use openflame_dns::{Catalogue, DnsError, DomainName, RecordData, RecordType, Resolver};
 use openflame_geo::LatLng;
+use openflame_localize::LocationCue;
 use openflame_mapserver::naming::{cell_to_name, QUERY_LEVEL};
 use openflame_netsim::EndpointId;
 use std::sync::Arc;
@@ -30,28 +31,28 @@ pub struct DiscoveredServer {
     pub server_id: String,
     /// Network endpoint.
     pub endpoint: EndpointId,
-    /// The server's catalogue (spec §9.1): every service kind it
-    /// offers, plus one `localize:<tech>` entry per technology.
-    pub services: Vec<String>,
+    /// The server's catalogue (spec §9.1): a bit for every service kind
+    /// it offers and for every localization technology it accepts.
+    pub catalogue: Catalogue,
 }
 
 impl DiscoveredServer {
     /// Whether the server's catalogue offers `kind` (spec §9.1): `None`
-    /// when the catalogue names no kind of the spec §9.1 vocabulary,
-    /// which proves nothing.
+    /// when the catalogue names no kind of the vocabulary, which proves
+    /// nothing. Bits the spec does not name are never read.
     pub(crate) fn offers(&self, kind: QueryKind) -> Option<bool> {
-        let listed = |kind: QueryKind| self.services.iter().any(|s| s == kind.wire_kind());
-        if listed(kind) {
-            return Some(true);
-        }
-        QueryKind::ALL.into_iter().any(listed).then_some(false)
+        self.catalogue
+            .intersects(Catalogue::KINDS)
+            .then(|| self.catalogue.contains(kind.entry()))
     }
 
-    /// Whether the server advertises a localization technology.
-    pub(crate) fn accepts_cue(&self, technology: &str) -> bool {
-        self.services
-            .iter()
-            .any(|s| s.strip_prefix("localize:") == Some(technology))
+    /// Whether the server advertises the technology `cue` uses.
+    pub(crate) fn accepts_cue(&self, cue: &LocationCue) -> bool {
+        self.catalogue.contains(match cue {
+            LocationCue::Gnss { .. } => Catalogue::LOCALIZE_GNSS,
+            LocationCue::BeaconRssi { .. } => Catalogue::LOCALIZE_BEACON,
+            LocationCue::FiducialTag { .. } => Catalogue::LOCALIZE_TAG,
+        })
     }
 }
 
@@ -188,19 +189,19 @@ impl DiscoveryClient {
             RecordData::MapSrv {
                 endpoint,
                 server_id,
-                services,
+                catalogue,
             } => {
                 if view.servers.iter().all(|s| s.server_id != *server_id) {
                     view.servers.push(Arc::new(DiscoveredServer {
                         server_id: server_id.clone(),
                         endpoint: EndpointId(*endpoint),
-                        services: services.clone(),
+                        catalogue: *catalogue,
                     }));
                 }
             }
             RecordData::FleetSrv {
                 group_id,
-                services,
+                catalogue,
                 shards,
             } => {
                 if view.fleets.iter().any(|f| f.group_id == *group_id) {
@@ -219,8 +220,8 @@ impl DiscoveryClient {
                                     server_id: r.server_id.clone(),
                                     endpoint: EndpointId(r.endpoint),
                                     // Replicas inherit the group's
-                                    // service advertisement.
-                                    services: services.clone(),
+                                    // catalogue.
+                                    catalogue: *catalogue,
                                 })
                             })
                             .collect();
@@ -229,7 +230,7 @@ impl DiscoveryClient {
                     .collect();
                 view.fleets.push(FleetView {
                     group_id: group_id.clone(),
-                    services: services.clone(),
+                    catalogue: *catalogue,
                     shards,
                 });
             }
@@ -369,7 +370,7 @@ mod tests {
             let mut view = DiscoveryView::default();
             let record = RecordData::FleetSrv {
                 group_id: "venue-0".into(),
-                services: ["search", "rgeocode", "localize"].map(String::from).into(),
+                catalogue: Catalogue::SEARCH | Catalogue::RGEOCODE | Catalogue::LOCALIZE,
                 shards: vec![FleetShard {
                     extents: extents.clone(),
                     replicas: vec![FleetReplica {
@@ -394,14 +395,61 @@ mod tests {
         }
     }
 
+    /// Spec §9.1: every kind and every technology is one bit test, and a
+    /// catalogue whose bits the spec does not name proves nothing.
     #[test]
-    fn accepts_cue_parses_services() {
-        let s = DiscoveredServer {
+    fn offers_and_accepts_cue_test_one_catalogue_bit() {
+        let server = |catalogue| DiscoveredServer {
             server_id: "x".into(),
             endpoint: EndpointId(1),
-            services: vec!["search".into(), "localize:beacon".into()],
+            catalogue,
         };
-        assert!(s.accepts_cue("beacon"));
-        assert!(!s.accepts_cue("tag"));
+        let kinds = [
+            QueryKind::Search,
+            QueryKind::Geocode,
+            QueryKind::ReverseGeocode,
+            QueryKind::Route,
+            QueryKind::Localize,
+            QueryKind::Tile,
+        ];
+        for kind in kinds {
+            let lone = server(kind.entry());
+            for other in kinds {
+                assert_eq!(
+                    lone.offers(other),
+                    Some(other == kind),
+                    "{kind:?} {other:?}"
+                );
+            }
+            assert_eq!(server(Catalogue::KINDS).offers(kind), Some(true));
+            for proves_nothing in [0, Catalogue::LOCALIZE_TAG.0, 1 << 9, u32::MAX << 9] {
+                assert_eq!(server(Catalogue(proves_nothing)).offers(kind), None);
+            }
+        }
+        let here = LatLng::new(37.0, -122.0).unwrap();
+        let cues = [
+            (
+                LocationCue::Gnss {
+                    fix: here,
+                    accuracy_m: 5.0,
+                },
+                Catalogue::LOCALIZE_GNSS,
+            ),
+            (
+                LocationCue::BeaconRssi { readings: vec![] },
+                Catalogue::LOCALIZE_BEACON,
+            ),
+            (
+                LocationCue::FiducialTag { tag_id: 3 },
+                Catalogue::LOCALIZE_TAG,
+            ),
+        ];
+        for (cue, entry) in &cues {
+            let accepting = server(*entry | Catalogue::SEARCH);
+            for (other, _) in &cues {
+                assert_eq!(accepting.accepts_cue(other), other == cue, "{entry:?}");
+            }
+            assert!(!server(Catalogue(u32::MAX << 9) | Catalogue::KINDS).accepts_cue(cue));
+        }
     }
 }

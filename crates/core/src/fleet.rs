@@ -39,6 +39,7 @@ use crate::discovery::DiscoveredServer;
 use crate::session::Session;
 use openflame_cells::{CellId, Region};
 use openflame_codec::Fnv1a;
+use openflame_dns::Catalogue;
 use openflame_geo::{BBox, LatLng};
 use openflame_netsim::EndpointId;
 use openflame_worldgen::World;
@@ -59,7 +60,7 @@ pub struct FleetShardView {
     /// bounding box; `None` when the advertised extent proves nothing
     /// (spec §9.2), so the shard intersects every footprint.
     extents: Option<Vec<(CellId, BBox)>>,
-    /// Replicas serving this shard (each carries the group's services).
+    /// Replicas serving this shard (each carries the group's catalogue).
     /// Shared: a scatter plan clones the `Arc`, not the record.
     pub replicas: Vec<Arc<DiscoveredServer>>,
 }
@@ -98,8 +99,8 @@ impl FleetShardView {
 pub struct FleetView {
     /// Stable group id (e.g. `"venue-3"`).
     pub group_id: String,
-    /// Advertised services, shared by every replica of the group.
-    pub services: Vec<String>,
+    /// The catalogue (spec §9.1), shared by every replica of the group.
+    pub catalogue: Catalogue,
     /// The shard map, in advertisement order. Shared: a planned fleet
     /// branch keeps its shard (for failover) by cloning the `Arc`.
     pub shards: Vec<Arc<FleetShardView>>,
@@ -300,7 +301,7 @@ mod tests {
         DiscoveredServer {
             server_id: format!("r{id}"),
             endpoint: EndpointId(id),
-            services: vec!["search".into()],
+            catalogue: Catalogue::SEARCH,
         }
     }
 

@@ -18,9 +18,10 @@
 //!
 //! A server may be skipped only on proof, never on heuristics:
 //!
-//! - [`PruneReason::MissingKind`] — the query's service kind is absent
-//!   from the server's discovery catalogue (its record's `services`,
-//!   spec §9.1), the server's one kind list and exhaustive by spec;
+//! - [`PruneReason::MissingKind`] — the query's service kind's bit is
+//!   clear in the server's discovery catalogue (its record's
+//!   `catalogue`, spec §9.1), the server's one kind list and exhaustive
+//!   by spec;
 //! - [`PruneReason::DisjointExtent`] — the query footprint is provably
 //!   disjoint from the advertised extent (the two caps are further
 //!   apart than the sum of their radii **and** every extent cell fails
@@ -63,13 +64,14 @@ use crate::discovery::DiscoveredServer;
 use crate::fleet::{self, DiscoveryView, FleetShardView};
 use crate::session::Session;
 use openflame_cells::{CellId, Region};
+use openflame_dns::Catalogue;
 use openflame_geo::LatLng;
 use openflame_mapserver::protocol::CoverageExtent;
 use openflame_netsim::EndpointId;
 use std::sync::Arc;
 
-/// The service kind a query plan targets, mapped to the wire-level
-/// kind vocabulary of the discovery catalogue (spec §9.1).
+/// The service kind a query plan targets, mapped to its bit in the
+/// discovery catalogue (spec §9.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryKind {
     /// Location-based search (`Request::Search`).
@@ -88,26 +90,15 @@ pub enum QueryKind {
 }
 
 impl QueryKind {
-    /// Every kind, one per word of the spec §9.1 vocabulary.
-    pub(crate) const ALL: [QueryKind; 6] = [
-        QueryKind::Search,
-        QueryKind::Geocode,
-        QueryKind::ReverseGeocode,
-        QueryKind::Route,
-        QueryKind::Localize,
-        QueryKind::Tile,
-    ];
-
-    /// The wire-level kind string a discovery catalogue lists (spec
-    /// §9.1 vocabulary).
-    pub(crate) fn wire_kind(self) -> &'static str {
+    /// The kind's bit in a discovery catalogue (spec §9.1).
+    pub(crate) fn entry(self) -> Catalogue {
         match self {
-            QueryKind::Search => "search",
-            QueryKind::Geocode => "geocode",
-            QueryKind::ReverseGeocode => "rgeocode",
-            QueryKind::Route => "route",
-            QueryKind::Localize => "localize",
-            QueryKind::Tile => "tiles",
+            QueryKind::Search => Catalogue::SEARCH,
+            QueryKind::Geocode => Catalogue::GEOCODE,
+            QueryKind::ReverseGeocode => Catalogue::RGEOCODE,
+            QueryKind::Route => Catalogue::ROUTE,
+            QueryKind::Localize => Catalogue::LOCALIZE,
+            QueryKind::Tile => Catalogue::TILES,
         }
     }
 
@@ -384,7 +375,7 @@ mod tests {
             servers: vec![Arc::new(DiscoveredServer {
                 server_id: "venue-0".into(),
                 endpoint: EndpointId(50),
-                services: vec!["search".into()],
+                catalogue: Catalogue::SEARCH,
             })],
             fleets: Vec::new(),
         };
@@ -480,25 +471,30 @@ mod tests {
                 None,
             )
         };
-        // No advertisement stored: the catalogue `["search"]` alone is
-        // the proof.
+        // No advertisement stored: the catalogue `search` alone is the
+        // proof.
         assert!(session.advertised(EndpointId(50)).is_none());
         let pruned = tile_plan(&view, true);
         assert_eq!(pruned.consulted(), 0);
         assert_eq!(pruned.pruned[0].reason, PruneReason::MissingKind);
         // The planner-off arm prunes nothing.
         assert_eq!(tile_plan(&view, false).consulted(), 1);
-        // A catalogue naming no kind of the vocabulary proves nothing.
-        for services in [vec![], vec!["localize:beacon".to_string()]] {
+        // A catalogue naming no kind of the vocabulary proves nothing,
+        // and neither does a bit the spec does not name.
+        for catalogue in [
+            Catalogue::default(),
+            Catalogue::LOCALIZE_BEACON,
+            Catalogue(1 << 20),
+        ] {
             view.servers[0] = Arc::new(DiscoveredServer {
-                services: services.clone(),
+                catalogue,
                 ..DiscoveredServer::clone(&view.servers[0])
             });
             let plan = tile_plan(&view, true);
             assert_eq!(
                 (plan.consulted(), plan.pruned_count()),
                 (1, 0),
-                "{services:?}"
+                "{catalogue:?}"
             );
         }
     }
@@ -614,7 +610,7 @@ mod tests {
             (QueryKind::Tile, "tiles"),
         ];
         for (kind, wire) in kinds {
-            assert_eq!(kind.wire_kind(), wire);
+            assert_eq!(kind.entry().names().collect::<Vec<_>>(), [wire]);
         }
     }
 }

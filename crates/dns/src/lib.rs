@@ -13,7 +13,8 @@
 //!   name (parse, child, decode) fills one new buffer,
 //! - [`Record`] / [`RecordData`] — `A`-, `NS`-, `TXT`-, `MAPSRV`- and
 //!   `FLEETSRV`-type records (the latter two carry a map server's or a
-//!   fleet's endpoints and service advertisement); on the wire, a
+//!   fleet's endpoints and its [`Catalogue`], one varint of service
+//!   bits); on the wire, a
 //!   response's record sections name each owner once per run of its
 //!   records (spec §9.5),
 //! - [`Zone`] — record storage with DNS-style wildcard matching and
@@ -39,7 +40,7 @@ pub mod zone;
 
 pub use cache::TtlCache;
 pub use name::DomainName;
-pub use record::{FleetReplica, FleetShard, Record, RecordData, RecordType};
+pub use record::{Catalogue, FleetReplica, FleetShard, Record, RecordData, RecordType};
 pub use resolver::{QueryOutcome, Resolver, ResolverConfig, ResolverStats};
 pub use server::AuthServer;
 pub use zone::Zone;

@@ -5,7 +5,8 @@
 //! in wire order, and for an enum each variant's tag. A [`RecordData`] payload is tagged with its
 //! [`RecordType`], so the two tables carry the same five rows; the
 //! conformance lint holds both to the one record-type table of
-//! `docs/wire-protocol.md` spec §2.1.
+//! `docs/wire-protocol.md` spec §2.1, and [`Catalogue`]'s named bits to
+//! the bit table of spec §9.1.
 //!
 //! Hand-written, because a table row cannot say it — the exceptions:
 //!
@@ -36,6 +37,79 @@ pub enum RecordType {
     /// `MapSrv` record names one server, a `FleetSrv` record names the
     /// whole replicated + sharded fleet serving the same content.
     FleetSrv,
+}
+
+/// A server's service catalogue (spec §9.1): one bit per entry of the
+/// closed vocabulary, sent as one varint. A kind whose bit is clear,
+/// the server does not offer.
+///
+/// Bits the spec does not name are kept: they decode, re-encode and
+/// compare like the named ones, but no name spells them and no proof
+/// reads them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Catalogue(pub u32);
+
+impl Catalogue {
+    /// `search`.
+    pub const SEARCH: Self = Self(1 << 0);
+    /// `geocode`.
+    pub const GEOCODE: Self = Self(1 << 1);
+    /// `rgeocode`.
+    pub const RGEOCODE: Self = Self(1 << 2);
+    /// `route`.
+    pub const ROUTE: Self = Self(1 << 3);
+    /// `localize`.
+    pub const LOCALIZE: Self = Self(1 << 4);
+    /// `tiles`.
+    pub const TILES: Self = Self(1 << 5);
+    /// `localize:gnss`.
+    pub const LOCALIZE_GNSS: Self = Self(1 << 6);
+    /// `localize:beacon`.
+    pub const LOCALIZE_BEACON: Self = Self(1 << 7);
+    /// `localize:tag`.
+    pub const LOCALIZE_TAG: Self = Self(1 << 8);
+
+    /// The six kinds of the vocabulary: a catalogue holding none of
+    /// them proves nothing.
+    pub const KINDS: Self = Self(0b11_1111);
+
+    /// Each named bit's entry, indexed by bit.
+    pub const NAMES: [&'static str; 9] = [
+        "search",
+        "geocode",
+        "rgeocode",
+        "route",
+        "localize",
+        "tiles",
+        "localize:gnss",
+        "localize:beacon",
+        "localize:tag",
+    ];
+
+    /// Whether every bit of `entries` is set.
+    pub fn contains(self, entries: Self) -> bool {
+        self.0 & entries.0 == entries.0
+    }
+
+    /// Whether any bit of `entries` is set.
+    pub fn intersects(self, entries: Self) -> bool {
+        self.0 & entries.0 != 0
+    }
+
+    /// The named entries set, in bit order; unknown bits spell nothing.
+    pub fn names(self) -> impl Iterator<Item = &'static str> {
+        (Self::NAMES.iter().enumerate())
+            .filter(move |(bit, _)| self.0 >> bit & 1 == 1)
+            .map(|(_, name)| *name)
+    }
+}
+
+impl std::ops::BitOr for Catalogue {
+    type Output = Self;
+
+    fn bitor(self, other: Self) -> Self {
+        Self(self.0 | other.0)
+    }
 }
 
 /// One replica server inside a fleet shard: interchangeable with its
@@ -76,9 +150,8 @@ pub enum RecordData {
         endpoint: u64,
         /// Stable identifier of the map server (e.g. `"grocer-shadyside"`).
         server_id: String,
-        /// The server's service catalogue (e.g. `"search"`, `"route"`,
-        /// `"localize:beacon"`; docs/wire-protocol.md spec §9.1).
-        services: Vec<String>,
+        /// The server's service catalogue (spec §9.1).
+        catalogue: Catalogue,
     },
     /// A fleet advertisement: one serving group's replica set and
     /// content shard map for the owning cell.
@@ -86,7 +159,7 @@ pub enum RecordData {
         /// Stable identifier of the serving group (e.g. `"grocer-1"`).
         group_id: String,
         /// The service catalogue, shared by every replica.
-        services: Vec<String>,
+        catalogue: Catalogue,
         /// The content shards; shard order is part of the advertisement
         /// and stable across queries (shard-stable caching keys off it).
         shards: Vec<FleetShard>,
@@ -213,14 +286,15 @@ wire_enum! { RecordData, "RecordType" {
     0 => A(endpoint),
     1 => Ns(host),
     2 => Txt(text),
-    3 => MapSrv { endpoint, server_id, services },
-    4 => FleetSrv { group_id, services, shards },
+    3 => MapSrv { endpoint, server_id, catalogue },
+    4 => FleetSrv { group_id, catalogue, shards },
 } }
 wire_enum! { Rcode, "Rcode" {
     0 => NoError,
     1 => NxDomain,
     2 => ServFail,
 } }
+wire_struct! { Catalogue { 0 } }
 wire_struct! { FleetReplica { endpoint, server_id } }
 wire_struct! { FleetShard { extents, replicas } }
 wire_struct! { QueryMsg { name, rtype } }
@@ -290,11 +364,11 @@ mod tests {
             RecordData::MapSrv {
                 endpoint: 7,
                 server_id: "grocer-1".into(),
-                services: vec!["search".into(), "routing".into()],
+                catalogue: Catalogue::SEARCH | Catalogue::ROUTE,
             },
             RecordData::FleetSrv {
                 group_id: "grocer-1".into(),
-                services: vec!["search".into()],
+                catalogue: Catalogue::SEARCH,
                 shards: vec![
                     FleetShard {
                         extents: vec![0x89c2_5a31, 0x89c2_5a33],
@@ -319,6 +393,25 @@ mod tests {
         for d in cases {
             assert_eq!(from_bytes::<RecordData>(&to_bytes(&d)).unwrap(), d);
         }
+    }
+
+    /// Spec §9.1: a catalogue is one varint, and a bit the spec does not
+    /// name survives decode and encode without spelling a name.
+    #[test]
+    fn a_catalogue_keeps_its_unknown_bits() {
+        let venue = Catalogue::SEARCH
+            | Catalogue::GEOCODE
+            | Catalogue::ROUTE
+            | Catalogue::LOCALIZE
+            | Catalogue::LOCALIZE_BEACON
+            | Catalogue::LOCALIZE_TAG;
+        assert_eq!(to_bytes(&venue).len(), 2);
+        let unknown = Catalogue::SEARCH | Catalogue(1 << 20);
+        let bytes = to_bytes(&unknown);
+        assert_eq!(from_bytes::<Catalogue>(&bytes).unwrap(), unknown);
+        assert_eq!(unknown.names().collect::<Vec<_>>(), ["search"]);
+        assert!(unknown.contains(Catalogue::SEARCH));
+        assert!(!unknown.contains(Catalogue::SEARCH | Catalogue::ROUTE));
     }
 
     #[test]

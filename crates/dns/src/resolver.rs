@@ -597,6 +597,7 @@ impl Resolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Catalogue;
     use crate::server::AuthServer;
     use crate::zone::Zone;
     use openflame_netsim::BackendKind;
@@ -628,7 +629,7 @@ mod tests {
             RecordData::MapSrv {
                 endpoint: 1001,
                 server_id: "store-a".into(),
-                services: vec!["search".into()],
+                catalogue: Catalogue::SEARCH,
             },
         ));
         let cell_server = AuthServer::spawn_on(net, "cell", vec![cell_zone]);
@@ -728,7 +729,7 @@ mod tests {
                 RecordData::MapSrv {
                     endpoint: 2002,
                     server_id: "new".into(),
-                    services: vec![],
+                    catalogue: Catalogue::default(),
                 },
             ));
         });
@@ -1099,7 +1100,7 @@ mod tests {
                     RecordData::MapSrv {
                         endpoint: 2000 + i as u64,
                         server_id: format!("venue-{i}"),
-                        services: vec![],
+                        catalogue: Catalogue::default(),
                     },
                 ));
             }
@@ -1291,7 +1292,7 @@ mod tests {
             RecordData::MapSrv {
                 endpoint: 1,
                 server_id: "outdoor".into(),
-                services: vec![],
+                catalogue: Catalogue::default(),
             },
         ));
         zone.add(Record::new(
@@ -1299,7 +1300,7 @@ mod tests {
             20,
             RecordData::FleetSrv {
                 group_id: "mall".into(),
-                services: vec![],
+                catalogue: Catalogue::default(),
                 shards: vec![],
             },
         ));

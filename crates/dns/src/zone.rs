@@ -199,6 +199,7 @@ impl Zone {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Catalogue;
 
     fn name(s: &str) -> DomainName {
         DomainName::parse(s).unwrap()
@@ -217,7 +218,7 @@ mod tests {
             RecordData::MapSrv {
                 endpoint: 20,
                 server_id: "campus".into(),
-                services: vec!["tiles".into()],
+                catalogue: Catalogue::TILES,
             },
         ));
         z
@@ -280,7 +281,7 @@ mod tests {
         let mut z = test_zone();
         let fleet = RecordData::FleetSrv {
             group_id: "mall".into(),
-            services: vec!["search".into()],
+            catalogue: Catalogue::SEARCH,
             shards: vec![],
         };
         z.add(Record::new(name("*.f1.cell.flame."), 90, fleet.clone()));
@@ -305,17 +306,19 @@ mod tests {
 
     /// Spec §9.5: an answer writes its owner once per run, so one more
     /// `MAPSRV` record at a cell costs only its TTL and payload — not
-    /// the 17-label owner of a level-14 cell again.
+    /// the 17-label owner of a level-14 cell again. Spec §9.1: the
+    /// payload's catalogue is one varint, two bytes for every named bit.
     #[test]
     fn a_cell_answer_names_its_owner_once() {
         use openflame_codec::to_bytes;
         let mut z = Zone::new(name("cell.flame."));
         let cell = name("3.1.0.2.3.3.1.0.2.1.0.0.3.2.f4.cell.flame.");
         assert_eq!(cell.label_count(), 17);
+        let every_named_bit = Catalogue((1 << Catalogue::NAMES.len()) - 1);
         let mapsrv = |i: u64| RecordData::MapSrv {
             endpoint: 100 + i,
             server_id: format!("store-{i}"),
-            services: vec!["search".into(), "routing".into()],
+            catalogue: every_named_bit,
         };
         for i in 0..10 {
             z.add(Record::new(cell.clone(), 300, mapsrv(i)));
@@ -324,7 +327,19 @@ mod tests {
         z.add(Record::new(cell.clone(), 300, mapsrv(10)));
         let answer = z.query(&cell, RecordType::MapSrv);
         assert_eq!(answer.answers.len(), 11);
-        let record_bytes = to_bytes(&300u32).len() + to_bytes(&mapsrv(10)).len();
+        let catalogue_bytes = to_bytes(&every_named_bit).len();
+        assert!(catalogue_bytes <= 2, "{catalogue_bytes} catalogue bytes");
+        // The record: its TTL, its type tag, the endpoint, the server id
+        // and the catalogue — nothing else.
+        let record_bytes = to_bytes(&300u32).len()
+            + 1
+            + to_bytes(&110u64).len()
+            + to_bytes(&"store-10".to_string()).len()
+            + catalogue_bytes;
+        assert_eq!(
+            to_bytes(&mapsrv(10)).len() + to_bytes(&300u32).len(),
+            record_bytes
+        );
         assert_eq!(to_bytes(&answer).len() - before, record_bytes);
         assert_eq!(to_bytes(&cell).len(), 43, "a level-14 cell owner");
     }
@@ -374,7 +389,7 @@ mod tests {
             RecordData::MapSrv {
                 endpoint: 21,
                 server_id: "campus".into(),
-                services: vec![],
+                catalogue: Catalogue::default(),
             },
         ));
         assert_eq!(z.remove_mapsrv("campus"), 2);

@@ -3,8 +3,8 @@
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_dns::record::{Rcode, ResponseMsg};
 use openflame_dns::{
-    AuthServer, DomainName, FleetReplica, FleetShard, Record, RecordData, RecordType, Resolver,
-    ResolverConfig, Zone,
+    AuthServer, Catalogue, DomainName, FleetReplica, FleetShard, Record, RecordData, RecordType,
+    Resolver, ResolverConfig, Zone,
 };
 use openflame_netsim::{BackendKind, EndpointId, Transport};
 use proptest::prelude::*;
@@ -251,11 +251,11 @@ fn record_data(rtype: RecordType, v: u64) -> RecordData {
         RecordType::MapSrv => RecordData::MapSrv {
             endpoint: v,
             server_id: format!("s{v}"),
-            services: vec![],
+            catalogue: Catalogue::default(),
         },
         RecordType::FleetSrv => RecordData::FleetSrv {
             group_id: format!("g{v}"),
-            services: vec!["search".into()],
+            catalogue: Catalogue::SEARCH,
             shards: vec![FleetShard {
                 extents: vec![v],
                 replicas: vec![FleetReplica {
@@ -462,6 +462,18 @@ proptest! {
         prop_assert!(c.is_subdomain_of(&a));
     }
 
+    // Spec §9.1: a catalogue is one varint of the whole `u32`; bits the
+    // spec does not name are kept, so every value re-encodes to its own
+    // bytes, and none takes more than five.
+    #[test]
+    fn any_catalogue_round_trips_byte_for_byte(bits in any::<u32>()) {
+        let bytes = to_bytes(&Catalogue(bits));
+        prop_assert!(bytes.len() <= 5);
+        let decoded = from_bytes::<Catalogue>(&bytes).unwrap();
+        prop_assert_eq!(decoded, Catalogue(bits));
+        prop_assert_eq!(to_bytes(&decoded), bytes);
+    }
+
     // Records travel only inside a section, as owner runs (spec §9.5):
     // `MAPSRV` records whose owners are drawn from a three-name pool,
     // so runs of one, runs of many and returning owners all occur.
@@ -474,15 +486,15 @@ proptest! {
                 0u32..100_000,
                 any::<u64>(),
                 "[a-z0-9-]{1,16}",
-                proptest::collection::vec("[a-z:]{1,12}", 0..5),
+                any::<u32>().prop_map(Catalogue),
             ),
             0..12,
         ),
     ) {
         let section = records
             .into_iter()
-            .map(|(owner, ttl, endpoint, id, services)| {
-                let data = RecordData::MapSrv { endpoint, server_id: id, services };
+            .map(|(owner, ttl, endpoint, id, catalogue)| {
+                let data = RecordData::MapSrv { endpoint, server_id: id, catalogue };
                 Record::new(pick(&pool, owner), ttl, data)
             })
             .collect();
@@ -499,7 +511,7 @@ proptest! {
                 0usize..3,
                 0u32..100_000,
                 "[a-z0-9-]{1,16}",
-                proptest::collection::vec("[a-z:]{1,12}", 0..4),
+                any::<u32>().prop_map(Catalogue),
                 proptest::collection::vec(
                     (
                         proptest::collection::vec(any::<u64>(), 0..6),
@@ -516,7 +528,7 @@ proptest! {
     ) {
         let section = records
             .into_iter()
-            .map(|(owner, ttl, group, services, shards)| {
+            .map(|(owner, ttl, group, catalogue, shards)| {
                 let shards: Vec<FleetShard> = shards
                     .into_iter()
                     .map(|(extents, replicas)| FleetShard {
@@ -527,7 +539,7 @@ proptest! {
                             .collect(),
                     })
                     .collect();
-                let data = RecordData::FleetSrv { group_id: group, services, shards };
+                let data = RecordData::FleetSrv { group_id: group, catalogue, shards };
                 Record::new(pick(&pool, owner), ttl, data)
             })
             .collect();
@@ -567,7 +579,7 @@ proptest! {
                 RecordData::MapSrv {
                     endpoint: i as u64,
                     server_id: format!("srv-{l}-{i}"),
-                    services: vec![],
+                    catalogue: Catalogue::default(),
                 },
             ));
         }

@@ -18,19 +18,13 @@ use openflame_dns::{Record, RecordData};
 /// caching mechanism").
 pub const MAPSRV_TTL_S: u32 = 300;
 
-/// The DNS-advertised service list for a server, its catalogue (spec
-/// §9.1): the kinds it offers plus one `localize:<tech>` entry per
-/// localization technique, fixed at spawn.
-pub fn advertised_services(server: &MapServer) -> Vec<String> {
-    server.catalogue().to_vec()
-}
-
-/// The `MAPSRV` record data `server` registers under.
+/// The `MAPSRV` record data `server` registers under: its endpoint, id
+/// and catalogue (spec §9.1).
 pub fn mapsrv_record(server: &MapServer) -> RecordData {
     RecordData::MapSrv {
         endpoint: server.endpoint().0,
         server_id: server.id().to_string(),
-        services: advertised_services(server),
+        catalogue: server.catalogue(),
     }
 }
 
@@ -50,7 +44,7 @@ mod tests {
     use crate::protocol::{Request, Response};
     use crate::server::MapServerConfig;
     use openflame_cells::{Region, RegionCoverer};
-    use openflame_dns::{DomainName, RecordType, Zone};
+    use openflame_dns::{Catalogue, DomainName, RecordType, Zone};
     use openflame_geo::Point2;
     use openflame_netsim::BackendKind;
     use openflame_worldgen::{World, WorldConfig};
@@ -125,19 +119,18 @@ mod tests {
     fn services_advertised_in_record() {
         let (server, _zone, _cells, world) = registered();
         let catalogue = |server: &MapServer| {
-            let RecordData::MapSrv { services, .. } = mapsrv_record(server) else {
+            let RecordData::MapSrv { catalogue, .. } = mapsrv_record(server) else {
                 panic!("wrong record type");
             };
-            services
+            catalogue
         };
-        let services = catalogue(&server);
-        assert!(services.contains(&"search".to_string()));
-        assert!(services.contains(&"localize:beacon".to_string()));
+        let venue = catalogue(&server);
+        assert!(venue.contains(Catalogue::SEARCH | Catalogue::LOCALIZE_BEACON));
         // Spec §9.1: the catalogue lists `rgeocode` and `tiles` exactly
         // when the map is geo-anchored — the unaligned venue lists
         // neither, the anchored outdoor map both.
-        for kind in ["rgeocode", "tiles"] {
-            assert!(!services.iter().any(|s| s == kind), "{kind}");
+        for kind in [Catalogue::RGEOCODE, Catalogue::TILES] {
+            assert!(!venue.contains(kind), "{kind:?}");
         }
         let outdoor = MapServer::spawn_on(
             &BackendKind::Sim.build(3),
@@ -153,15 +146,15 @@ mod tests {
                 build_ch: false,
             },
         );
-        for kind in ["rgeocode", "tiles"] {
-            assert!(catalogue(&outdoor).iter().any(|s| s == kind), "{kind}");
+        for kind in [Catalogue::RGEOCODE, Catalogue::TILES] {
+            assert!(catalogue(&outdoor).contains(kind), "{kind:?}");
         }
         // Spec §9.1: the catalogue is the server's one kind list, and it
         // is exhaustive — it lists a kind exactly when the server answers
         // that kind with anything but "not offered" (code 2).
         let probes = [
             (
-                "search",
+                Catalogue::SEARCH,
                 Request::Search {
                     query: "x".into(),
                     center: None,
@@ -170,30 +163,30 @@ mod tests {
                 },
             ),
             (
-                "geocode",
+                Catalogue::GEOCODE,
                 Request::Geocode {
                     query: "x".into(),
                     k: 1,
                 },
             ),
             (
-                "rgeocode",
+                Catalogue::RGEOCODE,
                 Request::ReverseGeocode {
                     pos: Point2::ZERO,
                     radius_m: 10.0,
                 },
             ),
-            ("route", Request::NearestNode { pos: Point2::ZERO }),
-            ("localize", Request::Localize { cues: Vec::new() }),
-            ("tiles", Request::GetTile { z: 15, x: 0, y: 0 }),
+            (Catalogue::ROUTE, Request::NearestNode { pos: Point2::ZERO }),
+            (Catalogue::LOCALIZE, Request::Localize { cues: Vec::new() }),
+            (Catalogue::TILES, Request::GetTile { z: 15, x: 0, y: 0 }),
         ];
         for server in [&server, &outdoor] {
             let catalogue = catalogue(server);
             for (kind, request) in &probes {
                 let answer = server.dispatch(&Principal::anonymous(), request.clone());
                 let offered = !matches!(answer, Response::Error { code: 2, .. });
-                let listed = catalogue.iter().any(|s| s == kind);
-                assert_eq!(listed, offered, "{}: {kind}", server.id());
+                let listed = catalogue.contains(*kind);
+                assert_eq!(listed, offered, "{}: {kind:?}", server.id());
             }
         }
     }

@@ -21,6 +21,7 @@ use crate::ServerError;
 use openflame_cells::{Region, RegionCoverer};
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_diag::{ranks, OrderedRwLock};
+use openflame_dns::Catalogue;
 use openflame_geo::{LatLng, Point2};
 use openflame_geocode::{reverse_geocode, Geocoder};
 use openflame_localize::{Estimate, LocationCue, RadioMap, TagRegistry};
@@ -129,7 +130,7 @@ struct Setup {
     /// advertisement drives which cues clients send).
     techs: Vec<String>,
     /// The catalogue (spec §9.1), the server's one kind list.
-    catalogue: Vec<String>,
+    catalogue: Catalogue,
 }
 
 /// The extent advertised for a registration cap (spec §13.1). The
@@ -238,25 +239,28 @@ impl MapServer {
         // A patch cannot change a map's georeference, so what follows
         // from it is fixed at spawn too.
         let anchored = matches!(config.map.georef(), GeoReference::Anchored { .. });
-        let mut techs = Vec::new();
-        if !config.tags.is_empty() {
-            techs.push("tag".to_string());
-        }
-        if !config.beacons.is_empty() {
-            techs.push("beacon".to_string());
-        }
-        if anchored {
-            techs.push("gnss".to_string());
-        }
+        let mut catalogue =
+            Catalogue::GEOCODE | Catalogue::SEARCH | Catalogue::ROUTE | Catalogue::LOCALIZE;
         // An unaligned map cannot place a geographic position, so it
         // offers neither of the kinds that need one.
-        let mut catalogue: Vec<String> = ["geocode", "search", "route", "localize"]
-            .map(String::from)
-            .into();
         if anchored {
-            catalogue.extend(["rgeocode", "tiles"].map(String::from));
+            catalogue = catalogue | Catalogue::RGEOCODE | Catalogue::TILES;
         }
-        catalogue.extend(techs.iter().map(|t| format!("localize:{t}")));
+        let mut techs = Vec::new();
+        for (accepted, tech, entry) in [
+            (!config.tags.is_empty(), "tag", Catalogue::LOCALIZE_TAG),
+            (
+                !config.beacons.is_empty(),
+                "beacon",
+                Catalogue::LOCALIZE_BEACON,
+            ),
+            (anchored, "gnss", Catalogue::LOCALIZE_GNSS),
+        ] {
+            if accepted {
+                techs.push(tech.to_string());
+                catalogue = catalogue | entry;
+            }
+        }
         let setup = Setup {
             id: config.id,
             tags: config.tags,
@@ -350,10 +354,10 @@ impl MapServer {
     }
 
     /// The catalogue the server publishes in DNS (spec §9.1): the
-    /// vocabulary kinds it offers, then one `localize:<tech>` entry per
-    /// localization technology it accepts.
-    pub(crate) fn catalogue(&self) -> &[String] {
-        &self.setup.catalogue
+    /// vocabulary kinds it offers, and one `localize:<tech>` bit per
+    /// localization technology it accepts. Fixed at spawn.
+    pub fn catalogue(&self) -> Catalogue {
+        self.setup.catalogue
     }
 
     /// The server's network endpoint.
@@ -764,23 +768,23 @@ mod tests {
         // The catalogue agrees with the map (spec §9.1): an unaligned
         // server answers no geographic query and renders no tile, and
         // its catalogue says so.
-        let lists = |server: &MapServer, kind: &str| server.catalogue().iter().any(|s| s == kind);
-        for kind in ["rgeocode", "tiles"] {
-            assert!(!lists(&server, kind), "{kind}");
+        for kind in [Catalogue::RGEOCODE, Catalogue::TILES] {
+            assert!(!server.catalogue().contains(kind), "{kind:?}");
         }
         // The anchored outdoor server offers both, and every server
-        // lists one `localize:` entry per technology it advertises.
+        // sets one `localize:` bit per technology it advertises.
         let (outdoor, _world) = outdoor_server(&net);
-        for kind in ["rgeocode", "tiles"] {
-            assert!(lists(&outdoor, kind), "{kind}");
+        for kind in [Catalogue::RGEOCODE, Catalogue::TILES] {
+            assert!(outdoor.catalogue().contains(kind), "{kind:?}");
         }
         for server in [&server, &outdoor] {
-            let listed: Vec<&str> = server
-                .catalogue()
-                .iter()
+            let mut listed: Vec<&str> = (server.catalogue().names())
                 .filter_map(|s| s.strip_prefix("localize:"))
                 .collect();
-            assert_eq!(listed, server.hello().localization_techs, "{}", server.id());
+            let mut techs = server.hello().localization_techs.clone();
+            listed.sort_unstable();
+            techs.sort_unstable();
+            assert_eq!(listed, techs, "{}", server.id());
         }
     }
 
@@ -1432,8 +1436,9 @@ mod tests {
         // The catalogue agrees with the map (spec §9.1).
         let hello = server.hello();
         assert!(hello.anchor.is_some());
-        assert!(server.catalogue().iter().any(|s| s == "tiles"));
-        assert!(server.catalogue().iter().any(|s| s == "localize:gnss"));
+        assert!(server
+            .catalogue()
+            .contains(Catalogue::TILES | Catalogue::LOCALIZE_GNSS));
         let (x, y) = openflame_geo::Mercator::tile_for(world.config.center, 15);
         let coord = TileCoord { z: 15, x, y };
         let runs = server.tile(&Principal::anonymous(), coord).unwrap();

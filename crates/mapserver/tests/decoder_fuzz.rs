@@ -16,7 +16,7 @@
 mod vectors;
 
 use openflame_dns::record::{Rcode, ResponseMsg};
-use openflame_dns::{DomainName, Record, RecordData};
+use openflame_dns::{Catalogue, DomainName, Record, RecordData};
 use openflame_mapserver::{Request, Response};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -106,7 +106,7 @@ fn several_runs() -> Vec<u8> {
     let mapsrv = |endpoint| RecordData::MapSrv {
         endpoint,
         server_id: format!("grocer-{endpoint}"),
-        services: vec!["search".into()],
+        catalogue: Catalogue::SEARCH,
     };
     let msg = ResponseMsg {
         rcode: Rcode::NoError,

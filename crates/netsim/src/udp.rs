@@ -136,6 +136,13 @@ pub struct QuicStats {
     pub packets_received: u64,
     /// Data/handshake packets re-sent on an RTO deadline.
     pub retransmits: u64,
+    /// Loss a receiver saw and a retransmit repaired: `Data` packets
+    /// that arrived into a packet-number gap above the dedup floor,
+    /// below a number already received (spec §6.2).
+    pub gaps_filled: u64,
+    /// Datagrams `send_to` refused with `WouldBlock` (a full send
+    /// buffer): lost at the sender, recovered only by retransmission.
+    pub send_would_block: u64,
 }
 
 // ---------------------------------------------------------------------
@@ -215,6 +222,12 @@ impl Dedup {
             self.settle();
         }
         true
+    }
+
+    /// Whether `n` falls in a gap: at or above the floor, below a
+    /// number already received.
+    fn in_gap(&self, n: u64) -> bool {
+        n >= self.floor && self.above.range(n + 1..).next().is_some()
     }
 
     /// Advances the floor over the receipts contiguous with it.
@@ -338,12 +351,20 @@ impl ConnState {
 
     /// Deduplicates and reassembles one `Data` packet; returns the
     /// completed frame bytes when this packet was the last missing
-    /// fragment. `retention` is the sender's give-up horizon: a number
-    /// it may still retransmit MUST stay seen (wire-protocol spec §6.2).
-    fn accept_data(&self, pkt: Packet, retention: Duration) -> Option<Vec<u8>> {
+    /// fragment. A number the sender may still retransmit (within
+    /// `wire`'s give-up horizon) MUST stay seen (wire-protocol spec
+    /// §6.2).
+    fn accept_data(&self, wire: &Wire, pkt: Packet) -> Option<Vec<u8>> {
         let mut recv = self.recv.lock();
-        if !recv.seen.accept(pkt.packet_no, Instant::now(), retention) {
+        let fills = recv.seen.in_gap(pkt.packet_no);
+        if !recv
+            .seen
+            .accept(pkt.packet_no, Instant::now(), wire.give_up_horizon())
+        {
             return None; // retransmitted duplicate
+        }
+        if fills {
+            wire.gaps_filled.fetch_add(1, Ordering::Relaxed);
         }
         if pkt.frag_count == 1 {
             return Some(pkt.payload);
@@ -416,6 +437,8 @@ struct Wire {
     packets_sent: AtomicU64,
     packets_received: AtomicU64,
     retransmits: AtomicU64,
+    gaps_filled: AtomicU64,
+    send_would_block: AtomicU64,
     /// Size of the served socket's connection table after its latest
     /// drain.
     #[cfg(test)]
@@ -439,7 +462,12 @@ impl Wire {
         // accounted for (the same charge-at-send discipline the TCP
         // backend uses for wire accounting).
         self.packets_sent.fetch_add(1, Ordering::Relaxed);
-        let _ = socket.send_to(datagram, peer);
+        // Any other error is the loss the RTO repairs, like a drop.
+        if let Err(e) = socket.send_to(datagram, peer) {
+            if e.kind() == io::ErrorKind::WouldBlock {
+                self.send_would_block.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Fragments one frame into numbered `Data` packets, records them
@@ -622,6 +650,8 @@ impl QuicLiteTransport {
                 packets_sent: AtomicU64::new(0),
                 packets_received: AtomicU64::new(0),
                 retransmits: AtomicU64::new(0),
+                gaps_filled: AtomicU64::new(0),
+                send_would_block: AtomicU64::new(0),
                 #[cfg(test)]
                 serve_table: Default::default(),
             }),
@@ -654,6 +684,8 @@ impl QuicLiteTransport {
             packets_sent: wire.packets_sent.load(Ordering::Relaxed),
             packets_received: wire.packets_received.load(Ordering::Relaxed),
             retransmits: wire.retransmits.load(Ordering::Relaxed),
+            gaps_filled: wire.gaps_filled.load(Ordering::Relaxed),
+            send_would_block: wire.send_would_block.load(Ordering::Relaxed),
         }
     }
 
@@ -1021,7 +1053,7 @@ fn client_packet(wire: &Wire, conn: &ConnState, src: SocketAddr, pkt: Packet) {
         }
         PacketType::Data => {
             wire.send_ack(&conn.sock.udp, src, pkt.conn_id, pkt.packet_no);
-            if let Some(frame_bytes) = conn.accept_data(pkt, wire.give_up_horizon()) {
+            if let Some(frame_bytes) = conn.accept_data(wire, pkt) {
                 if let Ok(frame) = read_frame(&mut &frame_bytes[..]) {
                     if let Some(demux) = &conn.demux {
                         demux.complete(frame.correlation, Ok(frame.payload));
@@ -1065,7 +1097,7 @@ impl ServeSock {
             PacketType::Data => {
                 *conn.peer.lock() = src;
                 wire.send_ack(&sock.udp, src, pkt.conn_id, pkt.packet_no);
-                if let Some(frame_bytes) = conn.accept_data(pkt, wire.give_up_horizon()) {
+                if let Some(frame_bytes) = conn.accept_data(wire, pkt) {
                     if self.served.down.load(Ordering::Relaxed) {
                         return; // a crashed process answers nothing
                     }
@@ -1277,6 +1309,32 @@ mod tests {
             "0-RTT reconnect ({best} packets) must beat the cold connect ({cold})"
         );
         assert!(best >= 4, "resumed exchange floor: {best}");
+    }
+
+    /// Loss the receiver sees: a dropped fragment leaves a gap above
+    /// the dedup floor that the fragments after it pass and a
+    /// retransmit fills. Each fill takes a retransmit.
+    #[test]
+    fn a_retransmit_fills_the_gap_a_drop_left() {
+        let (transport, client, server) = echo_transport();
+        transport.call(client, server, vec![0]).unwrap();
+        assert_eq!(transport.quic_stats().gaps_filled, 0, "no loss, no gap");
+        transport.set_drop_probability(0.2);
+        let payload: Vec<u8> = vec![7; 8_000];
+        let mut calls = 0;
+        while transport.quic_stats().gaps_filled == 0 && calls < 20 {
+            let transfer = transport
+                .call(client, server, payload.clone())
+                .expect("loss below the timeout must be recovered, not surfaced");
+            assert_eq!(transfer.payload, payload);
+            calls += 1;
+        }
+        transport.set_drop_probability(0.0);
+        let stats = transport.quic_stats();
+        assert!(
+            1 <= stats.gaps_filled && stats.gaps_filled <= stats.retransmits,
+            "{stats:?} after {calls} calls"
+        );
     }
 
     #[test]

@@ -66,7 +66,8 @@ fn main() {
     let servers = dep.client.discover(here).unwrap();
     println!("\ndiscovered at {here}:");
     for s in &servers {
-        println!("  {} ({} services)", s.server_id, s.services.len());
+        let catalogue: Vec<&str> = s.catalogue.names().collect();
+        println!("  {}: {}", s.server_id, catalogue.join(" "));
     }
 
     // Everything below goes through the provider trait: swap in a

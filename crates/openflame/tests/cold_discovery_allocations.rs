@@ -8,7 +8,8 @@
 //! allocate nothing. An answer names its owner once per run of records
 //! (spec §9.5), so decoding it builds one name buffer per run, and the
 //! resolver keeps that one decoded copy, shared with the caller, in its
-//! cache entry.
+//! cache entry. A record's service catalogue is one varint of bits
+//! (spec §9.1), so decoding and absorbing it copies no string.
 //!
 //! The fixture is `cold_sim`'s world on the simulator: 32 stores on a
 //! 12 × 12 block grid, 20 products each. Each venue's hint is
@@ -26,10 +27,17 @@
 //!   instead of copied into it: **1 841**
 //! - the root and TLD referrals asked once per batch, not once per
 //!   lookup: **1 532**
+//! - each record's catalogue one varint of bits, not a list of service
+//!   strings: **489**
 //!
 //! The bound sits between the first and the rest with room for
 //! toolchain growth policy; a return of per-label copies lands far
 //! above it. The upstream count pins one question per cell.
+//!
+//! Measured DNS response bytes per cold `discover_view` (median, the
+//! bytes every DNS server sent during the walk): **4 634** with
+//! catalogues as strings, **1 207** as bits. The bound sits between
+//! the two, so catalogue strings coming back fail it.
 
 use openflame_core::{Deployment, DeploymentConfig};
 use openflame_netsim::BackendKind;
@@ -79,6 +87,9 @@ fn allocations() -> u64 {
 /// shared names, owner runs and shared answers measure.
 const MAX_ALLOCATIONS_PER_COLD_DISCOVERY: u64 = 5_000;
 
+/// Between the 4 634 bytes of string catalogues and the 1 207 of bits.
+const MAX_DNS_RESPONSE_BYTES_PER_COLD_DISCOVERY: u64 = 2_500;
+
 /// One root referral and one TLD referral, shared by the batch's five
 /// lookups, then one answer per lookup (one `MAPSRV` question per cell;
 /// its answer carries the cell's `FLEETSRV` records, spec §9.1).
@@ -101,13 +112,27 @@ fn cold_discovery_shares_name_buffers_instead_of_copying_labels() {
         },
     );
     let discovery = dep.client.discovery();
-    let mut counts: Vec<u64> = dep
+    // What every DNS server has sent: the answers of the walk.
+    let dns_response_bytes = || {
+        [&dep.root_dns, &dep.tld_dns, &dep.cell_dns]
+            .into_iter()
+            .chain(&dep.shard_dns)
+            .map(|server| {
+                dep.transport
+                    .endpoint_stats(server.endpoint())
+                    .unwrap()
+                    .tx_bytes
+            })
+            .sum::<u64>()
+    };
+    let (mut counts, mut bytes): (Vec<u64>, Vec<u64>) = dep
         .world
         .venues
         .iter()
         .map(|venue| {
             dep.resolver.flush_cache();
             let upstream = dep.resolver.stats().upstream_queries;
+            let sent = dns_response_bytes();
             let before = allocations();
             let view = discovery.discover_view(venue.hint, true).unwrap();
             let spent = allocations() - before;
@@ -117,20 +142,32 @@ fn cold_discovery_shares_name_buffers_instead_of_copying_labels() {
                 UPSTREAM_PER_COLD_DISCOVERY,
                 "the count must measure a full cold walk of the batch"
             );
-            spent
+            (spent, dns_response_bytes() - sent)
         })
-        .collect();
+        .unzip();
     counts.sort_unstable();
+    bytes.sort_unstable();
     let median = counts[counts.len() / 2];
+    let median_bytes = bytes[bytes.len() / 2];
     println!(
         "cold discover_view allocations: median {median}, range {}-{} over {} venues",
         counts[0],
         counts[counts.len() - 1],
         counts.len()
     );
+    println!(
+        "cold discover_view DNS response bytes: median {median_bytes}, range {}-{}",
+        bytes[0],
+        bytes[bytes.len() - 1]
+    );
     assert!(
         median <= MAX_ALLOCATIONS_PER_COLD_DISCOVERY,
         "a cold discover_view made {median} allocations (bound \
          {MAX_ALLOCATIONS_PER_COLD_DISCOVERY}): DNS names are copying their labels again"
+    );
+    assert!(
+        median_bytes <= MAX_DNS_RESPONSE_BYTES_PER_COLD_DISCOVERY,
+        "a cold discover_view received {median_bytes} DNS response bytes (bound \
+         {MAX_DNS_RESPONSE_BYTES_PER_COLD_DISCOVERY}): catalogues are travelling as strings again"
     );
 }

@@ -3,7 +3,7 @@
 
 use openflame_codec::to_bytes;
 use openflame_core::{Deployment, DeploymentConfig, ProviderKind};
-use openflame_dns::ResolverConfig;
+use openflame_dns::{Catalogue, ResolverConfig};
 use openflame_geo::LatLng;
 use openflame_localize::{LocationCue, RadioMap};
 use openflame_mapserver::{AccessPolicy, Principal, Rule, ServiceKind};
@@ -83,7 +83,7 @@ fn partially_warm_search_pipelines_handshakes_without_extra_traffic() {
                 .partition(|s| dep.client.session().has_hello(s.endpoint));
             let cold_anchored = cold
                 .iter()
-                .filter(|s| s.services.iter().any(|kind| kind == "rgeocode"))
+                .filter(|s| s.catalogue.contains(Catalogue::RGEOCODE))
                 .count();
             (!cold.is_empty()).then(|| (p.clone(), near, warm.len(), cold.len(), cold_anchored))
         })

@@ -8,7 +8,9 @@ mod vectors;
 
 use openflame_codec::to_bytes;
 use openflame_dns::record::ResponseMsg;
-use openflame_dns::{DomainName, FleetReplica, FleetShard, Record, RecordData, RecordType, Zone};
+use openflame_dns::{
+    Catalogue, DomainName, FleetReplica, FleetShard, Record, RecordData, RecordType, Zone,
+};
 use openflame_mapserver::{Request, Response};
 use std::collections::BTreeSet;
 
@@ -69,7 +71,7 @@ fn a_fleet_only_cell_answers_mapsrv_with_the_fleet_only_vector() {
     let name = |s: &str| DomainName::parse(s).unwrap();
     let fleet = RecordData::FleetSrv {
         group_id: "grocer-1".into(),
-        services: vec!["search".into()],
+        catalogue: Catalogue::SEARCH,
         shards: vec![FleetShard {
             extents: vec![0x89c2_5a31, 5],
             replicas: vec![

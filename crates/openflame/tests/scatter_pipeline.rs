@@ -25,7 +25,7 @@ use openflame_core::{
     FleetShardView, FleetView, GeocodeQuery, OpenFlameClient, QueryKind, SearchQuery,
     SpatialProvider, TileQuery,
 };
-use openflame_dns::{Resolver, ResolverConfig};
+use openflame_dns::{Catalogue, Resolver, ResolverConfig};
 use openflame_geo::{LatLng, Mercator, Point2};
 use openflame_localize::LocationCue;
 use openflame_mapdata::{ElementId, NodeId};
@@ -95,7 +95,7 @@ fn stub(
     Arc::new(DiscoveredServer {
         server_id,
         endpoint,
-        services: vec!["localize:gnss".into()],
+        catalogue: Catalogue::LOCALIZE_GNSS,
     })
 }
 
@@ -319,7 +319,7 @@ fn judge(class: QueryKind, situation: Situation, warm: bool) -> Verdict {
         servers: vec![world.clone(), plain],
         fleets: vec![FleetView {
             group_id: "fleet".into(),
-            services: Vec::new(),
+            catalogue: Catalogue::default(),
             shards: vec![Arc::new(shard)],
         }],
     };

@@ -725,17 +725,17 @@ fn two_question_view(dep: &Deployment, hint: LatLng) -> DiscoveryView {
                 RecordData::MapSrv {
                     endpoint,
                     server_id,
-                    services,
+                    catalogue,
                 } if view.servers.iter().all(|s| s.server_id != server_id) => {
                     view.servers.push(Arc::new(DiscoveredServer {
                         server_id,
                         endpoint: EndpointId(endpoint),
-                        services,
+                        catalogue,
                     }));
                 }
                 RecordData::FleetSrv {
                     group_id,
-                    services,
+                    catalogue,
                     shards,
                 } if view.fleets.iter().all(|f| f.group_id != group_id) => {
                     let shards = shards
@@ -748,7 +748,7 @@ fn two_question_view(dep: &Deployment, hint: LatLng) -> DiscoveryView {
                                     Arc::new(DiscoveredServer {
                                         server_id: r.server_id,
                                         endpoint: EndpointId(r.endpoint),
-                                        services: services.clone(),
+                                        catalogue,
                                     })
                                 })
                                 .collect();
@@ -757,7 +757,7 @@ fn two_question_view(dep: &Deployment, hint: LatLng) -> DiscoveryView {
                         .collect();
                     view.fleets.push(FleetView {
                         group_id,
-                        services,
+                        catalogue,
                         shards,
                     });
                 }

@@ -444,39 +444,38 @@ pub fn table_rows(stripped: &str, enum_name: &str) -> Option<TagMap> {
     Some(rows)
 }
 
+/// Findings for every key (`tag` or `bit`) the two maps disagree on.
 fn diff_tag_maps(
     findings: &mut Vec<Finding>,
     file: &str,
-    what_a: &str,
-    a: &TagMap,
-    what_b: &str,
-    b: &TagMap,
+    key: &str,
+    (what_a, a): (&str, &TagMap),
+    (what_b, b): (&str, &TagMap),
 ) {
+    let mut push = |msg: String| {
+        findings.push(Finding {
+            file: file.to_string(),
+            line: 1,
+            rule: "wire-tags",
+            msg,
+        })
+    };
     for (tag, name) in a {
         match b.get(tag) {
-            None => findings.push(Finding {
-                file: file.to_string(),
-                line: 1,
-                rule: "wire-tags",
-                msg: format!("tag {tag} (`{name}`) present in {what_a} but missing from {what_b}"),
-            }),
-            Some(other) if other != name => findings.push(Finding {
-                file: file.to_string(),
-                line: 1,
-                rule: "wire-tags",
-                msg: format!("tag {tag} is `{name}` in {what_a} but `{other}` in {what_b}"),
-            }),
+            None => push(format!(
+                "{key} {tag} (`{name}`) present in {what_a} but missing from {what_b}"
+            )),
+            Some(other) if other != name => push(format!(
+                "{key} {tag} is `{name}` in {what_a} but `{other}` in {what_b}"
+            )),
             Some(_) => {}
         }
     }
     for (tag, name) in b {
         if !a.contains_key(tag) {
-            findings.push(Finding {
-                file: file.to_string(),
-                line: 1,
-                rule: "wire-tags",
-                msg: format!("tag {tag} (`{name}`) present in {what_b} but missing from {what_a}"),
-            });
+            push(format!(
+                "{key} {tag} (`{name}`) present in {what_b} but missing from {what_a}"
+            ));
         }
     }
 }
@@ -516,10 +515,9 @@ pub fn wire_tag_findings(sources: &[(&str, &str)], doc: &str) -> Vec<Finding> {
         diff_tag_maps(
             &mut out,
             file,
-            &format!("the `{table}` message table"),
-            &rows,
-            &format!("the spec §2.1 `{doc_name}` table"),
-            doc_rows,
+            "tag",
+            (&format!("the `{table}` message table"), &rows),
+            (&format!("the spec §2.1 `{doc_name}` table"), doc_rows),
         );
     }
     // spec §10 prose states the Busy envelope tag; keep it honest too.
@@ -542,6 +540,103 @@ pub fn wire_tag_findings(sources: &[(&str, &str)], doc: &str) -> Vec<Finding> {
             }
         }
     }
+    out
+}
+
+/// The `| bit | entry |` rows of the spec §9.1 catalogue table, or
+/// `None` if the spec has no such table.
+pub fn catalogue_bits_from_doc(doc: &str) -> Option<TagMap> {
+    let mut rows: Option<TagMap> = None;
+    for line in doc.lines().map(str::trim) {
+        let cells: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
+        match (&mut rows, cells.as_slice()) {
+            (None, ["bit", "entry"]) => rows = Some(TagMap::new()),
+            // The table ends at its first line that is not a row.
+            (Some(_), _) if !line.starts_with('|') => break,
+            (Some(rows), [bit, entry]) => {
+                if let Ok(bit) = bit.parse::<u8>() {
+                    rows.insert(bit, entry.trim_matches('`').to_string());
+                }
+            }
+            _ => {}
+        }
+    }
+    rows
+}
+
+/// The named bits `impl Catalogue` declares in `src`, twice over: each
+/// `const NAME: Self = Self(1 << N)` as bit → entry (`LOCALIZE_GNSS`
+/// spells `localize:gnss`), and the `NAMES` strings as index → entry.
+/// `None` if `src` has no `impl Catalogue`.
+pub fn catalogue_bits_from_source(src: &str) -> Option<(TagMap, TagMap)> {
+    let stripped = strip_comments_and_strings(src);
+    let start = stripped.find("impl Catalogue {")?;
+    let body_end = stripped[start..]
+        .find("\n}")
+        .map_or(stripped.len(), |p| start + p);
+    let body = &stripped[start..body_end];
+    let mut consts = TagMap::new();
+    let mut names = TagMap::new();
+    for (at, _) in body.match_indices("const ") {
+        let item = &body[at + "const ".len()..];
+        let ident = leading_ident(item);
+        let item = &item[..item.find(';').unwrap_or(item.len())];
+        if let Some(shift) = item.split("Self(1 << ").nth(1) {
+            if let Ok(bit) = shift.trim_end_matches(')').trim().parse::<u8>() {
+                consts.insert(bit, ident.to_ascii_lowercase().replace('_', ":"));
+            }
+        } else if ident == "NAMES" {
+            // Offsets survive stripping, so the literals are read from
+            // the raw source, between the item's `= [` and its `]`.
+            let list = src[start + at..].split_once("= [").map_or("", |(_, l)| l);
+            let list = &list[..list.find(']').unwrap_or(list.len())];
+            for (bit, name) in list.split('"').skip(1).step_by(2).enumerate() {
+                names.insert(bit as u8, name.to_string());
+            }
+        }
+    }
+    Some((consts, names))
+}
+
+/// Cross-checks the spec §9.1 catalogue bit table against `Catalogue`'s
+/// constants and its `NAMES`, entry for entry and bit for bit, in the
+/// first of `sources` that declares `impl Catalogue`.
+pub fn catalogue_bit_findings(sources: &[(&str, &str)], doc: &str) -> Vec<Finding> {
+    let doc_finding = |msg: &str| Finding {
+        file: "docs/wire-protocol.md".to_string(),
+        line: 1,
+        rule: "wire-tags",
+        msg: msg.to_string(),
+    };
+    let Some(doc_bits) = catalogue_bits_from_doc(doc) else {
+        return vec![doc_finding(
+            "could not find the `| bit | entry |` catalogue table of spec §9.1",
+        )];
+    };
+    let Some((file, (consts, names))) = sources
+        .iter()
+        .find_map(|(file, src)| Some((*file, catalogue_bits_from_source(src)?)))
+    else {
+        return vec![doc_finding(
+            "spec §9.1 states the catalogue bits but no source declares `impl Catalogue`",
+        )];
+    };
+    let mut out = Vec::new();
+    let doc_side = ("the spec §9.1 catalogue table", &doc_bits);
+    diff_tag_maps(
+        &mut out,
+        file,
+        "bit",
+        ("`Catalogue`'s constants", &consts),
+        doc_side,
+    );
+    diff_tag_maps(
+        &mut out,
+        file,
+        "bit",
+        ("`Catalogue::NAMES`", &names),
+        doc_side,
+    );
     out
 }
 
@@ -825,6 +920,7 @@ pub fn run_lint(root: &Path) -> (Vec<Finding>, usize) {
         .collect();
     let tables: Vec<(&str, &str)> = tables.iter().map(|(f, s)| (&**f, &**s)).collect();
     findings.extend(wire_tag_findings(&tables, &doc));
+    findings.extend(catalogue_bit_findings(&tables, &doc));
     if let Ok(ranks_src) = fs::read_to_string(root.join("crates/diag/src/ranks.rs")) {
         findings.extend(rank_doc_findings(&ranks_src, &doc));
     }

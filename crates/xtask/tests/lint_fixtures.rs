@@ -4,8 +4,8 @@
 use std::collections::BTreeSet;
 
 use xtask::{
-    doc_headings, forbidden_api_findings, mask_cfg_test_regions, rank_doc_findings,
-    spec_ref_findings, strip_comments_and_strings, wire_tag_findings,
+    catalogue_bit_findings, doc_headings, forbidden_api_findings, mask_cfg_test_regions,
+    rank_doc_findings, spec_ref_findings, strip_comments_and_strings, wire_tag_findings,
 };
 
 fn headings() -> BTreeSet<String> {
@@ -185,6 +185,96 @@ fn wire_tags_flags_stale_busy_prose() {
     let doc = GOOD_DOC.replace("response tag 2", "response tag 12");
     let f = wire_tags(GOOD_PROTOCOL, doc.as_str());
     assert!(f.iter().any(|f| f.msg.contains("\u{a7}10")));
+}
+
+// ---------------------------------------------------------------- wire-tags: catalogue bits
+
+const GOOD_CATALOGUE_DOC: &str = "\
+### 9.1 The record
+
+| bit | entry             |
+|----:|-------------------|
+|   0 | `search`          |
+|   1 | `rgeocode`        |
+|   2 | `localize:gnss`   |
+
+## 10. Overload
+";
+
+const GOOD_CATALOGUE: &str = r#"
+pub struct Catalogue(pub u32);
+
+impl Catalogue {
+    /// `search`.
+    pub const SEARCH: Self = Self(1 << 0);
+    pub const RGEOCODE: Self = Self(1 << 1);
+    pub const LOCALIZE_GNSS: Self = Self(1 << 2);
+    pub const KINDS: Self = Self(0b11);
+    pub const NAMES: [&'static str; 3] = ["search", "rgeocode", "localize:gnss"];
+
+    pub fn contains(self, entries: Self) -> bool {
+        self.0 & entries.0 == entries.0
+    }
+}
+"#;
+
+fn catalogue_bits(src: &str, doc: &str) -> Vec<xtask::Finding> {
+    catalogue_bit_findings(&[("protocol.rs", GOOD_PROTOCOL), ("record.rs", src)], doc)
+}
+
+#[test]
+fn catalogue_bits_known_good() {
+    assert_eq!(catalogue_bits(GOOD_CATALOGUE, GOOD_CATALOGUE_DOC), vec![]);
+}
+
+#[test]
+fn catalogue_bits_flag_a_swapped_bit() {
+    // Two constants trade bits; `NAMES` and the spec still agree.
+    let swapped = GOOD_CATALOGUE
+        .replace("SEARCH: Self = Self(1 << 0)", "SEARCH: Self = Self(1 << 1)")
+        .replace(
+            "RGEOCODE: Self = Self(1 << 1)",
+            "RGEOCODE: Self = Self(1 << 0)",
+        );
+    let f = catalogue_bits(&swapped, GOOD_CATALOGUE_DOC);
+    assert_eq!(f.len(), 2, "findings: {f:?}");
+    assert!(f
+        .iter()
+        .all(|f| f.file == "record.rs" && f.rule == "wire-tags"));
+    assert!(f[0]
+        .msg
+        .contains("bit 0 is `rgeocode` in `Catalogue`'s constants"));
+    // The same swap in the spec's table alone.
+    let doc = GOOD_CATALOGUE_DOC
+        .replace("0 | `search`  ", "0 | `rgeocode`")
+        .replace("1 | `rgeocode`", "1 | `search`  ");
+    let f = catalogue_bits(GOOD_CATALOGUE, &doc);
+    assert_eq!(f.len(), 4, "constants and names both disagree: {f:?}");
+}
+
+#[test]
+fn catalogue_bits_flag_a_misspelt_or_missing_entry() {
+    let misspelt = GOOD_CATALOGUE.replace("\"localize:gnss\"]", "\"localize:gps\"]");
+    let f = catalogue_bits(&misspelt, GOOD_CATALOGUE_DOC);
+    assert_eq!(f.len(), 1, "findings: {f:?}");
+    assert!(f[0].msg.contains("`localize:gps` in `Catalogue::NAMES`"));
+    let doc = GOOD_CATALOGUE_DOC.replace("|   2 | `localize:gnss`   |\n", "");
+    let f = catalogue_bits(GOOD_CATALOGUE, &doc);
+    assert_eq!(f.len(), 2, "findings: {f:?}");
+    assert!(f[0]
+        .msg
+        .contains("missing from the spec \u{a7}9.1 catalogue table"));
+}
+
+#[test]
+fn catalogue_bits_flag_a_table_or_type_that_went_missing() {
+    let f = catalogue_bits(GOOD_CATALOGUE, "## 9. Fleets\n");
+    assert!(f[0].msg.contains("could not find"), "{f:?}");
+    let f = catalogue_bits(GOOD_RECORDS, GOOD_CATALOGUE_DOC);
+    assert!(
+        f[0].msg.contains("no source declares `impl Catalogue`"),
+        "{f:?}"
+    );
 }
 
 // ---------------------------------------------------------------- forbidden-api

@@ -17,6 +17,7 @@
 //!   test `s5_2_stitched_routes_track_the_centralized_optimum`).
 
 use crate::client::{FederatedRoute, FederatedSearchHit, RouteLeg};
+use crate::discovery::accepts_cue;
 use crate::provider::{
     measured, tile_coord, GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome, LocalizeQuery,
     ProviderEstimate, ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome, RouteQuery,
@@ -291,15 +292,13 @@ impl SpatialProvider for CentralizedProvider {
 
     fn localize(&self, query: LocalizeQuery) -> Result<LocalizeOutcome, ClientError> {
         measured(self.transport().as_ref(), || {
-            // Send only the cues the server's advertisement accepts — for a
+            // Send only the cues the server's catalogue accepts — for a
             // centralized outdoor map that is GNSS and nothing else (paper §2:
             // coverage stops at the door). No accepted cues, no wire call.
-            let hello = self.session.hello(self.server.endpoint()).ok();
-            let techs = hello.as_deref().map_or(&[][..], |h| &h.localization_techs);
             let cues: Vec<LocationCue> = query
                 .cues
                 .into_iter()
-                .filter(|c| techs.iter().any(|t| t == c.technology()))
+                .filter(|c| accepts_cue(self.server.catalogue(), c))
                 .collect();
             let estimates = if cues.is_empty() {
                 Vec::new()
@@ -442,6 +441,38 @@ mod tests {
             route.is_some(),
             "omniscient graph must connect street to shelf"
         );
+    }
+
+    #[test]
+    fn localize_sends_the_cues_the_catalogue_accepts_without_a_handshake_first() {
+        let world = World::generate(WorldConfig::default());
+        let public = CentralizedProvider::public_only_on(BackendKind::Sim.build(3), &world);
+        let at = world.config.center;
+        let localize = |cues| {
+            let query = LocalizeQuery { coarse: at, cues };
+            let estimates = public.localize(query).unwrap().estimates;
+            let session = public.session().stats();
+            let messages = public.transport().stats().messages;
+            (
+                estimates,
+                (messages, session.batches, session.batched_requests),
+            )
+        };
+        // The outdoor map's catalogue accepts GNSS only: a beacon cue
+        // puts nothing on the wire, not even a handshake.
+        let (estimates, wire) = localize(vec![LocationCue::BeaconRssi {
+            readings: vec![(1, -60.0)],
+        }]);
+        assert!(estimates.is_empty());
+        assert_eq!(wire, (0, 0, 0));
+        // A GNSS cue is one envelope, the handshake riding it (spec §8).
+        let (estimates, wire) = localize(vec![LocationCue::Gnss {
+            fix: at,
+            accuracy_m: 4.0,
+        }]);
+        assert!(!estimates.is_empty());
+        assert_eq!(wire, (2, 1, 2), "Localize and Hello in one envelope");
+        assert!(public.session().has_hello(public.server.endpoint()));
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! [`openflame_netsim::QuicLiteTransport`]) — pick the backend with
 //! [`OpenFlameClientBuilder::build_on`].
 
-use crate::discovery::{DiscoveredServer, DiscoveryClient};
+use crate::discovery::{accepts_cue, DiscoveredServer, DiscoveryClient};
 use crate::fleet;
 use crate::plan::{self, Outage, PlannedTarget, QueryKind, ScatterPlan};
 use crate::provider::{
@@ -759,7 +759,7 @@ impl OpenFlameClient {
     }
 
     /// Federated localization: send each discovered server the cues its
-    /// advertisement accepts — one batched envelope per server, in one
+    /// catalogue accepts — one batched envelope per server, in one
     /// concurrent round — and gather the estimates, geo-anchored where
     /// the producing server is, best (smallest error) first
     /// (paper §5.2).
@@ -780,7 +780,7 @@ impl OpenFlameClient {
             |server, _| {
                 let matching: Vec<LocationCue> = cues
                     .iter()
-                    .filter(|c| server.accepts_cue(c))
+                    .filter(|c| accepts_cue(server.catalogue, c))
                     .cloned()
                     .collect();
                 (!matching.is_empty()).then_some(Request::Localize { cues: matching })

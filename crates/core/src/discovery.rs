@@ -45,15 +45,15 @@ impl DiscoveredServer {
             .intersects(Catalogue::KINDS)
             .then(|| self.catalogue.contains(kind.entry()))
     }
+}
 
-    /// Whether the server advertises the technology `cue` uses.
-    pub(crate) fn accepts_cue(&self, cue: &LocationCue) -> bool {
-        self.catalogue.contains(match cue {
-            LocationCue::Gnss { .. } => Catalogue::LOCALIZE_GNSS,
-            LocationCue::BeaconRssi { .. } => Catalogue::LOCALIZE_BEACON,
-            LocationCue::FiducialTag { .. } => Catalogue::LOCALIZE_TAG,
-        })
-    }
+/// Whether `catalogue` accepts the technology `cue` uses (spec §9.1).
+pub(crate) fn accepts_cue(catalogue: Catalogue, cue: &LocationCue) -> bool {
+    catalogue.contains(match cue {
+        LocationCue::Gnss { .. } => Catalogue::LOCALIZE_GNSS,
+        LocationCue::BeaconRssi { .. } => Catalogue::LOCALIZE_BEACON,
+        LocationCue::FiducialTag { .. } => Catalogue::LOCALIZE_TAG,
+    })
 }
 
 /// Counters for discovery behaviour.
@@ -447,9 +447,16 @@ mod tests {
         for (cue, entry) in &cues {
             let accepting = server(*entry | Catalogue::SEARCH);
             for (other, _) in &cues {
-                assert_eq!(accepting.accepts_cue(other), other == cue, "{entry:?}");
+                assert_eq!(
+                    accepts_cue(accepting.catalogue, other),
+                    other == cue,
+                    "{entry:?}"
+                );
             }
-            assert!(!server(Catalogue(u32::MAX << 9) | Catalogue::KINDS).accepts_cue(cue));
+            assert!(!accepts_cue(
+                Catalogue(u32::MAX << 9) | Catalogue::KINDS,
+                cue
+            ));
         }
     }
 }

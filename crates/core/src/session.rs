@@ -809,15 +809,13 @@ pub(crate) mod tests {
         );
     }
 
-    /// A minimal advertisement (no anchor, no coverage extent).
+    /// A minimal advertisement (no anchor, no coverage extent), told
+    /// apart from another stub's by its version, `id`.
     pub(crate) fn stub_hello(id: u64) -> HelloInfo {
         HelloInfo {
-            server_id: format!("stub-{id}"),
-            map_name: "cache-test".into(),
-            localization_techs: Vec::new(),
             anchor: None,
             portals: Vec::new(),
-            version: 1,
+            version: id,
             coverage: None,
         }
     }
@@ -1099,7 +1097,7 @@ pub(crate) mod tests {
             .unwrap();
         assert_eq!(versions(&responses), [0, 1, 2]);
         assert!(session.has_hello(server), "first contact taught it");
-        assert_eq!(session.cached_hello(server).unwrap().server_id, "stub-7");
+        assert_eq!(session.cached_hello(server).unwrap().version, 7);
         // Warm: the envelope is the caller's items and nothing else.
         let responses = session.batch(server, vec![probe()]).unwrap();
         assert_eq!(versions(&responses), [0]);

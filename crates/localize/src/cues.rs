@@ -25,17 +25,6 @@ pub enum LocationCue {
     },
 }
 
-impl LocationCue {
-    /// The technology name a server advertises to accept this cue.
-    pub fn technology(&self) -> &'static str {
-        match self {
-            LocationCue::Gnss { .. } => "gnss",
-            LocationCue::BeaconRssi { .. } => "beacon",
-            LocationCue::FiducialTag { .. } => "tag",
-        }
-    }
-}
-
 /// A localization estimate returned by a map server, expressed in the
 /// *server's own map frame* (paper §3: frames may be unaligned).
 #[derive(Debug, Clone, PartialEq)]
@@ -46,23 +35,4 @@ pub struct Estimate {
     pub error_m: f64,
     /// Technology that produced the estimate.
     pub technology: String,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn technology_names() {
-        let g = LocationCue::Gnss {
-            fix: LatLng::new(0.0, 0.0).unwrap(),
-            accuracy_m: 5.0,
-        };
-        assert_eq!(g.technology(), "gnss");
-        assert_eq!(
-            LocationCue::BeaconRssi { readings: vec![] }.technology(),
-            "beacon"
-        );
-        assert_eq!(LocationCue::FiducialTag { tag_id: 3 }.technology(), "tag");
-    }
 }

@@ -1,10 +1,11 @@
 //! The client ↔ map-server wire protocol.
 //!
 //! Every federated interaction in paper §5.2 maps to one request kind. The
-//! `Hello` exchange is how servers advertise their localization
-//! technologies, frame anchor and portal nodes, which the paper calls
-//! out explicitly ("the location cue sent to the map server depends on
-//! the localization technology advertised by the server").
+//! `Hello` exchange is how a server advertises what only it knows: its
+//! frame anchor, portal nodes, map version and extent. The localization
+//! technologies it accepts ("the location cue sent to the map server
+//! depends on the localization technology advertised by the server",
+//! paper §5.2) are its DNS catalogue's `localize:` bits (spec §9.1).
 //!
 //! The wire form of every message is declared once, in the message
 //! table at the bottom of this module (`openflame_codec::table`): each
@@ -128,13 +129,6 @@ pub enum Request {
 /// Server capability advertisement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HelloInfo {
-    /// Stable server identifier.
-    pub server_id: String,
-    /// Human-readable map name.
-    pub map_name: String,
-    /// Localization technologies accepted (`"beacon"`, `"tag"`,
-    /// `"gnss"`).
-    pub localization_techs: Vec<String>,
     /// For anchored maps, the geographic anchor of the local frame, so
     /// clients can convert geographic positions into the server's frame;
     /// `None` for an unaligned map.
@@ -147,8 +141,8 @@ pub struct HelloInfo {
     /// The extent the server commits its content to, for client-side
     /// query planning (spec §13). `None` when the server commits to no
     /// extent: clients MUST treat absent coverage as "unknown — never
-    /// prune". Which kinds the server offers is its DNS catalogue's to
-    /// say (spec §9.1), not the advertisement's.
+    /// prune". Which kinds and technologies the server offers is its DNS
+    /// catalogue's to say (spec §9.1), not the advertisement's.
     pub coverage: Option<CoverageExtent>,
 }
 
@@ -404,7 +398,6 @@ wire_enum! { Response, "Response" {
 } }
 
 wire_struct! { HelloInfo {
-    server_id, map_name, localization_techs,
     anchor: Opt<LatLngCodec>, portals: Seq<Pair<Own, LatLngCodec>>, version, coverage,
 } }
 wire_struct! { CoverageExtent { cells, center: LatLngCodec, radius_m } }
@@ -605,18 +598,12 @@ mod tests {
     fn responses_round_trip() {
         let cases = vec![
             Response::Hello(HelloInfo {
-                server_id: "grocer-1".into(),
-                map_name: "FreshMart #1".into(),
-                localization_techs: vec!["beacon".into(), "tag".into()],
                 anchor: None,
                 portals: vec![(17, openflame_geo::LatLng::new(40.0, -80.0).unwrap())],
                 version: 4,
                 coverage: None,
             }),
             Response::Hello(HelloInfo {
-                server_id: "grocer-2".into(),
-                map_name: "FreshMart #2".into(),
-                localization_techs: vec![],
                 anchor: Some(openflame_geo::LatLng::new(40.4, -79.9).unwrap()),
                 portals: vec![],
                 version: 7,
@@ -696,9 +683,6 @@ mod tests {
     #[test]
     fn coverage_hello_is_self_delimiting_inside_batches() {
         let hello = HelloInfo {
-            server_id: "cov-1".into(),
-            map_name: "Covered".into(),
-            localization_techs: vec![],
             anchor: None,
             portals: vec![],
             version: 3,

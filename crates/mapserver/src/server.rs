@@ -126,10 +126,9 @@ struct Setup {
     /// The committed extent (spec §13.1): the registration cap and its
     /// cell covering, computed once at spawn.
     extent: Option<CoverageExtent>,
-    /// The localization technologies accepted (paper §5.2: technology
-    /// advertisement drives which cues clients send).
-    techs: Vec<String>,
-    /// The catalogue (spec §9.1), the server's one kind list.
+    /// The catalogue (spec §9.1), the server's one list of the kinds it
+    /// offers and the localization technologies it accepts (paper §5.2:
+    /// technology advertisement drives which cues clients send).
     catalogue: Catalogue,
 }
 
@@ -199,9 +198,6 @@ impl Engines {
             GeoReference::Unaligned { .. } => None,
         };
         let hello = Arc::new(HelloInfo {
-            server_id: setup.id.clone(),
-            map_name: map.meta().name.clone(),
-            localization_techs: setup.techs.clone(),
             anchor,
             portals: setup.portals.iter().map(|(n, hint)| (n.0, *hint)).collect(),
             version: map.meta().version,
@@ -246,18 +242,12 @@ impl MapServer {
         if anchored {
             catalogue = catalogue | Catalogue::RGEOCODE | Catalogue::TILES;
         }
-        let mut techs = Vec::new();
-        for (accepted, tech, entry) in [
-            (!config.tags.is_empty(), "tag", Catalogue::LOCALIZE_TAG),
-            (
-                !config.beacons.is_empty(),
-                "beacon",
-                Catalogue::LOCALIZE_BEACON,
-            ),
-            (anchored, "gnss", Catalogue::LOCALIZE_GNSS),
+        for (accepted, entry) in [
+            (!config.tags.is_empty(), Catalogue::LOCALIZE_TAG),
+            (!config.beacons.is_empty(), Catalogue::LOCALIZE_BEACON),
+            (anchored, Catalogue::LOCALIZE_GNSS),
         ] {
             if accepted {
-                techs.push(tech.to_string());
                 catalogue = catalogue | entry;
             }
         }
@@ -268,7 +258,6 @@ impl MapServer {
             portals: config.portals,
             build_ch: config.build_ch,
             extent: registration_extent(config.location_hint, config.radius_m),
-            techs,
             catalogue,
         };
         let engines = Engines::build(config.map, &setup);
@@ -759,32 +748,27 @@ mod tests {
         let net = BackendKind::Sim.build(1);
         let (server, _world) = venue_server(&net);
         let hello = server.hello();
-        assert_eq!(hello.server_id, "venue0");
         assert_eq!(hello.anchor, None, "venue maps are unaligned");
-        assert!(hello.localization_techs.contains(&"beacon".to_string()));
-        assert!(hello.localization_techs.contains(&"tag".to_string()));
-        assert!(!hello.localization_techs.contains(&"gnss".to_string()));
         assert_eq!(hello.portals.len(), 1);
+        // The catalogue names the technologies the venue accepts: its
+        // beacons and tags, and no GNSS on an unaligned map.
+        let catalogue = server.catalogue();
+        assert!(catalogue.contains(Catalogue::LOCALIZE_BEACON | Catalogue::LOCALIZE_TAG));
+        assert!(!catalogue.contains(Catalogue::LOCALIZE_GNSS));
         // The catalogue agrees with the map (spec §9.1): an unaligned
         // server answers no geographic query and renders no tile, and
         // its catalogue says so.
         for kind in [Catalogue::RGEOCODE, Catalogue::TILES] {
-            assert!(!server.catalogue().contains(kind), "{kind:?}");
+            assert!(!catalogue.contains(kind), "{kind:?}");
         }
-        // The anchored outdoor server offers both, and every server
-        // sets one `localize:` bit per technology it advertises.
+        // The anchored outdoor server offers both, and accepts GNSS.
         let (outdoor, _world) = outdoor_server(&net);
-        for kind in [Catalogue::RGEOCODE, Catalogue::TILES] {
+        for kind in [
+            Catalogue::RGEOCODE,
+            Catalogue::TILES,
+            Catalogue::LOCALIZE_GNSS,
+        ] {
             assert!(outdoor.catalogue().contains(kind), "{kind:?}");
-        }
-        for server in [&server, &outdoor] {
-            let mut listed: Vec<&str> = (server.catalogue().names())
-                .filter_map(|s| s.strip_prefix("localize:"))
-                .collect();
-            let mut techs = server.hello().localization_techs.clone();
-            listed.sort_unstable();
-            techs.sort_unstable();
-            assert_eq!(listed, techs, "{}", server.id());
         }
     }
 

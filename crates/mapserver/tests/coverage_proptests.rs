@@ -30,31 +30,17 @@ fn arb_extent() -> impl Strategy<Value = CoverageExtent> {
 /// included.
 fn arb_hello() -> impl Strategy<Value = HelloInfo> {
     (
-        (
-            "[a-z0-9-]{1,12}",
-            "[a-zA-Z ]{0,16}",
-            proptest::collection::vec("[a-z]{1,6}", 0..3),
-        ),
-        (
-            proptest::option::of(arb_latlng()),
-            proptest::collection::vec((any::<u64>(), arb_latlng()), 0..4),
-            any::<u64>(),
-            proptest::option::of(arb_extent()),
-        ),
+        proptest::option::of(arb_latlng()),
+        proptest::collection::vec((any::<u64>(), arb_latlng()), 0..4),
+        any::<u64>(),
+        proptest::option::of(arb_extent()),
     )
-        .prop_map(
-            |((server_id, map_name, localization_techs), (anchor, portals, version, coverage))| {
-                HelloInfo {
-                    server_id,
-                    map_name,
-                    localization_techs,
-                    anchor,
-                    portals,
-                    version,
-                    coverage,
-                }
-            },
-        )
+        .prop_map(|(anchor, portals, version, coverage)| HelloInfo {
+            anchor,
+            portals,
+            version,
+            coverage,
+        })
 }
 
 proptest! {

@@ -29,7 +29,7 @@ const ROUNDS: usize = 4;
 
 /// A minimal map-protocol stub: answers every batched request with a
 /// `Hello`, like a server that only speaks capability discovery.
-fn stub_service(id: usize) -> Arc<dyn openflame_netsim::WireService> {
+fn stub_service() -> Arc<dyn openflame_netsim::WireService> {
     Arc::new(move |_from: EndpointId, payload: &[u8]| {
         let env: Envelope = openflame_codec::from_bytes(payload).expect("well-formed envelope");
         let Request::Batch(items) = env.request else {
@@ -39,9 +39,6 @@ fn stub_service(id: usize) -> Arc<dyn openflame_netsim::WireService> {
             .iter()
             .map(|_| {
                 Response::Hello(HelloInfo {
-                    server_id: format!("stub-{id}"),
-                    map_name: "stress".into(),
-                    localization_techs: Vec::new(),
                     anchor: None,
                     portals: Vec::new(),
                     version: 1,
@@ -59,7 +56,7 @@ fn build_fleet(shared: &Arc<dyn Transport>) -> (Vec<EndpointId>, Vec<Session>) {
     let servers: Vec<EndpointId> = (0..SERVERS)
         .map(|i| {
             let id = shared.register(&format!("stub-{i}"), None);
-            shared.set_service(id, stub_service(i));
+            shared.set_service(id, stub_service());
             id
         })
         .collect();

@@ -47,15 +47,8 @@ fn here() -> LatLng {
     LatLng::new(40.44, -79.94).unwrap()
 }
 
-fn advertisement(
-    server_id: &str,
-    anchor: Option<LatLng>,
-    portals: Vec<(u64, LatLng)>,
-) -> HelloInfo {
+fn advertisement(anchor: Option<LatLng>, portals: Vec<(u64, LatLng)>) -> HelloInfo {
     HelloInfo {
-        server_id: server_id.into(),
-        map_name: "stub".into(),
-        localization_techs: vec!["gnss".into()],
         anchor,
         portals,
         version: 1,
@@ -76,14 +69,14 @@ fn service(
     })
 }
 
-/// Registers a stub map server advertising `hello`; every item but
-/// `Hello` is answered by `answer`.
+/// Registers a stub map server named `server_id` advertising `hello`;
+/// every item but `Hello` is answered by `answer`.
 fn stub(
     net: &Net,
+    server_id: &str,
     hello: HelloInfo,
     answer: impl Fn(&Request) -> Response + Send + Sync + 'static,
 ) -> Arc<DiscoveredServer> {
-    let server_id = hello.server_id.clone();
     let endpoint = net.register(&format!("mapsrv:{server_id}"), None);
     net.set_service(
         endpoint,
@@ -93,7 +86,7 @@ fn stub(
         }),
     );
     Arc::new(DiscoveredServer {
-        server_id,
+        server_id: server_id.into(),
         endpoint,
         catalogue: Catalogue::LOCALIZE_GNSS,
     })
@@ -107,7 +100,8 @@ fn anchored_stub(
 ) -> Arc<DiscoveredServer> {
     stub(
         net,
-        advertisement(server_id, Some(here()), Vec::new()),
+        server_id,
+        advertisement(Some(here()), Vec::new()),
         answer,
     )
 }
@@ -286,7 +280,8 @@ fn judge(class: QueryKind, situation: Situation, warm: bool) -> Verdict {
     let replica = |server_id: &str| match class {
         QueryKind::Route => stub(
             &net,
-            advertisement(server_id, None, vec![(1, here())]),
+            server_id,
+            advertisement(None, vec![(1, here())]),
             switchable(),
         ),
         _ => anchored_stub(&net, server_id, switchable()),
@@ -543,7 +538,8 @@ fn portal_matrices_of_a_shape_not_asked_for_fail_the_route() {
     let outdoor = anchored_stub(&net, "outdoor", matrices(vec![vec![9.0, 9.0, 1.0]]));
     let venue = stub(
         &net,
-        advertisement("venue", None, portals),
+        "venue",
+        advertisement(None, portals),
         matrices(vec![vec![9.0], vec![9.0], vec![1.0]]),
     );
     let target = FederatedSearchHit {

@@ -12,18 +12,20 @@
 //! - **100–299 — netsim: the simulator, the socket core and its two
 //!   bindings.** The socket core's locks (`netsim.net.*`) are shared by
 //!   the TCP and QuicLite bindings, so their ranks bracket both
-//!   bindings' own: the core's outer locks (`dispatch_pool`,
-//!   `endpoints`) sit below every per-connection lock, its leaf locks
-//!   (`rng`, `stats`, `reactors`, `reactor_cmds`, `dispatch_queue`,
-//!   `demux`, `completion`) above them all. The chains that really nest — TCP: `endpoints` is held
+//!   bindings' own: the core's outer locks (`source`, `endpoints`) sit
+//!   below every per-connection lock, its leaf locks (`rng`, `stats`,
+//!   `dispatch_queue`, `demux`, `completion`) above them all. A pool
+//!   thread holds a `source` across that source's read and sweep,
+//!   which take the binding's connection locks and, to register or
+//!   retire a source, `dispatch_queue`. The chains that really nest — TCP: `endpoints` is held
 //!   while consulting a connection's demux (`obtain_conn`), a
 //!   connection's `out` queue while marking frames sent in the demux
 //!   (`flush`), its `rx` decoder while the reader completes
 //!   responses or kills the connection (`read_until`). QuicLite:
 //!   `client` is its outermost lock —
 //!   `obtain_conn` holds it across conn-id routing, the resume cache,
-//!   the unacked buffer, transmit (`rng`/`stats`) and placing the
-//!   client socket on the event loop (`reactors`, `reactor_cmds`).
+//!   the unacked buffer, transmit (`rng`/`stats`) and registering the
+//!   client socket on the event loop (`dispatch_queue`).
 //! - **300+ — the dispatch gauge.** Admission-control state is
 //!   consulted from the socket core's serve path, sometimes while the
 //!   `endpoints` table is held, never the other way around.
@@ -72,8 +74,9 @@ pub const SIM_NET: Rank = Rank::new(100, "netsim.sim.state");
 
 // The socket core (shared by both bindings).
 
-/// Socket-core dispatch-pool slot.
-pub const NET_DISPATCH_POOL: Rank = Rank::new(112, "netsim.net.dispatch_pool");
+/// One event-loop source: held by the pool thread running it, across
+/// its read, sweep and re-arm (never across a request).
+pub const NET_SOURCE: Rank = Rank::new(120, "netsim.net.source");
 /// Socket-core endpoint book (TCP holds it while consulting a conn's
 /// demux).
 pub const NET_ENDPOINTS: Rank = Rank::new(130, "netsim.net.endpoints");
@@ -82,12 +85,11 @@ pub const NET_ENDPOINTS: Rank = Rank::new(130, "netsim.net.endpoints");
 pub const NET_RNG: Rank = Rank::new(240, "netsim.net.rng");
 /// Socket-core global wire statistics.
 pub const NET_STATS: Rank = Rank::new(242, "netsim.net.stats");
-/// Socket-core event-loop spawn slot (QuicLite places its client socket
-/// under its client lock).
-pub const NET_REACTORS: Rank = Rank::new(246, "netsim.net.reactors");
-/// An event-loop thread's inbox of newly placed sources.
-pub const NET_REACTOR_CMDS: Rank = Rank::new(250, "netsim.net.reactor_cmds");
-/// The dispatch-pool job queue (paired with its condvar).
+/// The event loop's pool: its overflow queue of admitted requests, its
+/// waiter and parked counts and its source registry (paired with the
+/// condvar parked threads wait on; QuicLite registers its client socket
+/// under its client lock, a listener its accepted connections under
+/// its source lock).
 pub const NET_DISPATCH_QUEUE: Rank = Rank::new(252, "netsim.net.dispatch_queue");
 /// A connection's correlation demux.
 pub const NET_DEMUX: Rank = Rank::new(254, "netsim.net.demux");

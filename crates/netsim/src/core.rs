@@ -17,15 +17,10 @@
 //!   handle tears the whole backend down;
 //! - **frame-level charging** and the pending-call success path
 //!   ([`SocketPending`]);
-//! - **the event loop** ([`EventLoop`]): the one `poll(2)` loop every
-//!   socket of either binding lives on, as a [`Source`] — lazy
-//!   spawning, round-robin placement, inbox adoption, the waker, the
-//!   shutdown check and the poll deadline, written once
-//!   (`crate::reactor` stays the lock-free syscall wrapper under it);
-//! - **serve-side dispatch**: [`ServeJob`], the one
-//!   [`spawn_dispatch_pool`] and its [`JobQueue`] — one queue behind
-//!   one condvar, so a queued job wakes exactly one worker — and the
-//!   admit-or-shed step ([`Served::admit`]) every decode path runs;
+//! - **the event loop** ([`EventLoop`]): one pool of threads on one
+//!   `epoll` set, every socket of either binding a [`Source`] on it,
+//!   and the admit-or-shed step ([`Served::admit`]) every decode path
+//!   runs. The thread that reads a request runs it ([`ServeJob`]);
 //! - **the only [`Transport`] impl for socket backends**, generic over
 //!   a small [`Binding`]: how to bind a served endpoint, put an encoded
 //!   frame on the wire, decide what a failed call means, and cut on
@@ -34,10 +29,6 @@
 //!   (tcp does; QuicLite leaves it to the loop). `tcp` supplies
 //!   streams, `udp` reliable datagrams — each as sources on the loop;
 //!   neither can restate the semantics above, so the two cannot drift.
-//!   The loop and the dispatch pool are the only threads a socket
-//!   transport has; callers and workers do socket I/O on their own
-//!   threads where a binding lets them, but no request ever executes
-//!   on a loop thread.
 //!
 //! Traffic counters are charged on the waiting side when a completion
 //! is claimed and include the frame header. A call whose request frame
@@ -45,7 +36,8 @@
 //! then fails — the bytes were really spent — while calls that never
 //! reach a socket charge nothing.
 
-use crate::reactor::{poll_fds, PollFd, Waker, POLLIN};
+use crate::reactor::{self, Epoll, Ready, EPOLLET, EPOLLIN, EPOLLONESHOT, EPOLLOUT};
+use crate::reactor::{EPOLL_CTL_ADD, EPOLL_CTL_DEL, EPOLL_CTL_MOD};
 use crate::stats::{EndpointLatency, EndpointStats, NetStats};
 use crate::transport::{
     CallHandle, DispatchGauge, OverloadPolicy, PendingCall, Transfer, Transport, WireService,
@@ -57,8 +49,10 @@ use openflame_geo::LatLng;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::{HashMap, VecDeque};
+use std::fs::File;
 use std::io;
 use std::net::SocketAddr;
+use std::os::fd::{AsRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -272,8 +266,7 @@ pub(crate) struct Shared {
     pub(crate) orphans: Arc<AtomicU64>,
     /// Requests shed by admission control, transport-wide.
     shed: AtomicU64,
-    /// Live worker threads, whatever the binding spawns plus the
-    /// dispatch pool.
+    /// Live pool threads.
     pub(crate) threads: Arc<AtomicUsize>,
     /// Set when the last transport handle drops; every worker exits on
     /// its next wakeup, releasing sockets and service handles.
@@ -326,7 +319,7 @@ pub(crate) struct Endpoint<C> {
     latency: EndpointLatency,
     /// Admission book for the endpoint's serve path (policy, live
     /// dispatch depth, per-principal split); shared with the serve
-    /// path and the dispatch workers.
+    /// path and the requests it admitted.
     pub(crate) gauge: Arc<DispatchGauge>,
     /// The binding's client-side state *toward* this endpoint.
     pub(crate) conns: C,
@@ -340,10 +333,8 @@ pub(crate) struct Core<B: Binding> {
     next_id: AtomicU64,
     next_corr: AtomicU64,
     pub(crate) endpoints: OrderedMutex<HashMap<EndpointId, Endpoint<B::Conns>>>,
-    /// The transport-wide dispatch pool's job queue (the pool spawns
-    /// lazily with the first served endpoint).
-    dispatch: OrderedMutex<Option<Arc<JobQueue<B::Sink>>>>,
-    /// The event-loop threads every socket of this transport lives on.
+    /// The pool every socket of this transport lives on and every
+    /// request it serves runs on.
     pub(crate) event_loop: Arc<EventLoop<B::Source>>,
     pub(crate) shared: Arc<Shared>,
     pub(crate) state: B::State,
@@ -351,28 +342,26 @@ pub(crate) struct Core<B: Binding> {
 
 impl<B: Binding> Drop for Core<B> {
     fn drop(&mut self) {
-        // Each loop thread exits on this wake, dropping its listeners
-        // (releasing their ports), connections and service handles, and
-        // each dispatch worker on the same flag. O(threads) however many
-        // endpoints served.
+        // Each pool thread exits on this wake (a running request
+        // first finishes), and the first drops every source: listeners
+        // (releasing their ports), connections and service handles.
+        // O(threads) however many endpoints served.
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.event_loop.wake_all();
-        if let Some(queue) = self.dispatch.lock().as_ref() {
-            queue.unwind();
-        }
+        self.event_loop.unwind();
     }
 }
 
 impl<B: Binding> Core<B> {
-    /// `loop_threads` is the event-loop thread budget.
-    pub(crate) fn new(shared: Arc<Shared>, state: B::State, loop_threads: usize) -> Arc<Self> {
+    /// At most `waiters` pool threads wait for events at once; the pool
+    /// keeps [`Binding::DISPATCH_WORKERS`] more.
+    pub(crate) fn new(shared: Arc<Shared>, state: B::State, waiters: usize) -> Arc<Self> {
+        let threads = waiters + B::DISPATCH_WORKERS;
         Arc::new(Self {
             epoch: Instant::now(),
             next_id: AtomicU64::new(1),
             next_corr: AtomicU64::new(1),
             endpoints: OrderedMutex::new(ranks::NET_ENDPOINTS, HashMap::new()),
-            dispatch: OrderedMutex::new(ranks::NET_DISPATCH_POOL, None),
-            event_loop: EventLoop::new(shared.clone(), loop_threads, B::KIND),
+            event_loop: EventLoop::new(shared.clone(), waiters, threads, B::KIND),
             shared,
             state,
         })
@@ -381,13 +370,6 @@ impl<B: Binding> Core<B> {
     /// The socket address an endpoint listens on, if it serves.
     pub(crate) fn listen_addr(&self, id: EndpointId) -> Option<SocketAddr> {
         self.endpoints.lock().get(&id).and_then(|e| e.addr)
-    }
-
-    fn dispatch_queue(&self) -> Arc<JobQueue<B::Sink>> {
-        self.dispatch
-            .lock()
-            .get_or_insert_with(|| spawn_dispatch_pool(B::DISPATCH_WORKERS, B::KIND, &self.shared))
-            .clone()
     }
 
     /// Puts one request on the wire: resolve the destination, refuse a
@@ -528,7 +510,8 @@ pub(crate) struct Sent<B: Binding> {
 pub(crate) trait Binding: Send + Sync + Sized + 'static {
     /// [`Transport::kind`] label.
     const KIND: &'static str;
-    /// Size of the transport-wide dispatch pool.
+    /// Pool threads beyond the waiters: what runs requests while the
+    /// waiters keep reading.
     const DISPATCH_WORKERS: usize;
     /// Handle-owned binding state (client socket, resumption cache, ...).
     type State: Send + Sync;
@@ -538,15 +521,13 @@ pub(crate) trait Binding: Send + Sync + Sized + 'static {
     type Conns: Default + Send;
     /// What one call in flight keeps beyond the core's cell.
     type Flight: Send;
-    /// Where a served request's answer goes.
-    type Sink: ReplySink;
 
     fn core(&self) -> &Arc<Core<Self>>;
 
     /// Binds a listener for a served endpoint and places it on the
     /// event loop, feeding its decoded request frames to
     /// [`Served::admit`]; returns the address callers dial.
-    fn serve(core: &Core<Self>, served: Served<Self::Sink>) -> SocketAddr;
+    fn serve(core: &Core<Self>, served: Served) -> SocketAddr;
 
     /// Registers `out.corr` with the carrying connection's demux and
     /// puts the encoded frame on the wire toward `out.to`.
@@ -671,7 +652,6 @@ impl<B: Binding> Transport for B {
                 down,
                 service,
                 gauge,
-                dispatch: core.dispatch_queue(),
                 shared: core.shared.clone(),
             },
         );
@@ -773,183 +753,374 @@ impl<B: Binding> Transport for B {
 // The event loop.
 // ---------------------------------------------------------------------
 
-/// What a [`Source`]'s per-turn sweep tells the loop.
+/// What a [`Source`]'s sweep tells the loop.
 pub(crate) enum Sweep {
     /// Drop the source (closing whatever it owns).
     Retire,
     /// Keep it; it needs nothing but readiness.
     Idle,
-    /// Keep it, and turn the loop again no later than this instant.
+    /// Keep it, and sweep it again no later than this instant.
     Due(Instant),
 }
 
-/// One thing an event-loop thread polls: a socket (or listener) and the
-/// state behind it. Sources never migrate between loop threads; what a
-/// source shares with callers or workers (a binding's choice) sits
-/// behind that binding's own locks.
+/// The requests one turn of a source admitted, in arrival order.
+pub(crate) type Jobs<S> = Vec<ServeJob<<S as Source>::Sink>>;
+
+/// One socket (or listener) on the event loop and the state behind it,
+/// run by one thread at a time. What it shares with callers or running
+/// requests sits behind its binding's own locks.
 pub(crate) trait Source: Send + Sized + 'static {
-    /// The poll interest for this turn; `None` keeps the fd out of the
-    /// set entirely (nothing to wait for until the waker fires).
-    fn interest(&self) -> Option<PollFd>;
+    /// Where the requests this source decodes are answered.
+    type Sink: ReplySink;
 
-    /// The fd registered by [`Source::interest`] reported `ready`.
-    /// `el` places sockets this event creates (accepted connections).
-    fn ready(&mut self, ready: PollFd, el: &Arc<EventLoop<Self>>);
+    /// The readiness to wait for next (`EPOLLIN`/`EPOLLOUT` bits); 0
+    /// leaves the fd disarmed until a [`Handle::nudge`].
+    fn interest(&self) -> u32;
 
-    /// Runs once per loop turn, before the poll set is built: retire
-    /// what finished or was killed from outside the loop, do whatever
-    /// work is due at `now`, and name the next instant work falls due.
-    fn sweep(&mut self, now: Instant) -> Sweep;
+    /// The fd reported `ready`; `el` registers accepted sockets, and
+    /// admitted requests go to `jobs`.
+    fn ready(&mut self, ready: Ready, el: &Arc<EventLoop<Self>>, jobs: &mut Jobs<Self>);
+
+    /// Runs after each event, nudge and deadline: retire what finished,
+    /// do what is due at `now`, and name when work next falls due.
+    fn sweep(&mut self, now: Instant, jobs: &mut Jobs<Self>) -> Sweep;
 }
 
-/// The cross-thread face of one event-loop thread: the queue other
-/// threads hand it new sources through, plus the waker that pops its
-/// `poll`.
-pub(crate) struct Inbox<S> {
-    adopt: OrderedMutex<Vec<S>>,
-    pub(crate) waker: Waker,
+/// A registered source's cross-thread face, for a thread that changed
+/// what the source must do.
+pub(crate) struct Handle {
+    epoll: Arc<Epoll>,
+    fd: RawFd,
+    token: u64,
+    /// Set by a nudge, which the re-arm of a thread running the source
+    /// may overwrite: that thread sweeps again when it finds this set.
+    nudged: AtomicBool,
 }
 
-impl<S> Inbox<S> {
-    pub(crate) fn push(&self, source: S) {
-        self.adopt.lock().push(source);
-        self.waker.wake();
+impl Handle {
+    /// Has the loop sweep this source soon: re-arms its fd for either
+    /// readiness. Every socket a binding nudges is writable, about to be
+    /// (a dial resolving), or hung up, so the event follows at once.
+    pub(crate) fn nudge(&self) {
+        self.nudged.store(true, Ordering::SeqCst);
+        let events = EPOLLIN | EPOLLOUT | EPOLLONESHOT;
+        // ENOENT once the source retired: nothing left to nudge.
+        let _ = (self.epoll).ctl(EPOLL_CTL_MOD, self.fd, events, self.token << 1);
     }
 }
 
-/// The event loop, written once for both bindings: a fixed pool of
-/// threads, each multiplexing the sources placed on it with `poll(2)`.
-/// One turn is *shutdown check → adopt the inbox → sweep → poll →
-/// drain the waker → dispatch what is ready*; the poll timeout is the
-/// earliest [`Sweep::Due`] and infinite without one, so a loop with
-/// nothing due does not tick. Threads spawn lazily with the first
-/// placed source and exit on the first wakeup after
-/// [`Shared::shutdown`] is set, dropping every source they own.
-pub(crate) struct EventLoop<S: Source> {
-    inboxes: Vec<Arc<Inbox<S>>>,
-    next: AtomicUsize,
-    spawned: OrderedMutex<bool>,
-    kind: &'static str,
-    shared: Arc<Shared>,
-    /// Loop turns taken so far, all threads together.
-    #[cfg(test)]
-    turns: AtomicU64,
+struct Slot<S> {
+    handle: Arc<Handle>,
+    /// The source, `None` once retired, and its deadline timer (armed?).
+    live: OrderedMutex<Option<(S, Option<(OwnedFd, bool)>)>>,
 }
 
+/// The pool's books, behind the lock of the condvar parked threads
+/// wait on.
+struct Pool<S: Source> {
+    /// The overflow queue: requests no thread could run at once.
+    jobs: VecDeque<ServeJob<S::Sink>>,
+    /// Threads in `epoll_wait`, or committed to it.
+    waiters: usize,
+    /// Waiter slots handed to parked threads not yet awake.
+    promoted: usize,
+    parked: usize,
+    spawned: bool,
+    /// Sources by token; an event carries `token << 1`, or `token << 1
+    /// | 1` for the timer, and the shutdown eventfd [`STOP`].
+    sources: HashMap<u64, Arc<Slot<S>>>,
+}
+
+const STOP: u64 = 0;
+
+/// What a pool thread does next.
+enum Next<J> {
+    Wait,
+    Run(J),
+    Idle,
+    Exit,
+}
+
+/// The event loop, written once for both bindings: one pool of threads
+/// on one `epoll` set, every fd one-shot, at most `waiters` threads in
+/// `epoll_wait` and the rest parked (the rules: spec Appendix A). A
+/// deadline is a per-source `timerfd`, so a loop with nothing due does
+/// not wake. Threads spawn with the first source and exit once
+/// [`Shared::shutdown`] is set and [`EventLoop::unwind`] wakes them.
+pub(crate) struct EventLoop<S: Source> {
+    epoll: Arc<Epoll>,
+    /// The shutdown eventfd, level-triggered: it wakes every waiter.
+    stop: File,
+    pool: OrderedMutex<Pool<S>>,
+    wake: OrderedCondvar,
+    next_token: AtomicU64,
+    waiters: usize,
+    threads: usize,
+    kind: &'static str,
+    shared: Arc<Shared>,
+    /// Events taken, parked threads promoted, and requests queued, so
+    /// far (indexed by [`TURNS`], [`PROMOTIONS`], [`PUSHES`]).
+    #[cfg(test)]
+    counts: [AtomicU64; 3],
+}
+
+#[cfg(test)]
+const TURNS: usize = 0;
+#[cfg(test)]
+const PROMOTIONS: usize = 1;
+#[cfg(test)]
+const PUSHES: usize = 2;
+
 impl<S: Source> EventLoop<S> {
-    pub(crate) fn new(shared: Arc<Shared>, threads: usize, kind: &'static str) -> Arc<Self> {
-        let inbox = |_| {
-            Arc::new(Inbox {
-                adopt: OrderedMutex::new(ranks::NET_REACTOR_CMDS, Vec::new()),
-                waker: Waker::new().expect("create event-loop waker"),
-            })
-        };
+    /// `waiters` threads at most wait for events, out of `threads`.
+    pub(crate) fn new(
+        shared: Arc<Shared>,
+        waiters: usize,
+        threads: usize,
+        kind: &'static str,
+    ) -> Arc<Self> {
+        let epoll = Arc::new(Epoll::new().expect("create the epoll set"));
+        let stop = reactor::eventfd_new().expect("create the shutdown eventfd");
+        (epoll.ctl(EPOLL_CTL_ADD, stop.as_raw_fd(), EPOLLIN, STOP)).expect("register shutdown");
         Arc::new(Self {
-            inboxes: (0..threads).map(inbox).collect(),
-            next: AtomicUsize::new(0),
-            spawned: OrderedMutex::new(ranks::NET_REACTORS, false),
+            epoll,
+            stop,
+            pool: OrderedMutex::new(
+                ranks::NET_DISPATCH_QUEUE,
+                Pool {
+                    jobs: VecDeque::new(),
+                    waiters: 0,
+                    promoted: 0,
+                    parked: 0,
+                    spawned: false,
+                    sources: HashMap::new(),
+                },
+            ),
+            wake: OrderedCondvar::new(),
+            next_token: AtomicU64::new(1),
+            waiters,
+            threads,
             kind,
             shared,
             #[cfg(test)]
-            turns: AtomicU64::new(0),
+            counts: Default::default(),
         })
     }
 
-    /// The event-loop thread budget.
-    pub(crate) fn threads(&self) -> usize {
-        self.inboxes.len()
+    /// The most threads that wait for events at once.
+    pub(crate) fn waiters(&self) -> usize {
+        self.waiters
     }
 
     #[cfg(test)]
-    pub(crate) fn turns(&self) -> u64 {
-        self.turns.load(Ordering::SeqCst)
+    pub(crate) fn count(&self, which: usize) -> u64 {
+        self.counts[which].load(Ordering::SeqCst)
     }
 
-    /// Round-robin placement: the inbox of the thread that will own the
-    /// next source (sources never migrate). Spawns the pool on first
-    /// use.
-    pub(crate) fn pick(self: &Arc<Self>) -> &Arc<Inbox<S>> {
-        let mut spawned = self.spawned.lock();
-        if !*spawned {
-            *spawned = true;
-            for idx in 0..self.inboxes.len() {
+    /// A handle for `fd`, for its source to keep before it is added.
+    pub(crate) fn handle(&self, fd: RawFd) -> Arc<Handle> {
+        Arc::new(Handle {
+            epoll: self.epoll.clone(),
+            fd,
+            token: self.next_token.fetch_add(1, Ordering::Relaxed),
+            nudged: AtomicBool::new(false),
+        })
+    }
+
+    /// Registers `source` under `handle`, armed for its interest (its
+    /// first sweep follows its first event); spawns the pool once.
+    pub(crate) fn add(self: &Arc<Self>, handle: Arc<Handle>, source: S) {
+        let events = source.interest() | EPOLLONESHOT;
+        let (fd, token) = (handle.fd, handle.token);
+        let live = OrderedMutex::new(ranks::NET_SOURCE, Some((source, None)));
+        let mut pool = self.pool.lock();
+        if !std::mem::replace(&mut pool.spawned, true) {
+            for idx in 0..self.threads {
                 let guard = ThreadGuard::enter(&self.shared.threads);
                 let el = self.clone();
                 thread::Builder::new()
-                    .name(format!("ofl-{}-loop-{idx}", self.kind))
+                    .name(format!("ofl-{}-{idx}", self.kind))
                     .spawn(move || {
                         let _guard = guard;
-                        el.run(idx);
+                        el.run();
                     })
-                    .expect("spawn event loop");
+                    .expect("spawn a pool thread");
             }
         }
-        drop(spawned);
-        &self.inboxes[self.next.fetch_add(1, Ordering::Relaxed) % self.inboxes.len()]
+        pool.sources.insert(token, Arc::new(Slot { handle, live }));
+        drop(pool);
+        (self.epoll.ctl(EPOLL_CTL_ADD, fd, events, token << 1)).expect("register a source");
     }
 
-    /// Wakes every thread so each observes the shutdown flag now.
-    fn wake_all(&self) {
-        for inbox in &self.inboxes {
-            inbox.waker.wake();
+    /// Wakes every thread to observe [`Shared::shutdown`], already set.
+    fn unwind(&self) {
+        reactor::signal(&self.stop);
+        // Taking the lock first means no thread is between its check
+        // and its wait.
+        drop(self.pool.lock());
+        self.wake.notify_all();
+    }
+
+    /// Chooses what a thread between events or requests does next.
+    fn next(&self, pool: &mut Pool<S>) -> Next<ServeJob<S::Sink>> {
+        if self.shared.shutdown.load(Ordering::SeqCst) {
+            Next::Exit
+        } else if pool.promoted > 0 {
+            // The waiter slot was counted when it was handed over.
+            pool.promoted -= 1;
+            Next::Wait
+        } else if let Some(job) = pool.jobs.pop_front() {
+            Next::Run(job)
+        } else if pool.waiters < self.waiters {
+            pool.waiters += 1;
+            Next::Wait
+        } else {
+            Next::Idle
         }
     }
 
-    fn run(self: Arc<Self>, idx: usize) {
-        let inbox = &self.inboxes[idx];
-        let mut sources: Vec<S> = Vec::new();
-        let mut fds: Vec<PollFd> = Vec::new();
+    fn run(self: Arc<Self>) {
+        let mut jobs = Vec::new();
+        let mut next = Next::Idle;
         loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            sources.append(&mut inbox.adopt.lock());
-            let now = Instant::now();
-            let mut due: Option<Instant> = None;
-            sources.retain_mut(|source| match source.sweep(now) {
-                Sweep::Retire => false,
-                Sweep::Idle => true,
-                Sweep::Due(at) => {
-                    due = Some(due.map_or(at, |d| d.min(at)));
-                    true
+            next = match next {
+                Next::Exit => break,
+                Next::Idle => {
+                    let mut pool = self.pool.lock();
+                    loop {
+                        match self.next(&mut pool) {
+                            Next::Idle => {
+                                pool.parked += 1;
+                                pool = self.wake.wait(pool);
+                                pool.parked -= 1;
+                            }
+                            next => break next,
+                        }
+                    }
                 }
-            });
-            // Slot 0 is the waker, slot i + 1 source i; `poll` skips
-            // the negative fd of a source with no interest.
-            fds.clear();
-            fds.push(PollFd::new(inbox.waker.rx_fd(), POLLIN));
-            fds.extend(sources.iter().map(|source| {
-                let idle = PollFd::new(-1, 0);
-                source.interest().unwrap_or(idle)
-            }));
-            // `poll` counts whole milliseconds: round a deadline up so
-            // the turn it buys finds its work due.
-            let timeout_ms = due.map_or(-1, |at| {
-                let wait = at.saturating_duration_since(Instant::now());
-                wait.as_micros().div_ceil(1_000).min(i32::MAX as u128) as i32
-            });
-            if poll_fds(&mut fds, timeout_ms).is_err() {
-                // EBADF/ENOMEM-class failure: back off instead of
-                // spinning.
-                thread::sleep(Duration::from_millis(1));
-                continue;
+                Next::Run(job) => self.serve(job),
+                Next::Wait => match self.lead(&mut jobs) {
+                    Some(job) => self.serve(job),
+                    None => Next::Exit,
+                },
+            };
+        }
+        let sources = std::mem::take(&mut self.pool.lock().sources);
+        drop(sources); // outside the lock
+    }
+
+    /// Runs one request, choosing what to do next before the reply goes
+    /// out, so the caller it wakes finds this thread counted.
+    fn serve(&self, job: ServeJob<S::Sink>) -> Next<ServeJob<S::Sink>> {
+        let (sink, corr, response) = job.execute();
+        let next = self.next(&mut self.pool.lock());
+        sink.reply(corr, response);
+        next
+    }
+
+    /// Waits for events until one admits a request this thread runs;
+    /// `None` once the transport unwinds.
+    fn lead(self: &Arc<Self>, jobs: &mut Jobs<S>) -> Option<ServeJob<S::Sink>> {
+        loop {
+            let (token, ready) = match self.epoll.wait_one(-1) {
+                Ok(Some(event)) => event,
+                Ok(None) => continue,
+                Err(_) => {
+                    // ENOMEM-class failure: back off instead of spinning.
+                    thread::sleep(Duration::from_millis(1));
+                    continue;
+                }
+            };
+            if token == STOP || self.shared.shutdown.load(Ordering::SeqCst) {
+                return None;
             }
             #[cfg(test)]
-            self.turns.fetch_add(1, Ordering::SeqCst);
-            if fds[0].readable() {
-                inbox.waker.drain();
+            self.counts[TURNS].fetch_add(1, Ordering::SeqCst);
+            self.turn(token, ready, jobs);
+            if jobs.is_empty() {
+                continue;
             }
-            for (source, fd) in sources.iter_mut().zip(&fds[1..]) {
-                if fd.revents != 0 {
-                    source.ready(*fd, &self);
+            let mut pool = self.pool.lock();
+            // The last waiter leaves only by handing its slot to a
+            // parked thread, so a reader always remains.
+            let inline = pool.waiters > 1 || pool.parked > pool.promoted;
+            if pool.waiters > 1 {
+                pool.waiters -= 1;
+            } else if inline {
+                pool.promoted += 1;
+                self.wake.notify_one();
+                #[cfg(test)]
+                self.counts[PROMOTIONS].fetch_add(1, Ordering::SeqCst);
+            }
+            let run = inline.then(|| jobs.remove(0));
+            for job in jobs.drain(..) {
+                pool.jobs.push_back(job);
+                if pool.parked > pool.promoted {
+                    self.wake.notify_one();
                 }
+                #[cfg(test)]
+                self.counts[PUSHES].fetch_add(1, Ordering::SeqCst);
+            }
+            if run.is_some() {
+                return run;
             }
         }
+    }
+
+    /// Runs the source behind one event — `ready` unless it is the
+    /// timer's, then `sweep` (again if a nudge landed meanwhile) — and
+    /// re-arms it before anything it admitted runs.
+    fn turn(self: &Arc<Self>, token: u64, ready: Ready, jobs: &mut Jobs<S>) {
+        let Some(slot) = self.pool.lock().sources.get(&(token >> 1)).cloned() else {
+            return; // retired meanwhile
+        };
+        let mut live = slot.live.lock();
+        let Some((source, timer)) = live.as_mut() else {
+            return;
+        };
+        if token & 1 == 0 {
+            source.ready(ready, self, jobs);
+        }
+        loop {
+            slot.handle.nudged.swap(false, Ordering::SeqCst);
+            let now = Instant::now();
+            let due = match source.sweep(now, jobs) {
+                Sweep::Retire => break,
+                Sweep::Idle => None,
+                Sweep::Due(at) => Some(at.saturating_duration_since(now)),
+            };
+            // A disarmed timer stays so without a syscall.
+            if due.is_some() || timer.as_ref().is_some_and(|(_, armed)| *armed) {
+                let (fd, armed) = timer.get_or_insert_with(|| {
+                    let timer = reactor::timerfd_new().expect("create a deadline timer");
+                    // Edge-triggered: one expiry wakes one waiter.
+                    let (fd, events) = (timer.as_raw_fd(), EPOLLIN | EPOLLET);
+                    (self.epoll.ctl(EPOLL_CTL_ADD, fd, events, token | 1)).expect("register it");
+                    (timer, false)
+                });
+                reactor::set_timer(fd, due);
+                *armed = due.is_some();
+            }
+            let interest = source.interest();
+            if interest != 0 {
+                let events = interest | EPOLLONESHOT;
+                let _ = (self.epoll).ctl(EPOLL_CTL_MOD, slot.handle.fd, events, token & !1);
+            }
+            if !slot.handle.nudged.load(Ordering::SeqCst) {
+                return;
+            }
+        }
+        // Retire: the fd leaves the set even while others hold it.
+        let _ = (self.epoll).ctl(EPOLL_CTL_DEL, slot.handle.fd, 0, 0);
+        let retired = live.take();
+        self.pool.lock().sources.remove(&slot.handle.token);
+        drop(live);
+        drop(retired);
     }
 }
 
 // ---------------------------------------------------------------------
-// Server-side dispatch.
+// Serving requests.
 // ---------------------------------------------------------------------
 
 /// Where a served request's answer goes: the binding's way back to the
@@ -961,118 +1132,47 @@ pub(crate) trait ReplySink: Send + 'static {
     fn reply(self, corr: u64, response: Option<Vec<u8>>);
 }
 
-/// One decoded request frame on its way to a dispatch worker.
+/// One admitted request frame, on its way to whichever pool thread
+/// runs it.
 pub(crate) struct ServeJob<S> {
-    from: u64,
-    corr: u64,
-    payload: Vec<u8>,
-    /// Carried per job (not per worker) because the pool is
-    /// transport-wide: idle workers pin no service alive.
+    frame: Frame,
+    /// Carried per job (not per thread) because the pool is
+    /// transport-wide: idle threads pin no service alive.
     service: Arc<dyn WireService>,
     /// The endpoint's admission book and this request's principal key
-    /// (present when an overload policy classified it). The worker
-    /// releases the slot right after execution — on every path,
-    /// including service panics and vanished requesters — so nothing
-    /// can leak slots and wedge the endpoint.
+    /// (present when an overload policy classified it). The slot is
+    /// released right after execution — on every path, including
+    /// service panics and vanished requesters — so nothing can leak
+    /// slots and wedge the endpoint.
     gauge: Arc<DispatchGauge>,
     admit_key: Option<u64>,
     sink: S,
 }
 
-/// The dispatch pool's job queue: one queue behind one condvar, so a
-/// queued job wakes exactly one idle worker (a channel behind a mutex
-/// also wakes the next worker in line as the mutex passes on).
-struct JobQueue<S> {
-    jobs: OrderedMutex<VecDeque<ServeJob<S>>>,
-    ready: OrderedCondvar,
-    shared: Arc<Shared>,
-}
-
-impl<S> JobQueue<S> {
-    /// Queues a job for the next idle worker; `false` once the
-    /// transport is unwinding.
-    fn push(&self, job: ServeJob<S>) -> bool {
-        {
-            let mut jobs = self.jobs.lock();
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                return false;
-            }
-            jobs.push_back(job);
-        }
-        self.ready.notify_one();
-        true
+impl<S> ServeJob<S> {
+    /// Invokes the owning service (its `Send + Sync` contract makes
+    /// concurrent calls legal; see [`WireService`]) and releases the
+    /// admission slot; the caller writes the reply. Contains panics: a
+    /// panicking service costs its caller, never a pool thread.
+    fn execute(self) -> (S, u64, Option<Vec<u8>>) {
+        let Frame {
+            sender, payload, ..
+        } = &self.frame;
+        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.service.handle(EndpointId(*sender), payload)
+        }))
+        .ok();
+        // Release before anything can skip the result (dead connection,
+        // panic): the endpoint-wide depth must drain even when the
+        // requester is gone.
+        self.gauge.release(self.admit_key);
+        (self.sink, self.frame.correlation, response)
     }
-
-    /// Blocks for the next job; `None` once the transport unwinds.
-    fn pop(&self) -> Option<ServeJob<S>> {
-        let mut jobs = self.jobs.lock();
-        loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                return None;
-            }
-            if let Some(job) = jobs.pop_front() {
-                return Some(job);
-            }
-            jobs = self.ready.wait(jobs);
-        }
-    }
-
-    /// Wakes every worker to observe [`Shared::shutdown`], already set:
-    /// taking the lock first means none is between its check and its
-    /// wait.
-    fn unwind(&self) {
-        drop(self.jobs.lock());
-        self.ready.notify_all();
-    }
-}
-
-/// Spawns the transport-wide dispatch pool: `workers` threads pull
-/// decoded frames from every served endpoint and invoke the owning
-/// service concurrently (its `Send + Sync` contract makes that legal;
-/// see [`WireService`]), answering through each job's sink in
-/// completion order. A fixed transport-wide pool — not per endpoint —
-/// keeps the thread ceiling constant however many endpoints serve. The
-/// pool unwinds on [`Shared::shutdown`], like the loops.
-fn spawn_dispatch_pool<S: ReplySink>(
-    workers: usize,
-    kind: &str,
-    shared: &Arc<Shared>,
-) -> Arc<JobQueue<S>> {
-    let queue = Arc::new(JobQueue::<S> {
-        jobs: OrderedMutex::new(ranks::NET_DISPATCH_QUEUE, VecDeque::new()),
-        ready: OrderedCondvar::new(),
-        shared: shared.clone(),
-    });
-    for worker in 0..workers {
-        let guard = ThreadGuard::enter(&shared.threads);
-        let queue = queue.clone();
-        thread::Builder::new()
-            .name(format!("ofl-{kind}-disp-{worker}"))
-            .spawn(move || {
-                let _guard = guard;
-                while let Some(job) = queue.pop() {
-                    // Contain panics: a panicking service must never
-                    // cost a shared dispatch worker.
-                    let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        job.service.handle(EndpointId(job.from), &job.payload)
-                    }))
-                    .ok();
-                    // Release the admission slot before anything can
-                    // skip the result (dead connection, panic): the
-                    // endpoint-wide depth must drain even when the
-                    // requester is gone.
-                    job.gauge.release(job.admit_key);
-                    job.sink.reply(job.corr, response);
-                }
-            })
-            .expect("spawn dispatch worker");
-    }
-    queue
 }
 
 /// Everything a binding's serve path needs to know about the endpoint
 /// it serves.
-pub(crate) struct Served<S> {
+pub(crate) struct Served {
     /// The served endpoint id: the response frames' sender.
     pub(crate) me: u64,
     /// When set, the binding refuses requests the way a crashed
@@ -1080,24 +1180,19 @@ pub(crate) struct Served<S> {
     pub(crate) down: Arc<AtomicBool>,
     service: Arc<dyn WireService>,
     gauge: Arc<DispatchGauge>,
-    dispatch: Arc<JobQueue<S>>,
     shared: Arc<Shared>,
 }
 
-impl<S: ReplySink> Served<S> {
+impl Served {
     /// The admit-or-shed step every decode path runs on a request
-    /// frame: dispatch it, or — when the endpoint's overload policy
-    /// says so — answer with the policy's busy payload straight
-    /// through the sink. A shed request never reaches the dispatch
-    /// pool and is **not** executed, which is what makes client
-    /// retries safe. Returns `false` when the pool is gone (the
-    /// transport is unwinding).
-    pub(crate) fn admit(&self, frame: Frame, sink: S) -> bool {
+    /// frame: the job to run, or — when the endpoint's overload policy
+    /// says so — `None`, having answered with the policy's busy payload
+    /// straight through the sink. A shed request is **not** executed,
+    /// which is what makes client retries safe.
+    pub(crate) fn admit<S: ReplySink>(&self, frame: Frame, sink: S) -> Option<ServeJob<S>> {
         match self.gauge.admit(&frame.payload) {
-            Ok(admit_key) => self.dispatch.push(ServeJob {
-                from: frame.sender,
-                corr: frame.correlation,
-                payload: frame.payload,
+            Ok(admit_key) => Some(ServeJob {
+                frame,
                 service: self.service.clone(),
                 gauge: self.gauge.clone(),
                 admit_key,
@@ -1106,7 +1201,7 @@ impl<S: ReplySink> Served<S> {
             Err(busy) => {
                 self.shared.shed.fetch_add(1, Ordering::Relaxed);
                 sink.reply(frame.correlation, Some(busy));
-                true
+                None
             }
         }
     }
@@ -1146,11 +1241,11 @@ mod tests {
         Dropped,
     }
 
-    /// Reports what the loop does to it. `sock`, when present, is its
-    /// poll interest (drained on readiness); `due` is a deadline its
-    /// sweep names until it fires.
+    /// Reports what the loop does to it. Its socket is its interest
+    /// (drained on readiness); `due` is a deadline its sweep names
+    /// until it fires.
     struct Fake {
-        sock: Option<std::net::UdpSocket>,
+        sock: std::net::UdpSocket,
         due: Option<Instant>,
         retire_on_ready: bool,
         retire: bool,
@@ -1165,7 +1260,7 @@ mod tests {
             sock.set_nonblocking(true).unwrap();
             let addr = sock.local_addr().unwrap();
             let fake = Fake {
-                sock: Some(sock),
+                sock,
                 due: None,
                 retire_on_ready: false,
                 retire: false,
@@ -1173,23 +1268,31 @@ mod tests {
             };
             (fake, addr)
         }
+
+        fn add_to(self, el: &Arc<EventLoop<Fake>>) {
+            use std::os::fd::AsRawFd;
+            el.add(el.handle(self.sock.as_raw_fd()), self);
+        }
+    }
+
+    impl ReplySink for () {
+        fn reply(self, _corr: u64, _response: Option<Vec<u8>>) {}
     }
 
     impl Source for Fake {
-        fn interest(&self) -> Option<PollFd> {
-            use std::os::fd::AsRawFd;
-            let sock = self.sock.as_ref()?;
-            Some(PollFd::new(sock.as_raw_fd(), POLLIN))
+        type Sink = ();
+
+        fn interest(&self) -> u32 {
+            EPOLLIN
         }
 
-        fn ready(&mut self, _ready: PollFd, _el: &Arc<EventLoop<Self>>) {
-            let sock = self.sock.as_ref().unwrap();
-            while sock.recv(&mut [0u8; 8]).is_ok() {}
+        fn ready(&mut self, _ready: Ready, _el: &Arc<EventLoop<Self>>, _jobs: &mut Jobs<Self>) {
+            while self.sock.recv(&mut [0u8; 8]).is_ok() {}
             self.retire = self.retire_on_ready;
             let _ = self.tx.send(Ev::Ready);
         }
 
-        fn sweep(&mut self, now: Instant) -> Sweep {
+        fn sweep(&mut self, now: Instant, _jobs: &mut Jobs<Self>) -> Sweep {
             if self.retire {
                 return Sweep::Retire;
             }
@@ -1213,13 +1316,13 @@ mod tests {
 
     fn fake_loop() -> Arc<EventLoop<Fake>> {
         use rand::SeedableRng;
-        EventLoop::new(Shared::new(StdRng::seed_from_u64(1)), 1, "test")
+        EventLoop::new(Shared::new(StdRng::seed_from_u64(1)), 1, 1, "test")
     }
 
-    /// What `Core::drop` does, then waits for the loop thread to go.
+    /// What `Core::drop` does, then waits for the pool to go.
     fn stop(el: &EventLoop<Fake>) {
         el.shared.shutdown.store(true, Ordering::SeqCst);
-        el.wake_all();
+        el.unwind();
         let t0 = Instant::now();
         while el.shared.threads.load(Ordering::SeqCst) > 0 {
             assert!(t0.elapsed() < Duration::from_secs(2), "loop did not exit");
@@ -1233,19 +1336,23 @@ mod tests {
     fn event_loop_deadline_fires_with_no_fd_ready() {
         let el = fake_loop();
         let (tx, rx) = mpsc::channel();
+        let (mut fake, addr) = Fake::with_socket(&tx);
         let t0 = Instant::now();
-        el.pick().push(Fake {
-            sock: None,
-            due: Some(t0 + Duration::from_millis(40)),
-            retire_on_ready: false,
-            retire: false,
-            tx,
-        });
+        fake.due = Some(t0 + Duration::from_millis(40));
+        fake.add_to(&el);
+        // One event runs its first sweep, which names the deadline.
+        let poke = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+        poke.send_to(&[1], addr).unwrap();
+        assert!(matches!(rx.recv_timeout(PATIENCE), Ok(Ev::Ready)));
         assert!(matches!(rx.recv_timeout(PATIENCE), Ok(Ev::Fired)));
         assert!(t0.elapsed() >= Duration::from_millis(40), "fired early");
         // It slept to the deadline instead of spinning toward it: the
-        // adoption wake, the timed-out poll, nothing else.
-        assert!(el.turns() <= 3, "{} turns to one deadline", el.turns());
+        // poke, the timer, nothing else.
+        assert!(
+            el.count(TURNS) <= 2,
+            "{} turns to one deadline",
+            el.count(TURNS)
+        );
         stop(&el);
     }
 
@@ -1255,17 +1362,17 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let (mut fake, addr) = Fake::with_socket(&tx);
         fake.retire_on_ready = true;
-        el.pick().push(fake);
+        fake.add_to(&el);
         let poke = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
         poke.send_to(&[1], addr).unwrap();
         assert!(matches!(rx.recv_timeout(PATIENCE), Ok(Ev::Ready)));
         assert!(matches!(rx.recv_timeout(PATIENCE), Ok(Ev::Dropped)));
         // Retired means gone: with its fd out of the set (and closed)
         // the loop has nothing to wake for, whatever arrives there.
-        let turns = el.turns();
+        let turns = el.count(TURNS);
         let _ = poke.send_to(&[1], addr);
         assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
-        assert_eq!(el.turns(), turns);
+        assert_eq!(el.count(TURNS), turns);
         stop(&el);
     }
 
@@ -1275,16 +1382,14 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let (fake, addr) = Fake::with_socket(&tx);
         let remote = el.clone();
-        thread::spawn(move || remote.pick().push(fake))
-            .join()
-            .unwrap();
+        thread::spawn(move || fake.add_to(&remote)).join().unwrap();
         std::net::UdpSocket::bind("127.0.0.1:0")
             .unwrap()
             .send_to(&[1], addr)
             .unwrap();
         assert!(matches!(rx.recv_timeout(PATIENCE), Ok(Ev::Ready)));
         stop(&el);
-        // The exiting loop dropped what it had adopted.
+        // The exiting pool dropped what was registered.
         assert!(matches!(rx.recv_timeout(PATIENCE), Ok(Ev::Dropped)));
     }
 
@@ -1297,9 +1402,9 @@ mod tests {
         (transport.register("client", None), server)
     }
 
-    /// `Core::drop` is one wake per loop thread, and that wake unwinds
-    /// everything: the loops are parked in a `poll` with no timeout, so
-    /// nothing else could.
+    /// `Core::drop` is one eventfd signal and one condvar broadcast, and
+    /// that unwinds everything: the waiters sit in an `epoll_wait` with
+    /// no timeout, so nothing else could.
     fn dropping_the_last_handle_unwinds_every_worker<T: Transport + Binding>(transport: T) {
         let kind = transport.kind();
         let (client, server) = echo_pair(&transport);
@@ -1338,17 +1443,17 @@ mod tests {
         }
         let el = &transport.core().event_loop;
         let t0 = Instant::now();
-        let mut turns = el.turns();
+        let mut turns = el.count(TURNS);
         loop {
             thread::sleep(Duration::from_millis(100));
-            if el.turns() == turns {
+            if el.count(TURNS) == turns {
                 break;
             }
-            turns = el.turns();
+            turns = el.count(TURNS);
             assert!(t0.elapsed() < PATIENCE, "{kind}: never quiesced");
         }
         thread::sleep(Duration::from_millis(300));
-        assert_eq!(el.turns(), turns, "{kind}: an idle transport ticked");
+        assert_eq!(el.count(TURNS), turns, "{kind}: an idle transport ticked");
     }
 
     /// A warm tcp call costs the loop one turn — the served side's read:
@@ -1362,24 +1467,130 @@ mod tests {
         // Let the dial's and the accept's own turns pass.
         thread::sleep(Duration::from_millis(50));
         let el = &transport.core().event_loop;
-        let before = el.turns();
+        let before = el.count(TURNS);
         for i in 0..200u8 {
             transport.call(client, server, vec![i]).unwrap();
         }
-        let sequential = el.turns() - before;
+        let sequential = el.count(TURNS) - before;
         assert!(
             sequential <= 200,
             "200 warm calls took {sequential} loop turns"
         );
-        let before = el.turns();
+        let before = el.count(TURNS);
         let handles: Vec<CallHandle> = (0..8u8)
             .map(|i| transport.submit(client, server, vec![i]))
             .collect();
         for handle in handles {
             handle.wait().unwrap();
         }
-        let fanned = el.turns() - before;
+        let fanned = el.count(TURNS) - before;
         assert!(fanned <= 8, "an 8-way fan-out took {fanned} loop turns");
+    }
+
+    /// A warm call hands nothing from thread to thread: the waiter that
+    /// reads the request runs it, and is back among the waiters before
+    /// its reply wakes the caller. Several frames in one read are what
+    /// the overflow queue is for.
+    #[test]
+    fn a_warm_tcp_call_hands_off_nothing() {
+        use openflame_codec::framing::{read_frame, write_frame};
+        use std::io::Write;
+        let transport = TcpTransport::with_reactors(7, 2);
+        let server = transport.register("mixed", None);
+        // payload[0] == 1 marks a slow request.
+        transport.set_service(
+            server,
+            Arc::new(|_from: EndpointId, payload: &[u8]| {
+                if payload.first() == Some(&1) {
+                    thread::sleep(Duration::from_millis(100));
+                }
+                payload.to_vec()
+            }),
+        );
+        let client = transport.register("client", None);
+        transport.call(client, server, vec![0]).unwrap();
+        thread::sleep(Duration::from_millis(50));
+        let el = &transport.core().event_loop;
+        let counts = || (el.count(PROMOTIONS), el.count(PUSHES));
+        let before = counts();
+        for i in 0..200u8 {
+            transport.call(client, server, vec![0, i]).unwrap();
+        }
+        assert_eq!(counts(), before, "(promotions, pushes) over 200 warm calls");
+        // A slow request and 8 fast ones in one write: one read decodes
+        // all 9, the reader runs the first and queues the rest.
+        let addr = transport.listen_addr(server).unwrap();
+        let mut raw = std::net::TcpStream::connect(addr).unwrap();
+        let mut burst = Vec::new();
+        for corr in 0..9u64 {
+            write_frame(&mut burst, 99, corr, &[u8::from(corr == 0), 0]).unwrap();
+        }
+        raw.write_all(&burst).unwrap();
+        let answered: Vec<u64> = (0..9)
+            .map(|_| read_frame(&mut raw).unwrap().correlation)
+            .collect();
+        assert_eq!(answered.last(), Some(&0), "the slow request answers last");
+        assert!(counts().1 > before.1, "nothing went through the queue");
+    }
+
+    /// A request held in its service never stalls another socket: while
+    /// `held` requests wait in theirs, a request on another connection
+    /// of the same endpoint (tcp dials one; QuicLite's served socket is
+    /// its only one) is answered at once — up to one fewer held than
+    /// the threads the pool keeps beyond its waiters.
+    fn a_held_request_never_stalls_another_socket<T: Transport + Binding>(transport: T) {
+        let kind = transport.kind();
+        let entered = Arc::new(AtomicUsize::new(0));
+        let release = Arc::new(AtomicBool::new(false));
+        let server = transport.register("holding", None);
+        let (inside, gate) = (entered.clone(), release.clone());
+        // payload[0] == 1 holds the request until released.
+        transport.set_service(
+            server,
+            Arc::new(move |_from: EndpointId, payload: &[u8]| {
+                if payload.first() == Some(&1) {
+                    inside.fetch_add(1, Ordering::SeqCst);
+                    while !gate.load(Ordering::SeqCst) {
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                payload.to_vec()
+            }),
+        );
+        let client = transport.register("client", None);
+        transport.call(client, server, vec![0]).unwrap();
+        for held in [1, T::DISPATCH_WORKERS - 1] {
+            entered.store(0, Ordering::SeqCst);
+            release.store(false, Ordering::SeqCst);
+            let holding: Vec<CallHandle> = (0..held)
+                .map(|_| transport.submit(client, server, vec![1]))
+                .collect();
+            let t0 = Instant::now();
+            while entered.load(Ordering::SeqCst) < held {
+                assert!(t0.elapsed() < PATIENCE, "{kind}: {held} requests never ran");
+                thread::sleep(Duration::from_millis(1));
+            }
+            let t0 = Instant::now();
+            // A retry launch dials a fresh tcp connection.
+            let probe = transport.core().launch(client, server, vec![0, 2], true);
+            let answer = Box::new(probe.unwrap()).wait().unwrap();
+            let waited = t0.elapsed();
+            release.store(true, Ordering::SeqCst);
+            assert_eq!(answer.payload, [0, 2]);
+            assert!(
+                waited < Duration::from_millis(100),
+                "{kind}: with {held} held, another socket waited {waited:?}"
+            );
+            for handle in holding {
+                assert_eq!(handle.wait().unwrap().payload, [1]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_held_request_never_stalls_another_socket_on_every_binding() {
+        a_held_request_never_stalls_another_socket(TcpTransport::new(7));
+        a_held_request_never_stalls_another_socket(QuicLiteTransport::new(7));
     }
 
     #[test]

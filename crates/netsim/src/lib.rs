@@ -27,8 +27,8 @@
 //! trait, and they are one implementation, not two. The socket `core`
 //! module owns everything that defines a socket call — correlation-id
 //! completion and demux, the endpoint book, clock / timeout / drop roll
-//! / counters, frame-level charging, the dispatch pool with its
-//! admit-or-shed step, and the only `impl Transport` for socket
+//! / counters, frame-level charging, the event loop and its one pool
+//! of threads with the admit-or-shed step, and the only `impl Transport` for socket
 //! backends. A *binding* ([`tcp`], [`udp`]) owns only how framed bytes
 //! move: binding a served endpoint, putting an encoded frame on the
 //! wire, deciding what a failed or timed-out call means on that medium,
@@ -195,7 +195,7 @@ struct NetInner {
 /// handle it captured) delays only its own branch — concurrently
 /// submitted calls to the *same* server still start from the shared
 /// instant and cost max-of-branches. That is exactly the serve-side
-/// model the TCP backend implements with its bounded dispatch pool (a
+/// model the TCP backend implements with its bounded thread pool (a
 /// slow request never head-of-line blocks pipelined siblings), so the
 /// cross-backend message/latency parity invariants hold under mixed
 /// slow/fast workloads too.

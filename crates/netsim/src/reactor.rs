@@ -1,61 +1,85 @@
-//! Readiness-notification plumbing for the shared-reactor transports:
-//! a hand-rolled `poll(2)` wrapper, a loopback-datagram waker, and a
-//! non-blocking TCP connect helper.
-//!
-//! The vendored dependency set cannot grow (no `mio`, no `libc`), so
-//! the handful of C entry points needed — `poll`, `socket`, `connect`,
-//! `close` — are declared directly against the platform libc the
-//! standard library already links. Linux-only constants are fine:
-//! every supported environment (dev container, CI) is Linux, and the
-//! transports built on this module are loopback test backends, not
-//! portable production servers.
+//! The syscalls under the event loop: an `epoll(7)` set, an
+//! `eventfd(2)`, a `timerfd(2)`, a one-fd `poll(2)` for a waiter
+//! reading its own socket, and a non-blocking TCP connect. The vendored
+//! dependency set cannot grow (no `mio`, no `libc`), so the C entry
+//! points are declared against the libc `std` already links; the
+//! constants are Linux's, like every environment these loopback test
+//! backends run in.
 
-use std::io;
-use std::net::{SocketAddr, TcpStream, UdpSocket};
-use std::os::fd::{AsRawFd, FromRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::fs::File;
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::time::Duration;
 
 pub(crate) const POLLIN: i16 = 0x001;
-pub(crate) const POLLOUT: i16 = 0x004;
-pub(crate) const POLLERR: i16 = 0x008;
-pub(crate) const POLLHUP: i16 = 0x010;
-pub(crate) const POLLNVAL: i16 = 0x020;
+/// `epoll` bits (`IN`/`OUT`/`ERR`/`HUP` equal their `poll` twins).
+pub(crate) const EPOLLIN: u32 = 0x001;
+pub(crate) const EPOLLOUT: u32 = 0x004;
+const EPOLLERR_HUP: u32 = 0x018;
+/// Disarm the fd once it reports; `EPOLL_CTL_MOD` re-arms it.
+pub(crate) const EPOLLONESHOT: u32 = 1 << 30;
+/// Report each expiry once (no re-report while it stays readable).
+pub(crate) const EPOLLET: u32 = 1 << 31;
+pub(crate) const EPOLL_CTL_ADD: i32 = 1;
+pub(crate) const EPOLL_CTL_DEL: i32 = 2;
+pub(crate) const EPOLL_CTL_MOD: i32 = 3;
+/// `O_CLOEXEC` and `O_NONBLOCK`, as every creating call here spells them.
+const CLOEXEC: i32 = 0x80000;
+const NONBLOCK: i32 = 0x800;
 
-/// Mirrors `struct pollfd` exactly (fd, requested events, returned
-/// events); the kernel writes `revents` in place.
+/// Mirrors `struct pollfd`; the kernel writes `revents` in place.
 #[repr(C)]
-#[derive(Clone, Copy)]
 pub(crate) struct PollFd {
     pub fd: RawFd,
     pub events: i16,
     pub revents: i16,
 }
 
-impl PollFd {
-    pub fn new(fd: RawFd, events: i16) -> Self {
-        Self {
-            fd,
-            events,
-            revents: 0,
-        }
+/// The readiness one `epoll` event reported; `HUP`/`ERR` count as both,
+/// for the read or write to diagnose.
+#[derive(Clone, Copy)]
+pub(crate) struct Ready(pub u32);
+
+impl Ready {
+    pub fn readable(self) -> bool {
+        self.0 & (EPOLLIN | EPOLLERR_HUP) != 0
     }
 
-    /// Readable, or in a state (`HUP`/`ERR`) a read will diagnose.
-    pub fn readable(&self) -> bool {
-        self.revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0
+    pub fn writable(self) -> bool {
+        self.0 & (EPOLLOUT | EPOLLERR_HUP) != 0
     }
+}
 
-    /// Writable, or in a state (`HUP`/`ERR`) a write will diagnose.
-    pub fn writable(&self) -> bool {
-        self.revents & (POLLOUT | POLLHUP | POLLERR | POLLNVAL) != 0
-    }
+/// Mirrors `struct epoll_event`, which x86-64 packs.
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+struct EpollEvent {
+    events: u32,
+    data: u64,
 }
 
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: u64, timeout_ms: i32) -> i32;
+    fn epoll_create1(flags: i32) -> i32;
+    fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
+    fn eventfd(initval: u32, flags: i32) -> i32;
+    fn timerfd_create(clockid: i32, flags: i32) -> i32;
+    /// `spec` is a `struct itimerspec`: interval, then value, each
+    /// seconds and nanoseconds.
+    fn timerfd_settime(fd: i32, flags: i32, spec: *const [i64; 4], old: *mut [i64; 4]) -> i32;
     fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
     fn connect(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
     fn close(fd: i32) -> i32;
+}
+
+/// Wraps a returned fd, or the error a negative return means.
+fn owned(fd: i32) -> io::Result<OwnedFd> {
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(unsafe { OwnedFd::from_raw_fd(fd) })
 }
 
 /// `poll(2)` over the given descriptors; retries `EINTR`, returns the
@@ -73,59 +97,68 @@ pub(crate) fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize>
     }
 }
 
-/// Wakes a thread blocked in [`poll_fds`] from any other thread: the
-/// poller includes [`Waker::rx_fd`] in its set, callers fire
-/// [`Waker::wake`]. Built on a connected loopback UDP pair — the only
-/// self-pipe available without FFI for `pipe(2)`/`eventfd(2)`. An
-/// atomic flag coalesces bursts so a storm of wakes costs one
-/// datagram, not one per call.
-pub(crate) struct Waker {
-    tx: UdpSocket,
-    rx: UdpSocket,
-    armed: AtomicBool,
-}
+/// One `epoll` set; any thread may change it while others wait.
+pub(crate) struct Epoll(OwnedFd);
 
-impl Waker {
-    pub fn new() -> io::Result<Self> {
-        let rx = UdpSocket::bind("127.0.0.1:0")?;
-        rx.set_nonblocking(true)?;
-        let tx = UdpSocket::bind("127.0.0.1:0")?;
-        tx.connect(rx.local_addr()?)?;
-        tx.set_nonblocking(true)?;
-        Ok(Self {
-            tx,
-            rx,
-            armed: AtomicBool::new(false),
-        })
+impl Epoll {
+    pub(crate) fn new() -> io::Result<Self> {
+        owned(unsafe { epoll_create1(CLOEXEC) }).map(Self)
     }
 
-    pub(crate) fn rx_fd(&self) -> RawFd {
-        self.rx.as_raw_fd()
-    }
-
-    pub fn wake(&self) {
-        if !self.armed.swap(true, Ordering::AcqRel) && self.tx.send(&[1]).is_err() {
-            // The send failed, so no datagram is in flight; staying
-            // armed would suppress every later wake. Disarm so the
-            // next wake retries the send.
-            self.armed.store(false, Ordering::Release);
+    /// `EPOLL_CTL_*` `op` on `fd`, reporting `events` under `token`.
+    pub(crate) fn ctl(&self, op: i32, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+        let mut event = EpollEvent {
+            events,
+            data: token,
+        };
+        match unsafe { epoll_ctl(self.0.as_raw_fd(), op, fd, &mut event) } {
+            0 => Ok(()),
+            _ => Err(io::Error::last_os_error()),
         }
     }
 
-    /// Consumes pending wake datagrams; the poller calls this once per
-    /// wakeup, before it rescans its work queues. Order matters:
-    /// consuming *before* disarming means a `wake` racing this either
-    /// lands while still armed (send skipped — safe, because the
-    /// poller's rescan follows the disarm and will observe that
-    /// wake's work) or lands after the disarm (datagram left behind —
-    /// one spurious poll wakeup). Disarming first would let the recv
-    /// loop eat a racing wake's datagram while `armed` stayed true,
-    /// suppressing every subsequent wake.
-    pub fn drain(&self) {
-        let mut buf = [0u8; 8];
-        while self.rx.recv(&mut buf).is_ok() {}
-        self.armed.store(false, Ordering::Release);
+    /// Blocks for one event (`maxevents = 1`), retrying `EINTR`: its
+    /// token and readiness, or `None` after `timeout_ms` (< 0: never).
+    pub(crate) fn wait_one(&self, timeout_ms: i32) -> io::Result<Option<(u64, Ready)>> {
+        let mut event = EpollEvent { events: 0, data: 0 };
+        loop {
+            match unsafe { epoll_wait(self.0.as_raw_fd(), &mut event, 1, timeout_ms) } {
+                1 => return Ok(Some((event.data, Ready(event.events)))),
+                0 => return Ok(None),
+                _ if io::Error::last_os_error().kind() == io::ErrorKind::Interrupted => {}
+                _ => return Err(io::Error::last_os_error()),
+            }
+        }
     }
+}
+
+/// An `eventfd(2)`: [`signal`] makes it readable for good.
+pub(crate) fn eventfd_new() -> io::Result<File> {
+    owned(unsafe { eventfd(0, CLOEXEC | NONBLOCK) }).map(File::from)
+}
+
+pub(crate) fn signal(eventfd: &File) {
+    // Fails only when the counter would overflow: already readable.
+    let _ = (&*eventfd).write(&1u64.to_ne_bytes());
+}
+
+/// A monotonic `timerfd(2)`, readable once its deadline passes.
+pub(crate) fn timerfd_new() -> io::Result<OwnedFd> {
+    owned(unsafe { timerfd_create(1, CLOEXEC | NONBLOCK) })
+}
+
+/// Arms `timer` to fire once, `after` from now; `None` disarms.
+pub(crate) fn set_timer(timer: &OwnedFd, after: Option<Duration>) {
+    // An all-zero value disarms, so an armed timer waits at least 1 ns.
+    let after = after.map_or(Duration::ZERO, |d| d.max(Duration::from_nanos(1)));
+    let spec = [
+        0,
+        0,
+        after.as_secs() as i64,
+        i64::from(after.subsec_nanos()),
+    ];
+    // Fails only on a bad fd or spec, neither of which this builds.
+    let _ = unsafe { timerfd_settime(timer.as_raw_fd(), 0, &spec, std::ptr::null_mut()) };
 }
 
 /// Mirrors `struct sockaddr_in`; `port` and `addr` are stored
@@ -140,8 +173,6 @@ struct SockAddrIn {
 
 const AF_INET: i32 = 2;
 const SOCK_STREAM: i32 = 1;
-const SOCK_NONBLOCK: i32 = 0x800;
-const SOCK_CLOEXEC: i32 = 0x80000;
 const EINPROGRESS: i32 = 115;
 
 /// Starts a TCP connect without blocking: the returned stream is
@@ -157,7 +188,7 @@ pub(crate) fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
             "non-blocking connect supports IPv4 only",
         ));
     };
-    let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
+    let fd = unsafe { socket(AF_INET, SOCK_STREAM | NONBLOCK | CLOEXEC, 0) };
     if fd < 0 {
         return Err(io::Error::last_os_error());
     }
@@ -181,13 +212,23 @@ pub(crate) fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
-    use std::time::{Duration, Instant};
+    use std::net::{TcpListener, UdpSocket};
+    use std::time::Instant;
+
+    const POLLOUT: i16 = 0x004;
+
+    fn pollfd(fd: RawFd, events: i16) -> [PollFd; 1] {
+        [PollFd {
+            fd,
+            events,
+            revents: 0,
+        }]
+    }
 
     #[test]
     fn poll_times_out_when_nothing_is_ready() {
-        let waker = Waker::new().unwrap();
-        let mut fds = [PollFd::new(waker.rx_fd(), POLLIN)];
+        let quiet = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let mut fds = pollfd(quiet.as_raw_fd(), POLLIN);
         let t0 = Instant::now();
         let n = poll_fds(&mut fds, 50).unwrap();
         assert_eq!(n, 0);
@@ -195,39 +236,59 @@ mod tests {
     }
 
     #[test]
-    fn waker_unblocks_poll_from_another_thread() {
-        let waker = std::sync::Arc::new(Waker::new().unwrap());
-        let remote = waker.clone();
+    fn eventfd_unblocks_epoll_wait_from_another_thread() {
+        let epoll = Epoll::new().unwrap();
+        let stop = std::sync::Arc::new(eventfd_new().unwrap());
+        epoll
+            .ctl(EPOLL_CTL_ADD, stop.as_raw_fd(), EPOLLIN, 7)
+            .unwrap();
+        assert!(epoll.wait_one(20).unwrap().is_none());
+        let remote = stop.clone();
         let handle = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
-            remote.wake();
+            signal(&remote);
         });
-        let mut fds = [PollFd::new(waker.rx_fd(), POLLIN)];
-        let n = poll_fds(&mut fds, 2_000).unwrap();
-        assert_eq!(n, 1);
-        assert!(fds[0].readable());
-        waker.drain();
+        let (token, ready) = epoll.wait_one(2_000).unwrap().expect("woken");
+        assert_eq!(token, 7);
+        assert!(ready.readable());
         handle.join().unwrap();
-        // Coalescing: many wakes after a drain produce one datagram.
-        waker.wake();
-        waker.wake();
-        waker.wake();
-        let mut fds = [PollFd::new(waker.rx_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut fds, 1_000).unwrap(), 1);
-        waker.drain();
-        let mut fds = [PollFd::new(waker.rx_fd(), POLLIN)];
-        assert_eq!(poll_fds(&mut fds, 20).unwrap(), 0);
+        // Level-triggered and never drained: every later wait sees it.
+        assert!(epoll.wait_one(0).unwrap().is_some());
+    }
+
+    #[test]
+    fn a_one_shot_fd_reports_once_until_re_armed() {
+        let epoll = Epoll::new().unwrap();
+        let sock = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let (fd, events) = (sock.as_raw_fd(), EPOLLIN | EPOLLONESHOT);
+        epoll.ctl(EPOLL_CTL_ADD, fd, events, 3).unwrap();
+        let poke = UdpSocket::bind("127.0.0.1:0").unwrap();
+        poke.send_to(&[1], sock.local_addr().unwrap()).unwrap();
+        assert_eq!(epoll.wait_one(2_000).unwrap().map(|e| e.0), Some(3));
+        // Still readable, but disarmed.
+        assert!(epoll.wait_one(20).unwrap().is_none());
+        epoll.ctl(EPOLL_CTL_MOD, fd, events, 4).unwrap();
+        assert_eq!(epoll.wait_one(2_000).unwrap().map(|e| e.0), Some(4));
+        let timer = timerfd_new().unwrap();
+        let events = EPOLLIN | EPOLLET;
+        epoll
+            .ctl(EPOLL_CTL_ADD, timer.as_raw_fd(), events, 5)
+            .unwrap();
+        set_timer(&timer, Some(Duration::from_millis(10)));
+        assert_eq!(epoll.wait_one(2_000).unwrap().map(|e| e.0), Some(5));
+        set_timer(&timer, None);
+        assert!(epoll.wait_one(30).unwrap().is_none());
     }
 
     #[test]
     fn nonblocking_connect_completes_against_a_listener() {
-        use std::io::{Read, Write};
+        use std::io::Read;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let stream = connect_nonblocking(&addr).unwrap();
-        let mut fds = [PollFd::new(stream.as_raw_fd(), POLLOUT)];
+        let mut fds = pollfd(stream.as_raw_fd(), POLLOUT);
         poll_fds(&mut fds, 2_000).unwrap();
-        assert!(fds[0].writable());
+        assert_ne!(fds[0].revents & POLLOUT, 0);
         assert!(stream.take_error().unwrap().is_none());
         let (mut served, _) = listener.accept().unwrap();
         (&stream).write_all(b"ping").unwrap();
@@ -247,7 +308,7 @@ mod tests {
             // Loopback may refuse synchronously or via SO_ERROR.
             Err(_) => {}
             Ok(stream) => {
-                let mut fds = [PollFd::new(stream.as_raw_fd(), POLLOUT)];
+                let mut fds = pollfd(stream.as_raw_fd(), POLLOUT);
                 poll_fds(&mut fds, 2_000).unwrap();
                 assert!(
                     stream.take_error().unwrap().is_some(),

@@ -8,35 +8,25 @@
 //! (correlation, completion, charging, admission, dispatch) lives in
 //! the core; this module owns only what is stream-specific:
 //!
-//! - **Shared reactors**: every socket — client and served sides both —
-//!   is a source on the core's event loop (`crate::core::EventLoop`:
-//!   threads, placement, wake-ups and teardown are documented there),
-//!   here `min(cores, 8)` *reactor* threads. This module supplies what
-//!   a reactor does per socket (`Entry`'s `Source` impl): it accepts,
-//!   finishes client dials, reads requests off served connections
-//!   through the incremental framing-v2 decoder
-//!   ([`openflame_codec::framing::FrameDecoder`] — partial frames
-//!   across arbitrary split boundaries are the normal case), and
-//!   finishes writes the socket would not take at once. It never reads
-//!   a client connection, and on the warm path writes nothing: a call's
-//!   frames are written by the threads that own them (below), so a
-//!   warm call costs the served side's one read turn.
-//! - **Served endpoints** bind a `127.0.0.1:0` listener registered
-//!   with a reactor; accepted connections are spread across the pool.
-//!   Decoded requests go through the core's admit-or-shed step to the
-//!   transport-wide dispatch pool of [`DISPATCH_POOL`] workers. The
-//!   worker that answers a request writes its reply frame itself when
-//!   nothing is ahead of it on the connection, and otherwise queues it
-//!   for the reactor — frames leave in **completion order** with the
-//!   request's correlation id echoed, so a slow request head-of-line
-//!   blocks only its own completion, never the pipelined requests
-//!   behind it. Each connection holds at most `SERVE_PIPELINE`
-//!   decoded requests in dispatch; past that the reactor drops the
-//!   connection's read interest (readiness-deregistration
-//!   backpressure) until replies drain, and the reply that reopens the
-//!   gate wakes the reactor to dispatch what it had already buffered —
-//!   bounded buffering without a blocked reader thread. Shed replies
-//!   ([`crate::OverloadPolicy`]) take the same path.
+//! - **Sockets on the loop**: every socket — client and served sides
+//!   both — is a source on the core's event loop (`crate::core`; spec
+//!   Appendix A), with `min(cores, 8)` waiters. `Entry`'s `Source` impl
+//!   accepts, registering each connection straight into the set,
+//!   finishes client dials and the writes a socket would not take at
+//!   once, and reads requests off served connections through the
+//!   incremental framing-v2 decoder
+//!   ([`openflame_codec::framing::FrameDecoder`]). It never reads a
+//!   client connection, so a warm call costs the served side's one
+//!   event.
+//! - **Served endpoints**: the thread that read a request runs it and
+//!   writes its reply frame when nothing is ahead of it on the
+//!   connection, else queues it for the loop — replies leave in
+//!   **completion order**, so a slow request never blocks the
+//!   pipelined requests behind it. Past `SERVE_PIPELINE` admitted
+//!   requests a connection stops watching for readability until
+//!   replies drain, and the reply that reopens the gate nudges it to
+//!   admit what it buffered. Shed replies ([`crate::OverloadPolicy`])
+//!   take the same path.
 //! - **Multiplexed connections**: one pooled connection carries many
 //!   in-flight requests at once; out-of-order completion is matched
 //!   by correlation id. Its responses are read by whichever blocking
@@ -48,7 +38,7 @@
 //!   round.
 //! - **Submit** writes the encoded frame to the socket itself when the
 //!   connection is established and nothing is queued ahead of it;
-//!   otherwise it queues the frame for the reactor — it never blocks
+//!   otherwise it queues the frame for the loop — it never blocks
 //!   on a dial (connects are non-blocking too; N cold dials to N
 //!   servers proceed concurrently). Bounded fan-out falls out of the
 //!   pool: at most `POOL_CAP` (4) connections per destination, each
@@ -69,17 +59,17 @@
 //! Clocks are wall-clock microseconds since transport creation, so the
 //! TTL caches built on [`Transport::now_us`] age in real time. Raw
 //! sockets poking a listener from outside this transport are served
-//! but not counted. [`Transport::worker_threads`] is the reactor pool
-//! plus the dispatch pool, nothing per connection, endpoint or call —
+//! but not counted. [`Transport::worker_threads`] is the waiters plus
+//! [`DISPATCH_POOL`], nothing per connection, endpoint or call —
 //! the pipelining stress test pins it at 128 servers × 8 sessions. This
 //! backend is built for tests, benches and single-process demos, not
 //! as a hardened production server.
 
 use crate::core::{
-    encode_frame, Binding, CompletionCell, Core, Demux, EventLoop, Inbox, Outgoing, ReplySink,
-    Sent, Served, Shared, SocketPending, Source, Sweep,
+    encode_frame, Binding, CompletionCell, Core, Demux, EventLoop, Handle, Jobs, Outgoing,
+    ReplySink, Sent, Served, Shared, SocketPending, Source, Sweep,
 };
-use crate::reactor::{connect_nonblocking, poll_fds, PollFd, POLLIN, POLLOUT};
+use crate::reactor::{connect_nonblocking, poll_fds, PollFd, Ready, EPOLLIN, EPOLLOUT, POLLIN};
 use crate::transport::{PendingCall, Transfer, Transport};
 use crate::{EndpointId, NetError};
 use openflame_codec::framing::FrameDecoder;
@@ -103,22 +93,22 @@ pub(crate) const POOL_CAP: usize = 4;
 /// — the bounded-fan-out knob).
 pub(crate) const PIPELINE_DEPTH: usize = 32;
 
-/// Concurrent dispatch workers for the whole transport: decoded
-/// frames from every served connection of every endpoint are executed
-/// by this many threads. A fixed transport-wide pool (not per
+/// Pool threads beyond the waiters, for the whole transport: with
+/// them, requests from every served connection of every endpoint run
+/// while the waiters keep reading. A fixed transport-wide pool (not per
 /// endpoint) is what keeps the thread ceiling O(cores)-ish no matter
 /// how many endpoints serve.
 pub const DISPATCH_POOL: usize = 8;
 
-/// Decoded requests one server connection may hold in dispatch at once
-/// (queued for a worker, executing, or awaiting its response write)
-/// before its reactor drops the connection's read interest — the
+/// Decoded requests one server connection may hold at once (queued,
+/// executing, or awaiting its response write) before the loop drops
+/// the connection's read interest — the
 /// server-side bounded-queue mirror of the client's
 /// [`PIPELINE_DEPTH`], expressed as readiness-deregistration instead
 /// of a blocked reader thread.
 pub(crate) const SERVE_PIPELINE: usize = PIPELINE_DEPTH;
 
-/// Hard cap on the reactor pool (the default is
+/// Hard cap on the waiters (the default is
 /// `min(available cores, MAX_REACTORS)`).
 pub(crate) const MAX_REACTORS: usize = 8;
 
@@ -138,14 +128,14 @@ struct OutFrame {
 struct OutQueue {
     /// Set when the connection dies or closes: enqueue attempts fail
     /// fast instead of queueing frames nobody will ever write, and the
-    /// reactor retires the connection.
+    /// loop retires the connection.
     closed: bool,
     /// Frames the socket has not taken yet, in submit order.
     frames: VecDeque<OutFrame>,
 }
 
 /// One pooled, pipelined client connection, shared by `Arc` between
-/// the reactor it sits on (which dials it and finishes writes the
+/// its source on the loop (which dials it and finishes writes the
 /// socket would not take), its submitters (which write their own
 /// frames when nothing is queued) and its waiters (whose reader-token
 /// holder reads every response).
@@ -155,27 +145,23 @@ pub(crate) struct ClientConn {
     demux: Arc<Demux>,
     /// Set when the connection dies or goes stale; broken connections
     /// are pruned from the pool on the next checkout and closed by
-    /// their reactor once drained.
+    /// the loop once drained.
     broken: AtomicBool,
-    /// Set by `set_down`: the reactor cuts the connection immediately,
-    /// failing whatever is in flight (a crashed server does not drain
-    /// gracefully).
-    kill: AtomicBool,
-    /// Set by the reactor, under `out`, once the dial succeeded.
+    /// Set by the loop, under `out`, once the dial succeeded.
     established: AtomicBool,
     out: OrderedMutex<OutQueue>,
     /// The reader token: set while one waiter reads the socket.
     reader: AtomicBool,
     /// The response decoder, the reader-token holder's alone.
     rx: OrderedMutex<FrameDecoder>,
-    /// The reactor the connection sits on.
-    reactor: Arc<Inbox<Entry>>,
+    /// The connection's place on the event loop.
+    handle: Arc<Handle>,
 }
 
 impl ClientConn {
     /// Puts a frame on the connection: written here and now when the
     /// connection is established and nothing is queued ahead of it,
-    /// queued for the reactor otherwise. Hands the frame back when the
+    /// queued for the loop otherwise. Hands the frame back when the
     /// connection is already closed (so the caller can re-route
     /// without re-sending anything — the frame never touched the
     /// socket).
@@ -193,7 +179,7 @@ impl ClientConn {
         drop(out);
         match written {
             Ok(true) => {}
-            Ok(false) => self.reactor.waker.wake(),
+            Ok(false) => self.handle.nudge(),
             Err(e) => self.die_writing(&e),
         }
         Ok(())
@@ -253,7 +239,12 @@ impl ClientConn {
                     // wait it buys reaches the deadline.
                     let wait = deadline.saturating_duration_since(Instant::now());
                     let ms = wait.as_micros().div_ceil(1_000).min(i32::MAX as u128) as i32;
-                    let mut fd = [PollFd::new(self.stream.as_raw_fd(), POLLIN)];
+                    let fd = self.stream.as_raw_fd();
+                    let mut fd = [PollFd {
+                        fd,
+                        events: POLLIN,
+                        revents: 0,
+                    }];
                     if ms == 0 || poll_fds(&mut fd, ms).is_err() {
                         return;
                     }
@@ -268,7 +259,7 @@ impl ClientConn {
 
     /// Kills the connection: fail every in-flight request, refuse
     /// further enqueues, and shut the socket (which also wakes a waiter
-    /// polling it); the reactor retires it on its next turn.
+    /// polling it); the loop retires it on the nudge.
     fn die(&self, kind: io::ErrorKind, msg: &str) {
         self.broken.store(true, Ordering::SeqCst);
         {
@@ -281,7 +272,7 @@ impl ClientConn {
         // false`, so they charge nothing).
         self.demux.fail_all(kind, msg);
         let _ = self.stream.shutdown(Shutdown::Both);
-        self.reactor.waker.wake();
+        self.handle.nudge();
     }
 
     /// A failed write kills the connection as `BrokenPipe`, whatever
@@ -307,7 +298,7 @@ fn drain_responses(decoder: &mut FrameDecoder, demux: &Demux) -> io::Result<()> 
 // The transport handle and its binding.
 // ---------------------------------------------------------------------
 
-type TcpServed = Arc<Served<Arc<SrvShared>>>;
+type TcpServed = Arc<Served>;
 
 /// [`Transport`] over real loopback TCP sockets (see module docs).
 ///
@@ -319,15 +310,15 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Creates a transport with the default reactor pool
+    /// Creates a transport with the default waiter count
     /// (`min(cores, MAX_REACTORS)`). `seed` drives the drop-injection
     /// RNG.
     pub fn new(seed: u64) -> Self {
         Self::with_reactors(seed, thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
-    /// Creates a transport with an explicit reactor-pool size
-    /// (clamped to `1..=MAX_REACTORS`).
+    /// Creates a transport with an explicit waiter count (clamped to
+    /// `1..=MAX_REACTORS`).
     pub(crate) fn with_reactors(seed: u64, reactors: usize) -> Self {
         let shared = Shared::new(StdRng::seed_from_u64(seed));
         Self {
@@ -345,12 +336,12 @@ impl TcpTransport {
         self.inner.listen_addr(id)
     }
 
-    /// Configured reactor-pool size (the event-loop thread budget).
+    /// The most pool threads that wait for events at once.
     /// [`Transport::worker_threads`] is this plus [`DISPATCH_POOL`] —
     /// **not** a function of endpoints, connections, fan-out width or
     /// call volume; the pipelining stress test pins this down.
     pub fn reactor_threads(&self) -> usize {
-        self.inner.event_loop.threads()
+        self.inner.event_loop.waiters()
     }
 
     /// Responses discarded because their correlation id matched no
@@ -373,7 +364,7 @@ impl TcpTransport {
 
 impl Core<TcpTransport> {
     /// Creates a connection toward `addr`: the socket starts a
-    /// non-blocking connect and is handed to a reactor mid-handshake —
+    /// non-blocking connect and is registered on the loop mid-handshake —
     /// `submit` never blocks on a dial, frames queue behind the
     /// in-progress handshake, and N cold dials to N servers proceed
     /// concurrently. A failed handshake fails every queued and
@@ -383,20 +374,19 @@ impl Core<TcpTransport> {
         let stream = connect_nonblocking(&addr)
             .map_err(|e| NetError::Connection(format!("dial {addr}: {e}")))?;
         let _ = stream.set_nodelay(true);
-        let target = self.event_loop.pick();
+        let handle = self.event_loop.handle(stream.as_raw_fd());
         let conn = Arc::new(ClientConn {
             addr,
             stream,
             demux: Arc::new(Demux::new(self.shared.orphans.clone())),
             broken: AtomicBool::new(false),
-            kill: AtomicBool::new(false),
             established: AtomicBool::new(false),
             out: OrderedMutex::new(ranks::TCP_CONN_OUT, OutQueue::default()),
             reader: AtomicBool::new(false),
             rx: OrderedMutex::new(ranks::TCP_CONN_RX, FrameDecoder::new()),
-            reactor: target.clone(),
+            handle: handle.clone(),
         });
-        target.push(Entry::Client(conn.clone()));
+        self.event_loop.add(handle, Entry::Client(conn.clone()));
         Ok(conn)
     }
 
@@ -458,21 +448,20 @@ impl Binding for TcpTransport {
     type Source = Entry;
     type Conns = Vec<Arc<ClientConn>>;
     type Flight = TcpFlight;
-    type Sink = Arc<SrvShared>;
 
     fn core(&self) -> &Arc<Core<Self>> {
         &self.inner
     }
 
-    fn serve(core: &Core<Self>, served: Served<Self::Sink>) -> SocketAddr {
+    fn serve(core: &Core<Self>, served: Served) -> SocketAddr {
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind loopback listener");
         listener
             .set_nonblocking(true)
             .expect("non-blocking listener");
         let addr = listener.local_addr().expect("listener has an address");
+        let handle = core.event_loop.handle(listener.as_raw_fd());
         core.event_loop
-            .pick()
-            .push(Entry::Listener(listener, Arc::new(served)));
+            .add(handle, Entry::Listener(listener, Arc::new(served)));
         addr
     }
 
@@ -518,7 +507,7 @@ impl Binding for TcpTransport {
     }
 
     /// Reads the call's connection with its reader token, unless the
-    /// dial is still pending (the reactor hands out the turn when it
+    /// dial is still pending (the loop hands out the turn when it
     /// resolves) or another waiter holds the token (it hands out the
     /// turn when it lets go).
     fn drive(sent: &Sent<Self>, deadline: Instant) {
@@ -530,8 +519,8 @@ impl Binding for TcpTransport {
         conn.reader.store(false, Ordering::SeqCst);
         conn.demux.pass_turn();
         if conn.broken.load(Ordering::SeqCst) && conn.demux.in_flight() == 0 {
-            // Drained: the reactor may close it now.
-            conn.reactor.waker.wake();
+            // Drained: the loop may close it now.
+            conn.handle.nudge();
         }
     }
 
@@ -551,9 +540,9 @@ impl Binding for TcpTransport {
             // stop pooling it — the next submit dials fresh instead of
             // feeding a stalled server's tar pit (in-flight siblings
             // keep their cells; only checkout is barred, and the
-            // reactor closes the socket once they drain).
+            // loop closes the socket once they drain).
             flight.conn.broken.store(true, Ordering::SeqCst);
-            flight.conn.reactor.waker.wake();
+            flight.conn.handle.nudge();
             return Err(NetError::Timeout);
         };
         let retriable = sole_in_flight
@@ -592,9 +581,7 @@ impl Binding for TcpTransport {
         // they would on a crashed process, instead of riding a socket
         // whose server will never answer again.
         for conn in &conns {
-            conn.kill.store(true, Ordering::SeqCst);
-            conn.broken.store(true, Ordering::SeqCst);
-            conn.reactor.waker.wake();
+            conn.die(io::ErrorKind::UnexpectedEof, "connection force-closed");
         }
     }
 }
@@ -640,22 +627,26 @@ struct SrvOut {
     done: VecDeque<SrvDone>,
 }
 
-/// The half of a served connection its reactor shares with the
-/// dispatch workers answering on it: the reactor reads the socket, and
-/// whoever holds `out` writes it — the answering worker when nothing is
-/// ahead of its reply, the reactor for what the socket would not take
-/// at once.
+/// The half of a served connection its source shares with the threads
+/// running its requests: the loop reads the socket, and whoever holds
+/// `out` writes it — the thread that ran a request when nothing is
+/// ahead of its reply, the loop for what the socket would not take at
+/// once.
 pub(crate) struct SrvShared {
     stream: TcpStream,
     /// The served endpoint: the reply frames' sender.
     me: EndpointId,
     out: OrderedMutex<SrvOut>,
-    /// Requests dispatched but not yet fully answered on the wire —
-    /// the [`SERVE_PIPELINE`] gate's counter.
+    /// Requests admitted but not yet fully answered on the wire — the
+    /// [`SERVE_PIPELINE`] gate's counter.
     in_dispatch: AtomicUsize,
+    /// Set after EOF or a read error: stop reading, keep writing
+    /// replies (a half-closed peer still receives every answer it
+    /// pipelined).
+    hung_up: AtomicBool,
     /// Set when the connection is torn down: late replies are dropped.
     dead: AtomicBool,
-    reactor: Arc<Inbox<Entry>>,
+    handle: Arc<Handle>,
 }
 
 impl SrvShared {
@@ -683,10 +674,12 @@ impl SrvShared {
             }
             out.cur = None;
             // Frame delivered: release the gate slot it held since
-            // dispatch. The reply that reopens a gated connection wakes
-            // its reactor, whose sweep dispatches what it had buffered.
-            if self.in_dispatch.fetch_sub(1, Ordering::SeqCst) == SERVE_PIPELINE {
-                self.reactor.waker.wake();
+            // admission. The reply that reopens a gated connection, or
+            // drains one whose peer hung up, nudges its source: the
+            // sweep admits what it had buffered, or retires it.
+            let held = self.in_dispatch.fetch_sub(1, Ordering::SeqCst);
+            if held == SERVE_PIPELINE || (held == 1 && self.hung_up.load(Ordering::SeqCst)) {
+                self.handle.nudge();
             }
         }
     }
@@ -702,7 +695,7 @@ impl SrvShared {
 impl ReplySink for Arc<SrvShared> {
     /// Writes the reply from the answering thread when nothing is ahead
     /// of it on the connection; otherwise queues it behind the
-    /// unfinished write, which the reactor is already watching.
+    /// unfinished write, which the loop is already watching.
     fn reply(self, corr: u64, response: Option<Vec<u8>>) {
         if self.dead.load(Ordering::SeqCst) {
             return;
@@ -717,28 +710,24 @@ impl ReplySink for Arc<SrvShared> {
         drop(out);
         match written {
             Ok(true) => return,
-            // The socket took part of it: the reactor writes the rest.
+            // The socket took part of it: the loop writes the rest.
             Ok(false) => {}
-            // The reactor retires the connection on its next turn.
+            // The loop retires the connection on the nudge.
             Err(()) => self.cut(),
         }
-        self.reactor.waker.wake();
+        self.handle.nudge();
     }
 }
 
 // ---------------------------------------------------------------------
-// The reactor event loop.
+// The sockets on the event loop.
 // ---------------------------------------------------------------------
 
-/// A server-side connection as its reactor sees it.
+/// A server-side connection as the loop sees it.
 pub(crate) struct ServedEntry {
     shared: Arc<SrvShared>,
     served: TcpServed,
     decoder: FrameDecoder,
-    /// False after EOF or a read error: stop reading, keep draining
-    /// responses (a half-closed peer still receives every answer it
-    /// pipelined).
-    read_open: bool,
 }
 
 pub(crate) enum Entry {
@@ -748,66 +737,66 @@ pub(crate) enum Entry {
     Served(ServedEntry),
 }
 
-/// What a reactor does for each socket in its slab: finish dials and
-/// the writes the socket would not take at once, read and dispatch
-/// requests, accept connections. The loop itself — and the slab, whose
-/// drop on shutdown closes every listener and releases every service
-/// handle — is the core's [`EventLoop`].
+/// What the loop does for each socket: finish dials and the writes the
+/// socket would not take at once, read and admit requests, accept
+/// connections. The loop itself — and the registry, whose drop on
+/// shutdown closes every listener and releases every service handle —
+/// is the core's [`EventLoop`].
 impl Source for Entry {
-    /// `None` keeps the fd out of this round entirely: dead, an
-    /// established client connection with nothing queued (its waiters
-    /// read it), or a gated server connection with nothing to write.
-    fn interest(&self) -> Option<PollFd> {
+    type Sink = Arc<SrvShared>;
+
+    /// 0 leaves the fd disarmed: dead, an established client connection
+    /// with nothing queued (its waiters read it), or a gated server
+    /// connection with nothing to write.
+    fn interest(&self) -> u32 {
         match self {
-            Entry::Listener(listener, _) => Some(PollFd::new(listener.as_raw_fd(), POLLIN)),
+            Entry::Listener(..) => EPOLLIN,
             Entry::Client(c) => {
                 let out = c.out.lock();
                 let dialing = !c.established.load(Ordering::SeqCst);
                 let watch = !out.closed && (dialing || !out.frames.is_empty());
-                watch.then(|| PollFd::new(c.stream.as_raw_fd(), POLLOUT))
+                u32::from(watch) * EPOLLOUT
             }
             Entry::Served(s) => {
                 let shared = &s.shared;
                 if shared.dead.load(Ordering::SeqCst) {
-                    return None;
+                    return 0;
                 }
-                let mut events = 0i16;
-                if s.read_open && shared.in_dispatch.load(Ordering::SeqCst) < SERVE_PIPELINE {
+                let mut events = 0;
+                if !shared.hung_up.load(Ordering::SeqCst)
+                    && shared.in_dispatch.load(Ordering::SeqCst) < SERVE_PIPELINE
+                {
                     // The readiness-deregistration backpressure gate: a
                     // saturated connection simply stops watching for
                     // readability.
-                    events |= POLLIN;
+                    events |= EPOLLIN;
                 }
                 let out = shared.out.lock();
                 if out.cur.is_some() || !out.done.is_empty() {
-                    events |= POLLOUT;
+                    events |= EPOLLOUT;
                 }
-                (events != 0).then(|| PollFd::new(shared.stream.as_raw_fd(), events))
+                events
             }
         }
     }
 
-    fn ready(&mut self, ready: PollFd, el: &Arc<EventLoop<Self>>) {
+    fn ready(&mut self, ready: Ready, el: &Arc<EventLoop<Self>>, jobs: &mut Jobs<Self>) {
         match self {
             Entry::Client(c) => handle_client(c, ready),
             Entry::Listener(listener, served) => handle_listener(listener, served, el),
-            Entry::Served(s) => handle_served(s, ready),
+            Entry::Served(s) => handle_served(s, ready, jobs),
         }
     }
 
-    /// Retire sweep: externally killed connections, broken ones that
-    /// drained, gracefully finished server connections, and everything
-    /// that died since the last round. A served connection also
-    /// dispatches the frames it buffered while gated, in case a
-    /// worker's reply reopened the gate. Streams have no deadlines, so
-    /// a reactor's poll never times out.
-    fn sweep(&mut self, _now: Instant) -> Sweep {
+    /// Retire sweep: broken connections that drained, gracefully
+    /// finished server connections, and everything that died. A served
+    /// connection also admits the frames it buffered while gated, in
+    /// case a reply reopened the gate. Streams have no deadlines.
+    fn sweep(&mut self, _now: Instant, jobs: &mut Jobs<Self>) -> Sweep {
         let dead = match self {
             Entry::Listener(..) => false,
             Entry::Client(c) => {
-                if c.kill.load(Ordering::SeqCst) {
-                    c.die(io::ErrorKind::UnexpectedEof, "connection force-closed");
-                } else if c.broken.load(Ordering::SeqCst) {
+                if c.broken.load(Ordering::SeqCst) {
                     if !c.established.load(Ordering::SeqCst) {
                         // Broken before the handshake resolved: writes
                         // are gated on a connect that may never finish,
@@ -835,9 +824,11 @@ impl Source for Entry {
             Entry::Served(s) => {
                 // Cut on a bad buffered frame, and once the peer hung up
                 // with every pipelined response delivered.
-                if !s.shared.dead.load(Ordering::SeqCst)
-                    && (pump_served_decode(s).is_err()
-                        || (!s.read_open && s.shared.in_dispatch.load(Ordering::SeqCst) == 0))
+                let shared = &s.shared;
+                if !shared.dead.load(Ordering::SeqCst)
+                    && (pump_served_decode(s, jobs).is_err()
+                        || (s.shared.hung_up.load(Ordering::SeqCst)
+                            && s.shared.in_dispatch.load(Ordering::SeqCst) == 0))
                 {
                     s.shared.cut();
                 }
@@ -854,7 +845,7 @@ impl Source for Entry {
 
 /// Finishes a dial, then writes what submitters queued while it was
 /// pending or the socket would not take.
-fn handle_client(c: &ClientConn, ready: PollFd) {
+fn handle_client(c: &ClientConn, ready: Ready) {
     if !ready.writable() {
         return;
     }
@@ -893,7 +884,8 @@ fn write_some(mut stream: &TcpStream, buf: &[u8], off: &mut usize) -> io::Result
     Ok(true)
 }
 
-/// Accepts every pending connection, spreading them across the pool.
+/// Accepts every pending connection, registering each straight into
+/// the set.
 fn handle_listener(listener: &TcpListener, served: &TcpServed, el: &Arc<EventLoop<Entry>>) {
     loop {
         match listener.accept() {
@@ -902,21 +894,24 @@ fn handle_listener(listener: &TcpListener, served: &TcpServed, el: &Arc<EventLoo
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
-                let target = el.pick();
+                let handle = el.handle(stream.as_raw_fd());
                 let shared = Arc::new(SrvShared {
                     stream,
                     me: EndpointId(served.me),
                     out: OrderedMutex::new(ranks::TCP_SERVE_DONE, SrvOut::default()),
                     in_dispatch: AtomicUsize::new(0),
+                    hung_up: AtomicBool::new(false),
                     dead: AtomicBool::new(false),
-                    reactor: target.clone(),
+                    handle: handle.clone(),
                 });
-                target.push(Entry::Served(ServedEntry {
-                    shared,
-                    served: served.clone(),
-                    decoder: FrameDecoder::new(),
-                    read_open: true,
-                }));
+                el.add(
+                    handle,
+                    Entry::Served(ServedEntry {
+                        shared,
+                        served: served.clone(),
+                        decoder: FrameDecoder::new(),
+                    }),
+                );
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -927,15 +922,16 @@ fn handle_listener(listener: &TcpListener, served: &TcpServed, el: &Arc<EventLoo
     }
 }
 
-fn handle_served(s: &mut ServedEntry, ready: PollFd) {
-    if s.read_open && ready.readable() && pump_served_read(s).is_err() {
+fn handle_served(s: &mut ServedEntry, ready: Ready, jobs: &mut Jobs<Entry>) {
+    let open = !s.shared.hung_up.load(Ordering::SeqCst);
+    if open && ready.readable() && pump_served_read(s, jobs).is_err() {
         return s.shared.cut();
     }
     if ready.writable() {
         let written = s.shared.pump_write(&mut s.shared.out.lock());
         // Written replies freed gate slots: frames buffered while the
-        // connection was gated can dispatch now.
-        if written.is_err() || pump_served_decode(s).is_err() {
+        // connection was gated can be admitted now.
+        if written.is_err() || pump_served_decode(s, jobs).is_err() {
             s.shared.cut();
         }
     }
@@ -943,30 +939,29 @@ fn handle_served(s: &mut ServedEntry, ready: PollFd) {
 
 /// Reads request bytes until the socket would block or the
 /// [`SERVE_PIPELINE`] gate closes. `Err` means cut the connection.
-fn pump_served_read(s: &mut ServedEntry) -> Result<(), ()> {
+fn pump_served_read(s: &mut ServedEntry, jobs: &mut Jobs<Entry>) -> Result<(), ()> {
     let mut buf = [0u8; 16 * 1024];
-    while s.read_open && s.shared.in_dispatch.load(Ordering::SeqCst) < SERVE_PIPELINE {
+    while !s.shared.hung_up.load(Ordering::SeqCst)
+        && s.shared.in_dispatch.load(Ordering::SeqCst) < SERVE_PIPELINE
+    {
         match (&s.shared.stream).read(&mut buf) {
-            Ok(0) => s.read_open = false,
-            Ok(n) => {
+            Ok(n) if n > 0 => {
                 s.decoder.extend(&buf[..n]);
-                pump_served_decode(s)?;
+                pump_served_decode(s, jobs)?;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            // A reset mid-stream: stop reading; responses still in
-            // dispatch drain until their writes fail (same as the old
-            // reader thread's non-InvalidData exit).
-            Err(_) => s.read_open = false,
+            // EOF, or a reset mid-stream: stop reading; responses still
+            // admitted drain until their writes fail.
+            _ => s.shared.hung_up.store(true, Ordering::SeqCst),
         }
     }
     Ok(())
 }
 
-/// Dispatches buffered frames while the gate has room. `Err` means cut
-/// the connection (corrupt stream, down endpoint, transport
-/// unwinding).
-fn pump_served_decode(s: &mut ServedEntry) -> Result<(), ()> {
+/// Admits buffered frames while the gate has room. `Err` means cut the
+/// connection (corrupt stream, down endpoint).
+fn pump_served_decode(s: &mut ServedEntry, jobs: &mut Jobs<Entry>) -> Result<(), ()> {
     while s.shared.in_dispatch.load(Ordering::SeqCst) < SERVE_PIPELINE {
         match s.decoder.next_frame() {
             Ok(Some(frame)) => {
@@ -976,13 +971,11 @@ fn pump_served_decode(s: &mut ServedEntry) -> Result<(), ()> {
                     // process.
                     return Err(());
                 }
-                // Dispatched or shed, the request holds a gate slot
-                // until its reply is written — taken before the hand-off,
-                // since the reply may be written before `admit` returns.
+                // Admitted or shed, the request holds a gate slot until
+                // its reply is written — taken before admission, since a
+                // shed reply is written before `admit` returns.
                 s.shared.in_dispatch.fetch_add(1, Ordering::SeqCst);
-                if !s.served.admit(frame, s.shared.clone()) {
-                    return Err(());
-                }
+                jobs.extend(s.served.admit(frame, s.shared.clone()));
             }
             Ok(None) => break,
             // A corrupt stream (bad version, oversized length) MUST be

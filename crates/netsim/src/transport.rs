@@ -28,14 +28,13 @@
 //!   before a wait starts from the same instant — the deterministic
 //!   analogue of real concurrency. The default for tests and benches.
 //! - [`crate::tcp::TcpTransport`] speaks real TCP over `std::net` with
-//!   multiplexed, pipelined connections driven by a shared pool of
-//!   event-loop reactor threads: non-blocking sockets multiplexed on
-//!   `poll(2)` readiness, responses matched to requests by correlation
-//!   id, thread count O(reactor pool + dispatch pool) — independent of
-//!   connections, endpoints and fan-out. Served endpoints dispatch
-//!   concurrently through a bounded transport-wide worker pool and
-//!   answer in completion order, so a slow request never head-of-line
-//!   blocks the pipelined requests behind it. The same deployments and
+//!   multiplexed, pipelined connections driven by one pool of threads
+//!   on one `epoll` set: non-blocking sockets, responses matched to
+//!   requests by correlation id, a fixed thread count — independent of
+//!   connections, endpoints and fan-out. The thread that reads a
+//!   request runs it, and requests run concurrently and answer in
+//!   completion order, so a slow request never head-of-line blocks the
+//!   pipelined requests behind it. The same deployments and
 //!   the same client code run unchanged over loopback sockets.
 //! - [`crate::udp::QuicLiteTransport`] speaks QUIC-inspired reliable
 //!   datagrams over `std::net::UdpSocket`: connection ids with 0-RTT
@@ -83,7 +82,7 @@ pub struct Transfer {
 /// Transports dispatch **concurrently**: [`WireService::handle`] may be
 /// invoked from many threads at once — for pipelined requests on one
 /// connection as much as for requests from different connections (the
-/// TCP backend runs a bounded transport-wide dispatch pool; see
+/// TCP backend runs them on a bounded transport-wide pool; see
 /// [`crate::tcp::DISPATCH_POOL`]). The `Send + Sync` bound is therefore
 /// load-bearing, not boilerplate: implementations must synchronize
 /// internally (read-mostly state belongs behind an `RwLock` or an
@@ -109,7 +108,7 @@ where
 /// Server-side admission control for one served endpoint.
 ///
 /// When installed (via [`Transport::set_overload_policy`]), the serve
-/// path counts requests that are queued-or-executing in dispatch for
+/// path counts requests that are admitted and not yet executed for
 /// the endpoint — across every connection — and **sheds** a request
 /// instead of dispatching it when admitting it would push the endpoint
 /// past [`OverloadPolicy::max_depth`], or would push one principal past
@@ -118,8 +117,8 @@ where
 /// request is answered immediately with the payload produced by
 /// [`OverloadPolicy::busy_reply`] (the mapserver stack encodes
 /// `Response::Busy { retry_after_us }`), which drains through the
-/// ordinary response path — the reader is never stalled behind a full
-/// dispatch queue, and the request is **not** executed, so clients may
+/// ordinary response path — the reader is never stalled behind
+/// requests already admitted, and the request is **not** executed, so clients may
 /// retry it safely (`docs/wire-protocol.md` spec §10).
 ///
 /// The policy is transport-agnostic: `classify` maps a raw request
@@ -130,8 +129,8 @@ where
 /// policies.
 #[derive(Clone)]
 pub struct OverloadPolicy {
-    /// Maximum requests queued-or-executing in dispatch for the
-    /// endpoint before further arrivals are shed.
+    /// Maximum requests admitted and not yet executed for the endpoint
+    /// before further arrivals are shed.
     pub max_depth: usize,
     /// Backoff hint carried in shed replies, microseconds.
     pub retry_after_us: u64,
@@ -168,15 +167,15 @@ impl std::fmt::Debug for OverloadPolicy {
 }
 
 /// One served endpoint's admission book, shared between the serve path
-/// (admit/shed decisions), the dispatch workers (release on
-/// completion) and the [`Transport`] observability surface
+/// (admit/shed decisions), the threads running its requests (release
+/// on completion) and the [`Transport`] observability surface
 /// (`dispatch_depth`). Kept by the socket core for both real-socket
 /// bindings; the simulator dispatches inline and has none.
 ///
 /// `depth` counts requests admitted to dispatch and not yet executed;
 /// `by_principal` splits that count by the policy's `classify` key so
 /// fairness shedding can cap one hot principal at
-/// [`OverloadPolicy::principal_cap`]. Workers release slots
+/// [`OverloadPolicy::principal_cap`]. Slots are released
 /// unconditionally after executing a request — even when the request's
 /// connection has since died or its service panicked — so a
 /// disconnected flooder can never leave leaked slots wedging the
@@ -234,8 +233,8 @@ impl DispatchGauge {
         Ok(key)
     }
 
-    /// Releases an admitted request's slot (called by the dispatch
-    /// worker right after execution, on every path including service
+    /// Releases an admitted request's slot (called by the thread that
+    /// ran it right after execution, on every path including service
     /// panics — never tied to the connection still being alive).
     pub(crate) fn release(&self, key: Option<u64>) {
         if let Some(key) = key {
@@ -338,7 +337,7 @@ pub trait Transport: Send + Sync {
 
     /// Installs `service` as the handler for `id`, binding whatever
     /// listener the backend needs (a service slot on the simulator, a
-    /// reactor-driven accept loop on sockets).
+    /// listener on the event loop on sockets).
     fn set_service(&self, id: EndpointId, service: Arc<dyn WireService>);
 
     /// Puts one request on the wire and returns immediately; the
@@ -405,8 +404,8 @@ pub trait Transport: Send + Sync {
     /// deadline and dial/write timeout).
     fn set_timeout_us(&self, timeout_us: u64);
 
-    /// Live worker threads the backend currently runs (reactors,
-    /// dispatch workers, timers). `0` for backends that spawn none
+    /// Live worker threads the backend currently runs (its event-loop
+    /// pool). `0` for backends that spawn none
     /// (the simulator). The bench sweep records this per width to pin
     /// the thread budget alongside latency; the pipelining stress test
     /// asserts its ceiling.
@@ -420,7 +419,7 @@ pub trait Transport: Send + Sync {
     fn set_overload_policy(&self, _id: EndpointId, _policy: Option<OverloadPolicy>) {}
 
     /// High-water mark of the endpoint's dispatch depth (requests
-    /// queued-or-executing in the serve path) since the last
+    /// admitted and not yet executed) since the last
     /// [`Transport::reset_stats`]. `0` on backends with inline
     /// dispatch (the simulator).
     fn dispatch_depth(&self, _id: EndpointId) -> usize {

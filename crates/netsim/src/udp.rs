@@ -35,14 +35,11 @@
 //!   consecutive packet numbers and reassembled on the far side, so
 //!   batched envelopes of any size ride the same path.
 //! - **One socket per side**: one client socket multiplexes unbounded
-//!   in-flight calls across every destination. Each served endpoint
-//!   binds one UDP socket; the core's event loop multiplexes all of
-//!   them with the client socket, handing reassembled frames to the
-//!   core's admit-or-shed step and its transport-wide worker pool
-//!   ([`SERVE_POOL`]); responses are sent the moment they complete —
-//!   with datagrams there is no stream to keep ordered, so
-//!   completion-order responses are free (the "per-stream trivia" the
-//!   roadmap predicted).
+//!   in-flight calls across every destination, and each served
+//!   endpoint binds one; all are sources on the core's event loop. The
+//!   thread that reassembles a request runs it, and its response is
+//!   sent the moment it completes — with no stream to keep ordered,
+//!   completion order is free.
 //! - **Failure semantics**: there is no connection to cut, so a down
 //!   endpoint drops requests silently and a panicking service answers
 //!   with silence — the caller meets its deadline
@@ -55,14 +52,11 @@
 //! the backend is for tests, benches and single-process demos, like the
 //! TCP backend beside it.
 //!
-//! Threads are few and fixed: the core's event loop (one thread) owns
-//! every socket — the client socket and each served endpoint's are
-//! sources on it — and [`SERVE_POOL`] workers dispatch; sends happen
-//! inline on whichever thread submits or answers. That census is
-//! independent of served endpoints, fan-out width, call volume and
-//! destination count (the pipelining stress test pins it, below even
-//! TCP's shared-reactor budget). Retransmission is a deadline on the
-//! loop, not a thread: a socket whose connections have nothing
+//! Threads are few and fixed: the core's pool — one waiter and
+//! [`SERVE_POOL`] threads more — whatever the endpoints, fan-out width,
+//! call volume or destinations (below even TCP's budget; the
+//! pipelining stress test pins it). Retransmission is a deadline on
+//! the socket's timer, not a thread, and a socket with nothing
 //! unacknowledged names none, so an idle transport does not tick.
 //!
 //! Frame-level accounting is the core's, so cross-backend message
@@ -73,10 +67,10 @@
 //! invariants rest on.
 
 use crate::core::{
-    encode_frame, Binding, Core, Demux, EventLoop, Inbox, Outgoing, ReplySink, Sent, Served,
+    encode_frame, Binding, Core, Demux, EventLoop, Handle, Jobs, Outgoing, ReplySink, Sent, Served,
     Shared, SocketPending, Source, Sweep,
 };
-use crate::reactor::{PollFd, POLLIN};
+use crate::reactor::{Ready, EPOLLIN};
 use crate::transport::{Transfer, Transport};
 use crate::{EndpointId, NetError};
 use openflame_codec::framing::read_frame;
@@ -92,16 +86,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Concurrent dispatch workers for the whole transport: reassembled
-/// request frames from every served endpoint are executed by this many
-/// threads, so a slow request delays only its own response (there is
-/// no stream to head-of-line block; see module docs). A fixed
-/// transport-wide pool — not per endpoint — keeps the thread ceiling
-/// constant no matter how many endpoints serve.
+/// Pool threads beyond the one waiter, for the whole transport: with
+/// them, reassembled request frames from every served endpoint run
+/// while the waiter keeps reading, so a slow request delays only its
+/// own response (there is no stream to head-of-line block; see module
+/// docs). A fixed transport-wide pool — not per endpoint — keeps the
+/// thread ceiling constant no matter how many endpoints serve.
 pub const SERVE_POOL: usize = 4;
 
-/// Event-loop threads: the client socket and every served socket share
-/// one.
+/// Pool threads waiting for events at once: the client socket and
+/// every served socket share one.
 const LOOP_THREADS: usize = 1;
 
 /// The least time between two retransmission scans of one socket's
@@ -285,7 +279,7 @@ pub(crate) struct ConnState {
     queued: OrderedMutex<Vec<Vec<u8>>>,
     recv: OrderedMutex<RecvState>,
     /// Client-side conns route reassembled responses here; server-side
-    /// conns route requests to the endpoint's dispatch pool instead.
+    /// conns admit requests instead.
     /// There is no failure sweep: datagram loss is repaired by
     /// retransmission below the caller's deadline, and anything past
     /// the deadline is simply abandoned by the waiter.
@@ -402,7 +396,7 @@ impl ConnState {
 }
 
 // ---------------------------------------------------------------------
-// Packet-level wire state (outlives the transport handle in workers).
+// Packet-level wire state (outlives the transport handle in pool threads).
 // ---------------------------------------------------------------------
 
 /// The half of a socket's [`QuicSource`] that its senders share: the
@@ -413,17 +407,17 @@ struct Sock {
     /// Set while the source owes its connections a retransmission scan
     /// (see [`QuicSource::sweep`] for the disarm protocol).
     armed: AtomicBool,
-    inbox: Arc<Inbox<QuicSource>>,
+    handle: Arc<Handle>,
 }
 
 impl Sock {
     /// Signals that a packet just entered an unacked buffer. Callers
     /// invoke this AFTER the insert, so the sweep's
     /// disarm-then-scan can never miss it. Only the packet that finds
-    /// the source disarmed costs a wake.
+    /// the source disarmed costs a nudge.
     fn arm(&self) {
         if !self.armed.swap(true, Ordering::SeqCst) {
-            self.inbox.waker.wake();
+            self.handle.nudge();
         }
     }
 }
@@ -734,18 +728,19 @@ impl Core<QuicLiteTransport> {
     fn open(&self, side: Side) -> Arc<Sock> {
         let udp = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).expect("bind loopback UDP socket");
         udp.set_nonblocking(true).expect("non-blocking UDP socket");
-        let inbox = self.event_loop.pick().clone();
+        let handle = self.event_loop.handle(udp.as_raw_fd());
         let sock = Arc::new(Sock {
             udp,
             armed: AtomicBool::new(false),
-            inbox: inbox.clone(),
+            handle: handle.clone(),
         });
-        inbox.push(QuicSource {
+        let source = QuicSource {
             sock: sock.clone(),
             wire: self.state.wire.clone(),
             next_scan: None,
             side,
-        });
+        };
+        self.event_loop.add(handle, source);
         sock
     }
 
@@ -848,13 +843,12 @@ impl Binding for QuicLiteTransport {
     type Source = QuicSource;
     type Conns = ();
     type Flight = QuicFlight;
-    type Sink = Reply;
 
     fn core(&self) -> &Arc<Core<Self>> {
         &self.inner
     }
 
-    fn serve(core: &Core<Self>, served: Served<Reply>) -> SocketAddr {
+    fn serve(core: &Core<Self>, served: Served) -> SocketAddr {
         let sock = core.open(Side::Serve(ServeSock {
             served,
             conns: HashMap::new(),
@@ -937,7 +931,7 @@ impl ReplySink for Reply {
 /// breaks, and falls back to a cold handshake). Only a handshake adds
 /// an entry; datagrams under unregistered conn ids leave no trace.
 struct ServeSock {
-    served: Served<Reply>,
+    served: Served,
     conns: HashMap<u64, (Arc<ConnState>, Instant)>,
     next_evict: Instant,
 }
@@ -952,9 +946,9 @@ enum Side {
 
 /// One UDP socket on the event loop: it drains the socket on
 /// readiness — handling handshakes and acks inline, completing
-/// responses by correlation id (client side) or handing reassembled
-/// request frames to the dispatch pool (serve side) — and, from the
-/// sweep, retransmits for the connections that send through it.
+/// responses by correlation id (client side) or admitting reassembled
+/// request frames (serve side) — and, from the sweep, retransmits for
+/// the connections that send through it.
 pub(crate) struct QuicSource {
     sock: Arc<Sock>,
     wire: Arc<Wire>,
@@ -965,12 +959,14 @@ pub(crate) struct QuicSource {
 }
 
 impl Source for QuicSource {
-    fn interest(&self) -> Option<PollFd> {
-        Some(PollFd::new(self.sock.udp.as_raw_fd(), POLLIN))
+    type Sink = Reply;
+
+    fn interest(&self) -> u32 {
+        EPOLLIN
     }
 
     /// Decodes datagrams until the socket would block.
-    fn ready(&mut self, _ready: PollFd, _el: &Arc<EventLoop<Self>>) {
+    fn ready(&mut self, _ready: Ready, _el: &Arc<EventLoop<Self>>, jobs: &mut Jobs<Self>) {
         let mut buf = [0u8; 2048];
         loop {
             let (n, src) = match self.sock.udp.recv_from(&mut buf) {
@@ -989,7 +985,7 @@ impl Source for QuicSource {
                         client_packet(&self.wire, &conn, src, pkt);
                     }
                 }
-                Side::Serve(s) => s.packet(&self.wire, &self.sock, src, pkt),
+                Side::Serve(s) => s.packet(&self.wire, &self.sock, src, pkt, jobs),
             }
         }
         #[cfg(test)]
@@ -1003,7 +999,7 @@ impl Source for QuicSource {
     /// when the earliest unacknowledged packet falls due (no sooner
     /// than [`RTO_TICK`] after the last scan), and name that instant
     /// as the loop's deadline.
-    fn sweep(&mut self, now: Instant) -> Sweep {
+    fn sweep(&mut self, now: Instant, _jobs: &mut Jobs<Self>) -> Sweep {
         if let Side::Serve(s) = &mut self.side {
             if now >= s.next_evict {
                 s.conns
@@ -1018,7 +1014,7 @@ impl Source for QuicSource {
             return Sweep::Due(at);
         }
         // Disarm BEFORE scanning: a sender whose packet the scan missed
-        // finds the flag clear, sets it and wakes the loop.
+        // finds the flag clear, sets it and nudges the source.
         self.sock.armed.store(false, Ordering::SeqCst);
         let next_due = match &self.side {
             Side::Client(routes) => {
@@ -1067,8 +1063,15 @@ fn client_packet(wire: &Wire, conn: &ConnState, src: SocketAddr, pkt: Packet) {
 
 impl ServeSock {
     /// One datagram for a served endpoint: answer handshakes and acks
-    /// inline, dispatch complete request frames.
-    fn packet(&mut self, wire: &Arc<Wire>, sock: &Arc<Sock>, src: SocketAddr, pkt: Packet) {
+    /// inline, admit complete request frames to `jobs`.
+    fn packet(
+        &mut self,
+        wire: &Arc<Wire>,
+        sock: &Arc<Sock>,
+        src: SocketAddr,
+        pkt: Packet,
+        jobs: &mut Jobs<QuicSource>,
+    ) {
         let now = Instant::now();
         if pkt.ptype == PacketType::Init {
             // Register the connection if it is new; a duplicate Init
@@ -1108,9 +1111,8 @@ impl ServeSock {
                             me: self.served.me,
                         };
                         // A shed reply rides the ordinary reliable-send
-                        // path; `false` means the transport is
-                        // unwinding and nothing is left to answer.
-                        let _ = self.served.admit(frame, reply);
+                        // path.
+                        jobs.extend(self.served.admit(frame, reply));
                     }
                 }
             }

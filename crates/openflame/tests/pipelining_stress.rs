@@ -8,12 +8,12 @@
 //! dispatch pool and a reader/writer pair per pooled connection each),
 //! so a 128-server fleet cost thousands of parked threads. The reactor
 //! model multiplexes every connection — client and served side — over
-//! a fixed pool of event-loop threads sized by the host's cores, plus
-//! one transport-wide dispatch pool. The whole fleet below runs on
-//! `reactor_threads() + DISPATCH_POOL` OS threads. The QuicLite
-//! datagram backend pins a strictly lower constant: the one
-//! event-loop thread that owns every socket (and the RTO deadlines)
-//! plus its `SERVE_POOL` dispatch workers, regardless of scale.
+//! one fixed pool of event-loop threads: `reactor_threads()` waiters,
+//! sized by the host's cores, plus `DISPATCH_POOL` more. The whole
+//! fleet below runs on `reactor_threads() + DISPATCH_POOL` OS threads.
+//! The QuicLite datagram backend pins a strictly lower constant: one
+//! waiter on every socket (and the RTO deadlines) plus `SERVE_POOL`
+//! more, regardless of scale.
 
 use openflame_core::{ClientError, Session};
 use openflame_mapserver::protocol::{Envelope, HelloInfo, Request, Response};

@@ -713,16 +713,16 @@ const RULES: [Rule; 7] = [
         needles: &["thread::Builder", "thread::spawn"],
         scope: &["crates/netsim/src/"],
         exempt: Some("crates/netsim/src/core.rs"),
-        why: "in a netsim binding: worker threads are the event loop and the dispatch pool \
-              (core.rs); register a source instead (`std::thread` is public)",
+        why: "in a netsim binding: the event loop's one pool (core.rs) is every thread a \
+              socket transport has; register a source instead (`std::thread` is public)",
     },
     Rule {
         needles: &["mpsc"],
         scope: &["crates/netsim/src/"],
         exempt: None,
-        why: "in netsim: the dispatch pool is one condvar queue (`JobQueue`, core.rs), and a \
-              channel behind a mutex wakes a second worker per job (`std::sync::mpsc` is \
-              public)",
+        why: "in netsim: the pool's overflow queue is one condvar queue (`Pool::jobs`, \
+              core.rs), and a channel behind a mutex wakes a second thread per job \
+              (`std::sync::mpsc` is public)",
     },
 ];
 

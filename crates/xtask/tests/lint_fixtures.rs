@@ -318,7 +318,7 @@ mod tests { fn t() { std::thread::spawn(|| ()); } }
     let f = forbidden_api_findings("crates/netsim/src/udp.rs", src);
     assert_eq!(f.len(), 2);
     assert!(f[0].msg.contains("register a source instead"));
-    // The loop and the dispatch pool themselves live in the core.
+    // The event loop's pool itself lives in the core.
     assert_eq!(
         forbidden_api_findings("crates/netsim/src/core.rs", src),
         vec![]

@@ -809,10 +809,13 @@ impl Handle {
     }
 }
 
+/// A source's deadline timer, and whether it is armed.
+type Timer = (OwnedFd, bool);
+
 struct Slot<S> {
     handle: Arc<Handle>,
-    /// The source, `None` once retired, and its deadline timer (armed?).
-    live: OrderedMutex<Option<(S, Option<(OwnedFd, bool)>)>>,
+    /// The source, `None` once retired, and its timer.
+    live: OrderedMutex<Option<(S, Option<Timer>)>>,
 }
 
 /// The pool's books, behind the lock of the condvar parked threads

@@ -824,8 +824,7 @@ impl Source for Entry {
             Entry::Served(s) => {
                 // Cut on a bad buffered frame, and once the peer hung up
                 // with every pipelined response delivered.
-                let shared = &s.shared;
-                if !shared.dead.load(Ordering::SeqCst)
+                if !s.shared.dead.load(Ordering::SeqCst)
                     && (pump_served_decode(s, jobs).is_err()
                         || (s.shared.hung_up.load(Ordering::SeqCst)
                             && s.shared.in_dispatch.load(Ordering::SeqCst) == 0))

@@ -62,18 +62,6 @@ use std::time::{Duration, Instant};
 // Completion plumbing.
 // ---------------------------------------------------------------------
 
-/// A completed call's payload-or-error, plus the context a retry
-/// policy needs.
-pub(crate) struct CellDone {
-    pub(crate) result: io::Result<Vec<u8>>,
-    /// Whether this request was the only one in flight on its
-    /// connection when the outcome landed. A connection-death failure
-    /// is only retried when true: with siblings pipelined behind it,
-    /// the server may have processed any of them before the cut, and
-    /// re-sending would duplicate non-idempotent work.
-    pub(crate) sole_in_flight: bool,
-}
-
 /// One in-flight request's completion slot, filled exactly once by
 /// the binding's receive path (or abandoned by a timed-out waiter).
 ///
@@ -89,7 +77,7 @@ pub(crate) struct CompletionCell {
 
 #[derive(Default)]
 struct CellState {
-    done: Option<CellDone>,
+    done: Option<io::Result<Vec<u8>>>,
     /// Set (under the lock, so the parked waiter cannot miss it) when
     /// the waiter may try [`Binding::drive`] again.
     turn: bool,
@@ -112,13 +100,10 @@ impl CompletionCell {
         self.state.lock().done.is_some()
     }
 
-    fn fill(&self, result: io::Result<Vec<u8>>, sole_in_flight: bool) {
+    fn fill(&self, result: io::Result<Vec<u8>>) {
         let mut state = self.state.lock();
         if state.done.is_none() {
-            state.done = Some(CellDone {
-                result,
-                sole_in_flight,
-            });
+            state.done = Some(result);
             self.cond.notify_all();
         }
     }
@@ -133,7 +118,7 @@ impl CompletionCell {
 
     /// Blocks until filled, handed the turn, or `deadline`; `None`
     /// means one of the latter two came first.
-    fn wait_until(&self, deadline: Instant) -> Option<CellDone> {
+    fn wait_until(&self, deadline: Instant) -> Option<io::Result<Vec<u8>>> {
         let mut state = self.state.lock();
         loop {
             if state.done.is_some() {
@@ -154,12 +139,6 @@ impl CompletionCell {
 /// path.
 pub(crate) struct Demux {
     pending: OrderedMutex<HashMap<u64, Arc<CompletionCell>>>,
-    /// Responses successfully delivered on this connection, ever. A
-    /// retry policy compares snapshots of this: a delivery after a
-    /// request was submitted proves the server was alive and
-    /// processing past that point, so a subsequent connection death no
-    /// longer proves the request untouched.
-    delivered: AtomicU64,
     /// Transport-wide count of discarded responses (unknown or
     /// already-completed correlation ids).
     orphans: Arc<AtomicU64>,
@@ -169,13 +148,8 @@ impl Demux {
     pub(crate) fn new(orphans: Arc<AtomicU64>) -> Self {
         Self {
             pending: OrderedMutex::new(ranks::NET_DEMUX, HashMap::new()),
-            delivered: AtomicU64::new(0),
             orphans,
         }
-    }
-
-    pub(crate) fn delivered(&self) -> u64 {
-        self.delivered.load(Ordering::SeqCst)
     }
 
     pub(crate) fn register(&self, corr: u64) -> Arc<CompletionCell> {
@@ -189,32 +163,20 @@ impl Demux {
     /// (duplicate), or abandoned by a timed-out waiter — is discarded
     /// and counted, never delivered to a different call.
     pub(crate) fn complete(&self, corr: u64, result: io::Result<Vec<u8>>) {
-        let (cell, sole) = {
-            let mut pending = self.pending.lock();
-            let cell = pending.remove(&corr);
-            (cell, pending.is_empty())
-        };
+        let cell = self.pending.lock().remove(&corr);
         match cell {
-            Some(cell) => {
-                if result.is_ok() {
-                    self.delivered.fetch_add(1, Ordering::SeqCst);
-                }
-                cell.fill(result, sole);
-            }
+            Some(cell) => cell.fill(result),
             None => {
                 self.orphans.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    /// Fails every in-flight request (the connection died). Each cell
-    /// learns whether it was alone in flight — the retry policy's
-    /// safety condition.
+    /// Fails every in-flight request (the connection died).
     pub(crate) fn fail_all(&self, kind: io::ErrorKind, msg: &str) {
         let cells: Vec<_> = self.pending.lock().drain().map(|(_, cell)| cell).collect();
-        let sole = cells.len() == 1;
         for cell in cells {
-            cell.fill(Err(io::Error::new(kind, msg.to_string())), sole);
+            cell.fill(Err(io::Error::new(kind, msg.to_string())));
         }
     }
 
@@ -374,14 +336,12 @@ impl<B: Binding> Core<B> {
 
     /// Puts one request on the wire: resolve the destination, refuse a
     /// down endpoint, mint the correlation id, encode the frame and
-    /// hand it to the binding. `retry` marks the single
-    /// stale-connection re-send (see [`Outgoing::retry`]).
+    /// hand it to the binding.
     pub(crate) fn launch(
         self: &Arc<Self>,
         from: EndpointId,
         to: EndpointId,
         payload: Vec<u8>,
-        retry: bool,
     ) -> Result<SocketPending<B>, NetError> {
         let (addr, down) = {
             let endpoints = self.endpoints.lock();
@@ -400,8 +360,6 @@ impl<B: Binding> Core<B> {
             addr,
             corr,
             frame,
-            payload,
-            retry,
         };
         let sent = B::send(self, out)?;
         Ok(SocketPending {
@@ -488,12 +446,6 @@ pub(crate) struct Outgoing {
     pub(crate) corr: u64,
     /// The encoded request frame.
     pub(crate) frame: Vec<u8>,
-    /// The raw payload, for bindings that keep a retry copy.
-    pub(crate) payload: Vec<u8>,
-    /// This is the single re-send of a call whose pooled connection
-    /// proved stale: the binding must bypass pooled state, and injected
-    /// loss was already rolled for the call.
-    pub(crate) retry: bool,
 }
 
 /// What [`Binding::send`] hands back: the registered completion cell,
@@ -541,14 +493,11 @@ pub(crate) trait Binding: Send + Sync + Sized + 'static {
     fn drive(_sent: &Sent<Self>, _deadline: Instant) {}
 
     /// Decides what a call that did not complete means. `failure` is
-    /// the connection-level error and whether the request was alone in
-    /// flight, or `None` when the deadline passed (the core already
-    /// abandoned the correlation slot). The binding charges the request
-    /// bytes if they were spent and may re-[`Core::launch`] the call.
-    fn failed(
-        call: SocketPending<Self>,
-        failure: Option<(io::Error, bool)>,
-    ) -> Result<Transfer, NetError>;
+    /// the connection-level error, or `None` when the deadline passed
+    /// (the core already abandoned the correlation slot). The binding
+    /// charges the request bytes if they were spent; it never re-sends
+    /// the call — retrying is the caller's (spec §9.4).
+    fn failed(call: SocketPending<Self>, failure: Option<io::Error>) -> NetError;
 
     /// `set_down` flipped `id`'s flag either way: drop the client-side
     /// state toward it (`conns` was taken from the endpoint book).
@@ -581,10 +530,7 @@ impl<B: Binding> PendingCall for SocketPending<B> {
             }
         };
         match done {
-            Some(CellDone {
-                result: Ok(response),
-                ..
-            }) => {
+            Some(Ok(response)) => {
                 let received = Some(response.len() as u64);
                 self.core
                     .charge(self.from, self.to, self.bytes_sent, received);
@@ -597,16 +543,13 @@ impl<B: Binding> PendingCall for SocketPending<B> {
                     payload: response,
                 })
             }
-            Some(CellDone {
-                result: Err(e),
-                sole_in_flight,
-            }) => B::failed(*self, Some((e, sole_in_flight))),
+            Some(Err(e)) => Err(B::failed(*self, Some(e))),
             None => {
                 // Abandon the slot: a response past the deadline is
                 // discarded as an orphan, never delivered to a future
                 // call.
                 self.sent.demux.forget(self.corr);
-                B::failed(*self, None)
+                Err(B::failed(*self, None))
             }
         }
     }
@@ -661,7 +604,7 @@ impl<B: Binding> Transport for B {
     }
 
     fn submit(&self, from: EndpointId, to: EndpointId, payload: Vec<u8>) -> CallHandle {
-        match self.core().launch(from, to, payload, false) {
+        match self.core().launch(from, to, payload) {
             Ok(pending) => CallHandle::new(Box::new(pending)),
             Err(e) => CallHandle::ready(Err(e)),
         }
@@ -861,10 +804,11 @@ pub(crate) struct EventLoop<S: Source> {
     threads: usize,
     kind: &'static str,
     shared: Arc<Shared>,
-    /// Events taken, parked threads promoted, and requests queued, so
-    /// far (indexed by [`TURNS`], [`PROMOTIONS`], [`PUSHES`]).
+    /// Events taken, parked threads promoted, requests queued and
+    /// client connections dialed, so far (indexed by [`TURNS`],
+    /// [`PROMOTIONS`], [`PUSHES`], [`DIALS`]).
     #[cfg(test)]
-    counts: [AtomicU64; 3],
+    pub(crate) counts: [AtomicU64; 4],
 }
 
 #[cfg(test)]
@@ -873,6 +817,8 @@ const TURNS: usize = 0;
 const PROMOTIONS: usize = 1;
 #[cfg(test)]
 const PUSHES: usize = 2;
+#[cfg(test)]
+pub(crate) const DIALS: usize = 3;
 
 impl<S: Source> EventLoop<S> {
     /// `waiters` threads at most wait for events, out of `threads`.
@@ -1228,8 +1174,7 @@ mod tests {
         // First completion delivers...
         demux.complete(1, Ok(vec![1]));
         let done = cell.wait_until(Instant::now()).unwrap();
-        assert_eq!(done.result.unwrap(), vec![1]);
-        assert!(done.sole_in_flight, "it was alone in the demux");
+        assert_eq!(done.unwrap(), vec![1]);
         // ...a duplicate for the same id is an orphan, not a overwrite.
         demux.complete(1, Ok(vec![2]));
         assert_eq!(orphans.load(Ordering::Relaxed), 2);
@@ -1537,11 +1482,15 @@ mod tests {
     }
 
     /// A request held in its service never stalls another socket: while
-    /// `held` requests wait in theirs, a request on another connection
-    /// of the same endpoint (tcp dials one; QuicLite's served socket is
-    /// its only one) is answered at once — up to one fewer held than
-    /// the threads the pool keeps beyond its waiters.
-    fn a_held_request_never_stalls_another_socket<T: Transport + Binding>(transport: T) {
+    /// `held` requests wait in theirs, a request on another socket of
+    /// the same endpoint (`probe`'s: tcp opens a connection of its own,
+    /// QuicLite's served socket is its only one) is answered at once —
+    /// up to one fewer held than the threads the pool keeps beyond its
+    /// waiters.
+    fn a_held_request_never_stalls_another_socket<T: Transport + Binding>(
+        transport: T,
+        probe: fn(&T, EndpointId, EndpointId) -> Vec<u8>,
+    ) {
         let kind = transport.kind();
         let entered = Arc::new(AtomicUsize::new(0));
         let release = Arc::new(AtomicBool::new(false));
@@ -1574,12 +1523,10 @@ mod tests {
                 thread::sleep(Duration::from_millis(1));
             }
             let t0 = Instant::now();
-            // A retry launch dials a fresh tcp connection.
-            let probe = transport.core().launch(client, server, vec![0, 2], true);
-            let answer = Box::new(probe.unwrap()).wait().unwrap();
+            let answer = probe(&transport, client, server);
             let waited = t0.elapsed();
             release.store(true, Ordering::SeqCst);
-            assert_eq!(answer.payload, [0, 2]);
+            assert_eq!(answer, [0, 2]);
             assert!(
                 waited < Duration::from_millis(100),
                 "{kind}: with {held} held, another socket waited {waited:?}"
@@ -1592,8 +1539,18 @@ mod tests {
 
     #[test]
     fn a_held_request_never_stalls_another_socket_on_every_binding() {
-        a_held_request_never_stalls_another_socket(TcpTransport::new(7));
-        a_held_request_never_stalls_another_socket(QuicLiteTransport::new(7));
+        use openflame_codec::framing::read_frame;
+        // A raw stream to the listener: the transport's own connection
+        // carries the held requests.
+        a_held_request_never_stalls_another_socket(TcpTransport::new(7), |t, _, server| {
+            let mut raw = std::net::TcpStream::connect(t.listen_addr(server).unwrap()).unwrap();
+            write_frame(&mut raw, 99, 2, &[0, 2]).unwrap();
+            read_frame(&mut raw).unwrap().payload
+        });
+        a_held_request_never_stalls_another_socket(
+            QuicLiteTransport::new(7),
+            |t, client, server| t.call(client, server, vec![0, 2]).unwrap().payload,
+        );
     }
 
     #[test]
@@ -1608,18 +1565,23 @@ mod tests {
     // is only used to peek at the core's books).
 
     /// A panicking service costs only its caller — as what, is the
-    /// binding's choice (`died`) — releases its admission slot, and
-    /// leaves the endpoint answering.
+    /// binding's choice (`died`) — runs the panicking request once,
+    /// releases its admission slot, and leaves the endpoint answering.
     fn panicking_service_costs_only_its_caller<T: Transport + Binding>(
         transport: T,
         died: fn(&NetError) -> bool,
     ) {
         let kind = transport.kind();
         let server = transport.register("panicky", None);
+        let runs = Arc::new(AtomicUsize::new(0));
+        let count = runs.clone();
         // payload[0] == 1 makes the service panic.
         transport.set_service(
             server,
-            Arc::new(|_from: EndpointId, payload: &[u8]| {
+            Arc::new(move |_from: EndpointId, payload: &[u8]| {
+                if payload.first() == Some(&1) {
+                    count.fetch_add(1, Ordering::SeqCst);
+                }
                 assert_ne!(payload.first(), Some(&1), "injected service bug");
                 payload.to_vec()
             }),
@@ -1642,6 +1604,11 @@ mod tests {
             transport.call(client, server, vec![2]).unwrap().payload,
             [2],
             "{kind}: dispatch workers must outlive a panicking request"
+        );
+        assert_eq!(
+            runs.load(Ordering::SeqCst),
+            1,
+            "{kind}: the panicking request was sent again"
         );
     }
 

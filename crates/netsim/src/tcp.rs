@@ -27,34 +27,29 @@
 //!   replies drain, and the reply that reopens the gate nudges it to
 //!   admit what it buffered. Shed replies ([`crate::OverloadPolicy`])
 //!   take the same path.
-//! - **Multiplexed connections**: one pooled connection carries many
-//!   in-flight requests at once; out-of-order completion is matched
-//!   by correlation id. Its responses are read by whichever blocking
-//!   waiter holds the connection's *reader token*: that waiter polls
-//!   the one socket until its own answer lands, completes every other
-//!   caller's answer it reads on the way, then hands the turn to the
-//!   calls still waiting (`crate::core::Binding::drive`). A scatter
-//!   over 64 servers reuses the same 64 warm connections round after
-//!   round.
+//! - **Multiplexed connections**: one connection per destination,
+//!   booked in the endpoint book, carries every request to it at
+//!   once; out-of-order completion is matched by correlation id. Its
+//!   responses are read by whichever blocking waiter holds the
+//!   connection's *reader token*: that waiter polls the one socket
+//!   until its own answer lands, completes every other caller's answer
+//!   it reads on the way, then hands the turn to the calls still
+//!   waiting (`crate::core::Binding::drive`). A scatter over 64
+//!   servers reuses the same 64 warm connections round after round.
 //! - **Submit** writes the encoded frame to the socket itself when the
 //!   connection is established and nothing is queued ahead of it;
 //!   otherwise it queues the frame for the loop — it never blocks
 //!   on a dial (connects are non-blocking too; N cold dials to N
-//!   servers proceed concurrently). Bounded fan-out falls out of the
-//!   pool: at most `POOL_CAP` (4) connections per destination, each
-//!   pipelining up to `PIPELINE_DEPTH` (32) requests before another
-//!   connection is dialed; beyond that, requests queue on the
-//!   least-loaded connection.
+//!   servers proceed concurrently, and racing first calls to one
+//!   destination share one dial).
 //! - **Failure semantics** mirror the simulator: a down endpoint
 //!   fails with [`NetError::EndpointDown`] and its server side cuts
 //!   the connection instead of answering; message drops are injected
 //!   per call, before the socket, and surface as
-//!   [`NetError::Timeout`] having charged nothing. A call that went
-//!   out alone on a pooled connection which then proved stale — the
-//!   next call is what discovers an idle connection's EOF — is re-sent
-//!   exactly once on a fresh dial (both transmissions charge);
-//!   timeouts are never retried, and a frame is re-routed before the
-//!   call returns only if none of it was written.
+//!   [`NetError::Timeout`] having charged nothing. A request whose
+//!   frame reached the socket is never sent again, whatever happens
+//!   to its connection: only a frame none of whose bytes were written
+//!   is re-routed, once, onto a fresh dial.
 //!
 //! Clocks are wall-clock microseconds since transport creation, so the
 //! TTL caches built on [`Transport::now_us`] age in real time. Raw
@@ -70,7 +65,7 @@ use crate::core::{
     ReplySink, Sent, Served, Shared, SocketPending, Source, Sweep,
 };
 use crate::reactor::{connect_nonblocking, poll_fds, PollFd, Ready, EPOLLIN, EPOLLOUT, POLLIN};
-use crate::transport::{PendingCall, Transfer, Transport};
+use crate::transport::Transport;
 use crate::{EndpointId, NetError};
 use openflame_codec::framing::FrameDecoder;
 use openflame_diag::{ranks, OrderedMutex};
@@ -85,14 +80,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-/// Pipelined connections kept per destination endpoint.
-pub(crate) const POOL_CAP: usize = 4;
-
-/// In-flight requests a connection absorbs before the pool dials
-/// another one (further requests queue on the least-loaded connection
-/// — the bounded-fan-out knob).
-pub(crate) const PIPELINE_DEPTH: usize = 32;
-
 /// Pool threads beyond the waiters, for the whole transport: with
 /// them, requests from every served connection of every endpoint run
 /// while the waiters keep reading. A fixed transport-wide pool (not per
@@ -102,11 +89,9 @@ pub const DISPATCH_POOL: usize = 8;
 
 /// Decoded requests one server connection may hold at once (queued,
 /// executing, or awaiting its response write) before the loop drops
-/// the connection's read interest — the
-/// server-side bounded-queue mirror of the client's
-/// [`PIPELINE_DEPTH`], expressed as readiness-deregistration instead
-/// of a blocked reader thread.
-pub(crate) const SERVE_PIPELINE: usize = PIPELINE_DEPTH;
+/// the connection's read interest — backpressure expressed as
+/// readiness-deregistration instead of a blocked reader thread.
+pub(crate) const SERVE_PIPELINE: usize = 32;
 
 /// Hard cap on the waiters (the default is
 /// `min(available cores, MAX_REACTORS)`).
@@ -134,7 +119,7 @@ struct OutQueue {
     frames: VecDeque<OutFrame>,
 }
 
-/// One pooled, pipelined client connection, shared by `Arc` between
+/// One booked, pipelined client connection, shared by `Arc` between
 /// its source on the loop (which dials it and finishes writes the
 /// socket would not take), its submitters (which write their own
 /// frames when nothing is queued) and its waiters (whose reader-token
@@ -143,9 +128,9 @@ pub(crate) struct ClientConn {
     addr: SocketAddr,
     stream: TcpStream,
     demux: Arc<Demux>,
-    /// Set when the connection dies or goes stale; broken connections
-    /// are pruned from the pool on the next checkout and closed by
-    /// the loop once drained.
+    /// Set when the connection dies or stalls past a deadline: the
+    /// next checkout books a fresh dial instead, and the loop closes
+    /// this one once drained.
     broken: AtomicBool,
     /// Set by the loop, under `out`, once the dial succeeded.
     established: AtomicBool,
@@ -180,7 +165,7 @@ impl ClientConn {
         match written {
             Ok(true) => {}
             Ok(false) => self.handle.nudge(),
-            Err(e) => self.die_writing(&e),
+            Err(e) => self.die(e.kind(), &format!("connection writer failed: {e}")),
         }
         Ok(())
     }
@@ -274,16 +259,6 @@ impl ClientConn {
         let _ = self.stream.shutdown(Shutdown::Both);
         self.handle.nudge();
     }
-
-    /// A failed write kills the connection as `BrokenPipe`, whatever
-    /// the error was, so retry eligibility does not depend on which
-    /// thread wrote.
-    fn die_writing(&self, e: &io::Error) {
-        self.die(
-            io::ErrorKind::BrokenPipe,
-            &format!("connection writer failed: {e}"),
-        );
-    }
 }
 
 /// Completes every whole response frame the decoder holds.
@@ -350,15 +325,13 @@ impl TcpTransport {
         self.inner.shared.orphans.load(Ordering::Relaxed)
     }
 
-    /// Pooled connections currently held toward `to` (test hook).
+    /// Connections booked toward `to` (test hook).
     #[cfg(test)]
     fn pooled_conns(&self, to: EndpointId) -> usize {
-        self.inner
-            .endpoints
-            .lock()
+        let endpoints = self.inner.endpoints.lock();
+        endpoints
             .get(&to)
-            .map(|e| e.conns.len())
-            .unwrap_or(0)
+            .map_or(0, |e| usize::from(e.conns.is_some()))
     }
 }
 
@@ -374,6 +347,8 @@ impl Core<TcpTransport> {
         let stream = connect_nonblocking(&addr)
             .map_err(|e| NetError::Connection(format!("dial {addr}: {e}")))?;
         let _ = stream.set_nodelay(true);
+        #[cfg(test)]
+        self.event_loop.counts[crate::core::DIALS].fetch_add(1, Ordering::SeqCst);
         let handle = self.event_loop.handle(stream.as_raw_fd());
         let conn = Arc::new(ClientConn {
             addr,
@@ -390,55 +365,17 @@ impl Core<TcpTransport> {
         Ok(conn)
     }
 
-    /// Checks out a connection toward `to`: the least-loaded pooled one
-    /// when its pipeline has room (or the pool is full), a fresh dial
-    /// otherwise. Returns whether the connection pre-existed (only
-    /// those are eligible for the stale-retry).
-    fn obtain_conn(
-        &self,
-        to: EndpointId,
-        addr: SocketAddr,
-        force_fresh: bool,
-    ) -> Result<(Arc<ClientConn>, bool), NetError> {
-        if !force_fresh {
-            let mut endpoints = self.endpoints.lock();
-            if let Some(ep) = endpoints.get_mut(&to) {
-                ep.conns.retain(|c| !c.broken.load(Ordering::SeqCst));
-                if let Some(best) = ep.conns.iter().min_by_key(|c| c.demux.in_flight()).cloned() {
-                    if best.demux.in_flight() < PIPELINE_DEPTH || ep.conns.len() >= POOL_CAP {
-                        return Ok((best, true));
-                    }
-                }
-            }
-        }
-        let conn = self.dial(addr)?;
+    /// The connection booked toward `to`, or — when there is none or it
+    /// broke — a fresh dial, booked before the endpoint book's lock is
+    /// let go, so racing first calls share one dial.
+    fn obtain_conn(&self, to: EndpointId, addr: SocketAddr) -> Result<Arc<ClientConn>, NetError> {
         let mut endpoints = self.endpoints.lock();
-        if let Some(ep) = endpoints.get_mut(&to) {
-            // Make room before the cap check: broken connections must
-            // not squat pool slots and force fresh dials unpooled.
-            ep.conns.retain(|c| !c.broken.load(Ordering::SeqCst));
-            if ep.conns.len() < POOL_CAP {
-                ep.conns.push(conn.clone());
-            }
+        let ep = endpoints.get_mut(&to).ok_or(NetError::NoSuchEndpoint(to))?;
+        match &ep.conns {
+            Some(conn) if !conn.broken.load(Ordering::SeqCst) => Ok(conn.clone()),
+            _ => Ok(ep.conns.insert(self.dial(addr)?).clone()),
         }
-        Ok((conn, false))
     }
-}
-
-/// What one TCP call in flight keeps beyond the core's cell.
-pub(crate) struct TcpFlight {
-    /// The carrying connection. Keeps its demux and queue alive while
-    /// the call is in flight: a fresh dial that lost the pool-slot race
-    /// must not lose its response mid-air.
-    conn: Arc<ClientConn>,
-    /// The connection's delivered-response count at submit time; any
-    /// delivery after it vetoes the stale-retry (server provably alive
-    /// past this request's submission).
-    delivered_at_submit: u64,
-    /// Retry copy, kept only for calls that went out on a pre-existing
-    /// pooled connection (the only ones eligible for the single
-    /// stale-connection retry).
-    retry_payload: Option<Vec<u8>>,
 }
 
 impl Binding for TcpTransport {
@@ -446,8 +383,8 @@ impl Binding for TcpTransport {
     const DISPATCH_WORKERS: usize = DISPATCH_POOL;
     type State = ();
     type Source = Entry;
-    type Conns = Vec<Arc<ClientConn>>;
-    type Flight = TcpFlight;
+    type Conns = Option<Arc<ClientConn>>;
+    type Flight = Arc<ClientConn>;
 
     fn core(&self) -> &Arc<Core<Self>> {
         &self.inner
@@ -466,44 +403,35 @@ impl Binding for TcpTransport {
     }
 
     fn send(core: &Arc<Core<Self>>, out: Outgoing) -> Result<Sent<Self>, NetError> {
-        if !out.retry && core.shared.roll_drop() {
+        if core.shared.roll_drop() {
             return Err(NetError::Timeout);
         }
-        let (corr, mut buf, mut fresh) = (out.corr, out.frame, out.retry);
-        loop {
-            let (conn, reused) = core.obtain_conn(out.to, out.addr, fresh)?;
+        let (corr, mut buf) = (out.corr, out.frame);
+        for _ in 0..2 {
+            let conn = core.obtain_conn(out.to, out.addr)?;
             let cell = conn.demux.register(corr);
-            let delivered_at_submit = conn.demux.delivered();
             let unsent = match conn.enqueue(OutFrame { corr, buf, off: 0 }) {
                 // Already closed: the frame never left this process.
                 Err(unsent) => Some(unsent.buf),
-                // Marked stale meanwhile (a sibling's timeout, a cut):
+                // Marked broken meanwhile (a sibling's timeout, a cut):
                 // move off it — if none of the frame was written.
                 Ok(()) if conn.broken.load(Ordering::SeqCst) => conn.withdraw(corr),
                 Ok(()) => None,
             };
-            if let Some(unsent) = unsent {
-                // Prune and, once, re-route a pooled reuse on a fresh
-                // dial; re-routing unwritten bytes cannot duplicate
-                // work.
-                conn.broken.store(true, Ordering::SeqCst);
-                conn.demux.forget(corr);
-                if fresh || !reused {
-                    return Err(NetError::Connection("connection closed before send".into()));
-                }
-                (buf, fresh) = (unsent, true);
-                continue;
-            }
-            return Ok(Sent {
-                cell,
-                demux: conn.demux.clone(),
-                flight: TcpFlight {
-                    conn,
-                    delivered_at_submit,
-                    retry_payload: (reused && !fresh).then_some(out.payload),
-                },
-            });
+            let Some(unsent) = unsent else {
+                let demux = conn.demux.clone();
+                return Ok(Sent {
+                    cell,
+                    demux,
+                    flight: conn,
+                });
+            };
+            // Unwritten bytes may be re-routed: the next checkout dials.
+            conn.broken.store(true, Ordering::SeqCst);
+            conn.demux.forget(corr);
+            buf = unsent;
         }
+        Err(NetError::Connection("connection closed before send".into()))
     }
 
     /// Reads the call's connection with its reader token, unless the
@@ -511,7 +439,7 @@ impl Binding for TcpTransport {
     /// resolves) or another waiter holds the token (it hands out the
     /// turn when it lets go).
     fn drive(sent: &Sent<Self>, deadline: Instant) {
-        let conn = &sent.flight.conn;
+        let conn = &sent.flight;
         if !conn.established.load(Ordering::SeqCst) || conn.reader.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -524,79 +452,41 @@ impl Binding for TcpTransport {
         }
     }
 
-    fn failed(
-        call: SocketPending<Self>,
-        failure: Option<(io::Error, bool)>,
-    ) -> Result<Transfer, NetError> {
-        let flight = call.sent.flight;
+    fn failed(call: SocketPending<Self>, failure: Option<io::Error>) -> NetError {
         // A written request costs wire whether or not the call
-        // completes; the retry path charges the failed attempt before
-        // re-sending, so both transmissions account.
+        // completes.
         if call.sent.cell.was_sent() {
             call.core.charge_tx(call.from, call.to, call.bytes_sent);
         }
-        let Some((e, sole_in_flight)) = failure else {
+        let Some(e) = failure else {
             // The connection swallowed a request past its deadline, so
-            // stop pooling it — the next submit dials fresh instead of
+            // stop booking it — the next submit dials fresh instead of
             // feeding a stalled server's tar pit (in-flight siblings
-            // keep their cells; only checkout is barred, and the
-            // loop closes the socket once they drain).
-            flight.conn.broken.store(true, Ordering::SeqCst);
-            flight.conn.handle.nudge();
-            return Err(NetError::Timeout);
+            // keep their cells; the loop closes the socket once they
+            // drain).
+            call.sent.flight.broken.store(true, Ordering::SeqCst);
+            call.sent.flight.handle.nudge();
+            return NetError::Timeout;
         };
-        let retriable = sole_in_flight
-            && is_stale_connection(&e)
-            // No response landed on this connection since the submit:
-            // nothing proves the server ever got past this request, so
-            // re-sending cannot duplicate observed work. A delivery in
-            // between vetoes it.
-            && flight.conn.demux.delivered() == flight.delivered_at_submit;
-        if let (true, Some(payload)) = (retriable, flight.retry_payload) {
-            // The pooled connection went stale (server restarted or
-            // cut us off) with this request alone in flight — it
-            // cannot have been processed; retry exactly once on a
-            // fresh dial. With siblings pipelined on the same
-            // connection the server may have processed any of them, so
-            // those failures are surfaced, not retried. Timeouts are
-            // NEVER retried — the server may still be executing the
-            // request, and re-sending would duplicate non-idempotent
-            // work (patches).
-            let retried = call.core.launch(call.from, call.to, payload, true)?;
-            return Box::new(retried).wait();
-        }
         if call.down.load(Ordering::Relaxed) {
             // The server cut the connection because it is down: to the
             // caller that is a dead endpoint, same as on the simulator.
-            return Err(NetError::EndpointDown(call.to));
+            return NetError::EndpointDown(call.to);
         }
-        Err(match e.kind() {
+        match e.kind() {
             io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => NetError::Timeout,
             _ => NetError::Connection(e.to_string()),
-        })
+        }
     }
 
     fn cut(_core: &Core<Self>, _id: EndpointId, conns: Self::Conns) {
-        // Cut the pooled connections now: in-flight requests fail like
+        // Cut the booked connection now: in-flight requests fail like
         // they would on a crashed process, instead of riding a socket
         // whose server will never answer again.
-        for conn in &conns {
+        if let Some(conn) = conns {
             conn.die(io::ErrorKind::UnexpectedEof, "connection force-closed");
         }
     }
-}
-
-/// Whether an I/O failure means the connection itself died (as a
-/// pooled-but-abandoned socket does) rather than the request timing
-/// out. Only these are safe to retry on a fresh dial.
-fn is_stale_connection(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::UnexpectedEof
-            | io::ErrorKind::ConnectionReset
-            | io::ErrorKind::ConnectionAborted
-            | io::ErrorKind::BrokenPipe
-    )
 }
 
 // ---------------------------------------------------------------------
@@ -809,7 +699,7 @@ impl Source for Entry {
                             "connection abandoned mid-handshake",
                         );
                     } else {
-                        // Externally marked stale (timeout pruning):
+                        // Marked broken by a timeout (or a re-route):
                         // keep serving in-flight siblings, close once
                         // drained.
                         let mut out = c.out.lock();
@@ -860,7 +750,7 @@ fn handle_client(c: &ClientConn, ready: Ready) {
         c.flush(&mut out)
     };
     match written {
-        Err(e) => c.die_writing(&e),
+        Err(e) => c.die(e.kind(), &format!("connection writer failed: {e}")),
         // Waiters parked through the dial may read now.
         Ok(_) if dialed => c.demux.pass_turn(),
         Ok(_) => {}
@@ -988,7 +878,7 @@ fn pump_served_decode(s: &mut ServedEntry, jobs: &mut Jobs<Entry>) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{CallHandle, OverloadPolicy, Transport};
+    use crate::transport::{CallHandle, OverloadPolicy, PendingCall, Transport};
     use openflame_codec::framing::{read_frame, write_frame, FRAME_HEADER_LEN};
     use std::time::Duration;
 
@@ -1027,6 +917,27 @@ mod tests {
         );
         let ep = transport.endpoint_stats(server).unwrap();
         assert_eq!(ep.rx_msgs, 5);
+    }
+
+    #[test]
+    fn racing_first_calls_share_one_dial() {
+        let (transport, client, server) = echo_transport();
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let callers: Vec<_> = (0..8u8)
+            .map(|i| {
+                let (transport, start) = (transport.clone(), start.clone());
+                thread::spawn(move || {
+                    start.wait();
+                    transport.call(client, server, vec![i]).unwrap().payload
+                })
+            })
+            .collect();
+        for (i, caller) in callers.into_iter().enumerate() {
+            assert_eq!(caller.join().unwrap(), [i as u8]);
+        }
+        let dials = transport.inner.event_loop.counts[crate::core::DIALS].load(Ordering::SeqCst);
+        assert_eq!(dials, 1, "8 racing first calls dialed {dials} connections");
+        assert_eq!(transport.pooled_conns(server), 1);
     }
 
     #[test]
@@ -1176,7 +1087,7 @@ mod tests {
         for (i, result) in set.into_iter().map(CallHandle::wait).enumerate() {
             assert_eq!(result.unwrap().payload, (i as u32).to_le_bytes().to_vec());
         }
-        assert!(transport.pooled_conns(server) <= POOL_CAP);
+        assert_eq!(transport.pooled_conns(server), 1);
         assert_eq!(transport.orphan_responses(), 0);
         assert_eq!(transport.stats().messages, 400);
     }
@@ -1669,15 +1580,9 @@ mod tests {
     fn the_reader_completes_a_sibling_answer_that_lands_first() {
         let (transport, client, server) = sleepy_transport();
         transport.call(client, server, vec![0]).unwrap();
-        let slow = transport
-            .inner
-            .launch(client, server, vec![200], false)
-            .unwrap();
-        let fast = transport
-            .inner
-            .launch(client, server, vec![0], false)
-            .unwrap();
-        assert!(Arc::ptr_eq(&slow.sent.flight.conn, &fast.sent.flight.conn));
+        let slow = transport.inner.launch(client, server, vec![200]).unwrap();
+        let fast = transport.inner.launch(client, server, vec![0]).unwrap();
+        assert!(Arc::ptr_eq(&slow.sent.flight, &fast.sent.flight));
         let fast_cell = fast.sent.cell.clone();
         let t0 = Instant::now();
         // The first waiter holds the reader token until its own answer
@@ -1719,7 +1624,10 @@ mod tests {
     fn set_down_fails_a_waiter_parked_in_poll_promptly() {
         let (transport, client, server) = sleepy_transport();
         transport.call(client, server, vec![0]).unwrap();
-        let conn = transport.inner.endpoints.lock()[&server].conns[0].clone();
+        let conn = transport.inner.endpoints.lock()[&server]
+            .conns
+            .clone()
+            .unwrap();
         let waiter = {
             let transport = transport.clone();
             thread::spawn(move || transport.call(client, server, vec![250]))
@@ -1785,7 +1693,12 @@ mod tests {
         );
         let client = transport.register("client", None);
         transport.call(client, server, vec![0]).unwrap();
-        let pooled = || transport.inner.endpoints.lock()[&server].conns[0].clone();
+        let pooled = || {
+            transport.inner.endpoints.lock()[&server]
+                .conns
+                .clone()
+                .unwrap()
+        };
         // What `send` does on a warm connection: register, then enqueue,
         // which writes the frame at once...
         let conn = pooled();

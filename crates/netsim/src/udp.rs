@@ -71,7 +71,7 @@ use crate::core::{
     Shared, SocketPending, Source, Sweep,
 };
 use crate::reactor::{Ready, EPOLLIN};
-use crate::transport::{Transfer, Transport};
+use crate::transport::Transport;
 use crate::{EndpointId, NetError};
 use openflame_codec::framing::read_frame;
 use openflame_codec::packet::{decode_packet, encode_packet, Packet, PacketType, PAYLOAD_MTU};
@@ -868,10 +868,7 @@ impl Binding for QuicLiteTransport {
         })
     }
 
-    fn failed(
-        call: SocketPending<Self>,
-        failure: Option<(io::Error, bool)>,
-    ) -> Result<Transfer, NetError> {
+    fn failed(call: SocketPending<Self>, failure: Option<io::Error>) -> NetError {
         // The request frame hit the wire iff the handshake completed
         // (queued frames flush exactly at establishment); if it did,
         // its bytes were spent and are charged even though the call
@@ -880,13 +877,12 @@ impl Binding for QuicLiteTransport {
         if flight.sent_now || flight.conn.established.load(Ordering::SeqCst) {
             call.core.charge_tx(call.from, call.to, call.bytes_sent);
         }
-        if let Some((e, _)) = failure {
-            return Err(NetError::Connection(e.to_string()));
-        }
-        if call.down.load(Ordering::Relaxed) {
-            Err(NetError::EndpointDown(call.to))
+        if let Some(e) = failure {
+            NetError::Connection(e.to_string())
+        } else if call.down.load(Ordering::Relaxed) {
+            NetError::EndpointDown(call.to)
         } else {
-            Err(NetError::Timeout)
+            NetError::Timeout
         }
     }
 

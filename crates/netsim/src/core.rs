@@ -1541,11 +1541,16 @@ mod tests {
     fn a_held_request_never_stalls_another_socket_on_every_binding() {
         use openflame_codec::framing::read_frame;
         // A raw stream to the listener: the transport's own connection
-        // carries the held requests.
+        // carries the held requests. Its read timeout makes a stalled
+        // serve path fail the test instead of hanging it.
         a_held_request_never_stalls_another_socket(TcpTransport::new(7), |t, _, server| {
             let mut raw = std::net::TcpStream::connect(t.listen_addr(server).unwrap()).unwrap();
+            raw.set_read_timeout(Some(PATIENCE)).unwrap();
             write_frame(&mut raw, 99, 2, &[0, 2]).unwrap();
-            read_frame(&mut raw).unwrap().payload
+            match read_frame(&mut raw) {
+                Ok(frame) => frame.payload,
+                Err(e) => panic!("tcp: the raw probe got no answer: {e}"),
+            }
         });
         a_held_request_never_stalls_another_socket(
             QuicLiteTransport::new(7),

@@ -158,18 +158,24 @@ impl Demux {
         cell
     }
 
-    /// Routes a response to its waiter. A correlation id that matches
-    /// no in-flight request — never issued, already completed
-    /// (duplicate), or abandoned by a timed-out waiter — is discarded
-    /// and counted, never delivered to a different call.
-    pub(crate) fn complete(&self, corr: u64, result: io::Result<Vec<u8>>) {
+    /// Routes a response to its waiter, returning the cell it filled. A
+    /// correlation id that matches no in-flight request — never issued,
+    /// already completed (duplicate), or abandoned by a timed-out
+    /// waiter — is discarded and counted, never delivered to a
+    /// different call.
+    pub(crate) fn complete(
+        &self,
+        corr: u64,
+        result: io::Result<Vec<u8>>,
+    ) -> Option<Arc<CompletionCell>> {
         let cell = self.pending.lock().remove(&corr);
-        match cell {
+        match &cell {
             Some(cell) => cell.fill(result),
             None => {
                 self.orphans.fetch_add(1, Ordering::Relaxed);
             }
         }
+        cell
     }
 
     /// Fails every in-flight request (the connection died).
@@ -356,6 +362,7 @@ impl<B: Binding> Core<B> {
         let bytes_sent = payload.len() as u64;
         let frame = encode_frame(from, corr, &payload)?;
         let out = Outgoing {
+            from,
             to,
             addr,
             corr,
@@ -378,11 +385,14 @@ impl<B: Binding> Core<B> {
     /// response — to the global and both per-endpoint counters (frame
     /// headers included: these are the bytes actually on the wire; a
     /// datagram binding counts packet headers, acks and
-    /// retransmissions separately).
-    fn charge(&self, from: EndpointId, to: EndpointId, payload_out: u64, payload_in: Option<u64>) {
-        let sent = payload_out + FRAME_HEADER_LEN as u64;
-        let (back_msgs, back_bytes) = match payload_in {
-            Some(n) => (1, n + FRAME_HEADER_LEN as u64),
+    /// retransmissions separately). `out` is the request's payload
+    /// length; `answered` a completed call's response payload length
+    /// and latency, the latter folded into `to`'s summary under the
+    /// same lock.
+    fn charge(&self, from: EndpointId, to: EndpointId, out: u64, answered: Option<(u64, u64)>) {
+        let sent = out + FRAME_HEADER_LEN as u64;
+        let (back_msgs, back_bytes) = match answered {
+            Some((n, _)) => (1, n + FRAME_HEADER_LEN as u64),
             None => (0, 0),
         };
         {
@@ -402,6 +412,9 @@ impl<B: Binding> Core<B> {
             ep.stats.rx_bytes += sent;
             ep.stats.tx_msgs += back_msgs;
             ep.stats.tx_bytes += back_bytes;
+            if let Some((_, latency_us)) = answered {
+                ep.latency.observe(latency_us);
+            }
         }
     }
 
@@ -412,14 +425,6 @@ impl<B: Binding> Core<B> {
     /// response charges nothing.
     pub(crate) fn charge_tx(&self, from: EndpointId, to: EndpointId, payload_out: u64) {
         self.charge(from, to, payload_out, None);
-    }
-
-    /// Folds one completed-call latency sample into `to`'s summary.
-    fn note_latency(&self, to: EndpointId, sample_us: u64) {
-        let mut endpoints = self.endpoints.lock();
-        if let Some(ep) = endpoints.get_mut(&to) {
-            ep.latency.observe(sample_us);
-        }
     }
 }
 
@@ -441,6 +446,7 @@ pub(crate) fn encode_frame(
 
 /// One request on its way to the binding's wire.
 pub(crate) struct Outgoing {
+    pub(crate) from: EndpointId,
     pub(crate) to: EndpointId,
     pub(crate) addr: SocketAddr,
     pub(crate) corr: u64,
@@ -531,11 +537,10 @@ impl<B: Binding> PendingCall for SocketPending<B> {
         };
         match done {
             Some(Ok(response)) => {
-                let received = Some(response.len() as u64);
-                self.core
-                    .charge(self.from, self.to, self.bytes_sent, received);
                 let latency_us = self.t0.elapsed().as_micros() as u64;
-                self.core.note_latency(self.to, latency_us);
+                let answered = Some((response.len() as u64, latency_us));
+                self.core
+                    .charge(self.from, self.to, self.bytes_sent, answered);
                 Ok(Transfer {
                     latency_us,
                     bytes_sent: self.bytes_sent + FRAME_HEADER_LEN as u64,
@@ -804,11 +809,12 @@ pub(crate) struct EventLoop<S: Source> {
     threads: usize,
     kind: &'static str,
     shared: Arc<Shared>,
-    /// Events taken, parked threads promoted, requests queued and
-    /// client connections dialed, so far (indexed by [`TURNS`],
-    /// [`PROMOTIONS`], [`PUSHES`], [`DIALS`]).
+    /// Events taken, parked threads promoted, requests queued, client
+    /// connections dialed and answers a reader completed for another
+    /// call, so far (indexed by [`TURNS`], [`PROMOTIONS`], [`PUSHES`],
+    /// [`DIALS`], [`FOREIGN`]); shared with the connections that count.
     #[cfg(test)]
-    pub(crate) counts: [AtomicU64; 4],
+    pub(crate) counts: Arc<[AtomicU64; 5]>,
 }
 
 #[cfg(test)]
@@ -819,6 +825,8 @@ const PROMOTIONS: usize = 1;
 const PUSHES: usize = 2;
 #[cfg(test)]
 pub(crate) const DIALS: usize = 3;
+#[cfg(test)]
+pub(crate) const FOREIGN: usize = 4;
 
 impl<S: Source> EventLoop<S> {
     /// `waiters` threads at most wait for events, out of `threads`.

@@ -27,21 +27,24 @@
 //!   replies drain, and the reply that reopens the gate nudges it to
 //!   admit what it buffered. Shed replies ([`crate::OverloadPolicy`])
 //!   take the same path.
-//! - **Multiplexed connections**: one connection per destination,
-//!   booked in the endpoint book, carries every request to it at
-//!   once; out-of-order completion is matched by correlation id. Its
-//!   responses are read by whichever blocking waiter holds the
-//!   connection's *reader token*: that waiter polls the one socket
-//!   until its own answer lands, completes every other caller's answer
-//!   it reads on the way, then hands the turn to the calls still
-//!   waiting (`crate::core::Binding::drive`). A scatter over 64
-//!   servers reuses the same 64 warm connections round after round.
+//! - **Multiplexed connections**: one connection per caller endpoint
+//!   and destination — the connection one host holds to another —
+//!   booked in the endpoint book, carries every request that caller
+//!   makes to it at once; out-of-order completion is matched by
+//!   correlation id. Calls from different endpoints never share a
+//!   socket. Its responses are read by whichever blocking waiter holds
+//!   the connection's *reader token*: that waiter polls the one socket
+//!   until its own answer lands, completes every other answer it reads
+//!   on the way (the caller's other threads'), then hands the turn to
+//!   the calls still waiting (`crate::core::Binding::drive`). A scatter
+//!   over 64 servers reuses the same 64 warm connections round after
+//!   round.
 //! - **Submit** writes the encoded frame to the socket itself when the
 //!   connection is established and nothing is queued ahead of it;
 //!   otherwise it queues the frame for the loop — it never blocks
 //!   on a dial (connects are non-blocking too; N cold dials to N
-//!   servers proceed concurrently, and racing first calls to one
-//!   destination share one dial).
+//!   servers proceed concurrently, and racing first calls from one
+//!   caller to one destination share one dial).
 //! - **Failure semantics** mirror the simulator: a down endpoint
 //!   fails with [`NetError::EndpointDown`] and its server side cuts
 //!   the connection instead of answering; message drops are injected
@@ -71,7 +74,7 @@ use openflame_codec::framing::FrameDecoder;
 use openflame_diag::{ranks, OrderedMutex};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -141,6 +144,9 @@ pub(crate) struct ClientConn {
     rx: OrderedMutex<FrameDecoder>,
     /// The connection's place on the event loop.
     handle: Arc<Handle>,
+    /// The event loop's test counters.
+    #[cfg(test)]
+    counts: Arc<[std::sync::atomic::AtomicU64; 5]>,
 }
 
 impl ClientConn {
@@ -214,7 +220,7 @@ impl ClientConn {
                 Ok(0) => io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed by peer"),
                 Ok(n) => {
                     decoder.extend(&buf[..n]);
-                    match drain_responses(&mut decoder, &self.demux) {
+                    match self.drain_responses(&mut decoder, cell) {
                         Ok(()) => continue,
                         Err(e) => e,
                     }
@@ -242,6 +248,21 @@ impl ClientConn {
         }
     }
 
+    /// Completes every whole response frame the decoder holds; `own`
+    /// is the reader's cell (tests count the answers it fills for
+    /// other calls).
+    #[cfg_attr(not(test), allow(unused_variables))]
+    fn drain_responses(&self, decoder: &mut FrameDecoder, own: &CompletionCell) -> io::Result<()> {
+        while let Some(frame) = decoder.next_frame()? {
+            let filled = self.demux.complete(frame.correlation, Ok(frame.payload));
+            #[cfg(test)]
+            if filled.is_some_and(|cell| !std::ptr::eq(&*cell, own)) {
+                self.counts[crate::core::FOREIGN].fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        Ok(())
+    }
+
     /// Kills the connection: fail every in-flight request, refuse
     /// further enqueues, and shut the socket (which also wakes a waiter
     /// polling it); the loop retires it on the nudge.
@@ -259,14 +280,6 @@ impl ClientConn {
         let _ = self.stream.shutdown(Shutdown::Both);
         self.handle.nudge();
     }
-}
-
-/// Completes every whole response frame the decoder holds.
-fn drain_responses(decoder: &mut FrameDecoder, demux: &Demux) -> io::Result<()> {
-    while let Some(frame) = decoder.next_frame()? {
-        demux.complete(frame.correlation, Ok(frame.payload));
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -325,13 +338,11 @@ impl TcpTransport {
         self.inner.shared.orphans.load(Ordering::Relaxed)
     }
 
-    /// Connections booked toward `to` (test hook).
+    /// Connections booked toward `to`, one per caller (test hook).
     #[cfg(test)]
     fn pooled_conns(&self, to: EndpointId) -> usize {
         let endpoints = self.inner.endpoints.lock();
-        endpoints
-            .get(&to)
-            .map_or(0, |e| usize::from(e.conns.is_some()))
+        endpoints.get(&to).map_or(0, |e| e.conns.len())
     }
 }
 
@@ -360,20 +371,28 @@ impl Core<TcpTransport> {
             reader: AtomicBool::new(false),
             rx: OrderedMutex::new(ranks::TCP_CONN_RX, FrameDecoder::new()),
             handle: handle.clone(),
+            #[cfg(test)]
+            counts: self.event_loop.counts.clone(),
         });
         self.event_loop.add(handle, Entry::Client(conn.clone()));
         Ok(conn)
     }
 
-    /// The connection booked toward `to`, or — when there is none or it
-    /// broke — a fresh dial, booked before the endpoint book's lock is
-    /// let go, so racing first calls share one dial.
-    fn obtain_conn(&self, to: EndpointId, addr: SocketAddr) -> Result<Arc<ClientConn>, NetError> {
+    /// The connection `out.from` booked toward `out.to`, or — when
+    /// there is none or it broke — a fresh dial, booked before the
+    /// endpoint book's lock is let go, so racing first calls from one
+    /// caller share one dial.
+    fn obtain_conn(&self, out: &Outgoing) -> Result<Arc<ClientConn>, NetError> {
+        let (from, to) = (out.from, out.to);
         let mut endpoints = self.endpoints.lock();
         let ep = endpoints.get_mut(&to).ok_or(NetError::NoSuchEndpoint(to))?;
-        match &ep.conns {
+        match ep.conns.get(&from) {
             Some(conn) if !conn.broken.load(Ordering::SeqCst) => Ok(conn.clone()),
-            _ => Ok(ep.conns.insert(self.dial(addr)?).clone()),
+            _ => {
+                let conn = self.dial(out.addr)?;
+                ep.conns.insert(from, conn.clone());
+                Ok(conn)
+            }
         }
     }
 }
@@ -383,7 +402,8 @@ impl Binding for TcpTransport {
     const DISPATCH_WORKERS: usize = DISPATCH_POOL;
     type State = ();
     type Source = Entry;
-    type Conns = Option<Arc<ClientConn>>;
+    /// Booked per caller endpoint: each caller reads only its own socket.
+    type Conns = HashMap<EndpointId, Arc<ClientConn>>;
     type Flight = Arc<ClientConn>;
 
     fn core(&self) -> &Arc<Core<Self>> {
@@ -402,13 +422,13 @@ impl Binding for TcpTransport {
         addr
     }
 
-    fn send(core: &Arc<Core<Self>>, out: Outgoing) -> Result<Sent<Self>, NetError> {
+    fn send(core: &Arc<Core<Self>>, mut out: Outgoing) -> Result<Sent<Self>, NetError> {
         if core.shared.roll_drop() {
             return Err(NetError::Timeout);
         }
-        let (corr, mut buf) = (out.corr, out.frame);
+        let (corr, mut buf) = (out.corr, std::mem::take(&mut out.frame));
         for _ in 0..2 {
-            let conn = core.obtain_conn(out.to, out.addr)?;
+            let conn = core.obtain_conn(&out)?;
             let cell = conn.demux.register(corr);
             let unsent = match conn.enqueue(OutFrame { corr, buf, off: 0 }) {
                 // Already closed: the frame never left this process.
@@ -480,10 +500,10 @@ impl Binding for TcpTransport {
     }
 
     fn cut(_core: &Core<Self>, _id: EndpointId, conns: Self::Conns) {
-        // Cut the booked connection now: in-flight requests fail like
-        // they would on a crashed process, instead of riding a socket
-        // whose server will never answer again.
-        if let Some(conn) = conns {
+        // Cut every caller's booked connection now: in-flight requests
+        // fail like they would on a crashed process, instead of riding
+        // a socket whose server will never answer again.
+        for conn in conns.into_values() {
             conn.die(io::ErrorKind::UnexpectedEof, "connection force-closed");
         }
     }
@@ -938,6 +958,49 @@ mod tests {
         let dials = transport.inner.event_loop.counts[crate::core::DIALS].load(Ordering::SeqCst);
         assert_eq!(dials, 1, "8 racing first calls dialed {dials} connections");
         assert_eq!(transport.pooled_conns(server), 1);
+    }
+
+    #[test]
+    fn callers_keep_their_own_connections() {
+        let (transport, client, server) = echo_transport();
+        let other = transport.register("other", None);
+        for i in 0..3u8 {
+            transport.call(client, server, vec![i]).unwrap();
+            transport.call(other, server, vec![i]).unwrap();
+        }
+        let dials = transport.inner.event_loop.count(crate::core::DIALS);
+        assert_eq!(dials, 2, "two callers dialed {dials} connections");
+        assert_eq!(transport.pooled_conns(server), 2);
+    }
+
+    #[test]
+    fn a_caller_never_reads_another_callers_answer() {
+        let (transport, client, server) = echo_transport();
+        let other = transport.register("other", None);
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let callers: Vec<_> = [client, other]
+            .into_iter()
+            .map(|from| {
+                let (transport, start) = (transport.clone(), start.clone());
+                thread::spawn(move || {
+                    start.wait();
+                    for i in 0..200u32 {
+                        let payload = i.to_le_bytes().to_vec();
+                        let answer = transport.call(from, server, payload.clone()).unwrap();
+                        assert_eq!(answer.payload, payload);
+                    }
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().unwrap();
+        }
+        let foreign = transport.inner.event_loop.count(crate::core::FOREIGN);
+        assert_eq!(
+            foreign, 0,
+            "readers completed {foreign} answers of other calls"
+        );
+        assert_eq!(transport.orphan_responses(), 0);
     }
 
     #[test]
@@ -1624,10 +1687,7 @@ mod tests {
     fn set_down_fails_a_waiter_parked_in_poll_promptly() {
         let (transport, client, server) = sleepy_transport();
         transport.call(client, server, vec![0]).unwrap();
-        let conn = transport.inner.endpoints.lock()[&server]
-            .conns
-            .clone()
-            .unwrap();
+        let conn = transport.inner.endpoints.lock()[&server].conns[&client].clone();
         let waiter = {
             let transport = transport.clone();
             thread::spawn(move || transport.call(client, server, vec![250]))
@@ -1651,6 +1711,58 @@ mod tests {
             "{:?}",
             t0.elapsed()
         );
+    }
+
+    #[test]
+    fn set_down_cuts_every_callers_connection() {
+        let (transport, client, server) = sleepy_transport();
+        let other = transport.register("other", None);
+        let booked = |from: EndpointId| {
+            transport.call(from, server, vec![0]).unwrap();
+            transport.inner.endpoints.lock()[&server].conns[&from].clone()
+        };
+        let conns = [booked(client), booked(other)];
+        let waiters: Vec<_> = [client, other]
+            .into_iter()
+            .map(|from| {
+                let transport = transport.clone();
+                thread::spawn(move || transport.call(from, server, vec![250]))
+            })
+            .collect();
+        // Each waiter reads its own connection, parked in `poll`.
+        let t0 = Instant::now();
+        while !conns.iter().all(|conn| conn.reader.load(Ordering::SeqCst)) {
+            assert!(
+                t0.elapsed() < Duration::from_millis(200),
+                "a waiter never read"
+            );
+            thread::yield_now();
+        }
+        let t0 = Instant::now();
+        transport.set_down(server, true);
+        for waiter in waiters {
+            let err = waiter.join().unwrap().unwrap_err();
+            assert!(matches!(err, NetError::EndpointDown(_)), "{err:?}");
+        }
+        assert!(
+            t0.elapsed() < Duration::from_millis(150),
+            "{:?}",
+            t0.elapsed()
+        );
+        transport.set_down(server, false);
+        let dials = transport.inner.event_loop.count(crate::core::DIALS);
+        for (from, old) in [client, other].into_iter().zip(&conns) {
+            assert!(
+                !Arc::ptr_eq(&booked(from), old),
+                "a cut connection was reused"
+            );
+        }
+        assert_eq!(
+            transport.inner.event_loop.count(crate::core::DIALS),
+            dials + 2,
+            "each caller re-dials its own connection"
+        );
+        assert_eq!(transport.pooled_conns(server), 2);
     }
 
     #[test]
@@ -1693,12 +1805,7 @@ mod tests {
         );
         let client = transport.register("client", None);
         transport.call(client, server, vec![0]).unwrap();
-        let pooled = || {
-            transport.inner.endpoints.lock()[&server]
-                .conns
-                .clone()
-                .unwrap()
-        };
+        let pooled = || transport.inner.endpoints.lock()[&server].conns[&client].clone();
         // What `send` does on a warm connection: register, then enqueue,
         // which writes the frame at once...
         let conn = pooled();

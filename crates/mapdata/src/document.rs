@@ -122,11 +122,6 @@ impl MapDocument {
         self.meta.version += 1;
     }
 
-    /// Restores a version carried by an encoded document.
-    pub(crate) fn set_version(&mut self, version: u64) {
-        self.meta.version = version;
-    }
-
     /// The document's geo-reference.
     pub fn georef(&self) -> GeoReference {
         self.georef
@@ -318,11 +313,6 @@ impl MapDocument {
     /// Iterates all relations in id order.
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
         self.relations.values()
-    }
-
-    /// Number of relations.
-    pub(crate) fn relation_count(&self) -> usize {
-        self.relations.len()
     }
 
     // ---------------- queries ----------------

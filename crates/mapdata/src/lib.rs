@@ -17,7 +17,7 @@
 //! The crate also provides:
 //!
 //! - a [`SpatialGrid`] index for radius and rectangle queries,
-//! - wire encoding of whole documents and patches ([`wire`]),
+//! - wire encoding of patches ([`wire`]),
 //! - [`MapPatch`] diffs, each provider's unit of map update.
 
 pub mod document;

@@ -1,5 +1,5 @@
-//! Wire-format encodings for map data, so documents and patches can
-//! cross the simulated network with honest byte accounting.
+//! Wire-format encodings for map data, so patches can cross the
+//! simulated network with honest byte accounting.
 //!
 //! Every type below is declared once, in the message table
 //! (`openflame_codec::table`): its fields in wire order, and for an
@@ -12,11 +12,9 @@
 //!
 //! - [`LatLngCodec`]: validates the coordinate range on decode.
 //! - [`Tags`]: a map, rebuilt through `insert`.
-//! - [`MapDocument`]: rebuilt through the validating `insert_*` calls,
-//!   so a decoded document upholds the document invariants.
 
 use crate::element::{ElementId, Member, Node, NodeId, Relation, RelationId, Way, WayId};
-use crate::{GeoReference, MapDocument, MapMeta, MapPatch, Tags};
+use crate::{GeoReference, MapPatch, Tags};
 use openflame_codec::{wire_enum, wire_struct, CodecError, FieldCodec, Opt, Reader, Wire, Writer};
 use openflame_geo::{LatLng, Point2};
 
@@ -56,7 +54,6 @@ wire_enum! { GeoReference, "GeoReference" {
     0 => Anchored { origin: LatLngCodec },
     1 => Unaligned { hint: Opt<LatLngCodec> },
 } }
-wire_struct! { MapMeta { name, provider, version } }
 wire_struct! { MapPatch {
     base_version,
     upsert_nodes,
@@ -87,78 +84,10 @@ impl Wire for Tags {
     }
 }
 
-impl Wire for MapDocument {
-    fn encode(&self, w: &mut Writer) {
-        self.meta().encode(w);
-        self.georef().encode(w);
-        w.put_varint(self.node_count() as u64);
-        for n in self.nodes() {
-            n.encode(w);
-        }
-        w.put_varint(self.way_count() as u64);
-        for way in self.ways() {
-            way.encode(w);
-        }
-        w.put_varint(self.relation_count() as u64);
-        for rel in self.relations() {
-            rel.encode(w);
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let meta = MapMeta::decode(r)?;
-        let georef = GeoReference::decode(r)?;
-        let mut doc = MapDocument::new(meta.name, meta.provider, georef);
-        let invalid = |_| CodecError::InvalidTag {
-            context: "MapDocument element",
-            tag: 0,
-        };
-        let n_nodes = r.read_length()?;
-        for _ in 0..n_nodes {
-            doc.insert_node(Node::decode(r)?).map_err(invalid)?;
-        }
-        let n_ways = r.read_length()?;
-        for _ in 0..n_ways {
-            doc.insert_way(Way::decode(r)?).map_err(invalid)?;
-        }
-        let n_rels = r.read_length()?;
-        for _ in 0..n_rels {
-            doc.insert_relation(Relation::decode(r)?).map_err(invalid)?;
-        }
-        doc.set_version(meta.version);
-        Ok(doc)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use openflame_codec::{from_bytes, to_bytes};
-
-    fn sample_doc() -> MapDocument {
-        let mut m = MapDocument::new(
-            "wire-test",
-            "tester",
-            GeoReference::Anchored {
-                origin: LatLng::new(40.44, -79.94).unwrap(),
-            },
-        );
-        let a = m.add_node(Point2::new(0.0, 0.0), Tags::new().with("name", "A"));
-        let b = m.add_node(Point2::new(10.0, 5.0), Tags::new().with("shop", "grocery"));
-        let w = m
-            .add_way(vec![a, b], Tags::new().with("highway", "service"))
-            .unwrap();
-        m.insert_relation(Relation::new(
-            RelationId(100),
-            vec![
-                Member::new(ElementId::Way(w), "perimeter"),
-                Member::new(ElementId::Node(a), "entrance"),
-            ],
-            Tags::new().with("type", "building"),
-        ))
-        .unwrap();
-        m.bump_version();
-        m
-    }
 
     #[test]
     fn node_round_trip() {
@@ -208,64 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn document_round_trip() {
-        let doc = sample_doc();
-        let encoded = to_bytes(&doc);
-        let decoded = from_bytes::<MapDocument>(&encoded).unwrap();
-        assert_eq!(decoded.meta(), doc.meta());
-        assert_eq!(decoded.georef(), doc.georef());
-        assert_eq!(decoded.node_count(), doc.node_count());
-        assert_eq!(decoded.way_count(), doc.way_count());
-        assert_eq!(decoded.relation_count(), doc.relation_count());
-        assert!(decoded.validate().is_ok());
-        // Spot-check an element survived with tags.
-        let grocery = decoded.nodes().find(|n| n.tags.is("shop", "grocery"));
-        assert!(grocery.is_some());
-    }
-
-    /// The version is restored in O(1): a hostile `u64::MAX` neither
-    /// spins 2⁶⁴ bumps nor overflows one.
-    #[test]
-    fn document_with_the_largest_version_decodes_promptly_and_round_trips() {
-        let mut doc = sample_doc();
-        doc.set_version(u64::MAX);
-        let encoded = to_bytes(&doc);
-        let decoded = from_bytes::<MapDocument>(&encoded).unwrap();
-        assert_eq!(decoded.meta().version, u64::MAX);
-        assert_eq!(to_bytes(&decoded), encoded);
-    }
-
-    /// Element ids come off the wire: the largest one must not
-    /// overflow the document's next-id bookkeeping.
-    #[test]
-    fn document_with_the_largest_element_ids_decodes() {
-        let mut doc = MapDocument::new("m", "p", GeoReference::Unaligned { hint: None });
-        let id = NodeId(u64::MAX);
-        doc.insert_node(Node::new(id, Point2::ZERO, Tags::new()))
-            .unwrap();
-        doc.insert_way(Way::new(WayId(u64::MAX), vec![id, id], Tags::new()))
-            .unwrap();
-        let member = Member::new(ElementId::Node(id), "x");
-        doc.insert_relation(Relation::new(
-            RelationId(u64::MAX),
-            vec![member],
-            Tags::new(),
-        ))
-        .unwrap();
-        let encoded = to_bytes(&doc);
-        let decoded = from_bytes::<MapDocument>(&encoded).unwrap();
-        assert_eq!(to_bytes(&decoded), encoded);
-    }
-
-    #[test]
-    fn document_encoding_is_compact() {
-        let doc = sample_doc();
-        let encoded = to_bytes(&doc);
-        // 4 elements with small tags should encode in well under a KiB.
-        assert!(encoded.len() < 512, "encoded {} bytes", encoded.len());
-    }
-
-    #[test]
     fn patch_round_trip() {
         let mut p = MapPatch::new(7);
         p.upsert_nodes
@@ -273,17 +144,5 @@ mod tests {
         p.remove_ways.push(WayId(3));
         let back = from_bytes::<MapPatch>(&to_bytes(&p)).unwrap();
         assert_eq!(back, p);
-    }
-
-    #[test]
-    fn corrupt_document_rejected_not_panicking() {
-        let doc = sample_doc();
-        let mut bytes = to_bytes(&doc).to_vec();
-        // Flip bytes throughout and ensure decode never panics.
-        for i in (0..bytes.len()).step_by(7) {
-            bytes[i] ^= 0xA5;
-            let _ = from_bytes::<MapDocument>(&bytes);
-            bytes[i] ^= 0xA5;
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for map data structures.
 
 use openflame_codec::{from_bytes, to_bytes};
-use openflame_geo::{LatLng, Point2};
+use openflame_geo::Point2;
 use openflame_mapdata::{
     GeoReference, MapDocument, MapPatch, Node, NodeId, SpatialGrid, Tags, Way, WayId,
 };
@@ -69,30 +69,6 @@ proptest! {
     #[test]
     fn tags_wire_round_trip(tags in arb_tags()) {
         prop_assert_eq!(from_bytes::<Tags>(&to_bytes(&tags)).unwrap(), tags);
-    }
-
-    #[test]
-    fn document_wire_round_trip(
-        nodes in proptest::collection::vec((arb_point(), arb_tags()), 1..30),
-        version in 0u64..5,
-    ) {
-        let mut doc = MapDocument::new(
-            "prop",
-            "prop",
-            GeoReference::Anchored { origin: LatLng::new(40.0, -80.0).unwrap() },
-        );
-        let ids: Vec<NodeId> = nodes.into_iter().map(|(p, t)| doc.add_node(p, t)).collect();
-        if ids.len() >= 2 {
-            doc.add_way(ids.clone(), Tags::new().with("highway", "x")).unwrap();
-        }
-        for _ in 0..version {
-            doc.bump_version();
-        }
-        let back = from_bytes::<MapDocument>(&to_bytes(&doc)).unwrap();
-        prop_assert_eq!(back.meta(), doc.meta());
-        prop_assert_eq!(back.node_count(), doc.node_count());
-        prop_assert_eq!(back.way_count(), doc.way_count());
-        prop_assert!(back.validate().is_ok());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! # Concurrency
 //!
 //! [`MapServer::dispatch`] is invoked **concurrently** by the transport
-//! layer (the TCP backend dispatches pipelined requests on one
-//! connection through a worker pool; see the `WireService` contract in
+//! layer (a socket backend runs a connection's pipelined requests on
+//! its event loop's pool of threads; see the `WireService` contract in
 //! `openflame-netsim`). Handler state is organized for parallel
 //! readers: the service engines sit behind an `RwLock` (reads share,
 //! only `ApplyPatch` writes), the tag registry / beacons / policy /

@@ -11,7 +11,7 @@ use openflame_codec::{
     Reader, Wire, Writer,
 };
 use openflame_dns::record::{QueryMsg, ResponseMsg};
-use openflame_mapdata::{MapDocument, MapPatch};
+use openflame_mapdata::MapPatch;
 use openflame_mapserver::protocol::{CueCodec, HelloInfo};
 use openflame_mapserver::{Envelope, Request, Response};
 
@@ -88,7 +88,6 @@ pub fn recode(label: &str, bytes: &[u8]) -> Option<Vec<u8>> {
         "QueryMsg" => via::<QueryMsg>(bytes),
         "ResponseMsg" => via::<ResponseMsg>(bytes),
         "MapPatch" => via::<MapPatch>(bytes),
-        "MapDocument" => via::<MapDocument>(bytes),
         "LocationCue" => {
             let mut r = Reader::new(bytes);
             let cue = CueCodec::get(&mut r).ok().filter(|_| r.remaining() == 0)?;

@@ -18,17 +18,19 @@
 //! - **frame-level charging** and the pending-call success path
 //!   ([`SocketPending`]);
 //! - **the event loop** ([`EventLoop`]): one pool of threads on one
-//!   `epoll` set, every socket of either binding a [`Source`] on it,
-//!   and the admit-or-shed step ([`Served::admit`]) every decode path
-//!   runs. The thread that reads a request runs it ([`ServeJob`]);
+//!   `epoll` set, every served socket of either binding (and QuicLite's
+//!   one client socket) a [`Source`] on it, and the admit-or-shed step
+//!   ([`Served::admit`]) every decode path runs. The thread that reads
+//!   a request runs it ([`ServeJob`]);
 //! - **the only [`Transport`] impl for socket backends**, generic over
 //!   a small [`Binding`]: how to bind a served endpoint, put an encoded
 //!   frame on the wire, decide what a failed call means, and cut on
 //!   `set_down` — plus one optional seam, [`Binding::drive`], through
 //!   which a blocking waiter reads its own answer before it parks
 //!   (tcp does; QuicLite leaves it to the loop). `tcp` supplies
-//!   streams, `udp` reliable datagrams — each as sources on the loop;
-//!   neither can restate the semantics above, so the two cannot drift.
+//!   streams, whose client sockets its callers write and read
+//!   themselves, `udp` reliable datagrams; neither can restate the
+//!   semantics above, so the two cannot drift.
 //!
 //! Traffic counters are charged on the waiting side when a completion
 //! is claimed and include the frame header. A call whose request frame
@@ -747,8 +749,8 @@ pub(crate) struct Handle {
 
 impl Handle {
     /// Has the loop sweep this source soon: re-arms its fd for either
-    /// readiness. Every socket a binding nudges is writable, about to be
-    /// (a dial resolving), or hung up, so the event follows at once.
+    /// readiness. Every socket a binding nudges is writable or hung up,
+    /// so the event follows at once.
     pub(crate) fn nudge(&self) {
         self.nudged.store(true, Ordering::SeqCst);
         let events = EPOLLIN | EPOLLOUT | EPOLLONESHOT;
@@ -872,6 +874,12 @@ impl<S: Source> EventLoop<S> {
     #[cfg(test)]
     pub(crate) fn count(&self, which: usize) -> u64 {
         self.counts[which].load(Ordering::SeqCst)
+    }
+
+    /// Sources registered now.
+    #[cfg(test)]
+    pub(crate) fn sources(&self) -> usize {
+        self.pool.lock().sources.len()
     }
 
     /// A handle for `fd`, for its source to keep before it is added.
@@ -1420,7 +1428,7 @@ mod tests {
         let transport = TcpTransport::new(7);
         let (client, server) = echo_pair(&transport);
         transport.call(client, server, vec![0]).unwrap();
-        // Let the dial's and the accept's own turns pass.
+        // Let the accept's own turn pass.
         thread::sleep(Duration::from_millis(50));
         let el = &transport.core().event_loop;
         let before = el.count(TURNS);

@@ -32,9 +32,9 @@
 //! backends. A *binding* ([`tcp`], [`udp`]) owns only how framed bytes
 //! move: binding a served endpoint, putting an encoded frame on the
 //! wire, deciding what a failed or timed-out call means on that medium,
-//! cutting connections on `set_down`, and teardown — streams under a
-//! reactor pool in one, reliable datagrams with resumption and RTO in
-//! the other. The simulator is deliberately *not* a binding: a
+//! cutting connections on `set_down`, and teardown — streams whose
+//! client sockets their callers dial, write and read in one, reliable
+//! datagrams with resumption and RTO in the other. The simulator is deliberately *not* a binding: a
 //! simulated call executes eagerly on the caller's thread and rewinds
 //! the shared clock, and traffic is charged per hop as it happens —
 //! there is no completion to wait for, no worker to dispatch on and no

@@ -1,18 +1,18 @@
 //! The syscalls under the event loop: an `epoll(7)` set, an
-//! `eventfd(2)`, a `timerfd(2)`, a one-fd `poll(2)` for a waiter
-//! reading its own socket, and a non-blocking TCP connect. The vendored
-//! dependency set cannot grow (no `mio`, no `libc`), so the C entry
-//! points are declared against the libc `std` already links; the
-//! constants are Linux's, like every environment these loopback test
-//! backends run in.
+//! `eventfd(2)`, a `timerfd(2)`, and a one-fd `poll(2)` for a caller
+//! reading or writing its own socket. The vendored dependency set
+//! cannot grow (no `mio`, no `libc`), so the C entry points are
+//! declared against the libc `std` already links; the constants are
+//! Linux's, like every environment these loopback test backends run
+//! in.
 
 use std::fs::File;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::time::Duration;
 
 pub(crate) const POLLIN: i16 = 0x001;
+pub(crate) const POLLOUT: i16 = 0x004;
 /// `epoll` bits (`IN`/`OUT`/`ERR`/`HUP` equal their `poll` twins).
 pub(crate) const EPOLLIN: u32 = 0x001;
 pub(crate) const EPOLLOUT: u32 = 0x004;
@@ -69,9 +69,6 @@ extern "C" {
     /// `spec` is a `struct itimerspec`: interval, then value, each
     /// seconds and nanoseconds.
     fn timerfd_settime(fd: i32, flags: i32, spec: *const [i64; 4], old: *mut [i64; 4]) -> i32;
-    fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-    fn connect(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
-    fn close(fd: i32) -> i32;
 }
 
 /// Wraps a returned fd, or the error a negative return means.
@@ -161,61 +158,11 @@ pub(crate) fn set_timer(timer: &OwnedFd, after: Option<Duration>) {
     let _ = unsafe { timerfd_settime(timer.as_raw_fd(), 0, &spec, std::ptr::null_mut()) };
 }
 
-/// Mirrors `struct sockaddr_in`; `port` and `addr` are stored
-/// big-endian as the kernel expects.
-#[repr(C)]
-struct SockAddrIn {
-    family: u16,
-    port: u16,
-    addr: u32,
-    zero: [u8; 8],
-}
-
-const AF_INET: i32 = 2;
-const SOCK_STREAM: i32 = 1;
-const EINPROGRESS: i32 = 115;
-
-/// Starts a TCP connect without blocking: the returned stream is
-/// non-blocking and usually still mid-handshake. Register it for
-/// `POLLOUT`; once writable, `take_error()` distinguishes an
-/// established connection (`None`) from a refused one. `std` offers no
-/// non-blocking connect, hence the raw `socket(2)`/`connect(2)` pair.
-/// IPv4 only — these transports bind loopback v4 listeners.
-pub(crate) fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
-    let SocketAddr::V4(v4) = addr else {
-        return Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "non-blocking connect supports IPv4 only",
-        ));
-    };
-    let fd = unsafe { socket(AF_INET, SOCK_STREAM | NONBLOCK | CLOEXEC, 0) };
-    if fd < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    let sa = SockAddrIn {
-        family: AF_INET as u16,
-        port: v4.port().to_be(),
-        addr: u32::from(*v4.ip()).to_be(),
-        zero: [0; 8],
-    };
-    let rc = unsafe { connect(fd, &sa, std::mem::size_of::<SockAddrIn>() as u32) };
-    if rc != 0 {
-        let err = io::Error::last_os_error();
-        if err.raw_os_error() != Some(EINPROGRESS) {
-            unsafe { close(fd) };
-            return Err(err);
-        }
-    }
-    Ok(unsafe { TcpStream::from_raw_fd(fd) })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, UdpSocket};
+    use std::net::UdpSocket;
     use std::time::Instant;
-
-    const POLLOUT: i16 = 0x004;
 
     fn pollfd(fd: RawFd, events: i16) -> [PollFd; 1] {
         [PollFd {
@@ -278,43 +225,5 @@ mod tests {
         assert_eq!(epoll.wait_one(2_000).unwrap().map(|e| e.0), Some(5));
         set_timer(&timer, None);
         assert!(epoll.wait_one(30).unwrap().is_none());
-    }
-
-    #[test]
-    fn nonblocking_connect_completes_against_a_listener() {
-        use std::io::Read;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stream = connect_nonblocking(&addr).unwrap();
-        let mut fds = pollfd(stream.as_raw_fd(), POLLOUT);
-        poll_fds(&mut fds, 2_000).unwrap();
-        assert_ne!(fds[0].revents & POLLOUT, 0);
-        assert!(stream.take_error().unwrap().is_none());
-        let (mut served, _) = listener.accept().unwrap();
-        (&stream).write_all(b"ping").unwrap();
-        let mut buf = [0u8; 4];
-        served.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"ping");
-    }
-
-    #[test]
-    fn nonblocking_connect_to_a_dead_port_reports_through_take_error() {
-        // Bind-then-drop guarantees an unused port.
-        let addr = {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.local_addr().unwrap()
-        };
-        match connect_nonblocking(&addr) {
-            // Loopback may refuse synchronously or via SO_ERROR.
-            Err(_) => {}
-            Ok(stream) => {
-                let mut fds = pollfd(stream.as_raw_fd(), POLLOUT);
-                poll_fds(&mut fds, 2_000).unwrap();
-                assert!(
-                    stream.take_error().unwrap().is_some(),
-                    "connect to a closed port must surface an error"
-                );
-            }
-        }
     }
 }

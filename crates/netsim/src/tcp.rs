@@ -1,5 +1,6 @@
 //! The stream binding: multiplexed, pipelined envelopes over loopback
-//! TCP, every socket a source on the core's event loop.
+//! TCP. Listeners and served connections are sources on the core's
+//! event loop; a client connection belongs to the calls that use it.
 //!
 //! [`TcpTransport`] is the socket core (`crate::core`) bound to
 //! `std::net` streams, proving the whole federated stack — DNS
@@ -8,16 +9,14 @@
 //! (correlation, completion, charging, admission, dispatch) lives in
 //! the core; this module owns only what is stream-specific:
 //!
-//! - **Sockets on the loop**: every socket — client and served sides
-//!   both — is a source on the core's event loop (`crate::core`; spec
-//!   Appendix A), with `min(cores, 8)` waiters. `Entry`'s `Source` impl
-//!   accepts, registering each connection straight into the set,
-//!   finishes client dials and the writes a socket would not take at
-//!   once, and reads requests off served connections through the
-//!   incremental framing-v2 decoder
-//!   ([`openflame_codec::framing::FrameDecoder`]). It never reads a
-//!   client connection, so a warm call costs the served side's one
-//!   event.
+//! - **Served sockets on the loop**: listeners and accepted
+//!   connections are sources on the core's event loop (`crate::core`;
+//!   spec Appendix A), with `min(cores, 8)` waiters. `Entry`'s `Source`
+//!   impl accepts, registering each connection straight into the set,
+//!   reads requests off served connections through the incremental
+//!   framing-v2 decoder ([`openflame_codec::framing::FrameDecoder`]),
+//!   and finishes the replies a socket would not take at once. A warm
+//!   call costs the served side's one event.
 //! - **Served endpoints**: the thread that read a request runs it and
 //!   writes its reply frame when nothing is ahead of it on the
 //!   connection, else queues it for the loop — replies leave in
@@ -27,24 +26,23 @@
 //!   replies drain, and the reply that reopens the gate nudges it to
 //!   admit what it buffered. Shed replies ([`crate::OverloadPolicy`])
 //!   take the same path.
-//! - **Multiplexed connections**: one connection per caller endpoint
-//!   and destination — the connection one host holds to another —
-//!   booked in the endpoint book, carries every request that caller
-//!   makes to it at once; out-of-order completion is matched by
-//!   correlation id. Calls from different endpoints never share a
-//!   socket. Its responses are read by whichever blocking waiter holds
-//!   the connection's *reader token*: that waiter polls the one socket
-//!   until its own answer lands, completes every other answer it reads
-//!   on the way (the caller's other threads'), then hands the turn to
-//!   the calls still waiting (`crate::core::Binding::drive`). A scatter
-//!   over 64 servers reuses the same 64 warm connections round after
-//!   round.
-//! - **Submit** writes the encoded frame to the socket itself when the
-//!   connection is established and nothing is queued ahead of it;
-//!   otherwise it queues the frame for the loop — it never blocks
-//!   on a dial (connects are non-blocking too; N cold dials to N
-//!   servers proceed concurrently, and racing first calls from one
-//!   caller to one destination share one dial).
+//! - **Client connections**: one connection per caller endpoint and
+//!   destination — the connection one host holds to another — booked
+//!   in the endpoint book, carries every request that caller makes to
+//!   it at once; out-of-order completion is matched by correlation id.
+//!   Calls from different endpoints never share a socket. It is dialled
+//!   with a bounded blocking connect under the book's lock, so racing
+//!   first calls from one caller share one dial, and it is never a
+//!   source: the submitter writes its whole frame under the
+//!   connection's write lock (polling for writability against the
+//!   call's deadline), and the blocking waiter holding the
+//!   connection's *reader token* reads every response — it polls the
+//!   one socket until its own answer lands, completes every other
+//!   answer it reads on the way (the caller's other threads'), then
+//!   hands the turn to the calls still waiting
+//!   (`crate::core::Binding::drive`). The socket closes when the book
+//!   and the last call on it let go. A scatter over 64 servers reuses
+//!   the same 64 warm connections round after round.
 //! - **Failure semantics** mirror the simulator: a down endpoint
 //!   fails with [`NetError::EndpointDown`] and its server side cuts
 //!   the connection instead of answering; message drops are injected
@@ -67,7 +65,7 @@ use crate::core::{
     encode_frame, Binding, CompletionCell, Core, Demux, EventLoop, Handle, Jobs, Outgoing,
     ReplySink, Sent, Served, Shared, SocketPending, Source, Sweep,
 };
-use crate::reactor::{connect_nonblocking, poll_fds, PollFd, Ready, EPOLLIN, EPOLLOUT, POLLIN};
+use crate::reactor::{poll_fds, PollFd, Ready, EPOLLIN, EPOLLOUT, POLLIN, POLLOUT};
 use crate::transport::Transport;
 use crate::{EndpointId, NetError};
 use openflame_codec::framing::FrameDecoder;
@@ -104,107 +102,74 @@ pub(crate) const MAX_REACTORS: usize = 8;
 // Client connections.
 // ---------------------------------------------------------------------
 
-/// One encoded frame waiting in (or part-way through) a connection's
-/// write queue.
-struct OutFrame {
-    corr: u64,
-    buf: Vec<u8>,
-    off: usize,
-}
-
-#[derive(Default)]
-struct OutQueue {
-    /// Set when the connection dies or closes: enqueue attempts fail
-    /// fast instead of queueing frames nobody will ever write, and the
-    /// loop retires the connection.
-    closed: bool,
-    /// Frames the socket has not taken yet, in submit order.
-    frames: VecDeque<OutFrame>,
-}
-
 /// One booked, pipelined client connection, shared by `Arc` between
-/// its source on the loop (which dials it and finishes writes the
-/// socket would not take), its submitters (which write their own
-/// frames when nothing is queued) and its waiters (whose reader-token
-/// holder reads every response).
+/// the endpoint book and the calls in flight on it: its submitters
+/// write their own frames, and its waiters' reader-token holder reads
+/// every response.
 pub(crate) struct ClientConn {
-    addr: SocketAddr,
     stream: TcpStream,
     demux: Arc<Demux>,
     /// Set when the connection dies or stalls past a deadline: the
-    /// next checkout books a fresh dial instead, and the loop closes
-    /// this one once drained.
+    /// next checkout books a fresh dial instead, a writer that finds
+    /// it set under the write lock re-routes its untouched frame, and
+    /// the socket is shut once no call waits on it.
     broken: AtomicBool,
-    /// Set by the loop, under `out`, once the dial succeeded.
-    established: AtomicBool,
-    out: OrderedMutex<OutQueue>,
+    /// The write lock: one submitter writes its whole frame at a time.
+    out: OrderedMutex<()>,
     /// The reader token: set while one waiter reads the socket.
     reader: AtomicBool,
     /// The response decoder, the reader-token holder's alone.
     rx: OrderedMutex<FrameDecoder>,
-    /// The connection's place on the event loop.
-    handle: Arc<Handle>,
     /// The event loop's test counters.
     #[cfg(test)]
     counts: Arc<[std::sync::atomic::AtomicU64; 5]>,
 }
 
 impl ClientConn {
-    /// Puts a frame on the connection: written here and now when the
-    /// connection is established and nothing is queued ahead of it,
-    /// queued for the loop otherwise. Hands the frame back when the
-    /// connection is already closed (so the caller can re-route
-    /// without re-sending anything — the frame never touched the
-    /// socket).
-    fn enqueue(&self, frame: OutFrame) -> Result<(), OutFrame> {
-        let mut out = self.out.lock();
-        if out.closed {
-            return Err(frame);
+    /// Writes the frame of request `corr` whole, polling for
+    /// writability until `deadline` when the socket would block. Hands
+    /// the frame back when the connection was already broken under the
+    /// write lock — none of it was written, so the caller may re-route
+    /// it. A write that fails or stalls part-way kills the connection,
+    /// which fails the call through its cell.
+    fn write(&self, corr: u64, buf: Vec<u8>, deadline: Instant) -> Result<(), Vec<u8>> {
+        let _out = self.out.lock();
+        if self.broken.load(Ordering::SeqCst) {
+            return Err(buf);
         }
-        out.frames.push_back(frame);
-        let written = if out.frames.len() == 1 && self.established.load(Ordering::SeqCst) {
-            self.flush(&mut out)
-        } else {
-            Ok(false)
+        // The frame is going onto the socket now: even if the write (or
+        // the whole call) fails from here on, its request bytes count
+        // as wire traffic.
+        self.demux.mark_sent(corr);
+        let mut off = 0;
+        let failure = loop {
+            match write_some(&self.stream, &buf, &mut off) {
+                Ok(true) => return Ok(()),
+                Ok(false) if self.poll_until(POLLOUT, deadline) => {}
+                Ok(false) => break io::Error::new(io::ErrorKind::TimedOut, "write timed out"),
+                Err(e) => break e,
+            }
         };
-        drop(out);
-        match written {
-            Ok(true) => {}
-            Ok(false) => self.handle.nudge(),
-            Err(e) => self.die(e.kind(), &format!("connection writer failed: {e}")),
-        }
+        self.die(
+            failure.kind(),
+            &format!("connection writer failed: {failure}"),
+        );
         Ok(())
     }
 
-    /// Writes the queue into the socket until it empties (`Ok(true)`)
-    /// or the socket would block (`Ok(false)`).
-    fn flush(&self, out: &mut OutQueue) -> io::Result<bool> {
-        while let Some(frame) = out.frames.front_mut() {
-            if frame.off == 0 {
-                // The frame is going onto the socket now: even if the
-                // write (or the whole call) fails from here on, its
-                // request bytes count as wire traffic.
-                self.demux.mark_sent(frame.corr);
-            }
-            if !write_some(&self.stream, &frame.buf, &mut frame.off)? {
-                return Ok(false);
-            }
-            out.frames.pop_front();
-        }
-        Ok(true)
-    }
-
-    /// Takes a frame back off the connection if none of it was
-    /// written — the only frames a submitter may re-route: a written
-    /// one may already be executing, and a second copy could apply a
-    /// patch twice.
-    fn withdraw(&self, corr: u64) -> Option<Vec<u8>> {
-        let mut out = self.out.lock();
-        let at = out
-            .frames
-            .iter()
-            .position(|f| f.corr == corr && f.off == 0)?;
-        out.frames.remove(at).map(|f| f.buf)
+    /// Polls the socket for `events` until `deadline`; `false` once it
+    /// has passed.
+    fn poll_until(&self, events: i16, deadline: Instant) -> bool {
+        // `poll` counts whole milliseconds: round up, so the wait it
+        // buys reaches the deadline.
+        let wait = deadline.saturating_duration_since(Instant::now());
+        let ms = wait.as_micros().div_ceil(1_000).min(i32::MAX as u128) as i32;
+        let mut fd = [PollFd {
+            fd: self.stream.as_raw_fd(),
+            events,
+            revents: 0,
+        }];
+        ms > 0 && poll_fds(&mut fd, ms).is_ok()
     }
 
     /// The reader-token holder's loop: reads responses and completes
@@ -226,17 +191,7 @@ impl ClientConn {
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    // `poll` counts whole milliseconds: round up, so the
-                    // wait it buys reaches the deadline.
-                    let wait = deadline.saturating_duration_since(Instant::now());
-                    let ms = wait.as_micros().div_ceil(1_000).min(i32::MAX as u128) as i32;
-                    let fd = self.stream.as_raw_fd();
-                    let mut fd = [PollFd {
-                        fd,
-                        events: POLLIN,
-                        revents: 0,
-                    }];
-                    if ms == 0 || poll_fds(&mut fd, ms).is_err() {
+                    if !self.poll_until(POLLIN, deadline) {
                         return;
                     }
                     continue;
@@ -263,22 +218,25 @@ impl ClientConn {
         Ok(())
     }
 
-    /// Kills the connection: fail every in-flight request, refuse
-    /// further enqueues, and shut the socket (which also wakes a waiter
-    /// polling it); the loop retires it on the nudge.
+    /// Shuts a broken connection once no call waits on it: nothing
+    /// will be written to it or read from it again.
+    fn close_if_drained(&self) {
+        if self.broken.load(Ordering::SeqCst) && self.demux.in_flight() == 0 {
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Kills the connection: refuse further writes, shut the socket —
+    /// which wakes a reader or writer polling it, so nothing waits out
+    /// its deadline on a dead socket — and fail every in-flight
+    /// request.
     fn die(&self, kind: io::ErrorKind, msg: &str) {
         self.broken.store(true, Ordering::SeqCst);
-        {
-            let mut out = self.out.lock();
-            out.closed = true;
-            out.frames.clear();
-        }
-        // Queued-but-unwritten frames were registered too: they fail
-        // alongside the written ones (their cells carry `sent ==
-        // false`, so they charge nothing).
-        self.demux.fail_all(kind, msg);
         let _ = self.stream.shutdown(Shutdown::Both);
-        self.handle.nudge();
+        // Registered frames a writer had not started fail alongside the
+        // written ones (their cells carry `sent == false`, so they
+        // charge nothing).
+        self.demux.fail_all(kind, msg);
     }
 }
 
@@ -347,35 +305,30 @@ impl TcpTransport {
 }
 
 impl Core<TcpTransport> {
-    /// Creates a connection toward `addr`: the socket starts a
-    /// non-blocking connect and is registered on the loop mid-handshake —
-    /// `submit` never blocks on a dial, frames queue behind the
-    /// in-progress handshake, and N cold dials to N servers proceed
-    /// concurrently. A failed handshake fails every queued and
-    /// subsequently raced-in request through the demux; a dial that
-    /// fails at once (fd exhaustion, bad address) fails the call.
+    /// Dials `addr` with a blocking connect bounded by the call
+    /// timeout. A dial that times out is a [`NetError::Timeout`], any
+    /// other failure a [`NetError::Connection`]; neither charges
+    /// anything.
     fn dial(&self, addr: SocketAddr) -> Result<Arc<ClientConn>, NetError> {
-        let stream = connect_nonblocking(&addr)
-            .map_err(|e| NetError::Connection(format!("dial {addr}: {e}")))?;
+        let stream = TcpStream::connect_timeout(&addr, self.shared.timeout())
+            .and_then(|stream| stream.set_nonblocking(true).map(|()| stream))
+            .map_err(|e| match e.kind() {
+                io::ErrorKind::TimedOut => NetError::Timeout,
+                _ => NetError::Connection(format!("dial {addr}: {e}")),
+            })?;
         let _ = stream.set_nodelay(true);
         #[cfg(test)]
         self.event_loop.counts[crate::core::DIALS].fetch_add(1, Ordering::SeqCst);
-        let handle = self.event_loop.handle(stream.as_raw_fd());
-        let conn = Arc::new(ClientConn {
-            addr,
+        Ok(Arc::new(ClientConn {
             stream,
             demux: Arc::new(Demux::new(self.shared.orphans.clone())),
             broken: AtomicBool::new(false),
-            established: AtomicBool::new(false),
-            out: OrderedMutex::new(ranks::TCP_CONN_OUT, OutQueue::default()),
+            out: OrderedMutex::new(ranks::TCP_CONN_OUT, ()),
             reader: AtomicBool::new(false),
             rx: OrderedMutex::new(ranks::TCP_CONN_RX, FrameDecoder::new()),
-            handle: handle.clone(),
             #[cfg(test)]
             counts: self.event_loop.counts.clone(),
-        });
-        self.event_loop.add(handle, Entry::Client(conn.clone()));
-        Ok(conn)
+        }))
     }
 
     /// The connection `out.from` booked toward `out.to`, or — when
@@ -426,50 +379,44 @@ impl Binding for TcpTransport {
         if core.shared.roll_drop() {
             return Err(NetError::Timeout);
         }
+        let deadline = Instant::now() + core.shared.timeout();
         let (corr, mut buf) = (out.corr, std::mem::take(&mut out.frame));
         for _ in 0..2 {
             let conn = core.obtain_conn(&out)?;
             let cell = conn.demux.register(corr);
-            let unsent = match conn.enqueue(OutFrame { corr, buf, off: 0 }) {
-                // Already closed: the frame never left this process.
-                Err(unsent) => Some(unsent.buf),
-                // Marked broken meanwhile (a sibling's timeout, a cut):
-                // move off it — if none of the frame was written.
-                Ok(()) if conn.broken.load(Ordering::SeqCst) => conn.withdraw(corr),
-                Ok(()) => None,
-            };
-            let Some(unsent) = unsent else {
-                let demux = conn.demux.clone();
-                return Ok(Sent {
-                    cell,
-                    demux,
-                    flight: conn,
-                });
-            };
-            // Unwritten bytes may be re-routed: the next checkout dials.
-            conn.broken.store(true, Ordering::SeqCst);
-            conn.demux.forget(corr);
-            buf = unsent;
+            match conn.write(corr, buf, deadline) {
+                Ok(()) => {
+                    let demux = conn.demux.clone();
+                    return Ok(Sent {
+                        cell,
+                        demux,
+                        flight: conn,
+                    });
+                }
+                // Broken before a byte was written (a sibling's timeout,
+                // a cut): the frame may be re-routed; the next checkout
+                // dials.
+                Err(unsent) => {
+                    conn.demux.forget(corr);
+                    buf = unsent;
+                }
+            }
         }
         Err(NetError::Connection("connection closed before send".into()))
     }
 
-    /// Reads the call's connection with its reader token, unless the
-    /// dial is still pending (the loop hands out the turn when it
-    /// resolves) or another waiter holds the token (it hands out the
-    /// turn when it lets go).
+    /// Reads the call's connection with its reader token, unless
+    /// another waiter holds it (that one hands out the turn when it
+    /// lets go).
     fn drive(sent: &Sent<Self>, deadline: Instant) {
         let conn = &sent.flight;
-        if !conn.established.load(Ordering::SeqCst) || conn.reader.swap(true, Ordering::SeqCst) {
+        if conn.reader.swap(true, Ordering::SeqCst) {
             return;
         }
         conn.read_until(&sent.cell, deadline);
         conn.reader.store(false, Ordering::SeqCst);
         conn.demux.pass_turn();
-        if conn.broken.load(Ordering::SeqCst) && conn.demux.in_flight() == 0 {
-            // Drained: the loop may close it now.
-            conn.handle.nudge();
-        }
+        conn.close_if_drained();
     }
 
     fn failed(call: SocketPending<Self>, failure: Option<io::Error>) -> NetError {
@@ -482,10 +429,9 @@ impl Binding for TcpTransport {
             // The connection swallowed a request past its deadline, so
             // stop booking it — the next submit dials fresh instead of
             // feeding a stalled server's tar pit (in-flight siblings
-            // keep their cells; the loop closes the socket once they
-            // drain).
+            // keep their cells; their last reader shuts the socket).
             call.sent.flight.broken.store(true, Ordering::SeqCst);
-            call.sent.flight.handle.nudge();
+            call.sent.flight.close_if_drained();
             return NetError::Timeout;
         };
         if call.down.load(Ordering::Relaxed) {
@@ -641,139 +587,73 @@ pub(crate) struct ServedEntry {
 }
 
 pub(crate) enum Entry {
-    Client(Arc<ClientConn>),
     /// A served endpoint's listener.
     Listener(TcpListener, TcpServed),
     Served(ServedEntry),
 }
 
-/// What the loop does for each socket: finish dials and the writes the
-/// socket would not take at once, read and admit requests, accept
-/// connections. The loop itself — and the registry, whose drop on
-/// shutdown closes every listener and releases every service handle —
-/// is the core's [`EventLoop`].
+/// What the loop does for each socket: accept connections, read and
+/// admit requests, and finish the replies the socket would not take at
+/// once. The loop itself — and the registry, whose drop on shutdown
+/// closes every listener and releases every service handle — is the
+/// core's [`EventLoop`].
 impl Source for Entry {
     type Sink = Arc<SrvShared>;
 
-    /// 0 leaves the fd disarmed: dead, an established client connection
-    /// with nothing queued (its waiters read it), or a gated server
-    /// connection with nothing to write.
+    /// 0 leaves the fd disarmed: dead, or a gated connection with
+    /// nothing to write.
     fn interest(&self) -> u32 {
-        match self {
-            Entry::Listener(..) => EPOLLIN,
-            Entry::Client(c) => {
-                let out = c.out.lock();
-                let dialing = !c.established.load(Ordering::SeqCst);
-                let watch = !out.closed && (dialing || !out.frames.is_empty());
-                u32::from(watch) * EPOLLOUT
-            }
-            Entry::Served(s) => {
-                let shared = &s.shared;
-                if shared.dead.load(Ordering::SeqCst) {
-                    return 0;
-                }
-                let mut events = 0;
-                if !shared.hung_up.load(Ordering::SeqCst)
-                    && shared.in_dispatch.load(Ordering::SeqCst) < SERVE_PIPELINE
-                {
-                    // The readiness-deregistration backpressure gate: a
-                    // saturated connection simply stops watching for
-                    // readability.
-                    events |= EPOLLIN;
-                }
-                let out = shared.out.lock();
-                if out.cur.is_some() || !out.done.is_empty() {
-                    events |= EPOLLOUT;
-                }
-                events
-            }
+        let Entry::Served(s) = self else {
+            return EPOLLIN;
+        };
+        let shared = &s.shared;
+        if shared.dead.load(Ordering::SeqCst) {
+            return 0;
         }
+        let mut events = 0;
+        if !shared.hung_up.load(Ordering::SeqCst)
+            && shared.in_dispatch.load(Ordering::SeqCst) < SERVE_PIPELINE
+        {
+            // The readiness-deregistration backpressure gate: a
+            // saturated connection simply stops watching for
+            // readability.
+            events |= EPOLLIN;
+        }
+        let out = shared.out.lock();
+        if out.cur.is_some() || !out.done.is_empty() {
+            events |= EPOLLOUT;
+        }
+        events
     }
 
     fn ready(&mut self, ready: Ready, el: &Arc<EventLoop<Self>>, jobs: &mut Jobs<Self>) {
         match self {
-            Entry::Client(c) => handle_client(c, ready),
             Entry::Listener(listener, served) => handle_listener(listener, served, el),
             Entry::Served(s) => handle_served(s, ready, jobs),
         }
     }
 
-    /// Retire sweep: broken connections that drained, gracefully
-    /// finished server connections, and everything that died. A served
-    /// connection also admits the frames it buffered while gated, in
-    /// case a reply reopened the gate. Streams have no deadlines.
+    /// Retire sweep: a served connection is cut on a bad buffered
+    /// frame, and once the peer hung up with every pipelined response
+    /// delivered, and retired once dead. It also admits the frames it
+    /// buffered while gated, in case a reply reopened the gate.
+    /// Streams have no deadlines.
     fn sweep(&mut self, _now: Instant, jobs: &mut Jobs<Self>) -> Sweep {
-        let dead = match self {
-            Entry::Listener(..) => false,
-            Entry::Client(c) => {
-                if c.broken.load(Ordering::SeqCst) {
-                    if !c.established.load(Ordering::SeqCst) {
-                        // Broken before the handshake resolved: writes
-                        // are gated on a connect that may never finish,
-                        // so waiting for the queue to drain would leak
-                        // the entry (and its fd) forever. Nothing ever
-                        // hit the wire, so failing the queued frames
-                        // cannot orphan a response.
-                        c.die(
-                            io::ErrorKind::ConnectionAborted,
-                            "connection abandoned mid-handshake",
-                        );
-                    } else {
-                        // Marked broken by a timeout (or a re-route):
-                        // keep serving in-flight siblings, close once
-                        // drained.
-                        let mut out = c.out.lock();
-                        if out.frames.is_empty() && c.demux.in_flight() == 0 {
-                            out.closed = true;
-                            let _ = c.stream.shutdown(Shutdown::Both);
-                        }
-                    }
-                }
-                c.out.lock().closed
-            }
-            Entry::Served(s) => {
-                // Cut on a bad buffered frame, and once the peer hung up
-                // with every pipelined response delivered.
-                if !s.shared.dead.load(Ordering::SeqCst)
-                    && (pump_served_decode(s, jobs).is_err()
-                        || (s.shared.hung_up.load(Ordering::SeqCst)
-                            && s.shared.in_dispatch.load(Ordering::SeqCst) == 0))
-                {
-                    s.shared.cut();
-                }
-                s.shared.dead.load(Ordering::SeqCst)
-            }
+        let Entry::Served(s) = self else {
+            return Sweep::Idle;
         };
-        if dead {
+        if !s.shared.dead.load(Ordering::SeqCst)
+            && (pump_served_decode(s, jobs).is_err()
+                || (s.shared.hung_up.load(Ordering::SeqCst)
+                    && s.shared.in_dispatch.load(Ordering::SeqCst) == 0))
+        {
+            s.shared.cut();
+        }
+        if s.shared.dead.load(Ordering::SeqCst) {
             Sweep::Retire
         } else {
             Sweep::Idle
         }
-    }
-}
-
-/// Finishes a dial, then writes what submitters queued while it was
-/// pending or the socket would not take.
-fn handle_client(c: &ClientConn, ready: Ready) {
-    if !ready.writable() {
-        return;
-    }
-    let dialed = !c.established.load(Ordering::SeqCst);
-    if dialed {
-        if let Ok(Some(e)) | Err(e) = c.stream.take_error() {
-            return c.die(e.kind(), &format!("dial {}: {e}", c.addr));
-        }
-    }
-    let written = {
-        let mut out = c.out.lock();
-        c.established.store(true, Ordering::SeqCst);
-        c.flush(&mut out)
-    };
-    match written {
-        Err(e) => c.die(e.kind(), &format!("connection writer failed: {e}")),
-        // Waiters parked through the dial may read now.
-        Ok(_) if dialed => c.demux.pass_turn(),
-        Ok(_) => {}
     }
 }
 
@@ -1669,7 +1549,7 @@ mod tests {
     }
 
     #[test]
-    fn a_waiter_parked_through_the_dial_gets_the_turn_when_it_resolves() {
+    fn a_cold_call_dials_and_answers_promptly() {
         let (transport, client, server) = echo_transport();
         let t0 = Instant::now();
         assert_eq!(
@@ -1766,6 +1646,70 @@ mod tests {
     }
 
     #[test]
+    fn a_tcp_client_socket_is_never_a_source() {
+        let transport = TcpTransport::new(7);
+        let callers = [transport.register("a", None), transport.register("b", None)];
+        let servers: Vec<EndpointId> = (0..3)
+            .map(|i| {
+                let id = transport.register(&format!("srv-{i}"), None);
+                transport.set_service(
+                    id,
+                    Arc::new(|_from: EndpointId, payload: &[u8]| payload.to_vec()),
+                );
+                id
+            })
+            .collect();
+        for round in 0..3u8 {
+            for from in callers {
+                for to in &servers {
+                    transport.call(from, *to, vec![round]).unwrap();
+                }
+            }
+        }
+        // The listeners and one served connection per caller and server.
+        assert_eq!(transport.inner.event_loop.sources(), 3 + 2 * 3);
+    }
+
+    #[test]
+    fn a_replaced_broken_connection_closes() {
+        let (transport, client, server) = sleepy_transport();
+        transport.call(client, server, vec![0]).unwrap();
+        let el = &transport.inner.event_loop;
+        let booked = || transport.inner.endpoints.lock()[&server].conns[&client].clone();
+        let old = booked();
+        assert_eq!(el.sources(), 2, "the listener and one served connection");
+        let abandoned = transport.submit(client, server, vec![200]);
+        let sibling = transport.submit(client, server, vec![100]);
+        transport.set_timeout_us(50_000);
+        assert!(matches!(abandoned.wait(), Err(NetError::Timeout)));
+        transport.set_timeout_us(2_000_000);
+        // The timeout broke the connection: the next call dials fresh...
+        let dials = el.count(crate::core::DIALS);
+        assert_eq!(
+            transport.call(client, server, vec![0]).unwrap().payload,
+            [0]
+        );
+        assert_eq!(el.count(crate::core::DIALS), dials + 1);
+        assert!(
+            !Arc::ptr_eq(&booked(), &old),
+            "a broken connection was reused"
+        );
+        drop(old);
+        // ...while the old one stays open for the sibling still on it.
+        assert_eq!(el.sources(), 3);
+        assert_eq!(sibling.wait().unwrap().payload, [100]);
+        // Drained, it closes: the server meets EOF and retires its side.
+        let t0 = Instant::now();
+        while el.sources() > 2 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "the old connection's served side never retired"
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
     fn frames_buffered_behind_a_closed_gate_dispatch_as_replies_reopen_it() {
         let (transport, _client, server) = echo_transport();
         let mut raw = TcpStream::connect(transport.listen_addr(server).unwrap()).unwrap();
@@ -1806,27 +1750,44 @@ mod tests {
         let client = transport.register("client", None);
         transport.call(client, server, vec![0]).unwrap();
         let pooled = || transport.inner.endpoints.lock()[&server].conns[&client].clone();
-        // What `send` does on a warm connection: register, then enqueue,
-        // which writes the frame at once...
+        // What `send` does on a warm connection: register, then write
+        // the whole frame under the write lock...
         let conn = pooled();
         let corr = u64::MAX;
         let cell = conn.demux.register(corr);
         let buf = encode_frame(client, corr, &[1]).unwrap();
-        assert!(conn.enqueue(OutFrame { corr, buf, off: 0 }).is_ok());
+        let deadline = Instant::now() + Duration::from_millis(500);
+        assert!(conn.write(corr, buf, deadline).is_ok());
         assert!(cell.was_sent());
         // ...so when a sibling's timeout then marks the live connection
         // stale, the frame stays where it went.
         conn.broken.store(true, Ordering::SeqCst);
-        assert!(conn.withdraw(corr).is_none());
-        conn.read_until(&cell, Instant::now() + Duration::from_millis(500));
+        conn.read_until(&cell, deadline);
         assert!(cell.is_done(), "answered on the connection it went out on");
-        // A frame handed back unwritten (closed under the pool's nose)
-        // is re-routed on a fresh dial.
+        // A writer that finds its connection broken when it takes the
+        // write lock (a sibling timed out between checkout and write)
+        // has written nothing: its frame is re-routed on a fresh dial.
         transport.call(client, server, vec![2]).unwrap();
-        pooled().out.lock().closed = true;
-        assert_eq!(
-            transport.call(client, server, vec![3]).unwrap().payload,
-            [3]
+        let conn = pooled();
+        let held = conn.out.lock();
+        let caller = {
+            let transport = transport.clone();
+            thread::spawn(move || transport.call(client, server, vec![3]))
+        };
+        let t0 = Instant::now();
+        while conn.demux.in_flight() == 0 {
+            assert!(
+                t0.elapsed() < Duration::from_millis(500),
+                "never checked out"
+            );
+            thread::yield_now();
+        }
+        conn.broken.store(true, Ordering::SeqCst);
+        drop(held);
+        assert_eq!(caller.join().unwrap().unwrap().payload, [3]);
+        assert!(
+            !Arc::ptr_eq(&pooled(), &conn),
+            "re-routed onto a fresh dial"
         );
         thread::sleep(Duration::from_millis(50));
         assert_eq!(

@@ -47,7 +47,7 @@
 //!
 //! Servers bind by registering a [`WireService`]; transports own the
 //! listener mechanics (a service slot on the simulator, a
-//! reactor-registered non-blocking listener on TCP).
+//! non-blocking listener on the event loop on TCP).
 
 use crate::stats::{EndpointLatency, EndpointStats, NetStats};
 use crate::{EndpointId, NetError, SimNet};
@@ -81,9 +81,11 @@ pub struct Transfer {
 ///
 /// Transports dispatch **concurrently**: [`WireService::handle`] may be
 /// invoked from many threads at once — for pipelined requests on one
-/// connection as much as for requests from different connections (the
-/// TCP backend runs them on a bounded transport-wide pool; see
-/// [`crate::tcp::DISPATCH_POOL`]). The `Send + Sync` bound is therefore
+/// connection as much as for requests from different connections (a
+/// socket backend runs each on a thread of its event loop's one
+/// transport-wide pool: the thread that read the request, or one of
+/// [`crate::tcp::DISPATCH_POOL`] more when several arrive at once). The
+/// `Send + Sync` bound is therefore
 /// load-bearing, not boilerplate: implementations must synchronize
 /// internally (read-mostly state belongs behind an `RwLock` or an
 /// immutable snapshot so parallel dispatch actually scales) and must
@@ -340,8 +342,10 @@ pub trait Transport: Send + Sync {
     /// listener on the event loop on sockets).
     fn set_service(&self, id: EndpointId, service: Arc<dyn WireService>);
 
-    /// Puts one request on the wire and returns immediately; the
-    /// outcome is claimed through the returned [`CallHandle`].
+    /// Puts one request on the wire and returns without waiting for
+    /// its answer (on TCP it may first dial the caller's connection, a
+    /// connect bounded by the timeout); the outcome is claimed through
+    /// the returned [`CallHandle`].
     /// Submitting many calls before waiting on any of them is the
     /// pipelined fan-out primitive every higher layer builds on.
     fn submit(&self, from: EndpointId, to: EndpointId, payload: Vec<u8>) -> CallHandle;

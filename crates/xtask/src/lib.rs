@@ -734,7 +734,7 @@ const TABLE_FILES: [&str; 3] = [
     "dns/src/record.rs",
     "mapdata/src/wire.rs",
 ];
-const TABLE_EXCEPTIONS: [&str; 3] = ["DomainName", "Tags", "MapDocument"];
+const TABLE_EXCEPTIONS: [&str; 2] = ["DomainName", "Tags"];
 
 /// Flags forbidden constructs in one Rust source file (non-test code
 /// only — `#[cfg(test)]` regions are masked out first).

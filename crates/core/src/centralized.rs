@@ -23,12 +23,12 @@ use crate::provider::{
     ProviderEstimate, ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome, RouteQuery,
     SearchOutcome, SearchQuery, SpatialProvider, TileOutcome, TileQuery,
 };
-use crate::session::{expect_nearest, unexpected, unexpected_opt, wire_k, Session};
+use crate::session::{expect_matrix, unexpected, unexpected_opt, wire_k, Session};
 use crate::ClientError;
 use openflame_geo::{LatLng, LocalFrame};
 use openflame_localize::{LocationCue, TagRegistry};
 use openflame_mapdata::{ElementId, GeoReference, NodeId, Tags};
-use openflame_mapserver::protocol::{Request, Response};
+use openflame_mapserver::protocol::{Request, Response, RouteEnd};
 use openflame_mapserver::{AccessPolicy, MapServer, MapServerConfig, Principal};
 use openflame_netsim::Transport;
 use openflame_tiles::{Tile, TileCoord};
@@ -257,9 +257,13 @@ impl SpatialProvider for CentralizedProvider {
     fn route(&self, query: RouteQuery) -> Result<RouteOutcome, ClientError> {
         measured(self.transport().as_ref(), || {
             let id = self.server.id();
-            let nearest = |pos| self.call_one(Request::NearestNode { pos }, "NearestNode");
-            let start = self.local_frame().to_local(query.from);
-            let start = expect_nearest(id, &nearest(start)?)?.0;
+            // A position's nearest routable node: a matrix with no exits.
+            let snap = |pos| {
+                let (entries, exits) = (vec![RouteEnd::At(pos)], Vec::new());
+                let answer = self.batch_all(vec![Request::RouteMatrix { entries, exits }])?;
+                Ok::<_, ClientError>(expect_matrix(id, answer, (1, 0))?.1[0])
+            };
+            let start = snap(self.local_frame().to_local(query.from))?;
             // Try the target node directly; non-node targets and POIs
             // that are not on the road graph get snapped to their
             // nearest routable node.
@@ -268,9 +272,7 @@ impl SpatialProvider for CentralizedProvider {
                 _ => None,
             };
             if route.is_none() {
-                if let Ok(snapped) = expect_nearest(id, &nearest(query.target.result.pos)?) {
-                    route = self.try_route(start, snapped.0)?;
-                }
+                route = self.try_route(start, snap(query.target.result.pos)?)?;
             }
             let Some(route) = route else {
                 return Err(ClientError::NotFound("no path in central map".into()));

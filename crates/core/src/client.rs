@@ -34,8 +34,8 @@
 //! go on the wire at once — the handshake-first classes handshake cold
 //! servers that may have a frame *while* the other envelopes are
 //! already in flight, and stitched routing sends the venue's portal
-//! cost matrix alongside the outdoor nearest-node probes. Pipelining
-//! reorders *waiting*, never traffic.
+//! cost matrix alongside the outdoor one. Pipelining reorders
+//! *waiting*, never traffic.
 //!
 //! The client is transport-agnostic: it holds an `Arc<dyn Transport>`
 //! and runs identically over the deterministic simulator
@@ -52,9 +52,7 @@ use crate::provider::{
     ProviderEstimate, ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome, RouteQuery,
     SearchOutcome, SearchQuery, SpatialProvider, TileOutcome, TileQuery,
 };
-use crate::session::{
-    expect_matrix, expect_nearest, expect_route, unexpected, unexpected_opt, wire_k, Session,
-};
+use crate::session::{expect_matrix, expect_route, unexpected, unexpected_opt, wire_k, Session};
 use crate::ClientError;
 use openflame_cells::CellId;
 use openflame_dns::{Catalogue, Resolver};
@@ -62,7 +60,9 @@ use openflame_geo::{LatLng, LocalFrame};
 use openflame_localize::LocationCue;
 use openflame_mapdata::ElementId;
 use openflame_mapserver::naming::QUERY_LEVEL;
-use openflame_mapserver::protocol::{HelloInfo, Request, Response, WireRoute, WireSearchResult};
+use openflame_mapserver::protocol::{
+    HelloInfo, Request, Response, RouteEnd, WireRoute, WireSearchResult,
+};
 use openflame_mapserver::Principal;
 use openflame_netsim::{EndpointId, Transport};
 use openflame_routing::{stitch_legs, LegMatrix};
@@ -578,15 +578,16 @@ impl OpenFlameClient {
 
     /// Routes from a street position to a search result, stitching an
     /// outdoor leg and (if the target is in a venue) an indoor leg at
-    /// the portal the paper §5.2 dynamic program selects. The per-portal
-    /// probes are coalesced into batched envelopes: one nearest-node
-    /// batch, one concurrent matrix round, one concurrent leg round.
+    /// the portal the paper §5.2 dynamic program selects. A warm venue
+    /// route is two rounds: both cost matrices, concurrently, then both
+    /// legs. The outdoor matrix names its ends as positions, which its
+    /// server snaps to nodes itself (spec §8).
     ///
     /// Every round runs on the executor, so a fleet-served target fails
     /// over to a sibling replica (spec §9.4); its branch is found by the
-    /// hit's endpoint in the plan at the start. The rounds feed each
-    /// other — snapped nodes the matrix, the stitched portal the legs —
-    /// so every branch and every item must answer (`all_answered`).
+    /// hit's endpoint in the plan at the start. The legs need the
+    /// matrices' snapped nodes and stitched portal, so every branch and
+    /// every item must answer (`all_answered`).
     pub fn federated_route(
         &self,
         from: LatLng,
@@ -631,12 +632,14 @@ impl OpenFlameClient {
         };
         let kind = plan.kind;
         if let Some(anchor) = target_hello.anchor {
-            // Single anchored map covers both endpoints.
-            let pos = LocalFrame::new(anchor).to_local(from);
-            let probe = Request::NearestNode { pos };
-            let [snapped] = self.route_round(kind, [&mut dest], [vec![probe]])?;
-            let from_node = expect_nearest(&dest.server.server_id, &snapped[0])?;
-            let (from, to) = (from_node.0, target_node.0);
+            // Single anchored map covers both endpoints: snap the start
+            // (a matrix with no exits), then route.
+            let start = RouteEnd::At(LocalFrame::new(anchor).to_local(from));
+            let (entries, exits) = (vec![start], Vec::new());
+            let snap = Request::RouteMatrix { entries, exits };
+            let [snapped] = self.route_round(kind, [&mut dest], [vec![snap]])?;
+            let (_, nodes) = expect_matrix(&dest.server.server_id, snapped, (1, 0))?;
+            let (from, to) = (nodes[0], target_node.0);
             let [route] =
                 self.route_round(kind, [&mut dest], [vec![Request::Route { from, to }]])?;
             return route_of([(&dest, route, true)]);
@@ -650,36 +653,37 @@ impl OpenFlameClient {
         // Round 1 — one handshake-first round (spec §8) for candidates
         // and target: cold candidates are handshaken while warm envelopes
         // fly, except those whose catalogue rules out a frame. The first
-        // candidate seen to be anchored gets the nearest node to the
-        // start and the outdoor side of every portal, in its frame; the
-        // rest are declined without traffic, or passed over if
-        // unreachable. The venue's cost matrix (portals to target) needs
-        // none of that and goes out at once.
-        let probes = |frame: LocalFrame| {
-            let starts = std::iter::once(from).chain(portals.iter().map(|(_, hint)| *hint));
-            let starts = starts.map(|start| frame.to_local(start));
-            starts.map(|pos| Request::NearestNode { pos }).collect()
+        // candidate seen to be anchored gets the outdoor cost matrix,
+        // from the start to the outdoor side of every portal, as
+        // positions in its frame; the rest are declined without traffic,
+        // or passed over if unreachable. The venue's cost matrix
+        // (portals to target) needs none of that and goes out at once.
+        let outdoor_costs = |frame: LocalFrame| {
+            let at = |pos| RouteEnd::At(frame.to_local(pos));
+            let entries = vec![at(from)];
+            let exits = portals.iter().map(|(_, hint)| at(*hint)).collect();
+            vec![Request::RouteMatrix { entries, exits }]
         };
-        let venue_portals: Vec<u64> = portals.iter().map(|(node, _)| *node).collect();
-        let (entries, exits) = (venue_portals.clone(), vec![target_node.0]);
+        let entries = portals.iter().map(|(node, _)| RouteEnd::Node(*node));
+        let (entries, exits) = (entries.collect(), vec![RouteEnd::Node(target_node.0)]);
         let venue_costs = Request::RouteMatrix { entries, exits };
         plan.targets
             .retain(|t| t.server.endpoint != target.endpoint);
         let venue_slot = plan.targets.len();
         plan.targets.push(dest);
         // The outdoor pick's slot and frame: a failover sibling of the
-        // pick gets the same probes.
+        // pick gets the same matrix.
         let pick = Cell::new(None);
         let outcomes = execute(&self.session, &mut plan, |slot, _, hello| {
             if slot == venue_slot {
                 return Some(vec![venue_costs.clone()]);
             }
             match pick.get() {
-                Some((picked, frame)) => (slot == picked).then(|| probes(frame)),
+                Some((picked, frame)) => (slot == picked).then(|| outdoor_costs(frame)),
                 None => {
                     let frame = LocalFrame::new(hello?.anchor?);
                     pick.set(Some((slot, frame)));
-                    Some(probes(frame))
+                    Some(outdoor_costs(frame))
                 }
             }
         });
@@ -689,25 +693,16 @@ impl OpenFlameClient {
         // Both were sent, so both are in the executed plan, in order.
         let mut sent = (plan.targets.into_iter().zip(outcomes))
             .filter(|(_, (slot, _))| [picked, venue_slot].contains(slot));
-        let (mut outdoor, (_, probed)) = sent.next().expect("the pick was sent");
-        let (mut dest, (_, venue)) = sent.next().expect("the target was sent");
+        let (mut outdoor, (_, outdoor_matrix)) = sent.next().expect("the pick was sent");
+        let (mut dest, (_, venue_matrix)) = sent.next().expect("the target was sent");
         let outdoor_id = outdoor.server.server_id.clone();
-        let [probed, venue] = all_answered([
-            (outdoor_id.as_str(), probed),
-            (dest.server.server_id.as_str(), venue),
+        let [outdoor_matrix, venue_matrix] = all_answered([
+            (outdoor_id.as_str(), outdoor_matrix),
+            (dest.server.server_id.as_str(), venue_matrix),
         ])?;
-        let from_node = expect_nearest(&outdoor_id, &probed[0])?;
-        let outdoor_portals: Vec<u64> = probed[1..]
-            .iter()
-            .map(|response| expect_nearest(&outdoor_id, response).map(|node| node.0))
-            .collect::<Result<_, _>>()?;
-        let venue_matrix = expect_matrix(&dest.server.server_id, venue, (portals.len(), 1))?;
-        // Round 2 — the outdoor cost matrix (it needs round 1's snapped
-        // nodes).
-        let (entries, exits) = (vec![from_node.0], outdoor_portals.clone());
-        let outdoor_costs = Request::RouteMatrix { entries, exits };
-        let [outdoor_matrix] = self.route_round(kind, [&mut outdoor], [vec![outdoor_costs]])?;
-        let outdoor_matrix = expect_matrix(&outdoor_id, outdoor_matrix, (1, portals.len()))?;
+        let n = portals.len();
+        let (outdoor_matrix, outdoor_nodes) = expect_matrix(&outdoor_id, outdoor_matrix, (1, n))?;
+        let (venue_matrix, _) = expect_matrix(&dest.server.server_id, venue_matrix, (n, 1))?;
         // The paper §5.2 stitching DP selects the portal — an index
         // into both portal lists, because both matrices have exactly
         // the shape asked for (which is also all `LegMatrix::new`
@@ -716,10 +711,11 @@ impl OpenFlameClient {
         let stitched = stitch_legs(&legs)
             .map_err(|e| ClientError::NotFound(format!("no stitched path: {e}")))?;
         let portal = stitched.portal_choices[0];
-        // Round 3 — fetch both chosen legs, concurrently.
+        // Round 2 — fetch both chosen legs, concurrently, from the nodes
+        // the matrices resolved.
         let legs = [
-            (from_node.0, outdoor_portals[portal]),
-            (venue_portals[portal], target_node.0),
+            (outdoor_nodes[0], outdoor_nodes[1 + portal]),
+            (portals[portal].0, target_node.0),
         ];
         let [outdoor_route, venue_route] = self.route_round(
             kind,

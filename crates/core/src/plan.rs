@@ -80,7 +80,7 @@ pub enum QueryKind {
     Geocode,
     /// Reverse geocoding (`Request::ReverseGeocode`).
     ReverseGeocode,
-    /// Routing (`Request::Route` / matrices / nearest-node probes).
+    /// Routing (`Request::Route` / `Request::RouteMatrix`).
     Route,
     /// Localization (`Request::Localize`).
     Localize,
@@ -103,9 +103,10 @@ impl QueryKind {
     }
 
     /// Whether the request is spelled in the *server's* frame
-    /// (`Search::center`, `ReverseGeocode::pos`, the `NearestNode`
-    /// probes of route's candidate round), so the executor needs a cold
-    /// target's advertisement before it can build it (spec §8).
+    /// (`Search::center`, `ReverseGeocode::pos`, the positional ends of
+    /// the `RouteMatrix` in route's candidate round), so the executor
+    /// needs a cold target's advertisement before it can build it
+    /// (spec §8).
     pub(crate) fn handshake_first(self) -> bool {
         matches!(self, Self::Search | Self::ReverseGeocode | Self::Route)
     }

@@ -80,7 +80,6 @@ use crate::ClientError;
 use openflame_codec::{from_bytes, to_bytes, Fnv1a};
 use openflame_diag::{ranks, OrderedMutex};
 use openflame_dns::TtlCache;
-use openflame_mapdata::NodeId;
 use openflame_mapserver::protocol::{Envelope, HelloInfo, Request, Response, WireRoute};
 use openflame_mapserver::registry::MAPSRV_TTL_S;
 use openflame_mapserver::Principal;
@@ -705,18 +704,6 @@ pub(crate) fn wire_k(k: usize) -> u32 {
     u32::try_from(k).unwrap_or(u32::MAX)
 }
 
-pub(crate) fn expect_nearest(server: &str, response: &Response) -> Result<NodeId, ClientError> {
-    match response {
-        Response::NearestNode {
-            node: Some((id, _)),
-        } => Ok(NodeId(*id)),
-        Response::NearestNode { node: None } => {
-            Err(ClientError::NotFound("server has no routable nodes".into()))
-        }
-        other => Err(unexpected(server, "NearestNode", other)),
-    }
-}
-
 /// The route in a one-item batch answer.
 pub(crate) fn expect_route(
     server: &str,
@@ -731,20 +718,23 @@ pub(crate) fn expect_route(
     }
 }
 
-/// The cost matrix in a one-item batch answer, which must have the
-/// `rows` × `cols` shape the client asked for: the stitcher's portal
-/// choice indexes the client's own portal lists, so a peer-chosen shape
-/// is a malformed answer, not an index.
+/// The cost matrix in a one-item batch answer and the node each end
+/// resolved to, entries then exits. Both must have the `rows` × `cols`
+/// shape the client asked for: the stitcher's portal choice indexes the
+/// client's own portal lists, so a peer-chosen shape is a malformed
+/// answer, not an index.
 pub(crate) fn expect_matrix(
     server: &str,
     mut responses: Vec<Response>,
     (rows, cols): (usize, usize),
-) -> Result<Vec<Vec<f64>>, ClientError> {
+) -> Result<(Vec<Vec<f64>>, Vec<u64>), ClientError> {
     match responses.pop() {
-        Some(Response::RouteMatrix { costs })
-            if costs.len() == rows && costs.iter().all(|row| row.len() == cols) =>
+        Some(Response::RouteMatrix { costs, nodes })
+            if costs.len() == rows
+                && costs.iter().all(|row| row.len() == cols)
+                && nodes.len() == rows + cols =>
         {
-            Ok(costs)
+            Ok((costs, nodes))
         }
         Some(Response::RouteMatrix { .. }) => Err(ClientError::Protocol(format!(
             "{server} answered a cost matrix that is not the {rows} x {cols} asked for"
@@ -776,7 +766,7 @@ pub(crate) fn unexpected_opt(server: &str, expected: &str, got: Option<Response>
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use openflame_mapserver::protocol::Response;
+    use openflame_mapserver::protocol::{Response, RouteEnd};
     use openflame_netsim::BackendKind;
 
     #[test]
@@ -1068,8 +1058,9 @@ pub(crate) mod tests {
 
     /// A request the stub answers with `PatchApplied`.
     fn probe() -> Request {
-        Request::NearestNode {
-            pos: openflame_geo::Point2::new(0.0, 0.0),
+        Request::RouteMatrix {
+            entries: vec![RouteEnd::At(openflame_geo::Point2::ZERO)],
+            exits: Vec::new(),
         }
     }
 

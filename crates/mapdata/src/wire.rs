@@ -14,8 +14,8 @@
 //! - [`Tags`]: a map, rebuilt through `insert`.
 
 use crate::element::{ElementId, Member, Node, NodeId, Relation, RelationId, Way, WayId};
-use crate::{GeoReference, MapPatch, Tags};
-use openflame_codec::{wire_enum, wire_struct, CodecError, FieldCodec, Opt, Reader, Wire, Writer};
+use crate::{MapPatch, Tags};
+use openflame_codec::{wire_enum, wire_struct, CodecError, FieldCodec, Reader, Wire, Writer};
 use openflame_geo::{LatLng, Point2};
 
 wire_struct! { Point2 as PointCodec { x, y } }
@@ -50,10 +50,6 @@ wire_struct! { Node { id, pos: PointCodec, tags } }
 wire_struct! { Way { id, nodes, tags } }
 wire_struct! { Member { element, role } }
 wire_struct! { Relation { id, members, tags } }
-wire_enum! { GeoReference, "GeoReference" {
-    0 => Anchored { origin: LatLngCodec },
-    1 => Unaligned { hint: Opt<LatLngCodec> },
-} }
 wire_struct! { MapPatch {
     base_version,
     upsert_nodes,
@@ -107,22 +103,6 @@ mod tests {
             ElementId::Relation(RelationId(3)),
         ] {
             assert_eq!(from_bytes::<ElementId>(&to_bytes(&id)).unwrap(), id);
-        }
-    }
-
-    #[test]
-    fn georef_round_trip() {
-        let cases = [
-            GeoReference::Anchored {
-                origin: LatLng::new(1.0, 2.0).unwrap(),
-            },
-            GeoReference::Unaligned {
-                hint: Some(LatLng::new(3.0, 4.0).unwrap()),
-            },
-            GeoReference::Unaligned { hint: None },
-        ];
-        for g in cases {
-            assert_eq!(from_bytes::<GeoReference>(&to_bytes(&g)).unwrap(), g);
         }
     }
 

@@ -72,12 +72,13 @@ pub enum Request {
         /// Destination map node.
         to: u64,
     },
-    /// Portal cost matrix for stitched routing (paper §5.2).
+    /// Cost matrix for stitched routing (paper §5.2). With no exits it
+    /// is the snap of its entries alone (spec §8).
     RouteMatrix {
-        /// Entry portal nodes.
-        entries: Vec<u64>,
-        /// Exit portal nodes.
-        exits: Vec<u64>,
+        /// The rows' ends.
+        entries: Vec<RouteEnd>,
+        /// The columns' ends.
+        exits: Vec<RouteEnd>,
     },
     /// Localize from sensor cues.
     Localize {
@@ -97,12 +98,6 @@ pub enum Request {
     ApplyPatch {
         /// The patch.
         patch: MapPatch,
-    },
-    /// Find the nearest routable map node to a position (the primitive
-    /// clients use to turn a geocoded position into a route endpoint).
-    NearestNode {
-        /// Query position in the server's map frame.
-        pos: Point2,
     },
     /// Fetch a rendered tile unless its runs still have `tag` (spec §8,
     /// "Tile revalidation"): answered [`Response::TileUnchanged`] when
@@ -124,6 +119,15 @@ pub enum Request {
     /// network round trip instead of one per request. Batches must be
     /// flat: a nested batch is rejected at both decode and dispatch.
     Batch(Vec<Request>),
+}
+
+/// One end of a [`Request::RouteMatrix`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RouteEnd {
+    /// A map node, by id.
+    Node(u64),
+    /// A position in the server's frame, snapped to its nearest routable node.
+    At(Point2),
 }
 
 /// Server capability advertisement.
@@ -248,11 +252,12 @@ pub enum Response {
         /// The route, or `None` when no path exists.
         route: Option<WireRoute>,
     },
-    /// Portal cost matrix (`entries × exits`, seconds; infinity encoded
-    /// as a very large sentinel preserved by f64).
+    /// Cost matrix (`entries × exits`, seconds; no path is infinity).
     RouteMatrix {
         /// Row-major costs.
         costs: Vec<Vec<f64>>,
+        /// The node each end resolved to, entries then exits.
+        nodes: Vec<u64>,
     },
     /// Localization estimates, best first.
     Localize {
@@ -285,12 +290,6 @@ pub enum Response {
     PatchApplied {
         /// New map version.
         version: u64,
-    },
-    /// Nearest routable node result.
-    NearestNode {
-        /// The node and its distance from the query position, if the
-        /// graph is non-empty.
-        node: Option<(u64, f64)>,
     },
     /// The request failed.
     Error {
@@ -375,7 +374,7 @@ wire_enum! { Request, "Request" {
     6 => Localize { cues: Seq<CueCodec> },
     7 => GetTile { z, x, y },
     8 => ApplyPatch { patch },
-    9 => NearestNode { pos: PointCodec },
+    // 9 is retired (`NearestNode`, spec §2.1).
     10 => Batch(requests: Seq<BatchItem>),
     11 => RevalidateTile { z, x, y, tag },
 } }
@@ -386,15 +385,20 @@ wire_enum! { Response, "Response" {
     2 => ReverseGeocode { hit },
     3 => Search { results },
     4 => Route { route },
-    5 => RouteMatrix { costs },
+    5 => RouteMatrix { costs, nodes },
     6 => Localize { estimates },
     7 => Tile { z, x, y, rgb: TileRuns },
     8 => PatchApplied { version },
     9 => Error { code, message },
-    10 => NearestNode { node },
+    // 10 is retired (`NearestNode`, spec §2.1).
     11 => Batch(responses: Seq<BatchItem>),
     12 => Busy { retry_after_us },
     13 => TileUnchanged { z, x, y },
+} }
+
+wire_enum! { RouteEnd, "RouteEnd" {
+    0 => Node(node),
+    1 => At(pos: PointCodec),
 } }
 
 wire_struct! { HelloInfo {
@@ -521,8 +525,8 @@ mod tests {
         });
         round_trip_request(Request::Route { from: 3, to: 9 });
         round_trip_request(Request::RouteMatrix {
-            entries: vec![1, 2],
-            exits: vec![3],
+            entries: vec![RouteEnd::Node(1), RouteEnd::At(Point2::new(4.0, 5.0))],
+            exits: vec![RouteEnd::Node(3)],
         });
         round_trip_request(Request::Localize {
             cues: vec![
@@ -550,17 +554,15 @@ mod tests {
         round_trip_request(Request::ApplyPatch {
             patch: MapPatch::new(3),
         });
-        round_trip_request(Request::NearestNode {
-            pos: Point2::new(4.0, 5.0),
-        });
         round_trip_request(Request::Batch(vec![
             Request::Hello,
             Request::Geocode {
                 query: "forbes".into(),
                 k: 2,
             },
-            Request::NearestNode {
-                pos: Point2::new(1.0, 2.0),
+            Request::RouteMatrix {
+                entries: vec![RouteEnd::At(Point2::new(1.0, 2.0))],
+                exits: Vec::new(),
             },
         ]));
         round_trip_request(Request::Batch(Vec::new()));
@@ -633,6 +635,7 @@ mod tests {
             },
             Response::RouteMatrix {
                 costs: vec![vec![1.0, f64::INFINITY], vec![2.0, 3.0]],
+                nodes: vec![1, 300, 3, 4],
             },
             Response::Localize {
                 estimates: vec![WireEstimate {
@@ -650,10 +653,6 @@ mod tests {
             },
             Response::TileUnchanged { z: 3, x: 1, y: 2 },
             Response::PatchApplied { version: 9 },
-            Response::NearestNode {
-                node: Some((7, 2.5)),
-            },
-            Response::NearestNode { node: None },
             Response::Error {
                 code: 1,
                 message: "denied".into(),
@@ -704,9 +703,10 @@ mod tests {
     fn infinity_survives_matrix_encoding() {
         let resp = Response::RouteMatrix {
             costs: vec![vec![f64::INFINITY]],
+            nodes: vec![1, 2],
         };
         let back = from_bytes::<Response>(&to_bytes(&resp)).unwrap();
-        let Response::RouteMatrix { costs } = back else {
+        let Response::RouteMatrix { costs, .. } = back else {
             panic!()
         };
         assert!(costs[0][0].is_infinite());

@@ -41,7 +41,7 @@ mod tests {
     use super::*;
     use crate::acl::{AccessPolicy, Principal};
     use crate::naming::{QUERY_LEVEL, SPATIAL_ROOT};
-    use crate::protocol::{Request, Response};
+    use crate::protocol::{Request, Response, RouteEnd};
     use crate::server::MapServerConfig;
     use openflame_cells::{Region, RegionCoverer};
     use openflame_dns::{Catalogue, DomainName, RecordType, Zone};
@@ -176,7 +176,13 @@ mod tests {
                     radius_m: 10.0,
                 },
             ),
-            (Catalogue::ROUTE, Request::NearestNode { pos: Point2::ZERO }),
+            (
+                Catalogue::ROUTE,
+                Request::RouteMatrix {
+                    entries: vec![RouteEnd::At(Point2::ZERO)],
+                    exits: Vec::new(),
+                },
+            ),
             (Catalogue::LOCALIZE, Request::Localize { cues: Vec::new() }),
             (Catalogue::TILES, Request::GetTile { z: 15, x: 0, y: 0 }),
         ];

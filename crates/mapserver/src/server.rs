@@ -14,7 +14,7 @@
 
 use crate::acl::{AccessPolicy, Principal, ServiceKind, ALL_SERVICES};
 use crate::protocol::{
-    principal_key, CoverageExtent, Envelope, HelloInfo, Request, Response, WireEstimate,
+    principal_key, CoverageExtent, Envelope, HelloInfo, Request, Response, RouteEnd, WireEstimate,
     WireGeocodeHit, WireRoute, WireSearchResult,
 };
 use crate::ServerError;
@@ -167,6 +167,15 @@ struct Engines {
 }
 
 impl Engines {
+    /// The routable node nearest to `pos` and its distance, if any.
+    fn snap(&self, pos: Point2) -> Option<(NodeId, f64)> {
+        let idx = self.graph.nearest_node(pos)?;
+        Some((
+            self.graph.node_id(idx),
+            self.graph.position(idx).distance(pos),
+        ))
+    }
+
     fn build(map: MapDocument, setup: &Setup) -> Self {
         let geocoder = Geocoder::build(&map);
         let search = SearchIndex::build(&map);
@@ -495,20 +504,26 @@ impl MapServer {
         }
     }
 
-    /// Portal cost matrix for stitching (ACL-checked under `Route`).
+    /// Cost matrix for stitching (ACL-checked under `Route`) and the
+    /// node each end resolved to, entries then exits (spec §8).
     pub(crate) fn route_matrix(
         &self,
         principal: &Principal,
-        entries: &[NodeId],
-        exits: &[NodeId],
-    ) -> Result<Vec<Vec<f64>>, ServerError> {
+        entries: &[RouteEnd],
+        exits: &[RouteEnd],
+    ) -> Result<(Vec<Vec<f64>>, Vec<u64>), ServerError> {
         self.check(principal, ServiceKind::Route)?;
         self.count(ServiceKind::Route);
         let engines = self.engines.read();
-        Ok(entries
-            .iter()
-            .map(|e| dijkstra_many(&engines.graph, *e, exits))
-            .collect())
+        let resolve = |end: &RouteEnd| match *end {
+            RouteEnd::Node(id) => Some(NodeId(id)),
+            RouteEnd::At(pos) => engines.snap(pos).map(|(id, _)| id),
+        };
+        let nodes: Option<Vec<NodeId>> = entries.iter().chain(exits).map(resolve).collect();
+        let nodes = nodes.ok_or_else(|| ServerError::Failed("no routable node".into()))?;
+        let (entries, exits) = nodes.split_at(entries.len());
+        let costs = (entries.iter()).map(|e| dijkstra_many(&engines.graph, *e, exits));
+        Ok((costs.collect(), nodes.iter().map(|n| n.0).collect()))
     }
 
     /// Localization from cues (ACL-checked). Estimates are returned
@@ -600,11 +615,7 @@ impl MapServer {
     ) -> Result<Option<(NodeId, f64)>, ServerError> {
         self.check(principal, ServiceKind::Route)?;
         self.count(ServiceKind::Route);
-        let engines = self.engines.read();
-        Ok(engines.graph.nearest_node(pos).map(|idx| {
-            let id = engines.graph.node_id(idx);
-            (id, engines.graph.position(idx).distance(pos))
-        }))
+        Ok(self.engines.read().snap(pos))
     }
 
     /// Runs `f` with shared access to the current map document.
@@ -667,10 +678,8 @@ impl MapServer {
                 Err(e) => into_error(e),
             },
             Request::RouteMatrix { entries, exits } => {
-                let entries: Vec<NodeId> = entries.into_iter().map(NodeId).collect();
-                let exits: Vec<NodeId> = exits.into_iter().map(NodeId).collect();
                 match self.route_matrix(principal, &entries, &exits) {
-                    Ok(costs) => Response::RouteMatrix { costs },
+                    Ok((costs, nodes)) => Response::RouteMatrix { costs, nodes },
                     Err(e) => into_error(e),
                 }
             }
@@ -691,12 +700,6 @@ impl MapServer {
             }
             Request::ApplyPatch { patch } => match self.apply_patch(principal, &patch) {
                 Ok(version) => Response::PatchApplied { version },
-                Err(e) => into_error(e),
-            },
-            Request::NearestNode { pos } => match self.nearest_node(principal, pos) {
-                Ok(node) => Response::NearestNode {
-                    node: node.map(|(id, d)| (id.0, d)),
-                },
                 Err(e) => into_error(e),
             },
             Request::Batch(requests) => {
@@ -1112,7 +1115,11 @@ mod tests {
         // connection. Concurrent server-side dispatch must answer the
         // Hello first, in completion order, correlation ids intact.
         let venue = &world.venues[0];
-        let shelves: Vec<u64> = venue.stocked.iter().map(|s| s.1 .0).collect();
+        let shelves: Vec<RouteEnd> = venue
+            .stocked
+            .iter()
+            .map(|s| RouteEnd::Node(s.1 .0))
+            .collect();
         let mut matrix_items: Vec<Request> = (0..64)
             .map(|_| Request::RouteMatrix {
                 entries: shelves.clone(),
@@ -1574,7 +1581,11 @@ mod tests {
         tcp.set_overload_policy(tcp_endpoint, Some(MapServer::overload_policy(1, 777)));
         let client = tcp.register("flood", None);
         let venue = &world.venues[0];
-        let shelves: Vec<u64> = venue.stocked.iter().map(|s| s.1 .0).collect();
+        let shelves: Vec<RouteEnd> = venue
+            .stocked
+            .iter()
+            .map(|s| RouteEnd::Node(s.1 .0))
+            .collect();
         let heavy = to_bytes(&Envelope {
             principal: Principal::anonymous(),
             request: Request::Batch(
@@ -1616,11 +1627,22 @@ mod tests {
         let venue = &world.venues[0];
         let entrance = venue.entrance_local;
         let shelves: Vec<NodeId> = venue.stocked.iter().take(3).map(|s| s.1).collect();
-        let matrix = server
-            .route_matrix(&Principal::anonymous(), &[entrance], &shelves)
+        let exits: Vec<RouteEnd> = shelves.iter().map(|s| RouteEnd::Node(s.0)).collect();
+        let (matrix, nodes) = server
+            .route_matrix(
+                &Principal::anonymous(),
+                &[RouteEnd::Node(entrance.0)],
+                &exits,
+            )
             .unwrap();
         assert_eq!(matrix.len(), 1);
         assert_eq!(matrix[0].len(), 3);
+        // A node end resolves to itself.
+        let named: Vec<u64> = std::iter::once(entrance)
+            .chain(shelves.clone())
+            .map(|n| n.0)
+            .collect();
+        assert_eq!(nodes, named);
         // Matrix costs match individual routes.
         for (i, shelf) in shelves.iter().enumerate() {
             let route = server
@@ -1629,5 +1651,67 @@ mod tests {
                 .expect("reachable");
             assert!((matrix[0][i] - route.cost).abs() < 1e-6);
         }
+    }
+
+    /// Spec §8: a positional end is snapped to the node
+    /// `MapServer::nearest_node` returns, and the matrix is the one
+    /// asked with that node's id; with no exits it is the snap alone.
+    #[test]
+    fn a_positional_end_resolves_to_the_nearest_node() {
+        let net = BackendKind::Sim.build(1);
+        let (server, world) = outdoor_server(&net);
+        let anyone = Principal::anonymous();
+        let starts = [Point2::new(13.0, -41.0), Point2::new(-120.5, 77.25)];
+        let corner = world.outdoor.ways().nth(3).unwrap().nodes[0];
+        let exits = [RouteEnd::Node(corner.0)];
+        for pos in starts {
+            let (snapped, _) = server.nearest_node(&anyone, pos).unwrap().unwrap();
+            let (costs, nodes) = server
+                .route_matrix(&anyone, &[RouteEnd::At(pos)], &exits)
+                .unwrap();
+            assert_eq!(nodes, [snapped.0, corner.0]);
+            let by_id = server
+                .route_matrix(&anyone, &[RouteEnd::Node(snapped.0)], &exits)
+                .unwrap();
+            assert_eq!(costs, by_id.0);
+            assert!(costs[0][0].is_finite());
+            let snap = server.dispatch(
+                &anyone,
+                Request::RouteMatrix {
+                    entries: vec![RouteEnd::At(pos)],
+                    exits: Vec::new(),
+                },
+            );
+            let costs = vec![Vec::new()];
+            let nodes = vec![snapped.0];
+            assert_eq!(snap, Response::RouteMatrix { costs, nodes });
+        }
+        // A map with no routable node cannot snap: the item fails
+        // (code 4), and a node end alone still answers.
+        let empty = MapServerConfig {
+            id: "empty".into(),
+            map: MapDocument::new("empty", "test", world.outdoor.georef()),
+            beacons: vec![],
+            tags: TagRegistry::new(),
+            policy: AccessPolicy::open(),
+            portals: vec![],
+            location_hint: world.config.center,
+            radius_m: 100.0,
+            build_ch: false,
+        };
+        let empty = MapServer::spawn_on(&net, empty);
+        let ask = |entries| Request::RouteMatrix {
+            entries,
+            exits: vec![RouteEnd::Node(1)],
+        };
+        let answer = empty.dispatch(&anyone, ask(vec![RouteEnd::At(starts[0])]));
+        assert!(
+            matches!(answer, Response::Error { code: 4, .. }),
+            "{answer:?}"
+        );
+        let answer = empty.dispatch(&anyone, ask(vec![RouteEnd::Node(1)]));
+        let costs = vec![vec![f64::INFINITY]];
+        let nodes = vec![1, 1];
+        assert_eq!(answer, Response::RouteMatrix { costs, nodes });
     }
 }

@@ -223,7 +223,7 @@ fn partial_failure_carries_item_errors_and_successes() {
         .federated_route(start, &bogus_hit(&dep.outdoor_server))
         .expect_err("bogus nodes cannot route");
     assert!(matches!(err, ClientError::NotFound(_)), "{err}");
-    // A venue whose policy denies routing: the outdoor probes answer,
+    // A venue whose policy denies routing: the outdoor matrix answers,
     // the venue's one matrix item is refused, and the round surfaces a
     // PartialFailure naming the venue, its source chain intact.
     let locked = DeploymentConfig {

@@ -31,7 +31,7 @@ use openflame_localize::LocationCue;
 use openflame_mapdata::{ElementId, NodeId};
 use openflame_mapserver::naming::QUERY_LEVEL;
 use openflame_mapserver::protocol::{
-    Envelope, HelloInfo, Request, Response, WireEstimate, WireGeocodeHit, WireRoute,
+    Envelope, HelloInfo, Request, Response, RouteEnd, WireEstimate, WireGeocodeHit, WireRoute,
     WireSearchResult,
 };
 use openflame_netsim::{BackendKind, EndpointId, Transport};
@@ -135,6 +135,16 @@ fn blank_tile(z: u8, x: u32, y: u32) -> Response {
     Response::Tile { z, x, y, rgb }
 }
 
+/// The nodes a stub matrix's ends resolve to: a node end is itself,
+/// and every position snaps to node 7.
+fn snapped(entries: &[RouteEnd], exits: &[RouteEnd]) -> Vec<u64> {
+    let node = |end: &RouteEnd| match end {
+        RouteEnd::Node(node) => *node,
+        RouteEnd::At(_) => 7,
+    };
+    entries.iter().chain(exits).map(node).collect()
+}
+
 /// An honest, open server: one hit, one estimate, one layer.
 fn honest(item: &Request) -> Response {
     let element = ElementId::Node(NodeId(1));
@@ -175,11 +185,9 @@ fn honest(item: &Request) -> Response {
             },
             tile => tile,
         },
-        Request::NearestNode { .. } => Response::NearestNode {
-            node: Some((7, 0.0)),
-        },
         Request::RouteMatrix { entries, exits } => Response::RouteMatrix {
             costs: vec![vec![1.0; exits.len()]; entries.len()],
+            nodes: snapped(entries, exits),
         },
         Request::Route { from, to } => Response::Route {
             route: Some(WireRoute {
@@ -415,12 +423,13 @@ fn the_outage_table_holds_for_every_scattered_class() {
                 // first in plan order, beats to the outdoor leg.
                 answer(),
                 // The venue matrix fails on both replicas; the outdoor
-                // probes answered.
+                // matrix answered.
                 Verdict::Outage(1, vec![1]),
                 // Both branches of the candidate round fail.
                 Verdict::Outage(0, vec![0, 1]),
-                // The outdoor server refuses both of its probe items.
-                Verdict::Outage(0, vec![0, 1]),
+                // The outdoor server refuses its one item, the matrix
+                // whose ends it would snap.
+                Verdict::Outage(0, vec![0]),
             ],
         ),
     ];
@@ -526,11 +535,9 @@ fn portal_matrices_of_a_shape_not_asked_for_fail_the_route() {
     let portals = vec![(1, here()), (2, here())];
     let matrices = |costs: Vec<Vec<f64>>| {
         move |item: &Request| match item {
-            Request::NearestNode { .. } => Response::NearestNode {
-                node: Some((7, 0.0)),
-            },
-            Request::RouteMatrix { .. } => Response::RouteMatrix {
+            Request::RouteMatrix { entries, exits } => Response::RouteMatrix {
                 costs: costs.clone(),
+                nodes: snapped(entries, exits),
             },
             other => panic!("routing stops at the matrices, got {other:?}"),
         }

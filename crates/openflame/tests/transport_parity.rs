@@ -39,12 +39,13 @@ use openflame_localize::LocationCue;
 use openflame_mapdata::ElementId;
 use openflame_mapserver::naming::{cell_to_name, QUERY_LEVEL};
 use openflame_mapserver::protocol::{Envelope, Request, Response, WireSearchResult};
-use openflame_mapserver::{AccessPolicy, Principal};
-use openflame_netsim::{BackendKind, EndpointId, WireService};
+use openflame_mapserver::{AccessPolicy, MapServer, Principal};
+use openflame_netsim::{BackendKind, EndpointId, Transport, WireService};
 use openflame_worldgen::{World, WorldConfig};
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const BACKENDS: [BackendKind; 3] = [BackendKind::Sim, BackendKind::Tcp, BackendKind::QuicLite];
 
@@ -584,6 +585,72 @@ fn endpoint_down_surfaces_as_partial_failure_on_every_backend() {
             "{backend:?}: source names the dead endpoint, got {}",
             failures[0].1
         );
+    }
+}
+
+/// The items of each envelope a logged server received, by kind, in
+/// arrival order.
+type EnvelopeLog = Arc<Mutex<Vec<(EndpointId, Vec<&'static str>)>>>;
+
+/// Serves `server` on its endpoint again, logging each envelope's
+/// items before dispatching them.
+fn serve_logged(transport: &Arc<dyn Transport>, server: &Arc<MapServer>, log: &EnvelopeLog) {
+    let (endpoint, server, log) = (server.endpoint(), server.clone(), log.clone());
+    let service = move |_from: EndpointId, payload: &[u8]| {
+        let env: Envelope = from_bytes(payload).expect("well-formed envelope");
+        let Request::Batch(items) = &env.request else {
+            panic!("sessions always batch");
+        };
+        let kinds = items.iter().map(|item| match item {
+            Request::RouteMatrix { .. } => "RouteMatrix",
+            Request::Route { .. } => "Route",
+            _ => "other",
+        });
+        log.lock().unwrap().push((endpoint, kinds.collect()));
+        to_bytes(&server.dispatch(&env.principal, env.request)).to_vec()
+    };
+    transport.set_service(endpoint, Arc::new(service));
+}
+
+/// Spec §8: a warm venue route is two rounds, one envelope per server
+/// each — the outdoor and venue cost matrices, then both legs — so 4
+/// envelopes and 8 messages, identically on every backend.
+#[test]
+fn a_warm_venue_route_is_two_rounds_on_every_backend() {
+    for backend in BACKENDS {
+        let dep = deployment_on(backend, small_world());
+        let product = dep.world.products[0].clone();
+        let (outdoor, venue) = (&dep.outdoor_server, &dep.venue_servers[product.venue]);
+        let log = EnvelopeLog::default();
+        for server in [outdoor, venue] {
+            serve_logged(&dep.transport, server, &log);
+        }
+        let near = dep.world.venues[product.venue].hint;
+        let hit = dep.client.federated_search(&product.name, near, 3).unwrap()[0].clone();
+        assert_eq!(hit.endpoint, venue.endpoint(), "{backend:?}");
+        let user = near.destination(225.0, 80.0);
+        // Cold, then warm: only the warm route is counted.
+        dep.client.federated_route(user, &hit).unwrap();
+        log.lock().unwrap().clear();
+        dep.transport.reset_stats();
+        let batches = dep.client.session().stats().batches;
+        let route = dep.client.federated_route(user, &hit).unwrap();
+        assert_eq!(route.legs.len(), 2, "{backend:?}");
+        let batches = dep.client.session().stats().batches - batches;
+        assert_eq!(batches, 4, "{backend:?}: envelopes");
+        assert_eq!(dep.transport.stats().messages, 8, "{backend:?}: messages");
+        // Round 1 is both matrices, round 2 both legs: each server got
+        // one envelope of each, and no leg left before both matrices
+        // were in.
+        let log = log.lock().unwrap();
+        let items: Vec<&[&str]> = log.iter().map(|(_, items)| items.as_slice()).collect();
+        let expected: [&[&str]; 4] = [&["RouteMatrix"], &["RouteMatrix"], &["Route"], &["Route"]];
+        assert_eq!(items, expected, "{backend:?}");
+        let both = BTreeSet::from([outdoor.endpoint(), venue.endpoint()]);
+        for round in log.chunks(2) {
+            let reached: BTreeSet<EndpointId> = round.iter().map(|(at, _)| *at).collect();
+            assert_eq!(reached, both, "{backend:?}: {log:?}");
+        }
     }
 }
 

@@ -72,14 +72,15 @@ pub fn dijkstra(graph: &RoadGraph, from: NodeId, to: NodeId) -> Result<Route, Ro
 
 /// One-to-many Dijkstra: costs from `from` to every node in `targets`.
 ///
-/// Returns `f64::INFINITY` for unreachable targets. Used by map servers
-/// to produce portal cost matrices for stitching (paper §5.2).
+/// Returns `f64::INFINITY` for unreachable targets, and searches nothing
+/// when no target is in the graph. Used by map servers to produce portal
+/// cost matrices for stitching (paper §5.2).
 pub fn dijkstra_many(graph: &RoadGraph, from: NodeId, targets: &[NodeId]) -> Vec<f64> {
-    let Some(src) = graph.index_of(from) else {
-        return vec![f64::INFINITY; targets.len()];
-    };
     let target_idx: Vec<Option<usize>> = targets.iter().map(|t| graph.index_of(*t)).collect();
     let mut remaining: usize = target_idx.iter().flatten().count();
+    let Some(src) = graph.index_of(from).filter(|_| remaining > 0) else {
+        return vec![f64::INFINITY; targets.len()];
+    };
     let n = graph.node_count();
     let mut dist = vec![f64::INFINITY; n];
     let mut heap = BinaryHeap::new();
@@ -382,5 +383,14 @@ mod tests {
         assert!((costs[1] - 60.0 / 1.4).abs() < 1e-9);
         assert!(costs[2].is_infinite(), "unknown target is unreachable");
         assert_eq!(costs[3], 0.0);
+    }
+
+    #[test]
+    fn dijkstra_many_without_a_target_in_the_graph_searches_nothing() {
+        let (map, ids) = grid_map();
+        let g = RoadGraph::from_map(&map, Profile::Walking);
+        assert_eq!(dijkstra_many(&g, ids[0][0], &[]), Vec::<f64>::new());
+        let unknown = [NodeId(98765), NodeId(98766)];
+        assert_eq!(dijkstra_many(&g, ids[0][0], &unknown), [f64::INFINITY; 2]);
     }
 }

@@ -285,7 +285,6 @@ impl SpatialProvider for CentralizedProvider {
                     route,
                     anchored: true,
                 }],
-                servers_consulted: 1,
             };
             Ok((route, 1))
         })
@@ -474,7 +473,8 @@ mod tests {
         }]);
         assert!(!estimates.is_empty());
         assert_eq!(wire, (2, 1, 2), "Localize and Hello in one envelope");
-        assert!(public.session().has_hello(public.server.endpoint()));
+        let advertised = public.session().advertised(public.server.endpoint());
+        assert!(advertised.is_some());
     }
 
     #[test]

@@ -4,6 +4,14 @@
 //! servers and request the required services from these map servers,
 //! stitching the results if required."
 //!
+//! **One way to ask.** The client answers queries only through
+//! [`SpatialProvider`]: each trait method is its class's federated body,
+//! measured, so a caller cannot reach a query without its
+//! [`crate::CallStats`]. The world provider forward geocoding starts
+//! from is named only on the builder
+//! ([`OpenFlameClientBuilder::world_provider`]), and the client
+//! handshakes only by the session's rule (below).
+//!
 //! **One scatter loop.** Every single-round service — search, forward
 //! geocode's refinement, reverse geocode, localize, tile — is a request
 //! builder, an absorber and a merge around the private
@@ -103,8 +111,6 @@ pub struct FederatedRoute {
     pub total_cost: f64,
     /// Total length, meters.
     pub total_length_m: f64,
-    /// Number of map servers consulted while planning.
-    pub servers_consulted: usize,
 }
 
 /// Configures and builds an [`OpenFlameClient`].
@@ -154,9 +160,9 @@ impl OpenFlameClientBuilder {
         self
     }
 
-    /// The world-map provider used for coarse geocoding
-    /// ([`SpatialProvider::geocode`] needs one; per-endpoint
-    /// [`OpenFlameClient::federated_geocode`] does not).
+    /// The world-map provider used for coarse geocoding, the one way to
+    /// name it: without one, [`SpatialProvider::geocode`] is
+    /// [`ClientError::Protocol`] and sends nothing.
     pub fn world_provider(mut self, endpoint: EndpointId) -> Self {
         self.world_provider = Some(endpoint);
         self
@@ -363,368 +369,6 @@ impl OpenFlameClient {
         Ok(plan)
     }
 
-    // ----------------------------------------------------------------
-    // Federated services (paper §5.2).
-    // ----------------------------------------------------------------
-
-    /// Federated location-based search within the default 2 km radius:
-    /// scatter one batched envelope to every discovered server, gather,
-    /// and fuse rankings on the client. ([`SpatialProvider::search`]
-    /// takes the radius from its query.)
-    pub fn federated_search(
-        &self,
-        query: &str,
-        location: LatLng,
-        k: usize,
-    ) -> Result<Vec<FederatedSearchHit>, ClientError> {
-        self.search_within(query, location, 2_000.0, k)
-    }
-
-    fn search_within(
-        &self,
-        query: &str,
-        location: LatLng,
-        radius_m: f64,
-        k: usize,
-    ) -> Result<Vec<FederatedSearchHit>, ClientError> {
-        // One ranked list per answering server, and who that server is.
-        let mut lists: Vec<Vec<SearchResult>> = Vec::new();
-        let mut sources: Vec<(String, EndpointId)> = Vec::new();
-        // `center` is spelled in the server's frame: an anchored server
-        // gets a frame-local center so it can distance-rank; an
-        // unaligned venue map is small, so its whole extent is relevant
-        // — center unknown in its frame, as it is for a server whose
-        // handshake failed (which is queried all the same).
-        let plan = self.scatter(
-            QueryKind::Search,
-            location,
-            Some((location, radius_m)),
-            |_, hello| {
-                let anchor = hello.and_then(|h| h.anchor);
-                Some(Request::Search {
-                    query: query.to_string(),
-                    center: anchor.map(|anchor| LocalFrame::new(anchor).to_local(location)),
-                    radius_m,
-                    k: wire_k(k),
-                })
-            },
-            |server, response| {
-                let Response::Search { results } = response else {
-                    return Err(unexpected(&server.server_id, "Search", &response));
-                };
-                sources.push((server.server_id.clone(), server.endpoint));
-                let ranked = results.into_iter().map(|r| SearchResult {
-                    element: r.element,
-                    pos: r.pos,
-                    text_score: r.score,
-                    distance_m: r.distance_m,
-                    score: r.score,
-                    label: r.label,
-                });
-                lists.push(ranked.collect());
-                Ok(())
-            },
-        )?;
-        // Sources that all proved empty for this query honestly answer
-        // "nothing here" (below, as consulting them would have); no
-        // sources at all is a different fact.
-        if plan.targets.is_empty() && plan.pruned.is_empty() {
-            return Err(ClientError::NothingDiscovered(format!(
-                "no servers near {location}"
-            )));
-        }
-        // Client-side rank fusion (paper §5.2: "the client would then rank
-        // results from multiple map servers"). RRF merges the
-        // heterogeneous per-server rankings; a client-side relevance
-        // check against the query then dominates, so an exact match from
-        // one store outranks a near-miss stocked in several (server
-        // scores are not comparable, but the client can always score
-        // returned labels against its own query).
-        // Fuse without truncation: the final cut happens after the
-        // relevance re-scoring, otherwise a large federation can crowd
-        // the exact match out of the fused prefix.
-        let query_tokens = openflame_geocode::tokenize(query);
-        let mut out: Vec<(f64, FederatedSearchHit)> = fuse_ranked(lists, usize::MAX)
-            .into_iter()
-            .map(|f| {
-                let relevance = label_relevance(&query_tokens, &f.result.label);
-                let (server_id, endpoint) = sources[f.source].clone();
-                let result = WireSearchResult {
-                    element: f.result.element,
-                    pos: f.result.pos,
-                    score: f.result.score,
-                    distance_m: f.result.distance_m,
-                    label: f.result.label,
-                };
-                let hit = FederatedSearchHit {
-                    server_id,
-                    endpoint,
-                    result,
-                };
-                (relevance * (1.0 + f.fused_score), hit)
-            })
-            .collect();
-        out.sort_by(|a, b| b.0.total_cmp(&a.0));
-        out.truncate(k);
-        Ok(out.into_iter().map(|(_, h)| h).collect())
-    }
-
-    /// Federated forward geocode: coarse lookup on the world provider,
-    /// then refinement by servers discovered at the coarse location
-    /// (paper §5.2), one batched envelope per refining server. Hits are
-    /// geo-anchored where the producing server is.
-    pub fn federated_geocode(
-        &self,
-        address: &str,
-        world_provider: EndpointId,
-        k: usize,
-    ) -> Result<Vec<GeocodeHit>, ClientError> {
-        // Step 1: coarse position from the world-map provider. On first
-        // contact its advertisement (the frame, below) rides this same
-        // envelope.
-        let coarse = Request::Geocode {
-            query: address.to_string(),
-            k: 1,
-        };
-        let coarse_hit = match self.session.batch(world_provider, vec![coarse])?.pop() {
-            Some(Response::Geocode { hits }) => hits.into_iter().next().ok_or_else(|| {
-                ClientError::NotFound(format!("no coarse geocode for {address:?}"))
-            })?,
-            other => return Err(unexpected_opt("world", "Geocode", other)),
-        };
-        let anchor = self
-            .session
-            .hello(world_provider)?
-            .anchor
-            .ok_or_else(|| ClientError::Protocol("world provider must be anchored".into()))?;
-        let coarse_geo = LocalFrame::new(anchor).from_local(coarse_hit.pos);
-        let mut out = vec![GeocodeHit {
-            server_id: "world".to_string(),
-            geo: Some(coarse_geo),
-            hit: coarse_hit,
-        }];
-        // Step 2: fine geocode on the servers discovered there (the
-        // world provider has spoken and is declined). An address is not
-        // a spatial footprint, so no extent pruning applies.
-        self.scatter(
-            QueryKind::Geocode,
-            coarse_geo,
-            None,
-            |server, _| {
-                (server.endpoint != world_provider).then(|| Request::Geocode {
-                    query: address.to_string(),
-                    k: wire_k(k),
-                })
-            },
-            |server, response| {
-                if let Response::Geocode { hits } = response {
-                    let frame = self.frame_of(server.endpoint);
-                    out.extend(hits.into_iter().map(|hit| GeocodeHit {
-                        server_id: server.server_id.clone(),
-                        geo: frame.as_ref().map(|f| f.from_local(hit.pos)),
-                        hit,
-                    }));
-                }
-                Ok(())
-            },
-        )?;
-        out.sort_by(|a, b| b.hit.score.total_cmp(&a.hit.score));
-        out.truncate(k);
-        Ok(out)
-    }
-
-    /// Federated reverse geocode: ask every discovered *anchored*
-    /// server to name the position, best score wins. Unaligned venue
-    /// maps cannot interpret a geographic position (paper §3) and are
-    /// skipped without a wire call.
-    pub fn federated_reverse_geocode(
-        &self,
-        location: LatLng,
-        radius_m: f64,
-    ) -> Result<Option<GeocodeHit>, ClientError> {
-        let mut best: Option<GeocodeHit> = None;
-        // `pos` is spelled in the server's frame: the builder declines
-        // a server it sees is unanchored — whatever unanchored sources
-        // the planner could not prove out — or whose handshake failed,
-        // which keeps its failure for the blackout rule.
-        self.scatter(
-            QueryKind::ReverseGeocode,
-            location,
-            Some((location, radius_m)),
-            |_, hello| {
-                let anchor = hello.and_then(|h| h.anchor)?;
-                Some(Request::ReverseGeocode {
-                    pos: LocalFrame::new(anchor).to_local(location),
-                    radius_m,
-                })
-            },
-            |server, response| {
-                // "Nothing nearby" contributes no candidate.
-                if let Response::ReverseGeocode { hit: Some(hit) } = response {
-                    if best.as_ref().is_none_or(|b| hit.score > b.hit.score) {
-                        let frame = self.frame_of(server.endpoint);
-                        best = Some(GeocodeHit {
-                            server_id: server.server_id.clone(),
-                            geo: frame.map(|f| f.from_local(hit.pos)),
-                            hit,
-                        });
-                    }
-                }
-                Ok(())
-            },
-        )?;
-        Ok(best)
-    }
-
-    /// Routes from a street position to a search result, stitching an
-    /// outdoor leg and (if the target is in a venue) an indoor leg at
-    /// the portal the paper §5.2 dynamic program selects. A warm venue
-    /// route is two rounds: both cost matrices, concurrently, then both
-    /// legs. The outdoor matrix names its ends as positions, which its
-    /// server snaps to nodes itself (spec §8).
-    ///
-    /// Every round runs on the executor, so a fleet-served target fails
-    /// over to a sibling replica (spec §9.4); its branch is found by the
-    /// hit's endpoint in the plan at the start. The legs need the
-    /// matrices' snapped nodes and stitched portal, so every branch and
-    /// every item must answer (`all_answered`).
-    pub fn federated_route(
-        &self,
-        from: LatLng,
-        target: &FederatedSearchHit,
-    ) -> Result<FederatedRoute, ClientError> {
-        let ElementId::Node(target_node) = target.result.element else {
-            let reason = "route targets must be node elements";
-            return Err(ClientError::NotFound(reason.into()));
-        };
-        // The route plan at the start: the outdoor candidates (the
-        // planner prunes sources that provably cannot route) and, when a
-        // fleet serves the target's map, the target's branch.
-        let mut plan = self.plan_query_at(Some(QueryKind::Route), from, None)?;
-        let branch = (plan.targets.iter().filter_map(|t| t.fleet.as_ref())).find(|b| {
-            b.shard
-                .replicas
-                .iter()
-                .any(|r| r.endpoint == target.endpoint)
-        });
-        let mut dest = PlannedTarget {
-            server: Arc::new(DiscoveredServer {
-                server_id: target.server_id.clone(),
-                endpoint: target.endpoint,
-                catalogue: Catalogue::default(),
-            }),
-            fleet: branch.cloned(),
-        };
-        // First contact: the target's frame and portals shape every later
-        // round, so a cold target is handshaken first, in a round asking
-        // for no service (no plan kind); one that will not advertise
-        // cannot be routed into.
-        let target_hello = match self.session.cached_hello(target.endpoint) {
-            Some(hello) => hello,
-            None => {
-                self.route_round(None, [&mut dest], [Vec::new()])?;
-                let advertised = self.session.advertised(dest.server.endpoint);
-                advertised.ok_or_else(|| {
-                    let id = &dest.server.server_id;
-                    ClientError::NotFound(format!("route target {id} advertises no map"))
-                })?
-            }
-        };
-        let kind = plan.kind;
-        if let Some(anchor) = target_hello.anchor {
-            // Single anchored map covers both endpoints: snap the start
-            // (a matrix with no exits), then route.
-            let start = RouteEnd::At(LocalFrame::new(anchor).to_local(from));
-            let (entries, exits) = (vec![start], Vec::new());
-            let snap = Request::RouteMatrix { entries, exits };
-            let [snapped] = self.route_round(kind, [&mut dest], [vec![snap]])?;
-            let (_, nodes) = expect_matrix(&dest.server.server_id, snapped, (1, 0))?;
-            let (from, to) = (nodes[0], target_node.0);
-            let [route] =
-                self.route_round(kind, [&mut dest], [vec![Request::Route { from, to }]])?;
-            return route_of([(&dest, route, true)]);
-        }
-        // Venue target: outdoor leg to a portal, indoor leg to the node.
-        let portals = &target_hello.portals;
-        if portals.is_empty() {
-            let reason = format!("venue {} advertises no portals", target.server_id);
-            return Err(ClientError::NotFound(reason));
-        }
-        // Round 1 — one handshake-first round (spec §8) for candidates
-        // and target: cold candidates are handshaken while warm envelopes
-        // fly, except those whose catalogue rules out a frame. The first
-        // candidate seen to be anchored gets the outdoor cost matrix,
-        // from the start to the outdoor side of every portal, as
-        // positions in its frame; the rest are declined without traffic,
-        // or passed over if unreachable. The venue's cost matrix
-        // (portals to target) needs none of that and goes out at once.
-        let outdoor_costs = |frame: LocalFrame| {
-            let at = |pos| RouteEnd::At(frame.to_local(pos));
-            let entries = vec![at(from)];
-            let exits = portals.iter().map(|(_, hint)| at(*hint)).collect();
-            vec![Request::RouteMatrix { entries, exits }]
-        };
-        let entries = portals.iter().map(|(node, _)| RouteEnd::Node(*node));
-        let (entries, exits) = (entries.collect(), vec![RouteEnd::Node(target_node.0)]);
-        let venue_costs = Request::RouteMatrix { entries, exits };
-        plan.targets
-            .retain(|t| t.server.endpoint != target.endpoint);
-        let venue_slot = plan.targets.len();
-        plan.targets.push(dest);
-        // The outdoor pick's slot and frame: a failover sibling of the
-        // pick gets the same matrix.
-        let pick = Cell::new(None);
-        let outcomes = execute(&self.session, &mut plan, |slot, _, hello| {
-            if slot == venue_slot {
-                return Some(vec![venue_costs.clone()]);
-            }
-            match pick.get() {
-                Some((picked, frame)) => (slot == picked).then(|| outdoor_costs(frame)),
-                None => {
-                    let frame = LocalFrame::new(hello?.anchor?);
-                    pick.set(Some((slot, frame)));
-                    Some(outdoor_costs(frame))
-                }
-            }
-        });
-        let (picked, _) = pick
-            .get()
-            .ok_or_else(|| ClientError::NothingDiscovered("no anchored outdoor provider".into()))?;
-        // Both were sent, so both are in the executed plan, in order.
-        let mut sent = (plan.targets.into_iter().zip(outcomes))
-            .filter(|(_, (slot, _))| [picked, venue_slot].contains(slot));
-        let (mut outdoor, (_, outdoor_matrix)) = sent.next().expect("the pick was sent");
-        let (mut dest, (_, venue_matrix)) = sent.next().expect("the target was sent");
-        let outdoor_id = outdoor.server.server_id.clone();
-        let [outdoor_matrix, venue_matrix] = all_answered([
-            (outdoor_id.as_str(), outdoor_matrix),
-            (dest.server.server_id.as_str(), venue_matrix),
-        ])?;
-        let n = portals.len();
-        let (outdoor_matrix, outdoor_nodes) = expect_matrix(&outdoor_id, outdoor_matrix, (1, n))?;
-        let (venue_matrix, _) = expect_matrix(&dest.server.server_id, venue_matrix, (n, 1))?;
-        // The paper §5.2 stitching DP selects the portal — an index
-        // into both portal lists, because both matrices have exactly
-        // the shape asked for (which is also all `LegMatrix::new`
-        // would check).
-        let legs = [outdoor_matrix, venue_matrix].map(|costs| LegMatrix { costs });
-        let stitched = stitch_legs(&legs)
-            .map_err(|e| ClientError::NotFound(format!("no stitched path: {e}")))?;
-        let portal = stitched.portal_choices[0];
-        // Round 2 — fetch both chosen legs, concurrently, from the nodes
-        // the matrices resolved.
-        let legs = [
-            (outdoor_nodes[0], outdoor_nodes[1 + portal]),
-            (portals[portal].0, target_node.0),
-        ];
-        let [outdoor_route, venue_route] = self.route_round(
-            kind,
-            [&mut outdoor, &mut dest],
-            legs.map(|(from, to)| vec![Request::Route { from, to }]),
-        )?;
-        route_of([(&outdoor, outdoor_route, true), (&dest, venue_route, false)])
-    }
-
     /// One route round, one batch per known target: `execute`, failover
     /// included, then [`all_answered`]. Each target is rewritten to the
     /// replica that answered.
@@ -752,119 +396,6 @@ impl OpenFlameClient {
             let outcome = outcomes.next().expect("one outcome per target");
             (t.server.server_id.as_str(), outcome)
         }))
-    }
-
-    /// Federated localization: send each discovered server the cues its
-    /// catalogue accepts — one batched envelope per server, in one
-    /// concurrent round — and gather the estimates, geo-anchored where
-    /// the producing server is, best (smallest error) first
-    /// (paper §5.2).
-    pub fn federated_localize(
-        &self,
-        coarse: LatLng,
-        cues: &[LocationCue],
-    ) -> Result<Vec<ProviderEstimate>, ClientError> {
-        let mut out: Vec<ProviderEstimate> = Vec::new();
-        // The coarse fix bounds where the client can stand, so shards
-        // outside the localize footprint are skipped; a server
-        // accepting none of the offered cues is declined (a failover
-        // sibling accepts the same cues — a catalogue is group-wide).
-        self.scatter(
-            QueryKind::Localize,
-            coarse,
-            Some((coarse, LOCALIZE_FOOTPRINT_M)),
-            |server, _| {
-                let matching: Vec<LocationCue> = cues
-                    .iter()
-                    .filter(|c| accepts_cue(server.catalogue, c))
-                    .cloned()
-                    .collect();
-                (!matching.is_empty()).then_some(Request::Localize { cues: matching })
-            },
-            |server, response| {
-                if let Response::Localize { estimates } = response {
-                    let frame = self.frame_of(server.endpoint);
-                    out.extend(estimates.into_iter().map(|estimate| ProviderEstimate {
-                        server_id: server.server_id.clone(),
-                        geo: frame.as_ref().map(|f| f.from_local(estimate.pos)),
-                        estimate,
-                    }));
-                }
-                Ok(())
-            },
-        )?;
-        out.sort_by(|a, b| a.estimate.error_m.total_cmp(&b.estimate.error_m));
-        Ok(out)
-    }
-
-    /// Federated tiles: fetch the tile covering `center` at zoom `z`
-    /// from every discovered server — one batched envelope each, in one
-    /// concurrent round — and compose them (paper §5.2). Also yields
-    /// the number of servers whose layers went into the composition.
-    /// A server whose layer the session holds from the last tile call at
-    /// this coordinate is asked to revalidate it by its tag instead of
-    /// sending it again (spec §8, "Tile revalidation"): `TileUnchanged`
-    /// paints the held runs, a `Tile` replaces them, and any other answer
-    /// drops them. Each layer's runs are painted straight into pixels,
-    /// and a lone layer is returned as it is (composing one layer yields
-    /// that layer). A zoom deeper than the pyramid is
-    /// [`ClientError::InvalidQuery`], sent nowhere.
-    pub fn federated_tile(&self, center: LatLng, z: u8) -> Result<(Tile, usize), ClientError> {
-        let coord = tile_coord(center, z)?;
-        let TileCoord { z, x, y } = coord;
-        let held = self.session.tile_layers(coord);
-        let held_from = |endpoint: EndpointId| {
-            let mut layers = held.iter().flat_map(|layers| layers.iter());
-            layers
-                .find(|(from, _)| *from == endpoint)
-                .map(|(_, runs)| runs)
-        };
-        let mut composed: Vec<(EndpointId, PixelRuns)> = Vec::new();
-        // (The planner prunes unaligned venues, whose catalogues omit
-        // `tiles` and which refuse `GetTile` outright.) A layer echoing
-        // another coordinate is another tile and contributes nothing, as
-        // does an `Unchanged` for a layer the session sent no tag for.
-        self.scatter(
-            QueryKind::Tile,
-            center,
-            None,
-            |server, _| {
-                Some(match held_from(server.endpoint) {
-                    Some(runs) => Request::RevalidateTile {
-                        z,
-                        x,
-                        y,
-                        tag: runs.tag(),
-                    },
-                    None => Request::GetTile { z, x, y },
-                })
-            },
-            |server, response| {
-                let runs = match response {
-                    Response::Tile { z, x, y, rgb } if (TileCoord { z, x, y }) == coord => {
-                        Some(rgb)
-                    }
-                    Response::TileUnchanged { z, x, y } if (TileCoord { z, x, y }) == coord => {
-                        held_from(server.endpoint).cloned()
-                    }
-                    _ => None,
-                };
-                composed.extend(runs.map(|runs| (server.endpoint, runs)));
-                Ok(())
-            },
-        )?;
-        let mut layers: Vec<Tile> = composed
-            .iter()
-            .map(|(_, runs)| Tile::from_runs(coord, runs))
-            .collect();
-        self.session.store_tile_layers(coord, composed.into());
-        match layers.len() {
-            0 => Err(ClientError::NothingDiscovered(format!(
-                "no tile-serving providers near {center}"
-            ))),
-            1 => Ok((layers.swap_remove(0), 1)),
-            n => Ok((compose(&layers.iter().collect::<Vec<_>>()), n)),
-        }
     }
 }
 
@@ -1042,11 +573,12 @@ fn all_answered<const N: usize>(
     Ok(answers)
 }
 
-/// The route `legs` make, in travel order: each is its target, its
-/// one-item `Route` answer and whether its geometry is geo-anchored.
+/// The route `legs` make, in travel order, and how many servers they
+/// came from: each is its target, its one-item `Route` answer and
+/// whether its geometry is geo-anchored.
 fn route_of<const N: usize>(
     legs: [(&PlannedTarget, Vec<Response>, bool); N],
-) -> Result<FederatedRoute, ClientError> {
+) -> Result<(FederatedRoute, usize), ClientError> {
     let mut out = Vec::with_capacity(N);
     for (target, answer, anchored) in legs {
         out.push(RouteLeg {
@@ -1055,12 +587,12 @@ fn route_of<const N: usize>(
             anchored,
         });
     }
-    Ok(FederatedRoute {
+    let route = FederatedRoute {
         total_cost: out.iter().map(|leg| leg.route.cost).sum(),
         total_length_m: out.iter().map(|leg| leg.route.length_m).sum(),
-        servers_consulted: N,
         legs: out,
-    })
+    };
+    Ok((route, N))
 }
 
 /// How many distinct servers a list of answers came from.
@@ -1068,65 +600,494 @@ fn distinct<'a>(server_ids: impl Iterator<Item = &'a String>) -> usize {
     server_ids.collect::<HashSet<_>>().len()
 }
 
+/// The client's one entry per query class (paper §4): each method is
+/// the class's federated body, measured by `provider::measured`.
 impl SpatialProvider for OpenFlameClient {
     fn provider_id(&self) -> String {
         "openflame-federated".into()
     }
 
+    /// Federated forward geocode: coarse lookup on the builder's
+    /// world provider ([`OpenFlameClientBuilder::world_provider`];
+    /// without one the call is [`ClientError::Protocol`], sent
+    /// nowhere), then refinement by servers discovered at the coarse
+    /// location (paper §5.2), one batched envelope per refining server.
+    /// Hits are geo-anchored where the producing server is.
     fn geocode(&self, query: GeocodeQuery) -> Result<GeocodeOutcome, ClientError> {
         let world = self.world_provider.ok_or_else(|| {
             ClientError::Protocol("no world provider configured for coarse geocoding".into())
         })?;
+        let GeocodeQuery { query: address, k } = query;
         measured(self.transport().as_ref(), || {
-            let hits = self.federated_geocode(&query.query, world, query.k)?;
-            let servers = distinct(hits.iter().map(|h| &h.server_id));
-            Ok((hits, servers))
+            // Step 1: coarse position from the world-map provider. On
+            // first contact its advertisement rides this same envelope,
+            // so its frame is a cache read: a provider that refused the
+            // handshake has none, as an unanchored one has none.
+            let coarse = Request::Geocode {
+                query: address.clone(),
+                k: 1,
+            };
+            let coarse_hit = match self.session.batch(world, vec![coarse])?.pop() {
+                Some(Response::Geocode { hits }) => hits.into_iter().next().ok_or_else(|| {
+                    ClientError::NotFound(format!("no coarse geocode for {address:?}"))
+                })?,
+                other => return Err(unexpected_opt("world", "Geocode", other)),
+            };
+            let frame = self.frame_of(world).ok_or_else(|| {
+                ClientError::Protocol("world provider advertised no anchor".into())
+            })?;
+            let coarse_geo = frame.from_local(coarse_hit.pos);
+            let mut out = vec![GeocodeHit {
+                server_id: "world".to_string(),
+                geo: Some(coarse_geo),
+                hit: coarse_hit,
+            }];
+            // Step 2: fine geocode on the servers discovered there (the
+            // world provider has spoken and is declined). An address is
+            // not a spatial footprint, so no extent pruning applies.
+            self.scatter(
+                QueryKind::Geocode,
+                coarse_geo,
+                None,
+                |server, _| {
+                    (server.endpoint != world).then(|| Request::Geocode {
+                        query: address.clone(),
+                        k: wire_k(k),
+                    })
+                },
+                |server, response| {
+                    if let Response::Geocode { hits } = response {
+                        let frame = self.frame_of(server.endpoint);
+                        out.extend(hits.into_iter().map(|hit| GeocodeHit {
+                            server_id: server.server_id.clone(),
+                            geo: frame.as_ref().map(|f| f.from_local(hit.pos)),
+                            hit,
+                        }));
+                    }
+                    Ok(())
+                },
+            )?;
+            out.sort_by(|a, b| b.hit.score.total_cmp(&a.hit.score));
+            out.truncate(k);
+            let servers = distinct(out.iter().map(|h| &h.server_id));
+            Ok((out, servers))
         })
         .map(|(hits, stats)| GeocodeOutcome { hits, stats })
     }
 
+    /// Federated reverse geocode: ask every discovered *anchored*
+    /// server to name the position, best score wins. Unaligned venue
+    /// maps cannot interpret a geographic position (paper §3) and are
+    /// skipped without a wire call.
     fn reverse_geocode(
         &self,
         query: ReverseGeocodeQuery,
     ) -> Result<ReverseGeocodeOutcome, ClientError> {
+        let ReverseGeocodeQuery { location, radius_m } = query;
         measured(self.transport().as_ref(), || {
-            let hit = self.federated_reverse_geocode(query.location, query.radius_m)?;
-            let servers = usize::from(hit.is_some());
-            Ok((hit, servers))
+            let mut best: Option<GeocodeHit> = None;
+            // `pos` is spelled in the server's frame: the builder
+            // declines a server it sees is unanchored — whatever
+            // unanchored sources the planner could not prove out — or
+            // whose handshake failed, which keeps its failure for the
+            // blackout rule.
+            self.scatter(
+                QueryKind::ReverseGeocode,
+                location,
+                Some((location, radius_m)),
+                |_, hello| {
+                    let anchor = hello.and_then(|h| h.anchor)?;
+                    Some(Request::ReverseGeocode {
+                        pos: LocalFrame::new(anchor).to_local(location),
+                        radius_m,
+                    })
+                },
+                |server, response| {
+                    // "Nothing nearby" contributes no candidate.
+                    if let Response::ReverseGeocode { hit: Some(hit) } = response {
+                        if best.as_ref().is_none_or(|b| hit.score > b.hit.score) {
+                            let frame = self.frame_of(server.endpoint);
+                            best = Some(GeocodeHit {
+                                server_id: server.server_id.clone(),
+                                geo: frame.map(|f| f.from_local(hit.pos)),
+                                hit,
+                            });
+                        }
+                    }
+                    Ok(())
+                },
+            )?;
+            let servers = usize::from(best.is_some());
+            Ok((best, servers))
         })
         .map(|(hit, stats)| ReverseGeocodeOutcome { hit, stats })
     }
 
+    /// Federated location-based search: scatter one batched envelope to
+    /// every discovered server within the query's radius, gather, and
+    /// fuse rankings on the client.
     fn search(&self, query: SearchQuery) -> Result<SearchOutcome, ClientError> {
+        let SearchQuery {
+            query,
+            location,
+            radius_m,
+            k,
+        } = query;
         measured(self.transport().as_ref(), || {
-            let hits = self.search_within(&query.query, query.location, query.radius_m, query.k)?;
+            // One ranked list per answering server, and who that server is.
+            let mut lists: Vec<Vec<SearchResult>> = Vec::new();
+            let mut sources: Vec<(String, EndpointId)> = Vec::new();
+            // `center` is spelled in the server's frame: an anchored
+            // server gets a frame-local center so it can distance-rank;
+            // an unaligned venue map is small, so its whole extent is
+            // relevant — center unknown in its frame, as it is for a
+            // server whose handshake failed (which is queried all the
+            // same).
+            let plan = self.scatter(
+                QueryKind::Search,
+                location,
+                Some((location, radius_m)),
+                |_, hello| {
+                    let anchor = hello.and_then(|h| h.anchor);
+                    Some(Request::Search {
+                        query: query.clone(),
+                        center: anchor.map(|anchor| LocalFrame::new(anchor).to_local(location)),
+                        radius_m,
+                        k: wire_k(k),
+                    })
+                },
+                |server, response| {
+                    let Response::Search { results } = response else {
+                        return Err(unexpected(&server.server_id, "Search", &response));
+                    };
+                    sources.push((server.server_id.clone(), server.endpoint));
+                    let ranked = results.into_iter().map(|r| SearchResult {
+                        element: r.element,
+                        pos: r.pos,
+                        text_score: r.score,
+                        distance_m: r.distance_m,
+                        score: r.score,
+                        label: r.label,
+                    });
+                    lists.push(ranked.collect());
+                    Ok(())
+                },
+            )?;
+            // Sources that all proved empty for this query honestly
+            // answer "nothing here" (below, as consulting them would
+            // have); no sources at all is a different fact.
+            if plan.targets.is_empty() && plan.pruned.is_empty() {
+                return Err(ClientError::NothingDiscovered(format!(
+                    "no servers near {location}"
+                )));
+            }
+            // Client-side rank fusion (paper §5.2: "the client would then
+            // rank results from multiple map servers"). RRF merges the
+            // heterogeneous per-server rankings; a client-side relevance
+            // check against the query then dominates, so an exact match
+            // from one store outranks a near-miss stocked in several
+            // (server scores are not comparable, but the client can
+            // always score returned labels against its own query).
+            // Fuse without truncation: the final cut happens after the
+            // relevance re-scoring, otherwise a large federation can
+            // crowd the exact match out of the fused prefix.
+            let query_tokens = openflame_geocode::tokenize(&query);
+            let mut out: Vec<(f64, FederatedSearchHit)> = fuse_ranked(lists, usize::MAX)
+                .into_iter()
+                .map(|f| {
+                    let relevance = label_relevance(&query_tokens, &f.result.label);
+                    let (server_id, endpoint) = sources[f.source].clone();
+                    let result = WireSearchResult {
+                        element: f.result.element,
+                        pos: f.result.pos,
+                        score: f.result.score,
+                        distance_m: f.result.distance_m,
+                        label: f.result.label,
+                    };
+                    let hit = FederatedSearchHit {
+                        server_id,
+                        endpoint,
+                        result,
+                    };
+                    (relevance * (1.0 + f.fused_score), hit)
+                })
+                .collect();
+            out.sort_by(|a, b| b.0.total_cmp(&a.0));
+            out.truncate(k);
+            let hits: Vec<FederatedSearchHit> = out.into_iter().map(|(_, h)| h).collect();
             let servers = distinct(hits.iter().map(|h| &h.server_id));
             Ok((hits, servers))
         })
         .map(|(hits, stats)| SearchOutcome { hits, stats })
     }
 
+    /// Routes from a street position to a search result, stitching an
+    /// outdoor leg and (if the target is in a venue) an indoor leg at
+    /// the portal the paper §5.2 dynamic program selects. A warm venue
+    /// route is two rounds: both cost matrices, concurrently, then both
+    /// legs. The outdoor matrix names its ends as positions, which its
+    /// server snaps to nodes itself (spec §8).
+    ///
+    /// Every round runs on the executor, so a fleet-served target fails
+    /// over to a sibling replica (spec §9.4); its branch is found by the
+    /// hit's endpoint in the plan at the start. The legs need the
+    /// matrices' snapped nodes and stitched portal, so every branch and
+    /// every item must answer (`all_answered`).
     fn route(&self, query: RouteQuery) -> Result<RouteOutcome, ClientError> {
+        let RouteQuery { from, target } = query;
         measured(self.transport().as_ref(), || {
-            let route = self.federated_route(query.from, &query.target)?;
-            let servers = route.servers_consulted;
-            Ok((route, servers))
+            let ElementId::Node(target_node) = target.result.element else {
+                let reason = "route targets must be node elements";
+                return Err(ClientError::NotFound(reason.into()));
+            };
+            // The route plan at the start: the outdoor candidates (the
+            // planner prunes sources that provably cannot route) and,
+            // when a fleet serves the target's map, the target's branch.
+            let mut plan = self.plan_query_at(Some(QueryKind::Route), from, None)?;
+            let branch = (plan.targets.iter().filter_map(|t| t.fleet.as_ref())).find(|b| {
+                b.shard
+                    .replicas
+                    .iter()
+                    .any(|r| r.endpoint == target.endpoint)
+            });
+            let mut dest = PlannedTarget {
+                server: Arc::new(DiscoveredServer {
+                    server_id: target.server_id.clone(),
+                    endpoint: target.endpoint,
+                    catalogue: Catalogue::default(),
+                }),
+                fleet: branch.cloned(),
+            };
+            // First contact: the target's frame and portals shape every
+            // later round, so a cold target is handshaken first, in a
+            // round asking for no service (no plan kind); one that will
+            // not advertise cannot be routed into.
+            let target_hello = match self.session.cached_hello(target.endpoint) {
+                Some(hello) => hello,
+                None => {
+                    self.route_round(None, [&mut dest], [Vec::new()])?;
+                    let advertised = self.session.advertised(dest.server.endpoint);
+                    advertised.ok_or_else(|| {
+                        let id = &dest.server.server_id;
+                        ClientError::NotFound(format!("route target {id} advertises no map"))
+                    })?
+                }
+            };
+            let kind = plan.kind;
+            if let Some(anchor) = target_hello.anchor {
+                // Single anchored map covers both endpoints: snap the
+                // start (a matrix with no exits), then route.
+                let start = RouteEnd::At(LocalFrame::new(anchor).to_local(from));
+                let (entries, exits) = (vec![start], Vec::new());
+                let snap = Request::RouteMatrix { entries, exits };
+                let [snapped] = self.route_round(kind, [&mut dest], [vec![snap]])?;
+                let (_, nodes) = expect_matrix(&dest.server.server_id, snapped, (1, 0))?;
+                let (from, to) = (nodes[0], target_node.0);
+                let [route] =
+                    self.route_round(kind, [&mut dest], [vec![Request::Route { from, to }]])?;
+                return route_of([(&dest, route, true)]);
+            }
+            // Venue target: outdoor leg to a portal, indoor leg to the node.
+            let portals = &target_hello.portals;
+            if portals.is_empty() {
+                let reason = format!("venue {} advertises no portals", target.server_id);
+                return Err(ClientError::NotFound(reason));
+            }
+            // Round 1 — one handshake-first round (spec §8) for
+            // candidates and target: cold candidates are handshaken
+            // while warm envelopes fly, except those whose catalogue
+            // rules out a frame. The first candidate seen to be anchored
+            // gets the outdoor cost matrix, from the start to the
+            // outdoor side of every portal, as positions in its frame;
+            // the rest are declined without traffic, or passed over if
+            // unreachable. The venue's cost matrix (portals to target)
+            // needs none of that and goes out at once.
+            let outdoor_costs = |frame: LocalFrame| {
+                let at = |pos| RouteEnd::At(frame.to_local(pos));
+                let entries = vec![at(from)];
+                let exits = portals.iter().map(|(_, hint)| at(*hint)).collect();
+                vec![Request::RouteMatrix { entries, exits }]
+            };
+            let entries = portals.iter().map(|(node, _)| RouteEnd::Node(*node));
+            let (entries, exits) = (entries.collect(), vec![RouteEnd::Node(target_node.0)]);
+            let venue_costs = Request::RouteMatrix { entries, exits };
+            plan.targets
+                .retain(|t| t.server.endpoint != target.endpoint);
+            let venue_slot = plan.targets.len();
+            plan.targets.push(dest);
+            // The outdoor pick's slot and frame: a failover sibling of
+            // the pick gets the same matrix.
+            let pick = Cell::new(None);
+            let outcomes = execute(&self.session, &mut plan, |slot, _, hello| {
+                if slot == venue_slot {
+                    return Some(vec![venue_costs.clone()]);
+                }
+                match pick.get() {
+                    Some((picked, frame)) => (slot == picked).then(|| outdoor_costs(frame)),
+                    None => {
+                        let frame = LocalFrame::new(hello?.anchor?);
+                        pick.set(Some((slot, frame)));
+                        Some(outdoor_costs(frame))
+                    }
+                }
+            });
+            let (picked, _) = pick.get().ok_or_else(|| {
+                ClientError::NothingDiscovered("no anchored outdoor provider".into())
+            })?;
+            // Both were sent, so both are in the executed plan, in order.
+            let mut sent = (plan.targets.into_iter().zip(outcomes))
+                .filter(|(_, (slot, _))| [picked, venue_slot].contains(slot));
+            let (mut outdoor, (_, outdoor_matrix)) = sent.next().expect("the pick was sent");
+            let (mut dest, (_, venue_matrix)) = sent.next().expect("the target was sent");
+            let outdoor_id = outdoor.server.server_id.clone();
+            let [outdoor_matrix, venue_matrix] = all_answered([
+                (outdoor_id.as_str(), outdoor_matrix),
+                (dest.server.server_id.as_str(), venue_matrix),
+            ])?;
+            let n = portals.len();
+            let (outdoor_matrix, outdoor_nodes) =
+                expect_matrix(&outdoor_id, outdoor_matrix, (1, n))?;
+            let (venue_matrix, _) = expect_matrix(&dest.server.server_id, venue_matrix, (n, 1))?;
+            // The paper §5.2 stitching DP selects the portal — an index
+            // into both portal lists, because both matrices have exactly
+            // the shape asked for (which is also all `LegMatrix::new`
+            // would check).
+            let legs = [outdoor_matrix, venue_matrix].map(|costs| LegMatrix { costs });
+            let stitched = stitch_legs(&legs)
+                .map_err(|e| ClientError::NotFound(format!("no stitched path: {e}")))?;
+            let portal = stitched.portal_choices[0];
+            // Round 2 — fetch both chosen legs, concurrently, from the
+            // nodes the matrices resolved.
+            let legs = [
+                (outdoor_nodes[0], outdoor_nodes[1 + portal]),
+                (portals[portal].0, target_node.0),
+            ];
+            let [outdoor_route, venue_route] = self.route_round(
+                kind,
+                [&mut outdoor, &mut dest],
+                legs.map(|(from, to)| vec![Request::Route { from, to }]),
+            )?;
+            route_of([(&outdoor, outdoor_route, true), (&dest, venue_route, false)])
         })
         .map(|(route, stats)| RouteOutcome { route, stats })
     }
 
+    /// Federated localization: send each discovered server the cues its
+    /// catalogue accepts — one batched envelope per server, in one
+    /// concurrent round — and gather the estimates, geo-anchored where
+    /// the producing server is, best (smallest error) first
+    /// (paper §5.2).
     fn localize(&self, query: LocalizeQuery) -> Result<LocalizeOutcome, ClientError> {
+        let LocalizeQuery { coarse, cues } = query;
         measured(self.transport().as_ref(), || {
-            let estimates = self.federated_localize(query.coarse, &query.cues)?;
-            let servers = distinct(estimates.iter().map(|e| &e.server_id));
-            Ok((estimates, servers))
+            let mut out: Vec<ProviderEstimate> = Vec::new();
+            // The coarse fix bounds where the client can stand, so
+            // shards outside the localize footprint are skipped; a
+            // server accepting none of the offered cues is declined (a
+            // failover sibling accepts the same cues — a catalogue is
+            // group-wide).
+            self.scatter(
+                QueryKind::Localize,
+                coarse,
+                Some((coarse, LOCALIZE_FOOTPRINT_M)),
+                |server, _| {
+                    let matching: Vec<LocationCue> = cues
+                        .iter()
+                        .filter(|c| accepts_cue(server.catalogue, c))
+                        .cloned()
+                        .collect();
+                    (!matching.is_empty()).then_some(Request::Localize { cues: matching })
+                },
+                |server, response| {
+                    if let Response::Localize { estimates } = response {
+                        let frame = self.frame_of(server.endpoint);
+                        out.extend(estimates.into_iter().map(|estimate| ProviderEstimate {
+                            server_id: server.server_id.clone(),
+                            geo: frame.as_ref().map(|f| f.from_local(estimate.pos)),
+                            estimate,
+                        }));
+                    }
+                    Ok(())
+                },
+            )?;
+            out.sort_by(|a, b| a.estimate.error_m.total_cmp(&b.estimate.error_m));
+            let servers = distinct(out.iter().map(|e| &e.server_id));
+            Ok((out, servers))
         })
         .map(|(estimates, stats)| LocalizeOutcome { estimates, stats })
     }
 
+    /// Federated tiles: fetch the tile covering the query's center at
+    /// its zoom from every discovered server — one batched envelope
+    /// each, in one concurrent round — and compose them (paper §5.2);
+    /// the servers consulted are the layers composed. A server whose
+    /// layer the session holds from the last tile call at this
+    /// coordinate is asked to revalidate it by its tag instead of
+    /// sending it again (spec §8, "Tile revalidation"): `TileUnchanged`
+    /// paints the held runs, a `Tile` replaces them, and any other
+    /// answer drops them. Each layer's runs are painted straight into
+    /// pixels, and a lone layer is returned as it is (composing one
+    /// layer yields that layer). A zoom deeper than the pyramid is
+    /// [`ClientError::InvalidQuery`], sent nowhere.
     fn tile(&self, query: TileQuery) -> Result<TileOutcome, ClientError> {
+        let TileQuery { center, z } = query;
         measured(self.transport().as_ref(), || {
-            self.federated_tile(query.center, query.z)
+            let coord = tile_coord(center, z)?;
+            let TileCoord { z, x, y } = coord;
+            let held = self.session.tile_layers(coord);
+            let held_from = |endpoint: EndpointId| {
+                let mut layers = held.iter().flat_map(|layers| layers.iter());
+                layers
+                    .find(|(from, _)| *from == endpoint)
+                    .map(|(_, runs)| runs)
+            };
+            let mut composed: Vec<(EndpointId, PixelRuns)> = Vec::new();
+            // (The planner prunes unaligned venues, whose catalogues
+            // omit `tiles` and which refuse `GetTile` outright.) A layer
+            // echoing another coordinate is another tile and contributes
+            // nothing, as does an `Unchanged` for a layer the session
+            // sent no tag for.
+            self.scatter(
+                QueryKind::Tile,
+                center,
+                None,
+                |server, _| {
+                    Some(match held_from(server.endpoint) {
+                        Some(runs) => Request::RevalidateTile {
+                            z,
+                            x,
+                            y,
+                            tag: runs.tag(),
+                        },
+                        None => Request::GetTile { z, x, y },
+                    })
+                },
+                |server, response| {
+                    let runs = match response {
+                        Response::Tile { z, x, y, rgb } if (TileCoord { z, x, y }) == coord => {
+                            Some(rgb)
+                        }
+                        Response::TileUnchanged { z, x, y } if (TileCoord { z, x, y }) == coord => {
+                            held_from(server.endpoint).cloned()
+                        }
+                        _ => None,
+                    };
+                    composed.extend(runs.map(|runs| (server.endpoint, runs)));
+                    Ok(())
+                },
+            )?;
+            let mut layers: Vec<Tile> = composed
+                .iter()
+                .map(|(_, runs)| Tile::from_runs(coord, runs))
+                .collect();
+            self.session.store_tile_layers(coord, composed.into());
+            match layers.len() {
+                0 => Err(ClientError::NothingDiscovered(format!(
+                    "no tile-serving providers near {center}"
+                ))),
+                1 => Ok((layers.swap_remove(0), 1)),
+                n => Ok((compose(&layers.iter().collect::<Vec<_>>()), n)),
+            }
         })
         .map(|(tile, stats)| TileOutcome { tile, stats })
     }

@@ -16,7 +16,6 @@
 
 use crate::client::OpenFlameClient;
 use crate::fleet::{plan_venue_shards, ShardPlan};
-use crate::ClientError;
 use openflame_cells::{CellId, Region, RegionCoverer};
 use openflame_dns::{
     AuthServer, DomainName, FleetReplica, FleetShard, RecordData, Resolver, ResolverConfig, Zone,
@@ -391,19 +390,6 @@ impl Deployment {
             });
         }
     }
-
-    /// Convenience: the venue server index discovered for a product, by
-    /// searching the federation.
-    pub fn find_product(
-        &self,
-        product_name: &str,
-        near: openflame_geo::LatLng,
-    ) -> Result<crate::client::FederatedSearchHit, ClientError> {
-        let hits = self.client.federated_search(product_name, near, 5)?;
-        hits.into_iter()
-            .next()
-            .ok_or_else(|| ClientError::NotFound(format!("product {product_name:?}")))
-    }
 }
 
 /// Whether a node carries searchable content — the unit the fleet's
@@ -438,7 +424,21 @@ fn shard_document(full: &MapDocument, owned: &HashSet<u64>) -> MapDocument {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::FederatedSearchHit;
+    use crate::provider::{SearchQuery, SpatialProvider};
+    use openflame_geo::LatLng;
     use openflame_worldgen::WorldConfig;
+
+    /// The top hit of a federated search for a product within 2 km.
+    fn find_product(dep: &Deployment, name: &str, near: LatLng) -> FederatedSearchHit {
+        let query = SearchQuery {
+            query: name.into(),
+            location: near,
+            radius_m: 2_000.0,
+            k: 5,
+        };
+        dep.client.search(query).unwrap().hits.remove(0)
+    }
 
     #[test]
     fn deployment_builds_and_registers() {
@@ -466,7 +466,8 @@ mod tests {
         assert_eq!(dep.transport.kind(), "tcp");
         let hint = dep.world.venues[0].hint;
         // Discovery walks the real-TCP DNS hierarchy.
-        let found = dep.client.discovery().discover(hint, true).unwrap();
+        let discovery = dep.client.discovery();
+        let found = discovery.discover_view(hint, true).unwrap().servers;
         assert!(found.iter().any(|s| s.server_id == "venue-0"));
         assert!(found.iter().any(|s| s.server_id == "world-map"));
         assert!(dep.transport.stats().messages > 0);
@@ -484,7 +485,8 @@ mod tests {
         assert_eq!(dep.shard_dns.len(), 3, "shard 0 is the parent server");
         // Discovery still works through delegations.
         let hint = dep.world.venues[0].hint;
-        let found = dep.client.discovery().discover(hint, true).unwrap();
+        let discovery = dep.client.discovery();
+        let found = discovery.discover_view(hint, true).unwrap().servers;
         assert!(found.iter().any(|s| s.server_id.starts_with("venue-0")));
     }
 
@@ -563,7 +565,7 @@ mod tests {
         // a member of the owning venue's fleet.
         for product in dep.world.products.iter().take(3) {
             let hint = dep.world.venues[product.venue].hint;
-            let hit = dep.find_product(&product.name, hint).unwrap();
+            let hit = find_product(&dep, &product.name, hint);
             assert_eq!(hit.result.label, product.name);
             assert!(
                 hit.server_id
@@ -583,7 +585,7 @@ mod tests {
         );
         let product = &dep.world.products[0];
         let hint = dep.world.venues[product.venue].hint;
-        let hit = dep.find_product(&product.name, hint).unwrap();
+        let hit = find_product(&dep, &product.name, hint);
         assert_eq!(hit.result.label, product.name);
         assert_eq!(hit.server_id, format!("venue-{}", product.venue));
     }

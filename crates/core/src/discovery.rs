@@ -95,25 +95,6 @@ impl DiscoveryClient {
         self.stats.lock().clone()
     }
 
-    /// Discovers the map servers covering `location`.
-    ///
-    /// With `expand_neighbors`, the four edge-neighbor cells of the
-    /// query cell are also resolved, absorbing boundary fuzziness at the
-    /// cost of extra lookups (asserted by the `paper_claims` test
-    /// `s3_neighbour_expansion_and_the_naming_contract`).
-    pub fn discover(
-        &self,
-        location: LatLng,
-        expand_neighbors: bool,
-    ) -> Result<Vec<DiscoveredServer>, ClientError> {
-        Ok(self
-            .discover_view(location, expand_neighbors)?
-            .servers
-            .into_iter()
-            .map(Arc::unwrap_or_clone)
-            .collect())
-    }
-
     /// Fleet-aware discovery: asks one `MAPSRV` question per query
     /// cell, in **one** pipelined resolver round. Each answer names the
     /// cell's plain servers, and its additional section the cell's
@@ -121,7 +102,9 @@ impl DiscoveryClient {
     ///
     /// In deployments without fleets the additional sections come back
     /// empty and the view degenerates to the plain server list, so this
-    /// is the single discovery path for every client.
+    /// is the single discovery path for every client. With
+    /// `expand_neighbors` the query cell's four edge neighbours are
+    /// resolved too, absorbing boundary fuzziness (paper §3).
     ///
     /// The query cell is always at [`QUERY_LEVEL`]: wildcards only match
     /// descendants, so a deployment must register its coverings at or
@@ -257,7 +240,8 @@ mod tests {
     fn discovers_venue_at_its_location() {
         let dep = deployment();
         let hint = dep.world.venues[0].hint;
-        let found = dep.client.discovery().discover(hint, true).unwrap();
+        let discovery = dep.client.discovery();
+        let found = discovery.discover_view(hint, true).unwrap().servers;
         assert!(
             found
                 .iter()
@@ -276,7 +260,8 @@ mod tests {
         // (probabilistically; all venues sit inside blocks, corners may
         // still be within a venue cell, so check a point far outside).
         let far = dep.world.config.center.destination(0.0, 4_000.0);
-        let found = dep.client.discovery().discover(far, false).unwrap();
+        let discovery = dep.client.discovery();
+        let found = discovery.discover_view(far, false).unwrap().servers;
         assert!(found
             .iter()
             .all(|s| s.server_id != dep.venue_servers[0].id()));
@@ -286,8 +271,8 @@ mod tests {
     fn repeat_discovery_hits_cache() {
         let dep = deployment();
         let hint = dep.world.venues[1].hint;
-        dep.client.discovery().discover(hint, false).unwrap();
-        dep.client.discovery().discover(hint, false).unwrap();
+        dep.client.discovery().discover_view(hint, false).unwrap();
+        dep.client.discovery().discover_view(hint, false).unwrap();
         let stats = dep.client.discovery().stats();
         assert_eq!(stats.discoveries, 2);
         assert!(
@@ -300,9 +285,9 @@ mod tests {
     fn neighbor_expansion_issues_more_lookups() {
         let dep = deployment();
         let hint = dep.world.venues[2].hint;
-        dep.client.discovery().discover(hint, false).unwrap();
+        dep.client.discovery().discover_view(hint, false).unwrap();
         let without = dep.client.discovery().stats().lookups;
-        dep.client.discovery().discover(hint, true).unwrap();
+        dep.client.discovery().discover_view(hint, true).unwrap();
         let with = dep.client.discovery().stats().lookups - without;
         assert!(
             with > 1,

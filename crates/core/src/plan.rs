@@ -313,10 +313,11 @@ fn prune_reason(extent: &CoverageExtent, footprint: Option<(LatLng, f64)>) -> Op
 }
 
 /// Whether a query cap is *provably* disjoint from an advertised
-/// extent. Requires both the cap-distance test and the cell-covering
-/// test to agree; any malformed or empty advertisement proves nothing.
+/// extent. The cells are the proof; the cap distance is a pre-check
+/// that cannot prune alone, since the cap need not hold the content
+/// (spec §13.1). Both must agree; an empty advertisement proves nothing.
 ///
-/// The order of the two proofs is free (spec §13.3), so the cheap cap
+/// The order of the two tests is free (spec §13.3), so the cheap cap
 /// distance goes first: a source whose caps overlap the query is kept
 /// without decoding a cell, and the per-cell loop (one bounding box
 /// per cell) runs only for a source about to be pruned.

@@ -496,29 +496,6 @@ impl Session {
         info
     }
 
-    /// The advertisement for `server`, from cache or the wire. Unlike
-    /// the handshake riding an envelope, a refusal here is the caller's
-    /// answer and surfaces as [`ClientError::Server`].
-    pub fn hello(&self, server: EndpointId) -> Result<Arc<HelloInfo>, ClientError> {
-        if let Some(info) = self.cached_hello(server) {
-            return Ok(info);
-        }
-        match self.batch(server, vec![Request::Hello])?.pop() {
-            // The claim side cached the answer; hand out that entry.
-            Some(Response::Hello(info)) => {
-                Ok(self.advertised(server).unwrap_or_else(|| Arc::new(info)))
-            }
-            other => Err(unexpected_opt(&self.server_name(server), "Hello", other)),
-        }
-    }
-
-    /// Whether a fresh advertisement is cached for `server` — the
-    /// handshake rule's test (and the tests' oracle for what first
-    /// contact taught); touches no hit/miss counter.
-    pub fn has_hello(&self, server: EndpointId) -> bool {
-        self.advertised(server).is_some()
-    }
-
     /// Records that fleet replica `endpoint`, discovered under query
     /// cell `cell_raw`, failed at the wire — the one call failover
     /// makes. The dead mark *replaces* the endpoint's advertisement
@@ -653,7 +630,7 @@ impl ScatterRound<'_> {
     pub fn submit(&mut self, to: EndpointId, mut requests: Vec<Request>) -> usize {
         let session = self.session;
         let expected = requests.len();
-        let cold = !session.has_hello(to);
+        let cold = session.advertised(to).is_none();
         let handshake = cold && !requests.contains(&Request::Hello);
         if handshake {
             requests.push(Request::Hello);
@@ -925,7 +902,7 @@ pub(crate) mod tests {
         session.store_discovery(8, DiscoveryView::default());
         session.mark_dead(dead, 7);
         assert!(session.is_dead(dead));
-        assert!(!session.has_hello(dead));
+        assert!(session.advertised(dead).is_none());
         assert!(session.cached_hello(dead).is_none());
         assert!(
             session.cached_discovery(7).is_none(),
@@ -961,7 +938,7 @@ pub(crate) mod tests {
             [probe(), Request::Hello]
         );
         assert!(!session.is_dead(server));
-        assert!(session.has_hello(server));
+        assert!(session.advertised(server).is_some());
     }
 
     #[test]
@@ -970,14 +947,16 @@ pub(crate) mod tests {
         let client = transport.register("client", None);
         let (server, _log) = stub_server(&transport, 0, HelloAnswer::Advertise);
         let session = Session::new(transport, client, Principal::anonymous());
-        // Cold: `hello` goes to the wire and hands out the cache's own
-        // entry, not a second allocation of the same bytes.
-        let learned = session.hello(server).unwrap();
+        // Cold: the bare handshake goes to the wire, and every reader
+        // after it gets the cache's own entry, not a second allocation
+        // of the same bytes.
+        session.batch(server, Vec::new()).unwrap();
+        let learned = session.advertised(server).unwrap();
         assert!(Arc::ptr_eq(
             &learned,
             &session.cached_hello(server).unwrap()
         ));
-        assert!(Arc::ptr_eq(&learned, &session.hello(server).unwrap()));
+        assert!(Arc::ptr_eq(&learned, &session.advertised(server).unwrap()));
     }
 
     /// What a [`stub_server`] answers a `Hello` item with.
@@ -1080,14 +1059,17 @@ pub(crate) mod tests {
         let client = transport.register("client", None);
         let (server, log) = stub_server(&transport, 0, HelloAnswer::Advertise);
         let session = Session::new(transport, client, Principal::anonymous());
-        assert!(!session.has_hello(server));
+        assert!(session.advertised(server).is_none());
         // First contact: the caller's three items come back in order,
         // and nothing else — the server saw a fourth, last.
         let responses = session
             .batch(server, vec![probe(), probe(), probe()])
             .unwrap();
         assert_eq!(versions(&responses), [0, 1, 2]);
-        assert!(session.has_hello(server), "first contact taught it");
+        assert!(
+            session.advertised(server).is_some(),
+            "first contact taught it"
+        );
         assert_eq!(session.cached_hello(server).unwrap().version, 7);
         // Warm: the envelope is the caller's items and nothing else.
         let responses = session.batch(server, vec![probe()]).unwrap();
@@ -1121,14 +1103,14 @@ pub(crate) mod tests {
             [Request::Hello, probe()]
         );
         assert!(
-            session.has_hello(server),
+            session.advertised(server).is_some(),
             "an asked-for hello is cached too"
         );
         // The bare handshake is the empty batch.
         let (other, log) = stub_server(&session.transport, 0, HelloAnswer::Advertise);
         assert_eq!(session.batch(other, Vec::new()).unwrap(), []);
         assert_eq!(sent_items(&log.lock().unwrap()[0]), [Request::Hello]);
-        assert!(session.has_hello(other));
+        assert!(session.advertised(other).is_some());
     }
 
     #[test]
@@ -1142,7 +1124,7 @@ pub(crate) mod tests {
             // succeeds with exactly the caller's answers.
             let responses = session.batch(server, vec![probe(), probe()]).unwrap();
             assert_eq!(versions(&responses), [0, 1]);
-            assert!(!session.has_hello(server));
+            assert!(session.advertised(server).is_none());
             // Nothing was learned, so the next envelope asks again.
             session.batch(server, vec![probe()]).unwrap();
             assert_eq!(
@@ -1190,10 +1172,10 @@ pub(crate) mod tests {
         let session = Session::new(transport.clone(), client, Principal::anonymous());
         session.batch(server, vec![probe()]).unwrap();
         transport.advance_us(DEFAULT_TTL_US + 1);
-        assert!(!session.has_hello(server), "aged out");
+        assert!(session.advertised(server).is_none(), "aged out");
         let responses = session.batch(server, vec![probe()]).unwrap();
         assert_eq!(versions(&responses), [0]);
-        assert!(session.has_hello(server), "re-learned");
+        assert!(session.advertised(server).is_some(), "re-learned");
         let log = log.lock().unwrap();
         assert_eq!(log.len(), 2, "no envelope of its own");
         assert_eq!(sent_items(&log[1]), [probe(), Request::Hello]);

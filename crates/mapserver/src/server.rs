@@ -132,10 +132,10 @@ struct Setup {
     catalogue: Catalogue,
 }
 
-/// The extent advertised for a registration cap (spec §13.1). The
-/// extent MUST bound every answerable element — it is the same cap the
-/// server registers in DNS, which deployments derive from the venue's
-/// ground-truth zone, so the commitment holds by construction.
+/// The extent advertised for a registration cap (spec §13.1). Its
+/// cells are the commitment: they MUST hold every answerable element.
+/// The cap does not (a venue's far corners lie past it), so it is only
+/// a pre-check that cannot prune alone (spec §13.3).
 fn registration_extent(center: LatLng, radius_m: f64) -> Option<CoverageExtent> {
     (radius_m > 0.0).then(|| {
         let cells = RegionCoverer::new(4, crate::naming::QUERY_LEVEL, 16)

@@ -3,7 +3,10 @@
 //!
 //! Run with: `cargo run --release --example campus_privacy`
 
-use openflame_core::{Deployment, DeploymentConfig, OpenFlameClient};
+use openflame_core::{
+    Deployment, DeploymentConfig, LocalizeQuery, OpenFlameClient, RouteQuery, SearchQuery,
+    SpatialProvider,
+};
 use openflame_localize::{LocationCue, RadioMap};
 use openflame_mapserver::{AccessPolicy, Principal, Rule, ServiceKind};
 use openflame_worldgen::{World, WorldConfig};
@@ -77,26 +80,33 @@ fn main() {
         let client = OpenFlameClient::builder()
             .principal(principal)
             .build_on(dep.transport.clone(), dep.resolver.clone());
-        let search_ok = client
-            .federated_search(&product.name, venue.hint, 3)
-            .map(|hits| hits.iter().any(|h| h.result.label == product.name))
+        let search = || {
+            client.search(SearchQuery {
+                query: product.name.clone(),
+                location: venue.hint,
+                radius_m: 2_000.0,
+                k: 3,
+            })
+        };
+        let search_ok = search()
+            .map(|found| found.hits.iter().any(|h| h.result.label == product.name))
             .unwrap_or(false);
         let route_ok = if search_ok {
-            let hit = client
-                .federated_search(&product.name, venue.hint, 3)
-                .unwrap()
-                .into_iter()
+            let target = (search().unwrap().hits.into_iter())
                 .find(|h| h.result.label == product.name)
                 .unwrap();
-            client
-                .federated_route(venue.hint.destination(200.0, 80.0), &hit)
-                .is_ok()
+            let from = venue.hint.destination(200.0, 80.0);
+            client.route(RouteQuery { from, target }).is_ok()
         } else {
             false
         };
+        let cues = vec![beacon_cue.clone()];
         let localize_ok = client
-            .federated_localize(venue.hint, std::slice::from_ref(&beacon_cue))
-            .map(|ests| ests.iter().any(|e| e.server_id.starts_with("venue-")))
+            .localize(LocalizeQuery {
+                coarse: venue.hint,
+                cues,
+            })
+            .map(|found| (found.estimates.iter()).any(|e| e.server_id.starts_with("venue-")))
             .unwrap_or(false);
         println!("{label:<28} {search_ok:>8} {route_ok:>8} {localize_ok:>10}");
     }
@@ -108,11 +118,14 @@ fn main() {
     };
     let outdoor = dep
         .client
-        .federated_localize(dep.world.config.center, &[gps])
+        .localize(LocalizeQuery {
+            coarse: dep.world.config.center,
+            cues: vec![gps],
+        })
         .unwrap();
     println!(
         "\nanonymous outdoor localization still works via the public world map: {}",
-        !outdoor.is_empty()
+        !outdoor.estimates.is_empty()
     );
     let denied = dep.venue_servers[0].stats().denied;
     println!("requests denied by the campus server during this demo: {denied}");

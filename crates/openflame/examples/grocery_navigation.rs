@@ -4,7 +4,10 @@
 //!
 //! Run with: `cargo run --release --example grocery_navigation`
 
-use openflame_core::{run_grocery_scenario, Deployment, DeploymentConfig, ProviderKind};
+use openflame_core::{
+    run_grocery_scenario, Deployment, DeploymentConfig, ProviderKind, RouteQuery, SearchQuery,
+    SpatialProvider,
+};
 use openflame_routing::turn_instructions;
 use openflame_worldgen::{World, WorldConfig};
 
@@ -34,14 +37,24 @@ fn main() {
     }
 
     println!("\n2. federated search for the product:");
-    let hits = dep.client.federated_search(&product.name, user, 3).unwrap();
+    let query = SearchQuery {
+        query: product.name.clone(),
+        location: user,
+        radius_m: 2_000.0,
+        k: 3,
+    };
+    let hits = dep.client.search(query).unwrap().hits;
     for h in &hits {
         println!("   [{}] {}", h.server_id, h.result.label);
     }
-    let target = &hits[0];
+    let target = hits[0].clone();
 
     println!("\n3. stitched route (outdoor → entrance → shelf):");
-    let route = dep.client.federated_route(user, target).unwrap();
+    let route = dep
+        .client
+        .route(RouteQuery { from: user, target })
+        .unwrap()
+        .route;
     for (i, leg) in route.legs.iter().enumerate() {
         println!(
             "   leg {} [{}]: {:.0} m",

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example map_tiles`
 //! Output: `target/tiles/*.ppm`
 
-use openflame_core::{Deployment, DeploymentConfig};
+use openflame_core::{Deployment, DeploymentConfig, SpatialProvider, TileQuery};
 use openflame_geo::{Affine2, Mercator, Point2};
 use openflame_tiles::stitch::{compose, render_unaligned_overlay};
 use openflame_tiles::TileCoord;
@@ -22,10 +22,8 @@ fn main() {
 
     // 1. City tiles straight from the federation at three zooms.
     for z in [14u8, 15, 16] {
-        let (tile, _layers) = dep
-            .client
-            .federated_tile(dep.world.config.center, z)
-            .unwrap();
+        let center = dep.world.config.center;
+        let tile = dep.client.tile(TileQuery { center, z }).unwrap().tile;
         let path = out_dir.join(format!("city_z{z}.ppm"));
         fs::write(&path, tile.to_ppm()).expect("write tile");
         println!(
@@ -65,7 +63,11 @@ fn main() {
     let z = 18u8;
     let (x, y) = Mercator::tile_for(venue_geo, z);
     let coord = TileCoord { z, x, y };
-    let (base, _layers) = dep.client.federated_tile(venue_geo, z).unwrap();
+    let query = TileQuery {
+        center: venue_geo,
+        z,
+    };
+    let base = dep.client.tile(query).unwrap().tile;
     let overlay = render_unaligned_overlay(&venue.map, &fitted, anchor, coord);
     let stitched = compose(&[&base, &overlay]);
     let path = out_dir.join("venue_overlay_z18.ppm");

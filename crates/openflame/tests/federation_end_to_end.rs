@@ -2,12 +2,70 @@
 //! generation through DNS discovery to stitched services.
 
 use openflame_codec::to_bytes;
-use openflame_core::{Deployment, DeploymentConfig, ProviderKind};
+use openflame_core::{
+    ClientError, Deployment, DeploymentConfig, FederatedRoute, FederatedSearchHit, GeocodeHit,
+    GeocodeQuery, LocalizeQuery, OpenFlameClient, ProviderEstimate, ProviderKind, RouteQuery,
+    SearchQuery, SpatialProvider, TileQuery,
+};
 use openflame_dns::{Catalogue, ResolverConfig};
 use openflame_geo::LatLng;
 use openflame_localize::{LocationCue, RadioMap};
 use openflame_mapserver::{AccessPolicy, Principal, Rule, ServiceKind};
+use openflame_tiles::Tile;
 use openflame_worldgen::{World, WorldConfig};
+
+/// A federated search within 2 km: its hits.
+fn search_hits(
+    client: &OpenFlameClient,
+    query: &str,
+    location: LatLng,
+    k: usize,
+) -> Result<Vec<FederatedSearchHit>, ClientError> {
+    let (query, radius_m) = (query.to_string(), 2_000.0);
+    let found = client.search(SearchQuery {
+        query,
+        location,
+        radius_m,
+        k,
+    })?;
+    Ok(found.hits)
+}
+
+/// A federated route from `from` to a search hit.
+fn route_to(
+    client: &OpenFlameClient,
+    from: LatLng,
+    target: &FederatedSearchHit,
+) -> Result<FederatedRoute, ClientError> {
+    let target = target.clone();
+    Ok(client.route(RouteQuery { from, target })?.route)
+}
+
+/// A federated localization from `cues`: its estimates.
+fn localize_at(
+    client: &OpenFlameClient,
+    coarse: LatLng,
+    cues: &[LocationCue],
+) -> Result<Vec<ProviderEstimate>, ClientError> {
+    let cues = cues.to_vec();
+    Ok(client.localize(LocalizeQuery { coarse, cues })?.estimates)
+}
+
+/// A federated tile and the number of layers composed into it.
+fn tile_at(client: &OpenFlameClient, center: LatLng, z: u8) -> Result<(Tile, usize), ClientError> {
+    let found = client.tile(TileQuery { center, z })?;
+    Ok((found.tile, found.stats.servers_consulted))
+}
+
+/// A federated forward geocode through the client's world provider.
+fn geocode_hits(
+    client: &OpenFlameClient,
+    query: &str,
+    k: usize,
+) -> Result<Vec<GeocodeHit>, ClientError> {
+    let query = query.to_string();
+    Ok(client.geocode(GeocodeQuery { query, k })?.hits)
+}
 
 fn small_world() -> World {
     World::generate(WorldConfig {
@@ -25,9 +83,9 @@ fn discovery_to_search_to_route_pipeline() {
     let user = venue_hint.destination(200.0, 90.0);
 
     // Discover, search, route — the paper §2 flow.
-    let hit = dep.client.federated_search(&product.name, user, 5).unwrap()[0].clone();
+    let hit = search_hits(&dep.client, &product.name, user, 5).unwrap()[0].clone();
     assert_eq!(hit.result.label, product.name);
-    let route = dep.client.federated_route(user, &hit).unwrap();
+    let route = route_to(&dep.client, user, &hit).unwrap();
     assert_eq!(route.legs.len(), 2, "outdoor leg + indoor leg");
     assert!(route.legs[0].anchored);
     assert!(!route.legs[1].anchored);
@@ -65,9 +123,7 @@ fn partially_warm_search_pipelines_handshakes_without_extra_traffic() {
     let dep = Deployment::build(world, DeploymentConfig::default());
     let first = dep.world.products[0].clone();
     let near_first = dep.world.venues[first.venue].hint;
-    dep.client
-        .federated_search(&first.name, near_first, 3)
-        .unwrap();
+    search_hits(&dep.client, &first.name, near_first, 3).unwrap();
 
     // Find a product whose venue discovery includes at least one
     // server the session has not yet handshaken with.
@@ -80,7 +136,7 @@ fn partially_warm_search_pipelines_handshakes_without_extra_traffic() {
             let servers = dep.client.discover(near).ok()?;
             let (warm, cold): (Vec<_>, Vec<_>) = servers
                 .iter()
-                .partition(|s| dep.client.session().has_hello(s.endpoint));
+                .partition(|s| dep.client.session().advertised(s.endpoint).is_some());
             let cold_anchored = cold
                 .iter()
                 .filter(|s| s.catalogue.contains(Catalogue::RGEOCODE))
@@ -96,7 +152,7 @@ fn partially_warm_search_pipelines_handshakes_without_extra_traffic() {
 
     let batches_before = dep.client.session().stats().batches;
     dep.transport.reset_stats();
-    let hits = dep.client.federated_search(&product.name, near, 3).unwrap();
+    let hits = search_hits(&dep.client, &product.name, near, 3).unwrap();
     assert!(hits.iter().any(|h| h.result.label == product.name));
 
     let batches = dep.client.session().stats().batches - batches_before;
@@ -111,7 +167,7 @@ fn partially_warm_search_pipelines_handshakes_without_extra_traffic() {
 
     // Steady state thereafter: everyone is warm, one envelope each.
     let batches_before = dep.client.session().stats().batches;
-    dep.client.federated_search(&product.name, near, 3).unwrap();
+    search_hits(&dep.client, &product.name, near, 3).unwrap();
     let warm_batches = dep.client.session().stats().batches - batches_before;
     assert_eq!(warm_batches, (warm + cold) as u64);
 }
@@ -174,10 +230,7 @@ fn acl_protected_venue_invisible_to_strangers_but_searchable_by_staff() {
     let product = dep.world.products[0].clone();
     let hint = dep.world.venues[product.venue].hint;
     // Anonymous: venue search denied everywhere, so nothing found.
-    let anon_hits = dep
-        .client
-        .federated_search(&product.name, hint, 5)
-        .unwrap_or_default();
+    let anon_hits = search_hits(&dep.client, &product.name, hint, 5).unwrap_or_default();
     assert!(
         anon_hits.iter().all(|h| h.result.label != product.name),
         "protected inventory leaked to anonymous client"
@@ -186,7 +239,7 @@ fn acl_protected_venue_invisible_to_strangers_but_searchable_by_staff() {
     let staff = openflame_core::OpenFlameClient::builder()
         .principal(Principal::user("worker@staff.example"))
         .build_on(dep.transport.clone(), dep.resolver.clone());
-    let staff_hits = staff.federated_search(&product.name, hint, 5).unwrap();
+    let staff_hits = search_hits(&staff, &product.name, hint, 5).unwrap();
     assert_eq!(staff_hits[0].result.label, product.name);
 }
 
@@ -200,17 +253,14 @@ fn dead_venue_server_degrades_gracefully() {
         .set_down(dep.venue_servers[product.venue].endpoint(), true);
     // Search still completes using the remaining federation; the dead
     // server's inventory is simply missing.
-    let hits = dep
-        .client
-        .federated_search(&product.name, hint, 5)
-        .unwrap_or_default();
+    let hits = search_hits(&dep.client, &product.name, hint, 5).unwrap_or_default();
     assert!(hits
         .iter()
         .all(|h| h.server_id != format!("venue-{}", product.venue)));
     // Revive and retry: the product is back.
     dep.transport
         .set_down(dep.venue_servers[product.venue].endpoint(), false);
-    let hits = dep.client.federated_search(&product.name, hint, 5).unwrap();
+    let hits = search_hits(&dep.client, &product.name, hint, 5).unwrap();
     assert_eq!(hits[0].result.label, product.name);
 }
 
@@ -225,7 +275,7 @@ fn federated_localization_switches_indoors() {
         fix: outdoor_geo,
         accuracy_m: 4.0,
     };
-    let outdoor_est = dep.client.federated_localize(outdoor_geo, &[gnss]).unwrap();
+    let outdoor_est = localize_at(&dep.client, outdoor_geo, &[gnss]).unwrap();
     assert!(outdoor_est
         .iter()
         .any(|e| e.server_id == "world-map" && e.estimate.technology == "gnss"));
@@ -238,7 +288,7 @@ fn federated_localization_switches_indoors() {
     );
     let truth = openflame_geo::Point2::new(12.0, 10.0);
     let cue = radio.observe(&mut rng, truth, 2.0);
-    let indoor_est = dep.client.federated_localize(venue.hint, &[cue]).unwrap();
+    let indoor_est = localize_at(&dep.client, venue.hint, &[cue]).unwrap();
     let (sid, est) = (&indoor_est[0].server_id, &indoor_est[0].estimate);
     assert_eq!(sid, "venue-1");
     assert_eq!(est.technology, "beacon");
@@ -310,8 +360,9 @@ fn packet_loss_surfaces_as_client_errors_not_panics() {
     // Run a bunch of operations; all must return Ok or Err, never panic.
     for i in 0..10 {
         let _ = dep.client.discover(hint);
-        let _ = dep.client.federated_search("seaweed", hint, 3);
-        let _ = dep.client.federated_localize(
+        let _ = search_hits(&dep.client, "seaweed", hint, 3);
+        let _ = localize_at(
+            &dep.client,
             hint,
             &[LocationCue::Gnss {
                 fix: hint,
@@ -336,10 +387,7 @@ fn geocode_through_world_provider() {
                 .then(|| n.tags.get("name").unwrap().to_string())
         })
         .expect("world has addresses");
-    let hits = dep
-        .client
-        .federated_geocode(&address, dep.outdoor_server.endpoint(), 3)
-        .unwrap();
+    let hits = geocode_hits(&dep.client, &address, 3).unwrap();
     assert!(!hits.is_empty());
     assert!(hits[0].hit.score > 0.9, "address {address:?} hits {hits:?}");
 }
@@ -347,10 +395,7 @@ fn geocode_through_world_provider() {
 #[test]
 fn tiles_compose_from_outdoor_provider() {
     let dep = Deployment::build(small_world(), DeploymentConfig::default());
-    let (tile, _layers) = dep
-        .client
-        .federated_tile(dep.world.config.center, 16)
-        .unwrap();
+    let (tile, _layers) = tile_at(&dep.client, dep.world.config.center, 16).unwrap();
     assert!(tile.coverage() > 0.0, "city center tile must show streets");
 }
 
@@ -368,7 +413,7 @@ fn world_scales_up_cleanly() {
     let dep = Deployment::build(world, DeploymentConfig::default());
     let product = dep.world.products[100].clone();
     let hint = dep.world.venues[product.venue].hint;
-    let hit = dep.client.federated_search(&product.name, hint, 3).unwrap();
+    let hit = search_hits(&dep.client, &product.name, hint, 3).unwrap();
     assert_eq!(hit[0].result.label, product.name);
 }
 
@@ -399,11 +444,8 @@ fn deterministic_end_to_end() {
         let dep = Deployment::build(small_world(), DeploymentConfig::default());
         let product = dep.world.products[7].clone();
         let hint = dep.world.venues[product.venue].hint;
-        let hit = dep.client.federated_search(&product.name, hint, 3).unwrap();
-        let route = dep
-            .client
-            .federated_route(hint.destination(10.0, 120.0), &hit[0])
-            .unwrap();
+        let hit = search_hits(&dep.client, &product.name, hint, 3).unwrap();
+        let route = route_to(&dep.client, hint.destination(10.0, 120.0), &hit[0]).unwrap();
         (
             hit[0].result.label.clone(),
             route.total_cost,
@@ -461,8 +503,8 @@ fn same_seed_deployments_return_byte_identical_routes() {
             let product = dep.world.products[pick].clone();
             let start = dep.world.venues[(product.venue + 1 + i % (venues - 1)) % venues].hint;
             let near = dep.world.venues[product.venue].hint;
-            let hit = dep.client.federated_search(&product.name, near, 3).unwrap()[0].clone();
-            let route = dep.client.federated_route(start, &hit).unwrap();
+            let hit = search_hits(&dep.client, &product.name, near, 3).unwrap()[0].clone();
+            let route = route_to(&dep.client, start, &hit).unwrap();
             assert!(route.legs.len() >= 2, "call {i} must cross servers");
             encoded.extend(route.legs.iter().map(|leg| to_bytes(&leg.route).to_vec()));
             hits.push((hit.server_id, hit.result.element));
@@ -492,17 +534,14 @@ fn localization_denied_while_tiles_allowed() {
         2.0,
     );
     let cue = radio.observe(&mut rng, openflame_geo::Point2::new(10.0, 10.0), 2.0);
-    let estimates = dep.client.federated_localize(venue.hint, &[cue]).unwrap();
+    let estimates = localize_at(&dep.client, venue.hint, &[cue]).unwrap();
     assert!(
         estimates.iter().all(|e| !e.server_id.starts_with("venue-")),
         "venue localization must be denied"
     );
     // Search on the same venue still works (service-level separation).
     let product = dep.world.products[0].clone();
-    let hits = dep
-        .client
-        .federated_search(&product.name, venue.hint, 3)
-        .unwrap();
+    let hits = search_hits(&dep.client, &product.name, venue.hint, 3).unwrap();
     assert_eq!(hits[0].result.label, product.name);
 }
 
@@ -513,7 +552,7 @@ fn no_discovery_outside_registered_space() {
     let nowhere = LatLng::new(-33.86, 151.21).unwrap();
     let found = dep.client.discover(nowhere).unwrap();
     assert!(found.is_empty());
-    let err = dep.client.federated_search("anything", nowhere, 3);
+    let err = search_hits(&dep.client, "anything", nowhere, 3);
     assert!(matches!(
         err,
         Err(openflame_core::ClientError::NothingDiscovered(_))

@@ -28,11 +28,40 @@
 //!    as "no results here".
 
 use openflame_core::{
-    ClientError, Deployment, DeploymentConfig, QueryKind, SearchQuery, SpatialProvider,
+    ClientError, Deployment, DeploymentConfig, FederatedRoute, FederatedSearchHit, OpenFlameClient,
+    QueryKind, RouteQuery, SearchQuery, SpatialProvider,
 };
+use openflame_geo::LatLng;
 use openflame_netsim::BackendKind;
 use openflame_worldgen::{World, WorldConfig};
 use std::error::Error;
+
+/// A federated search within 2 km: its hits.
+fn search_hits(
+    client: &OpenFlameClient,
+    query: &str,
+    location: LatLng,
+    k: usize,
+) -> Result<Vec<FederatedSearchHit>, ClientError> {
+    let (query, radius_m) = (query.to_string(), 2_000.0);
+    let found = client.search(SearchQuery {
+        query,
+        location,
+        radius_m,
+        k,
+    })?;
+    Ok(found.hits)
+}
+
+/// A federated route from `from` to a search hit.
+fn route_to(
+    client: &OpenFlameClient,
+    from: LatLng,
+    target: &FederatedSearchHit,
+) -> Result<FederatedRoute, ClientError> {
+    let target = target.clone();
+    Ok(client.route(RouteQuery { from, target })?.route)
+}
 
 const BACKENDS: [BackendKind; 3] = [BackendKind::Sim, BackendKind::Tcp, BackendKind::QuicLite];
 
@@ -70,11 +99,11 @@ fn fleet_search_cost(backend: BackendKind, replicas: usize) -> (u64, u64, u64, u
         .venue_point_to_geo(product.venue, product.shelf_pos);
 
     dep.transport.reset_stats();
-    dep.client.federated_search(&product.name, near, 3).unwrap();
+    search_hits(&dep.client, &product.name, near, 3).unwrap();
     let cold = dep.transport.stats().messages;
 
     dep.transport.reset_stats();
-    dep.client.federated_search(&product.name, near, 3).unwrap();
+    search_hits(&dep.client, &product.name, near, 3).unwrap();
     let warm = dep.transport.stats().messages;
 
     // Narrow warm search: only shards whose extent intersects the tiny
@@ -150,9 +179,7 @@ fn downed_replica_is_transparently_absorbed_on_every_backend() {
         let dep = fleet_deployment_on(backend, 2, small_world());
         let product = dep.world.products[0].clone();
         let near = dep.world.venues[product.venue].hint;
-        let hit = dep
-            .client
-            .federated_search(&product.name, near, 3)
+        let hit = search_hits(&dep.client, &product.name, near, 3)
             .unwrap()
             .into_iter()
             .find(|h| h.result.label == product.name)
@@ -166,9 +193,7 @@ fn downed_replica_is_transparently_absorbed_on_every_backend() {
         // The replica that served the hit dies; the client's caches
         // and latency book still prefer it.
         dep.transport.set_down(serving.server.endpoint(), true);
-        let hits = dep
-            .client
-            .federated_search(&product.name, near, 3)
+        let hits = search_hits(&dep.client, &product.name, near, 3)
             .expect("a downed replica must be absorbed, not surfaced");
         let retried = hits
             .iter()
@@ -190,7 +215,7 @@ fn downed_replica_is_transparently_absorbed_on_every_backend() {
         );
         // Steady state after failover: the dead replica is
         // dead-listed, so the next search needs no retry round.
-        assert!(dep.client.federated_search(&product.name, near, 3).is_ok());
+        assert!(search_hits(&dep.client, &product.name, near, 3).is_ok());
     }
 }
 
@@ -200,9 +225,7 @@ fn fully_down_shard_surfaces_partial_failure_on_every_backend() {
         let dep = fleet_deployment_on(backend, 2, small_world());
         let product = dep.world.products[0].clone();
         let near = dep.world.venues[product.venue].hint;
-        let hit = dep
-            .client
-            .federated_search(&product.name, near, 3)
+        let hit = search_hits(&dep.client, &product.name, near, 3)
             .unwrap()
             .into_iter()
             .find(|h| h.result.label == product.name)
@@ -221,9 +244,7 @@ fn fully_down_shard_surfaces_partial_failure_on_every_backend() {
         {
             dep.transport.set_down(m.server.endpoint(), true);
         }
-        let err = dep
-            .client
-            .federated_search(&product.name, near, 3)
+        let err = search_hits(&dep.client, &product.name, near, 3)
             .expect_err("a fully-down shard must not read as an empty result");
         let ClientError::PartialFailure {
             succeeded,
@@ -256,14 +277,12 @@ fn a_route_fails_over_to_the_sibling_replica_on_every_backend() {
             let product = dep.world.products[0].clone();
             let near = dep.world.venues[product.venue].hint;
             let user = near.destination(225.0, 80.0);
-            let hit = dep
-                .client
-                .federated_search(&product.name, near, 3)
+            let hit = search_hits(&dep.client, &product.name, near, 3)
                 .unwrap()
                 .into_iter()
                 .find(|h| h.result.label == product.name)
                 .expect("product is stocked");
-            let undisturbed = dep.client.federated_route(user, &hit).unwrap();
+            let undisturbed = route_to(&dep.client, user, &hit).unwrap();
             let member = |server_id: &str| {
                 let m = dep
                     .fleet_servers
@@ -277,9 +296,7 @@ fn a_route_fails_over_to_the_sibling_replica_on_every_backend() {
             if cold {
                 dep.client.session().invalidate();
             }
-            let route = dep
-                .client
-                .federated_route(user, &hit)
+            let route = route_to(&dep.client, user, &hit)
                 .unwrap_or_else(|e| panic!("{backend:?} cold={cold}: {e}"));
             let venue_leg = route.legs.last().unwrap();
             assert_ne!(
@@ -307,9 +324,7 @@ fn a_route_fails_over_to_the_sibling_replica_on_every_backend() {
             );
             // The whole shard dies: an outage, its source preserved.
             dep.transport.set_down(sibling.server.endpoint(), true);
-            let err = dep
-                .client
-                .federated_route(user, &hit)
+            let err = route_to(&dep.client, user, &hit)
                 .expect_err("a fully-down shard cannot be routed into");
             assert!(
                 matches!(err, ClientError::PartialFailure { .. }),

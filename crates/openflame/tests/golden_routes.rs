@@ -6,13 +6,41 @@
 //! were still snapped by a round of their own.
 
 use openflame_core::{
-    CentralizedProvider, Deployment, DeploymentConfig, FederatedRoute, FederatedSearchHit,
-    RouteQuery, SearchQuery, SpatialProvider,
+    CentralizedProvider, ClientError, Deployment, DeploymentConfig, FederatedRoute,
+    FederatedSearchHit, OpenFlameClient, RouteQuery, SearchQuery, SpatialProvider,
 };
+use openflame_geo::LatLng;
 use openflame_mapdata::ElementId;
 use openflame_mapserver::protocol::WireSearchResult;
 use openflame_netsim::BackendKind;
 use openflame_worldgen::{World, WorldConfig};
+
+/// A federated search within 2 km: its hits.
+fn search_hits(
+    client: &OpenFlameClient,
+    query: &str,
+    location: LatLng,
+    k: usize,
+) -> Result<Vec<FederatedSearchHit>, ClientError> {
+    let (query, radius_m) = (query.to_string(), 2_000.0);
+    let found = client.search(SearchQuery {
+        query,
+        location,
+        radius_m,
+        k,
+    })?;
+    Ok(found.hits)
+}
+
+/// A federated route from `from` to a search hit.
+fn route_to(
+    client: &OpenFlameClient,
+    from: LatLng,
+    target: &FederatedSearchHit,
+) -> Result<FederatedRoute, ClientError> {
+    let target = target.clone();
+    Ok(client.route(RouteQuery { from, target })?.route)
+}
 
 /// One leg as `(server, node ids, cost in seconds, length in meters)`.
 type Leg = (&'static str, &'static [u64], f64, f64);
@@ -93,11 +121,11 @@ fn fixed_seed_routes_keep_their_nodes_and_costs_on_sim_and_tcp() {
         let dep = Deployment::build(world.clone(), config);
         let product = &world.products[5];
         let user = world.venues[product.venue].hint.destination(200.0, 90.0);
-        let hit = dep.client.federated_search(&product.name, user, 5).unwrap()[0].clone();
-        let route = dep.client.federated_route(user, &hit).unwrap();
+        let hit = search_hits(&dep.client, &product.name, user, 5).unwrap()[0].clone();
+        let route = route_to(&dep.client, user, &hit).unwrap();
         assert_legs(&format!("{backend:?} venue"), &route, &VENUE);
         let door = world.venues[(product.venue + 1) % world.venues.len()].hint;
-        let route = dep.client.federated_route(door, &hit).unwrap();
+        let route = route_to(&dep.client, door, &hit).unwrap();
         assert_legs(&format!("{backend:?} cross-venue"), &route, &CROSS_VENUE);
 
         let street = world.outdoor.ways().nth(3).unwrap();
@@ -113,7 +141,7 @@ fn fixed_seed_routes_keep_their_nodes_and_costs_on_sim_and_tcp() {
                 label: "street corner".into(),
             },
         };
-        let route = dep.client.federated_route(user, &target).unwrap();
+        let route = route_to(&dep.client, user, &target).unwrap();
         assert_legs(&format!("{backend:?} anchored"), &route, &ANCHORED);
 
         let omni = CentralizedProvider::omniscient_on(backend.build(5), &world);

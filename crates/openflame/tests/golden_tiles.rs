@@ -1,6 +1,6 @@
-//! Golden tiles: what `federated_tile` returns for a fixed world is
-//! pinned by content hash, identically on the simulator, TCP and
-//! QuicLite, a map patch reaches the very next `GetTile`, and a tile the
+//! Golden tiles: what the client's `SpatialProvider::tile` returns for
+//! a fixed world is pinned by content hash, identically on the
+//! simulator, TCP and QuicLite, a map patch reaches the very next `GetTile`, and a tile the
 //! client holds is revalidated rather than sent again.
 //!
 //! The hashes were captured from the per-pixel encoder and compositor
@@ -11,7 +11,9 @@
 //! `ApplyPatch` the server serves exactly the bytes a fresh server built
 //! from the patched map would.
 
-use openflame_core::{Deployment, DeploymentConfig};
+use openflame_core::{
+    ClientError, Deployment, DeploymentConfig, OpenFlameClient, SpatialProvider, TileQuery,
+};
 use openflame_geo::{LatLng, Mercator, Point2};
 use openflame_mapdata::{MapPatch, Node, NodeId, Tags};
 use openflame_mapserver::protocol::{Request, Response};
@@ -19,6 +21,12 @@ use openflame_mapserver::{AccessPolicy, MapServer, MapServerConfig, Principal};
 use openflame_netsim::BackendKind;
 use openflame_tiles::{Tile, TileCoord};
 use openflame_worldgen::{World, WorldConfig};
+
+/// A federated tile and the number of layers composed into it.
+fn tile_at(client: &OpenFlameClient, center: LatLng, z: u8) -> Result<(Tile, usize), ClientError> {
+    let found = client.tile(TileQuery { center, z })?;
+    Ok((found.tile, found.stats.servers_consulted))
+}
 
 const BACKENDS: [BackendKind; 3] = [BackendKind::Sim, BackendKind::Tcp, BackendKind::QuicLite];
 
@@ -70,10 +78,7 @@ fn federated_tiles_match_the_golden_hashes_on_every_backend() {
     for backend in BACKENDS {
         let dep = deployment_on(backend);
         for (name, z, golden) in GOLDEN {
-            let (tile, _layers) = dep
-                .client
-                .federated_tile(place(&dep.world, name), z)
-                .unwrap();
+            let (tile, _layers) = tile_at(&dep.client, place(&dep.world, name), z).unwrap();
             assert_eq!(
                 fnv1a(tile.pixels()),
                 golden,
@@ -146,9 +151,9 @@ fn a_patch_reaches_the_next_tile_on_every_backend() {
     }
 }
 
-/// Tile revalidation (spec §8), through `federated_tile`: a second fetch
-/// of a coordinate is answered `TileUnchanged`, with the same pixels for
-/// a few bytes; after an `ApplyPatch` the next fetch paints exactly what
+/// Tile revalidation (spec §8), through `SpatialProvider::tile`: a
+/// second fetch of a coordinate is answered `TileUnchanged`, with the
+/// same pixels for a few bytes; after an `ApplyPatch` the next fetch paints exactly what
 /// a fresh server built from the patched map renders; and after
 /// `Session::invalidate` the fetch is a plain `GetTile`, answered with
 /// the whole tile although nothing changed.
@@ -163,7 +168,7 @@ fn a_held_layer_is_revalidated_not_resent_on_every_backend() {
         let fetch = || {
             let sent = || dep.transport.endpoint_stats(outdoor).unwrap().tx_bytes;
             let before = sent();
-            let (tile, layers) = dep.client.federated_tile(centre, 16).unwrap();
+            let (tile, layers) = tile_at(&dep.client, centre, 16).unwrap();
             assert_eq!(layers, 1, "{backend:?}: the outdoor map is the one layer");
             (tile, sent() - before)
         };

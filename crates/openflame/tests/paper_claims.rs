@@ -14,7 +14,8 @@
 
 use openflame_cells::{CellId, Region, RegionCoverer};
 use openflame_core::{
-    CentralizedProvider, Deployment, DeploymentConfig, RouteQuery, SearchQuery, SpatialProvider,
+    CentralizedProvider, ClientError, Deployment, DeploymentConfig, FederatedSearchHit,
+    OpenFlameClient, RouteQuery, SearchQuery, SpatialProvider,
 };
 use openflame_dns::AuthServer;
 use openflame_geo::{Affine2, LatLng, Point2};
@@ -27,6 +28,23 @@ use openflame_netsim::BackendKind;
 use openflame_worldgen::{WalkTrace, World, WorldConfig, ZipfSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A federated search within 2 km: its hits.
+fn search_hits(
+    client: &OpenFlameClient,
+    query: &str,
+    location: LatLng,
+    k: usize,
+) -> Result<Vec<FederatedSearchHit>, ClientError> {
+    let (query, radius_m) = (query.to_string(), 2_000.0);
+    let found = client.search(SearchQuery {
+        query,
+        location,
+        radius_m,
+        k,
+    })?;
+    Ok(found.hits)
+}
 
 fn world(stores: usize, products_per_store: usize) -> World {
     World::generate(WorldConfig {
@@ -81,7 +99,7 @@ fn s5_1_dns_caching_makes_discovery_cheap() {
                 resolver.flush_cache();
             }
             let t0 = dep.transport.now_us();
-            let found = discovery.discover(loc, true).unwrap();
+            let found = discovery.discover_view(loc, true).unwrap().servers;
             latencies.push((dep.transport.now_us() - t0) as f64);
             assert!(!found.is_empty(), "the city is fully covered");
         }
@@ -184,7 +202,10 @@ fn s5_2_stitched_routes_track_the_centralized_optimum() {
         let user = world.venues[product.venue]
             .hint
             .destination(rng.gen_range(0.0..360.0), rng.gen_range(60.0..300.0));
-        let Ok(hit) = dep.find_product(&product.name, user) else {
+        let Some(hit) = (search_hits(&dep.client, &product.name, user, 5)
+            .into_iter()
+            .flatten())
+        .next() else {
             continue;
         };
         // The optimum on the merged graph, to the shelf the federation
@@ -436,7 +457,7 @@ fn s5_3_acls_hide_private_venues_from_a_harvester() {
         private[class] += 1;
         let home = format!("venue-{}", product.venue);
         let hint = dep.world.venues[product.venue].hint;
-        let hits = dep.client.federated_search(&product.name, hint, 5).unwrap();
+        let hits = search_hits(&dep.client, &product.name, hint, 5).unwrap();
         fed[class] += usize::from(
             hits.iter()
                 .any(|h| h.result.label == product.name && h.server_id == home),
@@ -540,7 +561,7 @@ fn s5_1_dns_shards_split_authoritative_load() {
             let loc = near_venue(&dep.world, zipf.sample(&mut rng), 150.0, &mut rng);
             // Every question reaches the authorities.
             discovery.resolver().flush_cache();
-            discovery.discover(loc, true).unwrap();
+            discovery.discover_view(loc, true).unwrap();
         }
         let rx = |server: &AuthServer| {
             dep.transport
@@ -571,7 +592,12 @@ fn s5_1_dns_shards_split_authoritative_load() {
 fn s3_neighbour_expansion_and_the_naming_contract() {
     let world = world(12, 40);
     let found = |dep: &Deployment, loc: LatLng, vi: usize, expand: bool| {
-        let servers = dep.client.discovery().discover(loc, expand).unwrap();
+        let servers = dep
+            .client
+            .discovery()
+            .discover_view(loc, expand)
+            .unwrap()
+            .servers;
         usize::from(servers.iter().any(|s| s.server_id == format!("venue-{vi}")))
     };
     let dep_at = |covering_level: u8| {

@@ -2,7 +2,7 @@
 //! (`docs/wire-protocol.md` spec §13): coverage-based pruning changes
 //! what goes on the wire, never what a query returns.
 //!
-//! Three claims are enforced here:
+//! Four claims are enforced here:
 //!
 //! 1. **Recall parity on every backend** — a planner-on and a
 //!    planner-off client produce byte-identical results for search,
@@ -18,12 +18,75 @@
 //!    purges the dead endpoint's advertisement, coverage extent
 //!    included, so a replaced replica is never re-served (or re-pruned)
 //!    from stale per-endpoint state.
+//! 4. **The extent's cells hold the content** — every node of every
+//!    venue lies in one of its server's advertised extent cells, the
+//!    commitment extent pruning rests on (spec §13.1).
 
-use openflame_core::{Deployment, DeploymentConfig, OpenFlameClient, QueryKind};
+use openflame_cells::CellId;
+use openflame_core::{
+    ClientError, Deployment, DeploymentConfig, FederatedSearchHit, GeocodeHit, GeocodeQuery,
+    LocalizeQuery, OpenFlameClient, ProviderEstimate, QueryKind, ReverseGeocodeQuery, SearchQuery,
+    SpatialProvider, TileQuery,
+};
+use openflame_geo::LatLng;
 use openflame_localize::LocationCue;
 use openflame_mapserver::Principal;
 use openflame_netsim::BackendKind;
+use openflame_tiles::Tile;
 use openflame_worldgen::{World, WorldConfig};
+
+/// A federated search within 2 km: its hits.
+fn search_hits(
+    client: &OpenFlameClient,
+    query: &str,
+    location: LatLng,
+    k: usize,
+) -> Result<Vec<FederatedSearchHit>, ClientError> {
+    let (query, radius_m) = (query.to_string(), 2_000.0);
+    let found = client.search(SearchQuery {
+        query,
+        location,
+        radius_m,
+        k,
+    })?;
+    Ok(found.hits)
+}
+
+/// A federated localization from `cues`: its estimates.
+fn localize_at(
+    client: &OpenFlameClient,
+    coarse: LatLng,
+    cues: &[LocationCue],
+) -> Result<Vec<ProviderEstimate>, ClientError> {
+    let cues = cues.to_vec();
+    Ok(client.localize(LocalizeQuery { coarse, cues })?.estimates)
+}
+
+/// A federated tile and the number of layers composed into it.
+fn tile_at(client: &OpenFlameClient, center: LatLng, z: u8) -> Result<(Tile, usize), ClientError> {
+    let found = client.tile(TileQuery { center, z })?;
+    Ok((found.tile, found.stats.servers_consulted))
+}
+
+/// A federated forward geocode through the client's world provider.
+fn geocode_hits(
+    client: &OpenFlameClient,
+    query: &str,
+    k: usize,
+) -> Result<Vec<GeocodeHit>, ClientError> {
+    let query = query.to_string();
+    Ok(client.geocode(GeocodeQuery { query, k })?.hits)
+}
+
+/// A federated reverse geocode: the best hit, if any.
+fn reverse_geocode_at(
+    client: &OpenFlameClient,
+    location: LatLng,
+    radius_m: f64,
+) -> Result<Option<GeocodeHit>, ClientError> {
+    let query = ReverseGeocodeQuery { location, radius_m };
+    Ok(client.reverse_geocode(query)?.hit)
+}
 
 const BACKENDS: [BackendKind; 3] = [BackendKind::Sim, BackendKind::Tcp, BackendKind::QuicLite];
 
@@ -74,7 +137,6 @@ fn planner_recall_parity_on_every_backend() {
         let on = &dep.client;
         let off = planner_off_client(&dep);
         let center = dep.world.config.center;
-        let world_ep = dep.outdoor_server.endpoint();
 
         // Two passes: the first compares the cold paths (no extents
         // cached yet — only the discovery catalogues prune, spec §9.1),
@@ -83,8 +145,8 @@ fn planner_recall_parity_on_every_backend() {
             for product in dep.world.products.iter().take(3) {
                 let near = dep.world.venues[product.venue].hint;
                 assert_eq!(
-                    on.federated_search(&product.name, near, 5).unwrap(),
-                    off.federated_search(&product.name, near, 5).unwrap(),
+                    search_hits(on, &product.name, near, 5).unwrap(),
+                    search_hits(&off, &product.name, near, 5).unwrap(),
                     "{backend:?}/{pass}: search recall must not depend on the planner"
                 );
                 let cues = [LocationCue::Gnss {
@@ -92,24 +154,24 @@ fn planner_recall_parity_on_every_backend() {
                     accuracy_m: 4.0,
                 }];
                 assert_eq!(
-                    on.federated_localize(near, &cues).unwrap(),
-                    off.federated_localize(near, &cues).unwrap(),
+                    localize_at(on, near, &cues).unwrap(),
+                    localize_at(&off, near, &cues).unwrap(),
                     "{backend:?}/{pass}: localize estimates must not depend on the planner"
                 );
             }
             assert_eq!(
-                on.federated_geocode(&address, world_ep, 3).unwrap(),
-                off.federated_geocode(&address, world_ep, 3).unwrap(),
+                geocode_hits(on, &address, 3).unwrap(),
+                geocode_hits(&off, &address, 3).unwrap(),
                 "{backend:?}/{pass}: geocode refinement must not depend on the planner"
             );
             assert_eq!(
-                on.federated_reverse_geocode(center, 150.0).unwrap(),
-                off.federated_reverse_geocode(center, 150.0).unwrap(),
+                reverse_geocode_at(on, center, 150.0).unwrap(),
+                reverse_geocode_at(&off, center, 150.0).unwrap(),
                 "{backend:?}/{pass}: reverse geocode must not depend on the planner"
             );
             assert_eq!(
-                on.federated_tile(center, 16).unwrap(),
-                off.federated_tile(center, 16).unwrap(),
+                tile_at(on, center, 16).unwrap(),
+                tile_at(&off, center, 16).unwrap(),
                 "{backend:?}/{pass}: tile composition must not depend on the planner"
             );
         }
@@ -125,12 +187,10 @@ fn warm_planner_consults_strictly_fewer_sources() {
     // Warm both arms with a search: it contacts every discovered
     // server, and first contact seeds the coverage cache.
     let product = dep.world.products[0].clone();
-    dep.client
-        .federated_search(&product.name, center, 3)
-        .unwrap();
-    off.federated_search(&product.name, center, 3).unwrap();
-    let on_tile = dep.client.federated_tile(center, 16).unwrap();
-    let off_tile = off.federated_tile(center, 16).unwrap();
+    search_hits(&dep.client, &product.name, center, 3).unwrap();
+    search_hits(&off, &product.name, center, 3).unwrap();
+    let on_tile = tile_at(&dep.client, center, 16).unwrap();
+    let off_tile = tile_at(&off, center, 16).unwrap();
     assert_eq!(on_tile, off_tile, "warm-up already agrees");
 
     // Plan accounting: the warm planner proves the unaligned venues
@@ -161,10 +221,10 @@ fn warm_planner_consults_strictly_fewer_sources() {
     // And the saving is wire-real: a warm tile query costs strictly
     // fewer transport messages with the planner on — same composition.
     dep.transport.reset_stats();
-    let on_tile = dep.client.federated_tile(center, 16).unwrap();
+    let on_tile = tile_at(&dep.client, center, 16).unwrap();
     let on_msgs = dep.transport.stats().messages;
     dep.transport.reset_stats();
-    let off_tile = off.federated_tile(center, 16).unwrap();
+    let off_tile = tile_at(&off, center, 16).unwrap();
     let off_msgs = dep.transport.stats().messages;
     assert_eq!(on_tile, off_tile);
     assert!(
@@ -194,7 +254,7 @@ fn first_contact_teaches_coverage_to_a_tile_only_client() {
         // A call's tile, its messages, and the venues it reached.
         let tile_cost = |client: &OpenFlameClient| {
             dep.transport.reset_stats();
-            let tile = client.federated_tile(center, 16).unwrap();
+            let tile = tile_at(client, center, 16).unwrap();
             let reached = (dep.venue_servers.iter())
                 .filter(|v| dep.transport.endpoint_stats(v.endpoint()).unwrap().rx_msgs > 0)
                 .count();
@@ -246,7 +306,7 @@ fn dead_replica_cached_state_is_purged_on_failover() {
 
     // Warm search: the chosen replica's Hello (and with it the
     // coverage extent) is cached per endpoint.
-    let hits = dep.client.federated_search(&product.name, near, 3).unwrap();
+    let hits = search_hits(&dep.client, &product.name, near, 3).unwrap();
     assert!(hits.iter().any(|h| h.result.label == product.name));
     let victim = dep
         .fleet_servers
@@ -262,12 +322,12 @@ fn dead_replica_cached_state_is_purged_on_failover() {
         .expect("the consulted replica cached its coverage")
         .server
         .clone();
-    assert!(dep.client.session().has_hello(victim.endpoint()));
+    assert!(dep.client.session().advertised(victim.endpoint()).is_some());
 
     // The replica dies mid-deployment; the next search fails over to
     // its shard sibling and must still find the product.
     dep.transport.set_down(victim.endpoint(), true);
-    let hits = dep.client.federated_search(&product.name, near, 3).unwrap();
+    let hits = search_hits(&dep.client, &product.name, near, 3).unwrap();
     assert!(
         hits.iter().any(|h| h.result.label == product.name),
         "failover to the shard sibling preserves recall"
@@ -278,12 +338,8 @@ fn dead_replica_cached_state_is_purged_on_failover() {
     // replacement server on a recycled endpoint is never served (or
     // pruned) from the dead server's advertisement.
     assert!(
-        !dep.client.session().has_hello(victim.endpoint()),
-        "dead replica's capability cache entry must be purged"
-    );
-    assert!(
         dep.client.session().advertised(victim.endpoint()).is_none(),
-        "dead replica's coverage cache entry must be purged"
+        "dead replica's cache entry, capability and coverage, must be purged"
     );
 
     // And the planner never routes at it again while dead-listed.
@@ -297,4 +353,56 @@ fn dead_replica_cached_state_is_purged_on_failover() {
             .all(|t| t.server.endpoint != victim.endpoint()),
         "dead replica must not be re-planned"
     );
+}
+
+/// Spec §13.1: an extent's cells are the server's commitment, so every
+/// element a venue server can answer lies in one of them. The cap
+/// beside them is a pre-check that cannot prune alone (spec §13.3): a
+/// venue's registration radius is 0.75 × its larger side, but its far
+/// corner lies up to a whole diagonal from the hint, so many nodes lie
+/// outside the cap (printed, not asserted). The worlds are the default
+/// one and the three the benchmark's gated workloads build.
+#[test]
+fn every_venue_node_lies_inside_its_advertised_extent_cells() {
+    let bench = |stores, blocks| WorldConfig {
+        stores,
+        blocks_x: blocks,
+        blocks_y: blocks,
+        products_per_store: 20,
+        ..WorldConfig::default()
+    };
+    for config in [
+        WorldConfig::default(),
+        bench(8, 8),
+        bench(32, 12),
+        bench(16, 8),
+    ] {
+        let dep = Deployment::build(World::generate(config), DeploymentConfig::default());
+        let (mut nodes, mut outside_cap) = (0, 0);
+        for (venue, server) in dep.venue_servers.iter().enumerate() {
+            let hello = server.hello();
+            let extent = hello
+                .coverage
+                .as_ref()
+                .expect("a venue advertises an extent");
+            let cells: Vec<CellId> = (extent.cells.iter())
+                .map(|&raw| CellId::from_raw(raw).unwrap())
+                .collect();
+            for node in dep.world.venues[venue].map.nodes() {
+                let geo = dep.world.venue_point_to_geo(venue, node.pos);
+                assert!(
+                    cells.iter().any(|cell| cell.contains_point(geo)),
+                    "{}: node {:?} at {geo} lies outside every extent cell",
+                    server.id(),
+                    node.id
+                );
+                nodes += 1;
+                outside_cap += usize::from(geo.haversine_distance(extent.center) > extent.radius_m);
+            }
+        }
+        println!(
+            "{} stores: {nodes} venue nodes, all inside the extent cells; {outside_cap} outside the cap",
+            dep.world.venues.len()
+        );
+    }
 }

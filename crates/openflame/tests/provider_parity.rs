@@ -5,15 +5,54 @@
 //! per scatter round).
 
 use openflame_core::{
-    CentralizedProvider, Deployment, DeploymentConfig, GeocodeQuery, LocalizeQuery, RouteQuery,
+    CentralizedProvider, ClientError, Deployment, DeploymentConfig, FederatedRoute,
+    FederatedSearchHit, GeocodeHit, GeocodeQuery, LocalizeQuery, OpenFlameClient, RouteQuery,
     SearchQuery, SpatialProvider, TileQuery,
 };
+use openflame_geo::LatLng;
 use openflame_geo::Point2;
 use openflame_localize::LocationCue;
 use openflame_mapdata::{ElementId, NodeId};
 use openflame_mapserver::protocol::WireSearchResult;
 use openflame_netsim::BackendKind;
 use openflame_worldgen::{World, WorldConfig};
+
+/// A federated search within 2 km: its hits.
+fn search_hits(
+    client: &OpenFlameClient,
+    query: &str,
+    location: LatLng,
+    k: usize,
+) -> Result<Vec<FederatedSearchHit>, ClientError> {
+    let (query, radius_m) = (query.to_string(), 2_000.0);
+    let found = client.search(SearchQuery {
+        query,
+        location,
+        radius_m,
+        k,
+    })?;
+    Ok(found.hits)
+}
+
+/// A federated route from `from` to a search hit.
+fn route_to(
+    client: &OpenFlameClient,
+    from: LatLng,
+    target: &FederatedSearchHit,
+) -> Result<FederatedRoute, ClientError> {
+    let target = target.clone();
+    Ok(client.route(RouteQuery { from, target })?.route)
+}
+
+/// A federated forward geocode through the client's world provider.
+fn geocode_hits(
+    client: &OpenFlameClient,
+    query: &str,
+    k: usize,
+) -> Result<Vec<GeocodeHit>, ClientError> {
+    let query = query.to_string();
+    Ok(client.geocode(GeocodeQuery { query, k })?.hits)
+}
 
 fn one_venue_world() -> World {
     World::generate(WorldConfig {
@@ -138,13 +177,13 @@ fn warm_search_issues_exactly_one_batch_envelope_per_server() {
     let product = dep.world.products[0].clone();
     let near = dep.world.venues[product.venue].hint;
     // Warm the session: discovery and hellos are cached after this.
-    dep.client.federated_search(&product.name, near, 3).unwrap();
+    search_hits(&dep.client, &product.name, near, 3).unwrap();
     let servers = dep.client.discover(near).unwrap();
     assert!(servers.len() >= 2, "need a federation to make the point");
 
     dep.transport.reset_stats();
     let batches_before = dep.client.session().stats().batches;
-    dep.client.federated_search(&product.name, near, 3).unwrap();
+    search_hits(&dep.client, &product.name, near, 3).unwrap();
     let stats = dep.transport.stats();
     let batches = dep.client.session().stats().batches - batches_before;
     // One batch envelope per discovered server...
@@ -159,16 +198,15 @@ fn warm_geocode_issues_exactly_one_batch_envelope_per_server() {
     let world = one_venue_world();
     let address = some_address(&world);
     let dep = Deployment::build(world, DeploymentConfig::default());
-    let world_ep = dep.outdoor_server.endpoint();
     // Warm: coarse hit location discovered, hellos cached.
-    dep.client.federated_geocode(&address, world_ep, 3).unwrap();
+    geocode_hits(&dep.client, &address, 3).unwrap();
     // The refinement fan-out happens at the coarse hit's location.
-    let coarse = dep.client.federated_geocode(&address, world_ep, 1).unwrap();
+    let coarse = geocode_hits(&dep.client, &address, 1).unwrap();
     let _ = coarse;
 
     dep.transport.reset_stats();
     let batches_before = dep.client.session().stats().batches;
-    dep.client.federated_geocode(&address, world_ep, 3).unwrap();
+    geocode_hits(&dep.client, &address, 3).unwrap();
     let batches = dep.client.session().stats().batches - batches_before;
     let stats = dep.transport.stats();
     // One envelope to the world provider plus one per refining server;
@@ -218,9 +256,7 @@ fn partial_failure_carries_item_errors_and_successes() {
     // On an anchored server every item answers — the start snaps, and
     // the bogus leg is "no path": an answer, not a failure.
     let dep = Deployment::build(world.clone(), DeploymentConfig::default());
-    let err = dep
-        .client
-        .federated_route(start, &bogus_hit(&dep.outdoor_server))
+    let err = route_to(&dep.client, start, &bogus_hit(&dep.outdoor_server))
         .expect_err("bogus nodes cannot route");
     assert!(matches!(err, ClientError::NotFound(_)), "{err}");
     // A venue whose policy denies routing: the outdoor matrix answers,
@@ -232,10 +268,8 @@ fn partial_failure_carries_item_errors_and_successes() {
     };
     let dep = Deployment::build(world, locked);
     let venue = &dep.venue_servers[0];
-    let err = dep
-        .client
-        .federated_route(start, &bogus_hit(venue))
-        .expect_err("a locked venue denies Route");
+    let err =
+        route_to(&dep.client, start, &bogus_hit(venue)).expect_err("a locked venue denies Route");
     let ClientError::PartialFailure {
         succeeded,
         ref failures,

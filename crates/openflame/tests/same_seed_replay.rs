@@ -6,11 +6,76 @@
 
 use openflame_core::{
     ClientError, Deployment, DeploymentConfig, FederatedRoute, FederatedSearchHit, GeocodeHit,
-    ProviderEstimate,
+    GeocodeQuery, LocalizeQuery, OpenFlameClient, ProviderEstimate, ReverseGeocodeQuery,
+    RouteQuery, SearchQuery, SpatialProvider, TileQuery,
 };
+use openflame_geo::LatLng;
 use openflame_localize::LocationCue;
 use openflame_tiles::Tile;
 use openflame_worldgen::{World, WorldConfig};
+
+/// A federated search within 2 km: its hits.
+fn search_hits(
+    client: &OpenFlameClient,
+    query: &str,
+    location: LatLng,
+    k: usize,
+) -> Result<Vec<FederatedSearchHit>, ClientError> {
+    let (query, radius_m) = (query.to_string(), 2_000.0);
+    let found = client.search(SearchQuery {
+        query,
+        location,
+        radius_m,
+        k,
+    })?;
+    Ok(found.hits)
+}
+
+/// A federated route from `from` to a search hit.
+fn route_to(
+    client: &OpenFlameClient,
+    from: LatLng,
+    target: &FederatedSearchHit,
+) -> Result<FederatedRoute, ClientError> {
+    let target = target.clone();
+    Ok(client.route(RouteQuery { from, target })?.route)
+}
+
+/// A federated localization from `cues`: its estimates.
+fn localize_at(
+    client: &OpenFlameClient,
+    coarse: LatLng,
+    cues: &[LocationCue],
+) -> Result<Vec<ProviderEstimate>, ClientError> {
+    let cues = cues.to_vec();
+    Ok(client.localize(LocalizeQuery { coarse, cues })?.estimates)
+}
+
+/// A federated tile and the number of layers composed into it.
+fn tile_at(client: &OpenFlameClient, center: LatLng, z: u8) -> Result<(Tile, usize), ClientError> {
+    let found = client.tile(TileQuery { center, z })?;
+    Ok((found.tile, found.stats.servers_consulted))
+}
+
+/// A federated forward geocode through the client's world provider.
+fn geocode_hits(
+    client: &OpenFlameClient,
+    query: &str,
+    k: usize,
+) -> Result<Vec<GeocodeHit>, ClientError> {
+    let query = query.to_string();
+    Ok(client.geocode(GeocodeQuery { query, k })?.hits)
+}
+
+/// A federated reverse geocode: the best hit, if any.
+fn reverse_geocode_at(
+    client: &OpenFlameClient,
+    location: LatLng,
+    radius_m: f64,
+) -> Result<Option<GeocodeHit>, ClientError> {
+    let query = ReverseGeocodeQuery { location, radius_m };
+    Ok(client.reverse_geocode(query)?.hit)
+}
 
 /// Calls in the trace: six rounds of the six classes.
 const CALLS: usize = 36;
@@ -70,12 +135,12 @@ fn replay(seed: u64) -> Replay {
             let product = &world.products[i * 7 % world.products.len()];
             let here = venue.hint;
             match i % 6 {
-                0 => Answer::Search(client.federated_search(&product.name, here, 3)),
+                0 => Answer::Search(search_hits(client, &product.name, here, 3)),
                 1 => {
                     let near = world.venues[product.venue].hint;
-                    let hits = client.federated_search(&product.name, near, 1);
+                    let hits = search_hits(client, &product.name, near, 1);
                     let hit = hits.expect("a stocked product is found at its venue");
-                    Answer::Route(client.federated_route(here, &hit[0]))
+                    Answer::Route(route_to(client, here, &hit[0]))
                 }
                 2 => {
                     let fix = here.destination(45.0, 8.0);
@@ -83,15 +148,11 @@ fn replay(seed: u64) -> Replay {
                         fix,
                         accuracy_m: 10.0,
                     };
-                    Answer::Localize(client.federated_localize(here, &[gnss]))
+                    Answer::Localize(localize_at(client, here, &[gnss]))
                 }
-                3 => Answer::Tile(client.federated_tile(here, 16)),
-                4 => Answer::Geocode(client.federated_geocode(
-                    &venue.name,
-                    dep.outdoor_server.endpoint(),
-                    3,
-                )),
-                _ => Answer::ReverseGeocode(client.federated_reverse_geocode(here, 100.0)),
+                3 => Answer::Tile(tile_at(client, here, 16)),
+                4 => Answer::Geocode(geocode_hits(client, &venue.name, 3)),
+                _ => Answer::ReverseGeocode(reverse_geocode_at(client, here, 100.0)),
             }
         })
         .collect();

@@ -2,7 +2,7 @@
 //!
 //! Every server here is a closure on the deterministic simulator,
 //! injected into the client through `Session::store_discovery`, so each
-//! test decides exactly what a peer says. Two things are pinned:
+//! test decides exactly what a peer says. Three things are pinned:
 //!
 //! 1. **The per-class outage table** (`QueryKind::outage`, and route's
 //!    own every-branch-every-item rule): for each of the six classes ×
@@ -13,7 +13,11 @@
 //!    count and which indices, sources preserved; plus a cold column
 //!    for reverse geocode, whose request needs the frame a failed
 //!    handshake never delivers.
-//! 2. **Peer bytes may make a query fail, never lie or panic**: a tile
+//! 2. **The world provider comes from the builder only**: a client built
+//!    without one refuses a forward geocode before sending anything,
+//!    and one whose world provider refuses the handshake fails the call
+//!    without a second envelope.
+//! 3. **Peer bytes may make a query fail, never lie or panic**: a tile
 //!    echoing another coordinate, portal cost matrices of a shape that
 //!    was not asked for, and a result limit past `u32::MAX` — and a tile
 //!    zoom deeper than the pyramid is refused before any byte is sent.
@@ -21,8 +25,9 @@
 use openflame_cells::CellId;
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_core::{
-    CentralizedProvider, ClientError, DiscoveredServer, DiscoveryView, FederatedSearchHit,
-    FleetShardView, FleetView, GeocodeQuery, OpenFlameClient, QueryKind, SearchQuery,
+    CentralizedProvider, ClientError, DiscoveredServer, DiscoveryView, FederatedRoute,
+    FederatedSearchHit, FleetShardView, FleetView, GeocodeHit, GeocodeQuery, LocalizeQuery,
+    OpenFlameClient, ProviderEstimate, QueryKind, ReverseGeocodeQuery, RouteQuery, SearchQuery,
     SpatialProvider, TileQuery,
 };
 use openflame_dns::{Catalogue, Resolver, ResolverConfig};
@@ -39,6 +44,69 @@ use openflame_tiles::{Tile, TileCoord, MAX_ZOOM};
 use openflame_worldgen::{World, WorldConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// A federated search within 2 km: its hits.
+fn search_hits(
+    client: &OpenFlameClient,
+    query: &str,
+    location: LatLng,
+    k: usize,
+) -> Result<Vec<FederatedSearchHit>, ClientError> {
+    let (query, radius_m) = (query.to_string(), 2_000.0);
+    let found = client.search(SearchQuery {
+        query,
+        location,
+        radius_m,
+        k,
+    })?;
+    Ok(found.hits)
+}
+
+/// A federated route from `from` to a search hit.
+fn route_to(
+    client: &OpenFlameClient,
+    from: LatLng,
+    target: &FederatedSearchHit,
+) -> Result<FederatedRoute, ClientError> {
+    let target = target.clone();
+    Ok(client.route(RouteQuery { from, target })?.route)
+}
+
+/// A federated localization from `cues`: its estimates.
+fn localize_at(
+    client: &OpenFlameClient,
+    coarse: LatLng,
+    cues: &[LocationCue],
+) -> Result<Vec<ProviderEstimate>, ClientError> {
+    let cues = cues.to_vec();
+    Ok(client.localize(LocalizeQuery { coarse, cues })?.estimates)
+}
+
+/// A federated tile and the number of layers composed into it.
+fn tile_at(client: &OpenFlameClient, center: LatLng, z: u8) -> Result<(Tile, usize), ClientError> {
+    let found = client.tile(TileQuery { center, z })?;
+    Ok((found.tile, found.stats.servers_consulted))
+}
+
+/// A federated forward geocode through the client's world provider.
+fn geocode_hits(
+    client: &OpenFlameClient,
+    query: &str,
+    k: usize,
+) -> Result<Vec<GeocodeHit>, ClientError> {
+    let query = query.to_string();
+    Ok(client.geocode(GeocodeQuery { query, k })?.hits)
+}
+
+/// A federated reverse geocode: the best hit, if any.
+fn reverse_geocode_at(
+    client: &OpenFlameClient,
+    location: LatLng,
+    radius_m: f64,
+) -> Result<Option<GeocodeHit>, ClientError> {
+    let query = ReverseGeocodeQuery { location, radius_m };
+    Ok(client.reverse_geocode(query)?.hit)
+}
 
 type Net = Arc<dyn Transport>;
 
@@ -107,7 +175,8 @@ fn anchored_stub(
 }
 
 /// A client on `net` whose discovery at [`here`] is `view` — no DNS is
-/// ever consulted.
+/// ever consulted. The view's `world-map` server, if it has one, is the
+/// client's world provider.
 fn client_seeing(net: &Net, view: DiscoveryView) -> OpenFlameClient {
     let dns = net.register("stub-dns", None);
     let config = ResolverConfig::default();
@@ -117,7 +186,11 @@ fn client_seeing(net: &Net, view: DiscoveryView) -> OpenFlameClient {
         vec![dns],
         config,
     ));
-    let client = OpenFlameClient::builder().build_on(net.clone(), resolver);
+    let mut builder = OpenFlameClient::builder();
+    if let Some(world) = view.servers.iter().find(|s| s.server_id == "world-map") {
+        builder = builder.world_provider(world.endpoint);
+    }
+    let client = builder.build_on(net.clone(), resolver);
     let cell = CellId::from_latlng(here(), QUERY_LEVEL).unwrap();
     client.session().store_discovery(cell.raw(), view);
     client
@@ -332,16 +405,12 @@ fn judge(class: QueryKind, situation: Situation, warm: bool) -> Verdict {
         accuracy_m: 4.0,
     };
     let ask = || match class {
-        QueryKind::Search => client.federated_search("kiosk", here(), 3).map(drop),
-        QueryKind::Geocode => client
-            .federated_geocode("1 Main St", world.endpoint, 3)
-            .map(drop),
-        QueryKind::ReverseGeocode => client.federated_reverse_geocode(here(), 50.0).map(drop),
-        QueryKind::Localize => client
-            .federated_localize(here(), std::slice::from_ref(&gnss))
-            .map(drop),
-        QueryKind::Tile => client.federated_tile(here(), 16).map(drop),
-        QueryKind::Route => client.federated_route(here(), &shelf).map(drop),
+        QueryKind::Search => search_hits(&client, "kiosk", here(), 3).map(drop),
+        QueryKind::Geocode => geocode_hits(&client, "1 Main St", 3).map(drop),
+        QueryKind::ReverseGeocode => reverse_geocode_at(&client, here(), 50.0).map(drop),
+        QueryKind::Localize => localize_at(&client, here(), std::slice::from_ref(&gnss)).map(drop),
+        QueryKind::Tile => tile_at(&client, here(), 16).map(drop),
+        QueryKind::Route => route_to(&client, here(), &shelf).map(drop),
     };
     if warm {
         ask().expect("a healthy federation answers");
@@ -460,6 +529,55 @@ fn a_cold_reverse_geocode_in_a_blackout_is_an_outage_not_nothing_here() {
 }
 
 // --------------------------------------------------------------------
+// The world provider comes from the builder only.
+// --------------------------------------------------------------------
+
+#[test]
+fn a_client_without_a_world_provider_refuses_geocode_and_sends_nothing() {
+    let net = BackendKind::Sim.build(1);
+    let client = client_seeing(&net, plain_view(vec![anchored_stub(&net, "a", honest)]));
+    net.reset_stats();
+    let query = GeocodeQuery {
+        query: "1 Main St".into(),
+        k: 3,
+    };
+    let err = client.geocode(query).unwrap_err();
+    assert!(matches!(err, ClientError::Protocol(_)), "{err}");
+    assert_eq!(net.stats().messages, 0, "nothing was sent");
+}
+
+#[test]
+fn a_world_provider_refusing_the_handshake_fails_geocode_in_one_envelope() {
+    // The world map answers `Geocode` but denies the `Hello` riding the
+    // same envelope, so its frame is never learned: the call fails
+    // without a second envelope to ask for it again.
+    let net = BackendKind::Sim.build(1);
+    let endpoint = net.register("mapsrv:world-map", None);
+    net.set_service(
+        endpoint,
+        service(|item| match item {
+            Request::Hello => deny(item),
+            item => honest(item),
+        }),
+    );
+    let world = Arc::new(DiscoveredServer {
+        server_id: "world-map".into(),
+        endpoint,
+        catalogue: Catalogue::LOCALIZE_GNSS,
+    });
+    let client = client_seeing(&net, plain_view(vec![world]));
+    net.reset_stats();
+    let query = GeocodeQuery {
+        query: "1 Main St".into(),
+        k: 3,
+    };
+    let err = client.geocode(query).unwrap_err();
+    assert!(matches!(err, ClientError::Protocol(_)), "{err}");
+    assert_eq!(client.session().stats().batches, 1, "one envelope");
+    assert_eq!(net.stats().messages, 2, "one request, one response");
+}
+
+// --------------------------------------------------------------------
 // Peer bytes may make a query fail, never lie or panic.
 // --------------------------------------------------------------------
 
@@ -561,7 +679,7 @@ fn portal_matrices_of_a_shape_not_asked_for_fail_the_route() {
         },
     };
     let client = client_seeing(&net, plain_view(vec![outdoor, venue]));
-    let err = client.federated_route(here(), &target).unwrap_err();
+    let err = route_to(&client, here(), &target).unwrap_err();
     assert!(matches!(err, ClientError::Protocol(_)), "{err}");
 }
 
@@ -586,10 +704,8 @@ fn a_result_limit_past_u32_max_saturates_on_the_wire() {
     let world = anchored_stub(&net, "world-map", honest);
     let refiner = anchored_stub(&net, "refiner", recording(&asked));
     let client = client_seeing(&net, plain_view(vec![world.clone(), refiner]));
-    client.federated_search("kiosk", here(), huge).unwrap();
-    client
-        .federated_geocode("1 Main St", world.endpoint, huge)
-        .unwrap();
+    search_hits(&client, "kiosk", here(), huge).unwrap();
+    geocode_hits(&client, "1 Main St", huge).unwrap();
 
     // Centralized search and geocode.
     let (central, world) = central_answering(recording(&asked));

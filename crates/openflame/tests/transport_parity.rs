@@ -29,9 +29,9 @@ use openflame_cells::CellId;
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_core::{
     run_grocery_scenario_on, CentralizedProvider, ClientError, Deployment, DeploymentConfig,
-    DiscoveredServer, DiscoveryView, FederatedSearchHit, FleetShardView, FleetView, GeocodeQuery,
-    LocalizeQuery, OpenFlameClient, ProviderKind, RouteQuery, SearchQuery, Session,
-    SpatialProvider, TileQuery,
+    DiscoveredServer, DiscoveryView, FederatedRoute, FederatedSearchHit, FleetShardView, FleetView,
+    GeocodeHit, GeocodeQuery, LocalizeQuery, OpenFlameClient, ProviderEstimate, ProviderKind,
+    ReverseGeocodeQuery, RouteQuery, SearchQuery, Session, SpatialProvider, TileQuery,
 };
 use openflame_dns::{DnsError, DomainName, RecordData, RecordType};
 use openflame_geo::LatLng;
@@ -41,11 +41,65 @@ use openflame_mapserver::naming::{cell_to_name, QUERY_LEVEL};
 use openflame_mapserver::protocol::{Envelope, Request, Response, WireSearchResult};
 use openflame_mapserver::{AccessPolicy, MapServer, Principal};
 use openflame_netsim::{BackendKind, EndpointId, Transport, WireService};
+use openflame_tiles::Tile;
 use openflame_worldgen::{World, WorldConfig};
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// A federated search within 2 km: its hits.
+fn search_hits(
+    client: &OpenFlameClient,
+    query: &str,
+    location: LatLng,
+    k: usize,
+) -> Result<Vec<FederatedSearchHit>, ClientError> {
+    let (query, radius_m) = (query.to_string(), 2_000.0);
+    let found = client.search(SearchQuery {
+        query,
+        location,
+        radius_m,
+        k,
+    })?;
+    Ok(found.hits)
+}
+
+/// A federated route from `from` to a search hit.
+fn route_to(
+    client: &OpenFlameClient,
+    from: LatLng,
+    target: &FederatedSearchHit,
+) -> Result<FederatedRoute, ClientError> {
+    let target = target.clone();
+    Ok(client.route(RouteQuery { from, target })?.route)
+}
+
+/// A federated localization from `cues`: its estimates.
+fn localize_at(
+    client: &OpenFlameClient,
+    coarse: LatLng,
+    cues: &[LocationCue],
+) -> Result<Vec<ProviderEstimate>, ClientError> {
+    let cues = cues.to_vec();
+    Ok(client.localize(LocalizeQuery { coarse, cues })?.estimates)
+}
+
+/// A federated tile and the number of layers composed into it.
+fn tile_at(client: &OpenFlameClient, center: LatLng, z: u8) -> Result<(Tile, usize), ClientError> {
+    let found = client.tile(TileQuery { center, z })?;
+    Ok((found.tile, found.stats.servers_consulted))
+}
+
+/// A federated reverse geocode: the best hit, if any.
+fn reverse_geocode_at(
+    client: &OpenFlameClient,
+    location: LatLng,
+    radius_m: f64,
+) -> Result<Option<GeocodeHit>, ClientError> {
+    let query = ReverseGeocodeQuery { location, radius_m };
+    Ok(client.reverse_geocode(query)?.hit)
+}
 
 const BACKENDS: [BackendKind; 3] = [BackendKind::Sim, BackendKind::Tcp, BackendKind::QuicLite];
 
@@ -160,13 +214,13 @@ fn warm_search_cost(backend: BackendKind) -> (u64, u64, usize) {
     let product = dep.world.products[0].clone();
     let near = dep.world.venues[product.venue].hint;
     // Warm the session: discovery and hellos are cached after this.
-    dep.client.federated_search(&product.name, near, 3).unwrap();
+    search_hits(&dep.client, &product.name, near, 3).unwrap();
     let servers = dep.client.discover(near).unwrap();
     assert!(servers.len() >= 2, "need a federation to make the point");
 
     dep.transport.reset_stats();
     let batches_before = dep.client.session().stats().batches;
-    dep.client.federated_search(&product.name, near, 3).unwrap();
+    search_hits(&dep.client, &product.name, near, 3).unwrap();
     let messages = dep.transport.stats().messages;
     let batches = dep.client.session().stats().batches - batches_before;
     (messages, batches, servers.len())
@@ -207,7 +261,7 @@ fn identical_cold_search_costs_identical_messages_on_every_backend() {
         let product = dep.world.products[0].clone();
         let near = dep.world.venues[product.venue].hint;
         dep.transport.reset_stats();
-        dep.client.federated_search(&product.name, near, 3).unwrap();
+        search_hits(&dep.client, &product.name, near, 3).unwrap();
         dep.transport.stats().messages
     };
     let sim = cold_cost(BackendKind::Sim);
@@ -247,9 +301,9 @@ fn first_call_footprints(backend: BackendKind) -> Vec<(u64, Vec<EndpointId>)> {
             .build_on(dep.transport.clone(), dep.resolver.clone());
         dep.transport.reset_stats();
         let answered = match call {
-            "tile" => client.federated_tile(center, 16).is_ok(),
-            "search" => client.federated_search(&product.name, near, 3).is_ok(),
-            _ => client.federated_reverse_geocode(center, 150.0).is_ok(),
+            "tile" => tile_at(&client, center, 16).is_ok(),
+            "search" => search_hits(&client, &product.name, near, 3).is_ok(),
+            _ => reverse_geocode_at(&client, center, 150.0).is_ok(),
         };
         assert!(answered, "{backend:?}: {call}");
         let batches = client.session().stats().batches;
@@ -373,10 +427,7 @@ fn a_denial_names_the_denying_server_on_every_backend() {
         let user = dep.world.venues[product.venue]
             .hint
             .destination(225.0, 80.0);
-        let err = dep
-            .client
-            .federated_route(user, &hit)
-            .expect_err("a locked venue denies Route");
+        let err = route_to(&dep.client, user, &hit).expect_err("a locked venue denies Route");
         assert!(
             matches!(err, ClientError::PartialFailure { .. }),
             "{backend:?}: {err}"
@@ -408,7 +459,7 @@ fn quiclite_deployment_recovers_injected_loss_by_retransmission() {
     );
     let product = dep.world.products[0].clone();
     let near = dep.world.venues[product.venue].hint;
-    dep.client.federated_search(&product.name, near, 3).unwrap();
+    search_hits(&dep.client, &product.name, near, 3).unwrap();
     // Baseline: a scheduler stall during the (loss-free) warm-up can
     // already have tripped the RTO timer; only retransmits *under
     // injection* count.
@@ -420,9 +471,7 @@ fn quiclite_deployment_recovers_injected_loss_by_retransmission() {
     // have been repaired by the RTO timer.
     let mut rounds = 0;
     while rounds < 5 && (rounds == 0 || quic.retransmits() == base_retransmits) {
-        let hits = dep
-            .client
-            .federated_search(&product.name, near, 3)
+        let hits = search_hits(&dep.client, &product.name, near, 3)
             .expect("loss below the timeout must be recovered, not surfaced");
         assert!(hits.iter().any(|h| h.result.label == product.name));
         rounds += 1;
@@ -543,22 +592,18 @@ fn endpoint_down_partial_failure(backend: BackendKind) -> ClientError {
     let dep = deployment_on(backend, small_world());
     let product = dep.world.products[0].clone();
     let near = dep.world.venues[product.venue].hint;
-    let hit = dep
-        .client
-        .federated_search(&product.name, near, 3)
+    let hit = search_hits(&dep.client, &product.name, near, 3)
         .unwrap()
         .into_iter()
         .find(|h| h.result.label == product.name)
         .expect("product is stocked");
     let user = near.destination(225.0, 80.0);
     // Warm route: caches (hello, discovery) are hot afterwards.
-    dep.client.federated_route(user, &hit).unwrap();
+    route_to(&dep.client, user, &hit).unwrap();
     // The venue dies; the client's caches still point at it.
     dep.transport
         .set_down(dep.venue_servers[product.venue].endpoint(), true);
-    dep.client
-        .federated_route(user, &hit)
-        .expect_err("routing into a dead venue cannot succeed")
+    route_to(&dep.client, user, &hit).expect_err("routing into a dead venue cannot succeed")
 }
 
 #[test]
@@ -626,15 +671,15 @@ fn a_warm_venue_route_is_two_rounds_on_every_backend() {
             serve_logged(&dep.transport, server, &log);
         }
         let near = dep.world.venues[product.venue].hint;
-        let hit = dep.client.federated_search(&product.name, near, 3).unwrap()[0].clone();
+        let hit = search_hits(&dep.client, &product.name, near, 3).unwrap()[0].clone();
         assert_eq!(hit.endpoint, venue.endpoint(), "{backend:?}");
         let user = near.destination(225.0, 80.0);
         // Cold, then warm: only the warm route is counted.
-        dep.client.federated_route(user, &hit).unwrap();
+        route_to(&dep.client, user, &hit).unwrap();
         log.lock().unwrap().clear();
         dep.transport.reset_stats();
         let batches = dep.client.session().stats().batches;
-        let route = dep.client.federated_route(user, &hit).unwrap();
+        let route = route_to(&dep.client, user, &hit).unwrap();
         assert_eq!(route.legs.len(), 2, "{backend:?}");
         let batches = dep.client.session().stats().batches - batches;
         assert_eq!(batches, 4, "{backend:?}: envelopes");
@@ -662,12 +707,10 @@ fn dropped_messages_surface_as_partial_failure_not_silent_empty() {
         let near = dep.world.venues[product.venue].hint;
         // Warm caches so the drop injection hits the search fan-out
         // itself, not discovery.
-        dep.client.federated_search(&product.name, near, 3).unwrap();
+        search_hits(&dep.client, &product.name, near, 3).unwrap();
         dep.transport.set_timeout_us(50_000);
         dep.transport.set_drop_probability(1.0);
-        let err = dep
-            .client
-            .federated_search(&product.name, near, 3)
+        let err = search_hits(&dep.client, &product.name, near, 3)
             .expect_err("total packet loss cannot look like an empty result");
         let ClientError::PartialFailure {
             succeeded,
@@ -686,23 +729,22 @@ fn dropped_messages_surface_as_partial_failure_not_silent_empty() {
         );
         // Localization under total loss is an outage too, not an
         // honest "no coverage here".
-        let loc_err = dep
-            .client
-            .federated_localize(
-                near,
-                &[LocationCue::Gnss {
-                    fix: near,
-                    accuracy_m: 4.0,
-                }],
-            )
-            .expect_err("total packet loss cannot look like missing coverage");
+        let loc_err = localize_at(
+            &dep.client,
+            near,
+            &[LocationCue::Gnss {
+                fix: near,
+                accuracy_m: 4.0,
+            }],
+        )
+        .expect_err("total packet loss cannot look like missing coverage");
         assert!(
             matches!(loc_err, ClientError::PartialFailure { succeeded: 0, .. }),
             "{backend:?}: expected PartialFailure, got {loc_err}"
         );
         // Recovery: lifting the injection restores service.
         dep.transport.set_drop_probability(0.0);
-        assert!(dep.client.federated_search(&product.name, near, 3).is_ok());
+        assert!(search_hits(&dep.client, &product.name, near, 3).is_ok());
     }
 }
 

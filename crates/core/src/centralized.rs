@@ -19,9 +19,9 @@
 use crate::client::{FederatedRoute, FederatedSearchHit, RouteLeg};
 use crate::discovery::accepts_cue;
 use crate::provider::{
-    measured, tile_coord, GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome, LocalizeQuery,
-    ProviderEstimate, ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome, RouteQuery,
-    SearchOutcome, SearchQuery, SpatialProvider, TileOutcome, TileQuery,
+    measured, query_radius, tile_coord, GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome,
+    LocalizeQuery, ProviderEstimate, ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome,
+    RouteQuery, SearchOutcome, SearchQuery, SpatialProvider, TileOutcome, TileQuery,
 };
 use crate::session::{expect_matrix, unexpected, unexpected_opt, wire_k, Session};
 use crate::ClientError;
@@ -216,7 +216,7 @@ impl SpatialProvider for CentralizedProvider {
             let frame = self.local_frame();
             let request = Request::ReverseGeocode {
                 pos: frame.to_local(query.location),
-                radius_m: query.radius_m,
+                radius_m: query_radius(query.radius_m)?,
             };
             let hit = match self.call_one(request, "ReverseGeocode")? {
                 Response::ReverseGeocode { hit } => hit,
@@ -237,7 +237,7 @@ impl SpatialProvider for CentralizedProvider {
             let request = Request::Search {
                 query: query.query,
                 center: Some(self.local_frame().to_local(query.location)),
-                radius_m: query.radius_m,
+                radius_m: query_radius(query.radius_m)?,
                 k: wire_k(query.k),
             };
             let results = match self.call_one(request, "Search")? {

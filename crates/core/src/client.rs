@@ -56,9 +56,9 @@ use crate::discovery::{accepts_cue, DiscoveredServer, DiscoveryClient};
 use crate::fleet;
 use crate::plan::{self, Outage, PlannedTarget, QueryKind, ScatterPlan};
 use crate::provider::{
-    measured, tile_coord, GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome, LocalizeQuery,
-    ProviderEstimate, ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome, RouteQuery,
-    SearchOutcome, SearchQuery, SpatialProvider, TileOutcome, TileQuery,
+    measured, query_radius, tile_coord, GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome,
+    LocalizeQuery, ProviderEstimate, ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome,
+    RouteQuery, SearchOutcome, SearchQuery, SpatialProvider, TileOutcome, TileQuery,
 };
 use crate::session::{expect_matrix, expect_route, unexpected, unexpected_opt, wire_k, Session};
 use crate::ClientError;
@@ -301,7 +301,8 @@ impl OpenFlameClient {
         location: LatLng,
         radius_m: f64,
     ) -> Result<ScatterPlan, ClientError> {
-        self.plan_query_at(Some(kind), location, Some((location, radius_m)))
+        let footprint = (location, query_radius(radius_m)?);
+        self.plan_query_at(Some(kind), location, Some(footprint))
     }
 
     // ----------------------------------------------------------------
@@ -312,7 +313,7 @@ impl OpenFlameClient {
     /// cache read: the envelope that brought a server's answer also
     /// brought its advertisement on first contact.
     fn frame_of(&self, endpoint: EndpointId) -> Option<LocalFrame> {
-        let hello = self.session.cached_hello(endpoint)?;
+        let hello = self.session.advertised(endpoint)?;
         hello.anchor.map(LocalFrame::new)
     }
 
@@ -438,10 +439,7 @@ fn execute(
     let mut kept: Vec<(usize, PlannedTarget, bool)> = Vec::new();
     for (slot, target) in plan.targets.drain(..).enumerate() {
         let endpoint = target.server.endpoint;
-        // One probe: a fresh advertisement counts as a hit, a
-        // missing one is counted by the session when the envelope
-        // that asks goes out.
-        let hello = session.cached_hello(endpoint);
+        let hello = session.advertised(endpoint);
         // A catalogue that omits `rgeocode` rules out a frame (spec §9.1).
         let cold = handshake_first
             && hello.is_none()
@@ -468,7 +466,7 @@ fn execute(
     for ((slot, target, cold), outcome) in kept.into_iter().zip(round.collect()) {
         if cold {
             let endpoint = target.server.endpoint;
-            let hello = session.cached_hello(endpoint);
+            let hello = session.advertised(endpoint);
             match request_for(slot, &target.server, hello.as_deref()) {
                 Some(requests) => {
                     follow.submit(endpoint, requests);
@@ -526,7 +524,7 @@ fn failover(
                 continue;
             };
             let sibling = sibling.clone();
-            let hello = session.cached_hello(sibling.endpoint);
+            let hello = session.advertised(sibling.endpoint);
             let Some(requests) = request_for(*slot, &sibling, hello.as_deref()) else {
                 continue;
             };
@@ -685,6 +683,7 @@ impl SpatialProvider for OpenFlameClient {
     ) -> Result<ReverseGeocodeOutcome, ClientError> {
         let ReverseGeocodeQuery { location, radius_m } = query;
         measured(self.transport().as_ref(), || {
+            let radius_m = query_radius(radius_m)?;
             let mut best: Option<GeocodeHit> = None;
             // `pos` is spelled in the server's frame: the builder
             // declines a server it sees is unanchored — whatever
@@ -734,6 +733,7 @@ impl SpatialProvider for OpenFlameClient {
             k,
         } = query;
         measured(self.transport().as_ref(), || {
+            let radius_m = query_radius(radius_m)?;
             // One ranked list per answering server, and who that server is.
             let mut lists: Vec<Vec<SearchResult>> = Vec::new();
             let mut sources: Vec<(String, EndpointId)> = Vec::new();
@@ -862,7 +862,7 @@ impl SpatialProvider for OpenFlameClient {
             // later round, so a cold target is handshaken first, in a
             // round asking for no service (no plan kind); one that will
             // not advertise cannot be routed into.
-            let target_hello = match self.session.cached_hello(target.endpoint) {
+            let target_hello = match self.session.advertised(target.endpoint) {
                 Some(hello) => hello,
                 None => {
                     self.route_round(None, [&mut dest], [Vec::new()])?;

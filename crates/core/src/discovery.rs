@@ -190,8 +190,8 @@ impl DiscoveryClient {
                 if view.fleets.iter().any(|f| f.group_id == *group_id) {
                     return true;
                 }
-                // Each shard's extent bounds are computed here, once per
-                // discovery view, never per planned query.
+                // Each shard's extent is built here, once per discovery
+                // view, never per planned query.
                 let shards = shards
                     .iter()
                     .map(|shard| {

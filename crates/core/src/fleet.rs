@@ -9,9 +9,11 @@
 //!
 //! - **Shard-aware scatter**: a spatial query consults only the shards
 //!   whose advertised extent intersects the query footprint — wire cost
-//!   scales with shards *consulted*, not fleet size. Extent bounds are
-//!   computed once, when discovery builds the view; a shard whose
-//!   extent proves nothing is consulted by every query (spec §9.2).
+//!   scales with shards *consulted*, not fleet size. A shard's extent is
+//!   the planner's one `Extent` type, as an advertisement's is, built
+//!   when discovery builds the view, its cell bounds computed the first
+//!   time a query tests it; a shard whose extent proves nothing is
+//!   consulted by every query (spec §9.2 and spec §13.3).
 //! - **Replica selection**: within a shard, the client picks one
 //!   replica by power-of-two-choices over the per-endpoint latency
 //!   summaries the transport already collects
@@ -36,11 +38,12 @@
 //! the simulator, TCP and QuicLite (the fleet parity test pins this).
 
 use crate::discovery::DiscoveredServer;
+use crate::plan::Extent;
 use crate::session::Session;
-use openflame_cells::{CellId, Region};
+use openflame_cells::CellId;
 use openflame_codec::Fnv1a;
 use openflame_dns::Catalogue;
-use openflame_geo::{BBox, LatLng};
+use openflame_geo::LatLng;
 use openflame_netsim::EndpointId;
 use openflame_worldgen::World;
 use std::sync::Arc;
@@ -50,16 +53,16 @@ use std::sync::Arc;
 /// stable — it is part of the DNS record — so every client derives the
 /// same candidate order).
 ///
-/// Each extent cell's bounding box is computed once, by
-/// [`FleetShardView::new`], and lives as long as the discovery view
-/// that holds the shard: planning a query tests cached boxes and
-/// computes no cell geometry.
+/// The extent is built once, by [`FleetShardView::new`], and lives as
+/// long as the discovery view that holds the shard, its cell bounds
+/// with it: only the first query that tests the shard computes cell
+/// geometry.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FleetShardView {
-    /// Fine cells whose content this shard owns, each beside its
-    /// bounding box; `None` when the advertised extent proves nothing
-    /// (spec §9.2), so the shard intersects every footprint.
-    extents: Option<Vec<(CellId, BBox)>>,
+    /// The fine cells whose content this shard owns; `None` when the
+    /// advertised extent proves nothing (spec §13.3), so the shard
+    /// intersects every footprint.
+    extent: Option<Extent>,
     /// Replicas serving this shard (each carries the group's catalogue).
     /// Shared: a scatter plan clones the `Arc`, not the record.
     pub replicas: Vec<Arc<DiscoveredServer>>,
@@ -67,29 +70,19 @@ pub struct FleetShardView {
 
 impl FleetShardView {
     /// The client view of one advertised shard: its raw extent cell ids
-    /// (`FLEETSRV` order) and its replicas. An extent that is empty or
-    /// holds an id that is not a valid cell leaves the shard unbounded
-    /// (spec §9.2): a malformed advertisement can only cost a consult.
+    /// (`FLEETSRV` order) and its replicas. An extent that proves
+    /// nothing (spec §13.3) leaves the shard unbounded: a malformed
+    /// advertisement can only cost a consult.
     pub fn new(extent_ids: &[u64], replicas: Vec<Arc<DiscoveredServer>>) -> Self {
-        let extents = extent_ids
-            .iter()
-            .map(|&raw| CellId::from_raw(raw).ok().map(|cell| (cell, cell.bbox())))
-            .collect::<Option<Vec<_>>>()
-            .filter(|cells| !cells.is_empty());
-        Self { extents, replicas }
+        let extent = Extent::new(extent_ids);
+        Self { extent, replicas }
     }
 
-    /// Whether this shard's extent may intersect a query cap. The test
-    /// is conservative (`Region::may_intersect_bbox` over each cell's
-    /// cached box, the same verdict as `may_intersect_cell`): a shard
-    /// is never wrongly skipped, it can only be consulted
-    /// unnecessarily.
+    /// Whether this shard's extent may intersect a query cap
+    /// (`Extent::may_intersect`, conservative): a shard is never
+    /// wrongly skipped, it can only be consulted unnecessarily.
     pub fn intersects(&self, center: LatLng, radius_m: f64) -> bool {
-        let Some(extents) = &self.extents else {
-            return true;
-        };
-        let cap = Region::Cap { center, radius_m };
-        extents.iter().any(|(_, bb)| cap.may_intersect_bbox(bb))
+        (self.extent.as_ref()).is_none_or(|extent| extent.may_intersect(center, radius_m))
     }
 }
 
@@ -292,7 +285,9 @@ fn fine_level_for(radius_m: f64) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::tests::cells;
     use crate::session::DEAD_TTL_US;
+    use openflame_cells::Region;
     use openflame_mapserver::Principal;
     use openflame_netsim::BackendKind;
     use openflame_worldgen::WorldConfig;
@@ -460,13 +455,10 @@ mod tests {
             let radius_m = 10f64.powf(rng.gen_range(0.0..20_000f64.log10()));
             let cap = Region::Cap { center, radius_m };
             for shard in &shards {
-                let cells = shard
-                    .extents
-                    .as_deref()
-                    .expect("deployed extents are well formed");
-                let oracle = cells.iter().any(|(c, _)| cap.may_intersect_cell(*c));
+                let extent = (shard.extent.as_ref()).expect("deployed extents are well formed");
+                let oracle = cells(extent).iter().any(|&c| cap.may_intersect_cell(c));
                 assert_eq!(
-                    shard.intersects(center, radius_m),
+                    extent.may_intersect(center, radius_m),
                     oracle,
                     "cap {center:?} r={radius_m}"
                 );

@@ -30,9 +30,8 @@
 //! ([`plan`] module, wire-protocol spec §13): every federated query
 //! path builds a [`ScatterPlan`] ([`plan::plan`]) from the discovery
 //! view, whose records carry each server's service catalogue, plus the
-//! [`CoverageExtent`](openflame_mapserver::CoverageExtent) riding in
-//! each server's cached advertisement (the extended `Hello` exchange),
-//! and one executor, private to the [`client`] module, runs the plan
+//! extent cells riding in each server's cached advertisement (the
+//! `Hello`'s `coverage`, spec §13.1), and one executor, private to the [`client`] module, runs the plan
 //! through the session with the fleet failover machinery. The executor
 //! has two callers beside it, the client's scatter loop and stitched
 //! routing's rounds: a query class is a request builder and an
@@ -59,7 +58,7 @@
 //! envelope of its own, and a client that only ever fetches tiles
 //! still learns the coverage extents the planner prunes with. The
 //! session keeps **one entry per endpoint** —
-//! its advertisement, coverage extent included, or the dead mark a
+//! its advertisement, with its extent's cell bounds, or the dead mark a
 //! failed fleet branch left, each replacing the other — and discovery
 //! results per cell; both caches are bounded (past a capacity cap,
 //! expired first, then least recently used), so a long-lived session

@@ -114,7 +114,7 @@ pub struct GeocodeOutcome {
 pub struct ReverseGeocodeQuery {
     /// The geographic position to name.
     pub location: LatLng,
-    /// Search radius, meters.
+    /// Search radius, meters; NaN or negative is refused.
     pub radius_m: f64,
 }
 
@@ -134,7 +134,7 @@ pub struct SearchQuery {
     pub query: String,
     /// Where the user is.
     pub location: LatLng,
-    /// Radius filter, meters.
+    /// Radius filter, meters; NaN or negative is refused.
     pub radius_m: f64,
     /// Maximum results.
     pub k: usize,
@@ -213,6 +213,13 @@ pub(crate) fn tile_coord(center: LatLng, z: u8) -> Result<TileCoord, ClientError
     TileCoord::covering(center, z).ok_or_else(|| {
         ClientError::InvalidQuery(format!("tile zoom {z} is deeper than {MAX_ZOOM}"))
     })
+}
+
+/// A query radius. NaN or negative names no region (spec §13.3), so it
+/// is refused here, before anything is sent.
+pub(crate) fn query_radius(radius_m: f64) -> Result<f64, ClientError> {
+    let no_region = || ClientError::InvalidQuery(format!("radius {radius_m} m names no region"));
+    (radius_m >= 0.0).then_some(radius_m).ok_or_else(no_region)
 }
 
 /// Outcome of [`SpatialProvider::tile`].

@@ -15,14 +15,14 @@
 //!   and nowhere else: *an envelope to an endpoint the session holds no
 //!   fresh advertisement for carries `Request::Hello` as its last item*
 //!   (unless the batch already asks). [`ScatterRound::submit`] appends
-//!   the item and counts the miss; the claim side strips that item's
-//!   answer — whatever came back, caching it only if it is a
-//!   `Response::Hello` — so callers get exactly their own responses and
+//!   the item and counts each envelope a hit or a miss; the claim side
+//!   strips that item's answer — whatever came back, caching it only if
+//!   it is a `Response::Hello` — so callers get exactly their own responses and
 //!   first contact costs no envelope of its own, whatever the query
 //!   class. Advertisements are cached per endpoint with a TTL on the
 //!   transport clock (an expired one is re-learned the same way); the
-//!   coverage extent the query planner prunes from (spec §13) is the
-//!   one riding in the cached advertisement — there is no second copy.
+//!   extent the query planner prunes from (spec §13.3) is decoded once,
+//!   when it is stored, into the same entry — there is no second copy.
 //! - **One entry per endpoint**: what the client remembers about an
 //!   endpoint is a single cache entry, either its advertisement
 //!   (`DEFAULT_TTL_US`) or a *dead* mark left by a failed fleet
@@ -76,6 +76,7 @@
 //! the same schedule as the naming layer that produced it.
 
 use crate::fleet::DiscoveryView;
+use crate::plan::Extent;
 use crate::ClientError;
 use openflame_codec::{from_bytes, to_bytes, Fnv1a};
 use openflame_diag::{ranks, OrderedMutex};
@@ -142,11 +143,12 @@ pub struct SessionStats {
     /// Cumulative wire latency of those envelopes, microseconds
     /// (simulated or wall-clock, per the transport).
     pub wire_us: u64,
-    /// Hello lookups answered from the cache.
+    /// Envelopes sent to an endpoint with a fresh advertisement cached,
+    /// so they carry no handshake.
     pub hello_hits: u64,
     /// Envelopes sent to an endpoint with no fresh advertisement cached
-    /// — each carries the handshake (spec §8), so each is a lookup that
-    /// went to the wire.
+    /// — each carries the handshake (spec §8). With `hello_hits`, every
+    /// envelope counts once.
     pub hello_misses: u64,
     /// Discovery lookups answered from the cache.
     pub discovery_hits: u64,
@@ -188,9 +190,9 @@ type TileLayers = Arc<[(EndpointId, PixelRuns)]>;
 /// to be served (or pruned) from, and an endpoint that answers a
 /// handshake is no longer dead.
 enum EndpointEntry {
-    /// The endpoint's advertisement, coverage extent included, kept
-    /// for [`DEFAULT_TTL_US`].
-    Advertised(Arc<HelloInfo>),
+    /// The endpoint's advertisement and its decoded extent (`None` when
+    /// the extent proves nothing), kept for [`DEFAULT_TTL_US`].
+    Advertised(Arc<HelloInfo>, Option<Extent>),
     /// The endpoint failed at the wire as a fleet replica; kept for
     /// [`DEAD_TTL_US`].
     Dead,
@@ -272,7 +274,7 @@ impl Session {
             let endpoints = self.endpoints.lock();
             let advertised = endpoints
                 .live(now)
-                .filter(|entry| matches!(entry, EndpointEntry::Advertised(_)));
+                .filter(|entry| matches!(entry, EndpointEntry::Advertised(..)));
             let evictions = endpoints.purged + endpoints.evicted;
             (advertised.count() as u64, evictions)
         };
@@ -456,44 +458,43 @@ impl Session {
     // The per-endpoint cache: an advertisement or a dead mark.
     // ----------------------------------------------------------------
 
-    /// Caches `from`'s capability advertisement (evicting, expired
-    /// first, then least recently used, past the capacity bound),
-    /// replacing whatever the session held about the endpoint: an older
-    /// advertisement — one without a coverage extent drops the extent
-    /// it once committed to — or a dead mark, since an endpoint that
-    /// answers is alive.
+    /// Caches `from`'s capability advertisement and its extent
+    /// (evicting, expired first, then least recently used, past the
+    /// capacity bound), replacing whatever the session held about the
+    /// endpoint: an older advertisement — one with an empty extent drops
+    /// the extent it once committed to — or a dead mark, since an
+    /// endpoint that answers is alive.
     pub(crate) fn store_hello(&self, from: EndpointId, info: impl Into<Arc<HelloInfo>>) {
-        let now = self.transport.now_us();
-        let entry = EndpointEntry::Advertised(info.into());
+        let (now, info) = (self.transport.now_us(), info.into());
+        let extent = Extent::new(&info.coverage);
+        let entry = EndpointEntry::Advertised(info, extent);
         self.endpoints
             .lock()
             .insert(from, entry, now, DEFAULT_TTL_US);
     }
 
     /// The fresh advertisement cached for `server` — shared, not
-    /// copied — without touching the hit counters: the probe behind the
-    /// handshake rule's own check and the query planner, which proves
-    /// footprints disjoint from the [`HelloInfo::coverage`] extent of
-    /// exactly this entry (kinds are the discovery catalogue's to
-    /// prove). An expired entry and a dead mark read as absence, so a
-    /// planner never prunes on a stale extent (spec §13.3) or a dead
-    /// endpoint's.
+    /// copied: every reader holds the same allocation. A read counts
+    /// nothing; the handshake counters count envelopes. An expired
+    /// entry and a dead mark read as absence.
     pub fn advertised(&self, server: EndpointId) -> Option<Arc<HelloInfo>> {
         let now = self.transport.now_us();
         match self.endpoints.lock().get(&server, now)? {
-            EndpointEntry::Advertised(info) => Some(info.clone()),
+            EndpointEntry::Advertised(info, _) => Some(info.clone()),
             EndpointEntry::Dead => None,
         }
     }
 
-    /// The cached advertisement for `server`, if fresh — shared, not
-    /// copied: every caller holds the same allocation. Counts a hit.
-    pub fn cached_hello(&self, server: EndpointId) -> Option<Arc<HelloInfo>> {
-        let info = self.advertised(server);
-        if info.is_some() {
-            self.stats.lock().hello_hits += 1;
+    /// The extent of the fresh advertisement cached for `server`, shared:
+    /// the query planner's one read of it. `None` for an extent that
+    /// proves nothing, an expired entry or a dead mark, so a planner
+    /// never prunes on a stale extent (spec §13.3) or a dead endpoint's.
+    pub(crate) fn extent(&self, server: EndpointId) -> Option<Extent> {
+        let now = self.transport.now_us();
+        match self.endpoints.lock().get(&server, now)? {
+            EndpointEntry::Advertised(_, extent) => extent.clone(),
+            EndpointEntry::Dead => None,
         }
-        info
     }
 
     /// Records that fleet replica `endpoint`, discovered under query
@@ -639,6 +640,7 @@ impl ScatterRound<'_> {
             let mut stats = session.stats.lock();
             stats.batches += 1;
             stats.batched_requests += requests.len() as u64;
+            stats.hello_hits += u64::from(!cold);
             stats.hello_misses += u64::from(cold);
         }
         let payload = session.encode(Request::Batch(requests));
@@ -776,14 +778,14 @@ pub(crate) mod tests {
         );
     }
 
-    /// A minimal advertisement (no anchor, no coverage extent), told
+    /// A minimal advertisement (no anchor, an empty extent), told
     /// apart from another stub's by its version, `id`.
     pub(crate) fn stub_hello(id: u64) -> HelloInfo {
         HelloInfo {
             anchor: None,
             portals: Vec::new(),
             version: id,
-            coverage: None,
+            coverage: Vec::new(),
         }
     }
 
@@ -808,8 +810,8 @@ pub(crate) mod tests {
         // out.
         assert!(session.cached_discovery(cap + 91).is_some());
         assert!(session.cached_discovery(0).is_none());
-        assert!(session.cached_hello(EndpointId(1_000 + cap + 91)).is_some());
-        assert!(session.cached_hello(EndpointId(1_000)).is_none());
+        assert!(session.advertised(EndpointId(1_000 + cap + 91)).is_some());
+        assert!(session.advertised(EndpointId(1_000)).is_none());
     }
 
     #[test]
@@ -880,7 +882,7 @@ pub(crate) mod tests {
         session.store_discovery(7, DiscoveryView::default());
         // Two readers of one cached fact hold the same allocation.
         assert!(Arc::ptr_eq(
-            &session.cached_hello(server).unwrap(),
+            &session.advertised(server).unwrap(),
             &session.advertised(server).unwrap()
         ));
         assert!(Arc::ptr_eq(
@@ -903,14 +905,13 @@ pub(crate) mod tests {
         session.mark_dead(dead, 7);
         assert!(session.is_dead(dead));
         assert!(session.advertised(dead).is_none());
-        assert!(session.cached_hello(dead).is_none());
         assert!(
             session.cached_discovery(7).is_none(),
             "the cell the dead replica was discovered under re-resolves"
         );
         assert!(
             !session.is_dead(alive)
-                && session.cached_hello(alive).is_some()
+                && session.advertised(alive).is_some()
                 && session.cached_discovery(8).is_some(),
             "other endpoints and cells must be untouched"
         );
@@ -952,10 +953,6 @@ pub(crate) mod tests {
         // of the same bytes.
         session.batch(server, Vec::new()).unwrap();
         let learned = session.advertised(server).unwrap();
-        assert!(Arc::ptr_eq(
-            &learned,
-            &session.cached_hello(server).unwrap()
-        ));
         assert!(Arc::ptr_eq(&learned, &session.advertised(server).unwrap()));
     }
 
@@ -1070,7 +1067,7 @@ pub(crate) mod tests {
             session.advertised(server).is_some(),
             "first contact taught it"
         );
-        assert_eq!(session.cached_hello(server).unwrap().version, 7);
+        assert_eq!(session.advertised(server).unwrap().version, 7);
         // Warm: the envelope is the caller's items and nothing else.
         let responses = session.batch(server, vec![probe()]).unwrap();
         assert_eq!(versions(&responses), [0]);

@@ -28,7 +28,7 @@ pub mod registry;
 pub mod server;
 
 pub use acl::{AccessPolicy, Principal, Rule, ServiceKind};
-pub use protocol::{CoverageExtent, Envelope, Request, Response};
+pub use protocol::{Envelope, Request, Response};
 pub use server::{MapServer, MapServerConfig, ServerStats};
 
 /// Errors produced by map-server operations.

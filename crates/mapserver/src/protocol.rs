@@ -143,26 +143,12 @@ pub struct HelloInfo {
     /// Current map data version.
     pub version: u64,
     /// The extent the server commits its content to, for client-side
-    /// query planning (spec §13). `None` when the server commits to no
-    /// extent: clients MUST treat absent coverage as "unknown — never
-    /// prune". Which kinds and technologies the server offers is its DNS
-    /// catalogue's to say (spec §9.1), not the advertisement's.
-    pub coverage: Option<CoverageExtent>,
-}
-
-/// The geographic extent a server commits its content to (spec §13.1):
-/// a cap plus a coarse cell covering of that cap. A server advertising
-/// an extent promises every answerable element lies inside it, so a
-/// client may skip the server for query footprints that provably
-/// cannot intersect it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoverageExtent {
-    /// Covering cells of the extent cap (raw cell ids, mixed levels).
-    pub cells: Vec<u64>,
-    /// Cap center.
-    pub center: openflame_geo::LatLng,
-    /// Cap radius, meters.
-    pub radius_m: f64,
+    /// query planning (spec §13.1): raw cell ids, mixed levels, whose
+    /// union holds every answerable element. Empty when the server
+    /// commits to none, which proves nothing (spec §13.3). Which kinds
+    /// and technologies the server offers is its DNS catalogue's to say
+    /// (spec §9.1), not the advertisement's.
+    pub coverage: Vec<u64>,
 }
 
 /// A geocode hit on the wire.
@@ -404,7 +390,6 @@ wire_enum! { RouteEnd, "RouteEnd" {
 wire_struct! { HelloInfo {
     anchor: Opt<LatLngCodec>, portals: Seq<Pair<Own, LatLngCodec>>, version, coverage,
 } }
-wire_struct! { CoverageExtent { cells, center: LatLngCodec, radius_m } }
 wire_struct! { WireGeocodeHit { element, pos: PointCodec, score, label } }
 wire_struct! { WireSearchResult { element, pos: PointCodec, score, distance_m, label } }
 wire_struct! { WireRoute { nodes, cost, length_m, geometry: Seq<PointCodec> } }
@@ -603,17 +588,13 @@ mod tests {
                 anchor: None,
                 portals: vec![(17, openflame_geo::LatLng::new(40.0, -80.0).unwrap())],
                 version: 4,
-                coverage: None,
+                coverage: Vec::new(),
             }),
             Response::Hello(HelloInfo {
                 anchor: Some(openflame_geo::LatLng::new(40.4, -79.9).unwrap()),
                 portals: vec![],
                 version: 7,
-                coverage: Some(CoverageExtent {
-                    cells: vec![0x89c25a3000000000, 0x89c25a5000000000],
-                    center: openflame_geo::LatLng::new(40.4, -79.9).unwrap(),
-                    radius_m: 150.0,
-                }),
+                coverage: vec![0x89c25a3000000000, 0x89c25a5000000000],
             }),
             Response::Geocode {
                 hits: vec![WireGeocodeHit {
@@ -685,11 +666,7 @@ mod tests {
             anchor: None,
             portals: vec![],
             version: 3,
-            coverage: Some(CoverageExtent {
-                cells: vec![1, 2, 3],
-                center: LatLng::new(40.44, -79.95).unwrap(),
-                radius_m: 80.0,
-            }),
+            coverage: vec![1, 2, 3],
         };
         let batch = Response::Batch(vec![
             Response::Hello(hello.clone()),

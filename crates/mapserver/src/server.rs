@@ -14,8 +14,8 @@
 
 use crate::acl::{AccessPolicy, Principal, ServiceKind, ALL_SERVICES};
 use crate::protocol::{
-    principal_key, CoverageExtent, Envelope, HelloInfo, Request, Response, RouteEnd, WireEstimate,
-    WireGeocodeHit, WireRoute, WireSearchResult,
+    principal_key, Envelope, HelloInfo, Request, Response, RouteEnd, WireEstimate, WireGeocodeHit,
+    WireRoute, WireSearchResult,
 };
 use crate::ServerError;
 use openflame_cells::{Region, RegionCoverer};
@@ -123,32 +123,24 @@ struct Setup {
     beacons: Vec<openflame_localize::Beacon>,
     portals: Vec<(NodeId, LatLng)>,
     build_ch: bool,
-    /// The committed extent (spec §13.1): the registration cap and its
-    /// cell covering, computed once at spawn.
-    extent: Option<CoverageExtent>,
+    /// The committed extent (spec §13.1): the registration cap's cell
+    /// covering, computed once at spawn.
+    extent: Vec<u64>,
     /// The catalogue (spec §9.1), the server's one list of the kinds it
     /// offers and the localization technologies it accepts (paper §5.2:
     /// technology advertisement drives which cues clients send).
     catalogue: Catalogue,
 }
 
-/// The extent advertised for a registration cap (spec §13.1). Its
-/// cells are the commitment: they MUST hold every answerable element.
-/// The cap does not (a venue's far corners lie past it), so it is only
-/// a pre-check that cannot prune alone (spec §13.3).
-fn registration_extent(center: LatLng, radius_m: f64) -> Option<CoverageExtent> {
-    (radius_m > 0.0).then(|| {
-        let cells = RegionCoverer::new(4, crate::naming::QUERY_LEVEL, 16)
-            .covering(&Region::Cap { center, radius_m })
-            .into_iter()
-            .map(|c| c.raw())
-            .collect();
-        CoverageExtent {
-            cells,
-            center,
-            radius_m,
-        }
-    })
+/// The extent advertised for a registration cap (spec §13.1): the
+/// cap's cell covering, which MUST hold every answerable element. The
+/// cap itself does not (a venue's far corners lie past it), so it is
+/// not advertised. A cap of no positive radius commits to nothing.
+fn registration_extent(center: LatLng, radius_m: f64) -> Vec<u64> {
+    let cap = Region::Cap { center, radius_m };
+    let cells = (radius_m > 0.0)
+        .then(|| RegionCoverer::new(4, crate::naming::QUERY_LEVEL, 16).covering(&cap));
+    cells.into_iter().flatten().map(|c| c.raw()).collect()
 }
 
 /// Engines rebuilt whenever the map changes, together with the
@@ -1256,7 +1248,7 @@ mod tests {
         let server = MapServer::spawn_on(&net, bare_config("bare", None));
         let before = server.hello();
         assert!(
-            before.coverage.is_some(),
+            !before.coverage.is_empty(),
             "a positive radius commits an extent"
         );
 

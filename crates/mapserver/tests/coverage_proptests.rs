@@ -6,34 +6,20 @@
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_geo::LatLng;
 use openflame_mapserver::protocol::{HelloInfo, Response};
-use openflame_mapserver::CoverageExtent;
 use proptest::prelude::*;
 
 fn arb_latlng() -> impl Strategy<Value = LatLng> {
     (-80.0f64..80.0, -179.0f64..179.0).prop_map(|(lat, lng)| LatLng::new(lat, lng).unwrap())
 }
 
-fn arb_extent() -> impl Strategy<Value = CoverageExtent> {
-    (
-        proptest::collection::vec(any::<u64>(), 0..20),
-        arb_latlng(),
-        0.0f64..100_000.0,
-    )
-        .prop_map(|(cells, center, radius_m)| CoverageExtent {
-            cells,
-            center,
-            radius_m,
-        })
-}
-
-/// Every field shape a Hello can carry on the wire, coverage
-/// included.
+/// Every field shape a Hello can carry on the wire: an extent is its
+/// raw cell ids, any of them, empty included (spec §13.1).
 fn arb_hello() -> impl Strategy<Value = HelloInfo> {
     (
         proptest::option::of(arb_latlng()),
         proptest::collection::vec((any::<u64>(), arb_latlng()), 0..4),
         any::<u64>(),
-        proptest::option::of(arb_extent()),
+        proptest::collection::vec(any::<u64>(), 0..20),
     )
         .prop_map(|(anchor, portals, version, coverage)| HelloInfo {
             anchor,

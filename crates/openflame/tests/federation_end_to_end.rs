@@ -4,8 +4,8 @@
 use openflame_codec::to_bytes;
 use openflame_core::{
     ClientError, Deployment, DeploymentConfig, FederatedRoute, FederatedSearchHit, GeocodeHit,
-    GeocodeQuery, LocalizeQuery, OpenFlameClient, ProviderEstimate, ProviderKind, RouteQuery,
-    SearchQuery, SpatialProvider, TileQuery,
+    GeocodeQuery, LocalizeQuery, OpenFlameClient, ProviderEstimate, ProviderKind,
+    ReverseGeocodeQuery, RouteQuery, SearchQuery, SpatialProvider, TileQuery,
 };
 use openflame_dns::{Catalogue, ResolverConfig};
 use openflame_geo::LatLng;
@@ -390,6 +390,70 @@ fn geocode_through_world_provider() {
     let hits = geocode_hits(&dep.client, &address, 3).unwrap();
     assert!(!hits.is_empty());
     assert!(hits[0].hit.score > 0.9, "address {address:?} hits {hits:?}");
+}
+
+/// The session's handshake counters count envelopes (spec §8): an
+/// envelope to an endpoint whose advertisement the session holds is a
+/// hit, one that carries the handshake a miss, and reading an
+/// advertisement counts nothing. So a warm call of every class is all
+/// hits, and a cold call's hits and misses add up to its envelopes.
+#[test]
+fn the_hello_counters_count_envelopes_warm_and_cold() {
+    let dep = Deployment::build(small_world(), DeploymentConfig::default());
+    let client = &dep.client;
+    let center = dep.world.config.center;
+    let product = &dep.world.products[5];
+    let near = dep.world.venues[product.venue].hint;
+    let shelf = search_hits(client, &product.name, near, 5).unwrap()[0].clone();
+    let address = (dep.world.outdoor.nodes())
+        .find_map(|n| {
+            (n.tags.has("addr:housenumber")).then(|| n.tags.get("name").unwrap().to_string())
+        })
+        .expect("world has addresses");
+    let gnss = LocationCue::Gnss {
+        fix: center,
+        accuracy_m: 4.0,
+    };
+    let rgeocode = || {
+        let query = ReverseGeocodeQuery {
+            location: center,
+            radius_m: 50.0,
+        };
+        client.reverse_geocode(query).map(drop)
+    };
+    type Call<'a> = &'a dyn Fn() -> Result<(), ClientError>;
+    let classes: [(&str, Call); 6] = [
+        ("geocode", &|| geocode_hits(client, &address, 3).map(drop)),
+        ("search", &|| {
+            search_hits(client, &product.name, near, 5).map(drop)
+        }),
+        ("rgeocode", &rgeocode),
+        ("route", &|| route_to(client, center, &shelf).map(drop)),
+        ("localize", &|| {
+            localize_at(client, center, std::slice::from_ref(&gnss)).map(drop)
+        }),
+        ("tile", &|| tile_at(client, center, 16).map(drop)),
+    ];
+    for (class, call) in classes {
+        for warm in [false, true] {
+            if !warm {
+                client.session().invalidate();
+            }
+            let before = client.session().stats();
+            call().unwrap_or_else(|e| panic!("{class}: {e}"));
+            let after = client.session().stats();
+            let batches = after.batches - before.batches;
+            let hits = after.hello_hits - before.hello_hits;
+            let misses = after.hello_misses - before.hello_misses;
+            assert!(batches > 0, "{class} sent nothing");
+            if warm {
+                assert_eq!((hits, misses), (batches, 0), "{class}, warm");
+            } else {
+                assert_eq!(hits + misses, batches, "{class}, cold");
+                assert!(misses > 0, "{class}, cold: first contact handshakes");
+            }
+        }
+    }
 }
 
 #[test]

@@ -97,14 +97,14 @@ fn a_fleet_only_cell_answers_mapsrv_with_the_fleet_only_vector() {
     assert_eq!(to_bytes(&answer).to_vec(), vector);
 }
 
-/// Spec §13.2: the hello's two options are pinned absent together and
-/// present together, decoded, not by byte offset.
+/// Spec §13.2: the hello's anchor and extent are pinned absent together
+/// and present together, decoded, not by byte offset.
 #[test]
 fn hello_is_pinned_with_neither_option_and_with_both() {
     let shapes: BTreeSet<(bool, bool)> = vectors::decoded::<Response>("Response")
         .into_iter()
         .filter_map(|response| match response {
-            Response::Hello(info) => Some((info.anchor.is_some(), info.coverage.is_some())),
+            Response::Hello(info) => Some((info.anchor.is_some(), !info.coverage.is_empty())),
             _ => None,
         })
         .collect();

@@ -42,7 +42,7 @@ fn stub_service() -> Arc<dyn openflame_netsim::WireService> {
                     anchor: None,
                     portals: Vec::new(),
                     version: 1,
-                    coverage: None,
+                    coverage: Vec::new(),
                 })
             })
             .collect();

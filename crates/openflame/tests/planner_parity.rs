@@ -356,12 +356,10 @@ fn dead_replica_cached_state_is_purged_on_failover() {
 }
 
 /// Spec §13.1: an extent's cells are the server's commitment, so every
-/// element a venue server can answer lies in one of them. The cap
-/// beside them is a pre-check that cannot prune alone (spec §13.3): a
-/// venue's registration radius is 0.75 × its larger side, but its far
-/// corner lies up to a whole diagonal from the hint, so many nodes lie
-/// outside the cap (printed, not asserted). The worlds are the default
-/// one and the three the benchmark's gated workloads build.
+/// element a venue server can answer lies in one of them — far corners
+/// included, which lie past the registration cap (0.75 × a venue's
+/// larger side) the cells cover. The worlds are the default one and the
+/// three the benchmark's gated workloads build.
 #[test]
 fn every_venue_node_lies_inside_its_advertised_extent_cells() {
     let bench = |stores, blocks| WorldConfig {
@@ -378,16 +376,12 @@ fn every_venue_node_lies_inside_its_advertised_extent_cells() {
         bench(16, 8),
     ] {
         let dep = Deployment::build(World::generate(config), DeploymentConfig::default());
-        let (mut nodes, mut outside_cap) = (0, 0);
+        let mut nodes = 0;
         for (venue, server) in dep.venue_servers.iter().enumerate() {
-            let hello = server.hello();
-            let extent = hello
-                .coverage
-                .as_ref()
-                .expect("a venue advertises an extent");
-            let cells: Vec<CellId> = (extent.cells.iter())
+            let cells: Vec<CellId> = (server.hello().coverage.iter())
                 .map(|&raw| CellId::from_raw(raw).unwrap())
                 .collect();
+            assert!(!cells.is_empty(), "a venue advertises an extent");
             for node in dep.world.venues[venue].map.nodes() {
                 let geo = dep.world.venue_point_to_geo(venue, node.pos);
                 assert!(
@@ -397,11 +391,10 @@ fn every_venue_node_lies_inside_its_advertised_extent_cells() {
                     node.id
                 );
                 nodes += 1;
-                outside_cap += usize::from(geo.haversine_distance(extent.center) > extent.radius_m);
             }
         }
         println!(
-            "{} stores: {nodes} venue nodes, all inside the extent cells; {outside_cap} outside the cap",
+            "{} stores: {nodes} venue nodes, all inside the extent cells",
             dep.world.venues.len()
         );
     }

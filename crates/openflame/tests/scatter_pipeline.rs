@@ -20,7 +20,8 @@
 //! 3. **Peer bytes may make a query fail, never lie or panic**: a tile
 //!    echoing another coordinate, portal cost matrices of a shape that
 //!    was not asked for, and a result limit past `u32::MAX` — and a tile
-//!    zoom deeper than the pyramid is refused before any byte is sent.
+//!    zoom deeper than the pyramid, or a NaN or negative search or
+//!    reverse-geocode radius, is refused before any byte is sent.
 
 use openflame_cells::CellId;
 use openflame_codec::{from_bytes, to_bytes};
@@ -120,7 +121,7 @@ fn advertisement(anchor: Option<LatLng>, portals: Vec<(u64, LatLng)>) -> HelloIn
         anchor,
         portals,
         version: 1,
-        coverage: None,
+        coverage: Vec::new(),
     }
 }
 
@@ -619,29 +620,75 @@ fn a_tile_echoing_another_coordinate_is_not_the_tile_asked_for() {
 }
 
 #[test]
-fn a_tile_deeper_than_the_pyramid_is_refused_before_anything_is_sent() {
+fn a_query_that_names_nothing_is_refused_before_anything_is_sent() {
+    // A tile zoom deeper than the pyramid, or a NaN or negative search
+    // or reverse-geocode radius — one no cell test passes, so an extent
+    // would prove it disjoint from everything — on a plain view and on a
+    // fleet view, and on the centralized provider.
     let net = BackendKind::Sim.build(1);
     let federated = client_seeing(&net, plain_view(vec![anchored_stub(&net, "a", honest)]));
+    let shard = FleetShardView::new(
+        &[CellId::from_latlng(here(), 16).unwrap().raw()],
+        vec![anchored_stub(&net, "shard-r0", honest)],
+    );
+    let fleet = client_seeing(
+        &net,
+        DiscoveryView {
+            servers: Vec::new(),
+            fleets: vec![FleetView {
+                group_id: "fleet".into(),
+                catalogue: Catalogue::default(),
+                shards: vec![Arc::new(shard)],
+            }],
+        },
+    );
     let (central, world) = central_answering(honest);
+    let refused = |err: ClientError| matches!(err, ClientError::InvalidQuery(_));
     for z in [MAX_ZOOM + 1, 64, u8::MAX] {
         net.reset_stats();
-        let err = federated.tile(TileQuery { center: here(), z }).unwrap_err();
-        assert!(matches!(err, ClientError::InvalidQuery(_)), "z {z}: {err}");
+        assert!(refused(
+            federated.tile(TileQuery { center: here(), z }).unwrap_err()
+        ));
         assert_eq!(net.stats().messages, 0, "z {z}: nothing was sent");
         let sent = central.transport().stats().messages;
-        let query = TileQuery {
-            center: world.config.center,
-            z,
-        };
-        let err = central.tile(query).unwrap_err();
-        assert!(matches!(err, ClientError::InvalidQuery(_)), "z {z}: {err}");
+        let center = world.config.center;
+        assert!(refused(central.tile(TileQuery { center, z }).unwrap_err()));
         assert_eq!(central.transport().stats().messages, sent, "z {z}");
+    }
+    let search = |location, radius_m| SearchQuery {
+        query: "kiosk".into(),
+        location,
+        radius_m,
+        k: 3,
+    };
+    for radius_m in [f64::NAN, -1.0] {
+        for client in [&federated, &fleet] {
+            net.reset_stats();
+            assert!(refused(
+                client.search(search(here(), radius_m)).unwrap_err()
+            ));
+            assert!(refused(
+                reverse_geocode_at(client, here(), radius_m).unwrap_err()
+            ));
+            assert_eq!(net.stats().messages, 0, "r {radius_m}: nothing was sent");
+        }
+        let sent = central.transport().stats().messages;
+        let location = world.config.center;
+        assert!(refused(
+            central.search(search(location, radius_m)).unwrap_err()
+        ));
+        let query = ReverseGeocodeQuery { location, radius_m };
+        assert!(refused(central.reverse_geocode(query).unwrap_err()));
+        assert_eq!(central.transport().stats().messages, sent, "r {radius_m}");
     }
     let deepest = TileQuery {
         center: here(),
         z: MAX_ZOOM,
     };
     assert!(federated.tile(deepest).is_ok());
+    for client in [&federated, &fleet] {
+        assert!(!search_hits(client, "kiosk", here(), 3).unwrap().is_empty());
+    }
 }
 
 #[test]

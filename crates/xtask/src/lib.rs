@@ -660,7 +660,7 @@ struct Rule {
     why: &'static str,
 }
 
-const RULES: [Rule; 7] = [
+const RULES: [Rule; 8] = [
     Rule {
         needles: &[
             "std::sync::Mutex",
@@ -678,7 +678,7 @@ const RULES: [Rule; 7] = [
         scope: &["crates/core/src/"],
         exempt: Some("crates/core/src/session.rs"),
         why: "in core outside session.rs: the session appends the handshake; send the \
-              envelope and read `Session::cached_hello` (servers answer the variant, so it \
+              envelope and read `Session::advertised` (servers answer the variant, so it \
               cannot be private)",
     },
     Rule {
@@ -695,6 +695,14 @@ const RULES: [Rule; 7] = [
         why: "in core: a `MAPSRV` answer carries the cell's `FLEETSRV` records in its \
               additional section (spec §9.1), so discovery asks one question per cell \
               (zones and the resolver answer the variant, so it cannot be private)",
+    },
+    Rule {
+        needles: &["may_intersect_cell"],
+        scope: &["crates/core/src/"],
+        exempt: None,
+        why: "in core: test against an `Extent`'s cached bounds, so a warm plan computes \
+              no cell geometry (a cell box allocates nothing for a count to see, and \
+              `openflame_cells` is public)",
     },
     Rule {
         needles: &[".unwrap()"],

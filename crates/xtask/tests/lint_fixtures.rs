@@ -388,6 +388,29 @@ mod tests { fn t() { let _ = vec![Request::Hello]; } }
 }
 
 #[test]
+fn forbidden_api_flags_cell_geometry_on_the_plan_path_in_core() {
+    let src = "\
+fn prune(cap: &Region, cells: &[CellId]) -> bool {
+    cells.iter().all(|&cell| !cap.may_intersect_cell(cell))
+}
+#[cfg(test)]
+fn oracle(cap: &Region, cell: CellId) -> bool { cap.may_intersect_cell(cell) }
+";
+    for file in ["crates/core/src/plan.rs", "crates/core/src/fleet.rs"] {
+        let f = forbidden_api_findings(file, src);
+        assert_eq!(f.iter().map(|f| f.line).collect::<Vec<_>>(), [2]);
+        assert!(f[0]
+            .msg
+            .contains("test against an `Extent`'s cached bounds"));
+    }
+    // The coverer refines cells by testing them, once per covering.
+    assert_eq!(
+        forbidden_api_findings("crates/cells/src/coverer.rs", src),
+        []
+    );
+}
+
+#[test]
 fn forbidden_api_flags_a_per_endpoint_map_in_core_outside_the_session() {
     let src = "\
 /// Not a `HashMap<EndpointId, u64>` any more.

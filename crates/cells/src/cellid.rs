@@ -214,16 +214,9 @@ impl CellId {
     pub fn bbox(&self) -> BBox {
         let (face, i, j) = self.to_face_ij();
         let size = (1u64 << self.level()) as f64;
-        let mut pts = Vec::with_capacity(9);
-        for si in 0..=2 {
-            for tj in 0..=2 {
-                pts.push(face_st_to_latlng(
-                    face,
-                    (i as f64 + si as f64 / 2.0) / size,
-                    (j as f64 + tj as f64 / 2.0) / size,
-                ));
-            }
-        }
+        let st = |k: u32, halves: u32| (k as f64 + halves as f64 / 2.0) / size;
+        let pts = (0..=2)
+            .flat_map(|si| (0..=2).map(move |tj| face_st_to_latlng(face, st(i, si), st(j, tj))));
         let b = BBox::from_points(pts).expect("nine points");
         if b.lng_hi() - b.lng_lo() > 180.0 {
             // Longitudes wrapped; widen to the full range.

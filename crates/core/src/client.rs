@@ -254,8 +254,8 @@ impl OpenFlameClient {
     }
 
     /// Builds the scatter plan for one query: the fleet-aware discovery
-    /// view (shard-stably cached in the session per query cell — the
-    /// cell failover invalidates) feeds the planner ([`plan::plan`]),
+    /// view (shard-stably cached in the session per query cell) feeds
+    /// the planner ([`plan::plan`]),
     /// which keeps every plain server plus one selected replica per
     /// fleet shard intersecting the footprint, minus the sources whose
     /// cached advertisements prove they cannot contribute to `kind`
@@ -282,7 +282,6 @@ impl OpenFlameClient {
         Ok(plan::plan(
             &self.session,
             self.coverage_planner,
-            cell,
             &view,
             kind,
             footprint,
@@ -491,8 +490,8 @@ fn execute(
 
 /// Retries failed fleet branches on sibling replicas. Each failed
 /// branch's endpoint is marked dead — one session call, which replaces
-/// its advertisement and drops its discovery cell, so the dead replica
-/// is not re-served from cache; the branch then retries on the first
+/// its advertisement, so the dead replica is neither served from cache
+/// nor chosen by the next plan; the branch then retries on the first
 /// untried live sibling, round after round, until it succeeds or its
 /// replicas are exhausted. Plain (non-fleet) branches are left
 /// untouched. On success the branch's plan entry is updated to the
@@ -515,12 +514,12 @@ fn failover(
             if outcome.is_ok() {
                 continue;
             }
-            let Some(branch) = &plan.targets[idx].fleet else {
+            let Some(shard) = &plan.targets[idx].fleet else {
                 continue;
             };
             let failed = *tried[idx].last().expect("seeded with the first pick");
-            session.mark_dead(failed, branch.cell_raw);
-            let Some(sibling) = fleet::sibling(session, &branch.shard, &tried[idx]) else {
+            session.mark_dead(failed);
+            let Some(sibling) = fleet::sibling(session, shard, &tried[idx]) else {
                 continue;
             };
             let sibling = sibling.clone();
@@ -842,21 +841,17 @@ impl SpatialProvider for OpenFlameClient {
             };
             // The route plan at the start: the outdoor candidates (the
             // planner prunes sources that provably cannot route) and,
-            // when a fleet serves the target's map, the target's branch.
+            // when a fleet serves the target's map, the target's shard.
             let mut plan = self.plan_query_at(Some(QueryKind::Route), from, None)?;
-            let branch = (plan.targets.iter().filter_map(|t| t.fleet.as_ref())).find(|b| {
-                b.shard
-                    .replicas
-                    .iter()
-                    .any(|r| r.endpoint == target.endpoint)
-            });
+            let shard = (plan.targets.iter().filter_map(|t| t.fleet.as_ref()))
+                .find(|s| s.replicas.iter().any(|r| r.endpoint == target.endpoint));
             let mut dest = PlannedTarget {
                 server: Arc::new(DiscoveredServer {
                     server_id: target.server_id.clone(),
                     endpoint: target.endpoint,
                     catalogue: Catalogue::default(),
                 }),
-                fleet: branch.cloned(),
+                fleet: shard.cloned(),
             };
             // First contact: the target's frame and portals shape every
             // later round, so a cold target is handshaken first, in a

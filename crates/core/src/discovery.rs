@@ -370,7 +370,7 @@ mod tests {
                 (QueryKind::ReverseGeocode, 100.0),
                 (QueryKind::Localize, 100.0),
             ] {
-                let plan = plan(&session, true, 0, &view, Some(kind), Some((here, radius_m)));
+                let plan = plan(&session, true, &view, Some(kind), Some((here, radius_m)));
                 assert_eq!(
                     plan.consulted(),
                     1,

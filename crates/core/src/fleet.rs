@@ -329,11 +329,11 @@ mod tests {
         let session = session();
         let s = shard(&[20, 21]);
         let victim = choose(&session, &s).unwrap().endpoint;
-        session.mark_dead(victim, 0);
+        session.mark_dead(victim);
         let other = choose(&session, &s).unwrap().endpoint;
         assert_ne!(other, victim, "dead replica must not be chosen");
         assert!(session.is_dead(victim) && !session.is_dead(other));
-        session.mark_dead(other, 0);
+        session.mark_dead(other);
         assert!(choose(&session, &s).is_none(), "all dead → no candidate");
         // The dead marks age out on the transport clock.
         session.transport().advance_us(DEAD_TTL_US + 1);
@@ -345,7 +345,7 @@ mod tests {
     fn sibling_skips_tried_and_dead() {
         let session = session();
         let s = shard(&[30, 31, 32]);
-        session.mark_dead(EndpointId(31), 0);
+        session.mark_dead(EndpointId(31));
         let sib = sibling(&session, &s, &[EndpointId(30)]).unwrap();
         assert_eq!(sib.endpoint, EndpointId(32));
         assert!(sibling(&session, &s, &[EndpointId(30), EndpointId(32)]).is_none());

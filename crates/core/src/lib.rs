@@ -165,9 +165,10 @@
 //!   replica that fails at the wire is retried on a sibling — for
 //!   idempotent requests only (`docs/wire-protocol.md` spec §7) — and
 //!   marked dead in the session (`Session::mark_dead`): the mark
-//!   replaces the replica's cached advertisement and the per-cell
-//!   discovery cache is invalidated, so the dead replica is neither
-//!   re-consulted nor served from cache. Only a fully
+//!   replaces the replica's cached advertisement, and the planner
+//!   reads it when it chooses a replica, so the dead replica is neither
+//!   re-consulted nor served from cache, while the cell's cached
+//!   discovery, which records no liveness, stays. Only a fully
 //!   down **shard** surfaces [`ClientError::PartialFailure`], sources
 //!   preserved.
 //!
@@ -243,7 +244,7 @@ pub use client::{
 pub use deployment::{Deployment, DeploymentConfig, FleetMember};
 pub use discovery::{DiscoveredServer, DiscoveryClient, DiscoveryStats};
 pub use fleet::{DiscoveryView, FleetShardView, FleetView};
-pub use plan::{FleetBranch, PlannedTarget, PruneReason, PrunedSource, QueryKind, ScatterPlan};
+pub use plan::{PlannedTarget, PruneReason, PrunedSource, QueryKind, ScatterPlan};
 pub use provider::{
     CallStats, GeocodeHit, GeocodeOutcome, GeocodeQuery, LocalizeOutcome, LocalizeQuery,
     ProviderEstimate, ReverseGeocodeOutcome, ReverseGeocodeQuery, RouteOutcome, RouteQuery,

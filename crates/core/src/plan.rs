@@ -55,8 +55,8 @@
 //! catalogue rules out a frame skips it). It fails fleet
 //! branches over to sibling replicas (idempotent requests only, spec
 //! §7): each failed replica is marked dead in the session, which
-//! replaces its advertisement and drops its discovery cell in the same
-//! call, so a dead endpoint is never re-served from cache.
+//! replaces its advertisement, so a dead endpoint is never re-served
+//! from cache, and the next plan, reading the mark, chooses a sibling.
 
 use crate::discovery::DiscoveredServer;
 use crate::fleet::{self, DiscoveryView, FleetShardView};
@@ -205,28 +205,19 @@ pub struct PrunedSource {
     pub reason: PruneReason,
 }
 
-/// Fleet context of a planned branch: the shard it consults (sibling
-/// replicas live in `shard.replicas`) and the discovery-cache cell to
-/// invalidate on failover.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetBranch {
-    /// The shard this branch consults, shared with the discovery view
-    /// it was planned from.
-    pub shard: Arc<FleetShardView>,
-    /// The session discovery-cache cell to invalidate on failover.
-    pub cell_raw: u64,
-}
-
 /// One branch of a scatter plan: the concrete server to consult,
-/// plus — when the branch serves a fleet shard — the failover context.
+/// plus — when the branch serves a fleet shard — the shard it fails
+/// over within.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedTarget {
     /// The server to consult (updated to the answering replica on
     /// failover, keeping provenance honest), shared with the discovery
     /// view it was planned from.
     pub server: Arc<DiscoveredServer>,
-    /// Fleet failover context, `None` for plain servers.
-    pub fleet: Option<FleetBranch>,
+    /// The fleet shard this branch consults (sibling replicas live in
+    /// its `replicas`), shared with the discovery view it was planned
+    /// from; `None` for plain servers.
+    pub fleet: Option<Arc<FleetShardView>>,
 }
 
 /// A scatter plan: which sources to consult for one query, which were
@@ -282,7 +273,6 @@ impl ScatterPlan {
 pub fn plan(
     session: &Session,
     coverage_planner: bool,
-    cell_raw: u64,
     view: &DiscoveryView,
     kind: Option<QueryKind>,
     footprint: Option<(LatLng, f64)>,
@@ -312,10 +302,7 @@ pub fn plan(
             }),
             None => plan.targets.push(PlannedTarget {
                 server: server.clone(),
-                fleet: shard.map(|shard| FleetBranch {
-                    shard: shard.clone(),
-                    cell_raw,
-                }),
+                fleet: shard.cloned(),
             }),
         }
     };
@@ -407,7 +394,7 @@ pub(crate) mod tests {
     /// extent these tests advertise.
     fn search_plan(session: &Session, view: &DiscoveryView) -> ScatterPlan {
         let footprint = Some((far(), 100.0));
-        plan(session, true, 0, view, Some(QueryKind::Search), footprint)
+        plan(session, true, view, Some(QueryKind::Search), footprint)
     }
 
     #[test]
@@ -433,13 +420,10 @@ pub(crate) mod tests {
         // The recall oracle and kind-agnostic listings never prune.
         let (search, footprint) = (Some(QueryKind::Search), Some((far(), 100.0)));
         assert_eq!(
-            plan(&session, false, 0, &view, search, footprint).consulted(),
+            plan(&session, false, &view, search, footprint).consulted(),
             1
         );
-        assert_eq!(
-            plan(&session, true, 0, &view, None, footprint).consulted(),
-            1
-        );
+        assert_eq!(plan(&session, true, &view, None, footprint).consulted(), 1);
         // A re-advertisement with an empty extent withdraws the proof.
         let bare = HelloInfo {
             coverage: Vec::new(),
@@ -454,7 +438,7 @@ pub(crate) mod tests {
         assert_eq!(search_plan(&session, &view).consulted(), 1);
         session.store_hello(EndpointId(50), hello);
         assert_eq!(search_plan(&session, &view).consulted(), 0);
-        session.mark_dead(EndpointId(50), 0);
+        session.mark_dead(EndpointId(50));
         assert_eq!(search_plan(&session, &view).consulted(), 1);
     }
 
@@ -466,7 +450,7 @@ pub(crate) mod tests {
         let (session, view, hello) = one_source(extent_around(anchor(), 80.0));
         session.store_hello(EndpointId(50), hello);
         for footprint in [None, Some((anchor(), 50.0))] {
-            let plan = plan(&session, true, 0, &view, Some(QueryKind::Search), footprint);
+            let plan = plan(&session, true, &view, Some(QueryKind::Search), footprint);
             let kept = (plan.consulted(), plan.pruned_count());
             assert_eq!(kept, (1, 0), "{footprint:?}");
         }
@@ -482,7 +466,6 @@ pub(crate) mod tests {
             plan(
                 &session,
                 coverage_planner,
-                0,
                 view,
                 Some(QueryKind::Tile),
                 None,

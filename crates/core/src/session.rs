@@ -207,7 +207,7 @@ enum EndpointEntry {
 ///
 /// ```compile_fail
 /// fn fail_over(s: &openflame_core::Session, id: openflame_netsim::EndpointId) {
-///     s.mark_dead(id, 0);
+///     s.mark_dead(id);
 /// }
 /// ```
 ///
@@ -497,18 +497,17 @@ impl Session {
         }
     }
 
-    /// Records that fleet replica `endpoint`, discovered under query
-    /// cell `cell_raw`, failed at the wire — the one call failover
-    /// makes. The dead mark *replaces* the endpoint's advertisement
-    /// for [`DEAD_TTL_US`], so replica selection skips it and nothing
-    /// it once advertised is served or pruned from; the cell's cached
-    /// discovery is dropped with it ([`Session::invalidate_cell`]).
-    pub(crate) fn mark_dead(&self, endpoint: EndpointId, cell_raw: u64) {
+    /// Records that fleet replica `endpoint` failed at the wire — the
+    /// one call failover makes. The dead mark *replaces* the endpoint's
+    /// advertisement for [`DEAD_TTL_US`], so replica selection skips it
+    /// and nothing it once advertised is served or pruned from. Cached
+    /// discoveries stay: they hold no liveness, and the planner reads
+    /// the mark when it chooses a replica.
+    pub(crate) fn mark_dead(&self, endpoint: EndpointId) {
         let now = self.transport.now_us();
         self.endpoints
             .lock()
             .insert(endpoint, EndpointEntry::Dead, now, DEAD_TTL_US);
-        self.invalidate_cell(cell_raw);
     }
 
     /// Whether `endpoint` carries an unexpired dead mark. The mark is
@@ -554,17 +553,6 @@ impl Session {
         self.discoveries
             .lock()
             .insert(cell_raw, view.into(), now, DEFAULT_TTL_US);
-    }
-
-    /// Drops the cached discovery result for one query cell. Part of
-    /// marking a replica dead ([`Session::mark_dead`]): without an
-    /// explicit invalidation path a dead replica would keep being
-    /// re-consulted from this cache until its 300 s TTL expired — the
-    /// next discovery re-resolves (usually from the resolver's own
-    /// cache, so the cost is local) and re-selects against the current
-    /// dead marks.
-    pub(crate) fn invalidate_cell(&self, cell_raw: u64) {
-        self.discoveries.lock().remove(&cell_raw);
     }
 
     // ----------------------------------------------------------------
@@ -825,7 +813,7 @@ pub(crate) mod tests {
         transport.advance_us(1_000);
         // The mark expires long before the advertisements around it,
         // yet it is the freshest entry: it must not evict itself.
-        session.mark_dead(EndpointId(7), 0);
+        session.mark_dead(EndpointId(7));
         assert!(session.is_dead(EndpointId(7)));
     }
 
@@ -853,23 +841,8 @@ pub(crate) mod tests {
         // A fresh insert is counted again; a dead mark shares the cache
         // but is not an advertisement.
         session.store_hello(EndpointId(7), stub_hello(7));
-        session.mark_dead(EndpointId(8), 0);
+        session.mark_dead(EndpointId(8));
         assert_eq!(session.stats().hello_cache_len, 1);
-    }
-
-    #[test]
-    fn invalidate_cell_leaves_other_cells_untouched() {
-        let transport = BackendKind::Sim.build(1);
-        let endpoint = transport.register("client", None);
-        let session = Session::new(transport, endpoint, Principal::anonymous());
-        session.store_discovery(7, DiscoveryView::default());
-        session.store_discovery(8, DiscoveryView::default());
-        session.invalidate_cell(7);
-        assert!(session.cached_discovery(7).is_none());
-        assert!(
-            session.cached_discovery(8).is_some(),
-            "other cells must be untouched"
-        );
     }
 
     #[test]
@@ -901,19 +874,16 @@ pub(crate) mod tests {
         session.store_hello(dead, stub_hello(70));
         session.store_hello(alive, stub_hello(71));
         session.store_discovery(7, DiscoveryView::default());
-        session.store_discovery(8, DiscoveryView::default());
-        session.mark_dead(dead, 7);
+        session.mark_dead(dead);
         assert!(session.is_dead(dead));
         assert!(session.advertised(dead).is_none());
         assert!(
-            session.cached_discovery(7).is_none(),
-            "the cell the dead replica was discovered under re-resolves"
+            session.cached_discovery(7).is_some(),
+            "a discovery holds no liveness, so a dead mark keeps it"
         );
         assert!(
-            !session.is_dead(alive)
-                && session.advertised(alive).is_some()
-                && session.cached_discovery(8).is_some(),
-            "other endpoints and cells must be untouched"
+            !session.is_dead(alive) && session.advertised(alive).is_some(),
+            "other endpoints must be untouched"
         );
     }
 
@@ -923,7 +893,7 @@ pub(crate) mod tests {
         let client = transport.register("client", None);
         let (server, log) = stub_server(&transport, 0, HelloAnswer::Advertise);
         let session = Session::new(transport.clone(), client, Principal::anonymous());
-        session.mark_dead(server, 0);
+        session.mark_dead(server);
         transport.advance_us(DEAD_TTL_US - 1);
         assert!(session.is_dead(server));
         transport.advance_us(2);
@@ -931,7 +901,7 @@ pub(crate) mod tests {
         // Sooner than that, the wire decides: the mark is a hint, so an
         // envelope still goes out — handshake riding, the endpoint being
         // unadvertised — and the answer overwrites the mark.
-        session.mark_dead(server, 0);
+        session.mark_dead(server);
         let responses = session.batch(server, vec![probe()]).unwrap();
         assert_eq!(versions(&responses), [0]);
         assert_eq!(

@@ -1,6 +1,6 @@
 //! The map document: element storage, indices, and geo-referencing.
 
-use crate::element::{ElementId, Node, NodeId, Relation, RelationId, Way, WayId};
+use crate::element::{ElementId, Node, NodeId, Way, WayId};
 use crate::spatial::SpatialGrid;
 use crate::{MapError, Tags};
 use openflame_geo::{LatLng, LocalFrame, Point2};
@@ -85,7 +85,6 @@ pub struct MapDocument {
     georef: GeoReference,
     nodes: BTreeMap<NodeId, Node>,
     ways: BTreeMap<WayId, Way>,
-    relations: BTreeMap<RelationId, Relation>,
     grid: SpatialGrid,
     next_id: u64,
 }
@@ -106,7 +105,6 @@ impl MapDocument {
             georef,
             nodes: BTreeMap::new(),
             ways: BTreeMap::new(),
-            relations: BTreeMap::new(),
             grid: SpatialGrid::new(GRID_CELL_M),
             next_id: 1,
         }
@@ -242,18 +240,8 @@ impl MapDocument {
         self.ways.get(&id)
     }
 
-    /// Removes a way. Fails if a relation still references it.
+    /// Removes a way.
     pub(crate) fn remove_way(&mut self, id: WayId) -> Result<Way, MapError> {
-        let referenced = self
-            .relations
-            .values()
-            .find(|r| r.members.iter().any(|m| m.element == ElementId::Way(id)));
-        if let Some(rel) = referenced {
-            return Err(MapError::MissingReference {
-                referrer: ElementId::Relation(rel.id),
-                referee: ElementId::Way(id),
-            });
-        }
         self.ways
             .remove(&id)
             .ok_or(MapError::NotFound(ElementId::Way(id)))
@@ -278,53 +266,7 @@ impl MapDocument {
             .collect()
     }
 
-    // ---------------- relations ----------------
-
-    /// Inserts a relation with a caller-chosen id.
-    pub(crate) fn insert_relation(&mut self, rel: Relation) -> Result<(), MapError> {
-        if self.relations.contains_key(&rel.id) {
-            return Err(MapError::DuplicateId(ElementId::Relation(rel.id)));
-        }
-        for m in &rel.members {
-            if !self.element_exists(m.element) && m.element != ElementId::Relation(rel.id) {
-                return Err(MapError::MissingReference {
-                    referrer: ElementId::Relation(rel.id),
-                    referee: m.element,
-                });
-            }
-        }
-        self.next_id = self.next_id.max(rel.id.0.saturating_add(1));
-        self.relations.insert(rel.id, rel);
-        Ok(())
-    }
-
-    /// Looks up a relation.
-    pub(crate) fn relation(&self, id: RelationId) -> Option<&Relation> {
-        self.relations.get(&id)
-    }
-
-    /// Removes a relation.
-    pub(crate) fn remove_relation(&mut self, id: RelationId) -> Result<Relation, MapError> {
-        self.relations
-            .remove(&id)
-            .ok_or(MapError::NotFound(ElementId::Relation(id)))
-    }
-
-    /// Iterates all relations in id order.
-    pub fn relations(&self) -> impl Iterator<Item = &Relation> {
-        self.relations.values()
-    }
-
     // ---------------- queries ----------------
-
-    /// Whether an element exists.
-    pub(crate) fn element_exists(&self, id: ElementId) -> bool {
-        match id {
-            ElementId::Node(n) => self.nodes.contains_key(&n),
-            ElementId::Way(w) => self.ways.contains_key(&w),
-            ElementId::Relation(r) => self.relations.contains_key(&r),
-        }
-    }
 
     /// Nodes within `radius` meters of `center` (document frame).
     pub fn nodes_within(&self, center: Point2, radius: f64) -> Vec<&Node> {
@@ -372,16 +314,6 @@ impl MapDocument {
                 }
             }
         }
-        for rel in self.relations.values() {
-            for m in &rel.members {
-                if !self.element_exists(m.element) {
-                    return Err(MapError::MissingReference {
-                        referrer: ElementId::Relation(rel.id),
-                        referee: m.element,
-                    });
-                }
-            }
-        }
         Ok(())
     }
 }
@@ -389,7 +321,6 @@ impl MapDocument {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::Member;
 
     fn anchored() -> GeoReference {
         GeoReference::Anchored {
@@ -469,44 +400,6 @@ mod tests {
         assert!(m.nodes_within(Point2::ZERO, 10.0).is_empty());
         assert_eq!(m.nodes_within(Point2::new(500.0, 0.0), 1.0).len(), 1);
         assert_eq!(m.node(a).unwrap().pos, Point2::new(500.0, 0.0));
-    }
-
-    #[test]
-    fn relation_member_validation() {
-        let mut m = sample_map();
-        let way_id = m.ways().next().unwrap().id;
-        m.insert_relation(Relation::new(
-            RelationId(500),
-            vec![Member::new(ElementId::Way(way_id), "route")],
-            Tags::new().with("type", "route"),
-        ))
-        .unwrap();
-        assert_eq!(m.relation(RelationId(500)).unwrap().members.len(), 1);
-        // Missing member rejected.
-        let err = m
-            .insert_relation(Relation::new(
-                RelationId(501),
-                vec![Member::new(ElementId::Node(NodeId(12345)), "x")],
-                Tags::new(),
-            ))
-            .unwrap_err();
-        assert!(matches!(err, MapError::MissingReference { .. }));
-    }
-
-    #[test]
-    fn cannot_remove_way_in_relation() {
-        let mut m = sample_map();
-        let way_id = m.ways().next().unwrap().id;
-        m.insert_relation(Relation::new(
-            RelationId(500),
-            vec![Member::new(ElementId::Way(way_id), "route")],
-            Tags::new(),
-        ))
-        .unwrap();
-        assert!(matches!(
-            m.remove_way(way_id),
-            Err(MapError::MissingReference { .. })
-        ));
     }
 
     #[test]

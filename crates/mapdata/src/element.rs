@@ -1,4 +1,4 @@
-//! The three OSM element kinds: nodes, ways and relations.
+//! The two OSM element kinds a map is made of: nodes and ways.
 
 use crate::Tags;
 use openflame_geo::Point2;
@@ -11,10 +11,6 @@ pub struct NodeId(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WayId(pub u64);
 
-/// Identifier of a relation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RelationId(pub u64);
-
 /// A typed reference to any element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ElementId {
@@ -22,8 +18,6 @@ pub enum ElementId {
     Node(NodeId),
     /// A way reference.
     Way(WayId),
-    /// A relation reference.
-    Relation(RelationId),
 }
 
 /// A point on the map with metadata.
@@ -75,43 +69,6 @@ impl Way {
     }
 }
 
-/// A member of a relation: an element reference plus a role string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Member {
-    /// Referenced element.
-    pub element: ElementId,
-    /// Role of the member within the relation (e.g. `"entrance"`).
-    pub role: String,
-}
-
-impl Member {
-    /// Creates a member.
-    pub fn new(element: ElementId, role: impl Into<String>) -> Self {
-        Self {
-            element,
-            role: role.into(),
-        }
-    }
-}
-
-/// A collection of related elements with roles and metadata.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Relation {
-    /// Unique id within the document.
-    pub id: RelationId,
-    /// Members in order.
-    pub members: Vec<Member>,
-    /// Metadata.
-    pub tags: Tags,
-}
-
-impl Relation {
-    /// Creates a relation.
-    pub fn new(id: RelationId, members: Vec<Member>, tags: Tags) -> Self {
-        Self { id, members, tags }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,7 +103,6 @@ mod tests {
     #[test]
     fn element_id_ordering_stable() {
         let mut ids = vec![
-            ElementId::Relation(RelationId(1)),
             ElementId::Way(WayId(5)),
             ElementId::Node(NodeId(9)),
             ElementId::Node(NodeId(2)),
@@ -158,7 +114,6 @@ mod tests {
                 ElementId::Node(NodeId(2)),
                 ElementId::Node(NodeId(9)),
                 ElementId::Way(WayId(5)),
-                ElementId::Relation(RelationId(1)),
             ]
         );
     }

@@ -1,11 +1,14 @@
 //! The OpenStreetMap-style map data model used by every OpenFLAME map
 //! server (paper §3 of the paper).
 //!
-//! A *map* is a set of three element kinds:
+//! A *map* is a set of two element kinds:
 //!
 //! - [`Node`] — a point, with position and free-form tags,
-//! - [`Way`] — an ordered list of nodes (roads, walls, aisles, borders),
-//! - [`Relation`] — a collection of related elements with roles.
+//! - [`Way`] — an ordered list of nodes (roads, walls, aisles, borders).
+//!
+//! OSM's third kind, the relation, has no place here: every service a
+//! map server runs (geocoding, search, routing, tiles) reads nodes and
+//! ways only.
 //!
 //! Positions are metric [`Point2`](openflame_geo::Point2) coordinates in
 //! the document's own frame, and each [`MapDocument`] carries a
@@ -28,7 +31,7 @@ pub mod tags;
 pub mod wire;
 
 pub use document::{GeoReference, MapDocument, MapMeta};
-pub use element::{ElementId, Member, Node, NodeId, Relation, RelationId, Way, WayId};
+pub use element::{ElementId, Node, NodeId, Way, WayId};
 pub use patch::MapPatch;
 pub use spatial::SpatialGrid;
 pub use tags::Tags;

@@ -7,7 +7,7 @@
 //! `s1_venue_updates_stay_venue_sized` pushes patches through venue
 //! servers and a centralized one.
 
-use crate::element::{Node, NodeId, Relation, RelationId, Way, WayId};
+use crate::element::{Node, NodeId, Way, WayId};
 use crate::{MapDocument, MapError};
 
 /// A batch of edits bringing a map from `base_version` to
@@ -20,14 +20,10 @@ pub struct MapPatch {
     pub upsert_nodes: Vec<Node>,
     /// Ways to insert or replace.
     pub upsert_ways: Vec<Way>,
-    /// Relations to insert or replace.
-    pub upsert_relations: Vec<Relation>,
     /// Nodes to delete.
     pub remove_nodes: Vec<NodeId>,
     /// Ways to delete.
     pub remove_ways: Vec<WayId>,
-    /// Relations to delete.
-    pub remove_relations: Vec<RelationId>,
 }
 
 impl MapPatch {
@@ -43,10 +39,8 @@ impl MapPatch {
     pub fn is_empty(&self) -> bool {
         self.upsert_nodes.is_empty()
             && self.upsert_ways.is_empty()
-            && self.upsert_relations.is_empty()
             && self.remove_nodes.is_empty()
             && self.remove_ways.is_empty()
-            && self.remove_relations.is_empty()
     }
 
     /// Applies the patch to `map`.
@@ -54,8 +48,8 @@ impl MapPatch {
     /// The patch is rejected wholesale (map untouched) if the base
     /// version does not match; element-level failures surface after the
     /// removals/upserts they depend on, so ordering within a patch is:
-    /// relation removals, way removals, node removals, node upserts, way
-    /// upserts, relation upserts. On success the map version is bumped.
+    /// way removals, node removals, node upserts, way upserts. On
+    /// success the map version is bumped.
     pub fn apply(&self, map: &mut MapDocument) -> Result<(), MapError> {
         if map.meta().version != self.base_version {
             return Err(MapError::PatchConflict(format!(
@@ -63,9 +57,6 @@ impl MapPatch {
                 self.base_version,
                 map.meta().version
             )));
-        }
-        for id in &self.remove_relations {
-            map.remove_relation(*id)?;
         }
         for id in &self.remove_ways {
             map.remove_way(*id)?;
@@ -86,12 +77,6 @@ impl MapPatch {
                 map.remove_way(way.id)?;
             }
             map.insert_way(way.clone())?;
-        }
-        for rel in &self.upsert_relations {
-            if map.relation(rel.id).is_some() {
-                map.remove_relation(rel.id)?;
-            }
-            map.insert_relation(rel.clone())?;
         }
         map.bump_version();
         Ok(())

@@ -13,7 +13,7 @@
 //! - [`LatLngCodec`]: validates the coordinate range on decode.
 //! - [`Tags`]: a map, rebuilt through `insert`.
 
-use crate::element::{ElementId, Member, Node, NodeId, Relation, RelationId, Way, WayId};
+use crate::element::{ElementId, Node, NodeId, Way, WayId};
 use crate::{MapPatch, Tags};
 use openflame_codec::{wire_enum, wire_struct, CodecError, FieldCodec, Reader, Wire, Writer};
 use openflame_geo::{LatLng, Point2};
@@ -40,24 +40,18 @@ impl FieldCodec<LatLng> for LatLngCodec {
 
 wire_struct! { NodeId { 0 } }
 wire_struct! { WayId { 0 } }
-wire_struct! { RelationId { 0 } }
 wire_enum! { ElementId, "ElementId" {
     0 => Node(id),
     1 => Way(id),
-    2 => Relation(id),
 } }
 wire_struct! { Node { id, pos: PointCodec, tags } }
 wire_struct! { Way { id, nodes, tags } }
-wire_struct! { Member { element, role } }
-wire_struct! { Relation { id, members, tags } }
 wire_struct! { MapPatch {
     base_version,
     upsert_nodes,
     upsert_ways,
-    upsert_relations,
     remove_nodes,
     remove_ways,
-    remove_relations,
 } }
 
 impl Wire for Tags {
@@ -97,11 +91,7 @@ mod tests {
 
     #[test]
     fn element_id_round_trip() {
-        for id in [
-            ElementId::Node(NodeId(1)),
-            ElementId::Way(WayId(2)),
-            ElementId::Relation(RelationId(3)),
-        ] {
+        for id in [ElementId::Node(NodeId(1)), ElementId::Way(WayId(2))] {
             assert_eq!(from_bytes::<ElementId>(&to_bytes(&id)).unwrap(), id);
         }
     }

@@ -219,6 +219,52 @@ fn downed_replica_is_transparently_absorbed_on_every_backend() {
     }
 }
 
+/// A failover marks the dead replica and nothing else: the cell's
+/// cached discovery records no liveness, so the next call on the cell
+/// asks DNS nothing, and its plan, which reads the dead mark, skips
+/// the dead replica without a retry round.
+#[test]
+fn a_failover_keeps_the_cells_discovery_and_skips_the_dead_replica() {
+    let dep = fleet_deployment_on(BackendKind::Sim, 2, small_world());
+    let product = dep.world.products[0].clone();
+    let near = dep.world.venues[product.venue].hint;
+    let hit = search_hits(&dep.client, &product.name, near, 3)
+        .unwrap()
+        .into_iter()
+        .find(|h| h.result.label == product.name)
+        .expect("product is stocked");
+    let victim = dep
+        .fleet_servers
+        .iter()
+        .find(|m| m.server.id() == hit.server_id)
+        .expect("hit came from a fleet member")
+        .server
+        .endpoint();
+    dep.transport.set_down(victim, true);
+    search_hits(&dep.client, &product.name, near, 3).expect("the failover absorbs the replica");
+
+    let session = dep.client.session();
+    let (lookups, before) = (dep.client.discovery().stats().lookups, session.stats());
+    let plan = dep
+        .client
+        .plan_query(QueryKind::Search, near, 2_000.0)
+        .unwrap();
+    assert!(
+        plan.targets.iter().all(|t| t.server.endpoint != victim),
+        "the plan reads the dead mark"
+    );
+    let hits = search_hits(&dep.client, &product.name, near, 3).unwrap();
+    assert!(hits.iter().any(|h| h.result.label == product.name));
+    let after = session.stats();
+    assert_eq!(dep.client.discovery().stats().lookups - lookups, 0);
+    assert_eq!(after.discovery_misses - before.discovery_misses, 0);
+    assert_eq!(
+        after.batches - before.batches,
+        plan.consulted() as u64,
+        "one envelope per planned target: the dead replica is not consulted"
+    );
+}
+
 #[test]
 fn fully_down_shard_surfaces_partial_failure_on_every_backend() {
     for backend in BACKENDS {

@@ -6,11 +6,12 @@
 #[path = "../../mapserver/tests/vectors/mod.rs"]
 mod vectors;
 
-use openflame_codec::to_bytes;
+use openflame_codec::{from_bytes, to_bytes, CodecError};
 use openflame_dns::record::ResponseMsg;
 use openflame_dns::{
     Catalogue, DomainName, FleetReplica, FleetShard, Record, RecordData, RecordType, Zone,
 };
+use openflame_mapdata::ElementId;
 use openflame_mapserver::{Request, Response};
 use std::collections::BTreeSet;
 
@@ -110,4 +111,21 @@ fn hello_is_pinned_with_neither_option_and_with_both() {
         .collect();
     assert!(shapes.contains(&(false, false)), "{shapes:?}");
     assert!(shapes.contains(&(true, true)), "{shapes:?}");
+}
+
+/// Spec §2.1: a retired tag is never reused, so a decoder refuses it
+/// like any tag its table lacks — `Request` 9 and `Response` 10, once
+/// `NearestNode`, and `ElementId` 2, once `Relation`.
+#[test]
+fn every_retired_tag_is_refused() {
+    let refused = |context, tag| Err(CodecError::InvalidTag { context, tag });
+    assert_eq!(from_bytes::<Request>(&[9]).map(drop), refused("Request", 9));
+    assert_eq!(
+        from_bytes::<Response>(&[10]).map(drop),
+        refused("Response", 10)
+    );
+    assert_eq!(
+        from_bytes::<ElementId>(&[2, 1]).map(drop),
+        refused("ElementId", 2)
+    );
 }

@@ -353,11 +353,12 @@ pub type TagMap = BTreeMap<u8, String>;
 
 /// Each checked `wire_enum!` table and the spec §2.1 table that states
 /// its tags (a `RecordData` payload is tagged with its `RecordType`).
-const TAG_TABLES: [(&str, &str); 4] = [
+const TAG_TABLES: [(&str, &str); 5] = [
     ("Request", "Request"),
     ("Response", "Response"),
     ("RecordType", "RecordType"),
     ("RecordData", "RecordType"),
+    ("ElementId", "ElementId"),
 ];
 
 /// Extracts `| N | Name |` rows from the spec's §2 message-tag tables,

@@ -85,6 +85,11 @@ const GOOD_DOC: &str = "\
 | 0 | `A` | `A` |
 | 1 | `Txt` | `TXT` |
 
+| tag | `ElementId` variant |
+|----:|---------------------|
+| 0 | `Node` |
+| 1 | `Way` |
+
 ## 10. Overload
 
 The Busy envelope uses response tag 2.
@@ -103,6 +108,7 @@ wire_enum! { Response, "Response" {
     2 => Busy { retry_after_us },
 } }
 wire_enum! { Cue as CueCodec, "Cue" { 7 => Gnss { fix: LatLngCodec } } }
+wire_enum! { ElementId, "ElementId" { 0 => Node(id), 1 => Way(id) } }
 "#;
 
 const GOOD_RECORDS: &str = r#"
@@ -166,6 +172,18 @@ fn wire_tags_flags_doc_row_missing_from_table() {
     );
     assert_eq!(f.len(), 1, "findings: {f:?}");
     assert!(f[0].msg.contains("`RecordData` message table"));
+}
+
+#[test]
+fn wire_tags_flags_a_spec_tag_the_rows_lack() {
+    // The spec still names a retired tag that left the table.
+    let doc = GOOD_DOC.replace("| 1 | `Way` |\n", "| 1 | `Way` |\n| 2 | `Relation` |\n");
+    let f = wire_tags(GOOD_PROTOCOL, &doc);
+    assert_eq!(f.len(), 1, "findings: {f:?}");
+    assert!(f[0].msg.contains(
+        "tag 2 (`Relation`) present in the spec \u{a7}2.1 `ElementId` table \
+         but missing from the `ElementId` message table"
+    ));
 }
 
 #[test]

@@ -177,7 +177,7 @@ impl CentralizedProvider {
     pub fn anchor(&self) -> Option<LatLng> {
         self.server.with_map(|m| match m.georef() {
             GeoReference::Anchored { origin } => Some(origin),
-            GeoReference::Unaligned { .. } => None,
+            GeoReference::Unaligned => None,
         })
     }
 }

@@ -767,12 +767,11 @@ pub(crate) mod tests {
     }
 
     /// A minimal advertisement (no anchor, an empty extent), told
-    /// apart from another stub's by its version, `id`.
+    /// apart from another stub's by its one portal, node `id`.
     pub(crate) fn stub_hello(id: u64) -> HelloInfo {
         HelloInfo {
             anchor: None,
-            portals: Vec::new(),
-            version: id,
+            portals: vec![(id, openflame_geo::LatLng::new(40.44, -79.94).unwrap())],
             coverage: Vec::new(),
         }
     }
@@ -1037,7 +1036,7 @@ pub(crate) mod tests {
             session.advertised(server).is_some(),
             "first contact taught it"
         );
-        assert_eq!(session.advertised(server).unwrap().version, 7);
+        assert_eq!(session.advertised(server).unwrap().portals[0].0, 7);
         // Warm: the envelope is the caller's items and nothing else.
         let responses = session.batch(server, vec![probe()]).unwrap();
         assert_eq!(versions(&responses), [0]);

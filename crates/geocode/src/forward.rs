@@ -34,7 +34,7 @@ pub struct GeocodeHit {
 /// use openflame_mapdata::{GeoReference, MapDocument, Tags};
 /// use openflame_geocode::Geocoder;
 ///
-/// let mut map = MapDocument::new("g", "t", GeoReference::Unaligned { hint: None });
+/// let mut map = MapDocument::new(GeoReference::Unaligned);
 /// map.add_node(
 ///     Point2::new(10.0, 5.0),
 ///     Tags::new().with("name", "Carnegie Museum").with("tourism", "museum"),
@@ -190,7 +190,7 @@ mod tests {
     use openflame_mapdata::{GeoReference, Tags};
 
     fn sample_map() -> MapDocument {
-        let mut map = MapDocument::new("g", "t", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         map.add_node(
             Point2::new(0.0, 0.0),
             Tags::new()
@@ -268,7 +268,7 @@ mod tests {
     }
 
     fn milk_map() -> (MapDocument, ElementId) {
-        let mut map = MapDocument::new("m", "t", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         let first = map.add_node(Point2::new(0.0, 0.0), Tags::new().with("name", "Oat Milk"));
         map.add_node(Point2::new(5.0, 0.0), Tags::new().with("name", "Oat Milk"));
         map.add_node(Point2::new(9.0, 0.0), Tags::new().with("name", "Milk"));

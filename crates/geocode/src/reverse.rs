@@ -36,7 +36,7 @@ mod tests {
     use openflame_mapdata::{GeoReference, Tags};
 
     fn sample_map() -> MapDocument {
-        let mut map = MapDocument::new("r", "t", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         map.add_node(Point2::new(0.0, 0.0), Tags::new().with("name", "Fountain"));
         map.add_node(Point2::new(50.0, 0.0), Tags::new().with("name", "Kiosk"));
         map.add_node(Point2::new(10.0, 0.0), Tags::new()); // unnamed

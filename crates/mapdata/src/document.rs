@@ -21,13 +21,10 @@ pub enum GeoReference {
         /// Geodetic anchor of the frame origin.
         origin: LatLng,
     },
-    /// Not aligned to the geographic frame. `hint` is a coarse location
-    /// (like the building's street address) usable for discovery but not
-    /// for geometry.
-    Unaligned {
-        /// Approximate location of the mapped space, if known.
-        hint: Option<LatLng>,
-    },
+    /// Not aligned to the geographic frame: its positions name no
+    /// place. Where the mapped space lies is its server's registration
+    /// to say, not the map's.
+    Unaligned,
 }
 
 impl GeoReference {
@@ -36,7 +33,7 @@ impl GeoReference {
     pub fn to_geo(&self, p: Point2) -> Option<LatLng> {
         match self {
             GeoReference::Anchored { origin } => Some(LocalFrame::new(*origin).from_local(p)),
-            GeoReference::Unaligned { .. } => None,
+            GeoReference::Unaligned => None,
         }
     }
 
@@ -45,18 +42,14 @@ impl GeoReference {
     pub fn from_geo(&self, p: LatLng) -> Option<Point2> {
         match self {
             GeoReference::Anchored { origin } => Some(LocalFrame::new(*origin).to_local(p)),
-            GeoReference::Unaligned { .. } => None,
+            GeoReference::Unaligned => None,
         }
     }
 }
 
-/// Document identity and provenance.
+/// Document metadata.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MapMeta {
-    /// Human-readable map name (e.g. `"Shadyside Grocery"`).
-    pub name: String,
-    /// Operator of the map server (e.g. `"grocer-co"`).
-    pub provider: String,
     /// Monotonically increasing data version, bumped by patches.
     pub version: u64,
 }
@@ -69,10 +62,9 @@ pub struct MapMeta {
 /// use openflame_mapdata::{MapDocument, GeoReference, Tags};
 /// use openflame_geo::{LatLng, Point2};
 ///
-/// let mut map = MapDocument::new(
-///     "demo", "tester",
-///     GeoReference::Anchored { origin: LatLng::new(40.44, -79.94).unwrap() },
-/// );
+/// let mut map = MapDocument::new(GeoReference::Anchored {
+///     origin: LatLng::new(40.44, -79.94).unwrap(),
+/// });
 /// let a = map.add_node(Point2::new(0.0, 0.0), Tags::new().with("name", "corner"));
 /// let b = map.add_node(Point2::new(100.0, 0.0), Tags::new());
 /// let road = map.add_way(vec![a, b], Tags::new().with("highway", "residential")).unwrap();
@@ -95,13 +87,9 @@ const GRID_CELL_M: f64 = 25.0;
 
 impl MapDocument {
     /// Creates an empty document.
-    pub fn new(name: impl Into<String>, provider: impl Into<String>, georef: GeoReference) -> Self {
+    pub fn new(georef: GeoReference) -> Self {
         Self {
-            meta: MapMeta {
-                name: name.into(),
-                provider: provider.into(),
-                version: 0,
-            },
+            meta: MapMeta::default(),
             georef,
             nodes: BTreeMap::new(),
             ways: BTreeMap::new(),
@@ -329,7 +317,7 @@ mod tests {
     }
 
     fn sample_map() -> MapDocument {
-        let mut m = MapDocument::new("test", "tester", anchored());
+        let mut m = MapDocument::new(anchored());
         let a = m.add_node(Point2::new(0.0, 0.0), Tags::new().with("name", "A"));
         let b = m.add_node(Point2::new(100.0, 0.0), Tags::new());
         let c = m.add_node(Point2::new(100.0, 100.0), Tags::new());
@@ -340,7 +328,7 @@ mod tests {
 
     #[test]
     fn fresh_ids_are_unique() {
-        let mut m = MapDocument::new("t", "t", anchored());
+        let mut m = MapDocument::new(anchored());
         let a = m.add_node(Point2::ZERO, Tags::new());
         let b = m.add_node(Point2::ZERO, Tags::new());
         assert_ne!(a, b);
@@ -348,7 +336,7 @@ mod tests {
 
     #[test]
     fn insert_duplicate_node_rejected() {
-        let mut m = MapDocument::new("t", "t", anchored());
+        let mut m = MapDocument::new(anchored());
         let a = m.add_node(Point2::ZERO, Tags::new());
         let dup = Node::new(a, Point2::ZERO, Tags::new());
         assert!(matches!(m.insert_node(dup), Err(MapError::DuplicateId(_))));
@@ -356,7 +344,7 @@ mod tests {
 
     #[test]
     fn way_requires_existing_nodes() {
-        let mut m = MapDocument::new("t", "t", anchored());
+        let mut m = MapDocument::new(anchored());
         let a = m.add_node(Point2::ZERO, Tags::new());
         let err = m.add_way(vec![a, NodeId(999)], Tags::new()).unwrap_err();
         assert!(matches!(err, MapError::MissingReference { .. }));
@@ -364,7 +352,7 @@ mod tests {
 
     #[test]
     fn way_requires_two_nodes() {
-        let mut m = MapDocument::new("t", "t", anchored());
+        let mut m = MapDocument::new(anchored());
         let a = m.add_node(Point2::ZERO, Tags::new());
         assert!(matches!(
             m.add_way(vec![a], Tags::new()),
@@ -384,7 +372,7 @@ mod tests {
 
     #[test]
     fn remove_unreferenced_node_updates_index() {
-        let mut m = MapDocument::new("t", "t", anchored());
+        let mut m = MapDocument::new(anchored());
         let a = m.add_node(Point2::new(5.0, 5.0), Tags::new());
         assert_eq!(m.nodes_within(Point2::new(5.0, 5.0), 1.0).len(), 1);
         m.remove_node(a).unwrap();
@@ -394,7 +382,7 @@ mod tests {
 
     #[test]
     fn move_node_updates_index() {
-        let mut m = MapDocument::new("t", "t", anchored());
+        let mut m = MapDocument::new(anchored());
         let a = m.add_node(Point2::ZERO, Tags::new());
         m.move_node(a, Point2::new(500.0, 0.0)).unwrap();
         assert!(m.nodes_within(Point2::ZERO, 10.0).is_empty());
@@ -409,7 +397,7 @@ mod tests {
         let geo = g.to_geo(p).unwrap();
         let back = g.from_geo(geo).unwrap();
         assert!(p.distance(back) < 1e-3);
-        let un = GeoReference::Unaligned { hint: None };
+        let un = GeoReference::Unaligned;
         assert!(un.to_geo(p).is_none());
         assert!(un.from_geo(geo).is_none());
     }
@@ -420,7 +408,7 @@ mod tests {
         let (min, max) = m.local_bounds().unwrap();
         assert_eq!(min, Point2::new(0.0, 0.0));
         assert_eq!(max, Point2::new(100.0, 100.0));
-        let empty = MapDocument::new("e", "e", anchored());
+        let empty = MapDocument::new(anchored());
         assert!(empty.local_bounds().is_none());
     }
 
@@ -449,7 +437,7 @@ mod tests {
 
     #[test]
     fn insert_with_explicit_id_advances_allocator() {
-        let mut m = MapDocument::new("t", "t", anchored());
+        let mut m = MapDocument::new(anchored());
         m.insert_node(Node::new(NodeId(100), Point2::ZERO, Tags::new()))
             .unwrap();
         let next = m.add_node(Point2::ZERO, Tags::new());

@@ -90,13 +90,9 @@ mod tests {
     use openflame_geo::{LatLng, Point2};
 
     fn base_map() -> MapDocument {
-        let mut m = MapDocument::new(
-            "patch-test",
-            "tester",
-            GeoReference::Anchored {
-                origin: LatLng::new(40.0, -80.0).unwrap(),
-            },
-        );
+        let mut m = MapDocument::new(GeoReference::Anchored {
+            origin: LatLng::new(40.0, -80.0).unwrap(),
+        });
         let a = m.add_node(Point2::new(0.0, 0.0), Tags::new().with("name", "A"));
         let b = m.add_node(Point2::new(10.0, 0.0), Tags::new());
         m.add_way(vec![a, b], Tags::new().with("highway", "path"))

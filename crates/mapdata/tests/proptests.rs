@@ -76,11 +76,7 @@ proptest! {
         adds in proptest::collection::vec(arb_point(), 1..20),
         move_first in arb_point(),
     ) {
-        let mut doc = MapDocument::new(
-            "prop",
-            "prop",
-            GeoReference::Unaligned { hint: None },
-        );
+        let mut doc = MapDocument::new(GeoReference::Unaligned);
         let a = doc.add_node(Point2::ZERO, Tags::new());
         let b = doc.add_node(Point2::new(5.0, 5.0), Tags::new());
         doc.add_way(vec![a, b], Tags::new()).unwrap();

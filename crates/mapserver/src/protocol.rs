@@ -2,7 +2,7 @@
 //!
 //! Every federated interaction in paper §5.2 maps to one request kind. The
 //! `Hello` exchange is how a server advertises what only it knows: its
-//! frame anchor, portal nodes, map version and extent. The localization
+//! frame anchor, portal nodes and extent. The localization
 //! technologies it accepts ("the location cue sent to the map server
 //! depends on the localization technology advertised by the server",
 //! paper §5.2) are its DNS catalogue's `localize:` bits (spec §9.1).
@@ -140,8 +140,6 @@ pub struct HelloInfo {
     /// Portal (entrance) nodes usable for route stitching, with a
     /// coarse geographic hint of where each portal meets the street.
     pub portals: Vec<(u64, openflame_geo::LatLng)>,
-    /// Current map data version.
-    pub version: u64,
     /// The extent the server commits its content to, for client-side
     /// query planning (spec §13.1): raw cell ids, mixed levels, whose
     /// union holds every answerable element. Empty when the server
@@ -388,7 +386,7 @@ wire_enum! { RouteEnd, "RouteEnd" {
 } }
 
 wire_struct! { HelloInfo {
-    anchor: Opt<LatLngCodec>, portals: Seq<Pair<Own, LatLngCodec>>, version, coverage,
+    anchor: Opt<LatLngCodec>, portals: Seq<Pair<Own, LatLngCodec>>, coverage,
 } }
 wire_struct! { WireGeocodeHit { element, pos: PointCodec, score, label } }
 wire_struct! { WireSearchResult { element, pos: PointCodec, score, distance_m, label } }
@@ -587,13 +585,11 @@ mod tests {
             Response::Hello(HelloInfo {
                 anchor: None,
                 portals: vec![(17, openflame_geo::LatLng::new(40.0, -80.0).unwrap())],
-                version: 4,
                 coverage: Vec::new(),
             }),
             Response::Hello(HelloInfo {
                 anchor: Some(openflame_geo::LatLng::new(40.4, -79.9).unwrap()),
                 portals: vec![],
-                version: 7,
                 coverage: vec![0x89c25a3000000000, 0x89c25a5000000000],
             }),
             Response::Geocode {
@@ -665,7 +661,6 @@ mod tests {
         let hello = HelloInfo {
             anchor: None,
             portals: vec![],
-            version: 3,
             coverage: vec![1, 2, 3],
         };
         let batch = Response::Batch(vec![

@@ -8,9 +8,9 @@
 //! `openflame-netsim`). Handler state is organized for parallel
 //! readers: the service engines sit behind an `RwLock` (reads share,
 //! only `ApplyPatch` writes), the tag registry / beacons / policy /
-//! portals are immutable after spawn, and the request counters are
-//! lock-free atomics — concurrent dispatch never serializes on a stats
-//! mutex.
+//! advertisement are immutable after spawn, and the request counters
+//! are lock-free atomics — concurrent dispatch never serializes on a
+//! stats mutex, and a `Hello` never waits behind a patch's rebuild.
 
 use crate::acl::{AccessPolicy, Principal, ServiceKind, ALL_SERVICES};
 use crate::protocol::{
@@ -18,11 +18,11 @@ use crate::protocol::{
     WireRoute, WireSearchResult,
 };
 use crate::ServerError;
-use openflame_cells::{Region, RegionCoverer};
+use openflame_cells::{CellId, Region, RegionCoverer};
 use openflame_codec::{from_bytes, to_bytes};
 use openflame_diag::{ranks, OrderedRwLock};
 use openflame_dns::Catalogue;
-use openflame_geo::{LatLng, Point2};
+use openflame_geo::{LatLng, LocalFrame, Point2};
 use openflame_geocode::{reverse_geocode, Geocoder};
 use openflame_localize::{Estimate, LocationCue, RadioMap, TagRegistry};
 use openflame_mapdata::{GeoReference, MapDocument, MapPatch, NodeId};
@@ -114,18 +114,13 @@ impl StatCounters {
     }
 }
 
-/// What a spawn fixes for the server's life: the configuration half of
-/// `(server configuration, map version)`, the pair every [`Engines`]
-/// build — and with it the advertisement — is a function of.
+/// What a spawn fixes for the server's life and every [`Engines`]
+/// build reads.
 struct Setup {
     id: String,
     tags: TagRegistry,
     beacons: Vec<openflame_localize::Beacon>,
-    portals: Vec<(NodeId, LatLng)>,
     build_ch: bool,
-    /// The committed extent (spec §13.1): the registration cap's cell
-    /// covering, computed once at spawn.
-    extent: Vec<u64>,
     /// The catalogue (spec §9.1), the server's one list of the kinds it
     /// offers and the localization technologies it accepts (paper §5.2:
     /// technology advertisement drives which cues clients send).
@@ -133,9 +128,10 @@ struct Setup {
 }
 
 /// The extent advertised for a registration cap (spec §13.1): the
-/// cap's cell covering, which MUST hold every answerable element. The
-/// cap itself does not (a venue's far corners lie past it), so it is
-/// not advertised. A cap of no positive radius commits to nothing.
+/// cap's cell covering, which MUST hold every answerable element, so
+/// [`MapServer::apply_patch`] refuses a node outside it. The cap itself
+/// does not (a venue's far corners lie past it), so it is not
+/// advertised. A cap of no positive radius commits to nothing.
 fn registration_extent(center: LatLng, radius_m: f64) -> Vec<u64> {
     let cap = Region::Cap { center, radius_m };
     let cells = (radius_m > 0.0)
@@ -143,10 +139,7 @@ fn registration_extent(center: LatLng, radius_m: f64) -> Vec<u64> {
     cells.into_iter().flatten().map(|c| c.raw()).collect()
 }
 
-/// Engines rebuilt whenever the map changes, together with the
-/// advertisement describing exactly this map version: both are replaced
-/// in one `engines` write-lock section, so a `Hello` never pairs an old
-/// version with new content (spec §13.1).
+/// Engines rebuilt whenever the map changes.
 struct Engines {
     map: MapDocument,
     geocoder: Geocoder,
@@ -155,7 +148,6 @@ struct Engines {
     ch: Option<ContractionHierarchy>,
     radio: Option<RadioMap>,
     renderer: Option<TileRenderer>,
-    hello: Arc<HelloInfo>,
 }
 
 impl Engines {
@@ -191,19 +183,6 @@ impl Engines {
             ))
         };
         let renderer = TileRenderer::new(&map);
-
-        // The advertisement of this map version, built here once instead
-        // of per `Hello` (spec §13.1).
-        let anchor = match map.georef() {
-            GeoReference::Anchored { origin } => Some(origin),
-            GeoReference::Unaligned { .. } => None,
-        };
-        let hello = Arc::new(HelloInfo {
-            anchor,
-            portals: setup.portals.iter().map(|(n, hint)| (n.0, *hint)).collect(),
-            version: map.meta().version,
-            coverage: setup.extent.clone(),
-        });
         Self {
             map,
             geocoder,
@@ -212,7 +191,6 @@ impl Engines {
             ch,
             radio,
             renderer,
-            hello,
         }
     }
 }
@@ -220,6 +198,10 @@ impl Engines {
 /// A federated map server bound to a network endpoint.
 pub struct MapServer {
     setup: Setup,
+    /// The advertisement (spec §13.1), a function of the configuration
+    /// alone: built at spawn and never changed, since a patch can change
+    /// neither the georeference nor, once refused outside it, the extent.
+    hello: Arc<HelloInfo>,
     /// The endpoint [`MapServer::spawn_on`] bound (set once, there).
     endpoint: OnceLock<EndpointId>,
     engines: OrderedRwLock<Engines>,
@@ -235,7 +217,11 @@ impl MapServer {
     pub fn spawn_on(transport: &Arc<dyn Transport>, config: MapServerConfig) -> Arc<Self> {
         // A patch cannot change a map's georeference, so what follows
         // from it is fixed at spawn too.
-        let anchored = matches!(config.map.georef(), GeoReference::Anchored { .. });
+        let anchor = match config.map.georef() {
+            GeoReference::Anchored { origin } => Some(origin),
+            GeoReference::Unaligned => None,
+        };
+        let anchored = anchor.is_some();
         let mut catalogue =
             Catalogue::GEOCODE | Catalogue::SEARCH | Catalogue::ROUTE | Catalogue::LOCALIZE;
         // An unaligned map cannot place a geographic position, so it
@@ -256,14 +242,19 @@ impl MapServer {
             id: config.id,
             tags: config.tags,
             beacons: config.beacons,
-            portals: config.portals,
             build_ch: config.build_ch,
-            extent: registration_extent(config.location_hint, config.radius_m),
             catalogue,
         };
+        let portals = config.portals.iter().map(|(n, hint)| (n.0, *hint));
+        let hello = Arc::new(HelloInfo {
+            anchor,
+            portals: portals.collect(),
+            coverage: registration_extent(config.location_hint, config.radius_m),
+        });
         let engines = Engines::build(config.map, &setup);
         let server = Arc::new(Self {
             setup,
+            hello,
             endpoint: OnceLock::new(),
             engines: OrderedRwLock::new(ranks::MAPSERVER_ENGINES, engines),
             policy: config.policy,
@@ -383,11 +374,22 @@ impl MapServer {
         }
     }
 
-    /// Capability advertisement of the current map version (paper §5.2,
-    /// spec §13.1). Built once per version, when the engines are; this
-    /// is a refcount bump under the engines read lock.
+    /// Capability advertisement (paper §5.2, spec §13.1), fixed at
+    /// spawn: a refcount bump that takes no lock.
     pub fn hello(&self) -> Arc<HelloInfo> {
-        self.engines.read().hello.clone()
+        self.hello.clone()
+    }
+
+    /// Whether a position of the map frame lies in the extent (spec
+    /// §13.1). An unaligned map's positions name no place, and an empty
+    /// extent commits to nothing, so for either every position does.
+    fn within_extent(&self, pos: Point2) -> bool {
+        let Some(origin) = self.hello.anchor else {
+            return true;
+        };
+        let at = LocalFrame::new(origin).from_local(pos);
+        let mut cells = (self.hello.coverage.iter()).filter_map(|&raw| CellId::from_raw(raw).ok());
+        self.hello.coverage.is_empty() || cells.any(|cell| cell.contains_point(at))
     }
 
     /// Forward geocode (ACL-checked).
@@ -425,7 +427,7 @@ impl MapServer {
         let engines = self.engines.read();
         // An unaligned frame's positions name no place a client can
         // know, so its catalogue omits the kind (spec §9.1).
-        if let GeoReference::Unaligned { .. } = engines.map.georef() {
+        if let GeoReference::Unaligned = engines.map.georef() {
             return Err(ServerError::NotOffered(ServiceKind::ReverseGeocode));
         }
         Ok(
@@ -584,10 +586,17 @@ impl MapServer {
         }
     }
 
-    /// Applies a patch and rebuilds service engines (ACL-checked).
+    /// Applies a patch and rebuilds service engines (ACL-checked). A
+    /// patch that would place a node outside the extent is refused, and
+    /// nothing is rebuilt (spec §13.1).
     pub fn apply_patch(&self, principal: &Principal, patch: &MapPatch) -> Result<u64, ServerError> {
         self.check(principal, ServiceKind::Update)?;
         self.count(ServiceKind::Update);
+        let outside = (patch.upsert_nodes.iter()).find(|n| !self.within_extent(n.pos));
+        if let Some(node) = outside {
+            let message = format!("node {} lies outside the extent", node.id.0);
+            return Err(ServerError::Failed(message));
+        }
         let mut engines = self.engines.write();
         let mut map = engines.map.clone();
         patch
@@ -644,7 +653,7 @@ impl MapServer {
                     return into_error(e);
                 }
                 self.count(ServiceKind::Info);
-                Response::Hello(HelloInfo::clone(&self.hello()))
+                Response::Hello(HelloInfo::clone(&self.hello))
             }
             Request::Geocode { query, k } => match self.geocode(principal, &query, k as usize) {
                 Ok(hits) => Response::Geocode { hits },
@@ -1205,11 +1214,7 @@ mod tests {
     /// untagged nodes joined by a corridor.
     fn bare_config(id: &str, map: Option<MapDocument>) -> MapServerConfig {
         let map = map.unwrap_or_else(|| {
-            let mut map = MapDocument::new(
-                "Bare Hall",
-                "tester",
-                openflame_mapdata::GeoReference::Unaligned { hint: None },
-            );
+            let mut map = MapDocument::new(openflame_mapdata::GeoReference::Unaligned);
             let a = map.add_node(Point2::new(0.0, 0.0), Tags::new());
             let b = map.add_node(Point2::new(10.0, 0.0), Tags::new());
             map.add_way(vec![a, b], Tags::new().with("highway", "corridor"))
@@ -1243,7 +1248,7 @@ mod tests {
     }
 
     #[test]
-    fn patch_republishes_the_advertisement_with_the_content() {
+    fn a_patch_leaves_the_advertisement_untouched() {
         let net = BackendKind::Sim.build(1);
         let server = MapServer::spawn_on(&net, bare_config("bare", None));
         let before = server.hello();
@@ -1251,100 +1256,83 @@ mod tests {
             !before.coverage.is_empty(),
             "a positive radius commits an extent"
         );
-
+        let base = server.with_map(|m| m.meta().version);
         let version = server
-            .apply_patch(
-                &Principal::anonymous(),
-                &product_patch(before.version, 700_000),
-            )
+            .apply_patch(&Principal::anonymous(), &product_patch(base, 700_000))
             .unwrap();
-        let after = server.hello();
-        assert_eq!(after.version, version, "hello reports the patched version");
-        assert_eq!(version, before.version + 1);
-        // The extent depends on the registration cap only: a patch must
-        // hand on the spawn-time covering untouched.
-        assert_eq!(after.coverage, before.coverage);
-
-        // The advertisement is a function of (configuration, map
-        // version): a server spawned on the patched map says the same.
+        assert_eq!(version, base + 1);
+        // The advertisement is a function of the configuration alone:
+        // the patch hands on the very value spawn built, and a server
+        // spawned on the patched map says the same.
+        assert!(Arc::ptr_eq(&before, &server.hello()));
         let patched = server.with_map(Clone::clone);
         let fresh = MapServer::spawn_on(
             &BackendKind::Sim.build(2),
             bare_config("bare", Some(patched)),
         );
-        assert_eq!(*after, *fresh.hello());
+        assert_eq!(*before, *fresh.hello());
     }
 
     #[test]
-    fn concurrent_hellos_over_tcp_never_mix_two_map_versions() {
-        use std::sync::atomic::AtomicBool;
-        const PATCHES: u64 = 40;
-        const READERS: usize = 2;
-
-        let tcp: Arc<dyn Transport> = Arc::new(TcpTransport::new(7));
-        let server = MapServer::spawn_on(&tcp, bare_config("racing", None));
-        let base = server.hello();
-        let call = |from: EndpointId, request: Request| -> Response {
-            let env = Envelope {
-                principal: Principal::anonymous(),
-                request,
-            };
-            let transfer = tcp
-                .call(from, server.endpoint(), to_bytes(&env).to_vec())
-                .unwrap();
-            from_bytes(&transfer.payload).unwrap()
-        };
-        // Only the version follows the content, so every hello is the
-        // spawn-time one with a version this run produced.
-        let check = |hello: &HelloInfo| {
-            let produced = base.version..=base.version + PATCHES;
-            assert!(produced.contains(&hello.version), "{}", hello.version);
-            let expected = HelloInfo {
-                version: hello.version,
-                ..HelloInfo::clone(&base)
-            };
-            assert_eq!(*hello, expected, "a hello changed more than its version");
-        };
-        let start = std::sync::Barrier::new(READERS + 1);
-        let done = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for _ in 0..READERS {
-                scope.spawn(|| {
-                    let reader = tcp.register("reader", None);
-                    let mut seen = base.version;
-                    start.wait();
-                    loop {
-                        // Sampled before the call: the last hello of a
-                        // reader is issued after the last patch landed.
-                        let last = done.load(Ordering::SeqCst);
-                        let Response::Hello(hello) = call(reader, Request::Hello) else {
-                            panic!("expected a hello");
-                        };
-                        check(&hello);
-                        assert!(hello.version >= seen, "a reader saw its version go back");
-                        seen = hello.version;
-                        if last {
-                            assert_eq!(hello.version, base.version + PATCHES);
-                            break;
-                        }
-                    }
-                });
-            }
-            let writer = tcp.register("writer", None);
-            start.wait();
-            let mut version = base.version;
-            for n in 0..PATCHES {
-                let patch = product_patch(version, 800_000 + n);
-                let Response::PatchApplied { version: applied } =
-                    call(writer, Request::ApplyPatch { patch })
-                else {
-                    panic!("patch {n} refused");
-                };
-                version = applied;
-            }
-            done.store(true, Ordering::SeqCst);
+    fn a_hello_never_waits_for_a_rebuild() {
+        let net = BackendKind::Sim.build(1);
+        let server = MapServer::spawn_on(&net, bare_config("bare", None));
+        // Hold the engines as a patch's rebuild does, and ask from
+        // another thread: the answer must not wait for the lock.
+        let rebuilding = server.engines.write();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let asker = server.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(asker.dispatch(&Principal::anonymous(), Request::Hello));
         });
-        check(&server.hello());
+        let answer = rx.recv_timeout(std::time::Duration::from_secs(10));
+        drop(rebuilding);
+        assert!(matches!(answer, Ok(Response::Hello(_))), "{answer:?}");
+    }
+
+    /// Spec §13.1: an update that would place a node outside the extent
+    /// is refused with code 4, and the map and the advertisement stay;
+    /// one inside is applied. Neither an unaligned map nor an empty
+    /// extent checks a position.
+    #[test]
+    fn a_patch_outside_the_extent_is_refused() {
+        let net = BackendKind::Sim.build(1);
+        let (server, world) = outdoor_server(&net);
+        let anyone = Principal::anonymous();
+        let far = |server: &MapServer, node| {
+            let mut patch = product_patch(server.with_map(|m| m.meta().version), node);
+            patch.upsert_nodes[0].pos = Point2::new(50_000.0, 0.0);
+            patch
+        };
+        let (base, hello) = (server.with_map(|m| m.meta().version), server.hello());
+        let patch = far(&server, 700_001);
+        let answer = server.dispatch(&anyone, Request::ApplyPatch { patch });
+        assert!(
+            matches!(answer, Response::Error { code: 4, .. }),
+            "{answer:?}"
+        );
+        assert_eq!(server.with_map(|m| m.meta().version), base);
+        assert!(Arc::ptr_eq(&hello, &server.hello()));
+        assert_eq!(server.stats().patches, 0, "nothing was rebuilt");
+        // A node a few metres from the anchor lies inside.
+        let near = product_patch(base, 700_002);
+        assert_eq!(server.apply_patch(&anyone, &near), Ok(base + 1));
+
+        let unaligned = MapServer::spawn_on(&net, bare_config("bare", None));
+        let empty = MapServerConfig {
+            radius_m: 0.0,
+            ..bare_config("empty", Some(world.outdoor.clone()))
+        };
+        let empty = MapServer::spawn_on(&net, empty);
+        assert!(empty.hello().coverage.is_empty());
+        for server in [unaligned, empty] {
+            let patch = far(&server, 700_003);
+            assert!(
+                server.apply_patch(&anyone, &patch).is_ok(),
+                "{}",
+                server.id()
+            );
+        }
     }
 
     #[test]
@@ -1682,7 +1670,7 @@ mod tests {
         // (code 4), and a node end alone still answers.
         let empty = MapServerConfig {
             id: "empty".into(),
-            map: MapDocument::new("empty", "test", world.outdoor.georef()),
+            map: MapDocument::new(world.outdoor.georef()),
             beacons: vec![],
             tags: TagRegistry::new(),
             policy: AccessPolicy::open(),

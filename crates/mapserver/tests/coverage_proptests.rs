@@ -18,13 +18,11 @@ fn arb_hello() -> impl Strategy<Value = HelloInfo> {
     (
         proptest::option::of(arb_latlng()),
         proptest::collection::vec((any::<u64>(), arb_latlng()), 0..4),
-        any::<u64>(),
         proptest::collection::vec(any::<u64>(), 0..20),
     )
-        .prop_map(|(anchor, portals, version, coverage)| HelloInfo {
+        .prop_map(|(anchor, portals, coverage)| HelloInfo {
             anchor,
             portals,
-            version,
             coverage,
         })
 }

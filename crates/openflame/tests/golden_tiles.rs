@@ -107,7 +107,7 @@ fn a_patch_reaches_the_next_tile_on_every_backend() {
         assert!(before == fetch(), "{backend:?}: a cached tile is stable");
 
         // A café a few metres from the centre, inside the centre tile.
-        let mut patch = MapPatch::new(dep.outdoor_server.hello().version);
+        let mut patch = MapPatch::new(dep.outdoor_server.with_map(|m| m.meta().version));
         patch.upsert_nodes.push(Node::new(
             NodeId(9_000_001),
             Point2::new(4.0, -3.0),
@@ -184,7 +184,7 @@ fn a_held_layer_is_revalidated_not_resent_on_every_backend() {
         );
 
         // A café a few metres from the centre, inside the centre tile.
-        let mut patch = MapPatch::new(dep.outdoor_server.hello().version);
+        let mut patch = MapPatch::new(dep.outdoor_server.with_map(|m| m.meta().version));
         patch.upsert_nodes.push(Node::new(
             NodeId(9_000_001),
             Point2::new(4.0, -3.0),

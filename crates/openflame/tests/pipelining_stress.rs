@@ -41,7 +41,6 @@ fn stub_service() -> Arc<dyn openflame_netsim::WireService> {
                 Response::Hello(HelloInfo {
                     anchor: None,
                     portals: Vec::new(),
-                    version: 1,
                     coverage: Vec::new(),
                 })
             })

@@ -20,7 +20,8 @@
 //!    from stale per-endpoint state.
 //! 4. **The extent's cells hold the content** — every node of every
 //!    venue lies in one of its server's advertised extent cells, the
-//!    commitment extent pruning rests on (spec §13.1).
+//!    commitment extent pruning rests on (spec §13.1), and a server
+//!    refuses a patch that would place a node outside them.
 
 use openflame_cells::CellId;
 use openflame_core::{
@@ -28,8 +29,10 @@ use openflame_core::{
     LocalizeQuery, OpenFlameClient, ProviderEstimate, QueryKind, ReverseGeocodeQuery, SearchQuery,
     SpatialProvider, TileQuery,
 };
-use openflame_geo::LatLng;
+use openflame_geo::{LatLng, LocalFrame, Point2};
 use openflame_localize::LocationCue;
+use openflame_mapdata::{MapPatch, Node, NodeId, Tags};
+use openflame_mapserver::protocol::{Request, Response};
 use openflame_mapserver::Principal;
 use openflame_netsim::BackendKind;
 use openflame_tiles::Tile;
@@ -397,5 +400,84 @@ fn every_venue_node_lies_inside_its_advertised_extent_cells() {
             "{} stores: {nodes} venue nodes, all inside the extent cells",
             dep.world.venues.len()
         );
+    }
+}
+
+/// Spec §13.1: a server refuses an update that would place a node
+/// outside its extent, so no patch can hide content from the warm
+/// planner. In each of five directions the test walks out from the
+/// outdoor map's anchor to the first point outside its extent cells and
+/// patches a uniquely named node 50, 150 or 400 m past it: every patch
+/// is refused over the wire, and a warm search for each name at its
+/// node answers the same with the planner on and off.
+#[test]
+fn a_patch_outside_its_servers_extent_is_refused_and_recall_holds() {
+    let world = fanout_world();
+    for backend in BACKENDS {
+        let dep = Deployment::build(
+            world.clone(),
+            DeploymentConfig {
+                backend,
+                ..DeploymentConfig::default()
+            },
+        );
+        let off = planner_off_client(&dep);
+        let server = &dep.outdoor_server;
+        let hello = server.hello();
+        let frame = LocalFrame::new(hello.anchor.expect("the outdoor map is anchored"));
+        let cells: Vec<CellId> = (hello.coverage.iter())
+            .map(|&raw| CellId::from_raw(raw).unwrap())
+            .collect();
+        let inside = |p: Point2| cells.iter().any(|c| c.contains_point(frame.from_local(p)));
+        let search = |client: &OpenFlameClient, name: &str, location: LatLng| {
+            let (query, radius_m, k) = (name.to_string(), 40.0, 5);
+            let query = SearchQuery {
+                query,
+                location,
+                radius_m,
+                k,
+            };
+            client.search(query).unwrap().hits
+        };
+        // Warm both arms, so the planner-on one holds the extent.
+        let center = dep.world.config.center;
+        let product = &dep.world.products[0].name;
+        assert_eq!(
+            search_hits(&dep.client, product, center, 3).unwrap(),
+            search_hits(&off, product, center, 3).unwrap()
+        );
+        let base = server.with_map(|m| m.meta().version);
+        for direction in 0..5 {
+            let angle = direction as f64 * std::f64::consts::TAU / 5.0;
+            let step = Point2::new(angle.cos(), angle.sin());
+            let edge = (0..).map(|m| m as f64 * 10.0).find(|&d| !inside(step * d));
+            let edge = edge.unwrap();
+            for (margin, past) in [50.0, 150.0, 400.0].into_iter().enumerate() {
+                let name = format!("Stray Kiosk {direction}{margin}");
+                let pos = step * (edge + past);
+                let mut patch = MapPatch::new(base);
+                patch.upsert_nodes.push(Node::new(
+                    NodeId(9_100_000 + 10 * direction + margin as u64),
+                    pos,
+                    Tags::new().with("amenity", "kiosk").with("name", &name),
+                ));
+                let answer = dep
+                    .client
+                    .session()
+                    .batch(server.endpoint(), vec![Request::ApplyPatch { patch }])
+                    .unwrap();
+                assert!(
+                    matches!(answer[..], [Response::Error { code: 4, .. }]),
+                    "{backend:?}: {name} at {pos:?} was not refused: {answer:?}"
+                );
+                let at = frame.from_local(pos);
+                assert_eq!(
+                    search(&dep.client, &name, at),
+                    search(&off, &name, at),
+                    "{backend:?}: {name}: search recall must not depend on the planner"
+                );
+            }
+        }
+        assert_eq!(server.with_map(|m| m.meta().version), base);
     }
 }

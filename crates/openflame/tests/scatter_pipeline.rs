@@ -120,7 +120,6 @@ fn advertisement(anchor: Option<LatLng>, portals: Vec<(u64, LatLng)>) -> HelloIn
     HelloInfo {
         anchor,
         portals,
-        version: 1,
         coverage: Vec::new(),
     }
 }

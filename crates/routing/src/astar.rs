@@ -69,7 +69,7 @@ mod tests {
     use openflame_mapdata::{GeoReference, MapDocument, Tags};
 
     fn grid(n: usize, spacing: f64) -> (MapDocument, Vec<Vec<NodeId>>, RoadGraph) {
-        let mut map = MapDocument::new("grid", "t", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         let mut ids = vec![vec![]; n];
         for (r, row) in ids.iter_mut().enumerate() {
             for c in 0..n {
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn astar_no_path() {
-        let mut map = MapDocument::new("d", "t", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         let a = map.add_node(Point2::new(0.0, 0.0), Tags::new());
         let b = map.add_node(Point2::new(10.0, 0.0), Tags::new());
         let c = map.add_node(Point2::new(500.0, 0.0), Tags::new());

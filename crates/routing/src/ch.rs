@@ -44,7 +44,7 @@ struct ChEdge {
 /// use openflame_mapdata::{GeoReference, MapDocument, Tags};
 /// use openflame_routing::{dijkstra, ContractionHierarchy, Profile, RoadGraph};
 ///
-/// let mut map = MapDocument::new("g", "t", GeoReference::Unaligned { hint: None });
+/// let mut map = MapDocument::new(GeoReference::Unaligned);
 /// let a = map.add_node(Point2::new(0.0, 0.0), Tags::new());
 /// let b = map.add_node(Point2::new(50.0, 0.0), Tags::new());
 /// let c = map.add_node(Point2::new(100.0, 0.0), Tags::new());
@@ -409,7 +409,7 @@ mod tests {
     /// node — exactly as long as the local hops it skips, so the graph
     /// is dense with equal-cost alternatives.
     fn grid_graph_with_express(n: usize, express: usize) -> (RoadGraph, Vec<NodeId>) {
-        let mut map = MapDocument::new("grid", "t", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         let mut ids = Vec::new();
         for r in 0..n {
             for c in 0..n {
@@ -505,7 +505,7 @@ mod tests {
     fn ch_on_random_graphs_matches_dijkstra() {
         let mut rng = StdRng::seed_from_u64(77);
         for trial in 0..8 {
-            let mut map = MapDocument::new("rand", "t", GeoReference::Unaligned { hint: None });
+            let mut map = MapDocument::new(GeoReference::Unaligned);
             let n = 30 + trial * 10;
             let ids: Vec<NodeId> = (0..n)
                 .map(|_| {
@@ -575,7 +575,7 @@ mod tests {
     fn ch_oneway_correctness() {
         // Driving graph with a one-way loop: s→t short one-way, t→s must
         // go around.
-        let mut map = MapDocument::new("ow", "t", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         let a = map.add_node(Point2::new(0.0, 0.0), Tags::new());
         let b = map.add_node(Point2::new(100.0, 0.0), Tags::new());
         let c = map.add_node(Point2::new(100.0, 100.0), Tags::new());

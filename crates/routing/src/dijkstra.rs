@@ -242,7 +242,7 @@ mod tests {
 
     /// A 4×4 grid of footways with 10 m spacing.
     fn grid_map() -> (MapDocument, Vec<Vec<NodeId>>) {
-        let mut map = MapDocument::new("grid", "t", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         let mut ids = vec![vec![]; 4];
         for (r, row) in ids.iter_mut().enumerate() {
             for c in 0..4 {
@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn disconnected_components_no_path() {
-        let mut map = MapDocument::new("d", "t", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         let a = map.add_node(Point2::new(0.0, 0.0), Tags::new());
         let b = map.add_node(Point2::new(10.0, 0.0), Tags::new());
         let c = map.add_node(Point2::new(100.0, 0.0), Tags::new());
@@ -338,7 +338,7 @@ mod tests {
     #[test]
     fn bidirectional_settles_fewer_on_long_paths() {
         // A long chain: bidirectional should explore roughly half.
-        let mut map = MapDocument::new("chain", "t", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         let ids: Vec<NodeId> = (0..200)
             .map(|i| map.add_node(Point2::new(i as f64 * 5.0, 0.0), Tags::new()))
             .collect();
@@ -358,7 +358,7 @@ mod tests {
 
     #[test]
     fn oneway_affects_driving_direction() {
-        let mut map = MapDocument::new("ow", "t", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         let a = map.add_node(Point2::new(0.0, 0.0), Tags::new());
         let b = map.add_node(Point2::new(100.0, 0.0), Tags::new());
         map.add_way(

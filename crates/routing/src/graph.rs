@@ -93,7 +93,7 @@ pub struct Route {
 /// use openflame_mapdata::{GeoReference, MapDocument, Tags};
 /// use openflame_routing::{dijkstra, Profile, RoadGraph};
 ///
-/// let mut map = MapDocument::new("g", "t", GeoReference::Unaligned { hint: None });
+/// let mut map = MapDocument::new(GeoReference::Unaligned);
 /// let a = map.add_node(Point2::new(0.0, 0.0), Tags::new());
 /// let b = map.add_node(Point2::new(100.0, 0.0), Tags::new());
 /// map.add_way(vec![a, b], Tags::new().with("highway", "footway")).unwrap();
@@ -274,7 +274,7 @@ mod tests {
     type WaySpec<'a> = (&'a [(f64, f64)], &'a [(&'a str, &'a str)]);
 
     fn map_with_ways(ways: &[WaySpec<'_>]) -> (MapDocument, Vec<Vec<NodeId>>) {
-        let mut map = MapDocument::new("t", "t", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         let mut all_ids = Vec::new();
         for (pts, tags) in ways {
             let ids: Vec<NodeId> = pts
@@ -374,16 +374,14 @@ mod tests {
         let g = RoadGraph::from_map(&map, Profile::Walking);
         let near = g.nearest_node(Point2::new(95.0, 10.0)).unwrap();
         assert_eq!(g.node_id(near), ids[0][1]);
-        let empty = RoadGraph::from_map(
-            &MapDocument::new("e", "e", GeoReference::Unaligned { hint: None }),
-            Profile::Walking,
-        );
+        let empty =
+            RoadGraph::from_map(&MapDocument::new(GeoReference::Unaligned), Profile::Walking);
         assert!(empty.nearest_node(Point2::ZERO).is_none());
     }
 
     #[test]
     fn zero_length_segments_skipped() {
-        let mut map = MapDocument::new("t", "t", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         let a = map.add_node(Point2::new(0.0, 0.0), Tags::new());
         let b = map.add_node(Point2::new(0.0, 0.0), Tags::new());
         map.add_way(vec![a, b], Tags::new().with("highway", "footway"))

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 /// are connected).
 fn random_graph(seed: u64, n: usize, extra_edges: usize) -> (RoadGraph, Vec<NodeId>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut map = MapDocument::new("prop", "t", GeoReference::Unaligned { hint: None });
+    let mut map = MapDocument::new(GeoReference::Unaligned);
     let ids: Vec<NodeId> = (0..n)
         .map(|_| {
             map.add_node(

@@ -63,7 +63,7 @@ struct Doc {
 /// use openflame_mapdata::{GeoReference, MapDocument, Tags};
 /// use openflame_search::SearchIndex;
 ///
-/// let mut map = MapDocument::new("s", "t", GeoReference::Unaligned { hint: None });
+/// let mut map = MapDocument::new(GeoReference::Unaligned);
 /// map.add_node(
 ///     Point2::new(5.0, 5.0),
 ///     Tags::new().with("name", "Wasabi Seaweed Snack").with("product", "seaweed"),
@@ -219,7 +219,7 @@ mod tests {
     use openflame_mapdata::GeoReference;
 
     fn store_map() -> MapDocument {
-        let mut map = MapDocument::new("s", "t", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         map.add_node(
             Point2::new(0.0, 0.0),
             Tags::new()
@@ -320,7 +320,7 @@ mod tests {
 
     #[test]
     fn equal_score_and_label_fall_back_to_insertion_order() {
-        let mut map = MapDocument::new("s", "t", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         let tags = || Tags::new().with("name", "Oat Milk").with("product", "milk");
         let first = map.add_node(Point2::new(1.0, 0.0), tags());
         let second = map.add_node(Point2::new(0.0, 1.0), tags());

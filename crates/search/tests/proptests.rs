@@ -140,7 +140,7 @@ proptest! {
     fn index_finds_every_inserted_product(
         names in proptest::collection::vec("[a-z]{4,10}", 1..20),
     ) {
-        let mut map = MapDocument::new("p", "p", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         for (i, name) in names.iter().enumerate() {
             map.add_node(
                 Point2::new(i as f64, 0.0),
@@ -162,7 +162,7 @@ proptest! {
         r1 in 1.0f64..100.0,
         extra in 1.0f64..100.0,
     ) {
-        let mut map = MapDocument::new("p", "p", GeoReference::Unaligned { hint: None });
+        let mut map = MapDocument::new(GeoReference::Unaligned);
         for i in 0..30 {
             map.add_node(
                 Point2::new(i as f64 * 7.0, 0.0),

@@ -212,7 +212,7 @@ mod tests {
 
     fn city_map() -> MapDocument {
         let origin = LatLng::new(40.4433, -79.9436).unwrap();
-        let mut map = MapDocument::new("city", "t", GeoReference::Anchored { origin });
+        let mut map = MapDocument::new(GeoReference::Anchored { origin });
         // A 500 m road east and a building.
         let a = map.add_node(Point2::new(0.0, 0.0), Tags::new());
         let b = map.add_node(Point2::new(500.0, 0.0), Tags::new());
@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn unaligned_maps_have_no_geo_renderer() {
-        let map = MapDocument::new("x", "t", GeoReference::Unaligned { hint: None });
+        let map = MapDocument::new(GeoReference::Unaligned);
         assert!(TileRenderer::new(&map).is_none());
     }
 

@@ -139,7 +139,7 @@ mod tests {
         // known; the overlay must paint pixels on the tile containing
         // the anchor.
         let anchor = LatLng::new(40.4433, -79.9436).unwrap();
-        let mut venue = MapDocument::new("store", "t", GeoReference::Unaligned { hint: None });
+        let mut venue = MapDocument::new(GeoReference::Unaligned);
         let a = venue.add_node(Point2::new(0.0, 0.0), Tags::new());
         let b = venue.add_node(Point2::new(30.0, 0.0), Tags::new());
         venue
@@ -156,7 +156,7 @@ mod tests {
         // With a transform that shifts the venue 10 km away, nothing
         // lands on the anchor tile.
         let anchor = LatLng::new(40.4433, -79.9436).unwrap();
-        let mut venue = MapDocument::new("store", "t", GeoReference::Unaligned { hint: None });
+        let mut venue = MapDocument::new(GeoReference::Unaligned);
         let a = venue.add_node(Point2::new(0.0, 0.0), Tags::new());
         let b = venue.add_node(Point2::new(30.0, 0.0), Tags::new());
         venue
@@ -174,7 +174,7 @@ mod tests {
         // and verify the overlay matches the truth-rendered overlay.
         let anchor = LatLng::new(40.4433, -79.9436).unwrap();
         let truth = Affine2::similarity(-0.3, 1.0, Point2::new(25.0, -12.0));
-        let mut venue = MapDocument::new("store", "t", GeoReference::Unaligned { hint: None });
+        let mut venue = MapDocument::new(GeoReference::Unaligned);
         let a = venue.add_node(Point2::new(0.0, 0.0), Tags::new());
         let b = venue.add_node(Point2::new(40.0, 0.0), Tags::new());
         let c = venue.add_node(Point2::new(40.0, 25.0), Tags::new());

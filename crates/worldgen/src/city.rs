@@ -13,13 +13,9 @@ use rand::Rng;
 /// The map plays the "large world-map provider" role from paper §5.2 (the
 /// OpenStreetMap/Google of the simulation): public, outdoor, coarse.
 pub(crate) fn build_outdoor<R: Rng>(config: &WorldConfig, rng: &mut R) -> MapDocument {
-    let mut map = MapDocument::new(
-        "city-outdoor",
-        "world-map-provider",
-        GeoReference::Anchored {
-            origin: config.center,
-        },
-    );
+    let mut map = MapDocument::new(GeoReference::Anchored {
+        origin: config.center,
+    });
     let w = config.blocks_x as f64 * config.block_m;
     let h = config.blocks_y as f64 * config.block_m;
     let origin = Point2::new(-w / 2.0, -h / 2.0);

@@ -96,11 +96,7 @@ pub(crate) fn build_grocery<R: Rng>(
     // ---- Indoor map in a misaligned local frame.
     let hint = city_frame.from_local(anchor_enu);
     let true_transform = World::sample_misalignment(rng, anchor_enu);
-    let mut map = MapDocument::new(
-        name.clone(),
-        format!("{name} operator"),
-        GeoReference::Unaligned { hint: Some(hint) },
-    );
+    let mut map = MapDocument::new(GeoReference::Unaligned);
     let store_w = rng.gen_range(30.0..50.0);
     let store_h = rng.gen_range(20.0..35.0);
 
@@ -368,10 +364,7 @@ mod tests {
     fn venue_is_unaligned_with_hint() {
         let (config, mut outdoor, mut rng) = setup();
         let v = build_grocery(&config, 0, &mut outdoor, &mut rng);
-        assert!(matches!(
-            v.map.georef(),
-            GeoReference::Unaligned { hint: Some(_) }
-        ));
+        assert_eq!(v.map.georef(), GeoReference::Unaligned);
         // The hint is within the city.
         let d = v.hint.haversine_distance(config.center);
         assert!(d < config.blocks_x as f64 * config.block_m);
